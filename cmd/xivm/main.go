@@ -82,7 +82,6 @@ func run() error {
 	fsync := flag.String("fsync", "always", "durable mode fsync policy: always, interval, or never")
 	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "group-commit window under -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "durable mode: checkpoint automatically after this many journaled records (0 = never)")
-	compactRecovery := flag.Bool("compact-recovery", false, "durable mode: compact the replay tail with the PUL reduction rules")
 	verifyRecovery := flag.Bool("verify-recovery", false, "open -data-dir, report what recovery did, verify every view against a fresh evaluation, and exit")
 	listenAddr := flag.String("listen", "", "serve the query/update HTTP API on this address (e.g. :8080) until interrupted")
 	followURL := flag.String("follow", "", "follower mode: tail the leader at this base URL and serve reads at the applied LSN (requires -listen)")
@@ -144,7 +143,6 @@ func run() error {
 			fsync:           *fsync,
 			fsyncInterval:   *fsyncInterval,
 			checkpointEvery: *checkpointEvery,
-			compact:         *compactRecovery,
 			statements:      flag.Args(),
 		})
 	}
@@ -161,7 +159,6 @@ func run() error {
 			fsync:           *fsync,
 			fsyncInterval:   *fsyncInterval,
 			checkpointEvery: *checkpointEvery,
-			compact:         *compactRecovery,
 			verify:          *verifyRecovery,
 			showRows:        *showRows,
 			stats:           *stats,
@@ -371,7 +368,6 @@ type durableConfig struct {
 	fsync           string
 	fsyncInterval   time.Duration
 	checkpointEvery int
-	compact         bool
 	verify          bool
 	showRows        bool
 	stats           bool
@@ -418,7 +414,6 @@ func runDurable(ctx context.Context, cfg durableConfig) error {
 		Sync:            policy,
 		SyncInterval:    cfg.fsyncInterval,
 		CheckpointEvery: cfg.checkpointEvery,
-		Compact:         cfg.compact,
 		Engine:          eopts,
 	}
 
@@ -544,9 +539,6 @@ func printRecovery(db *wal.DB) {
 	}
 	if st.BadCheckpoints > 0 {
 		fmt.Printf("  %d corrupt checkpoint(s) skipped\n", st.BadCheckpoints)
-	}
-	if st.Compacted {
-		fmt.Printf("  replay compacted: %d operations eliminated\n", st.CompactedOps)
 	}
 }
 

@@ -83,7 +83,6 @@ func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
 			Sync:            policy,
 			SyncInterval:    cfg.fsyncInterval,
 			CheckpointEvery: cfg.checkpointEvery,
-			Compact:         cfg.compact,
 			Engine:          eopts,
 		}
 	} else if defaultDoc == "" {
@@ -103,8 +102,8 @@ func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
 		fmt.Printf("db %-12s (recovered: epoch %d, %d views, %d rows)\n", st.Name, st.Version, st.Views, st.Rows)
 	}
 
-	// Bootstrap the -db tenant (the one trailing statements and the
-	// deprecated single-tenant aliases address) when it does not exist yet.
+	// Bootstrap the -db tenant (the one trailing statements address) when it
+	// does not exist yet.
 	if _, err := reg.Get(cfg.db); err != nil {
 		if defaultDoc == "" {
 			if len(reg.Names()) == 0 {

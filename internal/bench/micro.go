@@ -49,7 +49,6 @@ func MicroBenchmarks() []struct {
 		{"WordItems", MicroWordItems},
 		{"ApplyStatement", MicroApplyStatement},
 		{"RecoverEager", MicroRecoverEager},
-		{"RecoverCompacted", MicroRecoverCompacted},
 	}
 }
 

@@ -31,8 +31,3 @@ func BenchmarkMicroRecoverEager(b *testing.B) {
 	b.ReportAllocs()
 	MicroRecoverEager(b, SmallBytes)
 }
-
-func BenchmarkMicroRecoverCompacted(b *testing.B) {
-	b.ReportAllocs()
-	MicroRecoverCompacted(b, SmallBytes)
-}

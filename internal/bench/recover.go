@@ -19,15 +19,13 @@ func mustStatement(src string) *update.Statement {
 	return st
 }
 
-// Recovery microbenchmarks: checkpoint load (parse the document, decode
-// every view snapshot) plus replay of a statement tail, with and without
-// pulopt log compaction. The tail is insert churn under a subtree that a
-// later statement deletes wholesale — the shape where the reduction rules
-// shrink replay the same way they shrink propagation.
+// Recovery microbenchmark: checkpoint load (parse the document, decode
+// every view snapshot) plus replay of a statement tail.
 
-// recoverTail is the replayed statement suffix: the person insertions and
-// the phone insertions all die with `delete /site/people`, so compacted
-// recovery drops them; the auction insert and the catgraph delete survive.
+// recoverTail is the replayed statement suffix: insert churn under a
+// subtree that a later statement deletes wholesale, plus an auction insert
+// and a catgraph delete that survive. (BENCH_4.json's tail; it was built to
+// favour the since-removed compacted replay.)
 func recoverTail() []string {
 	var stmts []string
 	for i := 0; i < 4; i++ {
@@ -60,7 +58,7 @@ func prepRecoverDir(b *testing.B, docBytes int) string {
 		b.Fatal(err)
 	}
 	// Checkpoint past the view record so the replay tail is statements
-	// only, the compaction-eligible shape.
+	// only.
 	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
@@ -75,7 +73,9 @@ func prepRecoverDir(b *testing.B, docBytes int) string {
 	return dir
 }
 
-// MicroRecoverEager measures wal.Open with statement-by-statement replay.
+// MicroRecoverEager measures wal.Open: image restore plus wal.Replay of
+// the tail. The name predates the removal of compacted replay and is kept
+// so results diff against BENCH_4.json.
 func MicroRecoverEager(b *testing.B, docBytes int) {
 	dir := prepRecoverDir(b, docBytes)
 	defer os.RemoveAll(dir)
@@ -87,24 +87,6 @@ func MicroRecoverEager(b *testing.B, docBytes int) {
 		}
 		if db.Stats().Replayed == 0 {
 			b.Fatal("bench: recovery replayed nothing")
-		}
-		db.Close()
-	}
-}
-
-// MicroRecoverCompacted measures wal.Open with the pulopt-compacted replay
-// path, which must engage (drop operations) on this tail.
-func MicroRecoverCompacted(b *testing.B, docBytes int) {
-	dir := prepRecoverDir(b, docBytes)
-	defer os.RemoveAll(dir)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db, err := wal.Open(dir, wal.Options{Compact: true, Metrics: obs.New()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st := db.Stats(); !st.Compacted || st.CompactedOps == 0 {
-			b.Fatalf("bench: compaction did not engage: %+v", st)
 		}
 		db.Close()
 	}

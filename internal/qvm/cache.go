@@ -1,8 +1,9 @@
 package qvm
 
 import (
-	"container/list"
 	"sync"
+
+	"xivm/internal/lru"
 )
 
 // Cache is a thread-safe LRU of compiled programs keyed by query string.
@@ -11,23 +12,13 @@ import (
 // Keying by the raw query string means a hit also skips the parse.
 type Cache struct {
 	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type cacheEntry struct {
-	key  string
-	prog *Program
+	progs *lru.Cache[string, *Program]
 }
 
 // NewCache creates an LRU cache holding up to capacity programs
 // (a capacity below 1 is raised to 1).
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+	return &Cache{progs: lru.New[string, *Program](capacity)}
 }
 
 // Get returns the cached program for the query, marking it most recently
@@ -35,12 +26,7 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Get(query string) (*Program, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[query]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).prog, true
+	return c.progs.Get(query)
 }
 
 // Add inserts a program, evicting the least recently used entry when full.
@@ -48,24 +34,12 @@ func (c *Cache) Get(query string) (*Program, bool) {
 func (c *Cache) Add(query string, prog *Program) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[query]; ok {
-		el.Value.(*cacheEntry).prog = prog
-		c.ll.MoveToFront(el)
-		return false
-	}
-	c.items[query] = c.ll.PushFront(&cacheEntry{key: query, prog: prog})
-	if c.ll.Len() <= c.cap {
-		return false
-	}
-	oldest := c.ll.Back()
-	c.ll.Remove(oldest)
-	delete(c.items, oldest.Value.(*cacheEntry).key)
-	return true
+	return c.progs.Put(query, prog)
 }
 
 // Len returns the number of cached programs.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.progs.Len()
 }

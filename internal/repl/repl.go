@@ -7,25 +7,20 @@
 //
 //   - Catch-up is snapshot-first: the tailer fetches the leader's newest
 //     checkpoint image, re-verifies every byte of it (manifest decode, doc
-//     and view content hashes — wal.NewReplImage runs the same checks the
-//     leader's own recovery does), restores an engine from it, and attaches
-//     a replica shard at the checkpoint's LSN.
+//     and view content hashes — wal.NewImage is the verifier the leader's
+//     own recovery uses), restores an engine from it, and attaches a replica
+//     shard at the checkpoint's LSN.
 //
 //   - It then tails the stream: each poll fetches raw WAL frames from
 //     applied+1, CRC-verifies and decodes them (wal.DecodeFrames rejects the
 //     whole read on any torn or corrupt frame — network data is never
-//     partially applied), replays the records through the normal core apply
-//     path, and publishes one epoch per applied batch. Statement runs are
-//     batched through pulopt.PlanBatch exactly like a leader's writer loop;
-//     any gate rejection falls back to per-statement application, which is
-//     equivalent — the engine version is a pure function of the statement
-//     sequence, so a follower that batches differently than its leader still
-//     converges byte-identically.
+//     partially applied), folds the records into the engine with wal.Replay
+//     — the function the leader's own crash recovery uses, so a follower
+//     and a restarted leader reach the same state from the same bytes — and
+//     publishes one epoch per read.
 //
-//   - Records that fail to parse or that the engine rejects are skipped,
-//     mirroring recovery's replay semantics (they had no effect on the
-//     leader either); a batch that part-applies forces a snapshot re-sync
-//     rather than guessing at the boundary.
+//   - A translated batch that part-applies (*wal.PartAppliedError) forces a
+//     snapshot re-sync rather than guessing at the boundary.
 //
 //   - Transport errors reconnect with jittered exponential backoff and
 //     resume from the last-applied LSN. A 410 snapshot_required answer
@@ -47,10 +42,7 @@ import (
 	"xivm/internal/client"
 	"xivm/internal/core"
 	"xivm/internal/obs"
-	"xivm/internal/pattern"
-	"xivm/internal/pulopt"
 	"xivm/internal/server"
-	"xivm/internal/update"
 	"xivm/internal/wal"
 )
 
@@ -63,12 +55,6 @@ type Options struct {
 	// MaxBytes caps one stream read (default 1MiB). The leader always ships
 	// at least one frame regardless.
 	MaxBytes int
-	// MaxBatch caps how many consecutive statements are replayed through one
-	// PlanBatch translation (default 32; 1 disables batching).
-	MaxBatch int
-	// MinBackoff/MaxBackoff bound the jittered exponential reconnect backoff
-	// (defaults 50ms / 3s).
-	MinBackoff, MaxBackoff time.Duration
 	// Metrics selects the registry for the repl.follower.* instruments
 	// (nil = obs.Default()).
 	Metrics *obs.Metrics
@@ -91,26 +77,12 @@ func (o Options) maxBytes() int {
 	return o.MaxBytes
 }
 
-func (o Options) maxBatch() int {
-	if o.MaxBatch <= 0 {
-		return 32
-	}
-	return o.MaxBatch
-}
-
-func (o Options) minBackoff() time.Duration {
-	if o.MinBackoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return o.MinBackoff
-}
-
-func (o Options) maxBackoff() time.Duration {
-	if o.MaxBackoff <= 0 {
-		return 3 * time.Second
-	}
-	return o.MaxBackoff
-}
+// minBackoff and maxBackoff bound the jittered exponential reconnect
+// backoff.
+const (
+	minBackoff = 50 * time.Millisecond
+	maxBackoff = 3 * time.Second
+)
 
 // gauge tracks a current value on top of a delta counter. Each follower
 // mutates only from its own tailer goroutine, and distinct followers sharing
@@ -162,11 +134,6 @@ func newFollowerMetrics(reg *obs.Metrics) *followerMetrics {
 	}
 }
 
-// errResync is returned inside the tail loop when the follower's engine can
-// no longer be trusted to match the log (a translated batch part-applied)
-// and only a fresh snapshot restores certainty.
-var errResync = errors.New("repl: state uncertain, snapshot re-sync required")
-
 // Follower replicates one tenant from a leader into a follower registry.
 // Create with NewFollower and drive with Run; all state is owned by the
 // single tailer goroutine inside Run.
@@ -177,6 +144,8 @@ type Follower struct {
 	reg  *server.Registry
 	opts Options
 	m    *followerMetrics
+	// replay is wal.Replay; the re-sync test substitutes a failing one.
+	replay func(*core.Engine, []wal.Record) (wal.ReplayResult, error)
 
 	eng        *core.Engine
 	sh         *server.Shard
@@ -188,12 +157,13 @@ type Follower struct {
 // (the registry's FollowerOf URL) and reg must be a follower registry.
 func NewFollower(c *client.Client, reg *server.Registry, tenant string, opts Options) *Follower {
 	return &Follower{
-		name: tenant,
-		id:   fmt.Sprintf("%s-%08x", tenant, rand.Uint32()),
-		db:   c.DB(tenant),
-		reg:  reg,
-		opts: opts,
-		m:    newFollowerMetrics(opts.Metrics),
+		name:   tenant,
+		id:     fmt.Sprintf("%s-%08x", tenant, rand.Uint32()),
+		db:     c.DB(tenant),
+		reg:    reg,
+		opts:   opts,
+		m:      newFollowerMetrics(opts.Metrics),
+		replay: wal.Replay,
 	}
 }
 
@@ -201,7 +171,7 @@ func NewFollower(c *client.Client, reg *server.Registry, tenant string, opts Opt
 // then the poll loop, re-syncing or backing off as classified errors
 // dictate. It returns ctx.Err().
 func (f *Follower) Run(ctx context.Context) error {
-	backoff := f.opts.minBackoff()
+	backoff := minBackoff
 	for ctx.Err() == nil {
 		if f.eng == nil {
 			if err := f.resync(ctx); err != nil {
@@ -212,14 +182,14 @@ func (f *Follower) Run(ctx context.Context) error {
 				f.sleepBackoff(ctx, &backoff)
 				continue
 			}
-			backoff = f.opts.minBackoff()
+			backoff = minBackoff
 		}
 		err := f.pollOnce(ctx)
 		switch {
 		case err == nil:
-			backoff = f.opts.minBackoff()
+			backoff = minBackoff
 		case ctx.Err() != nil:
-		case isSnapshotRequired(err) || errors.Is(err, errResync):
+		case isSnapshotRequired(err) || errors.As(err, new(*wal.PartAppliedError)):
 			// The leader truncated past our position (or our state is
 			// uncertain): run snapshot-first catch-up on a fresh engine. The
 			// current epoch keeps serving reads until the new shard attaches.
@@ -240,7 +210,7 @@ func (f *Follower) resync(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	img, err := wal.NewReplImage(resp.Manifest, resp.Doc, resp.Ords, resp.Views)
+	img, err := wal.NewImage(resp.Manifest, resp.Doc, resp.Ords, resp.Views)
 	if err != nil {
 		return fmt.Errorf("repl: verifying snapshot for %s: %w", f.name, err)
 	}
@@ -288,90 +258,17 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 		// Torn or corrupt network read: refetch from the same position.
 		return fmt.Errorf("repl: decoding frames for %s at %d: %w", f.name, from, err)
 	}
-	if err := f.replay(recs); err != nil {
-		return err
+	res, err := f.replay(f.eng, recs)
+	f.m.records.Add(int64(res.Applied))
+	f.m.batches.Add(int64(res.Batches))
+	f.m.skipped.Add(int64(res.Skipped))
+	if err != nil {
+		return fmt.Errorf("repl: replaying %s from %d: %w", f.name, from, err)
 	}
 	f.applied = recs[len(recs)-1].LSN
 	f.sh.PublishReplica(f.eng.Snapshot(), f.applied, f.leaderLast)
 	f.m.applied.set(f.applied)
 	f.m.lag.set(f.leaderLast - f.applied)
-	return nil
-}
-
-// replay applies one decoded batch of records through the engine, batching
-// maximal runs of parseable statements through the pulopt planner and
-// mirroring recovery's skip semantics for everything the planner or engine
-// rejects. Only a part-applied translated batch is an error (errResync).
-func (f *Follower) replay(recs []wal.Record) error {
-	var run []*update.Statement
-	for i := range recs {
-		r := &recs[i]
-		switch r.Kind {
-		case wal.RecordStatement:
-			st, err := update.Parse(r.Statement)
-			if err != nil {
-				// A skipped statement has no effect, so the run can span it.
-				f.m.skipped.Inc()
-				continue
-			}
-			run = append(run, st)
-		case wal.RecordView:
-			// View registration must land at its exact point in the
-			// statement sequence.
-			if err := f.flush(run); err != nil {
-				return err
-			}
-			run = run[:0]
-			p, err := pattern.Parse(r.ViewPattern)
-			if err != nil {
-				f.m.skipped.Inc()
-				continue
-			}
-			if _, err := f.eng.AddView(r.ViewName, p); err != nil {
-				f.m.skipped.Inc()
-				continue
-			}
-			f.m.records.Inc()
-		default:
-			f.m.skipped.Inc()
-		}
-	}
-	return f.flush(run)
-}
-
-// flush replays a run of statements: chunks are first offered to the batch
-// planner; a rejected plan degrades the chunk's first statement to the
-// per-statement path (engine errors skipped, exactly like recovery) and the
-// rest is re-planned. Equivalence holds either way — the planner's gates
-// guarantee a translated chunk produces the sequential state and version.
-func (f *Follower) flush(run []*update.Statement) error {
-	for len(run) > 0 {
-		n := len(run)
-		if max := f.opts.maxBatch(); n > max {
-			n = max
-		}
-		if n > 1 {
-			if plan, err := pulopt.PlanBatch(f.eng, run[:n]); err == nil {
-				if _, applied, err := f.eng.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
-					// A part-applied batch leaves the engine somewhere
-					// between statement boundaries; the only deterministic
-					// recovery is a fresh snapshot.
-					return fmt.Errorf("%w (tenant %s: batch part-applied %d/%d: %v)",
-						errResync, f.name, applied, n, err)
-				}
-				f.m.batches.Inc()
-				f.m.records.Add(int64(n))
-				run = run[n:]
-				continue
-			}
-		}
-		if _, err := f.eng.ApplyStatement(run[0]); err != nil {
-			f.m.skipped.Inc()
-		} else {
-			f.m.records.Inc()
-		}
-		run = run[1:]
-	}
 	return nil
 }
 
@@ -394,8 +291,8 @@ func (f *Follower) sleepBackoff(ctx context.Context, backoff *time.Duration) {
 	d = d/2 + time.Duration(rand.Int63n(int64(d)))
 	_ = f.nap(ctx, d)
 	*backoff *= 2
-	if max := f.opts.maxBackoff(); *backoff > max {
-		*backoff = max
+	if *backoff > maxBackoff {
+		*backoff = maxBackoff
 	}
 }
 

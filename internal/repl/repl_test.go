@@ -12,11 +12,15 @@ import (
 	"time"
 
 	"xivm/internal/client"
+	"xivm/internal/core"
 	"xivm/internal/obs"
 	"xivm/internal/server"
 	"xivm/internal/wal"
 	"xivm/internal/xmark"
 )
+
+// defaultTenant is the tenant every test leader starts with.
+const defaultTenant = "default"
 
 // vocab is the leader write workload: inserts, deletes (including
 // zero-target and rejected shapes, which journal but must converge to the
@@ -57,7 +61,7 @@ func newLeader(t *testing.T, walOpts wal.Options) (*server.Registry, *httptest.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create(server.DefaultTenant, "", nil); err != nil {
+	if _, err := reg.Create(defaultTenant, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(reg.Handler())
@@ -197,7 +201,7 @@ func compareReads(t *testing.T, leaderURL, followerURL, tenant string) {
 func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 	_, lts := newLeader(t, wal.Options{CheckpointEvery: 8, SegmentBytes: 1024})
 	lc := client.New(lts.URL)
-	db := lc.DB(server.DefaultTenant)
+	db := lc.DB(defaultTenant)
 	for i := 0; i < 40; i++ {
 		write(t, db, vocab[i%len(vocab)])
 	}
@@ -208,23 +212,23 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 
 	folReg, fts := newFollowerReg(t, lts.URL)
 	m := obs.New()
-	f := NewFollower(lc, folReg, server.DefaultTenant, Options{
+	f := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: 2 * time.Millisecond,
 		Metrics:      m,
 	})
 	startFollower(t, f)
 
 	last := leaderLast(t, db)
-	waitApplied(t, folReg, server.DefaultTenant, last, 30*time.Second)
-	compareReads(t, lts.URL, fts.URL, server.DefaultTenant)
+	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
+	compareReads(t, lts.URL, fts.URL, defaultTenant)
 
 	// Keep writing: the follower must track the moving tip too.
 	for i := 0; i < 10; i++ {
 		write(t, db, vocab[i%len(vocab)])
 	}
 	last = leaderLast(t, db)
-	waitApplied(t, folReg, server.DefaultTenant, last, 30*time.Second)
-	compareReads(t, lts.URL, fts.URL, server.DefaultTenant)
+	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
+	compareReads(t, lts.URL, fts.URL, defaultTenant)
 
 	if m.CounterValue("repl.follower.applied_lsn") != int64(last) {
 		t.Fatalf("applied_lsn gauge %d, want %d", m.CounterValue("repl.follower.applied_lsn"), last)
@@ -240,25 +244,25 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 func TestFollowerKilledMidReplayConverges(t *testing.T) {
 	_, lts := newLeader(t, wal.Options{})
 	lc := client.New(lts.URL)
-	db := lc.DB(server.DefaultTenant)
+	db := lc.DB(defaultTenant)
 	for i := 0; i < 30; i++ {
 		write(t, db, vocab[i%len(vocab)])
 	}
 
 	folReg, fts := newFollowerReg(t, lts.URL)
 	// Tiny reads so the first follower is reliably mid-replay when killed.
-	f1 := NewFollower(lc, folReg, server.DefaultTenant, Options{
+	f1 := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: time.Millisecond,
 		MaxBytes:     1,
 		Metrics:      obs.New(),
 	})
 	stop1 := startFollower(t, f1)
-	waitApplied(t, folReg, server.DefaultTenant, 5, 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, 5, 30*time.Second)
 	stop1()
 
 	killedAt := uint64(0)
 	for _, st := range folReg.Stats() {
-		if st.Name == server.DefaultTenant {
+		if st.Name == defaultTenant {
 			killedAt = st.AppliedLSN
 		}
 	}
@@ -271,14 +275,14 @@ func TestFollowerKilledMidReplayConverges(t *testing.T) {
 		write(t, db, vocab[(i+3)%len(vocab)])
 	}
 
-	f2 := NewFollower(lc, folReg, server.DefaultTenant, Options{
+	f2 := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: 2 * time.Millisecond,
 		Metrics:      obs.New(),
 	})
 	startFollower(t, f2)
 	last := leaderLast(t, db)
-	waitApplied(t, folReg, server.DefaultTenant, last, 30*time.Second)
-	compareReads(t, lts.URL, fts.URL, server.DefaultTenant)
+	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
+	compareReads(t, lts.URL, fts.URL, defaultTenant)
 }
 
 // TestFollowerResyncsAfterTruncation forces the mid-stream 410: the
@@ -292,19 +296,19 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 		PinTTL:          time.Nanosecond,
 	})
 	lc := client.New(lts.URL)
-	db := lc.DB(server.DefaultTenant)
+	db := lc.DB(defaultTenant)
 	for i := 0; i < 8; i++ {
 		write(t, db, vocab[i%len(vocab)])
 	}
 
 	folReg, fts := newFollowerReg(t, lts.URL)
 	m := obs.New()
-	f := NewFollower(lc, folReg, server.DefaultTenant, Options{
+	f := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: 150 * time.Millisecond, // long naps: truncation outruns the tailer
 		Metrics:      m,
 	})
 	startFollower(t, f)
-	waitApplied(t, folReg, server.DefaultTenant, leaderLast(t, db), 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
 
 	// Burst writes roll checkpoints (truncating the un-pinned log) inside
 	// the follower's nap window until a re-sync is observed.
@@ -318,8 +322,48 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	waitApplied(t, folReg, server.DefaultTenant, leaderLast(t, db), 30*time.Second)
-	compareReads(t, lts.URL, fts.URL, server.DefaultTenant)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+	compareReads(t, lts.URL, fts.URL, defaultTenant)
+}
+
+// TestFollowerResyncsOnPartAppliedBatch: when replay reports a translated
+// batch stopped between its units, the follower's engine is somewhere no
+// log position describes; it must throw the engine away, re-sync from a
+// snapshot and converge — never publish the half-applied state.
+func TestFollowerResyncsOnPartAppliedBatch(t *testing.T) {
+	_, lts := newLeader(t, wal.Options{})
+	lc := client.New(lts.URL)
+	db := lc.DB(defaultTenant)
+	for i := 0; i < 12; i++ {
+		write(t, db, vocab[i%len(vocab)])
+	}
+
+	folReg, fts := newFollowerReg(t, lts.URL)
+	m := obs.New()
+	f := NewFollower(lc, folReg, defaultTenant, Options{
+		PollInterval: 2 * time.Millisecond,
+		Metrics:      m,
+	})
+	failed := false // tailer goroutine only
+	f.replay = func(eng *core.Engine, recs []wal.Record) (wal.ReplayResult, error) {
+		if failed {
+			return wal.Replay(eng, recs)
+		}
+		failed = true
+		res, _ := wal.Replay(eng, recs[:len(recs)/2]) // leave the engine mid-tail
+		return res, &wal.PartAppliedError{Applied: 1, Statements: 2, Err: errors.New("injected")}
+	}
+	startFollower(t, f)
+
+	last := leaderLast(t, db)
+	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
+	compareReads(t, lts.URL, fts.URL, defaultTenant)
+	if got := m.CounterValue("repl.follower.resyncs"); got != 2 {
+		t.Fatalf("resyncs = %d, want 2 (initial catch-up + the part-applied batch)", got)
+	}
+	if got := m.CounterValue("repl.follower.reconnects"); got != 0 {
+		t.Fatalf("reconnects = %d: a part-applied batch is not a transport error to back off from", got)
+	}
 }
 
 // TestFollowerConvergenceStress runs concurrent writers against the leader
@@ -329,10 +373,10 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 func TestFollowerConvergenceStress(t *testing.T) {
 	_, lts := newLeader(t, wal.Options{CheckpointEvery: 16, SegmentBytes: 4096})
 	lc := client.New(lts.URL)
-	db := lc.DB(server.DefaultTenant)
+	db := lc.DB(defaultTenant)
 
 	folReg, fts := newFollowerReg(t, lts.URL)
-	f := NewFollower(lc, folReg, server.DefaultTenant, Options{
+	f := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: time.Millisecond,
 		MaxBytes:     2048,
 		Metrics:      obs.New(),
@@ -348,7 +392,7 @@ func TestFollowerConvergenceStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wdb := client.New(lts.URL).DB(server.DefaultTenant)
+			wdb := client.New(lts.URL).DB(defaultTenant)
 			for i := 0; i < perWriter; i++ {
 				write(t, wdb, vocab[(w+i)%len(vocab)])
 			}
@@ -360,8 +404,8 @@ func TestFollowerConvergenceStress(t *testing.T) {
 	if last == 0 {
 		t.Fatal("no writes landed")
 	}
-	waitApplied(t, folReg, server.DefaultTenant, last, 60*time.Second)
-	compareReads(t, lts.URL, fts.URL, server.DefaultTenant)
+	waitApplied(t, folReg, defaultTenant, last, 60*time.Second)
+	compareReads(t, lts.URL, fts.URL, defaultTenant)
 }
 
 // TestFleetDiscovery checks the fleet lifecycle: tenants created on the
@@ -387,7 +431,7 @@ func TestFleetDiscovery(t *testing.T) {
 	if _, err := lc.CreateDB(context.Background(), client.CreateDB{Name: "extra"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{server.DefaultTenant, "extra"} {
+	for _, name := range []string{defaultTenant, "extra"} {
 		db := lc.DB(name)
 		write(t, db, vocab[0])
 		waitApplied(t, folReg, name, leaderLast(t, db), 30*time.Second)
@@ -409,7 +453,7 @@ func TestFleetDiscovery(t *testing.T) {
 	}
 
 	// The follower's own API rejects writes with a pointer to the leader.
-	resp, err := http.Post(fts.URL+"/v1/db/"+server.DefaultTenant+"/update",
+	resp, err := http.Post(fts.URL+"/v1/db/"+defaultTenant+"/update",
 		"application/json", nil)
 	if err != nil {
 		t.Fatal(err)

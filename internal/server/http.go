@@ -132,11 +132,6 @@ type UpdateResponse struct {
 //
 //	GET /healthz     liveness + tenant count + total queued updates
 //	GET /v1/metrics  JSON dump of the whole metrics registry
-//
-// Deprecated single-tenant aliases, mounted on the "default" tenant and
-// answering with a Deprecation header:
-//
-//	GET  /v1/views, GET /v1/views/{name}, GET /v1/xpath, POST /v1/update
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealth)
@@ -156,24 +151,7 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/db/{db}/repl/stream", r.handleReplStream)
 	mux.HandleFunc("GET /v1/db/{db}/repl/snapshot", r.handleReplSnapshot)
 
-	mux.HandleFunc("GET /v1/views", deprecatedAlias(r.handleViews))
-	mux.HandleFunc("GET /v1/views/{name}", deprecatedAlias(r.handleView))
-	mux.HandleFunc("GET /v1/xpath", deprecatedAlias(r.handleXPath))
-	mux.HandleFunc("POST /v1/update", deprecatedAlias(r.handleUpdate))
-
 	return r.countRequests(mux)
-}
-
-// deprecatedAlias mounts a pre-multi-tenant route onto the default tenant.
-// The Deprecation header (RFC 9745) plus a successor Link tell clients
-// where the route went without breaking them.
-func deprecatedAlias(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/db/`+DefaultTenant+`>; rel="successor-version"`)
-		req.SetPathValue("db", DefaultTenant)
-		h(w, req)
-	}
 }
 
 func (r *Registry) countRequests(next http.Handler) http.Handler {

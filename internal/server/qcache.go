@@ -1,10 +1,10 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 
 	"xivm/internal/independence"
+	"xivm/internal/lru"
 	"xivm/internal/pattern"
 	"xivm/internal/update"
 )
@@ -37,9 +37,7 @@ import (
 // has already been vetted through V.
 type queryCache struct {
 	mu           sync.Mutex
-	cap          int
-	entries      map[string]*list.Element // query -> *cachedResult
-	lru          *list.List
+	entries      *lru.Cache[string, *cachedResult] // by query
 	notifiedUpTo uint64
 	ring         []appliedWrite
 	floor        uint64 // versions <= floor have left the ring
@@ -66,9 +64,7 @@ const (
 
 func newQueryCache(startVersion uint64) *queryCache {
 	return &queryCache{
-		cap:          queryCacheCap,
-		entries:      map[string]*list.Element{},
-		lru:          list.New(),
+		entries:      lru.New[string, *cachedResult](queryCacheCap),
 		notifiedUpTo: startVersion,
 		floor:        startVersion,
 	}
@@ -78,15 +74,10 @@ func newQueryCache(startVersion uint64) *queryCache {
 func (c *queryCache) get(q string, cur uint64) (*cachedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[q]
-	if !ok {
+	e, ok := c.entries.Get(q)
+	if !ok || e.version > cur || cur > c.notifiedUpTo {
 		return nil, false
 	}
-	e := el.Value.(*cachedResult)
-	if e.version > cur || cur > c.notifiedUpTo {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
 	return e, true
 }
 
@@ -104,17 +95,7 @@ func (c *queryCache) put(e *cachedResult) {
 			return
 		}
 	}
-	if el, ok := c.entries[e.query]; ok {
-		el.Value = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[e.query] = c.lru.PushFront(e)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*cachedResult).query)
-	}
+	c.entries.Put(e.query, e)
 }
 
 // noteApplied vets a batch of landed statements now covered by version:
@@ -125,7 +106,7 @@ func (c *queryCache) noteApplied(sts []*update.Statement, version uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if version != c.notifiedUpTo+uint64(len(sts)) {
-		n := len(c.entries)
+		n := c.entries.Len()
 		c.dropAllLocked(version)
 		c.invalidated += int64(n)
 		return n
@@ -140,18 +121,14 @@ func (c *queryCache) noteApplied(sts []*update.Statement, version uint64) int {
 		c.floor = c.ring[n-1].version
 		c.ring = append(c.ring[:0], c.ring[n:]...)
 	}
-	dropped := 0
-	for q, el := range c.entries {
-		e := el.Value.(*cachedResult)
+	dropped := c.entries.DeleteFunc(func(_ string, e *cachedResult) bool {
 		for _, st := range sts {
 			if mayAffect(e.pat, st) {
-				c.lru.Remove(el)
-				delete(c.entries, q)
-				dropped++
-				break
+				return true
 			}
 		}
-	}
+		return false
+	})
 	c.invalidated += int64(dropped)
 	return dropped
 }
@@ -165,8 +142,7 @@ func (c *queryCache) dropAll(version uint64) {
 }
 
 func (c *queryCache) dropAllLocked(version uint64) {
-	c.entries = map[string]*list.Element{}
-	c.lru.Init()
+	c.entries = lru.New[string, *cachedResult](queryCacheCap)
 	c.ring = c.ring[:0]
 	c.notifiedUpTo = version
 	c.floor = version

@@ -13,10 +13,6 @@ import (
 	"xivm/internal/xmltree"
 )
 
-// DefaultTenant is the tenant the deprecated single-tenant routes
-// (/v1/views, /v1/xpath, /v1/update) are mounted on.
-const DefaultTenant = "default"
-
 // ViewSpec declares one view for tenant creation: a name and a tree
 // pattern in the pattern syntax (pattern.Parse).
 type ViewSpec struct {

@@ -137,78 +137,6 @@ func TestAdminPlaneLifecycle(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases pins the backward-compatible single-tenant routes:
-// every alias answers exactly like its /v1/db/default counterpart and
-// carries the Deprecation header plus a successor Link.
-func TestDeprecatedAliases(t *testing.T) {
-	_, ts := newTestRegistry(t, Config{}, nil)
-
-	aliases := []struct{ alias, successor string }{
-		{"/v1/views", "/v1/db/default/views"},
-		{"/v1/views/Q1", "/v1/db/default/views/Q1"},
-		{"/v1/xpath?q=/site/people/person/name", "/v1/db/default/xpath?q=/site/people/person/name"},
-	}
-	for _, a := range aliases {
-		resp, err := http.Get(ts.URL + a.alias)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var aliasBody bytes.Buffer
-		aliasBody.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", a.alias, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("GET %s: missing Deprecation header", a.alias)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Fatalf("GET %s: Link = %q, want a successor-version relation", a.alias, link)
-		}
-
-		resp2, err := http.Get(ts.URL + a.successor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var succBody bytes.Buffer
-		succBody.ReadFrom(resp2.Body)
-		resp2.Body.Close()
-		if !bytes.Equal(aliasBody.Bytes(), succBody.Bytes()) {
-			t.Fatalf("GET %s and %s disagree:\n%s\nvs\n%s", a.alias, a.successor, aliasBody.Bytes(), succBody.Bytes())
-		}
-	}
-
-	// The update alias applies to the default tenant.
-	body := strings.NewReader(`{"statement": "insert <person id=\"pa\"><name>Alias</name></person> into /site/people"}`)
-	resp, err := http.Post(ts.URL+"/v1/update", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ur UpdateResponse
-	err = json.NewDecoder(resp.Body).Decode(&ur)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/update: status %d err %v", resp.StatusCode, err)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("POST /v1/update: missing Deprecation header")
-	}
-	if ur.Tenant != DefaultTenant {
-		t.Fatalf("alias update applied to tenant %q, want %q", ur.Tenant, DefaultTenant)
-	}
-	var xr XPathResponse
-	getJSON(t, ts.URL+"/v1/db/default/xpath?q=/site/people/person[@id]", &xr)
-	found := false
-	for _, m := range xr.Matches {
-		if strings.Contains(m.Value, "Alias") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("alias update not visible through the canonical route")
-	}
-}
-
 // TestTenantIsolationUnderSaturation saturates one tenant's apply queue
 // while another proceeds: the hot tenant must reject with 429 queue_full
 // naming itself, and the cold tenant's updates and reads must all succeed

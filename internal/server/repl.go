@@ -19,7 +19,7 @@ type ReplSource interface {
 	// wal.ErrLSNTruncated means the follower must re-sync from a snapshot.
 	ReplFrames(id string, from uint64, maxBytes int) ([]byte, uint64, error)
 	// ReplImageNow loads and verifies the newest checkpoint for shipping.
-	ReplImageNow() (*wal.ReplImage, error)
+	ReplImageNow() (*wal.Image, error)
 }
 
 // Replication wire types and headers.

@@ -98,7 +98,7 @@ func TestReplStatusAndStream(t *testing.T) {
 	if code := getJSON(t, db+"/repl/snapshot", &snap); code != http.StatusOK {
 		t.Fatalf("repl/snapshot: %d", code)
 	}
-	img, err := wal.NewReplImage(snap.Manifest, snap.Doc, snap.Ords, snap.Views)
+	img, err := wal.NewImage(snap.Manifest, snap.Doc, snap.Ords, snap.Views)
 	if err != nil {
 		t.Fatalf("shipped snapshot fails verification: %v", err)
 	}

@@ -40,6 +40,9 @@ func newTestEngine(t *testing.T) *core.Engine {
 	return eng
 }
 
+// DefaultTenant is the tenant every test registry starts with.
+const DefaultTenant = "default"
+
 // newTestRegistry builds an in-memory registry seeded with the XMark
 // default document and views, the default tenant already created, over an
 // httptest listener. wrap, when non-nil, intercepts every tenant's backend

@@ -43,8 +43,7 @@
 //
 // The Registry adds the tenant lifecycle on top (create, drop, list — all
 // crash-safe, see internal/wal's tenant layout) and the HTTP surface: the
-// data plane under /v1/db/{name}/…, the admin plane under /v1/db, and
-// deprecated single-tenant aliases mounted on the "default" tenant.
+// data plane under /v1/db/{name}/… and the admin plane under /v1/db.
 package server
 
 import (

@@ -130,60 +130,6 @@ func listCheckpoints(fsys FS, dir string) ([]uint64, error) {
 	return lsns, nil
 }
 
-// checkpointImage is a loaded-and-verified checkpoint: the manifest, the
-// document XML, its ordinal stream, and each view's snapshot bytes
-// (hash-checked, not yet decoded).
-type checkpointImage struct {
-	Manifest *store.Manifest
-	DocXML   []byte
-	Ords     []byte
-	Views    map[string][]byte
-}
-
-// loadCheckpoint reads the checkpoint at lsn and verifies every content
-// hash before returning it. Any mismatch — torn manifest, bit-rotted file,
-// missing view — is an error; the caller falls back to an older checkpoint.
-func loadCheckpoint(fsys FS, dir string, lsn uint64) (*checkpointImage, error) {
-	base := filepath.Join(dir, ckptName(lsn))
-	raw, err := fsys.ReadFile(filepath.Join(base, "MANIFEST"))
-	if err != nil {
-		return nil, err
-	}
-	man, err := store.DecodeManifest(raw)
-	if err != nil {
-		return nil, err
-	}
-	if man.LSN != lsn {
-		return nil, fmt.Errorf("wal: checkpoint %s declares lsn %d", ckptName(lsn), man.LSN)
-	}
-	doc, err := fsys.ReadFile(filepath.Join(base, "doc.xml"))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(doc)) != man.DocBytes || store.HashBytes(doc) != man.DocHash {
-		return nil, fmt.Errorf("wal: checkpoint %s document fails its hash", ckptName(lsn))
-	}
-	ords, err := fsys.ReadFile(filepath.Join(base, "doc.ords"))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(ords)) != man.OrdsBytes || store.HashBytes(ords) != man.OrdsHash {
-		return nil, fmt.Errorf("wal: checkpoint %s ordinal stream fails its hash", ckptName(lsn))
-	}
-	img := &checkpointImage{Manifest: man, DocXML: doc, Ords: ords, Views: make(map[string][]byte, len(man.Views))}
-	for _, v := range man.Views {
-		snap, err := fsys.ReadFile(filepath.Join(base, v.Name+".xivm"))
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(snap)) != v.Bytes || store.HashBytes(snap) != v.Hash {
-			return nil, fmt.Errorf("wal: checkpoint %s view %s fails its hash", ckptName(lsn), v.Name)
-		}
-		img.Views[v.Name] = snap
-	}
-	return img, nil
-}
-
 // pruneCheckpoints removes published checkpoints beyond the newest keep,
 // and every leftover tmp directory.
 func pruneCheckpoints(fsys FS, dir string, keep int) error {

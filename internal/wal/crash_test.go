@@ -123,61 +123,53 @@ func TestCrashMatrix(t *testing.T) {
 	}
 	prefixes := prefixDocs(t)
 
-	for _, compact := range []bool{false, true} {
-		name := "eager"
-		if compact {
-			name = "compact"
+	tornRuns := 0
+	for at := 0; at < totalOps; at++ {
+		dir := t.TempDir()
+		ffs := NewFailFS(OSFS)
+		ffs.CrashAt = at
+		acked, err := runCrashScript(dir, ffs)
+		if err == nil {
+			t.Fatalf("crash at op %d did not surface", at)
 		}
-		t.Run(name, func(t *testing.T) {
-			tornRuns := 0
-			for at := 0; at < totalOps; at++ {
-				dir := t.TempDir()
-				ffs := NewFailFS(OSFS)
-				ffs.CrashAt = at
-				acked, err := runCrashScript(dir, ffs)
-				if err == nil {
-					t.Fatalf("crash at op %d did not surface", at)
-				}
-				if !errors.Is(err, ErrCrash) {
-					t.Fatalf("crash at op %d: unexpected error %v", at, err)
-				}
+		if !errors.Is(err, ErrCrash) {
+			t.Fatalf("crash at op %d: unexpected error %v", at, err)
+		}
 
-				re, err := Open(dir, Options{Compact: compact, Metrics: obs.New()})
-				if err != nil {
-					if acked > 0 {
-						t.Fatalf("crash at op %d: %d statements acknowledged but recovery failed: %v", at, acked, err)
-					}
-					continue // crash inside Create, nothing promised yet
-				}
-				if re.Stats().TruncatedBytes > 0 {
-					tornRuns++
-				}
-				got := re.Engine().Doc.String()
-				k := -1
-				for i := len(prefixes) - 1; i >= 0; i-- {
-					if prefixes[i] == got {
-						k = i
-						break
-					}
-				}
-				if k < 0 {
-					t.Fatalf("crash at op %d: recovered document matches no statement prefix", at)
-				}
-				if k < acked {
-					t.Fatalf("crash at op %d: recovered prefix %d but %d statements were acknowledged", at, k, acked)
-				}
-				for _, mv := range re.Engine().Views {
-					want := algebra.Materialize(re.Engine().Doc, mv.Pattern)
-					if !mv.View.EqualRows(want) {
-						t.Fatalf("crash at op %d: recovered view %s diverges from fresh evaluation", at, mv.Name)
-					}
-				}
-				re.Close()
+		re, err := Open(dir, Options{Metrics: obs.New()})
+		if err != nil {
+			if acked > 0 {
+				t.Fatalf("crash at op %d: %d statements acknowledged but recovery failed: %v", at, acked, err)
 			}
-			if tornRuns == 0 {
-				t.Fatal("no crash point produced a torn log tail; the matrix is not exercising truncation")
+			continue // crash inside Create, nothing promised yet
+		}
+		if re.Stats().TruncatedBytes > 0 {
+			tornRuns++
+		}
+		got := re.Engine().Doc.String()
+		k := -1
+		for i := len(prefixes) - 1; i >= 0; i-- {
+			if prefixes[i] == got {
+				k = i
+				break
 			}
-		})
+		}
+		if k < 0 {
+			t.Fatalf("crash at op %d: recovered document matches no statement prefix", at)
+		}
+		if k < acked {
+			t.Fatalf("crash at op %d: recovered prefix %d but %d statements were acknowledged", at, k, acked)
+		}
+		for _, mv := range re.Engine().Views {
+			want := algebra.Materialize(re.Engine().Doc, mv.Pattern)
+			if !mv.View.EqualRows(want) {
+				t.Fatalf("crash at op %d: recovered view %s diverges from fresh evaluation", at, mv.Name)
+			}
+		}
+		re.Close()
+	}
+	if tornRuns == 0 {
+		t.Fatal("no crash point produced a torn log tail; the matrix is not exercising truncation")
 	}
 }
 

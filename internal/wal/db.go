@@ -13,22 +13,22 @@ import (
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
 	"xivm/internal/pulopt"
-	"xivm/internal/store"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
 )
 
-// Record payload tags. A record is one tagged payload inside a log frame;
-// the frame supplies length, checksum and LSN.
+// Record kinds: the tag byte leading each log payload. A record is one
+// tagged payload inside a log frame; the frame supplies length, checksum
+// and LSN.
 const (
-	// recStatement tags a canonical update statement (update.Format).
-	recStatement = 's'
-	// recView tags a view registration: name, NUL, pattern source.
-	recView = 'v'
+	// RecordStatement tags a canonical update statement (update.Format).
+	RecordStatement = 's'
+	// RecordView tags a view registration: name, NUL, pattern source.
+	RecordView = 'v'
 )
 
 // Options tunes a DB. The zero value is SyncAlways, 4 MiB segments, manual
-// checkpoints only, eager recovery.
+// checkpoints only.
 type Options struct {
 	// Sync is the fsync policy for statement appends.
 	Sync SyncPolicy
@@ -42,10 +42,6 @@ type Options struct {
 	// KeepCheckpoints is how many published checkpoints survive pruning
 	// (default 2: the newest plus one fallback).
 	KeepCheckpoints int
-	// Compact runs pulopt log compaction over the replay tail during
-	// recovery; replay falls back to the eager path whenever compaction
-	// cannot prove itself sound (see compact.go).
-	Compact bool
 	// PinTTL is how long a replication follower's stream read pins the log
 	// suffix against checkpoint truncation without being refreshed
 	// (0 = default 30s). A follower that stalls past it falls back to
@@ -76,10 +72,8 @@ type DB struct {
 
 	eng     *core.Engine
 	log     *Log
-	sources map[string]string // view name -> pattern source, in ckptImg+log order
-	order   []string          // registration order of sources
+	sources map[string]string // view name -> pattern source, for checkpoint manifests
 
-	ckptImg   *checkpointImage // the checkpoint this process recovered from
 	sinceCkpt int
 	replaying bool
 	stats     RecoveryStats
@@ -130,13 +124,12 @@ func (db *DB) logOptions(start uint64) LogOptions {
 	}
 }
 
-// buildEngine constructs the engine over doc with the DB's journal hook
-// appended last, so a caller-supplied option cannot displace it.
-func (db *DB) buildEngine(doc *xmltree.Document) *core.Engine {
+// engineOptions is the caller's engine configuration with the DB's journal
+// hook appended last, so a caller-supplied option cannot displace it.
+func (db *DB) engineOptions() []core.Option {
 	opts := make([]core.Option, 0, len(db.opts.Engine)+1)
 	opts = append(opts, db.opts.Engine...)
-	opts = append(opts, core.WithJournal(db.journal))
-	return core.New(doc, opts...)
+	return append(opts, core.WithJournal(db.journal))
 }
 
 // journal is the engine's write-ahead hook: the statement's canonical form
@@ -147,7 +140,7 @@ func (db *DB) journal(st *update.Statement) error {
 	if db.replaying {
 		return nil
 	}
-	payload := append([]byte{recStatement}, update.Format(st)...)
+	payload := append([]byte{RecordStatement}, update.Format(st)...)
 	if _, err := db.log.Append(payload); err != nil {
 		return err
 	}
@@ -174,11 +167,10 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
-	db.eng = db.buildEngine(doc)
+	db.eng = core.New(doc, db.engineOptions()...)
 	if err := writeCheckpoint(db.fs, db.m, dir, db.eng, db.sources, 0); err != nil {
 		return nil, err
 	}
-	db.ckptImg = &checkpointImage{Manifest: store.NewManifest(0), DocXML: []byte(doc.String()), Ords: doc.EncodeOrds()}
 	db.log, err = OpenLog(db.walDir, db.logOptions(1))
 	if err != nil {
 		return nil, err
@@ -203,9 +195,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	// Newest checkpoint that passes every hash; corrupted ones are counted
 	// and skipped in favor of older fallbacks.
-	var img *checkpointImage
+	var img *Image
 	for i := len(lsns) - 1; i >= 0 && img == nil; i-- {
-		im, lerr := loadCheckpoint(db.fs, dir, lsns[i])
+		im, lerr := loadImage(db.fs, dir, lsns[i])
 		if lerr != nil {
 			db.m.recBadCheckpoints.Inc()
 			db.stats.BadCheckpoints++
@@ -235,13 +227,48 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	if err := db.replay(ckLSN + 1); err != nil {
+	if err := db.replay(img); err != nil {
 		return nil, err
 	}
 	if err := pruneCheckpoints(db.fs, dir, db.opts.KeepCheckpoints); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// replay re-applies the log suffix after img's LSN through Replay — crash
+// recovery is a follower of its own disk. A record ParseRecord rejects
+// becomes a kindless Record, which Replay counts as skipped. Should a
+// translated batch part-apply, the image is restored again and the tail
+// applied record by record, so Open succeeds wherever that does.
+func (db *DB) replay(img *Image) error {
+	var recs []Record
+	if err := db.log.Replay(img.Manifest.LSN+1, func(lsn uint64, payload []byte) error {
+		rec, err := ParseRecord(lsn, payload)
+		if err != nil {
+			rec = Record{LSN: lsn}
+		}
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		return err
+	}
+	db.replaying = true
+	defer func() { db.replaying = false }()
+	res, err := Replay(db.eng, recs)
+	if err != nil {
+		if err := db.restore(img); err != nil {
+			return err
+		}
+		res, _ = replay(db.eng, recs, 1) // nothing is planned at chunk 1, so nothing part-applies
+	}
+	for _, v := range res.Views {
+		db.sources[v.ViewName] = v.ViewPattern
+	}
+	db.stats.Replayed, db.stats.Skipped = res.Applied, res.Skipped
+	db.m.recReplayed.Add(int64(res.Applied))
+	db.m.recSkipped.Add(int64(res.Skipped))
+	return nil
 }
 
 // OpenOrCreate opens dir if it holds a database and creates one around
@@ -261,44 +288,18 @@ func OpenOrCreate(dir string, docXML []byte, opts Options) (*DB, error) {
 	return Open(dir, opts)
 }
 
-// restore rebuilds the engine from a verified checkpoint image: parse the
-// document, re-impose the recorded ordinal stream so every node carries the
-// exact Dewey ID it had in the live engine (the snapshot rows' IDs resolve,
-// and the restored process answers queries with byte-identical IDs), then
-// install every view from its snapshot rows without re-evaluating patterns.
-func (db *DB) restore(img *checkpointImage) error {
-	doc, err := xmltree.ParseString(string(img.DocXML))
+// restore points the DB at a fresh engine built from img.
+func (db *DB) restore(img *Image) error {
+	eng, err := img.Restore(db.engineOptions()...)
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint document: %w", err)
+		return err
 	}
-	if err := doc.ApplyOrds(img.Ords); err != nil {
-		return fmt.Errorf("wal: checkpoint ordinal stream: %w", err)
-	}
-	db.eng = db.buildEngine(doc)
-	db.sources = map[string]string{}
-	db.order = nil
+	db.eng = eng
+	db.sources = make(map[string]string, len(img.Manifest.Views))
 	for _, v := range img.Manifest.Views {
-		p, err := pattern.Parse(v.Pattern)
-		if err != nil {
-			return fmt.Errorf("wal: checkpoint view %s pattern: %w", v.Name, err)
-		}
-		rows, err := store.DecodeSnapshot(img.Views[v.Name])
-		if err != nil {
-			return fmt.Errorf("wal: checkpoint view %s snapshot: %w", v.Name, err)
-		}
-		if _, err := db.eng.AddViewRows(v.Name, p, rows); err != nil {
-			return fmt.Errorf("wal: checkpoint view %s: %w", v.Name, err)
-		}
 		db.sources[v.Name] = v.Pattern
-		db.order = append(db.order, v.Name)
 	}
-	db.ckptImg = img
 	db.lastCkpt.Store(img.Manifest.LSN)
-	// Seed the version counter from the manifest so replaying the log
-	// suffix reproduces the exact version numbers the pre-crash engine
-	// reported — and a follower restoring the same image converges on them
-	// too. Old manifests carry 0, preserving their historical behavior.
-	db.eng.SetVersion(img.Manifest.EngineVersion)
 	return nil
 }
 
@@ -335,7 +336,7 @@ func validViewName(name string) error {
 
 func encodeViewRecord(name, src string) []byte {
 	payload := make([]byte, 0, 1+len(name)+1+len(src))
-	payload = append(payload, recView)
+	payload = append(payload, RecordView)
 	payload = append(payload, name...)
 	payload = append(payload, 0)
 	return append(payload, src...)
@@ -376,7 +377,6 @@ func (db *DB) AddView(name, patternSrc string) (*core.ManagedView, error) {
 		return nil, err
 	}
 	db.sources[name] = patternSrc
-	db.order = append(db.order, name)
 	return mv, nil
 }
 

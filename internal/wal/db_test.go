@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -214,43 +213,9 @@ func TestDBSkipsRejectedStatement(t *testing.T) {
 	}
 }
 
-// copyDir clones a database directory so one on-disk state can be recovered
-// twice with different options.
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		out, err := os.Create(target)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDBCompactedReplayMatchesEager: a tail of insertions under a subtree
-// that is later deleted wholesale is where compaction wins (O3 kills the
-// insert operations). Both replay paths must land on identical state.
-func TestDBCompactedReplayMatchesEager(t *testing.T) {
+// TestDBReplayChurnTail: a tail of insertions under a subtree that is
+// later deleted wholesale, replayed from a checkpoint.
+func TestDBReplayChurnTail(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, []byte(xmark.GenerateSmall(5)), Options{Metrics: obs.New()})
 	if err != nil {
@@ -273,38 +238,20 @@ func TestDBCompactedReplayMatchesEager(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dir2 := t.TempDir()
-	copyDir(t, dir, dir2)
-
-	reg := obs.New()
-	compacted, err := Open(dir, Options{Compact: true, Metrics: reg})
+	re, err := Open(dir, Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer compacted.Close()
-	eager, err := Open(dir2, Options{Metrics: obs.New()})
-	if err != nil {
-		t.Fatal(err)
+	defer re.Close()
+	if re.Engine().Doc.String() != wantDoc {
+		t.Fatal("recovered document differs from the pre-close document")
 	}
-	defer eager.Close()
-
-	cs := compacted.Stats()
-	if !cs.Compacted || cs.CompactedOps == 0 {
-		t.Fatalf("compaction did not engage: %+v", cs)
-	}
-	if reg.Counter("wal.recover.compacted").Value() != int64(cs.CompactedOps) {
-		t.Fatal("wal.recover.compacted disagrees with stats")
-	}
-	if compacted.Engine().Doc.String() != wantDoc || eager.Engine().Doc.String() != wantDoc {
-		t.Fatal("recovered documents differ from the pre-close document")
-	}
-	checkViews(t, compacted)
-	checkViews(t, eager)
+	checkViews(t, re)
 }
 
-// TestDBCompactionFallsBackOnViewRecord: a view registration in the tail
-// makes compaction unprovable; recovery must silently use the eager path.
-func TestDBCompactionFallsBackOnViewRecord(t *testing.T) {
+// TestDBReplayViewRecordMidTail: a view registration between statements
+// lands at its exact position in the sequence.
+func TestDBReplayViewRecordMidTail(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, []byte(xmark.GenerateSmall(6)), Options{Metrics: obs.New()})
 	if err != nil {
@@ -319,13 +266,13 @@ func TestDBCompactionFallsBackOnViewRecord(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(dir, Options{Compact: true, Metrics: obs.New()})
+	re, err := Open(dir, Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Stats().Compacted {
-		t.Fatal("compaction claims a tail containing a view record")
+	if !re.HasView("Q1") {
+		t.Fatal("replayed view registration not tracked for the next checkpoint")
 	}
 	if re.Engine().Doc.String() != wantDoc {
 		t.Fatal("recovered document differs")

@@ -13,13 +13,12 @@ import "xivm/internal/obs"
 //	wal.segment.removed     log segments removed behind checkpoints
 //	wal.checkpoint.count    checkpoints written
 //	wal.checkpoint.bytes    bytes written into checkpoints
-//	wal.recover.replayed    statements replayed during recovery
+//	wal.recover.replayed    log records re-applied during recovery
+//	                        (statements and view registrations)
 //	wal.recover.skipped     log records skipped during recovery (unparseable
 //	                        or statements the engine rejected — both replay
 //	                        exactly as they failed originally)
 //	wal.recover.truncated   torn-tail bytes truncated from log segments
-//	wal.recover.compacted   elementary operations removed by pulopt log
-//	                        compaction before replay
 //	wal.recover.badcheckpoints  checkpoints rejected during recovery
 //	                            (hash mismatch, torn manifest, …)
 //
@@ -27,13 +26,13 @@ import "xivm/internal/obs"
 type walMetrics struct {
 	reg *obs.Metrics
 
-	appendCount, appendBytes   *obs.Counter
-	fsyncCount                 *obs.Counter
-	segCreated, segRemoved     *obs.Counter
-	ckptCount, ckptBytes       *obs.Counter
-	recReplayed, recSkipped    *obs.Counter
-	recTruncated, recCompacted *obs.Counter
-	recBadCheckpoints          *obs.Counter
+	appendCount, appendBytes *obs.Counter
+	fsyncCount               *obs.Counter
+	segCreated, segRemoved   *obs.Counter
+	ckptCount, ckptBytes     *obs.Counter
+	recReplayed, recSkipped  *obs.Counter
+	recTruncated             *obs.Counter
+	recBadCheckpoints        *obs.Counter
 
 	fsyncNS *obs.Histogram
 }
@@ -54,7 +53,6 @@ func newWalMetrics(reg *obs.Metrics) *walMetrics {
 		recReplayed:       reg.Counter("wal.recover.replayed"),
 		recSkipped:        reg.Counter("wal.recover.skipped"),
 		recTruncated:      reg.Counter("wal.recover.truncated"),
-		recCompacted:      reg.Counter("wal.recover.compacted"),
 		recBadCheckpoints: reg.Counter("wal.recover.badcheckpoints"),
 		fsyncNS:           reg.Histogram("wal.fsync.ns"),
 	}

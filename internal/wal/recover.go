@@ -1,7 +1,12 @@
 package wal
 
 import (
+	"context"
+	"fmt"
+
+	"xivm/internal/core"
 	"xivm/internal/pattern"
+	"xivm/internal/pulopt"
 	"xivm/internal/update"
 )
 
@@ -19,88 +24,127 @@ type RecoveryStats struct {
 	TruncatedBytes int64
 	// BadCheckpoints counts checkpoints rejected before a valid one loaded.
 	BadCheckpoints int
-	// Compacted reports that the pulopt-compacted replay path ran (rather
-	// than aborting to the eager path); CompactedOps is how many elementary
-	// operations the reduction rules removed from the tail.
-	Compacted    bool
-	CompactedOps int
 }
 
-// replay re-applies the log suffix after the checkpoint. With compaction
-// enabled it first tries the pulopt path, which must prove itself sound on
-// a scratch document before the real engine is touched; any doubt falls
-// back to the eager statement-by-statement path.
-func (db *DB) replay(from uint64) error {
-	db.replaying = true
-	defer func() { db.replaying = false }()
-	if db.opts.Compact {
-		done, err := db.replayCompacted(from)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-	return db.replayEager(from)
+// replayChunk is how many consecutive statements Replay offers the batch
+// planner at once: the leader's default writer batch cap.
+const replayChunk = 32
+
+// ReplayResult counts what Replay did with the records it was given.
+type ReplayResult struct {
+	// Applied counts records whose effect landed: statements and view
+	// registrations alike.
+	Applied int
+	// Skipped counts records with no effect: unknown or unparseable
+	// payloads, and statements or registrations the engine rejected. All
+	// of them fail deterministically, so they had no effect where the
+	// record was first journaled either.
+	Skipped int
+	// Plans counts statement chunks offered to the batch planner, Batches
+	// those it translated; the difference fell back to per-statement
+	// application as a whole.
+	Plans, Batches int
+	// Views lists the view registrations that landed, in log order.
+	Views []Record
 }
 
-// replayEager re-runs every surviving record through the engine, exactly as
-// it ran originally.
-func (db *DB) replayEager(from uint64) error {
-	return db.log.Replay(from, func(lsn uint64, payload []byte) error {
-		db.applyRecord(payload)
+// PartAppliedError reports that a translated batch stopped between its
+// units: the engine sits between statement boundaries and must be rebuilt
+// from an image. The planner's gates make this unreachable for the
+// statements it accepts; the check is what keeps a planner bug from
+// becoming silent divergence.
+type PartAppliedError struct {
+	Applied, Statements int
+	Err                 error
+}
+
+func (e *PartAppliedError) Error() string {
+	return fmt.Sprintf("wal: replay batch part-applied %d/%d statements: %v", e.Applied, e.Statements, e.Err)
+}
+
+func (e *PartAppliedError) Unwrap() error { return e.Err }
+
+// applyBatch is the engine's batch entry point; the part-applied tests
+// substitute a failing one.
+var applyBatch = (*core.Engine).ApplyBatchCtx
+
+// Replay folds log records into eng, in order — the one records → engine
+// function, fed by crash recovery with what its own disk holds and by a
+// follower with what the leader's disk shipped. Since an update is a pure
+// function of the state before it, the state reached is a function of the
+// image eng was restored from and the record sequence alone.
+//
+// Runs of statements go through pulopt.PlanBatch in chunks of replayChunk,
+// one propagation pass per translated chunk; a chunk the planner rejects is
+// applied per statement as a whole, the leader's rule (Shard.fallback). The
+// planner only translates a chunk when that is equivalent to sequential
+// application, so document, view rows and version do not depend on where
+// chunks fall. A view registration flushes the run and lands at its exact
+// position. The only error is *PartAppliedError.
+func Replay(eng *core.Engine, recs []Record) (ReplayResult, error) {
+	return replay(eng, recs, replayChunk)
+}
+
+// replay is Replay with the chunk size exposed: at chunk 1 nothing is
+// planned and every record is applied on its own, which is what Open falls
+// back to and what the tests hold the batched path against.
+func replay(eng *core.Engine, recs []Record, chunk int) (ReplayResult, error) {
+	var res ReplayResult
+	run := make([]*update.Statement, 0, chunk)
+	flush := func() error {
+		defer func() { run = run[:0] }()
+		if len(run) > 1 {
+			res.Plans++
+			if plan, err := pulopt.PlanBatch(eng, run); err == nil {
+				if _, applied, err := applyBatch(eng, context.Background(), plan.Units); err != nil {
+					return &PartAppliedError{Applied: applied, Statements: len(run), Err: err}
+				}
+				res.Batches++
+				res.Applied += len(run)
+				return nil
+			}
+		}
+		for _, st := range run {
+			if _, err := eng.ApplyStatement(st); err != nil {
+				res.Skipped++
+			} else {
+				res.Applied++
+			}
+		}
 		return nil
-	})
-}
-
-// applyRecord applies one log record during replay. Failures are counted
-// and skipped, never fatal: a record that fails to parse or that the engine
-// rejects failed identically when it was first journaled (parsing and
-// target resolution are deterministic), so skipping reproduces the original
-// outcome.
-func (db *DB) applyRecord(payload []byte) {
-	if len(payload) == 0 {
-		db.skipRecord()
-		return
 	}
-	switch payload[0] {
-	case recStatement:
-		st, err := update.Parse(string(payload[1:]))
-		if err != nil {
-			db.skipRecord()
-			return
+	for _, r := range recs {
+		switch r.Kind {
+		case RecordStatement:
+			st, err := update.Parse(r.Statement)
+			if err != nil {
+				// A skipped statement has no effect, so the run spans it.
+				res.Skipped++
+				continue
+			}
+			if run = append(run, st); len(run) == chunk {
+				if err := flush(); err != nil {
+					return res, err
+				}
+			}
+		case RecordView:
+			if err := flush(); err != nil {
+				return res, err
+			}
+			p, err := pattern.Parse(r.ViewPattern)
+			if err == nil {
+				_, err = eng.AddView(r.ViewName, p)
+			}
+			if err != nil {
+				res.Skipped++
+				continue
+			}
+			res.Applied++
+			res.Views = append(res.Views, r)
+		default:
+			res.Skipped++
 		}
-		if _, err := db.eng.ApplyStatement(st); err != nil {
-			db.skipRecord()
-			return
-		}
-	case recView:
-		name, src, err := decodeViewRecord(payload)
-		if err != nil {
-			db.skipRecord()
-			return
-		}
-		p, err := pattern.Parse(src)
-		if err != nil {
-			db.skipRecord()
-			return
-		}
-		if _, err := db.eng.AddView(name, p); err != nil {
-			db.skipRecord()
-			return
-		}
-		db.sources[name] = src
-		db.order = append(db.order, name)
-	default:
-		db.skipRecord()
-		return
 	}
-	db.stats.Replayed++
-	db.m.recReplayed.Inc()
-}
-
-func (db *DB) skipRecord() {
-	db.stats.Skipped++
-	db.m.recSkipped.Inc()
+	err := flush()
+	return res, err
 }

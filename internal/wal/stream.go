@@ -8,11 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
-
-	"xivm/internal/core"
-	"xivm/internal/pattern"
-	"xivm/internal/store"
-	"xivm/internal/xmltree"
 )
 
 // This file is the log-shipping surface of the WAL: a leader reads raw
@@ -26,15 +21,6 @@ import (
 // record: checkpointing truncated the segments that carried it. The caller
 // must fall back to snapshot-first catch-up from the newest checkpoint.
 var ErrLSNTruncated = errors.New("wal: requested lsn truncated by checkpointing")
-
-// Record kinds, re-exported for the replication layer. The byte values are
-// the on-disk payload tags.
-const (
-	// RecordStatement is a canonical update statement (update.Format).
-	RecordStatement = recStatement
-	// RecordView is a view registration (name + pattern source).
-	RecordView = recView
-)
 
 // Record is one decoded log record.
 type Record struct {
@@ -54,9 +40,9 @@ func ParseRecord(lsn uint64, payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: record %d has an empty payload", lsn)
 	}
 	switch payload[0] {
-	case recStatement:
+	case RecordStatement:
 		return Record{LSN: lsn, Kind: RecordStatement, Statement: string(payload[1:])}, nil
-	case recView:
+	case RecordView:
 		name, src, err := decodeViewRecord(payload)
 		if err != nil {
 			return Record{}, fmt.Errorf("wal: record %d: %w", lsn, err)
@@ -182,80 +168,6 @@ func ReadSegmentFrames(fsys FS, walDir string, from uint64, maxBytes int) ([]byt
 	return out, next, nil
 }
 
-// ReplImage is a checkpoint image in wire-transportable form: the raw
-// manifest bytes exactly as written (the follower re-verifies them, and the
-// hashes inside bind the rest), the document XML, its ordinal stream (the
-// live Dewey-ID space, see xmltree.EncodeOrds), and each view's encoded
-// snapshot.
-type ReplImage struct {
-	RawManifest []byte
-	Manifest    *store.Manifest
-	DocXML      []byte
-	Ords        []byte
-	Views       map[string][]byte
-}
-
-// NewReplImage validates a transported checkpoint image with exactly the
-// checks recovery applies to an on-disk one: manifest decode, document and
-// ordinal-stream hash/size, and every view's hash/size, with no view
-// missing.
-func NewReplImage(rawManifest, docXML, ords []byte, views map[string][]byte) (*ReplImage, error) {
-	man, err := store.DecodeManifest(rawManifest)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(docXML)) != man.DocBytes || store.HashBytes(docXML) != man.DocHash {
-		return nil, fmt.Errorf("wal: repl image at lsn %d: document fails its hash", man.LSN)
-	}
-	if int64(len(ords)) != man.OrdsBytes || store.HashBytes(ords) != man.OrdsHash {
-		return nil, fmt.Errorf("wal: repl image at lsn %d: ordinal stream fails its hash", man.LSN)
-	}
-	img := &ReplImage{RawManifest: rawManifest, Manifest: man, DocXML: docXML, Ords: ords, Views: make(map[string][]byte, len(man.Views))}
-	for _, v := range man.Views {
-		snap, ok := views[v.Name]
-		if !ok {
-			return nil, fmt.Errorf("wal: repl image at lsn %d: view %s missing", man.LSN, v.Name)
-		}
-		if int64(len(snap)) != v.Bytes || store.HashBytes(snap) != v.Hash {
-			return nil, fmt.Errorf("wal: repl image at lsn %d: view %s fails its hash", man.LSN, v.Name)
-		}
-		img.Views[v.Name] = snap
-	}
-	return img, nil
-}
-
-// Restore builds a fresh engine from the image, exactly as crash recovery
-// would: parse the document, re-impose the recorded ordinal stream (so the
-// snapshot rows' IDs resolve and the follower serves the leader's exact
-// node IDs), install every view from its snapshot without re-evaluating
-// patterns, and seed the version counter from the manifest so subsequent
-// replay reproduces the leader's version numbers.
-func (img *ReplImage) Restore(opts ...core.Option) (*core.Engine, error) {
-	doc, err := xmltree.ParseString(string(img.DocXML))
-	if err != nil {
-		return nil, fmt.Errorf("wal: repl image document: %w", err)
-	}
-	if err := doc.ApplyOrds(img.Ords); err != nil {
-		return nil, fmt.Errorf("wal: repl image ordinal stream: %w", err)
-	}
-	eng := core.New(doc, opts...)
-	for _, v := range img.Manifest.Views {
-		p, err := pattern.Parse(v.Pattern)
-		if err != nil {
-			return nil, fmt.Errorf("wal: repl image view %s pattern: %w", v.Name, err)
-		}
-		rows, err := store.DecodeSnapshot(img.Views[v.Name])
-		if err != nil {
-			return nil, fmt.Errorf("wal: repl image view %s snapshot: %w", v.Name, err)
-		}
-		if _, err := eng.AddViewRows(v.Name, p, rows); err != nil {
-			return nil, fmt.Errorf("wal: repl image view %s: %w", v.Name, err)
-		}
-	}
-	eng.SetVersion(img.Manifest.EngineVersion)
-	return eng, nil
-}
-
 // pinTTL is how long a follower pin protects the log suffix without being
 // refreshed when Options.PinTTL is unset. A follower that stalls longer
 // loses its pin and falls back to snapshot-first catch-up. Variable so tests
@@ -356,7 +268,7 @@ func (db *DB) ReplFrames(id string, from uint64, maxBytes int) ([]byte, uint64, 
 // checkpoint it is reading concurrently; with KeepCheckpoints >= 1 a fresh
 // listing always has a newer one to fall back to. Safe from HTTP
 // goroutines.
-func (db *DB) ReplImageNow() (*ReplImage, error) {
+func (db *DB) ReplImageNow() (*Image, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		lsns, err := listCheckpoints(db.fs, db.dir)
@@ -366,40 +278,11 @@ func (db *DB) ReplImageNow() (*ReplImage, error) {
 		if len(lsns) == 0 {
 			return nil, fmt.Errorf("wal: %s holds no checkpoint", db.dir)
 		}
-		img, err := db.loadReplImage(lsns[len(lsns)-1])
+		img, err := loadImage(db.fs, db.dir, lsns[len(lsns)-1])
 		if err == nil {
 			return img, nil
 		}
 		lastErr = err
 	}
 	return nil, lastErr
-}
-
-func (db *DB) loadReplImage(lsn uint64) (*ReplImage, error) {
-	base := filepath.Join(db.dir, ckptName(lsn))
-	raw, err := db.fs.ReadFile(filepath.Join(base, "MANIFEST"))
-	if err != nil {
-		return nil, err
-	}
-	man, err := store.DecodeManifest(raw)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := db.fs.ReadFile(filepath.Join(base, "doc.xml"))
-	if err != nil {
-		return nil, err
-	}
-	ords, err := db.fs.ReadFile(filepath.Join(base, "doc.ords"))
-	if err != nil {
-		return nil, err
-	}
-	views := make(map[string][]byte, len(man.Views))
-	for _, v := range man.Views {
-		snap, err := db.fs.ReadFile(filepath.Join(base, v.Name+".xivm"))
-		if err != nil {
-			return nil, err
-		}
-		views[v.Name] = snap
-	}
-	return NewReplImage(raw, doc, ords, views)
 }

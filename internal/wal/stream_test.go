@@ -205,9 +205,9 @@ func TestReplImageRestore(t *testing.T) {
 	}
 	// Re-verify through the public constructor, as a follower would after
 	// pulling the image over the network.
-	img2, err := NewReplImage(img.RawManifest, img.DocXML, img.Ords, img.Views)
+	img2, err := NewImage(img.RawManifest, img.DocXML, img.Ords, img.Views)
 	if err != nil {
-		t.Fatalf("NewReplImage: %v", err)
+		t.Fatalf("NewImage: %v", err)
 	}
 	eng, err := img2.Restore()
 	if err != nil {
@@ -241,12 +241,12 @@ func TestReplImageRestore(t *testing.T) {
 	// Tampering with any shipped byte must be caught by verification.
 	badDoc := append([]byte(nil), img.DocXML...)
 	badDoc[len(badDoc)/2] ^= 1
-	if _, err := NewReplImage(img.RawManifest, badDoc, img.Ords, img.Views); err == nil {
+	if _, err := NewImage(img.RawManifest, badDoc, img.Ords, img.Views); err == nil {
 		t.Fatal("tampered document verified cleanly")
 	}
 	badOrds := append([]byte(nil), img.Ords...)
 	badOrds[len(badOrds)/2] ^= 1
-	if _, err := NewReplImage(img.RawManifest, img.DocXML, badOrds, img.Views); err == nil {
+	if _, err := NewImage(img.RawManifest, img.DocXML, badOrds, img.Views); err == nil {
 		t.Fatal("tampered ordinal stream verified cleanly")
 	}
 	for name, data := range img.Views {
@@ -258,16 +258,16 @@ func TestReplImageRestore(t *testing.T) {
 				views[n] = d
 			}
 		}
-		if _, err := NewReplImage(img.RawManifest, img.DocXML, img.Ords, views); err == nil {
+		if _, err := NewImage(img.RawManifest, img.DocXML, img.Ords, views); err == nil {
 			t.Fatalf("tampered view %s verified cleanly", name)
 		}
 	}
 }
 
-// TestCompactRecoveryVersionMatchesEager pins the version-determinism
-// contract replication depends on: recovering the same log with and without
-// compaction must land the engine on the same version number.
-func TestCompactRecoveryVersionMatchesEager(t *testing.T) {
+// TestRecoveryVersionMatchesLive pins the version-determinism contract
+// replication depends on: recovering a log lands the engine on the version
+// number the live engine reported.
+func TestRecoveryVersionMatchesLive(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, []byte(xmark.GenerateSmall(1)), Options{Metrics: obs.New()})
 	if err != nil {
@@ -279,7 +279,7 @@ func TestCompactRecoveryVersionMatchesEager(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Insert-then-delete churn (compactable) plus a replace (version +2).
+	// Insert-then-delete churn plus a replace (version +2).
 	applyAll(t, db, []string{
 		`insert <person id="pz"><name>Zed</name></person> into /site/people`,
 		`for $x in /site/people/person insert <phone>+1 555 0000</phone>`,
@@ -291,22 +291,13 @@ func TestCompactRecoveryVersionMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eager, err := Open(dir, Options{Metrics: obs.New()})
+	re, err := Open(dir, Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eager.Engine().Version(); got != want {
-		t.Fatalf("eager recovery version %d, want %d", got, want)
+	defer re.Close()
+	if got := re.Engine().Version(); got != want {
+		t.Fatalf("recovered version %d, want %d", got, want)
 	}
-	eager.Close()
-
-	compacted, err := Open(dir, Options{Metrics: obs.New(), Compact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer compacted.Close()
-	if got := compacted.Engine().Version(); got != want {
-		t.Fatalf("compacted recovery version %d, want %d", got, want)
-	}
-	checkViews(t, compacted)
+	checkViews(t, re)
 }
