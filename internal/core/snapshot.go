@@ -5,17 +5,20 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/pattern"
+	"xivm/internal/store"
 	"xivm/internal/xmltree"
 )
 
 // Snapshot is an immutable, self-contained image of the engine at one
-// version: every view's rows (deep-copied, so later in-place refreshes of
-// the live view cannot reach them), an independent copy of the document,
-// and the version counter identifying the state. A Snapshot is safe for
-// unlimited concurrent readers and never changes after Engine.Snapshot
-// returns — the epoch-published read path (internal/server) swaps an
-// atomic pointer to the latest one after each applied statement, so
-// readers serve consistent states without ever locking the writer.
+// version: every view's rows (private copies, so later in-place refreshes
+// of the live view cannot reach them), an image of the document, and the
+// version counter identifying the state. A Snapshot is safe for unlimited
+// concurrent readers and never changes after Engine.Snapshot returns — the
+// epoch-published read path (internal/server) swaps an atomic pointer to
+// the latest one after each applied statement, so readers serve consistent
+// states without ever locking the writer. Successive snapshots share what
+// the statements between them left alone: document subtrees, and the rows
+// of views that did not move.
 type Snapshot struct {
 	// Version is Engine.Version() at capture time.
 	Version uint64
@@ -28,11 +31,14 @@ type Snapshot struct {
 	// Views holds one immutable row set per managed view, in registration
 	// order.
 	Views []ViewSnapshot
+	// ViewsReused counts the Views whose Rows were handed on from the
+	// previous snapshot because the view had not changed since.
+	ViewsReused int
 
-	// doc is an ID-preserving deep copy of the document (not a serialized
-	// reparse: reparsing would compact Dewey IDs assigned by the mutation
-	// history, making XPath results disagree with the view rows captured
-	// in the same snapshot).
+	// doc is an ID-preserving image of the document (xmltree.Snapshot; not
+	// a serialized reparse, which would compact the Dewey IDs assigned by
+	// the mutation history and make XPath results disagree with the view
+	// rows captured in the same snapshot).
 	doc *xmltree.Document
 
 	xmlOnce sync.Once
@@ -44,15 +50,26 @@ type ViewSnapshot struct {
 	Name    string
 	Pattern *pattern.Pattern
 	// Rows are the view's rows in canonical (document) order. The slice
-	// and every row's Entries are private copies.
+	// and every row's Entries are never written after capture; snapshots
+	// of a view that did not change in between share them.
 	Rows []algebra.Row
+}
+
+// published is what the last Snapshot captured of one view: the rows, and
+// the store they were copied from at which generation.
+type published struct {
+	of   *store.View
+	gen  uint64
+	rows []algebra.Row
 }
 
 // Snapshot captures the engine's current state. It must be called from the
 // thread that owns the engine (the single writer), between mutations —
 // exactly where internal/server's apply loop calls it. The returned value
 // is immutable and may be shared with any number of concurrent readers.
-// Capture cost is O(|document| + Σ|view rows|) per call.
+// The first capture costs O(|document| + Σ|view rows|); every later one
+// costs what changed since the one before — O(depth × fan-out + |delta|)
+// document nodes (xmltree.Snapshot) plus the rows of the views that moved.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version: e.Version(),
@@ -60,11 +77,12 @@ func (e *Engine) Snapshot() *Snapshot {
 		doc:     e.Doc.Snapshot(),
 	}
 	for _, mv := range e.Views {
-		s.Views = append(s.Views, ViewSnapshot{
-			Name:    mv.Name,
-			Pattern: mv.Pattern,
-			Rows:    copyRows(mv.View.Rows()),
-		})
+		if p := &mv.published; p.of == mv.View && p.gen == mv.View.Generation() {
+			s.ViewsReused++
+		} else {
+			*p = published{of: mv.View, gen: mv.View.Generation(), rows: copyRows(mv.View.Rows())}
+		}
+		s.Views = append(s.Views, ViewSnapshot{Name: mv.Name, Pattern: mv.Pattern, Rows: mv.published.rows})
 	}
 	return s
 }
@@ -94,9 +112,10 @@ func (s *Snapshot) View(name string) *ViewSnapshot {
 	return nil
 }
 
-// Doc returns the snapshot's document copy. Its nodes carry the IDs the
+// Doc returns the snapshot's document image. Its nodes carry the IDs the
 // live tree had at capture time, so rows in the same snapshot resolve
-// against it. Shared by all readers of this snapshot; treat as read-only.
+// against it, and no Parent pointers (xmltree.ParentIn resolves one).
+// Shared by all readers of this and neighbouring snapshots; read-only.
 func (s *Snapshot) Doc() *xmltree.Document { return s.doc }
 
 // DocXML serializes the snapshot document, building the string at most
@@ -111,8 +130,12 @@ func (s *Snapshot) DocXML() string {
 // reaches for after a panic escaped a single statement's apply path. It is
 // best-effort: if the panic interrupted the document mutation itself the
 // document may not reflect the full statement, but views are at least
-// consistent with whatever document state remains.
+// consistent with whatever document state remains — and so is the next
+// Snapshot: the published image the mutators were carrying forward may hold
+// a different half of the statement than the live tree, so it is dropped
+// and the next capture copies the live tree afresh.
 func (e *Engine) RepairAllViews() {
+	e.Doc.ResetImage()
 	for _, mv := range e.Views {
 		e.recomputeFallback(mv)
 	}

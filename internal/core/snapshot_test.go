@@ -2,11 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"xivm/internal/obs"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
 	"xivm/internal/update"
+	"xivm/internal/xmark"
 )
 
 // TestSnapshotRestoreAndMaintain: a view snapshot taken in one engine is
@@ -87,5 +90,41 @@ func TestSnapshotSizesCompact(t *testing.T) {
 	docBytes := len(d.String())
 	if len(snap) >= docBytes {
 		t.Fatalf("snapshot %dB not smaller than document %dB", len(snap), docBytes)
+	}
+}
+
+// TestSnapshotAllocBudget (d): once a first image exists, publishing a
+// single-node insert into a 1 MB document allocates a spine and a handful
+// of slice headers, not a document. The budget is two orders of magnitude
+// above the former and two below the latter (a deep copy of these 70k nodes
+// is over 10 MB), so it fails only if an O(document) copy — of the tree, of
+// an ID index, of an unmoved view's rows — comes back.
+func TestSnapshotAllocBudget(t *testing.T) {
+	doc := mustDoc(t, xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1}))
+	e := New(doc, WithMetrics(obs.New()))
+	for _, name := range xmark.ViewNames() {
+		if _, err := e.AddView(name, xmark.View(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := e.Snapshot()
+	apply(t, e, `insert <xnote/> into /site/open_auctions/open_auction[@id="open_auction0"]`)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := e.Snapshot()
+	runtime.ReadMemStats(&after)
+
+	if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb >= 128 {
+		t.Errorf("Engine.Snapshot allocated %d KB after a single-node insert, budget 128 KB", kb)
+	}
+	if got := snap.Doc().CopiedNodes(); got != 4 { // site, open_auctions, open_auction, xnote
+		t.Errorf("image copied %d of %d nodes, want 4", got, snap.Doc().Size())
+	}
+	if snap.ViewsReused != len(e.Views) {
+		t.Errorf("%d of %d views reused, none moved", snap.ViewsReused, len(e.Views))
+	}
+	if snap.Doc().Size() != first.Doc().Size()+1 || snap.Doc().String() != e.Doc.String() {
+		t.Error("image does not match the live document")
 	}
 }

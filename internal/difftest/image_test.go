@@ -1,0 +1,261 @@
+package difftest
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"xivm/internal/core"
+	"xivm/internal/obs"
+	"xivm/internal/pulopt"
+	"xivm/internal/qvm"
+	"xivm/internal/update"
+	"xivm/internal/xmark"
+	"xivm/internal/xmltree"
+)
+
+// newEngine builds an engine over the workload's document with every XMark
+// view registered.
+func newEngine(tb testing.TB, w Workload) *core.Engine {
+	tb.Helper()
+	doc, err := xmltree.ParseString(w.Doc())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := core.New(doc, core.WithMetrics(obs.New()))
+	for _, name := range xmark.ViewNames() {
+		if _, err := e.AddView(name, xmark.View(name)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e
+}
+
+// checkImage is the oracle for a published image: a document reparsed from
+// the live tree's serialization and given its ordinals back — built without
+// any of the machinery under test — must agree with the image on the
+// serialization, the ordinal stream, the size, and the label index (which
+// must also point at the image's own nodes, in particular at the path-copied
+// spine nodes and not at the ones they replaced). Asking builds the index on
+// the image and on the live tree, so every later publication carries the
+// one and every later mutation patches the other.
+func checkImage(live, img *xmltree.Document) error {
+	want, err := xmltree.ParseString(live.String())
+	if err != nil {
+		return err
+	}
+	if err := want.ApplyOrds(live.EncodeOrds()); err != nil {
+		return err
+	}
+	if got := img.String(); got != want.String() {
+		return fmt.Errorf("serialization differs:\n image %s\n  live %s", got, want)
+	}
+	if !bytes.Equal(img.EncodeOrds(), want.EncodeOrds()) {
+		return fmt.Errorf("Dewey ordinals differ")
+	}
+	if img.Size() != want.Size() {
+		return fmt.Errorf("Size() = %d, want %d", img.Size(), want.Size())
+	}
+	labels := map[string]bool{}
+	xmltree.Walk(want.Root, func(n *xmltree.Node) bool {
+		labels[n.Label] = true
+		return true
+	})
+	indexed := 0
+	for l := range labels {
+		for _, d := range []*xmltree.Document{img, live} {
+			got, ref := d.Labeled(l), want.Labeled(l)
+			if len(got) != len(ref) {
+				return fmt.Errorf("Labeled(%s): %d nodes, want %d", l, len(got), len(ref))
+			}
+			for i, n := range got {
+				if !n.ID.Equal(ref[i].ID) {
+					return fmt.Errorf("Labeled(%s)[%d] = %v, want %v", l, i, n.ID, ref[i].ID)
+				}
+				if d.NodeByID(n.ID) != n {
+					return fmt.Errorf("Labeled(%s)[%d] = %v is not the document's own node", l, i, n.ID)
+				}
+			}
+		}
+		indexed += len(img.Labeled(l))
+	}
+	if indexed != img.Size() {
+		return fmt.Errorf("label index holds %d nodes, document %d", indexed, img.Size())
+	}
+	return nil
+}
+
+// TestImageTracksLiveTree (a): over difftest workloads — whose deletes are
+// all bulk ApplyDeleteBatch calls and whose replaces free and reassign
+// ordinals within one statement — every published image equals the live
+// tree, whether an epoch holds one statement, several, or a translated
+// batch, and whether or not the previous image had a label index to carry.
+func TestImageTracksLiveTree(t *testing.T) {
+	seeds := uint64(12)
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, mode := range []string{"per-statement", "every-3", "batched"} {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			w := NewWorkload(seed, maxStatements)
+			e := newEngine(t, w)
+			publish := func(at int) {
+				t.Helper()
+				snap := e.Snapshot()
+				if err := checkImage(e.Doc, snap.Doc()); err != nil {
+					t.Fatalf("%s seed %d after statement %d (%s): %v", mode, seed, at, w.Statements[at], err)
+				}
+				// Rows handed on from the previous epoch must be the rows
+				// a fresh copy would hold.
+				for i, mv := range e.Views {
+					if !mv.View.EqualRows(snap.Views[i].Rows) {
+						t.Fatalf("%s seed %d after statement %d (%s): view %s: published rows differ from the store",
+							mode, seed, at, w.Statements[at], mv.Name)
+					}
+				}
+			}
+			e.Snapshot()
+			var chunk []*update.Statement
+			for i, src := range w.Statements {
+				st := update.MustParse(src)
+				switch mode {
+				case "per-statement":
+					_, _ = e.ApplyStatement(st) // a rejected statement is part of the workload
+					publish(i)
+				case "every-3":
+					_, _ = e.ApplyStatement(st)
+					if i%3 == 2 {
+						publish(i)
+					}
+				case "batched":
+					if chunk = append(chunk, st); len(chunk) < 4 && i < len(w.Statements)-1 {
+						continue
+					}
+					if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
+						if _, _, err := e.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
+							t.Fatalf("seed %d: batch: %v", seed, err)
+						}
+					} else {
+						for _, st := range chunk {
+							_, _ = e.ApplyStatement(st)
+						}
+					}
+					chunk = chunk[:0]
+					publish(i)
+				}
+			}
+		}
+	}
+}
+
+// walkCorpus is the benchmark's tree-walk query mix (benchmark/gen.go).
+var walkCorpus = []string{
+	`/site/people/person/name`,
+	`/site/open_auctions/open_auction/bidder/increase`,
+	`//open_auction//increase`,
+	`//person[profile][homepage]/name`,
+	`//open_auction[count(bidder)>=2]/initial`,
+	`/site/open_auctions/open_auction/bidder[1]/increase`,
+	`//bidder/following-sibling::current`,
+	`//person[starts-with(@id,'person1')]`,
+}
+
+// fingerprint renders everything a reader can see of one epoch: the
+// document, every view's rows, and the walkCorpus answers.
+func fingerprint(s *core.Snapshot, progs []*qvm.Program) string {
+	var b strings.Builder
+	b.WriteString(s.Doc().String())
+	for i := range s.Views {
+		fmt.Fprintf(&b, "\n%s:", s.Views[i].Name)
+		for _, r := range s.Views[i].Rows {
+			fmt.Fprintf(&b, " %d×", r.Count)
+			for _, en := range r.Entries {
+				fmt.Fprintf(&b, "(%d %q %q %q)", en.NodeIdx, en.ID.Key(), en.Val, en.Cont)
+			}
+		}
+	}
+	for i, p := range progs {
+		fmt.Fprintf(&b, "\n%s:", walkCorpus[i])
+		for _, n := range p.Eval(s.Doc()) {
+			fmt.Fprintf(&b, " %q=%q", n.ID.Key(), n.StringValue())
+		}
+	}
+	return b.String()
+}
+
+// TestEpochsStableUnderLaterPublishes (b): what readers see of epoch N does
+// not change while the writer applies and publishes N+1…N+k. Readers keep
+// re-deriving the fingerprints of every epoch published so far, concurrently
+// with the writer; run under -race, any write to a node, Children slice,
+// row or label list that an earlier epoch shares is a reported race as well
+// as a mismatch.
+func TestEpochsStableUnderLaterPublishes(t *testing.T) {
+	var progs []*qvm.Program
+	for _, q := range walkCorpus {
+		p, err := qvm.CompileString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	type epoch struct {
+		snap *core.Snapshot
+		want string
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		w := NewWorkload(seed, maxStatements)
+		e := newEngine(t, w)
+
+		var mu sync.Mutex
+		var epochs []epoch
+		published := func() []epoch {
+			mu.Lock()
+			defer mu.Unlock()
+			return epochs[:len(epochs):len(epochs)]
+		}
+		publish := func() {
+			s := e.Snapshot()
+			ep := epoch{s, fingerprint(s, progs)}
+			mu.Lock()
+			epochs = append(epochs, ep)
+			mu.Unlock()
+		}
+		publish()
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					for _, ep := range published() {
+						if got := fingerprint(ep.snap, progs); got != ep.want {
+							t.Errorf("seed %d: epoch at version %d changed after publication", seed, ep.snap.Version)
+							return
+						}
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		for _, src := range w.Statements {
+			_, _ = e.ApplyStatement(update.MustParse(src))
+			publish()
+		}
+		close(stop)
+		wg.Wait()
+		for _, ep := range published() {
+			if got := fingerprint(ep.snap, progs); got != ep.want {
+				t.Errorf("seed %d: epoch at version %d changed after publication", seed, ep.snap.Version)
+			}
+		}
+	}
+}

@@ -76,8 +76,37 @@ func sameNodes(a, b []*xmltree.Node) bool {
 	return true
 }
 
+// sameIDs compares results from two copies of one document.
+func sameIDs(a, b []*xmltree.Node) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].ID.Equal(b[i].ID) {
+			return false
+		}
+	}
+	return true
+}
+
+// editedImage publishes d, applies random edits, and publishes again: the
+// returned image is path-copied — part fresh spine, part shared with the
+// first image, no Parent pointers — as every epoch the server evaluates
+// queries on is.
+func editedImage(rng *rand.Rand, d *xmltree.Document) *xmltree.Document {
+	d.Snapshot()
+	xpath.RandomEdits(rng, d)
+	return d.Snapshot()
+}
+
 func TestCompiledMatchesInterpretedOnCorpus(t *testing.T) {
-	d := mustDoc(t, auctionDoc)
+	t.Run("parsed", func(t *testing.T) { testCorpus(t, mustDoc(t, auctionDoc)) })
+	t.Run("image", func(t *testing.T) {
+		testCorpus(t, editedImage(rand.New(rand.NewSource(5)), mustDoc(t, auctionDoc)))
+	})
+}
+
+func testCorpus(t *testing.T, d *xmltree.Document) {
 	for _, q := range queryCorpus {
 		p, err := xpath.Parse(q)
 		if err != nil {
@@ -115,6 +144,10 @@ func TestCompiledMatchesInterpretedRandom(t *testing.T) {
 		want := xpath.Eval(d, p)
 		if !sameNodes(got, want) {
 			t.Fatalf("trial %d: %s: compiled %d vs interpreted %d nodes", trial, q, len(got), len(want))
+		}
+		img := editedImage(rng, d)
+		if got := prog.Eval(img); !sameNodes(got, xpath.Eval(img, p)) || !sameIDs(got, prog.Eval(d)) {
+			t.Fatalf("trial %d: %s over the image of %s: compiled, interpreted and live answers differ", trial, q, d)
 		}
 	}
 }
@@ -305,13 +338,19 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 			if !sameNodes(got, want) {
 				t.Fatalf("%q: compiled %d nodes, interpreted %d", query, len(got), len(want))
 			}
+			// And on a path-copied image, against the interpreter there
+			// and the program on the edited live tree.
+			img := editedImage(rng, d)
+			if got := prog.Eval(img); !sameNodes(got, xpath.Eval(img, p)) || !sameIDs(got, prog.Eval(d)) {
+				t.Fatalf("%q over the image of %s: compiled, interpreted and live answers differ", query, d)
+			}
 		}
 	})
 }
 
 // TestCompiledEvalSeesMutations guards against a stale label index: the
 // leading-descendant fast path answers from Document.Labeled, which every
-// structural mutator must invalidate. Evaluate, mutate, evaluate again —
+// structural mutator must keep in step. Evaluate, mutate, evaluate again —
 // the compiled result must track the document exactly like the interpreter.
 func TestCompiledEvalSeesMutations(t *testing.T) {
 	d, err := xmltree.ParseString(`<r><a><b/></a><b/></r>`)

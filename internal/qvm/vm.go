@@ -18,6 +18,32 @@ type Machine struct {
 	// leading descendant step answer from the document's label index
 	// instead of walking the tree. Nil for relative evaluations.
 	doc *xmltree.Document
+	// par is the last parent resolved for a sibling axis on an image, whose
+	// nodes carry no Parent pointer: context nodes arrive in document
+	// order, so consecutive ones mostly share it.
+	par *xmltree.Node
+}
+
+// bind points the machine at the document of the next evaluation.
+func (m *Machine) bind(d *xmltree.Document) {
+	m.doc, m.par = d, nil
+}
+
+// siblings returns the child list ctx sits in and its position there, or
+// nil for a root. The parent of an image node is found through the image
+// (xmltree.ParentIn), with no allocation.
+func (m *Machine) siblings(ctx *xmltree.Node) ([]*xmltree.Node, int) {
+	par := ctx.Parent
+	if par == nil && m.doc != nil {
+		if par = m.par; par == nil || !par.ID.IsParentOf(ctx.ID) {
+			par = xmltree.ParentIn(m.doc.Root, ctx)
+			m.par = par
+		}
+	}
+	if par == nil {
+		return nil, 0
+	}
+	return par.Children, xmltree.ChildIndex(par, ctx.ID.Key())
 }
 
 // NewMachine returns an empty machine.
@@ -44,7 +70,7 @@ func (m *Machine) putBuf(b []*xmltree.Node) {
 func (p *Program) Eval(d *xmltree.Document) []*xmltree.Node {
 	m := machinePool.Get().(*Machine)
 	out := p.EvalInto(m, d, nil)
-	m.doc = nil // don't pin the document from the pool
+	m.bind(nil) // don't pin the document from the pool
 	machinePool.Put(m)
 	return out
 }
@@ -52,13 +78,13 @@ func (p *Program) Eval(d *xmltree.Document) []*xmltree.Node {
 // EvalInto appends the program's matches to dst using the caller's machine,
 // avoiding all steady-state allocations beyond dst growth.
 func (p *Program) EvalInto(m *Machine, d *xmltree.Document, dst []*xmltree.Node) []*xmltree.Node {
-	m.doc = d
+	m.bind(d)
 	return m.runSeg(p, 0, d.Root, p.FromDoc, dst)
 }
 
 // EvalFrom appends the matches of a relative program evaluated from ctx.
 func (p *Program) EvalFrom(m *Machine, ctx *xmltree.Node, dst []*xmltree.Node) []*xmltree.Node {
-	m.doc = nil
+	m.bind(nil)
 	return m.runSeg(p, 0, ctx, false, dst)
 }
 
@@ -66,9 +92,9 @@ func (p *Program) EvalFrom(m *Machine, ctx *xmltree.Node, dst []*xmltree.Node) [
 // the first witness when the program is free of positional predicates.
 func (p *Program) Exists(d *xmltree.Document) bool {
 	m := machinePool.Get().(*Machine)
-	m.doc = d
+	m.bind(d)
 	defer func() {
-		m.doc = nil
+		m.bind(nil)
 		machinePool.Put(m)
 	}()
 	if !p.mainSimple() {
@@ -266,21 +292,19 @@ func (m *Machine) gather(p *Program, in *Instr, ctx, docRoot *xmltree.Node, dst 
 	case axDesc:
 		dst = appendDesc(p, in, ctx, dst)
 	case axFollowing:
-		if par := ctx.Parent; par != nil {
-			for i := childIndex(par, ctx) + 1; i < len(par.Children); i++ {
-				if p.match(in, par.Children[i]) {
-					dst = append(dst, par.Children[i])
-				}
+		sibs, at := m.siblings(ctx)
+		for i := at + 1; i < len(sibs); i++ {
+			if p.match(in, sibs[i]) {
+				dst = append(dst, sibs[i])
 			}
 		}
 	case axPreceding:
 		// Nearest-first group order: [1] is the immediately preceding
 		// sibling.
-		if par := ctx.Parent; par != nil {
-			for i := childIndex(par, ctx) - 1; i >= 0; i-- {
-				if p.match(in, par.Children[i]) {
-					dst = append(dst, par.Children[i])
-				}
+		sibs, at := m.siblings(ctx)
+		for i := at - 1; i >= 0; i-- {
+			if p.match(in, sibs[i]) {
+				dst = append(dst, sibs[i])
 			}
 		}
 	}
@@ -297,15 +321,6 @@ func appendDesc(p *Program, in *Instr, n *xmltree.Node, dst []*xmltree.Node) []*
 		dst = appendDesc(p, in, ch, dst)
 	}
 	return dst
-}
-
-func childIndex(parent, ctx *xmltree.Node) int {
-	for i, ch := range parent.Children {
-		if ch == ctx {
-			return i
-		}
-	}
-	return -1
 }
 
 // match applies the step's fused node test.
@@ -440,21 +455,17 @@ func (m *Machine) segAny(p *Program, pc int, ctx *xmltree.Node, mode int, lit st
 	case axDesc:
 		return m.descAny(p, pc, in, ctx, mode, lit)
 	case axFollowing:
-		if par := ctx.Parent; par != nil {
-			for i := childIndex(par, ctx) + 1; i < len(par.Children); i++ {
-				ch := par.Children[i]
-				if m.stepAccept(p, in, ch) && m.segAny(p, pc+1, ch, mode, lit) {
-					return true
-				}
+		sibs, at := m.siblings(ctx)
+		for i := at + 1; i < len(sibs); i++ {
+			if m.stepAccept(p, in, sibs[i]) && m.segAny(p, pc+1, sibs[i], mode, lit) {
+				return true
 			}
 		}
 	case axPreceding:
-		if par := ctx.Parent; par != nil {
-			for i := childIndex(par, ctx) - 1; i >= 0; i-- {
-				ch := par.Children[i]
-				if m.stepAccept(p, in, ch) && m.segAny(p, pc+1, ch, mode, lit) {
-					return true
-				}
+		sibs, at := m.siblings(ctx)
+		for i := at - 1; i >= 0; i-- {
+			if m.stepAccept(p, in, sibs[i]) && m.segAny(p, pc+1, sibs[i], mode, lit) {
+				return true
 			}
 		}
 	}

@@ -37,8 +37,14 @@ import "xivm/internal/obs"
 //	                          cached results dropped because an applied
 //	                          statement may affect their pattern
 //	snapshot.epochs           epochs published
-//	snapshot.rows             cumulative view rows copied into epochs
-//	snapshot.doc.nodes        cumulative document nodes copied into epochs
+//	snapshot.rows             cumulative view rows in published epochs
+//	snapshot.views.reused     cumulative views whose rows an epoch took over
+//	                          from its predecessor because they had not moved
+//	snapshot.doc.nodes        cumulative document nodes in published epochs
+//	snapshot.doc.copied_nodes cumulative document nodes allocated for an
+//	                          epoch (path-copied spines and insertions; the
+//	                          whole document for a first epoch) rather than
+//	                          shared with its predecessor
 //	repl.leader.streams       /repl/stream requests served with frames
 //	repl.leader.frame_bytes   raw frame bytes shipped to followers
 //	repl.leader.snapshots     /repl/snapshot checkpoint images shipped
@@ -80,7 +86,9 @@ type serverMetrics struct {
 	rewriteCacheInval *obs.Counter
 	epochs            *obs.Counter
 	epochRows         *obs.Counter
+	epochViewsReused  *obs.Counter
 	epochDocNodes     *obs.Counter
+	epochDocCopied    *obs.Counter
 	replStreams       *obs.Counter
 	replFrameBytes    *obs.Counter
 	replSnapshots     *obs.Counter
@@ -123,7 +131,9 @@ func newServerMetrics(reg *obs.Metrics) *serverMetrics {
 		rewriteCacheInval: reg.Counter("server.xpath.rewrite.cache_invalidate"),
 		epochs:            reg.Counter("snapshot.epochs"),
 		epochRows:         reg.Counter("snapshot.rows"),
+		epochViewsReused:  reg.Counter("snapshot.views.reused"),
 		epochDocNodes:     reg.Counter("snapshot.doc.nodes"),
+		epochDocCopied:    reg.Counter("snapshot.doc.copied_nodes"),
 		replStreams:       reg.Counter("repl.leader.streams"),
 		replFrameBytes:    reg.Counter("repl.leader.frame_bytes"),
 		replSnapshots:     reg.Counter("repl.leader.snapshots"),

@@ -376,6 +376,63 @@ func TestApplyPanicKeepsServing(t *testing.T) {
 	}
 }
 
+// halfInsertBackend makes the next apply land half a statement and panic:
+// it inserts a two-tree forest under /site/people whose second tree is nil,
+// so ApplyInsertions blows up after the first tree is in the document.
+type halfInsertBackend struct {
+	Backend
+	armed bool
+}
+
+func (b *halfInsertBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
+	if b.armed {
+		b.armed = false
+		doc := b.Engine().Doc
+		people := doc.Labeled("people")[0]
+		half := &xmltree.Node{Kind: xmltree.Element, Label: "person"}
+		_, _ = doc.ApplyInsertions([]xmltree.Insertion{{Target: people, Trees: []*xmltree.Node{half, nil}}})
+	}
+	return b.Backend.ApplyCtx(ctx, st)
+}
+
+// TestApplyPanicResetsImage: a panic that escapes mid-mutation leaves the
+// live document holding part of a statement. The repair must not let the
+// image the mutators were carrying forward stand in for it: the next epoch
+// is a fresh deep copy of whatever the live tree holds.
+func TestApplyPanicResetsImage(t *testing.T) {
+	m := obs.New()
+	var backend *halfInsertBackend
+	reg, ts := newTestRegistry(t, Config{Metrics: m}, func(tenant string, b Backend) Backend {
+		backend = &halfInsertBackend{Backend: b, armed: true}
+		return backend
+	})
+	db := ts.URL + "/v1/db/" + DefaultTenant
+	st := `insert <person id="pp"><name>Boom</name></person> into /site/people`
+	if resp, _ := postUpdate(t, db, st); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("panicked update status %d, want 422", resp.StatusCode)
+	}
+	copied := m.CounterValue("snapshot.doc.copied_nodes")
+	if resp, _ := postUpdate(t, db, st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-panic update status %d, want 200", resp.StatusCode)
+	}
+
+	// The writer is idle once the update is acknowledged.
+	sh, err := reg.Get(DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, img := backend.Engine().Doc, sh.Epoch().Doc()
+	if got := len(live.Labeled("person")); got != len(img.Labeled("person")) || img.String() != live.String() {
+		t.Fatalf("epoch after repair differs from the live tree (%d persons live):\n epoch %s\n  live %s", got, img, live)
+	}
+	if string(img.EncodeOrds()) != string(live.EncodeOrds()) || img.Size() != live.Size() {
+		t.Fatalf("epoch after repair: size %d, live %d, or ordinals differ", img.Size(), live.Size())
+	}
+	if got := m.CounterValue("snapshot.doc.copied_nodes") - copied; got != int64(live.Size()) {
+		t.Fatalf("epoch after repair copied %d nodes, want a fresh copy of all %d", got, live.Size())
+	}
+}
+
 // syncBackend records whether Sync ran, to assert the drain contract.
 type syncBackend struct {
 	EngineBackend

@@ -20,20 +20,21 @@
 //     one combined delta through the pulopt planner (Section 5's
 //     aggregation/reduction with the IO/LO/NLO conflict rules as the safety
 //     gate) and propagated through the engine once per same-kind run,
-//     amortizing FindTargets, propagation, and — the dominant cost — the
-//     per-epoch snapshot over the whole batch. Any gate rejection, conflict,
-//     or already-cancelled request falls the batch back to per-statement
-//     application, so batching is never worse than the sequential path and
+//     amortizing FindTargets, propagation and epoch publication over the
+//     whole batch. Any gate rejection, conflict, or already-cancelled
+//     request falls the batch back to per-statement application, so
+//     batching is never worse than the sequential path and
 //     never observable: every constituent statement is journaled before the
 //     engine mutates, the engine version advances by exactly the batch's
 //     statement count, and acks carry the single epoch published for the
 //     batch (read-your-writes holds unchanged).
 //
 //   - After every applied statement the writer publishes a fresh epoch: an
-//     immutable core.Snapshot (deep-copied view rows plus an ID-preserving
-//     document copy, stamped with the tenant name) swapped in with one
-//     atomic pointer store. Any number of concurrent readers serve view and
-//     XPath queries from the last published epoch without taking any lock
+//     immutable core.Snapshot (view rows plus an ID-preserving image of the
+//     document that shares every untouched subtree with the epoch before,
+//     stamped with the tenant name) swapped in with one atomic pointer
+//     store. Any number of concurrent readers serve view and XPath
+//     queries from the last published epoch without taking any lock
 //     the writer can contend on. Readers therefore observe only states that
 //     existed between whole statements — never a half-propagated view.
 //
@@ -283,12 +284,9 @@ func NewReplicaShard(name string, eng *core.Engine, appliedLSN, leaderLast uint6
 // replication position it reflects. Tailer-goroutine only, mirroring the
 // writer-only contract of publish.
 func (s *Shard) PublishReplica(snap *core.Snapshot, appliedLSN, leaderLast uint64) {
-	snap.Tenant = s.name
 	s.appliedLSN.Store(appliedLSN)
 	s.leaderLast.Store(leaderLast)
-	s.epoch.Store(snap)
-	s.m.epochs.Inc()
-	s.tm.epochs.Inc()
+	s.swapEpoch(snap)
 }
 
 // Replica reports whether this shard is a read-only follower.
@@ -637,10 +635,15 @@ func (s *Shard) safeApplyBatch(plan *pulopt.BatchPlan) (rep *core.Report, applie
 // NewShard, before the loop starts).
 func (s *Shard) publish() {
 	t0 := time.Now()
-	snap := s.eng.Snapshot()
+	s.swapEpoch(s.eng.Snapshot())
+	s.m.publishLatency.Observe(time.Since(t0))
+}
+
+// swapEpoch stamps a captured snapshot with the tenant name, makes it the
+// serving epoch, and counts what it holds and what it cost.
+func (s *Shard) swapEpoch(snap *core.Snapshot) {
 	snap.Tenant = s.name
 	s.epoch.Store(snap)
-	s.m.publishLatency.Observe(time.Since(t0))
 	s.m.epochs.Inc()
 	s.tm.epochs.Inc()
 	var rows int64
@@ -648,5 +651,7 @@ func (s *Shard) publish() {
 		rows += int64(len(snap.Views[i].Rows))
 	}
 	s.m.epochRows.Add(rows)
+	s.m.epochViewsReused.Add(int64(snap.ViewsReused))
 	s.m.epochDocNodes.Add(int64(snap.Doc().Size()))
+	s.m.epochDocCopied.Add(int64(snap.Doc().CopiedNodes()))
 }

@@ -17,10 +17,11 @@ import (
 
 // Store indexes one document: it maintains the virtual canonical relation
 // R_a of every label a (the list of (ID,val,cont) tuples of a-labeled
-// nodes, in document order) as a sorted slice of items, plus the list of
-// all element nodes for wildcard pattern nodes, plus a lazily built
-// inverted word index serving "~word" relations without rescanning the
-// text relation on every access.
+// nodes, in document order) as a sorted slice of items, plus two derived
+// relations built on first request and dropped by the mutations that would
+// change them: the list of all element nodes for wildcard pattern nodes,
+// and an inverted word index serving "~word" relations without rescanning
+// the text relation on every access.
 //
 // Concurrency: a Store supports any number of concurrent readers (Items,
 // Count, Inputs, Labels) alongside a single mutating writer (AddSubtrees,
@@ -37,9 +38,15 @@ type Store struct {
 	// mu guards rels, elems and wordIdx. Readers take RLock for the brief
 	// map/header lookup only; the slices behind the headers are immutable
 	// once published, so no lock is held while consumers iterate them.
-	mu    sync.RWMutex
-	rels  map[string][]algebra.Item
-	elems []algebra.Item
+	mu   sync.RWMutex
+	rels map[string][]algebra.Item
+
+	// elems caches the "*" relation: every element, in document order. Like
+	// wordIdx it is built on first access and dropped — under the same
+	// critical section — whenever an element enters or leaves, rather than
+	// merged on every mutation for the rare pattern that has a wildcard.
+	elems   []algebra.Item
+	elemsOK bool
 
 	// wordIdx caches, per word, the document-ordered text items containing
 	// it. Entries are built on first access and the whole index is dropped
@@ -83,9 +90,6 @@ func New(doc *xmltree.Document) *Store {
 	s := &Store{doc: doc, rels: make(map[string][]algebra.Item)}
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
 		s.rels[n.Label] = append(s.rels[n.Label], algebra.Item{ID: n.ID, Node: n})
-		if n.Kind == xmltree.Element {
-			s.elems = append(s.elems, algebra.Item{ID: n.ID, Node: n})
-		}
 		return true
 	})
 	// Document walk is preorder, so relations are born sorted.
@@ -108,12 +112,13 @@ func (s *Store) Items(label string) []algebra.Item {
 		return s.wordItems(word)
 	}
 	s.scanCount.Inc()
+	if label == "*" {
+		out := s.elemItems()
+		s.scanItems.Add(int64(len(out)))
+		return out
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if label == "*" {
-		s.scanItems.Add(int64(len(s.elems)))
-		return s.elems
-	}
 	s.scanItems.Add(int64(len(s.rels[label])))
 	return s.rels[label]
 }
@@ -125,12 +130,38 @@ func (s *Store) Count(label string) int {
 	if word, isWord := strings.CutPrefix(label, "~"); isWord {
 		return len(s.wordItems(word))
 	}
+	if label == "*" {
+		return len(s.elemItems())
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if label == "*" {
-		return len(s.elems)
-	}
 	return len(s.rels[label])
+}
+
+// elemItems serves R_* from its cache, building it on a cold access by
+// merging the element relations. As in wordItems the build holds the write
+// lock, so it reads settled relations and cannot publish a list that a
+// concurrent mutation has already invalidated.
+func (s *Store) elemItems() []algebra.Item {
+	s.mu.RLock()
+	out, ok := s.elems, s.elemsOK
+	s.mu.RUnlock()
+	if ok {
+		return out
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.elemsOK {
+		s.elems = nil
+		for label, items := range s.rels {
+			if isElementLabel(label) {
+				s.elems = append(s.elems, items...)
+			}
+		}
+		sortItems(s.elems)
+		s.elemsOK = true
+	}
+	return s.elems
 }
 
 // wordItems serves R_{~word} from the inverted index, building the entry by
@@ -192,14 +223,9 @@ func (s *Store) AddSubtrees(roots []*xmltree.Node) {
 		return
 	}
 	byLabel := map[string][]algebra.Item{}
-	var elems []algebra.Item
 	for _, n := range roots {
 		xmltree.Walk(n, func(m *xmltree.Node) bool {
-			it := algebra.Item{ID: m.ID, Node: m}
-			byLabel[m.Label] = append(byLabel[m.Label], it)
-			if m.Kind == xmltree.Element {
-				elems = append(elems, it)
-			}
+			byLabel[m.Label] = append(byLabel[m.Label], algebra.Item{ID: m.ID, Node: m})
 			return true
 		})
 	}
@@ -208,13 +234,23 @@ func (s *Store) AddSubtrees(roots []*xmltree.Node) {
 	for label, items := range byLabel {
 		sortItems(items)
 		s.rels[label] = mergeSorted(s.rels[label], items)
+		s.invalidate(label)
 	}
-	if len(elems) > 0 {
-		sortItems(elems)
-		s.elems = mergeSorted(s.elems, elems)
-	}
-	if len(byLabel[xmltree.TextLabel]) > 0 {
+}
+
+// isElementLabel tells an element's label from "@name" and "#text".
+func isElementLabel(label string) bool {
+	return label != xmltree.TextLabel && !strings.HasPrefix(label, "@")
+}
+
+// invalidate drops the derived relation that a change to R_label makes
+// stale. Callers hold mu.
+func (s *Store) invalidate(label string) {
+	switch {
+	case label == xmltree.TextLabel:
 		s.wordIdx = nil
+	case isElementLabel(label):
+		s.elems, s.elemsOK = nil, false
 	}
 }
 
@@ -259,12 +295,7 @@ func (s *Store) AddNode(n *xmltree.Node) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rels[n.Label] = mergeSorted(s.rels[n.Label], it)
-	if n.Kind == xmltree.Element {
-		s.elems = mergeSorted(s.elems, it)
-	}
-	if n.Label == xmltree.TextLabel {
-		s.wordIdx = nil
-	}
+	s.invalidate(n.Label)
 }
 
 // RemoveNode drops exactly one node from the canonical relations, leaving
@@ -274,12 +305,7 @@ func (s *Store) RemoveNode(n *xmltree.Node) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rels[n.Label] = filterOut(s.rels[n.Label], gone)
-	if n.Kind == xmltree.Element {
-		s.elems = filterOut(s.elems, gone)
-	}
-	if n.Label == xmltree.TextLabel {
-		s.wordIdx = nil
-	}
+	s.invalidate(n.Label)
 }
 
 // RemoveSubtree drops every node of a detached subtree from the canonical
@@ -296,7 +322,6 @@ func (s *Store) RemoveSubtrees(roots []*xmltree.Node) {
 		return
 	}
 	gone := map[string]map[string]bool{} // label -> ID keys
-	anyElem := false
 	for _, n := range roots {
 		xmltree.Walk(n, func(m *xmltree.Node) bool {
 			set := gone[m.Label]
@@ -305,9 +330,6 @@ func (s *Store) RemoveSubtrees(roots []*xmltree.Node) {
 				gone[m.Label] = set
 			}
 			set[m.ID.Key()] = true
-			if m.Kind == xmltree.Element {
-				anyElem = true
-			}
 			return true
 		})
 	}
@@ -315,18 +337,7 @@ func (s *Store) RemoveSubtrees(roots []*xmltree.Node) {
 	defer s.mu.Unlock()
 	for label, set := range gone {
 		s.rels[label] = filterOut(s.rels[label], set)
-	}
-	if anyElem {
-		all := map[string]bool{}
-		for _, set := range gone {
-			for k := range set {
-				all[k] = true
-			}
-		}
-		s.elems = filterOut(s.elems, all)
-	}
-	if len(gone[xmltree.TextLabel]) > 0 {
-		s.wordIdx = nil
+		s.invalidate(label)
 	}
 }
 

@@ -13,6 +13,7 @@ type View struct {
 	byKey   map[string]int
 	rows    []algebra.Row // live rows plus tombstones (Count<=0 slots reused)
 	size    int
+	gen     uint64 // bumped by every change to the rows; see Generation
 	keyBuf  []byte // reused row-key scratch; View is not safe for concurrent mutation
 }
 
@@ -33,6 +34,12 @@ func NewMaterializedView(p *pattern.Pattern, rows []algebra.Row) *View {
 // Len returns the number of live rows.
 func (v *View) Len() int { return v.size }
 
+// Generation changes whenever the view's rows do: two calls that return the
+// same number bracket a span in which Rows would have answered the same.
+// Epoch publication uses it to hand an unmoved view's rows on to the next
+// epoch instead of copying them again.
+func (v *View) Generation() uint64 { return v.gen }
+
 // Get returns the row with the given key and whether it exists.
 func (v *View) Get(key string) (algebra.Row, bool) {
 	if i, ok := v.byKey[key]; ok && v.rows[i].Count > 0 {
@@ -46,6 +53,7 @@ func (v *View) Get(key string) (algebra.Row, bool) {
 // The probe key is built in a reused buffer; a string is only materialized
 // for genuinely new rows.
 func (v *View) Upsert(r algebra.Row) bool {
+	v.gen++
 	v.keyBuf = r.AppendKey(v.keyBuf[:0])
 	if i, ok := v.byKey[string(v.keyBuf)]; ok {
 		if v.rows[i].Count <= 0 {
@@ -70,6 +78,7 @@ func (v *View) DecrementBy(key string, n int) (existed, removed bool) {
 	if !ok || v.rows[i].Count <= 0 {
 		return false, false
 	}
+	v.gen++
 	v.rows[i].Count -= n
 	if v.rows[i].Count <= 0 {
 		v.rows[i].Count = 0
@@ -85,6 +94,7 @@ func (v *View) Remove(key string) bool {
 	if !ok || v.rows[i].Count <= 0 {
 		return false
 	}
+	v.gen++
 	v.rows[i].Count = 0
 	v.size--
 	return true
@@ -98,6 +108,7 @@ func (v *View) Replace(key string, update func(*algebra.Row)) bool {
 	if !ok || v.rows[i].Count <= 0 {
 		return false
 	}
+	v.gen++
 	update(&v.rows[i])
 	return true
 }

@@ -86,10 +86,7 @@ func (s *Statement) String() string { return s.Source }
 
 // PendingInsert is one pending-update-list entry for an insertion: the
 // target node and the trees to copy under it.
-type PendingInsert struct {
-	Target *xmltree.Node
-	Trees  []*xmltree.Node
-}
+type PendingInsert = xmltree.Insertion
 
 // PUL is a pending update list per the XQuery Update Facility: the list of
 // node-level operations a statement expands to.
@@ -199,13 +196,11 @@ func Apply(d *xmltree.Document, s *store.Store, pul *PUL) (*Applied, error) {
 	out := &Applied{Kind: pul.Kind}
 	switch pul.Kind {
 	case Insert:
-		for _, pi := range pul.Inserts {
-			copies, err := d.ApplyInsertForest(pi.Target, pi.Trees)
-			if err != nil {
-				return nil, err
-			}
-			out.InsertedRoots = append(out.InsertedRoots, copies...)
+		copies, err := d.ApplyInsertions(pul.Inserts)
+		if err != nil {
+			return nil, err
 		}
+		out.InsertedRoots = copies
 		if s != nil {
 			s.AddSubtrees(out.InsertedRoots)
 		}

@@ -7,7 +7,7 @@ import (
 
 // TestLabeledIndex pins the label index's contract: document order, label
 // conventions (plain, "@name", "#text"), a shared empty answer for absent
-// labels, and invalidation by every structural mutator.
+// labels, and upkeep by every structural mutator.
 func TestLabeledIndex(t *testing.T) {
 	d, err := ParseString(`<r><a id="1"><b>x</b></a><b/><a/></r>`)
 	if err != nil {
@@ -33,7 +33,7 @@ func TestLabeledIndex(t *testing.T) {
 		t.Fatalf("Labeled(zzz) = %d nodes, want 0", len(n))
 	}
 
-	// Insertion invalidates: the new subtree's labels appear.
+	// Insertion: the new subtree's labels appear.
 	tmpl, err := ParseString(`<a><c/></a>`)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestLabeledIndex(t *testing.T) {
 		t.Fatalf("after insert: Labeled(c) = %d nodes, want 1", len(n))
 	}
 
-	// Deletion invalidates: the removed subtree's labels disappear.
+	// Deletion: the removed subtree's labels disappear.
 	if _, err := d.ApplyDelete(as[0]); err != nil { // <a id="1"><b>x</b></a>
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLabeledIndex(t *testing.T) {
 		t.Fatalf("after delete: Labeled(@id) = %d nodes, want 0", len(n))
 	}
 
-	// Batch deletion invalidates too.
+	// Batch deletion too.
 	bs := d.Labeled("b")
 	if _, err := d.ApplyDeleteBatch(bs); err != nil {
 		t.Fatal(err)

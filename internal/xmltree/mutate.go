@@ -12,26 +12,41 @@ import (
 // document update, exactly as the paper assumes), indexes them, and returns
 // t'. Existing node IDs are never modified.
 func (d *Document) ApplyInsert(n *Node, t *Node) (*Node, error) {
-	if n == nil || n.Kind != Element {
-		return nil, errors.New("xmltree: insertion target must be an element")
+	out, err := d.ApplyInsertions([]Insertion{{Target: n, Trees: []*Node{t}}})
+	if err != nil {
+		return nil, err
 	}
-	cp := d.cloneAssign(t, n, dewey.Between(n.lastOrd(), nil))
-	n.Children = append(n.Children, cp)
-	d.invalidateLabels()
-	return cp, nil
+	return out[0], nil
 }
 
-// ApplyInsertForest inserts each tree of the forest, in order, as new last
-// children of n, returning the inserted copies.
-func (d *Document) ApplyInsertForest(n *Node, forest []*Node) ([]*Node, error) {
-	out := make([]*Node, 0, len(forest))
-	for _, t := range forest {
-		cp, err := d.ApplyInsert(n, t)
-		if err != nil {
-			return out, err
+// Insertion is one entry of an insertion list: the trees to copy, in order,
+// as new last children of Target.
+type Insertion struct {
+	Target *Node
+	Trees  []*Node
+}
+
+// ApplyInsertions applies a whole insertion list — what one statement
+// expands to — as one mutation, returning the inserted copies in list
+// order. Nothing is inserted unless every target is an element. Taking the
+// list at once lets the label index absorb thousands of insertions in one
+// pass per label instead of one per insertion.
+func (d *Document) ApplyInsertions(ins []Insertion) ([]*Node, error) {
+	for _, in := range ins {
+		if in.Target == nil || in.Target.Kind != Element {
+			return nil, errors.New("xmltree: insertion target must be an element")
 		}
-		out = append(out, cp)
 	}
+	var out []*Node
+	for _, in := range ins {
+		for _, t := range in.Trees {
+			cp := d.cloneAssign(t, in.Target, dewey.Between(in.Target.lastOrd(), nil))
+			in.Target.Children = append(in.Target.Children, cp)
+			d.imageInsert(cp)
+			out = append(out, cp)
+		}
+	}
+	d.labelsAdd(out)
 	return out, nil
 }
 
@@ -77,7 +92,8 @@ func (d *Document) ApplyDelete(n *Node) (*Node, error) {
 	p.Children = append(p.Children[:idx], p.Children[idx+1:]...)
 	n.Parent = nil
 	d.unindex(n)
-	d.invalidateLabels()
+	d.labelsDrop([]*Node{n})
+	d.imageDetach(p)
 	return n, nil
 }
 
@@ -116,6 +132,12 @@ func (d *Document) ApplyDeleteBatch(nodes []*Node) ([]*Node, error) {
 		d.unindex(n)
 		out = append(out, n)
 	}
-	d.invalidateLabels()
+	d.labelsDrop(out)
+	for p := range parents {
+		// A parent inside another victim left the document with it.
+		if d.index[p.ID.Key()] == p {
+			d.imageDetach(p)
+		}
+	}
 	return out, nil
 }

@@ -46,10 +46,14 @@ func (k Kind) String() string {
 // and carry labels of the form "@name" so that structural IDs encode them
 // uniformly.
 type Node struct {
-	Kind     Kind
+	Kind Kind
+	// gen stamps a node of a published image with the publication it was
+	// allocated for (see image.go); it means nothing on a live or parsed
+	// tree. It sits in Kind's padding, so it costs no memory.
+	gen      uint32
 	Label    string // element label, "@name" for attributes, "#text" for text
 	Value    string // text content for Text and Attribute nodes
-	Parent   *Node
+	Parent   *Node  // nil on the root, and on every node of an image (see Snapshot)
 	Children []*Node
 	ID       dewey.ID
 }
@@ -57,14 +61,28 @@ type Node struct {
 // Document is a parsed XML document: a single root element plus an index
 // from ID keys to nodes so that ID-carrying view tuples can be resolved back
 // to live nodes (needed by the tuple-modification algorithms PIMT/PDMT).
+//
+// A Document returned by Snapshot is an image instead: immutable, without
+// the index (an ID is resolved by descending its Dewey steps), and sharing
+// every subtree the mutations since the previous image left alone.
 type Document struct {
 	Root  *Node
-	index map[string]*Node
+	index map[string]*Node // nil on an image
 
 	// labels is the lazily-built label index (see labels.go); labelMu
 	// serializes its construction so concurrent readers build it once.
 	labels  atomic.Pointer[labelIndex]
 	labelMu sync.Mutex
+
+	// Publication state (image.go). An image records its node count and how
+	// many of those nodes it allocated rather than shared. A live document
+	// that has been published tracks pub, the last image handed out; next,
+	// the root of the image under construction (pub.Root until a mutation
+	// path-copies it); and gen, the stamp of the nodes allocated for next.
+	size, copied int
+	pub          *Document
+	next         *Node
+	gen          uint32
 }
 
 // NewDocument wraps a root node built elsewhere, indexing its subtree.
@@ -88,13 +106,61 @@ func (d *Document) unindex(n *Node) {
 	}
 }
 
-// NodeByID resolves a structural ID to the live node, or nil.
+// NodeByID resolves a structural ID to the document's node, or nil.
 func (d *Document) NodeByID(id dewey.ID) *Node {
+	if d.index == nil {
+		return descend(d.Root, id, id.Level())
+	}
 	return d.index[id.Key()]
 }
 
 // Size returns the number of nodes in the document.
-func (d *Document) Size() int { return len(d.index) }
+func (d *Document) Size() int {
+	if d.index == nil {
+		return d.size
+	}
+	return len(d.index)
+}
+
+// ChildIndex returns the position among parent's children of the child whose
+// ID has the given key, or -1. Children are in document order, which is key
+// order, so this is a binary search with no allocation.
+func ChildIndex(parent *Node, key string) int {
+	if i := keyAtLeast(parent.Children, key); i < len(parent.Children) && parent.Children[i].ID.Key() == key {
+		return i
+	}
+	return -1
+}
+
+// descend follows id's first `level` Dewey steps down from root and returns
+// the node there, or nil if the tree has no such node.
+func descend(root *Node, id dewey.ID, level int) *Node {
+	if level < 1 || level > id.Level() || root.ID.Key() != id.KeyAt(1) {
+		return nil
+	}
+	n := root
+	for l := 2; l <= level; l++ {
+		i := ChildIndex(n, id.KeyAt(l))
+		if i < 0 {
+			return nil
+		}
+		n = n.Children[i]
+	}
+	return n
+}
+
+// ParentIn returns n's parent. A node of a live or parsed tree carries the
+// pointer. A node of an image carries none — it may be shared by many
+// images, under a different copy of its parent in each — and is resolved
+// within the image rooted at root instead, by descending n's Dewey steps:
+// O(depth × log fan-out), no allocation. Nil for a root, and for an image
+// node when root is nil.
+func ParentIn(root, n *Node) *Node {
+	if n.Parent != nil || root == nil {
+		return n.Parent
+	}
+	return descend(root, n.ID, n.ID.Level()-1)
+}
 
 // Walk visits n and its descendants in document order, stopping early if f
 // returns false for a node (its subtree is then skipped).
@@ -188,31 +254,6 @@ func (n *Node) Clone() *Node {
 		c.Children[i] = cc
 	}
 	return c
-}
-
-// Snapshot returns an independent deep copy of the document: fresh Node
-// structs with IDs preserved (unlike Node.Clone, which strips them for
-// template reuse) and a fresh index. The copy shares no mutable state with
-// the original, so it can serve any number of concurrent readers while the
-// original keeps mutating — the epoch-snapshot read path (core.Snapshot)
-// relies on this, and on ID preservation so that view rows and XPath
-// results from the same epoch agree on node identity.
-func (d *Document) Snapshot() *Document {
-	c := &Document{index: make(map[string]*Node, len(d.index))}
-	c.Root = c.cloneKeepIDs(d.Root, nil)
-	return c
-}
-
-func (c *Document) cloneKeepIDs(n, parent *Node) *Node {
-	m := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value, Parent: parent, ID: n.ID}
-	c.index[m.ID.Key()] = m
-	if len(n.Children) > 0 {
-		m.Children = make([]*Node, len(n.Children))
-		for i, ch := range n.Children {
-			m.Children[i] = c.cloneKeepIDs(ch, m)
-		}
-	}
-	return m
 }
 
 // CountNodes returns the number of nodes in the subtree rooted at n.

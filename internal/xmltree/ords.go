@@ -103,6 +103,7 @@ func (d *Document) ApplyOrds(data []byte) error {
 	}
 	d.index = make(map[string]*Node, len(d.index))
 	d.reindex(d.Root)
-	d.invalidateLabels()
+	// Every ID changed: nothing derived from the old ones survives.
+	d.ResetImage()
 	return nil
 }

@@ -157,14 +157,14 @@ func TestApplyInsertAssignsIDs(t *testing.T) {
 	}
 }
 
-func TestApplyInsertForest(t *testing.T) {
+func TestApplyInsertions(t *testing.T) {
 	d := mustParse(t, `<r><p/></r>`)
 	forest, err := ParseForest(`<x>1</x><y>2</y>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := d.Root.ElementChildren()[0]
-	got, err := d.ApplyInsertForest(p, forest)
+	got, err := d.ApplyInsertions([]Insertion{{Target: p, Trees: forest}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,10 @@ func refPred(ctx *xmltree.Node, pos, size int, e Expr) bool {
 }
 
 // TestEvalMatchesReference compares the evaluator with the reference on
-// random documents and random paths over the widened grammar.
+// random documents and random paths over the widened grammar — and then
+// again on a path-copied image of the document after random edits, whose
+// nodes have no Parent pointers for the sibling axes to follow, against the
+// reference on the edited live tree.
 func TestEvalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 1200; trial++ {
@@ -182,6 +185,18 @@ func TestEvalMatchesReference(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: %s: node %d differs", trial, expr, i)
+			}
+		}
+
+		d.Snapshot()
+		RandomEdits(rng, d)
+		got, want = Eval(d.Snapshot(), p), refEval(d, p)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %s over the image of %s: %d vs %d nodes", trial, expr, d, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].ID.Equal(want[i].ID) {
+				t.Fatalf("trial %d: %s over the image: node %d differs", trial, expr, i)
 			}
 		}
 	}

@@ -22,19 +22,23 @@ func Eval(d *xmltree.Document, p Path) []*xmltree.Node {
 	}
 	// The first step consumes the root itself: "/site" matches a root
 	// labeled site; "//x" matches any element labeled x including the root.
-	return evalFrom(d.Root, true, p.Steps)
+	return evalFrom(d.Root, d.Root, true, p.Steps)
 }
 
-// EvalRelative evaluates a relative path from the given context node.
+// EvalRelative evaluates a relative path from the given context node of a
+// live or parsed tree. (A node of a published image has no Parent pointer;
+// its sibling axes need the image, which only Eval is given.)
 func EvalRelative(ctx *xmltree.Node, p Path) []*xmltree.Node {
-	return evalFrom(ctx, false, p.Steps)
+	return evalFrom(nil, ctx, false, p.Steps)
 }
 
 // evalFrom runs the step sequence. When fromDoc is set, start is the
 // document root and the first step is evaluated against the virtual
 // document node (child yields the root; descendant yields the root and all
-// its descendants; sibling axes yield nothing).
-func evalFrom(start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.Node {
+// its descendants; sibling axes yield nothing). root is the root of the
+// tree under evaluation, through which sibling axes find the parent of an
+// image node (xmltree.ParentIn); nil when only a context node is known.
+func evalFrom(root, start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.Node {
 	if len(steps) == 0 {
 		return []*xmltree.Node{start}
 	}
@@ -44,10 +48,10 @@ func evalFrom(start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.Node {
 		st := &steps[si]
 		next = next[:0]
 		if si == 0 && fromDoc {
-			next = evalGroup(next, st, nil, start)
+			next = evalGroup(next, st, root, nil, start)
 		} else {
 			for _, c := range cur {
-				next = evalGroup(next, st, c, nil)
+				next = evalGroup(next, st, root, c, nil)
 			}
 		}
 		if len(next) == 0 {
@@ -63,7 +67,7 @@ func evalFrom(start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.Node {
 // step's predicates applied sequentially to the group (positional tests see
 // 1-based positions within the group as filtered so far). A nil ctx with a
 // non-nil docRoot denotes the virtual document node.
-func evalGroup(dst []*xmltree.Node, st *Step, ctx, docRoot *xmltree.Node) []*xmltree.Node {
+func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) []*xmltree.Node {
 	base := len(dst)
 	switch {
 	case docRoot != nil:
@@ -97,8 +101,8 @@ func evalGroup(dst []*xmltree.Node, st *Step, ctx, docRoot *xmltree.Node) []*xml
 				return true
 			})
 		case FollowingSibling:
-			if p := ctx.Parent; p != nil {
-				for i := childIndex(p, ctx) + 1; i < len(p.Children); i++ {
+			if p := xmltree.ParentIn(root, ctx); p != nil {
+				for i := xmltree.ChildIndex(p, ctx.ID.Key()) + 1; i < len(p.Children); i++ {
 					if matchTest(st, p.Children[i]) {
 						dst = append(dst, p.Children[i])
 					}
@@ -107,8 +111,8 @@ func evalGroup(dst []*xmltree.Node, st *Step, ctx, docRoot *xmltree.Node) []*xml
 		case PrecedingSibling:
 			// Nearest-first group order, so [1] is the immediately
 			// preceding sibling.
-			if p := ctx.Parent; p != nil {
-				for i := childIndex(p, ctx) - 1; i >= 0; i-- {
+			if p := xmltree.ParentIn(root, ctx); p != nil {
+				for i := xmltree.ChildIndex(p, ctx.ID.Key()) - 1; i >= 0; i-- {
 					if matchTest(st, p.Children[i]) {
 						dst = append(dst, p.Children[i])
 					}
@@ -122,7 +126,7 @@ func evalGroup(dst []*xmltree.Node, st *Step, ctx, docRoot *xmltree.Node) []*xml
 		size := len(group)
 		kept := base
 		for i, n := range group {
-			if evalPred(n, i+1, size, pr) {
+			if evalPred(root, n, i+1, size, pr) {
 				dst[kept] = n
 				kept++
 			}
@@ -130,16 +134,6 @@ func evalGroup(dst []*xmltree.Node, st *Step, ctx, docRoot *xmltree.Node) []*xml
 		dst = dst[:kept]
 	}
 	return dst
-}
-
-// childIndex returns ctx's position among its parent's children.
-func childIndex(parent, ctx *xmltree.Node) int {
-	for i, ch := range parent.Children {
-		if ch == ctx {
-			return i
-		}
-	}
-	return -1
 }
 
 func matchTest(st *Step, n *xmltree.Node) bool {
@@ -158,16 +152,16 @@ func matchTest(st *Step, n *xmltree.Node) bool {
 
 // evalPred evaluates one predicate against a context node at 1-based
 // position pos within a match group of the given size.
-func evalPred(ctx *xmltree.Node, pos, size int, e Expr) bool {
+func evalPred(root, ctx *xmltree.Node, pos, size int, e Expr) bool {
 	switch x := e.(type) {
 	case OrExpr:
-		return evalPred(ctx, pos, size, x.Left) || evalPred(ctx, pos, size, x.Right)
+		return evalPred(root, ctx, pos, size, x.Left) || evalPred(root, ctx, pos, size, x.Right)
 	case AndExpr:
-		return evalPred(ctx, pos, size, x.Left) && evalPred(ctx, pos, size, x.Right)
+		return evalPred(root, ctx, pos, size, x.Left) && evalPred(root, ctx, pos, size, x.Right)
 	case ExistsExpr:
-		return len(EvalRelative(ctx, x.Path)) > 0
+		return len(evalFrom(root, ctx, false, x.Path.Steps)) > 0
 	case EqExpr:
-		for _, n := range EvalRelative(ctx, x.Path) {
+		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if n.StringValue() == x.Lit {
 				return true
 			}
@@ -178,9 +172,9 @@ func evalPred(ctx *xmltree.Node, pos, size int, e Expr) bool {
 	case LastExpr:
 		return pos == size
 	case CountExpr:
-		return x.Op.Holds(len(EvalRelative(ctx, x.Path)), x.N)
+		return x.Op.Holds(len(evalFrom(root, ctx, false, x.Path.Steps)), x.N)
 	case ContainsExpr:
-		for _, n := range EvalRelative(ctx, x.Path) {
+		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if matchesLit(n.StringValue(), x.Lit, x.Prefix) {
 				return true
 			}

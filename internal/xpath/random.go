@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"xivm/internal/xmltree"
 )
 
 // RandomDoc generates a small random document over a 3-letter label
@@ -79,4 +81,26 @@ func RandomQuery(rng *rand.Rand) string {
 		}
 	}
 	return sb.String()
+}
+
+// RandomEdits applies one to three random subtree insertions and deletions
+// to d. Between two Snapshot calls it makes the second image a path-copied
+// one — some spines new, the rest shared with the first — which is the kind
+// of document the serving path evaluates queries on.
+func RandomEdits(rng *rand.Rand, d *xmltree.Document) {
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		var all, elems []*xmltree.Node
+		xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
+			all = append(all, n)
+			if n.Kind == xmltree.Element {
+				elems = append(elems, n)
+			}
+			return true
+		})
+		if len(all) == 1 || rng.Intn(2) == 0 {
+			_, _ = d.ApplyInsert(elems[rng.Intn(len(elems))], elems[rng.Intn(len(elems))])
+		} else {
+			_, _ = d.ApplyDelete(all[1+rng.Intn(len(all)-1)])
+		}
+	}
 }

@@ -233,8 +233,35 @@ func TestIsLinearAndDeweySteps(t *testing.T) {
 	}
 }
 
+// pathCopied returns an image of d with the same content but a path-copied
+// spine: a node is inserted next to the bidders and deleted again between
+// two publications, so site, open_auctions and one open_auction are fresh
+// copies while people and regions are shared with the first image — and no
+// node has a Parent pointer.
+func pathCopied(t *testing.T, d *xmltree.Document) *xmltree.Document {
+	t.Helper()
+	first := d.Snapshot()
+	auction := Eval(d, MustParse("/site/open_auctions/open_auction[2]"))[0]
+	x, err := d.ApplyInsert(auction, &xmltree.Node{Kind: xmltree.Element, Label: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyDelete(x); err != nil {
+		t.Fatal(err)
+	}
+	img := d.Snapshot()
+	if img == first || img.CopiedNodes() != 4 || img.String() != d.String() { // 3 spine nodes + x
+		t.Fatalf("image copied %d nodes: %s", img.CopiedNodes(), img)
+	}
+	return img
+}
+
 func TestEvalSiblingAxes(t *testing.T) {
-	d := doc(t)
+	t.Run("parsed", func(t *testing.T) { testEvalSiblingAxes(t, doc(t)) })
+	t.Run("image", func(t *testing.T) { testEvalSiblingAxes(t, pathCopied(t, doc(t))) })
+}
+
+func testEvalSiblingAxes(t *testing.T, d *xmltree.Document) {
 	cases := []struct {
 		expr string
 		want int
