@@ -171,7 +171,19 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 			_, _ = io.Copy(io.Discard, resp.Body)
 			return nil, nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		var err error
+		if resp.ContentLength > 0 {
+			// The server said how long the body is: read it into one buffer
+			// of that size, where a streaming decoder would grow its own by
+			// doubling, allocating the body several times over.
+			raw := make([]byte, resp.ContentLength)
+			if _, err = io.ReadFull(resp.Body, raw); err == nil {
+				err = json.Unmarshal(raw, out)
+			}
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(out)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("xivm api: decoding %d response: %w", resp.StatusCode, err)
 		}
 		return nil, nil

@@ -98,6 +98,41 @@ func TestErrorEnvelopeDecoding(t *testing.T) {
 	}
 }
 
+// TestDecodeSizedAndStreamedBodies: a 2xx body decodes the same whether the
+// server declared its length (read whole into one buffer of that size) or
+// streamed it chunked, and a body shorter than its declared length is an
+// error, not a partial response.
+func TestDecodeSizedAndStreamedBodies(t *testing.T) {
+	body := `{"tenant":"t","version":3,"query":"//a","matches":[{"id":"a1","label":"a","value":"` +
+		strings.Repeat("x", 8<<10) + `"}]}` + "\n"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		switch req.URL.Query().Get("q") {
+		case "sized":
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+		case "short":
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)+1))
+		default:
+			w.(http.Flusher).Flush() // commits the header: chunked from here
+		}
+		fmt.Fprint(w, body)
+	}))
+	defer ts.Close()
+
+	c := client.New(ts.URL, client.WithRetries(0))
+	for _, mode := range []string{"sized", "chunked"} {
+		xr, err := c.DB("t").XPath(context.Background(), mode)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if xr.Version != 3 || len(xr.Matches) != 1 || len(xr.Matches[0].Value) != 8<<10 {
+			t.Fatalf("%s: decoded %+v", mode, xr)
+		}
+	}
+	if _, err := c.DB("t").XPath(context.Background(), "short"); err == nil {
+		t.Fatal("a body shorter than its Content-Length decoded without error")
+	}
+}
+
 // TestMultiTenantSmoke is the end-to-end acceptance check: 8 tenants
 // created through the typed client against a real registry, interleaved
 // updates so every tenant's state diverges, then per-tenant verification —

@@ -1,6 +1,7 @@
 package dewey
 
 import (
+	"strconv"
 	"strings"
 )
 
@@ -170,47 +171,33 @@ func (id ID) SelfOrAncestorLabeled(label string) bool {
 // except ordinals are printed as their component vectors when they have
 // grown past a single component.
 func (id ID) String() string {
+	var tmp [64]byte
+	return string(id.AppendString(tmp[:0]))
+}
+
+// AppendString appends String()'s rendering to dst and returns the extended
+// slice: encoders that write many IDs into one buffer pay no per-ID string.
+func (id ID) AppendString(dst []byte) []byte {
 	if id.IsNull() {
-		return "ε"
+		return append(dst, "ε"...)
 	}
-	var b strings.Builder
 	for i, s := range id.steps {
 		if i > 0 {
-			b.WriteByte('.')
+			dst = append(dst, '.')
 		}
-		b.WriteString(s.Label)
+		dst = append(dst, s.Label...)
 		for j, c := range s.Ord {
 			if j > 0 {
-				b.WriteByte('_')
+				dst = append(dst, '_')
 			}
-			writeUint(&b, c/Gap, c%Gap)
+			dst = strconv.AppendUint(dst, c/Gap, 10)
+			if r := c % Gap; r != 0 {
+				dst = append(dst, '+')
+				dst = strconv.AppendUint(dst, r, 10)
+			}
 		}
 	}
-	return b.String()
-}
-
-func writeUint(b *strings.Builder, q, r uint64) {
-	if r == 0 {
-		b.WriteString(utoa(q))
-		return
-	}
-	b.WriteString(utoa(q))
-	b.WriteByte('+')
-	b.WriteString(utoa(r))
-}
-
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return dst
 }
 
 // Key returns the cached binary key: a compact string usable as a map key,

@@ -26,8 +26,14 @@ func TestStringRendering(t *testing.T) {
 	if got := tight.String(); !strings.Contains(got, "_") && !strings.Contains(got, "+") {
 		t.Fatalf("multi-component ordinal rendering = %q", got)
 	}
-	if got := utoa(0); got != "0" {
-		t.Fatalf("utoa(0) = %q", got)
+	// AppendString extends its destination and agrees with String.
+	for _, id := range []ID{{}, a, b, mid, tight} {
+		if got := string(id.AppendString([]byte("x="))); got != "x="+id.String() {
+			t.Fatalf("AppendString = %q, String = %q", got, id.String())
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.AppendString(make([]byte, 0, 64)) }); n != 0 {
+		t.Fatalf("AppendString into a sized buffer allocates %v times", n)
 	}
 }
 

@@ -23,23 +23,35 @@ const fuzzDocXML = `<site><people>` +
 	`<open_auction id="a2"><initial>2</initial></open_auction>` +
 	`</open_auctions></site>`
 
+// fuzzWorld is one document with the view library materialized over it.
+type fuzzWorld struct {
+	name string
+	doc  *xmltree.Document
+	lib  []*View
+}
+
 var (
-	fuzzOnce sync.Once
-	fuzzDoc  *xmltree.Document
-	fuzzLib  []*View
+	fuzzOnce   sync.Once
+	fuzzWorlds []fuzzWorld // the live document, and its published image
 )
 
 func fuzzSetup() {
-	d, err := xmltree.ParseString(fuzzDocXML)
+	live, err := xmltree.ParseString(fuzzDocXML)
 	if err != nil {
 		panic(err)
 	}
-	fuzzDoc = d
+	fuzzWorlds = []fuzzWorld{
+		{name: "live", doc: live, lib: fuzzLibrary(live)},
+		{name: "image", doc: live.Snapshot(), lib: fuzzLibrary(live.Snapshot())},
+	}
+}
+
+func fuzzLibrary(d *xmltree.Document) []*View {
 	mk := func(name, src string) *View {
 		p := pattern.MustParse(src)
 		return &View{Name: name, Pattern: p, Rows: RowSlice(algebra.Materialize(d, p))}
 	}
-	fuzzLib = []*View{
+	return []*View{
 		mk("chain-name", `/site{ID}/people{ID}/person{ID}/name{ID,val}`),
 		mk("person-name", `//person{ID}//name{ID,val}`),
 		mk("person-id", `//person{ID}/@id{ID,val}`),
@@ -55,7 +67,10 @@ func fuzzSetup() {
 // FuzzRewriteVsTreeWalk is the end-to-end differential oracle for the
 // bridge + rewrite pipeline: any query that parses, bridges, and finds a
 // view plan must return exactly the tree walk's matches — same IDs, same
-// values, same order.
+// values, same order — and exactly direct evaluation's rows, derivation
+// counts included. The same holds for the query with every node's ID stored
+// (answer columns then come from every piece of a multi-view plan), over
+// the live document and over its image.
 func FuzzRewriteVsTreeWalk(f *testing.F) {
 	for _, seed := range []string{
 		"/site/people/person/name",
@@ -81,21 +96,34 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		rows, plan, err := Answer(pat, fuzzLib)
-		if err != nil {
-			t.Skip() // no plan from this library — fine
-		}
-		want := xpath.Eval(fuzzDoc, p)
-		if len(rows) != len(want) {
-			t.Fatalf("%s (%s): rewrite %d matches, tree walk %d", qs, plan.Explain(), len(rows), len(want))
-		}
-		for i := range rows {
-			e := rows[i].Entries[0]
-			if e.ID.Key() != want[i].ID.Key() {
-				t.Fatalf("%s (%s): match %d ID %s != %s", qs, plan.Explain(), i, e.ID, want[i].ID)
+		// The same pattern projected onto all of its nodes.
+		wide := pat.Clone(func(_ int, st pattern.Store) pattern.Store { return st | pattern.StoreID })
+		for _, w := range fuzzWorlds {
+			rows, plan, err := Answer(pat, w.lib)
+			if err != nil {
+				t.Skip() // no plan from this library — fine
 			}
-			if e.Val != want[i].StringValue() {
-				t.Fatalf("%s (%s): match %d value %q != %q", qs, plan.Explain(), i, e.Val, want[i].StringValue())
+			want := xpath.Eval(w.doc, p)
+			if len(rows) != len(want) {
+				t.Fatalf("%s %s (%s): rewrite %d matches, tree walk %d", w.name, qs, plan.Explain(), len(rows), len(want))
+			}
+			for i := range rows {
+				e := rows[i].Entries[0]
+				if e.ID.Key() != want[i].ID.Key() {
+					t.Fatalf("%s %s (%s): match %d ID %s != %s", w.name, qs, plan.Explain(), i, e.ID, want[i].ID)
+				}
+				if e.Val != want[i].StringValue() {
+					t.Fatalf("%s %s (%s): match %d value %q != %q", w.name, qs, plan.Explain(), i, e.Val, want[i].StringValue())
+				}
+			}
+			for _, q := range []*pattern.Pattern{pat, wide} {
+				rows, plan, err := Answer(q, w.lib)
+				if err != nil {
+					t.Fatalf("%s %s: %s planned but %s did not: %v", w.name, qs, pat, q, err)
+				}
+				if direct := algebra.Materialize(w.doc, q); !sameRows(rows, direct) {
+					t.Fatalf("%s %s (%s): rewrite of %s\n got %+v\nwant %+v", w.name, qs, plan.Explain(), q, rows, direct)
+				}
 			}
 		}
 	})

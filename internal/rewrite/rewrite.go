@@ -14,16 +14,18 @@
 //   - k-view intersection (after Cautis et al., "Rewriting XPath Queries
 //     using View Intersections"): a query whose root has k ≥ 2 children is
 //     decomposed into one piece per root subtree, each piece answered by
-//     its own view, all pieces hash-joined on the shared root ID.
+//     its own view, all pieces joined on the shared root ID.
 //
 // When several plans apply, the cheapest by view cardinality wins: a
 // rewrite scans whole views, so cost is the total number of rows read.
 //
-// Answer never consults the base document; everything comes from view rows.
+// Answer never consults the base document; everything comes from view rows,
+// and what a call allocates is its answer, not its scans (see execute).
 package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xivm/internal/algebra"
@@ -86,99 +88,92 @@ func (p *Plan) Explain() string {
 // cardinality is chosen; a matching single view always beats multi-view
 // plans (it scans one relation and needs no join).
 func Answer(q *pattern.Pattern, views []*View) ([]algebra.Row, *Plan, error) {
-	if v := bestSingle(q, views); v != nil {
-		rows, _ := answerSingle(q, v)
-		return rows, &Plan{Kind: "single", Views: []string{v.Name}, Cost: v.Rows.Len()}, nil
-	}
-	st := planStitch(q, views)
-	in := planIntersect(q, views)
-	if st != nil && (in == nil || st.cost <= in.cost) {
-		topQ, topMap, botQ, botMap := split(q, st.c)
-		topRows, _ := answerSingleMapped(topQ, st.top)
-		botRows, _ := answerSingleMapped(botQ, st.bot)
-		rows := stitch(q, st.c, topQ, topMap, topRows, botQ, botMap, botRows)
-		return rows, &Plan{
-			Kind:      "stitch",
-			Views:     []string{st.top.Name, st.bot.Name},
-			SplitNode: st.c,
-			Cost:      st.cost,
-		}, nil
-	}
-	if in != nil {
-		rows := answerIntersect(q, in)
-		names := make([]string, len(in.views))
-		for i, v := range in.views {
-			names[i] = v.Name
+	var pieces []piece
+	var plan *Plan
+	if v, m := bestSingle(q, views); v != nil {
+		orig := make([]int, q.Size())
+		for i := range orig {
+			orig[i] = i
 		}
-		return rows, &Plan{Kind: "intersect", Views: names, Cost: in.cost}, nil
+		pieces = []piece{{view: v, m: m, orig: orig}}
+		plan = &Plan{Kind: "single", Views: []string{v.Name}, Cost: v.Rows.Len()}
+	} else {
+		pieces, plan = planStitch(q, views)
+		if ip, in := planIntersect(q, views); in != nil && (plan == nil || in.Cost < plan.Cost) {
+			pieces, plan = ip, in
+		}
 	}
-	return nil, nil, fmt.Errorf("rewrite: no view combination answers %s", q)
+	if plan == nil {
+		return nil, nil, fmt.Errorf("rewrite: no view combination answers %s", q)
+	}
+	return execute(q, pieces), plan, nil
 }
 
-// bestSingle returns the lowest-cardinality view matching q alone, or nil.
-func bestSingle(q *pattern.Pattern, views []*View) *View {
+// piece is one view's part in a compiled plan: the sub-pattern of the query
+// it answers, reduced to column indexes into its view's rows and the
+// residual checks each row must pass.
+type piece struct {
+	view *View
+	m    *mapping
+	orig []int // piece node index → query node index
+	join int   // column of the node the plan's pieces share (multi-view plans)
+}
+
+// bestSingle returns the lowest-cardinality view matching q alone, with
+// its column mapping, or nil.
+func bestSingle(q *pattern.Pattern, views []*View) (*View, *mapping) {
 	var best *View
+	var bestM *mapping
 	for _, v := range views {
-		if !idComplete(v) {
+		if !idComplete(v) || (best != nil && v.Rows.Len() >= best.Rows.Len()) {
 			continue
 		}
-		if _, ok := matchPatterns(q, v.Pattern); !ok {
-			continue
-		}
-		if best == nil || v.Rows.Len() < best.Rows.Len() {
-			best = v
+		if m, ok := matchPatterns(q, v.Pattern); ok {
+			best, bestM = v, m
 		}
 	}
-	return best
+	return best, bestM
 }
 
-// stitchPlan is a costed split-point choice: query node c with the
-// cheapest matching view for each half.
-type stitchPlan struct {
-	c        int
-	top, bot *View
-	cost     int
-}
-
-func planStitch(q *pattern.Pattern, views []*View) *stitchPlan {
-	var best *stitchPlan
+// planStitch picks the cheapest split point: a query node c with a matching
+// view for the part above it (c a leaf) and one for the subtree below it,
+// joined on c's ID.
+func planStitch(q *pattern.Pattern, views []*View) ([]piece, *Plan) {
+	var pieces []piece
+	var plan *Plan
 	for c := 1; c < q.Size(); c++ {
-		topQ, _, botQ, _ := split(q, c)
-		top := bestSingle(topQ, views)
+		topQ, topMap, botQ, botMap := split(q, c)
+		top, topM := bestSingle(topQ, views)
 		if top == nil {
 			continue
 		}
-		bot := bestSingle(botQ, views)
+		bot, botM := bestSingle(botQ, views)
 		if bot == nil {
 			continue
 		}
-		cost := top.Rows.Len() + bot.Rows.Len()
-		if best == nil || cost < best.cost {
-			best = &stitchPlan{c: c, top: top, bot: bot, cost: cost}
+		if cost := top.Rows.Len() + bot.Rows.Len(); plan == nil || cost < plan.Cost {
+			pieces = []piece{
+				{view: top, m: topM, orig: topMap, join: topM.col[slices.Index(topMap, c)]},
+				{view: bot, m: botM, orig: botMap, join: botM.col[0]},
+			}
+			plan = &Plan{Kind: "stitch", Views: []string{top.Name, bot.Name}, SplitNode: c, Cost: cost}
 		}
 	}
-	return best
-}
-
-// intersectPlan decomposes q at its root into one piece per root subtree,
-// with the cheapest matching view per piece.
-type intersectPlan struct {
-	pieces []*pattern.Pattern
-	maps   [][]int // piece node index -> query node index (index 0 = root)
-	views  []*View
-	cost   int
+	return pieces, plan
 }
 
 // planIntersect builds the root-pivot decomposition: each piece keeps the
 // query root (with its store/predicate annotations, so every piece's view
-// must cover them) plus one child subtree. Applicable only when the root
-// has at least two children — with one child the decomposition degenerates
-// to the query itself.
-func planIntersect(q *pattern.Pattern, views []*View) *intersectPlan {
+// must cover them) plus one child subtree, with the cheapest matching view
+// per piece, all joined on the root's ID. Applicable only when the root has
+// at least two children — with one child the decomposition degenerates to
+// the query itself.
+func planIntersect(q *pattern.Pattern, views []*View) ([]piece, *Plan) {
 	if len(q.Root.Children) < 2 {
-		return nil
+		return nil, nil
 	}
-	ip := &intersectPlan{}
+	var pieces []piece
+	plan := &Plan{Kind: "intersect"}
 	for _, ch := range q.Root.Children {
 		mask := uint64(1) << uint(q.Root.Index)
 		for j := 0; j < q.Size(); j++ {
@@ -186,67 +181,179 @@ func planIntersect(q *pattern.Pattern, views []*View) *intersectPlan {
 				mask |= 1 << uint(j)
 			}
 		}
-		sub, orig := q.SubPattern(mask)
-		v := bestSingle(sub, views)
+		sub, orig := q.SubPattern(mask) // orig[0] is the root
+		v, m := bestSingle(sub, views)
 		if v == nil {
-			return nil
+			return nil, nil
 		}
-		ip.pieces = append(ip.pieces, sub)
-		ip.maps = append(ip.maps, orig)
-		ip.views = append(ip.views, v)
-		ip.cost += v.Rows.Len()
+		pieces = append(pieces, piece{view: v, m: m, orig: orig, join: m.col[0]})
+		plan.Views = append(plan.Views, v.Name)
+		plan.Cost += v.Rows.Len()
 	}
-	return ip
+	return pieces, plan
 }
 
-// answerIntersect evaluates each piece against its view and hash-joins the
-// pieces on the shared root ID. Fixing a root node, the embeddings of q
-// are exactly the cross product of the pieces' embeddings (the pieces
-// partition the non-root query nodes), so counts multiply — the same
-// argument that makes the two-view stitch exact.
-func answerIntersect(q *pattern.Pattern, ip *intersectPlan) []algebra.Row {
-	var acc []algebra.Row // full-width over q
-	for i := range ip.pieces {
-		rows, _ := answerSingleMapped(ip.pieces[i], ip.views[i])
-		if i == 0 {
-			for _, r := range rows {
-				entries := make([]algebra.RowEntry, q.Size())
-				for j, orig := range ip.maps[0] {
-					e := r.Entries[j]
-					e.NodeIdx = orig
-					entries[orig] = e
-				}
-				acc = append(acc, algebra.Row{Entries: entries, Count: r.Count})
-			}
-			continue
+// outCol projects one stored query node out of a piece's view rows.
+type outCol struct {
+	col, pos, node int  // view column → position in the answer row, query node index
+	val, cont      bool // whether the query stores them
+}
+
+func project(dst []algebra.RowEntry, outs []outCol, src []algebra.RowEntry) {
+	for _, o := range outs {
+		e := src[o.col]
+		e.NodeIdx = o.node
+		if !o.val {
+			e.Val = ""
 		}
-		byRoot := map[string][]algebra.Row{}
-		for _, r := range rows {
-			k := r.Entries[0].ID.Key()
-			byRoot[k] = append(byRoot[k], r)
+		if !o.cont {
+			e.Cont = ""
 		}
-		var next []algebra.Row
-		for _, a := range acc {
-			for _, r := range byRoot[a.Entries[q.Root.Index].ID.Key()] {
-				entries := make([]algebra.RowEntry, q.Size())
-				copy(entries, a.Entries)
-				for j, orig := range ip.maps[i] {
-					if orig == q.Root.Index {
-						continue // shared root, already placed
-					}
-					e := r.Entries[j]
-					e.NodeIdx = orig
-					entries[orig] = e
-				}
-				next = append(next, algebra.Row{Entries: entries, Count: a.Count * r.Count})
-			}
+		dst[o.pos] = e
+	}
+}
+
+// side is a non-driving piece made probeable on the shared node: its
+// passing rows, ordered by that node's cached ID key. Nothing of a view row
+// is copied — a row here shares the view row's Entries. A piece supplying no
+// answer column only multiplies counts, so its rows with equal keys are
+// folded into one carrying the sum of their counts.
+type side struct {
+	rows []algebra.Row
+	join int
+	outs []outCol
+}
+
+func (s *side) compare(r algebra.Row, key string) int {
+	return strings.Compare(r.Entries[s.join].ID.Key(), key)
+}
+
+func newSide(p *piece, outs []outCol) side {
+	s := side{rows: make([]algebra.Row, 0, p.view.Rows.Len()), join: p.join, outs: outs}
+	p.view.Rows.Each(func(r algebra.Row) bool {
+		if p.m.passes(r) {
+			s.rows = append(s.rows, r)
 		}
-		acc = next
-		if len(acc) == 0 {
-			break
+		return true
+	})
+	byKey := func(a, b algebra.Row) int { return s.compare(a, b.Entries[s.join].ID.Key()) }
+	if !slices.IsSortedFunc(s.rows, byKey) {
+		slices.SortFunc(s.rows, byKey)
+	}
+	if len(outs) == 0 {
+		s.rows = mergeEqual(s.rows, byKey)
+	}
+	return s
+}
+
+// mergeEqual folds each run of rows equal under cmp into its first row,
+// summing counts. rows must be sorted by cmp.
+func mergeEqual(rows []algebra.Row, cmp func(a, b algebra.Row) int) []algebra.Row {
+	if len(rows) == 0 {
+		return rows
+	}
+	n := 0
+	for _, r := range rows[1:] {
+		if cmp(rows[n], r) == 0 {
+			rows[n].Count += r.Count
+		} else {
+			n++
+			rows[n] = r
 		}
 	}
-	return projectRows(q, acc)
+	return rows[:n+1]
+}
+
+// execute runs a compiled plan. Fixing the shared node, the embeddings of q
+// are exactly the cross product of the pieces' embeddings (the pieces
+// partition the other query nodes), so counts multiply. The piece supplying
+// the most answer columns is streamed; every other piece is ordered by the
+// shared node's key and searched per streamed row. Answer rows are emitted
+// already projected onto q's stored nodes, their entries carved out of one
+// backing slice, so a call allocates its answer plus one row header per
+// row of a non-driving view — not a full-width copy of every row it scans.
+func execute(q *pattern.Pattern, pieces []piece) []algebra.Row {
+	stored := q.StoredIndexes()
+	outs := make([][]outCol, len(pieces))
+	drv := 0
+	for pos, qi := range stored {
+		for pi := range pieces {
+			if j := slices.Index(pieces[pi].orig, qi); j >= 0 {
+				n := q.Nodes[qi]
+				outs[pi] = append(outs[pi], outCol{col: pieces[pi].m.col[j], pos: pos, node: qi,
+					val: n.Store.Has(pattern.StoreVal), cont: n.Store.Has(pattern.StoreCont)})
+				if len(outs[pi]) > len(outs[drv]) {
+					drv = pi
+				}
+				break
+			}
+		}
+	}
+	var sides []side
+	for pi := range pieces {
+		if pi != drv {
+			sides = append(sides, newSide(&pieces[pi], outs[pi]))
+		}
+	}
+
+	// The driving view is streamed twice: the first pass only counts what
+	// the join emits, so the second fills slices made once, at their size.
+	width := len(stored)
+	var (
+		emitted int
+		backing []algebra.RowEntry
+		rows    []algebra.Row
+	)
+	cur := make([]algebra.RowEntry, width)
+	var emit func(si int, key string, count int)
+	emit = func(si int, key string, count int) {
+		if si == len(sides) {
+			if rows == nil {
+				emitted++
+				return
+			}
+			backing = append(backing, cur...)
+			n := len(backing)
+			rows = append(rows, algebra.Row{Entries: backing[n-width : n : n], Count: count})
+			return
+		}
+		s := &sides[si]
+		i, _ := slices.BinarySearchFunc(s.rows, key, s.compare)
+		for ; i < len(s.rows) && s.compare(s.rows[i], key) == 0; i++ {
+			project(cur, s.outs, s.rows[i].Entries)
+			emit(si+1, key, count*s.rows[i].Count)
+		}
+	}
+	d := &pieces[drv]
+	stream := func() {
+		d.view.Rows.Each(func(r algebra.Row) bool {
+			if d.m.passes(r) {
+				project(cur, outs[drv], r.Entries)
+				emit(0, r.Entries[d.join].ID.Key(), r.Count)
+			}
+			return true
+		})
+	}
+	stream()
+	backing, rows = make([]algebra.RowEntry, 0, emitted*width), make([]algebra.Row, 0, emitted)
+	stream()
+	return mergeSorted(rows)
+}
+
+// mergeSorted puts projected rows in ID order and folds rows that collapsed
+// onto the same stored nodes into one, summing their counts. Views hold
+// their rows in ID order, so the usual answer arrives sorted and distinct
+// and is returned as it is.
+func mergeSorted(rows []algebra.Row) []algebra.Row {
+	inOrder := true
+	for i := 1; i < len(rows) && inOrder; i++ {
+		inOrder = algebra.CompareRows(rows[i-1], rows[i]) < 0
+	}
+	if inOrder {
+		return rows
+	}
+	slices.SortFunc(rows, algebra.CompareRows)
+	return mergeEqual(rows, algebra.CompareRows)
 }
 
 // idComplete reports whether every node of the view stores its ID — the
@@ -260,21 +367,43 @@ func idComplete(v *View) bool {
 	return true
 }
 
-// mapping is a bijection query-node-index → view-node-index plus the
-// residual checks to run on each view row.
+// mapping is a bijection from query nodes onto the columns of a view's
+// rows, plus the residual checks to run on each row. An ID-complete view
+// stores every pattern node, so a view node's column is its index.
 type mapping struct {
-	qToV []int
-	// parentChecks: pairs (qChild) whose / edge mapped onto a // view edge
-	// and must be re-verified on IDs.
-	parentChecks []int
-	// valChecks: query predicates absent on the view node, checked against
+	col []int // query node index → row column
+	// parents are query / edges that mapped onto a view // edge and must be
+	// re-verified on IDs: child column, then parent column — or -1 for the
+	// query root, which must then be the document root.
+	parents [][2]int
+	// vals are query predicates absent on the view node, checked against
 	// the stored val.
-	valChecks []valCheck
+	vals []valCheck
 }
 
 type valCheck struct {
-	qIdx int
-	val  string
+	col int
+	val string
+}
+
+// passes runs the residual checks on one view row.
+func (m *mapping) passes(r algebra.Row) bool {
+	for _, pc := range m.parents {
+		child := r.Entries[pc[0]].ID
+		if pc[1] < 0 {
+			if child.Level() != 1 {
+				return false // root anchoring failed
+			}
+		} else if !r.Entries[pc[1]].ID.IsParentOf(child) {
+			return false
+		}
+	}
+	for _, vc := range m.vals {
+		if r.Entries[vc.col].Val != vc.val {
+			return false
+		}
+	}
+	return true
 }
 
 // matchPatterns finds a structure-preserving bijection from q onto v:
@@ -290,9 +419,11 @@ func matchPatterns(q, v *pattern.Pattern) (*mapping, bool) {
 	if q.Size() != v.Size() {
 		return nil, false
 	}
-	m := &mapping{qToV: make([]int, q.Size())}
-	var match func(qn, vn *pattern.Node, root bool) bool
-	match = func(qn, vn *pattern.Node, root bool) bool {
+	m := &mapping{col: make([]int, q.Size())}
+	// parent is the column of the view node qn's parent mapped onto, -1 at
+	// the root.
+	var match func(qn, vn *pattern.Node, parent int) bool
+	match = func(qn, vn *pattern.Node, parent int) bool {
 		if qn.Label != vn.Label {
 			return false
 		}
@@ -302,19 +433,13 @@ func matchPatterns(q, v *pattern.Pattern) (*mapping, bool) {
 		if qn.Store.Has(pattern.StoreCont) && !vn.Store.Has(pattern.StoreCont) {
 			return false // nor its content
 		}
-		if !root {
-			switch {
-			case qn.Desc && !vn.Desc:
-				// Query wants any descendant; the view only holds children.
-				return false
-			case !qn.Desc && vn.Desc:
-				m.parentChecks = append(m.parentChecks, qn.Index)
-			}
-		} else if !qn.Desc && vn.Desc {
-			// Root anchoring: query wants the document root only.
-			m.parentChecks = append(m.parentChecks, qn.Index) // level check
-		} else if qn.Desc && !vn.Desc {
+		switch {
+		case qn.Desc && !vn.Desc:
+			// Query wants any descendant (or, at the root, any anchor); the
+			// view only holds children (the document root).
 			return false
+		case !qn.Desc && vn.Desc:
+			m.parents = append(m.parents, [2]int{vn.Index, parent})
 		}
 		// Predicates.
 		switch {
@@ -324,7 +449,7 @@ func matchPatterns(q, v *pattern.Pattern) (*mapping, bool) {
 			if !vn.Store.Has(pattern.StoreVal) {
 				return false // cannot re-check without the stored value
 			}
-			m.valChecks = append(m.valChecks, valCheck{qIdx: qn.Index, val: qn.PredVal})
+			m.vals = append(m.vals, valCheck{col: vn.Index, val: qn.PredVal})
 		}
 		if len(qn.Children) != len(vn.Children) {
 			return false
@@ -332,73 +457,17 @@ func matchPatterns(q, v *pattern.Pattern) (*mapping, bool) {
 		// Children must match in order (patterns are ordered trees here; a
 		// permutation search would also be sound but is rarely needed).
 		for i := range qn.Children {
-			if !match(qn.Children[i], vn.Children[i], false) {
+			if !match(qn.Children[i], vn.Children[i], vn.Index) {
 				return false
 			}
 		}
-		m.qToV[qn.Index] = vn.Index
+		m.col[qn.Index] = vn.Index
 		return true
 	}
-	if !match(q.Root, v.Root, true) {
+	if !match(q.Root, v.Root, -1) {
 		return nil, false
 	}
 	return m, true
-}
-
-// answerSingle answers q fully from one view.
-func answerSingle(q *pattern.Pattern, v *View) ([]algebra.Row, bool) {
-	rows, ok := answerSingleMapped(q, v)
-	if !ok {
-		return nil, false
-	}
-	return projectRows(q, rows), true
-}
-
-// answerSingleMapped returns full-width (per query node) entries for every
-// view row passing the residual checks, without projecting.
-func answerSingleMapped(q *pattern.Pattern, v *View) ([]algebra.Row, bool) {
-	if !idComplete(v) {
-		return nil, false
-	}
-	m, ok := matchPatterns(q, v.Pattern)
-	if !ok {
-		return nil, false
-	}
-	// Column of each view node in its stored rows (stored = all nodes).
-	vCol := make([]int, v.Pattern.Size())
-	for i, idx := range v.Pattern.StoredIndexes() {
-		vCol[idx] = i
-	}
-	var out []algebra.Row
-	v.Rows.Each(func(r algebra.Row) bool {
-		// Residual structural checks.
-		for _, qIdx := range m.parentChecks {
-			child := r.Entries[vCol[m.qToV[qIdx]]].ID
-			if pi := q.ParentIndex(qIdx); pi >= 0 {
-				parent := r.Entries[vCol[m.qToV[pi]]].ID
-				if !parent.IsParentOf(child) {
-					return true
-				}
-			} else if child.Level() != 1 {
-				return true // root anchoring failed
-			}
-		}
-		for _, vc := range m.valChecks {
-			if r.Entries[vCol[m.qToV[vc.qIdx]]].Val != vc.val {
-				return true
-			}
-		}
-		// Reorder entries into query-node order.
-		entries := make([]algebra.RowEntry, q.Size())
-		for qi := 0; qi < q.Size(); qi++ {
-			e := r.Entries[vCol[m.qToV[qi]]]
-			e.NodeIdx = qi
-			entries[qi] = e
-		}
-		out = append(out, algebra.Row{Entries: entries, Count: r.Count})
-		return true
-	})
-	return out, true
 }
 
 // split cuts q at node c: the top pattern keeps everything except c's
@@ -435,72 +504,4 @@ func split(q *pattern.Pattern, c int) (topQ *pattern.Pattern, topMap []int, botQ
 		}
 	}
 	return topQ, topMap, botQ, botMap
-}
-
-// stitch joins the top rows (full-width over topQ) with the bottom rows
-// (full-width over botQ) on the split node's ID, producing full-width rows
-// over q, then projects.
-func stitch(q *pattern.Pattern, c int, topQ *pattern.Pattern, topMap []int, topRows []algebra.Row,
-	botQ *pattern.Pattern, botMap []int, botRows []algebra.Row) []algebra.Row {
-	// Position of c in each part.
-	topC, botC := -1, 0
-	for i, orig := range topMap {
-		if orig == c {
-			topC = i
-		}
-	}
-	byID := map[string][]algebra.Row{}
-	for _, r := range botRows {
-		byID[r.Entries[botC].ID.Key()] = append(byID[r.Entries[botC].ID.Key()], r)
-	}
-	var joined []algebra.Row
-	for _, tr := range topRows {
-		key := tr.Entries[topC].ID.Key()
-		for _, br := range byID[key] {
-			entries := make([]algebra.RowEntry, q.Size())
-			for i, orig := range topMap {
-				e := tr.Entries[i]
-				e.NodeIdx = orig
-				entries[orig] = e
-			}
-			for i, orig := range botMap {
-				e := br.Entries[i]
-				e.NodeIdx = orig
-				entries[orig] = e
-			}
-			joined = append(joined, algebra.Row{Entries: entries, Count: tr.Count * br.Count})
-		}
-	}
-	return projectRows(q, joined)
-}
-
-// projectRows projects full-width rows onto q's stored nodes, summing
-// counts of collapsing rows, sorted in ID order.
-func projectRows(q *pattern.Pattern, rows []algebra.Row) []algebra.Row {
-	stored := q.StoredIndexes()
-	byKey := map[string]int{}
-	var out []algebra.Row
-	for _, r := range rows {
-		pr := algebra.Row{Entries: make([]algebra.RowEntry, len(stored)), Count: r.Count}
-		for i, idx := range stored {
-			e := r.Entries[idx]
-			pn := q.Nodes[idx]
-			if !pn.Store.Has(pattern.StoreVal) {
-				e.Val = ""
-			}
-			if !pn.Store.Has(pattern.StoreCont) {
-				e.Cont = ""
-			}
-			pr.Entries[i] = e
-		}
-		k := pr.Key()
-		if at, ok := byKey[k]; ok {
-			out[at].Count += pr.Count
-		} else {
-			byKey[k] = len(out)
-			out = append(out, pr)
-		}
-	}
-	algebra.SortRows(out)
-	return out
 }

@@ -27,16 +27,20 @@ func mkView(t *testing.T, d *xmltree.Document, name, src string) *View {
 	return &View{Name: name, Pattern: p, Rows: store.NewMaterializedView(p, rows)}
 }
 
+// sameRows is the full oracle: same rows in the same order, and for every
+// stored node the same pattern index, ID, value and content — and the same
+// derivation count, which ID-only comparisons cannot see.
 func sameRows(a, b []algebra.Row) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Key() != b[i].Key() || a[i].Count != b[i].Count {
+		if a[i].Key() != b[i].Key() || a[i].Count != b[i].Count || len(a[i].Entries) != len(b[i].Entries) {
 			return false
 		}
-		for j := range a[i].Entries {
-			if a[i].Entries[j].Val != b[i].Entries[j].Val {
+		for j, e := range a[i].Entries {
+			o := b[i].Entries[j]
+			if e.NodeIdx != o.NodeIdx || e.Val != o.Val || e.Cont != o.Cont {
 				return false
 			}
 		}
@@ -81,6 +85,26 @@ func TestSingleViewChildFromDescendant(t *testing.T) {
 	qDesc := pattern.MustParse(`//c{ID}//b{ID}`)
 	if _, _, err := Answer(qDesc, []*View{vChild}); err == nil {
 		t.Fatal("descendant query answered from child-only view")
+	}
+}
+
+func TestRootAnchoredFromDescendantView(t *testing.T) {
+	// The query anchors its root at the document root; the view holds every
+	// a, so the residual check is on the stored ID's level.
+	d := mustDoc(t, `<a><a><b>1</b></a><b>2</b></a>`)
+	v := mkView(t, d, "v", `//a{ID}//b{ID,val}`)
+	q := pattern.MustParse(`/a{ID}/b{ID,val}`)
+	rows, _, err := Answer(q, []*View{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || !sameRows(rows, algebra.Materialize(d, q)) {
+		t.Fatalf("root-anchoring residual wrong: %+v", rows)
+	}
+	// The reverse is refused: a root-anchored view misses the inner a.
+	vRoot := mkView(t, d, "vr", `/a{ID}//b{ID,val}`)
+	if _, _, err := Answer(pattern.MustParse(`//a{ID}//b{ID,val}`), []*View{vRoot}); err == nil {
+		t.Fatal("unanchored query answered from a root-anchored view")
 	}
 }
 
@@ -235,6 +259,58 @@ func TestIntersectPreservesCounts(t *testing.T) {
 	}
 }
 
+// TestMultiStoredNodesAndCounts drives the executor's general case: answer
+// columns supplied by more than one piece (so a non-driving piece keeps its
+// rows, not just count sums), columns the query projects away (so rows
+// collapse and counts add up), values and contents carried through a join —
+// against direct evaluation, over the live document and over its image.
+func TestMultiStoredNodesAndCounts(t *testing.T) {
+	const doc = `<a><c><b>5</b><b>7</b><a><c><b>5</b></c></a></c><f><c><b>5</b></c><b>9</b></f><c/></a>`
+	live := mustDoc(t, doc)
+	for name, d := range map[string]*xmltree.Document{"live": live, "image": live.Snapshot()} {
+		lib := func(srcs ...string) []*View {
+			var vs []*View
+			for _, src := range srcs {
+				vs = append(vs, mkView(t, d, src, src))
+			}
+			return vs
+		}
+		for _, c := range []struct {
+			query, kind string
+			views       []*View
+		}{
+			// One stored leaf under nested ancestors: rows collapse, counts add.
+			{`//a//b{ID,val}`, "single", lib(`//a{ID}//b{ID,val}`)},
+			{`//a//c//b{ID}`, "stitch", lib(`//a{ID}//c{ID}`, `//c{ID}//b{ID}`)},
+			// Stored nodes on both sides of the split, the split node among them.
+			{`//a{ID}//c{ID}//b{ID,val}`, "stitch", lib(`//a{ID}//c{ID}`, `//c{ID}//b{ID,val}`)},
+			{`//a{ID}//c//b{ID,cont}`, "stitch", lib(`//a{ID}//c{ID}`, `//c{ID}//b{ID,cont}`)},
+			{`//a//c{ID}/b{ID}[val="5"]`, "stitch", lib(`//a{ID}//c{ID}`, `//c{ID}//b{ID,val}`)},
+			// Stored nodes in several root subtrees: every piece supplies columns.
+			{`//a{ID}[//c{ID}]//b{ID,val}`, "intersect", lib(`//a{ID}//c{ID}`, `//a{ID}//b{ID,val}`)},
+			{`//a[//c{ID}][//f{ID}]//b{ID}`, "intersect", lib(`//a{ID}//c{ID}`, `//a{ID}//f{ID}`, `//a{ID}//b{ID}`)},
+			// Only the root stored: every other piece is a count.
+			{`//a{ID}[//c][//f]//b`, "intersect", lib(`//a{ID}//c{ID}`, `//a{ID}//f{ID}`, `//a{ID}//b{ID}`)},
+		} {
+			q := pattern.MustParse(c.query)
+			rows, plan, err := Answer(q, c.views)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.query, err)
+			}
+			if plan.Kind != c.kind {
+				t.Fatalf("%s %s: plan %s, want %s", name, c.query, plan.Explain(), c.kind)
+			}
+			want := algebra.Materialize(d, q)
+			if len(want) == 0 {
+				t.Fatalf("%s %s: fixture matches nothing", name, c.query)
+			}
+			if !sameRows(rows, want) {
+				t.Fatalf("%s %s (%s):\n got %+v\nwant %+v", name, c.query, plan.Explain(), rows, want)
+			}
+		}
+	}
+}
+
 func TestPlanCostingPrefersSmallerView(t *testing.T) {
 	// Two views answer the same query; the plan must scan the smaller one.
 	d := mustDoc(t, `<a><c><x><b>1</b></x><b>2</b></c></a>`)
@@ -322,9 +398,18 @@ func TestRandomizedAgainstDirect(t *testing.T) {
 		`//a{ID}[//b][//c]`,
 		`//a{ID}[//b]//c{ID}`,
 		`//a{ID}[//c]//b{ID}`,
+		`//a//b{ID}`,
+		`//a//b//c{ID}`,
+		`//a{ID}//b//c{ID}`,
+		`//a[//b{ID}]//c{ID}`,
+		`//a[//c]//b{ID}`,
 	}
+	answered := map[string]int{}
 	for trial := 0; trial < 50; trial++ {
 		d := mustDoc(t, "<a>"+build(1)+build(1)+"</a>")
+		if trial%2 == 1 {
+			d = d.Snapshot() // every other trial runs over an image
+		}
 		views := []*View{
 			mkView(t, d, "ab", `//a{ID}//b{ID}`),
 			mkView(t, d, "ac", `//a{ID}//c{ID}`),
@@ -333,13 +418,19 @@ func TestRandomizedAgainstDirect(t *testing.T) {
 		}
 		for _, qs := range queries {
 			q := pattern.MustParse(qs)
-			rows, _, err := Answer(q, views)
+			rows, plan, err := Answer(q, views)
 			if err != nil {
 				continue // not answerable from this library — fine
 			}
+			answered[plan.Kind]++
 			if !sameRows(rows, algebra.Materialize(d, q)) {
 				t.Fatalf("trial %d query %s: rewrite differs from direct evaluation", trial, qs)
 			}
+		}
+	}
+	for _, kind := range []string{"single", "stitch", "intersect"} {
+		if answered[kind] == 0 {
+			t.Errorf("no %s plan was exercised", kind)
 		}
 	}
 }

@@ -222,20 +222,10 @@ func (r *Registry) handleView(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusNotFound, CodeNotFound, snap.Tenant, "no such view: "+req.PathValue("name"))
 		return
 	}
-	resp := ViewResponse{Tenant: snap.Tenant, Version: snap.Version, Name: vs.Name, Rows: make([]RowJSON, 0, len(vs.Rows))}
-	for _, row := range vs.Rows {
-		rj := RowJSON{Count: row.Count, Entries: make([]EntryJSON, 0, len(row.Entries))}
-		for _, e := range row.Entries {
-			rj.Entries = append(rj.Entries, EntryJSON{
-				Label: vs.Pattern.Nodes[e.NodeIdx].Label,
-				ID:    e.ID.String(),
-				Val:   e.Val,
-				Cont:  e.Cont,
-			})
-		}
-		resp.Rows = append(resp.Rows, rj)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := bodyPool.Get().(*[]byte)
+	*bp = appendViewResponse((*bp)[:0], snap, vs)
+	writeBody(w, *bp)
+	bodyPool.Put(bp)
 }
 
 func (r *Registry) handleXPath(w http.ResponseWriter, req *http.Request) {
@@ -244,23 +234,23 @@ func (r *Registry) handleXPath(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	q := req.URL.Query().Get("q")
+	params := req.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, sh.Name(), "missing q parameter")
 		return
 	}
 	// rewrite=0 forces the tree walk (the differential tests' oracle side);
 	// explain=1 echoes the plan that served the query.
-	snap := sh.Epoch()
-	resp, err := r.xpathResponse(sh, snap, q, req.URL.Query().Get("rewrite") != "0")
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	body, err := r.appendXPath((*bp)[:0], sh, sh.Epoch(), q, params.Get("rewrite") != "0", params.Get("explain") == "1")
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, sh.Name(), err.Error())
 		return
 	}
-	if req.URL.Query().Get("explain") != "1" {
-		resp.Plan = ""
-	}
-	writeJSON(w, http.StatusOK, resp)
+	*bp = body
+	writeBody(w, body)
 }
 
 func (r *Registry) handleUpdate(w http.ResponseWriter, req *http.Request) {

@@ -47,7 +47,7 @@ type queryCache struct {
 type cachedResult struct {
 	query   string
 	pat     *pattern.Pattern
-	matches []MatchJSON
+	matches []byte // the encoded matches array, exactly sized
 	plan    string
 	version uint64
 }

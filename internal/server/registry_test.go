@@ -143,10 +143,10 @@ func TestAdminPlaneLifecycle(t *testing.T) {
 // — a hot tenant saturates only its own queue, never another's. Run under
 // -race.
 func TestTenantIsolationUnderSaturation(t *testing.T) {
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	reg, ts := newTestRegistry(t, Config{QueueDepth: 2}, func(tenant string, b Backend) Backend {
 		if tenant == "hot" {
-			return &gateBackend{Backend: b, gate: gate}
+			return &gateBackend{Backend: b, gate: gate, entered: entered}
 		}
 		return b
 	})
@@ -171,6 +171,9 @@ func TestTenantIsolationUnderSaturation(t *testing.T) {
 			defer absorbed.Done()
 			hot.Apply(context.Background(), mustStatement(t, st))
 		}()
+		if i == 0 {
+			<-entered // the writer holds the first: the next two queue, not bounce
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for hot.QueueLen() != hot.QueueCap() {

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/pattern"
 	"xivm/internal/qvm"
 	"xivm/internal/rewrite"
+	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
 )
 
@@ -17,23 +19,25 @@ import (
 // the tree-walk response at that version — the differential tests and
 // FuzzRewriteVsTreeWalk hold the layer to exactly that.
 
-// xpathResponse computes the full response for q against one snapshot.
+// appendXPath appends the XPathResponse body for q against one snapshot.
 // It is the handler's core, split out so tests can pin rewritten and
-// tree-walk answers to the same epoch. The returned Plan is always set
-// ("treewalk" when no rewrite served it); the handler strips it unless
-// explain=1 was asked, and json omitempty keeps non-explain bodies
-// byte-identical across serving strategies.
-func (r *Registry) xpathResponse(sh *Shard, snap *core.Snapshot, q string, allowRewrite bool) (XPathResponse, error) {
-	resp := XPathResponse{Tenant: snap.Tenant, Version: snap.Version, Query: q}
+// tree-walk answers to the same epoch. The plan ("treewalk" when no rewrite
+// served the query) is written only under explain; without it bodies are
+// byte-identical across serving strategies. The matches array is encoded
+// straight from view rows or image nodes, and a cacheable result keeps an
+// exactly-sized copy of those bytes, so a later hit is envelope plus copy.
+// On error nothing has been appended.
+func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q string, allowRewrite, explain bool) ([]byte, error) {
+	var pat *pattern.Pattern // non-nil when the result may enter the cache
 	if allowRewrite && sh.qcache != nil {
 		if e, ok := sh.qcache.get(q, snap.Version); ok {
 			r.m.rewriteCacheHits.Inc()
-			resp.Matches = e.matches
-			resp.Plan = e.plan
-			return resp, nil
+			dst = appendXPathHead(dst, snap, q, e.plan, explain)
+			return append(append(dst, e.matches...), xpathTail...), nil
 		}
-		if pat, err := bridgeQuery(q); err == nil {
-			if matches, plan, ok := r.rewriteFromViews(snap, pat); ok {
+		pat, _ = bridgeQuery(q)
+		if pat != nil {
+			if rows, plan, ok := rewriteFromViews(snap, pat); ok {
 				r.m.rewriteHits.Inc()
 				switch plan.Kind {
 				case "stitch":
@@ -41,32 +45,37 @@ func (r *Registry) xpathResponse(sh *Shard, snap *core.Snapshot, q string, allow
 				case "intersect":
 					r.m.rewriteIntersect.Inc()
 				}
-				resp.Matches = matches
-				resp.Plan = plan.Explain()
-				sh.qcache.put(&cachedResult{query: q, pat: pat, matches: matches, plan: resp.Plan, version: snap.Version})
-				return resp, nil
+				explained := plan.Explain()
+				dst = appendXPathHead(dst, snap, q, explained, explain)
+				from := len(dst)
+				dst = appendRowMatches(dst, pat.Nodes[pat.StoredIndexes()[0]].Label, rows)
+				sh.qcache.put(&cachedResult{query: q, pat: pat, matches: exactCopy(dst[from:]), plan: explained, version: snap.Version})
+				return append(dst, xpathTail...), nil
 			}
-			// Bridgeable but no view plan: the tree walk serves it, and the
-			// result is still cacheable — the pattern drives invalidation.
-			r.m.rewriteMisses.Inc()
-			matches, err := r.treeWalkMatches(snap, q)
-			if err != nil {
-				return resp, err
-			}
-			resp.Matches = matches
-			resp.Plan = "treewalk"
-			sh.qcache.put(&cachedResult{query: q, pat: pat, matches: matches, plan: "treewalk", version: snap.Version})
-			return resp, nil
 		}
 		r.m.rewriteMisses.Inc()
 	}
-	matches, err := r.treeWalkMatches(snap, q)
+	nodes, err := r.treeWalk(snap, q)
 	if err != nil {
-		return resp, err
+		return dst, err
 	}
-	resp.Matches = matches
-	resp.Plan = "treewalk"
-	return resp, nil
+	dst = appendXPathHead(dst, snap, q, "treewalk", explain)
+	from := len(dst)
+	dst = appendNodeMatches(dst, nodes)
+	if pat != nil {
+		// Bridgeable but no view plan: the walk's result is still cacheable —
+		// the pattern drives invalidation.
+		sh.qcache.put(&cachedResult{query: q, pat: pat, matches: exactCopy(dst[from:]), plan: "treewalk", version: snap.Version})
+	}
+	return append(dst, xpathTail...), nil
+}
+
+// exactCopy copies b into a slice with no spare capacity (bytes.Clone may
+// leave some): what the result cache retains is the encoded bytes, no more.
+func exactCopy(b []byte) []byte {
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
 }
 
 // bridgeQuery parses q and converts it to a tree pattern, or reports why
@@ -81,8 +90,8 @@ func bridgeQuery(q string) (*pattern.Pattern, error) {
 
 // rewriteFromViews answers the bridged pattern from the snapshot's
 // maintained views. The bridged result node stores ID and val, so matches
-// are rebuilt entirely from view rows — the document is never touched.
-func (r *Registry) rewriteFromViews(snap *core.Snapshot, pat *pattern.Pattern) ([]MatchJSON, *rewrite.Plan, bool) {
+// come entirely from view rows — the document is never touched.
+func rewriteFromViews(snap *core.Snapshot, pat *pattern.Pattern) ([]algebra.Row, *rewrite.Plan, bool) {
 	if len(snap.Views) == 0 {
 		return nil, nil, false
 	}
@@ -92,21 +101,12 @@ func (r *Registry) rewriteFromViews(snap *core.Snapshot, pat *pattern.Pattern) (
 		views = append(views, &rewrite.View{Name: vs.Name, Pattern: vs.Pattern, Rows: rewrite.RowSlice(vs.Rows)})
 	}
 	rows, plan, err := rewrite.Answer(pat, views)
-	if err != nil {
-		return nil, nil, false
-	}
-	label := pat.Nodes[pat.StoredIndexes()[0]].Label
-	matches := make([]MatchJSON, 0, len(rows))
-	for _, row := range rows {
-		e := row.Entries[0]
-		matches = append(matches, MatchJSON{ID: e.ID.String(), Label: label, Value: e.Val})
-	}
-	return matches, plan, true
+	return rows, plan, err == nil
 }
 
-// treeWalkMatches evaluates q against the snapshot document with a
-// compiled program (registry-wide LRU keyed by the query string).
-func (r *Registry) treeWalkMatches(snap *core.Snapshot, q string) ([]MatchJSON, error) {
+// treeWalk evaluates q against the snapshot document with a compiled
+// program (registry-wide LRU keyed by the query string).
+func (r *Registry) treeWalk(snap *core.Snapshot, q string) ([]*xmltree.Node, error) {
 	prog, ok := r.progs.Get(q)
 	if ok {
 		r.m.xpathCacheHits.Inc()
@@ -121,10 +121,5 @@ func (r *Registry) treeWalkMatches(snap *core.Snapshot, q string) ([]MatchJSON, 
 			r.m.xpathCacheEvicts.Inc()
 		}
 	}
-	nodes := prog.Eval(snap.Doc())
-	matches := make([]MatchJSON, 0, len(nodes))
-	for _, n := range nodes {
-		matches = append(matches, MatchJSON{ID: n.ID.String(), Label: n.Label, Value: n.StringValue()})
-	}
-	return matches, nil
+	return prog.Eval(snap.Doc()), nil
 }

@@ -249,14 +249,24 @@ func TestAPIErrors(t *testing.T) {
 
 // gateBackend wraps an engine backend but blocks every ApplyCtx until
 // released, so tests can hold the writer busy while probing queue
-// behavior. panicNext makes the next apply panic instead.
+// behavior. entered, when set, hears of every apply that reaches the gate:
+// a test that waits on it knows the writer has left the queue before it
+// submits what must stay queued. panicNext makes the next apply panic
+// instead.
 type gateBackend struct {
 	Backend
 	gate      chan struct{}
+	entered   chan struct{}
 	panicNext bool
 }
 
 func (b *gateBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
+	if b.entered != nil {
+		select {
+		case b.entered <- struct{}{}:
+		default:
+		}
+	}
 	if b.gate != nil {
 		select {
 		case <-b.gate:
@@ -281,9 +291,9 @@ func mustStatement(t *testing.T, src string) *update.Statement {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	reg, ts := newTestRegistry(t, Config{QueueDepth: 1}, func(tenant string, b Backend) Backend {
-		return &gateBackend{Backend: b, gate: gate}
+		return &gateBackend{Backend: b, gate: gate, entered: entered}
 	})
 	db := ts.URL + "/v1/db/" + DefaultTenant
 	sh, err := reg.Get(DefaultTenant)
@@ -300,6 +310,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 			_, _, err := sh.Apply(context.Background(), mustStatement(t, st))
 			results <- err
 		}()
+		if i == 0 {
+			<-entered // the writer holds the first: the second will queue, not bounce
+		}
 	}
 	// Wait until the writer has dequeued the first request and the second
 	// sits in the queue, so the third submission deterministically bounces.
