@@ -14,7 +14,6 @@ import (
 	"xivm/internal/pattern"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
-	"xivm/internal/xpath"
 )
 
 const grammar = `
@@ -67,8 +66,13 @@ func main() {
 				return
 			}
 			// Full content-model check at each target.
-			for _, target := range xpath.Eval(engine.Doc, st.Target) {
-				if err := g.CheckInsert(target, st.Forest); err != nil {
+			pul, err := update.ComputePUL(engine.Doc, st)
+			if err != nil {
+				fmt.Printf("   failed: %v\n", err)
+				return
+			}
+			for _, in := range pul.Inserts {
+				if err := g.CheckInsert(in.Target, st.Forest); err != nil {
 					fmt.Printf("   rejected: %v\n", err)
 					return
 				}

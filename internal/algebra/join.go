@@ -35,19 +35,20 @@ func StructuralJoin(left Block, lIdx int, right Block, rIdx int, desc bool) Bloc
 	for _, rt := range right.Tuples {
 		id := rt.Items[rCol].ID
 		if desc {
-			// Candidate ancestors are the frame-aligned prefixes of the
-			// right binding's cached key: probe each level's prefix directly,
-			// no ancestor ID construction and no key allocation.
-			for lvl := 1; lvl < id.Level(); lvl++ {
-				for _, li := range index[id.KeyAt(lvl)] {
+			// Candidate ancestors are the frame-aligned proper prefixes of
+			// the right binding's key: one cursor pass probes each, with no
+			// ancestor ID construction and no key allocation.
+			for c := id.Cursor(); c.Next() && !c.Last(); {
+				for _, li := range index[c.Key()] {
 					emit(li, rt)
 				}
 			}
 		} else {
-			if id.Level() <= 1 {
+			p := id.Parent()
+			if p.IsNull() {
 				continue
 			}
-			for _, li := range index[id.KeyAt(id.Level()-1)] {
+			for _, li := range index[p.Key()] {
 				emit(li, rt)
 			}
 		}

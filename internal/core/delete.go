@@ -138,9 +138,8 @@ func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applie
 	// a deleted root; collect those ancestors' ID keys once.
 	affected := map[string]bool{}
 	for _, root := range applied.DeletedRoots {
-		id := root.ID
-		for lvl := id.Level() - 1; lvl >= 1; lvl-- {
-			affected[id.KeyAt(lvl)] = true
+		for c := root.ID.Cursor(); c.Next() && !c.Last(); {
+			affected[c.Key()] = true
 		}
 	}
 	var dirty []string

@@ -92,13 +92,12 @@ func (e *Engine) modifyTuplesAfterInsert(mv *ManagedView, pul *update.PUL) int {
 	}
 	// A stored image changes iff its node is a target or an ancestor of
 	// one; Dewey IDs expose those as prefixes, so one hash set of the
-	// targets' self-and-ancestor keys (shared prefixes of the cached key —
+	// targets' self-and-ancestor keys (prefixes of the target's own key —
 	// no allocation) answers the check per row entry.
 	affected := map[string]bool{}
 	for _, pi := range pul.Inserts {
-		id := pi.Target.ID
-		for lvl := id.Level(); lvl >= 1; lvl-- {
-			affected[id.KeyAt(lvl)] = true
+		for c := pi.Target.ID.Cursor(); c.Next(); {
+			affected[c.Key()] = true
 		}
 	}
 	var dirty []string

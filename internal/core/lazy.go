@@ -265,8 +265,8 @@ func (l *Lazy) refreshTouched(mv *ManagedView) {
 	}
 	affected := map[string]bool{}
 	for _, id := range l.touched {
-		for lvl := id.Level(); lvl >= 1; lvl-- {
-			affected[id.KeyAt(lvl)] = true
+		for c := id.Cursor(); c.Next(); {
+			affected[c.Key()] = true
 		}
 	}
 	var dirty []string

@@ -128,3 +128,41 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		t.Error("image does not match the live document")
 	}
 }
+
+// TestLiveHeapPerNodeBudget holds what a served tenant keeps per document
+// node: the live tree, the store, the benchmark's seven views and one
+// published epoch, at 1 MB. An ID is one string, the tree is its own index
+// and an epoch shares its IDs with the live tree, which comes to ~390 B a
+// node; a per-node step array, or a key→node map beside either tree, put it
+// at ~770 B. The budget sits between, so either coming back fails here.
+func TestLiveHeapPerNodeBudget(t *testing.T) {
+	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := New(mustDoc(t, src), WithMetrics(obs.New()))
+	for _, v := range [][2]string{
+		{"Q1", xmark.View("Q1").String()},
+		{"Q2", xmark.View("Q2").String()},
+		{"R1", `/site{ID}/people{ID}/person{ID}/name{ID,val}`},
+		{"R2", `//open_auction{ID}//bidder{ID}`},
+		{"R3", `//bidder{ID}//increase{ID,val}`},
+		{"R4", `//open_auction{ID}//initial{ID,val}`},
+		{"R5", `//open_auction{ID}//increase{ID,val}`},
+	} {
+		if _, err := e.AddView(v[0], pattern.MustParse(v[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := e.Snapshot()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	nodes := e.Doc.Size()
+	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
+	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
+	if perNode > 500 {
+		t.Errorf("engine + one epoch hold %d B per document node, budget 500", perNode)
+	}
+	runtime.KeepAlive(snap)
+	runtime.KeepAlive(e)
+}

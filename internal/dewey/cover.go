@@ -3,8 +3,8 @@ package dewey
 // Cover is a set of subtree roots supporting "is this node inside any of
 // the subtrees?" in O(depth) — the access path deletion propagation uses
 // against the roots of a pending update list. Because a Dewey ID carries
-// all its ancestors, membership reduces to hash probes on the ID's own
-// prefixes; no document access and no scan over the roots.
+// all its ancestors, membership reduces to hash probes on the prefixes of
+// the ID's own key; no document access and no scan over the roots.
 type Cover struct {
 	keys map[string]bool
 }
@@ -26,22 +26,8 @@ func (c *Cover) Contains(id ID) bool {
 	if len(c.keys) == 0 {
 		return false
 	}
-	for lvl := id.Level(); lvl >= 1; lvl-- {
-		if c.keys[id.KeyAt(lvl)] {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsStrict reports whether id strictly descends from one of the
-// roots (id itself being a root does not count).
-func (c *Cover) ContainsStrict(id ID) bool {
-	if len(c.keys) == 0 {
-		return false
-	}
-	for lvl := id.Level() - 1; lvl >= 1; lvl-- {
-		if c.keys[id.KeyAt(lvl)] {
+	for cur := id.Cursor(); cur.Next(); {
+		if c.keys[cur.Key()] {
 			return true
 		}
 	}

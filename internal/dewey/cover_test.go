@@ -29,12 +29,6 @@ func TestCoverContains(t *testing.T) {
 			t.Errorf("case %d: Contains(%v)=%v want %v", i, tc.id, got, tc.want)
 		}
 	}
-	if cover.ContainsStrict(c) {
-		t.Error("ContainsStrict must exclude the root itself")
-	}
-	if !cover.ContainsStrict(b1) {
-		t.Error("ContainsStrict must include proper descendants")
-	}
 	if cover.Len() != 1 {
 		t.Errorf("Len = %d", cover.Len())
 	}
@@ -45,7 +39,7 @@ func TestCoverEmptyAndMulti(t *testing.T) {
 	x := a.Child("x", OrdAt(0))
 	y := a.Child("y", OrdAt(1))
 	empty := NewCover(nil)
-	if empty.Contains(x) || empty.ContainsStrict(x) || empty.Len() != 0 {
+	if empty.Contains(x) || empty.Len() != 0 {
 		t.Fatal("empty cover misbehaves")
 	}
 	multi := NewCover([]ID{x, y})

@@ -11,103 +11,97 @@ import (
 type Step struct {
 	Label string
 	Ord   Ord
-	end   int // offset in the cached key just past this step's frame
 }
 
 // ID is a Compact Dynamic Dewey identifier: the sequence of steps from the
 // document root down to the node. The zero value is the "null" ID, which
 // identifies no node; it compares before every real ID.
 //
-// Every ID carries a cached order-preserving binary key (see key.go)
-// computed once at construction, so Compare/Equal/IsAncestorOf/Key are
-// single string operations with zero allocation.
+// An ID is its order-preserving binary key (see key.go) and nothing else:
+// one self-delimiting frame per step, so Compare/Equal/IsAncestorOf/Key are
+// single string operations with zero allocation, and the steps — levels,
+// labels, ordinals, every ancestor's ID — are read back by walking the
+// frames (Cursor).
 type ID struct {
-	steps []Step
-	key   string
+	key string
 }
 
 // NewRoot returns the ID of a document root labeled label.
 func NewRoot(label string) ID {
-	return newID([]Step{{Label: label, Ord: Ord{Gap}}})
+	return ID{}.Child(label, Ord{Gap})
 }
 
 // Child returns the ID of a child of id with the given label and ordinal.
-// The child's key extends the parent's cached key by one frame; the frame is
-// staged in a stack buffer and the key assembled in an exact-size Builder, so
-// the whole construction costs one step-slice and one string allocation.
+// The child's key extends the parent's by one frame; the frame is staged in
+// a stack buffer and the key assembled in an exact-size Builder, so the
+// whole construction costs one string allocation.
 func (id ID) Child(label string, ord Ord) ID {
-	steps := make([]Step, len(id.steps)+1)
-	copy(steps, id.steps)
 	var tmp [64]byte
 	frame := appendFrame(tmp[:0], label, ord)
 	var sb strings.Builder
 	sb.Grow(len(id.key) + len(frame))
 	sb.WriteString(id.key)
 	sb.Write(frame)
-	key := sb.String()
-	steps[len(id.steps)] = Step{Label: label, Ord: ord, end: len(key)}
-	return ID{steps: steps, key: key}
+	return ID{key: sb.String()}
 }
 
 // IsNull reports whether id is the zero (null) ID.
-func (id ID) IsNull() bool { return len(id.steps) == 0 }
+func (id ID) IsNull() bool { return id.key == "" }
 
 // Level returns the depth of the node: 1 for the root, 0 for the null ID.
-func (id ID) Level() int { return len(id.steps) }
+// It counts frames, O(len(Key())): loop over levels with a Cursor instead.
+func (id ID) Level() int {
+	n := 0
+	for c := id.Cursor(); c.Next(); {
+		n++
+	}
+	return n
+}
+
+// last returns a cursor on id's own step, the last one.
+func (id ID) last() Cursor {
+	c := id.Cursor()
+	for c.Next() && !c.Last() {
+	}
+	return c
+}
 
 // Label returns the node's own label (the label of the last step), or ""
 // for the null ID.
 func (id ID) Label() string {
-	if id.IsNull() {
-		return ""
-	}
-	return id.steps[len(id.steps)-1].Label
+	c := id.last()
+	return c.Label()
 }
 
-// Step returns the i-th step (0-based from the root).
-func (id ID) Step(i int) Step { return id.steps[i] }
+// at returns a cursor on the step at the given level (1 = root). It panics
+// if level is out of range.
+func (id ID) at(level int) Cursor {
+	c := id.Cursor()
+	for ; level > 0 && c.Next(); level-- {
+	}
+	if level != 0 || c.end == 0 {
+		panic("dewey: level out of range")
+	}
+	return c
+}
+
+// Step returns the i-th step (0-based from the root). It panics if i is out
+// of range.
+func (id ID) Step(i int) Step {
+	c := id.at(i + 1)
+	return c.Step()
+}
 
 // Parent returns the ID of the node's parent (the Path Navigate primitive of
 // the paper). The parent of the root — and of the null ID — is the null ID.
-// Both the step slice and the cached key are shared sub-slices: no
-// allocation.
-func (id ID) Parent() ID {
-	if len(id.steps) <= 1 {
-		return ID{}
-	}
-	n := len(id.steps) - 1
-	return ID{steps: id.steps[:n], key: id.key[:id.steps[n-1].end]}
-}
-
-// AncestorAt returns the ancestor ID at the given level (1 = root), sharing
-// the receiver's backing storage (no allocation). It panics if level is out
-// of range.
-func (id ID) AncestorAt(level int) ID {
-	if level < 1 || level > len(id.steps) {
-		panic("dewey: AncestorAt level out of range")
-	}
-	return ID{steps: id.steps[:level], key: id.key[:id.steps[level-1].end]}
-}
-
-// Ancestors returns the IDs of all proper ancestors, from the root down to
-// the parent. The paper exploits exactly this: from the ID of a node one may
-// extract the IDs and labels of all its ancestors.
-func (id ID) Ancestors() []ID {
-	if len(id.steps) <= 1 {
-		return nil
-	}
-	out := make([]ID, 0, len(id.steps)-1)
-	for i := 1; i < len(id.steps); i++ {
-		out = append(out, id.AncestorAt(i))
-	}
-	return out
-}
+// The parent's key is a prefix of the receiver's: no allocation.
+func (id ID) Parent() ID { return ID{key: id.key[:id.last().start]} }
 
 // LabelPath returns the labels along the root-to-node path.
 func (id ID) LabelPath() []string {
-	out := make([]string, len(id.steps))
-	for i, s := range id.steps {
-		out[i] = s.Label
+	out := make([]string, 0, id.Level())
+	for c := id.Cursor(); c.Next(); {
+		out = append(out, c.Label())
 	}
 	return out
 }
@@ -128,14 +122,18 @@ func (id ID) Equal(other ID) bool { return id.key == other.key }
 // of the node identified by other. Thanks to the frame-aligned key encoding
 // this is a single prefix check.
 func (id ID) IsAncestorOf(other ID) bool {
-	return len(id.steps) > 0 && len(id.key) < len(other.key) &&
+	return id.key != "" && len(id.key) < len(other.key) &&
 		other.key[:len(id.key)] == id.key
 }
 
 // IsParentOf reports whether id ≺ other: id identifies the parent of the
-// node identified by other.
+// node identified by other — other's key is id's plus exactly one frame.
 func (id ID) IsParentOf(other ID) bool {
-	return len(id.steps)+1 == len(other.steps) && id.IsAncestorOf(other)
+	if !id.IsAncestorOf(other) {
+		return false
+	}
+	c := Cursor{key: other.key, end: len(id.key)}
+	return c.Next() && c.Last()
 }
 
 // IsAncestorOrSelf reports id == other or id ≺≺ other.
@@ -148,19 +146,14 @@ func (id ID) IsAncestorOrSelf(other ID) bool {
 // inserted-ID-driven pruning (Proposition 3.8) and its deletion counterpart
 // (Proposition 4.7).
 func (id ID) HasAncestorLabeled(label string) bool {
-	for i := 0; i < len(id.steps)-1; i++ {
-		if id.steps[i].Label == label {
-			return true
-		}
-	}
-	return false
+	return id.Parent().SelfOrAncestorLabeled(label)
 }
 
 // SelfOrAncestorLabeled reports whether the node itself or any ancestor
 // carries the given label.
 func (id ID) SelfOrAncestorLabeled(label string) bool {
-	for _, s := range id.steps {
-		if s.Label == label {
+	for c := id.Cursor(); c.Next(); {
+		if c.Label() == label {
 			return true
 		}
 	}
@@ -181,17 +174,18 @@ func (id ID) AppendString(dst []byte) []byte {
 	if id.IsNull() {
 		return append(dst, "ε"...)
 	}
-	for i, s := range id.steps {
-		if i > 0 {
+	for c := id.Cursor(); c.Next(); {
+		if c.start > 0 {
 			dst = append(dst, '.')
 		}
-		dst = append(dst, s.Label...)
-		for j, c := range s.Ord {
+		dst = append(dst, c.Label()...)
+		var buf [4]uint64
+		for j, v := range c.ord(buf[:0]) {
 			if j > 0 {
 				dst = append(dst, '_')
 			}
-			dst = strconv.AppendUint(dst, c/Gap, 10)
-			if r := c % Gap; r != 0 {
+			dst = strconv.AppendUint(dst, v/Gap, 10)
+			if r := v % Gap; r != 0 {
 				dst = append(dst, '+')
 				dst = strconv.AppendUint(dst, r, 10)
 			}
@@ -200,18 +194,16 @@ func (id ID) AppendString(dst []byte) []byte {
 	return dst
 }
 
-// Key returns the cached binary key: a compact string usable as a map key,
-// unique per node (the frame encoding is injective), whose byte order equals
-// document order. Zero allocation — the string is computed at construction.
+// Key returns the binary key: a compact string usable as a map key, unique
+// per node (the frame encoding is injective), whose byte order equals
+// document order. Zero allocation — the key is the ID.
 func (id ID) Key() string { return id.key }
 
-// KeyAt returns Key() of the ancestor at the given level (1 = root) without
-// constructing the ancestor ID: frames align, so it is a shared key prefix.
-// Hash probes over ancestor keys (structural joins, covers, affected sets)
-// use this to stay allocation-free. It panics if level is out of range.
+// KeyAt returns Key() of the ancestor at the given level (1 = root): frames
+// align, so it is a prefix of the receiver's key. It walks level frames;
+// code that wants every level's prefix walks a Cursor once instead. It
+// panics if level is out of range.
 func (id ID) KeyAt(level int) string {
-	if level < 1 || level > len(id.steps) {
-		panic("dewey: KeyAt level out of range")
-	}
-	return id.key[:id.steps[level-1].end]
+	c := id.at(level)
+	return c.Key()
 }

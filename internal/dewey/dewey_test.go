@@ -137,10 +137,6 @@ func TestIDStructure(t *testing.T) {
 	if a.Parent().IsNull() != true {
 		t.Fatal("root parent should be null")
 	}
-	anc := b.Ancestors()
-	if len(anc) != 2 || anc[0].Label() != "a" || anc[1].Label() != "c" {
-		t.Fatalf("Ancestors = %v", anc)
-	}
 }
 
 func TestIDCompareDocumentOrder(t *testing.T) {
@@ -198,17 +194,6 @@ func TestMatchesPath(t *testing.T) {
 		if got := b.MatchesPath(c.steps); got != c.want {
 			t.Errorf("case %d: MatchesPath=%v want %v", i, got, c.want)
 		}
-	}
-}
-
-func TestAncestorMatchingPath(t *testing.T) {
-	b := buildSampleID()
-	got := b.AncestorMatchingPath([]PathStep{{Label: "c", Desc: true}})
-	if got.IsNull() || got.Label() != "c" {
-		t.Fatalf("AncestorMatchingPath = %v", got)
-	}
-	if !b.AncestorMatchingPath([]PathStep{{Label: "x", Desc: true}}).IsNull() {
-		t.Fatal("expected null for unmatched path")
 	}
 }
 

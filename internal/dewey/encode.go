@@ -42,12 +42,14 @@ func (d *Dict) Len() int { return len(d.labels) }
 // extended slice. Labels are replaced by dictionary codes; ordinals use
 // varint components.
 func (id ID) Encode(d *Dict, dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(id.steps)))
-	for _, s := range id.steps {
-		dst = binary.AppendUvarint(dst, d.Code(s.Label))
-		dst = binary.AppendUvarint(dst, uint64(len(s.Ord)))
-		for _, c := range s.Ord {
-			dst = binary.AppendUvarint(dst, c)
+	dst = binary.AppendUvarint(dst, uint64(id.Level()))
+	for c := id.Cursor(); c.Next(); {
+		dst = binary.AppendUvarint(dst, d.Code(c.Label()))
+		var buf [4]uint64
+		ord := c.ord(buf[:0])
+		dst = binary.AppendUvarint(dst, uint64(len(ord)))
+		for _, v := range ord {
+			dst = binary.AppendUvarint(dst, v)
 		}
 	}
 	return dst
@@ -63,12 +65,11 @@ func Decode(d *Dict, src []byte) (ID, int, error) {
 	}
 	pos += k
 	// Every step costs at least two bytes (label code + ordinal length), so
-	// a count beyond half the remaining input cannot be satisfied. Checking
-	// before the make keeps corrupt input from forcing a huge allocation.
+	// a count beyond half the remaining input cannot be satisfied.
 	if n > uint64(len(src)-pos)/2 {
 		return ID{}, 0, errors.New("dewey: implausible step count")
 	}
-	steps := make([]Step, 0, n)
+	var key []byte
 	for i := uint64(0); i < n; i++ {
 		code, k := binary.Uvarint(src[pos:])
 		if k <= 0 {
@@ -96,7 +97,7 @@ func Decode(d *Dict, src []byte) (ID, int, error) {
 			pos += k
 			ord = append(ord, c)
 		}
-		steps = append(steps, Step{Label: label, Ord: ord})
+		key = appendFrame(key, label, ord)
 	}
-	return newID(steps), pos, nil
+	return ID{key: string(key)}, pos, nil
 }

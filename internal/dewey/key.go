@@ -1,15 +1,20 @@
 package dewey
 
-import "math/bits"
+import (
+	"math/bits"
+	"strings"
+)
 
-// This file implements the cached, order-preserving binary key carried by
-// every ID. The key is computed once at construction (NewRoot/Child/Decode)
-// and makes the engine's hottest ID operations single string ops:
+// This file implements the order-preserving binary key every ID consists
+// of. The key is built once at construction (NewRoot/Child/Decode) and makes
+// the engine's hottest ID operations single string ops:
 //
 //	bytes order        Compare(a,b) == strings.Compare(a.key, b.key)
 //	identity           Equal(a,b)   == (a.key == b.key)
 //	ancestorship       IsAncestorOf(a,b) == a.key is a proper prefix of b.key
-//	map keys           Key() returns the cached string, zero allocation
+//	map keys           Key() returns the string itself, zero allocation
+//
+// Everything else an ID knows, its steps, is parsed back out of the key (Cursor).
 //
 // Layout: the key is the concatenation of one FRAME per step. A frame is
 //
@@ -75,26 +80,75 @@ func appendFrame(dst []byte, label string, ord Ord) []byte {
 	return append(dst, 0x00, frameEnd)
 }
 
-// frameCap upper-bounds the encoded size of one frame (components are at
-// most lead+8 bytes; the +2 per label byte covers pathological 0x00s).
-func frameCap(label string, ord Ord) int {
-	return 9*len(ord) + 1 + 2*len(label) + 2
+// Cursor reads an ID's steps back out of its key, root first, in one pass:
+// each Next parses one frame, after which Key is the key of the ancestor (on
+// the last frame, of the node) at that level and Label/Step decode the step.
+// A loop over a node's ancestors costs O(len(Key())) in total, and allocates
+// only if it decodes ordinals.
+type Cursor struct {
+	key             string
+	start, lab, end int // the frame is key[start:end]; its label starts at lab
 }
 
-// newID builds an ID from steps, computing the cached key and the per-step
-// frame-end offsets. It takes ownership of steps.
-func newID(steps []Step) ID {
-	if len(steps) == 0 {
-		return ID{}
+// Cursor returns a cursor positioned before id's first step.
+func (id ID) Cursor() Cursor { return Cursor{key: id.key} }
+
+// Next advances to the next step and reports whether there was one.
+func (c *Cursor) Next() bool {
+	k, i := c.key, c.end
+	if i == len(k) {
+		return false
 	}
-	cap := 0
-	for _, s := range steps {
-		cap += frameCap(s.Label, s.Ord)
+	c.start = i
+	for k[i] != ordEnd {
+		i += int(k[i])
 	}
-	buf := make([]byte, 0, cap)
-	for i := range steps {
-		buf = appendFrame(buf, steps[i].Label, steps[i].Ord)
-		steps[i].end = len(buf)
+	i++
+	c.lab = i
+	for {
+		for k[i] != 0x00 {
+			i++
+		}
+		i += 2
+		if k[i-1] == frameEnd {
+			break
+		}
 	}
-	return ID{steps: steps, key: string(buf)}
+	c.end = i
+	return true
 }
+
+// Last reports whether the current step is the ID's own, the last one.
+func (c *Cursor) Last() bool { return c.end == len(c.key) }
+
+// Key returns the key of the ID made of the steps read so far.
+func (c *Cursor) Key() string { return c.key[:c.end] }
+
+// Label returns the current step's label: a substring of the key unless the
+// label contains a 0x00 byte. "" before the first Next.
+func (c *Cursor) Label() string {
+	if c.end == 0 {
+		return ""
+	}
+	raw := c.key[c.lab : c.end-2]
+	if strings.IndexByte(raw, 0x00) >= 0 {
+		raw = strings.ReplaceAll(raw, "\x00\xff", "\x00")
+	}
+	return raw
+}
+
+// ord appends the current step's ordinal components to dst.
+func (c *Cursor) ord(dst Ord) Ord {
+	for i := c.start; c.key[i] != ordEnd; {
+		end := i + int(c.key[i]) // the lead byte 0x01+n is also the encoded length
+		var v uint64
+		for i++; i < end; i++ {
+			v = v<<8 | uint64(c.key[i])
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// Step decodes the current step.
+func (c *Cursor) Step() Step { return Step{Label: c.Label(), Ord: c.ord(nil)} }

@@ -15,18 +15,6 @@ func (id ID) MatchesPath(steps []PathStep) bool {
 	return matchPath(id.LabelPath(), steps)
 }
 
-// AncestorMatchingPath returns the lowest ancestor-or-self of id whose label
-// path satisfies the condition, or the null ID if none does.
-func (id ID) AncestorMatchingPath(steps []PathStep) ID {
-	labels := id.LabelPath()
-	for lvl := len(labels); lvl >= 1; lvl-- {
-		if matchPath(labels[:lvl], steps) {
-			return id.AncestorAt(lvl)
-		}
-	}
-	return ID{}
-}
-
 // matchPath checks whether the full label sequence matches the path
 // condition end-to-end (the last step must match the last label).
 func matchPath(labels []string, steps []PathStep) bool {

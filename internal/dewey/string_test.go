@@ -58,20 +58,6 @@ func TestStepAccessorsAndClone(t *testing.T) {
 	}
 }
 
-func TestAncestorAtBounds(t *testing.T) {
-	a := NewRoot("a").Child("b", OrdAt(0))
-	for _, lvl := range []int{0, 3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AncestorAt(%d) should panic", lvl)
-				}
-			}()
-			a.AncestorAt(lvl)
-		}()
-	}
-}
-
 func TestDictLen(t *testing.T) {
 	var d Dict
 	if d.Len() != 0 {

@@ -151,6 +151,62 @@ func TestImageTracksLiveTree(t *testing.T) {
 	}
 }
 
+// TestLiveNodeByIDIsADescent: the live tree has no ID map, so NodeByID is
+// the same descent the images use. Over difftest workloads — bulk deletes,
+// and replaces that free a last child's ordinal and hand it to the forest
+// inserted next — after every statement each attached node resolves to
+// itself, the maintained Size() is the attached count, and a node the
+// statement detached no longer resolves: its ID finds nothing, or the
+// attached node it has been reassigned to.
+func TestLiveNodeByIDIsADescent(t *testing.T) {
+	seeds := uint64(12)
+	if testing.Short() {
+		seeds = 3
+	}
+	attachedNodes := func(d *xmltree.Document) map[*xmltree.Node]bool {
+		set := map[*xmltree.Node]bool{}
+		xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
+			set[n] = true
+			return true
+		})
+		return set
+	}
+	detached, reassigned := 0, 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		w := NewWorkload(seed, maxStatements)
+		e := newEngine(t, w)
+		before := attachedNodes(e.Doc)
+		for i, src := range w.Statements {
+			_, _ = e.ApplyStatement(update.MustParse(src)) // a rejected statement is part of the workload
+			now := attachedNodes(e.Doc)
+			if e.Doc.Size() != len(now) {
+				t.Fatalf("seed %d after statement %d (%s): Size() = %d, %d nodes attached", seed, i, src, e.Doc.Size(), len(now))
+			}
+			for n := range now {
+				if got := e.Doc.NodeByID(n.ID); got != n {
+					t.Fatalf("seed %d after statement %d (%s): NodeByID(%v) = %p, want the attached node %p", seed, i, src, n.ID, got, n)
+				}
+			}
+			for n := range before {
+				if now[n] {
+					continue
+				}
+				detached++
+				if got := e.Doc.NodeByID(n.ID); got != nil {
+					if !now[got] || !got.ID.Equal(n.ID) {
+						t.Fatalf("seed %d after statement %d (%s): detached %v resolves to a node outside the document", seed, i, src, n.ID)
+					}
+					reassigned++
+				}
+			}
+			before = now
+		}
+	}
+	if detached == 0 || reassigned == 0 {
+		t.Fatalf("workloads detached %d nodes and reassigned %d IDs: the test did not see the cases it is for", detached, reassigned)
+	}
+}
+
 // walkCorpus is the benchmark's tree-walk query mix (benchmark/gen.go).
 var walkCorpus = []string{
 	`/site/people/person/name`,

@@ -286,13 +286,13 @@ func spliceIntoInserted(d1, tail Seq, op2 Op) bool {
 		// with concrete ordinals identify nodes of the stored document (a
 		// pre-existing descendant of the insertion point); those operations
 		// must stay in place and resolve against the store after ∆1 runs.
-		if !symbolicBelow(op1.Target, op2.Target) {
+		rel, symbolic := symbolicPath(op1.Target, op2.Target)
+		if !symbolic {
 			continue
 		}
 		if !commutesWithInsertAll(d1[i+1:], op2.Target) || !commutesWithInsertAll(tail, op2.Target) {
 			return false
 		}
-		rel := relativeLabels(op1.Target, op2.Target)
 		if resolveInForest(op1.Forest, rel) == nil {
 			continue
 		}
@@ -313,21 +313,22 @@ func spliceIntoInserted(d1, tail Seq, op2 Op) bool {
 	return false
 }
 
-// symbolicBelow reports whether every step of desc below anc carries no
-// ordinal — i.e. desc addresses a node by label path only, which can only
-// be satisfied inside a not-yet-materialized parameter tree.
-func symbolicBelow(anc, desc dewey.ID) bool {
-	for lvl := anc.Level(); lvl < desc.Level(); lvl++ {
-		if len(desc.Step(lvl).Ord) != 0 {
-			return false
+// symbolicPath returns the labels of desc's steps below its ancestor anc,
+// and whether every one of those steps carries no ordinal — i.e. desc
+// addresses a node by label path only, which can only be satisfied inside a
+// not-yet-materialized parameter tree.
+func symbolicPath(anc, desc dewey.ID) ([]string, bool) {
+	var labels []string
+	for c := desc.Cursor(); c.Next(); {
+		if len(c.Key()) <= len(anc.Key()) {
+			continue
 		}
+		if len(c.Step().Ord) != 0 {
+			return nil, false
+		}
+		labels = append(labels, c.Label())
 	}
-	return true
-}
-
-func relativeLabels(anc, desc dewey.ID) []string {
-	labels := desc.LabelPath()
-	return labels[anc.Level():]
+	return labels, true
 }
 
 // resolveInForest walks the label path into the forest: at each level the

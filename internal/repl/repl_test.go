@@ -250,15 +250,39 @@ func TestFollowerKilledMidReplayConverges(t *testing.T) {
 	}
 
 	folReg, fts := newFollowerReg(t, lts.URL)
-	// Tiny reads so the first follower is reliably mid-replay when killed.
+	// Tiny reads, and a kill that lands inside a poll: once the first
+	// follower has replayed killAfter records, the one it has just applied to
+	// its engine is never published — the poll fails the way a dying process
+	// does. "Mid-replay" is then a fact, not a race with the tailer.
 	f1 := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: time.Millisecond,
 		MaxBytes:     1,
 		Metrics:      obs.New(),
 	})
-	stop1 := startFollower(t, f1)
-	waitApplied(t, folReg, defaultTenant, 5, 30*time.Second)
-	stop1()
+	const killAfter = 5
+	ctx1, kill := context.WithCancel(context.Background())
+	defer kill()
+	replayed := 0 // tailer goroutine only
+	f1.replay = func(eng *core.Engine, recs []wal.Record) (wal.ReplayResult, error) {
+		res, err := wal.Replay(eng, recs)
+		if replayed += len(recs); err == nil && replayed >= killAfter {
+			kill()
+			err = ctx1.Err()
+		}
+		return res, err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = f1.Run(ctx1)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		kill()
+		<-done
+		t.Fatalf("first follower never replayed %d records", killAfter)
+	}
 
 	killedAt := uint64(0)
 	for _, st := range folReg.Stats() {

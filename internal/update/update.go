@@ -21,28 +21,26 @@ import (
 // targetProgs caches compiled target-path programs keyed by the statement's
 // source text — workloads re-issue the same statement shapes (the serve
 // loop, the load generator, replayed WALs), and the source string is
-// already in hand, so a hit skips both compilation and the interpreted
-// walk. Statements built programmatically (empty Source) fall back to the
-// interpreter; compiled programs are immutable so the cache needs no
-// invalidation.
+// already in hand, so a hit skips compilation. A path with no source text
+// of its own (a statement built programmatically, a copy-of source) is keyed
+// by its rendering. Compiled programs are immutable: no invalidation.
 var targetProgs = qvm.NewCache(512)
 
-// evalTarget evaluates a statement path, compiled when a cache key is
-// available.
-func evalTarget(d *xmltree.Document, p xpath.Path, key string) []*xmltree.Node {
+// evalTarget evaluates a statement path with its compiled program. The
+// interpreter in internal/xpath is the tests' oracle, not a fallback.
+func evalTarget(d *xmltree.Document, p xpath.Path, key string) ([]*xmltree.Node, error) {
 	if key == "" {
-		return xpath.Eval(d, p)
+		key = p.String()
 	}
-	if prog, ok := targetProgs.Get(key); ok {
-		return prog.Eval(d)
+	prog, ok := targetProgs.Get(key)
+	if !ok {
+		var err error
+		if prog, err = qvm.Compile(p); err != nil {
+			return nil, fmt.Errorf("update: target path %s: %w", p, err)
+		}
+		targetProgs.Add(key, prog)
 	}
-	prog, err := qvm.Compile(p)
-	if err != nil {
-		// Conservative: any path the compiler cannot handle still evaluates.
-		return xpath.Eval(d, p)
-	}
-	targetProgs.Add(key, prog)
-	return prog.Eval(d)
+	return prog.Eval(d), nil
 }
 
 // Kind distinguishes insertions from deletions.
@@ -137,7 +135,10 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 	if st.Kind == Replace {
 		return nil, fmt.Errorf("update: replace statements expand via ExpandReplace")
 	}
-	targets := evalTarget(d, st.Target, st.Source)
+	targets, err := evalTarget(d, st.Target, st.Source)
+	if err != nil {
+		return nil, err
+	}
 	pul := &PUL{Kind: st.Kind}
 	switch st.Kind {
 	case Delete:
@@ -159,13 +160,11 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 	case Insert:
 		forest := st.Forest
 		if st.CopyOf != nil {
-			key := ""
-			if st.Source != "" {
-				key = st.Source + "#copy"
+			copied, err := evalTarget(d, *st.CopyOf, "")
+			if err != nil {
+				return nil, err
 			}
-			for _, n := range evalTarget(d, *st.CopyOf, key) {
-				forest = append(forest, n)
-			}
+			forest = append(forest, copied...)
 		}
 		if len(forest) == 0 {
 			return nil, fmt.Errorf("update: insertion with empty forest")

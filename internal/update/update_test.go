@@ -1,10 +1,12 @@
 package update
 
 import (
+	"strings"
 	"testing"
 
 	"xivm/internal/store"
 	"xivm/internal/xmltree"
+	"xivm/internal/xpath"
 )
 
 func mustDoc(t *testing.T, s string) *xmltree.Document {
@@ -152,6 +154,42 @@ func TestComputePULDeleteNestedTargets(t *testing.T) {
 	}
 	if len(d.Root.ElementChildren()) != 0 {
 		t.Fatal("document still has b children")
+	}
+}
+
+// TestProgrammaticStatementRunsTheVM: a statement built without source text
+// is compiled too (keyed by its paths' renderings) and selects what the
+// interpreted oracle selects; a path the compiler rejects is ComputePUL's
+// error, not a silent switch of evaluator.
+func TestProgrammaticStatementRunsTheVM(t *testing.T) {
+	d := mustDoc(t, `<r><src><b>1</b><b>2</b></src><dst/><dst><b>3</b></dst></r>`)
+	target, src := xpath.MustParse(`/r/dst`), xpath.MustParse(`//src/b[last()]`)
+	st := &Statement{Kind: Insert, Target: target, CopyOf: &src}
+	pul, err := ComputePUL(d, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := xpath.Eval(d, target)
+	if len(pul.Inserts) != len(want) || len(want) != 2 {
+		t.Fatalf("%d insertions for %d interpreted targets", len(pul.Inserts), len(want))
+	}
+	for i, in := range pul.Inserts {
+		if in.Target != want[i] || len(in.Trees) != 1 || in.Trees[0] != xpath.Eval(d, src)[0] {
+			t.Fatalf("insertion %d: target %v, trees %v", i, in.Target.ID, in.Trees)
+		}
+	}
+	for _, key := range []string{target.String(), src.String()} {
+		if _, ok := targetProgs.Get(key); !ok {
+			t.Fatalf("no compiled program cached under %q", key)
+		}
+	}
+	for _, bad := range []*Statement{
+		{Kind: Delete},
+		{Kind: Insert, Target: target, CopyOf: &xpath.Path{}},
+	} {
+		if _, err := ComputePUL(d, bad); err == nil || !strings.Contains(err.Error(), "qvm:") {
+			t.Fatalf("uncompilable path: err = %v, want the compiler's", err)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import "xivm/internal/dewey"
 // with their own Children slices, each at most once per publication, and
 // every other subtree stays shared with the images published before. An
 // update therefore costs an image O(depth × fan-out + |delta|) nodes, not
-// O(document). The live tree — Parent pointers, ID index, node identity —
+// O(document). The live tree — Parent pointers, node identity —
 // is never touched by any of this, and a document that is never published
 // pays for none of it.
 //
@@ -26,7 +26,7 @@ import "xivm/internal/dewey"
 // yields the same image again. Snapshot belongs to the goroutine that
 // mutates the document.
 func (d *Document) Snapshot() *Document {
-	if d.index == nil {
+	if d.image {
 		return d // an image is its own snapshot
 	}
 	prev := d.pub
@@ -36,7 +36,7 @@ func (d *Document) Snapshot() *Document {
 	case d.next == prev.Root:
 		return prev
 	}
-	img := &Document{Root: d.next, size: len(d.index), copied: d.copied}
+	img := &Document{Root: d.next, image: true, size: d.size, copied: d.copied}
 	if prev != nil {
 		if li := prev.labels.Load(); li != nil {
 			carried := carryLabels(*li, prev.Root, img.Root)
@@ -89,7 +89,9 @@ func (d *Document) cloneImage(n *Node) *Node {
 // times copies it once.
 func (d *Document) own(id dewey.ID) *Node {
 	slot := &d.next
-	for level := 1; ; level++ {
+	c := id.Cursor()
+	c.Next()
+	for {
 		n := *slot
 		if n.gen != d.gen {
 			n = &Node{Kind: n.Kind, gen: d.gen, Label: n.Label, Value: n.Value, ID: n.ID,
@@ -97,10 +99,10 @@ func (d *Document) own(id dewey.ID) *Node {
 			*slot = n
 			d.copied++
 		}
-		if level == id.Level() {
+		if !c.Next() {
 			return n
 		}
-		i := ChildIndex(n, id.KeyAt(level+1))
+		i := ChildIndex(n, c.Key())
 		if i < 0 {
 			panic("xmltree: published image out of step with the document")
 		}

@@ -109,7 +109,7 @@ func (p labelPatch) add(roots []*Node) {
 	}
 }
 
-// drop unindexes the subtrees at roots: from the list of every label that
+// drop removes the subtrees at roots: from the list of every label that
 // occurs in them, the blocks of nodes whose key extends a root's, again in
 // one pass per list. Going by key rather than by the subtrees' present
 // members makes it immaterial whether one root lies inside another.

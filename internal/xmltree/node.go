@@ -58,69 +58,45 @@ type Node struct {
 	ID       dewey.ID
 }
 
-// Document is a parsed XML document: a single root element plus an index
-// from ID keys to nodes so that ID-carrying view tuples can be resolved back
-// to live nodes (needed by the tuple-modification algorithms PIMT/PDMT).
+// Document is a parsed XML document: a single root element whose tree is its
+// own ID index. Children are in document order, which is Dewey key order, so
+// the ID in a view tuple is resolved back to its node (as PIMT/PDMT need) by
+// descending its steps, a binary search per level.
 //
-// A Document returned by Snapshot is an image instead: immutable, without
-// the index (an ID is resolved by descending its Dewey steps), and sharing
-// every subtree the mutations since the previous image left alone.
+// A Document returned by Snapshot is an image instead: immutable, and
+// sharing every subtree the mutations since the previous image left alone.
 type Document struct {
 	Root  *Node
-	index map[string]*Node // nil on an image
+	image bool
+	size  int // number of nodes
 
 	// labels is the lazily-built label index (see labels.go); labelMu
 	// serializes its construction so concurrent readers build it once.
 	labels  atomic.Pointer[labelIndex]
 	labelMu sync.Mutex
 
-	// Publication state (image.go). An image records its node count and how
-	// many of those nodes it allocated rather than shared. A live document
-	// that has been published tracks pub, the last image handed out; next,
-	// the root of the image under construction (pub.Root until a mutation
-	// path-copies it); and gen, the stamp of the nodes allocated for next.
-	size, copied int
-	pub          *Document
-	next         *Node
-	gen          uint32
+	// Publication state (image.go). An image records how many of its nodes
+	// it allocated rather than shared. A live document that has been
+	// published tracks pub, the last image handed out; next, the root of the
+	// image under construction (pub.Root until a mutation path-copies it);
+	// and gen, the stamp of the nodes allocated for next.
+	copied int
+	pub    *Document
+	next   *Node
+	gen    uint32
 }
 
-// NewDocument wraps a root node built elsewhere, indexing its subtree.
+// NewDocument wraps a root node built elsewhere.
 func NewDocument(root *Node) *Document {
-	d := &Document{Root: root, index: make(map[string]*Node)}
-	d.reindex(root)
-	return d
+	return &Document{Root: root, size: root.CountNodes()}
 }
 
-func (d *Document) reindex(n *Node) {
-	d.index[n.ID.Key()] = n
-	for _, c := range n.Children {
-		d.reindex(c)
-	}
-}
-
-func (d *Document) unindex(n *Node) {
-	delete(d.index, n.ID.Key())
-	for _, c := range n.Children {
-		d.unindex(c)
-	}
-}
-
-// NodeByID resolves a structural ID to the document's node, or nil.
-func (d *Document) NodeByID(id dewey.ID) *Node {
-	if d.index == nil {
-		return descend(d.Root, id, id.Level())
-	}
-	return d.index[id.Key()]
-}
+// NodeByID resolves a structural ID to the document's node, or nil:
+// O(depth × log fan-out), no allocation.
+func (d *Document) NodeByID(id dewey.ID) *Node { return descend(d.Root, id) }
 
 // Size returns the number of nodes in the document.
-func (d *Document) Size() int {
-	if d.index == nil {
-		return d.size
-	}
-	return len(d.index)
-}
+func (d *Document) Size() int { return d.size }
 
 // ChildIndex returns the position among parent's children of the child whose
 // ID has the given key, or -1. Children are in document order, which is key
@@ -132,15 +108,16 @@ func ChildIndex(parent *Node, key string) int {
 	return -1
 }
 
-// descend follows id's first `level` Dewey steps down from root and returns
-// the node there, or nil if the tree has no such node.
-func descend(root *Node, id dewey.ID, level int) *Node {
-	if level < 1 || level > id.Level() || root.ID.Key() != id.KeyAt(1) {
+// descend follows id's Dewey steps down from root and returns the node
+// there, or nil if the tree has no such node.
+func descend(root *Node, id dewey.ID) *Node {
+	c := id.Cursor()
+	if !c.Next() || root.ID.Key() != c.Key() {
 		return nil
 	}
 	n := root
-	for l := 2; l <= level; l++ {
-		i := ChildIndex(n, id.KeyAt(l))
+	for c.Next() {
+		i := ChildIndex(n, c.Key())
 		if i < 0 {
 			return nil
 		}
@@ -152,14 +129,13 @@ func descend(root *Node, id dewey.ID, level int) *Node {
 // ParentIn returns n's parent. A node of a live or parsed tree carries the
 // pointer. A node of an image carries none — it may be shared by many
 // images, under a different copy of its parent in each — and is resolved
-// within the image rooted at root instead, by descending n's Dewey steps:
-// O(depth × log fan-out), no allocation. Nil for a root, and for an image
-// node when root is nil.
+// within the image rooted at root instead, by descending the Dewey steps of
+// n's parent. Nil for a root, and for an image node when root is nil.
 func ParentIn(root, n *Node) *Node {
 	if n.Parent != nil || root == nil {
 		return n.Parent
 	}
-	return descend(root, n.ID, n.ID.Level()-1)
+	return descend(root, n.ID.Parent())
 }
 
 // Walk visits n and its descendants in document order, stopping early if f
@@ -239,8 +215,15 @@ func (n *Node) lastOrd() dewey.Ord {
 	if len(n.Children) == 0 {
 		return nil
 	}
-	last := n.Children[len(n.Children)-1]
-	return last.ID.Step(last.ID.Level() - 1).Ord
+	return n.Children[len(n.Children)-1].ownOrd()
+}
+
+// ownOrd returns n's own sibling ordinal, the last step of its ID.
+func (n *Node) ownOrd() dewey.Ord {
+	c := n.ID.Cursor()
+	for c.Next() && !c.Last() {
+	}
+	return c.Step().Ord
 }
 
 // Clone returns a deep copy of the subtree rooted at n, with nil Parent at

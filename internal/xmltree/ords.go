@@ -27,7 +27,7 @@ func (d *Document) EncodeOrds() []byte {
 	var out []byte
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		ord := n.ID.Step(n.ID.Level() - 1).Ord
+		ord := n.ownOrd()
 		out = binary.AppendUvarint(out, uint64(len(ord)))
 		for _, c := range ord {
 			out = binary.AppendUvarint(out, c)
@@ -42,9 +42,9 @@ func (d *Document) EncodeOrds() []byte {
 
 // ApplyOrds reassigns every node's structural ID from an ordinal stream
 // produced by EncodeOrds on a structurally identical document (same nodes,
-// same order), then rebuilds the ID index. The freshly parsed document's
-// sequential ordinals are replaced by the recorded ones, so the restored
-// ID space is byte-identical to the one the stream was taken from.
+// same order). The freshly parsed document's sequential ordinals are
+// replaced by the recorded ones, so the restored ID space is byte-identical
+// to the one the stream was taken from.
 func (d *Document) ApplyOrds(data []byte) error {
 	pos := 0
 	next := func() (dewey.Ord, error) {
@@ -76,14 +76,8 @@ func (d *Document) ApplyOrds(data []byte) error {
 		if n.Parent == nil {
 			// Roots always carry the NewRoot ordinal; a stream that says
 			// otherwise was not taken from a structurally identical document.
-			got := n.ID.Step(0).Ord
-			if len(ord) != len(got) {
+			if !ord.Equal(n.ID.Step(0).Ord) {
 				return errors.New("xmltree: ordinal stream disagrees on the root")
-			}
-			for i := range ord {
-				if ord[i] != got[i] {
-					return errors.New("xmltree: ordinal stream disagrees on the root")
-				}
 			}
 		} else {
 			n.ID = n.Parent.ID.Child(n.Label, ord)
@@ -101,8 +95,6 @@ func (d *Document) ApplyOrds(data []byte) error {
 	if pos != len(data) {
 		return errors.New("xmltree: ordinal stream longer than the document")
 	}
-	d.index = make(map[string]*Node, len(d.index))
-	d.reindex(d.Root)
 	// Every ID changed: nothing derived from the old ones survives.
 	d.ResetImage()
 	return nil

@@ -74,8 +74,8 @@ func TestSerializeParseFixpoint(t *testing.T) {
 	}
 }
 
-// Random insert/delete sequences keep the ID index exact and document order
-// strict.
+// Random insert/delete sequences keep ID resolution and the node count exact
+// and document order strict.
 func TestMutationInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -106,7 +106,7 @@ func TestMutationInvariants(t *testing.T) {
 					return false
 				}
 			}
-			// Index exactness and document order.
+			// Every attached node resolves to itself, in document order.
 			count := 0
 			ok := true
 			var prev *Node

@@ -3,6 +3,8 @@ package xmltree
 import (
 	"strings"
 	"testing"
+
+	"xivm/internal/dewey"
 )
 
 const sampleDoc = `<a><c><b>hello</b></c><f><b x="1">world</b></f></a>`
@@ -69,6 +71,76 @@ func TestNodeByID(t *testing.T) {
 		}
 		return true
 	})
+	for _, id := range []dewey.ID{
+		{},
+		dewey.NewRoot("other"),
+		d.Root.ID.Child("nope", dewey.OrdAt(0)),
+		d.Root.Children[0].ID.Child(d.Root.Children[0].Label, dewey.OrdAt(99)),
+	} {
+		if got := d.NodeByID(id); got != nil {
+			t.Fatalf("NodeByID(%v) = %v for an ID the document never issued", id, got.ID)
+		}
+	}
+}
+
+// TestNodeByIDFollowsTheTree: the tree is the only ID index, so an ID
+// resolves to whatever node sits at its steps now. Deleting a last child
+// frees its ordinal; the next insertion under that parent is handed the same
+// one, and with the same label the same ID — which must then resolve to the
+// new node and never to the detached one.
+func TestNodeByIDFollowsTheTree(t *testing.T) {
+	d := mustParse(t, `<a><b/><c><x/></c></a>`)
+	c := d.Root.Children[1]
+	x := c.Children[0]
+	if _, err := d.ApplyDelete(c); err != nil {
+		t.Fatal(err)
+	}
+	if d.NodeByID(c.ID) != nil || d.NodeByID(x.ID) != nil || d.Size() != 2 {
+		t.Fatalf("detached nodes still resolve (size %d)", d.Size())
+	}
+	c2, err := d.ApplyInsert(d.Root, &Node{Kind: Element, Label: "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c2.ID.Equal(c.ID) {
+		t.Fatalf("freed ID %v not reassigned: got %v", c.ID, c2.ID)
+	}
+	if got := d.NodeByID(c.ID); got != c2 || d.NodeByID(x.ID) != nil || d.Size() != 3 {
+		t.Fatalf("NodeByID(%v) = %p, want the new node %p (size %d)", c.ID, got, c2, d.Size())
+	}
+}
+
+// TestDeleteBatchParentInsideVictim: one batch names v and a node x whose
+// parent p sits inside v. p leaves the document with v, so the image mirror
+// must not look for it — the "is p still attached" probe is a descent that
+// ends where v used to be.
+func TestDeleteBatchParentInsideVictim(t *testing.T) {
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		d := mustParse(t, `<a><v><p><x/><y/></p></v><q><z/></q></a>`)
+		d.Snapshot()
+		v := d.Root.Children[0]
+		p := v.Children[0]
+		x, y := p.Children[0], p.Children[1]
+		victims := []*Node{v, x}
+		out, err := d.ApplyDeleteBatch([]*Node{victims[order[0]], victims[order[1]]})
+		if err != nil || len(out) != 2 {
+			t.Fatalf("batch: %v, %d roots", err, len(out))
+		}
+		for _, n := range []*Node{v, p, x, y} {
+			if d.NodeByID(n.ID) != nil {
+				t.Fatalf("NodeByID(%v) resolves after its subtree left the document", n.ID)
+			}
+		}
+		if img := d.Snapshot(); img.String() != `<a><q><z/></q></a>` || d.Size() != 3 || img.Size() != 3 {
+			t.Fatalf("image %s (sizes %d, %d)", img, d.Size(), img.Size())
+		}
+		Walk(d.Root, func(n *Node) bool {
+			if d.NodeByID(n.ID) != n {
+				t.Fatalf("NodeByID(%v) lost an attached node", n.ID)
+			}
+			return true
+		})
+	}
 }
 
 func TestStringValueConcatenation(t *testing.T) {
