@@ -10,13 +10,14 @@ import (
 )
 
 // Snapshot is an immutable, self-contained image of the engine at one
-// version: every view's rows (private copies, so later in-place refreshes
-// of the live view cannot reach them), an image of the document, and the
-// version counter identifying the state. A Snapshot is safe for unlimited
-// concurrent readers and never changes after Engine.Snapshot returns — the
-// epoch-published read path (internal/server) swaps an atomic pointer to
-// the latest one after each applied statement, so readers serve consistent
-// states without ever locking the writer. Successive snapshots share what
+// version: every view's rows (lent by the live view, whose stored rows are
+// immutable — a later refresh replaces a row, it does not write into one),
+// an image of the document, and the version counter identifying the state.
+// A Snapshot is safe for unlimited concurrent readers and never changes
+// after Engine.Snapshot returns — the epoch-published read path
+// (internal/server) swaps an atomic pointer to the latest one after each
+// applied statement, so readers serve consistent states without ever
+// locking the writer. Successive snapshots share what
 // the statements between them left alone: document subtrees, and the rows
 // of views that did not move.
 type Snapshot struct {
@@ -49,14 +50,16 @@ type Snapshot struct {
 type ViewSnapshot struct {
 	Name    string
 	Pattern *pattern.Pattern
-	// Rows are the view's rows in canonical (document) order. The slice
-	// and every row's Entries are never written after capture; snapshots
-	// of a view that did not change in between share them.
+	// Rows are the view's rows in canonical (document) order. The slice is
+	// this capture's own and every row's Entries are shared with the live
+	// view, which never writes a stored row; neither is written after
+	// capture, and snapshots of a view that did not change in between
+	// share both.
 	Rows []algebra.Row
 }
 
 // published is what the last Snapshot captured of one view: the rows, and
-// the store they were copied from at which generation.
+// the store that lent them at which generation.
 type published struct {
 	of   *store.View
 	gen  uint64
@@ -80,25 +83,11 @@ func (e *Engine) Snapshot() *Snapshot {
 		if p := &mv.published; p.of == mv.View && p.gen == mv.View.Generation() {
 			s.ViewsReused++
 		} else {
-			*p = published{of: mv.View, gen: mv.View.Generation(), rows: copyRows(mv.View.Rows())}
+			*p = published{of: mv.View, gen: mv.View.Generation(), rows: mv.View.Rows()}
 		}
 		s.Views = append(s.Views, ViewSnapshot{Name: mv.Name, Pattern: mv.Pattern, Rows: mv.published.rows})
 	}
 	return s
-}
-
-// copyRows deep-copies row entries: View.Rows returns a fresh row slice,
-// but each row's Entries still aliases the view's internal storage, which
-// the tuple-modification algorithms (PIMT/PDMT refresh) later mutate in
-// place. dewey.IDs and strings are immutable and safe to share.
-func copyRows(rows []algebra.Row) []algebra.Row {
-	out := make([]algebra.Row, len(rows))
-	for i, r := range rows {
-		entries := make([]algebra.RowEntry, len(r.Entries))
-		copy(entries, r.Entries)
-		out[i] = algebra.Row{Entries: entries, Count: r.Count}
-	}
-	return out
 }
 
 // View returns the snapshot of the named view, or nil if no such view was

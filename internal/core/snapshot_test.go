@@ -129,6 +129,69 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 }
 
+// benchViews are the seven views every benchmark tenant carries.
+var benchViews = [][2]string{
+	{"Q1", xmark.View("Q1").String()},
+	{"Q2", xmark.View("Q2").String()},
+	{"R1", `/site{ID}/people{ID}/person{ID}/name{ID,val}`},
+	{"R2", `//open_auction{ID}//bidder{ID}`},
+	{"R3", `//bidder{ID}//increase{ID,val}`},
+	{"R4", `//open_auction{ID}//initial{ID,val}`},
+	{"R5", `//open_auction{ID}//increase{ID,val}`},
+}
+
+// TestUpdateAllocBudget holds what the benchmark's commonest update pair
+// allocates from statement to published epoch: a bidder inserted under one
+// open_auction of a 1 MB document and deleted again, seven views
+// maintained, an epoch published after each. What is left is propagation
+// (the relations the four moved views read are lent, so each is copied once
+// when the statement edits it), those views' row headers, and the image's
+// label carry — ~0.9 MB a pair. A copy per statement of R_#text, which no
+// view reads, or of every moved view's entries per epoch, either puts it
+// past the budget; both, at 3.4 MB.
+func TestUpdateAllocBudget(t *testing.T) {
+	doc := mustDoc(t, xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1}))
+	e := New(doc, WithMetrics(obs.New()))
+	for _, v := range benchViews {
+		if _, err := e.AddView(v[0], pattern.MustParse(v[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins := update.MustParse(`insert <bidder><date>03/03/2021</date><increase>3.00</increase><xbench/></bidder> into /site/open_auctions/open_auction[@id="open_auction0"]`)
+	del := update.MustParse(`delete /site/open_auctions/open_auction[@id="open_auction0"]/bidder[xbench]`)
+	pair := func() *Snapshot {
+		if _, err := e.ApplyStatement(ins); err != nil {
+			t.Fatal(err)
+		}
+		e.Snapshot()
+		if _, err := e.ApplyStatement(del); err != nil {
+			t.Fatal(err)
+		}
+		return e.Snapshot()
+	}
+	e.Snapshot()
+	pair() // first use builds what later pairs carry: label index, program cache, array room
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := pair()
+	runtime.ReadMemStats(&after)
+
+	kb := (after.TotalAlloc - before.TotalAlloc) >> 10
+	t.Logf("insert + delete + two epochs allocated %d KB", kb)
+	if kb >= 1400 {
+		t.Errorf("a bidder insert/delete pair allocated %d KB, budget 1400 KB", kb)
+	}
+	for _, mv := range e.Views {
+		if !e.CheckView(mv) {
+			t.Errorf("view %s diverged from recomputation", mv.Name)
+		}
+	}
+	if snap.Doc().String() != e.Doc.String() {
+		t.Error("image does not match the live document")
+	}
+}
+
 // TestLiveHeapPerNodeBudget holds what a served tenant keeps per document
 // node: the live tree, the store, the benchmark's seven views and one
 // published epoch, at 1 MB. An ID is one string, the tree is its own index
@@ -141,15 +204,7 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	e := New(mustDoc(t, src), WithMetrics(obs.New()))
-	for _, v := range [][2]string{
-		{"Q1", xmark.View("Q1").String()},
-		{"Q2", xmark.View("Q2").String()},
-		{"R1", `/site{ID}/people{ID}/person{ID}/name{ID,val}`},
-		{"R2", `//open_auction{ID}//bidder{ID}`},
-		{"R3", `//bidder{ID}//increase{ID,val}`},
-		{"R4", `//open_auction{ID}//initial{ID,val}`},
-		{"R5", `//open_auction{ID}//increase{ID,val}`},
-	} {
+	for _, v := range benchViews {
 		if _, err := e.AddView(v[0], pattern.MustParse(v[1])); err != nil {
 			t.Fatal(err)
 		}

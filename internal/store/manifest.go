@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // Manifest describes one checkpoint: a consistent on-disk image of the
@@ -63,27 +64,18 @@ func NewManifest(lsn uint64) *Manifest {
 	return &Manifest{Format: manifestFormat, LSN: lsn}
 }
 
-// AddView appends a view entry, hashing its snapshot image.
-func (m *Manifest) AddView(name, pattern string, snapshot []byte) {
-	m.Views = append(m.Views, ManifestView{
-		Name:    name,
-		Pattern: pattern,
-		Hash:    HashBytes(snapshot),
-		Bytes:   int64(len(snapshot)),
-	})
+// AddView appends a view entry for the snapshot image that went through d.
+func (m *Manifest) AddView(name, pattern string, d *Digest) {
+	m.Views = append(m.Views, ManifestView{Name: name, Pattern: pattern, Hash: d.Hash(), Bytes: d.Bytes()})
 }
 
-// SetDoc records the document image's hash and size.
-func (m *Manifest) SetDoc(doc []byte) {
-	m.DocHash = HashBytes(doc)
-	m.DocBytes = int64(len(doc))
-}
+// SetDoc records the hash and size of the document image that went
+// through d.
+func (m *Manifest) SetDoc(d *Digest) { m.DocHash, m.DocBytes = d.Hash(), d.Bytes() }
 
-// SetOrds records the ordinal stream's hash and size.
-func (m *Manifest) SetOrds(ords []byte) {
-	m.OrdsHash = HashBytes(ords)
-	m.OrdsBytes = int64(len(ords))
-}
+// SetOrds records the hash and size of the ordinal stream that went
+// through d.
+func (m *Manifest) SetOrds(d *Digest) { m.OrdsHash, m.OrdsBytes = d.Hash(), d.Bytes() }
 
 // View returns the entry with the given name, or nil.
 func (m *Manifest) View(name string) *ManifestView {
@@ -152,6 +144,29 @@ func HashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// Digest is HashBytes for content that is streamed rather than held: a
+// writer that hashes and counts what passes through it, so a checkpoint
+// file's manifest entry is ready when its last byte is written.
+type Digest struct {
+	sum hash.Hash
+	n   int64
+}
+
+// NewDigest returns a digest of nothing yet.
+func NewDigest() *Digest { return &Digest{sum: sha256.New()} }
+
+// Write never fails.
+func (d *Digest) Write(p []byte) (int, error) {
+	d.n += int64(len(p))
+	return d.sum.Write(p)
+}
+
+// Hash returns HashBytes of everything written so far.
+func (d *Digest) Hash() string { return hex.EncodeToString(d.sum.Sum(nil)) }
+
+// Bytes returns how many bytes have been written so far.
+func (d *Digest) Bytes() int64 { return d.n }
 
 func validHash(h string) bool {
 	if len(h) != sha256.Size*2 {

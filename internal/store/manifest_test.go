@@ -5,12 +5,20 @@ import (
 	"testing"
 )
 
+// digestOf streams b through a Digest in two writes.
+func digestOf(b []byte) *Digest {
+	d := NewDigest()
+	d.Write(b[:len(b)/2])
+	d.Write(b[len(b)/2:])
+	return d
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	m := NewManifest(42)
-	m.SetDoc([]byte("<site/>"))
-	m.SetOrds([]byte{1, 2})
-	m.AddView("Q1", "//a{ID}", []byte("snapshot-1"))
-	m.AddView("Q2", "//b{ID,val}", []byte("snapshot-2"))
+	m.SetDoc(digestOf([]byte("<site/>")))
+	m.SetOrds(digestOf([]byte{1, 2}))
+	m.AddView("Q1", "//a{ID}", digestOf([]byte("snapshot-1")))
+	m.AddView("Q2", "//b{ID,val}", digestOf([]byte("snapshot-2")))
 
 	back, err := DecodeManifest(EncodeManifest(m))
 	if err != nil {
@@ -40,9 +48,9 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestDecodeManifestRejectsCorruption(t *testing.T) {
 	good := func() *Manifest {
 		m := NewManifest(7)
-		m.SetDoc([]byte("<a/>"))
-		m.SetOrds([]byte{1})
-		m.AddView("V", "//a{ID}", []byte("x"))
+		m.SetDoc(digestOf([]byte("<a/>")))
+		m.SetOrds(digestOf([]byte{1}))
+		m.AddView("V", "//a{ID}", digestOf([]byte("x")))
 		return m
 	}
 	cases := map[string]func() []byte{
@@ -67,7 +75,7 @@ func TestDecodeManifestRejectsCorruption(t *testing.T) {
 		},
 		"duplicate view": func() []byte {
 			m := good()
-			m.AddView("V", "//b{ID}", []byte("y"))
+			m.AddView("V", "//b{ID}", digestOf([]byte("y")))
 			return EncodeManifest(m)
 		},
 		"bad view hash": func() []byte {

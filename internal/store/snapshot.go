@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
@@ -18,28 +21,47 @@ const snapshotMagic = "XIVM1"
 
 // EncodeSnapshot serializes the view's live rows.
 func EncodeSnapshot(v *View) []byte {
-	var dict dewey.Dict
+	var out bytes.Buffer
+	WriteSnapshot(&out, v) // a bytes.Buffer does not fail
+	return out.Bytes()
+}
+
+// WriteSnapshot streams what EncodeSnapshot returns: w (itself when it is a
+// *bufio.Writer, which is then flushed) sees the image a buffer at a time.
+func WriteSnapshot(w io.Writer, v *View) error {
 	rows := v.Rows()
-	var body []byte
-	body = binary.AppendUvarint(body, uint64(len(rows)))
+	// The dictionary precedes the rows that use it, so a first pass hands
+	// the labels their codes, in the order the rows will meet them.
+	var dict dewey.Dict
 	for _, r := range rows {
-		body = binary.AppendUvarint(body, uint64(r.Count))
-		body = binary.AppendUvarint(body, uint64(len(r.Entries)))
 		for _, e := range r.Entries {
-			body = binary.AppendUvarint(body, uint64(e.NodeIdx))
-			body = e.ID.Encode(&dict, body)
-			body = appendString(body, e.Val)
-			body = appendString(body, e.Cont)
+			for c := e.ID.Cursor(); c.Next(); {
+				dict.Code(c.Label())
+			}
 		}
 	}
+	bw := bufio.NewWriter(w)
 	// Header: magic, dictionary, then body.
-	out := []byte(snapshotMagic)
-	out = binary.AppendUvarint(out, uint64(dict.Len()))
+	buf := []byte(snapshotMagic)
+	buf = binary.AppendUvarint(buf, uint64(dict.Len()))
 	for i := 0; i < dict.Len(); i++ {
 		label, _ := dict.Label(uint64(i))
-		out = appendString(out, label)
+		buf = appendString(buf, label)
 	}
-	return append(out, body...)
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	bw.Write(buf)
+	for _, r := range rows {
+		buf = binary.AppendUvarint(buf[:0], uint64(r.Count))
+		buf = binary.AppendUvarint(buf, uint64(len(r.Entries)))
+		for _, e := range r.Entries {
+			buf = binary.AppendUvarint(buf, uint64(e.NodeIdx))
+			buf = e.ID.Encode(&dict, buf)
+			buf = appendString(buf, e.Val)
+			buf = appendString(buf, e.Cont)
+		}
+		bw.Write(buf)
+	}
+	return bw.Flush()
 }
 
 // EncodeView is EncodeSnapshot with observability: the store's

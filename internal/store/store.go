@@ -5,9 +5,11 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
@@ -25,21 +27,24 @@ import (
 //
 // Concurrency: a Store supports any number of concurrent readers (Items,
 // Count, Inputs, Labels) alongside a single mutating writer (AddSubtrees,
-// RemoveSubtrees, AddNode, RemoveNode). Mutations never modify a
-// previously handed-out slice — merges and filters build fresh backing
-// arrays — so a reader that retained a slice across a mutation keeps
-// seeing exactly the items it was given (the snapshot read path and
-// mid-propagation delta inputs depend on this). mu makes the map and
-// slice-header swaps themselves safe, and keeps word-index invalidation
-// atomic with the relation update it reacts to.
+// RemoveSubtrees, AddNode, RemoveNode). The rule is lend, don't copy: a
+// slice handed out by Items or Inputs is immutable from then on — the next
+// mutation of that relation moves it to a fresh backing array first — so a
+// reader that retained a slice across a mutation keeps seeing exactly the
+// items it was given (mid-propagation delta inputs, Mat fills and parallel
+// propagation depend on this). A relation whose current array has not been
+// handed out is the writer's to edit: it is merged into and cut from in
+// place. mu makes the map and slice-header swaps themselves safe, orders a
+// reader's loan before the writer's next look at it, and keeps word-index
+// invalidation atomic with the relation update it reacts to.
 type Store struct {
 	doc *xmltree.Document
 
 	// mu guards rels, elems and wordIdx. Readers take RLock for the brief
-	// map/header lookup only; the slices behind the headers are immutable
-	// once published, so no lock is held while consumers iterate them.
+	// map/header lookup only; a slice behind a handed-out header is
+	// immutable, so no lock is held while consumers iterate it.
 	mu   sync.RWMutex
-	rels map[string][]algebra.Item
+	rels map[string]*relation
 
 	// elems caches the "*" relation: every element, in document order. Like
 	// wordIdx it is built on first access and dropped — under the same
@@ -85,15 +90,46 @@ func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.wordBuilds = m.Counter("store.wordidx.builds")
 }
 
+// relation is one canonical relation R_a: its items in document order, and
+// whether the array behind them is out on loan. Items sets lent under
+// RLock (hence the atomic: readers may race each other, never the writer);
+// the writer, under Lock, moves a lent relation to a fresh array before
+// changing it and edits an unlent one where it lies.
+type relation struct {
+	items []algebra.Item
+	lent  atomic.Bool
+}
+
 // New builds the canonical relations of doc.
 func New(doc *xmltree.Document) *Store {
-	s := &Store{doc: doc, rels: make(map[string][]algebra.Item)}
+	s := &Store{doc: doc, rels: make(map[string]*relation)}
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
-		s.rels[n.Label] = append(s.rels[n.Label], algebra.Item{ID: n.ID, Node: n})
+		r := s.rel(n.Label)
+		r.items = append(r.items, algebra.Item{ID: n.ID, Node: n})
 		return true
 	})
 	// Document walk is preorder, so relations are born sorted.
 	return s
+}
+
+// rel returns the relation for label, creating it empty. Callers hold mu
+// for writing (or own the store outright, as New does).
+func (s *Store) rel(label string) *relation {
+	r := s.rels[label]
+	if r == nil {
+		r = &relation{}
+		s.rels[label] = r
+	}
+	return r
+}
+
+// items reads R_label without lending it: for callers that hold mu and let
+// no reference to the array outlive the lock.
+func (s *Store) items(label string) []algebra.Item {
+	if r := s.rels[label]; r != nil {
+		return r.items
+	}
+	return nil
 }
 
 // Doc returns the indexed document.
@@ -105,8 +141,9 @@ func (s *Store) Doc() *xmltree.Document { return s.doc }
 // Word relations are served from the inverted word index; after the first
 // access for a word (and until the next mutation of a text node) no scan of
 // the text relation occurs. The returned slice is immutable: callers must
-// not modify it, and the store never will — a mutation publishes a fresh
-// slice instead, so retaining the result across mutations is safe.
+// not modify it, and the store never will — handing it out marks the
+// relation lent, and a mutation of a lent relation publishes a fresh slice
+// instead, so retaining the result across mutations is safe.
 func (s *Store) Items(label string) []algebra.Item {
 	if word, isWord := strings.CutPrefix(label, "~"); isWord {
 		return s.wordItems(word)
@@ -119,8 +156,13 @@ func (s *Store) Items(label string) []algebra.Item {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.scanItems.Add(int64(len(s.rels[label])))
-	return s.rels[label]
+	r := s.rels[label]
+	if r == nil {
+		return nil
+	}
+	r.lent.Store(true)
+	s.scanItems.Add(int64(len(r.items)))
+	return r.items
 }
 
 // Count returns |R_label| without scanning: word labels are a length lookup
@@ -135,7 +177,7 @@ func (s *Store) Count(label string) int {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.rels[label])
+	return len(s.items(label))
 }
 
 // elemItems serves R_* from its cache, building it on a cold access by
@@ -153,9 +195,9 @@ func (s *Store) elemItems() []algebra.Item {
 	defer s.mu.Unlock()
 	if !s.elemsOK {
 		s.elems = nil
-		for label, items := range s.rels {
+		for label, r := range s.rels {
 			if isElementLabel(label) {
-				s.elems = append(s.elems, items...)
+				s.elems = append(s.elems, r.items...)
 			}
 		}
 		sortItems(s.elems)
@@ -183,8 +225,9 @@ func (s *Store) wordItems(word string) []algebra.Item {
 		return out
 	}
 	s.scanCount.Inc()
-	s.scanItems.Add(int64(len(s.rels[xmltree.TextLabel])))
-	for _, it := range s.rels[xmltree.TextLabel] {
+	text := s.items(xmltree.TextLabel)
+	s.scanItems.Add(int64(len(text)))
+	for _, it := range text {
 		if it.Node != nil && it.Node.MatchesWord(word) {
 			out = append(out, it)
 		}
@@ -233,7 +276,7 @@ func (s *Store) AddSubtrees(roots []*xmltree.Node) {
 	defer s.mu.Unlock()
 	for label, items := range byLabel {
 		sortItems(items)
-		s.rels[label] = mergeSorted(s.rels[label], items)
+		s.rel(label).add(items)
 		s.invalidate(label)
 	}
 }
@@ -258,34 +301,71 @@ func sortItems(items []algebra.Item) {
 	sort.Slice(items, func(i, j int) bool { return items[i].ID.Compare(items[j].ID) < 0 })
 }
 
-// mergeSorted merges two document-ordered item lists. The merge gallops:
-// instead of comparing element by element, it binary-searches (on the cached
-// ID keys) for the splice point of each run of b inside a and moves whole
-// runs with copy. Statement-level inserts put all new items of a label under
-// a handful of parents, so runs are long and the cost is dominated by two
-// memmoves rather than |a| comparisons.
-func mergeSorted(a, b []algebra.Item) []algebra.Item {
-	if len(b) == 0 {
-		return a
+// add merges the document-ordered items b into the relation, from the back:
+// each new item's splice point is binary-searched (on the cached ID keys)
+// and the old items between two splice points move as one block. Statement-
+// level inserts put all new items of a label under a handful of parents, so
+// the cost is a few memmoves rather than |R| comparisons. An unlent relation
+// grows where it lies (amortised, like any append); a lent one is merged
+// into a fresh array and the loan ends with the old one.
+func (r *relation) add(b []algebra.Item) {
+	a := r.items
+	var dst []algebra.Item
+	if r.lent.Load() {
+		dst = make([]algebra.Item, len(a)+len(b))
+	} else {
+		dst = append(a, b...) // room; the tail is overwritten below
 	}
-	out := make([]algebra.Item, 0, len(a)+len(b))
-	i := 0
-	for j := 0; j < len(b); {
-		// Everything in a strictly before b[j] (ties keep a first, matching
-		// the stable element-wise merge).
-		k := i + sort.Search(len(a)-i, func(x int) bool { return a[i+x].ID.Compare(b[j].ID) > 0 })
-		out = append(out, a[i:k]...)
-		i = k
-		// The run of b that fits before a[i].
-		r := j + 1
-		for r < len(b) && (i >= len(a) || b[r].ID.Compare(a[i].ID) < 0) {
-			r++
-		}
-		out = append(out, b[j:r]...)
-		j = r
+	rest := len(a) // a[:rest] are old items not yet in place
+	for j := len(b) - 1; j >= 0; j-- {
+		// Everything in a up to and including b[j]'s equals stays before it
+		// (ties keep a first, matching the stable element-wise merge).
+		at := sort.Search(rest, func(i int) bool { return a[i].ID.Compare(b[j].ID) > 0 })
+		copy(dst[at+j+1:], a[at:rest])
+		dst[at+j] = b[j]
+		rest = at
 	}
-	return append(out, a[i:]...)
+	copy(dst, a[:rest])
+	r.items = dst
+	r.lent.Store(false)
 }
+
+// cut removes, for each of the sorted keys, the block of items that starts
+// at the key and that match accepts — strings.HasPrefix for a whole
+// subtree, equality for one node — found by binary search rather than by
+// probing every item. An unlent relation is closed up where it lies; a lent
+// one (Items hands the backing array out by reference, and delta inputs,
+// Mat fills and readers under parallel propagation have to keep seeing
+// what they were given) has its survivors copied to a fresh array. When
+// nothing matches, the relation and its loan are left as they are.
+func (r *relation) cut(keys []string, match func(itemKey, key string) bool) {
+	a := r.items
+	dst := a
+	kept, from := 0, 0 // dst[:kept] is settled, a[from:] still to be sifted
+	for _, key := range keys {
+		lo := from + sort.Search(len(a)-from, func(i int) bool { return a[from+i].ID.Key() >= key })
+		hi := lo + sort.Search(len(a)-lo, func(i int) bool { return !match(a[lo+i].ID.Key(), key) })
+		if hi == lo {
+			continue
+		}
+		if from == 0 && r.lent.Load() {
+			dst = make([]algebra.Item, len(a)-(hi-lo))
+		}
+		kept += copy(dst[kept:], a[from:lo])
+		from = hi
+	}
+	if from == 0 {
+		return
+	}
+	kept += copy(dst[kept:], a[from:])
+	if !r.lent.Load() {
+		clear(a[kept:])
+	}
+	r.items = dst[:kept]
+	r.lent.Store(false)
+}
+
+func keyEqual(itemKey, key string) bool { return itemKey == key }
 
 // AddNode registers exactly one node in the canonical relations, ignoring
 // its subtree — the node-at-a-time path IVMA maintains. The item points at
@@ -294,86 +374,62 @@ func (s *Store) AddNode(n *xmltree.Node) {
 	it := []algebra.Item{{ID: n.ID, Node: n}}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rels[n.Label] = mergeSorted(s.rels[n.Label], it)
+	s.rel(n.Label).add(it)
 	s.invalidate(n.Label)
 }
 
 // RemoveNode drops exactly one node from the canonical relations, leaving
 // its subtree's entries to their own removals.
 func (s *Store) RemoveNode(n *xmltree.Node) {
-	gone := map[string]bool{n.ID.Key(): true}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rels[n.Label] = filterOut(s.rels[n.Label], gone)
+	if r := s.rels[n.Label]; r != nil {
+		r.cut([]string{n.ID.Key()}, keyEqual)
+	}
 	s.invalidate(n.Label)
 }
 
 // RemoveSubtree drops every node of a detached subtree from the canonical
-// relations, filtering each touched relation in one pass.
+// relations.
 func (s *Store) RemoveSubtree(n *xmltree.Node) {
 	s.RemoveSubtrees([]*xmltree.Node{n})
 }
 
-// RemoveSubtrees drops every node of many detached subtrees at once: gone
-// keys are collected across all roots first, so each touched relation is
-// filtered exactly once regardless of how many subtrees were deleted.
+// RemoveSubtrees drops every node of many detached subtrees at once: from
+// the relation of every label that occurs in them, the blocks of items
+// whose key extends a root's, in one pass per relation however many
+// subtrees were deleted. Going by key rather than by the subtrees' present
+// members makes it immaterial whether one root lies inside another.
 func (s *Store) RemoveSubtrees(roots []*xmltree.Node) {
 	if len(roots) == 0 {
 		return
 	}
-	gone := map[string]map[string]bool{} // label -> ID keys
-	for _, n := range roots {
+	keys := make([]string, len(roots))
+	labels := map[string]bool{}
+	for i, n := range roots {
+		keys[i] = n.ID.Key()
 		xmltree.Walk(n, func(m *xmltree.Node) bool {
-			set := gone[m.Label]
-			if set == nil {
-				set = map[string]bool{}
-				gone[m.Label] = set
-			}
-			set[m.ID.Key()] = true
+			labels[m.Label] = true
 			return true
 		})
 	}
+	slices.Sort(keys)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for label, set := range gone {
-		s.rels[label] = filterOut(s.rels[label], set)
+	for label := range labels {
+		if r := s.rels[label]; r != nil {
+			r.cut(keys, strings.HasPrefix)
+		}
 		s.invalidate(label)
 	}
-}
-
-// filterOut returns items minus the gone keys. It must NOT compact the
-// input in place: Items() hands the backing array out by reference, so
-// previously returned slices (delta inputs, Mat fills, concurrent readers
-// under parallel propagation) have to keep seeing their original contents.
-// When nothing is removed the input is returned as is; otherwise the
-// survivors are copied into a fresh slice.
-func filterOut(items []algebra.Item, gone map[string]bool) []algebra.Item {
-	first := -1
-	for i, it := range items {
-		if gone[it.ID.Key()] {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		return items
-	}
-	out := make([]algebra.Item, first, len(items)-1)
-	copy(out, items[:first])
-	for _, it := range items[first+1:] {
-		if !gone[it.ID.Key()] {
-			out = append(out, it)
-		}
-	}
-	return out
 }
 
 // Labels returns all labels with a non-empty canonical relation.
 func (s *Store) Labels() []string {
 	s.mu.RLock()
 	out := make([]string, 0, len(s.rels))
-	for l, items := range s.rels {
-		if len(items) > 0 {
+	for l, r := range s.rels {
+		if len(r.items) > 0 {
 			out = append(out, l)
 		}
 	}

@@ -1,10 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 )
@@ -118,6 +124,101 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 		if !heldElems[i].ID.Equal(elemSnap[i].ID) {
 			t.Fatalf("held elements slice mutated at %d", i)
 		}
+	}
+}
+
+// TestUnlentRelationEditedInPlace holds the lending rule from both sides. A
+// relation nobody has read since its array was last replaced is the
+// writer's: an insert/delete pair merges into it and cuts from it where it
+// lies, so once the array has room a pair allocates no item array at all
+// (a copy per mutation, the rule before, is two per pair). A relation that
+// has been read is the reader's: the same pair leaves the held slice
+// bit-identical, length, IDs and node pointers.
+func TestUnlentRelationEditedInPlace(t *testing.T) {
+	const n = 4000
+	d := mustDoc(t, "<a>"+strings.Repeat("<b>x</b>", n)+"</a>")
+	s := New(d)
+	forest, err := xmltree.ParseForest(`<b>new</b>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Attached once for its IDs, in the middle of R_b and R_#text; the store
+	// goes by those, not by whether the subtree still hangs in the tree.
+	sub, err := d.ApplyInsert(d.Root.ElementChildren()[n/2], forest[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func() {
+		s.AddSubtree(sub)
+		s.RemoveSubtree(sub)
+	}
+	pair() // grows both relations' arrays by the one slot a pair needs
+
+	const pairs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	perPair := (after.TotalAlloc - before.TotalAlloc) / pairs
+	// One copy of one of the two relations is n items of three words.
+	if oneArray := uint64(n * 24); perPair > oneArray/4 {
+		t.Errorf("an insert/delete pair on unread relations allocated %d B; one copy of R_b is %d B", perPair, oneArray)
+	}
+	if s.Count("b") != n || s.Count("#text") != n {
+		t.Fatalf("|R_b| = %d, |R_#text| = %d after balanced pairs, want %d", s.Count("b"), s.Count("#text"), n)
+	}
+
+	held := s.Items("b")
+	want := append([]algebra.Item(nil), held...)
+	s.AddSubtree(sub)
+	if got := s.Items("b"); len(got) != n+1 || !got[n/2+1].ID.Equal(sub.ID) {
+		t.Fatalf("insert after a loan: |R_b| = %d, new item not in place", len(got))
+	}
+	s.RemoveSubtree(sub)
+	pair() // unlent again after the loan ended: back to editing in place
+	if len(held) != len(want) {
+		t.Fatalf("held slice changed length: %d, want %d", len(held), len(want))
+	}
+	for i := range want {
+		if held[i] != want[i] {
+			t.Fatalf("held Items() slice written at %d after it was lent", i)
+		}
+	}
+	s.AddSubtree(sub) // it still hangs in d
+	if diff := DiffStores(s, New(d)); diff != "" {
+		t.Fatalf("store diverged from a rebuild: %s", diff)
+	}
+}
+
+// TestRemoveSubtreesCutsByKeyPrefix: many roots in one call, one nested in
+// another, unsorted and repeated — each relation loses exactly the blocks
+// below the roots, and RemoveNode exactly one item.
+func TestRemoveSubtreesCutsByKeyPrefix(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("<a>")
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&src, "<c><b>%d</b><c><b>n</b></c></c>", i)
+	}
+	src.WriteString("</a>")
+	d := mustDoc(t, src.String())
+	s := New(d)
+	cs := d.Root.ElementChildren()
+	roots := []*xmltree.Node{cs[9], cs[2], cs[2].ElementChildren()[1], cs[5], cs[9]}
+	for _, r := range []*xmltree.Node{cs[9], cs[5], cs[2]} {
+		if _, err := d.ApplyDelete(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RemoveSubtrees(roots)
+	if diff := DiffStores(s, New(d)); diff != "" {
+		t.Fatalf("after RemoveSubtrees: %s", diff)
+	}
+	one := d.Root.ElementChildren()[0].ElementChildren()[0] // a b, with its text below it
+	s.RemoveNode(one)
+	if s.Count("b") != 2*9-1 || s.Count("#text") != 2*9 {
+		t.Fatalf("RemoveNode: |R_b| = %d, |R_#text| = %d", s.Count("b"), s.Count("#text"))
 	}
 }
 
@@ -284,6 +385,35 @@ func TestViewRemoveReplaceCompact(t *testing.T) {
 	}
 }
 
+// TestReplaceLeavesHandedOutRowsAlone: stored rows are immutable, so what
+// Rows (an epoch's view rows) and Get handed out before a refresh keeps the
+// val and cont it had, and the view serves the new ones.
+func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
+	p := pattern.MustParse(`//a{ID,val,cont}`)
+	d := mustDoc(t, `<r><a>x</a><a>y</a></r>`)
+	v := NewMaterializedView(p, algebra.Materialize(d, p))
+	rows := v.Rows()
+	key := rows[0].Key()
+	got, _ := v.Get(key)
+	gen := v.Generation()
+	if !v.Replace(key, func(r *algebra.Row) {
+		r.Entries[0].Val, r.Entries[0].Cont = "z", "<a>z</a>"
+	}) {
+		t.Fatal("replace failed")
+	}
+	for _, old := range []algebra.Row{rows[0], got} {
+		if e := old.Entries[0]; e.Val != "x" || e.Cont != "<a>x</a>" {
+			t.Fatalf("a row handed out before Replace now reads val %q cont %q", e.Val, e.Cont)
+		}
+	}
+	if e := v.Rows()[0].Entries[0]; e.Val != "z" || e.Cont != "<a>z</a>" {
+		t.Fatalf("view serves val %q cont %q after Replace", e.Val, e.Cont)
+	}
+	if v.Generation() == gen {
+		t.Fatal("Replace did not move the generation")
+	}
+}
+
 func TestRowsBindingUnder(t *testing.T) {
 	p := pattern.MustParse(`//a{ID}//b{ID}`)
 	d := mustDoc(t, doc1)
@@ -341,6 +471,59 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	v2 := NewMaterializedView(p, rows)
 	if !v2.EqualRows(v.Rows()) {
 		t.Fatal("snapshot round trip lost rows")
+	}
+}
+
+// encodeSnapshotWhole is the encoder WriteSnapshot replaced, kept as its
+// reference: one pass, the body built whole and the dictionary it filled
+// put in front of it afterwards.
+func encodeSnapshotWhole(v *View) []byte {
+	var dict dewey.Dict
+	rows := v.Rows()
+	var body []byte
+	body = binary.AppendUvarint(body, uint64(len(rows)))
+	for _, r := range rows {
+		body = binary.AppendUvarint(body, uint64(r.Count))
+		body = binary.AppendUvarint(body, uint64(len(r.Entries)))
+		for _, e := range r.Entries {
+			body = binary.AppendUvarint(body, uint64(e.NodeIdx))
+			body = e.ID.Encode(&dict, body)
+			body = appendString(body, e.Val)
+			body = appendString(body, e.Cont)
+		}
+	}
+	out := []byte(snapshotMagic)
+	out = binary.AppendUvarint(out, uint64(dict.Len()))
+	for i := 0; i < dict.Len(); i++ {
+		label, _ := dict.Label(uint64(i))
+		out = appendString(out, label)
+	}
+	return append(out, body...)
+}
+
+// TestWriteSnapshotMatchesWholeEncoder: streaming a snapshot — labels coded
+// in a first pass, rows written as they are encoded — produces the bytes
+// the one-pass encoder did: for an empty view, for many-label multi-entry
+// rows, and for an image several write buffers long.
+func TestWriteSnapshotMatchesWholeEncoder(t *testing.T) {
+	d := mustDoc(t, `<site><people>`+strings.Repeat(`<person id="p1"><name>Ann &amp; co</name><x><name>deep</name></x></person><person id="p2"><name>Bob</name></person>`, 200)+`</people><b/></site>`)
+	longest := 0
+	for _, src := range []string{
+		`//person{ID,val}//name{ID,cont}`,
+		`/site{ID}/people{ID}/person{ID}[/@id{ID,val}]//name{ID,val,cont}`,
+		`//b{ID,cont}`,
+		`//nothing{ID}`,
+	} {
+		p := pattern.MustParse(src)
+		v := NewMaterializedView(p, algebra.Materialize(d, p))
+		want := encodeSnapshotWhole(v)
+		if got := EncodeSnapshot(v); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeSnapshot differs from the one-pass encoding (%d bytes)", src, len(want))
+		}
+		longest = max(longest, len(want))
+	}
+	if longest < 3*4096 {
+		t.Fatalf("longest image is %d bytes: no case crossed a write buffer", longest)
 	}
 }
 

@@ -1,13 +1,17 @@
 package store
 
 import (
+	"slices"
+
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 )
 
 // View is a materialized view: a tree pattern plus its stored rows keyed by
-// row identity, each with a derivation count.
+// row identity, each with a derivation count. A stored row's Entries are
+// immutable once in the view: Get, Each and Rows lend them out as they are,
+// and Replace refreshes a copy.
 type View struct {
 	Pattern *pattern.Pattern
 	byKey   map[string]int
@@ -102,13 +106,15 @@ func (v *View) Remove(key string) bool {
 
 // Replace overwrites the stored row with the same identity key (used by the
 // tuple-modification algorithms to refresh val/cont without touching the
-// derivation count).
+// derivation count). update is handed the row with a private copy of its
+// Entries, so rows handed out earlier keep the values they had.
 func (v *View) Replace(key string, update func(*algebra.Row)) bool {
 	i, ok := v.byKey[key]
 	if !ok || v.rows[i].Count <= 0 {
 		return false
 	}
 	v.gen++
+	v.rows[i].Entries = slices.Clone(v.rows[i].Entries)
 	update(&v.rows[i])
 	return true
 }
@@ -125,7 +131,8 @@ func (v *View) Each(f func(algebra.Row) bool) {
 }
 
 // Rows returns the live rows sorted in the order dictated by the IDs of all
-// bindings, as the paper's s operator specifies.
+// bindings, as the paper's s operator specifies. The slice is the caller's;
+// the rows' Entries are the view's own and must not be written.
 func (v *View) Rows() []algebra.Row {
 	out := make([]algebra.Row, 0, v.size)
 	v.Each(func(r algebra.Row) bool {

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,11 +36,18 @@ func parseCkptName(name string) (uint64, bool) {
 	return lsn, true
 }
 
+// ckptBufBytes is all of a checkpoint file that is in memory at once: the
+// document, its ordinal stream and each view are serialized through a
+// buffer this size, each flush going to the file and into the file's
+// running hash.
+const ckptBufBytes = 32 << 10
+
 // writeCheckpoint writes a complete checkpoint of the engine — the document
-// as canonical XML plus every managed view via store.EncodeSnapshot, bound
+// as canonical XML plus every managed view via store.WriteSnapshot, bound
 // together by a hashed manifest — into dir/checkpoint-<lsn>, atomically:
 // everything lands in a tmp directory, every file is fsynced, and a single
-// rename publishes it.
+// rename publishes it. A crash between two flushes of one file leaves what
+// a crash between two files does: a tmp directory.
 func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sources map[string]string, lsn uint64) error {
 	final := filepath.Join(dir, ckptName(lsn))
 	tmp := final + ckptTmpExt
@@ -49,51 +58,60 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sourc
 		return err
 	}
 	var total int64
-	writeFile := func(name string, data []byte) error {
+	buf := bufio.NewWriterSize(nil, ckptBufBytes)
+	// writeFile streams what fill writes into the named file and returns
+	// the digest of exactly the bytes the file was given.
+	writeFile := func(name string, fill func(io.Writer) error) (*store.Digest, error) {
 		f, err := fsys.OpenFile(filepath.Join(tmp, name), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := f.Write(data); err != nil {
+		d := store.NewDigest()
+		buf.Reset(io.MultiWriter(f, d))
+		if err := fill(buf); err != nil {
 			f.Close()
-			return err
+			return nil, err
+		}
+		if err := buf.Flush(); err != nil {
+			f.Close()
+			return nil, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
 		m.fsyncCount.Inc()
-		total += int64(len(data))
-		return f.Close()
+		total += d.Bytes()
+		return d, f.Close()
 	}
-
 	man := store.NewManifest(lsn)
 	man.EngineVersion = eng.Version()
-	doc := []byte(eng.Doc.String())
-	man.SetDoc(doc)
-	if err := writeFile("doc.xml", doc); err != nil {
+	d, err := writeFile("doc.xml", eng.Doc.Serialize)
+	if err != nil {
 		return err
 	}
+	man.SetDoc(d)
 	// The ordinal stream makes restore ID-exact: a reparse of doc.xml plus
 	// ApplyOrds reproduces the live engine's Dewey IDs byte for byte, so the
 	// view snapshots below can carry the live rows as-is — and a restored
 	// process (recovery or a replication follower) serves the same IDs the
 	// live one does.
-	ords := eng.Doc.EncodeOrds()
-	man.SetOrds(ords)
-	if err := writeFile("doc.ords", ords); err != nil {
+	if d, err = writeFile("doc.ords", eng.Doc.WriteOrds); err != nil {
 		return err
 	}
+	man.SetOrds(d)
 	for _, mv := range eng.Views {
-		snap := store.EncodeSnapshot(store.NewMaterializedView(mv.Pattern, mv.View.Rows()))
-		man.AddView(mv.Name, sources[mv.Name], snap)
-		if err := writeFile(mv.Name+".xivm", snap); err != nil {
+		if d, err = writeFile(mv.Name+".xivm", func(w io.Writer) error { return store.WriteSnapshot(w, mv.View) }); err != nil {
 			return err
 		}
+		man.AddView(mv.Name, sources[mv.Name], d)
 	}
 	// The manifest goes last: its presence implies every file it names was
 	// already written and fsynced.
-	if err := writeFile("MANIFEST", store.EncodeManifest(man)); err != nil {
+	if _, err := writeFile("MANIFEST", func(w io.Writer) error {
+		_, err := w.Write(store.EncodeManifest(man))
+		return err
+	}); err != nil {
 		return err
 	}
 	if err := fsys.SyncDir(tmp); err != nil {

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"xivm/internal/algebra"
@@ -214,6 +216,80 @@ func TestCrashTornBytesVariants(t *testing.T) {
 				t.Fatalf("torn=%d at=%d: recovered prefix %d < acked %d", torn, at, k, acked)
 			}
 			re.Close()
+		}
+	}
+}
+
+// TestCrashBetweenCheckpointFlushes kills a checkpoint at every filesystem
+// operation it makes, on a document several buffers long: doc.xml reaches
+// the disk in more than one write, and a crash between two of them — like a
+// crash between two files — must leave nothing but a tmp directory. The
+// reopened database stands on the older checkpoint plus the log, holds the
+// acknowledged statement, and has swept the debris.
+func TestCrashBetweenCheckpointFlushes(t *testing.T) {
+	doc := []byte(xmark.Generate(xmark.Config{TargetBytes: 4 * ckptBufBytes, Seed: 3}))
+	const stmt = `insert <person id="personX"><name>Nova Quinn</name></person> into /site/people`
+	// script runs up to the checkpoint and reports the operation count just
+	// before it.
+	script := func(dir string, ffs *FailFS) (before int, err error) {
+		db, err := Create(dir, doc, Options{Sync: SyncAlways, FS: ffs, Metrics: obs.New()})
+		if err != nil {
+			return 0, err
+		}
+		defer db.Close()
+		if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
+			return 0, err
+		}
+		st, err := update.Parse(stmt)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := db.Apply(st); err != nil {
+			return 0, err
+		}
+		return ffs.Ops(), db.Checkpoint()
+	}
+	probeDir := t.TempDir()
+	probe := NewFailFS(OSFS)
+	first, err := script(probeDir, probe)
+	if err != nil {
+		t.Fatalf("probe run failed: %v", err)
+	}
+	last := probe.Ops()
+	re, err := Open(probeDir, Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := re.Engine().Doc.String()
+	re.Close()
+	if len(want) < 3*ckptBufBytes {
+		t.Fatalf("document is %d bytes, too short to be flushed more than once", len(want))
+	}
+
+	for at := first; at < last; at++ {
+		dir := t.TempDir()
+		ffs := NewFailFS(OSFS)
+		ffs.CrashAt = at
+		if _, err := script(dir, ffs); !errors.Is(err, ErrCrash) {
+			t.Fatalf("crash at op %d: unexpected error %v", at, err)
+		}
+		re, err := Open(dir, Options{Metrics: obs.New()})
+		if err != nil {
+			t.Fatalf("crash at op %d: recovery failed: %v", at, err)
+		}
+		if re.Engine().Doc.String() != want {
+			t.Fatalf("crash at op %d: recovered document lost the acknowledged statement", at)
+		}
+		checkViews(t, re)
+		re.Close()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ckptTmpExt) {
+				t.Fatalf("crash at op %d: %s survived Open", at, e.Name())
+			}
 		}
 	}
 }

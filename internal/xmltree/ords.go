@@ -1,8 +1,11 @@
 package xmltree
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 
 	"xivm/internal/dewey"
 )
@@ -24,20 +27,29 @@ import (
 // with the serialized XML (which fixes structure, labels and order) this
 // reconstructs every node's exact structural ID.
 func (d *Document) EncodeOrds() []byte {
-	var out []byte
+	var out bytes.Buffer
+	d.WriteOrds(&out) // a bytes.Buffer does not fail
+	return out.Bytes()
+}
+
+// WriteOrds streams what EncodeOrds returns: w (itself when it is a
+// *bufio.Writer, which is then flushed) sees the stream a buffer at a time.
+func (d *Document) WriteOrds(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	var num [binary.MaxVarintLen64]byte
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		ord := n.ownOrd()
-		out = binary.AppendUvarint(out, uint64(len(ord)))
+		bw.Write(binary.AppendUvarint(num[:0], uint64(len(ord))))
 		for _, c := range ord {
-			out = binary.AppendUvarint(out, c)
+			bw.Write(binary.AppendUvarint(num[:0], c))
 		}
 		for _, c := range n.Children {
 			walk(c)
 		}
 	}
 	walk(d.Root)
-	return out
+	return bw.Flush()
 }
 
 // ApplyOrds reassigns every node's structural ID from an ordinal stream

@@ -1,16 +1,27 @@
 package xmltree
 
 import (
+	"bufio"
 	"io"
 	"strings"
 )
 
-// Serialize writes the document as XML text.
+// xmlSink is what the serializer writes to: a strings.Builder for String, a
+// bufio.Writer for Serialize. Neither reports an error per call — a
+// bufio.Writer keeps its first one for Flush.
+type xmlSink interface {
+	WriteByte(byte) error
+	WriteRune(rune) (int, error)
+	WriteString(string) (int, error)
+}
+
+// Serialize writes the document as XML text, streaming: what is held at any
+// moment is one buffer (w itself when it is a *bufio.Writer, which is then
+// flushed), never the whole text.
 func (d *Document) Serialize(w io.Writer) error {
-	var b strings.Builder
-	serializeNode(&b, d.Root)
-	_, err := io.WriteString(w, b.String())
-	return err
+	bw := bufio.NewWriter(w)
+	serializeNode(bw, d.Root)
+	return bw.Flush()
 }
 
 // String returns the serialized document.
@@ -20,7 +31,7 @@ func (d *Document) String() string {
 	return b.String()
 }
 
-func serializeNode(b *strings.Builder, n *Node) {
+func serializeNode(b xmlSink, n *Node) {
 	switch n.Kind {
 	case Text:
 		escapeText(b, n.Value)
@@ -52,7 +63,7 @@ func serializeNode(b *strings.Builder, n *Node) {
 	}
 }
 
-func escapeText(b *strings.Builder, s string) {
+func escapeText(b xmlSink, s string) {
 	for _, r := range s {
 		switch r {
 		case '&':
@@ -67,7 +78,7 @@ func escapeText(b *strings.Builder, s string) {
 	}
 }
 
-func escapeAttr(b *strings.Builder, s string) {
+func escapeAttr(b xmlSink, s string) {
 	for _, r := range s {
 		switch r {
 		case '&':
