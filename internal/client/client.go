@@ -9,6 +9,11 @@
 //	db := c.DB("tenant1")
 //	db.Update(ctx, `insert <x/> into /site`)
 //	db.View(ctx, "Q1")
+//
+// The responses of DB.View and DB.XPath are decoded in place
+// (server/decode.go): their strings are substrings of the one buffer the
+// body was read into. Holding a single ID or value therefore holds the
+// whole body; strings.Clone what must outlive the response.
 package client
 
 import (
@@ -20,9 +25,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"xivm/internal/server"
 )
@@ -176,9 +183,14 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 			// The server said how long the body is: read it into one buffer
 			// of that size, where a streaming decoder would grow its own by
 			// doubling, allocating the body several times over.
-			raw := make([]byte, resp.ContentLength)
-			if _, err = io.ReadFull(resp.Body, raw); err == nil {
-				err = json.Unmarshal(raw, out)
+			var raw []byte
+			if raw, err = readSized(resp.Body, resp.ContentLength); err == nil {
+				if su, ok := out.(stringUnmarshaler); ok {
+					// raw is not written again, so the response may alias it.
+					err = su.UnmarshalString(unsafe.String(unsafe.SliceData(raw), len(raw)))
+				} else {
+					err = json.Unmarshal(raw, out)
+				}
 			}
 		} else {
 			err = json.NewDecoder(resp.Body).Decode(out)
@@ -203,6 +215,37 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 		Message: env.Error.Message,
 		Tenant:  env.Error.Tenant,
 	}, nil
+}
+
+// stringUnmarshaler is what the two body-heavy read responses implement
+// (server/decode.go): decoding from a string they may keep substrings of,
+// which spares them the copy json.Unmarshal would make them take.
+type stringUnmarshaler interface{ UnmarshalString(body string) error }
+
+// maxReserve bounds what a Content-Length makes the client allocate before
+// any of the body has arrived.
+const maxReserve = 1 << 20
+
+// readSized reads the n bytes a response declared. A length up to
+// maxReserve is one exactly-sized buffer; beyond that the buffer doubles as
+// bytes arrive, so a header that lies costs what was sent, not what was
+// claimed. A body that ends early is io.ErrUnexpectedEOF.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	raw := make([]byte, 0, min(n, maxReserve))
+	for int64(len(raw)) < n {
+		if len(raw) == cap(raw) {
+			raw = slices.Grow(raw, int(min(n-int64(len(raw)), int64(len(raw)))))
+		}
+		k, err := r.Read(raw[len(raw):min(int64(cap(raw)), n)])
+		raw = raw[:len(raw)+k]
+		if err != nil && int64(len(raw)) < n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return raw, nil
 }
 
 // Health fetches GET /healthz.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"unicode/utf8"
 
 	"xivm/internal/algebra"
 	"xivm/internal/core"
@@ -29,7 +30,9 @@ func encodeJSON(t *testing.T, v any) []byte {
 // <>&, U+2028/U+2029 and control bytes included, as well as empty val, cont
 // and plan (omitempty) and zero rows — the view body, the tree-walk body and
 // the rewrite body each equal json.NewEncoder's output for the wire struct
-// built the way the handlers used to build it.
+// built the way the handlers used to build it. Each body is also the
+// decoder's input (checkRoundTrip): an encoder change decode.go does not
+// follow fails here instead of silently falling back.
 func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 	f.Add("name", "person", "Ann", "<name>Ann</name>", "//person/name", "single-view rewrite over R1", "bench", uint64(7), uint8(2))
 	f.Add("a<b>&c", "\"q\\", "x y z", "\x00\x01\x1f\x7f\b\f\n\r\t", "//a[b=\"<\"]", "", "t\xffn", uint64(0), uint8(0))
@@ -67,6 +70,11 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		if got, want := appendViewResponse(nil, snap, vs), encodeJSON(t, want); !bytes.Equal(got, want) {
 			t.Fatalf("view body\n got %q\nwant %q", got, want)
 		}
+		valid := true
+		for _, s := range []string{label, idLabel, val, cont, query, plan, tenant} {
+			valid = valid && utf8.ValidString(s)
+		}
+		checkRoundTrip(t, appendViewResponse(nil, snap, vs), want, valid)
 
 		// Tree-walk body: an element whose string value spans two text nodes
 		// (an escape may straddle them) around an attribute and a nested
@@ -97,6 +105,7 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		if want := encodeJSON(t, xr); !bytes.Equal(walk, want) {
 			t.Fatalf("walk body\n got %q\nwant %q", walk, want)
 		}
+		checkRoundTrip(t, walk, xr, valid)
 
 		// Rewrite body: rows projected onto one stored node. Without explain
 		// the plan stays out, whatever it is.
@@ -111,5 +120,6 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		if want := encodeJSON(t, xr); !bytes.Equal(rewritten, want) {
 			t.Fatalf("rewrite body\n got %q\nwant %q", rewritten, want)
 		}
+		checkRoundTrip(t, rewritten, xr, valid)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -18,8 +19,11 @@ import (
 // served again from the result cache — answers a body of the declared
 // Content-Length that is exactly what encoding/json makes of the wire
 // struct it decodes to; a query that cannot be evaluated answers the typed
-// error envelope, not a cut-off 200.
+// error envelope, not a cut-off 200. On the way in, every one of those
+// bodies is decoded by decode.go's scanner, never by its fallback, to what
+// encoding/json alone makes of the same bytes.
 func TestReadBodiesOverHTTP(t *testing.T) {
+	declined := decodeDeclined.Load()
 	reg, _ := newRewriteRegistry(t, nil)
 	ts := httptest.NewServer(reg.Handler())
 	t.Cleanup(ts.Close)
@@ -52,6 +56,12 @@ func TestReadBodiesOverHTTP(t *testing.T) {
 		if want := encodeJSON(t, into); !bytes.Equal(body, want) {
 			t.Fatalf("GET %s:\n got %s\nwant %s", path, body, want)
 		}
+		switch got := into.(type) {
+		case *ViewResponse:
+			checkAgainstLibrary(t, body, *got)
+		case *XPathResponse:
+			checkAgainstLibrary(t, body, *got)
+		}
 	}
 
 	for _, v := range rewriteViewSpecs() {
@@ -73,6 +83,30 @@ func TestReadBodiesOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || status != http.StatusBadRequest ||
 		er.Error.Code != CodeBadRequest || h.Get("Content-Type") != "application/json" {
 		t.Fatalf("malformed query: status %d, body %s (err %v)", status, body, err)
+	}
+	if n := decodeDeclined.Load() - declined; n != 0 {
+		t.Fatalf("%d bodies the handlers wrote were declined by the decoder and fell back to encoding/json", n)
+	}
+}
+
+// checkAgainstLibrary compares what json.Unmarshal made of a body through
+// the type's UnmarshalJSON, and what its UnmarshalString makes of it, with
+// encoding/json's own decode.
+func checkAgainstLibrary[T ViewResponse | XPathResponse, P interface {
+	*T
+	UnmarshalString(string) error
+}](t *testing.T, body []byte, viaJSON T) {
+	t.Helper()
+	want, err := libDecode[T](body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaString T
+	if err := P(&viaString).UnmarshalString(string(body)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(viaJSON, want) || !reflect.DeepEqual(viaString, want) {
+		t.Fatalf("body %s\nUnmarshalJSON   %+v\nUnmarshalString %+v\nencoding/json   %+v", body, viaJSON, viaString, want)
 	}
 }
 
