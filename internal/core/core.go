@@ -539,6 +539,9 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 		if err != nil {
 			return nil, err
 		}
+		// Membership stays pre-update; content must not: the relations' items
+		// for the spine nodes the insertion copied now read the copies.
+		e.Store.Repoint(applied.Replaced)
 		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
 			return e.propagateInsert(mv, pul, applied)
 		})
@@ -573,7 +576,7 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 			e.recomputeFallback(rep.Views[i].View)
 		}
 	}
-	for mv := range flippedViews(probes) {
+	for mv := range e.flippedViews(probes) {
 		e.m.predFlips.Inc()
 		e.recomputeFallback(mv)
 		for i := range rep.Views {

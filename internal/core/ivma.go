@@ -26,6 +26,10 @@ type IVMA struct {
 }
 
 // NewIVMA wraps an engine whose views will be maintained node-at-a-time.
+// Between the document update and each node's own pass the store still
+// holds the pre-update nodes by pointer and expects them to show the
+// update, so IVMA runs only on a document that is never published
+// (Engine.Snapshot), which the mutators edit in place.
 func NewIVMA(e *Engine) *IVMA { return &IVMA{Engine: e} }
 
 // ApplyStatement applies the statement to the document and propagates it to

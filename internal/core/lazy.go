@@ -38,7 +38,10 @@ type Lazy struct {
 
 // NewLazy wraps an engine in deferred-propagation mode. Statements must go
 // through Lazy.Apply; mixing in direct Engine.ApplyStatement calls while a
-// batch is pending would propagate against half-updated state.
+// batch is pending would propagate against half-updated state. A batch
+// tracks the nodes it inserted by pointer (see Flush), so Lazy runs only on
+// a document that is never published (Engine.Snapshot): there a node keeps
+// its pointer for life.
 func NewLazy(e *Engine) *Lazy {
 	if e.pool != nil {
 		panic("core: deferred propagation is incompatible with SharedSnowcaps")
@@ -177,7 +180,7 @@ func (l *Lazy) Flush() (time.Duration, error) {
 		l.flushView(mv, inserted, insAlive)
 	}
 
-	for mv := range flippedViews(l.probes) {
+	for mv := range e.flippedViews(l.probes) {
 		e.recomputeFallback(mv)
 	}
 
@@ -234,8 +237,8 @@ func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAl
 		if !e.opts.DisableIDPruning {
 			points := make([]*xmltree.Node, 0, len(insAlive))
 			for _, r := range insAlive {
-				if r.Parent != nil {
-					points = append(points, r.Parent)
+				if p := e.Doc.NodeByID(r.ID.Parent()); p != nil {
+					points = append(points, p)
 				}
 			}
 			terms = PruneByInsertionPoints(p, terms, points)

@@ -40,9 +40,6 @@ func WithParallel() Option { return func(o *Options) { o.Parallel = true } }
 // WithSharedSnowcaps deduplicates snowcap materializations across views.
 func WithSharedSnowcaps() Option { return func(o *Options) { o.SharedSnowcaps = true } }
 
-// WithProfile supplies the update profile driving PolicyCost.
-func WithProfile(p UpdateProfile) Option { return func(o *Options) { o.Profile = p } }
-
 // WithIndependencePrecheck installs a static update/view independence test;
 // statements it proves independent of a view skip that view entirely.
 func WithIndependencePrecheck(f func(*pattern.Pattern, *update.Statement) bool) Option {
@@ -62,14 +59,6 @@ func WithTracer(t obs.Tracer) Option { return func(o *Options) { o.Tracer = t } 
 // this to append statements to its log ahead of propagation.
 func WithJournal(f func(st *update.Statement) error) Option {
 	return func(o *Options) { o.Journal = f }
-}
-
-// WithOnApplied subscribes f to the applied-statement delta stream: it
-// runs after each statement (or batch unit) has landed in the document and
-// every view, with the engine version that covers it. See
-// Options.OnApplied for the contiguity contract consumers rely on.
-func WithOnApplied(f func(sts []*update.Statement, version uint64)) Option {
-	return func(o *Options) { o.OnApplied = f }
 }
 
 // SetOnApplied installs (or replaces) the applied-statement hook after

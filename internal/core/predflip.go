@@ -1,9 +1,9 @@
 package core
 
 import (
+	"xivm/internal/dewey"
 	"xivm/internal/store"
 	"xivm/internal/update"
-	"xivm/internal/xmltree"
 )
 
 // Value predicates apply to the string value of a node — the concatenation
@@ -14,10 +14,13 @@ import (
 // the update, the σ membership of the (few) predicate-labeled ancestors of
 // the update targets — and fall back to recomputing the affected view when
 // a flip actually occurred. Benchmarks never trigger it; random tests do.
+//
+// A probe remembers its node by ID: on a published document the update
+// leaves the node it was taken from as it was and puts a copy in its place.
 
 type predProbe struct {
 	view    *ManagedView
-	node    *xmltree.Node
+	id      dewey.ID
 	predVal string
 	sat     bool
 }
@@ -26,14 +29,14 @@ type predProbe struct {
 // predicate, the current σ membership of each label-compatible self-or-
 // ancestor of the update targets.
 func (e *Engine) snapshotPredicates(pul *update.PUL) []predProbe {
-	var targets []*xmltree.Node
+	var targets []dewey.ID
 	if pul.Kind == update.Insert {
-		targets = pul.InsertionPoints()
+		for _, pi := range pul.Inserts {
+			targets = append(targets, pi.Target.ID)
+		}
 	} else {
 		for _, n := range pul.Deletes {
-			if n.Parent != nil {
-				targets = append(targets, n.Parent)
-			}
+			targets = append(targets, n.ID.Parent())
 		}
 	}
 	var probes []predProbe
@@ -42,17 +45,18 @@ func (e *Engine) snapshotPredicates(pul *update.PUL) []predProbe {
 			if !pn.HasPred {
 				continue
 			}
-			seen := map[*xmltree.Node]bool{}
+			seen := map[string]bool{}
 			for _, t := range targets {
-				for s := t; s != nil; s = s.Parent {
-					if seen[s] {
-						break // the rest of the chain was captured already
+				// Self and ancestors, nearest first: every one is an element.
+				for id := t; !id.IsNull() && !seen[id.Key()]; id = id.Parent() {
+					seen[id.Key()] = true // the rest of the chain follows, or was captured already
+					if pn.Label != "*" && pn.Label != id.Label() {
+						continue
 					}
-					seen[s] = true
-					if pn.Label == s.Label || (pn.Label == "*" && s.Kind == xmltree.Element) {
+					if s := e.Doc.NodeByID(id); s != nil {
 						probes = append(probes, predProbe{
 							view:    mv,
-							node:    s,
+							id:      id,
 							predVal: pn.PredVal,
 							sat:     s.StringValue() == pn.PredVal,
 						})
@@ -65,11 +69,11 @@ func (e *Engine) snapshotPredicates(pul *update.PUL) []predProbe {
 }
 
 // flippedViews rechecks the probes after the update and returns the views
-// whose σ membership changed for at least one existing node.
-func flippedViews(probes []predProbe) map[*ManagedView]bool {
+// whose σ membership changed for at least one node that is still there.
+func (e *Engine) flippedViews(probes []predProbe) map[*ManagedView]bool {
 	out := map[*ManagedView]bool{}
 	for _, pr := range probes {
-		if (pr.node.StringValue() == pr.predVal) != pr.sat {
+		if s := e.Doc.NodeByID(pr.id); s != nil && (s.StringValue() == pr.predVal) != pr.sat {
 			out[pr.view] = true
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // Snapshot is an immutable, self-contained image of the engine at one
 // version: every view's rows (lent by the live view, whose stored rows are
 // immutable — a later refresh replaces a row, it does not write into one),
-// an image of the document, and the version counter identifying the state.
+// the document as it stood (the writer's own tree, frozen: later mutations
+// copy what they touch), and the version counter identifying the state.
 // A Snapshot is safe for unlimited concurrent readers and never changes
 // after Engine.Snapshot returns — the epoch-published read path
 // (internal/server) swaps an atomic pointer to the latest one after each
@@ -36,10 +37,10 @@ type Snapshot struct {
 	// previous snapshot because the view had not changed since.
 	ViewsReused int
 
-	// doc is an ID-preserving image of the document (xmltree.Snapshot; not
-	// a serialized reparse, which would compact the Dewey IDs assigned by
-	// the mutation history and make XPath results disagree with the view
-	// rows captured in the same snapshot).
+	// doc is the document's epoch (xmltree.Snapshot): the writer's nodes and
+	// IDs themselves, not a serialized reparse, which would compact the
+	// Dewey IDs assigned by the mutation history and make XPath results
+	// disagree with the view rows captured in the same snapshot.
 	doc *xmltree.Document
 
 	xmlOnce sync.Once
@@ -70,9 +71,9 @@ type published struct {
 // thread that owns the engine (the single writer), between mutations —
 // exactly where internal/server's apply loop calls it. The returned value
 // is immutable and may be shared with any number of concurrent readers.
-// The first capture costs O(|document| + Σ|view rows|); every later one
-// costs what changed since the one before — O(depth × fan-out + |delta|)
-// document nodes (xmltree.Snapshot) plus the rows of the views that moved.
+// The document costs O(1) — the mutations since the capture before paid
+// for it, O(depth × fan-out + |delta|) nodes each (xmltree.Snapshot) — and
+// the views cost the rows of those that moved; the first capture, all rows.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version: e.Version(),
@@ -101,10 +102,11 @@ func (s *Snapshot) View(name string) *ViewSnapshot {
 	return nil
 }
 
-// Doc returns the snapshot's document image. Its nodes carry the IDs the
-// live tree had at capture time, so rows in the same snapshot resolve
-// against it, and no Parent pointers (xmltree.ParentIn resolves one).
-// Shared by all readers of this and neighbouring snapshots; read-only.
+// Doc returns the snapshot's document epoch. Its nodes are the ones the
+// writer held at capture time, so rows in the same snapshot resolve
+// against it; a node's parent is found through the epoch's root
+// (xmltree.ParentIn). Shared by all readers of this and neighbouring
+// snapshots; read-only.
 func (s *Snapshot) Doc() *xmltree.Document { return s.doc }
 
 // DocXML serializes the snapshot document, building the string at most
@@ -120,9 +122,8 @@ func (s *Snapshot) DocXML() string {
 // best-effort: if the panic interrupted the document mutation itself the
 // document may not reflect the full statement, but views are at least
 // consistent with whatever document state remains — and so is the next
-// Snapshot: the published image the mutators were carrying forward may hold
-// a different half of the statement than the live tree, so it is dropped
-// and the next capture copies the live tree afresh.
+// Snapshot, which publishes that same tree. The label index, which the
+// interrupted mutator may not have patched, is dropped and rebuilt from it.
 func (e *Engine) RepairAllViews() {
 	e.Doc.ResetImage()
 	for _, mv := range e.Views {

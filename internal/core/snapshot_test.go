@@ -93,12 +93,13 @@ func TestSnapshotSizesCompact(t *testing.T) {
 	}
 }
 
-// TestSnapshotAllocBudget (d): once a first image exists, publishing a
-// single-node insert into a 1 MB document allocates a spine and a handful
-// of slice headers, not a document. The budget is two orders of magnitude
-// above the former and two below the latter (a deep copy of these 70k nodes
-// is over 10 MB), so it fails only if an O(document) copy — of the tree, of
-// an ID index, of an unmoved view's rows — comes back.
+// TestSnapshotAllocBudget (d): the first epoch of a parsed 1 MB document is
+// the parsed tree itself, and publishing a single-node insert into it
+// allocates a spine and a handful of slice headers, not a document. The
+// budget is two orders of magnitude above the former and two below the
+// latter (a deep copy of these 70k nodes is over 10 MB), so it fails only
+// if an O(document) copy — of the tree, of an ID index, of an unmoved
+// view's rows — comes back.
 func TestSnapshotAllocBudget(t *testing.T) {
 	doc := mustDoc(t, xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1}))
 	e := New(doc, WithMetrics(obs.New()))
@@ -108,6 +109,9 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		}
 	}
 	first := e.Snapshot()
+	if got := first.Doc().CopiedNodes(); got != 0 {
+		t.Errorf("the first epoch copied %d of %d nodes, want none", got, first.Doc().Size())
+	}
 	apply(t, e, `insert <xnote/> into /site/open_auctions/open_auction[@id="open_auction0"]`)
 
 	var before, after runtime.MemStats
@@ -193,11 +197,11 @@ func TestUpdateAllocBudget(t *testing.T) {
 }
 
 // TestLiveHeapPerNodeBudget holds what a served tenant keeps per document
-// node: the live tree, the store, the benchmark's seven views and one
-// published epoch, at 1 MB. An ID is one string, the tree is its own index
-// and an epoch shares its IDs with the live tree, which comes to ~390 B a
-// node; a per-node step array, or a key→node map beside either tree, put it
-// at ~770 B. The budget sits between, so either coming back fails here.
+// node: the tree, the store, the benchmark's seven views and one published
+// epoch, at 1 MB. An ID is one string, the tree is its own index and an
+// epoch is that same tree, which comes to ~260 B a node; a second copy of
+// the document beside it put it at ~380 B, a per-node step array or a
+// key→node map at ~770 B. The budget sits below all three.
 func TestLiveHeapPerNodeBudget(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
 	var before, after runtime.MemStats
@@ -215,8 +219,8 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	nodes := e.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 500 {
-		t.Errorf("engine + one epoch hold %d B per document node, budget 500", perNode)
+	if perNode > 320 {
+		t.Errorf("engine + one epoch hold %d B per document node, budget 320", perNode)
 	}
 	runtime.KeepAlive(snap)
 	runtime.KeepAlive(e)

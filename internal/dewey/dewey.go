@@ -198,12 +198,3 @@ func (id ID) AppendString(dst []byte) []byte {
 // per node (the frame encoding is injective), whose byte order equals
 // document order. Zero allocation — the key is the ID.
 func (id ID) Key() string { return id.key }
-
-// KeyAt returns Key() of the ancestor at the given level (1 = root): frames
-// align, so it is a prefix of the receiver's key. It walks level frames;
-// code that wants every level's prefix walks a Cursor once instead. It
-// panics if level is out of range.
-func (id ID) KeyAt(level int) string {
-	c := id.at(level)
-	return c.Key()
-}

@@ -169,8 +169,8 @@ func checkDecodes(t *testing.T, b built) {
 			if !sameStep(id.Step(i), want) || !sameStep(c.Step(), want) || c.Label() != want.Label || labels[i] != want.Label {
 				t.Fatalf("step %d: Step=%+v cursor=%+v LabelPath=%q, built from %+v", i, id.Step(i), c.Step(), labels[i], want)
 			}
-			if c.Key() != anc.Key() || id.KeyAt(i+1) != anc.Key() {
-				t.Fatalf("level %d prefix: cursor %q KeyAt %q want %q", i+1, c.Key(), id.KeyAt(i+1), anc.Key())
+			if c.Key() != anc.Key() {
+				t.Fatalf("level %d prefix: cursor %q want %q", i+1, c.Key(), anc.Key())
 			}
 			last := i == len(b.steps)-1
 			if c.Last() != last || anc.IsParentOf(id) != (i == len(b.steps)-2) || anc.IsAncestorOf(id) == last {
@@ -242,18 +242,8 @@ func TestIDDecodesToItsSteps(t *testing.T) {
 	checkDecodes(t, builtRoot("a").child("b", nil).child("\x00", Ord{}).child("", Ord{0}))
 }
 
-func TestKeyAtMatchesAncestorKeys(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 1000; i++ {
-		b := randIDKey(r, built{})
-		for lvl := 1; lvl <= len(b.steps); lvl++ {
-			if got, want := b.id.KeyAt(lvl), b.at(lvl).id.Key(); got != want {
-				t.Fatalf("KeyAt(%d)=%q, ancestor rebuilt from steps has key %q (%v)", lvl, got, want, b.id)
-			}
-		}
-	}
-}
-
+// TestKeyAtPanicsOutOfRange: the level lookup behind Step rejects a level
+// the ID does not have.
 func TestKeyAtPanicsOutOfRange(t *testing.T) {
 	id := NewRoot("a").Child("b", OrdAt(0))
 	mustPanic := func(name string, f func()) {
@@ -264,13 +254,10 @@ func TestKeyAtPanicsOutOfRange(t *testing.T) {
 		}()
 		f()
 	}
-	for _, lvl := range []int{0, 3, -1} {
-		mustPanic("KeyAt", func() { id.KeyAt(lvl) })
-	}
 	for _, i := range []int{2, -1} {
 		mustPanic("Step", func() { id.Step(i) })
 	}
-	mustPanic("null KeyAt", func() { ID{}.KeyAt(0) })
+	mustPanic("null Step", func() { ID{}.Step(0) })
 }
 
 func TestNullIDKey(t *testing.T) {

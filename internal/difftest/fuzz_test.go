@@ -17,15 +17,22 @@ var fuzzConfigs = []Config{
 
 // FuzzMaintenance decodes arbitrary bytes into a workload (first byte:
 // document seed; each further byte: one vocabulary statement) and checks
-// every maintained state against the recompute oracle.
+// every maintained state against the recompute oracle. The last byte's top
+// bit draws the publish axis for the eager engine — every vocabulary
+// statement is reachable with it set and with it clear.
 func FuzzMaintenance(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{7, 0, 10, 22, 3})
 	f.Add([]byte("\x05\x02\x08\x13\x16\x14"))
 	f.Add([]byte{9, 19, 2, 22, 24, 5, 12})
+	f.Add([]byte{7, 3, 12, 9, 22, 3 + 5*28})
+	f.Add([]byte{9, 19, 2, 22, 24, 5, 12 + 5*28})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := Decode(data)
 		for _, cfg := range fuzzConfigs {
+			if cfg.LazyEvery == 0 && !cfg.IVMA && len(data) > 0 && data[len(data)-1] >= 0x80 {
+				cfg.Name, cfg.Publish = "published-snowcaps", true
+			}
 			if d := Run(w, cfg); d != nil {
 				min, md := Shrink(w, cfg)
 				t.Fatalf("%v\nminimal: seed=%d statements=%q (%v)", d, min.DocSeed, min.Statements, md)

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"strings"
 
 	"xivm/internal/algebra"
 	"xivm/internal/core"
@@ -30,6 +31,12 @@ type Config struct {
 	// stripped to ID-only annotations and replace statements (which it
 	// does not implement) are skipped.
 	IVMA bool
+	// Publish is a test axis, not an engine option: the document is
+	// published (Engine.Snapshot) before the first statement and after every
+	// checked one, so every mutation runs against a persistent tree that
+	// readers hold, and the last few epochs are re-read after each. Eager
+	// configurations only — Lazy and IVMA track nodes by pointer.
+	Publish bool
 }
 
 // Matrix is the full configuration matrix the differential tests sweep:
@@ -49,7 +56,43 @@ func Matrix() []Config {
 		{Name: "no-id-pruning", NoIDPruning: true},
 		{Name: "lazy-no-pruning", LazyEvery: 2, NoDataPruning: true, NoIDPruning: true},
 		{Name: "ivma", IVMA: true},
+		{Name: "published-snowcaps", Policy: core.PolicySnowcaps, Publish: true},
+		{Name: "published-leaves", Policy: core.PolicyLeaves, Publish: true},
+		{Name: "published-cost", Policy: core.PolicyCost, Publish: true},
+		{Name: "published-parallel", Policy: core.PolicySnowcaps, Parallel: true, Publish: true},
+		{Name: "published-shared-snowcaps", Policy: core.PolicySnowcaps, SharedSnowcaps: true, Publish: true},
 	}
+}
+
+// epoch is a published document and what it read like at capture.
+type epoch struct {
+	doc  *xmltree.Document
+	read [3]string
+}
+
+// keptEpochs is how many epochs a published run keeps re-reading.
+const keptEpochs = 4
+
+// readEpoch renders what a reader can ask of a document: its serialization,
+// its ordinal stream, and the ID list of every label, in order of first
+// occurrence. Nothing reachable from a published epoch is ever written, so
+// an epoch must read the same for as long as it is held.
+func readEpoch(doc *xmltree.Document) [3]string {
+	var b strings.Builder
+	seen := map[string]bool{}
+	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
+		if !seen[n.Label] {
+			seen[n.Label] = true
+			b.WriteString(n.Label)
+			for _, m := range doc.Labeled(n.Label) {
+				b.WriteString(m.ID.Key())
+				b.WriteByte(0xFF)
+			}
+			b.WriteByte('\n')
+		}
+		return true
+	})
+	return [3]string{doc.String(), string(doc.EncodeOrds()), b.String()}
 }
 
 // Divergence describes one maintained state that differs from the oracle.
@@ -116,6 +159,24 @@ func Run(w Workload, cfg Config) *Divergence {
 	if cfg.IVMA {
 		iv = core.NewIVMA(e)
 	}
+	var epochs []epoch
+	publish := func(i int, src string) *Divergence {
+		if !cfg.Publish {
+			return nil
+		}
+		for _, ep := range epochs {
+			if readEpoch(ep.doc) != ep.read {
+				return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "an epoch published earlier reads differently now"}
+			}
+		}
+		if len(epochs) == keptEpochs {
+			epochs = epochs[1:]
+		}
+		doc := e.Snapshot().Doc()
+		epochs = append(epochs, epoch{doc, readEpoch(doc)})
+		return nil
+	}
+	publish(-1, "")
 
 	for i, src := range w.Statements {
 		st, err := update.Parse(src)
@@ -152,6 +213,9 @@ func Run(w Workload, cfg Config) *Divergence {
 			if d := check(e, views, cfg, i, src); d != nil {
 				return d
 			}
+			if d := publish(i, src); d != nil {
+				return d
+			}
 		}
 	}
 	if lz != nil {
@@ -166,7 +230,9 @@ func Run(w Workload, cfg Config) *Divergence {
 // check is the oracle: every maintained view must equal a fresh evaluation
 // over the (already mutated) document — algebra.Materialize walks the
 // document directly, independent of the possibly-corrupt store — and the
-// canonical relations must match a store rebuilt from scratch.
+// canonical relations must match a store rebuilt from scratch, down to the
+// node every item points at: the document's own, not one a mutation of a
+// published document has since replaced by a copy.
 func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src string) *Divergence {
 	for _, mv := range views {
 		want := algebra.Materialize(e.Doc, mv.Pattern)
@@ -179,6 +245,14 @@ func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src str
 	}
 	if diff := store.DiffStores(e.Store, store.New(e.Doc)); diff != "" {
 		return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: diff}
+	}
+	for _, l := range append(e.Store.Labels(), "*") {
+		for _, it := range e.Store.Items(l) {
+			if it.Node != e.Doc.NodeByID(it.ID) {
+				return &Divergence{Config: cfg.Name, Index: i, Statement: src,
+					Detail: fmt.Sprintf("R_%s: the item for %v does not point at the document's node", l, it.ID)}
+			}
+		}
 	}
 	return nil
 }

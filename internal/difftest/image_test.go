@@ -34,14 +34,14 @@ func newEngine(tb testing.TB, w Workload) *core.Engine {
 	return e
 }
 
-// checkImage is the oracle for a published image: a document reparsed from
-// the live tree's serialization and given its ordinals back — built without
-// any of the machinery under test — must agree with the image on the
+// checkImage is the oracle for a published epoch: a document reparsed from
+// the writer's serialization and given its ordinals back — built without
+// any of the machinery under test — must agree with the epoch on the
 // serialization, the ordinal stream, the size, and the label index (which
-// must also point at the image's own nodes, in particular at the path-copied
-// spine nodes and not at the ones they replaced). Asking builds the index on
-// the image and on the live tree, so every later publication carries the
-// one and every later mutation patches the other.
+// must also point at the epoch's own nodes, in particular at the path-copied
+// spine nodes and not at the ones they replaced). Asking builds the
+// lineage's index, so every later mutation patches it and every later
+// publication carries it.
 func checkImage(live, img *xmltree.Document) error {
 	want, err := xmltree.ParseString(live.String())
 	if err != nil {
@@ -88,12 +88,51 @@ func checkImage(live, img *xmltree.Document) error {
 	return nil
 }
 
-// TestImageTracksLiveTree (a): over difftest workloads — whose deletes are
-// all bulk ApplyDeleteBatch calls and whose replaces free and reassign
-// ordinals within one statement — every published image equals the live
-// tree, whether an epoch holds one statement, several, or a translated
-// batch, and whether or not the previous image had a label index to carry.
-func TestImageTracksLiveTree(t *testing.T) {
+// sameDocument compares a published document with its in-place twin on
+// everything a reader can ask of either: serialization, ordinal stream,
+// size, and every label list — its IDs, and that each document's list holds
+// that document's own nodes.
+func sameDocument(pub, twin *xmltree.Document) error {
+	if got, want := pub.String(), twin.String(); got != want {
+		return fmt.Errorf("serialization differs:\n published %s\n  in place %s", got, want)
+	}
+	if !bytes.Equal(pub.EncodeOrds(), twin.EncodeOrds()) {
+		return fmt.Errorf("Dewey ordinals differ")
+	}
+	if pub.Size() != twin.Size() {
+		return fmt.Errorf("Size() = %d, in place %d", pub.Size(), twin.Size())
+	}
+	labels := map[string]bool{}
+	xmltree.Walk(twin.Root, func(n *xmltree.Node) bool {
+		labels[n.Label] = true
+		return true
+	})
+	for l := range labels {
+		got, want := pub.Labeled(l), twin.Labeled(l)
+		if len(got) != len(want) {
+			return fmt.Errorf("Labeled(%s): %d nodes, in place %d", l, len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].ID.Equal(want[i].ID) {
+				return fmt.Errorf("Labeled(%s)[%d] = %v, in place %v", l, i, got[i].ID, want[i].ID)
+			}
+			if pub.NodeByID(got[i].ID) != got[i] || twin.NodeByID(want[i].ID) != want[i] {
+				return fmt.Errorf("Labeled(%s)[%d] = %v is not the document's own node", l, i, got[i].ID)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPublishedTreeTracksInPlaceTwin (a): two engines are fed the same
+// difftest workload — whose deletes are all bulk ApplyDeleteBatch calls and
+// whose replaces free and reassign ordinals within one statement — one
+// published after every step, so that every mutation path-copies, and one
+// never, so that every mutation edits in place. They must agree on the
+// document and on every view's rows, whether a step is one statement,
+// several, or a translated batch whose targets were all resolved before its
+// first unit ran; and every epoch must pass checkImage's reparse oracle.
+func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 	seeds := uint64(12)
 	if testing.Short() {
 		seeds = 3
@@ -101,32 +140,49 @@ func TestImageTracksLiveTree(t *testing.T) {
 	for _, mode := range []string{"per-statement", "every-3", "batched"} {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			w := NewWorkload(seed, maxStatements)
-			e := newEngine(t, w)
+			pub, twin := newEngine(t, w), newEngine(t, w)
+			twinRoot := twin.Doc.Root
+			both := func(f func(e *core.Engine)) {
+				f(pub)
+				f(twin)
+			}
 			publish := func(at int) {
 				t.Helper()
-				snap := e.Snapshot()
-				if err := checkImage(e.Doc, snap.Doc()); err != nil {
-					t.Fatalf("%s seed %d after statement %d (%s): %v", mode, seed, at, w.Statements[at], err)
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("%s seed %d after statement %d (%s): %s", mode, seed, at, w.Statements[at], fmt.Sprintf(format, args...))
 				}
-				// Rows handed on from the previous epoch must be the rows
-				// a fresh copy would hold.
-				for i, mv := range e.Views {
+				snap := pub.Snapshot()
+				if err := checkImage(pub.Doc, snap.Doc()); err != nil {
+					fail("%v", err)
+				}
+				if err := sameDocument(pub.Doc, twin.Doc); err != nil {
+					fail("%v", err)
+				}
+				if twin.Doc.Root != twinRoot {
+					fail("the never-published twin copied its root")
+				}
+				for i, mv := range pub.Views {
+					// Rows handed on from the previous epoch must be the rows
+					// a fresh copy would hold, and the twin's.
 					if !mv.View.EqualRows(snap.Views[i].Rows) {
-						t.Fatalf("%s seed %d after statement %d (%s): view %s: published rows differ from the store",
-							mode, seed, at, w.Statements[at], mv.Name)
+						fail("view %s: published rows differ from the store", mv.Name)
+					}
+					if !mv.View.EqualRows(twin.Views[i].View.Rows()) {
+						fail("view %s: rows differ from the in-place twin's", mv.Name)
 					}
 				}
 			}
-			e.Snapshot()
+			pub.Snapshot()
 			var chunk []*update.Statement
 			for i, src := range w.Statements {
 				st := update.MustParse(src)
 				switch mode {
 				case "per-statement":
-					_, _ = e.ApplyStatement(st) // a rejected statement is part of the workload
+					both(func(e *core.Engine) { _, _ = e.ApplyStatement(st) }) // a rejected statement is part of the workload
 					publish(i)
 				case "every-3":
-					_, _ = e.ApplyStatement(st)
+					both(func(e *core.Engine) { _, _ = e.ApplyStatement(st) })
 					if i%3 == 2 {
 						publish(i)
 					}
@@ -134,15 +190,17 @@ func TestImageTracksLiveTree(t *testing.T) {
 					if chunk = append(chunk, st); len(chunk) < 4 && i < len(w.Statements)-1 {
 						continue
 					}
-					if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
-						if _, _, err := e.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
-							t.Fatalf("seed %d: batch: %v", seed, err)
+					both(func(e *core.Engine) {
+						if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
+							if _, _, err := e.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
+								t.Fatalf("seed %d: batch: %v", seed, err)
+							}
+						} else {
+							for _, st := range chunk {
+								_, _ = e.ApplyStatement(st)
+							}
 						}
-					} else {
-						for _, st := range chunk {
-							_, _ = e.ApplyStatement(st)
-						}
-					}
+					})
 					chunk = chunk[:0]
 					publish(i)
 				}

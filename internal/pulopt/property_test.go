@@ -31,7 +31,7 @@ func TestReducePropertyEquivalence(t *testing.T) {
 			}
 			var nodes []*xmltree.Node
 			xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
-				if n.Kind == xmltree.Element && n.Parent != nil {
+				if n.Kind == xmltree.Element && n != d.Root {
 					nodes = append(nodes, n)
 				}
 				return true
@@ -118,7 +118,7 @@ func TestAggregatePropertyEquivalence(t *testing.T) {
 		elements := func(e *core.Engine) []*xmltree.Node {
 			var nodes []*xmltree.Node
 			xmltree.Walk(e.Doc.Root, func(n *xmltree.Node) bool {
-				if n.Kind == xmltree.Element && n.Parent != nil {
+				if n.Kind == xmltree.Element && n != e.Doc.Root {
 					nodes = append(nodes, n)
 				}
 				return true

@@ -302,9 +302,7 @@ func spliceIntoInserted(d1, tail Seq, op2 Op) bool {
 		}
 		node := resolveInForest(forest, rel)
 		for _, t := range op2.Forest {
-			cp := t.Clone()
-			cp.Parent = node
-			node.Children = append(node.Children, cp)
+			node.Children = append(node.Children, t.Clone())
 		}
 		op1.Forest = forest
 		d1[i] = op1

@@ -152,10 +152,11 @@ func TestCompiledMatchesInterpretedRandom(t *testing.T) {
 	}
 }
 
+// TestCompileRelative: a relative program starts at the document's root
+// element rather than at the virtual document node above it.
 func TestCompileRelative(t *testing.T) {
 	d := mustDoc(t, auctionDoc)
-	person := xpath.Eval(d, xpath.MustParse("/site/people/person[1]"))[0]
-	rel, err := xpath.ParseRelative("profile/age")
+	rel, err := xpath.ParseRelative("people/person[1]/profile/age")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +164,7 @@ func TestCompileRelative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
-	got := prog.EvalFrom(m, person, nil)
+	got := prog.Eval(d)
 	if len(got) != 1 || got[0].StringValue() != "30" {
 		t.Fatalf("relative compiled eval = %v", got)
 	}
@@ -380,7 +380,7 @@ func TestCompiledEvalSeesMutations(t *testing.T) {
 	}
 
 	targets := prog.Eval(d)
-	if _, err := d.ApplyDeleteBatch(targets[:1]); err != nil {
+	if _, _, err := d.ApplyDeleteBatch(targets[:1]); err != nil {
 		t.Fatal(err)
 	}
 	p, err := xpath.Parse("//b")

@@ -14,13 +14,13 @@ import (
 // callers with a hot loop can hold their own via NewMachine.
 type Machine struct {
 	free [][]*xmltree.Node
-	// doc is the document of the current absolute evaluation; it lets a
-	// leading descendant step answer from the document's label index
-	// instead of walking the tree. Nil for relative evaluations.
+	// doc is the document under evaluation: a leading descendant step
+	// answers from its label index instead of walking the tree, and sibling
+	// axes find parents through its root.
 	doc *xmltree.Document
-	// par is the last parent resolved for a sibling axis on an image, whose
-	// nodes carry no Parent pointer: context nodes arrive in document
-	// order, so consecutive ones mostly share it.
+	// par is the last parent resolved for a sibling axis — nodes carry no
+	// parent pointer: context nodes arrive in document order, so
+	// consecutive ones mostly share it.
 	par *xmltree.Node
 }
 
@@ -30,15 +30,13 @@ func (m *Machine) bind(d *xmltree.Document) {
 }
 
 // siblings returns the child list ctx sits in and its position there, or
-// nil for a root. The parent of an image node is found through the image
+// nil for a root. The parent is found through the document's root
 // (xmltree.ParentIn), with no allocation.
 func (m *Machine) siblings(ctx *xmltree.Node) ([]*xmltree.Node, int) {
-	par := ctx.Parent
-	if par == nil && m.doc != nil {
-		if par = m.par; par == nil || !par.ID.IsParentOf(ctx.ID) {
-			par = xmltree.ParentIn(m.doc.Root, ctx)
-			m.par = par
-		}
+	par := m.par
+	if par == nil || !par.ID.IsParentOf(ctx.ID) {
+		par = xmltree.ParentIn(m.doc.Root, ctx)
+		m.par = par
 	}
 	if par == nil {
 		return nil, 0
@@ -80,12 +78,6 @@ func (p *Program) Eval(d *xmltree.Document) []*xmltree.Node {
 func (p *Program) EvalInto(m *Machine, d *xmltree.Document, dst []*xmltree.Node) []*xmltree.Node {
 	m.bind(d)
 	return m.runSeg(p, 0, d.Root, p.FromDoc, dst)
-}
-
-// EvalFrom appends the matches of a relative program evaluated from ctx.
-func (p *Program) EvalFrom(m *Machine, ctx *xmltree.Node, dst []*xmltree.Node) []*xmltree.Node {
-	m.bind(nil)
-	return m.runSeg(p, 0, ctx, false, dst)
 }
 
 // Exists reports whether the program has at least one match, stopping at
@@ -239,13 +231,9 @@ func blockEnd(p *Program, pc int) int {
 
 // indexed resolves a descendant step from the virtual document node against
 // the document's label index: exact-label tests (name, attribute, text) are
-// the index entry verbatim. Wildcard and word tests, and relative
-// evaluations (nil doc), fall back to the walk. The returned slice is the
-// index's own — callers must only read it.
+// the index entry verbatim. Wildcard and word tests fall back to the walk.
+// The returned slice is the index's own — callers must only read it.
 func (m *Machine) indexed(p *Program, in *Instr) ([]*xmltree.Node, bool) {
-	if m.doc == nil {
-		return nil, false
-	}
 	switch in.Op.test() {
 	case tsName, tsAttr:
 		// Attribute names are pooled with their "@" prefix, matching

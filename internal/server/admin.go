@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 )
 
@@ -55,8 +54,7 @@ func (r *Registry) handleCreateDB(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var cr CreateDBRequest
-	if err := json.NewDecoder(req.Body).Decode(&cr); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "", "bad request body: "+err.Error())
+	if !decodeBody(w, req, maxCreateBody, "", &cr) {
 		return
 	}
 	sh, err := r.Create(cr.Name, cr.Document, cr.Views)

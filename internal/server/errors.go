@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -35,15 +36,16 @@ func invalid(format string, args ...any) error {
 
 // Error envelope codes. Every non-2xx response carries exactly one.
 const (
-	CodeBadRequest   = "bad_request"   // 400: malformed body, statement, query, or name
-	CodeNotFound     = "not_found"     // 404: no such view or route
-	CodeNoSuchDB     = "no_such_db"    // 404: tenant does not exist
-	CodeDBExists     = "db_exists"     // 409: create of an existing tenant
-	CodeQueueFull    = "queue_full"    // 429: tenant's apply queue is saturated
-	CodeShuttingDown = "shutting_down" // 503: tenant or registry is draining
-	CodeTimeout      = "timeout"       // 504: request deadline expired
-	CodeApplyFailed  = "apply_failed"  // 422: the engine rejected the statement
-	CodeInternal     = "internal"      // 500: everything else
+	CodeBadRequest   = "bad_request"    // 400: malformed body, statement, query, or name
+	CodeBodyTooLarge = "body_too_large" // 413: request body over the route's ceiling
+	CodeNotFound     = "not_found"      // 404: no such view or route
+	CodeNoSuchDB     = "no_such_db"     // 404: tenant does not exist
+	CodeDBExists     = "db_exists"      // 409: create of an existing tenant
+	CodeQueueFull    = "queue_full"     // 429: tenant's apply queue is saturated
+	CodeShuttingDown = "shutting_down"  // 503: tenant or registry is draining
+	CodeTimeout      = "timeout"        // 504: request deadline expired
+	CodeApplyFailed  = "apply_failed"   // 422: the engine rejected the statement
+	CodeInternal     = "internal"       // 500: everything else
 
 	// Replication codes.
 	CodeReadOnly         = "read_only"         // 403: write sent to a follower; the message names the leader
@@ -69,6 +71,37 @@ type ErrorResponse struct {
 // writeErr emits the error envelope with the given status and code.
 func writeErr(w http.ResponseWriter, status int, code, tenant, message string) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorInfo{Code: code, Message: message, Tenant: tenant}})
+}
+
+// Request-body ceilings: a body is decoded whole, so an unbounded one is
+// unbounded memory. The create ceiling fits the largest document the
+// serving layer is sized for (40 MB) JSON-escaped, with room.
+const (
+	maxUpdateBody = 1 << 20
+	maxCreateBody = 256 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v. On
+// failure it has answered — 413 for a body over the limit, declared or
+// streamed, 400 for one that does not decode — and reports false.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, tenant string, v any) bool {
+	var tooLarge *http.MaxBytesError
+	var err error
+	if req.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit} // declared too large: not worth reading
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v)
+	}
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, tenant,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, tenant, "bad request body: "+err.Error())
+	}
+	return false
 }
 
 // writeApplyError maps an Apply failure to its envelope. The 429 carries

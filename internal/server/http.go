@@ -264,8 +264,7 @@ func (r *Registry) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ur UpdateRequest
-	if err := json.NewDecoder(req.Body).Decode(&ur); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, sh.Name(), "bad request body: "+err.Error())
+	if !decodeBody(w, req, maxUpdateBody, sh.Name(), &ur) {
 		return
 	}
 	st, err := update.Parse(ur.Statement)

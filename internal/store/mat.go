@@ -101,36 +101,6 @@ func (m *Mat) AddBlock(b algebra.Block) int {
 	return added
 }
 
-// RemoveUnder drops every tuple in which the column bound to pattern node
-// idx is the given node or a descendant of it, returning the number of
-// tuples removed. This is how deletions reach the lattice: any binding
-// inside a deleted subtree kills the tuple.
-func (m *Mat) RemoveUnder(idx int, root dewey.ID) int {
-	col := -1
-	for i, c := range m.Cols {
-		if c == idx {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return 0
-	}
-	removed := 0
-	for i := range m.tups {
-		t := &m.tups[i]
-		if t.Count <= 0 {
-			continue
-		}
-		if root.IsAncestorOrSelf(t.Items[col].ID) {
-			t.Count = 0
-			m.size--
-			removed++
-		}
-	}
-	return removed
-}
-
 // RemoveUnderAny drops, in a single pass, every tuple in which ANY column
 // binds a node inside the cover (a deleted subtree), returning the number
 // of tuples removed.

@@ -34,7 +34,9 @@ import (
 // items it was given (mid-propagation delta inputs, Mat fills and parallel
 // propagation depend on this). A relation whose current array has not been
 // handed out is the writer's to edit: it is merged into and cut from in
-// place. mu makes the map and slice-header swaps themselves safe, orders a
+// place. What a loan fixes is membership and order; which node an item's
+// Node points at is the writer's to change between statements (Repoint).
+// mu makes the map and slice-header swaps themselves safe, orders a
 // reader's loan before the writer's next look at it, and keeps word-index
 // invalidation atomic with the relation update it reacts to.
 type Store struct {
@@ -279,6 +281,35 @@ func (s *Store) AddSubtrees(roots []*xmltree.Node) {
 		s.rel(label).add(items)
 		s.invalidate(label)
 	}
+}
+
+// Repoint swaps in the nodes a mutation of a published document replaced by
+// copies (xmltree's rule 2): an item reads its σ predicate, val and cont
+// through Node, and the node it pointed at no longer changes. Membership is
+// untouched — during insert propagation the relations still list the
+// pre-update nodes, now with their post-update content. A node that is not
+// (or no longer) in its relation is skipped.
+//
+// The pointer is swapped where the item lies, lent or not: on a
+// never-published document the writer changes the node itself under the
+// same borrowers, and copying R_person (30 KB at 1 MB) per statement to
+// move one pointer would cost more than the mirror this replaced. Like a
+// mutator, it must not run while another goroutine reads items' nodes.
+func (s *Store) Repoint(nodes []*xmltree.Node) {
+	if len(nodes) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range nodes {
+		items, key := s.items(n.Label), n.ID.Key()
+		i := sort.Search(len(items), func(i int) bool { return items[i].ID.Key() >= key })
+		if i < len(items) && items[i].ID.Key() == key {
+			items[i].Node = n
+		}
+	}
+	// Spine nodes are elements: the cached R_* holds their old pointers.
+	s.elems, s.elemsOK = nil, false
 }
 
 // isElementLabel tells an element's label from "@name" and "#text".

@@ -379,9 +379,8 @@ func TestViewRemoveReplaceCompact(t *testing.T) {
 	if !v.Remove(rows[1].Key()) {
 		t.Fatal("remove failed")
 	}
-	v.Compact()
 	if v.Len() != 1 || len(v.Rows()) != 1 {
-		t.Fatalf("after compact: %d", v.Len())
+		t.Fatalf("after remove: %d", v.Len())
 	}
 }
 
@@ -414,21 +413,6 @@ func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
 	}
 }
 
-func TestRowsBindingUnder(t *testing.T) {
-	p := pattern.MustParse(`//a{ID}//b{ID}`)
-	d := mustDoc(t, doc1)
-	v := NewMaterializedView(p, algebra.Materialize(d, p))
-	if v.Len() != 4 {
-		t.Fatalf("len %d", v.Len())
-	}
-	// Deleting subtree rooted at first c kills rows binding b under it.
-	c := d.Root.ElementChildren()[0]
-	keys := v.RowsBindingUnder(1, c.ID)
-	if len(keys) != 2 {
-		t.Fatalf("keys = %d", len(keys))
-	}
-}
-
 func TestMatFillAddRemove(t *testing.T) {
 	p := pattern.MustParse(`//a{ID}[//b{ID}//c{ID}]//d{ID}`)
 	d := mustDoc(t, `<a><b><c/></b><d/></a>`)
@@ -451,7 +435,7 @@ func TestMatFillAddRemove(t *testing.T) {
 	}
 	// Remove under the b node.
 	bNode := d.Root.ElementChildren()[0]
-	if got := m.RemoveUnder(1, bNode.ID); got != 1 {
+	if got := m.RemoveUnderAny(dewey.NewCover([]dewey.ID{bNode.ID})); got != 1 {
 		t.Fatalf("removed %d", got)
 	}
 	if m.Len() != 0 {

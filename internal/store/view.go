@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"xivm/internal/algebra"
-	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 )
 
@@ -143,17 +142,6 @@ func (v *View) Rows() []algebra.Row {
 	return out
 }
 
-// Compact rebuilds internal storage, dropping tombstones.
-func (v *View) Compact() {
-	rows := v.Rows()
-	v.byKey = make(map[string]int, len(rows))
-	v.rows = v.rows[:0]
-	v.size = 0
-	for _, r := range rows {
-		v.Upsert(r)
-	}
-}
-
 // EqualRows reports whether the view's live rows exactly match want
 // (entries, values, contents and derivation counts), which must be sorted.
 func (v *View) EqualRows(want []algebra.Row) bool {
@@ -173,21 +161,4 @@ func (v *View) EqualRows(want []algebra.Row) bool {
 		}
 	}
 	return true
-}
-
-// RowsBindingUnder returns the keys of live rows in which the entry for
-// pattern node idx is the given node or one of its descendants. Used by
-// deletion propagation.
-func (v *View) RowsBindingUnder(idx int, root dewey.ID) []string {
-	var keys []string
-	v.Each(func(r algebra.Row) bool {
-		for _, e := range r.Entries {
-			if e.NodeIdx == idx && root.IsAncestorOrSelf(e.ID) {
-				keys = append(keys, r.Key())
-				break
-			}
-		}
-		return true
-	})
-	return keys
 }

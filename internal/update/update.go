@@ -104,7 +104,8 @@ func (p *PUL) Targets() int {
 
 // ExpandReplace turns a replace statement into its delete + insert stages,
 // both resolved against the current document (the deletion PUL carries the
-// targets; the insertion PUL carries their parents).
+// targets; the insertion PUL carries their parents, which the mutators
+// find again by ID once the deletion has run).
 func ExpandReplace(d *xmltree.Document, st *Statement) (del, ins *PUL, err error) {
 	if st.Kind != Replace {
 		return nil, nil, fmt.Errorf("update: ExpandReplace on %s statement", st.Kind)
@@ -121,7 +122,7 @@ func ExpandReplace(d *xmltree.Document, st *Statement) (del, ins *PUL, err error
 	}
 	ins = &PUL{Kind: Insert}
 	for _, n := range del.Deletes {
-		ins.Inserts = append(ins.Inserts, PendingInsert{Target: n.Parent, Trees: st.Forest})
+		ins.Inserts = append(ins.Inserts, PendingInsert{Target: d.NodeByID(n.ID.Parent()), Trees: st.Forest})
 	}
 	return del, ins, nil
 }
@@ -146,7 +147,7 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 			return targets[i].ID.Compare(targets[j].ID) < 0
 		})
 		for _, n := range targets {
-			if n.Parent == nil {
+			if n == d.Root {
 				return nil, fmt.Errorf("update: cannot delete the document root")
 			}
 			// Targets are in document order, so all descendants of a kept
@@ -180,11 +181,17 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 }
 
 // Applied records the concrete effect of applying a PUL: the roots of the
-// freshly inserted copies (with their new IDs) or of the detached subtrees.
+// freshly inserted copies (with their new IDs) or of the detached subtrees,
+// and the nodes of a published document that the mutation replaced by
+// copies on its way down to them.
 type Applied struct {
 	Kind          Kind
 	InsertedRoots []*xmltree.Node
 	DeletedRoots  []*xmltree.Node
+	// Replaced must reach store.Repoint before anything reads content
+	// through the canonical relations again; Apply sees to it for the store
+	// it is given.
+	Replaced []*xmltree.Node
 }
 
 // Apply executes the PUL against the document, keeping the store's
@@ -193,25 +200,20 @@ type Applied struct {
 // side-channel the maintenance algorithms consume.
 func Apply(d *xmltree.Document, s *store.Store, pul *PUL) (*Applied, error) {
 	out := &Applied{Kind: pul.Kind}
+	var err error
 	switch pul.Kind {
 	case Insert:
-		copies, err := d.ApplyInsertions(pul.Inserts)
-		if err != nil {
-			return nil, err
-		}
-		out.InsertedRoots = copies
-		if s != nil {
-			s.AddSubtrees(out.InsertedRoots)
-		}
+		out.InsertedRoots, out.Replaced, err = d.ApplyInsertions(pul.Inserts)
 	case Delete:
-		removed, err := d.ApplyDeleteBatch(pul.Deletes)
-		if err != nil {
-			return nil, err
-		}
-		if s != nil {
-			s.RemoveSubtrees(removed)
-		}
-		out.DeletedRoots = removed
+		out.DeletedRoots, out.Replaced, err = d.ApplyDeleteBatch(pul.Deletes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s != nil {
+		s.Repoint(out.Replaced)
+		s.AddSubtrees(out.InsertedRoots)
+		s.RemoveSubtrees(out.DeletedRoots)
 	}
 	return out, nil
 }

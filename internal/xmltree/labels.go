@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // The label index backs the compiled query engine's descendant steps: a
@@ -12,27 +14,39 @@ import (
 // tree walk answers in O(document) while this index answers it in
 // O(matches). The index is built lazily on first use — documents that never
 // serve such a query pay nothing — and from then on carried through every
-// mutation: the live tree's index is edited in place, and an image's index
-// is derived from its predecessor's, copying only the lists of the labels
-// the mutations in between touched.
+// mutation and every publication: a document lineage (the writer and the
+// epochs it froze) has one index, copy-on-write per publication. The
+// mutators patch it with what they already know — the spine nodes they
+// replaced, the subtrees they detached and inserted — and only the lists of
+// the labels a publication's mutations touched are ever copied.
 
 // labelIndex maps each label occurring in the document to its nodes in
 // document order. Labels follow Node.Label conventions: plain element
 // labels, "@name" attributes, "#text" text nodes.
 type labelIndex map[string][]*Node
 
+// labelCell holds one version of the lineage's index. The writer and every
+// epoch frozen since the writer's last edit are the same tree and share one
+// cell, so whichever of them is asked first builds the index for all; the
+// writer's next mutation moves it to a cell of its own (patchLabels).
+type labelCell struct {
+	mu sync.Mutex // serializes construction so concurrent readers build once
+	li atomic.Pointer[labelIndex]
+}
+
 // Labeled returns the document-order list of nodes carrying the given
 // label, building the index on first use. The returned slice is shared —
-// callers must not modify it — and on a live document it is valid only
-// until the next mutation, which edits it in place. Safe for concurrent
-// use.
+// callers must not modify it — and valid for the tree it was asked of: an
+// epoch's for good, the writer's until the next mutation. Safe for
+// concurrent use.
 func (d *Document) Labeled(label string) []*Node {
-	if li := d.labels.Load(); li != nil {
+	c := d.labels
+	if li := c.li.Load(); li != nil {
 		return (*li)[label]
 	}
-	d.labelMu.Lock()
-	defer d.labelMu.Unlock()
-	if li := d.labels.Load(); li != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if li := c.li.Load(); li != nil {
 		return (*li)[label]
 	}
 	li := make(labelIndex)
@@ -40,15 +54,15 @@ func (d *Document) Labeled(label string) []*Node {
 		li[n.Label] = append(li[n.Label], n)
 		return true
 	})
-	d.labels.Store(&li)
+	c.li.Store(&li)
 	return li[label]
 }
 
 // labelPatch edits a label index as subtrees enter and leave the tree. With
-// fresh nil, lists are edited in place: the live tree's own index. Otherwise
-// li is an image's private copy of its predecessor's map, whose lists
-// readers of the predecessor still hold, and a list is cloned the first
-// time it is touched; fresh remembers which have been.
+// fresh nil the document was never published and lists are edited in place.
+// Otherwise li is the writer's private copy of the map the last epoch
+// holds, whose lists that epoch's readers still read, and a list is cloned
+// the first time it is touched; fresh remembers which have been.
 type labelPatch struct {
 	li    labelIndex
 	fresh map[string]bool
@@ -64,18 +78,34 @@ func (p labelPatch) list(label string) []*Node {
 	return list
 }
 
-// labelsAdd and labelsDrop keep the live tree's own index, if it has been
-// built, in step with the subtrees one mutation inserted or detached.
-func (d *Document) labelsAdd(roots []*Node) {
-	if li := d.labels.Load(); li != nil {
-		labelPatch{li: *li}.add(roots)
+// patchLabels keeps the index in step with one mutation: replaced are the
+// spine copies that took their originals' places, dropped the detached
+// subtrees, added the inserted ones. The first mutation after a publication
+// leaves the cell the epoch holds — whether or not the index has been built
+// yet, or a reader building it later would hand the writer a stale one.
+func (d *Document) patchLabels(replaced, dropped, added []*Node) {
+	if d.labelGen != d.gen {
+		old := d.labels.li.Load()
+		d.labels, d.fresh, d.labelGen = new(labelCell), map[string]bool{}, d.gen
+		if old != nil {
+			li := maps.Clone(*old)
+			d.labels.li.Store(&li)
+		}
 	}
-}
-
-func (d *Document) labelsDrop(roots []*Node) {
-	if li := d.labels.Load(); li != nil {
-		labelPatch{li: *li}.drop(roots)
+	li := d.labels.li.Load()
+	if li == nil {
+		return
 	}
+	p := labelPatch{li: *li, fresh: d.fresh}
+	// Replacements first, while every replaced key is still in its list: a
+	// nested batch delete may go on to detach a node it has just copied.
+	for _, n := range replaced {
+		list := p.list(n.Label)
+		list[keyAtLeast(list, n.ID.Key())] = n
+		p.li[n.Label] = list
+	}
+	p.drop(dropped)
+	p.add(added)
 }
 
 // keyAtLeast returns the position of the first node of list whose key is
@@ -141,48 +171,6 @@ func (p labelPatch) drop(roots []*Node) {
 			delete(p.li, label)
 		} else {
 			p.li[label] = list[:kept]
-		}
-	}
-}
-
-// carryLabels derives an image's label index from its predecessor's: from
-// and to are the two images' roots, and only where they differ — the
-// path-copied spines, what was deleted, what was inserted — is any list
-// touched.
-func carryLabels(old labelIndex, from, to *Node) labelIndex {
-	p := labelPatch{li: maps.Clone(old), fresh: map[string]bool{}}
-	var dropped, added []*Node
-	p.diff(from, to, &dropped, &added)
-	// Deletions first: an ID freed by a deletion can be assigned again
-	// within the same epoch, and drop goes by key.
-	p.drop(dropped)
-	p.add(added)
-	return p.li
-}
-
-// diff walks two images of one document down the nodes they do not share.
-// old and new carry the same ID but are different nodes: new takes old's
-// place in the index, and their child lists are merged by key — a shared
-// child ends the descent, a child on one side only is a deleted or an
-// inserted subtree.
-func (p labelPatch) diff(old, new *Node, dropped, added *[]*Node) {
-	list := p.list(new.Label)
-	list[keyAtLeast(list, new.ID.Key())] = new
-	p.li[new.Label] = list
-	oc, nc := old.Children, new.Children
-	for len(oc) > 0 || len(nc) > 0 {
-		switch {
-		case len(oc) > 0 && len(nc) > 0 && oc[0] == nc[0]:
-			oc, nc = oc[1:], nc[1:]
-		case len(nc) == 0 || len(oc) > 0 && oc[0].ID.Key() < nc[0].ID.Key():
-			*dropped = append(*dropped, oc[0])
-			oc = oc[1:]
-		case len(oc) == 0 || nc[0].ID.Key() < oc[0].ID.Key():
-			*added = append(*added, nc[0])
-			nc = nc[1:]
-		default:
-			p.diff(oc[0], nc[0], dropped, added)
-			oc, nc = oc[1:], nc[1:]
 		}
 	}
 }

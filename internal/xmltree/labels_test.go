@@ -61,7 +61,7 @@ func TestLabeledIndex(t *testing.T) {
 
 	// Batch deletion too.
 	bs := d.Labeled("b")
-	if _, err := d.ApplyDeleteBatch(bs); err != nil {
+	if _, _, err := d.ApplyDeleteBatch(bs); err != nil {
 		t.Fatal(err)
 	}
 	if n := d.Labeled("b"); len(n) != 0 {

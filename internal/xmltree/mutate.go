@@ -2,9 +2,16 @@ package xmltree
 
 import (
 	"errors"
+	"slices"
 
 	"xivm/internal/dewey"
 )
+
+// The mutators go by the IDs of the nodes they are given (rule 1 of
+// image.go) and return, beside their result, the spine nodes they replaced
+// (rule 2) — none, on a never-published document.
+
+var errFrozen = errors.New("xmltree: an epoch is immutable")
 
 // ApplyInsert implements the paper's apply-insert(n, t) primitive: it copies
 // the tree t into a fresh tree t', inserts t' as the new last child of n,
@@ -12,7 +19,7 @@ import (
 // document update, exactly as the paper assumes), and returns t'. Existing
 // node IDs are never modified.
 func (d *Document) ApplyInsert(n *Node, t *Node) (*Node, error) {
-	out, err := d.ApplyInsertions([]Insertion{{Target: n, Trees: []*Node{t}}})
+	out, _, err := d.ApplyInsertions([]Insertion{{Target: n, Trees: []*Node{t}}})
 	if err != nil {
 		return nil, err
 	}
@@ -20,7 +27,7 @@ func (d *Document) ApplyInsert(n *Node, t *Node) (*Node, error) {
 }
 
 // Insertion is one entry of an insertion list: the trees to copy, in order,
-// as new last children of Target.
+// as new last children of the node that has Target's ID.
 type Insertion struct {
 	Target *Node
 	Trees  []*Node
@@ -28,115 +35,118 @@ type Insertion struct {
 
 // ApplyInsertions applies a whole insertion list — what one statement
 // expands to — as one mutation, returning the inserted copies in list
-// order. Nothing is inserted unless every target is an element. Taking the
-// list at once lets the label index absorb thousands of insertions in one
-// pass per label instead of one per insertion.
-func (d *Document) ApplyInsertions(ins []Insertion) ([]*Node, error) {
+// order. Nothing is inserted unless every target is an element of the
+// document. Taking the list at once lets the label index absorb thousands
+// of insertions in one pass per label instead of one per insertion.
+func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, err error) {
+	if d.frozen {
+		return nil, nil, errFrozen
+	}
 	for _, in := range ins {
-		if in.Target == nil || in.Target.Kind != Element {
-			return nil, errors.New("xmltree: insertion target must be an element")
+		if in.Target == nil {
+			return nil, nil, errors.New("xmltree: insertion target must be an element")
+		}
+		if t := d.NodeByID(in.Target.ID); t == nil || t.Kind != Element {
+			return nil, nil, errors.New("xmltree: insertion target must be an element of the document")
 		}
 	}
-	var out []*Node
 	for _, in := range ins {
+		p := d.own(in.Target.ID, &replaced)
 		for _, t := range in.Trees {
-			cp := d.cloneAssign(t, in.Target, dewey.Between(in.Target.lastOrd(), nil))
-			in.Target.Children = append(in.Target.Children, cp)
-			d.imageInsert(cp)
-			out = append(out, cp)
+			cp := d.cloneAssign(t, p.ID, dewey.Between(p.lastOrd(), nil))
+			p.Children = append(p.Children, cp)
+			copies = append(copies, cp)
 		}
 	}
-	d.labelsAdd(out)
-	return out, nil
+	d.patchLabels(replaced, nil, copies)
+	return copies, replaced, nil
 }
 
-// cloneAssign copies the tree t under parent in a single walk, assigning
-// each copy its structural ID (gap-spaced ordinals below the root copy) and
-// counting it — the fused equivalent of Clone + assignIDs.
-func (d *Document) cloneAssign(t *Node, parent *Node, ord dewey.Ord) *Node {
-	c := &Node{Kind: t.Kind, Label: t.Label, Value: t.Value, Parent: parent}
-	c.ID = parent.ID.Child(t.Label, ord)
+// cloneAssign copies the tree t under the node with ID parent in a single
+// walk, assigning each copy its structural ID (gap-spaced ordinals below
+// the root copy) and counting it — the fused equivalent of Clone +
+// assignIDs. The copies are the current publication's own.
+func (d *Document) cloneAssign(t *Node, parent dewey.ID, ord dewey.Ord) *Node {
+	c := &Node{Kind: t.Kind, gen: d.gen, Label: t.Label, Value: t.Value, ID: parent.Child(t.Label, ord)}
 	d.size++
+	d.copied++
 	if len(t.Children) > 0 {
 		c.Children = make([]*Node, len(t.Children))
 		for i, ch := range t.Children {
-			c.Children[i] = d.cloneAssign(ch, c, dewey.OrdAt(i))
+			c.Children[i] = d.cloneAssign(ch, c.ID, dewey.OrdAt(i))
 		}
 	}
 	return c
 }
 
-// ApplyDelete implements apply-delete(n): it detaches the subtree rooted at
-// n from the document. Per XQuery Update semantics all descendants of n
+// ApplyDelete implements apply-delete(n): it detaches the subtree that has
+// n's ID from the document. Per XQuery Update semantics all descendants
 // leave the document with it. It returns the detached subtree (IDs intact,
 // for delta extraction).
 func (d *Document) ApplyDelete(n *Node) (*Node, error) {
-	if n == nil {
-		return nil, errors.New("xmltree: nil deletion target")
+	out, _, err := d.ApplyDeleteBatch([]*Node{n})
+	if err != nil {
+		return nil, err
 	}
-	if n.Parent == nil {
-		return nil, errors.New("xmltree: cannot delete the document root")
-	}
-	p := n.Parent
-	idx := -1
-	for i, c := range p.Children {
-		if c == n {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if len(out) == 0 {
 		return nil, errors.New("xmltree: node not attached to its parent")
 	}
-	p.Children = append(p.Children[:idx], p.Children[idx+1:]...)
-	n.Parent = nil
-	d.size -= n.CountNodes()
-	d.labelsDrop([]*Node{n})
-	d.imageDetach(p)
-	return n, nil
+	return out[0], nil
 }
 
-// ApplyDeleteBatch detaches many subtrees at once, filtering each touched
-// parent's child list in a single pass — O(total children) instead of the
-// quadratic cost of removing thousands of siblings one by one. The detached
-// roots are returned in input order.
-func (d *Document) ApplyDeleteBatch(nodes []*Node) ([]*Node, error) {
-	victims := make(map[*Node]bool, len(nodes))
-	parents := make(map[*Node]bool, len(nodes))
+// ApplyDeleteBatch detaches the subtrees that have the given nodes' IDs,
+// filtering each touched parent's child list in a single pass — O(total
+// children) instead of the quadratic cost of removing thousands of siblings
+// one by one. The detached roots are returned in input order, as they stand
+// in the document now: a victim an earlier mutation replaced by a copy
+// comes back as that copy. An ID named twice, or one the document no longer
+// holds, detaches nothing more. When one victim lies inside another both
+// are returned, the outer without the inner.
+func (d *Document) ApplyDeleteBatch(nodes []*Node) (detached, replaced []*Node, err error) {
+	if d.frozen {
+		return nil, nil, errFrozen
+	}
+	victims := make(map[string]*Node, len(nodes)) // key → the node detached for it, once found
+	var parents []dewey.ID
 	for _, n := range nodes {
 		if n == nil {
-			return nil, errors.New("xmltree: nil deletion target")
+			return nil, nil, errors.New("xmltree: nil deletion target")
 		}
-		if n.Parent == nil {
-			return nil, errors.New("xmltree: cannot delete the document root")
+		p := n.ID.Parent()
+		if p.IsNull() {
+			return nil, nil, errors.New("xmltree: cannot delete the document root")
 		}
-		victims[n] = true
-		parents[n.Parent] = true
+		if _, dup := victims[n.ID.Key()]; !dup {
+			victims[n.ID.Key()] = nil
+			parents = append(parents, p)
+		}
 	}
-	for p := range parents {
+	// Deepest parent first: a parent inside another victim is still attached
+	// when its own child list is filtered, and leaves with that victim after.
+	slices.SortFunc(parents, func(a, b dewey.ID) int { return b.Compare(a) })
+	for _, id := range slices.CompactFunc(parents, dewey.ID.Equal) {
+		p := d.own(id, &replaced)
+		if p == nil {
+			continue
+		}
 		kept := p.Children[:0]
 		for _, c := range p.Children {
-			if !victims[c] {
+			if _, doomed := victims[c.ID.Key()]; doomed {
+				victims[c.ID.Key()] = c
+			} else {
 				kept = append(kept, c)
 			}
 		}
+		clear(p.Children[len(kept):])
 		p.Children = kept
 	}
-	out := make([]*Node, 0, len(nodes))
 	for _, n := range nodes {
-		if n.Parent == nil {
-			continue // duplicate entry already detached
-		}
-		n.Parent = nil
-		d.size -= n.CountNodes()
-		out = append(out, n)
-	}
-	d.labelsDrop(out)
-	for p := range parents {
-		// A parent inside another victim left the document with it.
-		if d.NodeByID(p.ID) == p {
-			d.imageDetach(p)
+		if c := victims[n.ID.Key()]; c != nil {
+			victims[n.ID.Key()] = nil // a duplicate entry is already detached
+			d.size -= c.CountNodes()
+			detached = append(detached, c)
 		}
 	}
-	return out, nil
+	d.patchLabels(replaced, detached, nil)
+	return detached, replaced, nil
 }

@@ -3,13 +3,13 @@
 // a Compact Dynamic Dewey structural identifier. It provides parsing,
 // serialization, string-value and content extraction, and the side-effecting
 // subtree insertion/deletion primitives (apply-insert, apply-delete) that
-// the update machinery builds on.
+// the update machinery builds on. A document is one tree: edited in place
+// until it is first published (Snapshot), persistent — path-copying, sharing
+// with the epochs it has published — from then on (image.go).
 package xmltree
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"xivm/internal/dewey"
 )
@@ -45,50 +45,54 @@ func (k Kind) String() string {
 // the front of their owner's Children, before any element or text children,
 // and carry labels of the form "@name" so that structural IDs encode them
 // uniformly.
+//
+// A node carries no parent pointer: once a document has been published
+// (Snapshot) a node may sit under a different copy of its parent in every
+// epoch that shares it. Its ID names its parent (ID.Parent), and ParentIn
+// resolves that within one tree.
 type Node struct {
 	Kind Kind
-	// gen stamps a node of a published image with the publication it was
-	// allocated for (see image.go); it means nothing on a live or parsed
-	// tree. It sits in Kind's padding, so it costs no memory.
+	// gen is the publication the node was allocated for (see image.go): the
+	// writer may edit a node whose gen is the document's, and must copy any
+	// other first. It sits in Kind's padding, so it costs no memory.
 	gen      uint32
 	Label    string // element label, "@name" for attributes, "#text" for text
 	Value    string // text content for Text and Attribute nodes
-	Parent   *Node  // nil on the root, and on every node of an image (see Snapshot)
 	Children []*Node
 	ID       dewey.ID
 }
 
-// Document is a parsed XML document: a single root element whose tree is its
-// own ID index. Children are in document order, which is Dewey key order, so
+// Document is an XML document: a single root element whose tree is its own
+// ID index. Children are in document order, which is Dewey key order, so
 // the ID in a view tuple is resolved back to its node (as PIMT/PDMT need) by
 // descending its steps, a binary search per level.
 //
-// A Document returned by Snapshot is an image instead: immutable, and
-// sharing every subtree the mutations since the previous image left alone.
+// There is one tree (image.go): edited in place until the first Snapshot,
+// persistent from then on. An epoch is a frozen Document over the root the
+// writer held when Snapshot was called; nothing reachable from it is ever
+// written again.
 type Document struct {
-	Root  *Node
-	image bool
-	size  int // number of nodes
+	Root   *Node
+	frozen bool // an epoch: the mutators refuse it
+	size   int  // number of nodes
 
-	// labels is the lazily-built label index (see labels.go); labelMu
-	// serializes its construction so concurrent readers build it once.
-	labels  atomic.Pointer[labelIndex]
-	labelMu sync.Mutex
+	// labels is this version's cell of the lineage's label index
+	// (labels.go); fresh names the lists the writer has made its own at
+	// generation labelGen.
+	labels   *labelCell
+	fresh    map[string]bool
+	labelGen uint32
 
-	// Publication state (image.go). An image records how many of its nodes
-	// it allocated rather than shared. A live document that has been
-	// published tracks pub, the last image handed out; next, the root of the
-	// image under construction (pub.Root until a mutation path-copies it);
-	// and gen, the stamp of the nodes allocated for next.
+	// copied counts the nodes the mutators allocated — spine copies and
+	// inserted subtrees — since the last Snapshot; gen is the stamp those
+	// nodes carry, advanced by every Snapshot (image.go).
 	copied int
-	pub    *Document
-	next   *Node
 	gen    uint32
 }
 
 // NewDocument wraps a root node built elsewhere.
 func NewDocument(root *Node) *Document {
-	return &Document{Root: root, size: root.CountNodes()}
+	return &Document{Root: root, size: root.CountNodes(), labels: new(labelCell)}
 }
 
 // NodeByID resolves a structural ID to the document's node, or nil:
@@ -126,14 +130,11 @@ func descend(root *Node, id dewey.ID) *Node {
 	return n
 }
 
-// ParentIn returns n's parent. A node of a live or parsed tree carries the
-// pointer. A node of an image carries none — it may be shared by many
-// images, under a different copy of its parent in each — and is resolved
-// within the image rooted at root instead, by descending the Dewey steps of
-// n's parent. Nil for a root, and for an image node when root is nil.
+// ParentIn returns n's parent within the tree rooted at root, by descending
+// the Dewey steps of n's parent. Nil for a root, and when root is nil.
 func ParentIn(root, n *Node) *Node {
-	if n.Parent != nil || root == nil {
-		return n.Parent
+	if root == nil {
+		return nil
 	}
 	return descend(root, n.ID.Parent())
 }
@@ -226,15 +227,13 @@ func (n *Node) ownOrd() dewey.Ord {
 	return c.Step().Ord
 }
 
-// Clone returns a deep copy of the subtree rooted at n, with nil Parent at
-// the top and no IDs assigned (IDs belong to a document position).
+// Clone returns a deep copy of the subtree rooted at n, with no IDs assigned
+// (IDs belong to a document position).
 func (n *Node) Clone() *Node {
 	c := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value}
 	c.Children = make([]*Node, len(n.Children))
 	for i, ch := range n.Children {
-		cc := ch.Clone()
-		cc.Parent = c
-		c.Children[i] = cc
+		c.Children[i] = ch.Clone()
 	}
 	return c
 }

@@ -79,29 +79,33 @@ func (d *Document) ApplyOrds(data []byte) error {
 		}
 		return ord, nil
 	}
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
+	if d.gen != 0 {
+		// IDs are rewritten in place, on nodes an epoch would share.
+		return errors.New("xmltree: ApplyOrds on a published document")
+	}
+	var walk func(n, parent *Node) error
+	walk = func(n, parent *Node) error {
 		ord, err := next()
 		if err != nil {
 			return err
 		}
-		if n.Parent == nil {
+		if parent == nil {
 			// Roots always carry the NewRoot ordinal; a stream that says
 			// otherwise was not taken from a structurally identical document.
 			if !ord.Equal(n.ID.Step(0).Ord) {
 				return errors.New("xmltree: ordinal stream disagrees on the root")
 			}
 		} else {
-			n.ID = n.Parent.ID.Child(n.Label, ord)
+			n.ID = parent.ID.Child(n.Label, ord)
 		}
 		for _, c := range n.Children {
-			if err := walk(c); err != nil {
+			if err := walk(c, n); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(d.Root); err != nil {
+	if err := walk(d.Root, nil); err != nil {
 		return err
 	}
 	if pos != len(data) {

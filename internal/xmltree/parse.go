@@ -34,7 +34,6 @@ func Parse(r io.Reader) (*Document, error) {
 		parent := stack[len(stack)-1]
 		i := childOrds[parent]
 		childOrds[parent] = i + 1
-		n.Parent = parent
 		n.ID = parent.ID.Child(n.Label, dewey.OrdAt(i))
 		parent.Children = append(parent.Children, n)
 		return nil
@@ -112,7 +111,6 @@ func ParseForest(s string) ([]*Node, error) {
 			return
 		}
 		parent := stack[len(stack)-1]
-		n.Parent = parent
 		parent.Children = append(parent.Children, n)
 	}
 	for {

@@ -92,7 +92,7 @@ func TestMutationInvariants(t *testing.T) {
 				return true
 			})
 			n := elems[rng.Intn(len(elems))]
-			if rng.Intn(2) == 0 || n.Parent == nil {
+			if rng.Intn(2) == 0 || n == d.Root {
 				forest, err := ParseForest(fmt.Sprintf("<%s><x/></%s>",
 					[]string{"a", "b"}[rng.Intn(2)], []string{"a", "b"}[rng.Intn(2)]))
 				if err != nil { // mismatched tags: skip this step
@@ -144,7 +144,7 @@ func TestApplyDeleteBatchMatchesSingles(t *testing.T) {
 		var keys []string
 		var chosen []*Node
 		Walk(d1.Root, func(n *Node) bool {
-			if n.Parent == nil || n.Kind != Element {
+			if n == d1.Root || n.Kind != Element {
 				return true
 			}
 			for _, c := range chosen {
@@ -161,7 +161,7 @@ func TestApplyDeleteBatchMatchesSingles(t *testing.T) {
 		if len(chosen) == 0 {
 			return true
 		}
-		if _, err := d1.ApplyDeleteBatch(chosen); err != nil {
+		if _, _, err := d1.ApplyDeleteBatch(chosen); err != nil {
 			return false
 		}
 		for _, k := range keys {
@@ -188,14 +188,14 @@ func TestApplyDeleteBatchMatchesSingles(t *testing.T) {
 
 func TestApplyDeleteBatchErrors(t *testing.T) {
 	d, _ := ParseString(`<r><a/></r>`)
-	if _, err := d.ApplyDeleteBatch([]*Node{nil}); err == nil {
+	if _, _, err := d.ApplyDeleteBatch([]*Node{nil}); err == nil {
 		t.Fatal("nil target accepted")
 	}
-	if _, err := d.ApplyDeleteBatch([]*Node{d.Root}); err == nil {
+	if _, _, err := d.ApplyDeleteBatch([]*Node{d.Root}); err == nil {
 		t.Fatal("root deletion accepted")
 	}
 	a := d.Root.ElementChildren()[0]
-	got, err := d.ApplyDeleteBatch([]*Node{a, a})
+	got, _, err := d.ApplyDeleteBatch([]*Node{a, a})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("duplicate handling: %v %v", got, err)
 	}

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,11 +57,6 @@ func TestIDsEncodeDocumentOrder(t *testing.T) {
 			t.Fatalf("node %d (%v) not before node %d (%v)", i-1, order[i-1].ID, i, order[i].ID)
 		}
 	}
-	// IDs encode the label path.
-	b := order[len(order)-2] // the second b element
-	if b.Label == TextLabel {
-		b = b.Parent
-	}
 }
 
 func TestNodeByID(t *testing.T) {
@@ -111,20 +107,31 @@ func TestNodeByIDFollowsTheTree(t *testing.T) {
 }
 
 // TestDeleteBatchParentInsideVictim: one batch names v and a node x whose
-// parent p sits inside v. p leaves the document with v, so the image mirror
-// must not look for it — the "is p still attached" probe is a descent that
-// ends where v used to be.
+// parent p sits inside v, on a published document and with v named twice.
+// p's child list is filtered while p is still attached — deepest parent
+// first — and p leaves the document with v; both roots come back, v as it
+// now stands (without x), and the epoch published before still holds all
+// of it.
 func TestDeleteBatchParentInsideVictim(t *testing.T) {
-	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+	for _, order := range [][]int{{0, 1, 0}, {1, 0, 0}} {
 		d := mustParse(t, `<a><v><p><x/><y/></p></v><q><z/></q></a>`)
-		d.Snapshot()
+		before := d.Snapshot()
 		v := d.Root.Children[0]
 		p := v.Children[0]
 		x, y := p.Children[0], p.Children[1]
 		victims := []*Node{v, x}
-		out, err := d.ApplyDeleteBatch([]*Node{victims[order[0]], victims[order[1]]})
+		var batch []*Node
+		for _, i := range order {
+			batch = append(batch, victims[i])
+		}
+		out, _, err := d.ApplyDeleteBatch(batch)
 		if err != nil || len(out) != 2 {
 			t.Fatalf("batch: %v, %d roots", err, len(out))
+		}
+		for i, want := range []string{`<v><p><y/></p></v>`, `<x/>`} {
+			if got := out[slices.Index(order, i)]; got.Content() != want {
+				t.Fatalf("detached root %d is %s, want %s", i, got.Content(), want)
+			}
 		}
 		for _, n := range []*Node{v, p, x, y} {
 			if d.NodeByID(n.ID) != nil {
@@ -132,7 +139,10 @@ func TestDeleteBatchParentInsideVictim(t *testing.T) {
 			}
 		}
 		if img := d.Snapshot(); img.String() != `<a><q><z/></q></a>` || d.Size() != 3 || img.Size() != 3 {
-			t.Fatalf("image %s (sizes %d, %d)", img, d.Size(), img.Size())
+			t.Fatalf("epoch %s (sizes %d, %d)", img, d.Size(), img.Size())
+		}
+		if got := before.String(); got != `<a><v><p><x/><y/></p></v><q><z/></q></a>` || before.NodeByID(x.ID) != x {
+			t.Fatalf("the batch wrote into the epoch published before it: %s", got)
 		}
 		Walk(d.Root, func(n *Node) bool {
 			if d.NodeByID(n.ID) != n {
@@ -201,7 +211,7 @@ func TestApplyInsertAssignsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Parent != target || target.Children[len(target.Children)-1] != cp {
+	if ParentIn(d.Root, cp) != target || target.Children[len(target.Children)-1] != cp {
 		t.Fatal("not appended as last child")
 	}
 	if !target.ID.IsParentOf(cp.ID) {
@@ -236,9 +246,12 @@ func TestApplyInsertions(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := d.Root.ElementChildren()[0]
-	got, err := d.ApplyInsertions([]Insertion{{Target: p, Trees: forest}})
+	got, replaced, err := d.ApplyInsertions([]Insertion{{Target: p, Trees: forest}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(replaced) != 0 {
+		t.Fatalf("a never-published document copied %d nodes", len(replaced))
 	}
 	if len(got) != 2 || got[0].Label != "x" || got[1].Label != "y" {
 		t.Fatalf("inserted %v", got)
@@ -265,7 +278,7 @@ func TestApplyDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != c || c.Parent != nil {
+	if removed != c {
 		t.Fatal("detach failed")
 	}
 	if d.Size() != before-3 { // c, b, #text
@@ -308,9 +321,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.Children[0].Label = "mutated"
 	if d.Root.Children[0].Label == "mutated" {
 		t.Fatal("clone shares children")
-	}
-	if c.Parent != nil {
-		t.Fatal("clone should detach parent")
 	}
 }
 

@@ -15,8 +15,12 @@ import (
 // by a different route.
 func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 	var all []*xmltree.Node
+	parent := map[*xmltree.Node]*xmltree.Node{}
 	xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
 		all = append(all, n)
+		for _, c := range n.Children {
+			parent[c] = n
+		}
 		return true
 	})
 	matches := func(st Step, n *xmltree.Node) bool {
@@ -44,13 +48,13 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 				if c == nil {
 					ok = n == d.Root
 				} else {
-					ok = n.Parent == c
+					ok = parent[n] == c
 				}
 			case Descendant:
 				if c == nil {
 					ok = true
 				} else {
-					for a := n.Parent; a != nil; a = a.Parent {
+					for a := parent[n]; a != nil; a = parent[a] {
 						if a == c {
 							ok = true
 							break
@@ -58,10 +62,10 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 					}
 				}
 			case FollowingSibling:
-				if c != nil && n.Parent != nil && n.Parent == c.Parent && n != c {
+				if c != nil && parent[n] != nil && parent[n] == parent[c] && n != c {
 					// After c in its parent's child list?
 					seen := false
-					for _, ch := range c.Parent.Children {
+					for _, ch := range parent[c].Children {
 						if ch == c {
 							seen = true
 							continue
@@ -73,8 +77,8 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 					}
 				}
 			case PrecedingSibling:
-				if c != nil && n.Parent != nil && n.Parent == c.Parent && n != c {
-					for _, ch := range c.Parent.Children {
+				if c != nil && parent[n] != nil && parent[n] == parent[c] && n != c {
+					for _, ch := range parent[c].Children {
 						if ch == n {
 							ok = true
 							break
@@ -106,7 +110,7 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 				var kept []*xmltree.Node
 				size := len(g)
 				for i, n := range g {
-					if refPred(n, i+1, size, pr) {
+					if refPred(d.Root, n, i+1, size, pr) {
 						kept = append(kept, n)
 					}
 				}
@@ -129,16 +133,16 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 	return contexts
 }
 
-func refPred(ctx *xmltree.Node, pos, size int, e Expr) bool {
+func refPred(root, ctx *xmltree.Node, pos, size int, e Expr) bool {
 	switch x := e.(type) {
 	case OrExpr:
-		return refPred(ctx, pos, size, x.Left) || refPred(ctx, pos, size, x.Right)
+		return refPred(root, ctx, pos, size, x.Left) || refPred(root, ctx, pos, size, x.Right)
 	case AndExpr:
-		return refPred(ctx, pos, size, x.Left) && refPred(ctx, pos, size, x.Right)
+		return refPred(root, ctx, pos, size, x.Left) && refPred(root, ctx, pos, size, x.Right)
 	case ExistsExpr:
-		return len(EvalRelative(ctx, x.Path)) > 0
+		return len(evalFrom(root, ctx, false, x.Path.Steps)) > 0
 	case EqExpr:
-		for _, n := range EvalRelative(ctx, x.Path) {
+		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if n.StringValue() == x.Lit {
 				return true
 			}
@@ -148,9 +152,9 @@ func refPred(ctx *xmltree.Node, pos, size int, e Expr) bool {
 	case LastExpr:
 		return pos == size
 	case CountExpr:
-		return x.Op.Holds(len(EvalRelative(ctx, x.Path)), x.N)
+		return x.Op.Holds(len(evalFrom(root, ctx, false, x.Path.Steps)), x.N)
 	case ContainsExpr:
-		for _, n := range EvalRelative(ctx, x.Path) {
+		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if matchesLit(n.StringValue(), x.Lit, x.Prefix) {
 				return true
 			}

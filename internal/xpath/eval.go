@@ -25,9 +25,9 @@ func Eval(d *xmltree.Document, p Path) []*xmltree.Node {
 	return evalFrom(d.Root, d.Root, true, p.Steps)
 }
 
-// EvalRelative evaluates a relative path from the given context node of a
-// live or parsed tree. (A node of a published image has no Parent pointer;
-// its sibling axes need the image, which only Eval is given.)
+// EvalRelative evaluates a relative path from the given context node.
+// (Sibling axes find a parent through the tree's root, which only Eval is
+// given: here they match nothing.)
 func EvalRelative(ctx *xmltree.Node, p Path) []*xmltree.Node {
 	return evalFrom(nil, ctx, false, p.Steps)
 }
@@ -36,8 +36,8 @@ func EvalRelative(ctx *xmltree.Node, p Path) []*xmltree.Node {
 // document root and the first step is evaluated against the virtual
 // document node (child yields the root; descendant yields the root and all
 // its descendants; sibling axes yield nothing). root is the root of the
-// tree under evaluation, through which sibling axes find the parent of an
-// image node (xmltree.ParentIn); nil when only a context node is known.
+// tree under evaluation, through which sibling axes find a node's parent
+// (xmltree.ParentIn); nil when only a context node is known.
 func evalFrom(root, start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.Node {
 	if len(steps) == 0 {
 		return []*xmltree.Node{start}
