@@ -108,7 +108,7 @@ func TestStructuralJoinMatchesNestedLoop(t *testing.T) {
 		t.Fatalf("sizes differ: %d vs %d", len(fast), len(slow))
 	}
 	for i := range fast {
-		if compareTuples(fast[i], slow[i]) != 0 || fast[i].Count != slow[i].Count {
+		if CompareTuples(fast[i], slow[i]) != 0 || fast[i].Count != slow[i].Count {
 			t.Fatalf("tuple %d differs", i)
 		}
 	}
@@ -182,7 +182,7 @@ func TestAlgebraEqualsEmbeddings(t *testing.T) {
 				trial, len(alg), len(emb), p, d)
 		}
 		for i := range alg {
-			if compareTuples(alg[i], emb[i]) != 0 {
+			if CompareTuples(alg[i], emb[i]) != 0 {
 				t.Fatalf("trial %d: tuple %d differs for %s", trial, i, p)
 			}
 		}
@@ -212,7 +212,7 @@ func TestEvalForestAndAttach(t *testing.T) {
 		t.Fatalf("attach %d vs full %d", len(tuples), len(full))
 	}
 	for i := range tuples {
-		if compareTuples(tuples[i], full[i]) != 0 {
+		if CompareTuples(tuples[i], full[i]) != 0 {
 			t.Fatalf("tuple %d differs", i)
 		}
 	}

@@ -265,11 +265,12 @@ func Embeddings(d *xmltree.Document, p *pattern.Pattern) []Tuple {
 		}
 	}
 	rec(0)
-	sort.Slice(out, func(i, j int) bool { return compareTuples(out[i], out[j]) < 0 })
+	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i], out[j]) < 0 })
 	return out
 }
 
-func compareTuples(a, b Tuple) int {
+// CompareTuples orders equal-width tuples item-wise by ID document order.
+func CompareTuples(a, b Tuple) int {
 	for i := range a.Items {
 		if c := a.Items[i].ID.Compare(b.Items[i].ID); c != 0 {
 			return c
@@ -280,5 +281,5 @@ func compareTuples(a, b Tuple) int {
 
 // SortTuples orders full-width tuples by their bindings' document order.
 func SortTuples(tuples []Tuple) {
-	sort.Slice(tuples, func(i, j int) bool { return compareTuples(tuples[i], tuples[j]) < 0 })
+	sort.Slice(tuples, func(i, j int) bool { return CompareTuples(tuples[i], tuples[j]) < 0 })
 }

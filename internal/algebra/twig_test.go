@@ -19,7 +19,7 @@ func TestHolisticSimpleChain(t *testing.T) {
 		t.Fatalf("holistic %d vs binary %d", len(got), len(want))
 	}
 	for i := range got {
-		if compareTuples(got[i], want[i]) != 0 {
+		if CompareTuples(got[i], want[i]) != 0 {
 			t.Fatalf("tuple %d differs", i)
 		}
 	}
@@ -66,7 +66,7 @@ func TestHolisticMatchesBinaryRandom(t *testing.T) {
 				trial, p, len(got), len(want), d)
 		}
 		for i := range got {
-			if compareTuples(got[i], want[i]) != 0 {
+			if CompareTuples(got[i], want[i]) != 0 {
 				t.Fatalf("trial %d: tuple %d differs for %s", trial, i, p)
 			}
 		}

@@ -87,7 +87,7 @@ func RunRewrite(docBytes int) RewriteReport {
 		views = append(views, &rewrite.View{
 			Name:    name,
 			Pattern: p,
-			Rows:    rewrite.RowSlice(algebra.Materialize(d, p)),
+			Rows:    rewrite.RowSlice{algebra.Materialize(d, p)},
 		})
 	}
 

@@ -19,7 +19,7 @@ func TestRewriteShapesAgree(t *testing.T) {
 	var views []*rewrite.View
 	for name, src := range rewriteLibraryPatterns() {
 		p := pattern.MustParse(src)
-		views = append(views, &rewrite.View{Name: name, Pattern: p, Rows: rewrite.RowSlice(algebra.Materialize(d, p))})
+		views = append(views, &rewrite.View{Name: name, Pattern: p, Rows: rewrite.RowSlice{algebra.Materialize(d, p)}})
 	}
 	for _, rs := range RewriteShapes() {
 		path, err := xpath.Parse(rs.Query)
@@ -70,7 +70,7 @@ func BenchmarkRewrite(b *testing.B) {
 	var views []*rewrite.View
 	for name, src := range rewriteLibraryPatterns() {
 		p := pattern.MustParse(src)
-		views = append(views, &rewrite.View{Name: name, Pattern: p, Rows: rewrite.RowSlice(algebra.Materialize(d, p))})
+		views = append(views, &rewrite.View{Name: name, Pattern: p, Rows: rewrite.RowSlice{algebra.Materialize(d, p)}})
 	}
 	for _, rs := range RewriteShapes() {
 		path, err := xpath.Parse(rs.Query)

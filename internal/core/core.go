@@ -166,8 +166,6 @@ type ManagedView struct {
 	// created (first step of Algorithm 1), and pruned per update.
 	insertTerms []uint64
 	deleteTerms []uint64
-	// published lets Snapshot reuse the rows of a view that has not moved.
-	published published
 }
 
 // NewEngine indexes the document and returns an engine with no views.

@@ -83,7 +83,7 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 			continue // covered by the scan in pass 1
 		}
 		for _, row := range e.evalTermFrom(mv, rmask, deltaIn, rIn) {
-			if _, removed := mv.View.DecrementBy(row.Key(), row.Count); removed {
+			if _, removed := mv.View.DecrementBy(row, row.Count); removed {
 				vr.RowsRemoved++
 			}
 		}
@@ -105,18 +105,18 @@ func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
 		ids[i] = r.ID
 	}
 	cover := dewey.NewCover(ids)
-	var doomed []string
+	var doomed []algebra.Row
 	mv.View.Each(func(r algebra.Row) bool {
 		for _, e := range r.Entries {
 			if cover.Contains(e.ID) {
-				doomed = append(doomed, r.Key())
+				doomed = append(doomed, r)
 				break
 			}
 		}
 		return true
 	})
-	for _, key := range doomed {
-		mv.View.Remove(key)
+	for _, r := range doomed {
+		mv.View.Remove(r)
 	}
 	return len(doomed)
 }
@@ -142,20 +142,7 @@ func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applie
 			affected[c.Key()] = true
 		}
 	}
-	var dirty []string
-	mv.View.Each(func(r algebra.Row) bool {
-		for _, entry := range r.Entries {
-			if cvnSet[entry.NodeIdx] && affected[entry.ID.Key()] {
-				dirty = append(dirty, r.Key())
-				return true
-			}
-		}
-		return true
-	})
-	for _, key := range dirty {
-		e.refreshRow(mv, key, cvnSet)
-	}
-	return len(dirty)
+	return e.refreshRows(mv, cvnSet, affected)
 }
 
 // RecomputeView evaluates the view from scratch on the current document —

@@ -100,26 +100,32 @@ func (e *Engine) modifyTuplesAfterInsert(mv *ManagedView, pul *update.PUL) int {
 			affected[c.Key()] = true
 		}
 	}
-	var dirty []string
+	return e.refreshRows(mv, cvnSet, affected)
+}
+
+// refreshRows refreshes every stored row in which a cvn entry binds one of
+// the affected nodes (by ID key), returning how many there were.
+func (e *Engine) refreshRows(mv *ManagedView, cvnSet map[int]bool, affected map[string]bool) int {
+	var dirty []algebra.Row
 	mv.View.Each(func(r algebra.Row) bool {
 		for _, entry := range r.Entries {
 			if cvnSet[entry.NodeIdx] && affected[entry.ID.Key()] {
-				dirty = append(dirty, r.Key())
+				dirty = append(dirty, r)
 				return true
 			}
 		}
 		return true
 	})
-	for _, key := range dirty {
-		e.refreshRow(mv, key, cvnSet)
+	for _, r := range dirty {
+		e.refreshRow(mv, r, cvnSet)
 	}
 	return len(dirty)
 }
 
 // refreshRow re-extracts val/cont for the cvn entries of one stored row
 // from the live document.
-func (e *Engine) refreshRow(mv *ManagedView, key string, cvnSet map[int]bool) {
-	mv.View.Replace(key, func(r *algebra.Row) {
+func (e *Engine) refreshRow(mv *ManagedView, row algebra.Row, cvnSet map[int]bool) {
+	mv.View.Replace(row, func(r *algebra.Row) {
 		for i := range r.Entries {
 			en := &r.Entries[i]
 			if !cvnSet[en.NodeIdx] {

@@ -104,7 +104,7 @@ func (iv *IVMA) propagateSingleInsert(mv *ManagedView, n *xmltree.Node) {
 // canonical relations still contain it).
 func (iv *IVMA) propagateSingleDelete(mv *ManagedView, n *xmltree.Node) {
 	for _, row := range iv.singleNodeRows(mv, n, true) {
-		mv.View.DecrementBy(row.Key(), row.Count)
+		mv.View.DecrementBy(row, row.Count)
 	}
 }
 

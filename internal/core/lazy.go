@@ -222,7 +222,7 @@ func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAl
 				continue // handled by removeRowsUnder
 			}
 			for _, row := range e.evalTermFrom(mv, rmask, delIn, rIn) {
-				mv.View.DecrementBy(row.Key(), row.Count)
+				mv.View.DecrementBy(row, row.Count)
 			}
 		}
 	}
@@ -272,19 +272,7 @@ func (l *Lazy) refreshTouched(mv *ManagedView) {
 			affected[c.Key()] = true
 		}
 	}
-	var dirty []string
-	mv.View.Each(func(r algebra.Row) bool {
-		for _, entry := range r.Entries {
-			if cvnSet[entry.NodeIdx] && affected[entry.ID.Key()] {
-				dirty = append(dirty, r.Key())
-				return true
-			}
-		}
-		return true
-	})
-	for _, key := range dirty {
-		l.e.refreshRow(mv, key, cvnSet)
-	}
+	l.e.refreshRows(mv, cvnSet, affected)
 }
 
 // excludeInputs filters every node's items to those whose live node is not

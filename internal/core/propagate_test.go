@@ -205,10 +205,10 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatalf("snapshot version %d != engine version %d", snap.Version, e.Version())
 	}
 	vs := snap.View(mv.Name)
-	if vs == nil || len(vs.Rows) != 1 {
+	if vs == nil || vs.Rows.Len() != 1 {
 		t.Fatalf("snapshot view = %+v, want 1 row", vs)
 	}
-	wantID := vs.Rows[0].Entries[1].ID
+	wantID := vs.Rows[0][0].Entries[1].ID
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {
 		t.Fatal("snapshot row does not resolve against the snapshot document")
 	}
@@ -223,7 +223,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(vs.Rows) != 1 || vs.Rows[0].Entries[1].Val != "5" {
+	if vs.Rows.Len() != 1 || vs.Rows[0][0].Entries[1].Val != "5" {
 		t.Fatal("mutations reached a published snapshot's rows")
 	}
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {
@@ -238,7 +238,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if snap2.Version <= snap.Version {
 		t.Fatalf("version did not advance: %d then %d", snap.Version, snap2.Version)
 	}
-	if got := len(snap2.View(mv.Name).Rows); got != 0 {
+	if got := snap2.View(mv.Name).Rows.Len(); got != 0 {
 		t.Fatalf("fresh snapshot rows = %d, want 0 after delete", got)
 	}
 }

@@ -3,15 +3,15 @@ package core
 import (
 	"sync"
 
-	"xivm/internal/algebra"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
 	"xivm/internal/xmltree"
 )
 
 // Snapshot is an immutable, self-contained image of the engine at one
-// version: every view's rows (lent by the live view, whose stored rows are
-// immutable — a later refresh replaces a row, it does not write into one),
+// version: every view's rows (the live view's own, frozen: a later change
+// copies the chunk of rows it lands in, and a refresh replaces a row, it
+// does not write into one),
 // the document as it stood (the writer's own tree, frozen: later mutations
 // copy what they touch), and the version counter identifying the state.
 // A Snapshot is safe for unlimited concurrent readers and never changes
@@ -51,20 +51,12 @@ type Snapshot struct {
 type ViewSnapshot struct {
 	Name    string
 	Pattern *pattern.Pattern
-	// Rows are the view's rows in canonical (document) order. The slice is
-	// this capture's own and every row's Entries are shared with the live
-	// view, which never writes a stored row; neither is written after
-	// capture, and snapshots of a view that did not change in between
-	// share both.
-	Rows []algebra.Row
-}
-
-// published is what the last Snapshot captured of one view: the rows, and
-// the store that lent them at which generation.
-type published struct {
-	of   *store.View
-	gen  uint64
-	rows []algebra.Row
+	// Rows are the view's rows in canonical (document) order, as the live
+	// view holds them (store.View.Freeze): nothing reachable from here is
+	// written after capture, snapshots of a view that did not change in
+	// between share all of it, and neighbouring ones all but the chunks
+	// the changes landed in.
+	Rows store.Rows
 }
 
 // Snapshot captures the engine's current state. It must be called from the
@@ -73,7 +65,7 @@ type published struct {
 // is immutable and may be shared with any number of concurrent readers.
 // The document costs O(1) — the mutations since the capture before paid
 // for it, O(depth × fan-out + |delta|) nodes each (xmltree.Snapshot) — and
-// the views cost the rows of those that moved; the first capture, all rows.
+// so does every view: the changes since paid, a chunk of rows each.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version: e.Version(),
@@ -81,12 +73,11 @@ func (e *Engine) Snapshot() *Snapshot {
 		doc:     e.Doc.Snapshot(),
 	}
 	for _, mv := range e.Views {
-		if p := &mv.published; p.of == mv.View && p.gen == mv.View.Generation() {
+		rows, moved := mv.View.Freeze()
+		if !moved {
 			s.ViewsReused++
-		} else {
-			*p = published{of: mv.View, gen: mv.View.Generation(), rows: mv.View.Rows()}
 		}
-		s.Views = append(s.Views, ViewSnapshot{Name: mv.Name, Pattern: mv.Pattern, Rows: mv.published.rows})
+		s.Views = append(s.Views, ViewSnapshot{Name: mv.Name, Pattern: mv.Pattern, Rows: rows})
 	}
 	return s
 }

@@ -180,7 +180,7 @@ func (id ID) AppendString(dst []byte) []byte {
 		}
 		dst = append(dst, c.Label()...)
 		var buf [4]uint64
-		for j, v := range c.ord(buf[:0]) {
+		for j, v := range c.AppendOrd(buf[:0]) {
 			if j > 0 {
 				dst = append(dst, '_')
 			}

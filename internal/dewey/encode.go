@@ -46,7 +46,7 @@ func (id ID) Encode(d *Dict, dst []byte) []byte {
 	for c := id.Cursor(); c.Next(); {
 		dst = binary.AppendUvarint(dst, d.Code(c.Label()))
 		var buf [4]uint64
-		ord := c.ord(buf[:0])
+		ord := c.AppendOrd(buf[:0])
 		dst = binary.AppendUvarint(dst, uint64(len(ord)))
 		for _, v := range ord {
 			dst = binary.AppendUvarint(dst, v)

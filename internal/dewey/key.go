@@ -137,8 +137,8 @@ func (c *Cursor) Label() string {
 	return raw
 }
 
-// ord appends the current step's ordinal components to dst.
-func (c *Cursor) ord(dst Ord) Ord {
+// AppendOrd appends the current step's ordinal components to dst.
+func (c *Cursor) AppendOrd(dst Ord) Ord {
 	for i := c.start; c.key[i] != ordEnd; {
 		end := i + int(c.key[i]) // the lead byte 0x01+n is also the encoded length
 		var v uint64
@@ -151,4 +151,4 @@ func (c *Cursor) ord(dst Ord) Ord {
 }
 
 // Step decodes the current step.
-func (c *Cursor) Step() Step { return Step{Label: c.Label(), Ord: c.ord(nil)} }
+func (c *Cursor) Step() Step { return Step{Label: c.Label(), Ord: c.AppendOrd(nil)} }

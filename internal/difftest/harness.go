@@ -64,21 +64,23 @@ func Matrix() []Config {
 	}
 }
 
-// epoch is a published document and what it read like at capture.
+// epoch is a published snapshot and what it read like at capture.
 type epoch struct {
-	doc  *xmltree.Document
-	read [3]string
+	snap *core.Snapshot
+	read [4]string
 }
 
 // keptEpochs is how many epochs a published run keeps re-reading.
 const keptEpochs = 4
 
-// readEpoch renders what a reader can ask of a document: its serialization,
-// its ordinal stream, and the ID list of every label, in order of first
-// occurrence. Nothing reachable from a published epoch is ever written, so
-// an epoch must read the same for as long as it is held.
-func readEpoch(doc *xmltree.Document) [3]string {
-	var b strings.Builder
+// readEpoch renders what a reader can ask of an epoch: the document's
+// serialization, its ordinal stream, the ID list of every label, in order of
+// first occurrence, and every view's frozen rows. Nothing reachable from a
+// published epoch is ever written, so an epoch must read the same for as
+// long as it is held.
+func readEpoch(snap *core.Snapshot) [4]string {
+	doc := snap.Doc()
+	var b, rows strings.Builder
 	seen := map[string]bool{}
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
 		if !seen[n.Label] {
@@ -92,7 +94,18 @@ func readEpoch(doc *xmltree.Document) [3]string {
 		}
 		return true
 	})
-	return [3]string{doc.String(), string(doc.EncodeOrds()), b.String()}
+	for i := range snap.Views {
+		rows.WriteString(snap.Views[i].Name)
+		snap.Views[i].Rows.Each(func(r algebra.Row) bool {
+			fmt.Fprintf(&rows, " %d×", r.Count)
+			for _, e := range r.Entries {
+				fmt.Fprintf(&rows, "(%d %q %q %q)", e.NodeIdx, e.ID.Key(), e.Val, e.Cont)
+			}
+			return true
+		})
+		rows.WriteByte('\n')
+	}
+	return [4]string{doc.String(), string(doc.EncodeOrds()), b.String(), rows.String()}
 }
 
 // Divergence describes one maintained state that differs from the oracle.
@@ -165,15 +178,22 @@ func Run(w Workload, cfg Config) *Divergence {
 			return nil
 		}
 		for _, ep := range epochs {
-			if readEpoch(ep.doc) != ep.read {
+			if readEpoch(ep.snap) != ep.read {
 				return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "an epoch published earlier reads differently now"}
 			}
 		}
 		if len(epochs) == keptEpochs {
 			epochs = epochs[1:]
 		}
-		doc := e.Snapshot().Doc()
-		epochs = append(epochs, epoch{doc, readEpoch(doc)})
+		snap := e.Snapshot()
+		read := readEpoch(snap)
+		// What the epoch froze is what the live view holds, in its order.
+		for k, mv := range views {
+			if !mv.View.EqualRows(snap.Views[k].Rows.AppendTo(nil)) {
+				return &Divergence{Config: cfg.Name, Index: i, Statement: src, View: mv.Name, Detail: "frozen rows differ from the live view's"}
+			}
+		}
+		epochs = append(epochs, epoch{snap, read})
 		return nil
 	}
 	publish(-1, "")

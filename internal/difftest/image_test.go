@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/obs"
 	"xivm/internal/pulopt"
@@ -165,7 +167,7 @@ func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 				for i, mv := range pub.Views {
 					// Rows handed on from the previous epoch must be the rows
 					// a fresh copy would hold, and the twin's.
-					if !mv.View.EqualRows(snap.Views[i].Rows) {
+					if !mv.View.EqualRows(slices.Concat(snap.Views[i].Rows...)) {
 						fail("view %s: published rows differ from the store", mv.Name)
 					}
 					if !mv.View.EqualRows(twin.Views[i].View.Rows()) {
@@ -284,12 +286,13 @@ func fingerprint(s *core.Snapshot, progs []*qvm.Program) string {
 	b.WriteString(s.Doc().String())
 	for i := range s.Views {
 		fmt.Fprintf(&b, "\n%s:", s.Views[i].Name)
-		for _, r := range s.Views[i].Rows {
+		s.Views[i].Rows.Each(func(r algebra.Row) bool {
 			fmt.Fprintf(&b, " %d×", r.Count)
 			for _, en := range r.Entries {
 				fmt.Fprintf(&b, "(%d %q %q %q)", en.NodeIdx, en.ID.Key(), en.Val, en.Cont)
 			}
-		}
+			return true
+		})
 	}
 	for i, p := range progs {
 		fmt.Fprintf(&b, "\n%s:", walkCorpus[i])

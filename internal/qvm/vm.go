@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 
+	"xivm/internal/dewey"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
 )
@@ -108,12 +109,12 @@ func (p *Program) Exists(d *xmltree.Document) bool {
 		// The label index turns the witness hunt into a scan of the
 		// step's own matches instead of a whole-tree walk.
 		if cands, ok := m.indexed(p, in); ok {
-			for _, n := range cands {
-				if m.stepAccept(p, in, n) && m.segAny(p, 1, n, modeExists, "") {
-					return true
-				}
-			}
-			return false
+			found := false
+			cands.Each(func(n *xmltree.Node) bool {
+				found = m.stepAccept(p, in, n) && m.segAny(p, 1, n, modeExists, "")
+				return !found
+			})
+			return found
 		}
 		if m.stepAccept(p, in, root) && m.segAny(p, 1, root, modeExists, "") {
 			return true
@@ -232,15 +233,15 @@ func blockEnd(p *Program, pc int) int {
 // indexed resolves a descendant step from the virtual document node against
 // the document's label index: exact-label tests (name, attribute, text) are
 // the index entry verbatim. Wildcard and word tests fall back to the walk.
-// The returned slice is the index's own — callers must only read it.
-func (m *Machine) indexed(p *Program, in *Instr) ([]*xmltree.Node, bool) {
+// The returned chunks are the index's own — callers must only read them.
+func (m *Machine) indexed(p *Program, in *Instr) (dewey.Chunks[*xmltree.Node], bool) {
 	switch in.Op.test() {
 	case tsName, tsAttr:
 		// Attribute names are pooled with their "@" prefix, matching
 		// Node.Label conventions, so both tests share the lookup.
-		return m.doc.Labeled(p.Names[in.A]), true
+		return m.doc.LabeledChunks(p.Names[in.A]), true
 	case tsText:
-		return m.doc.Labeled(xmltree.TextLabel), true
+		return m.doc.LabeledChunks(xmltree.TextLabel), true
 	}
 	return nil, false
 }
@@ -260,7 +261,7 @@ func (m *Machine) gather(p *Program, in *Instr, ctx, docRoot *xmltree.Node, dst 
 			// walk below would produce), in O(matches) instead of
 			// O(document).
 			if nodes, ok := m.indexed(p, in); ok {
-				return append(dst, nodes...)
+				return nodes.AppendTo(dst)
 			}
 			if p.match(in, docRoot) {
 				dst = append(dst, docRoot)

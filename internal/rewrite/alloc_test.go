@@ -36,7 +36,7 @@ func TestAnswerAllocBudget(t *testing.T) {
 		{"R5", `//open_auction{ID}//increase{ID,val}`},
 	} {
 		p := pattern.MustParse(v[1])
-		views = append(views, &View{Name: v[0], Pattern: p, Rows: RowSlice(algebra.Materialize(d, p))})
+		views = append(views, &View{Name: v[0], Pattern: p, Rows: RowSlice{algebra.Materialize(d, p)}})
 	}
 	for _, c := range []struct {
 		query, kind string

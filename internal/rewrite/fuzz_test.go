@@ -49,7 +49,7 @@ func fuzzSetup() {
 func fuzzLibrary(d *xmltree.Document) []*View {
 	mk := func(name, src string) *View {
 		p := pattern.MustParse(src)
-		return &View{Name: name, Pattern: p, Rows: RowSlice(algebra.Materialize(d, p))}
+		return &View{Name: name, Pattern: p, Rows: RowSlice{algebra.Materialize(d, p)}}
 	}
 	return []*View{
 		mk("chain-name", `/site{ID}/people{ID}/person{ID}/name{ID,val}`),

@@ -29,29 +29,21 @@ import (
 	"strings"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 )
 
 // RowSource is the row access a rewrite needs: a full scan plus a
-// cardinality for plan costing. *store.View implements it directly;
-// RowSlice adapts plain row slices such as core.ViewSnapshot.Rows.
+// cardinality for plan costing. *store.View implements it directly, and so
+// does RowSlice, the rows of an epoch.
 type RowSource interface {
 	Each(f func(algebra.Row) bool)
 	Len() int
 }
 
-// RowSlice adapts a materialized row slice to a RowSource.
-type RowSlice []algebra.Row
-
-func (s RowSlice) Each(f func(algebra.Row) bool) {
-	for i := range s {
-		if !f(s[i]) {
-			return
-		}
-	}
-}
-
-func (s RowSlice) Len() int { return len(s) }
+// RowSlice is an epoch's rows as core.ViewSnapshot.Rows holds them, read as
+// they lie; RowSlice{rows} wraps one plain slice.
+type RowSlice = dewey.Chunks[algebra.Row]
 
 // View couples a pattern with its materialized rows (the shape
 // core.ManagedView exposes; accepted structurally to avoid a dependency).

@@ -65,7 +65,7 @@ func (r *Registry) handleCreateDB(w http.ResponseWriter, req *http.Request) {
 	snap := sh.Epoch()
 	resp := CreateDBResponse{Tenant: sh.Name(), Version: snap.Version, Views: make([]ViewInfo, 0, len(snap.Views))}
 	for i := range snap.Views {
-		resp.Views = append(resp.Views, ViewInfo{Name: snap.Views[i].Name, Rows: len(snap.Views[i].Rows)})
+		resp.Views = append(resp.Views, ViewInfo{Name: snap.Views[i].Name, Rows: snap.Views[i].Rows.Len()})
 	}
 	writeJSON(w, http.StatusCreated, resp)
 }

@@ -141,33 +141,39 @@ func appendViewResponse(dst []byte, snap *core.Snapshot, vs *core.ViewSnapshot) 
 	dst = append(dst, `,"name":`...)
 	dst = appendJSONString(dst, vs.Name)
 	dst = append(dst, `,"rows":[`...)
-	for i, row := range vs.Rows {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"count":`...)
-		dst = strconv.AppendInt(dst, int64(row.Count), 10)
-		dst = append(dst, `,"entries":[`...)
-		for j, e := range row.Entries {
-			if j > 0 {
+	first := true
+	for _, chunk := range vs.Rows {
+		for i := range chunk {
+			row := &chunk[i]
+			if !first {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, `{"label":`...)
-			dst = appendJSONString(dst, vs.Pattern.Nodes[e.NodeIdx].Label)
-			dst = append(dst, `,"id":`...)
-			from := len(dst)
-			dst = quoteTail(e.ID.AppendString(dst), from)
-			if e.Val != "" {
-				dst = append(dst, `,"val":`...)
-				dst = appendJSONString(dst, e.Val)
+			first = false
+			dst = append(dst, `{"count":`...)
+			dst = strconv.AppendInt(dst, int64(row.Count), 10)
+			dst = append(dst, `,"entries":[`...)
+			for j := range row.Entries {
+				e := &row.Entries[j]
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, `{"label":`...)
+				dst = appendJSONString(dst, vs.Pattern.Nodes[e.NodeIdx].Label)
+				dst = append(dst, `,"id":`...)
+				from := len(dst)
+				dst = quoteTail(e.ID.AppendString(dst), from)
+				if e.Val != "" {
+					dst = append(dst, `,"val":`...)
+					dst = appendJSONString(dst, e.Val)
+				}
+				if e.Cont != "" {
+					dst = append(dst, `,"cont":`...)
+					dst = appendJSONString(dst, e.Cont)
+				}
+				dst = append(dst, '}')
 			}
-			if e.Cont != "" {
-				dst = append(dst, `,"cont":`...)
-				dst = appendJSONString(dst, e.Cont)
-			}
-			dst = append(dst, '}')
+			dst = append(dst, `]}`...)
 		}
-		dst = append(dst, `]}`...)
 	}
 	return append(dst, "]}\n"...)
 }

@@ -58,10 +58,15 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		want := ViewResponse{Tenant: tenant, Version: version, Name: label, Rows: []RowJSON{}}
 		for i := 0; i < rows; i++ {
 			a, b := ids[i%len(ids)], ids[(i+1)%len(ids)]
-			vs.Rows = append(vs.Rows, algebra.Row{Count: i - 1, Entries: []algebra.RowEntry{
+			row := algebra.Row{Count: i - 1, Entries: []algebra.RowEntry{
 				{NodeIdx: 0, ID: a, Val: val},
 				{NodeIdx: 1, ID: b, Cont: cont},
-			}})
+			}}
+			if i == 1 { // chunks of one, two and one rows
+				vs.Rows[0] = append(vs.Rows[0], row)
+			} else {
+				vs.Rows = append(vs.Rows, []algebra.Row{row})
+			}
 			want.Rows = append(want.Rows, RowJSON{Count: i - 1, Entries: []EntryJSON{
 				{Label: label, ID: a.String(), Val: val},
 				{Label: idLabel, ID: b.String(), Cont: cont},

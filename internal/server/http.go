@@ -205,7 +205,7 @@ func (r *Registry) handleViews(w http.ResponseWriter, req *http.Request) {
 	snap := sh.Epoch()
 	resp := ViewsResponse{Tenant: snap.Tenant, Version: snap.Version, Views: make([]ViewInfo, 0, len(snap.Views))}
 	for i := range snap.Views {
-		resp.Views = append(resp.Views, ViewInfo{Name: snap.Views[i].Name, Rows: len(snap.Views[i].Rows)})
+		resp.Views = append(resp.Views, ViewInfo{Name: snap.Views[i].Name, Rows: snap.Views[i].Rows.Len()})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -416,7 +416,7 @@ func (s *Shard) stat() TenantStat {
 		DocNodes: snap.Doc().Size(),
 	}
 	for i := range snap.Views {
-		st.Rows += len(snap.Views[i].Rows)
+		st.Rows += snap.Views[i].Rows.Len()
 	}
 	st.AppliedLSN, st.LastLSN = s.LSNs()
 	switch {

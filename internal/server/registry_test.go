@@ -328,10 +328,10 @@ func TestDurableRegistryRecovery(t *testing.T) {
 		for i := range snap.Views {
 			vs := &snap.Views[i]
 			fresh := algebra.Materialize(snap.Doc(), vs.Pattern)
-			if len(fresh) != len(vs.Rows) {
-				t.Fatalf("%s view %s: %d recovered rows, fresh recomputation %d", name, vs.Name, len(vs.Rows), len(fresh))
+			if len(fresh) != vs.Rows.Len() {
+				t.Fatalf("%s view %s: %d recovered rows, fresh recomputation %d", name, vs.Name, vs.Rows.Len(), len(fresh))
 			}
-			rows += len(vs.Rows)
+			rows += vs.Rows.Len()
 		}
 		if rows != wantRows[name] {
 			t.Fatalf("%s: %d rows after recovery, want %d", name, rows, wantRows[name])

@@ -648,7 +648,7 @@ func (s *Shard) swapEpoch(snap *core.Snapshot) {
 	s.tm.epochs.Inc()
 	var rows int64
 	for i := range snap.Views {
-		rows += int64(len(snap.Views[i].Rows))
+		rows += int64(snap.Views[i].Rows.Len())
 	}
 	s.m.epochRows.Add(rows)
 	s.m.epochViewsReused.Add(int64(snap.ViewsReused))

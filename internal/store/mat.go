@@ -1,6 +1,8 @@
 package store
 
 import (
+	"slices"
+
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
 	"xivm/internal/pattern"
@@ -9,31 +11,27 @@ import (
 // Mat is a materialized lattice node: the stored tuples of one snowcap
 // sub-pattern, maintained incrementally alongside the view. Tuples are
 // stored standalone (IDs only) so the structure could live on disk; live
-// node pointers are re-resolved through the document when needed.
+// node pointers are re-resolved through the document when needed. They are
+// kept dense and sorted by their bindings' IDs, column by column: a tuple is
+// found by binary search, a removed one leaves no slot behind, and Block
+// lends the array itself.
 type Mat struct {
-	Mask   uint64
-	Cols   []int // pattern node indexes bound by each tuple column
-	byKey  map[string]int
-	tups   []algebra.Tuple
-	size   int
-	keyBuf []byte // reused tuple-key scratch; Mat is not safe for concurrent mutation
+	Mask uint64
+	Cols []int // pattern node indexes bound by each tuple column
+	tups []algebra.Tuple
 }
 
 // NewMat creates an empty materialization for the snowcap mask of p.
 func NewMat(p *pattern.Pattern, mask uint64) *Mat {
-	return &Mat{Mask: mask, Cols: pattern.MaskIndexes(mask), byKey: make(map[string]int)}
+	return &Mat{Mask: mask, Cols: pattern.MaskIndexes(mask)}
 }
 
 // FillFromBlock resets the materialization to the tuples of b, which must
 // bind exactly the mat's columns (any order).
 func (m *Mat) FillFromBlock(b algebra.Block) {
-	m.byKey = make(map[string]int, len(b.Tuples))
+	clear(m.tups)
 	m.tups = m.tups[:0]
-	m.size = 0
-	perm := m.permFrom(b.Cols)
-	for _, t := range b.Tuples {
-		m.Add(permuteTuple(t, perm))
-	}
+	m.AddBlock(b)
 }
 
 func (m *Mat) permFrom(cols []int) []int {
@@ -61,78 +59,63 @@ func permuteTuple(t algebra.Tuple, perm []int) algebra.Tuple {
 	return algebra.Tuple{Items: items, Count: t.Count}
 }
 
-func appendTupleKey(buf []byte, t algebra.Tuple) []byte {
-	for _, it := range t.Items {
-		buf = append(buf, it.ID.Key()...)
-		buf = append(buf, 0xFF)
-	}
-	return buf
-}
-
-// Add inserts a tuple (or accumulates its count) and reports whether it was
-// new. The probe key is assembled in a reused buffer from the IDs' cached
-// keys; a string is only materialized when the tuple is genuinely new.
-func (m *Mat) Add(t algebra.Tuple) bool {
-	m.keyBuf = appendTupleKey(m.keyBuf[:0], t)
-	if i, ok := m.byKey[string(m.keyBuf)]; ok {
-		if m.tups[i].Count <= 0 {
-			m.tups[i] = t
-			m.size++
-			return true
-		}
-		m.tups[i].Count += t.Count
-		return false
-	}
-	m.byKey[string(m.keyBuf)] = len(m.tups)
-	m.tups = append(m.tups, t)
-	m.size++
-	return true
-}
-
-// AddBlock adds all tuples of b (after column permutation).
+// AddBlock adds all tuples of b (after column permutation), accumulating
+// the counts of those already stored, and returns how many were new. The
+// block is sorted and the new tuples merged in from the back, one pass over
+// the array however many there are.
 func (m *Mat) AddBlock(b algebra.Block) int {
 	perm := m.permFrom(b.Cols)
-	added := 0
-	for _, t := range b.Tuples {
-		if m.Add(permuteTuple(t, perm)) {
-			added++
+	batch := make([]algebra.Tuple, len(b.Tuples))
+	for i, t := range b.Tuples {
+		batch[i] = permuteTuple(t, perm)
+	}
+	slices.SortFunc(batch, algebra.CompareTuples)
+	fresh := batch[:0]
+	for _, t := range batch {
+		if n := len(fresh); n > 0 && algebra.CompareTuples(fresh[n-1], t) == 0 {
+			fresh[n-1].Count += t.Count
+		} else if i, ok := slices.BinarySearchFunc(m.tups, t, algebra.CompareTuples); ok {
+			m.tups[i].Count += t.Count
+		} else {
+			fresh = append(fresh, t)
 		}
 	}
-	return added
+	rest := len(m.tups) // tups[:rest] are stored tuples not yet in place
+	m.tups = append(m.tups, fresh...)
+	for j, at := len(fresh)-1, len(m.tups)-1; j >= 0; at-- {
+		if rest > 0 && algebra.CompareTuples(m.tups[rest-1], fresh[j]) > 0 {
+			rest--
+			m.tups[at] = m.tups[rest]
+		} else {
+			m.tups[at] = fresh[j]
+			j--
+		}
+	}
+	return len(fresh)
 }
 
 // RemoveUnderAny drops, in a single pass, every tuple in which ANY column
 // binds a node inside the cover (a deleted subtree), returning the number
 // of tuples removed.
 func (m *Mat) RemoveUnderAny(cover *dewey.Cover) int {
-	removed := 0
-	for i := range m.tups {
-		t := &m.tups[i]
-		if t.Count <= 0 {
-			continue
-		}
-		for _, it := range t.Items {
-			if cover.Contains(it.ID) {
-				t.Count = 0
-				m.size--
-				removed++
-				break
-			}
+	kept := 0
+	for _, t := range m.tups {
+		if !slices.ContainsFunc(t.Items, func(it algebra.Item) bool { return cover.Contains(it.ID) }) {
+			m.tups[kept] = t
+			kept++
 		}
 	}
+	removed := len(m.tups) - kept
+	clear(m.tups[kept:])
+	m.tups = m.tups[:kept]
 	return removed
 }
 
-// Len returns the number of live tuples.
-func (m *Mat) Len() int { return m.size }
+// Len returns the number of tuples.
+func (m *Mat) Len() int { return len(m.tups) }
 
-// Block returns the live tuples as a block binding m.Cols.
+// Block returns the tuples as a block binding m.Cols. The block is lent,
+// not copied: it is read-only, and good until the Mat is next edited.
 func (m *Mat) Block() algebra.Block {
-	out := algebra.Block{Cols: append([]int{}, m.Cols...)}
-	for _, t := range m.tups {
-		if t.Count > 0 {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
+	return algebra.Block{Cols: m.Cols[:len(m.Cols):len(m.Cols)], Tuples: m.tups[:len(m.tups):len(m.tups)]}
 }

@@ -29,17 +29,17 @@ func EncodeSnapshot(v *View) []byte {
 // WriteSnapshot streams what EncodeSnapshot returns: w (itself when it is a
 // *bufio.Writer, which is then flushed) sees the image a buffer at a time.
 func WriteSnapshot(w io.Writer, v *View) error {
-	rows := v.Rows()
 	// The dictionary precedes the rows that use it, so a first pass hands
 	// the labels their codes, in the order the rows will meet them.
 	var dict dewey.Dict
-	for _, r := range rows {
+	v.Each(func(r algebra.Row) bool {
 		for _, e := range r.Entries {
 			for c := e.ID.Cursor(); c.Next(); {
 				dict.Code(c.Label())
 			}
 		}
-	}
+		return true
+	})
 	bw := bufio.NewWriter(w)
 	// Header: magic, dictionary, then body.
 	buf := []byte(snapshotMagic)
@@ -48,9 +48,9 @@ func WriteSnapshot(w io.Writer, v *View) error {
 		label, _ := dict.Label(uint64(i))
 		buf = appendString(buf, label)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf = binary.AppendUvarint(buf, uint64(v.Len()))
 	bw.Write(buf)
-	for _, r := range rows {
+	v.Each(func(r algebra.Row) bool {
 		buf = binary.AppendUvarint(buf[:0], uint64(r.Count))
 		buf = binary.AppendUvarint(buf, uint64(len(r.Entries)))
 		for _, e := range r.Entries {
@@ -60,7 +60,8 @@ func WriteSnapshot(w io.Writer, v *View) error {
 			buf = appendString(buf, e.Cont)
 		}
 		bw.Write(buf)
-	}
+		return true
+	})
 	return bw.Flush()
 }
 

@@ -343,21 +343,20 @@ func TestViewUpsertDecrement(t *testing.T) {
 	if r.Count != 2 {
 		t.Fatalf("count %d", r.Count)
 	}
-	key := r.Key()
-	if existed, removed := v.DecrementBy(key, 1); !existed || removed {
+	if existed, removed := v.DecrementBy(r, 1); !existed || removed {
 		t.Fatal("first decrement should keep the row")
 	}
-	if existed, removed := v.DecrementBy(key, 1); !existed || !removed {
+	if existed, removed := v.DecrementBy(r, 1); !existed || !removed {
 		t.Fatal("second decrement should remove the row")
 	}
 	if v.Len() != 0 {
 		t.Fatalf("len %d after removal", v.Len())
 	}
-	// Re-adding after tombstone works.
+	// Re-adding after removal works.
 	if !v.Upsert(r) {
-		t.Fatal("upsert after tombstone should be new")
+		t.Fatal("upsert after removal should be new")
 	}
-	if got, ok := v.Get(key); !ok || got.Count != 2 {
+	if got, ok := v.Get(r); !ok || got.Count != 2 {
 		t.Fatalf("Get after re-add: %v %v", got, ok)
 	}
 }
@@ -370,13 +369,13 @@ func TestViewRemoveReplaceCompact(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows %d", len(rows))
 	}
-	if !v.Replace(rows[0].Key(), func(r *algebra.Row) { r.Entries[0].Val = "z" }) {
+	if !v.Replace(rows[0], func(r *algebra.Row) { r.Entries[0].Val = "z" }) {
 		t.Fatal("replace failed")
 	}
-	if got, _ := v.Get(rows[0].Key()); got.Entries[0].Val != "z" {
+	if got, _ := v.Get(rows[0]); got.Entries[0].Val != "z" {
 		t.Fatal("replace not visible")
 	}
-	if !v.Remove(rows[1].Key()) {
+	if !v.Remove(rows[1]) {
 		t.Fatal("remove failed")
 	}
 	if v.Len() != 1 || len(v.Rows()) != 1 {
@@ -385,22 +384,21 @@ func TestViewRemoveReplaceCompact(t *testing.T) {
 }
 
 // TestReplaceLeavesHandedOutRowsAlone: stored rows are immutable, so what
-// Rows (an epoch's view rows) and Get handed out before a refresh keeps the
-// val and cont it had, and the view serves the new ones.
+// Rows, Freeze (an epoch's view rows) and Get handed out before a refresh
+// keeps the val and cont it had, and the view serves the new ones.
 func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
 	p := pattern.MustParse(`//a{ID,val,cont}`)
 	d := mustDoc(t, `<r><a>x</a><a>y</a></r>`)
 	v := NewMaterializedView(p, algebra.Materialize(d, p))
 	rows := v.Rows()
-	key := rows[0].Key()
-	got, _ := v.Get(key)
-	gen := v.Generation()
-	if !v.Replace(key, func(r *algebra.Row) {
+	got, _ := v.Get(rows[0])
+	frozen, _ := v.Freeze()
+	if !v.Replace(rows[0], func(r *algebra.Row) {
 		r.Entries[0].Val, r.Entries[0].Cont = "z", "<a>z</a>"
 	}) {
 		t.Fatal("replace failed")
 	}
-	for _, old := range []algebra.Row{rows[0], got} {
+	for _, old := range []algebra.Row{rows[0], got, frozen[0][0]} {
 		if e := old.Entries[0]; e.Val != "x" || e.Cont != "<a>x</a>" {
 			t.Fatalf("a row handed out before Replace now reads val %q cont %q", e.Val, e.Cont)
 		}
@@ -408,8 +406,8 @@ func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
 	if e := v.Rows()[0].Entries[0]; e.Val != "z" || e.Cont != "<a>z</a>" {
 		t.Fatalf("view serves val %q cont %q after Replace", e.Val, e.Cont)
 	}
-	if v.Generation() == gen {
-		t.Fatal("Replace did not move the generation")
+	if _, moved := v.Freeze(); !moved {
+		t.Fatal("Replace did not move the view")
 	}
 }
 

@@ -77,10 +77,8 @@ type Document struct {
 	size   int  // number of nodes
 
 	// labels is this version's cell of the lineage's label index
-	// (labels.go); fresh names the lists the writer has made its own at
-	// generation labelGen.
+	// (labels.go), which the writer made its own at generation labelGen.
 	labels   *labelCell
-	fresh    map[string]bool
 	labelGen uint32
 
 	// copied counts the nodes the mutators allocated — spine copies and
@@ -216,15 +214,16 @@ func (n *Node) lastOrd() dewey.Ord {
 	if len(n.Children) == 0 {
 		return nil
 	}
-	return n.Children[len(n.Children)-1].ownOrd()
+	return n.Children[len(n.Children)-1].appendOwnOrd(nil)
 }
 
-// ownOrd returns n's own sibling ordinal, the last step of its ID.
-func (n *Node) ownOrd() dewey.Ord {
+// appendOwnOrd appends n's own sibling ordinal, the last step of its ID, to
+// dst.
+func (n *Node) appendOwnOrd(dst dewey.Ord) dewey.Ord {
 	c := n.ID.Cursor()
 	for c.Next() && !c.Last() {
 	}
-	return c.Step().Ord
+	return c.AppendOrd(dst)
 }
 
 // Clone returns a deep copy of the subtree rooted at n, with no IDs assigned

@@ -37,9 +37,10 @@ func (d *Document) EncodeOrds() []byte {
 func (d *Document) WriteOrds(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var num [binary.MaxVarintLen64]byte
+	var ord dewey.Ord // one buffer for every node's ordinal
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		ord := n.ownOrd()
+		ord = n.appendOwnOrd(ord[:0])
 		bw.Write(binary.AppendUvarint(num[:0], uint64(len(ord))))
 		for _, c := range ord {
 			bw.Write(binary.AppendUvarint(num[:0], c))
