@@ -48,12 +48,15 @@ func (b Block) ColOf(idx int) int {
 }
 
 // SingleColumn builds a one-column block over pattern node idx from items,
-// each with derivation count 1.
+// each with derivation count 1. A tuple's Items aliases its element of items
+// (cap-clamped) rather than copying it: inputs are lent and immutable, and
+// whatever keeps a tuple past the join it feeds — StructuralJoin's emit,
+// NormalizeColumns, Mat.AddBlock — copies.
 func SingleColumn(idx int, items []Item) Block {
 	b := Block{Cols: []int{idx}}
 	b.Tuples = make([]Tuple, len(items))
-	for i, it := range items {
-		b.Tuples[i] = Tuple{Items: []Item{it}, Count: 1}
+	for i := range items {
+		b.Tuples[i] = Tuple{Items: items[i : i+1 : i+1], Count: 1}
 	}
 	return b
 }

@@ -648,11 +648,11 @@ func (e *Engine) propagateAll(ctx context.Context, skip map[*ManagedView]bool, f
 // root-anchor filter applied (an inserted node can never be the document
 // root, so a /-anchored pattern root always has an empty ∆).
 func (e *Engine) deltaInputs(p *pattern.Pattern, roots []*xmltree.Node) algebra.Inputs {
-	labels := make([]string, 0, p.Size())
-	for _, n := range p.Nodes {
-		labels = append(labels, n.Label)
-	}
-	tables := update.DeltaTables(roots, labels)
+	return e.filterDelta(p, update.DeltaTables(roots, p.Labels()))
+}
+
+// filterDelta applies σ and the root anchor to the ∆ tables of p's labels.
+func (e *Engine) filterDelta(p *pattern.Pattern, tables map[string][]algebra.Item) algebra.Inputs {
 	in := make(algebra.Inputs, p.Size())
 	for i, n := range p.Nodes {
 		in[i] = algebra.Filter(tables[n.Label], n, e.Doc)
@@ -661,18 +661,12 @@ func (e *Engine) deltaInputs(p *pattern.Pattern, roots []*xmltree.Node) algebra.
 	return in
 }
 
-// evalTerm evaluates one union term: R-nodes (rmask) come from the lattice
-// (materialized snowcap or on-the-fly joins over canonical relations),
-// ∆-nodes from the delta inputs; the boundary edges become structural
-// joins. Results are projected onto the view's stored nodes.
-func (e *Engine) evalTerm(mv *ManagedView, rmask uint64, deltaIn algebra.Inputs) []algebra.Row {
-	return e.evalTermFrom(mv, rmask, deltaIn, nil)
-}
-
-// evalTermFrom is evalTerm with explicit R inputs (rIn) for the lattice's
-// on-the-fly blocks; nil means the store's current canonical relations.
-// Deferred (lazy) flushing passes filtered inputs here.
-func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn, rIn algebra.Inputs) []algebra.Row {
+// evalTermFrom evaluates one union term: R-nodes (rmask) come from the
+// lattice (a materialized snowcap, or on-the-fly joins over the canonical
+// relations r resolves), ∆-nodes from the delta inputs; the boundary edges
+// become structural joins. Results are projected onto the view's stored
+// nodes.
+func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn algebra.Inputs, r *Relations) []algebra.Row {
 	p := mv.Pattern
 	full := p.FullMask()
 	dmask := full &^ rmask
@@ -680,7 +674,7 @@ func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn, rIn algebr
 	if rmask == 0 {
 		block = algebra.EvalSubPattern(p, full, deltaIn, e.Join())
 	} else {
-		block = mv.Lattice.BlockFrom(rmask, rIn)
+		block = mv.Lattice.BlockFrom(rmask, r)
 		forest, roots := algebra.EvalForest(p, dmask, deltaIn, e.Join())
 		block = algebra.AttachForest(p, block, forest, roots, e.Join())
 	}

@@ -257,6 +257,85 @@ func TestPDMTContentRefresh(t *testing.T) {
 	}
 }
 
+// checkLattice holds every materialized snowcap of mv to a fresh evaluation
+// of its sub-pattern.
+func checkLattice(t *testing.T, e *Engine, mv *ManagedView, when string) {
+	t.Helper()
+	for _, mask := range mv.Lattice.Materialized() {
+		got := mv.Lattice.Block(mask)
+		want := algebra.EvalSubPattern(mv.Pattern, mask, e.Store.Inputs(mv.Pattern), nil)
+		if !sameBlock(got, want) {
+			t.Fatalf("%s: snowcap %b holds %d tuples, recomputation %d", when, mask, len(got.Tuples), len(want.Tuples))
+		}
+	}
+}
+
+// TestLabelGatesKeepWhatTheyMust walks the edges of the two label gates
+// that let a statement skip a view's O(view) scans (refreshAround,
+// propagateDelete): the cases where the scan has work although the labels
+// nearly say otherwise.
+func TestLabelGatesKeepWhatTheyMust(t *testing.T) {
+	// The insertion target is itself the cvn node: its own label, not only
+	// its ancestors', must admit it.
+	t.Run("insert under the val node itself", func(t *testing.T) {
+		e := NewEngine(mustDoc(t, `<site><person><name>Ann</name></person><person><name>Bob</name></person></site>`), Options{})
+		mv := addView(t, e, `//person{ID}/name{ID,val}`)
+		rep := apply(t, e, `insert <suffix>ie</suffix> into /site/person[1]/name`)
+		if rep.Views[0].RowsModified != 1 {
+			t.Fatalf("modified %d rows, want 1", rep.Views[0].RowsModified)
+		}
+		if rows := mv.View.Rows(); rows[0].Entries[1].Val != "Annie" {
+			t.Fatalf("val = %q, want %q", rows[0].Entries[1].Val, "Annie")
+		}
+		if !e.CheckView(mv) {
+			t.Fatal("mismatch vs recomputation")
+		}
+	})
+
+	// A wildcard cvn node has no label to look for: any element on the
+	// target's path may be bound by it.
+	t.Run("wildcard cont", func(t *testing.T) {
+		e := NewEngine(mustDoc(t, `<a><b><c/></b><d/></a>`), Options{})
+		mv := addView(t, e, `//a{ID}/*{ID,cont}`)
+		if rep := apply(t, e, `insert <x>new</x> into //b/c`); rep.Views[0].RowsModified != 1 {
+			t.Fatalf("insert modified %d rows, want 1", rep.Views[0].RowsModified)
+		}
+		if !e.CheckView(mv) {
+			t.Fatal("mismatch vs recomputation after the insert")
+		}
+		if rep := apply(t, e, `delete //c/x`); rep.Views[0].RowsModified != 1 {
+			t.Fatalf("delete modified %d rows, want 1", rep.Views[0].RowsModified)
+		}
+		if !e.CheckView(mv) {
+			t.Fatal("mismatch vs recomputation after the delete")
+		}
+	})
+
+	// The deleted forest holds a binding of a node the view does not store:
+	// no row goes, but a derivation does, and the snowcap {a, b} must lose
+	// its tuple — or the next insert is joined with a b that is gone.
+	t.Run("delete of a non-stored binding", func(t *testing.T) {
+		e := NewEngine(mustDoc(t, `<r><a><b/><b/><c/></a></r>`), Options{})
+		mv := addView(t, e, `//a{ID}[//b]//c{ID}`)
+		if rows := mv.View.Rows(); len(rows) != 1 || rows[0].Count != 2 {
+			t.Fatalf("before: %+v", rows)
+		}
+		rep := apply(t, e, `delete /r/a/b[1]`)
+		if rep.Views[0].RowsRemoved != 0 {
+			t.Fatalf("removed %d rows, want none", rep.Views[0].RowsRemoved)
+		}
+		if rows := mv.View.Rows(); len(rows) != 1 || rows[0].Count != 1 {
+			t.Fatalf("after the delete: %+v, want one row of count 1", rows)
+		}
+		checkLattice(t, e, mv, "after the delete")
+		apply(t, e, `insert <c/> into /r/a`)
+		if !e.CheckView(mv) {
+			t.Fatalf("mismatch vs recomputation after the insert: %s", dumpRows(mv.View.Rows()))
+		}
+		checkLattice(t, e, mv, "after the insert")
+	})
+}
+
 // randomXML builds a deterministic random document over a small alphabet.
 func randomXML(rng *rand.Rand, fanout, depth int) string {
 	labels := []string{"a", "b", "c", "d", "e"}
@@ -379,14 +458,7 @@ func TestLatticeStaysConsistent(t *testing.T) {
 		if _, err := e.ApplyStatement(st); err != nil {
 			t.Fatal(err)
 		}
-		for _, mask := range mv.Lattice.Materialized() {
-			got := mv.Lattice.Block(mask)
-			want := algebra.EvalSubPattern(mv.Pattern, mask, e.Store.Inputs(mv.Pattern), nil)
-			if !sameBlock(got, want) {
-				t.Fatalf("step %d: lattice mask %b inconsistent (%d vs %d tuples)",
-					step, mask, len(got.Tuples), len(want.Tuples))
-			}
-		}
+		checkLattice(t, e, mv, fmt.Sprintf("step %d", step))
 	}
 }
 

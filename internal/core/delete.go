@@ -26,7 +26,12 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 	// CD−: ∆ tables over the detached subtrees.
 	end := e.span("view:" + mv.Name + "/" + obs.PhaseComputeDelta)
 	t0 := time.Now()
-	deltaIn := e.deltaInputs(p, applied.DeletedRoots)
+	tables := update.DeltaTables(applied.DeletedRoots, p.Labels())
+	deltaIn := e.filterDelta(p, tables)
+	// Label membership before σ, over every pattern node, stored or not:
+	// with no table at all, no binding of this view — in a row or in a
+	// snowcap tuple — lies inside the deleted forest.
+	bound := len(tables) > 0
 	vr.Phases = vr.Phases.Set(obs.PhaseComputeDelta, time.Since(t0))
 	end()
 	e.m.countDeltaItems(deltaIn)
@@ -53,10 +58,14 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 	end()
 
 	// Update auxiliary structures before evaluating terms: deletion terms
-	// must see post-update snowcaps.
+	// must see post-update snowcaps. A view none of whose labels occurs in
+	// the deleted forest binds nothing there, and neither searching pass —
+	// this one over its snowcaps, pass 1 below over its rows — is run.
 	end = e.span("view:" + mv.Name + "/" + obs.PhaseUpdateLattice)
 	t0 = time.Now()
-	e.m.latticeDropped.Add(int64(mv.Lattice.ApplyDelete(applied.DeletedRoots)))
+	if bound {
+		e.m.latticeDropped.Add(int64(mv.Lattice.ApplyDelete(applied.DeletedRoots)))
+	}
 	vr.Phases = vr.Phases.Set(obs.PhaseUpdateLattice, time.Since(t0))
 	end()
 
@@ -71,12 +80,14 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 	//     with ∆ on a stored node are exactly the rows pass 1 removed.
 	end = e.span("view:" + mv.Name + "/" + obs.PhaseExecuteUpdate)
 	t0 = time.Now()
-	vr.RowsRemoved += removeRowsUnder(mv, applied.DeletedRoots)
+	if bound {
+		vr.RowsRemoved += removeRowsUnder(mv, applied.DeletedRoots)
+	}
 	var storedMask uint64
 	for _, i := range p.StoredIndexes() {
 		storedMask |= 1 << uint(i)
 	}
-	rIn := e.Store.Inputs(p)
+	rIn := mv.Lattice.Relations()
 	full := p.FullMask()
 	for _, rmask := range terms {
 		if (full&^rmask)&storedMask != 0 {
@@ -123,26 +134,14 @@ func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
 
 // modifyTuplesAfterDelete implements PDMT: for every surviving view tuple
 // and every deleted subtree root, when a cont/val-annotated entry binds an
-// ancestor of the deleted root, its stored image is re-extracted from the
-// (already updated) document.
+// ancestor of the deleted root — its parent or above — its stored image is
+// re-extracted from the (already updated) document.
 func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applied) int {
-	cvn := mv.Pattern.ContValIndexes()
-	if len(cvn) == 0 {
-		return 0
+	parents := make([]dewey.ID, len(applied.DeletedRoots))
+	for i, root := range applied.DeletedRoots {
+		parents[i] = root.ID.Parent()
 	}
-	cvnSet := make(map[int]bool, len(cvn))
-	for _, i := range cvn {
-		cvnSet[i] = true
-	}
-	// A surviving stored image shrinks iff its node is a proper ancestor of
-	// a deleted root; collect those ancestors' ID keys once.
-	affected := map[string]bool{}
-	for _, root := range applied.DeletedRoots {
-		for c := root.ID.Cursor(); c.Next() && !c.Last(); {
-			affected[c.Key()] = true
-		}
-	}
-	return e.refreshRows(mv, cvnSet, affected)
+	return e.refreshAround(mv, parents)
 }
 
 // RecomputeView evaluates the view from scratch on the current document —

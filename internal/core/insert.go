@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
 	"xivm/internal/update"
@@ -49,12 +51,12 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *upda
 	vr.Phases = vr.Phases.Set(obs.PhaseGetExpression, time.Since(t0))
 	end()
 
-	// ET-INS: evaluate surviving terms and merge into the view. The
-	// σ-filtered canonical relations are assembled once and shared by every
-	// term and by the lattice maintenance below.
+	// ET-INS: evaluate surviving terms and merge into the view. Every term
+	// and the lattice maintenance below share one R side, which reads (and
+	// lends) a canonical relation only when a join asks for it.
 	end = e.span("view:" + mv.Name + "/" + obs.PhaseExecuteUpdate)
 	t0 = time.Now()
-	rIn := e.Store.Inputs(p)
+	rIn := mv.Lattice.Relations()
 	for _, rmask := range terms {
 		for _, row := range e.evalTermFrom(mv, rmask, deltaIn, rIn) {
 			if mv.View.Upsert(row) {
@@ -82,60 +84,83 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *upda
 // entry binds n_i or an ancestor of it, the stored image is refreshed from
 // the updated document.
 func (e *Engine) modifyTuplesAfterInsert(mv *ManagedView, pul *update.PUL) int {
-	cvn := mv.Pattern.ContValIndexes()
+	targets := make([]dewey.ID, len(pul.Inserts))
+	for i, pi := range pul.Inserts {
+		targets[i] = pi.Target.ID
+	}
+	return e.refreshAround(mv, targets)
+}
+
+// storesImage reports whether a pattern node is in the paper's cvn set: its
+// bindings are stored with their val or cont.
+func storesImage(n *pattern.Node) bool {
+	return n.Store.Has(pattern.StoreVal) || n.Store.Has(pattern.StoreCont)
+}
+
+// refreshAround is the scan PIMT and PDMT share: it refreshes every stored
+// row in which a cvn entry binds one of the touched nodes or an ancestor of
+// one — the nodes whose val/cont an edit at those points changes — and
+// returns how many rows that was. Dewey IDs expose self-and-ancestors as
+// key prefixes (no allocation), so one hash set of them answers the check
+// per row entry. The set is first cut down by the ID reasoning of
+// Propositions 3.8 / 4.7: an entry of cvn node n binds only nodes carrying
+// n's label ("*": any element, which every ancestor is), and an ID spells
+// out the label at each of its levels, so a prefix whose label no cvn node
+// has can match no entry. When nothing is left the view is not scanned.
+func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
+	p := mv.Pattern
+	cvn := p.ContValIndexes()
 	if len(cvn) == 0 {
 		return 0
 	}
-	cvnSet := make(map[int]bool, len(cvn))
-	for _, i := range cvn {
-		cvnSet[i] = true
+	admits := func(label string) bool {
+		return slices.ContainsFunc(cvn, func(i int) bool { l := p.Nodes[i].Label; return l == label || l == "*" })
 	}
-	// A stored image changes iff its node is a target or an ancestor of
-	// one; Dewey IDs expose those as prefixes, so one hash set of the
-	// targets' self-and-ancestor keys (prefixes of the target's own key —
-	// no allocation) answers the check per row entry.
-	affected := map[string]bool{}
-	for _, pi := range pul.Inserts {
-		for c := pi.Target.ID.Cursor(); c.Next(); {
+	var affected map[string]bool
+	for _, id := range touched {
+		for c := id.Cursor(); c.Next(); {
+			if !admits(c.Label()) {
+				continue
+			}
+			if affected == nil {
+				affected = map[string]bool{}
+			}
 			affected[c.Key()] = true
 		}
 	}
-	return e.refreshRows(mv, cvnSet, affected)
-}
-
-// refreshRows refreshes every stored row in which a cvn entry binds one of
-// the affected nodes (by ID key), returning how many there were.
-func (e *Engine) refreshRows(mv *ManagedView, cvnSet map[int]bool, affected map[string]bool) int {
+	if len(affected) == 0 {
+		return 0
+	}
 	var dirty []algebra.Row
 	mv.View.Each(func(r algebra.Row) bool {
 		for _, entry := range r.Entries {
-			if cvnSet[entry.NodeIdx] && affected[entry.ID.Key()] {
+			if storesImage(p.Nodes[entry.NodeIdx]) && affected[entry.ID.Key()] {
 				dirty = append(dirty, r)
-				return true
+				break
 			}
 		}
 		return true
 	})
 	for _, r := range dirty {
-		e.refreshRow(mv, r, cvnSet)
+		e.refreshRow(mv, r)
 	}
 	return len(dirty)
 }
 
 // refreshRow re-extracts val/cont for the cvn entries of one stored row
 // from the live document.
-func (e *Engine) refreshRow(mv *ManagedView, row algebra.Row, cvnSet map[int]bool) {
+func (e *Engine) refreshRow(mv *ManagedView, row algebra.Row) {
 	mv.View.Replace(row, func(r *algebra.Row) {
 		for i := range r.Entries {
 			en := &r.Entries[i]
-			if !cvnSet[en.NodeIdx] {
+			pn := mv.Pattern.Nodes[en.NodeIdx]
+			if !storesImage(pn) {
 				continue
 			}
 			n := e.Doc.NodeByID(en.ID)
 			if n == nil {
 				continue
 			}
-			pn := mv.Pattern.Nodes[en.NodeIdx]
 			if pn.Store.Has(pattern.StoreVal) {
 				en.Val = n.StringValue()
 			}

@@ -32,6 +32,44 @@ type pooledRef struct {
 	orig []int // canonical node index -> view pattern node index
 }
 
+// Relations is the R side of one view for the length of one statement: its
+// σ-filtered canonical relations, read from the store per pattern node the
+// first time a join asks for one and kept until the statement ends — a node
+// is filtered at most once however many terms read it, and a relation no
+// join reads is never lent, so the store's next edit of it happens where it
+// lies (store.Store's lending rule). The store must not change while one is
+// in use, which the phase order of applyPUL guarantees.
+type Relations struct {
+	p  *pattern.Pattern
+	st *store.Store   // nil when in was supplied whole (deferred flushing masks its own)
+	in algebra.Inputs // the nodes read so far
+}
+
+// Relations returns the view's R side over the store's current state, with
+// nothing read yet.
+func (l *Lattice) Relations() *Relations { return &Relations{p: l.Pattern, st: l.store} }
+
+// Node returns the σ-filtered input of pattern node i.
+func (r *Relations) Node(i int) []algebra.Item {
+	items, ok := r.in[i]
+	if !ok && r.st != nil {
+		if r.in == nil {
+			r.in = make(algebra.Inputs, r.p.Size())
+		}
+		items = r.st.Input(r.p, i)
+		r.in[i] = items
+	}
+	return items
+}
+
+// Mask returns inputs holding at least the nodes of mask.
+func (r *Relations) Mask(mask uint64) algebra.Inputs {
+	for _, i := range pattern.MaskIndexes(mask) {
+		r.Node(i)
+	}
+	return r.in
+}
+
 // NewLattice builds (and, under PolicySnowcaps, materializes) the lattice
 // for p over the store's current state. The full-pattern snowcap is the
 // view itself and is not duplicated here.
@@ -106,12 +144,12 @@ func (l *Lattice) TupleCount() int {
 // materialized snowcap when available, otherwise an on-the-fly join over
 // the canonical relations (the Leaves strategy).
 func (l *Lattice) Block(mask uint64) algebra.Block {
-	return l.BlockFrom(mask, nil)
+	return l.BlockFrom(mask, l.Relations())
 }
 
-// BlockFrom is Block with explicit per-node inputs for the on-the-fly
-// case; nil falls back to the store's canonical relations.
-func (l *Lattice) BlockFrom(mask uint64, in algebra.Inputs) algebra.Block {
+// BlockFrom is Block reading the on-the-fly case's inputs from r — only the
+// mask's nodes, and only when the mask is not materialized.
+func (l *Lattice) BlockFrom(mask uint64, r *Relations) algebra.Block {
 	if ref, ok := l.pooled[mask]; ok {
 		if b, found := l.pool.Block(ref.sig, ref.orig); found {
 			return b
@@ -120,46 +158,34 @@ func (l *Lattice) BlockFrom(mask uint64, in algebra.Inputs) algebra.Block {
 	if m, ok := l.mats[mask]; ok {
 		return m.Block()
 	}
-	if in == nil {
-		in = l.store.Inputs(l.Pattern)
-	}
-	return algebra.EvalSubPattern(l.Pattern, mask, in, l.join)
+	return algebra.EvalSubPattern(l.Pattern, mask, r.Mask(mask), l.join)
 }
 
-// ApplyInsert maintains every materialized snowcap after an insertion,
+// ApplyInsertFrom maintains every materialized snowcap after an insertion,
 // using Proposition 3.13: each snowcap's additions are the union terms of
 // its own sub-pattern, computed from smaller blocks and the ∆+ inputs. All
 // additions are computed against the pre-update state first, then
-// committed, so no term sees partially refreshed data. The store itself
-// must still hold the pre-update canonical relations when this runs.
-func (l *Lattice) ApplyInsert(deltaIn algebra.Inputs) {
-	l.ApplyInsertFrom(deltaIn, nil)
-}
-
-// ApplyInsertFrom is ApplyInsert with explicit R inputs for on-the-fly
-// blocks (used by deferred flushing); nil means the store's relations.
-// Nested one-node-per-level chains (the PolicySnowcaps layout) use the
-// cheap recurrence of Proposition 3.13's proof; arbitrary materialized sets
-// fall back to per-snowcap term expansion.
-func (l *Lattice) ApplyInsertFrom(deltaIn, rIn algebra.Inputs) {
+// committed, so no term sees partially refreshed data. r must still read
+// the pre-update canonical relations when this runs. Nested
+// one-node-per-level chains (the PolicySnowcaps layout) use the cheap
+// recurrence of Proposition 3.13's proof; arbitrary materialized sets fall
+// back to per-snowcap term expansion.
+func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	if l.pool != nil {
 		return // the engine maintains the shared pool once per statement
 	}
 	if len(l.chain) == 0 {
 		return
 	}
-	if rIn == nil {
-		rIn = l.store.Inputs(l.Pattern)
-	}
 	if l.chainIsNested() {
-		l.applyInsertChain(deltaIn, rIn)
+		l.applyInsertChain(deltaIn, r)
 		return
 	}
 	p := l.Pattern
 	additions := make(map[uint64][]algebra.Block, len(l.chain))
 	for _, mask := range l.chain {
 		for _, rmask := range snowcapTerms(p, mask) {
-			blk := l.termBlockFrom(mask, rmask, deltaIn, rIn)
+			blk := l.termBlockFrom(mask, rmask, deltaIn, r)
 			if len(blk.Tuples) > 0 {
 				additions[mask] = append(additions[mask], blk)
 			}
@@ -204,7 +230,7 @@ func (l *Lattice) chainIsNested() bool {
 // k−1 joined with (R ∪ ∆) of the newly added node, plus the OLD level-k−1
 // content joined with that node's ∆. All joins are ∆-sized on at least one
 // side, which is what makes snowcap maintenance cheap.
-func (l *Lattice) applyInsertChain(deltaIn, rIn algebra.Inputs) {
+func (l *Lattice) applyInsertChain(deltaIn algebra.Inputs, r *Relations) {
 	p := l.Pattern
 	join := l.join
 	if join == nil {
@@ -214,34 +240,34 @@ func (l *Lattice) applyInsertChain(deltaIn, rIn algebra.Inputs) {
 	// branch); committed only after every level is computed against the old
 	// state.
 	additions := make([][]algebra.Block, len(l.chain))
+	add := func(k int, out algebra.Block) {
+		if len(out.Tuples) > 0 {
+			additions[k] = append(additions[k], out)
+		}
+	}
 
 	rootIdx := pattern.MaskIndexes(l.chain[0])[0]
-	if len(deltaIn[rootIdx]) > 0 {
-		additions[0] = []algebra.Block{algebra.SingleColumn(rootIdx, deltaIn[rootIdx])}
-	}
+	add(0, algebra.SingleColumn(rootIdx, deltaIn[rootIdx]))
 	for k := 1; k < len(l.chain); k++ {
 		x := pattern.MaskIndexes(l.chain[k] &^ l.chain[k-1])[0]
 		pi := p.ParentIndex(x)
 		desc := p.Nodes[x].Desc
-		// Branch 1: ∆(level k−1) ⋈ (R ∪ ∆)_x.
+		dx := algebra.SingleColumn(x, deltaIn[x])
+		// Branch 1: ∆(level k−1) ⋈ (R ∪ ∆)_x. Join distributes over union, so
+		// R_x — the only relation this level reads — is joined where it lies.
 		if len(additions[k-1]) > 0 {
-			bothItems := make([]algebra.Item, 0, len(rIn[x])+len(deltaIn[x]))
-			bothItems = append(bothItems, rIn[x]...)
-			bothItems = append(bothItems, deltaIn[x]...)
-			both := algebra.SingleColumn(x, bothItems)
+			rx := algebra.SingleColumn(x, r.Node(x))
 			for _, db := range additions[k-1] {
-				if out := join(db, pi, both, x, desc); len(out.Tuples) > 0 {
-					additions[k] = append(additions[k], out)
+				for _, side := range [2]algebra.Block{rx, dx} {
+					if len(side.Tuples) > 0 {
+						add(k, join(db, pi, side, x, desc))
+					}
 				}
 			}
 		}
 		// Branch 2: old(level k−1) ⋈ ∆_x.
-		if len(deltaIn[x]) > 0 {
-			old := l.mats[l.chain[k-1]].Block()
-			dx := algebra.SingleColumn(x, deltaIn[x])
-			if out := join(old, pi, dx, x, desc); len(out.Tuples) > 0 {
-				additions[k] = append(additions[k], out)
-			}
+		if len(dx.Tuples) > 0 {
+			add(k, join(l.mats[l.chain[k-1]].Block(), pi, dx, x, desc))
 		}
 	}
 	for k, mask := range l.chain {
@@ -295,12 +321,12 @@ func upClosedWithin(p *pattern.Pattern, rmask, mask uint64) bool {
 // termBlock evaluates one term of a sub-pattern: block for rmask joined
 // with the ∆ forest covering mask\rmask. Forest roots attach to their
 // closest ancestor within mask.
-func (l *Lattice) termBlockFrom(mask, rmask uint64, deltaIn, rIn algebra.Inputs) algebra.Block {
+func (l *Lattice) termBlockFrom(mask, rmask uint64, deltaIn algebra.Inputs, r *Relations) algebra.Block {
 	dmask := mask &^ rmask
 	if rmask == 0 {
 		return l.evalMaskWith(mask, deltaIn, nil)
 	}
-	return l.evalMaskWith(dmask, deltaIn, &boundary{base: l.BlockFrom(rmask, rIn), rmask: rmask})
+	return l.evalMaskWith(dmask, deltaIn, &boundary{base: l.BlockFrom(rmask, r), rmask: rmask})
 }
 
 type boundary struct {

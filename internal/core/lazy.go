@@ -197,7 +197,7 @@ func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAl
 
 	// R for both passes: the final relations with every batch-inserted
 	// node masked out — exactly the pre-batch survivors.
-	rIn := excludeInputs(e.Store.Inputs(p), inserted)
+	rIn := &Relations{in: excludeInputs(e.Store.Inputs(p), inserted)}
 
 	// Pass 1: deletions. Materialized snowcaps drop bindings inside the
 	// detached subtrees first (they were never told about insertions, so
@@ -252,27 +252,7 @@ func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAl
 	}
 
 	// Refresh stored val/cont of rows whose nodes enclose any touch point.
-	l.refreshTouched(mv)
-}
-
-// refreshTouched re-extracts val/cont for rows whose annotated entries are
-// ancestors-or-self of any insertion target or deletion parent.
-func (l *Lazy) refreshTouched(mv *ManagedView) {
-	cvn := mv.Pattern.ContValIndexes()
-	if len(cvn) == 0 || len(l.touched) == 0 {
-		return
-	}
-	cvnSet := make(map[int]bool, len(cvn))
-	for _, i := range cvn {
-		cvnSet[i] = true
-	}
-	affected := map[string]bool{}
-	for _, id := range l.touched {
-		for c := id.Cursor(); c.Next(); {
-			affected[c.Key()] = true
-		}
-	}
-	l.e.refreshRows(mv, cvnSet, affected)
+	e.refreshAround(mv, l.touched)
 }
 
 // excludeInputs filters every node's items to those whose live node is not

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"xivm/internal/algebra"
 	"xivm/internal/update"
 )
 
@@ -261,13 +261,7 @@ func TestLazyLatticeConsistent(t *testing.T) {
 			if _, err := lz.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for _, mask := range mv.Lattice.Materialized() {
-				got := mv.Lattice.Block(mask)
-				fresh := algebra.EvalSubPattern(mv.Pattern, mask, e.Store.Inputs(mv.Pattern), nil)
-				if !sameBlock(got, fresh) {
-					t.Fatalf("step %d mask %b inconsistent", step, mask)
-				}
-			}
+			checkLattice(t, e, mv, fmt.Sprintf("step %d", step))
 		}
 	}
 }

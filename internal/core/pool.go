@@ -151,7 +151,7 @@ func (pl *Pool) ApplyInsert(inserted []*xmltree.Node) {
 			continue
 		}
 		deltaIn := deltaInputsFor(e.sub, inserted, pl.store.Doc())
-		rIn := pl.store.Inputs(e.sub)
+		rIn := &Relations{p: e.sub, st: pl.store}
 		full := e.sub.FullMask()
 		var additions []algebra.Block
 		for _, rmask := range InsertTerms(e.sub) {
@@ -170,7 +170,7 @@ func (pl *Pool) ApplyInsert(inserted []*xmltree.Node) {
 			if rmask == 0 {
 				blk = algebra.EvalSubPattern(e.sub, full, deltaIn, pl.join)
 			} else {
-				blk = algebra.EvalSubPattern(e.sub, rmask, rIn, pl.join)
+				blk = algebra.EvalSubPattern(e.sub, rmask, rIn.Mask(rmask), pl.join)
 				forest, roots := algebra.EvalForest(e.sub, dmask, deltaIn, pl.join)
 				blk = algebra.AttachForest(e.sub, blk, forest, roots, pl.join)
 			}

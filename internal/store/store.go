@@ -243,14 +243,24 @@ func (s *Store) wordItems(word string) []algebra.Item {
 }
 
 // Inputs assembles σ-filtered per-node inputs for a pattern from the
-// canonical relations.
+// canonical relations, lending every one of them.
 func (s *Store) Inputs(p *pattern.Pattern) algebra.Inputs {
 	in := make(algebra.Inputs, p.Size())
-	for i, n := range p.Nodes {
-		in[i] = algebra.Filter(s.Items(n.Label), n, s.doc)
+	for i := range p.Nodes {
+		in[i] = s.Input(p, i)
 	}
-	in[0] = algebra.FilterRootAnchor(p, in[0])
 	return in
+}
+
+// Input is the σ-filtered input of pattern node i alone: one relation read,
+// one relation lent.
+func (s *Store) Input(p *pattern.Pattern, i int) []algebra.Item {
+	n := p.Nodes[i]
+	items := algebra.Filter(s.Items(n.Label), n, s.doc)
+	if i == 0 {
+		items = algebra.FilterRootAnchor(p, items)
+	}
+	return items
 }
 
 // AddSubtree registers every node of a freshly inserted subtree in the

@@ -234,7 +234,8 @@ func Run(d *xmltree.Document, s *store.Store, st *Statement) (*PUL, *Applied, er
 // DeltaTables implements CD+/CD− (Algorithm 2): for each requested label it
 // extracts, from the affected subtree roots, the ordered collection of
 // matching nodes — the ∆ relation of that label. Labels follow pattern
-// conventions: "*" collects all elements, "@x" attributes, "#text" text.
+// conventions: "*" collects all elements, "@x" attributes, "#text" text. A
+// label no node of the forest matches has no entry in the result.
 func DeltaTables(roots []*xmltree.Node, labels []string) map[string][]algebra.Item {
 	want := make(map[string]bool, len(labels))
 	var words []string
