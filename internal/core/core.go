@@ -236,10 +236,25 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 // AddViewRows installs a view from previously materialized rows (e.g. a
 // snapshot decoded with store.DecodeSnapshot) without re-evaluating the
 // pattern. The caller asserts the rows reflect the engine's current
-// document; the auxiliary lattice is rebuilt from the store.
+// document; the auxiliary lattice is rebuilt from the store. Every non-null
+// entry ID must name a node of the document, and is replaced, in rows, by
+// that node's own ID — the same bytes, so the view holds no second copy of
+// the keys the tree holds.
 func (e *Engine) AddViewRows(name string, p *pattern.Pattern, rows []algebra.Row) (*ManagedView, error) {
 	if len(p.StoredIndexes()) == 0 {
 		return nil, fmt.Errorf("core: view %s stores nothing", name)
+	}
+	for _, r := range rows {
+		for j, entry := range r.Entries {
+			if entry.ID.IsNull() {
+				continue
+			}
+			n := e.Doc.NodeByID(entry.ID)
+			if n == nil {
+				return nil, fmt.Errorf("core: view %s: the document has no node %v", name, entry.ID)
+			}
+			r.Entries[j].ID = n.ID
+		}
 	}
 	return e.installView(name, p, rows)
 }

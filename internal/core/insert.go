@@ -104,8 +104,8 @@ func storesImage(n *pattern.Node) bool {
 // key prefixes (no allocation), so one hash set of them answers the check
 // per row entry. The set is first cut down by the ID reasoning of
 // Propositions 3.8 / 4.7: an entry of cvn node n binds only nodes carrying
-// n's label ("*": any element, which every ancestor is), and an ID spells
-// out the label at each of its levels, so a prefix whose label no cvn node
+// n's label ("*": any element, which every ancestor is), and an ID names
+// the label at each of its levels, so a prefix whose label no cvn node
 // has can match no entry. When nothing is left the view is not scanned.
 func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 	p := mv.Pattern

@@ -108,9 +108,10 @@ func (id ID) LabelPath() []string {
 
 // Compare orders IDs in document order (preorder): an ancestor sorts before
 // its descendants, and siblings sort by ordinal. It returns -1, 0 or +1.
-// The cached keys are order-isomorphic to the step-wise comparison (ordinal
-// first, then — defensively — label, per level), so this is one string
-// comparison.
+// The keys are order-isomorphic to the step-wise comparison (ordinal first,
+// then label code, per level), so this is one string comparison. Steps with
+// equal ordinals and different labels — ordinal twins, never siblings in one
+// tree — compare unequal in an unspecified order.
 func (id ID) Compare(other ID) int {
 	return strings.Compare(id.key, other.key)
 }

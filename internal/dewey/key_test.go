@@ -38,28 +38,30 @@ func (b built) at(level int) built {
 }
 
 // stepwiseCompare is the reference document-order comparison the key must be
-// order-isomorphic to: ordinal first, then label, level by level, with
-// step-prefixes (ancestors) first.
-func stepwiseCompare(a, b []Step) int {
+// order-isomorphic to: ordinal first, level by level, with step-prefixes
+// (ancestors) first. Where the steps first differ only in their labels —
+// ordinal twins — the order is unspecified: it returns 0 and the level
+// (1-based) of the twins instead; twin is 0 otherwise.
+func stepwiseCompare(a, b []Step) (c, twin int) {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
 		if c := a[i].Ord.Compare(b[i].Ord); c != 0 {
-			return c
+			return c, 0
 		}
-		if c := strings.Compare(a[i].Label, b[i].Label); c != 0 {
-			return c
+		if a[i].Label != b[i].Label {
+			return 0, i + 1
 		}
 	}
 	switch {
 	case len(a) < len(b):
-		return -1
+		return -1, 0
 	case len(a) > len(b):
-		return 1
+		return 1, 0
 	}
-	return 0
+	return 0, 0
 }
 
 // stepwiseAncestor is the reference ≺≺ check.
@@ -76,10 +78,14 @@ func stepwiseAncestor(a, b []Step) bool {
 }
 
 // keyLabels deliberately includes empty, 0x00-bearing, 0x01/0xFF-bearing and
-// prefix-of-each-other labels to stress the escape and terminator bytes.
+// prefix-of-each-other labels, and labels too long for the label table —
+// which frames spell out — among them prefix pairs of equal and unequal
+// length bytes.
 var keyLabels = []string{
 	"a", "b", "ab", "", "person", "#text", "@id", "~gold",
 	"a\x00b", "a\x00", "\x00", "\x01", "a\x01", "\xff", "a\xffz", "日本",
+	strings.Repeat("L", maxLabelLen+1), strings.Repeat("L", maxLabelLen+2),
+	strings.Repeat("L", maxLabelLen) + "\x00", strings.Repeat("\xff", 1024),
 }
 
 // randOrdFor returns adversarial ordinals: single and multi component,
@@ -112,7 +118,16 @@ func randIDKey(r *rand.Rand, prev built) built {
 func checkKeyProperties(t *testing.T, x, y built) {
 	t.Helper()
 	a, b := x.id, y.id
-	want := sign(stepwiseCompare(x.steps, y.steps))
+	want, twin := stepwiseCompare(x.steps, y.steps)
+	if twin > 0 {
+		// Ordinal twins and everything under them: unequal, in the order of
+		// the twins' own keys, whichever that is.
+		want = bytes.Compare([]byte(x.at(twin).id.Key()), []byte(y.at(twin).id.Key()))
+		if want == 0 {
+			t.Fatalf("ordinal twins %v / %v have one key %q", x.at(twin).id, y.at(twin).id, x.at(twin).id.Key())
+		}
+	}
+	want = sign(want)
 	if got := sign(bytes.Compare([]byte(a.Key()), []byte(b.Key()))); got != want {
 		t.Fatalf("key order mismatch: bytes.Compare=%d stepwise=%d for %v / %v (%q / %q)",
 			got, want, a, b, a.Key(), b.Key())

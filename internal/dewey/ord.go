@@ -10,12 +10,18 @@
 // compared lexicographically, so a fresh ordinal can always be generated
 // strictly between two existing ones without touching either — the property
 // that makes the scheme dynamic.
+//
+// An ID holds nothing but its key (key.go): one frame per step, an ordinal
+// and a label code, whose bytes order is document order and whose prefixes
+// are its ancestors. A code indexes the process-wide label table
+// (labels.go), so a step costs a few bytes however long its label, and a
+// label is read back with one atomic load and an index.
 package dewey
 
 // Gap is the spacing between ordinals assigned to consecutive siblings when
 // a subtree is first loaded. A large gap leaves room for many future
 // insertions before ordinal vectors need to grow a second component.
-const Gap = 1 << 20
+const Gap = 1 << gapBits
 
 // Ord is a dynamic sibling ordinal: a non-empty vector of components
 // compared lexicographically, with a strict prefix ordering before any

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xivm/internal/update"
+	"xivm/internal/xmltree"
 )
 
 func TestVocabularyParses(t *testing.T) {
@@ -116,5 +117,53 @@ func TestShrinkWith(t *testing.T) {
 	ok := Workload{DocSeed: 3, Statements: []string{vocabulary[1]}}
 	if _, div := ShrinkWith(ok, fails); div != nil {
 		t.Fatal("shrinker invented a failure")
+	}
+}
+
+// twinWorkload replaces the last child of a parent under a new label: the
+// replacement takes the ordinal its victim freed, so the statement's delete
+// and insert stages carry ordinal twins — keys with one ordinal and two
+// labels under one parent, whose order is unspecified. The statements after
+// it edit around the twins.
+var twinWorkload = Workload{DocSeed: 3, Statements: []string{
+	`replace /site/closed_auctions with <open_auctions><open_auction id="oaT"><initial>1.00</initial><bidder><date>01/01/2011</date><personref person="person12"/><increase>4.50</increase></bidder></open_auction></open_auctions>`,
+	`replace /site/regions/europe with <namerica><item id="itemT"><location>Chile</location><name>twin clock</name><description><text>twin</text></description></item></namerica>`,
+	`for $x in /site/open_auctions/open_auction insert <bidder><date>02/02/2011</date><increase>4.50</increase></bidder>`,
+	`replace /site/open_auctions with <closed_auctions/>`,
+	`delete /site/regions/namerica/item`,
+	`insert <europe><item id="itemU"><name>back</name></item></europe> into /site/regions`,
+}}
+
+// TestOrdinalTwinReplace: a replace that hands a freed ordinal to a node of
+// another label, through every matrix configuration against recompute.
+func TestOrdinalTwinReplace(t *testing.T) {
+	// The fixture must produce the twins it is for.
+	e := newEngine(t, twinWorkload)
+	last := func() *xmltree.Node { return e.Doc.Root.Children[len(e.Doc.Root.Children)-1] }
+	before := last()
+	if _, err := e.ApplyStatement(update.MustParse(twinWorkload.Statements[0])); err != nil {
+		t.Fatal(err)
+	}
+	after := last()
+	if after.Label == before.Label || !ownOrd(after.ID).Equal(ownOrd(before.ID)) || after.ID.Equal(before.ID) {
+		t.Fatalf("replacing %v produced %v: not an ordinal twin", before.ID, after.ID)
+	}
+	for _, src := range twinWorkload.Statements[1:] {
+		rep, err := e.ApplyStatement(update.MustParse(src))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		moved := 0
+		for _, vr := range rep.Views {
+			moved += vr.RowsAdded + vr.RowsRemoved + vr.RowsModified
+		}
+		if moved == 0 {
+			t.Fatalf("%s moves no view row", src)
+		}
+	}
+	for _, cfg := range Matrix() {
+		if d := Run(twinWorkload, cfg); d != nil {
+			t.Errorf("%v", d)
+		}
 	}
 }

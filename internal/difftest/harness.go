@@ -6,6 +6,7 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/core"
+	"xivm/internal/dewey"
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
@@ -128,7 +129,9 @@ func (d *Divergence) String() string {
 
 // Run executes the workload under one configuration, checking the oracle
 // after every statement (eager, IVMA) or every flush (lazy). It returns the
-// first divergence, or nil when every check passed. Statements whose target
+// first divergence, or nil when every check passed. After every statement,
+// and in every epoch as it is published, each node's children must carry
+// strictly increasing ordinals (checkOrdinals). Statements whose target
 // path matches nothing are no-ops by construction; statements the engine
 // rejects (none in the vocabulary) are skipped.
 func Run(w Workload, cfg Config) *Divergence {
@@ -186,6 +189,9 @@ func Run(w Workload, cfg Config) *Divergence {
 			epochs = epochs[1:]
 		}
 		snap := e.Snapshot()
+		if err := checkOrdinals(snap.Doc()); err != nil {
+			return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "published epoch: " + err.Error()}
+		}
 		read := readEpoch(snap)
 		// What the epoch froze is what the live view holds, in its order.
 		for k, mv := range views {
@@ -237,6 +243,9 @@ func Run(w Workload, cfg Config) *Divergence {
 				return d
 			}
 		}
+		if err := checkOrdinals(e.Doc); err != nil {
+			return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: err.Error()}
+		}
 	}
 	if lz != nil {
 		if _, err := lz.Flush(); err != nil {
@@ -281,4 +290,35 @@ func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src str
 // IVMA's node-at-a-time propagation maintains faithfully.
 func idOnly(p *pattern.Pattern) *pattern.Pattern {
 	return p.Clone(func(i int, s pattern.Store) pattern.Store { return s & pattern.StoreID })
+}
+
+// checkOrdinals walks a tree and checks that every node's children are its
+// children by ID and carry strictly increasing ordinals. Keys order ordinal
+// twins — equal ordinals, different labels — in no particular way, so a
+// tree whose siblings shared an ordinal would not be in key order.
+func checkOrdinals(doc *xmltree.Document) error {
+	var err error
+	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
+		var prev dewey.Ord
+		for _, c := range n.Children {
+			ord := ownOrd(c.ID)
+			switch {
+			case !n.ID.IsParentOf(c.ID):
+				err = fmt.Errorf("%v sits under %v and is not its child by ID", c.ID, n.ID)
+			case prev != nil && prev.Compare(ord) >= 0:
+				err = fmt.Errorf("children of %v: ordinal %v follows %v", n.ID, ord, prev)
+			}
+			prev = ord
+		}
+		return err == nil
+	})
+	return err
+}
+
+// ownOrd returns the ordinal of id's own step, the last one.
+func ownOrd(id dewey.ID) dewey.Ord {
+	c := id.Cursor()
+	for c.Next() && !c.Last() {
+	}
+	return c.AppendOrd(nil)
 }

@@ -12,7 +12,9 @@ import (
 
 // Parse reads an XML document from r and builds its tree with structural
 // IDs assigned to every node. Whitespace-only text between elements is
-// dropped; mixed-content text is kept.
+// dropped; mixed-content text is kept. Element and attribute labels are the
+// dewey label table's strings (dewey.Intern), one per distinct label, here
+// and in ParseForest.
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
@@ -49,7 +51,7 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Kind: Element, Label: t.Name.Local}
+			n := &Node{Kind: Element, Label: dewey.Intern(t.Name.Local)}
 			if err := push(n); err != nil {
 				return nil, err
 			}
@@ -58,7 +60,7 @@ func Parse(r io.Reader) (*Document, error) {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				attr := &Node{Kind: Attribute, Label: "@" + a.Name.Local, Value: a.Value}
+				attr := &Node{Kind: Attribute, Label: dewey.Intern("@" + a.Name.Local), Value: a.Value}
 				if err := push(attr); err != nil {
 					return nil, err
 				}
@@ -123,11 +125,11 @@ func ParseForest(s string) ([]*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Kind: Element, Label: t.Name.Local}
+			n := &Node{Kind: Element, Label: dewey.Intern(t.Name.Local)}
 			add(n)
 			stack = append(stack, n)
 			for _, a := range t.Attr {
-				add(&Node{Kind: Attribute, Label: "@" + a.Name.Local, Value: a.Value})
+				add(&Node{Kind: Attribute, Label: dewey.Intern("@" + a.Name.Local), Value: a.Value})
 			}
 		case xml.EndElement:
 			if len(stack) == 0 {
