@@ -25,6 +25,9 @@
 //	xivm -data-dir ./data -doc auction.xml -pattern 'Q1=...' 'delete //x'
 //	xivm -data-dir ./data -fsync interval -checkpoint-every 100 'insert …'
 //	xivm -data-dir ./data -verify-recovery
+//
+// -follow, -listen, -data-dir [-verify-recovery] or neither (batch) selects
+// the mode; a flag the selected mode does not read is an error.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -43,11 +47,9 @@ import (
 	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/obs"
-	"xivm/internal/pattern"
 	"xivm/internal/server"
 	"xivm/internal/store"
 	"xivm/internal/update"
-	"xivm/internal/view"
 	"xivm/internal/wal"
 	"xivm/internal/xmltree"
 )
@@ -58,38 +60,80 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "xivm:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// modeReads lists the flags each mode reads; -serve is read by every mode.
+// A flag set on the command line that its mode does not read is refused
+// rather than dropped.
+var modeReads = map[string][]string{
+	"-follow":          {"follow", "listen", "policy", "request-timeout", "drain-timeout"},
+	"-listen":          {"listen", "data-dir", "db", "doc", "view", "pattern", "policy", "engine", "fsync", "fsync-interval", "checkpoint-every", "queue-depth", "max-batch", "request-timeout", "drain-timeout"},
+	"-verify-recovery": {"verify-recovery", "data-dir", "db", "doc", "policy", "engine", "fsync", "fsync-interval", "checkpoint-every"},
+	"-data-dir":        {"data-dir", "db", "doc", "view", "pattern", "policy", "engine", "fsync", "fsync-interval", "checkpoint-every", "rows", "stats", "metrics"},
+	"batch":            {"doc", "view", "pattern", "policy", "engine", "rows", "stats", "save", "load", "metrics"},
+}
+
+// checkModeFlags refuses the first explicitly set flag that mode does not
+// read.
+func checkModeFlags(fs *flag.FlagSet, mode string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "serve" && !slices.Contains(modeReads[mode], f.Name) {
+			err = fmt.Errorf("-%s is not read in %s mode", f.Name, mode)
+		}
+	})
+	return err
+}
+
+func run(fs *flag.FlagSet, args []string) error {
 	var views, patterns multiFlag
-	docPath := flag.String("doc", "", "XML document to load (required)")
-	flag.Var(&views, "view", "NAME=view definition (repeatable)")
-	flag.Var(&patterns, "pattern", "NAME=tree pattern (repeatable)")
-	policy := flag.String("policy", "snowcaps", "lattice policy: snowcaps or leaves")
-	engine := flag.String("engine", "incr", "maintenance engine: incr, lazy, full, or ivma")
-	showRows := flag.Bool("rows", false, "print view rows after each statement")
-	stats := flag.Bool("stats", false, "print per-phase timing breakdowns")
-	saveDir := flag.String("save", "", "directory to write per-view binary snapshots after all statements")
-	loadDir := flag.String("load", "", "directory to restore per-view snapshots from (instead of materializing)")
-	metricsOut := flag.String("metrics", "", `dump engine metrics when done: "json" to stdout, or a file path`)
-	serveAddr := flag.String("serve", "", "serve /debug/pprof and /debug/vars on this address (e.g. :6060)")
-	dataDir := flag.String("data-dir", "", "durable mode: tenant root directory; each database journals to <data-dir>/<name>")
-	dbName := flag.String("db", "default", "database (tenant) name: the -data-dir subdirectory batch statements apply to, and the bootstrap/statement target of -listen")
-	fsync := flag.String("fsync", "always", "durable mode fsync policy: always, interval, or never")
-	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, "group-commit window under -fsync interval")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "durable mode: checkpoint automatically after this many journaled records (0 = never)")
-	verifyRecovery := flag.Bool("verify-recovery", false, "open -data-dir, report what recovery did, verify every view against a fresh evaluation, and exit")
-	listenAddr := flag.String("listen", "", "serve the query/update HTTP API on this address (e.g. :8080) until interrupted")
-	followURL := flag.String("follow", "", "follower mode: tail the leader at this base URL and serve reads at the applied LSN (requires -listen)")
-	queueDepth := flag.Int("queue-depth", 64, "-listen mode: bounded apply-queue depth (full queue rejects with 429)")
-	maxBatch := flag.Int("max-batch", 0, "-listen mode: cap on queued statements the writer translates into one propagation pass (0 = default 32, 1 = per-statement)")
-	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "-listen mode: per-request deadline for updates")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "-listen mode: graceful-drain budget on shutdown")
-	flag.Parse()
+	docPath := fs.String("doc", "", "XML document to load (required)")
+	fs.Var(&views, "view", "NAME=view definition (repeatable)")
+	fs.Var(&patterns, "pattern", "NAME=tree pattern (repeatable)")
+	policy := fs.String("policy", "snowcaps", "lattice policy: snowcaps, leaves, or cost")
+	engine := fs.String("engine", "incr", "maintenance engine: incr, lazy, full, or ivma")
+	showRows := fs.Bool("rows", false, "print view rows after each statement")
+	stats := fs.Bool("stats", false, "print per-phase timing breakdowns")
+	saveDir := fs.String("save", "", "directory to write per-view binary snapshots after all statements")
+	loadDir := fs.String("load", "", "directory to restore per-view snapshots from (instead of materializing)")
+	metricsOut := fs.String("metrics", "", `dump engine metrics when done: "json" to stdout, or a file path`)
+	serveAddr := fs.String("serve", "", "serve /debug/pprof and /debug/vars on this address (e.g. :6060)")
+	dataDir := fs.String("data-dir", "", "durable mode: tenant root directory; each database journals to <data-dir>/<name>")
+	dbName := fs.String("db", "default", "database (tenant) name: the -data-dir subdirectory batch statements apply to, and the bootstrap/statement target of -listen")
+	fsync := fs.String("fsync", "always", "durable mode fsync policy: always, interval, or never")
+	fsyncInterval := fs.Duration("fsync-interval", 50*time.Millisecond, "group-commit window under -fsync interval")
+	checkpointEvery := fs.Int("checkpoint-every", 0, "durable mode: checkpoint automatically after this many journaled records (0 = never)")
+	verifyRecovery := fs.Bool("verify-recovery", false, "open -data-dir, report what recovery did, verify every view against a fresh evaluation, and exit")
+	listenAddr := fs.String("listen", "", "serve the query/update HTTP API on this address (e.g. :8080) until interrupted")
+	followURL := fs.String("follow", "", "follower mode: tail the leader at this base URL and serve reads at the applied LSN (requires -listen)")
+	queueDepth := fs.Int("queue-depth", 64, "-listen mode: bounded apply-queue depth (full queue rejects with 429)")
+	maxBatch := fs.Int("max-batch", 0, "-listen mode: cap on queued statements the writer translates into one propagation pass (0 = default 32, 1 = per-statement)")
+	requestTimeout := fs.Duration("request-timeout", 10*time.Second, "-listen mode: per-request deadline for updates")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "-listen mode: graceful-drain budget on shutdown")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	mode := "batch"
+	switch {
+	case *followURL != "":
+		mode = "-follow"
+	case *listenAddr != "":
+		mode = "-listen"
+	case *dataDir != "" && *verifyRecovery:
+		mode = "-verify-recovery"
+	case *dataDir != "":
+		mode = "-data-dir"
+	case *verifyRecovery:
+		return fmt.Errorf("-verify-recovery requires -data-dir")
+	}
+	if err := checkModeFlags(fs, mode); err != nil {
+		return err
+	}
 
 	// SIGINT/SIGTERM trigger a graceful drain everywhere: statement loops
 	// stop between statements (the WAL group-commit window still flushes
@@ -108,14 +152,12 @@ func run() error {
 		fmt.Printf("serving pprof/expvar on %s\n", *serveAddr)
 	}
 
-	if *followURL != "" {
+	switch mode {
+	case "-follow":
 		if *listenAddr == "" {
 			return fmt.Errorf("-follow requires -listen (a follower exists to serve reads)")
 		}
-		if *dataDir != "" {
-			return fmt.Errorf("-follow keeps no -data-dir: the leader owns the durable state")
-		}
-		if flag.NArg() > 0 {
+		if fs.NArg() > 0 {
 			return fmt.Errorf("-follow accepts no statements: followers are read-only")
 		}
 		return runFollow(ctx, listenConfig{
@@ -123,9 +165,7 @@ func run() error {
 			requestTimeout: *requestTimeout,
 			drainTimeout:   *drainTimeout,
 		}, *followURL, *policy)
-	}
-
-	if *listenAddr != "" {
+	case "-listen":
 		return runListen(ctx, listenConfig{
 			addr:           *listenAddr,
 			queueDepth:     *queueDepth,
@@ -143,11 +183,9 @@ func run() error {
 			fsync:           *fsync,
 			fsyncInterval:   *fsyncInterval,
 			checkpointEvery: *checkpointEvery,
-			statements:      flag.Args(),
+			statements:      fs.Args(),
 		})
-	}
-
-	if *dataDir != "" {
+	case "-data-dir", "-verify-recovery":
 		return runDurable(ctx, durableConfig{
 			dir:             *dataDir,
 			db:              *dbName,
@@ -163,11 +201,8 @@ func run() error {
 			showRows:        *showRows,
 			stats:           *stats,
 			metricsOut:      *metricsOut,
-			statements:      flag.Args(),
+			statements:      fs.Args(),
 		})
-	}
-	if *verifyRecovery {
-		return fmt.Errorf("-verify-recovery requires -data-dir")
 	}
 
 	if *docPath == "" {
@@ -189,54 +224,32 @@ func run() error {
 	}
 	e := core.New(doc, eopts...)
 
-	addView := func(spec string, compile func(string) (*pattern.Pattern, error)) error {
-		name, src, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("view spec %q must be NAME=DEFINITION", spec)
-		}
-		p, err := compile(src)
-		if err != nil {
-			return fmt.Errorf("view %s: %w", name, err)
-		}
-		var mv *core.ManagedView
-		if *loadDir != "" {
-			data, err := os.ReadFile(filepath.Join(*loadDir, name+".xivm"))
-			if err != nil {
-				return fmt.Errorf("load view %s: %w", name, err)
-			}
-			rows, err := store.DecodeSnapshot(data)
-			if err != nil {
-				return fmt.Errorf("load view %s: %w", name, err)
-			}
-			mv, err = e.AddViewRows(name, p, rows)
+	specs, err := compileViewSpecs(views, patterns)
+	if err != nil {
+		return err
+	}
+	for _, s := range specs {
+		if *loadDir == "" {
+			mv, err := e.AddView(s.name, s.p)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("view %-8s %s  (%d rows, restored)\n", name, p, mv.View.Len())
-			return nil
+			fmt.Printf("view %-8s %s  (%d rows)\n", s.name, s.p, mv.View.Len())
+			continue
 		}
-		mv, err = e.AddView(name, p)
+		data, err := os.ReadFile(filepath.Join(*loadDir, s.name+".xivm"))
+		if err != nil {
+			return fmt.Errorf("load view %s: %w", s.name, err)
+		}
+		rows, err := store.DecodeSnapshot(data)
+		if err != nil {
+			return fmt.Errorf("load view %s: %w", s.name, err)
+		}
+		mv, err := e.AddViewRows(s.name, s.p, rows)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("view %-8s %s  (%d rows)\n", name, p, mv.View.Len())
-		return nil
-	}
-	for _, spec := range views {
-		if err := addView(spec, func(src string) (*pattern.Pattern, error) {
-			def, err := view.Compile(src)
-			if err != nil {
-				return nil, err
-			}
-			return def.Pattern, nil
-		}); err != nil {
-			return err
-		}
-	}
-	for _, spec := range patterns {
-		if err := addView(spec, pattern.Parse); err != nil {
-			return err
-		}
+		fmt.Printf("view %-8s %s  (%d rows, restored)\n", s.name, s.p, mv.View.Len())
 	}
 	if len(e.Views) == 0 {
 		return fmt.Errorf("no views declared (-view / -pattern)")
@@ -246,7 +259,7 @@ func run() error {
 	if *engine == "lazy" {
 		lazy = core.NewLazy(e)
 	}
-	for _, stmt := range flag.Args() {
+	for _, stmt := range fs.Args() {
 		if ctx.Err() != nil {
 			fmt.Println("\ninterrupted: remaining statements skipped")
 			break
@@ -311,17 +324,23 @@ func run() error {
 		}
 	}
 	if *metricsOut != "" {
-		if *metricsOut == "json" || *metricsOut == "-" {
-			fmt.Println()
-			return e.Metrics().WriteJSON(os.Stdout)
-		}
-		var b strings.Builder
-		if err := e.Metrics().WriteJSON(&b); err != nil {
-			return err
-		}
-		return os.WriteFile(*metricsOut, []byte(b.String()), 0o644)
+		return writeMetrics(e.Metrics(), *metricsOut)
 	}
 	return nil
+}
+
+// writeMetrics dumps m as JSON: to stdout for dest "json" or "-", else to
+// the file dest.
+func writeMetrics(m *obs.Metrics, dest string) error {
+	if dest == "json" || dest == "-" {
+		fmt.Println()
+		return m.WriteJSON(os.Stdout)
+	}
+	var b strings.Builder
+	if err := m.WriteJSON(&b); err != nil {
+		return err
+	}
+	return os.WriteFile(dest, []byte(b.String()), 0o644)
 }
 
 func policyOptions(policy string) ([]core.Option, error) {
@@ -398,6 +417,10 @@ func runDurable(ctx context.Context, cfg durableConfig) error {
 	if cfg.engine != "incr" {
 		return fmt.Errorf("-data-dir supports only -engine incr (the log replays through the incremental engine)")
 	}
+	specs, err := compileViewSpecs(cfg.views, cfg.patterns)
+	if err != nil {
+		return err
+	}
 	dir, err := resolveTenantDir(cfg.dir, cfg.db)
 	if err != nil {
 		return err
@@ -440,47 +463,18 @@ func runDurable(ctx context.Context, cfg durableConfig) error {
 		return verifyViews(db)
 	}
 
-	addView := func(name, src string, compile func(string) (*pattern.Pattern, error)) error {
-		if db.HasView(name) {
-			fmt.Printf("view %-8s (recovered)\n", name)
-			return nil
-		}
-		p, err := compile(src)
-		if err != nil {
-			return fmt.Errorf("view %s: %w", name, err)
+	for _, s := range specs {
+		if db.HasView(s.name) {
+			fmt.Printf("view %-8s (recovered)\n", s.name)
+			continue
 		}
 		// The log stores the pattern rendering, which reparses to an equal
 		// pattern regardless of which dialect declared it.
-		mv, err := db.AddView(name, p.String())
+		mv, err := db.AddView(s.name, s.p.String())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("view %-8s %s  (%d rows)\n", name, p, mv.View.Len())
-		return nil
-	}
-	for _, spec := range cfg.views {
-		name, src, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("view spec %q must be NAME=DEFINITION", spec)
-		}
-		if err := addView(name, src, func(src string) (*pattern.Pattern, error) {
-			def, err := view.Compile(src)
-			if err != nil {
-				return nil, err
-			}
-			return def.Pattern, nil
-		}); err != nil {
-			return err
-		}
-	}
-	for _, spec := range cfg.patterns {
-		name, src, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("pattern spec %q must be NAME=PATTERN", spec)
-		}
-		if err := addView(name, src, pattern.Parse); err != nil {
-			return err
-		}
+		fmt.Printf("view %-8s %s  (%d rows)\n", s.name, s.p, mv.View.Len())
 	}
 	if len(db.Engine().Views) == 0 {
 		return fmt.Errorf("no views declared (-view / -pattern) and none recovered")
@@ -517,15 +511,7 @@ func runDurable(ctx context.Context, cfg durableConfig) error {
 	}
 	fmt.Printf("\ndurable through lsn %d in %s\n", db.LastLSN(), db.Dir())
 	if cfg.metricsOut != "" {
-		if cfg.metricsOut == "json" || cfg.metricsOut == "-" {
-			fmt.Println()
-			return obs.Default().WriteJSON(os.Stdout)
-		}
-		var b strings.Builder
-		if err := obs.Default().WriteJSON(&b); err != nil {
-			return err
-		}
-		return os.WriteFile(cfg.metricsOut, []byte(b.String()), 0o644)
+		return writeMetrics(obs.Default(), cfg.metricsOut)
 	}
 	return nil
 }

@@ -4,18 +4,10 @@
 //
 // Usage:
 //
-//	xivmbench [-size BYTES] [-small BYTES] [-json FILE] fig18 [fig19 …] | all
+//	xivmbench [-size BYTES] [-small BYTES] [-metrics json|FILE] [-serve ADDR] fig18 [fig19 …] | all
 //
 // Subcommands: fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 fig26 fig27
 // fig28 fig29 fig30 fig31 fig32 fig33 fig34 fig35 ablation all.
-//
-// -json runs the hot-path micro suite (structural join, duplicate
-// elimination, word-relation access, end-to-end propagation) and writes a
-// machine-readable report; -query-json does the same for the query suite
-// (compiled vs interpreted XPath per shape) and -rewrite-json for the
-// view-rewrite suite (view rewrite vs tree walk per plan shape).
-// EXPERIMENTS.md describes how perf PRs combine such runs into a committed
-// BENCH_<pr>.json.
 package main
 
 import (
@@ -33,92 +25,8 @@ func main() {
 	size := flag.Int("size", bench.DefaultBytes, "large-document size in bytes (the paper's 10MB class)")
 	small := flag.Int("small", bench.SmallBytes, "small-document size in bytes (the paper's 100KB class)")
 	metrics := flag.String("metrics", "", `dump the whole run's engine metrics when done: "json" for stdout, or a file path`)
-	jsonOut := flag.String("json", "", `run the hot-path micro suite and write its machine-readable report (BENCH_*.json input): "-" for stdout, or a file path`)
-	queryJSONOut := flag.String("query-json", "", `run the query micro suite (compiled vs interpreted XPath per shape at -small) and write its machine-readable report: "-" for stdout, or a file path`)
-	rewriteJSONOut := flag.String("rewrite-json", "", `run the rewrite micro suite (view rewrite vs tree walk per plan shape at -small) and write its machine-readable report: "-" for stdout, or a file path`)
-	batchJSONOut := flag.String("batch-json", "", `run the shard burst suite (batched vs per-statement serving throughput at -size and 4x -size) and write its machine-readable report: "-" for stdout, or a file path`)
 	serveAddr := flag.String("serve", "", "serve /debug/pprof and /debug/vars on this address while benchmarks run (e.g. :6060)")
 	flag.Parse()
-
-	if *jsonOut != "" {
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xivmbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteMicroJSON(out, *small); err != nil {
-			fmt.Fprintln(os.Stderr, "xivmbench:", err)
-			os.Exit(1)
-		}
-		if len(flag.Args()) == 0 && *batchJSONOut == "" && *queryJSONOut == "" && *rewriteJSONOut == "" {
-			return
-		}
-	}
-
-	if *queryJSONOut != "" {
-		out := os.Stdout
-		if *queryJSONOut != "-" {
-			f, err := os.Create(*queryJSONOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xivmbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteQueryJSON(out, *small); err != nil {
-			fmt.Fprintln(os.Stderr, "xivmbench:", err)
-			os.Exit(1)
-		}
-		if len(flag.Args()) == 0 && *batchJSONOut == "" && *rewriteJSONOut == "" {
-			return
-		}
-	}
-
-	if *rewriteJSONOut != "" {
-		out := os.Stdout
-		if *rewriteJSONOut != "-" {
-			f, err := os.Create(*rewriteJSONOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xivmbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteRewriteJSON(out, *small); err != nil {
-			fmt.Fprintln(os.Stderr, "xivmbench:", err)
-			os.Exit(1)
-		}
-		if len(flag.Args()) == 0 && *batchJSONOut == "" {
-			return
-		}
-	}
-
-	if *batchJSONOut != "" {
-		out := os.Stdout
-		if *batchJSONOut != "-" {
-			f, err := os.Create(*batchJSONOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xivmbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteBatchJSON(out, []int{*size, *size * 4}); err != nil {
-			fmt.Fprintln(os.Stderr, "xivmbench:", err)
-			os.Exit(1)
-		}
-		if len(flag.Args()) == 0 {
-			return
-		}
-	}
 
 	if *serveAddr != "" {
 		obs.PublishExpvar("xivm", obs.Default())
@@ -133,7 +41,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: xivmbench [-size N] [-small N] [-json FILE] fig18 … fig35 | ablation | all")
+		fmt.Fprintln(os.Stderr, "usage: xivmbench [-size N] [-small N] [-metrics json|FILE] [-serve ADDR] fig18 … fig35 | ablation | all")
 		os.Exit(2)
 	}
 	percents := []int{20, 40, 60, 80, 100}

@@ -1,7 +1,7 @@
 // Package bench implements the paper's experiments (Section 6, Figures
 // 18–35): each Run* function reproduces one figure's measurement, returning
-// the same rows/series the paper plots. The root bench_test.go exposes them
-// as testing.B benchmarks and cmd/xivmbench prints them as tables.
+// the same rows/series the paper plots, and cmd/xivmbench prints them as
+// tables.
 //
 // Absolute numbers differ from the paper's (different host, store, and
 // language); the shapes — who wins, by what factor, where trends bend — are

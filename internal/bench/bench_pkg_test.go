@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Tiny documents keep these smoke tests fast; the figures' real runs live
-// in the root bench_test.go and cmd/xivmbench.
+// Tiny documents keep these smoke tests fast; the figures' real runs are
+// cmd/xivmbench's.
 const tiny = 30 << 10
 
 func TestRunBreakdown(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/pulopt"
+	"xivm/internal/qvm"
 	"xivm/internal/xmltree"
-	"xivm/internal/xpath"
 )
 
 // nestedJoin adapts the nested-loop join to the JoinFunc signature.
@@ -59,12 +59,21 @@ func RunRule(rule string, percents []int, docBytes int) []RuleRow {
 	return rows
 }
 
+// peoplePerson selects the persons every rule workload targets.
+var peoplePerson = func() *qvm.Program {
+	p, err := qvm.CompileString(`/site/people/person`)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}()
+
 // ruleWorkload builds the elementary operation sequence for one rule test:
 // the overlapping secondary operations (on the first pct% of persons) run
 // first, followed by the full X1_L primary sequence, mirroring the paper's
 // "run simultaneously" setup.
 func ruleWorkload(e *core.Engine, rule string, pct int) pulopt.Seq {
-	persons := xpath.Eval(e.Doc, xpath.MustParse(`/site/people/person`))
+	persons := peoplePerson.Eval(e.Doc)
 	overlap := persons[:len(persons)*pct/100]
 	nameForest := mustForest(`<name>Martin<name>and</name><name>some</name><name>test</name><name>nodes</name></name>`)
 	extraForest := mustForest(`<name>Extra</name>`)
@@ -84,8 +93,10 @@ func ruleWorkload(e *core.Engine, rule string, pct int) pulopt.Seq {
 		// The secondary update touches descendants (names) of nodes the
 		// primary update deletes; O3 drops the descendant operations.
 		for _, p := range overlap {
-			for _, n := range xpath.EvalRelative(p, mustRel("name")) {
-				ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: n.ID})
+			for _, n := range p.Children {
+				if n.Label == "name" {
+					ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: n.ID})
+				}
 			}
 		}
 		for _, p := range persons {
@@ -111,12 +122,4 @@ func mustForest(s string) []*xmltree.Node {
 		panic(err)
 	}
 	return f
-}
-
-func mustRel(s string) xpath.Path {
-	p, err := xpath.ParseRelative(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
