@@ -33,7 +33,7 @@ func DocItems(d *xmltree.Document, label string) []Item {
 			if n.Kind == xmltree.Element {
 				out = append(out, Item{ID: n.ID, Node: n})
 			}
-		case n.Label == label:
+		case n.Label() == label:
 			out = append(out, Item{ID: n.ID, Node: n})
 		}
 		return true
@@ -208,7 +208,7 @@ func Embeddings(d *xmltree.Document, p *pattern.Pattern) []Tuple {
 			if n.Kind != xmltree.Element {
 				return false
 			}
-		} else if n.Label != pn.Label {
+		} else if n.Label() != pn.Label {
 			return false
 		}
 		if pn.HasPred && n.StringValue() != pn.PredVal {

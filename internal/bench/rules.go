@@ -94,7 +94,7 @@ func ruleWorkload(e *core.Engine, rule string, pct int) pulopt.Seq {
 		// primary update deletes; O3 drops the descendant operations.
 		for _, p := range overlap {
 			for _, n := range p.Children {
-				if n.Label == "name" {
+				if n.Label() == "name" {
 					ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: n.ID})
 				}
 			}

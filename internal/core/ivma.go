@@ -176,7 +176,7 @@ func labelAdmits(label string, n *xmltree.Node) bool {
 	case strings.HasPrefix(label, "~"):
 		return n.MatchesWord(label[1:])
 	default:
-		return label == n.Label
+		return label == n.Label()
 	}
 }
 

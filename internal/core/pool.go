@@ -224,7 +224,7 @@ func (pl *Pool) scanPresence(inserted []*xmltree.Node) insertPresence {
 			if n.Kind == xmltree.Element {
 				pr.anyElement = true
 			}
-			pr.labels[n.Label] = true
+			pr.labels[n.Label()] = true
 			for _, w := range words {
 				if !pr.words[w] && n.MatchesWord(w[1:]) {
 					pr.words[w] = true

@@ -305,13 +305,13 @@ func TestDefaultPolicyLendsNoRelation(t *testing.T) {
 // TestLiveHeapPerNodeBudget holds what a served tenant keeps per document
 // node: the tree, the store, the benchmark's seven views and one published
 // epoch, at 1 MB. An ID is one string whose frames name their labels by
-// code, a label is one string however many nodes carry it, the tree is its
-// own index and an epoch is that same tree, which comes to ~167 B a node
-// here (the source text, live at the first reading, is freed by the second).
-// Frames that spell their labels out put it at ~207 B (~219 with four-byte
-// ordinals and a label string per node); a second copy of the document
-// beside it at ~380 B, a per-node step array or a key→node map at ~770 B.
-// The budget sits below all of them.
+// code, a node names its label by the same code (a 64-byte node), the tree
+// is its own index and an epoch is that same tree, which comes to ~151 B a
+// node here (the source text, live at the first reading, is freed by the
+// second). A node that also holds its label as a string, an 80-byte node,
+// puts it at ~167 B; frames that spell their labels out add ~40 B more; a
+// second copy of the document beside it is ~380 B, a per-node step array or
+// a key→node map ~770 B. The budget sits below all of them.
 func TestLiveHeapPerNodeBudget(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
 	var before, after runtime.MemStats
@@ -329,8 +329,8 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	nodes := e.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 185 {
-		t.Errorf("engine + one epoch hold %d B per document node, budget 185", perNode)
+	if perNode > 155 {
+		t.Errorf("engine + one epoch hold %d B per document node, budget 155", perNode)
 	}
 	runtime.KeepAlive(snap)
 	runtime.KeepAlive(e)

@@ -36,8 +36,15 @@ func NewRoot(label string) ID {
 // a stack buffer and the key assembled in an exact-size Builder, so the
 // whole construction costs one string allocation.
 func (id ID) Child(label string, ord Ord) ID {
+	return id.ChildCode(Code(label), label, ord)
+}
+
+// ChildCode is Child for a label whose code the caller already holds (Code):
+// it does not consult the table. label is read only when c is 0, the code of
+// a label the table refused, which the frame spells out.
+func (id ID) ChildCode(c uint16, label string, ord Ord) ID {
 	var tmp [64]byte
-	frame := appendFrame(tmp[:0], label, ord)
+	frame := appendFrame(tmp[:0], c, label, ord)
 	var sb strings.Builder
 	sb.Grow(len(id.key) + len(frame))
 	sb.WriteString(id.key)

@@ -97,7 +97,7 @@ func Decode(d *Dict, src []byte) (ID, int, error) {
 			pos += k
 			ord = append(ord, c)
 		}
-		key = appendFrame(key, label, ord)
+		key = appendFrame(key, Code(label), label, ord)
 	}
 	return ID{key: string(key)}, pos, nil
 }

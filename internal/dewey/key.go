@@ -75,14 +75,14 @@ func appendComponent(dst []byte, v uint64) []byte {
 	return dst
 }
 
-// appendFrame appends one step's frame.
-func appendFrame(dst []byte, label string, ord Ord) []byte {
+// appendFrame appends one step's frame: c is label's code, and label is
+// read only when c is litCode.
+func appendFrame(dst []byte, c uint16, label string, ord Ord) []byte {
 	for _, v := range ord {
 		dst = appendComponent(dst, v>>gapBits)
 		dst = appendComponent(dst, v&(Gap-1))
 	}
 	dst = append(dst, ordEnd)
-	c := code(label)
 	dst = binary.AppendUvarint(dst, uint64(c))
 	if c == litCode {
 		dst = binary.AppendUvarint(dst, uint64(len(label)))
@@ -164,7 +164,7 @@ func (c *Cursor) Label() string {
 	}
 	code, i := uvarintAt(c.key, c.lab)
 	if code != litCode {
-		return labelOf(code)
+		return LabelOf(uint16(code))
 	}
 	_, i = uvarintAt(c.key, i)
 	return c.key[i:c.end]

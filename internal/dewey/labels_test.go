@@ -27,13 +27,20 @@ func TestLabelTableStopsAtItsCap(t *testing.T) {
 	if n := len(*table.labels.Load()); n != maxCodes {
 		t.Fatalf("the label table holds %d codes, its cap is %d", n, maxCodes)
 	}
-	if Intern("cap-after-the-cap") != "cap-after-the-cap" || code("cap-after-the-cap") != litCode {
+	_, refused := LabelStats()
+	if Code("cap-after-the-cap") != litCode {
 		t.Fatal("a full table handed out a code")
+	}
+	if codes, now := LabelStats(); codes != maxCodes-1 || now != refused+1 {
+		t.Fatalf("LabelStats() = %d codes, %d refusals; want %d, %d", codes, now, maxCodes-1, refused+1)
+	}
+	if c := Code("cap00001"); c == litCode || LabelOf(c) != "cap00001" {
+		t.Fatalf("Code(cap00001) = %d in a full table; LabelOf answers %q", c, LabelOf(c))
 	}
 	literal := 0
 	for i, b := range nodes {
 		label := b.steps[len(b.steps)-1].Label
-		if code(label) == litCode {
+		if Code(label) == litCode {
 			literal++
 			if !strings.HasSuffix(b.id.Key(), label) {
 				t.Fatalf("refused label %.20q… is not spelled out at the end of its key", label)

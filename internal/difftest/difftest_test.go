@@ -145,7 +145,7 @@ func TestOrdinalTwinReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := last()
-	if after.Label == before.Label || !ownOrd(after.ID).Equal(ownOrd(before.ID)) || after.ID.Equal(before.ID) {
+	if after.Label() == before.Label() || !ownOrd(after.ID).Equal(ownOrd(before.ID)) || after.ID.Equal(before.ID) {
 		t.Fatalf("replacing %v produced %v: not an ordinal twin", before.ID, after.ID)
 	}
 	for _, src := range twinWorkload.Statements[1:] {

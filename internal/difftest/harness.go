@@ -84,10 +84,10 @@ func readEpoch(snap *core.Snapshot) [4]string {
 	var b, rows strings.Builder
 	seen := map[string]bool{}
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
-		if !seen[n.Label] {
-			seen[n.Label] = true
-			b.WriteString(n.Label)
-			for _, m := range doc.Labeled(n.Label) {
+		if label := n.Label(); !seen[label] {
+			seen[label] = true
+			b.WriteString(label)
+			for _, m := range doc.Labeled(label) {
 				b.WriteString(m.ID.Key())
 				b.WriteByte(0xFF)
 			}

@@ -63,7 +63,7 @@ func checkImage(live, img *xmltree.Document) error {
 	}
 	labels := map[string]bool{}
 	xmltree.Walk(want.Root, func(n *xmltree.Node) bool {
-		labels[n.Label] = true
+		labels[n.Label()] = true
 		return true
 	})
 	indexed := 0
@@ -106,7 +106,7 @@ func sameDocument(pub, twin *xmltree.Document) error {
 	}
 	labels := map[string]bool{}
 	xmltree.Walk(twin.Root, func(n *xmltree.Node) bool {
-		labels[n.Label] = true
+		labels[n.Label()] = true
 		return true
 	})
 	for l := range labels {

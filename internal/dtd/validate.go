@@ -96,7 +96,7 @@ func childLabels(n *xmltree.Node) []string {
 	var out []string
 	for _, c := range n.Children {
 		if c.Kind == xmltree.Element {
-			out = append(out, c.Label)
+			out = append(out, c.Label())
 		}
 	}
 	return out
@@ -108,16 +108,16 @@ func (d *DTD) ValidateTree(n *xmltree.Node) error {
 	if n.Kind != xmltree.Element {
 		return nil
 	}
-	model := d.content(n.Label)
+	model := d.content(n.Label())
 	if model == nil {
-		return fmt.Errorf("dtd: no rule for element %q", n.Label)
+		return fmt.Errorf("dtd: no rule for element %q", n.Label())
 	}
 	seq := childLabels(n)
 	if !matchSeq(model, seq) {
-		return fmt.Errorf("dtd: children %v of %q do not match its content model", seq, n.Label)
+		return fmt.Errorf("dtd: children %v of %q do not match its content model", seq, n.Label())
 	}
 	if textOnly(model) && len(seq) > 0 {
-		return fmt.Errorf("dtd: text-only element %q has element children", n.Label)
+		return fmt.Errorf("dtd: text-only element %q has element children", n.Label())
 	}
 	for _, c := range n.Children {
 		if err := d.ValidateTree(c); err != nil {
@@ -129,8 +129,8 @@ func (d *DTD) ValidateTree(n *xmltree.Node) error {
 
 // ValidateDocument checks the whole document, including the root label.
 func (d *DTD) ValidateDocument(doc *xmltree.Document) error {
-	if doc.Root.Label != d.Root && !d.rootProduces(doc.Root.Label) {
-		return fmt.Errorf("dtd: root %q does not match grammar root %q", doc.Root.Label, d.Root)
+	if root := doc.Root.Label(); root != d.Root && !d.rootProduces(root) {
+		return fmt.Errorf("dtd: root %q does not match grammar root %q", root, d.Root)
 	}
 	return d.ValidateTree(doc.Root)
 }
@@ -151,19 +151,19 @@ func (d *DTD) CheckInsert(target *xmltree.Node, forest []*xmltree.Node) error {
 			return fmt.Errorf("dtd: inserted tree invalid: %w", err)
 		}
 	}
-	model := d.content(target.Label)
+	model := d.content(target.Label())
 	if model == nil {
-		return fmt.Errorf("dtd: no rule for insertion target %q", target.Label)
+		return fmt.Errorf("dtd: no rule for insertion target %q", target.Label())
 	}
 	seq := childLabels(target)
 	for _, t := range forest {
 		if t.Kind == xmltree.Element {
-			seq = append(seq, t.Label)
+			seq = append(seq, t.Label())
 		}
 	}
 	if !matchSeq(model, seq) {
 		return fmt.Errorf("dtd: inserting under %q yields children %v, violating its content model",
-			target.Label, seq)
+			target.Label(), seq)
 	}
 	return nil
 }
@@ -273,7 +273,7 @@ func DeltaSizes(forest []*xmltree.Node) map[string]int {
 	for _, t := range forest {
 		xmltree.Walk(t, func(n *xmltree.Node) bool {
 			if n.Kind == xmltree.Element {
-				out[n.Label]++
+				out[n.Label()]++
 			}
 			return true
 		})

@@ -127,7 +127,7 @@ func forestLabels(forest []*xmltree.Node) map[string]bool {
 	out := map[string]bool{}
 	for _, t := range forest {
 		xmltree.Walk(t, func(n *xmltree.Node) bool {
-			out[n.Label] = true
+			out[n.Label()] = true
 			return true
 		})
 	}

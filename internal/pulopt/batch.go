@@ -218,7 +218,7 @@ func simpleNamePath(p xpath.Path) ([]string, bool) {
 func collectLabels(t *xmltree.Node, into map[string]bool) {
 	xmltree.Walk(t, func(n *xmltree.Node) bool {
 		if n.Kind == xmltree.Element {
-			into[n.Label] = true
+			into[n.Label()] = true
 		}
 		return true
 	})

@@ -336,7 +336,7 @@ func resolveInForest(forest []*xmltree.Node, labels []string) *xmltree.Node {
 		return nil
 	}
 	for _, t := range forest {
-		if t.Label != labels[0] {
+		if t.Label() != labels[0] {
 			continue
 		}
 		node := t
@@ -344,7 +344,7 @@ func resolveInForest(forest []*xmltree.Node, labels []string) *xmltree.Node {
 		for _, l := range labels[1:] {
 			var next *xmltree.Node
 			for _, c := range node.Children {
-				if c.Label == l {
+				if c.Label() == l {
 					next = c
 					break
 				}

@@ -42,13 +42,13 @@ func pathNode(t *testing.T, d *xmltree.Document, labels ...string) *xmltree.Node
 	for _, l := range labels {
 		var next *xmltree.Node
 		for _, c := range n.Children {
-			if c.Label == l {
+			if c.Label() == l {
 				next = c
 				break
 			}
 		}
 		if next == nil {
-			t.Fatalf("no %v under %v", l, n.Label)
+			t.Fatalf("no %v under %v", l, n.Label())
 		}
 		n = next
 	}
@@ -195,7 +195,7 @@ func TestAggregateExample53(t *testing.T) {
 	// inside the inserted d gained a b child (ins↘ appends children to its
 	// target), and op32 left the second PUL.
 	dTree := got[2].Forest[0]
-	if dTree.Label != "d" || dTree.Content() != "<d><b><b/></b></d>" {
+	if dTree.Label() != "d" || dTree.Content() != "<d><b><b/></b></d>" {
 		t.Fatalf("D6 splice failed: %s", dTree.Content())
 	}
 }

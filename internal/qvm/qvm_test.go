@@ -1,10 +1,13 @@
 package qvm
 
 import (
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
@@ -391,5 +394,53 @@ func TestCompiledEvalSeesMutations(t *testing.T) {
 	want := xpath.Eval(d, p)
 	if len(got) != len(want) {
 		t.Fatalf("after delete: compiled %d matches, interpreted %d", len(got), len(want))
+	}
+}
+
+var neverSeenRuns atomic.Int32
+
+// TestReadsNeverGrowTheLabelTable: compiling and running queries that name a
+// label no document holds assigns it no code — a read leaves the
+// process-wide label table as it was — and the programs compiled then still
+// match the label, node for node with the interpreter, once an insert has
+// given it a code: a cached program never goes stale.
+func TestReadsNeverGrowTheLabelTable(t *testing.T) {
+	name := fmt.Sprintf("zz-never-seen-%d", neverSeenRuns.Add(1)) // fresh under -count
+	d := mustDoc(t, auctionDoc)
+	queries := []string{
+		"//" + name, "//@" + name, // the label index
+		"/site//" + name, "/site/people/person/" + name + "/@" + name, "//person[" + name + "]", // the node test
+	}
+	before, _ := dewey.LabelStats()
+	progs := make([]*Program, len(queries))
+	for i, q := range queries {
+		prog, err := CompileString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Eval(d); len(got) != 0 || prog.Exists(d) {
+			t.Fatalf("%s matches %d nodes of a document without the label", q, len(got))
+		}
+		progs[i] = prog
+	}
+	if after, _ := dewey.LabelStats(); after != before {
+		t.Fatalf("compiling and running %d queries over an absent label assigned %d codes", len(queries), after-before)
+	}
+
+	forest, err := xmltree.ParseForest(fmt.Sprintf(`<%s %s="v"/>`, name, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := dewey.LabelStats(); after != before+2 {
+		t.Fatalf("fixture: parsing %q and @%s assigned %d codes, want 2", name, name, after-before)
+	}
+	if _, err := d.ApplyInsert(d.Labeled("person")[0], forest[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, prog := range progs {
+		got, want := prog.Eval(d), xpath.Eval(d, xpath.MustParse(queries[i]))
+		if len(got) != 1 || !sameNodes(got, want) || !prog.Exists(d) {
+			t.Fatalf("%s, compiled before the label had a code: %d matches, the interpreter %d", queries[i], len(got), len(want))
+		}
 	}
 }

@@ -237,8 +237,8 @@ func blockEnd(p *Program, pc int) int {
 func (m *Machine) indexed(p *Program, in *Instr) (dewey.Chunks[*xmltree.Node], bool) {
 	switch in.Op.test() {
 	case tsName, tsAttr:
-		// Attribute names are pooled with their "@" prefix, matching
-		// Node.Label conventions, so both tests share the lookup.
+		// Attribute names are pooled with their "@" prefix, as Node.Label
+		// returns them, so both tests share the lookup.
 		return m.doc.LabeledChunks(p.Names[in.A]), true
 	case tsText:
 		return m.doc.LabeledChunks(xmltree.TextLabel), true
@@ -316,12 +316,12 @@ func appendDesc(p *Program, in *Instr, n *xmltree.Node, dst []*xmltree.Node) []*
 func (p *Program) match(in *Instr, n *xmltree.Node) bool {
 	switch in.Op.test() {
 	case tsName:
-		return n.Kind == xmltree.Element && n.Label == p.Names[in.A]
+		return n.Kind == xmltree.Element && n.Label() == p.Names[in.A]
 	case tsWild:
 		return n.Kind == xmltree.Element
 	case tsAttr:
 		// Attribute names are pooled with their "@" prefix: no concat here.
-		return n.Kind == xmltree.Attribute && n.Label == p.Names[in.A]
+		return n.Kind == xmltree.Attribute && n.Label() == p.Names[in.A]
 	case tsText:
 		return n.Kind == xmltree.Text
 	case tsWord:

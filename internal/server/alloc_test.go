@@ -140,7 +140,8 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 			arena += len(value)
 		}
 		id := dewey.NewRoot("site").Child("open_auctions", dewey.OrdAt(3)).Child("open_auction", dewey.OrdAt(i)).Child("increase", dewey.OrdAt(1))
-		nodes[i] = &xmltree.Node{Kind: xmltree.Text, Label: "increase", ID: id, Value: value}
+		nodes[i] = xmltree.NewNode(xmltree.Text, "increase", value)
+		nodes[i].ID = id
 	}
 	body := appendXPathHead(nil, &core.Snapshot{Tenant: "bench", Version: 7}, "//open_auction//increase", "", false)
 	body = append(appendNodeMatches(body, nodes), xpathTail...)

@@ -212,7 +212,7 @@ func appendMatchHead(dst []byte, first bool, id dewey.ID, label string) []byte {
 func appendNodeMatches(dst []byte, nodes []*xmltree.Node) []byte {
 	dst = append(dst, '[')
 	for i, n := range nodes {
-		dst = appendMatchHead(dst, i == 0, n.ID, n.Label)
+		dst = appendMatchHead(dst, i == 0, n.ID, n.Label())
 		dst = appendTextValue(dst, n)
 		dst = append(dst, '}')
 	}

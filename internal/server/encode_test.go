@@ -86,24 +86,29 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		// element, then a text node and an attribute matched directly.
 		var nodes []*xmltree.Node
 		xr := XPathResponse{Tenant: tenant, Version: version, Query: query, Plan: plan, Matches: []MatchJSON{}}
+		mk := func(kind xmltree.Kind, label, value string, children ...*xmltree.Node) *xmltree.Node {
+			n := xmltree.NewNode(kind, label, value)
+			n.Children = children
+			return n
+		}
 		for i := 0; i < rows; i++ {
 			var node *xmltree.Node
 			switch i {
 			case 0:
-				node = &xmltree.Node{Kind: xmltree.Element, Label: label, ID: ids[1], Children: []*xmltree.Node{
-					{Kind: xmltree.Attribute, Label: "@" + idLabel, Value: cont},
-					{Kind: xmltree.Text, Label: xmltree.TextLabel, Value: val},
-					{Kind: xmltree.Element, Label: idLabel, Children: []*xmltree.Node{
-						{Kind: xmltree.Text, Label: xmltree.TextLabel, Value: cont},
-					}},
-				}}
+				node = mk(xmltree.Element, label, "",
+					mk(xmltree.Attribute, "@"+idLabel, cont),
+					mk(xmltree.Text, xmltree.TextLabel, val),
+					mk(xmltree.Element, idLabel, "", mk(xmltree.Text, xmltree.TextLabel, cont)))
+				node.ID = ids[1]
 			case 1:
-				node = &xmltree.Node{Kind: xmltree.Text, Label: xmltree.TextLabel, Value: val, ID: ids[2]}
+				node = mk(xmltree.Text, xmltree.TextLabel, val)
+				node.ID = ids[2]
 			default:
-				node = &xmltree.Node{Kind: xmltree.Attribute, Label: "@" + label, Value: cont, ID: ids[0]}
+				node = mk(xmltree.Attribute, "@"+label, cont)
+				node.ID = ids[0]
 			}
 			nodes = append(nodes, node)
-			xr.Matches = append(xr.Matches, MatchJSON{ID: node.ID.String(), Label: node.Label, Value: node.StringValue()})
+			xr.Matches = append(xr.Matches, MatchJSON{ID: node.ID.String(), Label: node.Label(), Value: node.StringValue()})
 		}
 		walk := appendXPathHead(nil, snap, query, plan, true)
 		walk = append(appendNodeMatches(walk, nodes), xpathTail...)

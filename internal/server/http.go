@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"xivm/internal/dewey"
 	"xivm/internal/obs"
 	"xivm/internal/update"
 )
@@ -26,6 +27,13 @@ type HealthResponse struct {
 	// MaxLagLSN is the worst replication lag across tenants: on a follower,
 	// max(last_lsn - applied_lsn); always 0 on a leader.
 	MaxLagLSN uint64 `json:"max_lag_lsn,omitempty"`
+	// LabelCodes and LabelRefused gauge the process-wide label table every
+	// tenant's keys and nodes name their labels by (dewey.LabelStats): the
+	// codes it has assigned, of at most 2^14, and how often it has refused a
+	// label since — a refused label costs its bytes in every key and a
+	// walk of the key for every read of a node's label.
+	LabelCodes   int `json:"label_codes"`
+	LabelRefused int `json:"label_refused"`
 }
 
 // ViewInfo is one view's summary in ViewsResponse.
@@ -130,7 +138,7 @@ type UpdateResponse struct {
 //
 // Process-wide:
 //
-//	GET /healthz     liveness + tenant count + total queued updates
+//	GET /healthz     liveness + tenant count + total queued updates + label table
 //	GET /v1/metrics  JSON dump of the whole metrics registry
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -193,7 +201,9 @@ func (r *Registry) handleHealth(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	r.mu.RUnlock()
-	writeJSON(w, http.StatusOK, HealthResponse{Status: status, Role: role, Tenants: tenants, Queue: queue, MaxLagLSN: maxLag})
+	codes, refused := dewey.LabelStats()
+	writeJSON(w, http.StatusOK, HealthResponse{Status: status, Role: role, Tenants: tenants, Queue: queue, MaxLagLSN: maxLag,
+		LabelCodes: codes, LabelRefused: refused})
 }
 
 func (r *Registry) handleViews(w http.ResponseWriter, req *http.Request) {

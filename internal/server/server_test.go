@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xivm/internal/core"
+	"xivm/internal/dewey"
 	"xivm/internal/obs"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
@@ -106,6 +108,42 @@ func postUpdate(t *testing.T, dbURL, stmt string) (*http.Response, UpdateRespons
 		}
 	}
 	return resp, ur
+}
+
+var healthProbes atomic.Int32
+
+// TestHealthReportsTheLabelTable: /healthz gauges the process-wide label
+// table (dewey.LabelStats). A read naming a label no document holds leaves
+// label_codes as it was; an update inserting it adds its code.
+func TestHealthReportsTheLabelTable(t *testing.T) {
+	_, ts := newTestRegistry(t, Config{}, nil)
+	db := ts.URL + "/v1/db/" + DefaultTenant
+	health := func() HealthResponse {
+		t.Helper()
+		var h HealthResponse
+		if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
+			t.Fatalf("healthz status %d", code)
+		}
+		return h
+	}
+	before := health()
+	if codes, refused := dewey.LabelStats(); before.LabelCodes != codes || before.LabelRefused != refused || codes == 0 {
+		t.Fatalf("healthz reports %d codes, %d refusals; the table %d, %d", before.LabelCodes, before.LabelRefused, codes, refused)
+	}
+	label := fmt.Sprintf("zz-healthz-probe-%d", healthProbes.Add(1)) // fresh under -count
+	if code := getJSON(t, db+"/xpath?q=//"+label, nil); code != http.StatusOK {
+		t.Fatalf("xpath status %d", code)
+	}
+	if h := health(); h.LabelCodes != before.LabelCodes {
+		t.Fatalf("a read of //%s took label_codes from %d to %d", label, before.LabelCodes, h.LabelCodes)
+	}
+	if resp, _ := postUpdate(t, db, fmt.Sprintf("insert <%s/> into /site/people/person", label)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status %d", resp.StatusCode)
+	}
+	if h := health(); h.LabelCodes != before.LabelCodes+1 || h.LabelRefused != before.LabelRefused {
+		t.Fatalf("inserting <%s/> took label_codes from %d to %d, label_refused from %d to %d",
+			label, before.LabelCodes, h.LabelCodes, before.LabelRefused, h.LabelRefused)
+	}
 }
 
 func TestAPIQueryAndUpdate(t *testing.T) {
@@ -402,7 +440,7 @@ func (b *halfInsertBackend) ApplyCtx(ctx context.Context, st *update.Statement) 
 		b.armed = false
 		doc := b.Engine().Doc
 		people := doc.Labeled("people")[0]
-		half := &xmltree.Node{Kind: xmltree.Element, Label: "person"}
+		half := xmltree.NewNode(xmltree.Element, "person", "")
 		_, _, _ = doc.ApplyInsertions([]xmltree.Insertion{{Target: people, Trees: []*xmltree.Node{half, nil}}})
 	}
 	return b.Backend.ApplyCtx(ctx, st)

@@ -106,7 +106,7 @@ type relation struct {
 func New(doc *xmltree.Document) *Store {
 	s := &Store{doc: doc, rels: make(map[string]*relation)}
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
-		r := s.rel(n.Label)
+		r := s.rel(n.Label())
 		r.items = append(r.items, algebra.Item{ID: n.ID, Node: n})
 		return true
 	})
@@ -280,7 +280,8 @@ func (s *Store) AddSubtrees(roots []*xmltree.Node) {
 	byLabel := map[string][]algebra.Item{}
 	for _, n := range roots {
 		xmltree.Walk(n, func(m *xmltree.Node) bool {
-			byLabel[m.Label] = append(byLabel[m.Label], algebra.Item{ID: m.ID, Node: m})
+			label := m.Label()
+			byLabel[label] = append(byLabel[label], algebra.Item{ID: m.ID, Node: m})
 			return true
 		})
 	}
@@ -312,7 +313,7 @@ func (s *Store) Repoint(nodes []*xmltree.Node) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, n := range nodes {
-		items, key := s.items(n.Label), n.ID.Key()
+		items, key := s.items(n.Label()), n.ID.Key()
 		i := sort.Search(len(items), func(i int) bool { return items[i].ID.Key() >= key })
 		if i < len(items) && items[i].ID.Key() == key {
 			items[i].Node = n
@@ -415,8 +416,9 @@ func (s *Store) AddNode(n *xmltree.Node) {
 	it := []algebra.Item{{ID: n.ID, Node: n}}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rel(n.Label).add(it)
-	s.invalidate(n.Label)
+	label := n.Label()
+	s.rel(label).add(it)
+	s.invalidate(label)
 }
 
 // RemoveNode drops exactly one node from the canonical relations, leaving
@@ -424,10 +426,11 @@ func (s *Store) AddNode(n *xmltree.Node) {
 func (s *Store) RemoveNode(n *xmltree.Node) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r := s.rels[n.Label]; r != nil {
+	label := n.Label()
+	if r := s.rels[label]; r != nil {
 		r.cut([]string{n.ID.Key()}, keyEqual)
 	}
-	s.invalidate(n.Label)
+	s.invalidate(label)
 }
 
 // RemoveSubtree drops every node of a detached subtree from the canonical
@@ -450,7 +453,7 @@ func (s *Store) RemoveSubtrees(roots []*xmltree.Node) {
 	for i, n := range roots {
 		keys[i] = n.ID.Key()
 		xmltree.Walk(n, func(m *xmltree.Node) bool {
-			labels[m.Label] = true
+			labels[m.Label()] = true
 			return true
 		})
 	}

@@ -102,7 +102,7 @@ func TestWordIndexInvalidation(t *testing.T) {
 	// Node-at-a-time paths (IVMA) must invalidate too.
 	var textNode *xmltree.Node
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
-		if n.Label == xmltree.TextLabel && textNode == nil {
+		if n.Label() == xmltree.TextLabel && textNode == nil {
 			textNode = n
 		}
 		return true

@@ -253,8 +253,8 @@ func DeltaTables(roots []*xmltree.Node, labels []string) map[string][]algebra.It
 	out := make(map[string][]algebra.Item, len(labels))
 	for _, r := range roots {
 		xmltree.Walk(r, func(n *xmltree.Node) bool {
-			if want[n.Label] {
-				out[n.Label] = append(out[n.Label], algebra.Item{ID: n.ID, Node: n})
+			if label := n.Label(); want[label] {
+				out[label] = append(out[label], algebra.Item{ID: n.ID, Node: n})
 			}
 			if star && n.Kind == xmltree.Element {
 				out["*"] = append(out["*"], algebra.Item{ID: n.ID, Node: n})

@@ -53,7 +53,7 @@ insert <name>Martin<name>and</name><name>some</name></name>`
 	if st.Kind != Insert || st.Target.String() != "/site/people/person" {
 		t.Fatalf("%+v", st)
 	}
-	if len(st.Forest) != 1 || st.Forest[0].Label != "name" {
+	if len(st.Forest) != 1 || st.Forest[0].Label() != "name" {
 		t.Fatalf("forest %+v", st.Forest)
 	}
 }
@@ -248,7 +248,7 @@ func TestInsertionPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := pul.InsertionPoints()
-	if len(pts) != 2 || pts[0].Label != "p" {
+	if len(pts) != 2 || pts[0].Label() != "p" {
 		t.Fatalf("points %v", pts)
 	}
 }
@@ -326,8 +326,8 @@ func TestExpandReplace(t *testing.T) {
 	if len(del.Deletes) != 2 || len(ins.Inserts) != 2 {
 		t.Fatalf("del=%d ins=%d", len(del.Deletes), len(ins.Inserts))
 	}
-	if ins.Inserts[0].Target.Label != "p" {
-		t.Fatalf("insert target %q", ins.Inserts[0].Target.Label)
+	if ins.Inserts[0].Target.Label() != "p" {
+		t.Fatalf("insert target %q", ins.Inserts[0].Target.Label())
 	}
 	if _, err := ComputePUL(d, st); err == nil {
 		t.Fatal("ComputePUL must reject replace")

@@ -119,11 +119,11 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 // TestRestoredHeapPerNodeBudget holds what a tenant restored from a
 // checkpoint keeps per document node — the benchmark's tenant after a
 // restart: its tree, store and seven views, and one published epoch. That is
-// ~186 B, what the same tenant built fresh holds. Keeping the IDs the view
-// snapshots decode to beside the tree's, one more key per row entry, is
-// ~190; frames that spell their labels out ~226 (~250 with four-byte
-// ordinals and a label string per node). The budget sits between the first
-// two.
+// ~170 B with 64-byte nodes that name their labels by code (~186 when a node
+// also held its label as a string). Keeping the IDs the view snapshots
+// decode to beside the tree's, one more key per row entry, is ~174; frames
+// that spell their labels out add ~40 B more. The budget sits between the
+// first two.
 func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	eng, sources := benchTenant(t)
 	dir := t.TempDir()
@@ -149,8 +149,8 @@ func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	nodes := re.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 188 {
-		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 188", perNode)
+	if perNode > 172 {
+		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 172", perNode)
 	}
 	runtime.KeepAlive(img)
 	runtime.KeepAlive(snap)

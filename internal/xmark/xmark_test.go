@@ -212,7 +212,7 @@ func TestGeneratedFullSchema(t *testing.T) {
 	// open_auctions, closed_auctions.
 	var order []string
 	for _, c := range d.Root.ElementChildren() {
-		order = append(order, c.Label)
+		order = append(order, c.Label())
 	}
 	want := []string{"categories", "catgraph", "people", "regions", "open_auctions", "closed_auctions"}
 	if len(order) != len(want) {

@@ -28,7 +28,7 @@ func TestLabelPatchCopiesAChunkNotAList(t *testing.T) {
 		}
 		var target *xmltree.Node
 		xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
-			if target == nil && n.Label == "open_auction" {
+			if target == nil && n.Label() == "open_auction" {
 				target = n
 			}
 			return target == nil

@@ -63,7 +63,7 @@ func (d *Document) ResetImage() {
 func (d *Document) restamp() {
 	var cp func(n *Node) *Node
 	cp = func(n *Node) *Node {
-		m := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value, ID: n.ID}
+		m := &Node{Kind: n.Kind, code: n.code, Value: n.Value, ID: n.ID}
 		if len(n.Children) > 0 {
 			m.Children = make([]*Node, len(n.Children))
 			for i, c := range n.Children {
@@ -90,7 +90,7 @@ func (d *Document) own(id dewey.ID, replaced *[]*Node) *Node {
 	for {
 		n := *slot
 		if n.gen != d.gen {
-			n = &Node{Kind: n.Kind, gen: d.gen, Label: n.Label, Value: n.Value, ID: n.ID,
+			n = &Node{Kind: n.Kind, code: n.code, gen: d.gen, Value: n.Value, ID: n.ID,
 				Children: append(make([]*Node, 0, len(n.Children)+1), n.Children...)}
 			*slot = n
 			d.copied++

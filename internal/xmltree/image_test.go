@@ -282,7 +282,7 @@ func TestLabelIndexCarried(t *testing.T) {
 	}
 	fresh := map[string][]*Node{}
 	Walk(img2.Root, func(n *Node) bool {
-		fresh[n.Label] = append(fresh[n.Label], n)
+		fresh[n.Label()] = append(fresh[n.Label()], n)
 		return true
 	})
 	for _, l := range []string{"r", "a", "b", "c", TextLabel, "zzz"} {

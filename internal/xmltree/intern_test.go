@@ -8,8 +8,18 @@ import (
 	"unsafe"
 )
 
-// TestParsedLabelsAreInterned: the parsers take every element and attribute
-// label from the dewey label table, so a label is one string however many
+// TestNodeIs64Bytes pins the node's layout: Kind, the label's code and the
+// publication stamp share one word, and the node fills the 64-byte size
+// class. One more field puts it in the 80-byte class, 16 B more for every
+// node of every tenant.
+func TestNodeIs64Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 64 {
+		t.Fatalf("a Node is %d bytes; it must stay in the 64-byte size class (the next is 80, 16 B more per node)", got)
+	}
+}
+
+// TestParsedLabelsAreInterned: the parsers name every element and attribute
+// label by its dewey label table code, so a label is one string however many
 // nodes — in however many documents and forests — carry it.
 func TestParsedLabelsAreInterned(t *testing.T) {
 	d, err := ParseString(`<a><b x="1"/><b x="2"><b/></b></a>`)
@@ -23,15 +33,18 @@ func TestParsedLabelsAreInterned(t *testing.T) {
 	same := func(label string, nodes ...*Node) {
 		t.Helper()
 		for _, n := range nodes {
-			if n.Label != label || unsafe.StringData(n.Label) != unsafe.StringData(nodes[0].Label) {
+			if n.Label() != label || unsafe.StringData(n.Label()) != unsafe.StringData(nodes[0].Label()) {
 				t.Fatalf("%d nodes labeled %q do not share one string", len(nodes), label)
+			}
+			if n.code == 0 || n.code != nodes[0].code {
+				t.Fatalf("%d nodes labeled %q do not share one code", len(nodes), label)
 			}
 		}
 	}
 	b1, b2 := d.Root.Children[0], d.Root.Children[1]
 	same("b", b1, b2, b2.Children[1], forest[0], forest[1])
 	same("@x", b1.Children[0], b2.Children[0], forest[0].Children[0])
-	if got := b1.ID.Label(); unsafe.StringData(got) != unsafe.StringData(b1.Label) {
+	if got := b1.ID.Label(); unsafe.StringData(got) != unsafe.StringData(b1.Label()) {
 		t.Fatal("an ID's label is not the table's string")
 	}
 }
@@ -76,8 +89,8 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 				parsed = append(parsed, d)
 				mu.Unlock()
 				for _, c := range d.Root.Children {
-					if c.ID.Label() != c.Label || c.Children[0].ID.Label() != c.Children[0].Label {
-						errs <- fmt.Errorf("%v reads back %q, built as %q", c.ID, c.ID.Label(), c.Label)
+					if c.ID.Label() != c.Label() || c.Children[0].ID.Label() != c.Children[0].Label() {
+						errs <- fmt.Errorf("%v reads back %q, built as %q", c.ID, c.ID.Label(), c.Label())
 						return
 					}
 				}
@@ -91,11 +104,11 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 			buf := make([]byte, 0, 256)
 			for round := 0; round < 2000; round++ {
 				n := existing[round%len(existing)]
-				if n.ID.Label() != n.Label {
-					errs <- fmt.Errorf("%v reads back %q, built as %q", n.ID, n.ID.Label(), n.Label)
+				if n.ID.Label() != n.Label() {
+					errs <- fmt.Errorf("%v reads back %q, built as %q", n.ID, n.ID.Label(), n.Label())
 					return
 				}
-				if buf = n.ID.AppendString(buf[:0]); !strings.Contains(string(buf), n.Label) {
+				if buf = n.ID.AppendString(buf[:0]); !strings.Contains(string(buf), n.Label()) {
 					errs <- fmt.Errorf("%v renders as %q", n.ID, buf)
 					return
 				}
@@ -112,7 +125,7 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 	// first.
 	for _, d := range parsed {
 		for _, c := range d.Root.Children {
-			if rebuilt := d.Root.ID.Child(c.Label, c.ID.Step(1).Ord); !rebuilt.Equal(c.ID) {
+			if rebuilt := d.Root.ID.Child(c.Label(), c.ID.Step(1).Ord); !rebuilt.Equal(c.ID) {
 				t.Fatalf("%v was built with a key %q, rebuilt with %q", c.ID, c.ID.Key(), rebuilt.Key())
 			}
 		}

@@ -23,8 +23,8 @@ import (
 // the list.
 
 // labelIndex maps each label occurring in the document to its nodes in
-// document order. Labels follow Node.Label conventions: plain element
-// labels, "@name" attributes, "#text" text nodes.
+// document order, keyed by what Node.Label returns: plain element labels,
+// "@name" attributes, "#text" text nodes.
 type labelIndex map[string]*labelList
 
 // labelList is one label's nodes, and the publication (Document.gen) whose
@@ -82,7 +82,7 @@ func (d *Document) LabeledChunks(label string) dewey.Chunks[*Node] {
 			// not — whoever builds them.
 			built := make(labelIndex)
 			Walk(d.Root, func(n *Node) bool {
-				built.own(n.Label, d.labelGen).Put(n) // document order: every Put is an append
+				built.own(n.Label(), d.labelGen).Put(n) // document order: every Put is an append
 				return true
 			})
 			li = &built
@@ -124,12 +124,12 @@ func (d *Document) patchLabels(replaced, dropped, added []*Node) {
 	// Replacements first, while every replaced key is still in its list: a
 	// nested batch delete may go on to detach a node it has just copied.
 	for _, n := range replaced {
-		li.own(n.Label, d.gen).Put(n)
+		li.own(n.Label(), d.gen).Put(n)
 	}
 	li.drop(dropped, d.gen)
 	for _, r := range added {
 		Walk(r, func(n *Node) bool {
-			li.own(n.Label, d.gen).Put(n)
+			li.own(n.Label(), d.gen).Put(n)
 			return true
 		})
 	}
@@ -149,7 +149,7 @@ func (li labelIndex) drop(roots []*Node, gen uint32) {
 	labels := map[string]bool{}
 	for _, r := range roots {
 		Walk(r, func(n *Node) bool {
-			labels[n.Label] = true
+			labels[n.Label()] = true
 			return true
 		})
 	}

@@ -67,7 +67,7 @@ func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, e
 // the root copy) and counting it — the fused equivalent of Clone +
 // assignIDs. The copies are the current publication's own.
 func (d *Document) cloneAssign(t *Node, parent dewey.ID, ord dewey.Ord) *Node {
-	c := &Node{Kind: t.Kind, gen: d.gen, Label: t.Label, Value: t.Value, ID: parent.Child(t.Label, ord)}
+	c := &Node{Kind: t.Kind, code: t.code, gen: d.gen, Value: t.Value, ID: parent.ChildCode(t.code, t.Label(), ord)}
 	d.size++
 	d.copied++
 	if len(t.Children) > 0 {

@@ -50,16 +50,58 @@ func (k Kind) String() string {
 // (Snapshot) a node may sit under a different copy of its parent in every
 // epoch that shares it. Its ID names its parent (ID.Parent), and ParentIn
 // resolves that within one tree.
+//
+// Nor does it carry its label's bytes: it names the label by its code in
+// the dewey label table, as its key's last frame does, and Label reads it
+// back. A node is 64 bytes, a size class below the 80 a label string would
+// cost it.
 type Node struct {
 	Kind Kind
+	// code is the label's code in the dewey label table, or 0 for a label
+	// the table refused, which the node's ID then spells out: its last frame,
+	// or for a node not yet given its place (ParseForest, Clone) a one-frame
+	// placeholder (newNode). It sits in Kind's padding.
+	code uint16
 	// gen is the publication the node was allocated for (see image.go): the
 	// writer may edit a node whose gen is the document's, and must copy any
-	// other first. It sits in Kind's padding, so it costs no memory.
+	// other first. It sits in Kind's padding too, so neither costs memory.
 	gen      uint32
-	Label    string // element label, "@name" for attributes, "#text" for text
 	Value    string // text content for Text and Attribute nodes
 	Children []*Node
 	ID       dewey.ID
+}
+
+// textCode is TextLabel's code, taken before anything else can fill the
+// table: text nodes, the most numerous, never need their ID to name them.
+var textCode = dewey.Code(TextLabel)
+
+// NewNode returns a node with no children and no place in a document yet:
+// label is the element's name, "@name" for an attribute, TextLabel for text.
+func NewNode(kind Kind, label, value string) *Node {
+	return newNode(kind, dewey.Code(label), label, value)
+}
+
+// newNode returns a node whose label has code c. A label the table refused
+// goes into a one-frame placeholder ID — its ordinal empty, which no node of
+// a document carries — so that Label answers it until the node is given its
+// place.
+func newNode(kind Kind, c uint16, label, value string) *Node {
+	n := &Node{Kind: kind, code: c, Value: value}
+	if c == 0 {
+		n.ID = dewey.ID{}.ChildCode(0, label, nil)
+	}
+	return n
+}
+
+// Label returns the node's label: the element's name, "@name" for an
+// attribute, TextLabel for text. For a label the table coded it is one
+// atomic load and an index; for one it refused, the last frame of the
+// node's ID.
+func (n *Node) Label() string {
+	if n.code != 0 {
+		return dewey.LabelOf(n.code)
+	}
+	return n.ID.Label()
 }
 
 // Document is an XML document: a single root element whose tree is its own
@@ -202,7 +244,7 @@ func (n *Node) Attr(name string) *Node {
 			// Attributes are stored first; stop at the first non-attribute.
 			break
 		}
-		if c.Label == want {
+		if c.Label() == want {
 			return c
 		}
 	}
@@ -227,9 +269,10 @@ func (n *Node) appendOwnOrd(dst dewey.Ord) dewey.Ord {
 }
 
 // Clone returns a deep copy of the subtree rooted at n, with no IDs assigned
-// (IDs belong to a document position).
+// (IDs belong to a document position) beyond the placeholder that holds a
+// label the table refused.
 func (n *Node) Clone() *Node {
-	c := &Node{Kind: n.Kind, Label: n.Label, Value: n.Value}
+	c := newNode(n.Kind, n.code, n.Label(), n.Value)
 	c.Children = make([]*Node, len(n.Children))
 	for i, ch := range n.Children {
 		c.Children[i] = ch.Clone()

@@ -97,7 +97,7 @@ func (d *Document) ApplyOrds(data []byte) error {
 				return errors.New("xmltree: ordinal stream disagrees on the root")
 			}
 		} else {
-			n.ID = parent.ID.Child(n.Label, ord)
+			n.ID = parent.ID.ChildCode(n.code, n.Label(), ord)
 		}
 		for _, c := range n.Children {
 			if err := walk(c, n); err != nil {

@@ -12,33 +12,36 @@ import (
 
 // Parse reads an XML document from r and builds its tree with structural
 // IDs assigned to every node. Whitespace-only text between elements is
-// dropped; mixed-content text is kept. Element and attribute labels are the
-// dewey label table's strings (dewey.Intern), one per distinct label, here
-// and in ParseForest.
+// dropped; mixed-content text is kept. Every node names its label by its
+// dewey label table code (dewey.Code), looked up once per node and shared by
+// the node and its ID, here and in ParseForest.
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
 	var stack []*Node
 	childOrds := map[*Node]int{} // next sibling index during initial load
 
-	push := func(n *Node) error {
+	// push places a node whose label has code c: label is read only when
+	// the table refused it, for the node's ID to spell it out.
+	push := func(kind Kind, c uint16, label, value string) (*Node, error) {
+		n := &Node{Kind: kind, code: c, Value: value}
 		if len(stack) == 0 {
 			if root != nil {
-				return errors.New("xmltree: multiple root elements")
+				return nil, errors.New("xmltree: multiple root elements")
 			}
-			if n.Kind != Element {
-				return errors.New("xmltree: document root must be an element")
+			if kind != Element {
+				return nil, errors.New("xmltree: document root must be an element")
 			}
-			n.ID = dewey.NewRoot(n.Label)
+			n.ID = dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap}) // NewRoot, from the code in hand
 			root = n
-			return nil
+			return n, nil
 		}
 		parent := stack[len(stack)-1]
 		i := childOrds[parent]
 		childOrds[parent] = i + 1
-		n.ID = parent.ID.Child(n.Label, dewey.OrdAt(i))
+		n.ID = parent.ID.ChildCode(c, label, dewey.OrdAt(i))
 		parent.Children = append(parent.Children, n)
-		return nil
+		return n, nil
 	}
 
 	for {
@@ -51,8 +54,8 @@ func Parse(r io.Reader) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Kind: Element, Label: dewey.Intern(t.Name.Local)}
-			if err := push(n); err != nil {
+			n, err := push(Element, dewey.Code(t.Name.Local), t.Name.Local, "")
+			if err != nil {
 				return nil, err
 			}
 			stack = append(stack, n)
@@ -60,8 +63,8 @@ func Parse(r io.Reader) (*Document, error) {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				attr := &Node{Kind: Attribute, Label: dewey.Intern("@" + a.Name.Local), Value: a.Value}
-				if err := push(attr); err != nil {
+				label := "@" + a.Name.Local
+				if _, err := push(Attribute, dewey.Code(label), label, a.Value); err != nil {
 					return nil, err
 				}
 			}
@@ -78,8 +81,7 @@ func Parse(r io.Reader) (*Document, error) {
 			if len(stack) == 0 {
 				continue
 			}
-			n := &Node{Kind: Text, Label: TextLabel, Value: s}
-			if err := push(n); err != nil {
+			if _, err := push(Text, textCode, TextLabel, s); err != nil {
 				return nil, err
 			}
 		case xml.Comment, xml.ProcInst, xml.Directive:
@@ -101,8 +103,9 @@ func ParseString(s string) (*Document, error) {
 }
 
 // ParseForest parses an XML fragment that may contain several top-level
-// trees (the forests inserted by updates). The returned nodes have no IDs:
-// IDs are assigned when the forest is spliced into a document.
+// trees (the forests inserted by updates). The returned nodes have no IDs —
+// IDs are assigned when the forest is spliced into a document — beyond the
+// placeholder that holds a label the table refused (NewNode).
 func ParseForest(s string) ([]*Node, error) {
 	dec := xml.NewDecoder(strings.NewReader(s))
 	var tops []*Node
@@ -125,11 +128,11 @@ func ParseForest(s string) ([]*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Kind: Element, Label: dewey.Intern(t.Name.Local)}
+			n := NewNode(Element, t.Name.Local, "")
 			add(n)
 			stack = append(stack, n)
 			for _, a := range t.Attr {
-				add(&Node{Kind: Attribute, Label: dewey.Intern("@" + a.Name.Local), Value: a.Value})
+				add(NewNode(Attribute, "@"+a.Name.Local, a.Value))
 			}
 		case xml.EndElement:
 			if len(stack) == 0 {
@@ -144,7 +147,7 @@ func ParseForest(s string) ([]*Node, error) {
 			if len(stack) == 0 {
 				continue
 			}
-			add(&Node{Kind: Text, Label: TextLabel, Value: s})
+			add(newNode(Text, textCode, TextLabel, s))
 		}
 	}
 	if len(stack) != 0 {

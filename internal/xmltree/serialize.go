@@ -38,13 +38,14 @@ func serializeNode(b xmlSink, n *Node) {
 	case Attribute:
 		// Attributes are serialized by their owning element.
 	case Element:
+		label := n.Label()
 		b.WriteByte('<')
-		b.WriteString(n.Label)
+		b.WriteString(label)
 		i := 0
 		for ; i < len(n.Children) && n.Children[i].Kind == Attribute; i++ {
 			a := n.Children[i]
 			b.WriteByte(' ')
-			b.WriteString(a.Label[1:])
+			b.WriteString(a.Label()[1:])
 			b.WriteString(`="`)
 			escapeAttr(b, a.Value)
 			b.WriteByte('"')
@@ -58,7 +59,7 @@ func serializeNode(b xmlSink, n *Node) {
 			serializeNode(b, n.Children[i])
 		}
 		b.WriteString("</")
-		b.WriteString(n.Label)
+		b.WriteString(label)
 		b.WriteByte('>')
 	}
 }

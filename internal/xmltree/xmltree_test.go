@@ -21,16 +21,16 @@ func mustParse(t *testing.T, s string) *Document {
 
 func TestParseBasicShape(t *testing.T) {
 	d := mustParse(t, sampleDoc)
-	if d.Root.Label != "a" {
-		t.Fatalf("root label %q", d.Root.Label)
+	if d.Root.Label() != "a" {
+		t.Fatalf("root label %q", d.Root.Label())
 	}
 	kids := d.Root.ElementChildren()
-	if len(kids) != 2 || kids[0].Label != "c" || kids[1].Label != "f" {
+	if len(kids) != 2 || kids[0].Label() != "c" || kids[1].Label() != "f" {
 		t.Fatalf("children %v", kids)
 	}
 	b := kids[1].ElementChildren()[0]
-	if b.Label != "b" || b.StringValue() != "world" {
-		t.Fatalf("b = %q %q", b.Label, b.StringValue())
+	if b.Label() != "b" || b.StringValue() != "world" {
+		t.Fatalf("b = %q %q", b.Label(), b.StringValue())
 	}
 	if a := b.Attr("x"); a == nil || a.Value != "1" {
 		t.Fatalf("attr x = %v", a)
@@ -71,7 +71,7 @@ func TestNodeByID(t *testing.T) {
 		{},
 		dewey.NewRoot("other"),
 		d.Root.ID.Child("nope", dewey.OrdAt(0)),
-		d.Root.Children[0].ID.Child(d.Root.Children[0].Label, dewey.OrdAt(99)),
+		d.Root.Children[0].ID.Child(d.Root.Children[0].Label(), dewey.OrdAt(99)),
 	} {
 		if got := d.NodeByID(id); got != nil {
 			t.Fatalf("NodeByID(%v) = %v for an ID the document never issued", id, got.ID)
@@ -94,7 +94,7 @@ func TestNodeByIDFollowsTheTree(t *testing.T) {
 	if d.NodeByID(c.ID) != nil || d.NodeByID(x.ID) != nil || d.Size() != 2 {
 		t.Fatalf("detached nodes still resolve (size %d)", d.Size())
 	}
-	c2, err := d.ApplyInsert(d.Root, &Node{Kind: Element, Label: "c"})
+	c2, err := d.ApplyInsert(d.Root, NewNode(Element, "c", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestApplyInsertions(t *testing.T) {
 	if len(replaced) != 0 {
 		t.Fatalf("a never-published document copied %d nodes", len(replaced))
 	}
-	if len(got) != 2 || got[0].Label != "x" || got[1].Label != "y" {
+	if len(got) != 2 || got[0].Label() != "x" || got[1].Label() != "y" {
 		t.Fatalf("inserted %v", got)
 	}
 	if got[0].ID.Compare(got[1].ID) >= 0 {
@@ -264,7 +264,7 @@ func TestApplyInsertions(t *testing.T) {
 func TestApplyInsertRejectsNonElement(t *testing.T) {
 	d := mustParse(t, `<r>text</r>`)
 	txt := d.Root.Children[0]
-	if _, err := d.ApplyInsert(txt, &Node{Kind: Element, Label: "x"}); err == nil {
+	if _, err := d.ApplyInsert(txt, NewNode(Element, "x", "")); err == nil {
 		t.Fatal("expected error inserting under text node")
 	}
 }
@@ -318,8 +318,9 @@ func TestParseForestMultipleRoots(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	d := mustParse(t, sampleDoc)
 	c := d.Root.Clone()
-	c.Children[0].Label = "mutated"
-	if d.Root.Children[0].Label == "mutated" {
+	c.Children[0].Value = "mutated"
+	c.Children[1] = NewNode(Element, "mutated", "")
+	if d.Root.Children[0].Value == "mutated" || d.Root.Children[1].Label() == "mutated" {
 		t.Fatal("clone shares children")
 	}
 }

@@ -26,11 +26,11 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 	matches := func(st Step, n *xmltree.Node) bool {
 		switch st.Kind {
 		case TestName:
-			return n.Kind == xmltree.Element && n.Label == st.Name
+			return n.Kind == xmltree.Element && n.Label() == st.Name
 		case TestWildcard:
 			return n.Kind == xmltree.Element
 		case TestAttr:
-			return n.Kind == xmltree.Attribute && n.Label == "@"+st.Name
+			return n.Kind == xmltree.Attribute && n.Label() == "@"+st.Name
 		case TestText:
 			return n.Kind == xmltree.Text
 		}

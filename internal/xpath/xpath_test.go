@@ -35,7 +35,7 @@ func doc(t *testing.T) *xmltree.Document {
 func labels(nodes []*xmltree.Node) []string {
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = n.Label
+		out[i] = n.Label()
 	}
 	return out
 }
@@ -242,7 +242,7 @@ func pathCopied(t *testing.T, d *xmltree.Document) *xmltree.Document {
 	t.Helper()
 	first := d.Snapshot()
 	auction := Eval(d, MustParse("/site/open_auctions/open_auction[2]"))[0]
-	x, err := d.ApplyInsert(auction, &xmltree.Node{Kind: xmltree.Element, Label: "x"})
+	x, err := d.ApplyInsert(auction, xmltree.NewNode(xmltree.Element, "x", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func testEvalSiblingAxes(t *testing.T, d *xmltree.Document) {
 	}
 	// preceding-sibling groups are nearest-first: [1] is the closest one.
 	got := Eval(d, MustParse("/site/open_auctions/preceding-sibling::*[1]"))
-	if len(got) != 1 || got[0].Label != "regions" {
+	if len(got) != 1 || got[0].Label() != "regions" {
 		t.Fatalf("nearest preceding sibling = %v", labels(got))
 	}
 }
