@@ -545,25 +545,25 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 	rep := &Report{Targets: pul.Targets()}
 	switch pul.Kind {
 	case update.Insert:
-		// Apply to the document only: the canonical relations must keep
-		// their pre-update state while terms are evaluated; they are synced
-		// during the lattice-update phase.
-		applied, err := update.Apply(e.Doc, nil, pul)
+		applied, err := update.Apply(e.Doc, e.Store, pul)
 		if err != nil {
 			return nil, err
 		}
-		// Membership stays pre-update; content must not: the relations' items
-		// for the spine nodes the insertion copied now read the copies.
-		e.Store.Repoint(applied.Replaced)
+		// Terms are evaluated against the canonical relations' membership
+		// before the update and their content after it. The label index
+		// already lists the inserted subtrees (and reads the spine copies
+		// the insertion made), so the store hides them until every view's
+		// lattice and the shared snowcaps are maintained.
+		e.Store.Hide(applied.InsertedRoots)
 		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
 			return e.propagateInsert(mv, pul, applied)
 		})
 		if e.pool != nil {
-			// Shared snowcaps are maintained once per statement, against
-			// the pre-sync relations (like each view's own lattice).
+			// Shared snowcaps are maintained once per statement (like each
+			// view's own lattice).
 			e.pool.ApplyInsert(applied.InsertedRoots)
 		}
-		e.Store.AddSubtrees(applied.InsertedRoots)
+		e.Store.Hide(nil)
 	case update.Delete:
 		applied, err := update.Apply(e.Doc, e.Store, pul)
 		if err != nil {
@@ -576,7 +576,7 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 			return e.propagateDelete(mv, pul, applied)
 		})
 	}
-	// Repair passes run against the now-synced store: first views whose
+	// Repair passes run against the whole store again: first views whose
 	// algebraic propagation was cancelled or panicked mid-stream, then
 	// views whose predicates flipped. All end in a consistent recomputed
 	// state.

@@ -17,7 +17,7 @@ import (
 // joins (ET-INS, Algorithm 3) adding tuples / increasing derivation counts,
 // refreshes val/cont of affected stored nodes (PIMT, Algorithm 4), and
 // finally updates the snowcap lattice. The store's canonical relations must
-// still reflect the pre-update document.
+// still show the pre-update membership (applyPUL hides the insertion).
 func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *update.Applied) ViewReport {
 	vr := ViewReport{View: mv}
 	p := mv.Pattern
@@ -52,8 +52,8 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *upda
 	end()
 
 	// ET-INS: evaluate surviving terms and merge into the view. Every term
-	// and the lattice maintenance below share one R side, which reads (and
-	// lends) a canonical relation only when a join asks for it.
+	// and the lattice maintenance below share one R side, which reads a
+	// canonical relation only when a join asks for it.
 	end = e.span("view:" + mv.Name + "/" + obs.PhaseExecuteUpdate)
 	t0 = time.Now()
 	rIn := mv.Lattice.Relations()

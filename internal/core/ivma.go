@@ -26,10 +26,8 @@ type IVMA struct {
 }
 
 // NewIVMA wraps an engine whose views will be maintained node-at-a-time.
-// Between the document update and each node's own pass the store still
-// holds the pre-update nodes by pointer and expects them to show the
-// update, so IVMA runs only on a document that is never published
-// (Engine.Snapshot), which the mutators edit in place.
+// IVMA runs only on a document that is never published (Engine.Snapshot),
+// which the mutators edit in place.
 func NewIVMA(e *Engine) *IVMA { return &IVMA{Engine: e} }
 
 // ApplyStatement applies the statement to the document and propagates it to
@@ -41,71 +39,88 @@ func (iv *IVMA) ApplyStatement(st *update.Statement) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch st.Kind {
-	case update.Insert:
-		applied, err := update.Apply(e.Doc, nil, pul)
-		if err != nil {
-			return 0, err
-		}
-		// Flatten the inserted subtrees into individual nodes, in document
-		// order: IVMA sees a stream of single-node insertions.
-		var nodes []*xmltree.Node
-		for _, root := range applied.InsertedRoots {
-			xmltree.Walk(root, func(n *xmltree.Node) bool {
-				nodes = append(nodes, n)
-				return true
-			})
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID.Compare(nodes[j].ID) < 0 })
-		start := time.Now()
-		for _, n := range nodes {
-			for _, mv := range e.Views {
-				iv.propagateSingleInsert(mv, n)
-			}
-			e.Store.AddNode(n)
-		}
-		e.bumpVersion()
-		return time.Since(start), nil
-	default:
-		applied, err := update.Apply(e.Doc, nil, pul)
-		if err != nil {
-			return 0, err
-		}
-		var nodes []*xmltree.Node
-		for _, root := range applied.DeletedRoots {
-			xmltree.Walk(root, func(n *xmltree.Node) bool {
-				nodes = append(nodes, n)
-				return true
-			})
-		}
-		// Remove bottom-up: reverse document order.
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID.Compare(nodes[j].ID) > 0 })
-		start := time.Now()
-		for _, n := range nodes {
-			for _, mv := range e.Views {
-				iv.propagateSingleDelete(mv, n)
-			}
-			e.Store.RemoveNode(n)
-		}
-		e.bumpVersion()
-		return time.Since(start), nil
+	applied, err := update.Apply(e.Doc, e.Store, pul)
+	if err != nil {
+		return 0, err
 	}
+	deleting := st.Kind != update.Insert
+	roots := applied.InsertedRoots
+	if deleting {
+		roots = applied.DeletedRoots
+	}
+	// Flatten the subtrees into individual nodes, in document order: IVMA
+	// sees a stream of single-node updates.
+	var nodes []*xmltree.Node
+	for _, root := range roots {
+		xmltree.Walk(root, func(n *xmltree.Node) bool {
+			nodes = append(nodes, n)
+			return true
+		})
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID.Compare(nodes[j].ID) < 0 })
+
+	// Each pass reads the relations with every earlier pass applied. Nodes
+	// are inserted in document order and removed bottom-up (in reverse), so
+	// a pass's R is, per pattern node, the relation as it was before the
+	// insertion plus the nodes before n — the store hides the inserted
+	// subtrees while it is read — or the relation as it is after the
+	// deletion plus n and the nodes before it.
+	start := time.Now()
+	if !deleting {
+		e.Store.Hide(roots)
+	}
+	stable := make([]algebra.Inputs, len(e.Views))
+	pending := make([]algebra.Inputs, len(e.Views))
+	for k, mv := range e.Views {
+		stable[k] = e.Store.Inputs(mv.Pattern)
+		pending[k] = iv.admitted(mv.Pattern, nodes)
+	}
+	e.Store.Hide(nil)
+	pass := func(n *xmltree.Node) {
+		for k, mv := range e.Views {
+			base := make(algebra.Inputs, len(stable[k]))
+			for i, items := range stable[k] {
+				adm := pending[k][i]
+				upTo := sort.Search(len(adm), func(j int) bool {
+					c := adm[j].ID.Compare(n.ID)
+					return c > 0 || c == 0 && !deleting
+				})
+				base[i] = withItems(items, adm[:upTo])
+			}
+			for _, row := range iv.singleNodeRows(mv, n, deleting, base) {
+				if deleting {
+					mv.View.DecrementBy(row, row.Count)
+				} else {
+					mv.View.Upsert(row)
+				}
+			}
+		}
+	}
+	if deleting {
+		for k := len(nodes) - 1; k >= 0; k-- {
+			pass(nodes[k])
+		}
+	} else {
+		for _, n := range nodes {
+			pass(n)
+		}
+	}
+	e.bumpVersion()
+	return time.Since(start), nil
 }
 
-// propagateSingleInsert adds the view tuples contributed by exactly one new
-// node (the canonical relations do not contain it yet).
-func (iv *IVMA) propagateSingleInsert(mv *ManagedView, n *xmltree.Node) {
-	for _, row := range iv.singleNodeRows(mv, n, false) {
-		mv.View.Upsert(row)
+// admitted is, per pattern node, the σ-filtered items of the given nodes
+// (in document order) that can bind it.
+func (iv *IVMA) admitted(p *pattern.Pattern, nodes []*xmltree.Node) algebra.Inputs {
+	in := make(algebra.Inputs, p.Size())
+	for i, pn := range p.Nodes {
+		for _, n := range nodes {
+			if labelAdmits(pn.Label, n) {
+				in[i] = append(in[i], iv.pinItems(p, i, n)...)
+			}
+		}
 	}
-}
-
-// propagateSingleDelete subtracts the view tuples one node carried (the
-// canonical relations still contain it).
-func (iv *IVMA) propagateSingleDelete(mv *ManagedView, n *xmltree.Node) {
-	for _, row := range iv.singleNodeRows(mv, n, true) {
-		mv.View.DecrementBy(row, row.Count)
-	}
+	return in
 }
 
 // singleNodeRows evaluates the view tuples that bind n in at least one
@@ -113,18 +128,18 @@ func (iv *IVMA) propagateSingleDelete(mv *ManagedView, n *xmltree.Node) {
 //
 //	Σ_i  (R′_1, …, R′_{i-1}, {n}, R_{i+1}, …, R_k)
 //
-// where R is the relation state without the pass's effect applied (for an
-// insertion: before n joins the relations; for a deletion: while n is still
-// in them) and R′ the state with it. Positions left of the pin read R′,
-// positions right of it R, so a tuple binding n in several positions is
-// produced only by the pin at its leftmost n-position — no tuple is counted
-// twice, and none is missed (the old scheme read R everywhere and dropped
-// "duplicates" the earlier pins could never have produced).
-func (iv *IVMA) singleNodeRows(mv *ManagedView, n *xmltree.Node, deleting bool) []algebra.Row {
+// where R, base, is the relation state without the pass's effect applied
+// (for an insertion: before n joins the relations; for a deletion: while n
+// is still in them) and R′ the state with it. Positions left of the pin
+// read R′, positions right of it R, so a tuple binding n in several
+// positions is produced only by the pin at its leftmost n-position — no
+// tuple is counted twice, and none is missed (the old scheme read R
+// everywhere and dropped "duplicates" the earlier pins could never have
+// produced).
+func (iv *IVMA) singleNodeRows(mv *ManagedView, n *xmltree.Node, deleting bool, base algebra.Inputs) []algebra.Row {
 	e := iv.Engine
 	p := mv.Pattern
 	merged := store.NewView(p)
-	base := e.Store.Inputs(p)
 	for i, pn := range p.Nodes {
 		if !labelAdmits(pn.Label, n) {
 			continue

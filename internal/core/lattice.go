@@ -35,10 +35,10 @@ type pooledRef struct {
 // Relations is the R side of one view for the length of one statement: its
 // σ-filtered canonical relations, read from the store per pattern node the
 // first time a join asks for one and kept until the statement ends — a node
-// is filtered at most once however many terms read it, and a relation no
-// join reads is never lent, so the store's next edit of it happens where it
-// lies (store.Store's lending rule). The store must not change while one is
-// in use, which the phase order of applyPUL guarantees.
+// is read and filtered at most once however many terms read it, and a
+// relation no join reads is never copied out of the label index. The store
+// must not change while one is in use, which the phase order of applyPUL
+// guarantees.
 type Relations struct {
 	p  *pattern.Pattern
 	st *store.Store   // nil when in was supplied whole (deferred flushing masks its own)

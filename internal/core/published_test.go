@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"xivm/internal/algebra"
 	"xivm/internal/obs"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
@@ -118,6 +119,56 @@ func TestInsertUnderPublishedSpineRefreshesCont(t *testing.T) {
 				t.Errorf("R_%s still points at the node a copy replaced", l)
 			}
 		}
+	}
+}
+
+// TestInsertWindowHidesTheInsertion pins what an insertion propagates
+// against: under PolicyLeaves every R-side is read from the canonical
+// relations mid-propagation, and must show the membership before the
+// insertion — the inserted bidder absent — with the content after it: the
+// open_auction the bidder went under, a copy on this published document,
+// reads with the bidder in it. Once the statement has landed the relations
+// are the document's again.
+func TestInsertWindowHidesTheInsertion(t *testing.T) {
+	const src = `<site><open_auctions><open_auction id="o1"><bidder><increase>1</increase></bidder></open_auction><open_auction id="o2"/></open_auctions></site>`
+	var e *Engine
+	var during [][]algebra.Item // R_bidder and R_open_auction as the view's terms read them
+	tracer := obs.TracerFunc(func(name string) func() {
+		if strings.HasSuffix(name, "/"+obs.PhaseExecuteUpdate) && during == nil {
+			during = [][]algebra.Item{e.Store.Items("bidder"), e.Store.Items("open_auction")}
+		}
+		return func() {}
+	})
+	e = New(mustDoc(t, src), WithMetrics(obs.New()), WithPolicy(PolicyLeaves), WithTracer(tracer))
+	mv := addView(t, e, `//open_auction{ID,cont}//bidder{ID}`)
+	e.Snapshot()
+	apply(t, e, `insert <bidder><increase>7</increase></bidder> into /site/open_auctions/open_auction[@id="o2"]`)
+
+	if during == nil {
+		t.Fatal("the insert's propagation started no execute phase")
+	}
+	if bidders := during[0]; len(bidders) != 1 || bidders[0].Node != e.Doc.Labeled("bidder")[0] {
+		t.Errorf("mid-propagation R_bidder holds %d items, want the one bidder there was before the insert", len(bidders))
+	}
+	if auctions := during[1]; len(auctions) != 2 || auctions[1].Node != e.Doc.Labeled("open_auction")[1] ||
+		!strings.Contains(auctions[1].Node.Content(), "<increase>7</increase>") {
+		t.Errorf("mid-propagation R_open_auction does not read o2, as it is now, with its new bidder in it")
+	}
+	for _, l := range []string{"bidder", "open_auction", "increase", "#text", "*"} {
+		got, want := e.Store.Items(l), algebra.DocItems(e.Doc, l)
+		if len(got) != len(want) {
+			t.Errorf("after the insert R_%s holds %d items, the document %d", l, len(got), len(want))
+			continue
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Errorf("after the insert R_%s[%d] is %v, the document's is %v", l, k, got[k].ID, want[k].ID)
+			}
+		}
+	}
+	checkViews(t, e, "bidder inserted")
+	if mv.View.Len() != 2 {
+		t.Errorf("%d rows, want 2", mv.View.Len())
 	}
 }
 

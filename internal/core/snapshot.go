@@ -114,9 +114,11 @@ func (s *Snapshot) DocXML() string {
 // document may not reflect the full statement, but views are at least
 // consistent with whatever document state remains — and so is the next
 // Snapshot, which publishes that same tree. The label index, which the
-// interrupted mutator may not have patched, is dropped and rebuilt from it.
+// interrupted mutator may not have patched, is dropped and rebuilt from it,
+// and the store shows the whole tree again, its derived relations dropped.
 func (e *Engine) RepairAllViews() {
 	e.Doc.ResetImage()
+	e.Store.Hide(nil)
 	for _, mv := range e.Views {
 		e.recomputeFallback(mv)
 	}

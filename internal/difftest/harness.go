@@ -9,7 +9,6 @@ import (
 	"xivm/internal/dewey"
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
-	"xivm/internal/store"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -258,10 +257,11 @@ func Run(w Workload, cfg Config) *Divergence {
 
 // check is the oracle: every maintained view must equal a fresh evaluation
 // over the (already mutated) document — algebra.Materialize walks the
-// document directly, independent of the possibly-corrupt store — and the
-// canonical relations must match a store rebuilt from scratch, down to the
-// node every item points at: the document's own, not one a mutation of a
-// published document has since replaced by a copy.
+// document directly, independent of the possibly-corrupt store — and every
+// canonical relation, of each label the document holds and of "*", must be
+// what a walk of the document collects: the same IDs in the same order, and
+// each item the document's own node, not one a mutation of a published
+// document has since replaced by a copy.
 func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src string) *Divergence {
 	for _, mv := range views {
 		want := algebra.Materialize(e.Doc, mv.Pattern)
@@ -272,14 +272,25 @@ func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src str
 			}
 		}
 	}
-	if diff := store.DiffStores(e.Store, store.New(e.Doc)); diff != "" {
-		return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: diff}
-	}
-	for _, l := range append(e.Store.Labels(), "*") {
-		for _, it := range e.Store.Items(l) {
-			if it.Node != e.Doc.NodeByID(it.ID) {
+	labels := []string{"*"}
+	seen := map[string]bool{}
+	xmltree.Walk(e.Doc.Root, func(n *xmltree.Node) bool {
+		if l := n.Label(); !seen[l] {
+			seen[l] = true
+			labels = append(labels, l)
+		}
+		return true
+	})
+	for _, l := range labels {
+		got, want := e.Store.Items(l), algebra.DocItems(e.Doc, l)
+		if len(got) != len(want) {
+			return &Divergence{Config: cfg.Name, Index: i, Statement: src,
+				Detail: fmt.Sprintf("R_%s: %d items, the document has %d", l, len(got), len(want))}
+		}
+		for k := range want {
+			if got[k] != want[k] {
 				return &Divergence{Config: cfg.Name, Index: i, Statement: src,
-					Detail: fmt.Sprintf("R_%s: the item for %v does not point at the document's node", l, it.ID)}
+					Detail: fmt.Sprintf("R_%s[%d]: %v, the document has %v there (or another node under that ID)", l, k, got[k].ID, want[k].ID)}
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,9 +46,14 @@ func TestCanonicalRelations(t *testing.T) {
 	}
 }
 
+// TestAddRemoveSubtree: the relations are the document's label index, so a
+// mutation of the document is in them without the store being told.
 func TestAddRemoveSubtree(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
+	if s.Count("b") != 4 {
+		t.Fatalf("|R_b| = %d", s.Count("b"))
+	}
 	forest, err := xmltree.ParseForest(`<c><b/><b/></c>`)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +63,6 @@ func TestAddRemoveSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddSubtree(cp)
 	if s.Count("b") != 6 || s.Count("c") != 3 {
 		t.Fatalf("after insert: b=%d c=%d", s.Count("b"), s.Count("c"))
 	}
@@ -68,21 +72,19 @@ func TestAddRemoveSubtree(t *testing.T) {
 			t.Fatal("R_b lost order after insert")
 		}
 	}
-	removed, err := d.ApplyDelete(cp)
-	if err != nil {
+	if _, err := d.ApplyDelete(cp); err != nil {
 		t.Fatal(err)
 	}
-	s.RemoveSubtree(removed)
 	if s.Count("b") != 4 || s.Count("c") != 2 {
 		t.Fatalf("after delete: b=%d c=%d", s.Count("b"), s.Count("c"))
 	}
 }
 
-// TestItemsStableAcrossRemove is the regression test for the store-aliasing
-// bug: Items() hands out the relation's backing array by reference, so a
-// subsequent delete must not compact that array in place — a caller holding
-// the slice (a delta input, a Mat fill, the lazy batch's rIn) would silently
-// read corrupted items.
+// TestItemsStableAcrossRemove: a slice Items handed out never changes —
+// neither a plain label's, built for the caller out of the index that the
+// delete then edits where it lies, nor R_*, which the delete drops rather
+// than edits. A caller holding one (a delta input, a Mat fill, the lazy
+// batch's rIn) reads what it was given.
 func TestItemsStableAcrossRemove(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
@@ -99,7 +101,7 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RemoveSubtrees([]*xmltree.Node{removed})
+	s.Changed(nil, []*xmltree.Node{removed})
 
 	if got := s.Count("b"); got != 2 {
 		t.Fatalf("|R_b| after delete = %d", got)
@@ -110,8 +112,8 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 				i, held[i].ID, snapshot[i].ID)
 		}
 	}
-	// The relation also stays self-consistent: elements list untouched for
-	// readers holding it.
+	// R_* is the store's own cache: the delete drops it, and whoever holds
+	// the list it was keeps reading it unchanged.
 	heldElems := s.Items("*")
 	elemSnap := make([]algebra.Item, len(heldElems))
 	copy(elemSnap, heldElems)
@@ -119,83 +121,22 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RemoveSubtrees([]*xmltree.Node{removed2})
+	s.Changed(nil, []*xmltree.Node{removed2})
 	for i := range elemSnap {
-		if !heldElems[i].ID.Equal(elemSnap[i].ID) {
+		if heldElems[i] != elemSnap[i] {
 			t.Fatalf("held elements slice mutated at %d", i)
 		}
 	}
-}
-
-// TestUnlentRelationEditedInPlace holds the lending rule from both sides. A
-// relation nobody has read since its array was last replaced is the
-// writer's: an insert/delete pair merges into it and cuts from it where it
-// lies, so once the array has room a pair allocates no item array at all
-// (a copy per mutation, the rule before, is two per pair). A relation that
-// has been read is the reader's: the same pair leaves the held slice
-// bit-identical, length, IDs and node pointers.
-func TestUnlentRelationEditedInPlace(t *testing.T) {
-	const n = 4000
-	d := mustDoc(t, "<a>"+strings.Repeat("<b>x</b>", n)+"</a>")
-	s := New(d)
-	forest, err := xmltree.ParseForest(`<b>new</b>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Attached once for its IDs, in the middle of R_b and R_#text; the store
-	// goes by those, not by whether the subtree still hangs in the tree.
-	sub, err := d.ApplyInsert(d.Root.ElementChildren()[n/2], forest[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair := func() {
-		s.AddSubtree(sub)
-		s.RemoveSubtree(sub)
-	}
-	pair() // grows both relations' arrays by the one slot a pair needs
-
-	const pairs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < pairs; i++ {
-		pair()
-	}
-	runtime.ReadMemStats(&after)
-	perPair := (after.TotalAlloc - before.TotalAlloc) / pairs
-	// One copy of one of the two relations is n items of three words.
-	if oneArray := uint64(n * 24); perPair > oneArray/4 {
-		t.Errorf("an insert/delete pair on unread relations allocated %d B; one copy of R_b is %d B", perPair, oneArray)
-	}
-	if s.Count("b") != n || s.Count("#text") != n {
-		t.Fatalf("|R_b| = %d, |R_#text| = %d after balanced pairs, want %d", s.Count("b"), s.Count("#text"), n)
-	}
-
-	held := s.Items("b")
-	want := append([]algebra.Item(nil), held...)
-	s.AddSubtree(sub)
-	if got := s.Items("b"); len(got) != n+1 || !got[n/2+1].ID.Equal(sub.ID) {
-		t.Fatalf("insert after a loan: |R_b| = %d, new item not in place", len(got))
-	}
-	s.RemoveSubtree(sub)
-	pair() // unlent again after the loan ended: back to editing in place
-	if len(held) != len(want) {
-		t.Fatalf("held slice changed length: %d, want %d", len(held), len(want))
-	}
-	for i := range want {
-		if held[i] != want[i] {
-			t.Fatalf("held Items() slice written at %d after it was lent", i)
-		}
-	}
-	s.AddSubtree(sub) // it still hangs in d
-	if diff := DiffStores(s, New(d)); diff != "" {
-		t.Fatalf("store diverged from a rebuild: %s", diff)
+	if got := len(s.Items("*")); got != 1 {
+		t.Fatalf("|R_*| = %d after both deletes, want the root alone", got)
 	}
 }
 
-// TestRemoveSubtreesCutsByKeyPrefix: many roots in one call, one nested in
-// another, unsorted and repeated — each relation loses exactly the blocks
-// below the roots, and RemoveNode exactly one item.
-func TestRemoveSubtreesCutsByKeyPrefix(t *testing.T) {
+// TestHiddenSubtreesCutByKeyPrefix: many roots hidden in one call, one
+// nested in another, unsorted and repeated — every relation, R_* and the
+// word index lose exactly the nodes below the roots, Count agrees with
+// Items, and Hide(nil) shows them all again.
+func TestHiddenSubtreesCutByKeyPrefix(t *testing.T) {
 	var src strings.Builder
 	src.WriteString("<a>")
 	for i := 0; i < 12; i++ {
@@ -206,25 +147,39 @@ func TestRemoveSubtreesCutsByKeyPrefix(t *testing.T) {
 	s := New(d)
 	cs := d.Root.ElementChildren()
 	roots := []*xmltree.Node{cs[9], cs[2], cs[2].ElementChildren()[1], cs[5], cs[9]}
-	for _, r := range []*xmltree.Node{cs[9], cs[5], cs[2]} {
-		if _, err := d.ApplyDelete(r); err != nil {
-			t.Fatal(err)
+	shown := func(hidden []*xmltree.Node, label string) []string {
+		var keys []string
+		for _, it := range algebra.DocItems(d, label) {
+			if !slices.ContainsFunc(hidden, func(r *xmltree.Node) bool { return strings.HasPrefix(it.ID.Key(), r.ID.Key()) }) {
+				keys = append(keys, it.ID.Key())
+			}
+		}
+		return keys
+	}
+	for _, hidden := range [][]*xmltree.Node{roots, nil} {
+		s.Hide(hidden)
+		for _, l := range []string{"a", "b", "c", "#text", "*", "~n"} {
+			var got []string
+			for _, it := range s.Items(l) {
+				got = append(got, it.ID.Key())
+			}
+			if want := shown(hidden, l); !slices.Equal(got, want) {
+				t.Errorf("%d roots hidden: R_%s holds %d items, want %d", len(hidden), l, len(got), len(want))
+			}
+			if s.Count(l) != len(got) {
+				t.Errorf("%d roots hidden: Count(%s) = %d, Items has %d", len(hidden), l, s.Count(l), len(got))
+			}
 		}
 	}
-	s.RemoveSubtrees(roots)
-	if diff := DiffStores(s, New(d)); diff != "" {
-		t.Fatalf("after RemoveSubtrees: %s", diff)
-	}
-	one := d.Root.ElementChildren()[0].ElementChildren()[0] // a b, with its text below it
-	s.RemoveNode(one)
-	if s.Count("b") != 2*9-1 || s.Count("#text") != 2*9 {
-		t.Fatalf("RemoveNode: |R_b| = %d, |R_#text| = %d", s.Count("b"), s.Count("#text"))
+	if s.Count("b") != 24 {
+		t.Fatalf("|R_b| = %d after Hide(nil), want 24", s.Count("b"))
 	}
 }
 
 // TestParallelReadDuringRemove deletes subtrees while concurrent readers
 // iterate previously returned Items() slices — the WithParallel() data-race
-// scenario. Run under -race this fails against in-place compaction.
+// scenario. Run under -race this fails if a handed-out slice shares memory
+// with the label index the deletes edit.
 func TestParallelReadDuringRemove(t *testing.T) {
 	d := mustDoc(t, `<a><c><b>1</b><b>2</b></c><c><b>3</b></c><c><b>4</b></c><c><b>5</b></c></a>`)
 	s := New(d)
@@ -255,7 +210,7 @@ func TestParallelReadDuringRemove(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.RemoveSubtrees([]*xmltree.Node{removed})
+		s.Changed(nil, []*xmltree.Node{removed})
 	}
 	close(stop)
 	wg.Wait()
@@ -285,24 +240,6 @@ func TestCountWordNoAlloc(t *testing.T) {
 	// Items("~word") still materializes (and still works).
 	if got := len(s.Items("~gold")); got != 2 {
 		t.Fatalf(`Items("~gold") = %d`, got)
-	}
-}
-
-func TestDiffStores(t *testing.T) {
-	d1 := mustDoc(t, doc1)
-	d2 := mustDoc(t, doc1)
-	s1, s2 := New(d1), New(d2)
-	if diff := DiffStores(s1, s2); diff != "" {
-		t.Fatalf("identical stores diff: %s", diff)
-	}
-	// Desync: remove a subtree from one store only.
-	removed, err := d1.ApplyDelete(d1.Root.ElementChildren()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.RemoveSubtrees([]*xmltree.Node{removed})
-	if diff := DiffStores(s1, s2); diff == "" {
-		t.Fatal("desynced stores reported equal")
 	}
 }
 
@@ -524,51 +461,51 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestConcurrentItemsDuringMutation hammers the live read entry points
-// (Items, Count, Labels) from several goroutines while the main goroutine
-// inserts and deletes subtrees — the snapshot-serving scenario where epoch
-// readers and the single writer share one store. Before the store-wide
-// RWMutex this was a data race on the relation map and slice headers; run
-// under -race it also re-checks that a slice retained mid-read keeps its
-// original contents across the mutation that follows it.
+// TestConcurrentItemsDuringMutation: the read entry points (Items, Count,
+// Labels) from several goroutines at once, cold derived relations
+// included — parallel propagation — and then, while the writer inserts and
+// deletes a subtree, each reader going over the slices it retained, which
+// must keep their contents. Run under -race it also fails if a retained
+// slice shares memory with the label index the writer edits in place.
 func TestConcurrentItemsDuringMutation(t *testing.T) {
 	d := mustDoc(t, `<a><c><b>1</b><b>2</b></c><c><b>3</b></c></a>`)
 	s := New(d)
+	read := func() []algebra.Item {
+		held := append(s.Items("b"), s.Items("*")...)
+		_ = s.Count("#text")
+		_ = s.Labels()
+		return held
+	}
+	for i := 0; i < 100; i++ {
+		const readers = 4
+		var wg sync.WaitGroup
+		held, keys := make([][]algebra.Item, readers), make([][]string, readers)
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				held[r] = read()
+				for _, it := range held[r] {
+					keys[r] = append(keys[r], it.ID.Key())
+				}
+			}()
+		}
+		wg.Wait()
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Retain a slice, snapshot its IDs, re-read the store (racing
-				// with the writer), then verify the retained slice is intact.
-				held := s.Items("b")
-				ids := make([]string, len(held))
-				for i, it := range held {
-					ids[i] = it.ID.Key()
-				}
-				_ = s.Count("#text")
-				_ = s.Items("*")
-				_ = s.Labels()
-				for i, it := range held {
-					if it.ID.Key() != ids[i] {
-						panic("retained Items slice mutated mid-read")
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 20 {
+					for k, it := range held[r] {
+						if it.ID.Key() != keys[r][k] || it.Node.ID.Key() != keys[r][k] {
+							panic("retained Items slice changed under a mutation")
+						}
 					}
 				}
-			}
-		}()
-	}
-
-	forestSrc := `<c><b>9</b><b>8</b></c>`
-	for i := 0; i < 200; i++ {
-		forest, err := xmltree.ParseForest(forestSrc)
+			}()
+		}
+		forest, err := xmltree.ParseForest(`<c><b>9</b><b>8</b></c>`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -576,14 +513,13 @@ func TestConcurrentItemsDuringMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.AddSubtree(attached)
+		s.Changed(nil, []*xmltree.Node{attached})
 		if _, err := d.ApplyDelete(attached); err != nil {
 			t.Fatal(err)
 		}
-		s.RemoveSubtree(attached)
+		s.Changed(nil, []*xmltree.Node{attached})
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 	if got := s.Count("b"); got != 3 {
 		t.Fatalf("|R_b| = %d after balanced insert/delete churn, want 3", got)
 	}

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"xivm/internal/algebra"
 	"xivm/internal/obs"
 	"xivm/internal/xmltree"
 )
@@ -62,8 +64,9 @@ func TestWordItemsServedFromIndex(t *testing.T) {
 	}
 }
 
-// TestWordIndexInvalidation checks that text-node mutations through every
-// store entry point drop the index so word relations stay correct.
+// TestWordIndexInvalidation checks that text nodes entering or leaving —
+// by a mutation the store is told of, or by Hide — drop the index so word
+// relations stay correct, and that nothing else does.
 func TestWordIndexInvalidation(t *testing.T) {
 	s, doc, m := newWordStore(t)
 	builds := m.Counter("store.wordidx.builds")
@@ -82,7 +85,7 @@ func TestWordIndexInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddSubtree(attached)
+	s.Changed(nil, []*xmltree.Node{attached})
 	if n := s.Count("~gold"); n != 3 {
 		t.Fatalf("Count(~gold) after insert = %d, want 3", n)
 	}
@@ -90,30 +93,23 @@ func TestWordIndexInvalidation(t *testing.T) {
 		t.Fatalf("builds = %d after insert+recount, want 2", builds.Value())
 	}
 
+	// Hidden (an insertion propagating), it is out of the index again.
+	s.Hide([]*xmltree.Node{attached})
+	if n := s.Count("~gold"); n != 2 {
+		t.Fatalf("Count(~gold) with the insert hidden = %d, want 2", n)
+	}
+	s.Hide(nil)
+	if n := s.Count("~gold"); n != 3 {
+		t.Fatalf("Count(~gold) after Hide(nil) = %d, want 3", n)
+	}
+
 	// Delete it again.
 	if _, err := doc.ApplyDelete(attached); err != nil {
 		t.Fatal(err)
 	}
-	s.RemoveSubtree(attached)
+	s.Changed(nil, []*xmltree.Node{attached})
 	if n := s.Count("~gold"); n != 2 {
 		t.Fatalf("Count(~gold) after delete = %d, want 2", n)
-	}
-
-	// Node-at-a-time paths (IVMA) must invalidate too.
-	var textNode *xmltree.Node
-	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
-		if n.Label() == xmltree.TextLabel && textNode == nil {
-			textNode = n
-		}
-		return true
-	})
-	s.RemoveNode(textNode)
-	if n := s.Count("~gold"); n != 1 {
-		t.Fatalf("Count(~gold) after RemoveNode = %d, want 1", n)
-	}
-	s.AddNode(textNode)
-	if n := s.Count("~gold"); n != 2 {
-		t.Fatalf("Count(~gold) after AddNode = %d, want 2", n)
 	}
 
 	// Mutations that touch no text node must keep the index warm.
@@ -126,7 +122,7 @@ func TestWordIndexInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddSubtree(attached2)
+	s.Changed(nil, []*xmltree.Node{attached2})
 	if n := s.Count("~gold"); n != 2 {
 		t.Fatalf("Count(~gold) after element-only insert = %d, want 2", n)
 	}
@@ -136,77 +132,74 @@ func TestWordIndexInvalidation(t *testing.T) {
 }
 
 // TestWordIndexConcurrentWithMutations drives "~word" queries from several
-// goroutines while the writer inserts and deletes text-bearing subtrees —
-// the serving-layer scenario where concurrent readers hit wordItems while
-// the apply loop mutates the canonical relations. Run under -race this
-// catches two historical windows: the unguarded read of the text relation
-// during a cold index build, and the invalidation that used to happen
-// AFTER the relation update left the lock, letting a reader cache (and be
-// served) an index entry that predated the mutation.
+// goroutines at once, cold entries included — parallel propagation over a
+// view with a word leaf — and between those rounds inserts and deletes a
+// text-bearing subtree while the readers go over the entries they were
+// served. Run under -race this catches a cold build that is not serialized,
+// and an entry that shares memory with what the mutation edits.
 //
-// Every answer must be internally consistent: each returned item's node
-// really contains the word, and Count must agree with some state the store
-// actually passed through (2 matches before an insert, 3 after, never
-// anything else).
+// Every answer must be consistent with the state the document is in: each
+// returned item's node really contains the word, and Count is 2 matches
+// before an insert, 3 after.
 func TestWordIndexConcurrentWithMutations(t *testing.T) {
 	s, doc, _ := newWordStore(t)
 	parent := doc.Root.Children[1] // <b>
 
-	stop := make(chan struct{})
-	errc := make(chan string, 8)
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	var attached *xmltree.Node
+	for i := 0; i < 150; i++ {
+		want := 2
+		if attached != nil {
+			want = 3
+		}
+		const readers = 4
+		var wg sync.WaitGroup
+		held := make([][]algebra.Item, readers)
+		errc := make(chan string, 2*readers)
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				held[r] = s.Items("~gold")
+				if n := s.Count("~gold"); n != want || len(held[r]) != want {
+					errc <- fmt.Sprintf("round %d: Items(~gold) has %d items, Count %d, want %d", i, len(held[r]), n, want)
 				}
-				items := s.Items("~gold")
-				for _, it := range items {
-					if it.Node == nil || !it.Node.MatchesWord("gold") {
-						select {
-						case errc <- "Items(~gold) returned a non-matching item":
-						default:
-						}
+			}()
+		}
+		wg.Wait()
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, it := range held[r] {
+					if !it.Node.MatchesWord("gold") {
+						errc <- "Items(~gold) returned a non-matching item"
 						return
 					}
 				}
-				if n := s.Count("~gold"); n != 2 && n != 3 {
-					select {
-					case errc <- "Count(~gold) observed a state the store never held":
-					default:
-					}
-					return
-				}
+			}()
+		}
+		if attached == nil {
+			sub, err := xmltree.ParseString(`<d><text>more gold dust</text></d>`)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-
-	for i := 0; i < 150; i++ {
-		sub, err := xmltree.ParseString(`<d><text>more gold dust</text></d>`)
-		if err != nil {
-			t.Fatal(err)
+			if attached, err = doc.ApplyInsert(parent, sub.Root); err != nil {
+				t.Fatal(err)
+			}
+			s.Changed(nil, []*xmltree.Node{attached})
+		} else {
+			if _, err := doc.ApplyDelete(attached); err != nil {
+				t.Fatal(err)
+			}
+			s.Changed(nil, []*xmltree.Node{attached})
+			attached = nil
 		}
-		attached, err := doc.ApplyInsert(parent, sub.Root)
-		if err != nil {
-			t.Fatal(err)
+		wg.Wait()
+		select {
+		case msg := <-errc:
+			t.Fatal(msg)
+		default:
 		}
-		s.AddSubtree(attached)
-		if _, err := doc.ApplyDelete(attached); err != nil {
-			t.Fatal(err)
-		}
-		s.RemoveSubtree(attached)
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case msg := <-errc:
-		t.Fatal(msg)
-	default:
 	}
 	if n := s.Count("~gold"); n != 2 {
 		t.Fatalf("Count(~gold) = %d after balanced churn, want 2", n)

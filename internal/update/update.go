@@ -188,32 +188,36 @@ type Applied struct {
 	Kind          Kind
 	InsertedRoots []*xmltree.Node
 	DeletedRoots  []*xmltree.Node
-	// Replaced must reach store.Repoint before anything reads content
-	// through the canonical relations again; Apply sees to it for the store
-	// it is given.
+	// Replaced are the copies now in the tree in place of nodes an epoch
+	// holds. The document's label index, which the canonical relations are
+	// read from, lists them already; a node pointer taken before the
+	// mutation may be to the node one of them replaced.
 	Replaced []*xmltree.Node
 }
 
-// Apply executes the PUL against the document, keeping the store's
-// canonical relations in sync when st is non-nil. Insertions return the
-// copies carrying the IDs assigned in their new context, exactly the
-// side-channel the maintenance algorithms consume.
+// Apply executes the PUL against the document. The store's canonical
+// relations are the document's label index, which the mutators keep in
+// step; when s is non-nil it is told of the mutation, to drop the derived
+// relations that went stale. Insertions return the copies carrying the IDs
+// assigned in their new context, exactly the side-channel the maintenance
+// algorithms consume.
 func Apply(d *xmltree.Document, s *store.Store, pul *PUL) (*Applied, error) {
 	out := &Applied{Kind: pul.Kind}
 	var err error
+	var roots []*xmltree.Node
 	switch pul.Kind {
 	case Insert:
-		out.InsertedRoots, out.Replaced, err = d.ApplyInsertions(pul.Inserts)
+		roots, out.Replaced, err = d.ApplyInsertions(pul.Inserts)
+		out.InsertedRoots = roots
 	case Delete:
-		out.DeletedRoots, out.Replaced, err = d.ApplyDeleteBatch(pul.Deletes)
+		roots, out.Replaced, err = d.ApplyDeleteBatch(pul.Deletes)
+		out.DeletedRoots = roots
 	}
 	if err != nil {
 		return nil, err
 	}
 	if s != nil {
-		s.Repoint(out.Replaced)
-		s.AddSubtrees(out.InsertedRoots)
-		s.RemoveSubtrees(out.DeletedRoots)
+		s.Changed(out.Replaced, roots)
 	}
 	return out, nil
 }

@@ -118,12 +118,13 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 
 // TestRestoredHeapPerNodeBudget holds what a tenant restored from a
 // checkpoint keeps per document node — the benchmark's tenant after a
-// restart: its tree, store and seven views, and one published epoch. That is
-// ~170 B with 64-byte nodes that name their labels by code (~186 when a node
-// also held its label as a string). Keeping the IDs the view snapshots
-// decode to beside the tree's, one more key per row entry, is ~174; frames
-// that spell their labels out add ~40 B more. The budget sits between the
-// first two.
+// restart: its tree with its label index, store and seven views, and one
+// published epoch. That is ~151 B with 64-byte nodes that name their labels
+// by code and canonical relations read from the label index. Keeping the IDs
+// the view snapshots decode to beside the tree's, one more key per row
+// entry, is ~156; a second per-label array beside the index, as the store
+// kept before, adds ~28 B; frames that spell their labels out ~40 B more.
+// The budget sits between the first two.
 func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	eng, sources := benchTenant(t)
 	dir := t.TempDir()
@@ -143,14 +144,15 @@ func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	re.Doc.Labeled("bidder") // a served tenant has its label index; rebuilding the lattices built it already
 	snap := re.Snapshot()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	nodes := re.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 172 {
-		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 172", perNode)
+	if perNode > 153 {
+		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 153", perNode)
 	}
 	runtime.KeepAlive(img)
 	runtime.KeepAlive(snap)

@@ -15,9 +15,11 @@ import "xivm/internal/dewey"
 //  1. Mutators go by ID, never by pointer. A pointer taken before a
 //     mutation — a PUL target resolved before the batch ran — may be to a
 //     node a copy has since replaced; its ID still names the place.
-//  2. A mutator reports the nodes it replaced, and whoever holds node
-//     pointers across mutations (store.Store) swaps them before it reads
-//     content through them again.
+//  2. A mutator reports the nodes it replaced, and whatever holds node
+//     pointers across mutations swaps them before content is read through
+//     them again: the label index, which patchLabels re-points in the same
+//     mutation, and which the canonical relations (store.Store) are read
+//     from.
 //  3. A document that was never published never copies: gen stays at the
 //     stamp every parsed and inserted node carries, so own returns the
 //     nodes themselves and the mutators edit in place.
