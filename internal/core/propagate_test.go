@@ -208,7 +208,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if vs == nil || vs.Rows.Len() != 1 {
 		t.Fatalf("snapshot view = %+v, want 1 row", vs)
 	}
-	wantID := vs.Rows[0][0].Entries[1].ID
+	wantID := vs.Rows.AppendTo(nil)[0].Entries[1].ID
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {
 		t.Fatal("snapshot row does not resolve against the snapshot document")
 	}
@@ -223,7 +223,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if vs.Rows.Len() != 1 || vs.Rows[0][0].Entries[1].Val != "5" {
+	if vs.Rows.Len() != 1 || vs.Rows.AppendTo(nil)[0].Entries[1].Val != "5" {
 		t.Fatal("mutations reached a published snapshot's rows")
 	}
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {

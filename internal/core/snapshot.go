@@ -10,8 +10,8 @@ import (
 
 // Snapshot is an immutable, self-contained image of the engine at one
 // version: every view's rows (the live view's own, frozen: a later change
-// copies the chunk of rows it lands in, and a refresh replaces a row, it
-// does not write into one),
+// copies the leaf of rows it lands in and the path above it, and a refresh
+// replaces a row, it does not write into one),
 // the document as it stood (the writer's own tree, frozen: later mutations
 // copy what they touch), and the version counter identifying the state.
 // A Snapshot is safe for unlimited concurrent readers and never changes
@@ -54,8 +54,8 @@ type ViewSnapshot struct {
 	// Rows are the view's rows in canonical (document) order, as the live
 	// view holds them (store.View.Freeze): nothing reachable from here is
 	// written after capture, snapshots of a view that did not change in
-	// between share all of it, and neighbouring ones all but the chunks
-	// the changes landed in.
+	// between share all of it, and neighbouring ones all but the leaves
+	// the changes landed in and the paths above them.
 	Rows store.Rows
 }
 
@@ -65,7 +65,8 @@ type ViewSnapshot struct {
 // is immutable and may be shared with any number of concurrent readers.
 // The document costs O(1) — the mutations since the capture before paid
 // for it, O(depth × fan-out + |delta|) nodes each (xmltree.Snapshot) — and
-// so does every view: the changes since paid, a chunk of rows each.
+// so does every view: the changes since paid, a leaf of rows and its path
+// each.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version: e.Version(),

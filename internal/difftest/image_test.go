@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -167,7 +166,7 @@ func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 				for i, mv := range pub.Views {
 					// Rows handed on from the previous epoch must be the rows
 					// a fresh copy would hold, and the twin's.
-					if !mv.View.EqualRows(slices.Concat(snap.Views[i].Rows...)) {
+					if !mv.View.EqualRows(snap.Views[i].Rows.AppendTo(nil)) {
 						fail("view %s: published rows differ from the store", mv.Name)
 					}
 					if !mv.View.EqualRows(twin.Views[i].View.Rows()) {

@@ -233,8 +233,8 @@ func blockEnd(p *Program, pc int) int {
 // indexed resolves a descendant step from the virtual document node against
 // the document's label index: exact-label tests (name, attribute, text) are
 // the index entry verbatim. Wildcard and word tests fall back to the walk.
-// The returned chunks are the index's own — callers must only read them.
-func (m *Machine) indexed(p *Program, in *Instr) (dewey.Chunks[*xmltree.Node], bool) {
+// The returned list is the index's own — callers must only read it.
+func (m *Machine) indexed(p *Program, in *Instr) (*dewey.Chunks[*xmltree.Node], bool) {
 	switch in.Op.test() {
 	case tsName, tsAttr:
 		// Attribute names are pooled with their "@" prefix, as Node.Label

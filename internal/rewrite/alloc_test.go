@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -36,7 +37,7 @@ func TestAnswerAllocBudget(t *testing.T) {
 		{"R5", `//open_auction{ID}//increase{ID,val}`},
 	} {
 		p := pattern.MustParse(v[1])
-		views = append(views, &View{Name: v[0], Pattern: p, Rows: RowSlice{algebra.Materialize(d, p)}})
+		views = append(views, &View{Name: v[0], Pattern: p, Rows: dewey.ChunksOf(algebra.Materialize(d, p))})
 	}
 	for _, c := range []struct {
 		query, kind string

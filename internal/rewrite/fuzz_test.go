@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
@@ -49,7 +50,7 @@ func fuzzSetup() {
 func fuzzLibrary(d *xmltree.Document) []*View {
 	mk := func(name, src string) *View {
 		p := pattern.MustParse(src)
-		return &View{Name: name, Pattern: p, Rows: RowSlice{algebra.Materialize(d, p)}}
+		return &View{Name: name, Pattern: p, Rows: dewey.ChunksOf(algebra.Materialize(d, p))}
 	}
 	return []*View{
 		mk("chain-name", `/site{ID}/people{ID}/person{ID}/name{ID,val}`),

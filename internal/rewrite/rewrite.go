@@ -42,8 +42,9 @@ type RowSource interface {
 }
 
 // RowSlice is an epoch's rows as core.ViewSnapshot.Rows holds them, read as
-// they lie; RowSlice{rows} wraps one plain slice.
-type RowSlice = dewey.Chunks[algebra.Row]
+// they lie; dewey.ChunksOf reads one plain slice as a RowSlice, and the nil
+// RowSlice is empty.
+type RowSlice = *dewey.Chunks[algebra.Row]
 
 // View couples a pattern with its materialized rows (the shape
 // core.ManagedView exposes; accepted structurally to avoid a dependency).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
 	"xivm/internal/xmltree"
@@ -336,7 +337,7 @@ func TestRowSliceSource(t *testing.T) {
 	// Snapshot-shaped row slices must answer identically to store views.
 	d := mustDoc(t, doc1)
 	p := pattern.MustParse(`//c{ID}//b{ID}`)
-	v := &View{Name: "slice", Pattern: p, Rows: RowSlice{algebra.Materialize(d, p)}}
+	v := &View{Name: "slice", Pattern: p, Rows: dewey.ChunksOf(algebra.Materialize(d, p))}
 	q := pattern.MustParse(`//c{ID}/b{ID}`)
 	rows, _, err := Answer(q, []*View{v})
 	if err != nil {

@@ -142,9 +142,9 @@ func appendViewResponse(dst []byte, snap *core.Snapshot, vs *core.ViewSnapshot) 
 	dst = appendJSONString(dst, vs.Name)
 	dst = append(dst, `,"rows":[`...)
 	first := true
-	for _, chunk := range vs.Rows {
-		for i := range chunk {
-			row := &chunk[i]
+	vs.Rows.EachLeaf(func(leaf []algebra.Row) bool {
+		for i := range leaf {
+			row := &leaf[i]
 			if !first {
 				dst = append(dst, ',')
 			}
@@ -174,7 +174,8 @@ func appendViewResponse(dst []byte, snap *core.Snapshot, vs *core.ViewSnapshot) 
 			}
 			dst = append(dst, `]}`...)
 		}
-	}
+		return true
+	})
 	return append(dst, "]}\n"...)
 }
 

@@ -56,22 +56,20 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		pat := pattern.MustNew(&pattern.Node{Label: label, Children: []*pattern.Node{{Label: idLabel}}})
 		vs := &core.ViewSnapshot{Name: label, Pattern: pat}
 		want := ViewResponse{Tenant: tenant, Version: version, Name: label, Rows: []RowJSON{}}
+		var stored []algebra.Row
 		for i := 0; i < rows; i++ {
 			a, b := ids[i%len(ids)], ids[(i+1)%len(ids)]
 			row := algebra.Row{Count: i - 1, Entries: []algebra.RowEntry{
 				{NodeIdx: 0, ID: a, Val: val},
 				{NodeIdx: 1, ID: b, Cont: cont},
 			}}
-			if i == 1 { // chunks of one, two and one rows
-				vs.Rows[0] = append(vs.Rows[0], row)
-			} else {
-				vs.Rows = append(vs.Rows, []algebra.Row{row})
-			}
+			stored = append(stored, row)
 			want.Rows = append(want.Rows, RowJSON{Count: i - 1, Entries: []EntryJSON{
 				{Label: label, ID: a.String(), Val: val},
 				{Label: idLabel, ID: b.String(), Cont: cont},
 			}})
 		}
+		vs.Rows = dewey.ChunksOf(stored)
 		if got, want := appendViewResponse(nil, snap, vs), encodeJSON(t, want); !bytes.Equal(got, want) {
 			t.Fatalf("view body\n got %q\nwant %q", got, want)
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -146,7 +145,7 @@ func runBurstyShard(t *testing.T, maxBatch int) burstRunResult {
 				}
 				for i := range snap.Views {
 					vs := &snap.Views[i]
-					if !equalRowJSON(rowsToJSON(vs.Pattern, slices.Concat(vs.Rows...)), exp.views[vs.Name]) {
+					if !equalRowJSON(rowsToJSON(vs.Pattern, vs.Rows.AppendTo(nil)), exp.views[vs.Name]) {
 						fail("epoch %d view %s does not equal fresh recomputation", snap.Version, vs.Name)
 						return
 					}
@@ -216,7 +215,7 @@ func runBurstyShard(t *testing.T, maxBatch int) burstRunResult {
 	exp := oracle.at(snap.Version)
 	for i := range snap.Views {
 		vs := &snap.Views[i]
-		if !equalRowJSON(rowsToJSON(vs.Pattern, slices.Concat(vs.Rows...)), exp.views[vs.Name]) {
+		if !equalRowJSON(rowsToJSON(vs.Pattern, vs.Rows.AppendTo(nil)), exp.views[vs.Name]) {
 			t.Fatalf("final epoch view %s diverges from fresh recomputation", vs.Name)
 		}
 	}

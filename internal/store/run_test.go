@@ -10,14 +10,15 @@ import (
 	"xivm/internal/pattern"
 )
 
-// chunkRows is how many rows or tuples 2 KB holds, the run's chunk size.
-const chunkRows = 2048 / int(unsafe.Sizeof(algebra.Row{}))
+// leafRows is how many rows or tuples 512 B holds, the most a run's leaf
+// holds.
+const leafRows = 512 / int(unsafe.Sizeof(algebra.Row{}))
 
 // TestChurnLeavesNoTombstones: a row or tuple that leaves the view or the
 // lattice leaves no slot behind. 5,000 nodes are inserted and deleted one
 // after the other, each with an ID of its own — what a tenant whose deleted
 // nodes come back under fresh IDs does all day — and the backing storage
-// ends within one chunk of what the survivors need.
+// ends within one leaf of what the survivors need.
 func TestChurnLeavesNoTombstones(t *testing.T) {
 	p := pattern.MustParse(`//a{ID}//b{ID}`)
 	root := dewey.NewRoot("r")
@@ -54,27 +55,30 @@ func TestChurnLeavesNoTombstones(t *testing.T) {
 		t.Fatalf("%d rows and %d tuples survive, want %d of each", v.Len(), m.Len(), live)
 	}
 	held := 0
-	for _, c := range v.rows.Chunks() {
-		held += cap(c)
-	}
-	if held > live+chunkRows {
+	v.rows.Chunks().EachLeaf(func(leaf []algebra.Row) bool {
+		held += cap(leaf)
+		return true
+	})
+	if held > live+leafRows {
 		t.Errorf("the view holds room for %d rows to store %d", held, live)
 	}
-	if cap(m.tups) > live+chunkRows {
+	if cap(m.tups) > live+leafRows {
 		t.Errorf("the mat holds room for %d tuples to store %d", cap(m.tups), live)
 	}
 }
 
 // TestFreezeAllocatesNothingPerRow: publishing a view allocates nothing
-// and the change it publishes allocates by the chunk, so a view of ten
-// thousand rows pays what a view of ten does.
+// and the change it publishes allocates a leaf and the path above it, so a
+// view of ten thousand rows pays what a view of ten does, and two
+// allocations — a node and its children — for each interior level above its
+// leaves.
 func TestFreezeAllocatesNothingPerRow(t *testing.T) {
 	p := pattern.MustParse(`//a{ID}`)
 	root := dewey.NewRoot("r")
 	row := func(i int) algebra.Row {
 		return algebra.Row{Count: 1, Entries: []algebra.RowEntry{{NodeIdx: 0, ID: root.Child("a", dewey.OrdAt(i))}}}
 	}
-	var perEpoch []float64
+	var perEpoch, levels []float64
 	for _, n := range []int{10, 10_000} {
 		v := NewView(p)
 		for i := 0; i < n; i++ {
@@ -82,12 +86,13 @@ func TestFreezeAllocatesNothingPerRow(t *testing.T) {
 		}
 		rows, _ := v.Freeze()
 		if got := testing.AllocsPerRun(20, func() {
-			if again, moved := v.Freeze(); moved || len(again) != len(rows) || &again[0] != &rows[0] {
+			if again, moved := v.Freeze(); moved || again != rows {
 				t.Fatal("an unmoved view froze to something new")
 			}
 		}); got != 0 {
 			t.Errorf("freezing %d unmoved rows allocates %v times", n, got)
 		}
+		levels = append(levels, float64(depth(rows)))
 		next := n
 		perEpoch = append(perEpoch, testing.AllocsPerRun(20, func() {
 			v.Upsert(row(next))
@@ -97,9 +102,24 @@ func TestFreezeAllocatesNothingPerRow(t *testing.T) {
 			}
 		}))
 	}
-	if perEpoch[0] != perEpoch[1] {
-		t.Errorf("a one-row epoch allocates %v times on ten rows and %v on ten thousand", perEpoch[0], perEpoch[1])
+	if levels[0] != 0 || levels[1] < 2 {
+		t.Fatalf("fixture: %v interior levels above the leaves", levels)
 	}
+	if perEpoch[1] > perEpoch[0]+2*levels[1] {
+		t.Errorf("a one-row epoch allocates %v times on ten rows and %v on ten thousand under %v levels", perEpoch[0], perEpoch[1], levels[1])
+	}
+}
+
+// depth returns how many interior levels lie above the leaves of rows
+// loaded in order, whose interior nodes are full: 16 children each.
+func depth(rows Rows) int {
+	leaves := 0
+	rows.EachLeaf(func([]algebra.Row) bool { leaves++; return true })
+	d := 0
+	for span := 1; span < leaves; span *= 16 {
+		d++
+	}
+	return d
 }
 
 // TestRowsOrderIsCompareRowsNotKeyOrder: rows lie in the order of their

@@ -94,13 +94,14 @@ func (s *Store) Doc() *xmltree.Document { return s.doc }
 // items reads R_label from the label index into a fresh slice, without the
 // hidden subtrees.
 func (s *Store) items(label string) []algebra.Item {
-	chunks := s.doc.LabeledChunks(label)
-	out := make([]algebra.Item, 0, chunks.Len())
-	for _, c := range chunks {
-		for _, n := range c {
+	list := s.doc.LabeledChunks(label)
+	out := make([]algebra.Item, 0, list.Len())
+	list.EachLeaf(func(leaf []*xmltree.Node) bool {
+		for _, n := range leaf {
 			out = append(out, algebra.Item{ID: n.ID, Node: n})
 		}
-	}
+		return true
+	})
 	return s.withoutHidden(out)
 }
 
@@ -150,8 +151,8 @@ func (s *Store) Items(label string) []algebra.Item {
 
 // Count returns |R_label|: word labels are a length lookup on the inverted
 // index (building its entry on a cold first access), every other label the
-// length of its relation, which for a plain label with nothing hidden is a
-// sum over the index's chunks.
+// length of its relation, which for a plain label with nothing hidden is the
+// count the index's list keeps.
 func (s *Store) Count(label string) int {
 	switch word, isWord := strings.CutPrefix(label, "~"); {
 	case isWord:

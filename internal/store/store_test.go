@@ -335,7 +335,7 @@ func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
 	}) {
 		t.Fatal("replace failed")
 	}
-	for _, old := range []algebra.Row{rows[0], got, frozen[0][0]} {
+	for _, old := range []algebra.Row{rows[0], got, frozen.AppendTo(nil)[0]} {
 		if e := old.Entries[0]; e.Val != "x" || e.Cont != "<a>x</a>" {
 			t.Fatalf("a row handed out before Replace now reads val %q cont %q", e.Val, e.Cont)
 		}

@@ -20,9 +20,9 @@ type View struct {
 	rows    dewey.Run[algebra.Row]
 }
 
-// Rows is a view's rows as an epoch holds them: chunks in order, each in
-// order, none ever written again.
-type Rows = dewey.Chunks[algebra.Row]
+// Rows is a view's rows as an epoch holds them: the frozen root of the
+// view's run, whose leaves hold the rows in order, none ever written again.
+type Rows = *dewey.Chunks[algebra.Row]
 
 // NewView creates an empty materialized view over p.
 func NewView(p *pattern.Pattern) *View {

@@ -8,15 +8,14 @@ import (
 	"xivm/internal/xmltree"
 )
 
-// TestLabelPatchCopiesAChunkNotAList holds what keeping the label index in
-// step costs a published document: a bidder with two text nodes inserted
-// under one open_auction of 1 MB of XMark and deleted again, an epoch after
-// each. The #text list alone is 24,770 nodes, 193 KB; the index may copy the
-// chunks the mutation lands in and its own map, not a list. The cost is read
-// as the difference between the same mutations with the index built and
-// without it, where patchLabels has nothing to patch.
-func TestLabelPatchCopiesAChunkNotAList(t *testing.T) {
-	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
+// labelPatchBytes returns what a bidder with two text nodes inserted under
+// one open_auction of an XMark document of the given size and deleted
+// again, an epoch after each, allocates with the label index built, less
+// what the same mutations allocate without it, where patchLabels has
+// nothing to patch.
+func labelPatchBytes(t *testing.T, size int) int64 {
+	t.Helper()
+	src := xmark.Generate(xmark.Config{TargetBytes: size, Seed: 1})
 	forest, err := xmltree.ParseString(`<bidder><date>03/03/2021</date><increase>3.00</increase></bidder>`)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,7 @@ func TestLabelPatchCopiesAChunkNotAList(t *testing.T) {
 			return target == nil
 		})
 		if indexed {
-			if texts := d.LabeledChunks(xmltree.TextLabel).Len(); texts < 20_000 {
+			if texts := d.LabeledChunks(xmltree.TextLabel).Len(); texts < size/50 {
 				t.Fatalf("fixture: %d text nodes", texts)
 			}
 		}
@@ -63,8 +62,28 @@ func TestLabelPatchCopiesAChunkNotAList(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	bare, indexed := pairBytes(false), pairBytes(true)
-	t.Logf("insert + delete + two epochs: %d B without the index, %d B with it", bare, indexed)
-	if cost := int64(indexed) - int64(bare); cost >= 32<<10 {
-		t.Errorf("patching the label index allocated %d KB for a two-text-node insert and delete, budget 32 KB", cost>>10)
+	t.Logf("%d KB of XMark, insert + delete + two epochs: %d B without the index, %d B with it", size>>10, bare, indexed)
+	return int64(indexed) - int64(bare)
+}
+
+// TestLabelPatchCopiesAPathNotAList holds what keeping the label index in
+// step costs a published document of 1 MB. The #text list alone is 24,770
+// nodes, 193 KB; the index may copy the leaves the mutation lands in and
+// the paths above them, in each list it edits and in the run of lists, not
+// a list — ~8.8 KB.
+func TestLabelPatchCopiesAPathNotAList(t *testing.T) {
+	if cost := labelPatchBytes(t, 1<<20); cost >= 11<<10 {
+		t.Errorf("patching the label index allocated %d B for a two-text-node insert and delete, budget 11 KB", cost)
+	}
+}
+
+// TestLabelPatchDoesNotGrowWithTheDocument: the same pair costs the index
+// what it costs at 1 MB on a 4 MB document, within 2 KB — a path is a level
+// longer at most. A flat directory of 2 KB chunks made the larger #text
+// list alone cost 14 KB more a pair.
+func TestLabelPatchDoesNotGrowWithTheDocument(t *testing.T) {
+	small, large := labelPatchBytes(t, 1<<20), labelPatchBytes(t, 4<<20)
+	if large-small > 2<<10 {
+		t.Errorf("the label patch costs %d B at 1 MB and %d B at 4 MB: it grows with the document", small, large)
 	}
 }

@@ -32,6 +32,14 @@ func TestLabeledIndex(t *testing.T) {
 	if n := d.Labeled("zzz"); len(n) != 0 {
 		t.Fatalf("Labeled(zzz) = %d nodes, want 0", len(n))
 	}
+	// Finding a list, present or absent, allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if d.LabeledChunks("a").Len() != 2 || d.LabeledChunks("zzz") != nil {
+			t.Fatal("LabeledChunks disagrees with Labeled")
+		}
+	}); allocs != 0 {
+		t.Fatalf("LabeledChunks allocates %v times a call", allocs)
+	}
 
 	// Insertion: the new subtree's labels appear.
 	tmpl, err := ParseString(`<a><c/></a>`)
