@@ -212,7 +212,7 @@ func run() error {
 		defaultViews = append(defaultViews, selfserveRewriteViews...)
 		reg, err := server.NewRegistry(server.RegistryConfig{
 			Shard:        server.Config{MaxBatch: *maxBatch},
-			DefaultDoc:   xmark.GenerateSmall(*scale),
+			DefaultDoc:   xmark.GenerateSmall(*scale, 0),
 			DefaultViews: defaultViews,
 			WAL:          wal.Options{},
 		})

@@ -219,10 +219,13 @@ func Embeddings(d *xmltree.Document, p *pattern.Pattern) []Tuple {
 
 	// candidates lists document nodes reachable from base via the edge kind.
 	candidates := func(base *xmltree.Node, desc bool) []*xmltree.Node {
-		if !desc {
-			return base.Children
-		}
 		var cs []*xmltree.Node
+		if !desc {
+			for k := base.Kids(); k.Next(); {
+				cs = append(cs, k.Node())
+			}
+			return cs
+		}
 		xmltree.Walk(base, func(n *xmltree.Node) bool {
 			if n != base {
 				cs = append(cs, n)

@@ -93,7 +93,8 @@ func ruleWorkload(e *core.Engine, rule string, pct int) pulopt.Seq {
 		// The secondary update touches descendants (names) of nodes the
 		// primary update deletes; O3 drops the descendant operations.
 		for _, p := range overlap {
-			for _, n := range p.Children {
+			for k := p.Kids(); k.Next(); {
+				n := k.Node()
 				if n.Label() == "name" {
 					ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: n.ID})
 				}

@@ -142,7 +142,7 @@ func TestDecodeSizedAndStreamedBodies(t *testing.T) {
 func TestMultiTenantSmoke(t *testing.T) {
 	const tenants = 8
 	reg, err := server.NewRegistry(server.RegistryConfig{
-		DefaultDoc: xmark.GenerateSmall(1),
+		DefaultDoc: xmark.GenerateSmall(1, 0),
 		DefaultViews: []server.ViewSpec{
 			{Name: "Q1", Pattern: xmark.View("Q1").String()},
 			{Name: "Q2", Pattern: xmark.View("Q2").String()},

@@ -49,7 +49,7 @@ func TestStaleTargetsOnPublishedDocument(t *testing.T) {
 	// //a{ID}//n stores only the a: a deleted n shows as a derivation count,
 	// which ∆− must carry or the count stays too high.
 	e, mvs := publishedEngine(t, src, `//a{ID}//n`, `//x{ID}//n{ID}`, `//a{ID,cont}`)
-	x := e.Doc.Root.Children[0].Children[0]
+	x := e.Doc.Root.ElementChildren()[0].ElementChildren()[0]
 
 	// One PUL, two insertions under one target: the second finds the copy
 	// the first made.
@@ -67,7 +67,7 @@ func TestStaleTargetsOnPublishedDocument(t *testing.T) {
 
 	// Unit 1 inserts into x, unit 2 deletes x — through the pointer taken
 	// before unit 1 replaced x by a copy.
-	x = e.Doc.Root.Children[0].Children[0]
+	x = e.Doc.Root.ElementChildren()[0].ElementChildren()[0]
 	units := []BatchPUL{
 		{PUL: &update.PUL{Kind: update.Insert, Inserts: []update.PendingInsert{{Target: x, Trees: forest}}}, Statements: 1},
 		{PUL: &update.PUL{Kind: update.Delete, Deletes: []*xmltree.Node{x}}, Statements: 1},

@@ -3,6 +3,7 @@ package difftest
 import (
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"xivm/internal/update"
@@ -32,6 +33,18 @@ func TestWorkloadDeterministic(t *testing.T) {
 	}
 }
 
+// TestDecodeWideShape: wideMark and two bytes after it decode as the wide
+// shape; with fewer it is document seed 255 as any other first byte.
+func TestDecodeWideShape(t *testing.T) {
+	w := Decode([]byte{wideMark, 19, 4, 2})
+	if w.DocSeed != 19 || w.People != 64 || len(w.Statements) != 1 || w.Statements[0] != vocabulary[2] {
+		t.Fatalf("decoded %+v", w)
+	}
+	if w := Decode([]byte{wideMark, 19}); w.DocSeed != wideMark || w.People != 0 || len(w.Statements) != 1 {
+		t.Fatalf("decoded %+v", w)
+	}
+}
+
 // TestMatrixSeeded is the central differential property: seeded workloads
 // through the full configuration matrix, every maintained state checked
 // against the recompute oracle. Failures are shrunk before reporting so the
@@ -48,13 +61,13 @@ func TestMatrixSeeded(t *testing.T) {
 	if testing.Short() {
 		nSeeds = 2
 	}
-	for seed := uint64(1); seed <= uint64(nSeeds); seed++ {
-		w := NewWorkload(seed, 14)
+	for seed := uint64(0); seed <= uint64(nSeeds); seed++ {
+		w := seededWorkload(seed, 14)
 		for _, cfg := range Matrix() {
 			if d := Run(w, cfg); d != nil {
 				min, md := Shrink(w, cfg)
-				t.Errorf("seed %d: %v\nminimal workload: seed=%d statements=%q\nminimal divergence: %v",
-					seed, d, min.DocSeed, min.Statements, md)
+				t.Errorf("seed %d: %v\nminimal workload: seed=%d people=%d statements=%q\nminimal divergence: %v",
+					seed, d, min.DocSeed, min.People, min.Statements, md)
 			}
 		}
 	}
@@ -120,6 +133,41 @@ func TestShrinkWith(t *testing.T) {
 	}
 }
 
+// wideWorkload starts from the wide document shape with /site/people at
+// the 64 children one leaf of a child list holds, and takes that list
+// across the bound both ways: a person inserted makes it a tree of two
+// leaves (65); deleting catgraph, an earlier sibling, leaves people's own
+// ordinal above the one a reparse gives it; a forest of 70 persons without
+// an emailaddress, 10 with a homepage, is appended (135); a phone under
+// every person copies a path through the list; deleting the 64 persons the
+// document was generated with leaves the rest's ordinals above a reparse's
+// (71); deleting the persons with a homepage takes it back to one slice
+// (60); and the inserts after that append to it. checkImage's reparse then
+// restores IDs a parse does not assign under lists of both shapes.
+var wideWorkload = Workload{DocSeed: 19, People: 64, Statements: []string{
+	`insert <person id="personX"><name>Nova Quinn</name><homepage>http://example.net/~nova</homepage></person> into /site/people`,
+	`delete /site/catgraph`,
+	`insert ` + strings.Repeat(`<person id="personF"><name>Fern Wide</name></person>`, 60) +
+		strings.Repeat(`<person id="personH"><name>Hal Wide</name><homepage>http://example.net/~hal</homepage></person>`, 10) +
+		` into /site/people`,
+	`for $x in /site/people/person insert <phone>+33 555 0199</phone>`,
+	`delete /site/people/person[emailaddress]`,
+	`delete /site/people/person[homepage]`,
+	`insert <person id="personX"><name>Nova Quinn</name><homepage>http://example.net/~nova</homepage></person> into /site/people`,
+	`for $x in /site/people/person[phone] insert <homepage>http://example.net/~new</homepage>`,
+	`delete /site/people/person/phone`,
+	`replace /site/people/person/name with <name>Replaced Name</name>`,
+}}
+
+// seededWorkload is the workload of n statements the seeded tests run for
+// a seed: NewWorkload's, and for seed 0 wideWorkload.
+func seededWorkload(seed uint64, n int) Workload {
+	if seed == 0 {
+		return wideWorkload
+	}
+	return NewWorkload(seed, n)
+}
+
 // twinWorkload replaces the last child of a parent under a new label: the
 // replacement takes the ordinal its victim freed, so the statement's delete
 // and insert stages carry ordinal twins — keys with one ordinal and two
@@ -139,7 +187,13 @@ var twinWorkload = Workload{DocSeed: 3, Statements: []string{
 func TestOrdinalTwinReplace(t *testing.T) {
 	// The fixture must produce the twins it is for.
 	e := newEngine(t, twinWorkload)
-	last := func() *xmltree.Node { return e.Doc.Root.Children[len(e.Doc.Root.Children)-1] }
+	last := func() *xmltree.Node {
+		k := e.Doc.Root.Kids()
+		for k.Next() {
+		}
+		k.Prev()
+		return k.Node()
+	}
 	before := last()
 	if _, err := e.ApplyStatement(update.MustParse(twinWorkload.Statements[0])); err != nil {
 		t.Fatal(err)

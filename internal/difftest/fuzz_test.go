@@ -27,6 +27,10 @@ func FuzzMaintenance(f *testing.F) {
 	f.Add([]byte{9, 19, 2, 22, 24, 5, 12})
 	f.Add([]byte{7, 3, 12, 9, 22, 3 + 5*28})
 	f.Add([]byte{9, 19, 2, 22, 24, 5, 12 + 5*28})
+	// The wide document shape (wideMark, seed 19, 64 persons): an insert
+	// takes /site/people past one leaf, deleting catgraph moves its
+	// ordinal, the deletes take it back.
+	f.Add([]byte{wideMark, 19, 4, 2, 20, 0, 11, 2, 2, 1, 10, 2 + 5*28})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := Decode(data)
 		for _, cfg := range fuzzConfigs {
@@ -35,7 +39,7 @@ func FuzzMaintenance(f *testing.F) {
 			}
 			if d := Run(w, cfg); d != nil {
 				min, md := Shrink(w, cfg)
-				t.Fatalf("%v\nminimal: seed=%d statements=%q (%v)", d, min.DocSeed, min.Statements, md)
+				t.Fatalf("%v\nminimal: seed=%d people=%d statements=%q (%v)", d, min.DocSeed, min.People, min.Statements, md)
 			}
 		}
 	})
@@ -58,7 +62,7 @@ func FuzzLazyFlush(f *testing.F) {
 		cfg := Config{Name: fmt.Sprintf("lazy-%d", every), LazyEvery: every}
 		if d := Run(w, cfg); d != nil {
 			min, md := Shrink(w, cfg)
-			t.Fatalf("%v\nminimal: seed=%d statements=%q (%v)", d, min.DocSeed, min.Statements, md)
+			t.Fatalf("%v\nminimal: seed=%d people=%d statements=%q (%v)", d, min.DocSeed, min.People, min.Statements, md)
 		}
 	})
 }

@@ -311,7 +311,8 @@ func checkOrdinals(doc *xmltree.Document) error {
 	var err error
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
 		var prev dewey.Ord
-		for _, c := range n.Children {
+		for k := n.Kids(); k.Next(); {
+			c := k.Node()
 			ord := ownOrd(c.ID)
 			switch {
 			case !n.ID.IsParentOf(c.ID):

@@ -139,8 +139,8 @@ func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 		seeds = 3
 	}
 	for _, mode := range []string{"per-statement", "every-3", "batched"} {
-		for seed := uint64(1); seed <= seeds; seed++ {
-			w := NewWorkload(seed, maxStatements)
+		for seed := uint64(0); seed <= seeds; seed++ {
+			w := seededWorkload(seed, maxStatements)
 			pub, twin := newEngine(t, w), newEngine(t, w)
 			twinRoot := twin.Doc.Root
 			both := func(f func(e *core.Engine)) {
@@ -216,7 +216,8 @@ func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 // inserted next — after every statement each attached node resolves to
 // itself, the maintained Size() is the attached count, and a node the
 // statement detached no longer resolves: its ID finds nothing, or the
-// attached node it has been reassigned to.
+// attached node it has been reassigned to. Seed 0 is wideWorkload, whose
+// /site/people must cross the 64 children of one child-list leaf both ways.
 func TestLiveNodeByIDIsADescent(t *testing.T) {
 	seeds := uint64(12)
 	if testing.Short() {
@@ -231,12 +232,18 @@ func TestLiveNodeByIDIsADescent(t *testing.T) {
 		return set
 	}
 	detached, reassigned := 0, 0
-	for seed := uint64(1); seed <= seeds; seed++ {
-		w := NewWorkload(seed, maxStatements)
+	crossed := map[bool]int{} // by direction: true is past 64
+	for seed := uint64(0); seed <= seeds; seed++ {
+		w := seededWorkload(seed, maxStatements)
 		e := newEngine(t, w)
 		before := attachedNodes(e.Doc)
+		wide := peopleWidth(e.Doc) > 64
 		for i, src := range w.Statements {
 			_, _ = e.ApplyStatement(update.MustParse(src)) // a rejected statement is part of the workload
+			if now := peopleWidth(e.Doc) > 64; now != wide {
+				crossed[now]++
+				wide = now
+			}
 			now := attachedNodes(e.Doc)
 			if e.Doc.Size() != len(now) {
 				t.Fatalf("seed %d after statement %d (%s): Size() = %d, %d nodes attached", seed, i, src, e.Doc.Size(), len(now))
@@ -264,6 +271,19 @@ func TestLiveNodeByIDIsADescent(t *testing.T) {
 	if detached == 0 || reassigned == 0 {
 		t.Fatalf("workloads detached %d nodes and reassigned %d IDs: the test did not see the cases it is for", detached, reassigned)
 	}
+	if crossed[true] == 0 || crossed[false] == 0 {
+		t.Fatalf("/site/people crossed 64 children %d times up and %d down: the test did not see the cases it is for", crossed[true], crossed[false])
+	}
+}
+
+// peopleWidth returns how many children /site/people has, 0 without it.
+func peopleWidth(d *xmltree.Document) int {
+	for k := d.Root.Kids(); k.Next(); {
+		if k.Node().Label() == "people" {
+			return k.Node().NumChildren()
+		}
+	}
+	return 0
 }
 
 // walkCorpus is the benchmark's tree-walk query mix (benchmark/gen.go).

@@ -15,7 +15,7 @@ func ShrinkWith(w Workload, fails func(Workload) *Divergence) (Workload, *Diverg
 		changed = false
 		for size := len(w.Statements) / 2; size >= 1; size /= 2 {
 			for start := 0; start+size <= len(w.Statements); {
-				cand := Workload{DocSeed: w.DocSeed}
+				cand := Workload{DocSeed: w.DocSeed, People: w.People}
 				cand.Statements = append(cand.Statements, w.Statements[:start]...)
 				cand.Statements = append(cand.Statements, w.Statements[start+size:]...)
 				if d := fails(cand); d != nil {

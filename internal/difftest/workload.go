@@ -15,11 +15,17 @@ import "xivm/internal/xmark"
 // maxStatements caps workload length so fuzz inputs stay cheap to check.
 const maxStatements = 24
 
-// Workload is one reproducible differential test case: a document seed for
-// xmark.GenerateSmall plus a sequence of update statements. Everything a
-// counterexample needs fits in a short literal.
+// Workload is one reproducible differential test case: a document seed and
+// person count for xmark.GenerateSmall plus a sequence of update
+// statements. Everything a counterexample needs fits in a short literal.
 type Workload struct {
-	DocSeed    uint64
+	DocSeed uint64
+	// People, when above 0, is the wide document shape: /site/people holds
+	// that many persons, where the seed's document draws 3–14. Around 64,
+	// the children a leaf of a child list holds, the vocabulary's person
+	// inserts and deletes take that list from one slice to a tree of them
+	// and back.
+	People     int
 	Statements []string
 }
 
@@ -98,10 +104,15 @@ func NewWorkload(seed uint64, n int) Workload {
 	return w
 }
 
+// wideMark, as the first of at least three bytes, makes Decode read the
+// wide document shape: the document seed and the person count follow it.
+const wideMark = 0xff
+
 // Decode maps arbitrary bytes onto a workload, totally: the first byte
 // selects the document seed, every following byte selects one vocabulary
-// statement. Any input decodes; fuzzing explores the statement-sequence
-// space without ever producing an unparseable statement.
+// statement. A first byte of wideMark is followed by the seed and a byte
+// that sets People to 60–200. Any input decodes; fuzzing explores the
+// statement-sequence space without ever producing an unparseable statement.
 func Decode(data []byte) Workload {
 	w := Workload{DocSeed: 1}
 	if len(data) == 0 {
@@ -109,6 +120,9 @@ func Decode(data []byte) Workload {
 	}
 	w.DocSeed = uint64(data[0])
 	rest := data[1:]
+	if data[0] == wideMark && len(rest) >= 2 {
+		w.DocSeed, w.People, rest = uint64(rest[0]), 60+int(rest[1])%141, rest[2:]
+	}
 	if len(rest) > maxStatements {
 		rest = rest[:maxStatements]
 	}
@@ -119,4 +133,4 @@ func Decode(data []byte) Workload {
 }
 
 // Doc renders the workload's document source.
-func (w Workload) Doc() string { return xmark.GenerateSmall(w.DocSeed) }
+func (w Workload) Doc() string { return xmark.GenerateSmall(w.DocSeed, w.People) }

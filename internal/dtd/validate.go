@@ -94,8 +94,8 @@ func textOnly(r *re) bool {
 // childLabels extracts the element-children label sequence of a node.
 func childLabels(n *xmltree.Node) []string {
 	var out []string
-	for _, c := range n.Children {
-		if c.Kind == xmltree.Element {
+	for k := n.Kids(); k.Next(); {
+		if c := k.Node(); c.Kind == xmltree.Element {
 			out = append(out, c.Label())
 		}
 	}
@@ -119,8 +119,8 @@ func (d *DTD) ValidateTree(n *xmltree.Node) error {
 	if textOnly(model) && len(seq) > 0 {
 		return fmt.Errorf("dtd: text-only element %q has element children", n.Label())
 	}
-	for _, c := range n.Children {
-		if err := d.ValidateTree(c); err != nil {
+	for k := n.Kids(); k.Next(); {
+		if err := d.ValidateTree(k.Node()); err != nil {
 			return err
 		}
 	}

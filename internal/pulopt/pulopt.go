@@ -302,7 +302,7 @@ func spliceIntoInserted(d1, tail Seq, op2 Op) bool {
 		}
 		node := resolveInForest(forest, rel)
 		for _, t := range op2.Forest {
-			node.Children = append(node.Children, t.Clone())
+			node.AppendChild(t.Clone())
 		}
 		op1.Forest = forest
 		d1[i] = op1
@@ -343,7 +343,8 @@ func resolveInForest(forest []*xmltree.Node, labels []string) *xmltree.Node {
 		ok := true
 		for _, l := range labels[1:] {
 			var next *xmltree.Node
-			for _, c := range node.Children {
+			for k := node.Kids(); k.Next(); {
+				c := k.Node()
 				if c.Label() == l {
 					next = c
 					break

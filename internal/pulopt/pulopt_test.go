@@ -41,7 +41,8 @@ func pathNode(t *testing.T, d *xmltree.Document, labels ...string) *xmltree.Node
 	n := d.Root
 	for _, l := range labels {
 		var next *xmltree.Node
-		for _, c := range n.Children {
+		for k := n.Kids(); k.Next(); {
+			c := k.Node()
 			if c.Label() == l {
 				next = c
 				break

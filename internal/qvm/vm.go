@@ -30,19 +30,21 @@ func (m *Machine) bind(d *xmltree.Document) {
 	m.doc, m.par = d, nil
 }
 
-// siblings returns the child list ctx sits in and its position there, or
-// nil for a root. The parent is found through the document's root
-// (xmltree.ParentIn), with no allocation.
-func (m *Machine) siblings(ctx *xmltree.Node) ([]*xmltree.Node, int) {
+// siblings returns a cursor at ctx among its parent's children — Next
+// reads its following siblings, Prev its preceding ones — or false for a
+// root. The parent is found through the document's root
+// (xmltree.ParentIn), and ctx by key among its children, with no
+// allocation.
+func (m *Machine) siblings(ctx *xmltree.Node) (xmltree.Kids, bool) {
 	par := m.par
 	if par == nil || !par.ID.IsParentOf(ctx.ID) {
 		par = xmltree.ParentIn(m.doc.Root, ctx)
 		m.par = par
 	}
 	if par == nil {
-		return nil, 0
+		return xmltree.Kids{}, false
 	}
-	return par.Children, xmltree.ChildIndex(par, ctx.ID.Key())
+	return par.KidsAt(ctx.ID.Key())
 }
 
 // NewMachine returns an empty machine.
@@ -273,27 +275,29 @@ func (m *Machine) gather(p *Program, in *Instr, ctx, docRoot *xmltree.Node, dst 
 	}
 	switch in.Op.axis() {
 	case axChild:
-		for _, ch := range ctx.Children {
-			if p.match(in, ch) {
+		for k := ctx.Kids(); k.Next(); {
+			if ch := k.Node(); p.match(in, ch) {
 				dst = append(dst, ch)
 			}
 		}
 	case axDesc:
 		dst = appendDesc(p, in, ctx, dst)
 	case axFollowing:
-		sibs, at := m.siblings(ctx)
-		for i := at + 1; i < len(sibs); i++ {
-			if p.match(in, sibs[i]) {
-				dst = append(dst, sibs[i])
+		if k, ok := m.siblings(ctx); ok {
+			for k.Next() {
+				if p.match(in, k.Node()) {
+					dst = append(dst, k.Node())
+				}
 			}
 		}
 	case axPreceding:
 		// Nearest-first group order: [1] is the immediately preceding
 		// sibling.
-		sibs, at := m.siblings(ctx)
-		for i := at - 1; i >= 0; i-- {
-			if p.match(in, sibs[i]) {
-				dst = append(dst, sibs[i])
+		if k, ok := m.siblings(ctx); ok {
+			for k.Prev() {
+				if p.match(in, k.Node()) {
+					dst = append(dst, k.Node())
+				}
 			}
 		}
 	}
@@ -303,7 +307,8 @@ func (m *Machine) gather(p *Program, in *Instr, ctx, docRoot *xmltree.Node, dst 
 // appendDesc appends matching proper descendants of n in document order,
 // without closure allocation.
 func appendDesc(p *Program, in *Instr, n *xmltree.Node, dst []*xmltree.Node) []*xmltree.Node {
-	for _, ch := range n.Children {
+	for k := n.Kids(); k.Next(); {
+		ch := k.Node()
 		if p.match(in, ch) {
 			dst = append(dst, ch)
 		}
@@ -436,25 +441,27 @@ func (m *Machine) segAny(p *Program, pc int, ctx *xmltree.Node, mode int, lit st
 	}
 	switch in.Op.axis() {
 	case axChild:
-		for _, ch := range ctx.Children {
-			if m.stepAccept(p, in, ch) && m.segAny(p, pc+1, ch, mode, lit) {
+		for k := ctx.Kids(); k.Next(); {
+			if ch := k.Node(); m.stepAccept(p, in, ch) && m.segAny(p, pc+1, ch, mode, lit) {
 				return true
 			}
 		}
 	case axDesc:
 		return m.descAny(p, pc, in, ctx, mode, lit)
 	case axFollowing:
-		sibs, at := m.siblings(ctx)
-		for i := at + 1; i < len(sibs); i++ {
-			if m.stepAccept(p, in, sibs[i]) && m.segAny(p, pc+1, sibs[i], mode, lit) {
-				return true
+		if k, ok := m.siblings(ctx); ok {
+			for k.Next() {
+				if m.stepAccept(p, in, k.Node()) && m.segAny(p, pc+1, k.Node(), mode, lit) {
+					return true
+				}
 			}
 		}
 	case axPreceding:
-		sibs, at := m.siblings(ctx)
-		for i := at - 1; i >= 0; i-- {
-			if m.stepAccept(p, in, sibs[i]) && m.segAny(p, pc+1, sibs[i], mode, lit) {
-				return true
+		if k, ok := m.siblings(ctx); ok {
+			for k.Prev() {
+				if m.stepAccept(p, in, k.Node()) && m.segAny(p, pc+1, k.Node(), mode, lit) {
+					return true
+				}
 			}
 		}
 	}
@@ -463,7 +470,8 @@ func (m *Machine) segAny(p *Program, pc int, ctx *xmltree.Node, mode int, lit st
 
 // descAny recurses over proper descendants for segAny's descendant steps.
 func (m *Machine) descAny(p *Program, pc int, in *Instr, n *xmltree.Node, mode int, lit string) bool {
-	for _, ch := range n.Children {
+	for k := n.Kids(); k.Next(); {
+		ch := k.Node()
 		if m.stepAccept(p, in, ch) && m.segAny(p, pc+1, ch, mode, lit) {
 			return true
 		}

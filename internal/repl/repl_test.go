@@ -52,7 +52,7 @@ func newLeader(t *testing.T, walOpts wal.Options) (*server.Registry, *httptest.S
 		Shard:      server.Config{Metrics: obs.New()},
 		DataDir:    t.TempDir(),
 		WAL:        walOpts,
-		DefaultDoc: xmark.GenerateSmall(1),
+		DefaultDoc: xmark.GenerateSmall(1, 0),
 		DefaultViews: []server.ViewSpec{
 			{Name: "Q1", Pattern: xmark.View("Q1").String()},
 			{Name: "Q2", Pattern: xmark.View("Q2").String()},

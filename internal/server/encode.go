@@ -115,7 +115,8 @@ func appendTextValue(dst []byte, n *xmltree.Node) []byte {
 }
 
 func appendRawText(dst []byte, n *xmltree.Node) []byte {
-	for _, c := range n.Children {
+	for k := n.Kids(); k.Next(); {
+		c := k.Node()
 		switch c.Kind {
 		case xmltree.Text:
 			dst = append(dst, c.Value...)

@@ -86,7 +86,9 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		xr := XPathResponse{Tenant: tenant, Version: version, Query: query, Plan: plan, Matches: []MatchJSON{}}
 		mk := func(kind xmltree.Kind, label, value string, children ...*xmltree.Node) *xmltree.Node {
 			n := xmltree.NewNode(kind, label, value)
-			n.Children = children
+			for _, c := range children {
+				n.AppendChild(c)
+			}
 			return n
 		}
 		for i := 0; i < rows; i++ {

@@ -86,7 +86,7 @@ func TestCreateBodyLimit(t *testing.T) {
 		Shard:        Config{Metrics: obs.New()},
 		DataDir:      root,
 		WAL:          wal.Options{Metrics: obs.New()},
-		DefaultDoc:   xmark.GenerateSmall(1),
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
 		DefaultViews: testViewSpecs(),
 	})
 	if err != nil {

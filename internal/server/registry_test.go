@@ -249,7 +249,7 @@ func TestDurableRegistryRecovery(t *testing.T) {
 		Shard:        Config{Metrics: obs.New()},
 		DataDir:      root,
 		WAL:          wal.Options{Metrics: obs.New()},
-		DefaultDoc:   xmark.GenerateSmall(1),
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
 		DefaultViews: testViewSpecs(),
 	}
 	reg, err := NewRegistry(cfg)

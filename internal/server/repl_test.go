@@ -25,7 +25,7 @@ func newLeaderRegistry(t *testing.T, walOpts wal.Options) (*Registry, *httptest.
 		Shard:        Config{Metrics: obs.New()},
 		DataDir:      t.TempDir(),
 		WAL:          walOpts,
-		DefaultDoc:   xmark.GenerateSmall(1),
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
 		DefaultViews: testViewSpecs(),
 	})
 	if err != nil {

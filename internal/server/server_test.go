@@ -29,7 +29,7 @@ func testViewSpecs() []ViewSpec {
 
 func newTestEngine(t *testing.T) *core.Engine {
 	t.Helper()
-	doc, err := xmltree.ParseString(xmark.GenerateSmall(1))
+	doc, err := xmltree.ParseString(xmark.GenerateSmall(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func newTestRegistry(t *testing.T, cfg Config, wrap func(string, Backend) Backen
 	}
 	reg, err := NewRegistry(RegistryConfig{
 		Shard:        cfg,
-		DefaultDoc:   xmark.GenerateSmall(1),
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
 		DefaultViews: testViewSpecs(),
 		wrapBackend:  wrap,
 	})

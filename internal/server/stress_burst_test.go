@@ -91,7 +91,7 @@ type burstRunResult struct {
 func runBurstyShard(t *testing.T, maxBatch int) burstRunResult {
 	t.Helper()
 	const waves = 30
-	docXML := xmark.GenerateSmall(3)
+	docXML := xmark.GenerateSmall(3, 0)
 
 	db, err := wal.Create(t.TempDir(), []byte(docXML), wal.Options{Metrics: obs.New()})
 	if err != nil {

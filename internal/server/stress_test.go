@@ -193,8 +193,8 @@ func TestStressReadersVsWriters(t *testing.T) {
 	// Different scales so the two tenants' documents — and therefore their
 	// oracles — are never accidentally interchangeable.
 	docs := map[string]string{
-		tenants[0]: xmark.GenerateSmall(1),
-		tenants[1]: xmark.GenerateSmall(2),
+		tenants[0]: xmark.GenerateSmall(1, 0),
+		tenants[1]: xmark.GenerateSmall(2, 0),
 	}
 
 	reg, err := NewRegistry(RegistryConfig{

@@ -21,7 +21,7 @@ func TestXPathCacheMetrics(t *testing.T) {
 	m := obs.New()
 	reg, err := NewRegistry(RegistryConfig{
 		Shard:          Config{Metrics: m},
-		DefaultDoc:     xmark.GenerateSmall(1),
+		DefaultDoc:     xmark.GenerateSmall(1, 0),
 		DefaultViews:   testViewSpecs(),
 		XPathCacheSize: 2,
 	})

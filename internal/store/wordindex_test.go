@@ -76,7 +76,7 @@ func TestWordIndexInvalidation(t *testing.T) {
 	}
 
 	// Insert a subtree containing a matching text node.
-	parent := doc.Root.Children[1] // <b>
+	parent := doc.Root.ElementChildren()[1] // <b>
 	sub, err := xmltree.ParseString(`<d><text>more gold dust</text></d>`)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestWordIndexInvalidation(t *testing.T) {
 // before an insert, 3 after.
 func TestWordIndexConcurrentWithMutations(t *testing.T) {
 	s, doc, _ := newWordStore(t)
-	parent := doc.Root.Children[1] // <b>
+	parent := doc.Root.ElementChildren()[1] // <b>
 
 	var attached *xmltree.Node
 	for i := 0; i < 150; i++ {

@@ -47,7 +47,7 @@ func runCrashScript(dir string, fsys FS) (acked int, err error) {
 		FS:           fsys,
 		Metrics:      obs.New(),
 	}
-	db, err := Create(dir, []byte(xmark.GenerateSmall(11)), opts)
+	db, err := Create(dir, []byte(xmark.GenerateSmall(11, 0)), opts)
 	if err != nil {
 		return 0, err
 	}
@@ -77,7 +77,7 @@ func runCrashScript(dir string, fsys FS) (acked int, err error) {
 // prefix, computed with the plain update machinery — the oracle states.
 func prefixDocs(t *testing.T) []string {
 	t.Helper()
-	d, err := xmltree.ParseString(xmark.GenerateSmall(11))
+	d, err := xmltree.ParseString(xmark.GenerateSmall(11, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

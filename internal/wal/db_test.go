@@ -58,7 +58,7 @@ func applyAll(t *testing.T, db *DB, stmts []string) {
 
 func TestDBCreateApplyReopen(t *testing.T) {
 	dir := t.TempDir()
-	doc := xmark.GenerateSmall(1)
+	doc := xmark.GenerateSmall(1, 0)
 	db, err := Create(dir, []byte(doc), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestDBCreateApplyReopen(t *testing.T) {
 func TestDBCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(2)), Options{Metrics: reg, KeepCheckpoints: 1})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(2, 0)), Options{Metrics: reg, KeepCheckpoints: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDBCheckpointTruncatesLog(t *testing.T) {
 
 func TestDBAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(3)), Options{Metrics: obs.New(), CheckpointEvery: 3})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(3, 0)), Options{Metrics: obs.New(), CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDBAutoCheckpoint(t *testing.T) {
 // skipped — not fatal — during replay.
 func TestDBSkipsRejectedStatement(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(4)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(4, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestDBSkipsRejectedStatement(t *testing.T) {
 // later deleted wholesale, replayed from a checkpoint.
 func TestDBReplayChurnTail(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(5)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(5, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestDBReplayChurnTail(t *testing.T) {
 // lands at its exact position in the sequence.
 func TestDBReplayViewRecordMidTail(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(6)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(6, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestDBReplayViewRecordMidTail(t *testing.T) {
 // reach the tip.
 func TestOpenFallsBackToOlderCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(7)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(7, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +348,16 @@ func TestOpenFallsBackToOlderCheckpoint(t *testing.T) {
 
 func TestCreateRefusesExistingDatabase(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(8)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(8, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
-	if _, err := Create(dir, []byte(xmark.GenerateSmall(8)), Options{Metrics: obs.New()}); err == nil {
+	if _, err := Create(dir, []byte(xmark.GenerateSmall(8, 0)), Options{Metrics: obs.New()}); err == nil {
 		t.Fatal("Create over an existing database succeeded")
 	}
 	// OpenOrCreate takes the Open path instead.
-	re, err := OpenOrCreate(dir, []byte(xmark.GenerateSmall(8)), Options{Metrics: obs.New()})
+	re, err := OpenOrCreate(dir, []byte(xmark.GenerateSmall(8, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 func TestAddViewValidation(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(9)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(9, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

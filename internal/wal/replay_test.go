@@ -225,7 +225,7 @@ func TestReplayRejectedChunkPlannedOnce(t *testing.T) {
 	for i := 0; i < 2*replayChunk; i++ {
 		srcs = append(srcs, `for $x in /site/people/person[phone] insert <homepage>http://example.net/~new</homepage>`)
 	}
-	_, res := replayFresh(t, xmark.GenerateSmall(3), statementRecords(srcs...), replayChunk)
+	_, res := replayFresh(t, xmark.GenerateSmall(3, 0), statementRecords(srcs...), replayChunk)
 	if res.Plans != 2 || res.Batches != 0 {
 		t.Fatalf("%d statements: %d plans, %d batches; want 2 plans (one per chunk), 0 batches", len(srcs), res.Plans, res.Batches)
 	}
@@ -254,7 +254,7 @@ func failSecondUnit(t *testing.T) {
 func TestOpenSurvivesPartAppliedBatch(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(2)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(2, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestOpenSurvivesPartAppliedBatch(t *testing.T) {
 	}
 
 	failSecondUnit(t)
-	d, err := xmltree.ParseString(xmark.GenerateSmall(2))
+	d, err := xmltree.ParseString(xmark.GenerateSmall(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

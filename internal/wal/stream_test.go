@@ -15,7 +15,7 @@ import (
 // multi-segment reads are exercised), and the given statements applied.
 func streamTestDB(t *testing.T, stmts []string) *DB {
 	t.Helper()
-	db, err := Create(t.TempDir(), []byte(xmark.GenerateSmall(1)), Options{
+	db, err := Create(t.TempDir(), []byte(xmark.GenerateSmall(1, 0)), Options{
 		Metrics:      obs.New(),
 		SegmentBytes: 512,
 	})
@@ -269,7 +269,7 @@ func TestReplImageRestore(t *testing.T) {
 // number the live engine reported.
 func TestRecoveryVersionMatchesLive(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(1)), Options{Metrics: obs.New()})
+	db, err := Create(dir, []byte(xmark.GenerateSmall(1, 0)), Options{Metrics: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

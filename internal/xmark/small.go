@@ -10,8 +10,11 @@ import (
 // emits is present, but entity counts are drawn small so randomized update
 // workloads hit meaningfully overlapping regions. Person counts straddle 12
 // so the Q4 view's person12 predicate is sometimes satisfiable and
-// sometimes vacuous. Same seed, same document, on every platform.
-func GenerateSmall(seed uint64) string {
+// sometimes vacuous. A persons count above 0 replaces the 3–14 persons
+// drawn: a few dozen or more give /site/people the width of a real
+// document's, past the 64 children a leaf of a child list holds (xmltree).
+// Same seed and count, same document, on every platform.
+func GenerateSmall(seed uint64, persons int) string {
 	r := newRng(seed)
 	var b strings.Builder
 	b.Grow(8 << 10)
@@ -30,6 +33,9 @@ func GenerateSmall(seed uint64) string {
 	b.WriteString("</catgraph>")
 
 	nPersons := 3 + r.intn(12)
+	if persons > 0 {
+		nPersons = persons
+	}
 	b.WriteString("<people>")
 	for i := 0; i < nPersons; i++ {
 		writePerson(&b, r, i)

@@ -33,11 +33,12 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestGenerateSmall: the differential-testing generator is deterministic,
-// seed-sensitive, small, and yields documents every benchmark view accepts.
+// seed-sensitive, small, and yields documents every benchmark view accepts;
+// a person count, when given, is the document's.
 func TestGenerateSmall(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
-		src := GenerateSmall(seed)
-		if src != GenerateSmall(seed) {
+		src := GenerateSmall(seed, 0)
+		if src != GenerateSmall(seed, 0) {
 			t.Fatalf("seed %d: not deterministic", seed)
 		}
 		if len(src) > 32<<10 {
@@ -54,8 +55,11 @@ func TestGenerateSmall(t *testing.T) {
 			}
 		}
 	}
-	if GenerateSmall(1) == GenerateSmall(2) {
+	if GenerateSmall(1, 0) == GenerateSmall(2, 0) {
 		t.Fatal("seed has no effect")
+	}
+	if got := strings.Count(GenerateSmall(1, 70), "<person "); got != 70 {
+		t.Fatalf("asked for 70 persons, got %d", got)
 	}
 }
 

@@ -5,10 +5,14 @@ import "xivm/internal/dewey"
 // Epoch publication. Snapshot hands out the document's current tree as an
 // immutable epoch for concurrent readers, and the writer keeps mutating the
 // same tree persistently: before a mutator edits a node that an epoch can
-// reach, own replaces the nodes from the root down to it by copies with
-// their own Children slices, each at most once per publication, and every
-// other subtree stays shared with the epochs published before. An update
-// therefore costs O(depth × fan-out + |delta|) nodes, not O(document).
+// reach, own replaces the nodes from the root down to it by copies, each at
+// most once per publication, and every other subtree stays shared with the
+// epochs published before. A copy takes its own slice of the child list's
+// top level, and of each branch on the way to the child it leads to — a
+// list of more than 64 children is a B+-tree of ≤ 64-entry branches
+// (kids.go) — so a wide parent costs a leaf and its path, not its children.
+// An update therefore costs O(depth × log fan-out + |delta|) nodes and
+// bytes, not O(document).
 //
 // Three rules follow, and the packages above rely on them:
 //
@@ -61,15 +65,16 @@ func (d *Document) ResetImage() {
 // publications ago would now carry the current stamp and pass for owned,
 // and be edited under its readers. The writer moves to a deep copy stamped
 // as shared — once per 2^32 publications — and leaves the old tree to the
-// epochs that hold it.
+// epochs that hold it. The copy keeps every child list's shape: a branch is
+// copied as a node is.
 func (d *Document) restamp() {
 	var cp func(n *Node) *Node
 	cp = func(n *Node) *Node {
-		m := &Node{Kind: n.Kind, code: n.code, Value: n.Value, ID: n.ID}
-		if len(n.Children) > 0 {
-			m.Children = make([]*Node, len(n.Children))
-			for i, c := range n.Children {
-				m.Children[i] = cp(c)
+		m := &Node{Kind: n.Kind, height: n.height, code: n.code, Value: n.Value, ID: n.ID}
+		if len(n.kids) > 0 {
+			m.kids = make([]*Node, len(n.kids))
+			for i, c := range n.kids {
+				m.kids[i] = cp(c)
 			}
 		}
 		return m
@@ -80,9 +85,10 @@ func (d *Document) restamp() {
 
 // own returns the node with the given ID, the writer's to edit: every node
 // on the way down from the root that a published epoch can still reach is
-// first replaced by a copy with its own Children slice, and reported
-// through replaced. The copy carries d.gen, so a batch that touches one
-// spine many times copies it once. Nil when the tree holds no such node.
+// first replaced by a copy, and reported through replaced; so is every
+// branch of a child list on the way, which no one hears of. The copies
+// carry d.gen, so a batch that touches one spine many times copies it once.
+// Nil when the tree holds no such node.
 func (d *Document) own(id dewey.ID, replaced *[]*Node) *Node {
 	c := id.Cursor()
 	if !c.Next() || d.Root.ID.Key() != c.Key() {
@@ -92,8 +98,7 @@ func (d *Document) own(id dewey.ID, replaced *[]*Node) *Node {
 	for {
 		n := *slot
 		if n.gen != d.gen {
-			n = &Node{Kind: n.Kind, code: n.code, gen: d.gen, Value: n.Value, ID: n.ID,
-				Children: append(make([]*Node, 0, len(n.Children)+1), n.Children...)}
+			n = &Node{Kind: n.Kind, height: n.height, code: n.code, gen: d.gen, Value: n.Value, ID: n.ID, kids: copyKids(n.kids)}
 			*slot = n
 			d.copied++
 			*replaced = append(*replaced, n)
@@ -101,10 +106,8 @@ func (d *Document) own(id dewey.ID, replaced *[]*Node) *Node {
 		if !c.Next() {
 			return n
 		}
-		i := ChildIndex(n, c.Key())
-		if i < 0 {
+		if slot = kidSlot(n, c.Key(), d.gen); slot == nil {
 			return nil
 		}
-		slot = &n.Children[i]
 	}
 }

@@ -10,7 +10,7 @@ import (
 func nodeAt(d *Document, path ...int) *Node {
 	n := d.Root
 	for _, i := range path {
-		n = n.Children[i]
+		n = n.kids[i]
 	}
 	return n
 }
@@ -75,7 +75,7 @@ func TestSnapshotSharesWhatDidNotChange(t *testing.T) {
 		if got := img2.NodeByID(n.ID); got != n {
 			t.Errorf("NodeByID(%v) = %p, want the epoch's own node %p", n.ID, got, n)
 		}
-		for _, c := range n.Children {
+		for _, c := range n.kids {
 			if got := ParentIn(img2.Root, c); got != n {
 				t.Errorf("ParentIn(%v) = %v, want %v", c.ID, got, n.ID)
 			}
@@ -153,14 +153,14 @@ func TestNeverPublishedNeverCopies(t *testing.T) {
 	if err != nil || len(replaced) != 0 {
 		t.Fatalf("insert: %v, %d replaced", err, len(replaced))
 	}
-	_, replaced, err = d.ApplyDeleteBatch([]*Node{a.Children[0]})
+	_, replaced, err = d.ApplyDeleteBatch([]*Node{a.kids[0]})
 	if err != nil || len(replaced) != 0 {
 		t.Fatalf("delete: %v, %d replaced", err, len(replaced))
 	}
 	if d.Root != r || nodeAt(d, 0) != a || d.String() != `<r><a><b/><x><y/></x></a><c/></r>` {
 		t.Fatalf("the tree was copied, or is wrong: %s", d)
 	}
-	if got := d.Labeled("b"); len(got) != 1 || got[0] != a.Children[0] {
+	if got := d.Labeled("b"); len(got) != 1 || got[0] != a.kids[0] {
 		t.Fatalf("label index out of step: %v", got)
 	}
 }
@@ -180,10 +180,10 @@ func TestSnapshotCopiesASpineOncePerEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := d.ApplyDeleteBatch([]*Node{a.Children[0], a.Children[2]}); err != nil {
+	if _, _, err := d.ApplyDeleteBatch([]*Node{a.kids[0], a.kids[2]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ApplyDelete(a.Children[1]); err != nil {
+	if _, err := d.ApplyDelete(a.kids[1]); err != nil {
 		t.Fatal(err)
 	}
 	img := d.Snapshot()

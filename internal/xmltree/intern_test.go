@@ -41,9 +41,9 @@ func TestParsedLabelsAreInterned(t *testing.T) {
 			}
 		}
 	}
-	b1, b2 := d.Root.Children[0], d.Root.Children[1]
-	same("b", b1, b2, b2.Children[1], forest[0], forest[1])
-	same("@x", b1.Children[0], b2.Children[0], forest[0].Children[0])
+	b1, b2 := d.Root.kids[0], d.Root.kids[1]
+	same("b", b1, b2, b2.kids[1], forest[0], forest[1])
+	same("@x", b1.kids[0], b2.kids[0], forest[0].kids[0])
 	if got := b1.ID.Label(); unsafe.StringData(got) != unsafe.StringData(b1.Label()) {
 		t.Fatal("an ID's label is not the table's string")
 	}
@@ -88,8 +88,8 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 				mu.Lock()
 				parsed = append(parsed, d)
 				mu.Unlock()
-				for _, c := range d.Root.Children {
-					if c.ID.Label() != c.Label() || c.Children[0].ID.Label() != c.Children[0].Label() {
+				for _, c := range d.Root.kids {
+					if c.ID.Label() != c.Label() || c.kids[0].ID.Label() != c.kids[0].Label() {
 						errs <- fmt.Errorf("%v reads back %q, built as %q", c.ID, c.ID.Label(), c.Label())
 						return
 					}
@@ -124,7 +124,7 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 	// ordinal, is the key its parser built, whichever parser met the label
 	// first.
 	for _, d := range parsed {
-		for _, c := range d.Root.Children {
+		for _, c := range d.Root.kids {
 			if rebuilt := d.Root.ID.Child(c.Label(), c.ID.Step(1).Ord); !rebuilt.Equal(c.ID) {
 				t.Fatalf("%v was built with a key %q, rebuilt with %q", c.ID, c.ID.Key(), rebuilt.Key())
 			}

@@ -2,7 +2,6 @@ package xmltree
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,12 +172,6 @@ func (d *Document) patchLabels(replaced, dropped, added []*Node) {
 			return true
 		})
 	}
-}
-
-// keyAtLeast returns the position of the first node of list whose key is
-// not below key.
-func keyAtLeast(list []*Node, key string) int {
-	return sort.Search(len(list), func(i int) bool { return list[i].ID.Key() >= key })
 }
 
 // drop removes the subtrees at roots: from the list of every label that

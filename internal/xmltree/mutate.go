@@ -54,7 +54,7 @@ func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, e
 		p := d.own(in.Target.ID, &replaced)
 		for _, t := range in.Trees {
 			cp := d.cloneAssign(t, p.ID, dewey.Between(p.lastOrd(), nil))
-			p.Children = append(p.Children, cp)
+			appendKid(p, cp, d.gen)
 			copies = append(copies, cp)
 		}
 	}
@@ -70,10 +70,11 @@ func (d *Document) cloneAssign(t *Node, parent dewey.ID, ord dewey.Ord) *Node {
 	c := &Node{Kind: t.Kind, code: t.code, gen: d.gen, Value: t.Value, ID: parent.ChildCode(t.code, t.Label(), ord)}
 	d.size++
 	d.copied++
-	if len(t.Children) > 0 {
-		c.Children = make([]*Node, len(t.Children))
-		for i, ch := range t.Children {
-			c.Children[i] = d.cloneAssign(ch, c.ID, dewey.OrdAt(i))
+	if w := t.NumChildren(); w > 0 {
+		c.kids = make([]*Node, 0, min(w, fanout))
+		i := 0
+		for k := t.Kids(); k.Next(); i++ {
+			appendKid(c, d.cloneAssign(k.Node(), c.ID, dewey.OrdAt(i)), d.gen)
 		}
 	}
 	return c
@@ -95,50 +96,47 @@ func (d *Document) ApplyDelete(n *Node) (*Node, error) {
 }
 
 // ApplyDeleteBatch detaches the subtrees that have the given nodes' IDs,
-// filtering each touched parent's child list in a single pass — O(total
-// children) instead of the quadratic cost of removing thousands of siblings
-// one by one. The detached roots are returned in input order, as they stand
-// in the document now: a victim an earlier mutation replaced by a copy
-// comes back as that copy. An ID named twice, or one the document no longer
-// holds, detaches nothing more. When one victim lies inside another both
-// are returned, the outer without the inner.
+// each cut out of its parent's child list by key: a search per level of the
+// list, however wide the parent. The detached roots are returned in input
+// order, as they stand in the document now: a victim an earlier mutation
+// replaced by a copy comes back as that copy. An ID named twice, or one the
+// document no longer holds, detaches nothing more. When one victim lies
+// inside another both are returned, the outer without the inner.
 func (d *Document) ApplyDeleteBatch(nodes []*Node) (detached, replaced []*Node, err error) {
 	if d.frozen {
 		return nil, nil, errFrozen
 	}
 	victims := make(map[string]*Node, len(nodes)) // key → the node detached for it, once found
-	var parents []dewey.ID
+	var ids []dewey.ID
 	for _, n := range nodes {
 		if n == nil {
 			return nil, nil, errors.New("xmltree: nil deletion target")
 		}
-		p := n.ID.Parent()
-		if p.IsNull() {
+		if n.ID.Parent().IsNull() {
 			return nil, nil, errors.New("xmltree: cannot delete the document root")
 		}
 		if _, dup := victims[n.ID.Key()]; !dup {
 			victims[n.ID.Key()] = nil
-			parents = append(parents, p)
+			ids = append(ids, n.ID)
 		}
 	}
-	// Deepest parent first: a parent inside another victim is still attached
-	// when its own child list is filtered, and leaves with that victim after.
-	slices.SortFunc(parents, func(a, b dewey.ID) int { return b.Compare(a) })
-	for _, id := range slices.CompactFunc(parents, dewey.ID.Equal) {
-		p := d.own(id, &replaced)
+	// Descending key order puts a victim before every victim that holds it:
+	// a parent inside another victim is still attached when its child is
+	// cut, and leaves with that victim after. Siblings come together, and
+	// share one descent to their parent.
+	slices.SortFunc(ids, func(a, b dewey.ID) int { return b.Compare(a) })
+	var p *Node
+	var pid dewey.ID
+	for _, id := range ids {
+		if par := id.Parent(); p == nil || !par.Equal(pid) {
+			pid, p = par, d.own(par, &replaced)
+		}
 		if p == nil {
 			continue
 		}
-		kept := p.Children[:0]
-		for _, c := range p.Children {
-			if _, doomed := victims[c.ID.Key()]; doomed {
-				victims[c.ID.Key()] = c
-			} else {
-				kept = append(kept, c)
-			}
+		if c := cutKid(p, id.Key(), d.gen); c != nil {
+			victims[id.Key()] = c
 		}
-		clear(p.Children[len(kept):])
-		p.Children = kept
 	}
 	for _, n := range nodes {
 		if c := victims[n.ID.Key()]; c != nil {

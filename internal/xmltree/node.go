@@ -42,9 +42,10 @@ func (k Kind) String() string {
 }
 
 // Node is one node of an ordered labeled XML tree. Attribute nodes appear at
-// the front of their owner's Children, before any element or text children,
+// the front of their owner's children, before any element or text children,
 // and carry labels of the form "@name" so that structural IDs encode them
-// uniformly.
+// uniformly. The children are read through a cursor (Kids, KidsAt): they
+// lie in a persistent sequence (kids.go), not a slice.
 //
 // A node carries no parent pointer: once a document has been published
 // (Snapshot) a node may sit under a different copy of its parent in every
@@ -57,6 +58,10 @@ func (k Kind) String() string {
 // cost it.
 type Node struct {
 	Kind Kind
+	// height is how many levels of branches the child list has above the
+	// children (kids.go): 0 for a list of at most 64. It sits in Kind's
+	// padding.
+	height uint8
 	// code is the label's code in the dewey label table, or 0 for a label
 	// the table refused, which the node's ID then spells out: its last frame,
 	// or for a node not yet given its place (ParseForest, Clone) a one-frame
@@ -64,11 +69,14 @@ type Node struct {
 	code uint16
 	// gen is the publication the node was allocated for (see image.go): the
 	// writer may edit a node whose gen is the document's, and must copy any
-	// other first. It sits in Kind's padding too, so neither costs memory.
-	gen      uint32
-	Value    string // text content for Text and Attribute nodes
-	Children []*Node
-	ID       dewey.ID
+	// other first. It sits in Kind's padding too, so none of the three costs
+	// memory.
+	gen   uint32
+	Value string // text content for Text and Attribute nodes
+	// kids is the child list: the children themselves, or for a list of more
+	// than 64 the branches above them (kids.go).
+	kids []*Node
+	ID   dewey.ID
 }
 
 // textCode is TextLabel's code, taken before anything else can fill the
@@ -142,18 +150,10 @@ func (d *Document) NodeByID(id dewey.ID) *Node { return descend(d.Root, id) }
 // Size returns the number of nodes in the document.
 func (d *Document) Size() int { return d.size }
 
-// ChildIndex returns the position among parent's children of the child whose
-// ID has the given key, or -1. Children are in document order, which is key
-// order, so this is a binary search with no allocation.
-func ChildIndex(parent *Node, key string) int {
-	if i := keyAtLeast(parent.Children, key); i < len(parent.Children) && parent.Children[i].ID.Key() == key {
-		return i
-	}
-	return -1
-}
-
 // descend follows id's Dewey steps down from root and returns the node
-// there, or nil if the tree has no such node.
+// there, or nil if the tree has no such node. Children are in document
+// order, which is key order, so each step is a binary search per level of
+// the child list.
 func descend(root *Node, id dewey.ID) *Node {
 	c := id.Cursor()
 	if !c.Next() || root.ID.Key() != c.Key() {
@@ -161,11 +161,11 @@ func descend(root *Node, id dewey.ID) *Node {
 	}
 	n := root
 	for c.Next() {
-		i := ChildIndex(n, c.Key())
-		if i < 0 {
+		k, ok := n.KidsAt(c.Key())
+		if !ok {
 			return nil
 		}
-		n = n.Children[i]
+		n = k.Node()
 	}
 	return n
 }
@@ -185,8 +185,8 @@ func Walk(n *Node, f func(*Node) bool) {
 	if !f(n) {
 		return
 	}
-	for _, c := range n.Children {
-		Walk(c, f)
+	for k := n.Kids(); k.Next(); {
+		Walk(k.Node(), f)
 	}
 }
 
@@ -208,11 +208,10 @@ func (n *Node) appendText(b *strings.Builder) {
 		b.WriteString(n.Value)
 		return
 	}
-	for _, c := range n.Children {
-		if c.Kind == Attribute {
-			continue
+	for k := n.Kids(); k.Next(); {
+		if c := k.Node(); c.Kind != Attribute {
+			c.appendText(b)
 		}
-		c.appendText(b)
 	}
 }
 
@@ -228,8 +227,8 @@ func (n *Node) Content() string {
 // and text.
 func (n *Node) ElementChildren() []*Node {
 	var out []*Node
-	for _, c := range n.Children {
-		if c.Kind == Element {
+	for k := n.Kids(); k.Next(); {
+		if c := k.Node(); c.Kind == Element {
 			out = append(out, c)
 		}
 	}
@@ -239,12 +238,9 @@ func (n *Node) ElementChildren() []*Node {
 // Attr returns the attribute child named name (without '@'), or nil.
 func (n *Node) Attr(name string) *Node {
 	want := "@" + name
-	for _, c := range n.Children {
-		if c.Kind != Attribute {
-			// Attributes are stored first; stop at the first non-attribute.
-			break
-		}
-		if c.Label() == want {
+	// Attributes are stored first; stop at the first non-attribute.
+	for k := n.Kids(); k.Next() && k.Node().Kind == Attribute; {
+		if c := k.Node(); c.Label() == want {
 			return c
 		}
 	}
@@ -253,10 +249,10 @@ func (n *Node) Attr(name string) *Node {
 
 // lastOrd returns the ordinal of the last child of n, or nil when childless.
 func (n *Node) lastOrd() dewey.Ord {
-	if len(n.Children) == 0 {
-		return nil
+	if c := lastKid(n); c != nil {
+		return c.appendOwnOrd(nil)
 	}
-	return n.Children[len(n.Children)-1].appendOwnOrd(nil)
+	return nil
 }
 
 // appendOwnOrd appends n's own sibling ordinal, the last step of its ID, to
@@ -273,9 +269,9 @@ func (n *Node) appendOwnOrd(dst dewey.Ord) dewey.Ord {
 // label the table refused.
 func (n *Node) Clone() *Node {
 	c := newNode(n.Kind, n.code, n.Label(), n.Value)
-	c.Children = make([]*Node, len(n.Children))
-	for i, ch := range n.Children {
-		c.Children[i] = ch.Clone()
+	c.kids = make([]*Node, 0, min(n.NumChildren(), fanout))
+	for k := n.Kids(); k.Next(); {
+		c.AppendChild(k.Node().Clone())
 	}
 	return c
 }
@@ -283,8 +279,8 @@ func (n *Node) Clone() *Node {
 // CountNodes returns the number of nodes in the subtree rooted at n.
 func (n *Node) CountNodes() int {
 	total := 1
-	for _, c := range n.Children {
-		total += c.CountNodes()
+	for k := n.Kids(); k.Next(); {
+		total += k.Node().CountNodes()
 	}
 	return total
 }

@@ -45,8 +45,8 @@ func (d *Document) WriteOrds(w io.Writer) error {
 		for _, c := range ord {
 			bw.Write(binary.AppendUvarint(num[:0], c))
 		}
-		for _, c := range n.Children {
-			walk(c)
+		for k := n.Kids(); k.Next(); {
+			walk(k.Node())
 		}
 	}
 	walk(d.Root)
@@ -99,12 +99,9 @@ func (d *Document) ApplyOrds(data []byte) error {
 		} else {
 			n.ID = parent.ID.ChildCode(n.code, n.Label(), ord)
 		}
-		for _, c := range n.Children {
-			if err := walk(c, n); err != nil {
-				return err
-			}
-		}
-		return nil
+		// Not the cursor: it steps from leaf to leaf by key, and the keys
+		// of the children behind it are the rewritten ones.
+		return eachKid(n, func(c *Node) error { return walk(c, n) })
 	}
 	if err := walk(d.Root, nil); err != nil {
 		return err

@@ -18,8 +18,13 @@ import (
 func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
-	var stack []*Node
-	childOrds := map[*Node]int{} // next sibling index during initial load
+	// stack holds the open elements, each with the number of children it
+	// has so far: the next one's sibling index.
+	type open struct {
+		n    *Node
+		kids int
+	}
+	var stack []open
 
 	// push places a node whose label has code c: label is read only when
 	// the table refused it, for the node's ID to spell it out.
@@ -36,11 +41,10 @@ func Parse(r io.Reader) (*Document, error) {
 			root = n
 			return n, nil
 		}
-		parent := stack[len(stack)-1]
-		i := childOrds[parent]
-		childOrds[parent] = i + 1
-		n.ID = parent.ID.ChildCode(c, label, dewey.OrdAt(i))
-		parent.Children = append(parent.Children, n)
+		parent := &stack[len(stack)-1]
+		n.ID = parent.n.ID.ChildCode(c, label, dewey.OrdAt(parent.kids))
+		parent.kids++
+		parent.n.AppendChild(n)
 		return n, nil
 	}
 
@@ -58,7 +62,7 @@ func Parse(r io.Reader) (*Document, error) {
 			if err != nil {
 				return nil, err
 			}
-			stack = append(stack, n)
+			stack = append(stack, open{n: n})
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
@@ -115,8 +119,7 @@ func ParseForest(s string) ([]*Node, error) {
 			tops = append(tops, n)
 			return
 		}
-		parent := stack[len(stack)-1]
-		parent.Children = append(parent.Children, n)
+		stack[len(stack)-1].AppendChild(n)
 	}
 	for {
 		tok, err := dec.Token()

@@ -52,15 +52,15 @@ func TestRefusedLabelsSurvive(t *testing.T) {
 	clone := forest[0].Clone()
 	labelsOf := func(what string, n *xmltree.Node) {
 		t.Helper()
-		if n.Label() != fresh || n.Children[0].Label() != attr || n.Children[1].Label() != fresh {
+		if n.Label() != fresh || kidAt(n, 0).Label() != attr || kidAt(n, 1).Label() != fresh {
 			t.Fatalf("%s: labels %q, %q, %q; want %q, %q, %q",
-				what, n.Label(), n.Children[0].Label(), n.Children[1].Label(), fresh, attr, fresh)
+				what, n.Label(), kidAt(n, 0).Label(), kidAt(n, 1).Label(), fresh, attr, fresh)
 		}
 	}
 	labelsOf("parsed forest", forest[0])
 	labelsOf("clone", clone)
 
-	people := d.Root.Children[0]
+	people := kidAt(d.Root, 0)
 	copies, _, err := d.ApplyInsertions([]xmltree.Insertion{{Target: people, Trees: []*xmltree.Node{forest[0], clone}}})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestRefusedLabelsSurvive(t *testing.T) {
 	// A mutation under a published refused-label node copies it (own): the
 	// copy must keep the label, and the epoch its own tree.
 	inner := d.Labeled(fresh)[1]
-	if _, err := d.ApplyDelete(inner.Children[0]); err != nil {
+	if _, err := d.ApplyDelete(kidAt(inner, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.ApplyInsert(inner, xmltree.NewNode(xmltree.Text, xmltree.TextLabel, "t")); err != nil {
@@ -120,4 +120,13 @@ func TestRefusedLabelsSurvive(t *testing.T) {
 	if d.Labeled(fresh)[0] == epoch.Labeled(fresh)[0] {
 		t.Fatal("the mutated spine was not copied")
 	}
+}
+
+// kidAt returns n's i-th child.
+func kidAt(n *xmltree.Node, i int) *xmltree.Node {
+	k := n.Kids()
+	for k.Next() && i > 0 {
+		i--
+	}
+	return k.Node()
 }

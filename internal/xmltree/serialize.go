@@ -41,22 +41,23 @@ func serializeNode(b xmlSink, n *Node) {
 		label := n.Label()
 		b.WriteByte('<')
 		b.WriteString(label)
-		i := 0
-		for ; i < len(n.Children) && n.Children[i].Kind == Attribute; i++ {
-			a := n.Children[i]
+		k := n.Kids()
+		more := k.Next()
+		for ; more && k.Node().Kind == Attribute; more = k.Next() {
+			a := k.Node()
 			b.WriteByte(' ')
 			b.WriteString(a.Label()[1:])
 			b.WriteString(`="`)
 			escapeAttr(b, a.Value)
 			b.WriteByte('"')
 		}
-		if i == len(n.Children) {
+		if !more {
 			b.WriteString("/>")
 			return
 		}
 		b.WriteByte('>')
-		for ; i < len(n.Children); i++ {
-			serializeNode(b, n.Children[i])
+		for ; more; more = k.Next() {
+			serializeNode(b, k.Node())
 		}
 		b.WriteString("</")
 		b.WriteString(label)

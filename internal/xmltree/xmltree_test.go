@@ -71,7 +71,7 @@ func TestNodeByID(t *testing.T) {
 		{},
 		dewey.NewRoot("other"),
 		d.Root.ID.Child("nope", dewey.OrdAt(0)),
-		d.Root.Children[0].ID.Child(d.Root.Children[0].Label(), dewey.OrdAt(99)),
+		d.Root.kids[0].ID.Child(d.Root.kids[0].Label(), dewey.OrdAt(99)),
 	} {
 		if got := d.NodeByID(id); got != nil {
 			t.Fatalf("NodeByID(%v) = %v for an ID the document never issued", id, got.ID)
@@ -86,8 +86,8 @@ func TestNodeByID(t *testing.T) {
 // new node and never to the detached one.
 func TestNodeByIDFollowsTheTree(t *testing.T) {
 	d := mustParse(t, `<a><b/><c><x/></c></a>`)
-	c := d.Root.Children[1]
-	x := c.Children[0]
+	c := d.Root.kids[1]
+	x := c.kids[0]
 	if _, err := d.ApplyDelete(c); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestDeleteBatchParentInsideVictim(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 0}, {1, 0, 0}} {
 		d := mustParse(t, `<a><v><p><x/><y/></p></v><q><z/></q></a>`)
 		before := d.Snapshot()
-		v := d.Root.Children[0]
-		p := v.Children[0]
-		x, y := p.Children[0], p.Children[1]
+		v := d.Root.kids[0]
+		p := v.kids[0]
+		x, y := p.kids[0], p.kids[1]
 		victims := []*Node{v, x}
 		var batch []*Node
 		for _, i := range order {
@@ -211,7 +211,7 @@ func TestApplyInsertAssignsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ParentIn(d.Root, cp) != target || target.Children[len(target.Children)-1] != cp {
+	if ParentIn(d.Root, cp) != target || target.kids[len(target.kids)-1] != cp {
 		t.Fatal("not appended as last child")
 	}
 	if !target.ID.IsParentOf(cp.ID) {
@@ -234,7 +234,7 @@ func TestApplyInsertAssignsIDs(t *testing.T) {
 		return true
 	})
 	// Insertion order: new child sorts after previous children.
-	if cp.ID.Compare(target.Children[0].ID) <= 0 {
+	if cp.ID.Compare(target.kids[0].ID) <= 0 {
 		t.Fatal("inserted child does not sort after siblings")
 	}
 }
@@ -263,7 +263,7 @@ func TestApplyInsertions(t *testing.T) {
 
 func TestApplyInsertRejectsNonElement(t *testing.T) {
 	d := mustParse(t, `<r>text</r>`)
-	txt := d.Root.Children[0]
+	txt := d.Root.kids[0]
 	if _, err := d.ApplyInsert(txt, NewNode(Element, "x", "")); err == nil {
 		t.Fatal("expected error inserting under text node")
 	}
@@ -318,9 +318,9 @@ func TestParseForestMultipleRoots(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	d := mustParse(t, sampleDoc)
 	c := d.Root.Clone()
-	c.Children[0].Value = "mutated"
-	c.Children[1] = NewNode(Element, "mutated", "")
-	if d.Root.Children[0].Value == "mutated" || d.Root.Children[1].Label() == "mutated" {
+	c.kids[0].Value = "mutated"
+	c.kids[1] = NewNode(Element, "mutated", "")
+	if d.Root.kids[0].Value == "mutated" || d.Root.kids[1].Label() == "mutated" {
 		t.Fatal("clone shares children")
 	}
 }

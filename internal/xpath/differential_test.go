@@ -18,7 +18,8 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 	parent := map[*xmltree.Node]*xmltree.Node{}
 	xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
 		all = append(all, n)
-		for _, c := range n.Children {
+		for k := n.Kids(); k.Next(); {
+			c := k.Node()
 			parent[c] = n
 		}
 		return true
@@ -65,7 +66,8 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 				if c != nil && parent[n] != nil && parent[n] == parent[c] && n != c {
 					// After c in its parent's child list?
 					seen := false
-					for _, ch := range parent[c].Children {
+					for k := parent[c].Kids(); k.Next(); {
+						ch := k.Node()
 						if ch == c {
 							seen = true
 							continue
@@ -78,7 +80,8 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 				}
 			case PrecedingSibling:
 				if c != nil && parent[n] != nil && parent[n] == parent[c] && n != c {
-					for _, ch := range parent[c].Children {
+					for k := parent[c].Kids(); k.Next(); {
+						ch := k.Node()
 						if ch == n {
 							ok = true
 							break

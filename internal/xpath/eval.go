@@ -88,8 +88,8 @@ func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) 
 	default:
 		switch st.Axis {
 		case Child:
-			for _, ch := range ctx.Children {
-				if matchTest(st, ch) {
+			for k := ctx.Kids(); k.Next(); {
+				if ch := k.Node(); matchTest(st, ch) {
 					dst = append(dst, ch)
 				}
 			}
@@ -101,20 +101,20 @@ func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) 
 				return true
 			})
 		case FollowingSibling:
-			if p := xmltree.ParentIn(root, ctx); p != nil {
-				for i := xmltree.ChildIndex(p, ctx.ID.Key()) + 1; i < len(p.Children); i++ {
-					if matchTest(st, p.Children[i]) {
-						dst = append(dst, p.Children[i])
+			if k, ok := siblings(root, ctx); ok {
+				for k.Next() {
+					if matchTest(st, k.Node()) {
+						dst = append(dst, k.Node())
 					}
 				}
 			}
 		case PrecedingSibling:
 			// Nearest-first group order, so [1] is the immediately
 			// preceding sibling.
-			if p := xmltree.ParentIn(root, ctx); p != nil {
-				for i := xmltree.ChildIndex(p, ctx.ID.Key()) - 1; i >= 0; i-- {
-					if matchTest(st, p.Children[i]) {
-						dst = append(dst, p.Children[i])
+			if k, ok := siblings(root, ctx); ok {
+				for k.Prev() {
+					if matchTest(st, k.Node()) {
+						dst = append(dst, k.Node())
 					}
 				}
 			}
@@ -134,6 +134,16 @@ func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) 
 		dst = dst[:kept]
 	}
 	return dst
+}
+
+// siblings returns a cursor at ctx among its parent's children, the parent
+// found through root; false for a root.
+func siblings(root, ctx *xmltree.Node) (xmltree.Kids, bool) {
+	p := xmltree.ParentIn(root, ctx)
+	if p == nil {
+		return xmltree.Kids{}, false
+	}
+	return p.KidsAt(ctx.ID.Key())
 }
 
 func matchTest(st *Step, n *xmltree.Node) bool {
