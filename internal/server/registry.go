@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -304,14 +305,15 @@ func (r *Registry) buildTenant(name, docXML string, views []compiledView) (*Shar
 		}
 		return r.newShard(name, EngineBackend{Eng: eng}, nil), nil
 	}
-	// Parse before touching the disk so a bad document is a clean 400, not
-	// an I/O error with a half-created directory behind it.
-	if _, err := xmltree.ParseString(docXML); err != nil {
-		return nil, invalid("database %s: document: %v", name, err)
-	}
+	// wal.Create parses before it touches the disk, so a bad document is a
+	// clean 400, not an I/O error with a half-created directory behind it.
 	dir := wal.TenantDir(r.cfg.DataDir, name)
 	db, err := wal.Create(dir, []byte(docXML), r.walOptions())
 	if err != nil {
+		var syn *xmltree.SyntaxError
+		if errors.As(err, &syn) {
+			return nil, invalid("database %s: document: %v", name, syn)
+		}
 		return nil, fmt.Errorf("server: create tenant %s: %w", name, err)
 	}
 	for _, v := range views {

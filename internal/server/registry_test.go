@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -345,6 +346,36 @@ func TestDurableRegistryRecovery(t *testing.T) {
 	// Creating a new tenant and re-creating the dropped name both work.
 	if _, err := reg2.Create("beta", "", nil); err != nil {
 		t.Fatalf("re-create dropped beta: %v", err)
+	}
+}
+
+// TestDurableCreateRefusesABadDocument: on a durable registry, where the
+// document is parsed once, by wal.Create, a document the parser refuses is
+// still a 400 bad_request, and leaves nothing in the tenant root.
+func TestDurableCreateRefusesABadDocument(t *testing.T) {
+	root := t.TempDir()
+	reg, err := NewRegistry(RegistryConfig{
+		Shard:        Config{Metrics: obs.New()},
+		DataDir:      root,
+		WAL:          wal.Options{Metrics: obs.New()},
+		DefaultViews: testViewSpecs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+	defer reg.Shutdown(context.Background())
+	resp, body := postJSON(t, ts.URL+"/v1/db", CreateDBRequest{Name: "baddoc", Document: "<unclosed"})
+	var er ErrorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Error.Code != CodeBadRequest {
+		t.Fatalf("bad document: status %d, body %s, want 400 %s", resp.StatusCode, body, CodeBadRequest)
+	}
+	if left, err := os.ReadDir(root); err != nil || len(left) != 0 {
+		t.Fatalf("the refused create left %v in the tenant root (%v)", left, err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/db", CreateDBRequest{Name: "baddoc", Document: "<site/>"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create after the refusal: status %d, body %s", resp.StatusCode, body)
 	}
 }
 

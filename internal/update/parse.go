@@ -1,6 +1,7 @@
 package update
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"unicode"
@@ -276,49 +277,29 @@ func (p *uparser) parseAbsPath(docVar string) (xpath.Path, error) {
 	return xpath.Parse(p.src[start:p.pos])
 }
 
-// parseForest scans a balanced XML fragment (one or more sibling trees) and
-// parses it into a template forest.
+// parseForest parses the XML fragment (one or more sibling trees) at the
+// cursor into a template forest. Where it ends is the scanner's to say
+// (xmltree.ParseForestPrefix), so the fragment is read once, by the rules
+// every document and forest is read by.
 func (p *uparser) parseForest() ([]*xmltree.Node, error) {
 	p.skip()
 	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
 		return nil, p.errf("expected XML fragment")
 	}
-	start := p.pos
-	depth := 0
-	for p.pos < len(p.src) {
-		if p.src[p.pos] != '<' {
-			p.pos++
-			continue
-		}
-		// Examine the tag.
-		end := strings.IndexByte(p.src[p.pos:], '>')
-		if end < 0 {
-			return nil, p.errf("unterminated tag")
-		}
-		tag := p.src[p.pos : p.pos+end+1]
-		switch {
-		case strings.HasPrefix(tag, "</"):
-			depth--
-		case strings.HasSuffix(tag, "/>"):
-			// self-closing: depth unchanged
-		default:
-			depth++
-		}
-		p.pos += end + 1
-		if depth == 0 {
-			// A top-level tree just closed; continue if another tree
-			// follows immediately (allowing whitespace).
-			save := p.pos
-			p.skip()
-			if p.pos < len(p.src) && p.src[p.pos] == '<' && !strings.HasPrefix(p.src[p.pos:], "</") {
-				continue
+	forest, n, err := xmltree.ParseForestPrefix(p.src[p.pos:])
+	if err != nil {
+		// The scanner placed the fault in the fragment; place it in the
+		// statement.
+		var syn *xmltree.SyntaxError
+		if errors.As(err, &syn) {
+			err = &xmltree.SyntaxError{
+				Msg:    syn.Msg,
+				Offset: p.pos + syn.Offset,
+				Line:   syn.Line + strings.Count(p.src[:p.pos], "\n"),
 			}
-			p.pos = save
-			break
 		}
+		return nil, fmt.Errorf("update: XML fragment: %w", err)
 	}
-	if depth != 0 {
-		return nil, p.errf("unbalanced XML fragment")
-	}
-	return xmltree.ParseForest(p.src[start:p.pos])
+	p.pos += n
+	return forest, nil
 }

@@ -1,8 +1,11 @@
 package update
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"xivm/internal/xmltree"
 )
 
 // roundTripCases covers every statement kind and the syntactic variants
@@ -121,8 +124,10 @@ func TestParseErrorPaths(t *testing.T) {
 		{`delete site`, "expected path"},
 		{`insert <a/>`, "expected 'into'"},
 		{`insert <a/> onto /site`, "expected 'into'"},
-		{`insert <a> into /site`, "unbalanced XML fragment"},
-		{`insert <a into /site`, "unterminated tag"},
+		{`insert <a> into /site`, "element <a> is not closed"},
+		{`insert <a into /site`, "expected '=' after attribute into"},
+		{`insert <a x="1"> into /site`, "element <a> is not closed"},
+		{`insert <a/></a> into /site`, "expected 'into'"},
 		{`replace //a`, "expected 'with'"},
 		{`replace //a with`, "expected XML fragment"},
 		{`replace //a with b`, "expected XML fragment"},
@@ -154,11 +159,41 @@ func TestParseErrorPaths(t *testing.T) {
 	}
 }
 
+// TestFragmentErrorPlacesTheFaultInTheStatement: a fragment the scanner
+// refuses is a *xmltree.SyntaxError whose byte and line count from the
+// start of the statement, not of the fragment.
+func TestFragmentErrorPlacesTheFaultInTheStatement(t *testing.T) {
+	for _, tc := range []struct {
+		src          string
+		offset, line int
+	}{
+		{"insert <a>&bogus;</a> into /site", 10, 1},
+		{"for $x in /site/people\n  insert <b>\n<c x=1/></b>", 41, 3},
+		{"replace /site/a with\n<a>", 24, 2},
+	} {
+		_, err := Parse(tc.src)
+		var syn *xmltree.SyntaxError
+		if !errors.As(err, &syn) || syn.Offset != tc.offset || syn.Line != tc.line {
+			t.Errorf("%q: error %v, want a SyntaxError at byte %d, line %d", tc.src, err, tc.offset, tc.line)
+		}
+	}
+}
+
 // FuzzFormatRoundTrip: any statement the parser accepts must format to a
 // canonical text that reparses to an equivalent statement.
 func FuzzFormatRoundTrip(f *testing.F) {
 	for _, tc := range roundTripCases {
 		f.Add(tc.src)
+	}
+	for _, src := range []string{
+		// A '>' in an attribute value, which Format writes as it is.
+		`insert <person id="p9" note="1&gt;0"/> into /site/people`,
+		`insert <a x='>'/> <b y="<!--"/> into /site`,
+		`insert <p:a xmlns:p="urn:x" xmlns="urn:y" p:k="v"/> into /site`,
+		`insert <a>x<!--c-->y<![CDATA[<z>]]></a><!--between--> <b/> into /site`,
+		"insert <a x=\"&#13;\">&#13;\r\n</a> into /site",
+	} {
+		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		st, err := Parse(src)

@@ -150,8 +150,14 @@ func (db *DB) journal(st *update.Statement) error {
 
 // Create initializes a fresh database directory around the given document:
 // it writes the initial checkpoint (LSN 0) and opens an empty log. The
-// directory must not already hold a database.
+// directory must not already hold a database. The document is parsed
+// before anything touches the disk: one the parser refuses is an error
+// wrapping its *xmltree.SyntaxError, and leaves no directory behind.
 func Create(dir string, docXML []byte, opts Options) (*DB, error) {
+	doc, err := xmltree.ParseString(string(docXML))
+	if err != nil {
+		return nil, fmt.Errorf("wal: create: %w", err)
+	}
 	db, err := newDB(dir, opts)
 	if err != nil {
 		return nil, err
@@ -162,10 +168,6 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 	}
 	if len(existing) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds a database (checkpoint %s)", dir, ckptName(existing[len(existing)-1]))
-	}
-	doc, err := xmltree.ParseString(string(docXML))
-	if err != nil {
-		return nil, fmt.Errorf("wal: create: %w", err)
 	}
 	db.eng = core.New(doc, db.engineOptions()...)
 	if err := writeCheckpoint(db.fs, db.m, dir, db.eng, db.sources, 0); err != nil {

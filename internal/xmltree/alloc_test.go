@@ -2,6 +2,7 @@ package xmltree_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"xivm/internal/xmark"
@@ -109,5 +110,98 @@ func TestSpineCopyDoesNotGrowWithTheDocument(t *testing.T) {
 	}
 	if large-small > 1<<10 || small-large > 1<<10 {
 		t.Errorf("the spine's copies cost %d B at 1 MB and %d B at 4 MB: they grow with the document", small, large)
+	}
+}
+
+// parseBytes returns what one call of parse allocates, in bytes and in
+// allocations, averaged over runs calls after a warm-up call, which puts
+// every label in the label table.
+func parseBytes(runs int, parse func()) (bytes int64, allocs float64) {
+	parse()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	n := int64(runs)
+	return int64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// TestParseAllocBudget holds a parse of the 1 MB XMark document to 130 B
+// per node. What a node must cost is its 64 B, its ID's key and its share of
+// a child list and of the text; encoding/xml's tokens, one string per name
+// and attribute and a growing slice per child list, cost 234 B.
+func TestParseAllocBudget(t *testing.T) {
+	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 2011})
+	var d *xmltree.Document
+	total, _ := parseBytes(3, func() {
+		var err error
+		if d, err = xmltree.ParseString(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perNode := float64(total) / float64(d.Size())
+	t.Logf("parsing %d bytes into %d nodes allocates %d B, %.1f B per node", len(src), d.Size(), total, perNode)
+	if perNode > 130 {
+		t.Errorf("a parse allocates %.1f B per node, budget 130", perNode)
+	}
+}
+
+// TestParseForestAllocBudget holds the parse of each forest the benchmark
+// inserts to 1 KB: encoding/xml's decoder alone cost more than that.
+func TestParseForestAllocBudget(t *testing.T) {
+	for _, forest := range []string{
+		`<bidder><date>03/03/2021</date><increase>3.00</increase><xbench/></bidder>`,
+		`<name>Bench Mark<xbench/></name>`,
+		`<xnote><xtext>bench</xtext></xnote>`,
+	} {
+		total, allocs := parseBytes(100, func() {
+			if _, err := xmltree.ParseForest(forest); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d B in %.0f allocations", forest, total, allocs)
+		if total > 1<<10 {
+			t.Errorf("parsing %s allocates %d B, budget 1 KB", forest, total)
+		}
+	}
+}
+
+// TestSplitTextAllocatesItsLength: text that comments, PIs and CDATA
+// sections split into 10,000 pieces — in the input and decoded, in every
+// order — is one text node, and merging it allocates in proportion to its
+// length, as a document and as a forest: ~78 KB. Copying the whole text at
+// each merge cost ~390 MB here, and over 10 GB for a 1 MiB update body.
+func TestSplitTextAllocatesItsLength(t *testing.T) {
+	const cycles = 2000
+	cycle, piece := "x<!--c-->&amp;<?p?><![CDATA[y]]>z\r\n<!--c--><![CDATA[w\r]]>", "x&yz\nw\n"
+	src := "<a>" + strings.Repeat(cycle, cycles) + "</a>"
+	want := strings.Repeat(piece, cycles)
+	for _, asForest := range []bool{false, true} {
+		var a *xmltree.Node
+		total, _ := parseBytes(3, func() {
+			if asForest {
+				forest, err := xmltree.ParseForest(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a = forest[0]
+				return
+			}
+			d, err := xmltree.ParseString(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a = d.Root
+		})
+		k := a.Kids()
+		if a.NumChildren() != 1 || !k.Next() || k.Node().Value != want {
+			t.Fatalf("forest %v: %d children, want one text node of %d bytes", asForest, a.NumChildren(), len(want))
+		}
+		t.Logf("forest %v: %d B of input, %d B of text: %d B allocated", asForest, len(src), len(want), total)
+		if budget := 8 * len(want); total > int64(budget) {
+			t.Errorf("forest %v: merging %d B of text allocates %d B, budget %d", asForest, len(want), total, budget)
+		}
 	}
 }

@@ -1,109 +1,36 @@
 package xmltree
 
 import (
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"xivm/internal/dewey"
 )
 
 // Parse reads an XML document from r and builds its tree with structural
-// IDs assigned to every node. Whitespace-only text between elements is
-// dropped; mixed-content text is kept. Every node names its label by its
-// dewey label table code (dewey.Code), looked up once per node and shared by
-// the node and its ID, here and in ParseForest.
+// IDs assigned to every node. What it accepts, and how it reads it, is the
+// scanner's (scan.go): whitespace-only text is dropped, mixed-content text
+// kept, adjacent character data is one text node. A document it refuses is
+// a *SyntaxError. Every node names its label by its dewey label table code
+// (dewey.Code), looked up once per node and shared by the node and its ID,
+// here and in ParseForest.
 func Parse(r io.Reader) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	var root *Node
-	// stack holds the open elements, each with the number of children it
-	// has so far: the next one's sibling index.
-	type open struct {
-		n    *Node
-		kids int
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: %w", err)
 	}
-	var stack []open
-
-	// push places a node whose label has code c: label is read only when
-	// the table refused it, for the node's ID to spell it out.
-	push := func(kind Kind, c uint16, label, value string) (*Node, error) {
-		n := &Node{Kind: kind, code: c, Value: value}
-		if len(stack) == 0 {
-			if root != nil {
-				return nil, errors.New("xmltree: multiple root elements")
-			}
-			if kind != Element {
-				return nil, errors.New("xmltree: document root must be an element")
-			}
-			n.ID = dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap}) // NewRoot, from the code in hand
-			root = n
-			return n, nil
-		}
-		parent := &stack[len(stack)-1]
-		n.ID = parent.n.ID.ChildCode(c, label, dewey.OrdAt(parent.kids))
-		parent.kids++
-		parent.n.AppendChild(n)
-		return n, nil
-	}
-
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n, err := push(Element, dewey.Code(t.Name.Local), t.Name.Local, "")
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, open{n: n})
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				label := "@" + a.Name.Local
-				if _, err := push(Attribute, dewey.Code(label), label, a.Value); err != nil {
-					return nil, err
-				}
-			}
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, errors.New("xmltree: unbalanced end element")
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			if len(stack) == 0 {
-				continue
-			}
-			if _, err := push(Text, textCode, TextLabel, s); err != nil {
-				return nil, err
-			}
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Ignored by the model.
-		}
-	}
-	if root == nil {
-		return nil, errors.New("xmltree: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, errors.New("xmltree: unclosed elements")
-	}
-	return NewDocument(root), nil
+	return ParseString(string(src))
 }
 
 // ParseString parses a document from a string.
 func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
+	b := builder{s: scanner{src: s}, doc: true}
+	roots, err := b.build()
+	if err != nil {
+		return nil, err
+	}
+	return &Document{Root: roots[0], size: b.size, labels: new(labelCell)}, nil
 }
 
 // ParseForest parses an XML fragment that may contain several top-level
@@ -111,53 +38,136 @@ func ParseString(s string) (*Document, error) {
 // IDs are assigned when the forest is spliced into a document — beyond the
 // placeholder that holds a label the table refused (NewNode).
 func ParseForest(s string) ([]*Node, error) {
-	dec := xml.NewDecoder(strings.NewReader(s))
-	var tops []*Node
-	var stack []*Node
-	add := func(n *Node) {
-		if len(stack) == 0 {
-			tops = append(tops, n)
-			return
-		}
-		stack[len(stack)-1].AppendChild(n)
+	b := builder{s: scanner{src: s}}
+	return b.build()
+}
+
+// ParseForestPrefix parses the forest s begins with, as ParseForest does,
+// and returns it with its length in bytes: after each top-level tree (or
+// comment or PI), the forest goes on if white space and then a '<' that does
+// not open an end tag follow. It is how an update statement finds where its
+// inserted forest ends.
+func ParseForestPrefix(s string) ([]*Node, int, error) {
+	b := builder{s: scanner{src: s, prefix: true}}
+	forest, err := b.build()
+	if err != nil {
+		return nil, 0, err
 	}
+	return forest, b.s.pos, nil
+}
+
+// builder assembles the trees the scanner reads: a document's, whose nodes
+// get their IDs as they are made, or a forest's, whose nodes get theirs
+// when spliced into a document.
+type builder struct {
+	s    scanner
+	doc  bool
+	tops []*Node
+	// stack holds the open elements; kids their children, each element's
+	// from its frame's first on, which become its list when it closes.
+	stack []frame
+	kids  []*Node
+	size  int
+	// attrCodes caches the code of each attribute name's label, "@"+name,
+	// which would otherwise be built to look it up.
+	attrCodes map[string]uint16
+}
+
+type frame struct {
+	n     *Node
+	first int
+}
+
+func (b *builder) build() ([]*Node, error) {
+	s := &b.s
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		ev, err := s.next()
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: %w", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := NewNode(Element, t.Name.Local, "")
-			add(n)
-			stack = append(stack, n)
-			for _, a := range t.Attr {
-				add(NewNode(Attribute, "@"+a.Name.Local, a.Value))
+		switch ev {
+		case evEOF:
+			if len(b.tops) == 0 {
+				return nil, s.errAt(s.pos, "no element")
 			}
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, errors.New("xmltree: unbalanced end element in forest")
+			return b.tops, nil
+		case evText:
+			b.add(Text, textCode, TextLabel, s.str(s.text))
+		case evStart:
+			if b.doc && len(b.stack) == 0 && len(b.tops) > 0 {
+				return nil, s.errAt(s.at, "a second root element")
 			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
+			n := b.add(Element, dewey.Code(s.local), s.local, "")
+			b.stack = append(b.stack, frame{n: n, first: len(b.kids)})
+			for _, a := range s.attrs {
+				c, label := b.attrCode(a.local)
+				b.add(Attribute, c, label, s.str(a.value))
 			}
-			if len(stack) == 0 {
-				continue
+			if s.empty {
+				b.close()
 			}
-			add(newNode(Text, textCode, TextLabel, s))
+		case evEnd:
+			b.close()
 		}
 	}
-	if len(stack) != 0 {
-		return nil, errors.New("xmltree: unclosed elements in forest")
+}
+
+// add makes a node whose label has code c — label is read only when the
+// table refused it, for the node's ID to spell it out — and places it: as
+// the innermost open element's next child, or as a top-level tree.
+func (b *builder) add(kind Kind, c uint16, label, value string) *Node {
+	var n *Node
+	b.size++
+	top := len(b.stack) - 1
+	switch {
+	case !b.doc:
+		n = newNode(kind, c, label, value)
+	case top < 0:
+		n = &Node{Kind: kind, code: c, Value: value}
+		n.ID = dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap}) // NewRoot, from the code in hand
+	default:
+		f := b.stack[top]
+		n = &Node{Kind: kind, code: c, Value: value}
+		n.ID = f.n.ID.ChildCode(c, label, dewey.OrdAt(len(b.kids)-f.first))
 	}
-	if len(tops) == 0 {
-		return nil, errors.New("xmltree: empty forest")
+	if top < 0 {
+		b.tops = append(b.tops, n)
+	} else {
+		b.kids = append(b.kids, n)
 	}
-	return tops, nil
+	return n
+}
+
+// close ends the innermost open element: the children gathered for it
+// become its list, a slice of exactly their number when it is one leaf.
+func (b *builder) close() {
+	f := b.stack[len(b.stack)-1]
+	b.stack = b.stack[:len(b.stack)-1]
+	switch kids := b.kids[f.first:]; {
+	case len(kids) == 0:
+	case len(kids) <= fanout:
+		f.n.kids = slices.Clone(kids)
+	default:
+		for _, c := range kids {
+			f.n.AppendChild(c)
+		}
+	}
+	b.kids = b.kids[:f.first]
+}
+
+// attrCode returns the code of the label "@"+name and, when the table
+// refused it, the label.
+func (b *builder) attrCode(name string) (uint16, string) {
+	if c := b.attrCodes[name]; c != 0 {
+		return c, ""
+	}
+	label := "@" + name
+	c := dewey.Code(label)
+	if c != 0 {
+		if b.attrCodes == nil {
+			b.attrCodes = make(map[string]uint16)
+		}
+		b.attrCodes[name] = c
+	}
+	return c, label
 }

@@ -65,6 +65,8 @@ func serializeNode(b xmlSink, n *Node) {
 	}
 }
 
+// escapeText and escapeAttr escape what a parser would read differently
+// from the value: markup, and '\r', which would read as a line end, '\n'.
 func escapeText(b xmlSink, s string) {
 	for _, r := range s {
 		switch r {
@@ -74,6 +76,8 @@ func escapeText(b xmlSink, s string) {
 			b.WriteString("&lt;")
 		case '>':
 			b.WriteString("&gt;")
+		case '\r':
+			b.WriteString("&#xD;")
 		default:
 			b.WriteRune(r)
 		}
@@ -89,6 +93,8 @@ func escapeAttr(b xmlSink, s string) {
 			b.WriteString("&lt;")
 		case '"':
 			b.WriteString("&quot;")
+		case '\r':
+			b.WriteString("&#xD;")
 		default:
 			b.WriteRune(r)
 		}
