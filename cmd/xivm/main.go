@@ -358,7 +358,7 @@ func policyOptions(policy string) ([]core.Option, error) {
 func printReport(rep *core.Report, stats bool) {
 	fmt.Printf("targets=%d\n", rep.Targets)
 	if stats {
-		fmt.Printf("find=%v (once per statement)\n", rep.FindTargets)
+		fmt.Printf("find=%v delta=%v (once per statement)\n", rep.FindTargets, rep.ComputeDelta)
 	}
 	for _, vr := range rep.Views {
 		fmt.Printf("view %-8s +%d -%d ~%d rows  terms %d/%d",
@@ -369,7 +369,7 @@ func printReport(rep *core.Report, stats bool) {
 		}
 		fmt.Println()
 		if stats {
-			t := vr.Timings()
+			t := vr.Phases
 			fmt.Printf("  delta=%v expr=%v exec=%v lattice=%v\n",
 				t.ComputeDelta, t.GetExpression, t.ExecuteUpdate, t.UpdateLattice)
 		}

@@ -13,8 +13,8 @@ import (
 type JoinFunc func(left Block, lIdx int, right Block, rIdx int, desc bool) Block
 
 // Inputs supplies, for each pattern node index, the (already σ-filtered)
-// items that may bind that node.
-type Inputs map[int][]Item
+// items that may bind that node. Its length is the pattern's size.
+type Inputs [][]Item
 
 // DocItems collects the document nodes that can bind a pattern node with
 // the given label: elements for names and "*", attributes for "@name",
@@ -90,7 +90,7 @@ func EvalSubPattern(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) B
 	}
 	idxs := pattern.MaskIndexes(mask)
 	// rel[i] holds the partial relation for the mask-subtree rooted at i.
-	rel := make(map[int]Block, len(idxs))
+	rel := make([]Block, p.Size())
 	// Process in reverse preorder so children are ready before parents.
 	for k := len(idxs) - 1; k >= 0; k-- {
 		i := idxs[k]

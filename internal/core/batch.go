@@ -71,12 +71,13 @@ func (e *Engine) ApplyBatchCtx(ctx context.Context, units []BatchPUL) (*Report, 
 }
 
 // MergeBatchReport folds one unit's (or one statement's) report into a
-// batch report, mirroring the delete+insert merge ApplyStatementCtx
-// performs for Replace. Callers applying parts of a batch through
-// different entry points (the WAL's partial-journal repair path) share it.
+// batch report; ApplyStatementCtx merges a replace's delete and insert
+// halves with it too. Callers applying parts of a batch through different
+// entry points (the WAL's partial-journal repair path) share it.
 func MergeBatchReport(dst, src *Report) {
 	dst.Targets += src.Targets
 	dst.FindTargets += src.FindTargets
+	dst.ComputeDelta += src.ComputeDelta
 	if dst.Views == nil {
 		dst.Views = append(dst.Views, src.Views...)
 		return
@@ -88,7 +89,7 @@ func MergeBatchReport(dst, src *Report) {
 		}
 		vr := &dst.Views[i]
 		svr := &src.Views[i]
-		vr.Phases = vr.Phases.Add(svr.Phases)
+		vr.Phases.Add(svr.Phases)
 		vr.RowsAdded += svr.RowsAdded
 		vr.RowsRemoved += svr.RowsRemoved
 		vr.RowsModified += svr.RowsModified

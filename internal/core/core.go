@@ -128,6 +128,10 @@ type Engine struct {
 	join  algebra.JoinFunc // physical join, instrumented
 	m     *engineMetrics
 	proj  algebra.ProjectCounters
+	// labels is the union of every view's and shared snowcap's pattern
+	// labels, each with its ∆-table slot: the label set a statement's one
+	// CD+/CD− walk extracts.
+	labels update.Labels
 
 	// version counts successfully applied mutation batches (statements,
 	// PULs, deferred applies, baseline recomputations). It identifies
@@ -162,10 +166,17 @@ type ManagedView struct {
 	Pattern *pattern.Pattern
 	View    *store.View
 	Lattice *Lattice
-	// insertTerms / deleteTerms are developed once, when the view is
-	// created (first step of Algorithm 1), and pruned per update.
-	insertTerms []uint64
-	deleteTerms []uint64
+	// terms are developed once, when the view is created (first step of
+	// Algorithm 1), and pruned per update; insertion and deletion keep the
+	// same ones (InsertTerms).
+	terms []uint64
+	// Per-pattern constants, prepared at install and only read after, by
+	// every statement: each node's ∆-table slot in Engine.labels, the
+	// stored nodes (as indexes and as a mask) and the cvn set.
+	slots      []int
+	stored     []int
+	storedMask uint64
+	cvn        []int
 }
 
 // NewEngine indexes the document and returns an engine with no views.
@@ -184,7 +195,7 @@ func NewEngine(doc *xmltree.Document, opts Options) *Engine {
 	}
 	e.join = algebra.InstrumentJoin(base, algebra.NewJoinCounters(reg))
 	if opts.SharedSnowcaps {
-		e.pool = NewPool(e.Store, e.Join())
+		e.pool = NewPool(e.Store, e.Join(), &e.labels)
 	}
 	return e
 }
@@ -261,54 +272,36 @@ func (e *Engine) AddViewRows(name string, p *pattern.Pattern, rows []algebra.Row
 
 func (e *Engine) installView(name string, p *pattern.Pattern, rows []algebra.Row) (*ManagedView, error) {
 	mv := &ManagedView{
-		Name:        name,
-		Pattern:     p,
-		View:        store.NewMaterializedView(p, rows),
-		insertTerms: InsertTerms(p),
-		deleteTerms: DeleteTerms(p),
+		Name:    name,
+		Pattern: p,
+		View:    store.NewMaterializedView(p, rows),
+		terms:   InsertTerms(p),
+		slots:   labelSlots(&e.labels, p),
+		stored:  p.StoredIndexes(),
+		cvn:     p.ContValIndexes(),
+	}
+	for _, i := range mv.stored {
+		mv.storedMask |= 1 << uint(i)
 	}
 	// Development-time pruning accounting: of the 2^k−1 candidate union
 	// terms, Propositions 3.3 (insert) and 4.2 (delete) keep only the
 	// upward-closed R-masks.
 	candidates := int64(p.FullMask()) // 2^k − 1
-	e.m.pruneProp33.Add(candidates - int64(len(mv.insertTerms)))
-	e.m.pruneProp42.Add(candidates - int64(len(mv.deleteTerms)))
+	e.m.pruneProp33.Add(candidates - int64(len(mv.terms)))
+	e.m.pruneProp42.Add(candidates - int64(len(mv.terms)))
 	mv.Lattice = e.newLattice(p)
 	e.Views = append(e.Views, mv)
 	return mv, nil
 }
 
-// Timings is the legacy per-phase breakdown struct reported by the paper's
-// experiments. It is now a thin, fixed-field view over the phase-keyed
-// obs.Breakdown that reports carry natively.
+// Timings is the per-phase cost breakdown of the paper's experiments
+// (Fig. 18), one field per obs.Phases entry.
 type Timings struct {
 	FindTargets   time.Duration // locate target nodes (Saxon's role)
 	ComputeDelta  time.Duration // build the ∆+ / ∆− tables (CD+/CD−)
 	GetExpression time.Duration // unfold + prune the update expression
 	ExecuteUpdate time.Duration // evaluate terms, apply to the view
 	UpdateLattice time.Duration // refresh auxiliary structures
-}
-
-// TimingsOf projects a phase-keyed breakdown onto the legacy struct.
-func TimingsOf(b obs.Breakdown) Timings {
-	return Timings{
-		FindTargets:   b.Get(obs.PhaseFindTargets),
-		ComputeDelta:  b.Get(obs.PhaseComputeDelta),
-		GetExpression: b.Get(obs.PhaseGetExpression),
-		ExecuteUpdate: b.Get(obs.PhaseExecuteUpdate),
-		UpdateLattice: b.Get(obs.PhaseUpdateLattice),
-	}
-}
-
-// Breakdown converts the legacy struct back to its phase-keyed form.
-func (t Timings) Breakdown() obs.Breakdown {
-	return obs.Breakdown{
-		obs.PhaseFindTargets:   t.FindTargets,
-		obs.PhaseComputeDelta:  t.ComputeDelta,
-		obs.PhaseGetExpression: t.GetExpression,
-		obs.PhaseExecuteUpdate: t.ExecuteUpdate,
-		obs.PhaseUpdateLattice: t.UpdateLattice,
-	}
 }
 
 // Total sums all phases.
@@ -328,10 +321,12 @@ func (t *Timings) Add(o Timings) {
 // ViewReport describes the effect of one statement on one view.
 type ViewReport struct {
 	View *ManagedView
-	// Phases is the per-view propagation cost, keyed by obs.Phase* names.
-	// Target location is shared across views and lives on the Report
-	// (Report.FindTargets), so it never appears here.
-	Phases        obs.Breakdown
+	// Phases is the per-view propagation cost. Target location and the ∆
+	// tables' walk are shared across views and live on the Report
+	// (Report.FindTargets, Report.ComputeDelta): here FindTargets is zero
+	// and ComputeDelta is the view's σ-filtered read of the tables. A
+	// view that was not propagated (skipped, cancelled, panicked) has none.
+	Phases        Timings
 	TermsTotal    int // terms before data-driven pruning
 	TermsSurvived int // terms actually evaluated
 	RowsAdded     int
@@ -355,34 +350,29 @@ type ViewReport struct {
 	Panicked bool
 }
 
-// Timings returns the view's breakdown in the legacy fixed-field form
-// (FindTargets is report-level and therefore zero here).
-func (vr *ViewReport) Timings() Timings { return TimingsOf(vr.Phases) }
-
 // Report describes the effect of one statement on the engine.
 type Report struct {
 	Statement *update.Statement
 	Targets   int
-	// FindTargets is the cost of locating the statement's target nodes.
-	// It is paid once per statement regardless of the number of views,
-	// which is why it lives here and not in the per-view breakdowns.
-	FindTargets time.Duration
-	Views       []ViewReport
+	// FindTargets is the cost of locating the statement's target nodes,
+	// and ComputeDelta of the one walk that builds its ∆ tables for every
+	// view (twice for a replace: one per half). Both are paid once per
+	// statement regardless of the number of views, which is why they live
+	// here and not in the per-view breakdowns.
+	FindTargets  time.Duration
+	ComputeDelta time.Duration
+	Views        []ViewReport
 }
 
-// Breakdown returns the statement's phase-keyed cost: the sum of every
-// view's phases plus the shared target-location cost, counted exactly
-// once.
-func (r *Report) Breakdown() obs.Breakdown {
-	var b obs.Breakdown
+// Timings returns the statement's cost per phase: the sum of every view's
+// phases plus the shared costs, each counted once.
+func (r *Report) Timings() Timings {
+	t := Timings{FindTargets: r.FindTargets, ComputeDelta: r.ComputeDelta}
 	for i := range r.Views {
-		b = b.Add(r.Views[i].Phases)
+		t.Add(r.Views[i].Phases)
 	}
-	return b.Set(obs.PhaseFindTargets, r.FindTargets)
+	return t
 }
-
-// Timings is the legacy fixed-field view over Breakdown.
-func (r *Report) Timings() Timings { return TimingsOf(r.Breakdown()) }
 
 // ApplyStatement runs one update statement: it computes the pending update
 // list, applies the update to the document, and incrementally propagates it
@@ -443,20 +433,10 @@ func (e *Engine) ApplyStatementCtx(ctx context.Context, st *update.Statement) (*
 			return nil, err
 		}
 		e.notifyApplied(st)
-		rep := &Report{Statement: st, Targets: delPul.Targets(), FindTargets: findTargets}
-		for i := range delRep.Views {
-			vr := delRep.Views[i]
-			ivr := insRep.Views[i]
-			vr.Phases = vr.Phases.Add(ivr.Phases)
-			vr.RowsAdded += ivr.RowsAdded
-			vr.RowsRemoved += ivr.RowsRemoved
-			vr.RowsModified += ivr.RowsModified
-			vr.TermsTotal += ivr.TermsTotal
-			vr.TermsSurvived += ivr.TermsSurvived
-			vr.PredFallback = vr.PredFallback || ivr.PredFallback
-			vr.Cancelled = vr.Cancelled || ivr.Cancelled
-			rep.Views = append(rep.Views, vr)
-		}
+		rep := &Report{}
+		MergeBatchReport(rep, delRep)
+		MergeBatchReport(rep, insRep)
+		rep.Statement, rep.Targets, rep.FindTargets = st, delPul.Targets(), findTargets
 		return rep, nil
 	}
 	if st.Kind == update.Insert {
@@ -555,13 +535,14 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 		// the insertion made), so the store hides them until every view's
 		// lattice and the shared snowcaps are maintained.
 		e.Store.Hide(applied.InsertedRoots)
+		delta := e.computeDelta(rep, applied.InsertedRoots)
 		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
-			return e.propagateInsert(mv, pul, applied)
+			return e.propagateInsert(mv, pul, delta)
 		})
 		if e.pool != nil {
 			// Shared snowcaps are maintained once per statement (like each
 			// view's own lattice).
-			e.pool.ApplyInsert(applied.InsertedRoots)
+			e.pool.ApplyInsert(delta)
 		}
 		e.Store.Hide(nil)
 	case update.Delete:
@@ -572,8 +553,9 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 		if e.pool != nil {
 			e.pool.ApplyDelete(applied.DeletedRoots)
 		}
+		delta := e.computeDelta(rep, applied.DeletedRoots)
 		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
-			return e.propagateDelete(mv, pul, applied)
+			return e.propagateDelete(mv, applied, delta)
 		})
 	}
 	// Repair passes run against the whole store again: first views whose
@@ -625,7 +607,7 @@ func (e *Engine) propagateAll(ctx context.Context, skip map[*ManagedView]bool, f
 				vr = ViewReport{View: mv, Panicked: true}
 			}
 		}()
-		end := e.span("view:" + mv.Name)
+		end := e.viewSpan(mv, "")
 		defer end()
 		return f(mv)
 	}
@@ -658,22 +640,77 @@ func (e *Engine) propagateAll(ctx context.Context, skip map[*ManagedView]bool, f
 	return out
 }
 
-// deltaInputs builds per-pattern-node ∆ inputs from subtree roots: the CD+
-// / CD− delta tables, σ-filtered by each node's value predicate, with the
-// root-anchor filter applied (an inserted node can never be the document
-// root, so a /-anchored pattern root always has an empty ∆).
-func (e *Engine) deltaInputs(p *pattern.Pattern, roots []*xmltree.Node) algebra.Inputs {
-	return e.filterDelta(p, update.DeltaTables(roots, p.Labels()))
+// viewSpan starts view mv's span, or the span of one of its phases; with
+// no tracer it builds no name.
+func (e *Engine) viewSpan(mv *ManagedView, phase string) func() {
+	if e.opts.Tracer == nil {
+		return func() {}
+	}
+	name := "view:" + mv.Name
+	if phase != "" {
+		name += "/" + phase
+	}
+	return e.span(name)
 }
 
-// filterDelta applies σ and the root anchor to the ∆ tables of p's labels.
-func (e *Engine) filterDelta(p *pattern.Pattern, tables map[string][]algebra.Item) algebra.Inputs {
+// computeDelta builds the ∆ tables (CD+/CD−) of a statement's inserted or
+// detached subtrees: one walk, over the labels of every view and shared
+// snowcap, whose tables every view then reads. Its cost is the report's
+// ComputeDelta, observed once per statement in core.phase.compute_delta.
+func (e *Engine) computeDelta(rep *Report, roots []*xmltree.Node) update.Delta {
+	end := e.span(obs.PhaseComputeDelta)
+	t0 := time.Now()
+	d := update.DeltaTables(roots, &e.labels)
+	rep.ComputeDelta = time.Since(t0)
+	end()
+	e.m.phase[obs.PhaseComputeDelta].Observe(rep.ComputeDelta)
+	return d
+}
+
+// labelSlots adds p's labels to ls and returns each node's slot.
+func labelSlots(ls *update.Labels, p *pattern.Pattern) []int {
+	slots := make([]int, p.Size())
+	for i, n := range p.Nodes {
+		slots[i] = ls.Add(n.Label)
+	}
+	return slots
+}
+
+// hasDelta reports whether any of the slots has a ∆ entry before σ.
+func hasDelta(d update.Delta, slots []int) bool {
+	for _, s := range slots {
+		if len(d.Table(s)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// deltaInputs reads p's ∆ inputs from the shared tables: σ-filtered by each
+// node's value predicate, with the root-anchor filter applied (an inserted
+// node can never be the document root, so a /-anchored pattern root always
+// has an empty ∆). Unfiltered inputs are the tables themselves, capped.
+func deltaInputs(p *pattern.Pattern, slots []int, d update.Delta, doc *xmltree.Document) algebra.Inputs {
 	in := make(algebra.Inputs, p.Size())
 	for i, n := range p.Nodes {
-		in[i] = algebra.Filter(tables[n.Label], n, e.Doc)
+		in[i] = algebra.Filter(d.Table(slots[i]), n, doc)
 	}
 	in[0] = algebra.FilterRootAnchor(p, in[0])
 	return in
+}
+
+// noDelta is every view's ∆ input when none of its labels has a table
+// entry: all empty, shared, never written (a pattern has at most 64 nodes).
+var noDelta = make(algebra.Inputs, 64)
+
+// viewDelta is deltaInputs for one view. bound reports whether any label of
+// the view's pattern, stored or not, has a ∆ entry before σ; when none has,
+// the inputs are the shared empty ones.
+func (e *Engine) viewDelta(mv *ManagedView, d update.Delta) (in algebra.Inputs, bound bool) {
+	if !hasDelta(d, mv.slots) {
+		return noDelta[:mv.Pattern.Size():mv.Pattern.Size()], false
+	}
+	return deltaInputs(mv.Pattern, mv.slots, d, e.Doc), true
 }
 
 // evalTermFrom evaluates one union term: R-nodes (rmask) come from the
@@ -693,5 +730,5 @@ func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn algebra.Inp
 		forest, roots := algebra.EvalForest(p, dmask, deltaIn, e.Join())
 		block = algebra.AttachForest(p, block, forest, roots, e.Join())
 	}
-	return algebra.ProjectBlockCounted(p, block, p.StoredIndexes(), e.Doc, e.proj)
+	return algebra.ProjectBlockCounted(p, block, mv.stored, e.Doc, e.proj)
 }

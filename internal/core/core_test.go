@@ -81,18 +81,25 @@ func TestInsertTermsMatchSnowcaps(t *testing.T) {
 	}
 }
 
+// patternDelta is p's ∆ input over the forest of roots, read from tables
+// built for p's labels alone.
+func patternDelta(d *xmltree.Document, p *pattern.Pattern, roots ...*xmltree.Node) algebra.Inputs {
+	var ls update.Labels
+	slots := labelSlots(&ls, p)
+	return deltaInputs(p, slots, update.DeltaTables(roots, &ls), d)
+}
+
 // TestPruneByDeltaExample34 reproduces Example 3.4: inserting
 // <a><b/><b/></a> leaves ∆c empty, so no term of //a//b//c survives.
 func TestPruneByDeltaExample34(t *testing.T) {
 	d := mustDoc(t, `<r><a><b><c/></b></a></r>`)
-	e := NewEngine(d, Options{})
 	p := pattern.MustParse(`//a{ID}//b{ID}//c{ID}`)
 	forest, _ := xmltree.ParseForest(`<a><b/><b/></a>`)
 	cp, err := d.ApplyInsert(d.Root, forest[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaIn := e.deltaInputs(p, []*xmltree.Node{cp})
+	deltaIn := patternDelta(d, p, cp)
 	got := PruneByDelta(p, InsertTerms(p), deltaIn)
 	if len(got) != 0 {
 		t.Fatalf("survivors = %b", got)
@@ -104,14 +111,13 @@ func TestPruneByDeltaExample34(t *testing.T) {
 // Ra∆b∆c (∆a is empty so the all-∆ term dies via data pruning).
 func TestPruneByInsertionPointsExample37(t *testing.T) {
 	d := mustDoc(t, `<a><x/></a>`)
-	e := NewEngine(d, Options{})
 	p := pattern.MustParse(`//a{ID}//b{ID}//c{ID}`)
 	forest, _ := xmltree.ParseForest(`<b><c/></b>`)
 	cp, err := d.ApplyInsert(d.Root, forest[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaIn := e.deltaInputs(p, []*xmltree.Node{cp})
+	deltaIn := patternDelta(d, p, cp)
 	terms := PruneByDelta(p, InsertTerms(p), deltaIn)
 	terms = PruneByInsertionPoints(p, terms, []*xmltree.Node{d.Root})
 	if len(terms) != 1 || terms[0] != 1 {

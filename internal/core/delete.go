@@ -19,27 +19,27 @@ import (
 // so each term's result is subtracted with its exact count. Finally PDMT
 // refreshes val/cont of surviving tuples whose stored nodes lost
 // descendants.
-func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *update.Applied) ViewReport {
+func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta update.Delta) ViewReport {
 	vr := ViewReport{View: mv}
 	p := mv.Pattern
 
-	// CD−: ∆ tables over the detached subtrees.
-	end := e.span("view:" + mv.Name + "/" + obs.PhaseComputeDelta)
+	// CD−: the view's σ-filtered read of the ∆ tables of the detached
+	// subtrees. bound is label membership before σ, over every node of
+	// this view's pattern, stored or not: with no entry for any of them, no
+	// binding of this view — in a row or in a snowcap tuple — lies inside
+	// the deleted forest. The shared tables hold other views' labels too,
+	// so that they are non-empty says nothing about this view.
+	end := e.viewSpan(mv, obs.PhaseComputeDelta)
 	t0 := time.Now()
-	tables := update.DeltaTables(applied.DeletedRoots, p.Labels())
-	deltaIn := e.filterDelta(p, tables)
-	// Label membership before σ, over every pattern node, stored or not:
-	// with no table at all, no binding of this view — in a row or in a
-	// snowcap tuple — lies inside the deleted forest.
-	bound := len(tables) > 0
-	vr.Phases = vr.Phases.Set(obs.PhaseComputeDelta, time.Since(t0))
+	deltaIn, bound := e.viewDelta(mv, delta)
+	vr.Phases.ComputeDelta = time.Since(t0)
 	end()
 	e.m.countDeltaItems(deltaIn)
 
 	// Prune the pre-developed deletion expression.
-	end = e.span("view:" + mv.Name + "/" + obs.PhaseGetExpression)
+	end = e.viewSpan(mv, obs.PhaseGetExpression)
 	t0 = time.Now()
-	terms := mv.deleteTerms
+	terms := mv.terms
 	vr.TermsTotal = len(terms)
 	e.m.termsExpanded.Add(int64(len(terms)))
 	if !e.opts.DisableDataPruning {
@@ -54,19 +54,19 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 	}
 	vr.TermsSurvived = len(terms)
 	e.m.termsEvaluated.Add(int64(len(terms)))
-	vr.Phases = vr.Phases.Set(obs.PhaseGetExpression, time.Since(t0))
+	vr.Phases.GetExpression = time.Since(t0)
 	end()
 
 	// Update auxiliary structures before evaluating terms: deletion terms
 	// must see post-update snowcaps. A view none of whose labels occurs in
 	// the deleted forest binds nothing there, and neither searching pass —
 	// this one over its snowcaps, pass 1 below over its rows — is run.
-	end = e.span("view:" + mv.Name + "/" + obs.PhaseUpdateLattice)
+	end = e.viewSpan(mv, obs.PhaseUpdateLattice)
 	t0 = time.Now()
 	if bound {
 		e.m.latticeDropped.Add(int64(mv.Lattice.ApplyDelete(applied.DeletedRoots)))
 	}
-	vr.Phases = vr.Phases.Set(obs.PhaseUpdateLattice, time.Since(t0))
+	vr.Phases.UpdateLattice = time.Since(t0)
 	end()
 
 	// Subtract the removed derivations. Two complementary mechanisms:
@@ -78,19 +78,15 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 	//  2. Terms whose ∆-set touches only NON-stored nodes adjust the counts
 	//     of surviving rows and are evaluated algebraically as usual; terms
 	//     with ∆ on a stored node are exactly the rows pass 1 removed.
-	end = e.span("view:" + mv.Name + "/" + obs.PhaseExecuteUpdate)
+	end = e.viewSpan(mv, obs.PhaseExecuteUpdate)
 	t0 = time.Now()
 	if bound {
 		vr.RowsRemoved += removeRowsUnder(mv, applied.DeletedRoots)
 	}
-	var storedMask uint64
-	for _, i := range p.StoredIndexes() {
-		storedMask |= 1 << uint(i)
-	}
 	rIn := mv.Lattice.Relations()
 	full := p.FullMask()
 	for _, rmask := range terms {
-		if (full&^rmask)&storedMask != 0 {
+		if (full&^rmask)&mv.storedMask != 0 {
 			continue // covered by the scan in pass 1
 		}
 		for _, row := range e.evalTermFrom(mv, rmask, deltaIn, rIn) {
@@ -102,7 +98,7 @@ func (e *Engine) propagateDelete(mv *ManagedView, pul *update.PUL, applied *upda
 	// PDMT: surviving tuples whose stored val/cont nodes are ancestors of a
 	// deleted subtree must refresh their stored images.
 	vr.RowsModified = e.modifyTuplesAfterDelete(mv, applied)
-	vr.Phases = vr.Phases.Set(obs.PhaseExecuteUpdate, time.Since(t0))
+	vr.Phases.ExecuteUpdate = time.Since(t0)
 	end()
 	return vr
 }
@@ -137,6 +133,9 @@ func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
 // ancestor of the deleted root — its parent or above — its stored image is
 // re-extracted from the (already updated) document.
 func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applied) int {
+	if len(mv.cvn) == 0 {
+		return 0
+	}
 	parents := make([]dewey.ID, len(applied.DeletedRoots))
 	for i, root := range applied.DeletedRoots {
 		parents[i] = root.ID.Parent()

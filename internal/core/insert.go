@@ -12,28 +12,29 @@ import (
 )
 
 // propagateInsert runs the combined PINT/PIMT algorithm for one view: it
-// computes the ∆+ tables (CD+, Algorithm 2), prunes the pre-developed union
-// terms (Propositions 3.6 and 3.8), evaluates the survivors with structural
-// joins (ET-INS, Algorithm 3) adding tuples / increasing derivation counts,
-// refreshes val/cont of affected stored nodes (PIMT, Algorithm 4), and
-// finally updates the snowcap lattice. The store's canonical relations must
-// still show the pre-update membership (applyPUL hides the insertion).
-func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *update.Applied) ViewReport {
+// reads its σ-filtered inputs from the statement's ∆+ tables (CD+,
+// Algorithm 2), prunes the pre-developed union terms (Propositions 3.6 and
+// 3.8), evaluates the survivors with structural joins (ET-INS, Algorithm 3)
+// adding tuples / increasing derivation counts, refreshes val/cont of
+// affected stored nodes (PIMT, Algorithm 4), and finally updates the
+// snowcap lattice. The store's canonical relations must still show the
+// pre-update membership (applyPUL hides the insertion).
+func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, delta update.Delta) ViewReport {
 	vr := ViewReport{View: mv}
 	p := mv.Pattern
 
-	// CD+: ∆ tables, σ-filtered per node.
-	end := e.span("view:" + mv.Name + "/" + obs.PhaseComputeDelta)
+	// CD+: the view's σ-filtered read of the shared ∆ tables.
+	end := e.viewSpan(mv, obs.PhaseComputeDelta)
 	t0 := time.Now()
-	deltaIn := e.deltaInputs(p, applied.InsertedRoots)
-	vr.Phases = vr.Phases.Set(obs.PhaseComputeDelta, time.Since(t0))
+	deltaIn, _ := e.viewDelta(mv, delta)
+	vr.Phases.ComputeDelta = time.Since(t0)
 	end()
-	e.m.countDeltaItems(deltaIn)
+	items := e.m.countDeltaItems(deltaIn)
 
 	// Prune the pre-developed expression.
-	end = e.span("view:" + mv.Name + "/" + obs.PhaseGetExpression)
+	end = e.viewSpan(mv, obs.PhaseGetExpression)
 	t0 = time.Now()
-	terms := mv.insertTerms
+	terms := mv.terms
 	vr.TermsTotal = len(terms)
 	e.m.termsExpanded.Add(int64(len(terms)))
 	if !e.opts.DisableDataPruning {
@@ -41,20 +42,20 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *upda
 		terms = PruneByDelta(p, terms, deltaIn)
 		e.m.pruneProp36.Add(int64(before - len(terms)))
 	}
-	if !e.opts.DisableIDPruning {
+	if !e.opts.DisableIDPruning && len(terms) > 0 {
 		before := len(terms)
 		terms = PruneByInsertionPoints(p, terms, pul.InsertionPoints())
 		e.m.pruneProp38.Add(int64(before - len(terms)))
 	}
 	vr.TermsSurvived = len(terms)
 	e.m.termsEvaluated.Add(int64(len(terms)))
-	vr.Phases = vr.Phases.Set(obs.PhaseGetExpression, time.Since(t0))
+	vr.Phases.GetExpression = time.Since(t0)
 	end()
 
 	// ET-INS: evaluate surviving terms and merge into the view. Every term
 	// and the lattice maintenance below share one R side, which reads a
 	// canonical relation only when a join asks for it.
-	end = e.span("view:" + mv.Name + "/" + obs.PhaseExecuteUpdate)
+	end = e.viewSpan(mv, obs.PhaseExecuteUpdate)
 	t0 = time.Now()
 	rIn := mv.Lattice.Relations()
 	for _, rmask := range terms {
@@ -67,14 +68,17 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *upda
 	// PIMT: an insertion under a node whose val/cont the view stores
 	// modifies that stored image.
 	vr.RowsModified = e.modifyTuplesAfterInsert(mv, pul)
-	vr.Phases = vr.Phases.Set(obs.PhaseExecuteUpdate, time.Since(t0))
+	vr.Phases.ExecuteUpdate = time.Since(t0)
 	end()
 
-	// Maintain auxiliary structures.
-	end = e.span("view:" + mv.Name + "/" + obs.PhaseUpdateLattice)
+	// Maintain auxiliary structures: a snowcap's additions all join some
+	// node's σ-filtered ∆, so with none there are none.
+	end = e.viewSpan(mv, obs.PhaseUpdateLattice)
 	t0 = time.Now()
-	mv.Lattice.ApplyInsertFrom(deltaIn, rIn)
-	vr.Phases = vr.Phases.Set(obs.PhaseUpdateLattice, time.Since(t0))
+	if items > 0 {
+		mv.Lattice.ApplyInsertFrom(deltaIn, rIn)
+	}
+	vr.Phases.UpdateLattice = time.Since(t0)
 	end()
 	return vr
 }
@@ -84,6 +88,9 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, applied *upda
 // entry binds n_i or an ancestor of it, the stored image is refreshed from
 // the updated document.
 func (e *Engine) modifyTuplesAfterInsert(mv *ManagedView, pul *update.PUL) int {
+	if len(mv.cvn) == 0 {
+		return 0
+	}
 	targets := make([]dewey.ID, len(pul.Inserts))
 	for i, pi := range pul.Inserts {
 		targets[i] = pi.Target.ID
@@ -109,7 +116,7 @@ func storesImage(n *pattern.Node) bool {
 // has can match no entry. When nothing is left the view is not scanned.
 func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 	p := mv.Pattern
-	cvn := p.ContValIndexes()
+	cvn := mv.cvn
 	if len(cvn) == 0 {
 		return 0
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
 	"xivm/internal/pattern"
@@ -19,7 +21,11 @@ type Lattice struct {
 	store   *store.Store
 	join    algebra.JoinFunc
 	chain   []uint64 // materialized masks, ascending size (excludes full view)
-	mats    map[uint64]*store.Mat
+	// nested: chain grows by exactly one node per level from a single node
+	// (the PolicySnowcaps layout), so insertions maintain it with the
+	// recurrence of Proposition 3.13.
+	nested bool
+	mats   map[uint64]*store.Mat
 	// Pooled mode: masks resolve through a shared cross-view pool; the
 	// engine maintains the pool once per statement, so the per-view
 	// maintenance entry points become no-ops.
@@ -40,9 +46,10 @@ type pooledRef struct {
 // must not change while one is in use, which the phase order of applyPUL
 // guarantees.
 type Relations struct {
-	p  *pattern.Pattern
-	st *store.Store   // nil when in was supplied whole (deferred flushing masks its own)
-	in algebra.Inputs // the nodes read so far
+	p    *pattern.Pattern
+	st   *store.Store   // nil when in was supplied whole (deferred flushing masks its own)
+	in   algebra.Inputs // the nodes read so far
+	read uint64         // which nodes those are
 }
 
 // Relations returns the view's R side over the store's current state, with
@@ -51,22 +58,23 @@ func (l *Lattice) Relations() *Relations { return &Relations{p: l.Pattern, st: l
 
 // Node returns the σ-filtered input of pattern node i.
 func (r *Relations) Node(i int) []algebra.Item {
-	items, ok := r.in[i]
-	if !ok && r.st != nil {
-		if r.in == nil {
-			r.in = make(algebra.Inputs, r.p.Size())
-		}
-		items = r.st.Input(r.p, i)
-		r.in[i] = items
-	}
-	return items
+	r.Mask(1 << uint(i))
+	return r.in[i]
 }
 
 // Mask returns inputs holding at least the nodes of mask.
 func (r *Relations) Mask(mask uint64) algebra.Inputs {
-	for _, i := range pattern.MaskIndexes(mask) {
-		r.Node(i)
+	if r.st == nil {
+		return r.in
 	}
+	for todo := mask &^ r.read; todo != 0; todo &= todo - 1 {
+		if r.in == nil {
+			r.in = make(algebra.Inputs, r.p.Size())
+		}
+		i := bits.TrailingZeros64(todo)
+		r.in[i] = r.st.Input(r.p, i)
+	}
+	r.read |= mask
 	return r.in
 }
 
@@ -104,6 +112,7 @@ func NewLatticeMasks(p *pattern.Pattern, masks []uint64, st *store.Store, join a
 		l.mats[mask] = m
 		l.chain = append(l.chain, mask)
 	}
+	l.nested = chainIsNested(p, l.chain)
 	return l
 }
 
@@ -177,7 +186,7 @@ func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	if len(l.chain) == 0 {
 		return
 	}
-	if l.chainIsNested() {
+	if l.nested {
 		l.applyInsertChain(deltaIn, r)
 		return
 	}
@@ -198,31 +207,32 @@ func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	}
 }
 
-// chainIsNested reports whether the materialized masks form a strict chain
-// growing by exactly one node per level, starting from a single node.
-func (l *Lattice) chainIsNested() bool {
-	p := l.Pattern
-	for k, mask := range l.chain {
-		want := k + 1
-		if len(pattern.MaskIndexes(mask)) != want {
-			return false
-		}
-		if k > 0 && l.chain[k-1]&^mask != 0 {
+// chainIsNested reports whether the masks form a strict chain growing by
+// exactly one node per level, starting from a single node.
+func chainIsNested(p *pattern.Pattern, chain []uint64) bool {
+	var prev uint64
+	for k, mask := range chain {
+		if prev&^mask != 0 || bits.OnesCount64(mask&^prev) != 1 {
 			return false
 		}
 		// The added node's pattern parent must already be in the previous
 		// level (true for snowcaps, asserted for safety).
-		if k > 0 {
-			added := pattern.MaskIndexes(mask &^ l.chain[k-1])
-			if len(added) != 1 {
-				return false
-			}
-			if pi := p.ParentIndex(added[0]); pi >= 0 && !pattern.MaskContains(l.chain[k-1], pi) {
-				return false
-			}
+		if pi := p.ParentIndex(addedNode(chain, k)); k > 0 && pi >= 0 && !pattern.MaskContains(prev, pi) {
+			return false
 		}
+		prev = mask
 	}
 	return true
+}
+
+// addedNode is the node level k of a nested chain adds to level k−1 (level
+// 0's only node).
+func addedNode(chain []uint64, k int) int {
+	mask := chain[k]
+	if k > 0 {
+		mask &^= chain[k-1]
+	}
+	return bits.TrailingZeros64(mask)
 }
 
 // applyInsertChain maintains a nested snowcap chain with the recurrence of
@@ -246,10 +256,10 @@ func (l *Lattice) applyInsertChain(deltaIn algebra.Inputs, r *Relations) {
 		}
 	}
 
-	rootIdx := pattern.MaskIndexes(l.chain[0])[0]
+	rootIdx := addedNode(l.chain, 0)
 	add(0, algebra.SingleColumn(rootIdx, deltaIn[rootIdx]))
 	for k := 1; k < len(l.chain); k++ {
-		x := pattern.MaskIndexes(l.chain[k] &^ l.chain[k-1])[0]
+		x := addedNode(l.chain, k)
 		pi := p.ParentIndex(x)
 		desc := p.Nodes[x].Desc
 		dx := algebra.SingleColumn(x, deltaIn[x])

@@ -176,8 +176,11 @@ func (l *Lazy) Flush() (time.Duration, error) {
 	}
 	insAlive = kept
 
+	// One ∆− and one ∆+ walk for the whole flush, read by every view.
+	del := update.DeltaTables(l.delRoots, &e.labels)
+	ins := update.DeltaTables(insAlive, &e.labels)
 	for _, mv := range e.Views {
-		l.flushView(mv, inserted, insAlive)
+		l.flushView(mv, inserted, insAlive, del, ins)
 	}
 
 	for mv := range e.flippedViews(l.probes) {
@@ -191,7 +194,7 @@ func (l *Lazy) Flush() (time.Duration, error) {
 	return dur, nil
 }
 
-func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAlive []*xmltree.Node) {
+func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAlive []*xmltree.Node, del, ins update.Delta) {
 	e := l.e
 	p := mv.Pattern
 
@@ -205,20 +208,16 @@ func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAl
 	mv.Lattice.ApplyDelete(l.delRoots)
 	if len(l.delRoots) > 0 {
 		removeRowsUnder(mv, l.delRoots)
-		delIn := excludeInputs(e.deltaInputs(p, l.delRoots), inserted)
-		terms := mv.deleteTerms
+		delIn := excludeInputs(deltaInputs(p, mv.slots, del, e.Doc), inserted)
+		terms := mv.terms
 		if !e.opts.DisableDataPruning {
 			terms = PruneByDelta(p, terms, delIn)
 		}
 		if !e.opts.DisableIDPruning {
 			terms = PruneByDeletedIDs(p, terms, delIn)
 		}
-		var storedMask uint64
-		for _, i := range p.StoredIndexes() {
-			storedMask |= 1 << uint(i)
-		}
 		for _, rmask := range terms {
-			if (p.FullMask()&^rmask)&storedMask != 0 {
+			if (p.FullMask()&^rmask)&mv.storedMask != 0 {
 				continue // handled by removeRowsUnder
 			}
 			for _, row := range e.evalTermFrom(mv, rmask, delIn, rIn) {
@@ -229,8 +228,8 @@ func (l *Lazy) flushView(mv *ManagedView, inserted map[*xmltree.Node]bool, insAl
 
 	// Pass 2: surviving insertions.
 	if len(insAlive) > 0 {
-		insIn := e.deltaInputs(p, insAlive)
-		terms := mv.insertTerms
+		insIn := deltaInputs(p, mv.slots, ins, e.Doc)
+		terms := mv.terms
 		if !e.opts.DisableDataPruning {
 			terms = PruneByDelta(p, terms, insIn)
 		}

@@ -14,7 +14,7 @@ import (
 //
 //	core.statements.{insert,delete,replace}   statements applied
 //	core.targets                              update targets located
-//	core.delta.items                          σ-filtered ∆-table entries built
+//	core.delta.items                          σ-filtered ∆ entries read, summed over propagated views
 //	core.terms.expanded                       union terms considered (post Props 3.3/4.2)
 //	core.terms.evaluated                      union terms actually evaluated
 //	core.prune.prop33 / core.prune.prop42     terms cut at view-development time
@@ -30,7 +30,10 @@ import (
 //	core.lazy.{applied,flushes}               deferred statements / flushes
 //
 // Histogram names: core.phase.<phase> for the five propagation phases and
-// core.lazy.flush for whole-batch flush time.
+// core.lazy.flush for whole-batch flush time. find_targets and the ∆
+// tables' walk are observed once per statement (twice for a replace), the
+// other phases, and each view's σ-filtered read of the tables under
+// compute_delta, once per propagated view.
 type engineMetrics struct {
 	reg *obs.Metrics
 
@@ -88,21 +91,29 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 	return m
 }
 
-// recordView folds one view's propagation outcome into the counters.
+// recordView folds one view's propagation outcome into the counters. Only
+// a propagated view has phases to observe: a skipped, cancelled or
+// panicked one ran none.
 func (m *engineMetrics) recordView(vr *ViewReport) {
 	m.rowsAdded.Add(int64(vr.RowsAdded))
 	m.rowsRemoved.Add(int64(vr.RowsRemoved))
 	m.rowsModified.Add(int64(vr.RowsModified))
-	for phase, d := range vr.Phases {
-		m.phase[phase].Observe(d)
+	if vr.Skipped || vr.Cancelled || vr.Panicked {
+		return
 	}
+	m.phase[obs.PhaseComputeDelta].Observe(vr.Phases.ComputeDelta)
+	m.phase[obs.PhaseGetExpression].Observe(vr.Phases.GetExpression)
+	m.phase[obs.PhaseExecuteUpdate].Observe(vr.Phases.ExecuteUpdate)
+	m.phase[obs.PhaseUpdateLattice].Observe(vr.Phases.UpdateLattice)
 }
 
-// countDeltaItems sums the σ-filtered ∆-table entries of one view pass.
-func (m *engineMetrics) countDeltaItems(in algebra.Inputs) {
+// countDeltaItems sums the σ-filtered ∆ entries of one view pass and
+// returns the sum.
+func (m *engineMetrics) countDeltaItems(in algebra.Inputs) int64 {
 	var n int64
 	for _, items := range in {
 		n += int64(len(items))
 	}
 	m.deltaItems.Add(n)
+	return n
 }

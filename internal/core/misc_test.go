@@ -72,7 +72,7 @@ func TestReportTimingsCountsFindOnce(t *testing.T) {
 	// Per-view breakdowns never carry find_targets: the cost is paid once
 	// per statement and lives on the Report.
 	for i := range rep.Views {
-		if got := rep.Views[i].Timings().FindTargets; got != 0 {
+		if got := rep.Views[i].Phases.FindTargets; got != 0 {
 			t.Fatalf("view %d carries FindTargets %v", i, got)
 		}
 	}

@@ -25,23 +25,27 @@ import (
 // columns back to its own pattern-node indexes.
 
 type poolEntry struct {
-	sub    *pattern.Pattern // canonical sub-pattern (indexes 0..k-1)
-	mat    *store.Mat
-	refs   int
-	prog   *qvm.Program // compiled existence program for the sub-pattern
-	labels []string     // distinct node labels (qvm.RequiredLabels)
+	sub   *pattern.Pattern // canonical sub-pattern (indexes 0..k-1)
+	mat   *store.Mat
+	refs  int
+	prog  *qvm.Program // compiled existence program for the sub-pattern
+	slots []int        // each node's ∆-table slot in the pool's label set
+	terms []uint64     // InsertTerms(sub)
 }
 
 // Pool shares materialized snowcaps between views.
 type Pool struct {
 	store   *store.Store
 	join    algebra.JoinFunc
+	labels  *update.Labels
 	entries map[string]*poolEntry
 }
 
-// NewPool creates an empty pool over the engine's store.
-func NewPool(st *store.Store, join algebra.JoinFunc) *Pool {
-	return &Pool{store: st, join: join, entries: map[string]*poolEntry{}}
+// NewPool creates an empty pool over the engine's store. Registered
+// sub-patterns add their labels to labels, the set the statements' ∆
+// tables, which ApplyInsert reads, are built over.
+func NewPool(st *store.Store, join algebra.JoinFunc, labels *update.Labels) *Pool {
+	return &Pool{store: st, join: join, labels: labels, entries: map[string]*poolEntry{}}
 }
 
 // Signature canonicalizes a sub-pattern: structure, labels, edges and value
@@ -82,7 +86,7 @@ func (pl *Pool) Register(sub *pattern.Pattern) string {
 	}
 	m := store.NewMat(sub, sub.FullMask())
 	m.FillFromBlock(algebra.EvalSubPattern(sub, sub.FullMask(), pl.store.Inputs(sub), pl.join))
-	e := &poolEntry{sub: sub, mat: m, refs: 1, labels: qvm.RequiredLabels(sub)}
+	e := &poolEntry{sub: sub, mat: m, refs: 1, slots: labelSlots(pl.labels, sub), terms: InsertTerms(sub)}
 	// The compiled existence program decides "can this sub-pattern match at
 	// all?" without building tuples; patterns beyond the compiler's dialect
 	// (none today) would simply skip the fast existence path.
@@ -135,37 +139,23 @@ func (pl *Pool) SharedRefs() int {
 }
 
 // ApplyInsert maintains every shared snowcap once for a statement's
-// insertions: each entry's additions are its own insertion terms, with ∆
-// tables extracted per entry (signatures embed the σ predicates, so the
-// filtered inputs are identical for every sharing view).
-// The per-statement presence scan makes maintenance O(one walk + affected
-// entries) instead of O(entries × walk): every insertion term joins at
-// least one ∆ table (InsertTerms excludes the all-relational mask), so an
-// entry none of whose node labels occur in the inserted forest has all its
-// ∆ tables empty and every term empty — it can be skipped before the
-// per-entry delta extraction walk.
-func (pl *Pool) ApplyInsert(inserted []*xmltree.Node) {
-	pr := pl.scanPresence(inserted)
+// insertions: each entry's additions are its own insertion terms, over its
+// σ-filtered read of the statement's ∆+ tables (signatures embed the σ
+// predicates, so the filtered inputs are identical for every sharing
+// view). Every insertion term joins at least one ∆ table (InsertTerms
+// excludes the all-relational mask), so an entry none of whose labels has
+// a table entry has every term empty and is skipped.
+func (pl *Pool) ApplyInsert(delta update.Delta) {
 	for _, e := range pl.entries {
-		if !pr.hasAny(e.labels) {
+		if !hasDelta(delta, e.slots) {
 			continue
 		}
-		deltaIn := deltaInputsFor(e.sub, inserted, pl.store.Doc())
+		deltaIn := deltaInputs(e.sub, e.slots, delta, pl.store.Doc())
 		rIn := &Relations{p: e.sub, st: pl.store}
 		full := e.sub.FullMask()
 		var additions []algebra.Block
-		for _, rmask := range InsertTerms(e.sub) {
+		for _, rmask := range PruneByDelta(e.sub, e.terms, deltaIn) {
 			dmask := full &^ rmask
-			empty := false
-			for _, i := range pattern.MaskIndexes(dmask) {
-				if len(deltaIn[i]) == 0 {
-					empty = true
-					break
-				}
-			}
-			if empty {
-				continue
-			}
 			var blk algebra.Block
 			if rmask == 0 {
 				blk = algebra.EvalSubPattern(e.sub, full, deltaIn, pl.join)
@@ -196,86 +186,10 @@ func (pl *Pool) ApplyDelete(deleted []*xmltree.Node) {
 	}
 }
 
-// insertPresence summarizes one statement's inserted forest for the label
-// gate: which node labels occur, whether any element occurs (for "*"
-// pattern nodes), and which registered word labels have a matching token.
-type insertPresence struct {
-	anyElement bool
-	labels     map[string]bool // element labels, "@name", "#text"
-	words      map[string]bool // "~w" labels with a witness text node
-}
-
-// scanPresence walks the inserted roots once, testing only the word labels
-// some entry actually uses.
-func (pl *Pool) scanPresence(inserted []*xmltree.Node) insertPresence {
-	var words []string
-	seenWord := map[string]bool{}
-	for _, e := range pl.entries {
-		for _, l := range e.labels {
-			if strings.HasPrefix(l, "~") && !seenWord[l] {
-				seenWord[l] = true
-				words = append(words, l)
-			}
-		}
-	}
-	pr := insertPresence{labels: map[string]bool{}, words: map[string]bool{}}
-	for _, r := range inserted {
-		xmltree.Walk(r, func(n *xmltree.Node) bool {
-			if n.Kind == xmltree.Element {
-				pr.anyElement = true
-			}
-			pr.labels[n.Label()] = true
-			for _, w := range words {
-				if !pr.words[w] && n.MatchesWord(w[1:]) {
-					pr.words[w] = true
-				}
-			}
-			return true
-		})
-	}
-	return pr
-}
-
-// hasAny reports whether any of the entry's labels occurs in the forest.
-func (pr *insertPresence) hasAny(labels []string) bool {
-	for _, l := range labels {
-		switch {
-		case l == "*":
-			if pr.anyElement {
-				return true
-			}
-		case strings.HasPrefix(l, "~"):
-			if pr.words[l] {
-				return true
-			}
-		default:
-			if pr.labels[l] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func coverOf(deleted []*xmltree.Node) *dewey.Cover {
 	ids := make([]dewey.ID, len(deleted))
 	for i, n := range deleted {
 		ids[i] = n.ID
 	}
 	return dewey.NewCover(ids)
-}
-
-// deltaInputsFor mirrors Engine.deltaInputs for a standalone sub-pattern.
-func deltaInputsFor(sub *pattern.Pattern, roots []*xmltree.Node, doc *xmltree.Document) algebra.Inputs {
-	labels := make([]string, 0, sub.Size())
-	for _, n := range sub.Nodes {
-		labels = append(labels, n.Label)
-	}
-	tables := update.DeltaTables(roots, labels)
-	in := make(algebra.Inputs, sub.Size())
-	for i, n := range sub.Nodes {
-		in[i] = algebra.Filter(tables[n.Label], n, doc)
-	}
-	in[0] = algebra.FilterRootAnchor(sub, in[0])
-	return in
 }

@@ -90,7 +90,7 @@ func TestSharedSnowcapsMaintainCorrectly(t *testing.T) {
 func TestPoolBlockRemapsColumns(t *testing.T) {
 	d := mustDoc(t, `<a><b/><b/></a>`)
 	st := store.New(d)
-	pool := NewPool(st, nil)
+	pool := NewPool(st, nil, &update.Labels{})
 	sub := pattern.MustParse(`//a{ID}//b{ID}`)
 	sig := pool.Register(sub)
 	blk, ok := pool.Block(sig, []int{3, 7})

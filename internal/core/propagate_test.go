@@ -101,6 +101,39 @@ func TestPropagatePanicRepaired(t *testing.T) {
 	}
 }
 
+// TestReplaceReportsInsertHalfPanic: a replace is two propagations, and its
+// report is their merge. A view whose insert half panics — armed once the
+// delete half has landed — is repaired and must be reported as panicked,
+// as it would be had the delete half panicked.
+func TestReplaceReportsInsertHalfPanic(t *testing.T) {
+	pj := &armablePanicJoin{}
+	reg := obs.New()
+	e := New(mustDoc(t, `<r><a><b/></a></r>`), WithMetrics(reg), WithJoin(pj.join))
+	mv := addView(t, e, `//a{ID}//b{ID}`)
+	halves := 0
+	e.SetOnApplied(func([]*update.Statement, uint64) {
+		if halves++; halves == 1 {
+			pj.armed.Store(true)
+		}
+	})
+	rep, err := e.ApplyStatement(update.MustParse(`replace /r/a/b with <b/>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if halves != 2 || pj.armed.Load() {
+		t.Fatalf("%d halves landed, join still armed: %v; the insert half no longer joins", halves, pj.armed.Load())
+	}
+	if got := reg.CounterValue("core.views.panicked"); got != 1 {
+		t.Fatalf("core.views.panicked = %d, want 1", got)
+	}
+	if !rep.Views[0].Panicked {
+		t.Error("the replace's report lost its insert half's panic")
+	}
+	if !e.CheckView(mv) {
+		t.Error("view inconsistent after the repaired insert half")
+	}
+}
+
 // TestPropagateCancelWithSkips: cancellation mid-fan-out while the
 // independence precheck has some views skipped. Skip entries must survive
 // as Skipped (not be misreported as Cancelled), cancelled views must be

@@ -153,13 +153,16 @@ var benchViews = [][2]string{
 // the pair path-copies — of each wide parent on it, its slice of branches
 // and one leaf of ≤ 64 children — and, of each label list, of the run of
 // lists and of each moved view's rows, the leaf it lands in and the path
-// above it. The bidder pair under open_auctions (685 children) is 56 KB, 66
-// while each spine copy took its parent's whole child list; the name pair
-// under people (1,278 children, the widest list) is 59 KB, 77 before. Each
-// budget is its measure and 15%. A hash of the snowcaps the ∆ is joined
-// with (685–1,278 tuples each, four views) or a copy of R_bidder and
-// R_increase because propagation read them, either one puts the bidder pair
-// past its budget; both came to 0.37 MB.
+// above it. The ∆ tables are built once a statement for all seven views,
+// and a view's propagation fills no map. The bidder pair under
+// open_auctions (685 children) is 42 KB, 56 while each view walked the
+// forest for its own tables and kept its inputs, phases and relations in
+// maps, 66 while each spine copy took its parent's whole child list; the
+// name pair under people (1,278 children, the widest list) is 47 KB, 59 and
+// 77 before. Each budget is its measure and 15%. A hash of the snowcaps the
+// ∆ is joined with (685–1,278 tuples each, four views) or a copy of
+// R_bidder and R_increase because propagation read them, either one puts
+// the bidder pair past its budget; both came to 0.37 MB.
 func TestUpdateAllocBudget(t *testing.T) {
 	for _, fam := range []struct {
 		name, ins, del string
@@ -168,11 +171,11 @@ func TestUpdateAllocBudget(t *testing.T) {
 		{"bidder",
 			`insert <bidder><date>03/03/2021</date><increase>3.00</increase><xbench/></bidder> into /site/open_auctions/open_auction[@id="open_auction0"]`,
 			`delete /site/open_auctions/open_auction[@id="open_auction0"]/bidder[xbench]`,
-			65},
+			49},
 		{"name",
 			`insert <name>Bench Mark<xbench/></name> into /site/people/person[@id="person0"]`,
 			`delete /site/people/person[@id="person0"]/name[xbench]`,
-			68},
+			55},
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			updateAllocBudget(t, update.MustParse(fam.ins), update.MustParse(fam.del), fam.budgetKB)

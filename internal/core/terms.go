@@ -17,6 +17,13 @@ import (
 // no sub-expression ∆+_{n1} R_{n2} with n2 a child of n1 in the view —
 // equivalently (Proposition 3.12), iff its R-set is upward-closed (a
 // snowcap, or empty). Terms are returned in increasing ∆-size order.
+//
+// Deletion keeps the same terms. Proposition 4.2 prunes ∆−_{n1} R_{n2}
+// with n2 below n1 (it is empty), which leaves the upward-closed proper
+// R-masks again. Evaluated against the post-update relations, those terms
+// partition the removed tuples, so every term's result is subtracted with
+// its exact derivation count — this subsumes the set-oriented parity
+// argument of Proposition 4.3 while keeping counts exact (see DESIGN.md).
 func InsertTerms(p *pattern.Pattern) []uint64 {
 	full := p.FullMask()
 	var out []uint64
@@ -32,18 +39,6 @@ func InsertTerms(p *pattern.Pattern) []uint64 {
 		}
 	}
 	return out
-}
-
-// DeleteTerms develops the deletion terms and applies the update-
-// independent pruning of Proposition 4.2 (∆−_{n1} R_{n2} with n2 below n1
-// is empty). Evaluated against the post-update relations, the surviving
-// terms partition the removed tuples, so every term's result is subtracted
-// with its exact derivation count — this subsumes the set-oriented parity
-// argument of Proposition 4.3 while keeping counts exact (see DESIGN.md).
-// The surviving R-masks are exactly the upward-closed proper subsets, the
-// same set as for insertions.
-func DeleteTerms(p *pattern.Pattern) []uint64 {
-	return InsertTerms(p)
 }
 
 // PruneByDelta implements Proposition 3.6 (and its deletion counterpart):

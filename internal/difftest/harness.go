@@ -108,6 +108,26 @@ func readEpoch(snap *core.Snapshot) [4]string {
 	return [4]string{doc.String(), string(doc.EncodeOrds()), b.String(), rows.String()}
 }
 
+type namedView struct {
+	name string
+	p    *pattern.Pattern
+}
+
+// maintainedViews are the views a run maintains: the XMark Q-views, then a
+// wildcard view and a word view. Every view reads its ∆ from one set of
+// tables a statement builds over all their labels, and no Q-view has a "*"
+// or "~word" node: without the last two, those tables' wildcard and word
+// branches would go unchecked.
+func maintainedViews() []namedView {
+	var out []namedView
+	for _, name := range xmark.ViewNames() {
+		out = append(out, namedView{name, xmark.View(name)})
+	}
+	return append(out,
+		namedView{"Wstar", pattern.MustParse(`//open_auction{ID}/*{ID,val}`)},
+		namedView{"Wword", pattern.MustParse(`//item{ID}//~clock{ID}`)})
+}
+
 // Divergence describes one maintained state that differs from the oracle.
 type Divergence struct {
 	Config    string
@@ -154,14 +174,14 @@ func Run(w Workload, cfg Config) *Divergence {
 	e := core.New(doc, opts...)
 
 	var views []*core.ManagedView
-	for _, name := range xmark.ViewNames() {
-		p := xmark.View(name)
+	for _, v := range maintainedViews() {
+		p := v.p
 		if cfg.IVMA {
 			p = idOnly(p)
 		}
-		mv, err := e.AddView(name, p)
+		mv, err := e.AddView(v.name, p)
 		if err != nil {
-			panic("difftest: AddView(" + name + "): " + err.Error())
+			panic("difftest: AddView(" + v.name + "): " + err.Error())
 		}
 		views = append(views, mv)
 	}

@@ -14,12 +14,11 @@ import (
 	"xivm/internal/pulopt"
 	"xivm/internal/qvm"
 	"xivm/internal/update"
-	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
 )
 
-// newEngine builds an engine over the workload's document with every XMark
-// view registered.
+// newEngine builds an engine over the workload's document with every view
+// a run maintains registered.
 func newEngine(tb testing.TB, w Workload) *core.Engine {
 	tb.Helper()
 	doc, err := xmltree.ParseString(w.Doc())
@@ -27,8 +26,8 @@ func newEngine(tb testing.TB, w Workload) *core.Engine {
 		tb.Fatal(err)
 	}
 	e := core.New(doc, core.WithMetrics(obs.New()))
-	for _, name := range xmark.ViewNames() {
-		if _, err := e.AddView(name, xmark.View(name)); err != nil {
+	for _, v := range maintainedViews() {
+		if _, err := e.AddView(v.name, v.p); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -105,31 +105,6 @@ func TestSnapshotAndJSON(t *testing.T) {
 	}
 }
 
-func TestBreakdown(t *testing.T) {
-	var b Breakdown // nil: Set/AddPhase must allocate
-	b = b.Set(PhaseFindTargets, 5)
-	b = b.AddPhase(PhaseExecuteUpdate, 7)
-	b = b.AddPhase(PhaseExecuteUpdate, 3)
-	other := Breakdown{PhaseComputeDelta: 10}
-	b = b.Add(other)
-	if b.Total() != 25 {
-		t.Fatalf("total %v", b.Total())
-	}
-	if b.Get(PhaseExecuteUpdate) != 10 {
-		t.Fatalf("exec %v", b.Get(PhaseExecuteUpdate))
-	}
-	c := b.Clone()
-	c[PhaseFindTargets] = 99
-	if b.Get(PhaseFindTargets) != 5 {
-		t.Fatal("clone aliases original")
-	}
-	m := New()
-	b.RecordInto(m, "core")
-	if m.Histogram("core."+PhaseComputeDelta).Sum() != 10 {
-		t.Fatal("RecordInto missed a phase")
-	}
-}
-
 func TestCollectTracer(t *testing.T) {
 	var tr CollectTracer
 	end := StartSpan(&tr, "apply/view:Q1/execute_update")

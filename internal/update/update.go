@@ -8,6 +8,7 @@ package update
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -235,47 +236,124 @@ func Run(d *xmltree.Document, s *store.Store, st *Statement) (*PUL, *Applied, er
 	return pul, applied, nil
 }
 
-// DeltaTables implements CD+/CD− (Algorithm 2): for each requested label it
-// extracts, from the affected subtree roots, the ordered collection of
-// matching nodes — the ∆ relation of that label. Labels follow pattern
-// conventions: "*" collects all elements, "@x" attributes, "#text" text. A
-// label no node of the forest matches has no entry in the result.
-func DeltaTables(roots []*xmltree.Node, labels []string) map[string][]algebra.Item {
-	want := make(map[string]bool, len(labels))
-	var words []string
-	star := false
-	for _, l := range labels {
-		switch {
-		case l == "*":
-			star = true
-		case strings.HasPrefix(l, "~"):
-			words = append(words, l[1:])
-		default:
-			want[l] = true
+// Labels is a prepared label set for CD+/CD−: every label it holds has a
+// slot, the index of its ∆ table, fixed once given. Labels follow pattern
+// conventions: "*" matches every element, "~word" every text node holding
+// the word, any other label ("name", "@x", "#text") the nodes it names. The
+// zero value is an empty set.
+type Labels struct {
+	plain []labelSlot // by find's order
+	star  int         // slot of "*" plus one; 0 when the set lacks it
+	words []labelSlot // by word
+	n     int
+}
+
+type labelSlot struct {
+	label string
+	slot  int
+}
+
+// Add puts label in the set, unless it is there already, and returns its
+// slot.
+func (ls *Labels) Add(label string) int {
+	word, isWord := strings.CutPrefix(label, "~")
+	switch {
+	case label == "*":
+		if ls.star == 0 {
+			ls.star = ls.next() + 1
+		}
+		return ls.star - 1
+	case isWord:
+		for _, w := range ls.words {
+			if w.label == word {
+				return w.slot
+			}
+		}
+		s := ls.next()
+		ls.words = append(ls.words, labelSlot{word, s})
+		return s
+	}
+	i, ok := ls.find(label)
+	if !ok {
+		ls.plain = slices.Insert(ls.plain, i, labelSlot{label, ls.next()})
+	}
+	return ls.plain[i].slot
+}
+
+// find binary-searches the plain labels, ordered by length and then by
+// bytes, so that most comparisons a walk makes compare two lengths. A
+// tenant's set is a few dozen labels, held in a few hundred bytes where a
+// map takes about a kilobyte.
+func (ls *Labels) find(label string) (int, bool) {
+	lo, hi := 0, len(ls.plain)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l := ls.plain[m].label; len(l) < len(label) || len(l) == len(label) && l < label {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	out := make(map[string][]algebra.Item, len(labels))
+	return lo, lo < len(ls.plain) && ls.plain[lo].label == label
+}
+
+func (ls *Labels) next() int {
+	ls.n++
+	return ls.n - 1
+}
+
+// Len returns the number of slots.
+func (ls *Labels) Len() int { return ls.n }
+
+// Delta is one forest's ∆ tables (CD+/CD−, Algorithm 2): per slot of a
+// Labels set, the forest's nodes that slot's label matches, in document
+// order. It is read-only once built, so any number of goroutines may read
+// it, and Table hands its slices out capped: an append to one allocates
+// rather than writing into the table.
+type Delta struct {
+	tables [][]algebra.Item // nil when no node matched any label
+}
+
+// DeltaTables implements CD+/CD−: one walk of the affected subtree roots
+// extracts the ∆ relation of every label in ls.
+func DeltaTables(roots []*xmltree.Node, ls *Labels) Delta {
+	var d Delta
+	add := func(s int, n *xmltree.Node) {
+		if d.tables == nil {
+			d.tables = make([][]algebra.Item, ls.n)
+		}
+		d.tables[s] = append(d.tables[s], algebra.Item{ID: n.ID, Node: n})
+	}
 	for _, r := range roots {
 		xmltree.Walk(r, func(n *xmltree.Node) bool {
-			if label := n.Label(); want[label] {
-				out[label] = append(out[label], algebra.Item{ID: n.ID, Node: n})
+			if i, ok := ls.find(n.Label()); ok {
+				add(ls.plain[i].slot, n)
 			}
-			if star && n.Kind == xmltree.Element {
-				out["*"] = append(out["*"], algebra.Item{ID: n.ID, Node: n})
+			if ls.star > 0 && n.Kind == xmltree.Element {
+				add(ls.star-1, n)
 			}
-			for _, w := range words {
-				if n.MatchesWord(w) {
-					out["~"+w] = append(out["~"+w], algebra.Item{ID: n.ID, Node: n})
+			for _, w := range ls.words {
+				if n.MatchesWord(w.label) {
+					add(w.slot, n)
 				}
 			}
 			return true
 		})
 	}
-	for l := range out {
-		items := out[l]
-		sort.Slice(items, func(i, j int) bool { return items[i].ID.Compare(items[j].ID) < 0 })
+	for _, t := range d.tables {
+		slices.SortFunc(t, func(a, b algebra.Item) int { return a.ID.Compare(b.ID) })
 	}
-	return out
+	return d
+}
+
+// Table returns the ∆ relation of a slot, capped at its length. A slot
+// added to the set after the tables were built reads as empty.
+func (d Delta) Table(slot int) []algebra.Item {
+	if slot >= len(d.tables) {
+		return nil
+	}
+	t := d.tables[slot]
+	return t[:len(t):len(t)]
 }
 
 // InsertionPoints returns the PUL's target nodes (the p_i of Proposition

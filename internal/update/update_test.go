@@ -224,20 +224,51 @@ func TestDeltaTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt := DeltaTables(applied.InsertedRoots, []string{"a", "b", "c", "z", "*"})
-	if len(dt["a"]) != 1 || len(dt["b"]) != 2 || len(dt["c"]) != 1 {
-		t.Fatalf("delta sizes: a=%d b=%d c=%d", len(dt["a"]), len(dt["b"]), len(dt["c"]))
+	// A label set is prepared once: a label added twice keeps its slot.
+	var ls Labels
+	slot := map[string]int{}
+	for _, l := range []string{"a", "b", "c", "z", "*", "~x", "b", "*"} {
+		s := ls.Add(l)
+		if prev, ok := slot[l]; ok && prev != s {
+			t.Fatalf("label %s moved from slot %d to %d", l, prev, s)
+		}
+		slot[l] = s
 	}
-	if len(dt["z"]) != 0 {
+	if ls.Len() != 6 {
+		t.Fatalf("%d slots for six labels", ls.Len())
+	}
+	dt := DeltaTables(applied.InsertedRoots, &ls)
+	size := func(l string) int { return len(dt.Table(slot[l])) }
+	if size("a") != 1 || size("b") != 2 || size("c") != 1 {
+		t.Fatalf("delta sizes: a=%d b=%d c=%d", size("a"), size("b"), size("c"))
+	}
+	if size("z") != 0 || size("~x") != 0 {
 		t.Fatal("phantom delta")
 	}
-	if len(dt["*"]) != 4 {
-		t.Fatalf("star delta %d", len(dt["*"]))
+	if size("*") != 4 {
+		t.Fatalf("star delta %d", size("*"))
 	}
 	// Ordered by document order.
-	bs := dt["b"]
+	bs := dt.Table(slot["b"])
 	if bs[0].ID.Compare(bs[1].ID) >= 0 {
 		t.Fatal("delta table not ordered")
+	}
+	// Tables are handed out capped, so an append never lands in the table.
+	if cap(bs) != len(bs) {
+		t.Fatal("a table handed out with room to append into")
+	}
+	// A slot added after the walk reads as empty.
+	if len(dt.Table(ls.Add("late"))) != 0 {
+		t.Fatal("a late slot has a table")
+	}
+	// Word labels match text nodes holding the word.
+	d2 := mustDoc(t, `<r><p/></r>`)
+	_, applied2, err := Run(d2, store.New(d2), MustParse(`insert <a>x y</a> into /r/p`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(DeltaTables(applied2.InsertedRoots, &ls).Table(slot["~x"])); got != 1 {
+		t.Fatalf("word delta %d, want 1", got)
 	}
 }
 
