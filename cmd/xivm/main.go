@@ -6,7 +6,7 @@
 //	xivm -doc auction.xml \
 //	     -view 'Q1=for $b in doc("a")/site/people/person[@id] return $b/name/text()' \
 //	     -pattern 'V2=//a{ID}[//c{ID}]//b{ID}' \
-//	     [-policy snowcaps|leaves|cost] [-engine incr|lazy|full|ivma] [-rows] [-stats] \
+//	     [-policy snowcaps|leaves] [-engine incr|lazy|full|ivma] [-rows] [-stats] \
 //	     'insert <x/> into /site' 'delete //person[phone]' …
 //
 // Views are declared either in the paper's conjunctive XQuery dialect
@@ -94,7 +94,7 @@ func run(fs *flag.FlagSet, args []string) error {
 	docPath := fs.String("doc", "", "XML document to load (required)")
 	fs.Var(&views, "view", "NAME=view definition (repeatable)")
 	fs.Var(&patterns, "pattern", "NAME=tree pattern (repeatable)")
-	policy := fs.String("policy", "snowcaps", "lattice policy: snowcaps, leaves, or cost")
+	policy := fs.String("policy", "snowcaps", "lattice policy: snowcaps or leaves")
 	engine := fs.String("engine", "incr", "maintenance engine: incr, lazy, full, or ivma")
 	showRows := fs.Bool("rows", false, "print view rows after each statement")
 	stats := fs.Bool("stats", false, "print per-phase timing breakdowns")
@@ -349,8 +349,6 @@ func policyOptions(policy string) ([]core.Option, error) {
 		return nil, nil
 	case "leaves":
 		return []core.Option{core.WithPolicy(core.PolicyLeaves)}, nil
-	case "cost":
-		return []core.Option{core.WithPolicy(core.PolicyCost)}, nil
 	}
 	return nil, fmt.Errorf("unknown policy %q", policy)
 }

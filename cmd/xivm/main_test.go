@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,6 +16,10 @@ import (
 func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.xml")
+	one := filepath.Join(dir, "one.xml")
+	if err := os.WriteFile(one, []byte("<a/>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	const leader, addr = "http://127.0.0.1:1", "127.0.0.1:0"
 	for _, tc := range []struct {
 		args       []string
@@ -38,11 +43,12 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{args: []string{"-follow", leader, "-listen", addr, "-doc", missing}, flag: "-doc", mode: "-follow"},
 		{args: []string{"-follow", leader, "-listen", addr, "-data-dir", dir}, flag: "-data-dir", mode: "-follow"},
 
-		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-policy", "cost", "-engine", "lazy",
+		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-policy", "leaves", "-engine", "lazy",
 			"-rows", "-stats", "-save", dir, "-load", dir, "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-doc", missing, "-db", "shop", "-pattern", "V=//a{ID}", "-fsync", "never",
 			"-fsync-interval", "1ms", "-checkpoint-every", "8", "-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-doc", missing, "-fsync", "bogus"}, err: "bogus"},
+		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-policy", "cost"}, err: `unknown policy "cost"`},
 		{args: []string{"-listen", addr, "-doc", missing, "-data-dir", dir, "-pattern", "V=//a{ID}", "-queue-depth", "8",
 			"-max-batch", "1", "-request-timeout", "1s", "-drain-timeout", "1s"}, err: "missing.xml"},
 		{args: []string{"-follow", leader, "-listen", addr, "-policy", "bogus", "-request-timeout", "1s",

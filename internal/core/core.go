@@ -19,7 +19,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,17 +40,11 @@ const (
 	// PolicyLeaves materializes nothing beyond the canonical relations and
 	// recomputes internal joins on the fly.
 	PolicyLeaves
-	// PolicyCost materializes the snowcaps selected by the cost-based
-	// optimizer of costmodel.go, driven by Options.Profile.
-	PolicyCost
 )
 
 func (p Policy) String() string {
-	switch p {
-	case PolicyLeaves:
+	if p == PolicyLeaves {
 		return "leaves"
-	case PolicyCost:
-		return "cost"
 	}
 	return "snowcaps"
 }
@@ -72,22 +65,10 @@ type Options struct {
 	// DisableIDPruning turns off the inserted-ID-driven pruning of
 	// Propositions 3.8 / 4.7 (ablation).
 	DisableIDPruning bool
-	// Profile drives PolicyCost's snowcap selection (nil = uniform).
-	Profile UpdateProfile
 	// IndependencePrecheck, when non-nil, is consulted per view before
 	// propagation: statements it declares independent of a view skip that
 	// view entirely (see internal/independence for an implementation).
 	IndependencePrecheck func(p *pattern.Pattern, st *update.Statement) bool
-	// Parallel propagates each statement to all views concurrently. Views
-	// are independent during propagation (the document and canonical
-	// relations are read-only while views update), so this is safe and
-	// scales with the number of views.
-	Parallel bool
-	// SharedSnowcaps deduplicates snowcap materializations across views
-	// (Section 3.5's global optimization): identical sub-patterns are
-	// materialized once and maintained once per statement. Incompatible
-	// with deferred (Lazy) propagation.
-	SharedSnowcaps bool
 	// Metrics is the registry the engine records into; nil selects the
 	// process-wide obs.Default(). Pass a private registry (obs.New()) to
 	// isolate one engine's counters.
@@ -101,8 +82,7 @@ type Options struct {
 	// skipped. Both ApplyStatement(Ctx) and Lazy.Apply honor the hook.
 	Journal func(st *update.Statement) error
 	// Tracer, when non-nil, receives span start/finish events per
-	// statement, per phase and per view. Implementations must be safe for
-	// concurrent use when Parallel is set.
+	// statement, per phase and per view.
 	Tracer obs.Tracer
 	// OnApplied, when non-nil, is invoked AFTER each batch of source
 	// statements has landed — document mutated, every view maintained, and
@@ -123,14 +103,12 @@ type Engine struct {
 	Doc   *xmltree.Document
 	Store *store.Store
 	Views []*ManagedView
-	pool  *Pool
 	opts  Options
 	join  algebra.JoinFunc // physical join, instrumented
 	m     *engineMetrics
 	proj  algebra.ProjectCounters
-	// labels is the union of every view's and shared snowcap's pattern
-	// labels, each with its ∆-table slot: the label set a statement's one
-	// CD+/CD− walk extracts.
+	// labels is the union of every view's pattern labels, each with its
+	// ∆-table slot: the label set a statement's one CD+/CD− walk extracts.
 	labels update.Labels
 
 	// version counts successfully applied mutation batches (statements,
@@ -194,9 +172,6 @@ func NewEngine(doc *xmltree.Document, opts Options) *Engine {
 		base = algebra.StructuralJoin
 	}
 	e.join = algebra.InstrumentJoin(base, algebra.NewJoinCounters(reg))
-	if opts.SharedSnowcaps {
-		e.pool = NewPool(e.Store, e.Join(), &e.labels)
-	}
 	return e
 }
 
@@ -206,25 +181,8 @@ func (e *Engine) Metrics() *obs.Metrics { return e.m.reg }
 // span starts a tracer span, returning its (nil-safe) finish function.
 func (e *Engine) span(name string) func() { return obs.StartSpan(e.opts.Tracer, name) }
 
-// SharedPool returns the cross-view snowcap pool, or nil when sharing is
-// off.
-func (e *Engine) SharedPool() *Pool { return e.pool }
-
 // newLattice builds a view's lattice under the engine's policy.
 func (e *Engine) newLattice(p *pattern.Pattern) *Lattice {
-	var masks []uint64
-	switch {
-	case e.opts.Policy == PolicyCost:
-		masks = ChooseSnowcaps(p, e.Store, e.opts.Profile)
-	case e.opts.Policy == PolicySnowcaps:
-		masks = p.SnowcapChain()
-	}
-	if e.pool != nil && len(masks) > 0 {
-		return NewLatticePooled(p, masks, e.pool, e.Store, e.Join())
-	}
-	if e.opts.Policy == PolicyCost {
-		return NewLatticeMasks(p, masks, e.Store, e.Join())
-	}
 	return NewLattice(p, e.opts.Policy, e.Store, e.Join())
 }
 
@@ -533,25 +491,17 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 		// before the update and their content after it. The label index
 		// already lists the inserted subtrees (and reads the spine copies
 		// the insertion made), so the store hides them until every view's
-		// lattice and the shared snowcaps are maintained.
+		// lattice is maintained.
 		e.Store.Hide(applied.InsertedRoots)
 		delta := e.computeDelta(rep, applied.InsertedRoots)
 		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
 			return e.propagateInsert(mv, pul, delta)
 		})
-		if e.pool != nil {
-			// Shared snowcaps are maintained once per statement (like each
-			// view's own lattice).
-			e.pool.ApplyInsert(delta)
-		}
 		e.Store.Hide(nil)
 	case update.Delete:
 		applied, err := update.Apply(e.Doc, e.Store, pul)
 		if err != nil {
 			return nil, err
-		}
-		if e.pool != nil {
-			e.pool.ApplyDelete(applied.DeletedRoots)
 		}
 		delta := e.computeDelta(rep, applied.DeletedRoots)
 		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
@@ -588,15 +538,14 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 }
 
 // propagateAll runs one propagation function over every non-skipped view,
-// concurrently when Options.Parallel is set. The document and store must be
-// read-only for the duration (guaranteed by the ApplyPUL phase ordering).
-// Context cancellation is honored between views: a view whose propagation
-// has not started when ctx is cancelled is marked Cancelled instead of
-// being propagated (the caller repairs it afterwards). A panic inside one
-// view's propagation is likewise contained — the view is marked Panicked
-// and repaired by recomputation — so a single poisoned view cannot take
-// down the whole apply path (or, under Parallel, the entire process via an
-// unrecovered goroutine panic).
+// one view after another. The document and store must be read-only for the
+// duration (guaranteed by the ApplyPUL phase ordering). Context
+// cancellation is honored between views: a view whose propagation has not
+// started when ctx is cancelled is marked Cancelled instead of being
+// propagated (the caller repairs it afterwards). A panic inside one view's
+// propagation is likewise contained — the view is marked Panicked and
+// repaired by recomputation — so a single poisoned view cannot take down
+// the whole apply path.
 func (e *Engine) propagateAll(ctx context.Context, skip map[*ManagedView]bool, f func(*ManagedView) ViewReport) []ViewReport {
 	propagate := func(mv *ManagedView) (vr ViewReport) {
 		if ctx.Err() != nil {
@@ -612,31 +561,14 @@ func (e *Engine) propagateAll(ctx context.Context, skip map[*ManagedView]bool, f
 		return f(mv)
 	}
 	out := make([]ViewReport, len(e.Views))
-	if !e.opts.Parallel || len(e.Views) < 2 {
-		for i, mv := range e.Views {
-			if skip[mv] {
-				e.m.viewsSkipped.Inc()
-				out[i] = ViewReport{View: mv, Skipped: true}
-				continue
-			}
-			out[i] = propagate(mv)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
 	for i, mv := range e.Views {
 		if skip[mv] {
 			e.m.viewsSkipped.Inc()
 			out[i] = ViewReport{View: mv, Skipped: true}
 			continue
 		}
-		wg.Add(1)
-		go func(i int, mv *ManagedView) {
-			defer wg.Done()
-			out[i] = propagate(mv)
-		}(i, mv)
+		out[i] = propagate(mv)
 	}
-	wg.Wait()
 	return out
 }
 
@@ -654,9 +586,9 @@ func (e *Engine) viewSpan(mv *ManagedView, phase string) func() {
 }
 
 // computeDelta builds the ∆ tables (CD+/CD−) of a statement's inserted or
-// detached subtrees: one walk, over the labels of every view and shared
-// snowcap, whose tables every view then reads. Its cost is the report's
-// ComputeDelta, observed once per statement in core.phase.compute_delta.
+// detached subtrees: one walk, over the labels of every view, whose tables
+// every view then reads. Its cost is the report's ComputeDelta, observed
+// once per statement in core.phase.compute_delta.
 func (e *Engine) computeDelta(rep *Report, roots []*xmltree.Node) update.Delta {
 	end := e.span(obs.PhaseComputeDelta)
 	t0 := time.Now()

@@ -8,6 +8,7 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/pattern"
+	"xivm/internal/store"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
 )
@@ -465,6 +466,19 @@ func TestLatticeStaysConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkLattice(t, e, mv, fmt.Sprintf("step %d", step))
+	}
+}
+
+// TestLatticeMasksEmptyFallsBackToLeaves: a leaves lattice materializes no
+// mask and computes every block on the fly.
+func TestLatticeMasksEmptyFallsBackToLeaves(t *testing.T) {
+	d := mustDoc(t, `<a><b/></a>`)
+	l := NewLattice(pattern.MustParse(`//a{ID}//b{ID}`), PolicyLeaves, store.New(d), nil)
+	if l.Policy != PolicyLeaves || len(l.Materialized()) != 0 {
+		t.Fatalf("policy %v, %d materialized", l.Policy, len(l.Materialized()))
+	}
+	if b := l.Block(1); len(b.Cols) != 1 {
+		t.Fatalf("block cols %v", b.Cols)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"xivm/internal/obs"
@@ -14,13 +13,11 @@ import (
 
 // cancelOnSpan is a tracer that cancels a context the Nth time a span whose
 // name matches the prefix starts — a deterministic way to cancel mid-pass
-// without sleeping. Parallel propagation starts view spans from concurrent
-// goroutines, so the counter must be synchronized.
+// without sleeping.
 type cancelOnSpan struct {
 	prefix string
 	after  int // cancel when the (after+1)-th matching span starts
 	cancel context.CancelFunc
-	mu     sync.Mutex
 	seen   int
 }
 
@@ -30,13 +27,10 @@ func (noopSpan) End() {}
 
 func (c *cancelOnSpan) StartSpan(name string) obs.Span {
 	if strings.HasPrefix(name, c.prefix) {
-		c.mu.Lock()
-		fire := c.seen == c.after
-		c.seen++
-		c.mu.Unlock()
-		if fire {
+		if c.seen == c.after {
 			c.cancel()
 		}
+		c.seen++
 	}
 	return noopSpan{}
 }
@@ -149,15 +143,17 @@ func TestCtxCancelBetweenReplaceHalves(t *testing.T) {
 	}
 }
 
-// TestCtxParallelCancel: cancellation under concurrent propagation leaves
-// every view consistent (run with -race in CI).
-func TestCtxParallelCancel(t *testing.T) {
+// TestCtxCancelBetweenViews: views propagate one after another, so a
+// cancellation that fires inside one view's propagation lets that view
+// finish and cancels every later one — the cancelled views are a suffix of
+// the report — and every view, propagated or repaired, stays consistent.
+func TestCtxCancelBetweenViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		tr := &cancelOnSpan{prefix: "view:", after: trial % 4, cancel: cancel}
 		d := mustDoc(t, randomXML(rng, 3, 4))
-		e := New(d, WithParallel(), WithMetrics(obs.New()), WithTracer(tr))
+		e := New(d, WithMetrics(obs.New()), WithTracer(tr))
 		views := []string{
 			`//a{ID}//b{ID}`, `//a{ID}[//b{ID}//c{ID}]//d{ID}`,
 			`//root{ID}/a{ID,val}`, `//a{ID}//b{ID,cont}`, `//a{ID}[val="5"]//b{ID}`,
@@ -167,9 +163,19 @@ func TestCtxParallelCancel(t *testing.T) {
 			mvs = append(mvs, addView(t, e, v))
 		}
 		stmt := randomStatement(rng)
-		_, err := e.ApplyStatementCtx(ctx, update.MustParse(stmt))
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("trial %d (%s): %v", trial, stmt, err)
+		rep, err := e.ApplyStatementCtx(ctx, update.MustParse(stmt))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d (%s): err = %v, want context.Canceled", trial, stmt, err)
+		}
+		if rep != nil { // a replace cancelled in its delete half reports nothing
+			if rep.Views[0].Cancelled || !rep.Views[len(rep.Views)-1].Cancelled {
+				t.Fatalf("trial %d (%s): the first view must propagate and the last be cancelled", trial, stmt)
+			}
+			for i := 1; i < len(rep.Views); i++ {
+				if rep.Views[i-1].Cancelled && !rep.Views[i].Cancelled {
+					t.Fatalf("trial %d (%s): view %d propagated after view %d was cancelled", trial, stmt, i, i-1)
+				}
+			}
 		}
 		for i, mv := range mvs {
 			if !e.CheckView(mv) {
@@ -202,17 +208,16 @@ func TestApplyPULCtx(t *testing.T) {
 	}
 }
 
-// TestParallelRaceMixedStream exercises the functional-option constructor
-// with concurrent propagation, a shared collecting tracer and a mixed
-// insert/delete/replace stream over five views — the -race workout.
-func TestParallelRaceMixedStream(t *testing.T) {
+// TestTracedMixedStream exercises the functional-option constructor with a
+// shared collecting tracer and a mixed insert/delete/replace stream over
+// five views.
+func TestTracedMixedStream(t *testing.T) {
 	var tr obs.CollectTracer
 	rng := rand.New(rand.NewSource(57))
 	labels := []string{"a", "b", "c", "d", "e"}
 	for trial := 0; trial < 4; trial++ {
 		d := mustDoc(t, randomXML(rng, 3, 4))
 		e := New(d,
-			WithParallel(),
 			WithMetrics(obs.New()),
 			WithTracer(&tr),
 			WithPolicy(PolicySnowcaps),

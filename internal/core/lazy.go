@@ -42,12 +42,7 @@ type Lazy struct {
 // tracks the nodes it inserted by pointer (see Flush), so Lazy runs only on
 // a document that is never published (Engine.Snapshot): there a node keeps
 // its pointer for life.
-func NewLazy(e *Engine) *Lazy {
-	if e.pool != nil {
-		panic("core: deferred propagation is incompatible with SharedSnowcaps")
-	}
-	return &Lazy{e: e}
-}
+func NewLazy(e *Engine) *Lazy { return &Lazy{e: e} }
 
 // Pending returns the number of statements applied since the last flush.
 func (l *Lazy) Pending() int { return l.pending }

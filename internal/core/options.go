@@ -15,11 +15,11 @@ type Option func(*Options)
 // New indexes the document and returns an engine configured by the given
 // options — the preferred constructor:
 //
-//	e := core.New(doc, core.WithParallel(), core.WithTracer(t))
+//	e := core.New(doc, core.WithPolicy(core.PolicyLeaves), core.WithTracer(t))
 //
 // New(doc) with no options is equivalent to NewEngine(doc, Options{}): the
 // paper's default configuration (snowcap policy, Dewey structural joins,
-// all pruning enabled, sequential propagation, process-wide metrics).
+// all pruning enabled, process-wide metrics).
 func New(doc *xmltree.Document, options ...Option) *Engine {
 	var opts Options
 	for _, o := range options {
@@ -33,12 +33,6 @@ func WithPolicy(p Policy) Option { return func(o *Options) { o.Policy = p } }
 
 // WithJoin overrides the physical join used for every structural join.
 func WithJoin(j algebra.JoinFunc) Option { return func(o *Options) { o.Join = j } }
-
-// WithParallel propagates each statement to all views concurrently.
-func WithParallel() Option { return func(o *Options) { o.Parallel = true } }
-
-// WithSharedSnowcaps deduplicates snowcap materializations across views.
-func WithSharedSnowcaps() Option { return func(o *Options) { o.SharedSnowcaps = true } }
 
 // WithIndependencePrecheck installs a static update/view independence test;
 // statements it proves independent of a view skip that view entirely.

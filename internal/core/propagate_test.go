@@ -15,8 +15,7 @@ import (
 
 // armablePanicJoin delegates to the default structural join until armed,
 // then panics exactly once — a deterministic way to blow up one view's
-// propagation mid-statement without touching the others. Safe under
-// parallel propagation (the arm flag is consumed atomically).
+// propagation mid-statement without touching the others.
 type armablePanicJoin struct {
 	armed atomic.Bool
 }
@@ -30,75 +29,64 @@ func (j *armablePanicJoin) join(left algebra.Block, lIdx int, right algebra.Bloc
 
 // TestPropagatePanicRepaired: a panic inside one view's propagation must
 // not escape ApplyStatement. The panicking view is reported, repaired by
-// recomputation, and the engine keeps applying statements afterwards —
-// sequentially and under parallel propagation (where, before containment,
-// the panic would have killed the process from inside a goroutine).
+// recomputation, and the engine keeps applying statements afterwards.
 func TestPropagatePanicRepaired(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
+	// Propagation is sequential: views are walked one after another.
+	t.Run("sequential", func(t *testing.T) {
+		reg := obs.New()
+		pj := &armablePanicJoin{}
+		d := mustDoc(t, `<root><a><b><c>5</c></b></a><a><b><c>7</c></b></a></root>`)
+		e := New(d, WithMetrics(reg), WithJoin(pj.join))
+		views := []string{
+			`//a{ID}//b{ID}`,
+			`//a{ID}//b{ID}//c{ID,val}`,
+			`//root{ID}//c{ID}`,
 		}
-		t.Run(name, func(t *testing.T) {
-			reg := obs.New()
-			pj := &armablePanicJoin{}
-			opts := []Option{WithMetrics(reg), WithJoin(pj.join)}
-			if parallel {
-				opts = append(opts, WithParallel())
-			}
-			d := mustDoc(t, `<root><a><b><c>5</c></b></a><a><b><c>7</c></b></a></root>`)
-			e := New(d, opts...)
-			views := []string{
-				`//a{ID}//b{ID}`,
-				`//a{ID}//b{ID}//c{ID,val}`,
-				`//root{ID}//c{ID}`,
-			}
-			var mvs []*ManagedView
-			for _, v := range views {
-				mvs = append(mvs, addView(t, e, v))
-			}
+		var mvs []*ManagedView
+		for _, v := range views {
+			mvs = append(mvs, addView(t, e, v))
+		}
 
-			pj.armed.Store(true)
-			rep, err := e.ApplyStatement(update.MustParse(`insert <b><c>9</c></b> into /root/a`))
-			if err != nil {
-				t.Fatalf("apply with panicking view: %v", err)
+		pj.armed.Store(true)
+		rep, err := e.ApplyStatement(update.MustParse(`insert <b><c>9</c></b> into /root/a`))
+		if err != nil {
+			t.Fatalf("apply with panicking view: %v", err)
+		}
+		panicked := 0
+		for _, vr := range rep.Views {
+			if vr.Panicked {
+				panicked++
 			}
-			panicked := 0
-			for _, vr := range rep.Views {
-				if vr.Panicked {
-					panicked++
-				}
+		}
+		if panicked != 1 {
+			t.Fatalf("panicked views = %d, want 1", panicked)
+		}
+		if got := reg.CounterValue("core.views.panicked"); got != 1 {
+			t.Fatalf("core.views.panicked = %d, want 1", got)
+		}
+		for i, mv := range mvs {
+			if !e.CheckView(mv) {
+				t.Fatalf("view %s inconsistent after repaired panic", views[i])
 			}
-			if panicked != 1 {
-				t.Fatalf("panicked views = %d, want 1", panicked)
-			}
-			if got := reg.CounterValue("core.views.panicked"); got != 1 {
-				t.Fatalf("core.views.panicked = %d, want 1", got)
-			}
-			for i, mv := range mvs {
-				if !e.CheckView(mv) {
-					t.Fatalf("view %s inconsistent after repaired panic", views[i])
-				}
-			}
+		}
 
-			// The writer loop scenario: the next statement (join disarmed)
-			// must propagate normally.
-			rep2, err := e.ApplyStatement(update.MustParse(`delete /root/a/b`))
-			if err != nil {
-				t.Fatalf("apply after panic: %v", err)
+		// The writer loop scenario: the next statement (join disarmed) must
+		// propagate normally.
+		rep2, err := e.ApplyStatement(update.MustParse(`delete /root/a/b`))
+		if err != nil {
+			t.Fatalf("apply after panic: %v", err)
+		}
+		for _, vr := range rep2.Views {
+			if vr.Panicked {
+				t.Fatal("panic flag leaked into the next statement")
 			}
-			for _, vr := range rep2.Views {
-				if vr.Panicked {
-					t.Fatal("panic flag leaked into the next statement")
-				}
+		}
+		for i, mv := range mvs {
+			if !e.CheckView(mv) {
+				t.Fatalf("view %s inconsistent after post-panic statement", views[i])
 			}
-			for i, mv := range mvs {
-				if !e.CheckView(mv) {
-					t.Fatalf("view %s inconsistent after post-panic statement", views[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestReplaceReportsInsertHalfPanic: a replace is two propagations, and its

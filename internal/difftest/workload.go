@@ -1,9 +1,8 @@
 // Package difftest is a differential correctness harness: randomized
 // XMark-style documents and update workloads run through every maintenance
 // path the engine offers — eager propagation under each materialization
-// policy, deferred (lazy) batches of varying size, parallel propagation,
-// shared snowcaps, both pruning ablations, and the IVMA node-at-a-time
-// competitor — asserting after every statement (or flush) that each
+// policy, deferred (lazy) batches of varying size, both pruning ablations,
+// and the IVMA node-at-a-time competitor — asserting after every statement (or flush) that each
 // maintained view is byte-identical to a fresh evaluation over the mutated
 // document, and that the canonical relations match a store rebuilt from
 // scratch. Failing workloads shrink to minimal counterexamples, and Go

@@ -4,8 +4,7 @@
 // (internal/core, internal/algebra, internal/store, internal/pulopt) is
 // instrumented against it, so every experiment can also emit the counter
 // profile that explains its timings — the maintenance-cost accounting that
-// cost-based policies (core.PolicyCost, view-rewriting planners) need on
-// live workloads.
+// view-rewriting planners need on live workloads.
 //
 // All hot-path operations (Counter.Add, Histogram.Observe) are lock-free
 // and safe for concurrent use; nil receivers are no-ops, so instrumented

@@ -8,8 +8,8 @@ import (
 
 // Tracer receives span start/finish events from the engine: one span per
 // statement, per propagation phase, and per view in a fan-out.
-// Implementations must be safe for concurrent use — under parallel
-// propagation, per-view spans start and finish from different goroutines.
+// Implementations must be safe for concurrent use: one tracer may serve
+// several engines, each applying on its own goroutine.
 type Tracer interface {
 	// StartSpan begins a span with a slash-separated name (e.g.
 	// "apply/view:Q1/execute_update") and returns its handle.

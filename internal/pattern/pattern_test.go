@@ -134,25 +134,38 @@ func TestIsSnowcapAndUpClosed(t *testing.T) {
 	}
 }
 
+// TestSnowcapChain pins the chain shape the lattice maintains with
+// Proposition 3.13's recurrence: one snowcap per level, starting at the
+// root, each adding one node whose pattern parent the level before holds,
+// and ending at the full pattern.
 func TestSnowcapChain(t *testing.T) {
-	p := MustParse(v1Src)
-	chain := p.SnowcapChain()
-	if len(chain) != p.Size() {
-		t.Fatalf("chain length %d", len(chain))
-	}
-	for i, m := range chain {
-		if bits.OnesCount64(m) != i+1 {
-			t.Fatalf("chain[%d] has %d nodes", i, bits.OnesCount64(m))
+	for _, src := range []string{
+		`//a{ID}`,
+		`/a{ID}/b{ID}/c{ID}/d{ID}/e{ID}/f{ID}/g{ID}`,
+		v1Src,
+		`//a{ID}[//b{ID}][//c{ID}[val="5"]][//d{ID}]//e{ID,val}`,
+		`//a{ID}[/b{ID}[//c{ID}]//d{ID}][//e{ID}/f{ID}[/g{ID}]/h{ID}]//i{ID}[//j{ID}]//k{ID}/l{ID}`, // 12 nodes
+	} {
+		p := MustParse(src)
+		chain := p.SnowcapChain()
+		if len(chain) != p.Size() || chain[0] != 1 {
+			t.Fatalf("%s: chain %b, want %d levels from the root", src, chain, p.Size())
 		}
-		if !p.IsSnowcap(m) {
-			t.Fatalf("chain[%d]=%b not a snowcap", i, m)
+		for i := 1; i < len(chain); i++ {
+			added := chain[i] &^ chain[i-1]
+			if chain[i-1]&^chain[i] != 0 || bits.OnesCount64(added) != 1 {
+				t.Fatalf("%s: chain[%d]=%b does not add one node to %b", src, i, chain[i], chain[i-1])
+			}
+			if !MaskContains(chain[i-1], p.ParentIndex(bits.TrailingZeros64(added))) {
+				t.Fatalf("%s: chain[%d] adds a node whose parent is not in the level before", src, i)
+			}
+			if !p.IsSnowcap(chain[i]) {
+				t.Fatalf("%s: chain[%d]=%b not a snowcap", src, i, chain[i])
+			}
 		}
-		if i > 0 && chain[i-1]&^m != 0 {
-			t.Fatal("chain not nested")
+		if chain[len(chain)-1] != p.FullMask() {
+			t.Fatalf("%s: chain must end at the full pattern", src)
 		}
-	}
-	if chain[len(chain)-1] != p.FullMask() {
-		t.Fatal("chain must end at the full pattern")
 	}
 }
 

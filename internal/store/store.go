@@ -34,9 +34,9 @@ import (
 // hidden from every read (Hide).
 //
 // Concurrency: any number of goroutines may read (Items, Count, Inputs,
-// Labels) at once — parallel propagation does — but not while the document
-// mutates, nor while Changed or Hide runs. mu serializes the cold builds of
-// the derived relations, which concurrent readers may start at once.
+// Labels) at once, but not while the document mutates, nor while Changed
+// or Hide runs. mu serializes the cold builds of the derived relations,
+// which concurrent readers may start at once.
 type Store struct {
 	doc *xmltree.Document
 

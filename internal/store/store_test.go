@@ -177,9 +177,8 @@ func TestHiddenSubtreesCutByKeyPrefix(t *testing.T) {
 }
 
 // TestParallelReadDuringRemove deletes subtrees while concurrent readers
-// iterate previously returned Items() slices — the WithParallel() data-race
-// scenario. Run under -race this fails if a handed-out slice shares memory
-// with the label index the deletes edit.
+// iterate previously returned Items() slices. Run under -race this fails if
+// a handed-out slice shares memory with the label index the deletes edit.
 func TestParallelReadDuringRemove(t *testing.T) {
 	d := mustDoc(t, `<a><c><b>1</b><b>2</b></c><c><b>3</b></c><c><b>4</b></c><c><b>5</b></c></a>`)
 	s := New(d)
@@ -463,10 +462,10 @@ func TestSnapshotErrors(t *testing.T) {
 
 // TestConcurrentItemsDuringMutation: the read entry points (Items, Count,
 // Labels) from several goroutines at once, cold derived relations
-// included — parallel propagation — and then, while the writer inserts and
-// deletes a subtree, each reader going over the slices it retained, which
-// must keep their contents. Run under -race it also fails if a retained
-// slice shares memory with the label index the writer edits in place.
+// included, and then, while the writer inserts and deletes a subtree, each
+// reader going over the slices it retained, which must keep their
+// contents. Run under -race it also fails if a retained slice shares
+// memory with the label index the writer edits in place.
 func TestConcurrentItemsDuringMutation(t *testing.T) {
 	d := mustDoc(t, `<a><c><b>1</b><b>2</b></c><c><b>3</b></c></a>`)
 	s := New(d)

@@ -132,11 +132,11 @@ func TestWordIndexInvalidation(t *testing.T) {
 }
 
 // TestWordIndexConcurrentWithMutations drives "~word" queries from several
-// goroutines at once, cold entries included — parallel propagation over a
-// view with a word leaf — and between those rounds inserts and deletes a
-// text-bearing subtree while the readers go over the entries they were
-// served. Run under -race this catches a cold build that is not serialized,
-// and an entry that shares memory with what the mutation edits.
+// goroutines at once, cold entries included, and between those rounds
+// inserts and deletes a text-bearing subtree while the readers go over
+// the entries they were served. Run under -race this catches a cold build
+// that is not serialized, and an entry that shares memory with what the
+// mutation edits.
 //
 // Every answer must be consistent with the state the document is in: each
 // returned item's node really contains the word, and Count is 2 matches

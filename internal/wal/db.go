@@ -52,7 +52,7 @@ type Options struct {
 	// FS selects the filesystem (nil = OSFS); the fault-injection tests
 	// substitute a crashing one.
 	FS FS
-	// Engine is extra engine configuration (policy, parallelism, …). It
+	// Engine is extra engine configuration (policy, metrics, tracer, …). It
 	// must not include WithJournal — the DB owns the journal hook.
 	Engine []core.Option
 }
