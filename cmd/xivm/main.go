@@ -6,7 +6,7 @@
 //	xivm -doc auction.xml \
 //	     -view 'Q1=for $b in doc("a")/site/people/person[@id] return $b/name/text()' \
 //	     -pattern 'V2=//a{ID}[//c{ID}]//b{ID}' \
-//	     [-policy snowcaps|leaves] [-engine incr|lazy|full|ivma] [-rows] [-stats] \
+//	     [-policy snowcaps|leaves] [-engine incr|full|ivma] [-rows] [-stats] \
 //	     'insert <x/> into /site' 'delete //person[phone]' …
 //
 // Views are declared either in the paper's conjunctive XQuery dialect
@@ -38,7 +38,6 @@ import (
 	_ "net/http/pprof" // -serve exposes /debug/pprof
 	"os"
 	"os/signal"
-	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
@@ -48,7 +47,6 @@ import (
 	"xivm/internal/core"
 	"xivm/internal/obs"
 	"xivm/internal/server"
-	"xivm/internal/store"
 	"xivm/internal/update"
 	"xivm/internal/wal"
 	"xivm/internal/xmltree"
@@ -71,10 +69,10 @@ func main() {
 // rather than dropped.
 var modeReads = map[string][]string{
 	"-follow":          {"follow", "listen", "policy", "request-timeout", "drain-timeout"},
-	"-listen":          {"listen", "data-dir", "db", "doc", "view", "pattern", "policy", "engine", "fsync", "fsync-interval", "checkpoint-every", "queue-depth", "max-batch", "request-timeout", "drain-timeout"},
-	"-verify-recovery": {"verify-recovery", "data-dir", "db", "doc", "policy", "engine", "fsync", "fsync-interval", "checkpoint-every"},
-	"-data-dir":        {"data-dir", "db", "doc", "view", "pattern", "policy", "engine", "fsync", "fsync-interval", "checkpoint-every", "rows", "stats", "metrics"},
-	"batch":            {"doc", "view", "pattern", "policy", "engine", "rows", "stats", "save", "load", "metrics"},
+	"-listen":          {"listen", "data-dir", "db", "doc", "view", "pattern", "policy", "fsync", "fsync-interval", "checkpoint-every", "queue-depth", "max-batch", "request-timeout", "drain-timeout"},
+	"-verify-recovery": {"verify-recovery", "data-dir", "db", "doc", "policy", "fsync", "fsync-interval", "checkpoint-every"},
+	"-data-dir":        {"data-dir", "db", "doc", "view", "pattern", "policy", "fsync", "fsync-interval", "checkpoint-every", "rows", "stats", "metrics"},
+	"batch":            {"doc", "view", "pattern", "policy", "engine", "rows", "stats", "metrics"},
 }
 
 // checkModeFlags refuses the first explicitly set flag that mode does not
@@ -95,11 +93,9 @@ func run(fs *flag.FlagSet, args []string) error {
 	fs.Var(&views, "view", "NAME=view definition (repeatable)")
 	fs.Var(&patterns, "pattern", "NAME=tree pattern (repeatable)")
 	policy := fs.String("policy", "snowcaps", "lattice policy: snowcaps or leaves")
-	engine := fs.String("engine", "incr", "maintenance engine: incr, lazy, full, or ivma")
+	engine := fs.String("engine", "incr", "batch mode maintenance engine: incr, full, or ivma")
 	showRows := fs.Bool("rows", false, "print view rows after each statement")
 	stats := fs.Bool("stats", false, "print per-phase timing breakdowns")
-	saveDir := fs.String("save", "", "directory to write per-view binary snapshots after all statements")
-	loadDir := fs.String("load", "", "directory to restore per-view snapshots from (instead of materializing)")
 	metricsOut := fs.String("metrics", "", `dump engine metrics when done: "json" to stdout, or a file path`)
 	serveAddr := fs.String("serve", "", "serve /debug/pprof and /debug/vars on this address (e.g. :6060)")
 	dataDir := fs.String("data-dir", "", "durable mode: tenant root directory; each database journals to <data-dir>/<name>")
@@ -179,7 +175,6 @@ func run(fs *flag.FlagSet, args []string) error {
 			views:           views,
 			patterns:        patterns,
 			policy:          *policy,
-			engine:          *engine,
 			fsync:           *fsync,
 			fsyncInterval:   *fsyncInterval,
 			checkpointEvery: *checkpointEvery,
@@ -193,7 +188,6 @@ func run(fs *flag.FlagSet, args []string) error {
 			views:           views,
 			patterns:        patterns,
 			policy:          *policy,
-			engine:          *engine,
 			fsync:           *fsync,
 			fsyncInterval:   *fsyncInterval,
 			checkpointEvery: *checkpointEvery,
@@ -205,6 +199,11 @@ func run(fs *flag.FlagSet, args []string) error {
 		})
 	}
 
+	switch *engine {
+	case "incr", "full", "ivma":
+	default:
+		return fmt.Errorf("unknown engine %q", *engine)
+	}
 	if *docPath == "" {
 		return fmt.Errorf("-doc is required")
 	}
@@ -229,36 +228,16 @@ func run(fs *flag.FlagSet, args []string) error {
 		return err
 	}
 	for _, s := range specs {
-		if *loadDir == "" {
-			mv, err := e.AddView(s.name, s.p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("view %-8s %s  (%d rows)\n", s.name, s.p, mv.View.Len())
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(*loadDir, s.name+".xivm"))
-		if err != nil {
-			return fmt.Errorf("load view %s: %w", s.name, err)
-		}
-		rows, err := store.DecodeSnapshot(data)
-		if err != nil {
-			return fmt.Errorf("load view %s: %w", s.name, err)
-		}
-		mv, err := e.AddViewRows(s.name, s.p, rows)
+		mv, err := e.AddView(s.name, s.p)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("view %-8s %s  (%d rows, restored)\n", s.name, s.p, mv.View.Len())
+		fmt.Printf("view %-8s %s  (%d rows)\n", s.name, s.p, mv.View.Len())
 	}
 	if len(e.Views) == 0 {
 		return fmt.Errorf("no views declared (-view / -pattern)")
 	}
 
-	var lazy *core.Lazy
-	if *engine == "lazy" {
-		lazy = core.NewLazy(e)
-	}
 	for _, stmt := range fs.Args() {
 		if ctx.Err() != nil {
 			fmt.Println("\ninterrupted: remaining statements skipped")
@@ -270,11 +249,6 @@ func run(fs *flag.FlagSet, args []string) error {
 		}
 		fmt.Printf("\n>> %s\n", stmt)
 		switch *engine {
-		case "lazy":
-			if err := lazy.Apply(st); err != nil {
-				return err
-			}
-			fmt.Printf("deferred (%d pending)\n", lazy.Pending())
 		case "incr":
 			rep, err := e.ApplyStatement(st)
 			if err != nil {
@@ -293,35 +267,13 @@ func run(fs *flag.FlagSet, args []string) error {
 				return err
 			}
 			fmt.Printf("ivma propagation in %v\n", d)
-		default:
-			return fmt.Errorf("unknown engine %q", *engine)
 		}
 		if *showRows {
 			printRows(e)
 		}
 	}
-	if lazy != nil {
-		d, err := lazy.Flush()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nflushed deferred batch in %v\n", d)
-	}
 	if !*showRows {
 		printRows(e)
-	}
-	if *saveDir != "" {
-		if err := os.MkdirAll(*saveDir, 0o755); err != nil {
-			return err
-		}
-		for _, mv := range e.Views {
-			data := e.Store.EncodeView(mv.View)
-			path := filepath.Join(*saveDir, mv.Name+".xivm")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("saved %s (%d bytes)\n", path, len(data))
-		}
 	}
 	if *metricsOut != "" {
 		return writeMetrics(e.Metrics(), *metricsOut)
@@ -381,7 +333,6 @@ type durableConfig struct {
 	views           []string
 	patterns        []string
 	policy          string
-	engine          string
 	fsync           string
 	fsyncInterval   time.Duration
 	checkpointEvery int
@@ -412,9 +363,6 @@ func resolveTenantDir(root, db string) (string, error) {
 // between statements; everything acknowledged so far is synced on the way
 // out.
 func runDurable(ctx context.Context, cfg durableConfig) error {
-	if cfg.engine != "incr" {
-		return fmt.Errorf("-data-dir supports only -engine incr (the log replays through the incremental engine)")
-	}
 	specs, err := compileViewSpecs(cfg.views, cfg.patterns)
 	if err != nil {
 		return err

@@ -30,10 +30,9 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{args: []string{"-listen", addr, "-doc", missing, "-rows"}, flag: "-rows", mode: "-listen"},
 		{args: []string{"-listen", addr, "-doc", missing, "-stats"}, flag: "-stats", mode: "-listen"},
 		{args: []string{"-listen", addr, "-doc", missing, "-metrics", "json"}, flag: "-metrics", mode: "-listen"},
-		{args: []string{"-listen", addr, "-doc", missing, "-save", dir}, flag: "-save", mode: "-listen"},
-		{args: []string{"-listen", addr, "-doc", missing, "-load", dir}, flag: "-load", mode: "-listen"},
-		{args: []string{"-data-dir", dir, "-doc", missing, "-save", dir}, flag: "-save", mode: "-data-dir"},
-		{args: []string{"-data-dir", dir, "-doc", missing, "-load", dir}, flag: "-load", mode: "-data-dir"},
+		{args: []string{"-listen", addr, "-doc", missing, "-engine", "full"}, flag: "-engine", mode: "-listen"},
+		{args: []string{"-data-dir", dir, "-doc", missing, "-engine", "incr"}, flag: "-engine", mode: "-data-dir"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-engine", "incr"}, flag: "-engine", mode: "-verify-recovery"},
 		{args: []string{"-data-dir", dir, "-doc", missing, "-max-batch", "1"}, flag: "-max-batch", mode: "-data-dir"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-rows"}, flag: "-rows", mode: "-verify-recovery"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-pattern", "V=//a{ID}"}, flag: "-pattern", mode: "-verify-recovery"},
@@ -43,12 +42,15 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{args: []string{"-follow", leader, "-listen", addr, "-doc", missing}, flag: "-doc", mode: "-follow"},
 		{args: []string{"-follow", leader, "-listen", addr, "-data-dir", dir}, flag: "-data-dir", mode: "-follow"},
 
-		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-policy", "leaves", "-engine", "lazy",
-			"-rows", "-stats", "-save", dir, "-load", dir, "-metrics", "json"}, err: "missing.xml"},
+		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-policy", "leaves", "-engine", "ivma",
+			"-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-doc", missing, "-db", "shop", "-pattern", "V=//a{ID}", "-fsync", "never",
 			"-fsync-interval", "1ms", "-checkpoint-every", "8", "-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-doc", missing, "-fsync", "bogus"}, err: "bogus"},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-policy", "cost"}, err: `unknown policy "cost"`},
+		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-engine", "lazy"}, err: `unknown engine "lazy"`},
+		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-save", dir}, err: "flag provided but not defined: -save"},
+		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-load", dir}, err: "flag provided but not defined: -load"},
 		{args: []string{"-listen", addr, "-doc", missing, "-data-dir", dir, "-pattern", "V=//a{ID}", "-queue-depth", "8",
 			"-max-batch", "1", "-request-timeout", "1s", "-drain-timeout", "1s"}, err: "missing.xml"},
 		{args: []string{"-follow", leader, "-listen", addr, "-policy", "bogus", "-request-timeout", "1s",

@@ -36,9 +36,6 @@ type listenConfig struct {
 // accepted update, and every backend syncs (flushing its WAL group-commit
 // window) before exit.
 func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
-	if cfg.engine != "incr" {
-		return fmt.Errorf("-listen supports only -engine incr")
-	}
 	if err := wal.ValidTenantName(cfg.db); err != nil {
 		return err
 	}

@@ -95,8 +95,6 @@ func main() {
 		case "ablation":
 			bench.PrintPruningAblation(w, bench.RunPruningAblation(*small))
 			bench.PrintJoinAblation(w, bench.RunJoinAblation(*small))
-			bench.PrintLazyAblation(w, bench.RunLazyAblation(*small))
-			bench.PrintHolisticAblation(w, bench.RunHolisticAblation(*small))
 		case "all":
 			for _, f := range []string{"fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
 				"fig25", "fig26", "fig27", "fig28", "fig29", "fig30", "fig31", "fig32",

@@ -102,12 +102,6 @@ func TestRunAblations(t *testing.T) {
 	if rows := RunJoinAblation(tiny); len(rows) != 3 {
 		t.Fatalf("join rows %d", len(rows))
 	}
-	if rows := RunLazyAblation(tiny); len(rows) != 1 || rows[0].Lazy <= 0 {
-		t.Fatalf("lazy rows %+v", rows)
-	}
-	if rows := RunHolisticAblation(tiny); len(rows) != 7 {
-		t.Fatalf("holistic rows %d", len(rows))
-	}
 }
 
 func TestPrinters(t *testing.T) {

@@ -3,9 +3,7 @@ package bench
 import (
 	"time"
 
-	"xivm/internal/algebra"
 	"xivm/internal/core"
-	"xivm/internal/update"
 	"xivm/internal/xmark"
 )
 
@@ -167,90 +165,6 @@ func RunJoinAblation(docBytes int) []AblationJoinRow {
 				row.Structural = total
 			}
 		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// LazyRow compares eager per-statement propagation with deferred batch
-// flushing (core.Lazy) over the same statement stream.
-type LazyRow struct {
-	Statements int
-	Eager      time.Duration
-	Lazy       time.Duration
-}
-
-// RunLazyAblation runs a churn-heavy stream (inserts later deleted) through
-// both modes on view Q1.
-func RunLazyAblation(docBytes int) []LazyRow {
-	src := Doc(docBytes)
-	stream := func() []*update.Statement {
-		return []*update.Statement{
-			xmark.UpdateByName("X1_L").InsertStatement(),
-			xmark.UpdateByName("A7_O").InsertStatement(),
-			update.MustParse(`delete /site/people/person/name[name]`), // removes the inserted trees
-			xmark.UpdateByName("A6_A").InsertStatement(),
-			xmark.UpdateByName("A6_A").DeleteStatement(),
-		}
-	}
-	var rows []LazyRow
-	row := LazyRow{Statements: 5}
-	row.Eager = bestDur(func() time.Duration {
-		e, _ := engineWith(src, "Q1", core.Options{})
-		start := time.Now()
-		for _, st := range stream() {
-			if _, err := e.ApplyStatement(st); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start)
-	})
-	row.Lazy = bestDur(func() time.Duration {
-		e, _ := engineWith(src, "Q1", core.Options{})
-		lz := core.NewLazy(e)
-		start := time.Now()
-		for _, st := range stream() {
-			if err := lz.Apply(st); err != nil {
-				panic(err)
-			}
-		}
-		if _, err := lz.Flush(); err != nil {
-			panic(err)
-		}
-		return time.Since(start)
-	})
-	rows = append(rows, row)
-	return rows
-}
-
-// HolisticRow compares full-pattern evaluation via binary Dewey structural
-// joins against the holistic path-join evaluator.
-type HolisticRow struct {
-	View     string
-	Binary   time.Duration
-	Holistic time.Duration
-}
-
-// RunHolisticAblation evaluates each benchmark view from scratch with both
-// evaluators.
-func RunHolisticAblation(docBytes int) []HolisticRow {
-	src := Doc(docBytes)
-	d := mustParse(src)
-	var rows []HolisticRow
-	for _, vn := range xmark.ViewNames() {
-		p := xmark.View(vn)
-		in := algebra.DocInputs(d, p)
-		row := HolisticRow{View: vn}
-		row.Binary = bestDur(func() time.Duration {
-			start := time.Now()
-			algebra.EvalPattern(p, in, nil)
-			return time.Since(start)
-		})
-		row.Holistic = bestDur(func() time.Duration {
-			start := time.Now()
-			algebra.EvalPatternHolistic(p, in)
-			return time.Since(start)
-		})
 		rows = append(rows, row)
 	}
 	return rows

@@ -106,15 +106,6 @@ func PrintRule(w io.Writer, title string, rows []RuleRow) {
 	}
 }
 
-// PrintLazyAblation renders the deferred-mode ablation.
-func PrintLazyAblation(w io.Writer, rows []LazyRow) {
-	printHeader(w, "Ablation: eager vs deferred (lazy) propagation, view Q1")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d statements: eager=%-12s lazy+flush=%-12s speedup=%.1fx\n",
-			r.Statements, fmtDur(r.Eager), fmtDur(r.Lazy), ratio(r.Eager, r.Lazy))
-	}
-}
-
 // PrintPruningAblation renders the pruning ablation.
 func PrintPruningAblation(w io.Writer, rows []AblationPruningRow) {
 	printHeader(w, "Ablation: term pruning (Props 3.6/3.8/4.7), view Q1")
@@ -130,15 +121,6 @@ func PrintJoinAblation(w io.Writer, rows []AblationJoinRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8s structural=%-12s nested=%-12s speedup=%.1fx\n",
 			r.View, fmtDur(r.Structural), fmtDur(r.NestedLoop), ratio(r.NestedLoop, r.Structural))
-	}
-}
-
-// PrintHolisticAblation renders the evaluator comparison.
-func PrintHolisticAblation(w io.Writer, rows []HolisticRow) {
-	printHeader(w, "Ablation: binary structural joins vs holistic path joins")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-5s binary=%-12s holistic=%-12s ratio=%.2fx\n",
-			r.View, fmtDur(r.Binary), fmtDur(r.Holistic), ratio(r.Binary, r.Holistic))
 	}
 }
 

@@ -79,7 +79,7 @@ type Options struct {
 	// are journaled and then rejected by the engine (bad target, parse-time
 	// type error surfacing at PUL computation) fail deterministically, so a
 	// replay rejects them identically; the durability layer counts them as
-	// skipped. Both ApplyStatement(Ctx) and Lazy.Apply honor the hook.
+	// skipped. ApplyStatement(Ctx) honors the hook.
 	Journal func(st *update.Statement) error
 	// Tracer, when non-nil, receives span start/finish events per
 	// statement, per phase and per view.
@@ -91,7 +91,7 @@ type Options struct {
 	// invalidation: a statement-count-contiguous sequence of calls (the
 	// version delta between consecutive calls equals len(sts)) proves the
 	// consumer has vetted every write; any gap (version bumps from
-	// recomputation repairs, direct ApplyPUL, lazy flushes) tells it to
+	// recomputation repairs, direct ApplyPUL) tells it to
 	// discard everything it derived. Replace statements are reported once
 	// per half (two calls, same statement). The hook runs on the applying
 	// goroutine, before the caller can publish the new state.
@@ -112,7 +112,7 @@ type Engine struct {
 	labels update.Labels
 
 	// version counts successfully applied mutation batches (statements,
-	// PULs, deferred applies, baseline recomputations). It identifies
+	// PULs, baseline recomputations). It identifies
 	// document states: two engines fed the same statement sequence reach
 	// the same version at the same state, which is what lets snapshot
 	// consumers key expected view contents by version. Atomic so readers

@@ -570,6 +570,23 @@ func TestFullRecomputeBaseline(t *testing.T) {
 	}
 }
 
+// TestFullRecomputeReplace: the baseline accepts replace statements.
+func TestFullRecomputeReplace(t *testing.T) {
+	src := `<root><a><b>5</b></a></root>`
+	d1, d2 := mustDoc(t, src), mustDoc(t, src)
+	e1, e2 := NewEngine(d1, Options{}), NewEngine(d2, Options{})
+	mv1 := addView(t, e1, `//a{ID}//b{ID,val}`)
+	mv2 := addView(t, e2, `//a{ID}//b{ID,val}`)
+	stmt := `replace /root/a/b with <b>9</b><b>11</b>`
+	apply(t, e1, stmt)
+	if _, err := e2.FullRecompute(update.MustParse(stmt)); err != nil {
+		t.Fatal(err)
+	}
+	if !mv1.View.EqualRows(mv2.View.Rows()) {
+		t.Fatal("baseline and incremental disagree on replace")
+	}
+}
+
 // TestPruningAblation: disabling data/ID pruning changes work done, never
 // results.
 func TestPruningAblation(t *testing.T) {

@@ -39,22 +39,3 @@ func ExampleEngine() {
 	// added: 2 rows: 3
 	// rows: 2 consistent: true
 }
-
-// ExampleLazy defers propagation across a batch and flushes the net effect.
-func ExampleLazy() {
-	doc, _ := xmltree.ParseString(`<r><a/></r>`)
-	engine := core.NewEngine(doc, core.Options{})
-	mv, _ := engine.AddView("v", pattern.MustParse(`//a{ID}//b{ID}`))
-
-	lz := core.NewLazy(engine)
-	lz.Apply(update.MustParse(`insert <b><b/></b> into /r/a`))
-	lz.Apply(update.MustParse(`delete /r/a/b[b]`)) // removes what was just added
-	fmt.Println("pending:", lz.Pending(), "stale rows:", mv.View.Len())
-	if _, err := lz.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("after flush rows:", mv.View.Len(), "consistent:", engine.CheckView(mv))
-	// Output:
-	// pending: 2 stale rows: 0
-	// after flush rows: 0 consistent: true
-}

@@ -36,7 +36,7 @@ type Lattice struct {
 // guarantees.
 type Relations struct {
 	p    *pattern.Pattern
-	st   *store.Store   // nil when in was supplied whole (deferred flushing masks its own)
+	st   *store.Store
 	in   algebra.Inputs // the nodes read so far
 	read uint64         // which nodes those are
 }
@@ -53,9 +53,6 @@ func (r *Relations) Node(i int) []algebra.Item {
 
 // Mask returns inputs holding at least the nodes of mask.
 func (r *Relations) Mask(mask uint64) algebra.Inputs {
-	if r.st == nil {
-		return r.in
-	}
 	for todo := mask &^ r.read; todo != 0; todo &= todo - 1 {
 		if r.in == nil {
 			r.in = make(algebra.Inputs, r.p.Size())

@@ -27,10 +27,9 @@ import (
 //	core.views.skipped                        views skipped by the independence precheck
 //	core.views.cancelled                      views aborted (and repaired) by ctx cancellation
 //	core.views.panicked                       views whose propagation panicked (and were repaired)
-//	core.lazy.{applied,flushes}               deferred statements / flushes
 //
-// Histogram names: core.phase.<phase> for the five propagation phases and
-// core.lazy.flush for whole-batch flush time. find_targets and the ∆
+// Histogram names: core.phase.<phase> for the five propagation phases.
+// find_targets and the ∆
 // tables' walk are observed once per statement (twice for a replace), the
 // other phases, and each view's σ-filtered read of the tables under
 // compute_delta, once per propagated view.
@@ -51,10 +50,8 @@ type engineMetrics struct {
 	latticeDropped                              *obs.Counter
 	predFlips                                   *obs.Counter
 	viewsSkipped, viewsCancelled, viewsPanicked *obs.Counter
-	lazyApplied, lazyFlushes                    *obs.Counter
 
-	phase     map[string]*obs.Histogram
-	lazyFlush *obs.Histogram
+	phase map[string]*obs.Histogram
 }
 
 func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
@@ -80,9 +77,6 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 		viewsSkipped:   reg.Counter("core.views.skipped"),
 		viewsCancelled: reg.Counter("core.views.cancelled"),
 		viewsPanicked:  reg.Counter("core.views.panicked"),
-		lazyApplied:    reg.Counter("core.lazy.applied"),
-		lazyFlushes:    reg.Counter("core.lazy.flushes"),
-		lazyFlush:      reg.Histogram("core.lazy.flush"),
 		phase:          make(map[string]*obs.Histogram, len(obs.Phases)),
 	}
 	for _, p := range obs.Phases {

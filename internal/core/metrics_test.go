@@ -180,29 +180,3 @@ func TestTracerSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestLazyMetrics: deferred mode counts applied statements and flushes.
-func TestLazyMetrics(t *testing.T) {
-	reg := obs.New()
-	d := mustDoc(t, `<root><a><b/></a></root>`)
-	e := New(d, WithMetrics(reg))
-	mv := addView(t, e, `//a{ID}//b{ID}`)
-	lz := NewLazy(e)
-	for _, s := range []string{`insert <b/> into /root/a`, `delete /root/a/b`} {
-		if err := lz.Apply(update.MustParse(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := lz.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.CheckView(mv) {
-		t.Fatal("lazy flush diverged")
-	}
-	if got := counter(t, reg, "core.lazy.applied"); got != 2 {
-		t.Fatalf("lazy.applied %d", got)
-	}
-	if got := counter(t, reg, "core.lazy.flushes"); got != 1 {
-		t.Fatalf("lazy.flushes %d", got)
-	}
-}

@@ -48,7 +48,9 @@ func TestDecodeWideShape(t *testing.T) {
 // TestMatrixSeeded is the central differential property: seeded workloads
 // through the full configuration matrix, every maintained state checked
 // against the recompute oracle. Failures are shrunk before reporting so the
-// log carries a minimal reproducible counterexample.
+// log carries a minimal reproducible counterexample. A batch configuration
+// whose chunks the planner never translated would have tested only the
+// per-statement fallback, so each must translate at least one.
 // DIFFTEST_SEEDS widens the sweep (e.g. DIFFTEST_SEEDS=150 takes about half
 // a minute); -short narrows it.
 func TestMatrixSeeded(t *testing.T) {
@@ -61,14 +63,26 @@ func TestMatrixSeeded(t *testing.T) {
 	if testing.Short() {
 		nSeeds = 2
 	}
+	translated := map[string]int{}
 	for seed := uint64(0); seed <= uint64(nSeeds); seed++ {
 		w := seededWorkload(seed, 14)
 		for _, cfg := range Matrix() {
-			if d := Run(w, cfg); d != nil {
+			n, d := run(w, cfg)
+			translated[cfg.Name] += n
+			if d != nil {
 				min, md := Shrink(w, cfg)
 				t.Errorf("seed %d: %v\nminimal workload: seed=%d people=%d statements=%q\nminimal divergence: %v",
 					seed, d, min.DocSeed, min.People, min.Statements, md)
 			}
+		}
+	}
+	for _, cfg := range Matrix() {
+		if cfg.Batch == 0 {
+			continue
+		}
+		t.Logf("%s: %d chunks translated", cfg.Name, translated[cfg.Name])
+		if translated[cfg.Name] == 0 {
+			t.Errorf("%s: the planner translated no chunk", cfg.Name)
 		}
 	}
 }

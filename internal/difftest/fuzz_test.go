@@ -6,12 +6,12 @@ import (
 )
 
 // fuzzConfigs is the subset of the matrix each fuzz input runs: one eager
-// engine, one deferred batch size, and the node-at-a-time competitor —
-// enough path diversity per execution to keep the fuzzer's throughput
-// useful while still covering every propagation family.
+// engine, one batch size, and the node-at-a-time competitor — enough path
+// diversity per execution to keep the fuzzer's throughput useful while
+// still covering every propagation family.
 var fuzzConfigs = []Config{
 	{Name: "eager-snowcaps"},
-	{Name: "lazy-3", LazyEvery: 3},
+	{Name: "batch-3", Batch: 3},
 	{Name: "ivma", IVMA: true},
 }
 
@@ -34,7 +34,7 @@ func FuzzMaintenance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := Decode(data)
 		for _, cfg := range fuzzConfigs {
-			if cfg.LazyEvery == 0 && !cfg.IVMA && len(data) > 0 && data[len(data)-1] >= 0x80 {
+			if cfg.Batch == 0 && !cfg.IVMA && len(data) > 0 && data[len(data)-1] >= 0x80 {
 				cfg.Name, cfg.Publish = "published-snowcaps", true
 			}
 			if d := Run(w, cfg); d != nil {
@@ -45,21 +45,29 @@ func FuzzMaintenance(f *testing.F) {
 	})
 }
 
-// FuzzLazyFlush explores deferred-mode flush cadences: the first byte picks
-// how many statements each batch accumulates before flushing, the rest
-// decode as a workload. Net-effect flushing must agree with the oracle at
-// every cadence, including flush-per-statement and one giant batch.
-func FuzzLazyFlush(f *testing.F) {
+// FuzzBatch explores the batch path the server and recovery run: the first
+// byte picks the chunk size, 2 or 3 — sizes at which the planner translates
+// chunks of the vocabulary (it translates none of 8) — and with its top bit
+// a published document; the rest decode as a workload. Every chunk must
+// leave each view equal to recompute and the document equal to one that
+// applied the chunk's statements one at a time.
+func FuzzBatch(f *testing.F) {
 	f.Add([]byte{0, 1, 22, 10})
-	f.Add([]byte{5, 3, 8, 2, 19, 23, 9})
-	f.Add([]byte("\x02\x04\x09\x16\x0c\x01"))
+	f.Add([]byte{1, 3, 8, 2, 19, 23, 9})
+	f.Add([]byte("\x80\x04\x09\x16\x0c\x01"))
+	// A delete, then an insert the planner folds into the same plan: the
+	// insert unit must land as the statement would on its own.
+	f.Add([]byte{0x80, 1, 11, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		every := 1 + int(data[0]%8)
+		size := 2 + int(data[0]&1)
+		cfg := Config{Name: fmt.Sprintf("batch-%d", size), Batch: size, Publish: data[0] >= 0x80}
+		if cfg.Publish {
+			cfg.Name = "published-" + cfg.Name
+		}
 		w := Decode(data[1:])
-		cfg := Config{Name: fmt.Sprintf("lazy-%d", every), LazyEvery: every}
 		if d := Run(w, cfg); d != nil {
 			min, md := Shrink(w, cfg)
 			t.Fatalf("%v\nminimal: seed=%d people=%d statements=%q (%v)", d, min.DocSeed, min.People, min.Statements, md)

@@ -1,12 +1,14 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
 
 	"xivm/internal/core"
 	"xivm/internal/obs"
+	"xivm/internal/pulopt"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -14,10 +16,12 @@ import (
 
 // TestGoldenXPathMarkEquivalence drives the full XPathMark-derived update
 // workload — every Appendix A update, insertion variants first, then
-// deletion variants — through every Policy × {eager, lazy} configuration,
+// deletion variants — through every Policy × {eager, batch} configuration,
 // diffing each maintained view against a twin engine that runs
 // FullRecompute after every statement. The two engines must agree on every
-// view after every statement (for lazy: after every flush).
+// view after every statement (for batch: after every chunk of two, which
+// goes through pulopt.PlanBatch and ApplyBatchCtx when the planner
+// translates it and one statement at a time when it does not).
 func TestGoldenXPathMarkEquivalence(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 10 << 10, Seed: 5})
 
@@ -38,15 +42,15 @@ func TestGoldenXPathMarkEquivalence(t *testing.T) {
 	}
 
 	type mode struct {
-		name      string
-		lazyEvery int
+		name  string
+		batch int
 	}
 	policies := []core.Policy{core.PolicySnowcaps, core.PolicyLeaves}
 	if testing.Short() {
 		policies = policies[:1]
 	}
 	for _, policy := range policies {
-		for _, m := range []mode{{name: "eager"}, {name: "lazy", lazyEvery: 2}} {
+		for _, m := range []mode{{name: "eager"}, {name: "batch", batch: 2}} {
 			label := fmt.Sprintf("%v/%s", policy, m.name)
 			d1, err := xmltree.ParseString(src)
 			if err != nil {
@@ -70,31 +74,32 @@ func TestGoldenXPathMarkEquivalence(t *testing.T) {
 				}
 				m1, m2 = append(m1, v1), append(m2, v2)
 			}
-			var lz *core.Lazy
-			if m.lazyEvery > 0 {
-				lz = core.NewLazy(e1)
-			}
+			var chunk []*update.Statement
 			for i, src := range stmts {
 				st1, st2 := update.MustParse(src), update.MustParse(src)
-				flushed := true
-				if lz != nil {
-					if err := lz.Apply(st1); err != nil {
-						t.Fatalf("%s: lazy Apply(%q): %v", label, src, err)
-					}
-					flushed = (i+1)%m.lazyEvery == 0 || i == len(stmts)-1
-					if flushed {
-						if _, err := lz.Flush(); err != nil {
-							t.Fatalf("%s: flush after %q: %v", label, src, err)
-						}
-					}
-				} else if _, err := e1.ApplyStatement(st1); err != nil {
-					t.Fatalf("%s: apply %q: %v", label, src, err)
-				}
 				if _, err := e2.FullRecompute(st2); err != nil {
 					t.Fatalf("baseline %q: %v", src, err)
 				}
-				if !flushed {
-					continue
+				if m.batch == 0 {
+					if _, err := e1.ApplyStatement(st1); err != nil {
+						t.Fatalf("%s: apply %q: %v", label, src, err)
+					}
+				} else {
+					if chunk = append(chunk, st1); len(chunk) < m.batch && i < len(stmts)-1 {
+						continue
+					}
+					if plan, err := pulopt.PlanBatch(e1, chunk); err == nil {
+						if _, _, err := e1.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
+							t.Fatalf("%s: batch ending %q: %v", label, src, err)
+						}
+					} else {
+						for _, st := range chunk {
+							if _, err := e1.ApplyStatement(st); err != nil {
+								t.Fatalf("%s: apply %q: %v", label, st.Source, err)
+							}
+						}
+					}
+					chunk = chunk[:0]
 				}
 				for v := range m1 {
 					if !m1[v].View.EqualRows(m2[v].View.Rows()) {

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"xivm/internal/dewey"
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
+	"xivm/internal/pulopt"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -18,9 +20,13 @@ import (
 type Config struct {
 	Name   string
 	Policy core.Policy
-	// LazyEvery > 0 runs deferred propagation, flushing (and checking)
-	// every LazyEvery statements plus once at the end. 0 is eager.
-	LazyEvery     int
+	// Batch > 0 applies the statements in chunks of Batch the way the
+	// shard writer and wal.Replay do: through pulopt.PlanBatch and one
+	// Engine.ApplyBatchCtx when the planner translates the chunk, one
+	// statement at a time when it does not. Every chunk is checked, and the
+	// document must read as a twin's that applied the chunk's statements
+	// one at a time. 0 applies and checks each statement on its own.
+	Batch         int
 	NoDataPruning bool
 	NoIDPruning   bool
 	// IVMA maintains with the node-at-a-time competitor instead. IVMA
@@ -32,28 +38,29 @@ type Config struct {
 	// Publish is a test axis, not an engine option: the document is
 	// published (Engine.Snapshot) before the first statement and after every
 	// checked one, so every mutation runs against a persistent tree that
-	// readers hold, and the last few epochs are re-read after each. Eager
-	// configurations only — Lazy and IVMA track nodes by pointer.
+	// readers hold, and the last few epochs are re-read after each. Not
+	// with IVMA, which tracks nodes by pointer.
 	Publish bool
 }
 
 // Matrix is the full configuration matrix the differential tests sweep:
-// both policies, deferred batches of several sizes, both pruning ablations
-// and the IVMA competitor, and every eager configuration on a published
-// document.
+// both policies, batches of the sizes the planner translates (it translates
+// about a third of the vocabulary's chunks of 2, an eighth of those of 3 and
+// none of 8), both pruning ablations and the IVMA competitor, and both
+// policies and a batch on a published document, the shape the server runs.
 func Matrix() []Config {
 	return []Config{
 		{Name: "eager-snowcaps", Policy: core.PolicySnowcaps},
 		{Name: "eager-leaves", Policy: core.PolicyLeaves},
-		{Name: "lazy-1", LazyEvery: 1},
-		{Name: "lazy-3", LazyEvery: 3},
-		{Name: "lazy-8", LazyEvery: 8},
+		{Name: "batch-2", Batch: 2},
+		{Name: "batch-3", Batch: 3},
 		{Name: "no-data-pruning", NoDataPruning: true},
 		{Name: "no-id-pruning", NoIDPruning: true},
-		{Name: "lazy-no-pruning", LazyEvery: 2, NoDataPruning: true, NoIDPruning: true},
+		{Name: "batch-no-pruning", Batch: 2, NoDataPruning: true, NoIDPruning: true},
 		{Name: "ivma", IVMA: true},
 		{Name: "published-snowcaps", Policy: core.PolicySnowcaps, Publish: true},
 		{Name: "published-leaves", Policy: core.PolicyLeaves, Publish: true},
+		{Name: "published-batch-2", Batch: 2, Publish: true},
 	}
 }
 
@@ -145,13 +152,19 @@ func (d *Divergence) String() string {
 }
 
 // Run executes the workload under one configuration, checking the oracle
-// after every statement (eager, IVMA) or every flush (lazy). It returns the
-// first divergence, or nil when every check passed. After every statement,
-// and in every epoch as it is published, each node's children must carry
-// strictly increasing ordinals (checkOrdinals). Statements whose target
-// path matches nothing are no-ops by construction; statements the engine
-// rejects (none in the vocabulary) are skipped.
+// after every statement, or after every chunk of a batch configuration. It
+// returns the first divergence, or nil when every check passed. After every
+// check, and in every epoch as it is published, each node's children must
+// carry strictly increasing ordinals (checkOrdinals). Statements whose
+// target path matches nothing are no-ops by construction; statements the
+// engine rejects (none in the vocabulary) are skipped.
 func Run(w Workload, cfg Config) *Divergence {
+	_, d := run(w, cfg)
+	return d
+}
+
+// run is Run that also counts the chunks the planner translated.
+func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 	doc, err := xmltree.ParseString(w.Doc())
 	if err != nil {
 		panic("difftest: generated document does not parse: " + err.Error())
@@ -183,13 +196,19 @@ func Run(w Workload, cfg Config) *Divergence {
 		views = append(views, mv)
 	}
 
-	var lz *core.Lazy
-	if cfg.LazyEvery > 0 {
-		lz = core.NewLazy(e)
-	}
 	var iv *core.IVMA
 	if cfg.IVMA {
 		iv = core.NewIVMA(e)
+	}
+	// The twin applies a batch configuration's statements one at a time and
+	// maintains no view: its document is what the batches must produce.
+	var twin *core.Engine
+	if cfg.Batch > 0 {
+		d, err := xmltree.ParseString(w.Doc())
+		if err != nil {
+			panic("difftest: generated document does not parse: " + err.Error())
+		}
+		twin = core.New(d, core.WithMetrics(obs.New()))
 	}
 	var epochs []epoch
 	publish := func(i int, src string) *Divergence {
@@ -220,24 +239,30 @@ func Run(w Workload, cfg Config) *Divergence {
 	}
 	publish(-1, "")
 
+	var chunk []*update.Statement
 	for i, src := range w.Statements {
 		st, err := update.Parse(src)
-		if err != nil {
-			continue
-		}
 		switch {
-		case lz != nil:
-			if err := lz.Apply(st); err != nil {
+		case cfg.Batch > 0:
+			if err == nil {
+				chunk = append(chunk, st)
+			}
+			if len(chunk) == 0 || len(chunk) < cfg.Batch && i < len(w.Statements)-1 {
 				continue
 			}
-			if (i+1)%cfg.LazyEvery == 0 {
-				if _, err := lz.Flush(); err != nil {
-					return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "flush error: " + err.Error()}
-				}
-				if d := check(e, views, cfg, i, src); d != nil {
-					return d
-				}
+			ok, err := applyChunk(e, twin, chunk)
+			chunk = chunk[:0]
+			if err != nil {
+				return translated, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "batch error: " + err.Error()}
 			}
+			if ok {
+				translated++
+			}
+			if e.Doc.String() != twin.Doc.String() {
+				return translated, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "the document differs from one that applied the chunk one statement at a time"}
+			}
+		case err != nil:
+			continue
 		case iv != nil:
 			if st.Kind == update.Replace {
 				continue
@@ -245,31 +270,43 @@ func Run(w Workload, cfg Config) *Divergence {
 			if _, err := iv.ApplyStatement(st); err != nil {
 				continue
 			}
-			if d := check(e, views, cfg, i, src); d != nil {
-				return d
-			}
 		default:
 			if _, err := e.ApplyStatement(st); err != nil {
 				continue
 			}
-			if d := check(e, views, cfg, i, src); d != nil {
-				return d
-			}
-			if d := publish(i, src); d != nil {
-				return d
-			}
+		}
+		if d := check(e, views, cfg, i, src); d != nil {
+			return translated, d
+		}
+		if d := publish(i, src); d != nil {
+			return translated, d
 		}
 		if err := checkOrdinals(e.Doc); err != nil {
-			return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: err.Error()}
+			return translated, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: err.Error()}
 		}
 	}
-	if lz != nil {
-		if _, err := lz.Flush(); err != nil {
-			return &Divergence{Config: cfg.Name, Index: len(w.Statements), Detail: "final flush error: " + err.Error()}
-		}
-		return check(e, views, cfg, len(w.Statements)-1, "<final flush>")
+	return translated, nil
+}
+
+// applyChunk applies a chunk of statements as wal.Replay does: one
+// ApplyBatchCtx of pulopt.PlanBatch's plan when the planner translates it,
+// one statement at a time (a rejected statement skipped) when it does not.
+// The twin applies the chunk one statement at a time either way. It
+// reports whether the chunk was translated.
+func applyChunk(e, twin *core.Engine, chunk []*update.Statement) (bool, error) {
+	for _, st := range chunk {
+		_, _ = twin.ApplyStatement(st)
 	}
-	return nil
+	if len(chunk) > 1 {
+		if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
+			_, _, err := e.ApplyBatchCtx(context.Background(), plan.Units)
+			return true, err
+		}
+	}
+	for _, st := range chunk {
+		_, _ = e.ApplyStatement(st)
+	}
+	return false, nil
 }
 
 // check is the oracle: every maintained view must equal a fresh evaluation

@@ -1,11 +1,11 @@
 // Package difftest is a differential correctness harness: randomized
 // XMark-style documents and update workloads run through every maintenance
 // path the engine offers — eager propagation under each materialization
-// policy, deferred (lazy) batches of varying size, both pruning ablations,
-// and the IVMA node-at-a-time competitor — asserting after every statement (or flush) that each
-// maintained view is byte-identical to a fresh evaluation over the mutated
-// document, and that the canonical relations match a store rebuilt from
-// scratch. Failing workloads shrink to minimal counterexamples, and Go
+// policy, statement batches through the planner, both pruning ablations,
+// and the IVMA node-at-a-time competitor — asserting after every statement
+// (or batch) that each maintained view is byte-identical to a fresh
+// evaluation over the mutated document, and that the canonical relations
+// match a store rebuilt from scratch. Failing workloads shrink to minimal counterexamples, and Go
 // native fuzz targets drive the same harness from arbitrary bytes.
 package difftest
 
@@ -48,7 +48,7 @@ var vocabulary = []string{
 
 	// Deletions, from leaf-level to shallow. `/site/people` and
 	// `/site/catgraph` are root-level deletes: their parent is the document
-	// root, the touched-ID edge deferred flushing must handle.
+	// root, an edge for the refresh of the touched ancestors.
 	`delete /site/people/person/phone`,
 	`delete /site/people/person[homepage]`,
 	`delete /site/open_auctions/open_auction/bidder`,

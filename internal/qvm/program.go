@@ -1,9 +1,9 @@
-// Package qvm compiles parsed xpath.Path and pattern.Pattern structures
-// into compact bytecode programs executed by a small stack VM. A program is
-// immutable once compiled: it holds no document state, so one program can
-// serve any number of concurrent evaluations over any number of immutable
-// snapshots — the serving-path cache (Cache) exploits exactly that, and no
-// invalidation protocol is needed.
+// Package qvm compiles parsed xpath.Path structures into compact bytecode
+// programs executed by a small stack VM. A program is immutable once
+// compiled: it holds no document state, so one program can serve any number
+// of concurrent evaluations over any number of immutable snapshots — the
+// serving-path cache (Cache) exploits exactly that, and no invalidation
+// protocol is needed.
 //
 // Instruction layout. A program is one flat []Instr array holding three
 // kinds of code, distinguished by position rather than by markers:
@@ -16,7 +16,7 @@
 //     the first block of its chain; the block count rides in C.
 //
 // Step opcodes fuse the axis with the node test (child/descendant/
-// following-sibling/preceding-sibling × name/wildcard/attribute/text/word)
+// following-sibling/preceding-sibling × name/wildcard/attribute/text)
 // so the inner matching loop is a single switch with no further
 // dispatching. Labels and literals live in per-program constant pools,
 // referenced by index.
@@ -44,7 +44,6 @@ const (
 	tsWild
 	tsAttr
 	tsText
-	tsWord // pattern word leaves "~w": text nodes containing the token
 	numTests
 )
 
@@ -91,7 +90,7 @@ type Program struct {
 	Names  []string // label constants (attribute names stored with "@")
 	Lits   []string // string literal constants
 	// FromDoc marks the main segment as anchored at the virtual document
-	// node (absolute paths and patterns); relative programs start at the
+	// node (absolute paths); relative programs start at the
 	// context node itself.
 	FromDoc bool
 	// Source is the text the program was compiled from, for diagnostics.
@@ -106,7 +105,7 @@ func (op Op) axis() int { return int(op-opStep0) / numTests }
 func (op Op) test() int { return int(op-opStep0) % numTests }
 
 var axisNames = [numAxes]string{"child", "desc", "following", "preceding"}
-var testNames = [numTests]string{"name", "wild", "attr", "text", "word"}
+var testNames = [numTests]string{"name", "wild", "attr", "text"}
 
 var predNames = map[Op]string{
 	pExists: "exists", pEq: "eq", pContains: "contains", pStarts: "starts",

@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"xivm/internal/algebra"
 	"xivm/internal/dewey"
-	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
 )
@@ -124,9 +122,6 @@ func testCorpus(t *testing.T, d *xmltree.Document) {
 		if !sameNodes(got, want) {
 			t.Errorf("%s: compiled %d nodes, interpreted %d nodes\n%s", q, len(got), len(want), prog.Disasm())
 		}
-		if prog.Exists(d) != (len(want) > 0) {
-			t.Errorf("%s: Exists = %v, want %v", q, prog.Exists(d), len(want) > 0)
-		}
 	}
 }
 
@@ -200,82 +195,6 @@ func TestEvalIntoReusesMachine(t *testing.T) {
 	// the evaluation itself must not allocate in steady state.
 	if allocs > 1 {
 		t.Fatalf("EvalInto allocates %v times per run", allocs)
-	}
-}
-
-// patternCorpus exercises compiled pattern existence: spines, branches,
-// wildcards, attributes, text, words, value predicates, / vs // anchoring.
-var patternCorpus = []string{
-	"//person",
-	"/site//person//name",
-	"//person[//phone]//name",
-	"//open_auction[//privacy]//increase",
-	"//person[//@id]",
-	"//item[//name[val=\"i1\"]]",
-	"//person//profile//@income",
-	"//open_auction//bidder//increase//#text",
-	"/people//name", // non-matching root anchor
-	"//*[//phone]",
-}
-
-func TestCompiledPatternExistenceMatchesAlgebra(t *testing.T) {
-	d := mustDoc(t, auctionDoc)
-	for _, src := range patternCorpus {
-		pt, err := pattern.Parse(src)
-		if err != nil {
-			t.Fatalf("pattern.Parse(%q): %v", src, err)
-		}
-		prog, err := CompilePattern(pt)
-		if err != nil {
-			t.Fatalf("CompilePattern(%q): %v", src, err)
-		}
-		want := len(algebra.Embeddings(d, pt)) > 0
-		if got := prog.Exists(d); got != want {
-			t.Errorf("%s: compiled exists=%v, algebra=%v\n%s", src, got, want, prog.Disasm())
-		}
-	}
-}
-
-func TestCompiledPatternWordAndValue(t *testing.T) {
-	d := mustDoc(t, `<r><doc><p>alpha beta gamma</p></doc><k>v1</k></r>`)
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"//p[//~beta]", true},
-		{"//p[//~bet]", false},
-		{"//k[val=\"v1\"]", true},
-		{"//k[val=\"v2\"]", false},
-	}
-	for _, c := range cases {
-		pt, err := pattern.Parse(c.src)
-		if err != nil {
-			t.Fatalf("pattern.Parse(%q): %v", c.src, err)
-		}
-		prog, err := CompilePattern(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := prog.Exists(d); got != c.want {
-			t.Errorf("%s: exists=%v want %v", c.src, got, c.want)
-		}
-	}
-}
-
-func TestRequiredLabels(t *testing.T) {
-	pt, err := pattern.Parse("//person[//phone]//name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := RequiredLabels(pt)
-	want := map[string]bool{"person": true, "phone": true, "name": true}
-	if len(labels) != len(want) {
-		t.Fatalf("labels = %v", labels)
-	}
-	for _, l := range labels {
-		if !want[l] {
-			t.Fatalf("unexpected label %q", l)
-		}
 	}
 }
 
@@ -378,9 +297,6 @@ func TestCompiledEvalSeesMutations(t *testing.T) {
 	if n := prog.Eval(d); len(n) != 4 {
 		t.Fatalf("after insert: %d matches, want 4", len(n))
 	}
-	if !prog.Exists(d) {
-		t.Fatal("after insert: Exists = false")
-	}
 
 	targets := prog.Eval(d)
 	if _, _, err := d.ApplyDeleteBatch(targets[:1]); err != nil {
@@ -418,7 +334,7 @@ func TestReadsNeverGrowTheLabelTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := prog.Eval(d); len(got) != 0 || prog.Exists(d) {
+		if got := prog.Eval(d); len(got) != 0 {
 			t.Fatalf("%s matches %d nodes of a document without the label", q, len(got))
 		}
 		progs[i] = prog
@@ -439,7 +355,7 @@ func TestReadsNeverGrowTheLabelTable(t *testing.T) {
 	}
 	for i, prog := range progs {
 		got, want := prog.Eval(d), xpath.Eval(d, xpath.MustParse(queries[i]))
-		if len(got) != 1 || !sameNodes(got, want) || !prog.Exists(d) {
+		if len(got) != 1 || !sameNodes(got, want) {
 			t.Fatalf("%s, compiled before the label had a code: %d matches, the interpreter %d", queries[i], len(got), len(want))
 		}
 	}

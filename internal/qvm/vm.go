@@ -83,59 +83,6 @@ func (p *Program) EvalInto(m *Machine, d *xmltree.Document, dst []*xmltree.Node)
 	return m.runSeg(p, 0, d.Root, p.FromDoc, dst)
 }
 
-// Exists reports whether the program has at least one match, stopping at
-// the first witness when the program is free of positional predicates.
-func (p *Program) Exists(d *xmltree.Document) bool {
-	m := machinePool.Get().(*Machine)
-	m.bind(d)
-	defer func() {
-		m.bind(nil)
-		machinePool.Put(m)
-	}()
-	if !p.mainSimple() {
-		buf := m.getBuf()
-		buf = p.EvalInto(m, d, buf)
-		ok := len(buf) > 0
-		m.putBuf(buf)
-		return ok
-	}
-	in := &p.Instrs[0]
-	root := d.Root
-	if !p.FromDoc {
-		return m.segAny(p, 0, root, modeExists, "")
-	}
-	switch in.Op.axis() {
-	case axChild:
-		return m.stepAccept(p, in, root) && m.segAny(p, 1, root, modeExists, "")
-	case axDesc:
-		// The label index turns the witness hunt into a scan of the
-		// step's own matches instead of a whole-tree walk.
-		if cands, ok := m.indexed(p, in); ok {
-			found := false
-			cands.Each(func(n *xmltree.Node) bool {
-				found = m.stepAccept(p, in, n) && m.segAny(p, 1, n, modeExists, "")
-				return !found
-			})
-			return found
-		}
-		if m.stepAccept(p, in, root) && m.segAny(p, 1, root, modeExists, "") {
-			return true
-		}
-		return m.descAny(p, 0, in, root, modeExists, "")
-	}
-	return false // sibling axes from the virtual document node
-}
-
-// mainSimple reports whether the main segment has no grouped steps.
-func (p *Program) mainSimple() bool {
-	for pc := 0; p.Instrs[pc].Op != opEnd; pc++ {
-		if p.Instrs[pc].C&stepGrouped != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // runSeg executes the path segment at pc from start, appending the final
 // matches to dst. When fromDoc is set the first step is evaluated against
 // the virtual document node.
@@ -329,8 +276,6 @@ func (p *Program) match(in *Instr, n *xmltree.Node) bool {
 		return n.Kind == xmltree.Attribute && n.Label() == p.Names[in.A]
 	case tsText:
 		return n.Kind == xmltree.Text
-	case tsWord:
-		return n.MatchesWord(p.Names[in.A])
 	}
 	return false
 }

@@ -24,7 +24,7 @@ import (
 //     range might invalidate silently. The engine's OnApplied contract
 //     makes gaps detectable — a notification whose version does not equal
 //     notifiedUpTo plus its statement count means un-vetted writes landed
-//     (recomputation repair, lazy flush, direct PUL application), and the
+//     (recomputation repair, direct PUL application), and the
 //     whole cache is discarded.
 //
 //   - ring: the recent vetted writes, so a put computed against an older

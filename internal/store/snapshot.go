@@ -65,14 +65,6 @@ func WriteSnapshot(w io.Writer, v *View) error {
 	return bw.Flush()
 }
 
-// EncodeView is EncodeSnapshot with observability: the store's
-// store.snapshot.bytes counter accumulates the encoded size.
-func (s *Store) EncodeView(v *View) []byte {
-	data := EncodeSnapshot(v)
-	s.snapshotBytes.Add(int64(len(data)))
-	return data
-}
-
 // DecodeSnapshot restores rows previously encoded with EncodeSnapshot.
 func DecodeSnapshot(data []byte) ([]algebra.Row, error) {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {

@@ -58,18 +58,16 @@ type Store struct {
 	wordIdx map[string][]algebra.Item
 
 	// Observability (nil counters are no-op sinks; see SetMetrics).
-	scanCount     *obs.Counter
-	scanItems     *obs.Counter
-	snapshotBytes *obs.Counter
-	wordHits      *obs.Counter
-	wordBuilds    *obs.Counter
+	scanCount  *obs.Counter
+	scanItems  *obs.Counter
+	wordHits   *obs.Counter
+	wordBuilds *obs.Counter
 }
 
 // SetMetrics wires the store's counters into a registry:
 //
 //	store.scan.count      canonical-relation scans served
 //	store.scan.items      items handed out by those scans
-//	store.snapshot.bytes  bytes produced by EncodeView
 //	store.wordidx.hits    "~word" accesses served from the inverted index
 //	store.wordidx.builds  "~word" index entries built by scanning
 //
@@ -78,7 +76,6 @@ type Store struct {
 func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.scanCount = m.Counter("store.scan.count")
 	s.scanItems = m.Counter("store.scan.items")
-	s.snapshotBytes = m.Counter("store.snapshot.bytes")
 	s.wordHits = m.Counter("store.wordidx.hits")
 	s.wordBuilds = m.Counter("store.wordidx.builds")
 }

@@ -83,8 +83,8 @@ func TestAddRemoveSubtree(t *testing.T) {
 // TestItemsStableAcrossRemove: a slice Items handed out never changes —
 // neither a plain label's, built for the caller out of the index that the
 // delete then edits where it lies, nor R_*, which the delete drops rather
-// than edits. A caller holding one (a delta input, a Mat fill, the lazy
-// batch's rIn) reads what it was given.
+// than edits. A caller holding one (a delta input, a Mat fill) reads what it
+// was given.
 func TestItemsStableAcrossRemove(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
