@@ -18,16 +18,21 @@
 // write-ahead log before they touch any view, checkpoints capture the
 // document plus every view, and restarting against the same directory
 // recovers the exact acknowledged state (-doc is then only needed on first
-// use, to create the database). -verify-recovery opens the directory,
-// prints what recovery did, and checks every recovered view row-for-row
-// against a fresh evaluation:
+// use, to create the database). -data-dir is a tenant root in every mode:
+// the database is <data-dir>/<db>, -db defaulting to "default", the
+// tenant -listen bootstraps. -verify-recovery opens it, prints what
+// recovery did, and checks every recovered view row-for-row against a
+// fresh evaluation:
 //
 //	xivm -data-dir ./data -doc auction.xml -pattern 'Q1=...' 'delete //x'
 //	xivm -data-dir ./data -fsync interval -checkpoint-every 100 'insert …'
 //	xivm -data-dir ./data -verify-recovery
 //
 // -follow, -listen, -data-dir [-verify-recovery] or neither (batch) selects
-// the mode; a flag the selected mode does not read is an error.
+// the mode; a flag the selected mode does not read is an error. Every mode
+// but batch is configured by one server.RegistryConfig bound from the
+// flags; -policy and -engine are batch-only, and the other modes maintain
+// views under the paper's default policy, snowcaps.
 package main
 
 import (
@@ -68,10 +73,10 @@ func main() {
 // A flag set on the command line that its mode does not read is refused
 // rather than dropped.
 var modeReads = map[string][]string{
-	"-follow":          {"follow", "listen", "policy", "request-timeout", "drain-timeout"},
-	"-listen":          {"listen", "data-dir", "db", "doc", "view", "pattern", "policy", "fsync", "fsync-interval", "checkpoint-every", "queue-depth", "max-batch", "request-timeout", "drain-timeout"},
-	"-verify-recovery": {"verify-recovery", "data-dir", "db", "doc", "policy", "fsync", "fsync-interval", "checkpoint-every"},
-	"-data-dir":        {"data-dir", "db", "doc", "view", "pattern", "policy", "fsync", "fsync-interval", "checkpoint-every", "rows", "stats", "metrics"},
+	"-follow":          {"follow", "listen", "drain-timeout"},
+	"-listen":          {"listen", "data-dir", "db", "doc", "view", "pattern", "fsync", "fsync-interval", "checkpoint-every", "queue-depth", "max-batch", "request-timeout", "drain-timeout"},
+	"-verify-recovery": {"verify-recovery", "data-dir", "db"},
+	"-data-dir":        {"data-dir", "db", "doc", "view", "pattern", "fsync", "fsync-interval", "checkpoint-every", "rows", "stats", "metrics"},
 	"batch":            {"doc", "view", "pattern", "policy", "engine", "rows", "stats", "metrics"},
 }
 
@@ -92,14 +97,14 @@ func run(fs *flag.FlagSet, args []string) error {
 	docPath := fs.String("doc", "", "XML document to load (required)")
 	fs.Var(&views, "view", "NAME=view definition (repeatable)")
 	fs.Var(&patterns, "pattern", "NAME=tree pattern (repeatable)")
-	policy := fs.String("policy", "snowcaps", "lattice policy: snowcaps or leaves")
+	policy := fs.String("policy", "snowcaps", "batch mode lattice policy: snowcaps or leaves")
 	engine := fs.String("engine", "incr", "batch mode maintenance engine: incr, full, or ivma")
 	showRows := fs.Bool("rows", false, "print view rows after each statement")
 	stats := fs.Bool("stats", false, "print per-phase timing breakdowns")
 	metricsOut := fs.String("metrics", "", `dump engine metrics when done: "json" to stdout, or a file path`)
 	serveAddr := fs.String("serve", "", "serve /debug/pprof and /debug/vars on this address (e.g. :6060)")
 	dataDir := fs.String("data-dir", "", "durable mode: tenant root directory; each database journals to <data-dir>/<name>")
-	dbName := fs.String("db", "default", "database (tenant) name: the -data-dir subdirectory batch statements apply to, and the bootstrap/statement target of -listen")
+	dbName := fs.String("db", "default", "database (tenant) name: the -data-dir subdirectory -data-dir and -verify-recovery open, and the bootstrap/statement target of -listen")
 	fsync := fs.String("fsync", "always", "durable mode fsync policy: always, interval, or never")
 	fsyncInterval := fs.Duration("fsync-interval", 50*time.Millisecond, "group-commit window under -fsync interval")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "durable mode: checkpoint automatically after this many journaled records (0 = never)")
@@ -148,55 +153,72 @@ func run(fs *flag.FlagSet, args []string) error {
 		fmt.Printf("serving pprof/expvar on %s\n", *serveAddr)
 	}
 
-	switch mode {
-	case "-follow":
-		if *listenAddr == "" {
-			return fmt.Errorf("-follow requires -listen (a follower exists to serve reads)")
+	specs, err := compileViewSpecs(views, patterns)
+	if err != nil {
+		return err
+	}
+	if mode != "batch" {
+		// Every other mode is configured by one RegistryConfig. A flag the
+		// mode does not read was refused above, so it holds its default,
+		// which the mode either never consults or which is the field's own
+		// default. Engines keep the paper's default policy, snowcaps.
+		cfg := server.RegistryConfig{
+			Shard:      server.Config{QueueDepth: *queueDepth, MaxBatch: *maxBatch, RequestTimeout: *requestTimeout},
+			DataDir:    *dataDir,
+			WAL:        wal.Options{SyncInterval: *fsyncInterval, CheckpointEvery: *checkpointEvery},
+			FollowerOf: *followURL,
 		}
-		if fs.NArg() > 0 {
-			return fmt.Errorf("-follow accepts no statements: followers are read-only")
+		if cfg.WAL.Sync, err = wal.ParseSyncPolicy(*fsync); err != nil {
+			return err
 		}
-		return runFollow(ctx, listenConfig{
-			addr:           *listenAddr,
-			requestTimeout: *requestTimeout,
-			drainTimeout:   *drainTimeout,
-		}, *followURL, *policy)
-	case "-listen":
-		return runListen(ctx, listenConfig{
-			addr:           *listenAddr,
-			queueDepth:     *queueDepth,
-			maxBatch:       *maxBatch,
-			requestTimeout: *requestTimeout,
-			drainTimeout:   *drainTimeout,
-		}, durableConfig{
-			dir:             *dataDir,
-			db:              *dbName,
-			docPath:         *docPath,
-			views:           views,
-			patterns:        patterns,
-			policy:          *policy,
-			fsync:           *fsync,
-			fsyncInterval:   *fsyncInterval,
-			checkpointEvery: *checkpointEvery,
-			statements:      fs.Args(),
-		})
-	case "-data-dir", "-verify-recovery":
-		return runDurable(ctx, durableConfig{
-			dir:             *dataDir,
-			db:              *dbName,
-			docPath:         *docPath,
-			views:           views,
-			patterns:        patterns,
-			policy:          *policy,
-			fsync:           *fsync,
-			fsyncInterval:   *fsyncInterval,
-			checkpointEvery: *checkpointEvery,
-			verify:          *verifyRecovery,
-			showRows:        *showRows,
-			stats:           *stats,
-			metricsOut:      *metricsOut,
-			statements:      fs.Args(),
-		})
+		for _, s := range specs {
+			cfg.DefaultViews = append(cfg.DefaultViews, server.ViewSpec{Name: s.name, Pattern: s.p.String()})
+		}
+		if *docPath != "" {
+			doc, err := os.ReadFile(*docPath)
+			if err != nil {
+				return err
+			}
+			cfg.DefaultDoc = string(doc)
+		}
+		if err := wal.ValidTenantName(*dbName); err != nil {
+			return err
+		}
+
+		switch mode {
+		case "-follow":
+			if *listenAddr == "" {
+				return fmt.Errorf("-follow requires -listen (a follower exists to serve reads)")
+			}
+			if fs.NArg() > 0 {
+				return fmt.Errorf("-follow accepts no statements: followers are read-only")
+			}
+			return runFollow(ctx, cfg, *listenAddr, *drainTimeout)
+		case "-listen":
+			return runListen(ctx, cfg, *dbName, *listenAddr, *drainTimeout, fs.Args())
+		}
+		// -data-dir is a tenant root here too: a root -listen would refuse
+		// is refused with the same error. Only <data-dir>/<db> is opened;
+		// the rest of the root is left as it is.
+		if err := wal.CheckTenantRoot(cfg.WAL.FS, cfg.DataDir); err != nil {
+			return err
+		}
+		dir := wal.TenantDir(cfg.DataDir, *dbName)
+		var db *wal.DB
+		if cfg.DefaultDoc != "" {
+			db, err = wal.OpenOrCreate(dir, []byte(cfg.DefaultDoc), cfg.WAL)
+		} else if db, err = wal.Open(dir, cfg.WAL); err != nil && mode == "-data-dir" {
+			err = fmt.Errorf("%w (pass -doc to create a new database)", err)
+		}
+		if err != nil {
+			return err
+		}
+		defer db.Close()
+		printRecovery(db)
+		if mode == "-verify-recovery" {
+			return verifyViews(db)
+		}
+		return runDurable(ctx, db, cfg.DefaultViews, *showRows, *stats, *metricsOut, fs.Args())
 	}
 
 	switch *engine {
@@ -223,10 +245,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	}
 	e := core.New(doc, eopts...)
 
-	specs, err := compileViewSpecs(views, patterns)
-	if err != nil {
-		return err
-	}
 	for _, s := range specs {
 		mv, err := e.AddView(s.name, s.p)
 		if err != nil {
@@ -326,107 +344,28 @@ func printReport(rep *core.Report, stats bool) {
 	}
 }
 
-type durableConfig struct {
-	dir             string
-	db              string
-	docPath         string
-	views           []string
-	patterns        []string
-	policy          string
-	fsync           string
-	fsyncInterval   time.Duration
-	checkpointEvery int
-	verify          bool
-	showRows        bool
-	stats           bool
-	metricsOut      string
-	statements      []string
-}
-
-// resolveTenantDir maps -data-dir/-db to the database directory. -data-dir
-// is a tenant root (<root>/<db> holds the database), but a directory that
-// itself holds checkpoints is the pre-multi-tenant flat layout and is used
-// directly so existing databases keep working.
-func resolveTenantDir(root, db string) (string, error) {
-	if err := wal.ValidTenantName(db); err != nil {
-		return "", err
-	}
-	if ok, err := wal.IsDatabase(nil, root); err == nil && ok {
-		return root, nil
-	}
-	return wal.TenantDir(root, db), nil
-}
-
-// runDurable is the -data-dir mode: every statement goes through the
-// database's write-ahead log under <data-dir>/<db>, and the directory
+// runDurable is the -data-dir mode: views missing from db are added, and
+// every statement goes through db's write-ahead log, so the directory
 // recovers to the acknowledged state on the next run. Cancelling ctx stops
 // between statements; everything acknowledged so far is synced on the way
 // out.
-func runDurable(ctx context.Context, cfg durableConfig) error {
-	specs, err := compileViewSpecs(cfg.views, cfg.patterns)
-	if err != nil {
-		return err
-	}
-	dir, err := resolveTenantDir(cfg.dir, cfg.db)
-	if err != nil {
-		return err
-	}
-	policy, err := wal.ParseSyncPolicy(cfg.fsync)
-	if err != nil {
-		return err
-	}
-	eopts, err := policyOptions(cfg.policy)
-	if err != nil {
-		return err
-	}
-	opts := wal.Options{
-		Sync:            policy,
-		SyncInterval:    cfg.fsyncInterval,
-		CheckpointEvery: cfg.checkpointEvery,
-		Engine:          eopts,
-	}
-
-	var db *wal.DB
-	if cfg.docPath != "" {
-		docXML, err := os.ReadFile(cfg.docPath)
-		if err != nil {
-			return err
-		}
-		db, err = wal.OpenOrCreate(dir, docXML, opts)
-		if err != nil {
-			return err
-		}
-	} else {
-		db, err = wal.Open(dir, opts)
-		if err != nil {
-			return fmt.Errorf("%w (pass -doc to create a new database)", err)
-		}
-	}
-	defer db.Close()
-	printRecovery(db)
-
-	if cfg.verify {
-		return verifyViews(db)
-	}
-
-	for _, s := range specs {
-		if db.HasView(s.name) {
-			fmt.Printf("view %-8s (recovered)\n", s.name)
+func runDurable(ctx context.Context, db *wal.DB, views []server.ViewSpec, showRows, stats bool, metricsOut string, statements []string) error {
+	for _, v := range views {
+		if db.HasView(v.Name) {
+			fmt.Printf("view %-8s (recovered)\n", v.Name)
 			continue
 		}
-		// The log stores the pattern rendering, which reparses to an equal
-		// pattern regardless of which dialect declared it.
-		mv, err := db.AddView(s.name, s.p.String())
+		mv, err := db.AddView(v.Name, v.Pattern)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("view %-8s %s  (%d rows)\n", s.name, s.p, mv.View.Len())
+		fmt.Printf("view %-8s %s  (%d rows)\n", v.Name, v.Pattern, mv.View.Len())
 	}
 	if len(db.Engine().Views) == 0 {
 		return fmt.Errorf("no views declared (-view / -pattern) and none recovered")
 	}
 
-	for _, stmt := range cfg.statements {
+	for _, stmt := range statements {
 		if ctx.Err() != nil {
 			fmt.Println("\ninterrupted: remaining statements skipped")
 			break
@@ -444,20 +383,20 @@ func runDurable(ctx context.Context, cfg durableConfig) error {
 		if err != nil {
 			return err
 		}
-		printReport(rep, cfg.stats)
-		if cfg.showRows {
+		printReport(rep, stats)
+		if showRows {
 			printRows(db.Engine())
 		}
 	}
 	if err := db.Sync(); err != nil {
 		return err
 	}
-	if !cfg.showRows {
+	if !showRows {
 		printRows(db.Engine())
 	}
 	fmt.Printf("\ndurable through lsn %d in %s\n", db.LastLSN(), db.Dir())
-	if cfg.metricsOut != "" {
-		return writeMetrics(obs.Default(), cfg.metricsOut)
+	if metricsOut != "" {
+		return writeMetrics(obs.Default(), metricsOut)
 	}
 	return nil
 }

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xivm/internal/obs"
+	"xivm/internal/wal"
 )
 
 // TestModeRefusesFlagsItDoesNotRead: a flag set on the command line that the
@@ -41,20 +44,30 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{args: []string{"-doc", missing, "-queue-depth", "8"}, flag: "-queue-depth", mode: "batch"},
 		{args: []string{"-follow", leader, "-listen", addr, "-doc", missing}, flag: "-doc", mode: "-follow"},
 		{args: []string{"-follow", leader, "-listen", addr, "-data-dir", dir}, flag: "-data-dir", mode: "-follow"},
+		{args: []string{"-follow", leader, "-listen", addr, "-policy", "bogus"}, flag: "-policy", mode: "-follow"},
+		{args: []string{"-follow", leader, "-listen", addr, "-request-timeout", "1s", "insert <b/> into /a"},
+			flag: "-request-timeout", mode: "-follow"},
+		{args: []string{"-listen", addr, "-doc", missing, "-policy", "leaves"}, flag: "-policy", mode: "-listen"},
+		{args: []string{"-data-dir", dir, "-doc", missing, "-policy", "leaves"}, flag: "-policy", mode: "-data-dir"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-policy", "leaves"}, flag: "-policy", mode: "-verify-recovery"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-fsync", "bogus"}, flag: "-fsync", mode: "-verify-recovery"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-fsync-interval", "1ms"}, flag: "-fsync-interval", mode: "-verify-recovery"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-checkpoint-every", "8"}, flag: "-checkpoint-every", mode: "-verify-recovery"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-doc", missing}, flag: "-doc", mode: "-verify-recovery"},
 
 		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-policy", "leaves", "-engine", "ivma",
 			"-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-doc", missing, "-db", "shop", "-pattern", "V=//a{ID}", "-fsync", "never",
 			"-fsync-interval", "1ms", "-checkpoint-every", "8", "-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
-		{args: []string{"-data-dir", dir, "-verify-recovery", "-doc", missing, "-fsync", "bogus"}, err: "bogus"},
+		{args: []string{"-data-dir", dir, "-verify-recovery", "-db", "shop"}, err: "holds no checkpoint"},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-policy", "cost"}, err: `unknown policy "cost"`},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-engine", "lazy"}, err: `unknown engine "lazy"`},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-save", dir}, err: "flag provided but not defined: -save"},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-load", dir}, err: "flag provided but not defined: -load"},
 		{args: []string{"-listen", addr, "-doc", missing, "-data-dir", dir, "-pattern", "V=//a{ID}", "-queue-depth", "8",
 			"-max-batch", "1", "-request-timeout", "1s", "-drain-timeout", "1s"}, err: "missing.xml"},
-		{args: []string{"-follow", leader, "-listen", addr, "-policy", "bogus", "-request-timeout", "1s",
-			"-drain-timeout", "1s"}, err: "bogus"},
+		{args: []string{"-follow", leader, "-listen", addr, "-drain-timeout", "1s", "insert <b/> into /a"},
+			err: "-follow accepts no statements"},
 	} {
 		fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -69,6 +82,82 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 			}
 		} else if strings.Contains(err.Error(), "is not read in") || !strings.Contains(err.Error(), tc.err) {
 			t.Errorf("%q: %v, want the run to fail on %q", tc.args, err, tc.err)
+		}
+	}
+}
+
+// TestDataDirIsATenantRootInEveryMode: a -data-dir that is itself a database
+// (what wal.Create writes, the layout from before tenant roots) is refused
+// with wal.ScanTenantRoot's error whichever mode opens it. -data-dir and
+// -verify-recovery open only <data-dir>/<db>: they neither clean up the rest
+// of the root, as -listen's scan does, nor create a missing root.
+func TestDataDirIsATenantRootInEveryMode(t *testing.T) {
+	root := t.TempDir()
+	db, err := wal.Create(root, []byte("<a/>"), wal.Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, want := wal.ScanTenantRoot(nil, root)
+	if want == nil {
+		t.Fatal("ScanTenantRoot accepted a database directory as a tenant root")
+	}
+	for _, args := range [][]string{
+		{"-data-dir", root},
+		{"-data-dir", root, "-verify-recovery"},
+		{"-listen", "127.0.0.1:0", "-data-dir", root},
+	} {
+		fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := run(fs, args); err == nil || err.Error() != want.Error() {
+			t.Errorf("%q: %v, want %q", args, err, want)
+		}
+	}
+
+	xivm := func(args ...string) error {
+		fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return run(fs, args)
+	}
+	root = t.TempDir()
+	doc := filepath.Join(root, "a.xml")
+	if err := os.WriteFile(doc, []byte("<a><b/></a>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint-less directory with a tenant's name and a drop
+	// tombstone: the debris a -listen scan would remove.
+	kept := []string{filepath.Join(root, "docs"), filepath.Join(root, ".drop-old")}
+	for _, d := range kept {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := xivm("-data-dir", root, "-verify-recovery"); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
+		t.Errorf("-verify-recovery before any database: %v", err)
+	}
+	if err := xivm("-data-dir", root, "-doc", doc, "-pattern", "V=//b{ID}"); err != nil {
+		t.Fatal(err)
+	}
+	if err := xivm("-data-dir", root, "-verify-recovery"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range kept {
+		if _, err := os.Stat(d); err != nil {
+			t.Errorf("%s: %v", d, err)
+		}
+	}
+	missing := filepath.Join(root, "missing")
+	for _, args := range [][]string{
+		{"-data-dir", missing},
+		{"-data-dir", missing, "-verify-recovery"},
+	} {
+		if err := xivm(args...); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
+			t.Errorf("%q: %v, want a missing database", args, err)
+		}
+		if _, err := os.Stat(missing); !os.IsNotExist(err) {
+			t.Errorf("%q created the missing root: %v", args, err)
 		}
 	}
 }

@@ -15,78 +15,22 @@ import (
 	"xivm/internal/server"
 	"xivm/internal/update"
 	"xivm/internal/view"
-	"xivm/internal/wal"
 )
 
-type listenConfig struct {
-	addr           string
-	queueDepth     int
-	maxBatch       int
-	requestTimeout time.Duration
-	drainTimeout   time.Duration
-}
-
-// runListen is the -listen mode: it builds a tenant registry (durable when
-// -data-dir is set — the directory is a tenant root holding one WAL
+// runListen is the -listen mode: it builds the tenant registry cfg
+// describes (durable when cfg.DataDir is set — a tenant root holding one WAL
 // directory per database — in-memory otherwise), recovers every surviving
-// tenant, bootstraps the -db tenant from -doc when missing, applies any
-// trailing statements to it, then serves the multi-tenant HTTP API until
-// ctx is cancelled by a signal. Shutdown is a graceful drain: the listener
-// finishes in-flight HTTP requests, every tenant's apply loop drains every
-// accepted update, and every backend syncs (flushing its WAL group-commit
-// window) before exit.
-func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
-	if err := wal.ValidTenantName(cfg.db); err != nil {
-		return err
-	}
-	specs, err := compileViewSpecs(cfg.views, cfg.patterns)
-	if err != nil {
-		return err
-	}
-	defaultViews := make([]server.ViewSpec, 0, len(specs))
-	for _, s := range specs {
-		defaultViews = append(defaultViews, server.ViewSpec{Name: s.name, Pattern: s.p.String()})
-	}
-	var defaultDoc string
-	if cfg.docPath != "" {
-		docXML, err := os.ReadFile(cfg.docPath)
-		if err != nil {
-			return err
-		}
-		defaultDoc = string(docXML)
-	}
-	eopts, err := policyOptions(cfg.policy)
-	if err != nil {
-		return err
-	}
-
-	regCfg := server.RegistryConfig{
-		Shard: server.Config{
-			QueueDepth:     lc.queueDepth,
-			MaxBatch:       lc.maxBatch,
-			RequestTimeout: lc.requestTimeout,
-		},
-		DefaultDoc:   defaultDoc,
-		DefaultViews: defaultViews,
-		WAL:          wal.Options{Engine: eopts},
-	}
-	if cfg.dir != "" {
-		policy, err := wal.ParseSyncPolicy(cfg.fsync)
-		if err != nil {
-			return err
-		}
-		regCfg.DataDir = cfg.dir
-		regCfg.WAL = wal.Options{
-			Sync:            policy,
-			SyncInterval:    cfg.fsyncInterval,
-			CheckpointEvery: cfg.checkpointEvery,
-			Engine:          eopts,
-		}
-	} else if defaultDoc == "" {
+// tenant, bootstraps tenant name from cfg.DefaultDoc when missing, applies
+// any trailing statements to it, then serves the multi-tenant HTTP API on
+// addr until ctx is cancelled by a signal. Shutdown is a graceful drain
+// within drainTimeout: the listener finishes in-flight HTTP requests, every
+// tenant's apply loop drains every accepted update, and every backend syncs
+// (flushing its WAL group-commit window) before exit.
+func runListen(ctx context.Context, cfg server.RegistryConfig, name, addr string, drainTimeout time.Duration, statements []string) error {
+	if cfg.DataDir == "" && cfg.DefaultDoc == "" {
 		return fmt.Errorf("-doc is required (or -data-dir to reopen durable databases)")
 	}
-
-	reg, err := server.NewRegistry(regCfg)
+	reg, err := server.NewRegistry(cfg)
 	if err != nil {
 		return err
 	}
@@ -101,30 +45,30 @@ func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
 
 	// Bootstrap the -db tenant (the one trailing statements address) when it
 	// does not exist yet.
-	if _, err := reg.Get(cfg.db); err != nil {
-		if defaultDoc == "" {
+	if _, err := reg.Get(name); err != nil {
+		if cfg.DefaultDoc == "" {
 			if len(reg.Names()) == 0 {
 				shutdownReg(ctx)
-				return fmt.Errorf("no databases recovered from %s (pass -doc to create %q)", cfg.dir, cfg.db)
+				return fmt.Errorf("no databases recovered from %s (pass -doc to create %q)", cfg.DataDir, name)
 			}
 		} else {
-			sh, err := reg.Create(cfg.db, "", nil)
+			sh, err := reg.Create(name, "", nil)
 			if err != nil {
 				shutdownReg(ctx)
 				return err
 			}
 			snap := sh.Epoch()
-			fmt.Printf("db %-12s (created: %d views)\n", cfg.db, len(snap.Views))
+			fmt.Printf("db %-12s (created: %d views)\n", name, len(snap.Views))
 		}
 	}
 
-	for _, stmt := range cfg.statements {
+	for _, stmt := range statements {
 		st, err := update.Parse(stmt)
 		if err != nil {
 			shutdownReg(ctx)
 			return err
 		}
-		sh, err := reg.Get(cfg.db)
+		sh, err := reg.Get(name)
 		if err != nil {
 			shutdownReg(ctx)
 			return err
@@ -133,11 +77,11 @@ func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
 			shutdownReg(ctx)
 			return fmt.Errorf("apply %q: %w", stmt, err)
 		} else {
-			fmt.Printf(">> [%s] %s  (version %d)\n", cfg.db, stmt, version)
+			fmt.Printf(">> [%s] %s  (version %d)\n", name, stmt, version)
 		}
 	}
 
-	ln, err := net.Listen("tcp", lc.addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		shutdownReg(ctx)
 		return err
@@ -154,7 +98,7 @@ func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
 	case <-ctx.Done():
 	}
 	fmt.Println("\nshutting down: draining requests and apply queues…")
-	dctx, cancel := context.WithTimeout(context.Background(), lc.drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
 		fmt.Fprintln(os.Stderr, "xivm: http drain:", err)
@@ -166,36 +110,29 @@ func runListen(ctx context.Context, lc listenConfig, cfg durableConfig) error {
 	return nil
 }
 
-// runFollow is the -follow mode: a read-only follower. It builds a follower
-// registry (no data dir — the leader owns the durable state), starts a
-// replication fleet that discovers the leader's tenants and tails each one
-// (snapshot-first catch-up, then WAL-frame streaming with CRC
-// re-verification), and serves every read endpoint at the applied LSN.
-// Writes are rejected with 403 read_only pointing at the leader. Shutdown
-// stops the HTTP listener, then the tailers.
-func runFollow(ctx context.Context, lc listenConfig, leaderURL, policy string) error {
-	eopts, err := policyOptions(policy)
-	if err != nil {
-		return err
-	}
-	reg, err := server.NewRegistry(server.RegistryConfig{
-		Shard:      server.Config{RequestTimeout: lc.requestTimeout},
-		FollowerOf: leaderURL,
-		WAL:        wal.Options{Engine: eopts},
-	})
+// runFollow is the -follow mode: a read-only follower of cfg.FollowerOf. It
+// builds the follower registry cfg describes (no data dir — the leader owns
+// the durable state), starts a replication fleet that discovers the leader's
+// tenants and tails each one (snapshot-first catch-up, then WAL-frame
+// streaming with CRC re-verification) into replicas built with the
+// registry's own engine options, and serves every read endpoint on addr at
+// the applied LSN. Writes are rejected with 403 read_only pointing at the
+// leader. Shutdown stops the HTTP listener, then the tailers.
+func runFollow(ctx context.Context, cfg server.RegistryConfig, addr string, drainTimeout time.Duration) error {
+	reg, err := server.NewRegistry(cfg)
 	if err != nil {
 		return err
 	}
 
 	fctx, fcancel := context.WithCancel(context.Background())
-	fleet := repl.NewFleet(client.New(leaderURL), reg, repl.Options{Engine: eopts})
+	fleet := repl.NewFleet(client.New(cfg.FollowerOf), reg, repl.Options{})
 	fleetDone := make(chan struct{})
 	go func() {
 		defer close(fleetDone)
 		_ = fleet.Run(fctx)
 	}()
 
-	ln, err := net.Listen("tcp", lc.addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fcancel()
 		<-fleetDone
@@ -204,7 +141,7 @@ func runFollow(ctx context.Context, lc listenConfig, leaderURL, policy string) e
 	hs := &http.Server{Handler: reg.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Printf("serving read-only follower API on %s (leader %s)\n", ln.Addr(), leaderURL)
+	fmt.Printf("serving read-only follower API on %s (leader %s)\n", ln.Addr(), cfg.FollowerOf)
 
 	var srvErr error
 	select {
@@ -212,7 +149,7 @@ func runFollow(ctx context.Context, lc listenConfig, leaderURL, policy string) e
 	case <-ctx.Done():
 	}
 	fmt.Println("\nshutting down: draining requests and stopping tailers…")
-	dctx, cancel := context.WithTimeout(context.Background(), lc.drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
 		fmt.Fprintln(os.Stderr, "xivm: http drain:", err)

@@ -76,17 +76,6 @@ func (p *Pattern) SnowcapChain() []uint64 {
 	return chain
 }
 
-// LeafMasks returns the singleton masks for every pattern node — the
-// lattice leaves. (Every node, not only pattern leaves: the lattice of the
-// paper has one leaf per query node label.)
-func (p *Pattern) LeafMasks() []uint64 {
-	out := make([]uint64, len(p.Nodes))
-	for i := range p.Nodes {
-		out[i] = 1 << uint(i)
-	}
-	return out
-}
-
 func sortByPopcount(masks []uint64) {
 	// Insertion sort by (popcount, value): lattice sizes are tiny.
 	for i := 1; i < len(masks); i++ {

@@ -58,9 +58,6 @@ type Options struct {
 	// Metrics selects the registry for the repl.follower.* instruments
 	// (nil = obs.Default()).
 	Metrics *obs.Metrics
-	// Engine configures restored engines (maintenance policy etc.); use the
-	// same options as the leader so per-view strategy choices match.
-	Engine []core.Option
 }
 
 func (o Options) pollInterval() time.Duration {
@@ -203,8 +200,9 @@ func (f *Follower) Run(ctx context.Context) error {
 }
 
 // resync is snapshot-first catch-up: fetch the leader's newest checkpoint
-// image, verify every byte, restore an engine, and (re-)attach the replica
-// shard at the image's LSN.
+// image, verify every byte, restore an engine configured like every other
+// engine of the follower registry, and (re-)attach the replica shard at the
+// image's LSN.
 func (f *Follower) resync(ctx context.Context) error {
 	resp, err := f.db.ReplSnapshot(ctx)
 	if err != nil {
@@ -214,7 +212,7 @@ func (f *Follower) resync(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("repl: verifying snapshot for %s: %w", f.name, err)
 	}
-	eng, err := img.Restore(f.opts.Engine...)
+	eng, err := img.Restore(f.reg.EngineOptions()...)
 	if err != nil {
 		return fmt.Errorf("repl: restoring snapshot for %s: %w", f.name, err)
 	}

@@ -74,11 +74,14 @@ func newLeader(t *testing.T, walOpts wal.Options) (*server.Registry, *httptest.S
 	return reg, ts
 }
 
-func newFollowerReg(t *testing.T, leaderURL string) (*server.Registry, *httptest.Server) {
+// newFollowerReg builds a follower registry whose engines are built with
+// engine.
+func newFollowerReg(t *testing.T, leaderURL string, engine ...core.Option) (*server.Registry, *httptest.Server) {
 	t.Helper()
 	reg, err := server.NewRegistry(server.RegistryConfig{
 		Shard:      server.Config{Metrics: obs.New()},
 		FollowerOf: leaderURL,
+		WAL:        wal.Options{Engine: engine},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +238,30 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 	}
 	if lag := m.CounterValue("repl.follower.lag_lsn"); lag != 0 {
 		t.Fatalf("lag_lsn gauge %d after quiesce, want 0", lag)
+	}
+}
+
+// TestReplicaEngineIsTheRegistrys: a follower restores its replica with the
+// follower registry's own engine options (RegistryConfig.WAL.Engine), so the
+// metrics registry configured there counts the replica's propagation.
+func TestReplicaEngineIsTheRegistrys(t *testing.T) {
+	_, lts := newLeader(t, wal.Options{})
+	lc := client.New(lts.URL)
+	db := lc.DB(defaultTenant)
+	m := obs.New()
+	folReg, _ := newFollowerReg(t, lts.URL, core.WithMetrics(m))
+	startFollower(t, NewFollower(lc, folReg, defaultTenant, Options{
+		PollInterval: 2 * time.Millisecond,
+		Metrics:      obs.New(),
+	}))
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+
+	walks := func() int64 { return m.Histogram("core.phase." + obs.PhaseComputeDelta).Count() }
+	before := walks()
+	write(t, db, vocab[0])
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+	if got := walks(); got <= before {
+		t.Fatalf("replica propagation counted %d ∆ walks before the replayed statement and %d after, want more", before, got)
 	}
 }
 

@@ -34,7 +34,8 @@ type RegistryConfig struct {
 	DataDir string
 	// WAL is the per-tenant durability template (sync policy, segment
 	// size, checkpoint cadence, engine options). Ignored when DataDir is
-	// empty, except for WAL.Engine which configures in-memory engines too.
+	// empty, except for WAL.Engine, which configures every engine the
+	// registry serves: in-memory tenants and a follower's replicas too.
 	WAL wal.Options
 	// DefaultDoc seeds tenants created without a document of their own
 	// (POST /v1/db with no "document"). Empty disables doc-less creation.
@@ -42,11 +43,6 @@ type RegistryConfig struct {
 	// DefaultViews are registered on every tenant created without views of
 	// its own.
 	DefaultViews []ViewSpec
-	// XPathCacheSize caps the registry-wide LRU of compiled XPath programs
-	// serving /v1/db/{name}/xpath. Zero means the default (256); compiled
-	// programs are immutable and document-independent, so one cache safely
-	// serves every tenant and epoch.
-	XPathCacheSize int
 
 	// FollowerOf, when set, makes this a read-only follower registry: its
 	// tenants are replica shards attached by the replication layer
@@ -60,6 +56,12 @@ type RegistryConfig struct {
 	// is built — the test seam for gating or failing one tenant's applies.
 	wrapBackend func(tenant string, b Backend) Backend
 }
+
+// xpathCacheSize caps the registry-wide LRU of compiled XPath programs
+// serving /v1/db/{name}/xpath. Compiled programs are immutable and
+// document-independent, so one cache serves every tenant and epoch. A
+// variable so the eviction test can shrink it.
+var xpathCacheSize = 256
 
 // Registry hosts many tenants in one process: it owns the tenant lifecycle
 // (crash-safe create, drop, list, recovery of every surviving tenant at
@@ -93,14 +95,10 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.FollowerOf != "" && cfg.DataDir != "" {
 		return nil, fmt.Errorf("server: a follower registry keeps no data dir of its own")
 	}
-	cacheSize := cfg.XPathCacheSize
-	if cacheSize == 0 {
-		cacheSize = 256
-	}
 	r := &Registry{
 		cfg:      cfg,
 		m:        newServerMetrics(cfg.Shard.Metrics),
-		progs:    qvm.NewCache(cacheSize),
+		progs:    qvm.NewCache(xpathCacheSize),
 		shards:   make(map[string]*Shard),
 		creating: make(map[string]bool),
 	}
@@ -177,6 +175,11 @@ func (r *Registry) DropReplica(name string) {
 // FollowerOf returns the leader base URL when this registry is a follower,
 // and "" otherwise.
 func (r *Registry) FollowerOf() string { return r.cfg.FollowerOf }
+
+// EngineOptions returns RegistryConfig.WAL.Engine, the options every engine
+// the registry serves is built with; a follower restores its replicas with
+// them.
+func (r *Registry) EngineOptions() []core.Option { return r.cfg.WAL.Engine }
 
 // closeAll force-closes every shard already built (constructor error path).
 func (r *Registry) closeAll() {

@@ -18,12 +18,14 @@ import (
 // view-rewrite layer (and its own result cache) out of the way: this test
 // pins the tree-walk compile cache alone.
 func TestXPathCacheMetrics(t *testing.T) {
+	old := xpathCacheSize
+	xpathCacheSize = 2
+	defer func() { xpathCacheSize = old }()
 	m := obs.New()
 	reg, err := NewRegistry(RegistryConfig{
-		Shard:          Config{Metrics: m},
-		DefaultDoc:     xmark.GenerateSmall(1, 0),
-		DefaultViews:   testViewSpecs(),
-		XPathCacheSize: 2,
+		Shard:        Config{Metrics: m},
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
+		DefaultViews: testViewSpecs(),
 	})
 	if err != nil {
 		t.Fatal(err)

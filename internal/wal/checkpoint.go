@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -129,9 +131,13 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sourc
 }
 
 // listCheckpoints returns the LSNs of the published checkpoints in dir,
-// ascending. Tmp directories and foreign entries are ignored.
+// ascending. Tmp directories and foreign entries are ignored; a missing dir
+// holds none.
 func listCheckpoints(fsys FS, dir string) ([]uint64, error) {
 	entries, err := fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -91,14 +91,14 @@ type DB struct {
 	pins  map[string]followerPin
 }
 
-func newDB(dir string, opts Options) (*DB, error) {
+func newDB(dir string, opts Options) *DB {
 	if opts.FS == nil {
 		opts.FS = OSFS
 	}
 	if opts.KeepCheckpoints <= 0 {
 		opts.KeepCheckpoints = 2
 	}
-	db := &DB{
+	return &DB{
 		dir:     dir,
 		walDir:  filepath.Join(dir, "wal"),
 		fs:      opts.FS,
@@ -107,10 +107,6 @@ func newDB(dir string, opts Options) (*DB, error) {
 		sources: map[string]string{},
 		pins:    map[string]followerPin{},
 	}
-	if err := db.fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return db, nil
 }
 
 func (db *DB) logOptions(start uint64) LogOptions {
@@ -158,8 +154,8 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
 	}
-	db, err := newDB(dir, opts)
-	if err != nil {
+	db := newDB(dir, opts)
+	if err := db.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	existing, err := listCheckpoints(db.fs, dir)
@@ -182,12 +178,10 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 
 // Open recovers a database: newest valid checkpoint, torn-tail log scan,
 // replay of the surviving suffix. The recovered engine state is exactly
-// what the durable log prefix acknowledges.
+// what the durable log prefix acknowledges. A missing dir is refused like
+// an empty one, and Open does not create it.
 func Open(dir string, opts Options) (*DB, error) {
-	db, err := newDB(dir, opts)
-	if err != nil {
-		return nil, err
-	}
+	db := newDB(dir, opts)
 	lsns, err := listCheckpoints(db.fs, dir)
 	if err != nil {
 		return nil, err
@@ -276,11 +270,7 @@ func (db *DB) replay(img *Image) error {
 // OpenOrCreate opens dir if it holds a database and creates one around
 // docXML otherwise.
 func OpenOrCreate(dir string, docXML []byte, opts Options) (*DB, error) {
-	probe, err := newDB(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	lsns, err := listCheckpoints(probe.fs, dir)
+	lsns, err := listCheckpoints(newDB(dir, opts).fs, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -40,9 +40,6 @@ func NewFailFS(inner FS) *FailFS {
 // Ops returns how many mutating operations have run.
 func (f *FailFS) Ops() int { return f.ops }
 
-// Crashed reports whether the injected crash has fired.
-func (f *FailFS) Crashed() bool { return f.crashed }
-
 // step accounts one mutating operation and decides whether to crash now.
 func (f *FailFS) step() error {
 	if f.crashed {
@@ -140,9 +137,9 @@ type failFile struct {
 // operation, a prefix of p still reaches the file — what a sector-sized
 // power cut does to an in-flight append.
 func (w *failFile) Write(p []byte) (int, error) {
-	wasCrashed := w.fs.crashed
+	down := w.fs.crashed
 	if err := w.fs.step(); err != nil {
-		if !wasCrashed && len(p) > 0 {
+		if !down && len(p) > 0 {
 			// The crash fired on THIS write (not a pre-crashed fs): land the
 			// torn prefix.
 			torn := w.fs.TornBytes

@@ -55,12 +55,9 @@ func ValidTenantName(name string) error {
 // TenantDir returns the database directory of a tenant under root.
 func TenantDir(root, name string) string { return filepath.Join(root, name) }
 
-// IsDatabase reports whether dir holds a database (at least one published
-// checkpoint). fsys nil selects the OS filesystem.
-func IsDatabase(fsys FS, dir string) (bool, error) {
-	if fsys == nil {
-		fsys = OSFS
-	}
+// isDatabase reports whether dir holds a database (at least one published
+// checkpoint).
+func isDatabase(fsys FS, dir string) (bool, error) {
 	lsns, err := listCheckpoints(fsys, dir)
 	if err != nil {
 		return false, err
@@ -68,13 +65,28 @@ func IsDatabase(fsys FS, dir string) (bool, error) {
 	return len(lsns) > 0, nil
 }
 
+// CheckTenantRoot errors if root is itself a database directory (the
+// pre-multi-tenant flat layout) — move it to <root>/<name> to serve it as a
+// tenant. It only reads: a missing root passes and is not created. fsys nil
+// selects the OS filesystem.
+func CheckTenantRoot(fsys FS, root string) error {
+	if fsys == nil {
+		fsys = OSFS
+	}
+	if isDB, err := isDatabase(fsys, root); err != nil {
+		return err
+	} else if isDB {
+		return fmt.Errorf("wal: %s is a single-database directory, not a tenant root (move it to %s to serve it as a tenant)", root, filepath.Join(root, "default"))
+	}
+	return nil
+}
+
 // ScanTenantRoot lists the tenants surviving under root and finishes any
 // interrupted create or drop it finds: ".drop-" tombstones are deleted, and
 // directories that never published a checkpoint (a create killed before its
-// initial checkpoint) are removed. It creates root if missing and errors if
-// root itself is a database directory (the pre-multi-tenant flat layout) —
-// move it to <root>/<name> to serve it as a tenant. The removed list names
-// the debris cleaned up, for logging. fsys nil selects the OS filesystem.
+// initial checkpoint) are removed. It creates root if missing and refuses
+// it as CheckTenantRoot does. The removed list names the debris cleaned up,
+// for logging. fsys nil selects the OS filesystem.
 func ScanTenantRoot(fsys FS, root string) (tenants, removed []string, err error) {
 	if fsys == nil {
 		fsys = OSFS
@@ -82,10 +94,8 @@ func ScanTenantRoot(fsys FS, root string) (tenants, removed []string, err error)
 	if err := fsys.MkdirAll(root, 0o755); err != nil {
 		return nil, nil, err
 	}
-	if isDB, err := IsDatabase(fsys, root); err != nil {
+	if err := CheckTenantRoot(fsys, root); err != nil {
 		return nil, nil, err
-	} else if isDB {
-		return nil, nil, fmt.Errorf("wal: %s is a single-database directory, not a tenant root (move it to %s to serve it as a tenant)", root, filepath.Join(root, "default"))
 	}
 	entries, err := fsys.ReadDir(root)
 	if err != nil {
@@ -107,7 +117,7 @@ func ScanTenantRoot(fsys FS, root string) (tenants, removed []string, err error)
 			continue // foreign directory: not ours to touch
 		}
 		dir := filepath.Join(root, name)
-		isDB, derr := IsDatabase(fsys, dir)
+		isDB, derr := isDatabase(fsys, dir)
 		if derr != nil {
 			return nil, nil, derr
 		}

@@ -100,6 +100,32 @@ func TestScanTenantRootRejectsLegacyLayout(t *testing.T) {
 	}
 }
 
+// TestCheckTenantRootOnlyReads: neither CheckTenantRoot nor Open creates a
+// missing directory, and CheckTenantRoot leaves debris where it is.
+func TestCheckTenantRootOnlyReads(t *testing.T) {
+	root := t.TempDir()
+	debris := filepath.Join(root, "beta")
+	if err := os.Mkdir(debris, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTenantRoot(nil, root); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(debris); err != nil {
+		t.Fatalf("checkpoint-less tenant directory: %v", err)
+	}
+	missing := filepath.Join(root, "missing")
+	if err := CheckTenantRoot(nil, missing); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(TenantDir(missing, "alpha"), Options{}); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
+		t.Fatalf("Open of a missing directory: %v", err)
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("missing root was created: %v", err)
+	}
+}
+
 func TestDropTenant(t *testing.T) {
 	root := t.TempDir()
 	mkTenant(t, root, "alpha")

@@ -285,13 +285,9 @@ func (n *Node) CountNodes() int {
 	return total
 }
 
-// WordLabel returns the pattern label denoting a word leaf: a pattern node
-// labeled "~w" matches any text node whose whitespace-tokenized value
-// contains the word w (the paper's word alphabet A_w for pattern leaves).
-func WordLabel(word string) string { return "~" + word }
-
 // MatchesWord reports whether the node is a text node containing the given
-// word as a whitespace-delimited token.
+// word as a whitespace-delimited token: what a pattern node labeled "~word"
+// matches (the paper's word alphabet A_w for pattern leaves).
 func (n *Node) MatchesWord(word string) bool {
 	if n.Kind != Text {
 		return false
