@@ -45,15 +45,13 @@ func (c *Cache[K, V]) Put(key K, val V) (evicted bool) {
 	return evicted
 }
 
-// DeleteFunc removes the entries drop reports true for and counts them.
-func (c *Cache[K, V]) DeleteFunc(drop func(K, V) bool) (n int) {
+// Each calls f with every entry, in no particular order, leaving recency as
+// it is.
+func (c *Cache[K, V]) Each(f func(K, V)) {
 	for _, el := range c.items {
-		if e := el.Value.(*entry[K, V]); drop(e.key, e.val) {
-			c.remove(el)
-			n++
-		}
+		e := el.Value.(*entry[K, V])
+		f(e.key, e.val)
 	}
-	return n
 }
 
 func (c *Cache[K, V]) remove(el *list.Element) {

@@ -21,11 +21,16 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	if v, _ := c.Get("a"); v != 10 || c.Len() != 2 {
 		t.Fatalf("a = %d, len %d; want 10, 2", v, c.Len())
 	}
-	if n := c.DeleteFunc(func(k string, _ int) bool { return k == "a" }); n != 1 || c.Len() != 1 {
-		t.Fatalf("DeleteFunc removed %d, len %d; want 1, 1", n, c.Len())
+	seen := map[string]int{}
+	c.Each(func(k string, v int) { seen[k] = v })
+	if len(seen) != 2 || seen["a"] != 10 || seen["c"] != 3 {
+		t.Fatalf("Each saw %v; want a=10 and c=3", seen)
 	}
-	if _, ok := c.Get("c"); !ok {
-		t.Fatal("DeleteFunc removed an entry it was not asked to")
+	if !c.Put("d", 4) {
+		t.Fatal("third entry in a 2-entry cache evicted nothing")
+	}
+	if _, ok := c.Get("c"); ok {
+		t.Fatal("c survived though a was used more recently: Each moved an entry")
 	}
 }
 

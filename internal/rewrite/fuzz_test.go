@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,6 +65,9 @@ func fuzzLibrary(d *xmltree.Document) []*View {
 		mk("bidder-increase", `//bidder{ID}//increase{ID,val}`),
 		mk("auction-initial", `//open_auction{ID}//initial{ID,val}`),
 		mk("auction-increase", `//open_auction{ID}//increase{ID,val}`),
+		// Branching: its rows run by bidder before increase, so a query
+		// storing only the increase streams out of ID order.
+		mk("auction-bidder-increase", `//open_auction{ID}[/bidder{ID}]//increase{ID,val}`),
 	}
 }
 
@@ -71,7 +77,10 @@ func fuzzLibrary(d *xmltree.Document) []*View {
 // values, same order — and exactly direct evaluation's rows, derivation
 // counts included. The same holds for the query with every node's ID stored
 // (answer columns then come from every piece of a multi-view plan), over
-// the live document and over its image.
+// the live document and over its image. The plan's streamed encoding
+// (AppendMatches, the served read's) must equal, byte for byte, the same
+// encoder run over Answer's rows, the way the server's appendRowMatches
+// runs it, whether the stream held or rewound.
 func FuzzRewriteVsTreeWalk(f *testing.F) {
 	for _, seed := range []string{
 		"/site/people/person/name",
@@ -84,6 +93,7 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 		`//open_auction[initial="5"]//increase`,
 		"//person/@id",
 		"/site/people/person[homepage]/name",
+		"//open_auction[bidder]//increase",
 	} {
 		f.Add(seed)
 	}
@@ -117,6 +127,14 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 					t.Fatalf("%s %s (%s): match %d value %q != %q", w.name, qs, plan.Explain(), i, e.Val, want[i].StringValue())
 				}
 			}
+			head := []byte(w.name + ":")
+			encoded := head
+			for i := range rows {
+				encoded = appendTestMatch(encoded, i, &rows[i].Entries[0])
+			}
+			if streamed, _ := plan.AppendMatches(slices.Clip(head), appendTestMatch); !bytes.Equal(streamed, encoded) {
+				t.Fatalf("%s %s (%s): streamed matches\n %s\nwant %s", w.name, qs, plan.Explain(), streamed, encoded)
+			}
 			for _, q := range []*pattern.Pattern{pat, wide} {
 				rows, plan, err := Answer(q, w.lib)
 				if err != nil {
@@ -128,4 +146,10 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 			}
 		}
 	})
+}
+
+// appendTestMatch encodes one match with everything a served match carries:
+// its position, its node and its value.
+func appendTestMatch(dst []byte, i int, e *algebra.RowEntry) []byte {
+	return fmt.Appendf(dst, "%d %s %q;", i, e.ID, e.Val)
 }

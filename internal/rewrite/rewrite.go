@@ -19,8 +19,10 @@
 // When several plans apply, the cheapest by view cardinality wins: a
 // rewrite scans whole views, so cost is the total number of rows read.
 //
-// Answer never consults the base document; everything comes from view rows,
-// and what a call allocates is its answer, not its scans (see execute).
+// A plan never consults the base document; everything comes from view rows.
+// Its one executor streams answer rows to a sink: Answer collects them, and
+// AppendMatches encodes them as they come, so a served read allocates
+// neither its answer nor its scans (see executor).
 package rewrite
 
 import (
@@ -54,7 +56,8 @@ type View struct {
 	Rows    RowSource
 }
 
-// Plan describes how a query was answered.
+// Plan is a query compiled against a view library: how it is answered
+// (the exported fields) and the pieces its executor runs.
 type Plan struct {
 	Kind  string // "single", "stitch" or "intersect"
 	Views []string
@@ -62,6 +65,9 @@ type Plan struct {
 	SplitNode int
 	// Cost is the total number of view rows the plan scans.
 	Cost int
+
+	q      *pattern.Pattern
+	pieces []piece
 }
 
 func (p *Plan) Explain() string {
@@ -77,10 +83,20 @@ func (p *Plan) Explain() string {
 
 // Answer computes the query's rows (projected onto its stored nodes, with
 // exact derivation counts) from the given views, or reports that no
-// rewriting exists. Among applicable plans the cheapest by scanned view
-// cardinality is chosen; a matching single view always beats multi-view
-// plans (it scans one relation and needs no join).
+// rewriting exists: Compile, then collect what the plan's executor emits.
 func Answer(q *pattern.Pattern, views []*View) ([]algebra.Row, *Plan, error) {
+	plan, err := Compile(q, views)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan.rows(), plan, nil
+}
+
+// Compile plans q over the views, reading only their cardinalities. Among
+// applicable plans the cheapest by scanned view cardinality is chosen; a
+// matching single view always beats multi-view plans (it scans one relation
+// and needs no join).
+func Compile(q *pattern.Pattern, views []*View) (*Plan, error) {
 	var pieces []piece
 	var plan *Plan
 	if v, m := bestSingle(q, views); v != nil {
@@ -97,9 +113,10 @@ func Answer(q *pattern.Pattern, views []*View) ([]algebra.Row, *Plan, error) {
 		}
 	}
 	if plan == nil {
-		return nil, nil, fmt.Errorf("rewrite: no view combination answers %s", q)
+		return nil, fmt.Errorf("rewrite: no view combination answers %s", q)
 	}
-	return execute(q, pieces), plan, nil
+	plan.q, plan.pieces = q, pieces
+	return plan, nil
 }
 
 // piece is one view's part in a compiled plan: the sub-pattern of the query
@@ -135,6 +152,9 @@ func planStitch(q *pattern.Pattern, views []*View) ([]piece, *Plan) {
 	var pieces []piece
 	var plan *Plan
 	for c := 1; c < q.Size(); c++ {
+		if !slices.ContainsFunc(views, func(v *View) bool { return v.Pattern.Root.Label == q.Nodes[c].Label }) {
+			continue // no view can answer the part below c: do not build it
+		}
 		topQ, topMap, botQ, botMap := split(q, c)
 		top, topM := bestSingle(topQ, views)
 		if top == nil {
@@ -257,23 +277,30 @@ func mergeEqual(rows []algebra.Row, cmp func(a, b algebra.Row) int) []algebra.Ro
 	return rows[:n+1]
 }
 
-// execute runs a compiled plan. Fixing the shared node, the embeddings of q
-// are exactly the cross product of the pieces' embeddings (the pieces
-// partition the other query nodes), so counts multiply. The piece supplying
-// the most answer columns is streamed; every other piece is ordered by the
-// shared node's key and searched per streamed row. Answer rows are emitted
-// already projected onto q's stored nodes, their entries carved out of one
-// backing slice, so a call allocates its answer plus one row header per
-// row of a non-driving view — not a full-width copy of every row it scans.
-func execute(q *pattern.Pattern, pieces []piece) []algebra.Row {
-	stored := q.StoredIndexes()
-	outs := make([][]outCol, len(pieces))
+// executor is a compiled plan made runnable. Fixing the shared node, the
+// embeddings of q are exactly the cross product of the pieces' embeddings
+// (the pieces partition the other query nodes), so counts multiply. The
+// piece supplying the most answer columns drives: it is streamed, and every
+// other piece is a side, ordered by the shared node's key and searched per
+// driving row. Answer rows are projected onto q's stored nodes in one
+// reused row, so a run allocates one row header per row of a non-driving
+// view and nothing per row it emits.
+type executor struct {
+	drv   *piece
+	outs  []outCol // the driving piece's answer columns
+	sides []side
+	cur   []algebra.RowEntry // the row being emitted
+}
+
+func (p *Plan) executor() *executor {
+	stored := p.q.StoredIndexes()
+	outs := make([][]outCol, len(p.pieces))
 	drv := 0
 	for pos, qi := range stored {
-		for pi := range pieces {
-			if j := slices.Index(pieces[pi].orig, qi); j >= 0 {
-				n := q.Nodes[qi]
-				outs[pi] = append(outs[pi], outCol{col: pieces[pi].m.col[j], pos: pos, node: qi,
+		for pi := range p.pieces {
+			if j := slices.Index(p.pieces[pi].orig, qi); j >= 0 {
+				n := p.q.Nodes[qi]
+				outs[pi] = append(outs[pi], outCol{col: p.pieces[pi].m.col[j], pos: pos, node: qi,
 					val: n.Store.Has(pattern.StoreVal), cont: n.Store.Has(pattern.StoreCont)})
 				if len(outs[pi]) > len(outs[drv]) {
 					drv = pi
@@ -282,55 +309,96 @@ func execute(q *pattern.Pattern, pieces []piece) []algebra.Row {
 			}
 		}
 	}
-	var sides []side
-	for pi := range pieces {
+	x := &executor{drv: &p.pieces[drv], outs: outs[drv], cur: make([]algebra.RowEntry, len(stored))}
+	for pi := range p.pieces {
 		if pi != drv {
-			sides = append(sides, newSide(&pieces[pi], outs[pi]))
+			x.sides = append(x.sides, newSide(&p.pieces[pi], outs[pi]))
 		}
 	}
+	return x
+}
 
-	// The driving view is streamed twice: the first pass only counts what
-	// the join emits, so the second fills slices made once, at their size.
-	width := len(stored)
-	var (
-		emitted int
-		backing []algebra.RowEntry
-		rows    []algebra.Row
-	)
-	cur := make([]algebra.RowEntry, width)
-	var emit func(si int, key string, count int)
-	emit = func(si int, key string, count int) {
-		if si == len(sides) {
-			if rows == nil {
-				emitted++
-				return
-			}
-			backing = append(backing, cur...)
-			n := len(backing)
-			rows = append(rows, algebra.Row{Entries: backing[n-width : n : n], Count: count})
-			return
+// run streams the driving view once and hands emit every answer row as the
+// join produces it: in the driving view's order, which need not be ID
+// order, and unmerged, so several rows may project onto the same stored
+// nodes. The row's entries are reused for the next one; emit copies what it
+// keeps, and stops the stream by returning false.
+func (x *executor) run(emit func(algebra.Row) bool) {
+	var join func(si int, key string, count int) bool
+	join = func(si int, key string, count int) bool {
+		if si == len(x.sides) {
+			return emit(algebra.Row{Entries: x.cur, Count: count})
 		}
-		s := &sides[si]
+		s := &x.sides[si]
 		i, _ := slices.BinarySearchFunc(s.rows, key, s.compare)
 		for ; i < len(s.rows) && s.compare(s.rows[i], key) == 0; i++ {
-			project(cur, s.outs, s.rows[i].Entries)
-			emit(si+1, key, count*s.rows[i].Count)
-		}
-	}
-	d := &pieces[drv]
-	stream := func() {
-		d.view.Rows.Each(func(r algebra.Row) bool {
-			if d.m.passes(r) {
-				project(cur, outs[drv], r.Entries)
-				emit(0, r.Entries[d.join].ID.Key(), r.Count)
+			project(x.cur, s.outs, s.rows[i].Entries)
+			if !join(si+1, key, count*s.rows[i].Count) {
+				return false
 			}
-			return true
-		})
+		}
+		return true
 	}
-	stream()
-	backing, rows = make([]algebra.RowEntry, 0, emitted*width), make([]algebra.Row, 0, emitted)
-	stream()
+	d := x.drv
+	d.view.Rows.Each(func(r algebra.Row) bool {
+		if !d.m.passes(r) {
+			return true
+		}
+		project(x.cur, x.outs, r.Entries)
+		return join(0, r.Entries[d.join].ID.Key(), r.Count)
+	})
+}
+
+// rows is the collecting sink: the executor runs twice, once to count what
+// it emits and once to copy it into slices made at their size, and the
+// answer is then sorted and merged.
+func (p *Plan) rows() []algebra.Row {
+	x := p.executor()
+	n := 0
+	x.run(func(algebra.Row) bool { n++; return true })
+	width := len(x.cur)
+	backing, rows := make([]algebra.RowEntry, 0, n*width), make([]algebra.Row, 0, n)
+	x.run(func(r algebra.Row) bool {
+		backing = append(backing, r.Entries...)
+		end := len(backing)
+		rows = append(rows, algebra.Row{Entries: backing[end-width : end : end], Count: r.Count})
+		return true
+	})
 	return mergeSorted(rows)
+}
+
+// AppendMatches appends the answer of a query storing one node to dst, each
+// match encoded by match, which gets the match's position and its entry:
+// every answer node once, in ID order, as Answer lists them. Nothing is
+// collected: rows go from the executor to match as the join emits them,
+// and a row repeating the node before it is skipped (derivation counts are
+// not matches). A row whose node precedes the one before it — a driving
+// view whose order is not its answer's — cuts dst back to where it began,
+// and the answer is collected, sorted and encoded instead; rewound reports
+// that it was.
+func (p *Plan) AppendMatches(dst []byte, match func(dst []byte, i int, e *algebra.RowEntry) []byte) (_ []byte, rewound bool) {
+	from, n := len(dst), 0
+	var prev dewey.ID
+	p.executor().run(func(r algebra.Row) bool {
+		e := &r.Entries[0]
+		if n > 0 {
+			if c := e.ID.Compare(prev); c <= 0 {
+				rewound = c < 0
+				return !rewound
+			}
+		}
+		dst = match(dst, n, e)
+		prev, n = e.ID, n+1
+		return true
+	})
+	if !rewound {
+		return dst, false
+	}
+	dst = dst[:from]
+	for i, r := range p.rows() {
+		dst = match(dst, i, &r.Entries[0])
+	}
+	return dst, true
 }
 
 // mergeSorted puts projected rows in ID order and folds rows that collapsed
@@ -409,7 +477,7 @@ func (m *mapping) passes(r algebra.Row) bool {
 // would silently return empty strings with correct counts (the bug class a
 // count-only oracle cannot see).
 func matchPatterns(q, v *pattern.Pattern) (*mapping, bool) {
-	if q.Size() != v.Size() {
+	if q.Size() != v.Size() || q.Root.Label != v.Root.Label {
 		return nil, false
 	}
 	m := &mapping{col: make([]int, q.Size())}

@@ -181,7 +181,7 @@ func appendViewResponse(dst []byte, snap *core.Snapshot, vs *core.ViewSnapshot) 
 }
 
 // appendXPathHead appends an XPathResponse body up to its matches array
-// (appendNodeMatches, appendRowMatches or cached bytes), which the caller
+// (appendNodeMatches, appendPlanMatches or cached bytes), which the caller
 // follows with xpathTail. The plan is part of the body only under explain.
 func appendXPathHead(dst []byte, snap *core.Snapshot, query, plan string, explain bool) []byte {
 	dst = appendEnvelope(dst, snap)
@@ -221,15 +221,20 @@ func appendNodeMatches(dst []byte, nodes []*xmltree.Node) []byte {
 	return append(dst, ']')
 }
 
-// appendRowMatches appends the matches array of a rewrite's result: rows
-// projected onto the query's one stored node, which carries ID and value.
+// appendRowMatches appends the matches array of a collected rewrite answer:
+// rows projected onto the query's one stored node, which carries ID and
+// value. A served read streams the same bytes (appendPlanMatches).
 func appendRowMatches(dst []byte, label string, rows []algebra.Row) []byte {
 	dst = append(dst, '[')
 	for i := range rows {
-		e := &rows[i].Entries[0]
-		dst = appendMatchHead(dst, i == 0, e.ID, label)
-		dst = appendJSONString(dst, e.Val)
-		dst = append(dst, '}')
+		dst = appendRowMatch(dst, i == 0, label, &rows[i].Entries[0])
 	}
 	return append(dst, ']')
+}
+
+// appendRowMatch appends one MatchJSON object for a stored node's entry.
+func appendRowMatch(dst []byte, first bool, label string, e *algebra.RowEntry) []byte {
+	dst = appendMatchHead(dst, first, e.ID, label)
+	dst = appendJSONString(dst, e.Val)
+	return append(dst, '}')
 }

@@ -15,6 +15,13 @@ import (
 // the independence test runs against); an entry survives a write exactly
 // when independence.Check proves the write cannot affect its pattern.
 //
+// An answer's bytes are kept on its query's second miss. The first miss
+// leaves a bodiless entry — the key and its pattern — which never serves;
+// a miss that finds the key copies the bytes in. A write that may affect an
+// entry takes its bytes and keeps the key, so a hot query is stored again
+// on its next miss, while a one-off query, which the LRU evicts before it
+// comes back, costs no copy of its answer.
+//
 // Correctness rests on two version invariants, both guarded by mu:
 //
 //   - notifiedUpTo: every engine version up to and including it has been
@@ -41,15 +48,16 @@ type queryCache struct {
 	notifiedUpTo uint64
 	ring         []appliedWrite
 	floor        uint64 // versions <= floor have left the ring
-	invalidated  int64  // cumulative entries dropped by deltas (for tests)
+	invalidated  int64  // cumulative entries whose bytes deltas took (for tests)
 }
 
+// cachedResult is one entry. Its fields change only under the cache's mutex,
+// and get hands out copies of them.
 type cachedResult struct {
-	query   string
 	pat     *pattern.Pattern
-	matches []byte // the encoded matches array, exactly sized
+	matches []byte // the encoded matches array, exactly sized; nil in a bodiless entry
 	plan    string
-	version uint64
+	version uint64 // the snapshot version matches were computed at
 }
 
 type appliedWrite struct {
@@ -70,43 +78,65 @@ func newQueryCache(startVersion uint64) *queryCache {
 	}
 }
 
-// get returns the cached result for q valid at snapshot version cur.
-func (c *queryCache) get(q string, cur uint64) (*cachedResult, bool) {
+// get returns the plan and the encoded matches cached for q, valid at
+// snapshot version cur. A bodiless entry never serves.
+func (c *queryCache) get(q string, cur uint64) (plan string, matches []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries.Get(q)
-	if !ok || e.version > cur || cur > c.notifiedUpTo {
-		return nil, false
+	if !ok || e.matches == nil || e.version > cur || cur > c.notifiedUpTo {
+		return "", nil, false
 	}
-	return e, true
+	return e.plan, e.matches, true
 }
 
-// put inserts a result computed at e.version, unless vetted writes newer
-// than that version may affect its pattern (or the ring no longer reaches
-// back far enough to tell).
-func (c *queryCache) put(e *cachedResult) {
+// put tells the cache of a miss on q, answered at version with the encoded
+// matches. On the query's first miss it records only the key; once the key
+// is cached it keeps a copy of matches, unless vetted writes newer than
+// version may affect pat (or the ring no longer reaches back far enough to
+// tell).
+func (c *queryCache) put(q string, pat *pattern.Pattern, plan string, version uint64, matches []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.version < c.floor {
+	e, ok := c.entries.Get(q)
+	if !ok {
+		c.entries.Put(q, &cachedResult{pat: pat, version: version})
+		return
+	}
+	if version < c.floor {
 		return
 	}
 	for _, w := range c.ring {
-		if w.version > e.version && mayAffect(e.pat, w.st) {
+		if w.version > version && mayAffect(pat, w.st) {
 			return
 		}
 	}
-	c.entries.Put(e.query, e)
+	*e = cachedResult{pat: pat, matches: exactCopy(matches), plan: plan, version: version}
+}
+
+// exactCopy copies b into a slice with no spare capacity (bytes.Clone may
+// leave some): what the result cache retains is the encoded bytes, no more.
+func exactCopy(b []byte) []byte {
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
 }
 
 // noteApplied vets a batch of landed statements now covered by version:
-// entries any of them may affect are dropped, the rest keep serving at the
-// new version. A contiguity violation discards everything — un-notified
-// writes went past the cache. Returns how many entries were invalidated.
+// entries any of them may affect lose their bytes and keep their key, the
+// rest keep serving at the new version. A contiguity violation discards
+// everything — un-notified writes went past the cache. Returns how many
+// entries holding bytes were invalidated.
 func (c *queryCache) noteApplied(sts []*update.Statement, version uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if version != c.notifiedUpTo+uint64(len(sts)) {
-		n := c.entries.Len()
+		n := 0
+		c.entries.Each(func(_ string, e *cachedResult) {
+			if e.matches != nil {
+				n++
+			}
+		})
 		c.dropAllLocked(version)
 		c.invalidated += int64(n)
 		return n
@@ -121,16 +151,21 @@ func (c *queryCache) noteApplied(sts []*update.Statement, version uint64) int {
 		c.floor = c.ring[n-1].version
 		c.ring = append(c.ring[:0], c.ring[n:]...)
 	}
-	dropped := c.entries.DeleteFunc(func(_ string, e *cachedResult) bool {
+	n := 0
+	c.entries.Each(func(_ string, e *cachedResult) {
+		if e.matches == nil {
+			return
+		}
 		for _, st := range sts {
 			if mayAffect(e.pat, st) {
-				return true
+				e.matches, e.plan = nil, ""
+				n++
+				return
 			}
 		}
-		return false
 	})
-	c.invalidated += int64(dropped)
-	return dropped
+	c.invalidated += int64(n)
+	return n
 }
 
 // dropAll empties the cache and restarts the vetted range at version —

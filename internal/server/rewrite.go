@@ -1,6 +1,8 @@
 package server
 
 import (
+	"sync/atomic"
+
 	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/pattern"
@@ -24,20 +26,21 @@ import (
 // tree-walk answers to the same epoch. The plan ("treewalk" when no rewrite
 // served the query) is written only under explain; without it bodies are
 // byte-identical across serving strategies. The matches array is encoded
-// straight from view rows or image nodes, and a cacheable result keeps an
-// exactly-sized copy of those bytes, so a later hit is envelope plus copy.
-// On error nothing has been appended.
+// straight from the plan's executor or from image nodes, and the result
+// cache is told of every bridgeable miss: it copies those bytes on a
+// query's second miss, so a later hit is envelope plus copy. On error
+// nothing has been appended.
 func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q string, allowRewrite, explain bool) ([]byte, error) {
 	var pat *pattern.Pattern // non-nil when the result may enter the cache
 	if allowRewrite && sh.qcache != nil {
-		if e, ok := sh.qcache.get(q, snap.Version); ok {
+		if plan, matches, ok := sh.qcache.get(q, snap.Version); ok {
 			r.m.rewriteCacheHits.Inc()
-			dst = appendXPathHead(dst, snap, q, e.plan, explain)
-			return append(append(dst, e.matches...), xpathTail...), nil
+			dst = appendXPathHead(dst, snap, q, plan, explain)
+			return append(append(dst, matches...), xpathTail...), nil
 		}
 		pat, _ = bridgeQuery(q)
 		if pat != nil {
-			if rows, plan, ok := rewriteFromViews(snap, pat); ok {
+			if plan, ok := planOverViews(snap, pat); ok {
 				r.m.rewriteHits.Inc()
 				switch plan.Kind {
 				case "stitch":
@@ -48,8 +51,8 @@ func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q str
 				explained := plan.Explain()
 				dst = appendXPathHead(dst, snap, q, explained, explain)
 				from := len(dst)
-				dst = appendRowMatches(dst, pat.Nodes[pat.StoredIndexes()[0]].Label, rows)
-				sh.qcache.put(&cachedResult{query: q, pat: pat, matches: exactCopy(dst[from:]), plan: explained, version: snap.Version})
+				dst = appendPlanMatches(dst, pat.Nodes[pat.StoredIndexes()[0]].Label, plan)
+				sh.qcache.put(q, pat, explained, snap.Version, dst[from:])
 				return append(dst, xpathTail...), nil
 			}
 		}
@@ -65,17 +68,27 @@ func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q str
 	if pat != nil {
 		// Bridgeable but no view plan: the walk's result is still cacheable —
 		// the pattern drives invalidation.
-		sh.qcache.put(&cachedResult{query: q, pat: pat, matches: exactCopy(dst[from:]), plan: "treewalk", version: snap.Version})
+		sh.qcache.put(q, pat, "treewalk", snap.Version, dst[from:])
 	}
 	return append(dst, xpathTail...), nil
 }
 
-// exactCopy copies b into a slice with no spare capacity (bytes.Clone may
-// leave some): what the result cache retains is the encoded bytes, no more.
-func exactCopy(b []byte) []byte {
-	c := make([]byte, len(b))
-	copy(c, b)
-	return c
+// rewriteRewound counts the planned reads whose streamed matches came out
+// of ID order and were re-encoded from the collected answer; tests read it
+// to see that path run.
+var rewriteRewound atomic.Uint64
+
+// appendPlanMatches appends the matches array of a planned rewrite as its
+// executor emits the rows (rewrite.Plan.AppendMatches): byte for byte
+// appendRowMatches of the plan's answer, which is not built.
+func appendPlanMatches(dst []byte, label string, plan *rewrite.Plan) []byte {
+	dst, rewound := plan.AppendMatches(append(dst, '['), func(dst []byte, i int, e *algebra.RowEntry) []byte {
+		return appendRowMatch(dst, i == 0, label, e)
+	})
+	if rewound {
+		rewriteRewound.Add(1)
+	}
+	return append(dst, ']')
 }
 
 // bridgeQuery parses q and converts it to a tree pattern, or reports why
@@ -88,20 +101,26 @@ func bridgeQuery(q string) (*pattern.Pattern, error) {
 	return xpath.ToPattern(p)
 }
 
-// rewriteFromViews answers the bridged pattern from the snapshot's
-// maintained views. The bridged result node stores ID and val, so matches
-// come entirely from view rows — the document is never touched.
-func rewriteFromViews(snap *core.Snapshot, pat *pattern.Pattern) ([]algebra.Row, *rewrite.Plan, bool) {
+// planOverViews plans the bridged pattern over the snapshot's maintained
+// views. The bridged result node stores ID and val, so matches come
+// entirely from view rows — the document is never touched.
+func planOverViews(snap *core.Snapshot, pat *pattern.Pattern) (*rewrite.Plan, bool) {
 	if len(snap.Views) == 0 {
-		return nil, nil, false
+		return nil, false
 	}
-	views := make([]*rewrite.View, 0, len(snap.Views))
+	plan, err := rewrite.Compile(pat, viewLibrary(snap))
+	return plan, err == nil
+}
+
+// viewLibrary is the snapshot's views as the planner reads them.
+func viewLibrary(snap *core.Snapshot) []*rewrite.View {
+	lib, views := make([]rewrite.View, len(snap.Views)), make([]*rewrite.View, len(snap.Views))
 	for i := range snap.Views {
 		vs := &snap.Views[i]
-		views = append(views, &rewrite.View{Name: vs.Name, Pattern: vs.Pattern, Rows: rewrite.RowSlice(vs.Rows)})
+		lib[i] = rewrite.View{Name: vs.Name, Pattern: vs.Pattern, Rows: rewrite.RowSlice(vs.Rows)}
+		views[i] = &lib[i]
 	}
-	rows, plan, err := rewrite.Answer(pat, views)
-	return rows, plan, err == nil
+	return views
 }
 
 // treeWalk evaluates q against the snapshot document with a compiled

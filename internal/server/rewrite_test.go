@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"xivm/internal/obs"
+	"xivm/internal/rewrite"
 	"xivm/internal/update"
 )
 
@@ -155,9 +156,10 @@ func TestRewriteCorpusDifferential(t *testing.T) {
 	}
 }
 
-// TestRewriteResultCache pins the delta-invalidation contract: repeats hit
-// the cache; an affecting write drops the entry; an independent write
-// leaves it serving at the NEW epoch.
+// TestRewriteResultCache pins the delta-invalidation contract: a query's
+// second miss stores its answer and later repeats hit the cache; an
+// affecting write takes the stored answer; an independent write leaves it
+// serving at the NEW epoch.
 func TestRewriteResultCache(t *testing.T) {
 	m := obs.New()
 	reg, sh := newRewriteRegistry(t, m)
@@ -175,12 +177,12 @@ func TestRewriteResultCache(t *testing.T) {
 	}
 
 	first := ask()
-	if cacheHits.Value() != 0 {
-		t.Fatal("cold query hit the cache")
+	if ask(); cacheHits.Value() != 0 {
+		t.Fatal("cold query hit the cache on its first or second ask")
 	}
 	second := ask()
 	if cacheHits.Value() != 1 {
-		t.Fatalf("repeat did not hit the cache (hits=%d)", cacheHits.Value())
+		t.Fatalf("repeat after the second miss did not hit the cache (hits=%d)", cacheHits.Value())
 	}
 	if len(second.Matches) != len(first.Matches) {
 		t.Fatal("cached matches differ")
@@ -301,4 +303,166 @@ func TestStressRewriteVsTreeWalkUnderMutation(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// TestResultCacheAdmitsOnSecondMiss pins the admission rule: the result
+// cache copies a query's answer on its second miss, not its first, so the
+// one-off queries that pass through its LRU cost no copy.
+func TestResultCacheAdmitsOnSecondMiss(t *testing.T) {
+	m := obs.New()
+	reg, sh := newRewriteRegistry(t, m)
+	ctx := context.Background()
+	c := sh.qcache
+	hits, invalidations := m.Counter("server.xpath.rewrite.cache_hit"), m.Counter("server.xpath.rewrite.cache_invalidate")
+	ask := func(q string) {
+		t.Helper()
+		if _, err := reg.xpathResponse(sh, sh.Epoch(), q, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// stored reports whether q is cached, and whether with its answer.
+	stored := func(q string) (keyed, body bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		e, ok := c.entries.Get(q)
+		return ok, ok && e.matches != nil
+	}
+	const (
+		hot     = `/site/people/person/name`         // single-view plan
+		once    = `//person[profile][homepage]/name` // intersection
+		unrelWk = `/site/regions//item`              // bridgeable, tree walk
+	)
+
+	// A one-off read leaves its key and no bytes, planned or walked.
+	for _, q := range []string{hot, once, unrelWk} {
+		if ask(q); hits.Value() != 0 {
+			t.Fatalf("%s: first ask hit the cache", q)
+		}
+		if keyed, body := stored(q); !keyed || body {
+			t.Fatalf("%s after one miss: keyed %v, bytes %v; want the key alone", q, keyed, body)
+		}
+	}
+	// A bodiless entry never serves, at any version.
+	v := sh.Epoch().Version
+	for _, at := range []uint64{0, v, v + 1, ^uint64(0)} {
+		if _, _, ok := c.get(once, at); ok {
+			t.Fatalf("bodiless entry served at version %d", at)
+		}
+	}
+	// The second miss stores the answer; the third ask is a hit.
+	if ask(hot); hits.Value() != 0 {
+		t.Fatal("second ask hit the cache")
+	}
+	if _, body := stored(hot); !body {
+		t.Fatal("second miss stored no bytes")
+	}
+	if ask(hot); hits.Value() != 1 {
+		t.Fatalf("third ask: %d hits, want 1", hits.Value())
+	}
+
+	// A write affecting both hot (stored) and once (bodiless) takes hot's
+	// bytes, keeps both keys, and counts one invalidation: once held none.
+	before := c.invalidated
+	if _, _, err := sh.Apply(ctx, update.MustParse(`insert <person><name>Zed</name><profile/><homepage/></person> into /site/people`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.invalidated - before; got != 1 || invalidations.Value() != 1 {
+		t.Fatalf("affecting write invalidated %d entries (metric %d), want 1: only hot held bytes", got, invalidations.Value())
+	}
+	for _, q := range []string{hot, once} {
+		if keyed, body := stored(q); !keyed || body {
+			t.Fatalf("%s after an affecting write: keyed %v, bytes %v; want the key alone", q, keyed, body)
+		}
+	}
+	// The invalidated entry re-admits on its next miss, and serves after it.
+	if ask(hot); hits.Value() != 1 {
+		t.Fatal("invalidated entry served")
+	}
+	if _, body := stored(hot); !body {
+		t.Fatal("invalidated entry did not re-admit on its next miss")
+	}
+	if ask(hot); hits.Value() != 2 {
+		t.Fatalf("re-admitted entry did not serve: %d hits, want 2", hits.Value())
+	}
+
+	// Un-notified writes discard the cache; the count is of entries that
+	// held bytes (hot), not of keys (hot, once, unrelWk).
+	before = c.invalidated
+	if n := c.noteApplied(nil, c.notifiedUpTo+1); n != 1 || c.invalidated-before != 1 {
+		t.Fatalf("discarding the cache counted %d invalidations, want 1", n)
+	}
+}
+
+// TestPlannedReadRewindsOutOfIDOrder drives both ends of the streamed
+// encoding. A single-view plan over a branching view emits its rows by
+// bidder before increase, so the increases of an auction with two bidders
+// arrive out of ID order: the read must rewind and re-encode from the
+// collected answer, and still equal the tree walk byte for byte. A plan
+// whose driving order is ID order must not rewind. Either way the body's
+// matches are appendRowMatches of Answer.
+func TestPlannedReadRewindsOutOfIDOrder(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{
+		Shard:      Config{Metrics: obs.New()},
+		DefaultDoc: rewriteTestDoc(),
+		DefaultViews: append(rewriteViewSpecs(),
+			ViewSpec{Name: "BI", Pattern: `//open_auction{ID}[/bidder{ID}]//increase{ID,val}`}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create(DefaultTenant, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = reg.Shutdown(ctx)
+	})
+	sh, err := reg.Get(DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query, plan string
+		rewinds     bool
+	}{
+		{`//open_auction[bidder]//increase`, "single-view rewrite over BI", true},
+		{`//open_auction//increase`, "single-view rewrite over RW5", false},
+		{`//open_auction//bidder//increase`, "stitch of RW2 and RW3", false},
+	} {
+		snap := sh.Epoch()
+		before := rewriteRewound.Load()
+		// A padded query misses the result cache every time.
+		rewritten, err := reg.appendXPath(nil, sh, snap, " "+c.query, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rewound := rewriteRewound.Load() != before; rewound != c.rewinds {
+			t.Fatalf("%s: rewound %v, want %v", c.query, rewound, c.rewinds)
+		}
+		walked, err := reg.appendXPath(nil, sh, snap, " "+c.query, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(rewritten) != string(walked) {
+			t.Fatalf("%s: streamed body differs from the tree walk\nrewrite: %s\nwalk:    %s", c.query, rewritten, walked)
+		}
+
+		pat, err := bridgeQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, ok := planOverViews(snap, pat)
+		if !ok || !strings.HasPrefix(plan.Explain(), c.plan) {
+			t.Fatalf("%s: plan %v, want %s", c.query, plan, c.plan)
+		}
+		rows, _, err := rewrite.Answer(pat, viewLibrary(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := pat.Nodes[pat.StoredIndexes()[0]].Label
+		if streamed, collected := appendPlanMatches(nil, label, plan), appendRowMatches(nil, label, rows); string(streamed) != string(collected) {
+			t.Fatalf("%s: streamed matches differ from appendRowMatches(Answer)\n%s\n%s", c.query, streamed, collected)
+		}
+	}
 }
