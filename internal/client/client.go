@@ -10,8 +10,9 @@
 //	db.Update(ctx, `insert <x/> into /site`)
 //	db.View(ctx, "Q1")
 //
-// The responses of DB.View and DB.XPath are decoded in place
-// (server/decode.go): their strings are substrings of the one buffer the
+// Request bodies are appended, not marshalled, and the responses of
+// DB.View, DB.XPath and DB.Update are decoded in place (server/encode.go,
+// server/decode.go): their strings are substrings of the one buffer the
 // body was read into. Holding a single ID or value therefore holds the
 // whole body; strings.Clone what must outlive the response.
 package client
@@ -25,7 +26,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -179,12 +179,15 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 			return nil, nil
 		}
 		var err error
-		if resp.ContentLength > 0 {
+		if n := resp.ContentLength; n > 0 {
 			// The server said how long the body is: read it into one buffer
 			// of that size, where a streaming decoder would grow its own by
 			// doubling, allocating the body several times over.
 			var raw []byte
-			if raw, err = readSized(resp.Body, resp.ContentLength); err == nil {
+			if raw, err = server.ReadBody(resp.Body, n, n); err == nil && int64(len(raw)) < n {
+				err = io.ErrUnexpectedEOF
+			}
+			if err == nil {
 				if su, ok := out.(stringUnmarshaler); ok {
 					// raw is not written again, so the response may alias it.
 					err = su.UnmarshalString(unsafe.String(unsafe.SliceData(raw), len(raw)))
@@ -217,36 +220,10 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 	}, nil
 }
 
-// stringUnmarshaler is what the two body-heavy read responses implement
+// stringUnmarshaler is what the data-plane responses implement
 // (server/decode.go): decoding from a string they may keep substrings of,
 // which spares them the copy json.Unmarshal would make them take.
 type stringUnmarshaler interface{ UnmarshalString(body string) error }
-
-// maxReserve bounds what a Content-Length makes the client allocate before
-// any of the body has arrived.
-const maxReserve = 1 << 20
-
-// readSized reads the n bytes a response declared. A length up to
-// maxReserve is one exactly-sized buffer; beyond that the buffer doubles as
-// bytes arrive, so a header that lies costs what was sent, not what was
-// claimed. A body that ends early is io.ErrUnexpectedEOF.
-func readSized(r io.Reader, n int64) ([]byte, error) {
-	raw := make([]byte, 0, min(n, maxReserve))
-	for int64(len(raw)) < n {
-		if len(raw) == cap(raw) {
-			raw = slices.Grow(raw, int(min(n-int64(len(raw)), int64(len(raw)))))
-		}
-		k, err := r.Read(raw[len(raw):min(int64(cap(raw)), n)])
-		raw = raw[:len(raw)+k]
-		if err != nil && int64(len(raw)) < n {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	return raw, nil
-}
 
 // Health fetches GET /healthz.
 func (c *Client) Health(ctx context.Context) (server.HealthResponse, error) {
@@ -266,11 +243,12 @@ type CreateDB struct {
 // CreateDB creates a database (POST /v1/db).
 func (c *Client) CreateDB(ctx context.Context, req CreateDB) (server.CreateDBResponse, error) {
 	var out server.CreateDBResponse
-	body, err := json.Marshal(server.CreateDBRequest{Name: req.Name, Document: req.Document, Views: req.Views})
-	if err != nil {
-		return out, err
+	cr := server.CreateDBRequest{Name: req.Name, Document: req.Document, Views: req.Views}
+	size := len(`{"name":"","document":"","views":[]}`) + len(cr.Name) + len(cr.Document)
+	for _, v := range cr.Views {
+		size += len(`{"name":"","pattern":""},`) + len(v.Name) + len(v.Pattern)
 	}
-	err = c.do(ctx, http.MethodPost, "/v1/db", body, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/db", cr.AppendJSON(make([]byte, 0, size)), &out)
 	return out, err
 }
 
@@ -326,11 +304,9 @@ func (d *DB) XPath(ctx context.Context, query string) (server.XPathResponse, err
 // epoch at which the update is readable.
 func (d *DB) Update(ctx context.Context, statement string) (server.UpdateResponse, error) {
 	var out server.UpdateResponse
-	body, err := json.Marshal(server.UpdateRequest{Statement: statement})
-	if err != nil {
-		return out, err
-	}
-	err = d.c.do(ctx, http.MethodPost, d.path+"/update", body, &out)
+	ur := server.UpdateRequest{Statement: statement}
+	body := ur.AppendJSON(make([]byte, 0, len(`{"statement":""}`)+len(statement)))
+	err := d.c.do(ctx, http.MethodPost, d.path+"/update", body, &out)
 	return out, err
 }
 

@@ -2,23 +2,27 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
 )
 
-// This file is the read path's decoder: encode.go's inverse, for whoever
-// receives a ViewResponse or XPathResponse body. It takes the body as one
-// string, sizes the result from it (strings.Count for the slices, one scan
-// of the escaped literals for the arena), and fills one exactly-sized slice
-// per level in a single pass. A literal without an escape is decoded to a
-// substring of the body, one with an escape into the shared arena, so a
-// decode allocates the arena and two or three slices — not a string per
-// field and a doubling slice per row — and a decoded response's strings
-// alias its body: holding one ID holds the whole body (strings.Clone what
-// outlives the response).
+// This file is the wire decoder: encode.go's inverse, for whoever
+// receives a body it wrote — a client a ViewResponse, XPathResponse or
+// UpdateResponse, the server an UpdateRequest or CreateDBRequest. It takes
+// the body as one string, sizes the result from it (strings.Count for the
+// slices, one scan of the escaped literals for the arena), and fills one
+// exactly-sized slice per level in a single pass. A literal without an
+// escape is decoded to a substring of the body, one with an escape into
+// the shared arena, so a decode allocates the arena and two or three
+// slices — not a string per field and a doubling slice per row — and a
+// decoded value's strings alias its body: holding one ID holds the whole
+// body (strings.Clone what outlives the response).
 //
 // The scanner accepts exactly the grammar encode.go writes — fixed key
 // order, no whitespace but the one trailing newline, plain integers, the
@@ -28,17 +32,34 @@ import (
 // UTF-8, control bytes, any other number form, a destination whose slice
 // encoding/json would merge into. A declined body goes through
 // encoding/json on a method-less alias of the type, so the answer (and the
-// error) for anything our own server did not write is the library's.
-// FuzzDecodeMatchesEncodingJSON holds the two to each other.
+// error) for anything our own side did not write is the library's — for a
+// request, that includes refusing anything but whitespace after the value.
+// FuzzDecodeMatchesEncodingJSON and FuzzRequestDecodeMatchesEncodingJSON
+// hold the two to each other.
 
-// decodeDeclined counts bodies handed to encoding/json; tests read it to
-// show that nothing our own server wrote takes the fallback.
-var decodeDeclined atomic.Uint64
+// decodeDeclined counts response bodies handed to encoding/json, and
+// requestDeclined request bodies; tests read them to show that nothing our
+// own server or client wrote takes the fallback.
+var decodeDeclined, requestDeclined atomic.Uint64
 
 type (
-	viewResponseWire  ViewResponse
-	xpathResponseWire XPathResponse
+	viewResponseWire    ViewResponse
+	xpathResponseWire   XPathResponse
+	updateResponseWire  UpdateResponse
+	updateRequestWire   UpdateRequest
+	createDBRequestWire CreateDBRequest
 )
+
+// unmarshal finishes an UnmarshalString: nothing to do when the scanner
+// took the body, encoding/json on the method-less alias wire when it
+// declined, counted in declined.
+func unmarshal(body string, scanned bool, declined *atomic.Uint64, wire any) error {
+	if scanned {
+		return nil
+	}
+	declined.Add(1)
+	return json.Unmarshal([]byte(body), wire)
+}
 
 // UnmarshalJSON decodes a view body. The copy of data is the one the
 // json.Unmarshaler contract requires of an implementation that retains it.
@@ -47,11 +68,7 @@ func (v *ViewResponse) UnmarshalJSON(data []byte) error { return v.UnmarshalStri
 // UnmarshalString is UnmarshalJSON for a caller that holds the body as a
 // string nothing will write to again: the response aliases it, uncopied.
 func (v *ViewResponse) UnmarshalString(body string) error {
-	if v.decode(body) {
-		return nil
-	}
-	decodeDeclined.Add(1)
-	return json.Unmarshal([]byte(body), (*viewResponseWire)(v))
+	return unmarshal(body, v.decode(body), &decodeDeclined, (*viewResponseWire)(v))
 }
 
 // UnmarshalJSON decodes an xpath body; see ViewResponse.UnmarshalJSON.
@@ -59,11 +76,73 @@ func (x *XPathResponse) UnmarshalJSON(data []byte) error { return x.UnmarshalStr
 
 // UnmarshalString decodes an xpath body; see ViewResponse.UnmarshalString.
 func (x *XPathResponse) UnmarshalString(body string) error {
-	if x.decode(body) {
-		return nil
+	return unmarshal(body, x.decode(body), &decodeDeclined, (*xpathResponseWire)(x))
+}
+
+// UnmarshalJSON decodes an update answer; see ViewResponse.UnmarshalJSON.
+func (u *UpdateResponse) UnmarshalJSON(data []byte) error { return u.UnmarshalString(string(data)) }
+
+// UnmarshalString decodes an update answer; see ViewResponse.UnmarshalString.
+func (u *UpdateResponse) UnmarshalString(body string) error {
+	return unmarshal(body, u.decode(body), &decodeDeclined, (*updateResponseWire)(u))
+}
+
+// UnmarshalJSON decodes an update request; see ViewResponse.UnmarshalJSON.
+func (r *UpdateRequest) UnmarshalJSON(data []byte) error { return r.UnmarshalString(string(data)) }
+
+// UnmarshalString decodes an update request; see ViewResponse.UnmarshalString.
+func (r *UpdateRequest) UnmarshalString(body string) error {
+	return unmarshal(body, r.decode(body), &requestDeclined, (*updateRequestWire)(r))
+}
+
+// UnmarshalJSON decodes a create request; see ViewResponse.UnmarshalJSON.
+func (r *CreateDBRequest) UnmarshalJSON(data []byte) error { return r.UnmarshalString(string(data)) }
+
+// UnmarshalString decodes a create request; see ViewResponse.UnmarshalString.
+func (r *CreateDBRequest) UnmarshalString(body string) error {
+	return unmarshal(body, r.decode(body), &requestDeclined, (*createDBRequestWire)(r))
+}
+
+// maxReserve bounds what a declared length makes ReadBody allocate before
+// any of the body has arrived.
+const maxReserve = 1 << 20
+
+// ReadBody reads a body that declared n bytes (n < 0: none declared) and
+// may hold at most limit (below math.MaxInt64) into one buffer, for a
+// decoder to alias: nothing writes to it again. A declared length is a
+// claim, not an order to allocate: at most 1 MiB is reserved on its say-so
+// and the buffer grows as bytes arrive, so a header that lies costs what
+// was sent, not what was claimed. The read stops after n bytes or at the
+// end of the stream, whichever comes first; a caller that needs all n
+// compares. A body that declares more than limit is an *http.MaxBytesError
+// before any of it is read, one that sends more once a byte past limit has
+// arrived.
+func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
 	}
-	decodeDeclined.Add(1)
-	return json.Unmarshal([]byte(body), (*xpathResponseWire)(x))
+	want, reserve := n, n
+	if n < 0 {
+		want, reserve = limit+1, min(limit+1, 512)
+	}
+	raw := make([]byte, 0, min(reserve, maxReserve))
+	for int64(len(raw)) < want {
+		if len(raw) == cap(raw) {
+			raw = slices.Grow(raw, int(min(want-int64(len(raw)), int64(len(raw)))))
+		}
+		k, err := r.Read(raw[len(raw):int(min(int64(cap(raw)), want))])
+		raw = raw[:len(raw)+k]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if int64(len(raw)) > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	return raw, nil
 }
 
 // decode fills v from a body appendViewResponse wrote and reports whether
@@ -116,6 +195,91 @@ func (v *ViewResponse) decode(body string) bool {
 	}
 	out.Rows = rows
 	*v = out
+	return true
+}
+
+// decode fills u from a body appendUpdateResponse wrote and reports whether
+// it did; u is untouched when it declines.
+func (u *UpdateResponse) decode(body string) bool {
+	if cap(u.Views) != 0 {
+		return false
+	}
+	d := bodyScanner{s: body}
+	out := UpdateResponse{}
+	if !(d.skip(`{"tenant":`) && d.str(&out.Tenant) && d.skip(`,"version":`) && d.uint(&out.Version) &&
+		d.skip(`,"targets":`) && d.int(&out.Targets) && d.skip(`,"views":[`)) {
+		return false
+	}
+	views := make([]UpdateViewJSON, strings.Count(body, `{"name":`))
+	n := 0
+	for ; !d.skip(`]`); n++ {
+		if n > 0 && !d.skip(`,`) || n == len(views) {
+			return false
+		}
+		v := &views[n]
+		if !(d.skip(`{"name":`) && d.str(&v.Name) && d.skip(`,"rows_added":`) && d.int(&v.RowsAdded) &&
+			d.skip(`,"rows_removed":`) && d.int(&v.RowsRemoved) && d.skip(`,"rows_modified":`) && d.int(&v.RowsModified)) {
+			return false
+		}
+		v.Skipped = d.skip(`,"skipped":true`)
+		v.Recomputed = d.skip(`,"recomputed":true`)
+		if !d.skip(`}`) {
+			return false
+		}
+	}
+	if n != len(views) || !d.end() {
+		return false
+	}
+	out.Views = views
+	*u = out
+	return true
+}
+
+// decode fills r from a body UpdateRequest.AppendJSON wrote and reports
+// whether it did; r is untouched when it declines.
+func (r *UpdateRequest) decode(body string) bool {
+	d := bodyScanner{s: body}
+	var out UpdateRequest
+	if !(d.skip(`{"statement":`) && d.str(&out.Statement) && d.end()) {
+		return false
+	}
+	*r = out
+	return true
+}
+
+// decode fills r from a body CreateDBRequest.AppendJSON wrote and reports
+// whether it did; r is untouched when it declines. A field the body leaves
+// out keeps what r held, as encoding/json does.
+func (r *CreateDBRequest) decode(body string) bool {
+	if cap(r.Views) != 0 {
+		return false
+	}
+	d := bodyScanner{s: body}
+	out := CreateDBRequest{Document: r.Document, Views: r.Views}
+	if !(d.skip(`{"name":`) && d.str(&out.Name)) || d.skip(`,"document":`) && !d.str(&out.Document) {
+		return false
+	}
+	if d.skip(`,"views":[`) {
+		views := make([]ViewSpec, strings.Count(body, `{"name":`)-1) // the request's own name opens the body
+		n := 0
+		for ; !d.skip(`]`); n++ {
+			if n > 0 && !d.skip(`,`) || n == len(views) {
+				return false
+			}
+			v := &views[n]
+			if !(d.skip(`{"name":`) && d.str(&v.Name) && d.skip(`,"pattern":`) && d.str(&v.Pattern) && d.skip(`}`)) {
+				return false
+			}
+		}
+		if n != len(views) {
+			return false
+		}
+		out.Views = views
+	}
+	if !d.end() {
+		return false
+	}
+	*r = out
 	return true
 }
 

@@ -7,9 +7,14 @@ import (
 	"testing"
 )
 
+// wireBody is every body type decode.go scans.
+type wireBody interface {
+	ViewResponse | XPathResponse | UpdateResponse | UpdateRequest | CreateDBRequest
+}
+
 // libDecode is the oracle: what encoding/json makes of data for the
 // method-less alias of T, into a zero T.
-func libDecode[T ViewResponse | XPathResponse](data []byte) (T, error) {
+func libDecode[T wireBody](data []byte) (T, error) {
 	var out T
 	var err error
 	switch p := any(&out).(type) {
@@ -17,20 +22,20 @@ func libDecode[T ViewResponse | XPathResponse](data []byte) (T, error) {
 		err = json.Unmarshal(data, (*viewResponseWire)(p))
 	case *XPathResponse:
 		err = json.Unmarshal(data, (*xpathResponseWire)(p))
+	case *UpdateResponse:
+		err = json.Unmarshal(data, (*updateResponseWire)(p))
+	case *UpdateRequest:
+		err = json.Unmarshal(data, (*updateRequestWire)(p))
+	case *CreateDBRequest:
+		err = json.Unmarshal(data, (*createDBRequestWire)(p))
 	}
 	return out, err
 }
 
 // fastDecode runs decode.go's scanner alone, into a zero T.
-func fastDecode[T ViewResponse | XPathResponse](body string) (T, bool) {
+func fastDecode[T wireBody](body string) (T, bool) {
 	var out T
-	var ok bool
-	switch p := any(&out).(type) {
-	case *ViewResponse:
-		ok = p.decode(body)
-	case *XPathResponse:
-		ok = p.decode(body)
-	}
+	ok := any(&out).(interface{ decode(string) bool }).decode(body)
 	return out, ok
 }
 
@@ -39,7 +44,7 @@ func fastDecode[T ViewResponse | XPathResponse](body string) (T, bool) {
 // encoding/json makes of it — which is the struct it was written from
 // whenever no string of that struct had invalid UTF-8 for the encoder to
 // replace.
-func checkRoundTrip[T ViewResponse | XPathResponse](t *testing.T, body []byte, from T, valid bool) {
+func checkRoundTrip[T wireBody](t *testing.T, body []byte, from T, valid bool) {
 	t.Helper()
 	want, err := libDecode[T](body)
 	if err != nil {
@@ -63,7 +68,7 @@ func checkRoundTrip[T ViewResponse | XPathResponse](t *testing.T, body []byte, f
 // bytes: the scanner either declines or answers what the library answers
 // without error, and through json.Unmarshal — scanner or fallback — value
 // and error-ness are the library's.
-func agree[T ViewResponse | XPathResponse](t *testing.T, data []byte) {
+func agree[T wireBody](t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := libDecode[T](data)
 	if got, ok := fastDecode[T](string(data)); ok && (wantErr != nil || !reflect.DeepEqual(got, want)) {
@@ -85,12 +90,54 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 	f.Add([]byte(`{"tenant":"","version":0,"name":"","rows":[]}`))
 	f.Add([]byte(`{"tenant":"t\ufffdn","version":18446744073709551615,"query":"//a[b=\"\u003c\"]","plan":"treewalk","matches":[{"id":"a1","label":"a","value":"\u0000\u001f\b\f\n\r\t\\\u2028 é"},{"id":"","label":"#text","value":""}]}` + "\n"))
 	f.Add([]byte(`{"tenant":"t","version":3,"query":"q","matches":[]}`))
+	f.Add([]byte(`{"tenant":"t","version":9,"targets":1,"views":[{"name":"Q1","rows_added":1,"rows_removed":0,"rows_modified":-2},{"name":"R\u003c","rows_added":0,"rows_removed":0,"rows_modified":0,"skipped":true,"recomputed":true}]}` + "\n"))
+	f.Add([]byte(`{"tenant":"t","version":9,"targets":0,"views":[]}`))
 	for _, c := range declineCases {
 		f.Add([]byte(c.body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agree[ViewResponse](t, data)
 		agree[XPathResponse](t, data)
+		agree[UpdateResponse](t, data)
+	})
+}
+
+// FuzzRequestDecodeMatchesEncodingJSON is the request decoder's oracle:
+// on arbitrary bytes the server's scanner for UpdateRequest and
+// CreateDBRequest declines or agrees with encoding/json, and through
+// json.Unmarshal — scanner or fallback — value and error-ness are the
+// library's, a refusal of trailing data included. The seeds are bodies
+// internal/client writes and one per reason to decline.
+func FuzzRequestDecodeMatchesEncodingJSON(f *testing.F) {
+	for _, body := range []string{
+		`{"statement":"insert \u003cbidder/\u003e into //open_auction[@id=\"a1\"]"}`,
+		`{"statement":""}` + "\n",
+		`{"name":"shop"}`,
+		`{"name":"shop","document":"\u003csite/\u003e","views":[{"name":"Q1","pattern":"//a{ID}"},{"name":"Q2","pattern":"//b{ID,val}"}]}`,
+		`{"name":"shop","views":[]}`,
+		`{"name":"shop","views":null}`,
+		`{"name":"shop","document":""}`,
+		// one per reason to decline
+		`{ "statement" : "x" }`,
+		`{"statement":"x"}` + " \t\n",
+		`{"statement":"x","id":1}`,
+		`{"Statement":"x"}`,
+		`{"statement":"a\/b"}`,
+		`{"statement":"\ud83d\ude00 \ud83d"}`,
+		`{"statement":"a"}{"statement":"b"}`,
+		`{"statement":"a"}x`,
+		`{"document":"\u003ca/\u003e","name":"t"}`,
+		`{"name":"t","views":[{"pattern":"//a{ID}","name":"V"}]}`,
+		`{"name":"t","name":"u"}`,
+		`{"statement":null}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		agree[UpdateRequest](t, data)
+		agree[CreateDBRequest](t, data)
 	})
 }
 

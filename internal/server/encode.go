@@ -12,15 +12,19 @@ import (
 	"xivm/internal/xmltree"
 )
 
-// This file is the read path's encoder. The view and xpath handlers write
-// their bodies from what the epoch already holds — view rows, image nodes,
-// Dewey IDs — into one pooled buffer, byte for byte what encoding/json
-// makes of ViewResponse and XPathResponse (field order, omitempty, HTML-safe
+// This file is the wire encoder. The view, xpath and update handlers write
+// their bodies from what the epoch or the apply's report already holds —
+// view rows, image nodes, Dewey IDs, per-view row counts — into one pooled
+// buffer, byte for byte what encoding/json makes of ViewResponse,
+// XPathResponse and UpdateResponse (field order, omitempty, HTML-safe
 // escaping, trailing newline; FuzzEncodeMatchesEncodingJSON holds it to
 // that). No wire struct, ID string or string value is built on the way, so
-// a read allocates what evaluating it takes and nothing for encoding it.
+// a request allocates what answering it takes and nothing for encoding it.
+// The request bodies internal/client sends, UpdateRequest and
+// CreateDBRequest, are appended here too (AppendJSON), byte for byte what
+// json.Marshal makes of them.
 
-// bodyPool holds response buffers between reads. A buffer grows to the
+// bodyPool holds response buffers between requests. A buffer grows to the
 // largest body it has carried and is let go by the collector, not by a size
 // cap: the bodies that cost most to regrow are the large ones.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -236,5 +240,71 @@ func appendRowMatches(dst []byte, label string, rows []algebra.Row) []byte {
 func appendRowMatch(dst []byte, first bool, label string, e *algebra.RowEntry) []byte {
 	dst = appendMatchHead(dst, first, e.ID, label)
 	dst = appendJSONString(dst, e.Val)
+	return append(dst, '}')
+}
+
+// appendUpdateResponse appends the UpdateResponse body for an applied
+// statement: the epoch that reflects it and the report's per-view counts.
+func appendUpdateResponse(dst []byte, tenant string, version uint64, rep *core.Report) []byte {
+	dst = append(dst, `{"tenant":`...)
+	dst = appendJSONString(dst, tenant)
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendUint(dst, version, 10)
+	dst = append(dst, `,"targets":`...)
+	dst = strconv.AppendInt(dst, int64(rep.Targets), 10)
+	dst = append(dst, `,"views":[`...)
+	for i := range rep.Views {
+		vr := &rep.Views[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"name":`...)
+		dst = appendJSONString(dst, vr.View.Name)
+		dst = append(dst, `,"rows_added":`...)
+		dst = strconv.AppendInt(dst, int64(vr.RowsAdded), 10)
+		dst = append(dst, `,"rows_removed":`...)
+		dst = strconv.AppendInt(dst, int64(vr.RowsRemoved), 10)
+		dst = append(dst, `,"rows_modified":`...)
+		dst = strconv.AppendInt(dst, int64(vr.RowsModified), 10)
+		if vr.Skipped {
+			dst = append(dst, `,"skipped":true`...)
+		}
+		if vr.PredFallback || vr.Cancelled || vr.Panicked {
+			dst = append(dst, `,"recomputed":true`...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// AppendJSON appends the request's body, what json.Marshal makes of it.
+func (r *UpdateRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"statement":`...)
+	dst = appendJSONString(dst, r.Statement)
+	return append(dst, '}')
+}
+
+// AppendJSON appends the request's body, what json.Marshal makes of it.
+func (r *CreateDBRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"name":`...)
+	dst = appendJSONString(dst, r.Name)
+	if r.Document != "" {
+		dst = append(dst, `,"document":`...)
+		dst = appendJSONString(dst, r.Document)
+	}
+	if len(r.Views) > 0 {
+		dst = append(dst, `,"views":[`...)
+		for i := range r.Views {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = appendJSONString(dst, r.Views[i].Name)
+			dst = append(dst, `,"pattern":`...)
+			dst = appendJSONString(dst, r.Views[i].Pattern)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
 	return append(dst, '}')
 }

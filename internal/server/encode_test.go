@@ -30,9 +30,11 @@ func encodeJSON(t *testing.T, v any) []byte {
 // <>&, U+2028/U+2029 and control bytes included, as well as empty val, cont
 // and plan (omitempty) and zero rows — the view body, the tree-walk body and
 // the rewrite body each equal json.NewEncoder's output for the wire struct
-// built the way the handlers used to build it. Each body is also the
-// decoder's input (checkRoundTrip): an encoder change decode.go does not
-// follow fails here instead of silently falling back.
+// built the way the handlers used to build it; so does the update answer,
+// written from a core.Report, and the two request bodies internal/client
+// appends equal json.Marshal's. Each body is also the decoder's input
+// (checkRoundTrip): an encoder change decode.go does not follow fails here
+// instead of silently falling back.
 func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 	f.Add("name", "person", "Ann", "<name>Ann</name>", "//person/name", "single-view rewrite over R1", "bench", uint64(7), uint8(2))
 	f.Add("a<b>&c", "\"q\\", "x y z", "\x00\x01\x1f\x7f\b\f\n\r\t", "//a[b=\"<\"]", "", "t\xffn", uint64(0), uint8(0))
@@ -131,5 +133,45 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 			t.Fatalf("rewrite body\n got %q\nwant %q", rewritten, want)
 		}
 		checkRoundTrip(t, rewritten, xr, valid)
+
+		// Update answer: a view per row, each flag seen set and unset, the
+		// three that mean recomputed each alone.
+		rep := &core.Report{Targets: int(n) - 2}
+		ur := UpdateResponse{Tenant: tenant, Version: version, Targets: rep.Targets, Views: []UpdateViewJSON{}}
+		for i := 0; i < rows; i++ {
+			vr := core.ViewReport{
+				View:      &core.ManagedView{Name: []string{label, idLabel, val, cont}[i]},
+				RowsAdded: int(n) - i, RowsRemoved: i, RowsModified: -i,
+				Skipped: i%2 == 1, PredFallback: i == 1, Cancelled: i == 2, Panicked: i == 3,
+			}
+			rep.Views = append(rep.Views, vr)
+			ur.Views = append(ur.Views, UpdateViewJSON{
+				Name: vr.View.Name, RowsAdded: vr.RowsAdded, RowsRemoved: vr.RowsRemoved, RowsModified: vr.RowsModified,
+				Skipped: vr.Skipped, Recomputed: vr.PredFallback || vr.Cancelled || vr.Panicked,
+			})
+		}
+		applied := appendUpdateResponse(nil, tenant, version, rep)
+		if want := encodeJSON(t, ur); !bytes.Equal(applied, want) {
+			t.Fatalf("update body\n got %q\nwant %q", applied, want)
+		}
+		checkRoundTrip(t, applied, ur, valid)
+
+		// The request bodies internal/client sends: what json.Marshal makes
+		// of them, and taken by the server's scanner.
+		req := UpdateRequest{Statement: query}
+		body := req.AppendJSON(nil)
+		if want, _ := json.Marshal(req); !bytes.Equal(body, want) {
+			t.Fatalf("update request\n got %q\nwant %q", body, want)
+		}
+		checkRoundTrip(t, body, req, valid)
+		create := CreateDBRequest{Name: tenant, Document: cont}
+		for i := 0; i < rows; i++ {
+			create.Views = append(create.Views, ViewSpec{Name: label, Pattern: plan})
+		}
+		body = create.AppendJSON(nil)
+		if want, _ := json.Marshal(create); !bytes.Equal(body, want) {
+			t.Fatalf("create request\n got %q\nwant %q", body, want)
+		}
+		checkRoundTrip(t, body, create, valid)
 	})
 }

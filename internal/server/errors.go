@@ -2,10 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"unsafe"
 )
 
 // Registry lifecycle errors. The HTTP layer maps them to envelope codes;
@@ -73,7 +73,7 @@ func writeErr(w http.ResponseWriter, status int, code, tenant, message string) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorInfo{Code: code, Message: message, Tenant: tenant}})
 }
 
-// Request-body ceilings: a body is decoded whole, so an unbounded one is
+// Request-body ceilings: a body is read whole, so an unbounded one is
 // unbounded memory. The create ceiling fits the largest document the
 // serving layer is sized for (40 MB) JSON-escaped, with room.
 const (
@@ -81,17 +81,21 @@ const (
 	maxCreateBody = 256 << 20
 )
 
-// decodeBody decodes a JSON request body of at most limit bytes into v. On
-// failure it has answered — 413 for a body over the limit, declared or
-// streamed, 400 for one that does not decode — and reports false.
-func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, tenant string, v any) bool {
-	var tooLarge *http.MaxBytesError
-	var err error
-	if req.ContentLength > limit {
-		err = &http.MaxBytesError{Limit: limit} // declared too large: not worth reading
-	} else {
-		err = json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v)
+// requestBody is what a POST body decodes into: UpdateRequest and
+// CreateDBRequest (decode.go).
+type requestBody interface{ UnmarshalString(body string) error }
+
+// decodeBody reads a request body of at most limit bytes (ReadBody) and
+// decodes it into v, which may alias it. On failure it has answered — 413
+// for a body over the limit, declared or streamed, 400 for one that does
+// not decode or has anything but whitespace after its value — and reports
+// false.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, tenant string, v requestBody) bool {
+	raw, err := ReadBody(req.Body, req.ContentLength, limit)
+	if err == nil {
+		err = v.UnmarshalString(unsafe.String(unsafe.SliceData(raw), len(raw)))
 	}
+	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
 		return true

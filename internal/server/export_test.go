@@ -34,14 +34,20 @@ func declining(f func()) {
 	intendedDeclines.Add(decodeDeclined.Load() - before)
 }
 
-// TestMain holds the whole package to it: the HTTP read tests, the
-// leader/follower byte-equality harness, the rewrite differential and the
-// stress tests all decode what the handlers wrote, and none of it may have
-// taken the encoding/json fallback.
+// RequestDeclines and ResponseDeclines count the request and response
+// bodies the decoders have handed to encoding/json so far, for the external
+// tests of this package.
+func RequestDeclines() uint64  { return requestDeclined.Load() }
+func ResponseDeclines() uint64 { return decodeDeclined.Load() }
+
+// TestMain holds the whole package to it: the HTTP read and update tests,
+// the leader/follower byte-equality harness, the rewrite differential and
+// the stress tests all decode what the handlers wrote, and none of it may
+// have taken the encoding/json fallback.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if got, want := decodeDeclined.Load(), intendedDeclines.Load(); code == 0 && got != want {
-		fmt.Fprintf(os.Stderr, "FAIL: the read-path decoder declined %d bodies, %d of them on purpose\n", got, want)
+		fmt.Fprintf(os.Stderr, "FAIL: the response decoder declined %d bodies, %d of them on purpose\n", got, want)
 		code = 1
 	}
 	os.Exit(code)

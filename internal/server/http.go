@@ -293,19 +293,10 @@ func (r *Registry) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeApplyError(w, sh.Name(), err)
 		return
 	}
-	resp := UpdateResponse{Tenant: sh.Name(), Version: version, Targets: rep.Targets, Views: make([]UpdateViewJSON, 0, len(rep.Views))}
-	for i := range rep.Views {
-		vr := &rep.Views[i]
-		resp.Views = append(resp.Views, UpdateViewJSON{
-			Name:         vr.View.Name,
-			RowsAdded:    vr.RowsAdded,
-			RowsRemoved:  vr.RowsRemoved,
-			RowsModified: vr.RowsModified,
-			Skipped:      vr.Skipped,
-			Recomputed:   vr.PredFallback || vr.Cancelled || vr.Panicked,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := bodyPool.Get().(*[]byte)
+	*bp = appendUpdateResponse((*bp)[:0], sh.Name(), version, rep)
+	writeBody(w, *bp)
+	bodyPool.Put(bp)
 }
 
 func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -120,6 +121,84 @@ func TestCreateBodyLimit(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIsRefused: an update body is one JSON value. A second
+// statement after the first is refused with the whole request — nothing
+// applied, the tenant as it was — where a streaming decoder applied the
+// first and dropped the second; whitespace after the value is fine.
+func TestTrailingDataIsRefused(t *testing.T) {
+	reg, ts := newTestRegistry(t, Config{}, nil)
+	url := ts.URL + "/v1/db/" + DefaultTenant + "/update"
+	sh, err := reg.Get(DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const insert = `{"statement":"insert <xnote>a</xnote> into /site/people"}`
+	before := sh.Epoch().Version
+	for body, want := range map[string]int{
+		insert + `{"statement":"delete /site/people/xnote"}`: http.StatusBadRequest,
+		insert + `x`:         http.StatusBadRequest,
+		insert + " \r\n\t\n": http.StatusOK,
+	} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		if want != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error.Code != CodeBadRequest {
+				t.Errorf("%q: envelope %+v (%v), want %s", body, er.Error, err, CodeBadRequest)
+			}
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%q: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+	if got := sh.Epoch().Version; got != before+1 {
+		t.Fatalf("the tenant moved from version %d to %d, want one applied statement", before, got)
+	}
+}
+
+// TestDeclaredLengthIsNotReserved: a Content-Length is a claim, not an
+// order to allocate. A 14-byte create that declares the 256 MiB ceiling
+// reserves at most 1 MiB on the header's say-so and is answered as any
+// 14-byte create is: the tenant is made from the server's defaults.
+func TestDeclaredLengthIsNotReserved(t *testing.T) {
+	reg, err := NewRegistry(RegistryConfig{
+		Shard:        Config{Metrics: obs.New()},
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
+		DefaultViews: testViewSpecs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = reg.Shutdown(ctx)
+	})
+	h := reg.Handler()
+	const small = `{"name":"big"}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/db", strings.NewReader(small))
+	req.ContentLength = maxCreateBody
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("status %d (%s), want 201", rec.Code, rec.Body)
+	}
+	if _, err := reg.Get("big"); err != nil {
+		t.Fatal(err)
+	}
+	kb := (after.TotalAlloc - before.TotalAlloc) >> 10
+	t.Logf("a %d-byte create declaring %d bytes allocates %d KB, tenant included", len(small), req.ContentLength, kb)
+	if kb >= 2<<10 {
+		t.Fatalf("a %d-byte create declaring %d bytes allocates %d KB", len(small), req.ContentLength, kb)
+	}
+}
+
 // TestDecodeBodyBoundary pins decodeBody at a ceiling small enough to walk:
 // at it, one over it declared, one over it streamed, and malformed.
 func TestDecodeBodyBoundary(t *testing.T) {
@@ -136,6 +215,7 @@ func TestDecodeBodyBoundary(t *testing.T) {
 		{"one over, declared", body(limit + 1), true, http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 		{"one over, streamed", body(limit + 1), false, http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 		{"malformed", `{"name":`, true, http.StatusBadRequest, CodeBadRequest},
+		{"trailing data", `{"name":"a"}{"name":"b"}`, true, http.StatusBadRequest, CodeBadRequest},
 	} {
 		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body))
 		if !tc.declared {
