@@ -37,7 +37,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	_ "net/http/pprof" // -serve exposes /debug/pprof
@@ -375,11 +374,7 @@ func runDurable(ctx context.Context, db *wal.DB, views []server.ViewSpec, showRo
 			return err
 		}
 		fmt.Printf("\n>> %s\n", stmt)
-		rep, err := db.ApplyCtx(ctx, st)
-		if errors.Is(err, context.Canceled) {
-			fmt.Println("interrupted: statement aborted, views repaired")
-			break
-		}
+		rep, err := db.Apply(st)
 		if err != nil {
 			return err
 		}

@@ -399,28 +399,3 @@ func TestFilterWithoutNodeResolvesThroughDoc(t *testing.T) {
 		t.Fatalf("filtered %d", len(got))
 	}
 }
-
-func TestPathFilterItems(t *testing.T) {
-	d := mustDoc(t, fig12Doc)
-	items := DocItems(d, "b")
-	// b nodes under c: a/c/b, a/c/b, a/f/c/b → 3; a/f/b is not.
-	steps := []dewey.PathStep{{Label: "c", Desc: true}, {Label: "b", Desc: true}}
-	got := PathFilterItems(items, steps)
-	if len(got) != 3 {
-		t.Fatalf("PathFilter //c//b = %d", len(got))
-	}
-}
-
-func TestPathNavigateItems(t *testing.T) {
-	d := mustDoc(t, fig12Doc)
-	items := DocItems(d, "b")
-	parents := PathNavigateItems(items)
-	if len(parents) != len(items) {
-		t.Fatalf("parents %d", len(parents))
-	}
-	for i, p := range parents {
-		if !p.ID.IsParentOf(items[i].ID) {
-			t.Fatalf("PathNavigate wrong at %d", i)
-		}
-	}
-}

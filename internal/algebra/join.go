@@ -115,28 +115,3 @@ func NestedLoopStructuralJoin(left Block, lIdx int, right Block, rIdx int, desc 
 	}
 	return out
 }
-
-// PathFilterItems keeps only the items whose label path satisfies the given
-// linear path condition — the Path Filter physical operator.
-func PathFilterItems(items []Item, steps []dewey.PathStep) []Item {
-	out := items[:0:0]
-	for _, it := range items {
-		if it.ID.MatchesPath(steps) {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// PathNavigateItems maps each item to its parent ID — the Path Navigate
-// physical operator (IDs only; no document access).
-func PathNavigateItems(items []Item) []Item {
-	out := make([]Item, 0, len(items))
-	for _, it := range items {
-		p := it.ID.Parent()
-		if !p.IsNull() {
-			out = append(out, Item{ID: p})
-		}
-	}
-	return out
-}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"xivm/internal/update"
-)
+import "xivm/internal/update"
 
 // BatchPUL is one unit of a translated statement batch: a combined
 // node-level pending update list, applied and propagated in a single pass,
@@ -27,32 +23,26 @@ type BatchPUL struct {
 	Sources []*update.Statement
 }
 
-// ApplyBatchCtx applies a translated batch: each unit's PUL is applied to
-// the document and propagated to every view exactly once, and the engine
+// ApplyBatch applies a translated batch: each unit's PUL is applied to the
+// document and propagated to every view exactly once, and the engine
 // version advances by the unit's statement count. The merged report covers
 // the whole batch (Statement is nil; Targets and per-view row counts are
 // summed).
 //
 // It returns the number of source statements whose effects landed — the
 // version delta — which is len-of-batch on success and the completed-unit
-// sum on error. ctx is honored between units only: a unit that has begun
-// mutating the document completes under the same repair contract as
-// ApplyPULCtx, and on cancellation the applied prefix stays applied (the
-// caller owns publication, so intermediate states are never observable).
+// sum on error.
 //
 // A unit failing mid-batch leaves the engine exactly as the completed
 // prefix left it; the planner's gating makes that path unreachable for
 // well-formed batches (every target pre-resolved, attached, and element-
 // kinded), so callers treat it like a writer-loop panic: repair, report
 // the error, and publish whatever state exists.
-func (e *Engine) ApplyBatchCtx(ctx context.Context, units []BatchPUL) (*Report, int, error) {
+func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 	rep := &Report{}
 	applied := 0
 	for _, u := range units {
-		if err := ctx.Err(); err != nil {
-			return rep, applied, err
-		}
-		urep, err := e.applyPUL(ctx, u.PUL, nil)
+		urep, err := e.applyPUL(u.PUL, nil)
 		if err != nil {
 			return rep, applied, err
 		}
@@ -71,9 +61,9 @@ func (e *Engine) ApplyBatchCtx(ctx context.Context, units []BatchPUL) (*Report, 
 }
 
 // MergeBatchReport folds one unit's (or one statement's) report into a
-// batch report; ApplyStatementCtx merges a replace's delete and insert
-// halves with it too. Callers applying parts of a batch through different
-// entry points (the WAL's partial-journal repair path) share it.
+// batch report; ApplyStatement merges a replace's delete and insert halves
+// with it too, and the WAL folds a partly journaled batch's statements
+// into one report with it.
 func MergeBatchReport(dst, src *Report) {
 	dst.Targets += src.Targets
 	dst.FindTargets += src.FindTargets
@@ -96,7 +86,6 @@ func MergeBatchReport(dst, src *Report) {
 		vr.TermsTotal += svr.TermsTotal
 		vr.TermsSurvived += svr.TermsSurvived
 		vr.PredFallback = vr.PredFallback || svr.PredFallback
-		vr.Cancelled = vr.Cancelled || svr.Cancelled
 		vr.Panicked = vr.Panicked || svr.Panicked
 		vr.Skipped = vr.Skipped && svr.Skipped
 	}

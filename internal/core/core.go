@@ -11,13 +11,11 @@
 // Engines are observable: every propagation phase, prune decision, join and
 // row mutation is recorded in an obs.Metrics registry (Engine.Metrics), and
 // an optional obs.Tracer receives span start/finish events per statement,
-// per phase and per view. The context-aware entry points (ApplyStatementCtx,
-// ApplyPULCtx) honor cancellation between phases and between views; a
-// cancelled pass never leaves a view inconsistent (see applyPUL).
+// per phase and per view. A statement handed to the engine runs to
+// completion; callers that honor deadlines check them before the call.
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -73,14 +71,6 @@ type Options struct {
 	// process-wide obs.Default(). Pass a private registry (obs.New()) to
 	// isolate one engine's counters.
 	Metrics *obs.Metrics
-	// Journal, when non-nil, is invoked with every statement BEFORE the
-	// document or any view is mutated — the write-ahead discipline. A
-	// journal error aborts the statement with no effect. Statements that
-	// are journaled and then rejected by the engine (bad target, parse-time
-	// type error surfacing at PUL computation) fail deterministically, so a
-	// replay rejects them identically; the durability layer counts them as
-	// skipped. ApplyStatement(Ctx) honors the hook.
-	Journal func(st *update.Statement) error
 	// Tracer, when non-nil, receives span start/finish events per
 	// statement, per phase and per view.
 	Tracer obs.Tracer
@@ -283,7 +273,7 @@ type ViewReport struct {
 	// tables' walk are shared across views and live on the Report
 	// (Report.FindTargets, Report.ComputeDelta): here FindTargets is zero
 	// and ComputeDelta is the view's σ-filtered read of the tables. A
-	// view that was not propagated (skipped, cancelled, panicked) has none.
+	// view that was not propagated (skipped, panicked) has none.
 	Phases        Timings
 	TermsTotal    int // terms before data-driven pruning
 	TermsSurvived int // terms actually evaluated
@@ -296,11 +286,6 @@ type ViewReport struct {
 	// Skipped reports that the independence precheck proved the statement
 	// cannot affect this view, so propagation was skipped.
 	Skipped bool
-	// Cancelled reports that context cancellation aborted this view's
-	// algebraic propagation; the engine repaired the view by recomputation
-	// before returning, so it is stale-proof but the incremental path was
-	// not exercised.
-	Cancelled bool
 	// Panicked reports that this view's propagation panicked (a bug in a
 	// custom join, a corrupted lattice). The panic is contained to the
 	// view: the engine repaired it by recomputation before returning, so a
@@ -335,27 +320,10 @@ func (r *Report) Timings() Timings {
 // ApplyStatement runs one update statement: it computes the pending update
 // list, applies the update to the document, and incrementally propagates it
 // to every managed view (PINT/PIMT for insertions, PDDT/PDMT for
-// deletions). The document and store are updated exactly once.
+// deletions). The document and store are updated exactly once. Once the
+// document changes, the statement runs to completion, as its replay from a
+// log would.
 func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
-	return e.ApplyStatementCtx(context.Background(), st)
-}
-
-// ApplyStatementCtx is ApplyStatement with cancellation: ctx is checked
-// before target location, before the document is mutated, between the
-// delete and insert halves of a replace, and between views during
-// propagation. Cancellation before the document mutation aborts with no
-// effect; cancellation later completes the mutation, repairs any
-// not-yet-propagated view by recomputation, and returns ctx.Err() — the
-// engine is always left consistent.
-func (e *Engine) ApplyStatementCtx(ctx context.Context, st *update.Statement) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.opts.Journal != nil {
-		if err := e.opts.Journal(st); err != nil {
-			return nil, err
-		}
-	}
 	endStatement := e.span("apply:" + st.Kind.String())
 	defer endStatement()
 	t0 := time.Now()
@@ -372,21 +340,12 @@ func (e *Engine) ApplyStatementCtx(ctx context.Context, st *update.Statement) (*
 		findTargets := time.Since(t0)
 		e.m.phase[obs.PhaseFindTargets].Observe(findTargets)
 		e.m.targets.Add(int64(delPul.Targets()))
-		if err := ctx.Err(); err != nil {
-			return nil, err // nothing mutated yet: clean abort
-		}
-		delRep, err := e.applyPUL(ctx, delPul, nil)
+		delRep, err := e.applyPUL(delPul, nil)
 		if err != nil {
 			return nil, err
 		}
 		e.notifyApplied(st)
-		if err := ctx.Err(); err != nil {
-			// The delete half is fully applied and propagated; the insert
-			// half never starts. Views are consistent with the half-updated
-			// document, so this is a clean mid-stream abort.
-			return nil, err
-		}
-		insRep, err := e.applyPUL(ctx, insPul, nil)
+		insRep, err := e.applyPUL(insPul, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -425,20 +384,14 @@ func (e *Engine) ApplyStatementCtx(ctx context.Context, st *update.Statement) (*
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err // nothing mutated yet: clean abort
-	}
 
-	rep, err := e.applyPUL(ctx, pul, skip)
+	rep, err := e.applyPUL(pul, skip)
 	if err != nil {
 		return nil, err
 	}
 	e.notifyApplied(st)
 	rep.Statement = st
 	rep.FindTargets = findTargets
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
 	return rep, nil
 }
 
@@ -455,25 +408,10 @@ func (e *Engine) notifyApplied(st *update.Statement) {
 // every view. This is the entry point used when PULs arrive pre-optimized
 // (Section 5) rather than from a statement.
 func (e *Engine) ApplyPUL(pul *update.PUL) (*Report, error) {
-	return e.ApplyPULCtx(context.Background(), pul)
+	return e.applyPUL(pul, nil)
 }
 
-// ApplyPULCtx is ApplyPUL with cancellation, under the same contract as
-// ApplyStatementCtx: once the document is mutated, cancelled views are
-// repaired by recomputation and ctx.Err() is returned alongside the
-// report.
-func (e *Engine) ApplyPULCtx(ctx context.Context, pul *update.PUL) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep, err := e.applyPUL(ctx, pul, nil)
-	if err != nil {
-		return rep, err
-	}
-	return rep, ctx.Err()
-}
-
-func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*ManagedView]bool) (*Report, error) {
+func (e *Engine) applyPUL(pul *update.PUL, skip map[*ManagedView]bool) (*Report, error) {
 	// Snapshot σ membership of predicate-labeled ancestors of the targets;
 	// if the update flips any of them (text added or removed below an
 	// existing node a view predicate tests), the ∆ algebra cannot express
@@ -494,7 +432,7 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 		// lattice is maintained.
 		e.Store.Hide(applied.InsertedRoots)
 		delta := e.computeDelta(rep, applied.InsertedRoots)
-		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
+		rep.Views = e.propagateAll(skip, func(mv *ManagedView) ViewReport {
 			return e.propagateInsert(mv, pul, delta)
 		})
 		e.Store.Hide(nil)
@@ -504,19 +442,15 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 			return nil, err
 		}
 		delta := e.computeDelta(rep, applied.DeletedRoots)
-		rep.Views = e.propagateAll(ctx, skip, func(mv *ManagedView) ViewReport {
+		rep.Views = e.propagateAll(skip, func(mv *ManagedView) ViewReport {
 			return e.propagateDelete(mv, applied, delta)
 		})
 	}
 	// Repair passes run against the whole store again: first views whose
-	// algebraic propagation was cancelled or panicked mid-stream, then
-	// views whose predicates flipped. All end in a consistent recomputed
-	// state.
+	// algebraic propagation panicked mid-stream, then views whose
+	// predicates flipped. Both end in a consistent recomputed state.
 	for i := range rep.Views {
-		if rep.Views[i].Cancelled {
-			e.m.viewsCancelled.Inc()
-			e.recomputeFallback(rep.Views[i].View)
-		} else if rep.Views[i].Panicked {
+		if rep.Views[i].Panicked {
 			e.m.viewsPanicked.Inc()
 			e.recomputeFallback(rep.Views[i].View)
 		}
@@ -539,18 +473,12 @@ func (e *Engine) applyPUL(ctx context.Context, pul *update.PUL, skip map[*Manage
 
 // propagateAll runs one propagation function over every non-skipped view,
 // one view after another. The document and store must be read-only for the
-// duration (guaranteed by the ApplyPUL phase ordering). Context
-// cancellation is honored between views: a view whose propagation has not
-// started when ctx is cancelled is marked Cancelled instead of being
-// propagated (the caller repairs it afterwards). A panic inside one view's
-// propagation is likewise contained — the view is marked Panicked and
+// duration (guaranteed by the ApplyPUL phase ordering). A panic inside one
+// view's propagation is contained — the view is marked Panicked and
 // repaired by recomputation — so a single poisoned view cannot take down
 // the whole apply path.
-func (e *Engine) propagateAll(ctx context.Context, skip map[*ManagedView]bool, f func(*ManagedView) ViewReport) []ViewReport {
+func (e *Engine) propagateAll(skip map[*ManagedView]bool, f func(*ManagedView) ViewReport) []ViewReport {
 	propagate := func(mv *ManagedView) (vr ViewReport) {
-		if ctx.Err() != nil {
-			return ViewReport{View: mv, Cancelled: true}
-		}
 		defer func() {
 			if r := recover(); r != nil {
 				vr = ViewReport{View: mv, Panicked: true}

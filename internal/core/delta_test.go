@@ -235,7 +235,7 @@ func TestRecordViewObservesPropagatedPhases(t *testing.T) {
 			t.Errorf("%s: observed %d, want %d", ph.name, got, ph.want)
 		}
 	}
-	for _, vr := range []ViewReport{{Skipped: true}, {Cancelled: true}, {Panicked: true}} {
+	for _, vr := range []ViewReport{{Skipped: true}, {Panicked: true}} {
 		m.recordView(&vr)
 	}
 	for _, ph := range obs.Phases {

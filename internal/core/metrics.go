@@ -25,7 +25,6 @@ import (
 //	core.lattice.tuples_dropped               snowcap tuples dropped on delete
 //	core.predflip.recomputes                  predicate-flip fallback recomputations
 //	core.views.skipped                        views skipped by the independence precheck
-//	core.views.cancelled                      views aborted (and repaired) by ctx cancellation
 //	core.views.panicked                       views whose propagation panicked (and were repaired)
 //
 // Histogram names: core.phase.<phase> for the five propagation phases.
@@ -46,10 +45,10 @@ type engineMetrics struct {
 	pruneProp38                   *obs.Counter
 	pruneProp47                   *obs.Counter
 
-	rowsAdded, rowsRemoved, rowsModified        *obs.Counter
-	latticeDropped                              *obs.Counter
-	predFlips                                   *obs.Counter
-	viewsSkipped, viewsCancelled, viewsPanicked *obs.Counter
+	rowsAdded, rowsRemoved, rowsModified *obs.Counter
+	latticeDropped                       *obs.Counter
+	predFlips                            *obs.Counter
+	viewsSkipped, viewsPanicked          *obs.Counter
 
 	phase map[string]*obs.Histogram
 }
@@ -75,7 +74,6 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 		latticeDropped: reg.Counter("core.lattice.tuples_dropped"),
 		predFlips:      reg.Counter("core.predflip.recomputes"),
 		viewsSkipped:   reg.Counter("core.views.skipped"),
-		viewsCancelled: reg.Counter("core.views.cancelled"),
 		viewsPanicked:  reg.Counter("core.views.panicked"),
 		phase:          make(map[string]*obs.Histogram, len(obs.Phases)),
 	}
@@ -86,13 +84,13 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 }
 
 // recordView folds one view's propagation outcome into the counters. Only
-// a propagated view has phases to observe: a skipped, cancelled or
-// panicked one ran none.
+// a propagated view has phases to observe: a skipped or panicked one ran
+// none.
 func (m *engineMetrics) recordView(vr *ViewReport) {
 	m.rowsAdded.Add(int64(vr.RowsAdded))
 	m.rowsRemoved.Add(int64(vr.RowsRemoved))
 	m.rowsModified.Add(int64(vr.RowsModified))
-	if vr.Skipped || vr.Cancelled || vr.Panicked {
+	if vr.Skipped || vr.Panicked {
 		return
 	}
 	m.phase[obs.PhaseComputeDelta].Observe(vr.Phases.ComputeDelta)

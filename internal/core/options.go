@@ -47,14 +47,6 @@ func WithMetrics(m *obs.Metrics) Option { return func(o *Options) { o.Metrics = 
 // WithTracer installs a span tracer covering statements, phases and views.
 func WithTracer(t obs.Tracer) Option { return func(o *Options) { o.Tracer = t } }
 
-// WithJournal installs a write-ahead hook: f runs with every statement
-// before the document or any view is mutated, and an error from it aborts
-// the statement with no effect. The durability layer (internal/wal) uses
-// this to append statements to its log ahead of propagation.
-func WithJournal(f func(st *update.Statement) error) Option {
-	return func(o *Options) { o.Journal = f }
-}
-
 // SetOnApplied installs (or replaces) the applied-statement hook after
 // construction — for owners like a serving shard that wrap an engine they
 // did not build. Not synchronized: call before the engine is shared with

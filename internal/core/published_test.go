@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +71,7 @@ func TestStaleTargetsOnPublishedDocument(t *testing.T) {
 		{PUL: &update.PUL{Kind: update.Insert, Inserts: []update.PendingInsert{{Target: x, Trees: forest}}}, Statements: 1},
 		{PUL: &update.PUL{Kind: update.Delete, Deletes: []*xmltree.Node{x}}, Statements: 1},
 	}
-	rep, applied, err := e.ApplyBatchCtx(context.Background(), units)
+	rep, applied, err := e.ApplyBatch(units)
 	if err != nil || applied != 2 {
 		t.Fatalf("batch: %v, %d statements applied", err, applied)
 	}

@@ -174,29 +174,6 @@ func TestHasAncestorLabeled(t *testing.T) {
 	}
 }
 
-func TestMatchesPath(t *testing.T) {
-	b := buildSampleID() // a/c/b
-	cases := []struct {
-		steps []PathStep
-		want  bool
-	}{
-		{[]PathStep{{Label: "a"}, {Label: "c"}, {Label: "b"}}, true},
-		{[]PathStep{{Label: "a"}, {Label: "b", Desc: true}}, true},
-		{[]PathStep{{Label: "b", Desc: true}}, true},
-		{[]PathStep{{Label: "a"}, {Label: "b"}}, false},
-		{[]PathStep{{Label: "a"}, {Label: "*"}, {Label: "b"}}, true},
-		{[]PathStep{{Label: "c", Desc: true}, {Label: "b", Desc: true}}, true},
-		{[]PathStep{{Label: "f", Desc: true}, {Label: "b", Desc: true}}, false},
-		{[]PathStep{{Label: "a"}, {Label: "c"}}, false}, // must end at b
-		{nil, false},
-	}
-	for i, c := range cases {
-		if got := b.MatchesPath(c.steps); got != c.want {
-			t.Errorf("case %d: MatchesPath=%v want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	var d Dict
 	ids := []ID{

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -20,7 +19,7 @@ import (
 // diffing each maintained view against a twin engine that runs
 // FullRecompute after every statement. The two engines must agree on every
 // view after every statement (for batch: after every chunk of two, which
-// goes through pulopt.PlanBatch and ApplyBatchCtx when the planner
+// goes through pulopt.PlanBatch and ApplyBatch when the planner
 // translates it and one statement at a time when it does not).
 func TestGoldenXPathMarkEquivalence(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 10 << 10, Seed: 5})
@@ -89,7 +88,7 @@ func TestGoldenXPathMarkEquivalence(t *testing.T) {
 						continue
 					}
 					if plan, err := pulopt.PlanBatch(e1, chunk); err == nil {
-						if _, _, err := e1.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
+						if _, _, err := e1.ApplyBatch(plan.Units); err != nil {
 							t.Fatalf("%s: batch ending %q: %v", label, src, err)
 						}
 					} else {

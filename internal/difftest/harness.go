@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -22,7 +21,7 @@ type Config struct {
 	Policy core.Policy
 	// Batch > 0 applies the statements in chunks of Batch the way the
 	// shard writer and wal.Replay do: through pulopt.PlanBatch and one
-	// Engine.ApplyBatchCtx when the planner translates the chunk, one
+	// Engine.ApplyBatch when the planner translates the chunk, one
 	// statement at a time when it does not. Every chunk is checked, and the
 	// document must read as a twin's that applied the chunk's statements
 	// one at a time. 0 applies and checks each statement on its own.
@@ -289,7 +288,7 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 }
 
 // applyChunk applies a chunk of statements as wal.Replay does: one
-// ApplyBatchCtx of pulopt.PlanBatch's plan when the planner translates it,
+// ApplyBatch of pulopt.PlanBatch's plan when the planner translates it,
 // one statement at a time (a rejected statement skipped) when it does not.
 // The twin applies the chunk one statement at a time either way. It
 // reports whether the chunk was translated.
@@ -299,7 +298,7 @@ func applyChunk(e, twin *core.Engine, chunk []*update.Statement) (bool, error) {
 	}
 	if len(chunk) > 1 {
 		if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
-			_, _, err := e.ApplyBatchCtx(context.Background(), plan.Units)
+			_, _, err := e.ApplyBatch(plan.Units)
 			return true, err
 		}
 	}

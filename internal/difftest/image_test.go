@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -192,7 +191,7 @@ func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 					}
 					both(func(e *core.Engine) {
 						if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
-							if _, _, err := e.ApplyBatchCtx(context.Background(), plan.Units); err != nil {
+							if _, _, err := e.ApplyBatch(plan.Units); err != nil {
 								t.Fatalf("seed %d: batch: %v", seed, err)
 							}
 						} else {

@@ -44,15 +44,6 @@ func notBatchable(reason, format string, args ...any) error {
 // equivalent to applying Statements one at a time.
 type BatchPlan struct {
 	Statements []*update.Statement
-	// PerStatement holds each statement's D0-resolved node-level PUL (with
-	// targets sequential execution would no longer see filtered out). They
-	// back the per-statement repair path when a batch must be completed
-	// statement-wise after a partial WAL journal.
-	PerStatement []*update.PUL
-	// Ops is the concatenated elementary sequence (FromStatements) and
-	// Reduced the aggregated+reduced combined delta actually split into
-	// Units.
-	Ops, Reduced Seq
 	// Units are the propagation units: one combined PUL per maximal run of
 	// consecutive same-kind statements, in statement order.
 	Units []core.BatchPUL
@@ -87,11 +78,13 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 	if len(stmts) == 0 {
 		return nil, notBatchable("compute", "empty batch")
 	}
-	plan := &BatchPlan{
-		Statements:   stmts,
-		PerStatement: make([]*update.PUL, len(stmts)),
-	}
+	plan := &BatchPlan{Statements: stmts}
+	// Each statement's D0-resolved node-level PUL (with targets sequential
+	// execution would no longer see filtered out), its elementary sequence,
+	// and their concatenation.
+	puls := make([]*update.PUL, len(stmts))
 	seqs := make([]Seq, len(stmts))
+	var ops Seq
 	inserted := map[string]bool{} // element labels inserted by earlier statements
 	var deleted []dewey.ID        // deletion roots kept so far, in statement order
 
@@ -139,9 +132,9 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 				}
 			}
 		}
-		plan.PerStatement[j] = pul
+		puls[j] = pul
 		seqs[j] = FromPUL(pul)
-		plan.Ops = append(plan.Ops, seqs[j]...)
+		ops = append(ops, seqs[j]...)
 	}
 
 	// Parallel-integration conflict rules across every statement pair: any
@@ -162,9 +155,8 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 	for _, s := range seqs {
 		agg = Aggregate(agg, s)
 	}
-	plan.Reduced = Reduce(agg)
-	if len(plan.Reduced) != len(plan.Ops) {
-		return nil, notBatchable("reduce", "combined delta reduced from %d to %d ops — order dependence suspected", len(plan.Ops), len(plan.Reduced))
+	if reduced := Reduce(agg); len(reduced) != len(ops) {
+		return nil, notBatchable("reduce", "combined delta reduced from %d to %d ops — order dependence suspected", len(ops), len(reduced))
 	}
 
 	// Split into units: one combined PUL per maximal run of consecutive
@@ -176,7 +168,7 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 			b++
 		}
 		plan.Units = append(plan.Units, core.BatchPUL{
-			PUL:        mergeRun(plan.PerStatement[a:b]),
+			PUL:        mergeRun(puls[a:b]),
 			Statements: b - a,
 			Sources:    stmts[a:b],
 		})

@@ -1,7 +1,6 @@
 package pulopt
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -33,7 +32,7 @@ func stmts(t *testing.T, srcs ...string) []*update.Statement {
 	return out
 }
 
-// TestPlanBatchEquivalence: a clean batch applied through ApplyBatchCtx
+// TestPlanBatchEquivalence: a clean batch applied through ApplyBatch
 // produces the same document and the same final version as sequential
 // statement application.
 func TestPlanBatchEquivalence(t *testing.T) {
@@ -71,7 +70,7 @@ func TestPlanBatchEquivalence(t *testing.T) {
 	if plan.Units[0].Statements != 2 || plan.Units[1].Statements != 1 || plan.Units[2].Statements != 1 {
 		t.Fatalf("unit statement counts: %+v", plan.Units)
 	}
-	rep, applied, err := e2.ApplyBatchCtx(context.Background(), plan.Units)
+	rep, applied, err := e2.ApplyBatch(plan.Units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestPlanBatchDropsCoveredDeletes(t *testing.T) {
 	// Sequential equivalence including the version count. The plan's PULs
 	// reference e's own nodes, so it applies to the engine it was planned
 	// against.
-	if _, applied, err := e.ApplyBatchCtx(context.Background(), plan.Units); err != nil || applied != 2 {
+	if _, applied, err := e.ApplyBatch(plan.Units); err != nil || applied != 2 {
 		t.Fatalf("batch apply: applied=%d err=%v", applied, err)
 	}
 	if e.Version() != 2 {

@@ -269,7 +269,7 @@ func appendUpdateResponse(dst []byte, tenant string, version uint64, rep *core.R
 		if vr.Skipped {
 			dst = append(dst, `,"skipped":true`...)
 		}
-		if vr.PredFallback || vr.Cancelled || vr.Panicked {
+		if vr.PredFallback || vr.Panicked {
 			dst = append(dst, `,"recomputed":true`...)
 		}
 		dst = append(dst, '}')

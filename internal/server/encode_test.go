@@ -135,19 +135,19 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		checkRoundTrip(t, rewritten, xr, valid)
 
 		// Update answer: a view per row, each flag seen set and unset, the
-		// three that mean recomputed each alone.
+		// two that mean recomputed each alone.
 		rep := &core.Report{Targets: int(n) - 2}
 		ur := UpdateResponse{Tenant: tenant, Version: version, Targets: rep.Targets, Views: []UpdateViewJSON{}}
 		for i := 0; i < rows; i++ {
 			vr := core.ViewReport{
 				View:      &core.ManagedView{Name: []string{label, idLabel, val, cont}[i]},
 				RowsAdded: int(n) - i, RowsRemoved: i, RowsModified: -i,
-				Skipped: i%2 == 1, PredFallback: i == 1, Cancelled: i == 2, Panicked: i == 3,
+				Skipped: i%2 == 1, PredFallback: i == 1, Panicked: i == 3,
 			}
 			rep.Views = append(rep.Views, vr)
 			ur.Views = append(ur.Views, UpdateViewJSON{
 				Name: vr.View.Name, RowsAdded: vr.RowsAdded, RowsRemoved: vr.RowsRemoved, RowsModified: vr.RowsModified,
-				Skipped: vr.Skipped, Recomputed: vr.PredFallback || vr.Cancelled || vr.Panicked,
+				Skipped: vr.Skipped, Recomputed: vr.PredFallback || vr.Panicked,
 			})
 		}
 		applied := appendUpdateResponse(nil, tenant, version, rep)

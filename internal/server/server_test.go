@@ -285,7 +285,7 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
-// gateBackend wraps an engine backend but blocks every ApplyCtx until
+// gateBackend wraps an engine backend but blocks every Apply until
 // released, so tests can hold the writer busy while probing queue
 // behavior. entered, when set, hears of every apply that reaches the gate:
 // a test that waits on it knows the writer has left the queue before it
@@ -298,7 +298,7 @@ type gateBackend struct {
 	panicNext bool
 }
 
-func (b *gateBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
+func (b *gateBackend) Apply(st *update.Statement) (*core.Report, error) {
 	if b.entered != nil {
 		select {
 		case b.entered <- struct{}{}:
@@ -306,17 +306,13 @@ func (b *gateBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core
 		}
 	}
 	if b.gate != nil {
-		select {
-		case <-b.gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		<-b.gate
 	}
 	if b.panicNext {
 		b.panicNext = false
 		panic("injected apply failure")
 	}
-	return b.Backend.ApplyCtx(ctx, st)
+	return b.Backend.Apply(st)
 }
 
 func mustStatement(t *testing.T, src string) *update.Statement {
@@ -435,7 +431,7 @@ type halfInsertBackend struct {
 	armed bool
 }
 
-func (b *halfInsertBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
+func (b *halfInsertBackend) Apply(st *update.Statement) (*core.Report, error) {
 	if b.armed {
 		b.armed = false
 		doc := b.Engine().Doc
@@ -443,7 +439,7 @@ func (b *halfInsertBackend) ApplyCtx(ctx context.Context, st *update.Statement) 
 		half := xmltree.NewNode(xmltree.Element, "person", "")
 		_, _, _ = doc.ApplyInsertions([]xmltree.Insertion{{Target: people, Trees: []*xmltree.Node{half, nil}}})
 	}
-	return b.Backend.ApplyCtx(ctx, st)
+	return b.Backend.Apply(st)
 }
 
 // TestApplyPanicResetsImage: a panic that escapes mid-mutation leaves the

@@ -82,13 +82,15 @@ var ErrReadOnly = errors.New("server: read-only follower")
 type Backend interface {
 	// Engine exposes the underlying maintenance engine.
 	Engine() *core.Engine
-	// ApplyCtx journals (when durable) and applies one statement.
-	ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error)
-	// ApplyBatchCtx journals every constituent statement (when durable)
-	// and applies a translated batch, one propagation pass per unit. It
+	// Apply journals (when durable) and applies one statement. A
+	// journaled statement runs to completion: deadlines are checked
+	// before the call, at the queue.
+	Apply(st *update.Statement) (*core.Report, error)
+	// ApplyBatch journals every constituent statement (when durable) and
+	// applies a translated batch, one propagation pass per unit. It
 	// returns the merged report and how many statements' effects landed —
 	// len(plan.Statements) unless journaling or a unit failed partway.
-	ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.Report, int, error)
+	ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error)
 	// Sync forces buffered durability state (the WAL group-commit window)
 	// to disk; a no-op for non-durable backends.
 	Sync() error
@@ -100,15 +102,15 @@ type EngineBackend struct{ Eng *core.Engine }
 // Engine returns the wrapped engine.
 func (b EngineBackend) Engine() *core.Engine { return b.Eng }
 
-// ApplyCtx applies one statement through the engine.
-func (b EngineBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
-	return b.Eng.ApplyStatementCtx(ctx, st)
+// Apply applies one statement through the engine.
+func (b EngineBackend) Apply(st *update.Statement) (*core.Report, error) {
+	return b.Eng.ApplyStatement(st)
 }
 
-// ApplyBatchCtx applies a translated batch through the engine; with no
+// ApplyBatch applies a translated batch through the engine; with no
 // journal there is nothing to write ahead.
-func (b EngineBackend) ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.Report, int, error) {
-	return b.Eng.ApplyBatchCtx(ctx, plan.Units)
+func (b EngineBackend) ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error) {
+	return b.Eng.ApplyBatch(plan.Units)
 }
 
 // Sync is a no-op: a bare engine has no durability buffer.
@@ -390,9 +392,9 @@ func (s *Shard) ApplyAsync(ctx context.Context, st *update.Statement) (func() (*
 			return res.rep, res.version, res.err
 		case <-ctx.Done():
 			// The writer will observe the cancelled context; if it had
-			// already started applying, the engine's cancellation contract
-			// keeps every view consistent and the writer still publishes
-			// any new state (see Apply's at-most-once-observable note).
+			// already handed the statement to the backend, the statement
+			// runs to completion and the writer still publishes it (see
+			// Apply's at-most-once-observable note).
 			return nil, 0, ctx.Err()
 		}
 	}, nil
@@ -488,18 +490,18 @@ func (s *Shard) respond(req *applyReq, res applyResult) {
 	req.resp <- res
 }
 
-// applyOne applies one request and publishes the resulting epoch. Any new
-// engine version — even one reached on a partially cancelled statement —
-// is published before the client is answered, so an acknowledged update is
-// always readable (read-your-writes) and an unacknowledged one is at worst
-// readable early, never lost.
+// applyOne applies one request and publishes the resulting epoch. The
+// request's ctx is checked here, before the statement is handed over, and
+// nowhere below. Any new engine version is published before the client is
+// answered, so an acknowledged update is always readable (read-your-writes)
+// and an unacknowledged one is at worst readable early, never lost.
 func (s *Shard) applyOne(req *applyReq) applyResult {
 	if err := req.ctx.Err(); err != nil {
 		s.m.abandoned.Inc()
 		return applyResult{err: err}
 	}
 	t0 := time.Now()
-	rep, err := s.safeApply(req.ctx, req.st)
+	rep, err := s.safeApply(req.st)
 	s.m.applyLatency.Observe(time.Since(t0))
 	if s.eng.Version() != s.Epoch().Version {
 		s.publish()
@@ -594,7 +596,7 @@ func (s *Shard) fallback(batch []*applyReq, reason string) {
 // apply path would otherwise kill the writer goroutine and wedge every
 // client of this tenant). The engine is repaired by recomputing all views;
 // the statement is reported failed.
-func (s *Shard) safeApply(ctx context.Context, st *update.Statement) (rep *core.Report, err error) {
+func (s *Shard) safeApply(st *update.Statement) (rep *core.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.applyPanics.Inc()
@@ -606,7 +608,7 @@ func (s *Shard) safeApply(ctx context.Context, st *update.Statement) (rep *core.
 			rep, err = nil, fmt.Errorf("server: apply panicked: %v", r)
 		}
 	}()
-	return s.backend.ApplyCtx(ctx, st)
+	return s.backend.Apply(st)
 }
 
 // safeApplyBatch is safeApply for a translated batch. On a contained panic
@@ -622,7 +624,7 @@ func (s *Shard) safeApplyBatch(plan *pulopt.BatchPlan) (rep *core.Report, applie
 			rep, applied, err = nil, 0, fmt.Errorf("server: batch apply panicked: %v", r)
 		}
 	}()
-	rep, applied, err = s.backend.ApplyBatchCtx(context.Background(), plan)
+	rep, applied, err = s.backend.ApplyBatch(plan)
 	if err != nil && applied < len(plan.Statements) {
 		s.eng.RepairAllViews()
 		s.qcache.dropAll(s.eng.Version())

@@ -40,14 +40,14 @@ func (b *pausingBackend) enter() {
 	b.mu.Unlock()
 }
 
-func (b *pausingBackend) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
+func (b *pausingBackend) Apply(st *update.Statement) (*core.Report, error) {
 	b.enter()
-	return b.Backend.ApplyCtx(ctx, st)
+	return b.Backend.Apply(st)
 }
 
-func (b *pausingBackend) ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.Report, int, error) {
+func (b *pausingBackend) ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error) {
 	b.enter()
-	return b.Backend.ApplyBatchCtx(ctx, plan)
+	return b.Backend.ApplyBatch(plan)
 }
 
 // burstWave is wave w of the bursty write mix. The first six statements are

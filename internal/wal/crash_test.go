@@ -2,12 +2,14 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
+	"xivm/internal/pulopt"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -291,5 +293,79 @@ func TestCrashBetweenCheckpointFlushes(t *testing.T) {
 				t.Fatalf("crash at op %d: %s survived Open", at, e.Name())
 			}
 		}
+	}
+}
+
+// batchStatements is one batch the planner translates: predicate-free name
+// paths, distinct targets, and inserted labels no later target names.
+var batchStatements = []string{
+	`insert <person id="pb1"><name>Batch One</name></person> into /site/people`,
+	`insert <category id="cb1"><name>Batch Cat</name></category> into /site/categories`,
+	`delete /site/catgraph`,
+	`delete /site/closed_auctions/closed_auction`,
+	`insert <item id="ib1"><name>Batch Item</name></item> into /site/regions/africa`,
+}
+
+// TestCrashMidBatchJournal crashes inside the k-th append of a translated
+// batch's journal, for every k. The batch then applies the k statements the
+// log holds, one at a time, and reports k landed; the live engine must be
+// exactly what Open recovers from the directory, torn tail and all.
+func TestCrashMidBatchJournal(t *testing.T) {
+	// script creates a database, registers two views and applies the batch;
+	// it returns the live engine's state, how many statements landed, the
+	// batch's error and the operation count just before the batch.
+	script := func(dir string, ffs *FailFS) (live engState, applied, before int, err error) {
+		db, err := Create(dir, []byte(xmark.GenerateSmall(11, 0)), Options{Sync: SyncAlways, FS: ffs, Metrics: obs.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		for _, name := range []string{"Q1", "Q2"} {
+			if _, err := db.AddView(name, xmark.View(name).String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stmts := make([]*update.Statement, len(batchStatements))
+		for i, src := range batchStatements {
+			stmts[i] = mustStatement(t, src)
+		}
+		plan, err := pulopt.PlanBatch(db.Engine(), stmts)
+		if err != nil {
+			t.Fatalf("the batch is not translated: %v", err)
+		}
+		before = ffs.Ops()
+		_, applied, err = db.ApplyBatch(plan)
+		return stateOf(t, db.Engine()), applied, before, err
+	}
+	probe := NewFailFS(OSFS)
+	_, applied, before, err := script(t.TempDir(), probe)
+	if err != nil || applied != len(batchStatements) {
+		t.Fatalf("probe run: %d applied, %v", applied, err)
+	}
+	// Under SyncAlways each append is one write and one fsync.
+	if got := probe.Ops() - before; got != 2*len(batchStatements) {
+		t.Fatalf("the batch's journal took %d operations, want %d", got, 2*len(batchStatements))
+	}
+
+	for k := range batchStatements {
+		dir := t.TempDir()
+		ffs := NewFailFS(OSFS)
+		ffs.CrashAt = before + 2*k // the write of the k-th append: half of it lands
+		live, applied, _, err := script(dir, ffs)
+		if !errors.Is(err, ErrCrash) {
+			t.Fatalf("crash in append %d: err = %v, want the crash", k, err)
+		}
+		if applied != k {
+			t.Fatalf("crash in append %d: %d statements applied, want %d", k, applied, k)
+		}
+		re, err := Open(dir, Options{Metrics: obs.New()})
+		if err != nil {
+			t.Fatalf("crash in append %d: %v", k, err)
+		}
+		if re.Stats().TruncatedBytes == 0 {
+			t.Fatalf("crash in append %d: no torn tail was cut", k)
+		}
+		requireSameState(t, fmt.Sprintf("crash in append %d", k), stateOf(t, re.Engine()), live)
+		re.Close()
 	}
 }

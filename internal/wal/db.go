@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -52,8 +51,7 @@ type Options struct {
 	// FS selects the filesystem (nil = OSFS); the fault-injection tests
 	// substitute a crashing one.
 	FS FS
-	// Engine is extra engine configuration (policy, metrics, tracer, …). It
-	// must not include WithJournal — the DB owns the journal hook.
+	// Engine is extra engine configuration (policy, metrics, tracer, …).
 	Engine []core.Option
 }
 
@@ -75,7 +73,6 @@ type DB struct {
 	sources map[string]string // view name -> pattern source, for checkpoint manifests
 
 	sinceCkpt int
-	replaying bool
 	stats     RecoveryStats
 
 	// lastCkpt is the LSN of the newest checkpoint this process wrote or
@@ -120,22 +117,9 @@ func (db *DB) logOptions(start uint64) LogOptions {
 	}
 }
 
-// engineOptions is the caller's engine configuration with the DB's journal
-// hook appended last, so a caller-supplied option cannot displace it.
-func (db *DB) engineOptions() []core.Option {
-	opts := make([]core.Option, 0, len(db.opts.Engine)+1)
-	opts = append(opts, db.opts.Engine...)
-	return append(opts, core.WithJournal(db.journal))
-}
-
-// journal is the engine's write-ahead hook: the statement's canonical form
-// is appended (and synced per policy) before the engine touches the
-// document or any view. Replay disables it — replayed statements are
-// already in the log.
+// journal appends the statement's canonical form to the log (synced per
+// policy) before the engine touches the document or any view.
 func (db *DB) journal(st *update.Statement) error {
-	if db.replaying {
-		return nil
-	}
 	payload := append([]byte{RecordStatement}, update.Format(st)...)
 	if _, err := db.log.Append(payload); err != nil {
 		return err
@@ -165,7 +149,7 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 	if len(existing) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds a database (checkpoint %s)", dir, ckptName(existing[len(existing)-1]))
 	}
-	db.eng = core.New(doc, db.engineOptions()...)
+	db.eng = core.New(doc, db.opts.Engine...)
 	if err := writeCheckpoint(db.fs, db.m, dir, db.eng, db.sources, 0); err != nil {
 		return nil, err
 	}
@@ -249,8 +233,6 @@ func (db *DB) replay(img *Image) error {
 	}); err != nil {
 		return err
 	}
-	db.replaying = true
-	defer func() { db.replaying = false }()
 	res, err := Replay(db.eng, recs)
 	if err != nil {
 		if err := db.restore(img); err != nil {
@@ -282,7 +264,7 @@ func OpenOrCreate(dir string, docXML []byte, opts Options) (*DB, error) {
 
 // restore points the DB at a fresh engine built from img.
 func (db *DB) restore(img *Image) error {
-	eng, err := img.Restore(db.engineOptions()...)
+	eng, err := img.Restore(db.opts.Engine...)
 	if err != nil {
 		return err
 	}
@@ -296,7 +278,7 @@ func (db *DB) restore(img *Image) error {
 }
 
 // Engine exposes the recovered engine (views, document, metrics). Mutate
-// it only through Apply/ApplyCtx/AddView, or the log will not know.
+// it only through Apply/ApplyBatch/AddView, or the log will not know.
 func (db *DB) Engine() *core.Engine { return db.eng }
 
 // Stats returns what recovery did when this DB was opened.
@@ -372,40 +354,34 @@ func (db *DB) AddView(name, patternSrc string) (*core.ManagedView, error) {
 	return mv, nil
 }
 
-// Apply journals and applies one update statement (write-ahead order is
-// enforced inside the engine), then auto-checkpoints if the configured
+// Apply journals one update statement and then applies it, so a statement
+// the log holds is one the engine applied; a statement the engine rejects
+// fails the same way on replay. It then auto-checkpoints if the configured
 // record budget is used up.
 func (db *DB) Apply(st *update.Statement) (*core.Report, error) {
-	return db.ApplyCtx(context.Background(), st)
-}
-
-// ApplyCtx is Apply with cancellation, under ApplyStatementCtx's contract.
-func (db *DB) ApplyCtx(ctx context.Context, st *update.Statement) (*core.Report, error) {
-	rep, err := db.eng.ApplyStatementCtx(ctx, st)
+	if err := db.journal(st); err != nil {
+		return nil, err
+	}
+	rep, err := db.eng.ApplyStatement(st)
 	if err != nil {
 		return rep, err
 	}
-	if db.opts.CheckpointEvery > 0 && db.sinceCkpt >= db.opts.CheckpointEvery {
-		if err := db.Checkpoint(); err != nil {
-			return rep, err
-		}
-	}
+	db.autoCheckpoint()
 	return rep, nil
 }
 
-// ApplyBatchCtx journals every constituent statement of a translated batch
-// — write-ahead, riding the group-commit window, in statement order so
-// replay (always per-statement) reproduces the same sequence — and then
-// applies the plan's combined units through the engine, one propagation
-// pass per unit.
+// ApplyBatch journals every constituent statement of a translated batch —
+// write-ahead, riding the group-commit window, in statement order so
+// replay reproduces the same sequence — and then applies the plan's
+// combined units through the engine, one propagation pass per unit.
 //
-// If journaling fails partway, the batch degrades to what the durable log
-// will replay: the already-journaled prefix is applied per-statement from
-// the plan's pre-resolved PULs, and the journal error is returned along
+// If journaling stops at statement k, the batch degrades to what the
+// durable log will replay: the k journaled statements are applied one at a
+// time, as replay applies them, and the journal error is returned along
 // with the number of statements whose effects landed. Live state and
 // recovered state therefore never diverge, whichever side of the failure a
 // statement fell on.
-func (db *DB) ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.Report, int, error) {
+func (db *DB) ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error) {
 	journaled := 0
 	var jerr error
 	for _, st := range plan.Statements {
@@ -417,26 +393,36 @@ func (db *DB) ApplyBatchCtx(ctx context.Context, plan *pulopt.BatchPlan) (*core.
 	if jerr != nil {
 		rep := &core.Report{}
 		applied := 0
-		for _, pul := range plan.PerStatement[:journaled] {
-			prep, err := db.eng.ApplyPULCtx(ctx, pul)
+		for _, st := range plan.Statements[:journaled] {
+			srep, err := db.eng.ApplyStatement(st)
 			if err != nil {
 				return rep, applied, err
 			}
 			applied++
-			core.MergeBatchReport(rep, prep)
+			core.MergeBatchReport(rep, srep)
 		}
 		return rep, applied, jerr
 	}
-	rep, applied, err := db.eng.ApplyBatchCtx(ctx, plan.Units)
+	rep, applied, err := db.eng.ApplyBatch(plan.Units)
 	if err != nil {
 		return rep, applied, err
 	}
-	if db.opts.CheckpointEvery > 0 && db.sinceCkpt >= db.opts.CheckpointEvery {
-		if err := db.Checkpoint(); err != nil {
-			return rep, applied, err
-		}
-	}
+	db.autoCheckpoint()
 	return rep, applied, nil
+}
+
+// autoCheckpoint checkpoints once Options.CheckpointEvery records have been
+// journaled since the last checkpoint. It runs after a statement has
+// landed, so its failure is not the statement's: it is counted in
+// wal.checkpoint.errors, and the record budget stays used up so the next
+// statement retries.
+func (db *DB) autoCheckpoint() {
+	if db.opts.CheckpointEvery <= 0 || db.sinceCkpt < db.opts.CheckpointEvery {
+		return
+	}
+	if err := db.Checkpoint(); err != nil {
+		db.m.ckptErrors.Inc()
+	}
 }
 
 // Sync forces the group-commit buffer to disk — the SyncInterval/SyncNever

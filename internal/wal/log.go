@@ -10,9 +10,9 @@
 // keep; without this layer a process restart throws every materialized view
 // away and pays the full-recomputation baseline the algorithms exist to
 // beat. With it, maintained state survives crashes: the DB wrapper journals
-// each statement before propagation (write-ahead, enforced inside
-// core.Engine via the WithJournal hook), group-commits under a configurable
-// fsync policy, and checkpoints rotate and truncate the log behind them.
+// each statement and then applies it (write-ahead: a journaled statement
+// runs to completion), group-commits under a configurable fsync policy, and
+// checkpoints rotate and truncate the log behind them.
 //
 // On-disk layout of a data directory:
 //

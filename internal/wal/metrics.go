@@ -13,6 +13,8 @@ import "xivm/internal/obs"
 //	wal.segment.removed     log segments removed behind checkpoints
 //	wal.checkpoint.count    checkpoints written
 //	wal.checkpoint.bytes    bytes written into checkpoints
+//	wal.checkpoint.errors   automatic checkpoints that failed after their
+//	                        statement landed (retried on the next one)
 //	wal.recover.replayed    log records re-applied during recovery
 //	                        (statements and view registrations)
 //	wal.recover.skipped     log records skipped during recovery (unparseable
@@ -30,6 +32,7 @@ type walMetrics struct {
 	fsyncCount               *obs.Counter
 	segCreated, segRemoved   *obs.Counter
 	ckptCount, ckptBytes     *obs.Counter
+	ckptErrors               *obs.Counter
 	recReplayed, recSkipped  *obs.Counter
 	recTruncated             *obs.Counter
 	recBadCheckpoints        *obs.Counter
@@ -50,6 +53,7 @@ func newWalMetrics(reg *obs.Metrics) *walMetrics {
 		segRemoved:        reg.Counter("wal.segment.removed"),
 		ckptCount:         reg.Counter("wal.checkpoint.count"),
 		ckptBytes:         reg.Counter("wal.checkpoint.bytes"),
+		ckptErrors:        reg.Counter("wal.checkpoint.errors"),
 		recReplayed:       reg.Counter("wal.recover.replayed"),
 		recSkipped:        reg.Counter("wal.recover.skipped"),
 		recTruncated:      reg.Counter("wal.recover.truncated"),

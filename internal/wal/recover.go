@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"context"
 	"fmt"
 
 	"xivm/internal/core"
@@ -66,7 +65,7 @@ func (e *PartAppliedError) Unwrap() error { return e.Err }
 
 // applyBatch is the engine's batch entry point; the part-applied tests
 // substitute a failing one.
-var applyBatch = (*core.Engine).ApplyBatchCtx
+var applyBatch = (*core.Engine).ApplyBatch
 
 // Replay folds log records into eng, in order — the one records → engine
 // function, fed by crash recovery with what its own disk holds and by a
@@ -96,7 +95,7 @@ func replay(eng *core.Engine, recs []Record, chunk int) (ReplayResult, error) {
 		if len(run) > 1 {
 			res.Plans++
 			if plan, err := pulopt.PlanBatch(eng, run); err == nil {
-				if _, applied, err := applyBatch(eng, context.Background(), plan.Units); err != nil {
+				if _, applied, err := applyBatch(eng, plan.Units); err != nil {
 					return &PartAppliedError{Applied: applied, Statements: len(run), Err: err}
 				}
 				res.Batches++

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -238,14 +237,14 @@ func TestReplayRejectedChunkPlannedOnce(t *testing.T) {
 // the state the planner's gates exist to rule out.
 func failSecondUnit(t *testing.T) {
 	t.Helper()
-	applyBatch = func(e *core.Engine, ctx context.Context, units []core.BatchPUL) (*core.Report, int, error) {
-		rep, n, err := e.ApplyBatchCtx(ctx, units[:1])
+	applyBatch = func(e *core.Engine, units []core.BatchPUL) (*core.Report, int, error) {
+		rep, n, err := e.ApplyBatch(units[:1])
 		if err == nil {
 			err = errors.New("injected unit failure")
 		}
 		return rep, n, err
 	}
-	t.Cleanup(func() { applyBatch = (*core.Engine).ApplyBatchCtx })
+	t.Cleanup(func() { applyBatch = (*core.Engine).ApplyBatch })
 }
 
 // TestOpenSurvivesPartAppliedBatch: when a translated batch part-applies,

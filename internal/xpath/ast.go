@@ -9,8 +9,6 @@ package xpath
 import (
 	"strconv"
 	"strings"
-
-	"xivm/internal/dewey"
 )
 
 // Axis selects how a step relates to the previous one.
@@ -272,40 +270,4 @@ func writeAndOperand(b *strings.Builder, e Expr) {
 		return
 	}
 	writeExpr(b, e)
-}
-
-// IsLinear reports whether the path has no predicates (class L of the
-// paper's update taxonomy).
-func (p Path) IsLinear() bool {
-	for _, s := range p.Steps {
-		if len(s.Preds) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// DeweySteps converts the path's spine (ignoring predicates) to the label
-// path condition used by the Path Filter primitive. It returns false if the
-// path contains attribute or text() steps, which have no label-path
-// equivalent for elements, or sibling axes, which label paths cannot
-// express.
-func (p Path) DeweySteps() ([]dewey.PathStep, bool) {
-	out := make([]dewey.PathStep, 0, len(p.Steps))
-	for _, s := range p.Steps {
-		if s.Axis != Child && s.Axis != Descendant {
-			return nil, false
-		}
-		switch s.Kind {
-		case TestName:
-			out = append(out, dewey.PathStep{Label: s.Name, Desc: s.Axis == Descendant})
-		case TestWildcard:
-			out = append(out, dewey.PathStep{Label: "*", Desc: s.Axis == Descendant})
-		case TestAttr:
-			out = append(out, dewey.PathStep{Label: "@" + s.Name, Desc: s.Axis == Descendant})
-		default:
-			return nil, false
-		}
-	}
-	return out, true
 }

@@ -212,27 +212,6 @@ func TestKeywordNotConfusedWithNames(t *testing.T) {
 	}
 }
 
-func TestIsLinearAndDeweySteps(t *testing.T) {
-	p := MustParse("/site/people/person")
-	if !p.IsLinear() {
-		t.Fatal("expected linear")
-	}
-	if MustParse("/site/people/person[@id]").IsLinear() {
-		t.Fatal("predicate path must not be linear")
-	}
-	steps, ok := p.DeweySteps()
-	if !ok || len(steps) != 3 || steps[0].Label != "site" || steps[0].Desc {
-		t.Fatalf("DeweySteps = %v ok=%v", steps, ok)
-	}
-	if _, ok := MustParse("//name/text()").DeweySteps(); ok {
-		t.Fatal("text() path should not convert")
-	}
-	dsteps, ok := MustParse("//person/@id").DeweySteps()
-	if !ok || dsteps[1].Label != "@id" {
-		t.Fatalf("attr DeweySteps = %v", dsteps)
-	}
-}
-
 // pathCopied returns an image of d with the same content but a path-copied
 // spine: a node is inserted next to the bidders and deleted again between
 // two publications, so site, open_auctions and one open_auction are fresh
@@ -399,15 +378,6 @@ func TestWidenedRoundTrip(t *testing.T) {
 		if p2.String() != p.String() {
 			t.Fatalf("unstable print: %q vs %q", p.String(), p2.String())
 		}
-	}
-}
-
-func TestSiblingAxesNotDewey(t *testing.T) {
-	if _, ok := MustParse("/a/following-sibling::b").DeweySteps(); ok {
-		t.Fatal("sibling paths must not convert to Dewey label paths")
-	}
-	if MustParse("/a/preceding-sibling::b").IsLinear() != true {
-		t.Fatal("sibling step without predicates is still linear")
 	}
 }
 
