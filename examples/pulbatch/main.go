@@ -78,8 +78,8 @@ func main() {
 	persons := e2.Doc.Root.ElementChildren()[0].ElementChildren()
 	p0 := persons[0]
 	forest, _ := xmltree.ParseForest(`<name>par</name>`)
-	d1 := pulopt.Seq{{Kind: pulopt.Del, Target: p0.ID}}
-	d2 := pulopt.Seq{{Kind: pulopt.InsLast, Target: p0.ID, Forest: forest}}
+	d1 := pulopt.Seq{{Kind: pulopt.Del, Target: p0.ID()}}
+	d2 := pulopt.Seq{{Kind: pulopt.InsLast, Target: p0.ID(), Forest: forest}}
 	_, conflicts := pulopt.Integrate(d1, d2)
 	fmt.Printf("\nparallel PULs on person0: %d conflict(s)\n", len(conflicts))
 	for _, c := range conflicts {

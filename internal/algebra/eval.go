@@ -27,14 +27,14 @@ func DocItems(d *xmltree.Document, label string) []Item {
 		switch {
 		case isWord:
 			if n.MatchesWord(word) {
-				out = append(out, Item{ID: n.ID, Node: n})
+				out = append(out, Item{ID: n.ID(), Node: n})
 			}
 		case label == "*":
 			if n.Kind == xmltree.Element {
-				out = append(out, Item{ID: n.ID, Node: n})
+				out = append(out, Item{ID: n.ID(), Node: n})
 			}
 		case n.Label() == label:
-			out = append(out, Item{ID: n.ID, Node: n})
+			out = append(out, Item{ID: n.ID(), Node: n})
 		}
 		return true
 	})
@@ -263,7 +263,7 @@ func Embeddings(d *xmltree.Document, p *pattern.Pattern) []Tuple {
 			if !nodeMatches(pn, n) {
 				continue
 			}
-			binding[pi] = Item{ID: n.ID, Node: n}
+			binding[pi] = Item{ID: n.ID(), Node: n}
 			rec(pi + 1)
 		}
 	}

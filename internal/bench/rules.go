@@ -84,10 +84,10 @@ func ruleWorkload(e *core.Engine, rule string, pct int) pulopt.Seq {
 		// Duplicate deletions: the secondary update deletes the same
 		// persons the primary deletes; O1 drops the duplicates.
 		for _, p := range overlap {
-			ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: p.ID})
+			ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: p.ID()})
 		}
 		for _, p := range persons {
-			ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: p.ID})
+			ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: p.ID()})
 		}
 	case "O3":
 		// The secondary update touches descendants (names) of nodes the
@@ -96,20 +96,20 @@ func ruleWorkload(e *core.Engine, rule string, pct int) pulopt.Seq {
 			for k := p.Kids(); k.Next(); {
 				n := k.Node()
 				if n.Label() == "name" {
-					ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: n.ID})
+					ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: n.ID()})
 				}
 			}
 		}
 		for _, p := range persons {
-			ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: p.ID})
+			ops = append(ops, pulopt.Op{Kind: pulopt.Del, Target: p.ID()})
 		}
 	case "I5":
 		// Two insertions per overlapping person; I5 merges them.
 		for _, p := range overlap {
-			ops = append(ops, pulopt.Op{Kind: pulopt.InsLast, Target: p.ID, Forest: extraForest})
+			ops = append(ops, pulopt.Op{Kind: pulopt.InsLast, Target: p.ID(), Forest: extraForest})
 		}
 		for _, p := range persons {
-			ops = append(ops, pulopt.Op{Kind: pulopt.InsLast, Target: p.ID, Forest: nameForest})
+			ops = append(ops, pulopt.Op{Kind: pulopt.InsLast, Target: p.ID(), Forest: nameForest})
 		}
 	default:
 		panic("bench: unknown rule " + rule)

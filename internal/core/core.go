@@ -212,7 +212,7 @@ func (e *Engine) AddViewRows(name string, p *pattern.Pattern, rows []algebra.Row
 			if n == nil {
 				return nil, fmt.Errorf("core: view %s: the document has no node %v", name, entry.ID)
 			}
-			r.Entries[j].ID = n.ID
+			r.Entries[j].ID = n.ID()
 		}
 	}
 	return e.installView(name, p, rows)

@@ -109,7 +109,7 @@ func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta
 func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
 	ids := make([]dewey.ID, len(roots))
 	for i, r := range roots {
-		ids[i] = r.ID
+		ids[i] = r.ID()
 	}
 	cover := dewey.NewCover(ids)
 	var doomed []algebra.Row
@@ -138,7 +138,7 @@ func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applie
 	}
 	parents := make([]dewey.ID, len(applied.DeletedRoots))
 	for i, root := range applied.DeletedRoots {
-		parents[i] = root.ID.Parent()
+		parents[i] = root.ID().Parent()
 	}
 	return e.refreshAround(mv, parents)
 }

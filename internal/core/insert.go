@@ -93,7 +93,7 @@ func (e *Engine) modifyTuplesAfterInsert(mv *ManagedView, pul *update.PUL) int {
 	}
 	targets := make([]dewey.ID, len(pul.Inserts))
 	for i, pi := range pul.Inserts {
-		targets[i] = pi.Target.ID
+		targets[i] = pi.Target.ID()
 	}
 	return e.refreshAround(mv, targets)
 }

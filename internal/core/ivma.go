@@ -57,7 +57,7 @@ func (iv *IVMA) ApplyStatement(st *update.Statement) (time.Duration, error) {
 			return true
 		})
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID.Compare(nodes[j].ID) < 0 })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID().Compare(nodes[j].ID()) < 0 })
 
 	// Each pass reads the relations with every earlier pass applied. Nodes
 	// are inserted in document order and removed bottom-up (in reverse), so
@@ -82,7 +82,7 @@ func (iv *IVMA) ApplyStatement(st *update.Statement) (time.Duration, error) {
 			for i, items := range stable[k] {
 				adm := pending[k][i]
 				upTo := sort.Search(len(adm), func(j int) bool {
-					c := adm[j].ID.Compare(n.ID)
+					c := adm[j].ID.Compare(n.ID())
 					return c > 0 || c == 0 && !deleting
 				})
 				base[i] = withItems(items, adm[:upTo])
@@ -158,7 +158,7 @@ func (iv *IVMA) singleNodeRows(mv *ManagedView, n *xmltree.Node, deleting bool, 
 				continue
 			}
 			if deleting {
-				in[j] = withoutID(in[j], n.ID)
+				in[j] = withoutID(in[j], n.ID())
 			} else {
 				in[j] = withItems(in[j], iv.pinItems(p, j, n))
 			}
@@ -174,7 +174,7 @@ func (iv *IVMA) singleNodeRows(mv *ManagedView, n *xmltree.Node, deleting bool, 
 // pinItems is the σ-filtered singleton input binding n at pattern position
 // i, empty when n fails the position's predicates or root anchoring.
 func (iv *IVMA) pinItems(p *pattern.Pattern, i int, n *xmltree.Node) []algebra.Item {
-	items := algebra.Filter([]algebra.Item{{ID: n.ID, Node: n}}, p.Nodes[i], iv.Engine.Doc)
+	items := algebra.Filter([]algebra.Item{{ID: n.ID(), Node: n}}, p.Nodes[i], iv.Engine.Doc)
 	if i == 0 {
 		items = algebra.FilterRootAnchor(p, items)
 	}

@@ -181,7 +181,7 @@ func (l *Lattice) ApplyDelete(deletedRoots []*xmltree.Node) int {
 	}
 	ids := make([]dewey.ID, len(deletedRoots))
 	for i, r := range deletedRoots {
-		ids[i] = r.ID
+		ids[i] = r.ID()
 	}
 	cover := dewey.NewCover(ids)
 	removed := 0

@@ -32,11 +32,11 @@ func (e *Engine) snapshotPredicates(pul *update.PUL) []predProbe {
 	var targets []dewey.ID
 	if pul.Kind == update.Insert {
 		for _, pi := range pul.Inserts {
-			targets = append(targets, pi.Target.ID)
+			targets = append(targets, pi.Target.ID())
 		}
 	} else {
 		for _, n := range pul.Deletes {
-			targets = append(targets, n.ID.Parent())
+			targets = append(targets, n.ID().Parent())
 		}
 	}
 	var probes []predProbe

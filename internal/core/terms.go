@@ -76,7 +76,7 @@ func PruneByInsertionPoints(p *pattern.Pattern, terms []uint64, points []*xmltre
 		}
 		found := false
 		for _, pt := range points {
-			if pt.ID.SelfOrAncestorLabeled(n.Label) {
+			if pt.ID().SelfOrAncestorLabeled(n.Label) {
 				found = true
 				break
 			}

@@ -206,3 +206,8 @@ func (id ID) AppendString(dst []byte) []byte {
 // per node (the frame encoding is injective), whose byte order equals
 // document order. Zero allocation — the key is the ID.
 func (id ID) Key() string { return id.key }
+
+// KeyID returns the ID whose key is key, which must be the Key of an ID:
+// it is not checked. It is how a holder that stores only the key's bytes
+// (xmltree.Node) hands the ID back.
+func KeyID(key string) ID { return ID{key: key} }

@@ -213,8 +213,8 @@ func TestOrdinalTwinReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := last()
-	if after.Label() == before.Label() || !ownOrd(after.ID).Equal(ownOrd(before.ID)) || after.ID.Equal(before.ID) {
-		t.Fatalf("replacing %v produced %v: not an ordinal twin", before.ID, after.ID)
+	if after.Label() == before.Label() || !ownOrd(after.ID()).Equal(ownOrd(before.ID())) || after.ID().Equal(before.ID()) {
+		t.Fatalf("replacing %v produced %v: not an ordinal twin", before.ID(), after.ID())
 	}
 	for _, src := range twinWorkload.Statements[1:] {
 		rep, err := e.ApplyStatement(update.MustParse(src))

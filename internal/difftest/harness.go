@@ -86,7 +86,7 @@ func readEpoch(snap *core.Snapshot) [4]string {
 			seen[label] = true
 			b.WriteString(label)
 			for _, m := range doc.Labeled(label) {
-				b.WriteString(m.ID.Key())
+				b.WriteString(m.ID().Key())
 				b.WriteByte(0xFF)
 			}
 			b.WriteByte('\n')
@@ -366,12 +366,12 @@ func checkOrdinals(doc *xmltree.Document) error {
 		var prev dewey.Ord
 		for k := n.Kids(); k.Next(); {
 			c := k.Node()
-			ord := ownOrd(c.ID)
+			ord := ownOrd(c.ID())
 			switch {
-			case !n.ID.IsParentOf(c.ID):
-				err = fmt.Errorf("%v sits under %v and is not its child by ID", c.ID, n.ID)
+			case !n.ID().IsParentOf(c.ID()):
+				err = fmt.Errorf("%v sits under %v and is not its child by ID", c.ID(), n.ID())
 			case prev != nil && prev.Compare(ord) >= 0:
-				err = fmt.Errorf("children of %v: ordinal %v follows %v", n.ID, ord, prev)
+				err = fmt.Errorf("children of %v: ordinal %v follows %v", n.ID(), ord, prev)
 			}
 			prev = ord
 		}

@@ -40,8 +40,14 @@ func newEngine(tb testing.TB, w Workload) *core.Engine {
 // must also point at the epoch's own nodes, in particular at the path-copied
 // spine nodes and not at the ones they replaced). Asking builds the
 // lineage's index, so every later mutation patches it and every later
-// publication carries it.
+// publication carries it. The epoch's and the writer's trees must both keep
+// the node's payload layout (xmltree.CheckPayload).
 func checkImage(live, img *xmltree.Document) error {
+	for _, d := range []*xmltree.Document{img, live} {
+		if err := xmltree.CheckPayload(d.Root); err != nil {
+			return err
+		}
+	}
 	want, err := xmltree.ParseString(live.String())
 	if err != nil {
 		return err
@@ -71,11 +77,11 @@ func checkImage(live, img *xmltree.Document) error {
 				return fmt.Errorf("Labeled(%s): %d nodes, want %d", l, len(got), len(ref))
 			}
 			for i, n := range got {
-				if !n.ID.Equal(ref[i].ID) {
-					return fmt.Errorf("Labeled(%s)[%d] = %v, want %v", l, i, n.ID, ref[i].ID)
+				if !n.ID().Equal(ref[i].ID()) {
+					return fmt.Errorf("Labeled(%s)[%d] = %v, want %v", l, i, n.ID(), ref[i].ID())
 				}
-				if d.NodeByID(n.ID) != n {
-					return fmt.Errorf("Labeled(%s)[%d] = %v is not the document's own node", l, i, n.ID)
+				if d.NodeByID(n.ID()) != n {
+					return fmt.Errorf("Labeled(%s)[%d] = %v is not the document's own node", l, i, n.ID())
 				}
 			}
 		}
@@ -112,11 +118,11 @@ func sameDocument(pub, twin *xmltree.Document) error {
 			return fmt.Errorf("Labeled(%s): %d nodes, in place %d", l, len(got), len(want))
 		}
 		for i := range got {
-			if !got[i].ID.Equal(want[i].ID) {
-				return fmt.Errorf("Labeled(%s)[%d] = %v, in place %v", l, i, got[i].ID, want[i].ID)
+			if !got[i].ID().Equal(want[i].ID()) {
+				return fmt.Errorf("Labeled(%s)[%d] = %v, in place %v", l, i, got[i].ID(), want[i].ID())
 			}
-			if pub.NodeByID(got[i].ID) != got[i] || twin.NodeByID(want[i].ID) != want[i] {
-				return fmt.Errorf("Labeled(%s)[%d] = %v is not the document's own node", l, i, got[i].ID)
+			if pub.NodeByID(got[i].ID()) != got[i] || twin.NodeByID(want[i].ID()) != want[i] {
+				return fmt.Errorf("Labeled(%s)[%d] = %v is not the document's own node", l, i, got[i].ID())
 			}
 		}
 	}
@@ -247,8 +253,8 @@ func TestLiveNodeByIDIsADescent(t *testing.T) {
 				t.Fatalf("seed %d after statement %d (%s): Size() = %d, %d nodes attached", seed, i, src, e.Doc.Size(), len(now))
 			}
 			for n := range now {
-				if got := e.Doc.NodeByID(n.ID); got != n {
-					t.Fatalf("seed %d after statement %d (%s): NodeByID(%v) = %p, want the attached node %p", seed, i, src, n.ID, got, n)
+				if got := e.Doc.NodeByID(n.ID()); got != n {
+					t.Fatalf("seed %d after statement %d (%s): NodeByID(%v) = %p, want the attached node %p", seed, i, src, n.ID(), got, n)
 				}
 			}
 			for n := range before {
@@ -256,9 +262,9 @@ func TestLiveNodeByIDIsADescent(t *testing.T) {
 					continue
 				}
 				detached++
-				if got := e.Doc.NodeByID(n.ID); got != nil {
-					if !now[got] || !got.ID.Equal(n.ID) {
-						t.Fatalf("seed %d after statement %d (%s): detached %v resolves to a node outside the document", seed, i, src, n.ID)
+				if got := e.Doc.NodeByID(n.ID()); got != nil {
+					if !now[got] || !got.ID().Equal(n.ID()) {
+						t.Fatalf("seed %d after statement %d (%s): detached %v resolves to a node outside the document", seed, i, src, n.ID())
 					}
 					reassigned++
 				}
@@ -314,7 +320,7 @@ func fingerprint(s *core.Snapshot, progs []*qvm.Program) string {
 	for i, p := range progs {
 		fmt.Fprintf(&b, "\n%s:", walkCorpus[i])
 		for _, n := range p.Eval(s.Doc()) {
-			fmt.Fprintf(&b, " %q=%q", n.ID.Key(), n.StringValue())
+			fmt.Fprintf(&b, " %q=%q", n.ID().Key(), n.StringValue())
 		}
 	}
 	return b.String()

@@ -56,7 +56,7 @@ func TestQueryShapesAgree(t *testing.T) {
 			}
 			for j := range got {
 				if got[j] != want[j] {
-					t.Errorf("%s: %q: match %d is %v compiled, %v interpreted", label, q.src, j, got[j].ID, want[j].ID)
+					t.Errorf("%s: %q: match %d is %v compiled, %v interpreted", label, q.src, j, got[j].ID(), want[j].ID())
 					break
 				}
 			}

@@ -15,11 +15,11 @@ func FromPUL(pul *update.PUL) Seq {
 	switch pul.Kind {
 	case update.Insert:
 		for _, pi := range pul.Inserts {
-			ops = append(ops, Op{Kind: InsLast, Target: pi.Target.ID, Forest: pi.Trees})
+			ops = append(ops, Op{Kind: InsLast, Target: pi.Target.ID(), Forest: pi.Trees})
 		}
 	case update.Delete:
 		for _, n := range pul.Deletes {
-			ops = append(ops, Op{Kind: Del, Target: n.ID})
+			ops = append(ops, Op{Kind: Del, Target: n.ID()})
 		}
 	}
 	return ops

@@ -116,14 +116,14 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 		case update.Delete:
 			kept := pul.Deletes[:0]
 			for _, n := range pul.Deletes {
-				if coveredBy(deleted, n.ID) {
+				if coveredBy(deleted, n.ID()) {
 					continue // already gone when this statement would run
 				}
 				kept = append(kept, n)
 			}
 			pul.Deletes = kept
 			for _, n := range kept {
-				deleted = append(deleted, n.ID)
+				deleted = append(deleted, n.ID())
 			}
 		case update.Insert:
 			for _, pi := range pul.Inserts {
@@ -233,11 +233,11 @@ func mergeRun(puls []*update.PUL) *update.PUL {
 			merged.Deletes = append(merged.Deletes, p.Deletes...)
 		}
 		sort.Slice(merged.Deletes, func(i, j int) bool {
-			return merged.Deletes[i].ID.Compare(merged.Deletes[j].ID) < 0
+			return merged.Deletes[i].ID().Compare(merged.Deletes[j].ID()) < 0
 		})
 		kept := merged.Deletes[:0]
 		for _, n := range merged.Deletes {
-			if k := len(kept); k > 0 && (kept[k-1].ID.Equal(n.ID) || kept[k-1].ID.IsAncestorOf(n.ID)) {
+			if k := len(kept); k > 0 && (kept[k-1].ID().Equal(n.ID()) || kept[k-1].ID().IsAncestorOf(n.ID())) {
 				continue
 			}
 			kept = append(kept, n)

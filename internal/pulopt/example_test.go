@@ -17,11 +17,11 @@ func ExampleReduce() {
 	f2, _ := xmltree.ParseForest(`<y/>`)
 
 	ops := pulopt.Seq{
-		{Kind: pulopt.InsLast, Target: b.ID, Forest: f1}, // killed by O3 (ancestor delete)
-		{Kind: pulopt.InsLast, Target: a.ID, Forest: f1}, // killed by O1 (same-node delete)
-		{Kind: pulopt.Del, Target: a.ID},
-		{Kind: pulopt.InsLast, Target: doc.Root.ID, Forest: f1},
-		{Kind: pulopt.InsLast, Target: doc.Root.ID, Forest: f2}, // merged by I5
+		{Kind: pulopt.InsLast, Target: b.ID(), Forest: f1}, // killed by O3 (ancestor delete)
+		{Kind: pulopt.InsLast, Target: a.ID(), Forest: f1}, // killed by O1 (same-node delete)
+		{Kind: pulopt.Del, Target: a.ID()},
+		{Kind: pulopt.InsLast, Target: doc.Root.ID(), Forest: f1},
+		{Kind: pulopt.InsLast, Target: doc.Root.ID(), Forest: f2}, // merged by I5
 	}
 	reduced := pulopt.Reduce(ops)
 	fmt.Println(len(ops), "->", len(reduced))

@@ -44,10 +44,10 @@ func TestReducePropertyEquivalence(t *testing.T) {
 			for i := 0; i < 2+rng.Intn(8); i++ {
 				n := nodes[rng.Intn(len(nodes))]
 				if rng.Intn(3) == 0 {
-					ops = append(ops, Op{Kind: Del, Target: n.ID})
+					ops = append(ops, Op{Kind: Del, Target: n.ID()})
 				} else {
 					f, _ := xmltree.ParseForest(fmt.Sprintf("<%s/>", []string{"a", "b", "c"}[rng.Intn(3)]))
-					ops = append(ops, Op{Kind: InsLast, Target: n.ID, Forest: f})
+					ops = append(ops, Op{Kind: InsLast, Target: n.ID(), Forest: f})
 				}
 			}
 			return ops
@@ -130,11 +130,11 @@ func TestAggregatePropertyEquivalence(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(5); i++ {
 				n := nodes[rng.Intn(len(nodes))]
 				if rng.Intn(4) == 0 {
-					ops = append(ops, Op{Kind: Del, Target: n.ID})
+					ops = append(ops, Op{Kind: Del, Target: n.ID()})
 				} else {
 					l := []string{"a", "b", "c"}[rng.Intn(3)]
 					f, _ := xmltree.ParseForest(fmt.Sprintf("<%s><b/></%s>", l, l))
-					ops = append(ops, Op{Kind: InsLast, Target: n.ID, Forest: f})
+					ops = append(ops, Op{Kind: InsLast, Target: n.ID(), Forest: f})
 				}
 			}
 			return ops
@@ -191,9 +191,9 @@ func TestReduceBlocksMergeAcrossSubtreeOps(t *testing.T) {
 	a := d.Root.ElementChildren()[0]
 	c := a.ElementChildren()[1]
 	ops := Seq{
-		{Kind: InsLast, Target: a.ID, Forest: forest(t, `<x/>`)},
-		{Kind: Del, Target: c.ID},
-		{Kind: InsLast, Target: a.ID, Forest: forest(t, `<y/>`)},
+		{Kind: InsLast, Target: a.ID(), Forest: forest(t, `<x/>`)},
+		{Kind: Del, Target: c.ID()},
+		{Kind: InsLast, Target: a.ID(), Forest: forest(t, `<y/>`)},
 	}
 	got := Reduce(ops)
 	if len(got) != 3 {
@@ -202,9 +202,9 @@ func TestReduceBlocksMergeAcrossSubtreeOps(t *testing.T) {
 	// An intervening op on an unrelated node must not block the merge.
 	other := d.Root
 	ops2 := Seq{
-		{Kind: InsLast, Target: a.ID, Forest: forest(t, `<x/>`)},
-		{Kind: InsLast, Target: other.ID, Forest: forest(t, `<z/>`)},
-		{Kind: InsLast, Target: a.ID, Forest: forest(t, `<y/>`)},
+		{Kind: InsLast, Target: a.ID(), Forest: forest(t, `<x/>`)},
+		{Kind: InsLast, Target: other.ID(), Forest: forest(t, `<z/>`)},
+		{Kind: InsLast, Target: a.ID(), Forest: forest(t, `<y/>`)},
 	}
 	got2 := Reduce(ops2)
 	if len(got2) != 2 || len(got2[0].Forest) != 2 {
@@ -221,13 +221,13 @@ func TestAggregateLeavesInputsIntact(t *testing.T) {
 	a := d.Root.ElementChildren()[0]
 	e := d.Root.ElementChildren()[1]
 	d1 := Seq{
-		{Kind: InsLast, Target: a.ID, Forest: forest(t, `<d><b/></d>`)},
-		{Kind: InsLast, Target: e.ID, Forest: forest(t, `<c/>`)},
+		{Kind: InsLast, Target: a.ID(), Forest: forest(t, `<d><b/></d>`)},
+		{Kind: InsLast, Target: e.ID(), Forest: forest(t, `<c/>`)},
 	}
-	insideID := a.ID.Child("d", nil).Child("b", nil)
+	insideID := a.ID().Child("d", nil).Child("b", nil)
 	d2 := Seq{
 		{Kind: InsLast, Target: insideID, Forest: forest(t, `<x/>`)}, // D6 splice
-		{Kind: InsLast, Target: e.ID, Forest: forest(t, `<y/>`)},     // A1/A2 merge
+		{Kind: InsLast, Target: e.ID(), Forest: forest(t, `<y/>`)},   // A1/A2 merge
 	}
 	fingerprint := func(s Seq) string {
 		var sb strings.Builder
@@ -283,13 +283,13 @@ func TestIntegrateNoFalseConflicts(t *testing.T) {
 	f := d.Root.ElementChildren()[1]
 	forest1, _ := xmltree.ParseForest(`<x/>`)
 	forest2, _ := xmltree.ParseForest(`<y/>`)
-	d1 := Seq{{Kind: InsLast, Target: c.ID, Forest: forest1}}
-	d2 := Seq{{Kind: InsLast, Target: f.ID, Forest: forest2}}
+	d1 := Seq{{Kind: InsLast, Target: c.ID(), Forest: forest1}}
+	d2 := Seq{{Kind: InsLast, Target: f.ID(), Forest: forest2}}
 	merged, conflicts := Integrate(d1, d2)
 	if len(conflicts) != 0 {
 		t.Fatalf("false conflicts: %v", conflicts)
 	}
-	if len(merged) != 2 || !merged[0].Target.Equal(c.ID) {
+	if len(merged) != 2 || !merged[0].Target.Equal(c.ID()) {
 		t.Fatalf("merged = %v", merged)
 	}
 }
@@ -301,8 +301,8 @@ func TestAggregateDisjointConcatenates(t *testing.T) {
 	c := d.Root.ElementChildren()[0]
 	f := d.Root.ElementChildren()[1]
 	forest, _ := xmltree.ParseForest(`<x/>`)
-	d1 := Seq{{Kind: InsLast, Target: c.ID, Forest: forest}}
-	d2 := Seq{{Kind: Del, Target: f.ID}}
+	d1 := Seq{{Kind: InsLast, Target: c.ID(), Forest: forest}}
+	d2 := Seq{{Kind: Del, Target: f.ID()}}
 	got := Aggregate(d1, d2)
 	if len(got) != 2 || got[0].Kind != InsLast || got[1].Kind != Del {
 		t.Fatalf("got %v", got)

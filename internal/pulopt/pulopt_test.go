@@ -69,21 +69,21 @@ func TestReduceExample51(t *testing.T) {
 	d2b := ds[1].ElementChildren()[0]
 
 	ops := Seq{
-		{Kind: InsLast, Target: d1b.ID, Forest: forest(t, `<b><d/></b>`)},   // op1
-		{Kind: Del, Target: d1b.ID},                                         // op2
-		{Kind: InsLast, Target: d2b.ID, Forest: forest(t, `<b/>`)},          // op3
-		{Kind: Del, Target: ds[1].ID},                                       // op4
-		{Kind: InsLast, Target: ds[2].ID, Forest: forest(t, `<b/>`)},        // op5
-		{Kind: InsLast, Target: ds[2].ID, Forest: forest(t, `<d><b/></d>`)}, // op6
+		{Kind: InsLast, Target: d1b.ID(), Forest: forest(t, `<b><d/></b>`)},   // op1
+		{Kind: Del, Target: d1b.ID()},                                         // op2
+		{Kind: InsLast, Target: d2b.ID(), Forest: forest(t, `<b/>`)},          // op3
+		{Kind: Del, Target: ds[1].ID()},                                       // op4
+		{Kind: InsLast, Target: ds[2].ID(), Forest: forest(t, `<b/>`)},        // op5
+		{Kind: InsLast, Target: ds[2].ID(), Forest: forest(t, `<d><b/></d>`)}, // op6
 	}
 	got := Reduce(ops)
 	if len(got) != 3 {
 		t.Fatalf("reduced to %d ops: %v", len(got), got)
 	}
-	if got[0].Kind != Del || !got[0].Target.Equal(d1b.ID) {
+	if got[0].Kind != Del || !got[0].Target.Equal(d1b.ID()) {
 		t.Fatalf("op0 = %v", got[0])
 	}
-	if got[1].Kind != Del || !got[1].Target.Equal(ds[1].ID) {
+	if got[1].Kind != Del || !got[1].Target.Equal(ds[1].ID()) {
 		t.Fatalf("op1 = %v", got[1])
 	}
 	if got[2].Kind != InsLast || len(got[2].Forest) != 2 {
@@ -96,15 +96,15 @@ func TestReduceIdempotentAndOrderPreserving(t *testing.T) {
 	c := pathNode(t, d, "c")
 	f := pathNode(t, d, "f")
 	ops := Seq{
-		{Kind: InsLast, Target: c.ID, Forest: forest(t, `<x/>`)},
-		{Kind: InsLast, Target: f.ID, Forest: forest(t, `<y/>`)},
-		{Kind: InsLast, Target: c.ID, Forest: forest(t, `<z/>`)},
+		{Kind: InsLast, Target: c.ID(), Forest: forest(t, `<x/>`)},
+		{Kind: InsLast, Target: f.ID(), Forest: forest(t, `<y/>`)},
+		{Kind: InsLast, Target: c.ID(), Forest: forest(t, `<z/>`)},
 	}
 	got := Reduce(ops)
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
-	if !got[0].Target.Equal(c.ID) || len(got[0].Forest) != 2 {
+	if !got[0].Target.Equal(c.ID()) || len(got[0].Forest) != 2 {
 		t.Fatalf("merge failed: %v", got[0])
 	}
 	again := Reduce(got)
@@ -118,12 +118,12 @@ func TestReduceO3KillsDescendantOps(t *testing.T) {
 	b1 := pathNode(t, d, "c", "b")
 	d3 := b1.ElementChildren()[2]
 	ops := Seq{
-		{Kind: InsLast, Target: d3.ID, Forest: forest(t, `<b/>`)},
-		{Kind: Del, Target: d3.ElementChildren()[0].ID}, // deleting a CHILD must not kill the insert on d3
-		{Kind: Del, Target: b1.ID},                      // ancestor delete kills both earlier ops
+		{Kind: InsLast, Target: d3.ID(), Forest: forest(t, `<b/>`)},
+		{Kind: Del, Target: d3.ElementChildren()[0].ID()}, // deleting a CHILD must not kill the insert on d3
+		{Kind: Del, Target: b1.ID()},                      // ancestor delete kills both earlier ops
 	}
 	got := Reduce(ops)
-	if len(got) != 1 || got[0].Kind != Del || !got[0].Target.Equal(b1.ID) {
+	if len(got) != 1 || got[0].Kind != Del || !got[0].Target.Equal(b1.ID()) {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -138,14 +138,14 @@ func TestIntegrateConflictsExample52(t *testing.T) {
 	d3b := d3.ElementChildren()[0]
 
 	pul1 := Seq{
-		{Kind: InsLast, Target: d1.ID, Forest: forest(t, `<d><b/></d>`)},
-		{Kind: Del, Target: d2.ID},
-		{Kind: Del, Target: d3.ID},
+		{Kind: InsLast, Target: d1.ID(), Forest: forest(t, `<d><b/></d>`)},
+		{Kind: Del, Target: d2.ID()},
+		{Kind: Del, Target: d3.ID()},
 	}
 	pul2 := Seq{
-		{Kind: InsLast, Target: d1.ID, Forest: forest(t, `<b/>`)},
-		{Kind: InsLast, Target: d2.ID, Forest: forest(t, `<b/>`)},
-		{Kind: InsLast, Target: d3b.ID, Forest: forest(t, `<b/>`)},
+		{Kind: InsLast, Target: d1.ID(), Forest: forest(t, `<b/>`)},
+		{Kind: InsLast, Target: d2.ID(), Forest: forest(t, `<b/>`)},
+		{Kind: InsLast, Target: d3b.ID(), Forest: forest(t, `<b/>`)},
 	}
 	merged, conflicts := Integrate(pul1, pul2)
 	if len(merged) != 6 {
@@ -170,16 +170,16 @@ func TestAggregateExample53(t *testing.T) {
 	d3 := ds[2]
 
 	pul1 := Seq{
-		{Kind: InsLast, Target: d1b.ID, Forest: forest(t, `<c><b/></c>`)},
-		{Kind: InsLast, Target: ds[1].ID, Forest: forest(t, `<b/>`)},
-		{Kind: InsLast, Target: d3.ID, Forest: forest(t, `<d><b/></d>`)},
+		{Kind: InsLast, Target: d1b.ID(), Forest: forest(t, `<c><b/></c>`)},
+		{Kind: InsLast, Target: ds[1].ID(), Forest: forest(t, `<b/>`)},
+		{Kind: InsLast, Target: d3.ID(), Forest: forest(t, `<d><b/></d>`)},
 	}
 	// op32 targets the b inside the d tree inserted by op31: its ID is a
 	// child of d3 labeled d then b.
-	insideID := d3.ID.Child("d", nil).Child("b", nil)
+	insideID := d3.ID().Child("d", nil).Child("b", nil)
 	pul2 := Seq{
-		{Kind: InsLast, Target: d1b.ID, Forest: forest(t, `<b/>`)},
-		{Kind: InsLast, Target: ds[1].ID, Forest: forest(t, `<d><b/></d>`)},
+		{Kind: InsLast, Target: d1b.ID(), Forest: forest(t, `<b/>`)},
+		{Kind: InsLast, Target: ds[1].ID(), Forest: forest(t, `<d><b/></d>`)},
 		{Kind: InsLast, Target: insideID, Forest: forest(t, `<b/>`)},
 	}
 	got := Aggregate(pul1, pul2)
@@ -221,12 +221,12 @@ func TestReducedSequenceEquivalence(t *testing.T) {
 		d1b := ds[0].ElementChildren()[0]
 		d2b := ds[1].ElementChildren()[0]
 		return Seq{
-			{Kind: InsLast, Target: d1b.ID, Forest: forest(t, `<b><d/></b>`)},
-			{Kind: Del, Target: d1b.ID},
-			{Kind: InsLast, Target: d2b.ID, Forest: forest(t, `<b/>`)},
-			{Kind: Del, Target: ds[1].ID},
-			{Kind: InsLast, Target: ds[2].ID, Forest: forest(t, `<b/>`)},
-			{Kind: InsLast, Target: ds[2].ID, Forest: forest(t, `<d><b/></d>`)},
+			{Kind: InsLast, Target: d1b.ID(), Forest: forest(t, `<b><d/></b>`)},
+			{Kind: Del, Target: d1b.ID()},
+			{Kind: InsLast, Target: d2b.ID(), Forest: forest(t, `<b/>`)},
+			{Kind: Del, Target: ds[1].ID()},
+			{Kind: InsLast, Target: ds[2].ID(), Forest: forest(t, `<b/>`)},
+			{Kind: InsLast, Target: ds[2].ID(), Forest: forest(t, `<d><b/></d>`)},
 		}
 	}
 

@@ -83,7 +83,7 @@ func sameIDs(a, b []*xmltree.Node) bool {
 		return false
 	}
 	for i := range a {
-		if !a[i].ID.Equal(b[i].ID) {
+		if !a[i].ID().Equal(b[i].ID()) {
 			return false
 		}
 	}

@@ -37,14 +37,14 @@ func (m *Machine) bind(d *xmltree.Document) {
 // allocation.
 func (m *Machine) siblings(ctx *xmltree.Node) (xmltree.Kids, bool) {
 	par := m.par
-	if par == nil || !par.ID.IsParentOf(ctx.ID) {
+	if par == nil || !par.ID().IsParentOf(ctx.ID()) {
 		par = xmltree.ParentIn(m.doc.Root, ctx)
 		m.par = par
 	}
 	if par == nil {
 		return xmltree.Kids{}, false
 	}
-	return par.KidsAt(ctx.ID.Key())
+	return par.KidsAt(ctx.ID().Key())
 }
 
 // NewMachine returns an empty machine.
@@ -448,7 +448,7 @@ func sortDedup(ns []*xmltree.Node) []*xmltree.Node {
 	}
 	sorted := true
 	for i := 1; i < len(ns); i++ {
-		if ns[i-1].ID.Key() > ns[i].ID.Key() {
+		if ns[i-1].ID().Key() > ns[i].ID().Key() {
 			sorted = false
 			break
 		}
@@ -472,19 +472,19 @@ func sortNodes(ns []*xmltree.Node) {
 	for len(ns) > 12 {
 		// Median-of-three pivot, moved to position 0.
 		mid, last := len(ns)/2, len(ns)-1
-		if ns[mid].ID.Key() < ns[0].ID.Key() {
+		if ns[mid].ID().Key() < ns[0].ID().Key() {
 			ns[0], ns[mid] = ns[mid], ns[0]
 		}
-		if ns[last].ID.Key() < ns[0].ID.Key() {
+		if ns[last].ID().Key() < ns[0].ID().Key() {
 			ns[0], ns[last] = ns[last], ns[0]
 		}
-		if ns[mid].ID.Key() < ns[last].ID.Key() {
+		if ns[mid].ID().Key() < ns[last].ID().Key() {
 			ns[mid], ns[last] = ns[last], ns[mid]
 		}
-		pivot := ns[last].ID.Key()
+		pivot := ns[last].ID().Key()
 		i := 0
 		for j := 0; j < last; j++ {
-			if ns[j].ID.Key() < pivot {
+			if ns[j].ID().Key() < pivot {
 				ns[i], ns[j] = ns[j], ns[i]
 				i++
 			}
@@ -500,7 +500,7 @@ func sortNodes(ns []*xmltree.Node) {
 		}
 	}
 	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].ID.Key() < ns[j-1].ID.Key(); j-- {
+		for j := i; j > 0 && ns[j].ID().Key() < ns[j-1].ID().Key(); j-- {
 			ns[j], ns[j-1] = ns[j-1], ns[j]
 		}
 	}

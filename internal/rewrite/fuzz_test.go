@@ -120,8 +120,8 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 			}
 			for i := range rows {
 				e := rows[i].Entries[0]
-				if e.ID.Key() != want[i].ID.Key() {
-					t.Fatalf("%s %s (%s): match %d ID %s != %s", w.name, qs, plan.Explain(), i, e.ID, want[i].ID)
+				if e.ID.Key() != want[i].ID().Key() {
+					t.Fatalf("%s %s (%s): match %d ID %s != %s", w.name, qs, plan.Explain(), i, e.ID, want[i].ID())
 				}
 				if e.Val != want[i].StringValue() {
 					t.Fatalf("%s %s (%s): match %d value %q != %q", w.name, qs, plan.Explain(), i, e.Val, want[i].StringValue())

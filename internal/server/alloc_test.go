@@ -156,7 +156,7 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 		}
 		id := dewey.NewRoot("site").Child("open_auctions", dewey.OrdAt(3)).Child("open_auction", dewey.OrdAt(i)).Child("increase", dewey.OrdAt(1))
 		nodes[i] = xmltree.NewNode(xmltree.Text, "increase", value)
-		nodes[i].ID = id
+		nodes[i].SetID(id)
 	}
 	body := appendXPathHead(nil, &core.Snapshot{Tenant: "bench", Version: 7}, "//open_auction//increase", "", false)
 	body = append(appendNodeMatches(body, nodes), xpathTail...)
@@ -170,7 +170,7 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		err := json.Unmarshal(body, &xr)
 		runtime.ReadMemStats(&after)
-		if err != nil || len(xr.Matches) != len(nodes) || xr.Matches[8].Value != nodes[8].Value {
+		if err != nil || len(xr.Matches) != len(nodes) || xr.Matches[8].Value != nodes[8].Value() {
 			t.Fatalf("decoded %d of %d matches (err %v)", len(xr.Matches), len(nodes), err)
 		}
 		cheapest = min(cheapest, after.TotalAlloc-before.TotalAlloc)

@@ -112,7 +112,7 @@ func quoteTail(dst []byte, from int) []byte {
 // as a JSON string literal.
 func appendTextValue(dst []byte, n *xmltree.Node) []byte {
 	if n.Kind != xmltree.Element {
-		return appendJSONString(dst, n.Value)
+		return appendJSONString(dst, n.Value())
 	}
 	from := len(dst)
 	return quoteTail(appendRawText(dst, n), from)
@@ -123,7 +123,7 @@ func appendRawText(dst []byte, n *xmltree.Node) []byte {
 		c := k.Node()
 		switch c.Kind {
 		case xmltree.Text:
-			dst = append(dst, c.Value...)
+			dst = append(dst, c.Value()...)
 		case xmltree.Element:
 			dst = appendRawText(dst, c)
 		}
@@ -218,7 +218,7 @@ func appendMatchHead(dst []byte, first bool, id dewey.ID, label string) []byte {
 func appendNodeMatches(dst []byte, nodes []*xmltree.Node) []byte {
 	dst = append(dst, '[')
 	for i, n := range nodes {
-		dst = appendMatchHead(dst, i == 0, n.ID, n.Label())
+		dst = appendMatchHead(dst, i == 0, n.ID(), n.Label())
 		dst = appendTextValue(dst, n)
 		dst = append(dst, '}')
 	}

@@ -101,16 +101,16 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 					mk(xmltree.Attribute, "@"+idLabel, cont),
 					mk(xmltree.Text, xmltree.TextLabel, val),
 					mk(xmltree.Element, idLabel, "", mk(xmltree.Text, xmltree.TextLabel, cont)))
-				node.ID = ids[1]
+				node.SetID(ids[1])
 			case 1:
 				node = mk(xmltree.Text, xmltree.TextLabel, val)
-				node.ID = ids[2]
+				node.SetID(ids[2])
 			default:
 				node = mk(xmltree.Attribute, "@"+label, cont)
-				node.ID = ids[0]
+				node.SetID(ids[0])
 			}
 			nodes = append(nodes, node)
-			xr.Matches = append(xr.Matches, MatchJSON{ID: node.ID.String(), Label: node.Label(), Value: node.StringValue()})
+			xr.Matches = append(xr.Matches, MatchJSON{ID: node.ID().String(), Label: node.Label(), Value: node.StringValue()})
 		}
 		walk := appendXPathHead(nil, snap, query, plan, true)
 		walk = append(appendNodeMatches(walk, nodes), xpathTail...)

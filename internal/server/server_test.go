@@ -474,7 +474,7 @@ func TestApplyPanicResetsImage(t *testing.T) {
 		t.Fatalf("epoch after repair differs from the live tree (%d persons live):\n epoch %s\n  live %s", got, img, live)
 	}
 	for _, d := range []*xmltree.Document{live, img} {
-		if people := d.Labeled("people"); len(people) != 1 || people[0] != d.NodeByID(people[0].ID) {
+		if people := d.Labeled("people"); len(people) != 1 || people[0] != d.NodeByID(people[0].ID()) {
 			t.Fatal("label index after repair still holds the node the interrupted mutator replaced")
 		}
 	}

@@ -99,7 +99,7 @@ func (o *shadowOracle) record() {
 		nodes := xpath.Eval(o.eng.Doc, xpath.MustParse(q))
 		ms := make([]MatchJSON, 0, len(nodes))
 		for _, n := range nodes {
-			ms = append(ms, MatchJSON{ID: n.ID.String(), Label: n.Label(), Value: n.StringValue()})
+			ms = append(ms, MatchJSON{ID: n.ID().String(), Label: n.Label(), Value: n.StringValue()})
 		}
 		st.matches[q] = ms
 	}

@@ -95,7 +95,7 @@ func (s *Store) items(label string) []algebra.Item {
 	out := make([]algebra.Item, 0, list.Len())
 	list.EachLeaf(func(leaf []*xmltree.Node) bool {
 		for _, n := range leaf {
-			out = append(out, algebra.Item{ID: n.ID, Node: n})
+			out = append(out, algebra.Item{ID: n.ID(), Node: n})
 		}
 		return true
 	})
@@ -181,7 +181,7 @@ func (s *Store) elemItems() []algebra.Item {
 				return false
 			}
 			if n.Kind == xmltree.Element {
-				s.elems = append(s.elems, algebra.Item{ID: n.ID, Node: n})
+				s.elems = append(s.elems, algebra.Item{ID: n.ID(), Node: n})
 			}
 			return true
 		})
@@ -192,7 +192,7 @@ func (s *Store) elemItems() []algebra.Item {
 
 // isHidden reports whether n is the root of a hidden subtree.
 func (s *Store) isHidden(n *xmltree.Node) bool {
-	_, found := slices.BinarySearch(s.hidden, n.ID.Key())
+	_, found := slices.BinarySearch(s.hidden, n.ID().Key())
 	return found
 }
 
@@ -281,7 +281,7 @@ func (s *Store) Changed(replaced, roots []*xmltree.Node) {
 func (s *Store) Hide(roots []*xmltree.Node) {
 	var keys []string
 	for _, r := range roots {
-		keys = append(keys, r.ID.Key())
+		keys = append(keys, r.ID().Key())
 	}
 	slices.Sort(keys)
 	s.hidden = keys

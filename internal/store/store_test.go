@@ -150,7 +150,7 @@ func TestHiddenSubtreesCutByKeyPrefix(t *testing.T) {
 	shown := func(hidden []*xmltree.Node, label string) []string {
 		var keys []string
 		for _, it := range algebra.DocItems(d, label) {
-			if !slices.ContainsFunc(hidden, func(r *xmltree.Node) bool { return strings.HasPrefix(it.ID.Key(), r.ID.Key()) }) {
+			if !slices.ContainsFunc(hidden, func(r *xmltree.Node) bool { return strings.HasPrefix(it.ID.Key(), r.ID().Key()) }) {
 				keys = append(keys, it.ID.Key())
 			}
 		}
@@ -369,7 +369,7 @@ func TestMatFillAddRemove(t *testing.T) {
 	}
 	// Remove under the b node.
 	bNode := d.Root.ElementChildren()[0]
-	if got := m.RemoveUnderAny(dewey.NewCover([]dewey.ID{bNode.ID})); got != 1 {
+	if got := m.RemoveUnderAny(dewey.NewCover([]dewey.ID{bNode.ID()})); got != 1 {
 		t.Fatalf("removed %d", got)
 	}
 	if m.Len() != 0 {
@@ -497,7 +497,7 @@ func TestConcurrentItemsDuringMutation(t *testing.T) {
 				defer wg.Done()
 				for range 20 {
 					for k, it := range held[r] {
-						if it.ID.Key() != keys[r][k] || it.Node.ID.Key() != keys[r][k] {
+						if it.ID.Key() != keys[r][k] || it.Node.ID().Key() != keys[r][k] {
 							panic("retained Items slice changed under a mutation")
 						}
 					}

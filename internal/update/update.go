@@ -123,7 +123,7 @@ func ExpandReplace(d *xmltree.Document, st *Statement) (del, ins *PUL, err error
 	}
 	ins = &PUL{Kind: Insert}
 	for _, n := range del.Deletes {
-		ins.Inserts = append(ins.Inserts, PendingInsert{Target: d.NodeByID(n.ID.Parent()), Trees: st.Forest})
+		ins.Inserts = append(ins.Inserts, PendingInsert{Target: d.NodeByID(n.ID().Parent()), Trees: st.Forest})
 	}
 	return del, ins, nil
 }
@@ -145,7 +145,7 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 	switch st.Kind {
 	case Delete:
 		sort.Slice(targets, func(i, j int) bool {
-			return targets[i].ID.Compare(targets[j].ID) < 0
+			return targets[i].ID().Compare(targets[j].ID()) < 0
 		})
 		for _, n := range targets {
 			if n == d.Root {
@@ -154,7 +154,7 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 			// Targets are in document order, so all descendants of a kept
 			// target follow it contiguously: checking the last kept target
 			// suffices.
-			if k := len(pul.Deletes); k > 0 && pul.Deletes[k-1].ID.IsAncestorOf(n.ID) {
+			if k := len(pul.Deletes); k > 0 && pul.Deletes[k-1].ID().IsAncestorOf(n.ID()) {
 				continue
 			}
 			pul.Deletes = append(pul.Deletes, n)
@@ -322,7 +322,7 @@ func DeltaTables(roots []*xmltree.Node, ls *Labels) Delta {
 		if d.tables == nil {
 			d.tables = make([][]algebra.Item, ls.n)
 		}
-		d.tables[s] = append(d.tables[s], algebra.Item{ID: n.ID, Node: n})
+		d.tables[s] = append(d.tables[s], algebra.Item{ID: n.ID(), Node: n})
 	}
 	for _, r := range roots {
 		xmltree.Walk(r, func(n *xmltree.Node) bool {

@@ -124,7 +124,7 @@ func TestComputePULAndApplyInsert(t *testing.T) {
 		t.Fatalf("store name count %d", s.Count("name"))
 	}
 	for _, r := range applied.InsertedRoots {
-		if r.ID.IsNull() || d.NodeByID(r.ID) != r {
+		if r.ID().IsNull() || d.NodeByID(r.ID()) != r {
 			t.Fatal("inserted root not indexed with fresh ID")
 		}
 	}
@@ -175,7 +175,7 @@ func TestProgrammaticStatementRunsTheVM(t *testing.T) {
 	}
 	for i, in := range pul.Inserts {
 		if in.Target != want[i] || len(in.Trees) != 1 || in.Trees[0] != xpath.Eval(d, src)[0] {
-			t.Fatalf("insertion %d: target %v, trees %v", i, in.Target.ID, in.Trees)
+			t.Fatalf("insertion %d: target %v, trees %v", i, in.Target.ID(), in.Trees)
 		}
 	}
 	for _, key := range []string{target.String(), src.String()} {

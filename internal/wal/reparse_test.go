@@ -77,7 +77,7 @@ func TestAttributeGtSurvivesReplay(t *testing.T) {
 		t.Fatalf("replay: %+v, want the insert replayed", st)
 	}
 	for _, a := range re.Engine().Doc.Labeled("@note") {
-		if a.Value == "1>0" {
+		if a.Value() == "1>0" {
 			return
 		}
 	}

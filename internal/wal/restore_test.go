@@ -88,7 +88,7 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 				}
 				entries++
 				n := eng.Doc.NodeByID(e.ID)
-				if n == nil || unsafe.StringData(n.ID.Key()) != unsafe.StringData(e.ID.Key()) {
+				if n == nil || unsafe.StringData(n.ID().Key()) != unsafe.StringData(e.ID.Key()) {
 					t.Fatalf("view %s: the entry for %v is not the tree's own ID", mv.Name, e.ID)
 				}
 			}
@@ -107,7 +107,7 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 	if err != nil || len(rows) == 0 {
 		t.Fatalf("Q1's snapshot decodes to %d rows, %v", len(rows), err)
 	}
-	missing := eng.Doc.Root.ID.Child("nowhere", dewey.OrdAt(99))
+	missing := eng.Doc.Root.ID().Child("nowhere", dewey.OrdAt(99))
 	rows[0].Entries[0].ID = missing
 	img.Views["Q1"] = store.EncodeSnapshot(store.NewMaterializedView(xmark.View("Q1"), rows))
 	_, err = img.Restore(core.WithMetrics(obs.New()))
@@ -119,12 +119,12 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 // TestRestoredHeapPerNodeBudget holds what a tenant restored from a
 // checkpoint keeps per document node — the benchmark's tenant after a
 // restart: its tree with its label index, store and seven views, and one
-// published epoch. That is ~151 B with 64-byte nodes that name their labels
-// by code and canonical relations read from the label index. Keeping the IDs
-// the view snapshots decode to beside the tree's, one more key per row
-// entry, is ~156; a second per-label array beside the index, as the store
-// kept before, adds ~28 B; frames that spell their labels out ~40 B more.
-// The budget sits between the first two.
+// published epoch. That is ~115 B with 32-byte nodes that name their labels
+// by code and canonical relations read from the label index (~147 B with
+// 64-byte nodes). Keeping the IDs the view snapshots decode to beside the
+// tree's, one more key per row entry, adds ~5 B; a second per-label array
+// beside the index, as the store kept before, ~28 B; frames that spell their
+// labels out ~40 B more. The budget sits below each of them.
 func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	eng, sources := benchTenant(t)
 	dir := t.TempDir()
@@ -151,8 +151,8 @@ func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	nodes := re.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 153 {
-		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 153", perNode)
+	if perNode > 118 {
+		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 118", perNode)
 	}
 	runtime.KeepAlive(img)
 	runtime.KeepAlive(snap)

@@ -233,11 +233,11 @@ func TestCatgraphEdgesReferenceCategories(t *testing.T) {
 	d := genDoc(t, 60<<10, 2)
 	cats := map[string]bool{}
 	for _, c := range xpath.Eval(d, xpath.MustParse("/site/categories/category/@id")) {
-		cats[c.Value] = true
+		cats[c.Value()] = true
 	}
 	for _, e := range xpath.Eval(d, xpath.MustParse("/site/catgraph/edge/@from")) {
-		if !cats[e.Value] {
-			t.Fatalf("edge from unknown category %q", e.Value)
+		if !cats[e.Value()] {
+			t.Fatalf("edge from unknown category %q", e.Value())
 		}
 	}
 }

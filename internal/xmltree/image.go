@@ -70,14 +70,16 @@ func (d *Document) ResetImage() {
 func (d *Document) restamp() {
 	var cp func(n *Node) *Node
 	cp = func(n *Node) *Node {
-		m := &Node{Kind: n.Kind, height: n.height, code: n.code, Value: n.Value, ID: n.ID}
-		if len(n.kids) > 0 {
-			m.kids = make([]*Node, len(n.kids))
-			for i, c := range n.kids {
-				m.kids[i] = cp(c)
+		m := *n
+		m.gen = 0
+		if kids := n.kids(); kids != nil {
+			own := make([]*Node, len(kids))
+			for i, c := range kids {
+				own[i] = cp(c)
 			}
+			m.setKids(own)
 		}
-		return m
+		return &m
 	}
 	d.Root, d.gen, d.copied = cp(d.Root), 1, d.size
 	d.ResetImage()
@@ -91,14 +93,14 @@ func (d *Document) restamp() {
 // Nil when the tree holds no such node.
 func (d *Document) own(id dewey.ID, replaced *[]*Node) *Node {
 	c := id.Cursor()
-	if !c.Next() || d.Root.ID.Key() != c.Key() {
+	if !c.Next() || d.Root.ID().Key() != c.Key() {
 		return nil
 	}
 	slot := &d.Root
 	for {
 		n := *slot
 		if n.gen != d.gen {
-			n = &Node{Kind: n.Kind, height: n.height, code: n.code, gen: d.gen, Value: n.Value, ID: n.ID, kids: copyKids(n.kids)}
+			n = hold(n, d.gen)
 			*slot = n
 			d.copied++
 			*replaced = append(*replaced, n)

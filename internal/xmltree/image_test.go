@@ -10,7 +10,7 @@ import (
 func nodeAt(d *Document, path ...int) *Node {
 	n := d.Root
 	for _, i := range path {
-		n = n.kids[i]
+		n = n.kids()[i]
 	}
 	return n
 }
@@ -47,8 +47,8 @@ func TestSnapshotSharesWhatDidNotChange(t *testing.T) {
 		t.Fatalf("mutator reported %d replaced nodes, want the spine of 3", len(replaced))
 	}
 	for _, n := range replaced {
-		if d.NodeByID(n.ID) != n || img1.NodeByID(n.ID) == n {
-			t.Errorf("replaced node %v is not the writer's copy", n.ID)
+		if d.NodeByID(n.ID()) != n || img1.NodeByID(n.ID()) == n {
+			t.Errorf("replaced node %v is not the writer's copy", n.ID())
 		}
 	}
 	img2 := d.Snapshot()
@@ -72,12 +72,12 @@ func TestSnapshotSharesWhatDidNotChange(t *testing.T) {
 		}
 	}
 	Walk(img2.Root, func(n *Node) bool {
-		if got := img2.NodeByID(n.ID); got != n {
-			t.Errorf("NodeByID(%v) = %p, want the epoch's own node %p", n.ID, got, n)
+		if got := img2.NodeByID(n.ID()); got != n {
+			t.Errorf("NodeByID(%v) = %p, want the epoch's own node %p", n.ID(), got, n)
 		}
-		for _, c := range n.kids {
+		for _, c := range n.kids() {
 			if got := ParentIn(img2.Root, c); got != n {
-				t.Errorf("ParentIn(%v) = %v, want %v", c.ID, got, n.ID)
+				t.Errorf("ParentIn(%v) = %v, want %v", c.ID(), got, n.ID())
 			}
 		}
 		return true
@@ -85,7 +85,7 @@ func TestSnapshotSharesWhatDidNotChange(t *testing.T) {
 	if ParentIn(img2.Root, img2.Root) != nil {
 		t.Error("the root has no parent")
 	}
-	if id := nodeAt(d, 2).ID.Child("zz", dewey.OrdAt(0)); img2.NodeByID(id) != nil {
+	if id := nodeAt(d, 2).ID().Child("zz", dewey.OrdAt(0)); img2.NodeByID(id) != nil {
 		t.Error("NodeByID resolved an ID the epoch does not hold")
 	}
 	if _, _, err := img2.ApplyInsertions([]Insertion{{Target: img2.Root, Trees: []*Node{tmpl.Root}}}); err == nil {
@@ -153,14 +153,14 @@ func TestNeverPublishedNeverCopies(t *testing.T) {
 	if err != nil || len(replaced) != 0 {
 		t.Fatalf("insert: %v, %d replaced", err, len(replaced))
 	}
-	_, replaced, err = d.ApplyDeleteBatch([]*Node{a.kids[0]})
+	_, replaced, err = d.ApplyDeleteBatch([]*Node{a.kids()[0]})
 	if err != nil || len(replaced) != 0 {
 		t.Fatalf("delete: %v, %d replaced", err, len(replaced))
 	}
 	if d.Root != r || nodeAt(d, 0) != a || d.String() != `<r><a><b/><x><y/></x></a><c/></r>` {
 		t.Fatalf("the tree was copied, or is wrong: %s", d)
 	}
-	if got := d.Labeled("b"); len(got) != 1 || got[0] != a.kids[0] {
+	if got := d.Labeled("b"); len(got) != 1 || got[0] != a.kids()[0] {
 		t.Fatalf("label index out of step: %v", got)
 	}
 }
@@ -180,10 +180,10 @@ func TestSnapshotCopiesASpineOncePerEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := d.ApplyDeleteBatch([]*Node{a.kids[0], a.kids[2]}); err != nil {
+	if _, _, err := d.ApplyDeleteBatch([]*Node{a.kids()[0], a.kids()[2]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ApplyDelete(a.kids[1]); err != nil {
+	if _, err := d.ApplyDelete(a.kids()[1]); err != nil {
 		t.Fatal(err)
 	}
 	img := d.Snapshot()
@@ -292,7 +292,7 @@ func TestLabelIndexCarried(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != fresh[l][i] {
-				t.Errorf("Labeled(%s)[%d] is not this epoch's node %v", l, i, fresh[l][i].ID)
+				t.Errorf("Labeled(%s)[%d] is not this epoch's node %v", l, i, fresh[l][i].ID())
 			}
 		}
 	}

@@ -8,13 +8,14 @@ import (
 	"unsafe"
 )
 
-// TestNodeIs64Bytes pins the node's layout: Kind, the label's code and the
-// publication stamp share one word, and the node fills the 64-byte size
-// class. One more field puts it in the 80-byte class, 16 B more for every
-// node of every tenant.
-func TestNodeIs64Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 64 {
-		t.Fatalf("a Node is %d bytes; it must stay in the 64-byte size class (the next is 80, 16 B more per node)", got)
+// TestNodeIs32Bytes pins the node's layout: Kind, the label's code and the
+// publication stamp share one word, the ID key's length and the payload's
+// another, and the key's pointer and the payload's the last two. One more
+// field puts it in the 48-byte size class, 16 B more for every node of every
+// tenant.
+func TestNodeIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 32 {
+		t.Fatalf("a Node is %d bytes; it must stay in the 32-byte size class (the next is 48, 16 B more per node)", got)
 	}
 }
 
@@ -41,10 +42,10 @@ func TestParsedLabelsAreInterned(t *testing.T) {
 			}
 		}
 	}
-	b1, b2 := d.Root.kids[0], d.Root.kids[1]
-	same("b", b1, b2, b2.kids[1], forest[0], forest[1])
-	same("@x", b1.kids[0], b2.kids[0], forest[0].kids[0])
-	if got := b1.ID.Label(); unsafe.StringData(got) != unsafe.StringData(b1.Label()) {
+	b1, b2 := d.Root.kids()[0], d.Root.kids()[1]
+	same("b", b1, b2, b2.kids()[1], forest[0], forest[1])
+	same("@x", b1.kids()[0], b2.kids()[0], forest[0].kids()[0])
+	if got := b1.ID().Label(); unsafe.StringData(got) != unsafe.StringData(b1.Label()) {
 		t.Fatal("an ID's label is not the table's string")
 	}
 }
@@ -88,9 +89,9 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 				mu.Lock()
 				parsed = append(parsed, d)
 				mu.Unlock()
-				for _, c := range d.Root.kids {
-					if c.ID.Label() != c.Label() || c.kids[0].ID.Label() != c.kids[0].Label() {
-						errs <- fmt.Errorf("%v reads back %q, built as %q", c.ID, c.ID.Label(), c.Label())
+				for _, c := range d.Root.kids() {
+					if c.ID().Label() != c.Label() || c.kids()[0].ID().Label() != c.kids()[0].Label() {
+						errs <- fmt.Errorf("%v reads back %q, built as %q", c.ID(), c.ID().Label(), c.Label())
 						return
 					}
 				}
@@ -104,12 +105,12 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 			buf := make([]byte, 0, 256)
 			for round := 0; round < 2000; round++ {
 				n := existing[round%len(existing)]
-				if n.ID.Label() != n.Label() {
-					errs <- fmt.Errorf("%v reads back %q, built as %q", n.ID, n.ID.Label(), n.Label())
+				if n.ID().Label() != n.Label() {
+					errs <- fmt.Errorf("%v reads back %q, built as %q", n.ID(), n.ID().Label(), n.Label())
 					return
 				}
-				if buf = n.ID.AppendString(buf[:0]); !strings.Contains(string(buf), n.Label()) {
-					errs <- fmt.Errorf("%v renders as %q", n.ID, buf)
+				if buf = n.ID().AppendString(buf[:0]); !strings.Contains(string(buf), n.Label()) {
+					errs <- fmt.Errorf("%v renders as %q", n.ID(), buf)
 					return
 				}
 			}
@@ -124,10 +125,24 @@ func TestLabelTableUnderConcurrentParses(t *testing.T) {
 	// ordinal, is the key its parser built, whichever parser met the label
 	// first.
 	for _, d := range parsed {
-		for _, c := range d.Root.kids {
-			if rebuilt := d.Root.ID.Child(c.Label(), c.ID.Step(1).Ord); !rebuilt.Equal(c.ID) {
-				t.Fatalf("%v was built with a key %q, rebuilt with %q", c.ID, c.ID.Key(), rebuilt.Key())
+		for _, c := range d.Root.kids() {
+			if rebuilt := d.Root.ID().Child(c.Label(), c.ID().Step(1).Ord); !rebuilt.Equal(c.ID()) {
+				t.Fatalf("%v was built with a key %q, rebuilt with %q", c.ID(), c.ID().Key(), rebuilt.Key())
 			}
 		}
 	}
+}
+
+// TestElementHoldsNoValue: an element's payload is its child list, so
+// NewNode refuses it a value rather than let the two share one pointer.
+func TestElementHoldsNoValue(t *testing.T) {
+	if n := NewNode(Element, "a", ""); n.Value() != "" || CheckPayload(n) != nil {
+		t.Fatalf("an element built with no value: Value %q, %v", n.Value(), CheckPayload(n))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewNode gave an element a value")
+		}
+	}()
+	NewNode(Element, "a", "x")
 }

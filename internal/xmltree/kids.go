@@ -19,6 +19,10 @@ import (
 // list. A branch is searched by the key of its last child, read down its
 // right edge as dewey.Run does.
 //
+// A holder's slice is read with kids and replaced with setKids (node.go):
+// an edit in place writes through kids, an edit that moves the slice sets
+// it.
+//
 // Branches never leave this package: the cursor, Walk, Size, CountNodes, the
 // label index, the mutators' replaced lists and CopiedNodes see only the
 // children.
@@ -43,9 +47,10 @@ const fanout = 64
 // lastKey returns the key of the last child under a list entry.
 func lastKey(e *Node) string {
 	for e.Kind == branch {
-		e = e.kids[len(e.kids)-1]
+		kids := e.kids()
+		e = kids[len(kids)-1]
 	}
-	return e.ID.Key()
+	return e.ID().Key()
 }
 
 // entryFor returns the index of the first entry of a slice of branches
@@ -61,7 +66,7 @@ func entryFor(kids []*Node, key string, above bool) int {
 // keyAtLeast returns the position of the first node of list whose key is
 // not below key.
 func keyAtLeast(list []*Node, key string) int {
-	return sort.Search(len(list), func(i int) bool { return list[i].ID.Key() >= key })
+	return sort.Search(len(list), func(i int) bool { return list[i].ID().Key() >= key })
 }
 
 // leafFor returns the leaf of nd's list that holds the first child whose
@@ -69,11 +74,12 @@ func keyAtLeast(list []*Node, key string) int {
 // is.
 func leafFor(nd *Node, key string, above bool) *Node {
 	for nd.height > 0 {
-		e := entryFor(nd.kids, key, above)
-		if e == len(nd.kids) {
+		kids := nd.kids()
+		e := entryFor(kids, key, above)
+		if e == len(kids) {
 			return nil
 		}
-		nd = nd.kids[e]
+		nd = kids[e]
 	}
 	return nd
 }
@@ -85,35 +91,39 @@ func leafBefore(nd *Node, first string) *Node {
 	if nd.height == 0 {
 		return nil
 	}
-	e := entryFor(nd.kids, first, false)
-	if leaf := leafBefore(nd.kids[e], first); leaf != nil || e == 0 {
+	kids := nd.kids()
+	e := entryFor(kids, first, false)
+	if leaf := leafBefore(kids[e], first); leaf != nil || e == 0 {
 		return leaf
 	}
-	for nd = nd.kids[e-1]; nd.height > 0; {
-		nd = nd.kids[len(nd.kids)-1]
+	for nd = kids[e-1]; nd.height > 0; {
+		kids = nd.kids()
+		nd = kids[len(kids)-1]
 	}
 	return nd
 }
 
 // lastKid returns n's last child, or nil when it has none.
 func lastKid(n *Node) *Node {
+	kids := n.kids()
 	for n.height > 0 {
-		n = n.kids[len(n.kids)-1]
+		n = kids[len(kids)-1]
+		kids = n.kids()
 	}
-	if len(n.kids) == 0 {
+	if len(kids) == 0 {
 		return nil
 	}
-	return n.kids[len(n.kids)-1]
+	return kids[len(kids)-1]
 }
 
 // NumChildren returns the number of n's children: O(1) for a list of at
 // most 64, one addition per 64 children beyond.
 func (n *Node) NumChildren() int {
 	if n.height == 0 {
-		return len(n.kids)
+		return len(n.kids())
 	}
 	total := 0
-	for _, b := range n.kids {
+	for _, b := range n.kids() {
 		total += b.NumChildren()
 	}
 	return total
@@ -128,15 +138,22 @@ func (n *Node) NumChildren() int {
 // its next mutation — rewriting a child's ID is one (see eachKid).
 type Kids struct {
 	n  *Node // the parent
-	at *Node // the leaf the cursor is in: n itself, or a branch
+	at *Node // the leaf the cursor is in: n itself, a branch, or childless
 	i  int   // the cursor's place in the leaf: -1 before it, its length past it
 }
+
+// childless is the leaf of a Text or Attribute node's cursor, which has no
+// child list to read.
+var childless = &Node{}
 
 // Kids returns a cursor before n's first child.
 func (n *Node) Kids() Kids {
 	at := n
+	if n.holdsValue() {
+		at = childless
+	}
 	for at.height > 0 {
-		at = at.kids[0]
+		at = at.kid(0)
 	}
 	return Kids{n: n, at: at, i: -1}
 }
@@ -145,20 +162,24 @@ func (n *Node) Kids() Kids {
 // to its following siblings, Prev to its preceding ones — and whether n has
 // that child. A binary search per level, no allocation.
 func (n *Node) KidsAt(key string) (Kids, bool) {
+	if n.holdsValue() {
+		return Kids{n: n, at: childless, i: -1}, false
+	}
 	at := leafFor(n, key, false)
 	if at == nil {
 		return Kids{}, false
 	}
-	i := keyAtLeast(at.kids, key)
-	return Kids{n: n, at: at, i: i}, i < len(at.kids) && at.kids[i].ID.Key() == key
+	leaf := at.kids()
+	i := keyAtLeast(leaf, key)
+	return Kids{n: n, at: at, i: i}, i < len(leaf) && leaf[i].ID().Key() == key
 }
 
 // Node returns the child the cursor is at.
-func (k *Kids) Node() *Node { return k.at.kids[k.i] }
+func (k *Kids) Node() *Node { return k.at.kid(k.i) }
 
 // Next moves to the next child and reports whether there was one.
 func (k *Kids) Next() bool {
-	if k.i++; k.i < len(k.at.kids) {
+	if k.i++; k.i < k.at.numKids() {
 		return true
 	}
 	return k.nextLeaf()
@@ -177,7 +198,7 @@ func (k *Kids) Prev() bool {
 // list the cursor stays past the end. It is kept out of Next so that Next
 // inlines, and a step within a leaf is an increment and a compare.
 func (k *Kids) nextLeaf() bool {
-	k.i = len(k.at.kids)
+	k.i = k.at.numKids()
 	if k.n.height == 0 || k.i == 0 {
 		return false
 	}
@@ -194,14 +215,14 @@ func (k *Kids) nextLeaf() bool {
 // of the list the cursor stays before it.
 func (k *Kids) prevLeaf() bool {
 	k.i = -1
-	if k.n.height == 0 || len(k.at.kids) == 0 {
+	if k.n.height == 0 || k.at.numKids() == 0 {
 		return false
 	}
-	prev := leafBefore(k.n, k.at.kids[0].ID.Key())
+	prev := leafBefore(k.n, k.at.kid(0).ID().Key())
 	if prev == nil {
 		return false
 	}
-	k.at, k.i = prev, len(prev.kids)-1
+	k.at, k.i = prev, prev.numKids()-1
 	return true
 }
 
@@ -209,7 +230,7 @@ func (k *Kids) prevLeaf() bool {
 // error. It follows the list's shape and reads no key, so f may rewrite the
 // IDs of the children it is given.
 func eachKid(n *Node, f func(*Node) error) error {
-	for _, e := range n.kids {
+	for _, e := range n.kids() {
 		var err error
 		if n.height > 0 {
 			err = eachKid(e, f)
@@ -236,7 +257,8 @@ func hold(nd *Node, gen uint32) *Node {
 		return nd
 	}
 	c := *nd
-	c.gen, c.kids = gen, copyKids(nd.kids)
+	c.gen = gen
+	c.setKids(copyKids(nd.kids()))
 	return &c
 }
 
@@ -245,19 +267,22 @@ func copyKids(s []*Node) []*Node {
 	return append(make([]*Node, 0, min(len(s)+1, fanout)), s...)
 }
 
-// addKids appends more to s, a slice the writer owns, growing it to at most
-// fanout entries.
-func addKids(s []*Node, more ...*Node) []*Node {
+// addKids appends more to the slice of nd, a holder the writer owns,
+// growing it to at most fanout entries.
+func addKids(nd *Node, more ...*Node) {
+	s := nd.kids()
 	if n := len(s) + len(more); n > cap(s) {
 		s = append(make([]*Node, 0, min(max(2*len(s), n), fanout)), s...)
 	}
-	return append(s, more...)
+	nd.setKids(append(s, more...))
 }
 
 // newBranch returns a branch of the given height holding e alone, with
 // room for a full slice: the list is being appended to, so it will fill.
 func newBranch(e *Node, height uint8, gen uint32) *Node {
-	return &Node{Kind: branch, height: height, gen: gen, kids: append(make([]*Node, 0, fanout), e)}
+	b := &Node{Kind: branch, height: height, gen: gen}
+	b.setKids(append(make([]*Node, 0, fanout), e))
+	return b
 }
 
 // appendKid appends c, which follows every child of n, as n's last child.
@@ -266,8 +291,9 @@ func newBranch(e *Node, height uint8, gen uint32) *Node {
 // level down, into a branch beside the one that took c.
 func appendKid(n, c *Node, gen uint32) {
 	if _, right := pushKid(n, c, gen); right != nil {
-		left := &Node{Kind: branch, height: n.height, gen: gen, kids: n.kids}
-		n.kids = []*Node{left, right}
+		left := &Node{Kind: branch, height: n.height, gen: gen}
+		left.setKids(n.kids())
+		n.setKids([]*Node{left, right})
 		n.height++
 	}
 }
@@ -276,25 +302,26 @@ func appendKid(n, c *Node, gen uint32) {
 // writer now holds it and, if nd was full down its right edge, the new
 // right sibling that took c — nd itself is then untouched.
 func pushKid(nd, c *Node, gen uint32) (out, right *Node) {
+	kids := nd.kids()
 	if nd.height == 0 {
-		if len(nd.kids) == fanout {
+		if len(kids) == fanout {
 			return nd, newBranch(c, 0, gen)
 		}
 		nd = hold(nd, gen)
-		nd.kids = addKids(nd.kids, c)
+		addKids(nd, c)
 		return nd, nil
 	}
-	k := len(nd.kids) - 1
-	sub, split := pushKid(nd.kids[k], c, gen)
+	k := len(kids) - 1
+	sub, split := pushKid(kids[k], c, gen)
 	switch {
-	case split != nil && len(nd.kids) == fanout:
+	case split != nil && len(kids) == fanout:
 		return nd, newBranch(split, nd.height, gen)
 	case split != nil:
 		nd = hold(nd, gen)
-		nd.kids = addKids(nd.kids, split)
+		addKids(nd, split)
 	default:
 		nd = hold(nd, gen)
-		nd.kids[k] = sub
+		nd.kids()[k] = sub
 	}
 	return nd, nil
 }
@@ -303,17 +330,18 @@ func pushKid(nd, c *Node, gen uint32) (out, right *Node) {
 // writer of publication gen owns: n is the writer's, and each branch on
 // the way down is made so. Nil when n has no such child.
 func kidSlot(n *Node, key string, gen uint32) **Node {
-	nd := n
-	for nd.height > 0 {
-		e := entryFor(nd.kids, key, false)
-		if e == len(nd.kids) {
+	kids := n.kids()
+	for nd := n; nd.height > 0; {
+		e := entryFor(kids, key, false)
+		if e == len(kids) {
 			return nil
 		}
-		nd.kids[e] = hold(nd.kids[e], gen)
-		nd = nd.kids[e]
+		nd = hold(kids[e], gen)
+		kids[e] = nd
+		kids = nd.kids()
 	}
-	if i := keyAtLeast(nd.kids, key); i < len(nd.kids) && nd.kids[i].ID.Key() == key {
-		return &nd.kids[i]
+	if i := keyAtLeast(kids, key); i < len(kids) && kids[i].ID().Key() == key {
+		return &kids[i]
 	}
 	return nil
 }
@@ -323,11 +351,13 @@ func kidSlot(n *Node, key string, gen uint32) **Node {
 // the path. A parent left with one branch takes its entries back.
 func cutKid(n *Node, key string, gen uint32) *Node {
 	_, gone := delKid(n, key, gen)
-	for n.height > 0 && len(n.kids) == 1 {
-		b := n.kids[0]
-		n.kids, n.height = b.kids, b.height
-		if b.gen != gen { // an epoch's branch: its slice is the epoch's too
-			n.kids = copyKids(b.kids)
+	for n.height > 0 && len(n.kids()) == 1 {
+		b := n.kids()[0]
+		n.height = b.height
+		if b.gen == gen {
+			n.setKids(b.kids())
+		} else { // an epoch's branch: its slice is the epoch's too
+			n.setKids(copyKids(b.kids()))
 		}
 	}
 	return gone
@@ -337,34 +367,35 @@ func cutKid(n *Node, key string, gen uint32) *Node {
 // is left as it was if the child is not there. It returns the holder as the
 // writer now holds it — nil for a branch with nothing left — and the child.
 func delKid(nd *Node, key string, gen uint32) (out, gone *Node) {
+	kids := nd.kids()
 	if nd.height == 0 {
-		i := keyAtLeast(nd.kids, key)
-		if i == len(nd.kids) || nd.kids[i].ID.Key() != key {
+		i := keyAtLeast(kids, key)
+		if i == len(kids) || kids[i].ID().Key() != key {
 			return nd, nil
 		}
-		gone = nd.kids[i]
-		if len(nd.kids) == 1 && nd.Kind == branch {
+		gone = kids[i]
+		if len(kids) == 1 && nd.Kind == branch {
 			return nil, gone
 		}
 		nd = hold(nd, gen)
-		nd.kids = slices.Delete(nd.kids, i, i+1)
+		nd.setKids(slices.Delete(nd.kids(), i, i+1))
 		return nd, gone
 	}
-	e := entryFor(nd.kids, key, false)
-	if e == len(nd.kids) {
+	e := entryFor(kids, key, false)
+	if e == len(kids) {
 		return nd, nil
 	}
-	sub, gone := delKid(nd.kids[e], key, gen)
+	sub, gone := delKid(kids[e], key, gen)
 	if gone == nil {
 		return nd, nil
 	}
 	nd = hold(nd, gen)
 	if sub != nil {
-		nd.kids[e] = sub
+		nd.kids()[e] = sub
 		settle(nd, e, e, gen)
 	} else {
-		nd.kids = slices.Delete(nd.kids, e, e+1)
-		if len(nd.kids) == 0 {
+		nd.setKids(slices.Delete(nd.kids(), e, e+1))
+		if len(nd.kids()) == 0 {
 			return nil, gone
 		}
 		settle(nd, e, e-1, gen)
@@ -377,8 +408,8 @@ func delKid(nd *Node, key string, gen uint32) (out, gone *Node) {
 // half a slice together, the right one is appended to the left. nd is the
 // writer's.
 func settle(nd *Node, lo, hi int, gen uint32) {
-	for e := max(lo-1, 0); e <= hi && e+1 < len(nd.kids); {
-		if len(nd.kids[e].kids)+len(nd.kids[e+1].kids) <= fanout/2 {
+	for e := max(lo-1, 0); e <= hi && e+1 < len(nd.kids()); {
+		if kids := nd.kids(); len(kids[e].kids())+len(kids[e+1].kids()) <= fanout/2 {
 			join(nd, e, gen)
 			hi--
 		} else {
@@ -390,12 +421,13 @@ func settle(nd *Node, lo, hi int, gen uint32) {
 // join appends branch e+1 of nd to branch e. Joined branches of branches
 // make the two entries at their seam neighbours, which are settled in turn.
 func join(nd *Node, e int, gen uint32) {
-	a, b := hold(nd.kids[e], gen), nd.kids[e+1]
-	seam := len(a.kids)
-	a.kids = addKids(a.kids, b.kids...)
+	kids := nd.kids()
+	a, b := hold(kids[e], gen), kids[e+1]
+	seam := len(a.kids())
+	addKids(a, b.kids()...)
 	if a.height > 0 {
 		settle(a, seam, seam, gen)
 	}
-	nd.kids[e] = a
-	nd.kids = slices.Delete(nd.kids, e+1, e+2)
+	kids[e] = a
+	nd.setKids(slices.Delete(kids, e+1, e+2))
 }

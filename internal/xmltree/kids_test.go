@@ -24,7 +24,7 @@ func checkKids(root *Node) error {
 		if n.Kind == branch {
 			err = errors.New("Walk reached a branch")
 		} else if e := checkList(n); e != nil {
-			err = fmt.Errorf("children of %v: %w", n.ID, e)
+			err = fmt.Errorf("children of %v: %w", n.ID(), e)
 		}
 		return err == nil
 	})
@@ -36,7 +36,7 @@ func checkList(n *Node) error {
 	depth := -1
 	var visit func(holder *Node, level int) error
 	visit = func(holder *Node, level int) error {
-		s := holder.kids
+		s := holder.kids()
 		switch {
 		case len(s) > fanout:
 			return fmt.Errorf("a slice of %d entries at level %d", len(s), level)
@@ -61,8 +61,8 @@ func checkList(n *Node) error {
 			if b.Kind != branch || b.height != holder.height-1 {
 				return fmt.Errorf("an entry of height %d among branches at level %d, below a height of %d", b.height, level, holder.height)
 			}
-			if i > 0 && len(s[i-1].kids)+len(b.kids) <= fanout/2 {
-				return fmt.Errorf("neighbouring branches of %d and %d entries at level %d", len(s[i-1].kids), len(b.kids), level+1)
+			if i > 0 && len(s[i-1].kids())+len(b.kids()) <= fanout/2 {
+				return fmt.Errorf("neighbouring branches of %d and %d entries at level %d", len(s[i-1].kids()), len(b.kids()), level+1)
 			}
 			if err := visit(b, level+1); err != nil {
 				return err
@@ -74,7 +74,7 @@ func checkList(n *Node) error {
 		return err
 	}
 	for i := 1; i < len(kids); i++ {
-		if kids[i-1].ID.Key() >= kids[i].ID.Key() {
+		if kids[i-1].ID().Key() >= kids[i].ID().Key() {
 			return fmt.Errorf("key of child %d is not above child %d's", i, i-1)
 		}
 	}
@@ -102,7 +102,7 @@ func checkList(n *Node) error {
 		return errors.New("lastKid is not the last child")
 	}
 	for i, c := range kids {
-		at, ok := n.KidsAt(c.ID.Key())
+		at, ok := n.KidsAt(c.ID().Key())
 		if !ok || at.Node() != c {
 			return fmt.Errorf("child %d does not resolve by its key", i)
 		}
@@ -208,7 +208,7 @@ func wideParentEdits(t *testing.T, x *Node, width int) (ins, del uint64) {
 			t.Fatalf("%d children, epoch %d: %v", width, i, err)
 		}
 	}
-	if d.Size() != width+1 || d.NodeByID(victim.ID) != nil || d.NodeByID(target.ID).NumChildren() != 1 {
+	if d.Size() != width+1 || d.NodeByID(victim.ID()) != nil || d.NodeByID(target.ID()).NumChildren() != 1 {
 		t.Fatalf("%d children: the edits did not land (size %d)", width, d.Size())
 	}
 	return ins, del
@@ -257,8 +257,8 @@ func TestChildListShrinksThroughEveryHeight(t *testing.T) {
 			t.Fatalf("round %d: %d children, want %d", round, d.Root.NumChildren(), len(alive))
 		}
 	}
-	if d.Root.kids != nil && len(d.Root.kids) != 0 {
-		t.Fatalf("an emptied list keeps %d entries", len(d.Root.kids))
+	if d.Root.kids() != nil && len(d.Root.kids()) != 0 {
+		t.Fatalf("an emptied list keeps %d entries", len(d.Root.kids()))
 	}
 	for i, ep := range epochs {
 		if ep.doc.String() != ep.text {
@@ -285,7 +285,7 @@ func TestChildListEdges(t *testing.T) {
 		if _, err := d.ApplyDelete(last); err != nil {
 			t.Fatal(err)
 		}
-		if top := len(d.Root.kids); top != fanout {
+		if top := len(d.Root.kids()); top != fanout {
 			t.Errorf("%d children less one: the parent's slice holds %d entries, want %d", width, top, fanout)
 		}
 		for _, doc := range []*Document{d, ep} {
@@ -293,23 +293,25 @@ func TestChildListEdges(t *testing.T) {
 				t.Fatalf("%d children: %v", width, err)
 			}
 		}
-		if ep.String() != text || ep.NodeByID(last.ID) != last {
+		if ep.String() != text || ep.NodeByID(last.ID()) != last {
 			t.Fatalf("%d children: the epoch changed", width)
 		}
-		if _, ok := d.Root.KidsAt(d.Root.ID.Key()); ok {
+		if _, ok := d.Root.KidsAt(d.Root.ID().Key()); ok {
 			t.Fatalf("%d children: the parent's own key resolves among its children", width)
 		}
 		absent := []dewey.ID{
-			last.ID,
-			d.Root.ID.Child("c", dewey.Between(dewey.OrdAt(3), dewey.OrdAt(4))),
-			d.Root.ID.Child("c", dewey.OrdAt(2*width)),
+			last.ID(),
+			d.Root.ID().Child("c", dewey.Between(dewey.OrdAt(3), dewey.OrdAt(4))),
+			d.Root.ID().Child("c", dewey.OrdAt(2*width)),
 		}
 		for _, id := range absent {
 			if _, ok := d.Root.KidsAt(id.Key()); ok || d.NodeByID(id) != nil {
 				t.Fatalf("%d children: %v resolves", width, id)
 			}
 			// The node, and a child of it: a parent the descent does not find.
-			victims := []*Node{{ID: id}, {ID: id.Child("c", dewey.OrdAt(0))}}
+			victims := []*Node{NewNode(Element, "c", ""), NewNode(Element, "c", "")}
+			victims[0].SetID(id)
+			victims[1].SetID(id.Child("c", dewey.OrdAt(0)))
 			if out, _, err := d.ApplyDeleteBatch(victims); err != nil || len(out) != 0 {
 				t.Fatalf("%d children: cutting %v detached %d nodes (%v)", width, id, len(out), err)
 			}
@@ -370,7 +372,7 @@ func TestOrdsRoundTripWideLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ApplyInsert(d.NodeByID(p.ID), x.Root); err != nil {
+	if _, err := d.ApplyInsert(d.NodeByID(p.ID()), x.Root); err != nil {
 		t.Fatal(err)
 	}
 
@@ -382,8 +384,8 @@ func TestOrdsRoundTripWideLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want, got []dewey.ID
-	Walk(d.Root, func(n *Node) bool { want = append(want, n.ID); return true })
-	Walk(r.Root, func(n *Node) bool { got = append(got, n.ID); return true })
+	Walk(d.Root, func(n *Node) bool { want = append(want, n.ID()); return true })
+	Walk(r.Root, func(n *Node) bool { got = append(got, n.ID()); return true })
 	if len(got) != len(want) || len(want) != 103 { // r, p, 100 c and x
 		t.Fatalf("restored %d nodes of %d, want 103", len(got), len(want))
 	}
@@ -405,7 +407,8 @@ func TestOrdsRoundTripWideLists(t *testing.T) {
 // it), cut a strided batch of children by key, or publish. After each, the
 // writer's list must hold the slice's keys and keep its invariants; at the
 // end, every epoch must still hold the keys and the text it was published
-// with.
+// with. Every node, branches included, keeps the payload layout throughout
+// (CheckPayload).
 func FuzzChildListMatchesSlice(f *testing.F) {
 	f.Add([]byte{31, 0xfc, 3, 0xfc, 3, 0x1e, 3, 0xfe, 3})
 	f.Add([]byte{40, 2, 6, 10, 3, 0x7e, 3, 0x7e, 0x7e, 3})
@@ -422,7 +425,7 @@ func FuzzChildListMatchesSlice(f *testing.F) {
 		d := wideDoc(t, int(ops[0])*int(ops[0])/8)
 		var model []string
 		for k := d.Root.Kids(); k.Next(); {
-			model = append(model, k.Node().ID.Key())
+			model = append(model, k.Node().ID().Key())
 		}
 		type epoch struct {
 			doc  *Document
@@ -443,7 +446,7 @@ func FuzzChildListMatchesSlice(f *testing.F) {
 					t.Fatal(err)
 				}
 				for _, c := range copies {
-					model = append(model, c.ID.Key())
+					model = append(model, c.ID().Key())
 				}
 			case 1: // insert under one child
 				if len(model) == 0 {
@@ -479,6 +482,9 @@ func FuzzChildListMatchesSlice(f *testing.F) {
 			if err := checkKids(d.Root); err != nil {
 				t.Fatalf("op %d (%#x): %v", i, op, err)
 			}
+			if err := CheckPayload(d.Root); err != nil {
+				t.Fatalf("op %d (%#x): %v", i, op, err)
+			}
 			if d.Size() != d.Root.CountNodes() {
 				t.Fatalf("op %d (%#x): Size %d, %d nodes", i, op, d.Size(), d.Root.CountNodes())
 			}
@@ -488,6 +494,9 @@ func FuzzChildListMatchesSlice(f *testing.F) {
 				t.Fatalf("epoch %d: %v", i, err)
 			}
 			if err := checkKids(ep.doc.Root); err != nil {
+				t.Fatalf("epoch %d: %v", i, err)
+			}
+			if err := CheckPayload(ep.doc.Root); err != nil {
 				t.Fatalf("epoch %d: %v", i, err)
 			}
 			if ep.doc.String() != ep.text {
@@ -508,7 +517,7 @@ func kidByKey(n *Node, key string) *Node {
 func sameKeys(n *Node, keys []string) error {
 	i := 0
 	for k := n.Kids(); k.Next(); i++ {
-		if i >= len(keys) || k.Node().ID.Key() != keys[i] {
+		if i >= len(keys) || k.Node().ID().Key() != keys[i] {
 			return fmt.Errorf("child %d differs from the slice's", i)
 		}
 	}

@@ -40,7 +40,7 @@ type labelList struct {
 	gen   uint32
 }
 
-func compareNodes(a, b *Node) int { return a.ID.Compare(b.ID) }
+func compareNodes(a, b *Node) int { return a.ID().Compare(b.ID()) }
 
 func compareLists(a, b *labelList) int { return strings.Compare(a.label, b.label) }
 
@@ -189,8 +189,8 @@ func (li *labelIndex) drop(roots []*Node, gen uint32) {
 	for label := range labels {
 		l := li.own(label, gen)
 		for _, r := range roots {
-			key := r.ID.Key()
-			l.nodes.Cut(r, func(n *Node) bool { return strings.HasPrefix(n.ID.Key(), key) })
+			key := r.ID().Key()
+			l.nodes.Cut(r, func(n *Node) bool { return strings.HasPrefix(n.ID().Key(), key) })
 		}
 		if l.nodes.Len() == 0 {
 			li.lists.Delete(l)

@@ -17,7 +17,7 @@ func TestLabeledIndex(t *testing.T) {
 	if len(as) != 2 {
 		t.Fatalf("Labeled(a) = %d nodes, want 2", len(as))
 	}
-	if as[0].ID.Compare(as[1].ID) >= 0 {
+	if as[0].ID().Compare(as[1].ID()) >= 0 {
 		t.Fatal("Labeled(a) not in document order")
 	}
 	if n := d.Labeled("b"); len(n) != 2 {
@@ -26,7 +26,7 @@ func TestLabeledIndex(t *testing.T) {
 	if n := d.Labeled("@id"); len(n) != 1 || n[0].Kind != Attribute {
 		t.Fatalf("Labeled(@id) = %v, want one attribute", n)
 	}
-	if n := d.Labeled(TextLabel); len(n) != 1 || n[0].Value != "x" {
+	if n := d.Labeled(TextLabel); len(n) != 1 || n[0].Value() != "x" {
 		t.Fatalf("Labeled(#text) = %v, want one text node", n)
 	}
 	if n := d.Labeled("zzz"); len(n) != 0 {
@@ -79,7 +79,7 @@ func TestLabeledIndex(t *testing.T) {
 	// A snapshot builds its own index over its own nodes.
 	snap := d.Snapshot()
 	for _, n := range snap.Labeled("a") {
-		if snap.NodeByID(n.ID) != n {
+		if snap.NodeByID(n.ID()) != n {
 			t.Fatal("snapshot index points at foreign nodes")
 		}
 	}

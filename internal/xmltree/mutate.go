@@ -46,14 +46,14 @@ func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, e
 		if in.Target == nil {
 			return nil, nil, errors.New("xmltree: insertion target must be an element")
 		}
-		if t := d.NodeByID(in.Target.ID); t == nil || t.Kind != Element {
+		if t := d.NodeByID(in.Target.ID()); t == nil || t.Kind != Element {
 			return nil, nil, errors.New("xmltree: insertion target must be an element of the document")
 		}
 	}
 	for _, in := range ins {
-		p := d.own(in.Target.ID, &replaced)
+		p := d.own(in.Target.ID(), &replaced)
 		for _, t := range in.Trees {
-			cp := d.cloneAssign(t, p.ID, dewey.Between(p.lastOrd(), nil))
+			cp := d.cloneAssign(t, p.ID(), dewey.Between(p.lastOrd(), nil))
 			appendKid(p, cp, d.gen)
 			copies = append(copies, cp)
 		}
@@ -67,14 +67,16 @@ func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, e
 // the root copy) and counting it — the fused equivalent of Clone +
 // assignIDs. The copies are the current publication's own.
 func (d *Document) cloneAssign(t *Node, parent dewey.ID, ord dewey.Ord) *Node {
-	c := &Node{Kind: t.Kind, code: t.code, gen: d.gen, Value: t.Value, ID: parent.ChildCode(t.code, t.Label(), ord)}
+	c := &Node{Kind: t.Kind, code: t.code, gen: d.gen}
+	c.setValue(t.Value())
+	c.SetID(parent.ChildCode(t.code, t.Label(), ord))
 	d.size++
 	d.copied++
 	if w := t.NumChildren(); w > 0 {
-		c.kids = make([]*Node, 0, min(w, fanout))
+		c.setKids(make([]*Node, 0, min(w, fanout)))
 		i := 0
 		for k := t.Kids(); k.Next(); i++ {
-			appendKid(c, d.cloneAssign(k.Node(), c.ID, dewey.OrdAt(i)), d.gen)
+			appendKid(c, d.cloneAssign(k.Node(), c.ID(), dewey.OrdAt(i)), d.gen)
 		}
 	}
 	return c
@@ -112,12 +114,12 @@ func (d *Document) ApplyDeleteBatch(nodes []*Node) (detached, replaced []*Node, 
 		if n == nil {
 			return nil, nil, errors.New("xmltree: nil deletion target")
 		}
-		if n.ID.Parent().IsNull() {
+		if n.ID().Parent().IsNull() {
 			return nil, nil, errors.New("xmltree: cannot delete the document root")
 		}
-		if _, dup := victims[n.ID.Key()]; !dup {
-			victims[n.ID.Key()] = nil
-			ids = append(ids, n.ID)
+		if _, dup := victims[n.ID().Key()]; !dup {
+			victims[n.ID().Key()] = nil
+			ids = append(ids, n.ID())
 		}
 	}
 	// Descending key order puts a victim before every victim that holds it:
@@ -139,8 +141,8 @@ func (d *Document) ApplyDeleteBatch(nodes []*Node) (detached, replaced []*Node, 
 		}
 	}
 	for _, n := range nodes {
-		if c := victims[n.ID.Key()]; c != nil {
-			victims[n.ID.Key()] = nil // a duplicate entry is already detached
+		if c := victims[n.ID().Key()]; c != nil {
+			victims[n.ID().Key()] = nil // a duplicate entry is already detached
 			d.size -= c.CountNodes()
 			detached = append(detached, c)
 		}

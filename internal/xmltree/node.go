@@ -9,7 +9,9 @@
 package xmltree
 
 import (
+	"fmt"
 	"strings"
+	"unsafe"
 
 	"xivm/internal/dewey"
 )
@@ -54,8 +56,14 @@ func (k Kind) String() string {
 //
 // Nor does it carry its label's bytes: it names the label by its code in
 // the dewey label table, as its key's last frame does, and Label reads it
-// back. A node is 64 bytes, a size class below the 80 a label string would
-// cost it.
+// back.
+//
+// A node is 32 bytes. Its ID's key, its value and its child list are each
+// a pointer and a length rather than a string or slice header, read back
+// through ID, Value and kids and written only through the setters below —
+// the one file of the package that uses unsafe. A Text or Attribute node
+// has a value and no children, an element or a branch children and no
+// value, so the two share one pointer and one length word (CheckPayload).
 type Node struct {
 	Kind Kind
 	// height is how many levels of branches the child list has above the
@@ -71,12 +79,140 @@ type Node struct {
 	// writer may edit a node whose gen is the document's, and must copy any
 	// other first. It sits in Kind's padding too, so none of the three costs
 	// memory.
-	gen   uint32
-	Value string // text content for Text and Attribute nodes
-	// kids is the child list: the children themselves, or for a list of more
-	// than 64 the branches above them (kids.go).
-	kids []*Node
-	ID   dewey.ID
+	gen uint32
+	// keyLen and key are the ID's key: its length and its first byte, nil
+	// for the null ID.
+	keyLen uint32
+	// word is the payload's length. For Text and Attribute it is the
+	// value's; for an element or a branch the child slice's length in its
+	// low half and its capacity, at most fanout, in its high half.
+	word uint32
+	key  *byte
+	// payload is the value's first byte for Text and Attribute and the child
+	// slice's array for an element or a branch (kids.go): the children
+	// themselves, or for a list of more than 64 the branches above them. Nil
+	// when the value is empty or the slice has no capacity.
+	payload unsafe.Pointer
+}
+
+// ID returns the node's structural identifier.
+func (n *Node) ID() dewey.ID { return dewey.KeyID(unsafe.String(n.key, n.keyLen)) }
+
+// SetID gives n the structural identifier id. The parsers and mutators
+// place a document's nodes with it; anywhere else it is for nodes not in a
+// document, such as a test's fixtures.
+func (n *Node) SetID(id dewey.ID) {
+	k := id.Key()
+	n.key, n.keyLen = unsafe.StringData(k), uint32(len(k))
+	if k == "" {
+		n.key = nil
+	}
+}
+
+// holdsValue reports whether n is a Text or Attribute node, whose payload
+// is its value, not a child list.
+func (n *Node) holdsValue() bool { return n.Kind == Attribute || n.Kind == Text }
+
+// Value returns the text content of a Text or Attribute node; "" for an
+// element.
+func (n *Node) Value() string {
+	if !n.holdsValue() {
+		return ""
+	}
+	return unsafe.String((*byte)(n.payload), n.word)
+}
+
+// setValue gives a Text or Attribute node its value. An element holds
+// none: setValue panics on any but "" for one.
+func (n *Node) setValue(v string) {
+	if !n.holdsValue() {
+		if v != "" {
+			panic("xmltree: a " + n.Kind.String() + " node holds no value")
+		}
+		return
+	}
+	n.payload, n.word = unsafe.Pointer(unsafe.StringData(v)), uint32(len(v))
+	if v == "" {
+		n.payload = nil
+	}
+}
+
+// kids returns the top slice of n's child list (kids.go); nil for a Text
+// or Attribute node.
+func (n *Node) kids() []*Node {
+	if n.holdsValue() {
+		return nil
+	}
+	return unsafe.Slice((**Node)(n.payload), n.word>>16)[:n.word&0xffff]
+}
+
+// numKids returns the length of the top slice of n's child list; n is an
+// element or a branch.
+func (n *Node) numKids() int { return int(n.word & 0xffff) }
+
+// kid returns entry i of the top slice of n's child list; n is an element
+// or a branch.
+func (n *Node) kid(i int) *Node { return unsafe.Slice((**Node)(n.payload), n.word&0xffff)[i] }
+
+// setKids makes s, of at most fanout entries, the top slice of the child
+// list of n, an element or a branch. A capacity beyond fanout is not
+// recorded: an append past it copies the slice.
+func (n *Node) setKids(s []*Node) {
+	if cap(s) == 0 {
+		n.payload, n.word = nil, 0
+		return
+	}
+	n.payload = unsafe.Pointer(unsafe.SliceData(s))
+	n.word = uint32(len(s)) | uint32(min(cap(s), fanout))<<16
+}
+
+// CheckPayload walks the subtree rooted at n, branches included, and
+// reports the first node whose pointer-and-length fields break the layout
+// Node describes: a Text or Attribute node with a child list, an element or
+// a branch with a value, a child slice longer than fanout, a pointer set
+// for a length of zero or missing for one that is not — or, below a node in
+// a document, a child whose ID is not its parent's extended by one step
+// named with the child's label.
+func CheckPayload(n *Node) error {
+	id := n.ID()
+	return checkPayload(n, id, !id.IsNull() && len(id.Step(0).Ord) > 0)
+}
+
+// checkPayload is CheckPayload below owner, the ID of n or, for a branch,
+// of the element whose list it is; placed says whether owner is a place in
+// a document rather than the null or placeholder ID of a loose tree.
+func checkPayload(n *Node, owner dewey.ID, placed bool) error {
+	if (n.key == nil) != (n.keyLen == 0) {
+		return fmt.Errorf("%s node %v: key pointer and length disagree", n.Kind, n.ID())
+	}
+	if n.holdsValue() {
+		if n.height != 0 {
+			return fmt.Errorf("%s node %v has a child list", n.Kind, n.ID())
+		}
+		if (n.payload == nil) != (n.word == 0) {
+			return fmt.Errorf("%s node %v: value pointer and length disagree", n.Kind, n.ID())
+		}
+		return nil
+	}
+	if n.Value() != "" {
+		return fmt.Errorf("%s node %v has a value", n.Kind, n.ID())
+	}
+	if size, room := n.word&0xffff, n.word>>16; size > room || room > fanout || (n.payload == nil) != (room == 0) {
+		return fmt.Errorf("%s node %v: child slice of length %d, capacity %d, array %p", n.Kind, n.ID(), size, room, n.payload)
+	}
+	for _, c := range n.kids() {
+		below := owner
+		if c.Kind != branch {
+			below = c.ID()
+			if placed && (!owner.IsParentOf(below) || below.Label() != c.Label()) {
+				return fmt.Errorf("%s node %v has the child ID %v", n.Kind, owner, below)
+			}
+		}
+		if err := checkPayload(c, below, placed); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // textCode is TextLabel's code, taken before anything else can fill the
@@ -85,6 +221,8 @@ var textCode = dewey.Code(TextLabel)
 
 // NewNode returns a node with no children and no place in a document yet:
 // label is the element's name, "@name" for an attribute, TextLabel for text.
+// It panics if an element is given a value: an element's payload is its
+// child list.
 func NewNode(kind Kind, label, value string) *Node {
 	return newNode(kind, dewey.Code(label), label, value)
 }
@@ -94,9 +232,10 @@ func NewNode(kind Kind, label, value string) *Node {
 // a document carries — so that Label answers it until the node is given its
 // place.
 func newNode(kind Kind, c uint16, label, value string) *Node {
-	n := &Node{Kind: kind, code: c, Value: value}
+	n := &Node{Kind: kind, code: c}
+	n.setValue(value)
 	if c == 0 {
-		n.ID = dewey.ID{}.ChildCode(0, label, nil)
+		n.SetID(dewey.ID{}.ChildCode(0, label, nil))
 	}
 	return n
 }
@@ -109,7 +248,7 @@ func (n *Node) Label() string {
 	if n.code != 0 {
 		return dewey.LabelOf(n.code)
 	}
-	return n.ID.Label()
+	return n.ID().Label()
 }
 
 // Document is an XML document: a single root element whose tree is its own
@@ -156,7 +295,7 @@ func (d *Document) Size() int { return d.size }
 // the child list.
 func descend(root *Node, id dewey.ID) *Node {
 	c := id.Cursor()
-	if !c.Next() || root.ID.Key() != c.Key() {
+	if !c.Next() || root.ID().Key() != c.Key() {
 		return nil
 	}
 	n := root
@@ -176,7 +315,7 @@ func ParentIn(root, n *Node) *Node {
 	if root == nil {
 		return nil
 	}
-	return descend(root, n.ID.Parent())
+	return descend(root, n.ID().Parent())
 }
 
 // Walk visits n and its descendants in document order, stopping early if f
@@ -196,7 +335,7 @@ func Walk(n *Node, f func(*Node) bool) {
 func (n *Node) StringValue() string {
 	switch n.Kind {
 	case Text, Attribute:
-		return n.Value
+		return n.Value()
 	}
 	var b strings.Builder
 	n.appendText(&b)
@@ -205,7 +344,7 @@ func (n *Node) StringValue() string {
 
 func (n *Node) appendText(b *strings.Builder) {
 	if n.Kind == Text {
-		b.WriteString(n.Value)
+		b.WriteString(n.Value())
 		return
 	}
 	for k := n.Kids(); k.Next(); {
@@ -258,7 +397,7 @@ func (n *Node) lastOrd() dewey.Ord {
 // appendOwnOrd appends n's own sibling ordinal, the last step of its ID, to
 // dst.
 func (n *Node) appendOwnOrd(dst dewey.Ord) dewey.Ord {
-	c := n.ID.Cursor()
+	c := n.ID().Cursor()
 	for c.Next() && !c.Last() {
 	}
 	return c.AppendOrd(dst)
@@ -268,8 +407,10 @@ func (n *Node) appendOwnOrd(dst dewey.Ord) dewey.Ord {
 // (IDs belong to a document position) beyond the placeholder that holds a
 // label the table refused.
 func (n *Node) Clone() *Node {
-	c := newNode(n.Kind, n.code, n.Label(), n.Value)
-	c.kids = make([]*Node, 0, min(n.NumChildren(), fanout))
+	c := newNode(n.Kind, n.code, n.Label(), n.Value())
+	if w := n.NumChildren(); w > 0 {
+		c.setKids(make([]*Node, 0, min(w, fanout)))
+	}
 	for k := n.Kids(); k.Next(); {
 		c.AppendChild(k.Node().Clone())
 	}
@@ -292,7 +433,7 @@ func (n *Node) MatchesWord(word string) bool {
 	if n.Kind != Text {
 		return false
 	}
-	rest := n.Value
+	rest := n.Value()
 	for len(rest) > 0 {
 		tok := rest
 		if i := indexSpace(rest); i >= 0 {

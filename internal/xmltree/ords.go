@@ -93,11 +93,11 @@ func (d *Document) ApplyOrds(data []byte) error {
 		if parent == nil {
 			// Roots always carry the NewRoot ordinal; a stream that says
 			// otherwise was not taken from a structurally identical document.
-			if !ord.Equal(n.ID.Step(0).Ord) {
+			if !ord.Equal(n.ID().Step(0).Ord) {
 				return errors.New("xmltree: ordinal stream disagrees on the root")
 			}
 		} else {
-			n.ID = parent.ID.ChildCode(n.code, n.Label(), ord)
+			n.SetID(parent.ID().ChildCode(n.code, n.Label(), ord))
 		}
 		// Not the cursor: it steps from leaf to leaf by key, and the keys
 		// of the children behind it are the rewritten ones.

@@ -123,12 +123,14 @@ func (b *builder) add(kind Kind, c uint16, label, value string) *Node {
 	case !b.doc:
 		n = newNode(kind, c, label, value)
 	case top < 0:
-		n = &Node{Kind: kind, code: c, Value: value}
-		n.ID = dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap}) // NewRoot, from the code in hand
+		n = &Node{Kind: kind, code: c}
+		n.setValue(value)
+		n.SetID(dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap})) // NewRoot, from the code in hand
 	default:
 		f := b.stack[top]
-		n = &Node{Kind: kind, code: c, Value: value}
-		n.ID = f.n.ID.ChildCode(c, label, dewey.OrdAt(len(b.kids)-f.first))
+		n = &Node{Kind: kind, code: c}
+		n.setValue(value)
+		n.SetID(f.n.ID().ChildCode(c, label, dewey.OrdAt(len(b.kids)-f.first)))
 	}
 	if top < 0 {
 		b.tops = append(b.tops, n)
@@ -146,7 +148,7 @@ func (b *builder) close() {
 	switch kids := b.kids[f.first:]; {
 	case len(kids) == 0:
 	case len(kids) <= fanout:
-		f.n.kids = slices.Clone(kids)
+		f.n.setKids(slices.Clone(kids))
 	default:
 		for _, c := range kids {
 			f.n.AppendChild(c)

@@ -112,10 +112,10 @@ func TestMutationInvariants(t *testing.T) {
 			var prev *Node
 			Walk(d.Root, func(m *Node) bool {
 				count++
-				if d.NodeByID(m.ID) != m {
+				if d.NodeByID(m.ID()) != m {
 					ok = false
 				}
-				if prev != nil && prev.ID.Compare(m.ID) >= 0 {
+				if prev != nil && prev.ID().Compare(m.ID()) >= 0 {
 					ok = false
 				}
 				prev = m
@@ -148,13 +148,13 @@ func TestApplyDeleteBatchMatchesSingles(t *testing.T) {
 				return true
 			}
 			for _, c := range chosen {
-				if c.ID.IsAncestorOrSelf(n.ID) {
+				if c.ID().IsAncestorOrSelf(n.ID()) {
 					return true
 				}
 			}
 			if rng.Intn(4) == 0 {
 				chosen = append(chosen, n)
-				keys = append(keys, n.ID.Key())
+				keys = append(keys, n.ID().Key())
 			}
 			return true
 		})
@@ -167,7 +167,7 @@ func TestApplyDeleteBatchMatchesSingles(t *testing.T) {
 		for _, k := range keys {
 			var n2 *Node
 			Walk(d2.Root, func(n *Node) bool {
-				if n.ID.Key() == k {
+				if n.ID().Key() == k {
 					n2 = n
 				}
 				return true

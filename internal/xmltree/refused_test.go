@@ -80,8 +80,8 @@ func TestRefusedLabelsSurvive(t *testing.T) {
 			t.Fatalf("%s: Labeled(%q) holds %d nodes, want %d", what, fresh, len(got), freshNodes)
 		}
 		for _, n := range doc.Labeled(fresh) {
-			if n.Label() != fresh || doc.NodeByID(n.ID) != n {
-				t.Fatalf("%s: Labeled(%q) holds %v, labeled %q", what, fresh, n.ID, n.Label())
+			if n.Label() != fresh || doc.NodeByID(n.ID()) != n {
+				t.Fatalf("%s: Labeled(%q) holds %v, labeled %q", what, fresh, n.ID(), n.Label())
 			}
 		}
 		if got := doc.Labeled(attr); len(got) != 2 || got[0].Label() != attr {
@@ -98,7 +98,7 @@ func TestRefusedLabelsSurvive(t *testing.T) {
 			}
 			for i := range got {
 				if got[i] != oracle[i] {
-					t.Fatalf("%s: %s: compiled and interpreted differ at %d: %v vs %v", what, q, i, got[i].ID, oracle[i].ID)
+					t.Fatalf("%s: %s: compiled and interpreted differ at %d: %v vs %v", what, q, i, got[i].ID(), oracle[i].ID())
 				}
 			}
 		}

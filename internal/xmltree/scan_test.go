@@ -48,17 +48,17 @@ func refParse(s string) (*Document, error) {
 	var stack []open
 	push := func(kind Kind, label, value string) (*Node, error) {
 		c := dewey.Code(label)
-		n := &Node{Kind: kind, code: c, Value: value}
+		n := newNode(kind, c, label, value)
 		if len(stack) == 0 {
 			if root != nil {
 				return nil, errors.New("multiple root elements")
 			}
-			n.ID = dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap})
+			n.SetID(dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap}))
 			root = n
 			return n, nil
 		}
 		parent := &stack[len(stack)-1]
-		n.ID = parent.n.ID.ChildCode(c, label, dewey.OrdAt(parent.kids))
+		n.SetID(parent.n.ID().ChildCode(c, label, dewey.OrdAt(parent.kids)))
 		parent.kids++
 		parent.n.AppendChild(n)
 		return n, nil
@@ -159,14 +159,14 @@ func refParseForest(s string) ([]*Node, error) {
 // sameTree reports how two trees first differ — kind, label, value, ID or
 // shape, node by node in document order — or "".
 func sameTree(a, b *Node) string {
-	if a.Kind != b.Kind || a.Label() != b.Label() || a.Value != b.Value || a.ID.Key() != b.ID.Key() {
-		return "node " + a.Label() + " " + a.ID.String() + " against " + b.Label() + " " + b.ID.String()
+	if a.Kind != b.Kind || a.Label() != b.Label() || a.Value() != b.Value() || a.ID().Key() != b.ID().Key() {
+		return "node " + a.Label() + " " + a.ID().String() + " against " + b.Label() + " " + b.ID().String()
 	}
 	ka, kb := a.Kids(), b.Kids()
 	for {
 		na, nb := ka.Next(), kb.Next()
 		if na != nb {
-			return "children of " + a.Label() + " " + a.ID.String()
+			return "children of " + a.Label() + " " + a.ID().String()
 		}
 		if !na {
 			return ""
@@ -299,12 +299,21 @@ func FuzzParseMatchesEncodingXML(f *testing.F) {
 
 // FuzzParseRoundTrip: any document the scanner accepts reparses from its
 // serialization to the same serialization and ordinal stream — what
-// restoring a checkpoint (doc.xml plus doc.ords) relies on.
+// restoring a checkpoint (doc.xml plus doc.ords) relies on. Every tree
+// either parse builds, and every tree of the input parsed as a forest,
+// keeps the node's payload layout (CheckPayload).
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, s := range scanSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if forest, err := ParseForest(src); err == nil {
+			for _, tree := range forest {
+				if err := CheckPayload(tree); err != nil {
+					t.Fatalf("%q as a forest: %v", src, err)
+				}
+			}
+		}
 		d, err := ParseString(src)
 		if err != nil {
 			return
@@ -315,6 +324,11 @@ func FuzzParseRoundTrip(f *testing.F) {
 		}
 		if again.String() != d.String() || string(again.EncodeOrds()) != string(d.EncodeOrds()) {
 			t.Fatalf("%q serializes to %q, which reparses to %q", src, d.String(), again.String())
+		}
+		for _, doc := range []*Document{d, again} {
+			if err := CheckPayload(doc.Root); err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
 		}
 	})
 }
@@ -329,8 +343,8 @@ func TestSplitTextIsOneNode(t *testing.T) {
 	} {
 		d := mustParse(t, src)
 		a := d.Root.ElementChildren()[0]
-		if a.NumChildren() != 1 || a.kids[0].Value != want {
-			t.Fatalf("%s: %d children, first %q; want one text node %q", src, a.NumChildren(), a.kids[0].Value, want)
+		if a.NumChildren() != 1 || a.kids()[0].Value() != want {
+			t.Fatalf("%s: %d children, first %q; want one text node %q", src, a.NumChildren(), a.kids()[0].Value(), want)
 		}
 	}
 }
@@ -411,8 +425,8 @@ func TestValuesAreNotSubstringsOfTheInput(t *testing.T) {
 	}
 	for _, root := range append([]*Node{d.Root}, forest...) {
 		Walk(root, func(n *Node) bool {
-			if inside(n.Value) || inside(n.Label()) || inside(n.ID.Key()) {
-				t.Fatalf("node %s %q shares the input's bytes", n.Label(), n.Value)
+			if inside(n.Value()) || inside(n.Label()) || inside(n.ID().Key()) {
+				t.Fatalf("node %s %q shares the input's bytes", n.Label(), n.Value())
 			}
 			return true
 		})

@@ -34,7 +34,7 @@ func (d *Document) String() string {
 func serializeNode(b xmlSink, n *Node) {
 	switch n.Kind {
 	case Text:
-		escapeText(b, n.Value)
+		escapeText(b, n.Value())
 	case Attribute:
 		// Attributes are serialized by their owning element.
 	case Element:
@@ -48,7 +48,7 @@ func serializeNode(b xmlSink, n *Node) {
 			b.WriteByte(' ')
 			b.WriteString(a.Label()[1:])
 			b.WriteString(`="`)
-			escapeAttr(b, a.Value)
+			escapeAttr(b, a.Value())
 			b.WriteByte('"')
 		}
 		if !more {

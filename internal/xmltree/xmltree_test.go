@@ -32,7 +32,7 @@ func TestParseBasicShape(t *testing.T) {
 	if b.Label() != "b" || b.StringValue() != "world" {
 		t.Fatalf("b = %q %q", b.Label(), b.StringValue())
 	}
-	if a := b.Attr("x"); a == nil || a.Value != "1" {
+	if a := b.Attr("x"); a == nil || a.Value() != "1" {
 		t.Fatalf("attr x = %v", a)
 	}
 	if b.Attr("missing") != nil {
@@ -53,8 +53,8 @@ func TestIDsEncodeDocumentOrder(t *testing.T) {
 	var order []*Node
 	Walk(d.Root, func(n *Node) bool { order = append(order, n); return true })
 	for i := 1; i < len(order); i++ {
-		if order[i-1].ID.Compare(order[i].ID) >= 0 {
-			t.Fatalf("node %d (%v) not before node %d (%v)", i-1, order[i-1].ID, i, order[i].ID)
+		if order[i-1].ID().Compare(order[i].ID()) >= 0 {
+			t.Fatalf("node %d (%v) not before node %d (%v)", i-1, order[i-1].ID(), i, order[i].ID())
 		}
 	}
 }
@@ -62,19 +62,19 @@ func TestIDsEncodeDocumentOrder(t *testing.T) {
 func TestNodeByID(t *testing.T) {
 	d := mustParse(t, sampleDoc)
 	Walk(d.Root, func(n *Node) bool {
-		if got := d.NodeByID(n.ID); got != n {
-			t.Fatalf("NodeByID(%v) = %v", n.ID, got)
+		if got := d.NodeByID(n.ID()); got != n {
+			t.Fatalf("NodeByID(%v) = %v", n.ID(), got)
 		}
 		return true
 	})
 	for _, id := range []dewey.ID{
 		{},
 		dewey.NewRoot("other"),
-		d.Root.ID.Child("nope", dewey.OrdAt(0)),
-		d.Root.kids[0].ID.Child(d.Root.kids[0].Label(), dewey.OrdAt(99)),
+		d.Root.ID().Child("nope", dewey.OrdAt(0)),
+		d.Root.kids()[0].ID().Child(d.Root.kids()[0].Label(), dewey.OrdAt(99)),
 	} {
 		if got := d.NodeByID(id); got != nil {
-			t.Fatalf("NodeByID(%v) = %v for an ID the document never issued", id, got.ID)
+			t.Fatalf("NodeByID(%v) = %v for an ID the document never issued", id, got.ID())
 		}
 	}
 }
@@ -86,23 +86,23 @@ func TestNodeByID(t *testing.T) {
 // new node and never to the detached one.
 func TestNodeByIDFollowsTheTree(t *testing.T) {
 	d := mustParse(t, `<a><b/><c><x/></c></a>`)
-	c := d.Root.kids[1]
-	x := c.kids[0]
+	c := d.Root.kids()[1]
+	x := c.kids()[0]
 	if _, err := d.ApplyDelete(c); err != nil {
 		t.Fatal(err)
 	}
-	if d.NodeByID(c.ID) != nil || d.NodeByID(x.ID) != nil || d.Size() != 2 {
+	if d.NodeByID(c.ID()) != nil || d.NodeByID(x.ID()) != nil || d.Size() != 2 {
 		t.Fatalf("detached nodes still resolve (size %d)", d.Size())
 	}
 	c2, err := d.ApplyInsert(d.Root, NewNode(Element, "c", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c2.ID.Equal(c.ID) {
-		t.Fatalf("freed ID %v not reassigned: got %v", c.ID, c2.ID)
+	if !c2.ID().Equal(c.ID()) {
+		t.Fatalf("freed ID %v not reassigned: got %v", c.ID(), c2.ID())
 	}
-	if got := d.NodeByID(c.ID); got != c2 || d.NodeByID(x.ID) != nil || d.Size() != 3 {
-		t.Fatalf("NodeByID(%v) = %p, want the new node %p (size %d)", c.ID, got, c2, d.Size())
+	if got := d.NodeByID(c.ID()); got != c2 || d.NodeByID(x.ID()) != nil || d.Size() != 3 {
+		t.Fatalf("NodeByID(%v) = %p, want the new node %p (size %d)", c.ID(), got, c2, d.Size())
 	}
 }
 
@@ -116,9 +116,9 @@ func TestDeleteBatchParentInsideVictim(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 0}, {1, 0, 0}} {
 		d := mustParse(t, `<a><v><p><x/><y/></p></v><q><z/></q></a>`)
 		before := d.Snapshot()
-		v := d.Root.kids[0]
-		p := v.kids[0]
-		x, y := p.kids[0], p.kids[1]
+		v := d.Root.kids()[0]
+		p := v.kids()[0]
+		x, y := p.kids()[0], p.kids()[1]
 		victims := []*Node{v, x}
 		var batch []*Node
 		for _, i := range order {
@@ -134,19 +134,19 @@ func TestDeleteBatchParentInsideVictim(t *testing.T) {
 			}
 		}
 		for _, n := range []*Node{v, p, x, y} {
-			if d.NodeByID(n.ID) != nil {
-				t.Fatalf("NodeByID(%v) resolves after its subtree left the document", n.ID)
+			if d.NodeByID(n.ID()) != nil {
+				t.Fatalf("NodeByID(%v) resolves after its subtree left the document", n.ID())
 			}
 		}
 		if img := d.Snapshot(); img.String() != `<a><q><z/></q></a>` || d.Size() != 3 || img.Size() != 3 {
 			t.Fatalf("epoch %s (sizes %d, %d)", img, d.Size(), img.Size())
 		}
-		if got := before.String(); got != `<a><v><p><x/><y/></p></v><q><z/></q></a>` || before.NodeByID(x.ID) != x {
+		if got := before.String(); got != `<a><v><p><x/><y/></p></v><q><z/></q></a>` || before.NodeByID(x.ID()) != x {
 			t.Fatalf("the batch wrote into the epoch published before it: %s", got)
 		}
 		Walk(d.Root, func(n *Node) bool {
-			if d.NodeByID(n.ID) != n {
-				t.Fatalf("NodeByID(%v) lost an attached node", n.ID)
+			if d.NodeByID(n.ID()) != n {
+				t.Fatalf("NodeByID(%v) lost an attached node", n.ID())
 			}
 			return true
 		})
@@ -205,36 +205,36 @@ func TestApplyInsertAssignsIDs(t *testing.T) {
 	target := d.Root.ElementChildren()[0] // c
 	before := d.Size()
 	oldIDs := map[string]bool{}
-	Walk(d.Root, func(n *Node) bool { oldIDs[n.ID.Key()] = true; return true })
+	Walk(d.Root, func(n *Node) bool { oldIDs[n.ID().Key()] = true; return true })
 
 	cp, err := d.ApplyInsert(target, forest[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ParentIn(d.Root, cp) != target || target.kids[len(target.kids)-1] != cp {
+	if ParentIn(d.Root, cp) != target || target.kids()[len(target.kids())-1] != cp {
 		t.Fatal("not appended as last child")
 	}
-	if !target.ID.IsParentOf(cp.ID) {
-		t.Fatalf("ID %v not child of %v", cp.ID, target.ID)
+	if !target.ID().IsParentOf(cp.ID()) {
+		t.Fatalf("ID %v not child of %v", cp.ID(), target.ID())
 	}
 	if d.Size() != before+2 {
 		t.Fatalf("size %d want %d", d.Size(), before+2)
 	}
 	// Existing IDs unchanged; new nodes indexed.
 	Walk(d.Root, func(n *Node) bool {
-		if d.NodeByID(n.ID) != n {
-			t.Fatalf("index broken for %v", n.ID)
+		if d.NodeByID(n.ID()) != n {
+			t.Fatalf("index broken for %v", n.ID())
 		}
 		return true
 	})
 	Walk(cp, func(n *Node) bool {
-		if oldIDs[n.ID.Key()] {
-			t.Fatalf("new node reused existing ID %v", n.ID)
+		if oldIDs[n.ID().Key()] {
+			t.Fatalf("new node reused existing ID %v", n.ID())
 		}
 		return true
 	})
 	// Insertion order: new child sorts after previous children.
-	if cp.ID.Compare(target.kids[0].ID) <= 0 {
+	if cp.ID().Compare(target.kids()[0].ID()) <= 0 {
 		t.Fatal("inserted child does not sort after siblings")
 	}
 }
@@ -256,14 +256,14 @@ func TestApplyInsertions(t *testing.T) {
 	if len(got) != 2 || got[0].Label() != "x" || got[1].Label() != "y" {
 		t.Fatalf("inserted %v", got)
 	}
-	if got[0].ID.Compare(got[1].ID) >= 0 {
+	if got[0].ID().Compare(got[1].ID()) >= 0 {
 		t.Fatal("forest order lost")
 	}
 }
 
 func TestApplyInsertRejectsNonElement(t *testing.T) {
 	d := mustParse(t, `<r>text</r>`)
-	txt := d.Root.kids[0]
+	txt := d.Root.kids()[0]
 	if _, err := d.ApplyInsert(txt, NewNode(Element, "x", "")); err == nil {
 		t.Fatal("expected error inserting under text node")
 	}
@@ -284,7 +284,7 @@ func TestApplyDelete(t *testing.T) {
 	if d.Size() != before-3 { // c, b, #text
 		t.Fatalf("size %d want %d", d.Size(), before-3)
 	}
-	if d.NodeByID(c.ID) != nil || d.NodeByID(inner.ID) != nil {
+	if d.NodeByID(c.ID()) != nil || d.NodeByID(inner.ID()) != nil {
 		t.Fatal("deleted nodes still indexed")
 	}
 	if len(d.Root.ElementChildren()) != 1 {
@@ -318,9 +318,9 @@ func TestParseForestMultipleRoots(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	d := mustParse(t, sampleDoc)
 	c := d.Root.Clone()
-	c.kids[0].Value = "mutated"
-	c.kids[1] = NewNode(Element, "mutated", "")
-	if d.Root.kids[0].Value == "mutated" || d.Root.kids[1].Label() == "mutated" {
+	c.kids()[0].kids()[0].kids()[0].setValue("mutated") // hello
+	c.kids()[1] = NewNode(Element, "mutated", "")
+	if d.Root.StringValue() != "helloworld" || d.Root.kids()[1].Label() == "mutated" {
 		t.Fatal("clone shares children")
 	}
 }

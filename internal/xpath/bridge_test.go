@@ -116,8 +116,8 @@ func TestBridgeMatchesEval(t *testing.T) {
 		}
 		for i := range rows {
 			e := rows[i].Entries[0]
-			if e.ID.Key() != want[i].ID.Key() {
-				t.Fatalf("%s: match %d ID %s != %s", qs, i, e.ID, want[i].ID)
+			if e.ID.Key() != want[i].ID().Key() {
+				t.Fatalf("%s: match %d ID %s != %s", qs, i, e.ID, want[i].ID())
 			}
 			if e.Val != want[i].StringValue() {
 				t.Fatalf("%s: match %d value %q != %q", qs, i, e.Val, want[i].StringValue())

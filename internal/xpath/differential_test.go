@@ -202,7 +202,7 @@ func TestEvalMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: %s over the image of %s: %d vs %d nodes", trial, expr, d, len(got), len(want))
 		}
 		for i := range got {
-			if !got[i].ID.Equal(want[i].ID) {
+			if !got[i].ID().Equal(want[i].ID()) {
 				t.Fatalf("trial %d: %s over the image: node %d differs", trial, expr, i)
 			}
 		}

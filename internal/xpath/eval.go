@@ -143,7 +143,7 @@ func siblings(root, ctx *xmltree.Node) (xmltree.Kids, bool) {
 	if p == nil {
 		return xmltree.Kids{}, false
 	}
-	return p.KidsAt(ctx.ID.Key())
+	return p.KidsAt(ctx.ID().Key())
 }
 
 func matchTest(st *Step, n *xmltree.Node) bool {
@@ -210,7 +210,7 @@ func dedupDocOrder(nodes *[]*xmltree.Node) {
 		return
 	}
 	sort.Slice(ns, func(i, j int) bool {
-		return ns[i].ID.Key() < ns[j].ID.Key()
+		return ns[i].ID().Key() < ns[j].ID().Key()
 	})
 	out := ns[:1]
 	for _, n := range ns[1:] {

@@ -131,7 +131,7 @@ func TestEvalAttributesAndText(t *testing.T) {
 	d := doc(t)
 	p := MustParse("/site/people/person/@id")
 	ids := Eval(d, p)
-	if len(ids) != 3 || ids[0].Value != "person0" {
+	if len(ids) != 3 || ids[0].Value() != "person0" {
 		t.Fatalf("ids = %v", labels(ids))
 	}
 	txt := Eval(d, MustParse("//name/text()"))
@@ -175,7 +175,7 @@ func TestEvalDocumentOrderAndDedup(t *testing.T) {
 		t.Fatalf("got %d nodes", len(nodes))
 	}
 	for i := 1; i < len(nodes); i++ {
-		if nodes[i-1].ID.Compare(nodes[i].ID) >= 0 {
+		if nodes[i-1].ID().Compare(nodes[i].ID()) >= 0 {
 			t.Fatal("results not in document order")
 		}
 	}
@@ -295,11 +295,11 @@ func TestEvalPositional(t *testing.T) {
 	// Positions re-index after earlier predicates: person[homepage][1] is
 	// Bob (the first person having a homepage), not person0.
 	got := Eval(d, MustParse("//person[homepage][1]/@id"))
-	if len(got) != 1 || got[0].Value != "person1" {
+	if len(got) != 1 || got[0].Value() != "person1" {
 		t.Fatalf("person[homepage][1] = %v", got)
 	}
 	last := Eval(d, MustParse("/site/people/person[last()]/@id"))
-	if len(last) != 1 || last[0].Value != "person2" {
+	if len(last) != 1 || last[0].Value() != "person2" {
 		t.Fatalf("person[last()] = %v", last)
 	}
 }
