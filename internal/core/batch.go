@@ -34,10 +34,11 @@ type BatchPUL struct {
 // sum on error.
 //
 // A unit failing mid-batch leaves the engine exactly as the completed
-// prefix left it; the planner's gating makes that path unreachable for
-// well-formed batches (every target pre-resolved, attached, and element-
-// kinded), so callers treat it like a writer-loop panic: repair, report
-// the error, and publish whatever state exists.
+// prefix left it, at a statement boundary: both mutators check their input
+// before they change anything. The planner's gating makes that path
+// unreachable for well-formed batches (every target pre-resolved, attached,
+// and element-kinded); pulopt.ApplyRun, the one caller outside tests, goes
+// on from the boundary one statement at a time.
 func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 	rep := &Report{}
 	applied := 0
@@ -60,10 +61,8 @@ func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 	return rep, applied, nil
 }
 
-// MergeBatchReport folds one unit's (or one statement's) report into a
-// batch report; ApplyStatement merges a replace's delete and insert halves
-// with it too, and the WAL folds a partly journaled batch's statements
-// into one report with it.
+// MergeBatchReport folds one unit's report into a batch report;
+// ApplyStatement merges a replace's delete and insert halves with it too.
 func MergeBatchReport(dst, src *Report) {
 	dst.Targets += src.Targets
 	dst.FindTargets += src.FindTargets

@@ -19,8 +19,8 @@ import (
 // diffing each maintained view against a twin engine that runs
 // FullRecompute after every statement. The two engines must agree on every
 // view after every statement (for batch: after every chunk of two, which
-// goes through pulopt.PlanBatch and ApplyBatch when the planner
-// translates it and one statement at a time when it does not).
+// goes through pulopt.ApplyRun: one ApplyBatch when the planner translates
+// it, one statement at a time when it does not).
 func TestGoldenXPathMarkEquivalence(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 10 << 10, Seed: 5})
 
@@ -87,15 +87,13 @@ func TestGoldenXPathMarkEquivalence(t *testing.T) {
 					if chunk = append(chunk, st1); len(chunk) < m.batch && i < len(stmts)-1 {
 						continue
 					}
-					if plan, err := pulopt.PlanBatch(e1, chunk); err == nil {
-						if _, _, err := e1.ApplyBatch(plan.Units); err != nil {
-							t.Fatalf("%s: batch ending %q: %v", label, src, err)
-						}
-					} else {
-						for _, st := range chunk {
-							if _, err := e1.ApplyStatement(st); err != nil {
-								t.Fatalf("%s: apply %q: %v", label, st.Source, err)
-							}
+					run := pulopt.ApplyRun(e1, chunk, nil)
+					if run.UnitErr != nil {
+						t.Fatalf("%s: batch ending %q: %v", label, src, run.UnitErr)
+					}
+					for k, r := range run.Results {
+						if r.Err != nil {
+							t.Fatalf("%s: apply %q: %v", label, chunk[k].Source, r.Err)
 						}
 					}
 					chunk = chunk[:0]

@@ -19,8 +19,8 @@ import (
 type Config struct {
 	Name   string
 	Policy core.Policy
-	// Batch > 0 applies the statements in chunks of Batch the way the
-	// shard writer and wal.Replay do: through pulopt.PlanBatch and one
+	// Batch > 0 applies the statements in chunks of Batch through
+	// pulopt.ApplyRun, the fold the shard writer and wal.Replay use: one
 	// Engine.ApplyBatch when the planner translates the chunk, one
 	// statement at a time when it does not. Every chunk is checked, and the
 	// document must read as a twin's that applied the chunk's statements
@@ -287,25 +287,16 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 	return translated, nil
 }
 
-// applyChunk applies a chunk of statements as wal.Replay does: one
-// ApplyBatch of pulopt.PlanBatch's plan when the planner translates it,
-// one statement at a time (a rejected statement skipped) when it does not.
-// The twin applies the chunk one statement at a time either way. It
-// reports whether the chunk was translated.
+// applyChunk folds a chunk of statements with pulopt.ApplyRun, as the shard
+// writer and wal.Replay do; the twin applies it one statement at a time. It
+// reports whether the chunk was translated, and a translated unit's
+// failure, which the fold recovers from but the planner's gates rule out.
 func applyChunk(e, twin *core.Engine, chunk []*update.Statement) (bool, error) {
 	for _, st := range chunk {
 		_, _ = twin.ApplyStatement(st)
 	}
-	if len(chunk) > 1 {
-		if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
-			_, _, err := e.ApplyBatch(plan.Units)
-			return true, err
-		}
-	}
-	for _, st := range chunk {
-		_, _ = e.ApplyStatement(st)
-	}
-	return false, nil
+	run := pulopt.ApplyRun(e, chunk, nil)
+	return run.Translated, run.UnitErr
 }
 
 // check is the oracle: every maintained view must equal a fresh evaluation

@@ -196,14 +196,8 @@ func TestPublishedTreeTracksInPlaceTwin(t *testing.T) {
 						continue
 					}
 					both(func(e *core.Engine) {
-						if plan, err := pulopt.PlanBatch(e, chunk); err == nil {
-							if _, _, err := e.ApplyBatch(plan.Units); err != nil {
-								t.Fatalf("seed %d: batch: %v", seed, err)
-							}
-						} else {
-							for _, st := range chunk {
-								_, _ = e.ApplyStatement(st)
-							}
+						if run := pulopt.ApplyRun(e, chunk, nil); run.UnitErr != nil {
+							t.Fatalf("seed %d: batch: %v", seed, run.UnitErr)
 						}
 					})
 					chunk = chunk[:0]

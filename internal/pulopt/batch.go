@@ -41,9 +41,8 @@ func notBatchable(reason, format string, args ...any) error {
 // document (the batch's D0), the per-statement deltas aggregated and
 // reduced, and the result split into per-kind units the engine propagates
 // once each. PlanBatch only returns a plan when applying Units in order is
-// equivalent to applying Statements one at a time.
+// equivalent to applying its statements one at a time.
 type BatchPlan struct {
-	Statements []*update.Statement
 	// Units are the propagation units: one combined PUL per maximal run of
 	// consecutive same-kind statements, in statement order.
 	Units []core.BatchPUL
@@ -78,7 +77,7 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 	if len(stmts) == 0 {
 		return nil, notBatchable("compute", "empty batch")
 	}
-	plan := &BatchPlan{Statements: stmts}
+	plan := &BatchPlan{}
 	// Each statement's D0-resolved node-level PUL (with targets sequential
 	// execution would no longer see filtered out), its elementary sequence,
 	// and their concatenation.
@@ -175,6 +174,72 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 		a = b
 	}
 	return plan, nil
+}
+
+// Result is one statement's outcome in a run ApplyRun folded.
+type Result struct {
+	// Report is the statement's engine report. The statements a translated
+	// plan landed share the plan's merged report.
+	Report *core.Report
+	// Err is why the statement had no effect.
+	Err error
+}
+
+// Run is what ApplyRun did with a run of statements.
+type Run struct {
+	// Results holds one Result per statement, in statement order.
+	Results []Result
+	// Translated reports that the planner translated the run.
+	Translated bool
+	// Reason is the planner's reject reason (NotBatchableError.Reason) for
+	// a run it was offered and refused; "" otherwise.
+	Reason string
+	// UnitErr is the error a translated unit failed with, after which the
+	// run went on one statement at a time. The planner's gates rule it
+	// out, so it marks a planner bug, not a failed statement.
+	UnitErr error
+}
+
+// ApplyUnits lands a translated plan's units: it is (*core.Engine).ApplyBatch,
+// held in a variable so that a test can make a unit fail.
+var ApplyUnits = (*core.Engine).ApplyBatch
+
+// ApplyRun folds a run of statements into e, in order: the one place that
+// chooses between a combined delta and per-statement application, for the
+// shard writer, crash recovery and a follower alike. An update is a
+// function from one document to the next, so the state reached depends on
+// the statements alone, never on how the run was split.
+//
+// A run of more than one statement is offered to PlanBatch, and a
+// translated plan lands through core.ApplyBatch. Both mutators check their
+// input before they change anything, so a unit that fails leaves e at the
+// statement boundary its predecessors reached, and the run goes on from
+// there one statement at a time. A run the planner rejects, like a run of
+// one, is applied one statement at a time; a statement the engine rejects
+// has no effect and fails alone. The results are appended to dst[:0].
+func ApplyRun(e *core.Engine, stmts []*update.Statement, dst []Result) Run {
+	run := Run{Results: dst[:0]}
+	if len(stmts) > 1 {
+		if plan, err := PlanBatch(e, stmts); err != nil {
+			run.Reason = "plan"
+			var nb *NotBatchableError
+			if errors.As(err, &nb) {
+				run.Reason = nb.Reason
+			}
+		} else {
+			rep, applied, err := ApplyUnits(e, plan.Units)
+			run.Translated, run.UnitErr = true, err
+			for range stmts[:applied] {
+				run.Results = append(run.Results, Result{Report: rep})
+			}
+			stmts = stmts[applied:]
+		}
+	}
+	for _, st := range stmts {
+		rep, err := e.ApplyStatement(st)
+		run.Results = append(run.Results, Result{Report: rep, Err: err})
+	}
+	return run
 }
 
 // coveredBy reports whether id is one of the roots or inside one of the

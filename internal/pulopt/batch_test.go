@@ -181,3 +181,62 @@ func TestPlanBatchDropsCoveredDeletes(t *testing.T) {
 		t.Fatalf("doc = %s", got)
 	}
 }
+
+// TestApplyRunFolds: one fold for every shape of run. A translated run
+// shares one report; a rejected run names the gate and fails only the
+// statement the engine rejects; a run whose second unit fails goes on one
+// statement at a time from the boundary the first unit reached. Each ends
+// where sequential application does.
+func TestApplyRunFolds(t *testing.T) {
+	const doc = `<r><a><k/></a><b/><c><d/></c></r>`
+	cases := []struct {
+		name       string
+		run        []string
+		failUnit   bool
+		translated bool
+		reason     string
+		failed     int // index of the one statement the engine rejects, or -1
+	}{
+		{"translated", []string{`insert <x/> into /r/a`, `insert <z/> into /r/b`, `delete /r/c/d`}, false, true, "", -1},
+		{"rejected", []string{`insert <x/> into /r/a`, `delete /r`, `insert <z/> into /r/b`}, false, false, "compute", 1},
+		{"failed unit", []string{`insert <x/> into /r/a`, `insert <z/> into /r/b`, `delete /r/c/d`}, true, true, "", -1},
+		{"one statement", []string{`insert <x/> into /r/a`}, false, false, "", -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.failUnit {
+				ApplyUnits = func(e *core.Engine, units []core.BatchPUL) (*core.Report, int, error) {
+					rep, n, err := e.ApplyBatch(units[:1])
+					if err == nil {
+						err = errors.New("injected unit failure")
+					}
+					return rep, n, err
+				}
+				defer func() { ApplyUnits = (*core.Engine).ApplyBatch }()
+			}
+			twin := planEngine(t, doc)
+			for _, st := range stmts(t, tc.run...) {
+				_, _ = twin.ApplyStatement(st)
+			}
+			e := planEngine(t, doc)
+			run := ApplyRun(e, stmts(t, tc.run...), nil)
+			if run.Translated != tc.translated || run.Reason != tc.reason || (run.UnitErr != nil) != tc.failUnit {
+				t.Fatalf("translated %v, reason %q, unit error %v", run.Translated, run.Reason, run.UnitErr)
+			}
+			if len(run.Results) != len(tc.run) {
+				t.Fatalf("%d results for %d statements", len(run.Results), len(tc.run))
+			}
+			for i, r := range run.Results {
+				if (r.Err != nil) != (i == tc.failed) || (r.Err == nil) != (r.Report != nil) {
+					t.Fatalf("statement %d: report %v, err %v", i, r.Report, r.Err)
+				}
+			}
+			if tc.translated && !tc.failUnit && run.Results[0].Report != run.Results[len(tc.run)-1].Report {
+				t.Fatal("a translated run's statements do not share its report")
+			}
+			if e.Doc.String() != twin.Doc.String() || e.Version() != twin.Version() {
+				t.Fatalf("folded to %s at %d, sequential %s at %d", e.Doc, e.Version(), twin.Doc, twin.Version())
+			}
+		})
+	}
+}

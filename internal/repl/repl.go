@@ -15,12 +15,11 @@
 //     applied+1, CRC-verifies and decodes them (wal.DecodeFrames rejects the
 //     whole read on any torn or corrupt frame — network data is never
 //     partially applied), folds the records into the engine with wal.Replay
-//     — the function the leader's own crash recovery uses, so a follower
-//     and a restarted leader reach the same state from the same bytes — and
-//     publishes one epoch per read.
-//
-//   - A translated batch that part-applies (*wal.PartAppliedError) forces a
-//     snapshot re-sync rather than guessing at the boundary.
+//     — the function the leader's own crash recovery uses, and the fold
+//     (pulopt.ApplyRun) its writer lands statements with, so a follower and
+//     a restarted leader reach the same state from the same bytes — and
+//     publishes one epoch per read. Replay cannot fail: a statement the
+//     engine rejects is skipped, as it was rejected where it was journaled.
 //
 //   - Transport errors reconnect with jittered exponential backoff and
 //     resume from the last-applied LSN. A 410 snapshot_required answer
@@ -141,8 +140,6 @@ type Follower struct {
 	reg  *server.Registry
 	opts Options
 	m    *followerMetrics
-	// replay is wal.Replay; the re-sync test substitutes a failing one.
-	replay func(*core.Engine, []wal.Record) (wal.ReplayResult, error)
 
 	eng        *core.Engine
 	sh         *server.Shard
@@ -154,13 +151,12 @@ type Follower struct {
 // (the registry's FollowerOf URL) and reg must be a follower registry.
 func NewFollower(c *client.Client, reg *server.Registry, tenant string, opts Options) *Follower {
 	return &Follower{
-		name:   tenant,
-		id:     fmt.Sprintf("%s-%08x", tenant, rand.Uint32()),
-		db:     c.DB(tenant),
-		reg:    reg,
-		opts:   opts,
-		m:      newFollowerMetrics(opts.Metrics),
-		replay: wal.Replay,
+		name: tenant,
+		id:   fmt.Sprintf("%s-%08x", tenant, rand.Uint32()),
+		db:   c.DB(tenant),
+		reg:  reg,
+		opts: opts,
+		m:    newFollowerMetrics(opts.Metrics),
 	}
 }
 
@@ -186,10 +182,10 @@ func (f *Follower) Run(ctx context.Context) error {
 		case err == nil:
 			backoff = minBackoff
 		case ctx.Err() != nil:
-		case isSnapshotRequired(err) || errors.As(err, new(*wal.PartAppliedError)):
-			// The leader truncated past our position (or our state is
-			// uncertain): run snapshot-first catch-up on a fresh engine. The
-			// current epoch keeps serving reads until the new shard attaches.
+		case isSnapshotRequired(err):
+			// The leader truncated past our position: run snapshot-first
+			// catch-up on a fresh engine. The current epoch keeps serving
+			// reads until the new shard attaches.
 			f.eng = nil
 		default:
 			f.m.reconnects.Inc()
@@ -256,13 +252,10 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 		// Torn or corrupt network read: refetch from the same position.
 		return fmt.Errorf("repl: decoding frames for %s at %d: %w", f.name, from, err)
 	}
-	res, err := f.replay(f.eng, recs)
+	res := wal.Replay(f.eng, recs)
 	f.m.records.Add(int64(res.Applied))
 	f.m.batches.Add(int64(res.Batches))
 	f.m.skipped.Add(int64(res.Skipped))
-	if err != nil {
-		return fmt.Errorf("repl: replaying %s from %d: %w", f.name, from, err)
-	}
 	f.applied = recs[len(recs)-1].LSN
 	f.sh.PublishReplica(f.eng.Snapshot(), f.applied, f.leaderLast)
 	f.m.applied.set(f.applied)

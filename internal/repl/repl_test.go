@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,28 +278,25 @@ func TestFollowerKilledMidReplayConverges(t *testing.T) {
 		write(t, db, vocab[i%len(vocab)])
 	}
 
-	folReg, fts := newFollowerReg(t, lts.URL)
-	// Tiny reads, and a kill that lands inside a poll: once the first
-	// follower has replayed killAfter records, the one it has just applied to
-	// its engine is never published — the poll fails the way a dying process
-	// does. "Mid-replay" is then a fact, not a race with the tailer.
+	// Tiny reads, and a kill that lands inside a replay: the registry's
+	// engines trace every statement they apply, and the first follower's
+	// context ends inside the killAfter-th. "Mid-replay" is then a fact,
+	// not a race with the tailer.
+	const killAfter = 5
+	ctx1, kill := context.WithCancel(context.Background())
+	defer kill()
+	var replayed atomic.Int32
+	folReg, fts := newFollowerReg(t, lts.URL, core.WithTracer(obs.TracerFunc(func(name string) func() {
+		if strings.HasPrefix(name, "apply:") && replayed.Add(1) == killAfter {
+			kill()
+		}
+		return func() {}
+	})))
 	f1 := NewFollower(lc, folReg, defaultTenant, Options{
 		PollInterval: time.Millisecond,
 		MaxBytes:     1,
 		Metrics:      obs.New(),
 	})
-	const killAfter = 5
-	ctx1, kill := context.WithCancel(context.Background())
-	defer kill()
-	replayed := 0 // tailer goroutine only
-	f1.replay = func(eng *core.Engine, recs []wal.Record) (wal.ReplayResult, error) {
-		res, err := wal.Replay(eng, recs)
-		if replayed += len(recs); err == nil && replayed >= killAfter {
-			kill()
-			err = ctx1.Err()
-		}
-		return res, err
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -375,46 +374,6 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 	}
 	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
 	compareReads(t, lts.URL, fts.URL, defaultTenant)
-}
-
-// TestFollowerResyncsOnPartAppliedBatch: when replay reports a translated
-// batch stopped between its units, the follower's engine is somewhere no
-// log position describes; it must throw the engine away, re-sync from a
-// snapshot and converge — never publish the half-applied state.
-func TestFollowerResyncsOnPartAppliedBatch(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{})
-	lc := client.New(lts.URL)
-	db := lc.DB(defaultTenant)
-	for i := 0; i < 12; i++ {
-		write(t, db, vocab[i%len(vocab)])
-	}
-
-	folReg, fts := newFollowerReg(t, lts.URL)
-	m := obs.New()
-	f := NewFollower(lc, folReg, defaultTenant, Options{
-		PollInterval: 2 * time.Millisecond,
-		Metrics:      m,
-	})
-	failed := false // tailer goroutine only
-	f.replay = func(eng *core.Engine, recs []wal.Record) (wal.ReplayResult, error) {
-		if failed {
-			return wal.Replay(eng, recs)
-		}
-		failed = true
-		res, _ := wal.Replay(eng, recs[:len(recs)/2]) // leave the engine mid-tail
-		return res, &wal.PartAppliedError{Applied: 1, Statements: 2, Err: errors.New("injected")}
-	}
-	startFollower(t, f)
-
-	last := leaderLast(t, db)
-	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
-	compareReads(t, lts.URL, fts.URL, defaultTenant)
-	if got := m.CounterValue("repl.follower.resyncs"); got != 2 {
-		t.Fatalf("resyncs = %d, want 2 (initial catch-up + the part-applied batch)", got)
-	}
-	if got := m.CounterValue("repl.follower.reconnects"); got != 0 {
-		t.Fatalf("reconnects = %d: a part-applied batch is not a transport error to back off from", got)
-	}
 }
 
 // TestFollowerConvergenceStress runs concurrent writers against the leader

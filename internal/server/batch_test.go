@@ -125,11 +125,13 @@ func TestShardBatchTranslatedMetrics(t *testing.T) {
 
 // TestShardBatchFallbackReason forces a batch the planner must reject (it
 // contains a replace) and asserts the per-statement fallback: a reason-keyed
-// fallback counter, no translated batch, and strictly increasing ack
-// versions — one epoch per statement, exactly the pre-batching behavior.
+// fallback counter, no translated batch, every statement applied, and one
+// epoch published for the run, whose version every constituent ack shares.
 func TestShardBatchFallbackReason(t *testing.T) {
 	m := obs.New()
 	s, pb := gatedShard(t, m)
+	v0 := s.Epoch().Version
+	e0 := m.CounterValue("snapshot.epochs")
 
 	waits := enqueueExactBatch(t, s, pb, nil,
 		`insert <batchf0/> into /site/people`,
@@ -137,19 +139,27 @@ func TestShardBatchFallbackReason(t *testing.T) {
 		`insert <batchf1/> into /site/regions`,
 	)
 
-	var last uint64
+	versions := make([]uint64, len(waits))
 	for i, wait := range waits {
 		rep, version, err := wait()
 		if err != nil || rep == nil {
 			t.Fatalf("stmt %d: rep=%v err=%v", i, rep, err)
 		}
-		// Per-statement acks land on distinct, increasing versions; a
-		// translated batch would have answered every request with one shared
-		// epoch version.
-		if i > 0 && version <= last {
-			t.Fatalf("stmt %d acked at version %d after %d, want distinct per-statement versions", i, version, last)
+		versions[i] = version
+	}
+	// The pilot ran alone; the run's statements share the epoch published
+	// after the last of them (a replace advances the version twice).
+	if versions[0] != v0+1 {
+		t.Fatalf("pilot acked at version %d, want %d", versions[0], v0+1)
+	}
+	final := s.Epoch().Version
+	if final != v0+5 {
+		t.Fatalf("final epoch version %d, want %d", final, v0+5)
+	}
+	for i, v := range versions[1:] {
+		if v != final {
+			t.Fatalf("stmt %d acked at version %d, want the run's epoch %d", i, v, final)
 		}
-		last = version
 	}
 
 	if got := m.CounterValue("server.batch.count"); got != 0 {
@@ -164,13 +174,16 @@ func TestShardBatchFallbackReason(t *testing.T) {
 	if got := m.CounterValue("server.apply.count"); got != 4 {
 		t.Fatalf("server.apply.count = %d, want 4", got)
 	}
+	if got := m.CounterValue("snapshot.epochs") - e0; got != 2 {
+		t.Fatalf("published %d epochs, want 2 (pilot + one per run)", got)
+	}
 }
 
-// TestShardBatchCancelledFallsBack proves per-request cancellation degrades
-// a drained batch to the per-statement path: the cancelled statement is
-// skipped before the engine is touched (server.apply.abandoned, never
-// server.abandoned_applied) while its batchmates land individually.
-func TestShardBatchCancelledFallsBack(t *testing.T) {
+// TestCancelledRequestLeavesTheRun: a drained request whose client already
+// gave up is answered and left out of its run — skipped before the engine
+// is touched (server.apply.abandoned, never server.abandoned_applied) —
+// and the rest of the run is still translated as one batch.
+func TestCancelledRequestLeavesTheRun(t *testing.T) {
 	m := obs.New()
 	s, pb := gatedShard(t, m)
 	v0 := s.Epoch().Version
@@ -187,30 +200,40 @@ func TestShardBatchCancelledFallsBack(t *testing.T) {
 	if _, _, err := waits[0](); err != nil {
 		t.Fatalf("pilot: %v", err)
 	}
+	// Pilot + two survivors; the cancelled statement must have no effect.
+	want := v0 + 3
 	for _, i := range []int{1, 3} {
-		rep, _, err := waits[i]()
+		rep, version, err := waits[i]()
 		if err != nil || rep == nil {
 			t.Fatalf("stmt %d: rep=%v err=%v, want applied", i-1, rep, err)
+		}
+		if version != want {
+			t.Fatalf("stmt %d acked at version %d, want the run's epoch %d", i-1, version, want)
 		}
 	}
 	if _, _, err := waits[2](); err == nil {
 		t.Fatal("cancelled statement was acknowledged without error")
 	}
 
-	// Pilot + two survivors; the cancelled statement must have no effect.
-	if got, want := s.Epoch().Version, v0+3; got != want {
+	if got := s.Epoch().Version; got != want {
 		t.Fatalf("final epoch version %d, want %d", got, want)
 	}
-	if got := m.CounterValue("server.batch.fallback.cancelled"); got != 1 {
-		t.Fatalf("server.batch.fallback.cancelled = %d, want 1", got)
+	if got := m.CounterValue("server.batch.count"); got != 1 {
+		t.Fatalf("server.batch.count = %d, want 1: the two live statements are one translated run", got)
+	}
+	if got := m.CounterValue("server.batch.statements"); got != 2 {
+		t.Fatalf("server.batch.statements = %d, want 2", got)
+	}
+	if got := m.CounterValue("server.batch.fallbacks"); got != 0 {
+		t.Fatalf("server.batch.fallbacks = %d, want 0", got)
+	}
+	if got := m.CounterValue("server.batch.fallback.cancelled"); got != 0 {
+		t.Fatalf("server.batch.fallback.cancelled = %d, want 0", got)
 	}
 	if got := m.CounterValue("server.apply.abandoned"); got != 1 {
 		t.Fatalf("server.apply.abandoned = %d, want 1", got)
 	}
 	if got := m.CounterValue("server.abandoned_applied"); got != 0 {
 		t.Fatalf("server.abandoned_applied = %d, want 0 (statement was skipped, not applied)", got)
-	}
-	if got := m.CounterValue("server.batch.count"); got != 0 {
-		t.Fatalf("server.batch.count = %d, want 0", got)
 	}
 }

@@ -4,14 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/obs"
+	"xivm/internal/pulopt"
+	"xivm/internal/store"
 	"xivm/internal/wal"
 	"xivm/internal/xmark"
 )
@@ -94,8 +101,7 @@ func closeShard(t *testing.T, sh *Shard) {
 }
 
 // requireServedIsRecovered holds a closed shard's last epoch to what
-// wal.Open recovers from its directory: the same document and Dewey IDs,
-// the same version and the same rows in every view.
+// wal.Open recovers from its directory.
 func requireServedIsRecovered(t *testing.T, served *core.Snapshot, dir string) *core.Engine {
 	t.Helper()
 	db, err := wal.Open(dir, wal.Options{Metrics: obs.New()})
@@ -103,26 +109,32 @@ func requireServedIsRecovered(t *testing.T, served *core.Snapshot, dir string) *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	eng := db.Engine()
+	requireServedIs(t, "recovered", served, db.Engine())
+	return db.Engine()
+}
+
+// requireServedIs holds an epoch to an engine: the same document and Dewey
+// IDs, the same version and the same rows in every view.
+func requireServedIs(t *testing.T, what string, served *core.Snapshot, eng *core.Engine) {
+	t.Helper()
 	if got, want := served.Doc().String(), eng.Doc.String(); got != want {
-		t.Fatalf("served document (%d bytes) differs from the recovered one (%d bytes)", len(got), len(want))
+		t.Fatalf("served document (%d bytes) differs from the %s one (%d bytes)", len(got), what, len(want))
 	}
 	if !bytes.Equal(served.Doc().EncodeOrds(), eng.Doc.EncodeOrds()) {
-		t.Fatal("served and recovered Dewey-ID spaces differ")
+		t.Fatalf("served and %s Dewey-ID spaces differ", what)
 	}
 	if served.Version != eng.Version() {
-		t.Fatalf("served version %d, recovered %d", served.Version, eng.Version())
+		t.Fatalf("served version %d, %s %d", served.Version, what, eng.Version())
 	}
 	if len(served.Views) != len(eng.Views) {
-		t.Fatalf("served %d views, recovered %d", len(served.Views), len(eng.Views))
+		t.Fatalf("served %d views, %s %d", len(served.Views), what, len(eng.Views))
 	}
 	for i, mv := range eng.Views {
 		vs := &served.Views[i]
 		if vs.Name != mv.Name || !mv.View.EqualRows(vs.Rows.AppendTo(nil)) {
-			t.Fatalf("view %s: served rows differ from the recovered ones", mv.Name)
+			t.Fatalf("view %s: served rows differ from the %s ones", mv.Name, what)
 		}
 	}
-	return eng
 }
 
 // TestDeadlineDuringJournalServesTheLog: a request whose deadline fires
@@ -192,4 +204,211 @@ func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	}
 	closeShard(t, sh)
 	requireServedIsRecovered(t, sh.Epoch(), dir)
+}
+
+// failSecondUnit makes every translated batch of more than one unit stop
+// after its first, through the fold's one seam: the state the planner's
+// gates exist to rule out. It counts the batches it cut short.
+func failSecondUnit(t *testing.T) *atomic.Int32 {
+	t.Helper()
+	var cut atomic.Int32
+	pulopt.ApplyUnits = func(e *core.Engine, units []core.BatchPUL) (*core.Report, int, error) {
+		if len(units) < 2 {
+			return e.ApplyBatch(units)
+		}
+		rep, n, err := e.ApplyBatch(units[:1])
+		if err == nil {
+			cut.Add(1)
+			err = errors.New("injected unit failure")
+		}
+		return rep, n, err
+	}
+	t.Cleanup(func() { pulopt.ApplyUnits = (*core.Engine).ApplyBatch })
+	return &cut
+}
+
+// TestFailedUnitGoesOnPerStatement: when a translated batch's second unit
+// fails, the fold goes on one statement at a time from the boundary the
+// first unit left the engine at. Every request of the run is acknowledged,
+// no view is repaired, and the last epoch is what wal.Open recovers from
+// the directory and what a twin that applied each statement on its own
+// holds.
+func TestFailedUnitGoesOnPerStatement(t *testing.T) {
+	cut := failSecondUnit(t)
+	root := t.TempDir()
+	m := obs.New()
+	var pb *pausingBackend
+	reg, err := NewRegistry(RegistryConfig{
+		Shard:        Config{Metrics: m},
+		DataDir:      root,
+		WAL:          wal.Options{Metrics: obs.New()},
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
+		DefaultViews: testViewSpecs(),
+		wrapBackend: func(_ string, b Backend) Backend {
+			pb = &pausingBackend{Backend: b, entered: make(chan struct{}, 8)}
+			return pb
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := sync.OnceValue(func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		return reg.Shutdown(ctx)
+	})
+	t.Cleanup(func() { _ = shutdown() })
+	sh, err := reg.Create(DefaultTenant, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+	views := viewPointers(pb.Engine())
+
+	// A pilot holds the writer while the run queues behind it in order: an
+	// insert run then a delete run, one translated batch of two units.
+	srcs := []string{
+		`insert <pilot/> into /site`,
+		`insert <note>a</note> into /site/categories`,
+		`insert <note>b</note> into /site/catgraph`,
+		`delete /site/closed_auctions/closed_auction`,
+	}
+	codes := make(chan int, len(srcs))
+	post := func(src string) {
+		go func() {
+			body := strings.NewReader(fmt.Sprintf(`{"statement": %q}`, src))
+			resp, err := http.Post(ts.URL+"/v1/db/"+DefaultTenant+"/update", "application/json", body)
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	pb.mu.Lock()
+	post(srcs[0])
+	select {
+	case <-pb.entered:
+	case <-time.After(10 * time.Second):
+		pb.mu.Unlock()
+		t.Fatal("the writer never took the pilot")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i, src := range srcs[1:] {
+		post(src)
+		for sh.QueueLen() != i+1 {
+			if time.Now().After(deadline) {
+				pb.mu.Unlock()
+				t.Fatalf("update %d never queued", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	pb.mu.Unlock()
+	for range srcs {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("an update was answered %d, want 200", code)
+		}
+	}
+	if cut.Load() != 1 || m.CounterValue("server.batch.count") != 1 {
+		t.Fatalf("%d batches cut, %d translated: the seam must cut the run's one batch", cut.Load(), m.CounterValue("server.batch.count"))
+	}
+	requireViewsKept(t, pb.Engine(), views)
+
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	served := sh.Epoch()
+	requireServedIsRecovered(t, served, wal.TenantDir(root, DefaultTenant))
+	twin := newTestEngine(t)
+	for _, src := range srcs {
+		if _, err := twin.ApplyStatement(mustStatement(t, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireServedIs(t, "twin's", served, twin)
+}
+
+// viewPointers lists the engine's views as they stand.
+func viewPointers(eng *core.Engine) []*store.View {
+	views := make([]*store.View, len(eng.Views))
+	for i, mv := range eng.Views {
+		views[i] = mv.View
+	}
+	return views
+}
+
+// requireViewsKept fails if a view was rebuilt since viewPointers listed
+// them, or if a view is not what a fresh evaluation gives.
+func requireViewsKept(t *testing.T, eng *core.Engine, views []*store.View) {
+	t.Helper()
+	for i, mv := range eng.Views {
+		if mv.View != views[i] {
+			t.Fatalf("view %s was recomputed", mv.Name)
+		}
+		if !mv.View.EqualRows(algebra.Materialize(eng.Doc, mv.Pattern)) {
+			t.Fatalf("view %s diverges from a fresh evaluation", mv.Name)
+		}
+	}
+}
+
+// TestJournalCrashMidRunRepairsNothing: a crash inside the third append of
+// a five-statement run leaves two of its statements in the log. Those two
+// are applied and acknowledged at the published version, the other three
+// fail with the crash, and no view is recomputed.
+func TestJournalCrashMidRunRepairsNothing(t *testing.T) {
+	ffs := wal.NewFailFS(wal.OSFS)
+	db, err := wal.Create(t.TempDir(), []byte(xmark.GenerateSmall(11, 0)), wal.Options{Sync: wal.SyncAlways, FS: ffs, Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, v := range testViewSpecs() {
+		if _, err := db.AddView(v.Name, v.Pattern); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views := viewPointers(db.Engine())
+	m := obs.New()
+	pb := &pausingBackend{Backend: db, entered: make(chan struct{}, 8)}
+	s := NewShard("crash", pb, nil, Config{Metrics: m})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx) // the final sync fails on the crashed disk
+	}()
+	v0 := s.Epoch().Version
+
+	// Under SyncAlways an append is a write and an fsync. The pilot
+	// appends first; the crash fires in the write of the run's third.
+	ffs.CrashAt = ffs.Ops() + 2 + 2*2
+	waits := enqueueExactBatch(t, s, pb, nil,
+		`insert <person id="pb1"><name>Batch One</name></person> into /site/people`,
+		`insert <category id="cb1"><name>Batch Cat</name></category> into /site/categories`,
+		`delete /site/catgraph`,
+		`delete /site/closed_auctions/closed_auction`,
+		`insert <item id="ib1"><name>Batch Item</name></item> into /site/regions/africa`,
+	)
+	if _, _, err := waits[0](); err != nil {
+		t.Fatalf("pilot: %v", err)
+	}
+	published := v0 + 3
+	for i, wait := range waits[1:] {
+		rep, version, err := wait()
+		switch {
+		case i < 2 && (err != nil || rep == nil || version != published):
+			t.Fatalf("stmt %d: rep=%v version=%d err=%v, want acked at %d", i, rep, version, err, published)
+		case i >= 2 && !errors.Is(err, wal.ErrCrash):
+			t.Fatalf("stmt %d: err = %v, want the crash", i, err)
+		}
+	}
+	if got := s.Epoch().Version; got != published {
+		t.Fatalf("published version %d, want %d", got, published)
+	}
+	requireViewsKept(t, db.Engine(), views)
+	if got := m.CounterValue("server.apply.panics"); got != 0 {
+		t.Fatalf("server.apply.panics = %d, want 0", got)
+	}
 }

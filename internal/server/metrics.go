@@ -15,7 +15,7 @@ import "xivm/internal/obs"
 //	server.apply.panics       panics recovered in the writer loop
 //	server.batch.count        translated batches propagated as one delta
 //	server.batch.statements   statements that rode a translated batch
-//	server.batch.fallbacks    drained batches the planner rejected (also
+//	server.batch.fallbacks    drained runs the planner rejected (also
 //	                          keyed server.batch.fallback.<reason>)
 //	server.reject.queue_full  updates rejected with ErrQueueFull (429)
 //	server.reject.shutdown    updates rejected with ErrShuttingDown (503)
@@ -51,8 +51,8 @@ import "xivm/internal/obs"
 //	repl.leader.snapshot_required
 //	                          stream requests answered 410 (LSN truncated)
 //
-// Histograms: server.apply.latency (engine apply time per statement or
-// batch), server.batch.latency (engine apply time per translated batch),
+// Histograms: server.apply.latency (engine apply time per drained run),
+// server.batch.latency (engine apply time per translated batch),
 // snapshot.publish (capture+swap time per epoch), server.query.latency and
 // server.xpath.latency (read-path handler time).
 //

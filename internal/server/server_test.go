@@ -15,6 +15,7 @@ import (
 	"xivm/internal/core"
 	"xivm/internal/dewey"
 	"xivm/internal/obs"
+	"xivm/internal/pulopt"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -298,7 +299,7 @@ type gateBackend struct {
 	panicNext bool
 }
 
-func (b *gateBackend) Apply(st *update.Statement) (*core.Report, error) {
+func (b *gateBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
 	if b.entered != nil {
 		select {
 		case b.entered <- struct{}{}:
@@ -312,7 +313,7 @@ func (b *gateBackend) Apply(st *update.Statement) (*core.Report, error) {
 		b.panicNext = false
 		panic("injected apply failure")
 	}
-	return b.Backend.Apply(st)
+	return b.Backend.ApplyRun(stmts, dst)
 }
 
 func mustStatement(t *testing.T, src string) *update.Statement {
@@ -431,7 +432,7 @@ type halfInsertBackend struct {
 	armed bool
 }
 
-func (b *halfInsertBackend) Apply(st *update.Statement) (*core.Report, error) {
+func (b *halfInsertBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
 	if b.armed {
 		b.armed = false
 		doc := b.Engine().Doc
@@ -439,7 +440,7 @@ func (b *halfInsertBackend) Apply(st *update.Statement) (*core.Report, error) {
 		half := xmltree.NewNode(xmltree.Element, "person", "")
 		_, _, _ = doc.ApplyInsertions([]xmltree.Insertion{{Target: people, Trees: []*xmltree.Node{half, nil}}})
 	}
-	return b.Backend.Apply(st)
+	return b.Backend.ApplyRun(stmts, dst)
 }
 
 // TestApplyPanicResetsImage: a panic that escapes mid-mutation leaves the

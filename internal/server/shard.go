@@ -15,25 +15,25 @@
 //     isolation boundary: a hot tenant saturates only its own queue and
 //     writer, never another tenant's.
 //
-//   - Under write bursts the writer drains the queue adaptively: when more
-//     than one request is waiting, the batch of statements is translated to
-//     one combined delta through the pulopt planner (Section 5's
-//     aggregation/reduction with the IO/LO/NLO conflict rules as the safety
-//     gate) and propagated through the engine once per same-kind run,
-//     amortizing FindTargets, propagation and epoch publication over the
-//     whole batch. Any gate rejection, conflict, or already-cancelled
-//     request falls the batch back to per-statement application, so
-//     batching is never worse than the sequential path and
-//     never observable: every constituent statement is journaled before the
-//     engine mutates, the engine version advances by exactly the batch's
-//     statement count, and acks carry the single epoch published for the
-//     batch (read-your-writes holds unchanged).
+//   - The writer drains whatever is waiting, up to Config.MaxBatch
+//     requests, answers the ones whose client already gave up, and hands
+//     the rest to the backend as one run of statements. The run is folded
+//     into the engine by pulopt.ApplyRun — the fold crash recovery and a
+//     follower use too. A run of more than one statement is translated to
+//     one combined delta when the planner can prove it equivalent to
+//     sequential application (Section 5's aggregation/reduction with the
+//     IO/LO/NLO conflict rules as the safety gate), amortizing FindTargets
+//     and propagation over the run; otherwise it is applied one statement
+//     at a time. Either way a durable backend journals every statement
+//     before the engine mutates, the engine version advances by exactly
+//     the statements that landed, and every request of the run is answered
+//     with the one epoch published after it (read-your-writes holds).
 //
-//   - After every applied statement the writer publishes a fresh epoch: an
-//     immutable core.Snapshot (view rows plus an ID-preserving image of the
-//     document that shares every untouched subtree with the epoch before,
-//     stamped with the tenant name) swapped in with one atomic pointer
-//     store. Any number of concurrent readers serve view and XPath
+//   - After every run that moved the engine the writer publishes a fresh
+//     epoch: an immutable core.Snapshot (view rows plus an ID-preserving
+//     image of the document that shares every untouched subtree with the
+//     epoch before, stamped with the tenant name) swapped in with one
+//     atomic pointer store. Any number of concurrent readers serve view and XPath
 //     queries from the last published epoch without taking any lock
 //     the writer can contend on. Readers therefore observe only states that
 //     existed between whole statements — never a half-propagated view.
@@ -82,15 +82,11 @@ var ErrReadOnly = errors.New("server: read-only follower")
 type Backend interface {
 	// Engine exposes the underlying maintenance engine.
 	Engine() *core.Engine
-	// Apply journals (when durable) and applies one statement. A
-	// journaled statement runs to completion: deadlines are checked
-	// before the call, at the queue.
-	Apply(st *update.Statement) (*core.Report, error)
-	// ApplyBatch journals every constituent statement (when durable) and
-	// applies a translated batch, one propagation pass per unit. It
-	// returns the merged report and how many statements' effects landed —
-	// len(plan.Statements) unless journaling or a unit failed partway.
-	ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error)
+	// ApplyRun journals (when durable) and applies a run of statements
+	// through pulopt.ApplyRun, appending one result per statement to
+	// dst[:0]. A journaled statement runs to completion: deadlines are
+	// checked before the call, at the queue.
+	ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run
 	// Sync forces buffered durability state (the WAL group-commit window)
 	// to disk; a no-op for non-durable backends.
 	Sync() error
@@ -102,15 +98,10 @@ type EngineBackend struct{ Eng *core.Engine }
 // Engine returns the wrapped engine.
 func (b EngineBackend) Engine() *core.Engine { return b.Eng }
 
-// Apply applies one statement through the engine.
-func (b EngineBackend) Apply(st *update.Statement) (*core.Report, error) {
-	return b.Eng.ApplyStatement(st)
-}
-
-// ApplyBatch applies a translated batch through the engine; with no
-// journal there is nothing to write ahead.
-func (b EngineBackend) ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error) {
-	return b.Eng.ApplyBatch(plan.Units)
+// ApplyRun folds the run into the engine; with no journal there is nothing
+// to write ahead.
+func (b EngineBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
+	return pulopt.ApplyRun(b.Eng, stmts, dst)
 }
 
 // Sync is a no-op: a bare engine has no durability buffer.
@@ -129,9 +120,9 @@ type Config struct {
 	// mutating anything.
 	RequestTimeout time.Duration
 	// MaxBatch caps how many waiting statements the writer drains into one
-	// translated batch (0 = default 32; 1 disables batching and restores
-	// strict per-statement application). Batching only engages when more
-	// than one request is already queued, so an idle tenant pays nothing.
+	// run (0 = default 32; 1 disables batching and restores strict
+	// per-statement application). Batching only engages when more than one
+	// request is already queued, so an idle tenant pays nothing.
 	MaxBatch int
 	// Metrics selects the registry for the server.* and snapshot.*
 	// instruments (nil = obs.Default()).
@@ -203,6 +194,12 @@ type Shard struct {
 
 	queue chan *applyReq
 	done  chan struct{} // closed when the writer loop has fully drained
+
+	// reqs, stmts and results are the writer's buffers for one run, reused
+	// from run to run.
+	reqs    []*applyReq
+	stmts   []*update.Statement
+	results []pulopt.Result
 
 	// mu guards closed against racing queue sends: Shutdown closes the
 	// queue under the write lock, submissions send under the read lock.
@@ -337,16 +334,15 @@ func (s *Shard) QueueCap() int { return cap(s.queue) }
 // Apply submits one statement to the writer loop and waits for it to be
 // applied and its epoch published, honoring ctx. It returns the engine
 // report and the epoch version at which the update's effects are visible
-// to readers (under batching, the report covers the whole batch the
-// statement rode in). ErrQueueFull and ErrShuttingDown reject without
-// queuing.
+// to readers (a statement that rode a translated batch gets the batch's
+// merged report). ErrQueueFull and ErrShuttingDown reject without queuing.
 //
 // Apply is at-most-once observable, not at-most-once: a ctx expiring while
 // the request is queued abandons the WAIT, not necessarily the statement.
-// If the writer reaches the request before starting to apply it, the
-// statement is skipped with no effect; if the writer had already begun (or
-// drained it into a batch), the statement is still applied, journaled, and
-// published — the client just never sees the ack. Callers that time out
+// If the ctx has ended when the writer drains the request, the statement
+// is skipped with no effect; once the writer has taken it into a run, the
+// statement is still applied, journaled, and published — the client just
+// never sees the ack. Callers that time out
 // must therefore treat the statement's fate as unknown; the
 // server.abandoned_applied counter reports how often the applied-but-
 // unacknowledged case actually happens.
@@ -448,12 +444,7 @@ func (s *Shard) draining() bool {
 // before done is signalled.
 func (s *Shard) applyLoop() {
 	for req := range s.queue {
-		batch := s.drainBatch(req)
-		if len(batch) == 1 {
-			s.respond(batch[0], s.applyOne(batch[0]))
-		} else {
-			s.applyBatch(batch)
-		}
+		s.applyRun(s.drain(req))
 	}
 	if err := s.backend.Sync(); err != nil {
 		s.m.syncErrors.Inc()
@@ -461,23 +452,23 @@ func (s *Shard) applyLoop() {
 	close(s.done)
 }
 
-// drainBatch greedily collects whatever is already waiting behind first, up
-// to the batch cap, without ever blocking: an idle tenant always takes the
-// per-statement path.
-func (s *Shard) drainBatch(first *applyReq) []*applyReq {
-	batch := []*applyReq{first}
-	for len(batch) < s.cfg.maxBatch() {
+// drain greedily collects whatever is already waiting behind first, up to
+// the batch cap, without ever blocking: an idle tenant always runs one
+// statement at a time.
+func (s *Shard) drain(first *applyReq) []*applyReq {
+	s.reqs = append(s.reqs[:0], first)
+	for len(s.reqs) < s.cfg.maxBatch() {
 		select {
 		case req, ok := <-s.queue:
 			if !ok {
-				return batch // queue closed: finish what was accepted
+				return s.reqs // queue closed: finish what was accepted
 			}
-			batch = append(batch, req)
+			s.reqs = append(s.reqs, req)
 		default:
-			return batch
+			return s.reqs
 		}
 	}
-	return batch
+	return s.reqs
 }
 
 // respond delivers one result, counting the applied-but-unacknowledged case
@@ -490,113 +481,69 @@ func (s *Shard) respond(req *applyReq, res applyResult) {
 	req.resp <- res
 }
 
-// applyOne applies one request and publishes the resulting epoch. The
-// request's ctx is checked here, before the statement is handed over, and
-// nowhere below. Any new engine version is published before the client is
-// answered, so an acknowledged update is always readable (read-your-writes)
-// and an unacknowledged one is at worst readable early, never lost.
-func (s *Shard) applyOne(req *applyReq) applyResult {
-	if err := req.ctx.Err(); err != nil {
-		s.m.abandoned.Inc()
-		return applyResult{err: err}
-	}
-	t0 := time.Now()
-	rep, err := s.safeApply(req.st)
-	s.m.applyLatency.Observe(time.Since(t0))
-	if s.eng.Version() != s.Epoch().Version {
-		s.publish()
-	}
-	if err != nil {
-		s.m.applyErrors.Inc()
-		return applyResult{rep: rep, version: s.Epoch().Version, err: err}
-	}
-	s.m.applied.Inc()
-	s.tm.applied.Inc()
-	return applyResult{rep: rep, version: s.Epoch().Version}
-}
-
-// applyBatch translates a drained batch to one combined delta and applies
-// it with one propagation pass per same-kind run and ONE published epoch,
-// falling back to per-statement application whenever the translation cannot
-// prove sequential equivalence (conflicts, gated statement shapes) or any
-// request was already abandoned — behavior is then exactly the
-// pre-batching loop. Every request in a translated batch is answered with
-// the batch's published epoch version, preserving read-your-writes.
-func (s *Shard) applyBatch(batch []*applyReq) {
+// applyRun applies one drained run and publishes the resulting epoch. A
+// request whose ctx has ended is answered here and left out of the run:
+// this is the only place a deadline is checked. The rest go to the backend
+// as one run, and every one of them is answered with the epoch published
+// after it, so an acknowledged update is always readable
+// (read-your-writes) and an unacknowledged one is at worst readable early,
+// never lost.
+func (s *Shard) applyRun(batch []*applyReq) {
+	live, stmts := batch[:0], s.stmts[:0]
 	for _, req := range batch {
-		if req.ctx.Err() != nil {
-			// Per-request cancellation degrades the whole batch to the
-			// per-statement path, which skips abandoned requests before
-			// mutating anything.
-			s.fallback(batch, "cancelled")
-			return
+		if err := req.ctx.Err(); err != nil {
+			s.m.abandoned.Inc()
+			s.respond(req, applyResult{err: err})
+			continue
 		}
+		live = append(live, req)
+		stmts = append(stmts, req.st)
 	}
-	stmts := make([]*update.Statement, len(batch))
-	for i, req := range batch {
-		stmts[i] = req.st
-	}
-	plan, err := pulopt.PlanBatch(s.eng, stmts)
-	if err != nil {
-		reason := "plan"
-		var nb *pulopt.NotBatchableError
-		if errors.As(err, &nb) {
-			reason = nb.Reason
-		}
-		s.fallback(batch, reason)
+	s.stmts = stmts
+	if len(live) == 0 {
+		clear(batch)
 		return
 	}
 	t0 := time.Now()
-	rep, applied, err := s.safeApplyBatch(plan)
+	run := s.safeApplyRun(stmts)
 	d := time.Since(t0)
 	s.m.applyLatency.Observe(d)
-	s.m.batchLatency.Observe(d)
+	if run.Translated {
+		s.m.batches.Inc()
+		s.m.batchedStatements.Add(int64(len(live)))
+		s.m.batchLatency.Observe(d)
+	} else if run.Reason != "" {
+		s.m.batchFallbacks.Inc()
+		s.m.reg.Counter("server.batch.fallback." + run.Reason).Inc()
+	}
 	if s.eng.Version() != s.Epoch().Version {
 		s.publish()
 	}
 	version := s.Epoch().Version
-	if err != nil {
-		// A batch failing mid-flight (journal error, engine fault) leaves
-		// the applied prefix in place — exactly what a durable log would
-		// replay. Acks follow the boundary: landed statements succeed at
-		// the published version, the rest report the error.
-		for i, req := range batch {
-			if i < applied {
-				s.m.applied.Inc()
-				s.tm.applied.Inc()
-				s.respond(req, applyResult{rep: rep, version: version})
-			} else {
-				s.m.applyErrors.Inc()
-				s.respond(req, applyResult{version: version, err: err})
-			}
+	for i, req := range live {
+		r := run.Results[i]
+		if r.Err != nil {
+			s.m.applyErrors.Inc()
+		} else {
+			s.m.applied.Inc()
+			s.tm.applied.Inc()
 		}
-		return
+		s.respond(req, applyResult{rep: r.Report, version: version, err: r.Err})
 	}
-	s.m.batches.Inc()
-	s.m.batchedStatements.Add(int64(len(batch)))
-	for _, req := range batch {
-		s.m.applied.Inc()
-		s.tm.applied.Inc()
-		s.respond(req, applyResult{rep: rep, version: version})
-	}
+	// Hold no request, statement or report past its run.
+	clear(batch)
+	clear(stmts)
+	clear(run.Results)
+	s.results = run.Results
 }
 
-// fallback counts one batch translation rejection by reason and applies the
-// batch per-statement.
-func (s *Shard) fallback(batch []*applyReq, reason string) {
-	s.m.batchFallbacks.Inc()
-	s.m.reg.Counter("server.batch.fallback." + reason).Inc()
-	for _, req := range batch {
-		s.respond(req, s.applyOne(req))
-	}
-}
-
-// safeApply contains a panic escaping the engine's own per-view recovery
-// (core.propagateAll repairs panicking views, but a panic elsewhere in the
-// apply path would otherwise kill the writer goroutine and wedge every
-// client of this tenant). The engine is repaired by recomputing all views;
-// the statement is reported failed.
-func (s *Shard) safeApply(st *update.Statement) (rep *core.Report, err error) {
+// safeApplyRun contains a panic escaping the engine's own per-view
+// recovery (core.propagateAll repairs panicking views, but a panic
+// elsewhere in the apply path would otherwise kill the writer goroutine
+// and wedge every client of this tenant). The engine is repaired by
+// recomputing all views, and every statement of the run is reported
+// failed, although the log may hold some of them.
+func (s *Shard) safeApplyRun(stmts []*update.Statement) (run pulopt.Run) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.applyPanics.Inc()
@@ -605,31 +552,14 @@ func (s *Shard) safeApply(st *update.Statement) (rep *core.Report, err error) {
 			// may even have changed without a version bump): cached results
 			// are no longer trustworthy at any version.
 			s.qcache.dropAll(s.eng.Version())
-			rep, err = nil, fmt.Errorf("server: apply panicked: %v", r)
+			err := fmt.Errorf("server: apply panicked: %v", r)
+			run = pulopt.Run{Results: s.results[:0]}
+			for range stmts {
+				run.Results = append(run.Results, pulopt.Result{Err: err})
+			}
 		}
 	}()
-	return s.backend.Apply(st)
-}
-
-// safeApplyBatch is safeApply for a translated batch. On a contained panic
-// or a mid-batch engine fault the views are repaired by recomputation so
-// the writer (and the epoch it publishes next) stays consistent; `applied`
-// reports how many statements' effects survive.
-func (s *Shard) safeApplyBatch(plan *pulopt.BatchPlan) (rep *core.Report, applied int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.applyPanics.Inc()
-			s.eng.RepairAllViews()
-			s.qcache.dropAll(s.eng.Version())
-			rep, applied, err = nil, 0, fmt.Errorf("server: batch apply panicked: %v", r)
-		}
-	}()
-	rep, applied, err = s.backend.ApplyBatch(plan)
-	if err != nil && applied < len(plan.Statements) {
-		s.eng.RepairAllViews()
-		s.qcache.dropAll(s.eng.Version())
-	}
-	return rep, applied, err
+	return s.backend.ApplyRun(stmts, s.results)
 }
 
 // publish captures the engine state, stamps it with the tenant name, and

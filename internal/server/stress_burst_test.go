@@ -40,14 +40,9 @@ func (b *pausingBackend) enter() {
 	b.mu.Unlock()
 }
 
-func (b *pausingBackend) Apply(st *update.Statement) (*core.Report, error) {
+func (b *pausingBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
 	b.enter()
-	return b.Backend.Apply(st)
-}
-
-func (b *pausingBackend) ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error) {
-	b.enter()
-	return b.Backend.ApplyBatch(plan)
+	return b.Backend.ApplyRun(stmts, dst)
 }
 
 // burstWave is wave w of the bursty write mix. The first six statements are

@@ -9,7 +9,6 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
-	"xivm/internal/pulopt"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
@@ -307,8 +306,8 @@ var batchStatements = []string{
 }
 
 // TestCrashMidBatchJournal crashes inside the k-th append of a translated
-// batch's journal, for every k. The batch then applies the k statements the
-// log holds, one at a time, and reports k landed; the live engine must be
+// batch's journal, for every k. The run then folds the k statements the
+// log holds, and the rest fail with the crash; the live engine must be
 // exactly what Open recovers from the directory, torn tail and all.
 func TestCrashMidBatchJournal(t *testing.T) {
 	// script creates a database, registers two views and applies the batch;
@@ -329,12 +328,21 @@ func TestCrashMidBatchJournal(t *testing.T) {
 		for i, src := range batchStatements {
 			stmts[i] = mustStatement(t, src)
 		}
-		plan, err := pulopt.PlanBatch(db.Engine(), stmts)
-		if err != nil {
-			t.Fatalf("the batch is not translated: %v", err)
-		}
 		before = ffs.Ops()
-		_, applied, err = db.ApplyBatch(plan)
+		run := db.ApplyRun(stmts, nil)
+		if len(run.Results) != len(stmts) {
+			t.Fatalf("%d results for %d statements", len(run.Results), len(stmts))
+		}
+		for _, r := range run.Results {
+			if r.Err != nil {
+				err = r.Err
+				break
+			}
+			applied++
+		}
+		if err == nil && !run.Translated {
+			t.Fatalf("the batch is not translated (%s)", run.Reason)
+		}
 		return stateOf(t, db.Engine()), applied, before, err
 	}
 	probe := NewFailFS(OSFS)

@@ -207,7 +207,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	if err := db.replay(img); err != nil {
+	if err := db.replay(ckLSN); err != nil {
 		return nil, err
 	}
 	if err := pruneCheckpoints(db.fs, dir, db.opts.KeepCheckpoints); err != nil {
@@ -216,14 +216,13 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// replay re-applies the log suffix after img's LSN through Replay — crash
-// recovery is a follower of its own disk. A record ParseRecord rejects
-// becomes a kindless Record, which Replay counts as skipped. Should a
-// translated batch part-apply, the image is restored again and the tail
-// applied record by record, so Open succeeds wherever that does.
-func (db *DB) replay(img *Image) error {
+// replay re-applies the log suffix after the checkpoint's LSN through
+// Replay — crash recovery is a follower of its own disk. A record
+// ParseRecord rejects becomes a kindless Record, which Replay counts as
+// skipped.
+func (db *DB) replay(ckLSN uint64) error {
 	var recs []Record
-	if err := db.log.Replay(img.Manifest.LSN+1, func(lsn uint64, payload []byte) error {
+	if err := db.log.Replay(ckLSN+1, func(lsn uint64, payload []byte) error {
 		rec, err := ParseRecord(lsn, payload)
 		if err != nil {
 			rec = Record{LSN: lsn}
@@ -233,13 +232,7 @@ func (db *DB) replay(img *Image) error {
 	}); err != nil {
 		return err
 	}
-	res, err := Replay(db.eng, recs)
-	if err != nil {
-		if err := db.restore(img); err != nil {
-			return err
-		}
-		res, _ = replay(db.eng, recs, 1) // nothing is planned at chunk 1, so nothing part-applies
-	}
+	res := Replay(db.eng, recs)
 	for _, v := range res.Views {
 		db.sources[v.ViewName] = v.ViewPattern
 	}
@@ -278,7 +271,7 @@ func (db *DB) restore(img *Image) error {
 }
 
 // Engine exposes the recovered engine (views, document, metrics). Mutate
-// it only through Apply/ApplyBatch/AddView, or the log will not know.
+// it only through Apply/ApplyRun/AddView, or the log will not know.
 func (db *DB) Engine() *core.Engine { return db.eng }
 
 // Stats returns what recovery did when this DB was opened.
@@ -370,45 +363,30 @@ func (db *DB) Apply(st *update.Statement) (*core.Report, error) {
 	return rep, nil
 }
 
-// ApplyBatch journals every constituent statement of a translated batch —
-// write-ahead, riding the group-commit window, in statement order so
-// replay reproduces the same sequence — and then applies the plan's
-// combined units through the engine, one propagation pass per unit.
-//
-// If journaling stops at statement k, the batch degrades to what the
-// durable log will replay: the k journaled statements are applied one at a
-// time, as replay applies them, and the journal error is returned along
-// with the number of statements whose effects landed. Live state and
-// recovered state therefore never diverge, whichever side of the failure a
-// statement fell on.
-func (db *DB) ApplyBatch(plan *pulopt.BatchPlan) (*core.Report, int, error) {
+// ApplyRun journals a run of statements in order, riding the group-commit
+// window, and then folds exactly the statements the log holds into the
+// engine with pulopt.ApplyRun, the fold replay uses: live state and
+// recovered state never diverge, whichever side of a journal failure a
+// statement fell on. A statement that could not be journaled has no effect
+// and fails with the journal error. The results are appended to dst[:0].
+func (db *DB) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
 	journaled := 0
 	var jerr error
-	for _, st := range plan.Statements {
+	for _, st := range stmts {
 		if jerr = db.journal(st); jerr != nil {
 			break
 		}
 		journaled++
 	}
+	run := pulopt.ApplyRun(db.eng, stmts[:journaled], dst)
 	if jerr != nil {
-		rep := &core.Report{}
-		applied := 0
-		for _, st := range plan.Statements[:journaled] {
-			srep, err := db.eng.ApplyStatement(st)
-			if err != nil {
-				return rep, applied, err
-			}
-			applied++
-			core.MergeBatchReport(rep, srep)
+		for range stmts[journaled:] {
+			run.Results = append(run.Results, pulopt.Result{Err: jerr})
 		}
-		return rep, applied, jerr
-	}
-	rep, applied, err := db.eng.ApplyBatch(plan.Units)
-	if err != nil {
-		return rep, applied, err
+		return run
 	}
 	db.autoCheckpoint()
-	return rep, applied, nil
+	return run
 }
 
 // autoCheckpoint checkpoints once Options.CheckpointEvery records have been

@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"fmt"
-
 	"xivm/internal/core"
 	"xivm/internal/pattern"
 	"xivm/internal/pulopt"
@@ -47,70 +45,45 @@ type ReplayResult struct {
 	Views []Record
 }
 
-// PartAppliedError reports that a translated batch stopped between its
-// units: the engine sits between statement boundaries and must be rebuilt
-// from an image. The planner's gates make this unreachable for the
-// statements it accepts; the check is what keeps a planner bug from
-// becoming silent divergence.
-type PartAppliedError struct {
-	Applied, Statements int
-	Err                 error
-}
-
-func (e *PartAppliedError) Error() string {
-	return fmt.Sprintf("wal: replay batch part-applied %d/%d statements: %v", e.Applied, e.Statements, e.Err)
-}
-
-func (e *PartAppliedError) Unwrap() error { return e.Err }
-
-// applyBatch is the engine's batch entry point; the part-applied tests
-// substitute a failing one.
-var applyBatch = (*core.Engine).ApplyBatch
-
 // Replay folds log records into eng, in order — the one records → engine
 // function, fed by crash recovery with what its own disk holds and by a
 // follower with what the leader's disk shipped. Since an update is a pure
 // function of the state before it, the state reached is a function of the
 // image eng was restored from and the record sequence alone.
 //
-// Runs of statements go through pulopt.PlanBatch in chunks of replayChunk,
-// one propagation pass per translated chunk; a chunk the planner rejects is
-// applied per statement as a whole, the leader's rule (Shard.fallback). The
-// planner only translates a chunk when that is equivalent to sequential
-// application, so document, view rows and version do not depend on where
-// chunks fall. A view registration flushes the run and lands at its exact
-// position. The only error is *PartAppliedError.
-func Replay(eng *core.Engine, recs []Record) (ReplayResult, error) {
+// Runs of statements go through pulopt.ApplyRun in chunks of replayChunk —
+// the fold the leader's writer uses — so a chunk the planner translates
+// costs one propagation pass per unit, and a chunk it rejects is applied
+// per statement. The fold reaches the same document, view rows and version
+// wherever chunks fall. A view registration flushes the run and lands at
+// its exact position.
+func Replay(eng *core.Engine, recs []Record) ReplayResult {
 	return replay(eng, recs, replayChunk)
 }
 
 // replay is Replay with the chunk size exposed: at chunk 1 nothing is
-// planned and every record is applied on its own, which is what Open falls
-// back to and what the tests hold the batched path against.
-func replay(eng *core.Engine, recs []Record, chunk int) (ReplayResult, error) {
+// planned and every record is applied on its own, which is what the tests
+// hold the batched path against.
+func replay(eng *core.Engine, recs []Record, chunk int) ReplayResult {
 	var res ReplayResult
 	run := make([]*update.Statement, 0, chunk)
-	flush := func() error {
-		defer func() { run = run[:0] }()
+	var results []pulopt.Result
+	flush := func() {
 		if len(run) > 1 {
 			res.Plans++
-			if plan, err := pulopt.PlanBatch(eng, run); err == nil {
-				if _, applied, err := applyBatch(eng, plan.Units); err != nil {
-					return &PartAppliedError{Applied: applied, Statements: len(run), Err: err}
-				}
-				res.Batches++
-				res.Applied += len(run)
-				return nil
-			}
 		}
-		for _, st := range run {
-			if _, err := eng.ApplyStatement(st); err != nil {
+		r := pulopt.ApplyRun(eng, run, results)
+		if r.Translated {
+			res.Batches++
+		}
+		for _, x := range r.Results {
+			if x.Err != nil {
 				res.Skipped++
 			} else {
 				res.Applied++
 			}
 		}
-		return nil
+		results, run = r.Results, run[:0]
 	}
 	for _, r := range recs {
 		switch r.Kind {
@@ -122,14 +95,10 @@ func replay(eng *core.Engine, recs []Record, chunk int) (ReplayResult, error) {
 				continue
 			}
 			if run = append(run, st); len(run) == chunk {
-				if err := flush(); err != nil {
-					return res, err
-				}
+				flush()
 			}
 		case RecordView:
-			if err := flush(); err != nil {
-				return res, err
-			}
+			flush()
 			p, err := pattern.Parse(r.ViewPattern)
 			if err == nil {
 				_, err = eng.AddView(r.ViewName, p)
@@ -144,6 +113,6 @@ func replay(eng *core.Engine, recs []Record, chunk int) (ReplayResult, error) {
 			res.Skipped++
 		}
 	}
-	err := flush()
-	return res, err
+	flush()
+	return res
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -126,10 +125,7 @@ func TestReplaySourcesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(eng, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Replay(eng, recs)
 	requireSameState(t, "follower replay vs crash recovery", stateOf(t, eng), stateOf(t, re.Engine()))
 	if st := re.Stats(); res.Applied != st.Replayed || res.Skipped != st.Skipped {
 		t.Fatalf("follower applied/skipped %d/%d, recovery %d/%d", res.Applied, res.Skipped, st.Replayed, st.Skipped)
@@ -155,11 +151,7 @@ func replayFresh(t *testing.T, doc string, recs []Record, chunk int) (*core.Engi
 	if _, err := eng.AddView("Q1", xmark.View("Q1")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := replay(eng, recs, chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, res
+	return eng, replay(eng, recs, chunk)
 }
 
 // TestReplayBatchedMatchesPerRecord: wherever chunks fall, batched replay
@@ -230,77 +222,5 @@ func TestReplayRejectedChunkPlannedOnce(t *testing.T) {
 	}
 	if res.Applied != len(srcs) {
 		t.Fatalf("applied %d of %d", res.Applied, len(srcs))
-	}
-}
-
-// failSecondUnit makes every translated batch stop after its first unit,
-// the state the planner's gates exist to rule out.
-func failSecondUnit(t *testing.T) {
-	t.Helper()
-	applyBatch = func(e *core.Engine, units []core.BatchPUL) (*core.Report, int, error) {
-		rep, n, err := e.ApplyBatch(units[:1])
-		if err == nil {
-			err = errors.New("injected unit failure")
-		}
-		return rep, n, err
-	}
-	t.Cleanup(func() { applyBatch = (*core.Engine).ApplyBatch })
-}
-
-// TestOpenSurvivesPartAppliedBatch: when a translated batch part-applies,
-// Replay reports the typed error, and Open restores the image again and
-// finishes record by record — landing exactly where the live engine was.
-func TestOpenSurvivesPartAppliedBatch(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.New()
-	db, err := Create(dir, []byte(xmark.GenerateSmall(2, 0)), Options{Metrics: obs.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
-		t.Fatal(err)
-	}
-	// An insert run then a delete run: one batch, two units.
-	tail := []string{
-		`insert <note>a</note> into /site/categories`,
-		`insert <note>b</note> into /site/catgraph`,
-		`delete /site/closed_auctions/closed_auction`,
-	}
-	applyAll(t, db, tail)
-	live := stateOf(t, db.Engine())
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	failSecondUnit(t)
-	d, err := xmltree.ParseString(xmark.GenerateSmall(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var partApplied *PartAppliedError
-	if _, err := Replay(core.New(d, core.WithMetrics(obs.New())), statementRecords(tail...)); !errors.As(err, &partApplied) {
-		t.Fatalf("Replay = %v, want *PartAppliedError (the seam must reach a two-unit batch)", err)
-	}
-	if partApplied.Applied != 2 || partApplied.Statements != 3 {
-		t.Fatalf("part-applied %d/%d, want 2/3", partApplied.Applied, partApplied.Statements)
-	}
-
-	re, err := Open(dir, Options{Metrics: reg})
-	if err != nil {
-		t.Fatalf("Open failed where per-record replay succeeds: %v", err)
-	}
-	defer re.Close()
-	requireSameState(t, "recovery after a part-applied batch", stateOf(t, re.Engine()), live)
-	if st := re.Stats(); st.Replayed != len(tail)+1 || st.Skipped != 0 {
-		t.Fatalf("stats %+v, want %d replayed", st, len(tail)+1)
-	}
-	if got := reg.Counter("wal.recover.replayed").Value(); got != int64(len(tail)+1) {
-		t.Fatalf("wal.recover.replayed = %d: the abandoned attempt must not be counted", got)
-	}
-	if !re.HasView("Q1") {
-		t.Fatal("view registration lost across the second restore")
-	}
-	if _, err := re.Apply(mustStatement(t, `delete /site/catgraph`)); err != nil {
-		t.Fatalf("recovered DB does not journal: %v", err)
 	}
 }
