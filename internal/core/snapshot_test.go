@@ -327,19 +327,20 @@ func TestBenchmarkUpdatesReadNoRelation(t *testing.T) {
 // TestLiveHeapPerNodeBudget holds what a served tenant keeps per document
 // node: the tree with its label index, the store, the benchmark's seven
 // views and one published epoch, at 1 MB. An ID is one string whose frames
-// name their labels by code, a node names its label by the same code and
-// holds its key, value and child slice as pointers and lengths (a 32-byte
-// node), the tree is its own ID index, an epoch is that same tree, and the
-// canonical relations are read from the label index, which comes to ~115 B
-// a node here, as much as a tenant restored from a checkpoint
+// name their labels by code, a first-child chain of nodes holds its keys in
+// one such string, a node names its label by the same code and holds its
+// key, value and child slice as pointers and lengths (a 32-byte node), the
+// tree is its own ID index, an epoch is that same tree, and the canonical
+// relations are read from the label index, which comes to ~100 B a node
+// here, as much as a tenant restored from a checkpoint
 // (wal.TestRestoredHeapPerNodeBudget). The source text is held across both
-// readings: freed between them, it would hide ~19 B a node. A second
-// per-label array beside the index — the store's
-// own item arrays, as it kept them before — adds ~28 B; one more field on
-// the node, a 48-byte node, ~16 B, and the 64-byte node of string and slice
-// headers ~32 B; frames that spell
-// their labels out ~40 B; a second copy of the document ~380 B, a per-node
-// step array or a key→node map ~770 B. The budget sits below all of them.
+// readings: freed between them, it would hide ~19 B a node. A key string of
+// every node's own adds ~15 B; a second per-label array beside the index —
+// the store's own item arrays, as it kept them before — ~28 B; one more
+// field on the node, a 48-byte node, ~16 B, and the 64-byte node of string
+// and slice headers ~32 B; frames that spell their labels out ~40 B; a
+// second copy of the document ~380 B, a per-node step array or a key→node
+// map ~770 B. The budget sits below all of them.
 func TestLiveHeapPerNodeBudget(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
 	var before, after runtime.MemStats
@@ -359,8 +360,8 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	nodes := e.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 118 {
-		t.Errorf("engine + one epoch hold %d B per document node, budget 118", perNode)
+	if perNode > 103 {
+		t.Errorf("engine + one epoch hold %d B per document node, budget 103", perNode)
 	}
 	runtime.KeepAlive(snap)
 	runtime.KeepAlive(e)

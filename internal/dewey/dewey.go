@@ -41,10 +41,13 @@ func (id ID) Child(label string, ord Ord) ID {
 
 // ChildCode is Child for a label whose code the caller already holds (Code):
 // it does not consult the table. label is read only when c is 0, the code of
-// a label the table refused, which the frame spells out.
+// a label the table refused, which the frame spells out. It allocates the
+// child's key on its own: Child and one-off keys such as xmltree's
+// placeholder ID use it, while the builders of whole documents extend a
+// buffer with AppendFrame and share one string down each first-child chain.
 func (id ID) ChildCode(c uint16, label string, ord Ord) ID {
 	var tmp [64]byte
-	frame := appendFrame(tmp[:0], c, label, ord)
+	frame := AppendFrame(tmp[:0], c, label, ord)
 	var sb strings.Builder
 	sb.Grow(len(id.key) + len(frame))
 	sb.WriteString(id.key)

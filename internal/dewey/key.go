@@ -6,8 +6,9 @@ import (
 )
 
 // This file implements the order-preserving binary key every ID consists
-// of. The key is built once at construction (NewRoot/Child/Decode) and makes
-// the engine's hottest ID operations single string ops:
+// of. The key is built once at construction (NewRoot/Child/Decode, or a
+// builder's AppendFrame) and makes the engine's hottest ID operations single
+// string ops:
 //
 //	bytes order        Compare(a,b) == strings.Compare(a.key, b.key)
 //	identity           Equal(a,b)   == (a.key == b.key)
@@ -75,9 +76,12 @@ func appendComponent(dst []byte, v uint64) []byte {
 	return dst
 }
 
-// appendFrame appends one step's frame: c is label's code, and label is
-// read only when c is litCode.
-func appendFrame(dst []byte, c uint16, label string, ord Ord) []byte {
+// AppendFrame appends one step's frame to dst: c is label's code, and
+// label is read only when c is 0, the code of a label the table refused.
+// Appended to an ID's key it makes the key of that ID's child, so a builder
+// that places nodes in preorder extends one buffer down the path instead of
+// building each key on its own.
+func AppendFrame(dst []byte, c uint16, label string, ord Ord) []byte {
 	for _, v := range ord {
 		dst = appendComponent(dst, v>>gapBits)
 		dst = appendComponent(dst, v&(Gap-1))

@@ -275,6 +275,32 @@ func TestKeyAtPanicsOutOfRange(t *testing.T) {
 	mustPanic("null Step", func() { ID{}.Step(0) })
 }
 
+// TestAppendFrameExtendsAKey: a parent's key with AppendFrame's frame
+// after it is the key ChildCode builds, for coded labels and refused ones
+// (code 0, the label spelled out), dense ordinals and Between's, under the
+// null ID, a root and a deeper parent — what a builder that extends one
+// buffer down a path relies on.
+func TestAppendFrameExtendsAKey(t *testing.T) {
+	long := strings.Repeat("x", maxLabelLen+1)
+	deep := NewRoot("a").Child("b", Between(OrdAt(0), OrdAt(1))).Child(long, OrdAt(3))
+	ords := []Ord{{Gap}, OrdAt(0), OrdAt(1 << 20), Between(OrdAt(4), OrdAt(5)), Between(nil, Between(nil, nil)), {}}
+	for _, p := range []ID{{}, NewRoot("a"), deep} {
+		for _, label := range []string{"c", "@d", long, ""} {
+			for _, code := range []uint16{Code(label), litCode} {
+				for _, ord := range ords {
+					got := KeyID(string(AppendFrame([]byte(p.Key()), code, label, ord)))
+					if want := p.ChildCode(code, label, ord); !got.Equal(want) {
+						t.Fatalf("%v + frame(%d, %q, %v) = %v, ChildCode gives %v", p, code, label, ord, got, want)
+					}
+					if !got.Parent().Equal(p) || got.Label() != label {
+						t.Fatalf("%v + frame(%d, %q, %v) = %v: parent %v, label %q", p, code, label, ord, got, got.Parent(), got.Label())
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNullIDKey(t *testing.T) {
 	var null ID
 	if null.Key() != "" {

@@ -42,7 +42,7 @@ func init() {
 // Code returns label's code in the label table, assigning the next one if
 // the table has room for it, or litCode (0) if the table refuses the label:
 // it is full, or the label too long. Builders of nodes call it once per node
-// and build the node's ID from the code with ChildCode.
+// and build the node's ID from the code (ChildCode, AppendFrame).
 func Code(label string) uint16 {
 	table.mu.Lock()
 	defer table.mu.Unlock()

@@ -53,7 +53,8 @@ func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, e
 	for _, in := range ins {
 		p := d.own(in.Target.ID(), &replaced)
 		for _, t := range in.Trees {
-			cp := d.cloneAssign(t, p.ID(), dewey.Between(p.lastOrd(), nil))
+			cp := d.cloneAssign(t, p, dewey.Between(p.lastOrd(), nil))
+			d.keys.flush()
 			appendKid(p, cp, d.gen)
 			copies = append(copies, cp)
 		}
@@ -62,21 +63,21 @@ func (d *Document) ApplyInsertions(ins []Insertion) (copies, replaced []*Node, e
 	return copies, replaced, nil
 }
 
-// cloneAssign copies the tree t under the node with ID parent in a single
-// walk, assigning each copy its structural ID (gap-spaced ordinals below
-// the root copy) and counting it — the fused equivalent of Clone +
-// assignIDs. The copies are the current publication's own.
-func (d *Document) cloneAssign(t *Node, parent dewey.ID, ord dewey.Ord) *Node {
+// cloneAssign copies the tree t under parent in a single walk, placing
+// each copy's structural ID (gap-spaced ordinals below the root copy) with
+// d.keys, which the caller flushes, and counting it — the fused equivalent
+// of Clone + assignIDs. The copies are the current publication's own.
+func (d *Document) cloneAssign(t, parent *Node, ord dewey.Ord) *Node {
 	c := &Node{Kind: t.Kind, code: t.code, gen: d.gen}
 	c.setValue(t.Value())
-	c.SetID(parent.ChildCode(t.code, t.Label(), ord))
+	d.keys.place(c, parent, t.code, t.Label(), ord)
 	d.size++
 	d.copied++
 	if w := t.NumChildren(); w > 0 {
 		c.setKids(make([]*Node, 0, min(w, fanout)))
 		i := 0
 		for k := t.Kids(); k.Next(); i++ {
-			appendKid(c, d.cloneAssign(k.Node(), c.ID(), dewey.OrdAt(i)), d.gen)
+			appendKid(c, d.cloneAssign(k.Node(), c, dewey.OrdAt(i)), d.gen)
 		}
 	}
 	return c

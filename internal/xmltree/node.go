@@ -275,11 +275,13 @@ type Document struct {
 	// nodes carry, advanced by every Snapshot (image.go).
 	copied int
 	gen    uint32
+
+	keys *keyChain // the writer's scratch for the keys it gives (keys.go); nil in an epoch
 }
 
 // NewDocument wraps a root node built elsewhere.
 func NewDocument(root *Node) *Document {
-	return &Document{Root: root, size: root.CountNodes(), labels: new(labelCell)}
+	return &Document{Root: root, size: root.CountNodes(), labels: new(labelCell), keys: new(keyChain)}
 }
 
 // NodeByID resolves a structural ID to the document's node, or nil:

@@ -80,7 +80,7 @@ func (d *Document) ApplyOrds(data []byte) error {
 		}
 		return ord, nil
 	}
-	if d.gen != 0 {
+	if d.frozen || d.gen != 0 {
 		// IDs are rewritten in place, on nodes an epoch would share.
 		return errors.New("xmltree: ApplyOrds on a published document")
 	}
@@ -90,20 +90,19 @@ func (d *Document) ApplyOrds(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if parent == nil {
-			// Roots always carry the NewRoot ordinal; a stream that says
-			// otherwise was not taken from a structurally identical document.
-			if !ord.Equal(n.ID().Step(0).Ord) {
-				return errors.New("xmltree: ordinal stream disagrees on the root")
-			}
-		} else {
-			n.SetID(parent.ID().ChildCode(n.code, n.Label(), ord))
+		// Roots always carry the NewRoot ordinal; a stream that says
+		// otherwise was not taken from a structurally identical document.
+		if parent == nil && !ord.Equal(n.ID().Step(0).Ord) {
+			return errors.New("xmltree: ordinal stream disagrees on the root")
 		}
+		d.keys.place(n, parent, n.code, n.Label(), ord)
 		// Not the cursor: it steps from leaf to leaf by key, and the keys
 		// of the children behind it are the rewritten ones.
 		return eachKid(n, func(c *Node) error { return walk(c, n) })
 	}
-	if err := walk(d.Root, nil); err != nil {
+	err := walk(d.Root, nil)
+	d.keys.flush()
+	if err != nil {
 		return err
 	}
 	if pos != len(data) {

@@ -25,12 +25,13 @@ func Parse(r io.Reader) (*Document, error) {
 
 // ParseString parses a document from a string.
 func ParseString(s string) (*Document, error) {
-	b := builder{s: scanner{src: s}, doc: true}
+	b := builder{s: scanner{src: s}, keys: new(keyChain)}
 	roots, err := b.build()
 	if err != nil {
 		return nil, err
 	}
-	return &Document{Root: roots[0], size: b.size, labels: new(labelCell)}, nil
+	b.keys.flush()
+	return &Document{Root: roots[0], size: b.size, labels: new(labelCell), keys: b.keys}, nil
 }
 
 // ParseForest parses an XML fragment that may contain several top-level
@@ -57,11 +58,11 @@ func ParseForestPrefix(s string) ([]*Node, int, error) {
 }
 
 // builder assembles the trees the scanner reads: a document's, whose nodes
-// get their IDs as they are made, or a forest's, whose nodes get theirs
-// when spliced into a document.
+// get their IDs from keys as they are made, or a forest's, with no keys,
+// whose nodes get theirs when spliced into a document.
 type builder struct {
 	s    scanner
-	doc  bool
+	keys *keyChain // a document's; it becomes the document's scratch
 	tops []*Node
 	// stack holds the open elements; kids their children, each element's
 	// from its frame's first on, which become its list when it closes.
@@ -94,7 +95,7 @@ func (b *builder) build() ([]*Node, error) {
 		case evText:
 			b.add(Text, textCode, TextLabel, s.str(s.text))
 		case evStart:
-			if b.doc && len(b.stack) == 0 && len(b.tops) > 0 {
+			if b.keys != nil && len(b.stack) == 0 && len(b.tops) > 0 {
 				return nil, s.errAt(s.at, "a second root element")
 			}
 			n := b.add(Element, dewey.Code(s.local), s.local, "")
@@ -120,17 +121,17 @@ func (b *builder) add(kind Kind, c uint16, label, value string) *Node {
 	b.size++
 	top := len(b.stack) - 1
 	switch {
-	case !b.doc:
+	case b.keys == nil:
 		n = newNode(kind, c, label, value)
 	case top < 0:
 		n = &Node{Kind: kind, code: c}
 		n.setValue(value)
-		n.SetID(dewey.ID{}.ChildCode(c, label, dewey.Ord{dewey.Gap})) // NewRoot, from the code in hand
+		b.keys.place(n, nil, c, label, dewey.Ord{dewey.Gap}) // NewRoot, from the code in hand
 	default:
 		f := b.stack[top]
 		n = &Node{Kind: kind, code: c}
 		n.setValue(value)
-		n.SetID(f.n.ID().ChildCode(c, label, dewey.OrdAt(len(b.kids)-f.first)))
+		b.keys.place(n, f.n, c, label, dewey.OrdAt(len(b.kids)-f.first))
 	}
 	if top < 0 {
 		b.tops = append(b.tops, n)

@@ -299,13 +299,16 @@ func FuzzParseMatchesEncodingXML(f *testing.F) {
 
 // FuzzParseRoundTrip: any document the scanner accepts reparses from its
 // serialization to the same serialization and ordinal stream — what
-// restoring a checkpoint (doc.xml plus doc.ords) relies on. Every tree
-// either parse builds, and every tree of the input parsed as a forest,
+// restoring a checkpoint (doc.xml plus doc.ords) relies on — and the
+// original's ordinal stream, applied to the reparse as a restore does
+// (ApplyOrds), gives every node the original's key, byte for byte. Every
+// tree either parse builds, and every tree of the input parsed as a forest,
 // keeps the node's payload layout (CheckPayload).
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, s := range scanSeeds {
 		f.Add(s)
 	}
+	f.Add(chainDoc()) // a refused label, mixed content and a wide list
 	f.Fuzz(func(t *testing.T, src string) {
 		if forest, err := ParseForest(src); err == nil {
 			for _, tree := range forest {
@@ -325,6 +328,19 @@ func FuzzParseRoundTrip(f *testing.F) {
 		if again.String() != d.String() || string(again.EncodeOrds()) != string(d.EncodeOrds()) {
 			t.Fatalf("%q serializes to %q, which reparses to %q", src, d.String(), again.String())
 		}
+		var keys []string
+		Walk(d.Root, func(n *Node) bool { keys = append(keys, n.ID().Key()); return true })
+		if err := again.ApplyOrds(d.EncodeOrds()); err != nil {
+			t.Fatalf("%q: the reparse refuses the original's ordinals: %v", src, err)
+		}
+		i := 0
+		Walk(again.Root, func(n *Node) bool {
+			if n.ID().Key() != keys[i] {
+				t.Fatalf("%q: node %d restored as %v, parsed as %v", src, i, n.ID(), dewey.KeyID(keys[i]))
+			}
+			i++
+			return true
+		})
 		for _, doc := range []*Document{d, again} {
 			if err := CheckPayload(doc.Root); err != nil {
 				t.Fatalf("%q: %v", src, err)
