@@ -66,6 +66,14 @@ func Code(label string) uint16 {
 	return c
 }
 
+// Lookup returns label's code, or litCode if the table has assigned it
+// none; unlike Code, it never assigns one.
+func Lookup(label string) uint16 {
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	return table.codes[label]
+}
+
 // LabelOf returns the label of a code the table assigned: one atomic load
 // and an index, no lock. The string is the table's, one per distinct label.
 func LabelOf(c uint16) string { return (*table.labels.Load())[c] }

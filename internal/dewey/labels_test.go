@@ -9,8 +9,16 @@ import (
 // TestLabelTableStopsAtItsCap: a document with more distinct labels than the
 // table has codes, some of them too long for it, keeps every key property and
 // reads back what it was built from; the table fills to its cap and no
-// further, and what it refused is spelled out in the frames.
+// further, and what it refused is spelled out in the frames. Lookup answers
+// what Code would, and assigns nothing.
 func TestLabelTableStopsAtItsCap(t *testing.T) {
+	before, _ := LabelStats()
+	if Lookup("cap-looked-up") != litCode {
+		t.Fatal("Lookup found a code for a label no one coded")
+	}
+	if codes, _ := LabelStats(); codes != before {
+		t.Fatalf("Lookup assigned %d codes", codes-before)
+	}
 	root := builtRoot("capsite")
 	var nodes []built
 	for i := 0; i < maxCodes+500; i++ {
@@ -34,8 +42,11 @@ func TestLabelTableStopsAtItsCap(t *testing.T) {
 	if codes, now := LabelStats(); codes != maxCodes-1 || now != refused+1 {
 		t.Fatalf("LabelStats() = %d codes, %d refusals; want %d, %d", codes, now, maxCodes-1, refused+1)
 	}
-	if c := Code("cap00001"); c == litCode || LabelOf(c) != "cap00001" {
-		t.Fatalf("Code(cap00001) = %d in a full table; LabelOf answers %q", c, LabelOf(c))
+	if c := Code("cap00001"); c == litCode || LabelOf(c) != "cap00001" || Lookup("cap00001") != c {
+		t.Fatalf("Code(cap00001) = %d in a full table; LabelOf answers %q, Lookup %d", c, LabelOf(c), Lookup("cap00001"))
+	}
+	if Lookup("cap-after-the-cap") != litCode {
+		t.Fatal("Lookup found a code for a refused label")
 	}
 	literal := 0
 	for i, b := range nodes {

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xivm/internal/algebra"
@@ -40,6 +41,11 @@ type Config struct {
 	// readers hold, and the last few epochs are re-read after each. Not
 	// with IVMA, which tracks nodes by pointer.
 	Publish bool
+	// LabelsFrom > 0, with Publish, reads no label list (an epoch's, or the
+	// check's relations) before statement LabelsFrom, and then first of the
+	// kept epochs, which the writer has left: labels no view reads are first
+	// indexed mid-run, where the writer must take them from its readers.
+	LabelsFrom int
 }
 
 // Matrix is the full configuration matrix the differential tests sweep:
@@ -60,6 +66,7 @@ func Matrix() []Config {
 		{Name: "published-snowcaps", Policy: core.PolicySnowcaps, Publish: true},
 		{Name: "published-leaves", Policy: core.PolicyLeaves, Publish: true},
 		{Name: "published-batch-2", Batch: 2, Publish: true},
+		{Name: "published-late-labels", Policy: core.PolicySnowcaps, Publish: true, LabelsFrom: 7},
 	}
 }
 
@@ -73,26 +80,35 @@ type epoch struct {
 const keptEpochs = 4
 
 // readEpoch renders what a reader can ask of an epoch: the document's
-// serialization, its ordinal stream, the ID list of every label, in order of
-// first occurrence, and every view's frozen rows. Nothing reachable from a
-// published epoch is ever written, so an epoch must read the same for as
-// long as it is held.
-func readEpoch(snap *core.Snapshot) [4]string {
+// serialization, its ordinal stream, if labels the ID list of every label
+// in order of first occurrence (each must be a walk of the epoch), and every
+// view's frozen rows. Nothing reachable from a published epoch is ever
+// written, so an epoch must read the same for as long as it is held.
+func readEpoch(snap *core.Snapshot, labels bool) ([4]string, error) {
 	doc := snap.Doc()
 	var b, rows strings.Builder
-	seen := map[string]bool{}
+	walked, order := map[string][]*xmltree.Node{}, []string(nil)
 	xmltree.Walk(doc.Root, func(n *xmltree.Node) bool {
-		if label := n.Label(); !seen[label] {
-			seen[label] = true
-			b.WriteString(label)
-			for _, m := range doc.Labeled(label) {
-				b.WriteString(m.ID().Key())
-				b.WriteByte(0xFF)
+		if label := n.Label(); labels {
+			if walked[label] == nil {
+				order = append(order, label)
 			}
-			b.WriteByte('\n')
+			walked[label] = append(walked[label], n)
 		}
 		return true
 	})
+	for _, label := range order {
+		got := doc.Labeled(label)
+		if !slices.Equal(got, walked[label]) {
+			return [4]string{}, fmt.Errorf("Labeled(%s): %d nodes, a walk %d, or not the same ones", label, len(got), len(walked[label]))
+		}
+		b.WriteString(label)
+		for _, m := range got {
+			b.WriteString(m.ID().Key())
+			b.WriteByte(0xFF)
+		}
+		b.WriteByte('\n')
+	}
 	for i := range snap.Views {
 		rows.WriteString(snap.Views[i].Name)
 		snap.Views[i].Rows.Each(func(r algebra.Row) bool {
@@ -104,7 +120,7 @@ func readEpoch(snap *core.Snapshot) [4]string {
 		})
 		rows.WriteByte('\n')
 	}
-	return [4]string{doc.String(), string(doc.EncodeOrds()), b.String(), rows.String()}
+	return [4]string{doc.String(), string(doc.EncodeOrds()), b.String(), rows.String()}, nil
 }
 
 type namedView struct {
@@ -214,8 +230,17 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 		if !cfg.Publish {
 			return nil
 		}
-		for _, ep := range epochs {
-			if readEpoch(ep.snap) != ep.read {
+		labels := cfg.LabelsFrom == 0 || i >= cfg.LabelsFrom
+		for k, ep := range epochs {
+			read, err := readEpoch(ep.snap, labels)
+			if err != nil {
+				return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "an epoch published earlier: " + err.Error()}
+			}
+			if ep.read[2] == "" {
+				ep.read[2] = read[2] // its lists are first asked for now
+				epochs[k] = ep
+			}
+			if read != ep.read {
 				return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "an epoch published earlier reads differently now"}
 			}
 		}
@@ -226,7 +251,10 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 		if err := checkOrdinals(snap.Doc()); err != nil {
 			return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "published epoch: " + err.Error()}
 		}
-		read := readEpoch(snap)
+		read, err := readEpoch(snap, labels)
+		if err != nil {
+			return &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "published epoch: " + err.Error()}
+		}
 		// What the epoch froze is what the live view holds, in its order.
 		for k, mv := range views {
 			if !mv.View.EqualRows(snap.Views[k].Rows.AppendTo(nil)) {
@@ -315,6 +343,9 @@ func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src str
 				Detail: fmt.Sprintf("maintained %d rows, recompute %d rows", mv.View.Len(), len(want)),
 			}
 		}
+	}
+	if cfg.LabelsFrom > 0 && i <= cfg.LabelsFrom {
+		return nil // no label is asked for yet
 	}
 	labels := []string{"*"}
 	seen := map[string]bool{}

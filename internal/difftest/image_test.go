@@ -38,9 +38,9 @@ func newEngine(tb testing.TB, w Workload) *core.Engine {
 // any of the machinery under test — must agree with the epoch on the
 // serialization, the ordinal stream, the size, and the label index (which
 // must also point at the epoch's own nodes, in particular at the path-copied
-// spine nodes and not at the ones they replaced). Asking builds the
-// lineage's index, so every later mutation patches it and every later
-// publication carries it. The epoch's and the writer's trees must both keep
+// spine nodes and not at the ones they replaced). Asking indexes every
+// label of the lineage, so every later mutation patches each list and every
+// later publication carries it. The epoch's and the writer's trees must both keep
 // the node's payload layout (xmltree.CheckPayload).
 func checkImage(live, img *xmltree.Document) error {
 	for _, d := range []*xmltree.Document{img, live} {

@@ -447,7 +447,8 @@ func (b *halfInsertBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Res
 // document holding part of a statement, and its label index unpatched: the
 // interrupted mutator had copied /site and /site/people and never said so.
 // The repair drops the index; the next epoch is whatever the tree holds —
-// the writer's own tree, not a copy — and its index is rebuilt from it.
+// the writer's own tree, not a copy — and each label asked of it is
+// indexed from it again.
 func TestApplyPanicResetsImage(t *testing.T) {
 	m := obs.New()
 	var backend *halfInsertBackend

@@ -1,8 +1,8 @@
 // Package store implements the storage layer: the per-label canonical
-// relations R_a in document order, read from the document's label index,
-// materialized view row stores, lattice-node (snowcap) materializations, and
-// a compact binary snapshot format. It plays the role BerkeleyDB played in
-// the paper's ViP2P prototype.
+// relations R_a in document order, read from the document's label index of
+// the labels asked for, materialized view row stores, lattice-node
+// (snowcap) materializations, and a compact binary snapshot format. It
+// plays the role BerkeleyDB played in the paper's ViP2P prototype.
 package store
 
 import (
@@ -19,14 +19,14 @@ import (
 
 // Store serves the canonical relations of one document: R_a, the list of
 // (ID,val,cont) tuples of a-labeled nodes in document order, is read from
-// the document's label index (xmltree.Document.LabeledChunks), which the
-// mutators keep in step with the tree; the store holds no copy of it. Every
-// read builds a fresh slice for its caller, so a slice held across a
-// mutation keeps exactly the items it was given. Beside the index the store
-// keeps two derived relations, built on first request and dropped by the
-// mutations that would change them (Changed): the list of all element nodes
-// for wildcard pattern nodes, and an inverted word index serving "~word"
-// relations without rescanning the text relation on every access.
+// the document's label index (xmltree.Document.LabeledChunks), which indexes
+// a on first ask and keeps it in step with the tree; the store holds no copy
+// of it. Every read builds a fresh slice for its caller, so a slice held
+// across a mutation keeps exactly the items it was given. Beside the index
+// the store keeps two derived relations, built on first request and dropped
+// by the mutations that would change them (Changed): the list of all element
+// nodes for wildcard pattern nodes, and an inverted word index serving
+// "~word" relations without rescanning the text relation on every access.
 //
 // The one state the index cannot show is the one an insertion propagates
 // against: the relations as they were before it, with their nodes' content
@@ -80,9 +80,9 @@ func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.wordBuilds = m.Counter("store.wordidx.builds")
 }
 
-// New returns the store of doc. It reads nothing yet: the label index is
-// built by the first read that needs it, if no reader of the document has
-// built it already.
+// New returns the store of doc. It reads nothing yet: a label is indexed
+// by the first read that asks for it, if no reader of the document has
+// asked already.
 func New(doc *xmltree.Document) *Store { return &Store{doc: doc} }
 
 // Doc returns the indexed document.

@@ -9,11 +9,15 @@ import (
 	"xivm/internal/xmltree"
 )
 
+// pairLabels are the labels pairBytes' pair touches: its spine's and its
+// forest's.
+var pairLabels = []string{"site", "open_auctions", "open_auction", "bidder", "date", "increase", xmltree.TextLabel}
+
 // pairBytes returns what a bidder with two text nodes inserted under one
 // open_auction of an XMark document of the given size and deleted again, an
-// epoch after each, allocates: with the label index built (indexed), or
-// without it, where patchLabels has nothing to patch and what is left is
-// the spine's copy-on-write.
+// epoch after each, allocates: with every label the pair touches indexed
+// (indexed), or none, where patchLabels has nothing to patch and what is
+// left is the spine's copy-on-write.
 func pairBytes(t *testing.T, size int, indexed bool) int64 {
 	t.Helper()
 	src := xmark.Generate(xmark.Config{TargetBytes: size, Seed: 1})
@@ -33,6 +37,11 @@ func pairBytes(t *testing.T, size int, indexed bool) int64 {
 		return target == nil
 	})
 	if indexed {
+		for _, l := range pairLabels {
+			if d.LabeledChunks(l).Len() == 0 {
+				t.Fatalf("fixture: no %s", l)
+			}
+		}
 		if texts := d.LabeledChunks(xmltree.TextLabel).Len(); texts < size/50 {
 			t.Fatalf("fixture: %d text nodes", texts)
 		}
@@ -66,7 +75,8 @@ func pairBytes(t *testing.T, size int, indexed bool) int64 {
 }
 
 // labelPatchBytes returns what keeping the label index in step costs
-// pairBytes' pair: its bytes with the index built less its bytes without.
+// pairBytes' pair: its bytes with the pair's labels indexed less its bytes
+// with none.
 func labelPatchBytes(t *testing.T, size int) int64 {
 	t.Helper()
 	bare, indexed := pairBytes(t, size, false), pairBytes(t, size, true)
@@ -75,10 +85,10 @@ func labelPatchBytes(t *testing.T, size int) int64 {
 }
 
 // TestLabelPatchCopiesAPathNotAList holds what keeping the label index in
-// step costs a published document of 1 MB. The #text list alone is 24,770
-// nodes, 193 KB; the index may copy the leaves the mutation lands in and
-// the paths above them, in each list it edits and in the run of lists, not
-// a list — ~8.8 KB.
+// step costs a published document of 1 MB whose readers asked for every
+// label the pair touches. The #text list alone is 24,770 nodes, 193 KB; the
+// index may copy the leaves the mutation lands in and the paths above them,
+// in each list it edits and in the run of lists, not a list — ~7.4 KB.
 func TestLabelPatchCopiesAPathNotAList(t *testing.T) {
 	if cost := labelPatchBytes(t, 1<<20); cost >= 11<<10 {
 		t.Errorf("patching the label index allocated %d B for a two-text-node insert and delete, budget 11 KB", cost)

@@ -39,6 +39,7 @@ func (d *Document) Snapshot() *Document {
 	if d.frozen {
 		return d // an epoch is its own snapshot
 	}
+	d.indexWanted()
 	img := &Document{Root: d.Root, frozen: true, size: d.size, copied: d.copied, labels: d.labels, labelGen: d.labelGen}
 	d.copied = 0
 	// Nothing reachable from img is owned by the next publication.
@@ -58,7 +59,7 @@ func (d *Document) CopiedNodes() int { return d.copied }
 // mutator did not run to completion (a contained panic): the tree is then
 // the only truth. Epochs already published keep their index.
 func (d *Document) ResetImage() {
-	d.labels, d.labelGen = new(labelCell), d.gen
+	d.labels, d.labelGen = &labelCell{want: d.labels.want}, d.gen
 }
 
 // restamp runs when the publication stamp wraps: a node copied 2^32

@@ -253,10 +253,10 @@ func TestResetImage(t *testing.T) {
 }
 
 // TestLabelIndexCarried: the lineage has one label index. An epoch asked
-// for a label builds it for the writer too; the epoch after gets it without
+// for a label indexes it for the writer too; the epoch after gets it without
 // a walk, over its own nodes — including the path-copied spine nodes, whose
 // pointers changed though they were neither inserted nor deleted — and the
-// predecessor's lists are left as they were. An index first built on an
+// predecessor's lists are left as they were. A list first built on an
 // epoch the writer has already moved on from stays that epoch's.
 func TestLabelIndexCarried(t *testing.T) {
 	d, err := ParseString(`<r><a><b>x</b></a><b/><a><a/></a></r>`)

@@ -1,7 +1,9 @@
 package xmltree
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -86,7 +88,10 @@ func TestLabeledIndex(t *testing.T) {
 }
 
 // TestLabeledConcurrent exercises the build-once race: many goroutines ask
-// for labels of a fresh document at once (run with -race).
+// for labels of a fresh document at once, and then of the epochs a writer
+// publishes while it mutates, each list against a walk of its epoch — the
+// readers walking on epochs the writer has left, recording what they asked
+// for, while the writer indexes it (run with -race).
 func TestLabeledConcurrent(t *testing.T) {
 	d, err := ParseString(`<r><a/><b/><a/></r>`)
 	if err != nil {
@@ -104,5 +109,52 @@ func TestLabeledConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	wg.Wait()
+
+	var epoch atomic.Pointer[Document]
+	epoch.Store(d.Snapshot())
+	done := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				img := epoch.Load()
+				for _, label := range []string{"a", "b", "c", TextLabel} {
+					var walked []*Node
+					Walk(img.Root, func(n *Node) bool {
+						if n.Label() == label {
+							walked = append(walked, n)
+						}
+						return true
+					})
+					if got := img.Labeled(label); !slices.Equal(got, walked) {
+						t.Errorf("Labeled(%s) on an epoch: %d nodes, a walk %d", label, len(got), len(walked))
+						return
+					}
+				}
+			}
+		}()
+	}
+	tmpl, err := ParseString(`<c>x</c>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if i%3 == 2 {
+			if _, err := d.ApplyDelete(d.Labeled("c")[0]); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := d.ApplyInsert(d.Root, tmpl.Root); err != nil {
+			t.Fatal(err)
+		}
+		epoch.Store(d.Snapshot())
+	}
+	close(done)
 	wg.Wait()
 }

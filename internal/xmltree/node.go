@@ -281,7 +281,7 @@ type Document struct {
 
 // NewDocument wraps a root node built elsewhere.
 func NewDocument(root *Node) *Document {
-	return &Document{Root: root, size: root.CountNodes(), labels: new(labelCell), keys: new(keyChain)}
+	return &Document{Root: root, size: root.CountNodes(), labels: &labelCell{want: new(labelWants)}, keys: new(keyChain)}
 }
 
 // NodeByID resolves a structural ID to the document's node, or nil:

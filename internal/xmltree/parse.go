@@ -31,7 +31,7 @@ func ParseString(s string) (*Document, error) {
 		return nil, err
 	}
 	b.keys.flush()
-	return &Document{Root: roots[0], size: b.size, labels: new(labelCell), keys: b.keys}, nil
+	return &Document{Root: roots[0], size: b.size, labels: &labelCell{want: new(labelWants)}, keys: b.keys}, nil
 }
 
 // ParseForest parses an XML fragment that may contain several top-level
