@@ -106,12 +106,26 @@ func TestWildcardPatternNode(t *testing.T) {
 // different counts line up too.
 func sortedJoin(join JoinFunc, left Block, lIdx int, right Block, rIdx int, desc bool) Block {
 	out := join(left, lIdx, right, rIdx, desc)
-	sort.Slice(out.Tuples, func(i, j int) bool {
-		if c := CompareTuples(out.Tuples[i], out.Tuples[j]); c != 0 {
-			return c < 0
-		}
-		return out.Tuples[i].Count < out.Tuples[j].Count
-	})
+	sort.Sort(byTupleThenCount{stripes(out)})
+	return out
+}
+
+type byTupleThenCount struct{ stripes }
+
+func (s byTupleThenCount) Less(i, j int) bool {
+	if c := CompareTuples(Block(s.stripes).Tuple(i), Block(s.stripes).Tuple(j)); c != 0 {
+		return c < 0
+	}
+	return s.Counts[i] < s.Counts[j]
+}
+
+// tuples is the block of b's tuples [i, j), its arrays shared with b's.
+func tuples(b Block, i, j int) Block {
+	w := len(b.Cols)
+	out := Block{Cols: b.Cols, IDs: b.IDs[i*w : j*w], Counts: b.Counts[i:j]}
+	if b.Nodes != nil {
+		out.Nodes = b.Nodes[i*w : j*w]
+	}
 	return out
 }
 
@@ -124,14 +138,14 @@ func checkJoin(t *testing.T, what string, left Block, lIdx int, right Block, rId
 	if !slices.Equal(fast.Cols, slow.Cols) {
 		t.Fatalf("%s: columns %v, nested loop %v", what, fast.Cols, slow.Cols)
 	}
-	if len(fast.Tuples) != len(slow.Tuples) {
+	if fast.Len() != slow.Len() {
 		t.Fatalf("%s (|L|=%d |R|=%d desc=%v): %d tuples, nested loop %d",
-			what, len(left.Tuples), len(right.Tuples), desc, len(fast.Tuples), len(slow.Tuples))
+			what, left.Len(), right.Len(), desc, fast.Len(), slow.Len())
 	}
-	for i := range fast.Tuples {
-		if CompareTuples(fast.Tuples[i], slow.Tuples[i]) != 0 || fast.Tuples[i].Count != slow.Tuples[i].Count {
+	for i := range fast.Len() {
+		if CompareTuples(fast.Tuple(i), slow.Tuple(i)) != 0 || fast.Counts[i] != slow.Counts[i] {
 			t.Fatalf("%s (|L|=%d |R|=%d desc=%v): tuple %d differs from the nested loop's",
-				what, len(left.Tuples), len(right.Tuples), desc, i)
+				what, left.Len(), right.Len(), desc, i)
 		}
 	}
 	return fast
@@ -149,7 +163,7 @@ func TestStructuralJoinMatchesNestedLoop(t *testing.T) {
 		d, p := randomDoc(rng), randomPattern(rng)
 		EvalPattern(p, DocInputs(d, p), func(left Block, lIdx int, right Block, rIdx int, desc bool) Block {
 			calls++
-			if len(right.Tuples) < len(left.Tuples) {
+			if right.Len() < left.Len() {
 				buildRight++
 			}
 			return checkJoin(t, fmt.Sprintf("trial %d, %s", trial, p), left, lIdx, right, rIdx, desc)
@@ -183,8 +197,8 @@ func TestStructuralJoinMatchesNestedLoop(t *testing.T) {
 	wide := mustDoc(t, sb.String())
 	as, bs := col(wide, 0, "a"), col(wide, 1, "b")
 	bothAxes("many a, few b", as, 0, bs, 1)
-	bothAxes("many a, one b", as, 0, Block{Cols: bs.Cols, Tuples: bs.Tuples[:1]}, 1)
-	bothAxes("one a, few b", Block{Cols: as.Cols, Tuples: as.Tuples[7:8]}, 0, bs, 1)
+	bothAxes("many a, one b", as, 0, tuples(bs, 0, 1), 1)
+	bothAxes("one a, few b", tuples(as, 7, 8), 0, bs, 1)
 	bothAxes("one r, many a", col(wide, 2, "r"), 2, as, 0)
 
 	// Nested same-label ancestors: the inner a is both a binding and an
@@ -197,28 +211,28 @@ func TestStructuralJoinMatchesNestedLoop(t *testing.T) {
 	// holds each a once per c below it.
 	multi := mustDoc(t, `<r><a><c/><c/><b/><b/></a><a><c/><b/></a><a><b/></a></r>`)
 	ac := StructuralJoin(col(multi, 0, "a"), 0, col(multi, 1, "c"), 1, true)
-	if len(ac.Tuples) != 3 {
-		t.Fatalf("(a, c) has %d tuples, want 3", len(ac.Tuples))
+	if ac.Len() != 3 {
+		t.Fatalf("(a, c) has %d tuples, want 3", ac.Len())
 	}
 	bothAxes("(a,c) over b, |L| < |R|", ac, 0, col(multi, 2, "b"), 2)
-	bothAxes("(a,c) over one b, |R| < |L|", ac, 0, Block{Cols: []int{2}, Tuples: col(multi, 2, "b").Tuples[:1]}, 2)
+	bothAxes("(a,c) over one b, |R| < |L|", ac, 0, tuples(col(multi, 2, "b"), 0, 1), 2)
 	// A multi-column right block, joined on its second column.
 	rb := StructuralJoin(col(multi, 3, "r"), 3, col(multi, 2, "b"), 2, true)
 	bothAxes("a over (r,b)", col(multi, 0, "a"), 0, rb, 2)
 
 	// Counts above one multiply.
 	two, three := col(multi, 0, "a"), col(multi, 2, "b")
-	for i := range two.Tuples {
-		two.Tuples[i].Count = 2
+	for i := range two.Counts {
+		two.Counts[i] = 2
 	}
-	for i := range three.Tuples {
-		three.Tuples[i].Count = 3
+	for i := range three.Counts {
+		three.Counts[i] = 3
 	}
-	if out := checkJoin(t, "counts", two, 0, three, 2, false); len(out.Tuples) != 4 || out.Tuples[0].Count != 6 {
-		t.Fatalf("2 × 3 derivations joined to %+v", out.Tuples)
+	if out := checkJoin(t, "counts", two, 0, three, 2, false); out.Len() != 4 || out.Counts[0] != 6 {
+		t.Fatalf("2 × 3 derivations joined to %+v", out)
 	}
-	if out := checkJoin(t, "counts", Block{Cols: two.Cols, Tuples: two.Tuples[:1]}, 0, three, 2, true); len(out.Tuples) != 2 || out.Tuples[0].Count != 6 {
-		t.Fatalf("2 × 3 derivations joined to %+v", out.Tuples)
+	if out := checkJoin(t, "counts", tuples(two, 0, 1), 0, three, 2, true); out.Len() != 2 || out.Counts[0] != 6 {
+		t.Fatalf("2 × 3 derivations joined to %+v", out)
 	}
 
 	// An empty side, either one.
@@ -260,8 +274,8 @@ func TestJoinAllocatesForItsSmallSide(t *testing.T) {
 				runtime.ReadMemStats(&before)
 				out := StructuralJoin(c.left, 0, c.right, 1, desc)
 				runtime.ReadMemStats(&after)
-				if len(out.Tuples) != 1 {
-					t.Fatalf("%s desc=%v: %d tuples, want the one matching pair", c.name, desc, len(out.Tuples))
+				if out.Len() != 1 {
+					t.Fatalf("%s desc=%v: %d tuples, want the one matching pair", c.name, desc, out.Len())
 				}
 				least = min(least, after.TotalAlloc-before.TotalAlloc)
 			}
@@ -334,14 +348,14 @@ func TestAlgebraEqualsEmbeddings(t *testing.T) {
 		d := randomDoc(rng)
 		p := randomPattern(rng)
 		alg := EvalPattern(p, DocInputs(d, p), nil)
-		emb := Embeddings(d, p)
-		SortTuples(alg)
-		if len(alg) != len(emb) {
+		emb := embeddings(d, p)
+		sortTuples(alg)
+		if alg.Len() != emb.Len() {
 			t.Fatalf("trial %d: algebra %d vs embeddings %d for %s over %s",
-				trial, len(alg), len(emb), p, d)
+				trial, alg.Len(), emb.Len(), p, d)
 		}
-		for i := range alg {
-			if CompareTuples(alg[i], emb[i]) != 0 {
+		for i := range alg.Len() {
+			if CompareTuples(alg.Tuple(i), emb.Tuple(i)) != 0 {
 				t.Fatalf("trial %d: tuple %d differs for %s", trial, i, p)
 			}
 		}
@@ -364,14 +378,14 @@ func TestEvalForestAndAttach(t *testing.T) {
 		t.Fatalf("forest roots = %v", roots)
 	}
 	joined := AttachForest(p, block, forest, roots, nil)
-	tuples := NormalizeColumns(p, joined)
-	SortTuples(tuples)
-	SortTuples(full)
-	if len(tuples) != len(full) {
-		t.Fatalf("attach %d vs full %d", len(tuples), len(full))
+	attached := normalizeColumns(p, joined)
+	sortTuples(attached)
+	sortTuples(full)
+	if attached.Len() != full.Len() {
+		t.Fatalf("attach %d vs full %d", attached.Len(), full.Len())
 	}
-	for i := range tuples {
-		if CompareTuples(tuples[i], full[i]) != 0 {
+	for i := range attached.Len() {
+		if CompareTuples(attached.Tuple(i), full.Tuple(i)) != 0 {
 			t.Fatalf("tuple %d differs", i)
 		}
 	}
@@ -397,5 +411,236 @@ func TestFilterWithoutNodeResolvesThroughDoc(t *testing.T) {
 	got := Filter(items, p.Nodes[0], d)
 	if len(got) != 1 {
 		t.Fatalf("filtered %d", len(got))
+	}
+}
+
+// TestAttachForestAcrossAGap attaches a forest to a block whose columns
+// skip a node, {a, d} then {b, c} — the shape of a maintenance term whose
+// R-mask is not a prefix of preorder: the result's columns are out of
+// preorder, and permuted back, its IDs, live nodes and counts must be a
+// full evaluation's.
+func TestAttachForestAcrossAGap(t *testing.T) {
+	d := mustDoc(t, `<a><b><c/></b><d/><b><c/><c/></b></a>`)
+	p := pattern.MustParse(`//a{ID}[//b{ID}//c{ID}]//d{ID}`)
+	in := DocInputs(d, p)
+	full := EvalPattern(p, in, nil)
+	forest, roots := EvalForest(p, 1<<1|1<<2, in, nil)
+	joined := AttachForest(p, EvalSubPattern(p, 1|1<<3, in, nil), forest, roots, nil)
+	if slices.IsSorted(joined.Cols) {
+		t.Fatalf("columns %v are in preorder already", joined.Cols)
+	}
+	got := normalizeColumns(p, joined)
+	sortTuples(got)
+	sortTuples(full)
+	if !slices.Equal(got.Cols, full.Cols) || !slices.Equal(got.IDs, full.IDs) || !slices.Equal(got.Nodes, full.Nodes) || !slices.Equal(got.Counts, full.Counts) {
+		t.Fatalf("normalized %+v, full evaluation %+v", got, full)
+	}
+}
+
+// TestJoinKeepsLiveNodes: a block without live nodes — a materialized
+// snowcap's — joined with one that has them keeps the other side's nodes
+// and a nil for each of its own bindings, on either side of the join and
+// with either build side; two blocks without nodes make a block without.
+func TestJoinKeepsLiveNodes(t *testing.T) {
+	d := mustDoc(t, `<r><a><b/><b/></a><a><b/></a></r>`)
+	as, bs := SingleColumn(0, DocItems(d, "a")), SingleColumn(1, DocItems(d, "b"))
+	bare := func(b Block) Block { b.Nodes = nil; return b }
+	for _, join := range []JoinFunc{StructuralJoin, NestedLoopStructuralJoin} {
+		for _, c := range []struct {
+			left, right Block
+			live        []bool // which columns keep their nodes
+		}{
+			{bare(as), bs, []bool{false, true}},
+			{bare(as), tuples(bs, 0, 1), []bool{false, true}},
+			{as, bare(bs), []bool{true, false}},
+			{tuples(as, 0, 1), bare(bs), []bool{true, false}},
+			{as, bs, []bool{true, true}},
+			{bare(as), bare(bs), nil},
+		} {
+			out := join(c.left, 0, c.right, 1, true)
+			if out.Len() == 0 {
+				t.Fatal("the join is empty")
+			}
+			if (out.Nodes == nil) != (c.live == nil) {
+				t.Fatalf("live %v: the output has Nodes %v", c.live, out.Nodes)
+			}
+			for i, id := range out.IDs {
+				n := out.node(i/2, i%2)
+				switch {
+				case c.live == nil:
+				case !c.live[i%2] && n != nil:
+					t.Fatalf("live %v: binding %d has node %v", c.live, i, n.ID())
+				case c.live[i%2] && (n == nil || !n.ID().Equal(id)):
+					t.Fatalf("live %v: binding %d of %v has node %v", c.live, i, id, n)
+				}
+			}
+		}
+	}
+}
+
+// normalizeColumns permutes a full-width block's columns into preorder
+// order. A block already in that order is returned as it is.
+func normalizeColumns(p *pattern.Pattern, b Block) Block {
+	if len(b.Cols) != p.Size() {
+		panic("algebra: normalizeColumns on non-full block")
+	}
+	if slices.IsSorted(b.Cols) {
+		return b
+	}
+	w := len(b.Cols)
+	out := Block{Cols: make([]int, w), IDs: make([]dewey.ID, len(b.IDs)), Counts: slices.Clone(b.Counts)}
+	if b.Nodes != nil {
+		out.Nodes = make([]*xmltree.Node, len(b.Nodes))
+	}
+	for pos, idx := range b.Cols {
+		out.Cols[idx] = idx
+		for t := range b.Len() {
+			out.IDs[t*w+idx] = b.IDs[t*w+pos]
+			if b.Nodes != nil {
+				out.Nodes[t*w+idx] = b.Nodes[t*w+pos]
+			}
+		}
+	}
+	return out
+}
+
+// embeddings computes all embeddings of p in the document by direct
+// recursive tree matching — an algebra-free ground truth used by the tests
+// to validate the join-based evaluator. The block is full-width, in
+// preorder column order, and sorted.
+func embeddings(d *xmltree.Document, p *pattern.Pattern) Block {
+	out := Block{Cols: make([]int, p.Size()), Nodes: []*xmltree.Node{}}
+	for i := range out.Cols {
+		out.Cols[i] = i
+	}
+	binding := make([]Item, p.Size())
+
+	// nodeMatches checks label and value predicate.
+	nodeMatches := func(pn *pattern.Node, n *xmltree.Node) bool {
+		if word, isWord := strings.CutPrefix(pn.Label, "~"); isWord {
+			if !n.MatchesWord(word) {
+				return false
+			}
+		} else if pn.Label == "*" {
+			if n.Kind != xmltree.Element {
+				return false
+			}
+		} else if n.Label() != pn.Label {
+			return false
+		}
+		if pn.HasPred && n.StringValue() != pn.PredVal {
+			return false
+		}
+		return true
+	}
+
+	// candidates lists document nodes reachable from base via the edge kind.
+	candidates := func(base *xmltree.Node, desc bool) []*xmltree.Node {
+		var cs []*xmltree.Node
+		if !desc {
+			for k := base.Kids(); k.Next(); {
+				cs = append(cs, k.Node())
+			}
+			return cs
+		}
+		xmltree.Walk(base, func(n *xmltree.Node) bool {
+			if n != base {
+				cs = append(cs, n)
+			}
+			return true
+		})
+		return cs
+	}
+
+	// Depth-first assignment over pattern preorder.
+	var rec func(pi int)
+	rec = func(pi int) {
+		if pi == p.Size() {
+			for _, it := range binding {
+				out.IDs = append(out.IDs, it.ID)
+				out.Nodes = append(out.Nodes, it.Node)
+			}
+			out.Counts = append(out.Counts, 1)
+			return
+		}
+		pn := p.Nodes[pi]
+		var cands []*xmltree.Node
+		if pi == 0 {
+			if !pn.Desc {
+				cands = []*xmltree.Node{d.Root}
+			} else {
+				xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
+					cands = append(cands, n)
+					return true
+				})
+			}
+		} else {
+			parentItem := binding[p.ParentIndex(pi)]
+			cands = candidates(parentItem.Node, pn.Desc)
+		}
+		for _, n := range cands {
+			if !nodeMatches(pn, n) {
+				continue
+			}
+			binding[pi] = Item{ID: n.ID(), Node: n}
+			rec(pi + 1)
+		}
+	}
+	rec(0)
+	sortTuples(out)
+	return out
+}
+
+// sortTuples orders a block's tuples by their bindings' document order, in
+// place.
+func sortTuples(b Block) { sort.Sort(stripes(b)) }
+
+// stripes sorts a block's tuples, moving each one's IDs, live nodes and
+// count together.
+type stripes Block
+
+func (s stripes) Len() int           { return len(s.Counts) }
+func (s stripes) Less(i, j int) bool { return CompareTuples(Block(s).Tuple(i), Block(s).Tuple(j)) < 0 }
+func (s stripes) Swap(i, j int) {
+	w := len(s.Cols)
+	for c := range w {
+		s.IDs[i*w+c], s.IDs[j*w+c] = s.IDs[j*w+c], s.IDs[i*w+c]
+		if s.Nodes != nil {
+			s.Nodes[i*w+c], s.Nodes[j*w+c] = s.Nodes[j*w+c], s.Nodes[i*w+c]
+		}
+	}
+	s.Counts[i], s.Counts[j] = s.Counts[j], s.Counts[i]
+}
+
+// TestSameRelation: two blocks are the same relation when they bind the
+// same pattern nodes and hold the same tuples with the same counts, whatever
+// the order of their columns or tuples; a column set, a binding or a count
+// apart, they are not.
+func TestSameRelation(t *testing.T) {
+	root := dewey.NewRoot("r")
+	a, b, c := root.Child("a", dewey.OrdAt(0)), root.Child("b", dewey.OrdAt(1)), root.Child("c", dewey.OrdAt(2))
+	ab := Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b, a, c}, Counts: []int{1, 2}}
+	for _, c := range []struct {
+		what  string
+		other Block
+		same  bool
+	}{
+		{"itself", ab, true},
+		{"columns swapped", Block{Cols: []int{1, 0}, IDs: []dewey.ID{b, a, c, a}, Counts: []int{1, 2}}, true},
+		{"tuples swapped", Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, c, a, b}, Counts: []int{2, 1}}, true},
+		{"a count split over two tuples", Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b, a, c, a, c}, Counts: []int{1, 1, 1}}, true},
+		{"live nodes kept", Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b, a, c}, Nodes: make([]*xmltree.Node, 4), Counts: []int{1, 2}}, true},
+		{"another pattern node", Block{Cols: []int{0, 2}, IDs: []dewey.ID{a, b, a, c}, Counts: []int{1, 2}}, false},
+		{"columns swapped, bindings not", Block{Cols: []int{1, 0}, IDs: []dewey.ID{a, b, a, c}, Counts: []int{1, 2}}, false},
+		{"a count", Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b, a, c}, Counts: []int{1, 1}}, false},
+		{"a tuple less", Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b}, Counts: []int{1}}, false},
+		{"one column", Block{Cols: []int{0}, IDs: []dewey.ID{a}, Counts: []int{3}}, false},
+	} {
+		if got := SameRelation(ab, c.other); got != c.same {
+			t.Errorf("%s: SameRelation %v, want %v", c.what, got, c.same)
+		}
+		if got := SameRelation(c.other, ab); got != c.same {
+			t.Errorf("%s, the other way: SameRelation %v, want %v", c.what, got, c.same)
+		}
 	}
 }

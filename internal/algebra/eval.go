@@ -1,9 +1,10 @@
 package algebra
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 )
@@ -88,23 +89,24 @@ func EvalSubPattern(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) B
 	if mask == 0 {
 		panic("algebra: EvalSubPattern on empty mask")
 	}
+	// Process in reverse preorder so children are ready before parents: a
+	// node's children in the mask are then the blocks on top of the stack,
+	// its first child's topmost.
 	idxs := pattern.MaskIndexes(mask)
-	// rel[i] holds the partial relation for the mask-subtree rooted at i.
-	rel := make([]Block, p.Size())
-	// Process in reverse preorder so children are ready before parents.
+	var buf [8]Block
+	stack := buf[:0]
 	for k := len(idxs) - 1; k >= 0; k-- {
 		i := idxs[k]
 		b := SingleColumn(i, in[i])
 		for _, c := range p.Nodes[i].Children {
-			if !pattern.MaskContains(mask, c.Index) {
-				continue
+			if pattern.MaskContains(mask, c.Index) {
+				b = join(b, i, stack[len(stack)-1], c.Index, c.Desc)
+				stack = stack[:len(stack)-1]
 			}
-			b = join(b, i, rel[c.Index], c.Index, c.Desc)
 		}
-		rel[i] = b
+		stack = append(stack, b)
 	}
-	root := idxs[0]
-	return rel[root]
+	return stack[0]
 }
 
 // EvalForest evaluates the sub-forest induced by mask when mask is NOT
@@ -155,134 +157,65 @@ func AttachForest(p *pattern.Pattern, block Block, forest []Block, roots []int, 
 	return block
 }
 
-// EvalPattern evaluates the whole pattern from per-node inputs, returning
-// full-width tuples in preorder column order.
-func EvalPattern(p *pattern.Pattern, in Inputs, join JoinFunc) []Tuple {
-	b := EvalSubPattern(p, p.FullMask(), in, join)
-	return NormalizeColumns(p, b)
-}
-
-// NormalizeColumns permutes a full-width block's columns into preorder
-// order and returns its tuples.
-func NormalizeColumns(p *pattern.Pattern, b Block) []Tuple {
-	if len(b.Cols) != p.Size() {
-		panic("algebra: NormalizeColumns on non-full block")
-	}
-	perm := make([]int, p.Size())
-	for pos, idx := range b.Cols {
-		perm[idx] = pos
-	}
-	out := make([]Tuple, len(b.Tuples))
-	for i, t := range b.Tuples {
-		items := make([]Item, p.Size())
-		for idx := 0; idx < p.Size(); idx++ {
-			items[idx] = t.Items[perm[idx]]
-		}
-		out[i] = Tuple{Items: items, Count: t.Count}
-	}
-	return out
+// EvalPattern evaluates the whole pattern from per-node inputs, returning a
+// full-width block in preorder column order.
+func EvalPattern(p *pattern.Pattern, in Inputs, join JoinFunc) Block {
+	return EvalSubPattern(p, p.FullMask(), in, join)
 }
 
 // Materialize evaluates pattern p over the document and returns its view
 // rows (projection on stored nodes with derivation counts) — the customary
 // semantics used both as ground truth and for initial view materialization.
 func Materialize(d *xmltree.Document, p *pattern.Pattern) []Row {
-	tuples := EvalPattern(p, DocInputs(d, p), nil)
-	return ProjectStored(p, tuples, d)
+	return ProjectStored(p, EvalPattern(p, DocInputs(d, p), nil), d)
 }
 
-// Embeddings computes all embeddings of p in the document by direct
-// recursive tree matching — an algebra-free ground truth used by the tests
-// to validate the join-based evaluator. Tuples are full-width.
-func Embeddings(d *xmltree.Document, p *pattern.Pattern) []Tuple {
-	var out []Tuple
-	binding := make([]Item, p.Size())
-
-	// nodeMatches checks label and value predicate.
-	nodeMatches := func(pn *pattern.Node, n *xmltree.Node) bool {
-		if word, isWord := strings.CutPrefix(pn.Label, "~"); isWord {
-			if !n.MatchesWord(word) {
-				return false
-			}
-		} else if pn.Label == "*" {
-			if n.Kind != xmltree.Element {
-				return false
-			}
-		} else if n.Label() != pn.Label {
-			return false
-		}
-		if pn.HasPred && n.StringValue() != pn.PredVal {
-			return false
-		}
-		return true
-	}
-
-	// candidates lists document nodes reachable from base via the edge kind.
-	candidates := func(base *xmltree.Node, desc bool) []*xmltree.Node {
-		var cs []*xmltree.Node
-		if !desc {
-			for k := base.Kids(); k.Next(); {
-				cs = append(cs, k.Node())
-			}
-			return cs
-		}
-		xmltree.Walk(base, func(n *xmltree.Node) bool {
-			if n != base {
-				cs = append(cs, n)
-			}
-			return true
-		})
-		return cs
-	}
-
-	// Depth-first assignment over pattern preorder.
-	var rec func(pi int)
-	rec = func(pi int) {
-		if pi == p.Size() {
-			items := make([]Item, p.Size())
-			copy(items, binding)
-			out = append(out, Tuple{Items: items, Count: 1})
-			return
-		}
-		pn := p.Nodes[pi]
-		var cands []*xmltree.Node
-		if pi == 0 {
-			if !pn.Desc {
-				cands = []*xmltree.Node{d.Root}
-			} else {
-				xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
-					cands = append(cands, n)
-					return true
-				})
-			}
-		} else {
-			parentItem := binding[p.ParentIndex(pi)]
-			cands = candidates(parentItem.Node, pn.Desc)
-		}
-		for _, n := range cands {
-			if !nodeMatches(pn, n) {
-				continue
-			}
-			binding[pi] = Item{ID: n.ID(), Node: n}
-			rec(pi + 1)
-		}
-	}
-	rec(0)
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i], out[j]) < 0 })
-	return out
-}
-
-// CompareTuples orders equal-width tuples item-wise by ID document order.
-func CompareTuples(a, b Tuple) int {
-	for i := range a.Items {
-		if c := a.Items[i].ID.Compare(b.Items[i].ID); c != 0 {
+// CompareTuples orders two equal-width stripes binding by binding, by ID
+// document order.
+func CompareTuples(a, b []dewey.ID) int {
+	for i := range a {
+		if c := a[i].Compare(b[i]); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
-// SortTuples orders full-width tuples by their bindings' document order.
-func SortTuples(tuples []Tuple) {
-	sort.Slice(tuples, func(i, j int) bool { return CompareTuples(tuples[i], tuples[j]) < 0 })
+// SameRelation reports whether a and b hold the same relation: they bind
+// the same pattern nodes, in whatever column order, and every tuple of IDs,
+// aligned by pattern node, has the same summed derivation count in both.
+func SameRelation(a, b Block) bool {
+	byNode := func(blk Block) []int { // blk's column positions by pattern node
+		pos := make([]int, len(blk.Cols))
+		for i := range pos {
+			pos[i] = i
+		}
+		slices.SortFunc(pos, func(x, y int) int { return blk.Cols[x] - blk.Cols[y] })
+		return pos
+	}
+	pa, pb := byNode(a), byNode(b)
+	if !slices.EqualFunc(pa, pb, func(i, j int) bool { return a.Cols[i] == b.Cols[j] }) {
+		return false
+	}
+	counts := map[string]int{}
+	var key []byte
+	for _, side := range []struct {
+		blk  Block
+		pos  []int
+		sign int
+	}{{a, pa, 1}, {b, pb, -1}} {
+		for t := range side.blk.Len() {
+			key = key[:0]
+			for _, c := range side.pos {
+				key = append(append(key, side.blk.Tuple(t)[c].Key()...), 0xFF)
+			}
+			counts[string(key)] += side.sign * side.blk.Counts[t]
+		}
+	}
+	for _, n := range counts {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
 }

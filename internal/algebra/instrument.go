@@ -33,9 +33,9 @@ func InstrumentJoin(join JoinFunc, c JoinCounters) JoinFunc {
 	}
 	return func(left Block, lIdx int, right Block, rIdx int, desc bool) Block {
 		c.Calls.Inc()
-		c.TuplesScanned.Add(int64(len(left.Tuples) + len(right.Tuples)))
+		c.TuplesScanned.Add(int64(left.Len() + right.Len()))
 		out := join(left, lIdx, right, rIdx, desc)
-		c.TuplesEmitted.Add(int64(len(out.Tuples)))
+		c.TuplesEmitted.Add(int64(out.Len()))
 		return out
 	}
 }

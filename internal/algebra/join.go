@@ -21,53 +21,50 @@ import (
 // update, not to the snowcap it is joined with. The result is the same
 // multiset with the same counts either way; the order tuples are emitted in
 // differs between the two and is unspecified — every consumer sorts
-// (projectBlock, Mat.AddBlock).
+// (projectBlock, Mat.AddBlock). The matching pairs are collected first and
+// the output's arrays allocated once, to size: nothing is allocated per
+// tuple.
 func StructuralJoin(left Block, lIdx int, right Block, rIdx int, desc bool) Block {
 	lCol := left.ColOf(lIdx)
 	rCol := right.ColOf(rIdx)
 	if lCol < 0 || rCol < 0 {
 		panic("algebra: StructuralJoin on unbound column")
 	}
-	out := Block{Cols: append(append([]int{}, left.Cols...), right.Cols...)}
-	if len(left.Tuples) == 0 || len(right.Tuples) == 0 {
-		return out
-	}
-	emit := func(lt, rt Tuple) {
-		items := make([]Item, 0, len(lt.Items)+len(rt.Items))
-		items = append(items, lt.Items...)
-		items = append(items, rt.Items...)
-		out.Tuples = append(out.Tuples, Tuple{Items: items, Count: lt.Count * rt.Count})
+	var buf [32]int
+	pairs := buf[:0] // l, r of each joined pair; a ∆-sized join's fit in buf
+	if left.Len() == 0 || right.Len() == 0 {
+		return joinPairs(left, right, nil)
 	}
 	var keys []string // one buffer for every right tuple's wanted keys
-	if len(right.Tuples) < len(left.Tuples) {
-		index := make(map[string][]int, len(right.Tuples))
-		for i, rt := range right.Tuples {
-			keys = appendAncestorKeys(keys[:0], rt.Items[rCol].ID, desc)
+	if right.Len() < left.Len() {
+		index := make(map[string][]int, right.Len())
+		for i := range right.Len() {
+			keys = appendAncestorKeys(keys[:0], right.Tuple(i)[rCol], desc)
 			for _, k := range keys {
 				index[k] = append(index[k], i)
 			}
 		}
-		for _, lt := range left.Tuples {
-			for _, ri := range index[lt.Items[lCol].ID.Key()] {
-				emit(lt, right.Tuples[ri])
+		for l := range left.Len() {
+			for _, r := range index[left.Tuple(l)[lCol].Key()] {
+				pairs = append(pairs, l, r)
 			}
 		}
-		return out
+		return joinPairs(left, right, pairs)
 	}
-	index := make(map[string][]int, len(left.Tuples))
-	for i, lt := range left.Tuples {
-		k := lt.Items[lCol].ID.Key()
+	index := make(map[string][]int, left.Len())
+	for i := range left.Len() {
+		k := left.Tuple(i)[lCol].Key()
 		index[k] = append(index[k], i)
 	}
-	for _, rt := range right.Tuples {
-		keys = appendAncestorKeys(keys[:0], rt.Items[rCol].ID, desc)
+	for r := range right.Len() {
+		keys = appendAncestorKeys(keys[:0], right.Tuple(r)[rCol], desc)
 		for _, k := range keys {
-			for _, li := range index[k] {
-				emit(left.Tuples[li], rt)
+			for _, l := range index[k] {
+				pairs = append(pairs, l, r)
 			}
 		}
 	}
-	return out
+	return joinPairs(left, right, pairs)
 }
 
 // appendAncestorKeys appends the key of every node a left binding must be
@@ -93,25 +90,15 @@ func NestedLoopStructuralJoin(left Block, lIdx int, right Block, rIdx int, desc 
 	if lCol < 0 || rCol < 0 {
 		panic("algebra: NestedLoopStructuralJoin on unbound column")
 	}
-	out := Block{Cols: append(append([]int{}, left.Cols...), right.Cols...)}
-	for _, lt := range left.Tuples {
-		lid := lt.Items[lCol].ID
-		for _, rt := range right.Tuples {
-			rid := rt.Items[rCol].ID
-			ok := false
-			if desc {
-				ok = lid.IsAncestorOf(rid)
-			} else {
-				ok = lid.IsParentOf(rid)
+	var pairs []int
+	for l := range left.Len() {
+		lid := left.Tuple(l)[lCol]
+		for r := range right.Len() {
+			rid := right.Tuple(r)[rCol]
+			if desc && lid.IsAncestorOf(rid) || !desc && lid.IsParentOf(rid) {
+				pairs = append(pairs, l, r)
 			}
-			if !ok {
-				continue
-			}
-			items := make([]Item, 0, len(lt.Items)+len(rt.Items))
-			items = append(items, lt.Items...)
-			items = append(items, rt.Items...)
-			out.Tuples = append(out.Tuples, Tuple{Items: items, Count: lt.Count * rt.Count})
 		}
 	}
-	return out
+	return joinPairs(left, right, pairs)
 }

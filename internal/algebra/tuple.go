@@ -1,12 +1,15 @@
 // Package algebra implements the paper's logical algebra and its physical
 // operators: canonical-relation scans, selections, projections, duplicate
 // elimination with derivation counts, sorts, and Dewey-based structural
-// joins. Tuples range over tree-pattern nodes; blocks are intermediate
-// relations whose columns are identified by pattern-node indexes, which is
-// what lets snowcap materializations be reused as pre-joined inputs.
+// joins. A canonical relation is a slice of Items; every other relation is
+// a Block, kept in columns: its columns are identified by pattern-node
+// indexes, which is what lets snowcap materializations be reused as
+// pre-joined inputs, and a tuple is a stripe of IDs and a count, not an
+// object of its own.
 package algebra
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,26 +18,78 @@ import (
 	"xivm/internal/xmltree"
 )
 
-// Item is one binding of a pattern node: the matched XML node's structural
-// ID plus (when available) the live node, used to evaluate value predicates
-// and to materialize val/cont on projection. Node may be nil for standalone
-// data (e.g. tuples read back from a snapshot); ID is always set.
+// Item is one binding of a pattern node as a canonical relation holds it —
+// the element of Inputs, of Store.Items and of Filter's and SingleColumn's
+// input: the matched XML node's structural ID plus (when available) the
+// live node, used to evaluate value predicates and to materialize val/cont
+// on projection. Node may be nil for standalone data; ID is always set.
 type Item struct {
 	ID   dewey.ID
 	Node *xmltree.Node
 }
 
-// Tuple is a row over some set of pattern nodes, with a derivation count.
-type Tuple struct {
-	Items []Item
-	Count int
-}
-
-// Block is an intermediate relation: Cols[i] names the pattern-node index
-// bound by column i of every tuple.
+// Block is an intermediate relation in columns. Cols[i] names the
+// pattern-node index bound by column i; with w = len(Cols), tuple t's
+// bindings are the stripe IDs[t·w:(t+1)·w] and its derivation count is
+// Counts[t]. Nodes is nil, or parallel to IDs with a nil entry where a
+// binding has no live node: a block built from items has them, a
+// materialized snowcap (store.Mat) has none, and a join's output has Nodes
+// exactly when one of its inputs had them, so a ∆ binding keeps its live
+// node through a join with a snowcap.
 type Block struct {
 	Cols   []int
-	Tuples []Tuple
+	IDs    []dewey.ID
+	Nodes  []*xmltree.Node
+	Counts []int
+}
+
+// Len returns the number of tuples.
+func (b Block) Len() int { return len(b.Counts) }
+
+// Tuple returns tuple t's bindings, column by column. The stripe is lent,
+// cap-clamped: read-only.
+func (b Block) Tuple(t int) []dewey.ID {
+	w := len(b.Cols)
+	return b.IDs[t*w : (t+1)*w : (t+1)*w]
+}
+
+// node returns the live node of tuple t's binding in column c, or nil.
+func (b Block) node(t, c int) *xmltree.Node {
+	if b.Nodes == nil {
+		return nil
+	}
+	return b.Nodes[t*len(b.Cols)+c]
+}
+
+// joinPairs is the output of a join of left and right: for each pair
+// (l, r) in pairs, tuple l of left followed by tuple r of right, with the
+// product of their counts. Its arrays are allocated once, to size, and it
+// has Nodes exactly when either input has them.
+func joinPairs(left, right Block, pairs []int) Block {
+	n, w := len(pairs)/2, len(left.Cols)+len(right.Cols)
+	out := Block{Cols: slices.Concat(left.Cols, right.Cols), IDs: make([]dewey.ID, 0, n*w), Counts: make([]int, 0, n)}
+	if left.Nodes != nil || right.Nodes != nil {
+		out.Nodes = make([]*xmltree.Node, 0, n*w)
+	}
+	for k := 0; k < len(pairs); k += 2 {
+		l, r := pairs[k], pairs[k+1]
+		out.IDs = append(append(out.IDs, left.Tuple(l)...), right.Tuple(r)...)
+		if out.Nodes != nil {
+			out.Nodes = right.appendNodes(left.appendNodes(out.Nodes, l), r)
+		}
+		out.Counts = append(out.Counts, left.Counts[l]*right.Counts[r])
+	}
+	return out
+}
+
+// appendNodes appends tuple t's live nodes to dst, or a nil for each column
+// when b keeps none.
+func (b Block) appendNodes(dst []*xmltree.Node, t int) []*xmltree.Node {
+	w := len(b.Cols)
+	if b.Nodes == nil {
+		return append(dst, make([]*xmltree.Node, w)...)
+	}
+	return append(dst, b.Nodes[t*w:(t+1)*w]...)
 }
 
 // ColOf returns the column position binding pattern node idx, or -1.
@@ -48,15 +103,16 @@ func (b Block) ColOf(idx int) int {
 }
 
 // SingleColumn builds a one-column block over pattern node idx from items,
-// each with derivation count 1. A tuple's Items aliases its element of items
-// (cap-clamped) rather than copying it: inputs are lent and immutable, and
-// whatever keeps a tuple past the join it feeds — StructuralJoin's emit,
-// NormalizeColumns, Mat.AddBlock — copies.
+// each with derivation count 1 and its live node kept.
 func SingleColumn(idx int, items []Item) Block {
-	b := Block{Cols: []int{idx}}
-	b.Tuples = make([]Tuple, len(items))
-	for i := range items {
-		b.Tuples[i] = Tuple{Items: items[i : i+1 : i+1], Count: 1}
+	b := Block{
+		Cols:   []int{idx},
+		IDs:    make([]dewey.ID, len(items)),
+		Nodes:  make([]*xmltree.Node, len(items)),
+		Counts: make([]int, len(items)),
+	}
+	for i, it := range items {
+		b.IDs[i], b.Nodes[i], b.Counts[i] = it.ID, it.Node, 1
 	}
 	return b
 }
@@ -125,25 +181,13 @@ func (r Row) AppendKey(buf []byte) []byte {
 	return buf
 }
 
-// ProjectStored projects full-width tuples onto the pattern's stored nodes,
-// materializing val/cont where annotated, eliminating duplicates and
-// summing derivation counts (the π·δ of the paper's algebraic semantics).
-// The result is sorted in the order dictated by the IDs of all stored
-// bindings (the paper's final s operator).
-func ProjectStored(p *pattern.Pattern, tuples []Tuple, doc *xmltree.Document) []Row {
-	stored := p.StoredIndexes()
-	return ProjectOnto(p, stored, tuples, doc)
-}
-
-// ProjectOnto projects full- or partial-width tuples onto the given pattern
-// node indexes. The input tuples' blocks must bind every requested index.
-func ProjectOnto(p *pattern.Pattern, indexes []int, tuples []Tuple, doc *xmltree.Document) []Row {
-	b := Block{Cols: make([]int, p.Size())}
-	for i := range b.Cols {
-		b.Cols[i] = i
-	}
-	b.Tuples = tuples
-	return ProjectBlock(p, b, indexes, doc)
+// ProjectStored projects a block binding every node of the pattern onto
+// its stored nodes, materializing val/cont where annotated, eliminating
+// duplicates and summing derivation counts (the π·δ of the paper's
+// algebraic semantics). The result is sorted in the order dictated by the
+// IDs of all stored bindings (the paper's final s operator).
+func ProjectStored(p *pattern.Pattern, b Block, doc *xmltree.Document) []Row {
+	return projectBlock(p, b, p.StoredIndexes(), doc, ProjectCounters{})
 }
 
 // ProjectBlock projects a block onto the given pattern node indexes,
@@ -161,19 +205,19 @@ func projectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Docum
 		}
 		cols[i] = c
 	}
-	byKey := make(map[string]int, len(b.Tuples))
+	byKey := make(map[string]int, b.Len())
 	var rows []Row
 	var keyBuf []byte
-	for _, t := range b.Tuples {
-		row := Row{Entries: make([]RowEntry, len(indexes)), Count: t.Count}
+	for t := range b.Len() {
+		row := Row{Entries: make([]RowEntry, len(indexes)), Count: b.Counts[t]}
+		ids := b.Tuple(t)
 		for i, idx := range indexes {
-			it := t.Items[cols[i]]
-			e := RowEntry{NodeIdx: idx, ID: it.ID}
+			e := RowEntry{NodeIdx: idx, ID: ids[cols[i]]}
 			pn := p.Nodes[idx]
 			if pn.Store.Has(pattern.StoreVal) || pn.Store.Has(pattern.StoreCont) {
-				n := it.Node
+				n := b.node(t, cols[i])
 				if n == nil && doc != nil {
-					n = doc.NodeByID(it.ID)
+					n = doc.NodeByID(e.ID)
 				}
 				if n != nil {
 					if pn.Store.Has(pattern.StoreVal) {

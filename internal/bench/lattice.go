@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/xmark"
 )
@@ -144,7 +145,7 @@ func RunJoinAblation(docBytes int) []AblationJoinRow {
 			total := bestDur(func() time.Duration {
 				opts := core.Options{}
 				if nested {
-					opts.Join = nestedJoin
+					opts.Join = algebra.NestedLoopStructuralJoin
 				}
 				// Parse outside the timer: the ablation compares join
 				// algorithms, not XML parsing.

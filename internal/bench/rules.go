@@ -3,17 +3,11 @@ package bench
 import (
 	"time"
 
-	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/pulopt"
 	"xivm/internal/qvm"
 	"xivm/internal/xmltree"
 )
-
-// nestedJoin adapts the nested-loop join to the JoinFunc signature.
-func nestedJoin(left algebra.Block, lIdx int, right algebra.Block, rIdx int, desc bool) algebra.Block {
-	return algebra.NestedLoopStructuralJoin(left, lIdx, right, rIdx, desc)
-}
 
 // RuleRow is one x of Figures 33–35: the time to propagate an overlapping
 // update sequence with and without the reduction rules, at one overlap

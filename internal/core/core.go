@@ -187,8 +187,7 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 		return nil, fmt.Errorf("core: view %s stores nothing", name)
 	}
 	in := e.Store.Inputs(p)
-	tuples := algebra.EvalPattern(p, in, e.Join())
-	rows := algebra.ProjectStored(p, tuples, e.Doc)
+	rows := algebra.ProjectStored(p, algebra.EvalPattern(p, in, e.Join()), e.Doc)
 	return e.installView(name, p, rows)
 }
 

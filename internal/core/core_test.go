@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
 	"xivm/internal/update"
@@ -268,12 +270,8 @@ func TestPDMTContentRefresh(t *testing.T) {
 // of its sub-pattern.
 func checkLattice(t *testing.T, e *Engine, mv *ManagedView, when string) {
 	t.Helper()
-	for _, mask := range mv.Lattice.Materialized() {
-		got := mv.Lattice.Block(mask)
-		want := algebra.EvalSubPattern(mv.Pattern, mask, e.Store.Inputs(mv.Pattern), nil)
-		if !sameBlock(got, want) {
-			t.Fatalf("%s: snowcap %b holds %d tuples, recomputation %d", when, mask, len(got.Tuples), len(want.Tuples))
-		}
+	if err := mv.Lattice.Check(e.Store.Inputs(mv.Pattern)); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 
@@ -482,38 +480,48 @@ func TestLatticeMasksEmptyFallsBackToLeaves(t *testing.T) {
 	}
 }
 
-func sameBlock(a, b algebra.Block) bool {
-	key := func(blk algebra.Block, t algebra.Tuple) string {
-		var sb strings.Builder
-		for _, c := range blk.Cols {
-			for i, cc := range blk.Cols {
-				if cc == c {
-					_ = i
-				}
-			}
+// TestLatticeOracleComparesContent: Lattice.Check, the oracle difftest and
+// checkLattice hold every snowcap to, compares content, not cardinality. A
+// fresh lattice passes it; one whose {a, b} snowcap has a tuple's count
+// doubled, a binding moved to another node — as many tuples, the same
+// counts — or a tuple dropped does not.
+func TestLatticeOracleComparesContent(t *testing.T) {
+	for _, c := range []struct {
+		what    string
+		corrupt func(m *store.Mat, ab [3][]dewey.ID)
+	}{
+		{"a count doubled", func(m *store.Mat, ab [3][]dewey.ID) {
+			m.AddBlock(algebra.Block{Cols: []int{0, 1}, IDs: ab[0], Counts: []int{1}})
+		}},
+		{"a binding moved", func(m *store.Mat, ab [3][]dewey.ID) {
+			m.RemoveUnderAny(dewey.NewCover(ab[0][1:]))
+			m.AddBlock(algebra.Block{Cols: []int{0, 1}, IDs: []dewey.ID{ab[2][0], ab[0][1]}, Counts: []int{1}})
+		}},
+		{"a tuple dropped", func(m *store.Mat, ab [3][]dewey.ID) {
+			m.RemoveUnderAny(dewey.NewCover(ab[2][1:]))
+		}},
+	} {
+		e := NewEngine(mustDoc(t, `<r><a><b><c/></b><b/></a><a><b><c/></b></a></r>`), Options{})
+		mv := addView(t, e, `//a{ID}//b{ID}//c{ID}`)
+		if err := mv.Lattice.Check(e.Store.Inputs(mv.Pattern)); err != nil {
+			t.Fatalf("a fresh lattice: %v", err)
 		}
-		for _, it := range t.Items {
-			sb.WriteString(it.ID.Key())
-			sb.WriteByte(0xFE)
+		m := mv.Lattice.mats[0b11]
+		blk := m.Block()
+		if blk.Len() != 3 {
+			t.Fatalf("the {a, b} snowcap holds %d tuples, want 3", blk.Len())
 		}
-		return sb.String()
-	}
-	if len(a.Tuples) != len(b.Tuples) {
-		return false
-	}
-	counts := map[string]int{}
-	for _, t := range a.Tuples {
-		counts[key(a, t)] += t.Count
-	}
-	for _, t := range b.Tuples {
-		counts[key(b, t)] -= t.Count
-	}
-	for _, v := range counts {
-		if v != 0 {
-			return false
+		var ab [3][]dewey.ID
+		for i := range ab {
+			ab[i] = slices.Clone(blk.Tuple(i))
+		}
+		c.corrupt(m, ab)
+		if err := mv.Lattice.Check(e.Store.Inputs(mv.Pattern)); err == nil {
+			t.Errorf("%s: the oracle passed the lattice", c.what)
+		} else {
+			t.Logf("%s: %v", c.what, err)
 		}
 	}
-	return true
 }
 
 // TestIVMAEquivalence: the node-at-a-time competitor produces the same view

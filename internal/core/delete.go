@@ -147,8 +147,7 @@ func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applie
 // the full-recomputation baseline of Section 6.5.
 func (e *Engine) RecomputeView(mv *ManagedView) []algebra.Row {
 	in := e.Store.Inputs(mv.Pattern)
-	tuples := algebra.EvalPattern(mv.Pattern, in, e.Join())
-	return algebra.ProjectStored(mv.Pattern, tuples, e.Doc)
+	return algebra.ProjectStored(mv.Pattern, algebra.EvalPattern(mv.Pattern, in, e.Join()), e.Doc)
 }
 
 // CheckView reports whether the maintained view matches a from-scratch

@@ -163,8 +163,7 @@ func (iv *IVMA) singleNodeRows(mv *ManagedView, n *xmltree.Node, deleting bool, 
 				in[j] = withItems(in[j], iv.pinItems(p, j, n))
 			}
 		}
-		tuples := algebra.EvalPattern(p, in, e.Join())
-		for _, row := range algebra.ProjectStored(p, tuples, e.Doc) {
+		for _, row := range algebra.ProjectStored(p, algebra.EvalPattern(p, in, e.Join()), e.Doc) {
 			merged.Upsert(row)
 		}
 	}

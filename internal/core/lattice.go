@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 
 	"xivm/internal/algebra"
@@ -104,14 +105,28 @@ func (l *Lattice) BlockFrom(mask uint64, r *Relations) algebra.Block {
 	return algebra.EvalSubPattern(l.Pattern, mask, r.Mask(mask), l.join)
 }
 
+// Check holds every materialized snowcap to a fresh evaluation of its mask
+// over in (algebra.SameRelation): the lattice's oracle. The error names the
+// first snowcap that differs.
+func (l *Lattice) Check(in algebra.Inputs) error {
+	for _, mask := range l.chain {
+		got, want := l.mats[mask].Block(), algebra.EvalSubPattern(l.Pattern, mask, in, nil)
+		if !algebra.SameRelation(got, want) {
+			return fmt.Errorf("snowcap %b holds %d tuples, a fresh evaluation %d, or not the same ones", mask, got.Len(), want.Len())
+		}
+	}
+	return nil
+}
+
 // ApplyInsertFrom maintains the snowcap chain after an insertion with the
 // recurrence of Proposition 3.13: the additions to level k are the
 // additions to level k−1 joined with (R ∪ ∆) of the newly added node, plus
 // the OLD level-k−1 content joined with that node's ∆. All joins are
 // ∆-sized on at least one side, which is what makes snowcap maintenance
-// cheap. Every level is computed against the pre-update state first, then
-// committed, so no join sees partially refreshed data; r must still read
-// the pre-update canonical relations when this runs.
+// cheap. A level's additions are committed once the level after it, the
+// last reader of its old content, is computed, so no join sees partially
+// refreshed data; r must still read the pre-update canonical relations
+// when this runs.
 func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	if len(l.chain) == 0 {
 		return
@@ -121,43 +136,46 @@ func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	if join == nil {
 		join = algebra.StructuralJoin
 	}
-	// Additions per level, possibly several blocks (one per recurrence
-	// branch).
-	additions := make([][]algebra.Block, len(l.chain))
-	add := func(k int, out algebra.Block) {
-		if len(out.Tuples) > 0 {
-			additions[k] = append(additions[k], out)
+	// The additions to level k−1 and to level k, possibly several blocks
+	// each (one per recurrence branch).
+	var prev, cur []algebra.Block
+	add := func(out algebra.Block) {
+		if out.Len() > 0 {
+			cur = append(cur, out)
 		}
 	}
 
 	rootIdx := addedNode(l.chain, 0)
-	add(0, algebra.SingleColumn(rootIdx, deltaIn[rootIdx]))
+	add(algebra.SingleColumn(rootIdx, deltaIn[rootIdx]))
 	for k := 1; k < len(l.chain); k++ {
+		prev, cur = cur, prev[:0]
 		x := addedNode(l.chain, k)
 		pi := p.ParentIndex(x)
 		desc := p.Nodes[x].Desc
 		dx := algebra.SingleColumn(x, deltaIn[x])
 		// Branch 1: ∆(level k−1) ⋈ (R ∪ ∆)_x. Join distributes over union, so
 		// R_x — the only relation this level reads — is joined where it lies.
-		if len(additions[k-1]) > 0 {
+		if len(prev) > 0 {
 			rx := algebra.SingleColumn(x, r.Node(x))
-			for _, db := range additions[k-1] {
+			for _, db := range prev {
 				for _, side := range [2]algebra.Block{rx, dx} {
-					if len(side.Tuples) > 0 {
-						add(k, join(db, pi, side, x, desc))
+					if side.Len() > 0 {
+						add(join(db, pi, side, x, desc))
 					}
 				}
 			}
 		}
 		// Branch 2: old(level k−1) ⋈ ∆_x.
-		if len(dx.Tuples) > 0 {
-			add(k, join(l.mats[l.chain[k-1]].Block(), pi, dx, x, desc))
+		below := l.mats[l.chain[k-1]]
+		if dx.Len() > 0 {
+			add(join(below.Block(), pi, dx, x, desc))
+		}
+		for _, blk := range prev {
+			below.AddBlock(blk)
 		}
 	}
-	for k, mask := range l.chain {
-		for _, blk := range additions[k] {
-			l.mats[mask].AddBlock(blk)
-		}
+	for _, blk := range cur {
+		l.mats[l.chain[len(l.chain)-1]].AddBlock(blk)
 	}
 }
 

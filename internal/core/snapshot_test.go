@@ -333,11 +333,13 @@ func TestBenchmarkUpdatesReadNoRelation(t *testing.T) {
 // first-child chain of nodes holds its keys in one such string, a node names
 // its label by the same code and holds its key, value and child slice as
 // pointers and lengths (a 32-byte node), the tree is its own ID index, an
-// epoch is that same tree, and the canonical relations are read from the
-// label index, which comes to ~92 B a node here (~94 under -race), as much
-// as a tenant restored from a checkpoint
-// (wal.TestRestoredHeapPerNodeBudget); an index of every label, asked for or
-// not, adds ~8 B. The source text is held across both readings: freed
+// epoch is that same tree, the canonical relations are read from the
+// label index, and a snowcap tuple is a stripe of IDs and a count in its
+// mat's two arrays, which comes to ~86 B a node here (~89 under -race), as
+// much as a tenant restored from a checkpoint
+// (wal.TestRestoredHeapPerNodeBudget); a snowcap tuple with a header and a
+// slice of items of its own adds ~5 B, an index of every label, asked for
+// or not, ~8 B. The source text is held across both readings: freed
 // between them, it would hide ~19 B a node. A key string of every node's own
 // adds ~15 B; a second per-label array beside the index — the store's own
 // item arrays, as it kept them before — ~28 B; one more field on the node, a
@@ -364,8 +366,8 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	nodes := e.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 97 {
-		t.Errorf("engine + one epoch hold %d B per document node, budget 97", perNode)
+	if perNode > 92 {
+		t.Errorf("engine + one epoch hold %d B per document node, budget 92", perNode)
 	}
 	runtime.KeepAlive(snap)
 	runtime.KeepAlive(e)

@@ -328,20 +328,30 @@ func applyChunk(e, twin *core.Engine, chunk []*update.Statement) (bool, error) {
 }
 
 // check is the oracle: every maintained view must equal a fresh evaluation
-// over the (already mutated) document — algebra.Materialize walks the
-// document directly, independent of the possibly-corrupt store — and every
-// canonical relation, of each label the document holds and of "*", must be
+// over the (already mutated) document — its inputs are collected by a walk
+// of the document (algebra.DocInputs), independent of the possibly-corrupt
+// store — every materialized snowcap a fresh evaluation of its mask over
+// those same inputs, as a multiset of ID tuples aligned by pattern node
+// with their counts (core.Lattice.Check; not with IVMA, which maintains no
+// snowcap), and every canonical relation, of each label the document holds and of "*", must be
 // what a walk of the document collects: the same IDs in the same order, and
 // each item the document's own node, not one a mutation of a published
 // document has since replaced by a copy.
 func check(e *core.Engine, views []*core.ManagedView, cfg Config, i int, src string) *Divergence {
 	for _, mv := range views {
-		want := algebra.Materialize(e.Doc, mv.Pattern)
+		in := algebra.DocInputs(e.Doc, mv.Pattern)
+		want := algebra.ProjectStored(mv.Pattern, algebra.EvalPattern(mv.Pattern, in, nil), e.Doc)
 		if !mv.View.EqualRows(want) {
 			return &Divergence{
 				Config: cfg.Name, Index: i, Statement: src, View: mv.Name,
 				Detail: fmt.Sprintf("maintained %d rows, recompute %d rows", mv.View.Len(), len(want)),
 			}
+		}
+		if cfg.IVMA {
+			continue // the competitor maintains rows, not snowcaps
+		}
+		if err := mv.Lattice.Check(in); err != nil {
+			return &Divergence{Config: cfg.Name, Index: i, Statement: src, View: mv.Name, Detail: err.Error()}
 		}
 	}
 	if cfg.LabelsFrom > 0 && i <= cfg.LabelsFrom {

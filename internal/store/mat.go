@@ -2,6 +2,7 @@ package store
 
 import (
 	"slices"
+	"sort"
 
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
@@ -9,16 +10,19 @@ import (
 )
 
 // Mat is a materialized lattice node: the stored tuples of one snowcap
-// sub-pattern, maintained incrementally alongside the view. Tuples are
-// stored standalone (IDs only) so the structure could live on disk; live
-// node pointers are re-resolved through the document when needed. They are
-// kept dense and sorted by their bindings' IDs, column by column: a tuple is
-// found by binary search, a removed one leaves no slot behind, and Block
-// lends the array itself.
+// sub-pattern, maintained incrementally alongside the view. It is an
+// algebra.Block without live nodes — IDs only, so the structure could live
+// on disk; live nodes are re-resolved through the document when needed —
+// whose tuples are stripes of len(Cols) IDs in one array, with one count
+// each in another: 16 B a binding and 8 B a tuple, no header or pointer of
+// a tuple's own. The tuples are kept dense and sorted by their bindings'
+// IDs, column by column: a tuple is found by binary search, a removed one
+// leaves no slot behind, and Block lends the arrays themselves.
 type Mat struct {
-	Mask uint64
-	Cols []int // pattern node indexes bound by each tuple column
-	tups []algebra.Tuple
+	Mask   uint64
+	Cols   []int      // pattern node indexes bound by each tuple column
+	ids    []dewey.ID // tuple t's bindings are ids[t·w:(t+1)·w], w = len(Cols)
+	counts []int
 }
 
 // NewMat creates an empty materialization for the snowcap mask of p.
@@ -29,8 +33,8 @@ func NewMat(p *pattern.Pattern, mask uint64) *Mat {
 // FillFromBlock resets the materialization to the tuples of b, which must
 // bind exactly the mat's columns (any order).
 func (m *Mat) FillFromBlock(b algebra.Block) {
-	clear(m.tups)
-	m.tups = m.tups[:0]
+	clear(m.ids)
+	m.ids, m.counts = m.ids[:0], m.counts[:0]
 	m.AddBlock(b)
 }
 
@@ -51,43 +55,58 @@ func (m *Mat) permFrom(cols []int) []int {
 	return perm
 }
 
-func permuteTuple(t algebra.Tuple, perm []int) algebra.Tuple {
-	items := make([]algebra.Item, len(perm))
-	for i, j := range perm {
-		items[i] = algebra.Item{ID: t.Items[j].ID} // strip live pointers
-	}
-	return algebra.Tuple{Items: items, Count: t.Count}
+func (m *Mat) tuple(t int) []dewey.ID {
+	w := len(m.Cols)
+	return m.ids[t*w : (t+1)*w]
+}
+
+// find returns where the stripe ids is stored or would go, and whether it
+// is stored.
+func (m *Mat) find(ids []dewey.ID) (int, bool) {
+	i := sort.Search(m.Len(), func(i int) bool { return algebra.CompareTuples(m.tuple(i), ids) >= 0 })
+	return i, i < m.Len() && slices.Equal(m.tuple(i), ids)
 }
 
 // AddBlock adds all tuples of b (after column permutation), accumulating
-// the counts of those already stored, and returns how many were new. The
-// block is sorted and the new tuples merged in from the back, one pass over
-// the array however many there are.
+// the counts of those already stored, and returns how many were new. A
+// permutation of b's stripes is sorted and the new tuples merged in from
+// the back, one pass over the arrays however many there are, moving w IDs
+// and a count per tuple.
 func (m *Mat) AddBlock(b algebra.Block) int {
-	perm := m.permFrom(b.Cols)
-	batch := make([]algebra.Tuple, len(b.Tuples))
-	for i, t := range b.Tuples {
-		batch[i] = permuteTuple(t, perm)
-	}
-	slices.SortFunc(batch, algebra.CompareTuples)
-	fresh := batch[:0]
-	for _, t := range batch {
-		if n := len(fresh); n > 0 && algebra.CompareTuples(fresh[n-1], t) == 0 {
-			fresh[n-1].Count += t.Count
-		} else if i, ok := slices.BinarySearchFunc(m.tups, t, algebra.CompareTuples); ok {
-			m.tups[i].Count += t.Count
-		} else {
-			fresh = append(fresh, t)
+	perm, w := m.permFrom(b.Cols), len(m.Cols)
+	ids := make([]dewey.ID, 0, b.Len()*w) // b's stripes in the mat's column order
+	for t := range b.Len() {
+		for _, j := range perm {
+			ids = append(ids, b.Tuple(t)[j])
 		}
 	}
-	rest := len(m.tups) // tups[:rest] are stored tuples not yet in place
-	m.tups = append(m.tups, fresh...)
-	for j, at := len(fresh)-1, len(m.tups)-1; j >= 0; at-- {
-		if rest > 0 && algebra.CompareTuples(m.tups[rest-1], fresh[j]) > 0 {
-			rest--
-			m.tups[at] = m.tups[rest]
+	in := func(t int) []dewey.ID { return ids[t*w : (t+1)*w] }
+	order := make([]int, b.Len())
+	for t := range order {
+		order[t] = t
+	}
+	slices.SortFunc(order, func(s, t int) int { return algebra.CompareTuples(in(s), in(t)) })
+	fresh, sums := order[:0], make([]int, 0, len(order)) // new tuples and their counts
+	for _, t := range order {
+		if n := len(fresh); n > 0 && slices.Equal(in(fresh[n-1]), in(t)) {
+			sums[n-1] += b.Counts[t]
+		} else if i, ok := m.find(in(t)); ok {
+			m.counts[i] += b.Counts[t]
 		} else {
-			m.tups[at] = fresh[j]
+			fresh, sums = append(fresh, t), append(sums, b.Counts[t])
+		}
+	}
+	rest := m.Len() // tuples [0, rest) are stored ones not yet in place
+	m.ids = slices.Grow(m.ids, len(fresh)*w)[:(rest+len(fresh))*w]
+	m.counts = slices.Grow(m.counts, len(fresh))[:rest+len(fresh)]
+	for j, at := len(fresh)-1, m.Len()-1; j >= 0; at-- {
+		if rest > 0 && algebra.CompareTuples(m.tuple(rest-1), in(fresh[j])) > 0 {
+			rest--
+			copy(m.tuple(at), m.tuple(rest))
+			m.counts[at] = m.counts[rest]
+		} else {
+			copy(m.tuple(at), in(fresh[j]))
+			m.counts[at] = sums[j]
 			j--
 		}
 	}
@@ -96,26 +115,32 @@ func (m *Mat) AddBlock(b algebra.Block) int {
 
 // RemoveUnderAny drops, in a single pass, every tuple in which ANY column
 // binds a node inside the cover (a deleted subtree), returning the number
-// of tuples removed.
+// of tuples removed. The survivors' stripes are compacted in place.
 func (m *Mat) RemoveUnderAny(cover *dewey.Cover) int {
 	kept := 0
-	for _, t := range m.tups {
-		if !slices.ContainsFunc(t.Items, func(it algebra.Item) bool { return cover.Contains(it.ID) }) {
-			m.tups[kept] = t
+	for t := range m.Len() {
+		if !slices.ContainsFunc(m.tuple(t), cover.Contains) {
+			copy(m.tuple(kept), m.tuple(t))
+			m.counts[kept] = m.counts[t]
 			kept++
 		}
 	}
-	removed := len(m.tups) - kept
-	clear(m.tups[kept:])
-	m.tups = m.tups[:kept]
+	removed := m.Len() - kept
+	clear(m.ids[kept*len(m.Cols):])
+	m.ids, m.counts = m.ids[:kept*len(m.Cols)], m.counts[:kept]
 	return removed
 }
 
 // Len returns the number of tuples.
-func (m *Mat) Len() int { return len(m.tups) }
+func (m *Mat) Len() int { return len(m.counts) }
 
-// Block returns the tuples as a block binding m.Cols. The block is lent,
-// not copied: it is read-only, and good until the Mat is next edited.
+// Block returns the tuples as a block binding m.Cols, without Nodes. The
+// block is lent, not copied: it is read-only, and good until the Mat is
+// next edited.
 func (m *Mat) Block() algebra.Block {
-	return algebra.Block{Cols: m.Cols[:len(m.Cols):len(m.Cols)], Tuples: m.tups[:len(m.tups):len(m.tups)]}
+	return algebra.Block{
+		Cols:   slices.Clip(m.Cols),
+		IDs:    slices.Clip(m.ids),
+		Counts: slices.Clip(m.counts),
+	}
 }

@@ -26,7 +26,7 @@ func TestChurnLeavesNoTombstones(t *testing.T) {
 	pair := func(i int) (algebra.Row, algebra.Block) {
 		b := a.Child("b", dewey.OrdAt(i))
 		row := algebra.Row{Count: 1, Entries: []algebra.RowEntry{{NodeIdx: 0, ID: a}, {NodeIdx: 1, ID: b}}}
-		blk := algebra.Block{Cols: []int{0, 1}, Tuples: []algebra.Tuple{{Count: 1, Items: []algebra.Item{{ID: a}, {ID: b}}}}}
+		blk := algebra.Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b}, Counts: []int{1}}
 		return row, blk
 	}
 	v, m := NewView(p), NewMat(p, p.FullMask())
@@ -62,8 +62,8 @@ func TestChurnLeavesNoTombstones(t *testing.T) {
 	if held > live+leafRows {
 		t.Errorf("the view holds room for %d rows to store %d", held, live)
 	}
-	if cap(m.tups) > live+leafRows {
-		t.Errorf("the mat holds room for %d tuples to store %d", cap(m.tups), live)
+	if cap(m.counts) > live+leafRows || cap(m.ids) > 2*(live+leafRows) {
+		t.Errorf("the mat holds room for %d tuples (%d IDs) to store %d", cap(m.counts), cap(m.ids), live)
 	}
 }
 

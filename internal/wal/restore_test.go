@@ -119,12 +119,13 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 // TestRestoredHeapPerNodeBudget holds what a tenant restored from a
 // checkpoint keeps per document node — the benchmark's tenant after a
 // restart: its tree with the label index of the labels its views asked for,
-// store and seven views, and one published epoch. That is ~93 B (~95 under
-// -race; ~100 with every label indexed) with 32-byte nodes that name their
-// labels by code, one key string per first-child chain, which ApplyOrds
-// gives out as a parse does, and canonical relations read from the label
-// index (~115 B with a key string per node, ~147 B with 64-byte nodes as
-// well). Keeping the IDs the view snapshots decode to beside the tree's, one
+// store and seven views, and one published epoch. That is ~87 B (~89 under
+// -race; ~92 with a header and a slice of items per snowcap tuple, ~94 with
+// every label indexed as well) with 32-byte nodes that name their labels by
+// code, one key string per first-child chain, which ApplyOrds gives out as
+// a parse does, canonical relations read from the label index and snowcap
+// tuples that are stripes of IDs (~115 B with a key string per node, ~147 B
+// with 64-byte nodes as well). Keeping the IDs the view snapshots decode to beside the tree's, one
 // more key per row entry, adds ~5 B; a second per-label array beside the
 // index, as the store kept before, ~28 B; frames that spell their labels out
 // ~40 B more. The budget sits below each of them.
@@ -154,8 +155,8 @@ func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	nodes := re.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 98 {
-		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 98", perNode)
+	if perNode > 92 {
+		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 92", perNode)
 	}
 	runtime.KeepAlive(img)
 	runtime.KeepAlive(snap)
