@@ -436,7 +436,8 @@ func printRows(e *core.Engine) {
 		fmt.Printf("\nview %s: %d rows\n", mv.Name, mv.View.Len())
 		for _, r := range mv.View.Rows() {
 			fmt.Printf("  count=%d", r.Count)
-			for _, en := range r.Entries {
+			for i := range mv.Shape.Width() {
+				en := mv.Shape.Entry(r, i)
 				fmt.Printf("  %s=%v", mv.Pattern.Nodes[en.NodeIdx].Label, en.ID)
 				if en.Val != "" {
 					fmt.Printf(" val=%q", en.Val)

@@ -69,7 +69,7 @@ func main() {
 	r1, r2 := v1.View.Rows(), v2.View.Rows()
 	same := len(r1) == len(r2)
 	for i := 0; same && i < len(r1); i++ {
-		same = r1[i].Key() == r2[i].Key() && r1[i].Count == r2[i].Count
+		same = v1.Shape.Compare(r1[i], r2[i]) == 0 && r1[i].Count == r2[i].Count
 	}
 	fmt.Printf("views identical under both plans: %v (%d rows)\n", same, len(r1))
 	fmt.Printf("consistent with recomputation: %v\n", e2.CheckView(v2))

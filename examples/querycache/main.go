@@ -28,28 +28,27 @@ import (
 )
 
 // diffRows reports the first content-level difference between a rewritten
-// answer and direct evaluation, or "" when they agree exactly.
-func diffRows(rows, direct []algebra.Row) string {
+// answer and direct evaluation, both rows of shape, or "" when they agree
+// exactly.
+func diffRows(shape *algebra.Shape, rows, direct []algebra.Row) string {
 	if len(rows) != len(direct) {
 		return fmt.Sprintf("row count %d vs %d", len(rows), len(direct))
 	}
 	for i := range rows {
 		a, b := rows[i], direct[i]
-		if a.Key() != b.Key() {
-			return fmt.Sprintf("row %d identity %q vs %q", i, a.Key(), b.Key())
-		}
 		if a.Count != b.Count {
 			return fmt.Sprintf("row %d count %d vs %d", i, a.Count, b.Count)
 		}
-		if len(a.Entries) != len(b.Entries) {
-			return fmt.Sprintf("row %d width %d vs %d", i, len(a.Entries), len(b.Entries))
-		}
-		for j := range a.Entries {
-			if a.Entries[j].Val != b.Entries[j].Val {
-				return fmt.Sprintf("row %d entry %d val %q vs %q", i, j, a.Entries[j].Val, b.Entries[j].Val)
+		for j := range shape.Width() {
+			ea, eb := shape.Entry(a, j), shape.Entry(b, j)
+			if !ea.ID.Equal(eb.ID) {
+				return fmt.Sprintf("row %d entry %d ID %v vs %v", i, j, ea.ID, eb.ID)
 			}
-			if a.Entries[j].Cont != b.Entries[j].Cont {
-				return fmt.Sprintf("row %d entry %d cont %q vs %q", i, j, a.Entries[j].Cont, b.Entries[j].Cont)
+			if ea.Val != eb.Val {
+				return fmt.Sprintf("row %d entry %d val %q vs %q", i, j, ea.Val, eb.Val)
+			}
+			if ea.Cont != eb.Cont {
+				return fmt.Sprintf("row %d entry %d cont %q vs %q", i, j, ea.Cont, eb.Cont)
 			}
 		}
 	}
@@ -100,7 +99,7 @@ func main() {
 		// Cross-check against direct evaluation on the live document.
 		direct := algebra.Materialize(engine.Doc, q)
 		status := "MATCHES direct evaluation (ids, values, counts)"
-		if d := diffRows(rows, direct); d != "" {
+		if d := diffRows(algebra.NewShape(q), rows, direct); d != "" {
 			status = "MISMATCH: " + d
 			failed = true
 		}

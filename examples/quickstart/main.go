@@ -47,7 +47,7 @@ return <r><id>{id($b)}</id><title>{string($t)}</title></r>`)
 	show := func(when string) {
 		fmt.Printf("--- %s: %d rows\n", when, mv.View.Len())
 		for _, r := range mv.View.Rows() {
-			fmt.Printf("  book %v  title=%q\n", r.Entries[0].ID, r.Entries[1].Val)
+			fmt.Printf("  book %v  title=%q\n", r.ID(0), mv.Shape.Entry(r, 1).Val)
 		}
 	}
 	show("initial view")

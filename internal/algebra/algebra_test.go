@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"xivm/internal/dewey"
 	"xivm/internal/pattern"
@@ -40,8 +41,8 @@ func TestEvalPatternFig12(t *testing.T) {
 		if r.Count != 1 {
 			t.Fatalf("unexpected count %d", r.Count)
 		}
-		if len(r.Entries) != 3 {
-			t.Fatalf("entries %d", len(r.Entries))
+		if len(r.cells) != 3 {
+			t.Fatalf("entries %d", len(r.cells))
 		}
 	}
 }
@@ -74,7 +75,7 @@ func TestValContMaterialization(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	e := rows[0].Entries[0]
+	e := NewShape(p).Entry(rows[0], 0)
 	if e.Val != "hithere" {
 		t.Fatalf("val = %q", e.Val)
 	}
@@ -87,7 +88,7 @@ func TestAttributePatternNodes(t *testing.T) {
 	d := mustDoc(t, `<site><person id="p0"><name>A</name></person><person><name>B</name></person></site>`)
 	p := pattern.MustParse(`//person{ID}[/@id]/name{ID,val}`)
 	rows := Materialize(d, p)
-	if len(rows) != 1 || rows[0].Entries[1].Val != "A" {
+	if len(rows) != 1 || NewShape(p).Entry(rows[0], 1).Val != "A" {
 		t.Fatalf("rows = %+v", rows)
 	}
 }
@@ -641,6 +642,62 @@ func TestSameRelation(t *testing.T) {
 		}
 		if got := SameRelation(c.other, ab); got != c.same {
 			t.Errorf("%s, the other way: SameRelation %v, want %v", c.what, got, c.same)
+		}
+	}
+}
+
+// TestRowIs32Bytes: a row is a slice of cells and a count. A view's run
+// copies rows by value on every edit of a leaf, so a second slice in the
+// header (56 bytes) would cost more than it saves.
+func TestRowIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Row{}); n != 32 {
+		t.Fatalf("a Row is %d bytes, want 32", n)
+	}
+}
+
+// TestShapeLaysOutIDsThenImages pins the cell layout: the stored nodes' ID
+// keys first, in pattern-node order, then each node's val before its cont,
+// only for what the pattern stores; Entry reads back what Pack wrote, and
+// Compare orders by every ID and by nothing else.
+func TestShapeLaysOutIDsThenImages(t *testing.T) {
+	p := pattern.MustParse(`/site{ID}/people//person{ID,cont}/name{ID,val,cont}`)
+	s := NewShape(p)
+	root := dewey.NewRoot("site")
+	person := root.Child("people", dewey.OrdAt(0)).Child("person", dewey.OrdAt(1))
+	name := person.Child("name", dewey.OrdAt(0))
+	in := []RowEntry{
+		{NodeIdx: 0, ID: root},
+		{NodeIdx: 2, ID: person, Cont: "<person/>"},
+		{NodeIdx: 3, ID: name, Val: "Ann", Cont: "<name>Ann</name>"},
+	}
+	if !s.Fits(in) || s.Width() != 3 {
+		t.Fatalf("the entries do not fit their own pattern's shape (width %d)", s.Width())
+	}
+	r := s.Pack(in, 2)
+	want := []string{root.Key(), person.Key(), name.Key(), "<person/>", "Ann", "<name>Ann</name>"}
+	if !slices.Equal(r.cells, want) || cap(r.cells) != len(want) {
+		t.Fatalf("cells %q (cap %d), want %q", r.cells, cap(r.cells), want)
+	}
+	for i, e := range in {
+		if got := s.Entry(r, i); got != e {
+			t.Errorf("entry %d reads back as %+v, want %+v", i, got, e)
+		}
+	}
+	for i := range in {
+		moved := slices.Clone(in)
+		moved[i].ID = moved[i].ID.Child("x", dewey.OrdAt(0))
+		if s.Compare(r, s.Pack(moved, 2)) >= 0 {
+			t.Errorf("a row whose entry %d binds a later node does not sort after it", i)
+		}
+	}
+	images := slices.Clone(in)
+	images[2].Val = "Bob"
+	if s.Compare(r, s.Pack(images, 1)) != 0 {
+		t.Error("rows binding the same nodes compare unequal on their images")
+	}
+	for _, bad := range [][]RowEntry{in[:2], {in[1], in[0], in[2]}, {{NodeIdx: 0, ID: root, Val: "x"}, in[1], in[2]}} {
+		if s.Fits(bad) {
+			t.Errorf("%+v fits a shape it is not", bad)
 		}
 	}
 }

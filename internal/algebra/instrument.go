@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"xivm/internal/obs"
-	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 )
 
@@ -56,9 +55,10 @@ func NewProjectCounters(m *obs.Metrics) ProjectCounters {
 	}
 }
 
-// ProjectBlockCounted is ProjectBlock with dup-elim accounting: c.Merged
-// counts input tuples that collapsed into an already-emitted row, c.Rows
-// the distinct rows returned.
-func ProjectBlockCounted(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Document, c ProjectCounters) []Row {
-	return projectBlock(p, b, indexes, doc, c)
+// ProjectCounted projects b onto the stored nodes of s's pattern, as
+// ProjectStored does, with dup-elim accounting: c.Merged counts input
+// tuples that collapsed into an already-emitted row, c.Rows the distinct
+// rows returned.
+func ProjectCounted(s *Shape, b Block, doc *xmltree.Document, c ProjectCounters) []Row {
+	return projectBlock(s, b, doc, c)
 }

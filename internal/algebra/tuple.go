@@ -5,12 +5,13 @@
 // a Block, kept in columns: its columns are identified by pattern-node
 // indexes, which is what lets snowcap materializations be reused as
 // pre-joined inputs, and a tuple is a stripe of IDs and a count, not an
-// object of its own.
+// object of its own. A view's projected tuple, a Row, is packed the same
+// way: one array of cells holding its stored nodes' ID keys and images,
+// which the pattern's Shape tells apart.
 package algebra
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"xivm/internal/dewey"
@@ -137,14 +138,37 @@ func Filter(items []Item, pn *pattern.Node, doc *xmltree.Document) []Item {
 	return out
 }
 
-// Row is a materialized view tuple: one entry per stored pattern node, in
-// ascending pattern-node-index order, standalone (no live node pointers).
+// Row is a materialized view tuple, standalone (no live node pointers):
+// one exact-size array of cells laid out by its view's Shape, and a
+// derivation count. Its first w cells are the ID keys of the view's w
+// stored nodes, in ascending pattern-node order; then come the images those
+// nodes store, for each node in the same order its val before its cont,
+// and only for the annotations the pattern has. A row is 32 bytes, what a
+// dewey.Run leaf holds and copies per element. Cells are never written once
+// a view holds the row: Set writes only a row of its caller's own (Pack's,
+// or Clone's).
 type Row struct {
-	Entries []RowEntry
-	Count   int
+	cells []string
+	Count int
 }
 
-// RowEntry is the stored image of one pattern node binding.
+// ID returns the ID bound by the row's i-th stored node, i below its
+// shape's Width: the first cells are keys, so reading an ID needs no shape.
+func (r Row) ID(i int) dewey.ID { return dewey.FromKey(r.cells[i]) }
+
+// Clone returns the row with cells of its own.
+func (r Row) Clone() Row {
+	r.cells = slices.Clone(r.cells)
+	return r
+}
+
+// Equal reports whether two rows of one shape bind the same nodes, store the
+// same images and have the same derivation count.
+func (r Row) Equal(o Row) bool { return r.Count == o.Count && slices.Equal(r.cells, o.cells) }
+
+// RowEntry is one stored node's binding unpacked from a row (Shape.Entry),
+// or to be packed into one (Shape.Pack): the value readers, encoders and
+// projections handle, never what a view holds.
 type RowEntry struct {
 	NodeIdx int // pattern node index
 	ID      dewey.ID
@@ -152,31 +176,121 @@ type RowEntry struct {
 	Cont    string // filled iff the node stores cont
 }
 
-// Key returns the row's identity: the concatenated ID keys of its entries.
-// Two embeddings that agree on all stored nodes produce the same key and
-// their derivation counts accumulate. The IDs' cached keys make this a
-// single exact-size allocation; dedup loops that only probe should use
-// AppendKey with a reused buffer instead.
-func (r Row) Key() string {
-	n := len(r.Entries)
-	for _, e := range r.Entries {
-		n += len(e.ID.Key())
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, e := range r.Entries {
-		b.WriteString(e.ID.Key())
-		b.WriteByte(0xFF)
-	}
-	return b.String()
+// Shape is the layout of a pattern's rows: which pattern node each ID cell
+// binds, and which cells hold the images it stores. It is built once per
+// view, which every holder of the view's rows (its store.View, its epochs,
+// a rewrite plan over it) points at, and only read after.
+type Shape struct {
+	nodes []shapeNode
+	cells int // cells in a row: len(nodes) keys, then the images
 }
 
-// AppendKey appends the row's identity key to buf and returns the extended
-// slice, letting hot dedup paths build map-probe keys without allocating.
-func (r Row) AppendKey(buf []byte) []byte {
-	for _, e := range r.Entries {
-		buf = append(buf, e.ID.Key()...)
-		buf = append(buf, 0xFF)
+// shapeNode is one stored pattern node: its index, and the cells of its val
+// and cont, or 0 for an image the node does not store (cell 0 is a key).
+type shapeNode struct{ idx, val, cont int }
+
+// NewShape returns the layout of p's rows: its stored nodes, with the
+// images their store annotations name. Its holders share it by pointer.
+func NewShape(p *pattern.Pattern) *Shape {
+	var buf [64]int // a pattern has at most 64 nodes
+	stored := buf[:0]
+	for i, n := range p.Nodes {
+		if n.Store != 0 {
+			stored = append(stored, i)
+		}
+	}
+	return shapeOf(p, stored)
+}
+
+// shapeOf lays out rows projected onto the given pattern nodes, ascending.
+func shapeOf(p *pattern.Pattern, indexes []int) *Shape {
+	s := &Shape{nodes: make([]shapeNode, len(indexes)), cells: len(indexes)}
+	for i, idx := range indexes {
+		n, st := shapeNode{idx: idx}, p.Nodes[idx].Store
+		if st.Has(pattern.StoreVal) {
+			n.val, s.cells = s.cells, s.cells+1
+		}
+		if st.Has(pattern.StoreCont) {
+			n.cont, s.cells = s.cells, s.cells+1
+		}
+		s.nodes[i] = n
+	}
+	return s
+}
+
+// Width returns w, the number of stored nodes a row binds.
+func (s *Shape) Width() int { return len(s.nodes) }
+
+// Fits reports whether entries are a row of this shape: one per stored
+// node, in order, each with no image its node does not store.
+func (s *Shape) Fits(entries []RowEntry) bool {
+	if len(entries) != len(s.nodes) {
+		return false
+	}
+	for i, n := range s.nodes {
+		e := &entries[i]
+		if e.NodeIdx != n.idx || n.val == 0 && e.Val != "" || n.cont == 0 && e.Cont != "" {
+			return false
+		}
+	}
+	return true
+}
+
+// Pack returns the row of entries, one per stored node in order, with the
+// given derivation count: one allocation, the row's cells.
+func (s *Shape) Pack(entries []RowEntry, count int) Row {
+	r := Row{cells: make([]string, s.cells), Count: count}
+	for i := range s.nodes {
+		s.Set(r, i, entries[i])
+	}
+	return r
+}
+
+// Set writes entry i of r, its ID and the images its node stores; r's
+// cells must be the caller's own.
+func (s *Shape) Set(r Row, i int, e RowEntry) {
+	n := s.nodes[i]
+	r.cells[i] = e.ID.Key()
+	if n.val > 0 {
+		r.cells[n.val] = e.Val
+	}
+	if n.cont > 0 {
+		r.cells[n.cont] = e.Cont
+	}
+}
+
+// Entry unpacks entry i of r: by value, so a reader's loop allocates
+// nothing.
+func (s *Shape) Entry(r Row, i int) RowEntry {
+	n := s.nodes[i]
+	e := RowEntry{NodeIdx: n.idx, ID: r.ID(i)}
+	if n.val > 0 {
+		e.Val = r.cells[n.val]
+	}
+	if n.cont > 0 {
+		e.Cont = r.cells[n.cont]
+	}
+	return e
+}
+
+// Compare orders rows by the document order of their bindings, node by
+// node: the paper's s operator. Images do not take part.
+func (s *Shape) Compare(a, b Row) int {
+	for i := range s.nodes {
+		if c := strings.Compare(a.cells[i], b.cells[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// AppendKey appends the row's identity to buf, the key duplicate
+// elimination merges on: its ID keys, each ended by 0xFF (a byte no key
+// frame starts with). Two embeddings that agree on all stored nodes have
+// the same key, and their derivation counts accumulate.
+func (s *Shape) AppendKey(buf []byte, r Row) []byte {
+	for _, k := range r.cells[:len(s.nodes)] {
+		buf = append(append(buf, k...), 0xFF)
 	}
 	return buf
 }
@@ -187,19 +301,23 @@ func (r Row) AppendKey(buf []byte) []byte {
 // algebraic semantics). The result is sorted in the order dictated by the
 // IDs of all stored bindings (the paper's final s operator).
 func ProjectStored(p *pattern.Pattern, b Block, doc *xmltree.Document) []Row {
-	return projectBlock(p, b, p.StoredIndexes(), doc, ProjectCounters{})
+	return projectBlock(NewShape(p), b, doc, ProjectCounters{})
 }
 
 // ProjectBlock projects a block onto the given pattern node indexes,
-// deduplicating and count-summing.
+// ascending, deduplicating and count-summing.
 func ProjectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Document) []Row {
-	return projectBlock(p, b, indexes, doc, ProjectCounters{})
+	return projectBlock(shapeOf(p, indexes), b, doc, ProjectCounters{})
 }
 
-func projectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Document, pc ProjectCounters) []Row {
-	cols := make([]int, len(indexes))
-	for i, idx := range indexes {
-		c := b.ColOf(idx)
+// projectBlock projects b onto s's nodes. A tuple's identity is taken from
+// its IDs alone, in a reused row, so a tuple that merges into an earlier
+// row allocates nothing; a new row copies that row's cells once, to size,
+// after filling in its images.
+func projectBlock(s *Shape, b Block, doc *xmltree.Document, pc ProjectCounters) []Row {
+	cols := make([]int, len(s.nodes))
+	for i, n := range s.nodes {
+		c := b.ColOf(n.idx)
 		if c < 0 {
 			panic("algebra: projection onto unbound pattern node")
 		}
@@ -208,60 +326,39 @@ func projectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Docum
 	byKey := make(map[string]int, b.Len())
 	var rows []Row
 	var keyBuf []byte
+	scratch := Row{cells: make([]string, s.cells)}
 	for t := range b.Len() {
-		row := Row{Entries: make([]RowEntry, len(indexes)), Count: b.Counts[t]}
 		ids := b.Tuple(t)
-		for i, idx := range indexes {
-			e := RowEntry{NodeIdx: idx, ID: ids[cols[i]]}
-			pn := p.Nodes[idx]
-			if pn.Store.Has(pattern.StoreVal) || pn.Store.Has(pattern.StoreCont) {
-				n := b.node(t, cols[i])
-				if n == nil && doc != nil {
-					n = doc.NodeByID(e.ID)
-				}
-				if n != nil {
-					if pn.Store.Has(pattern.StoreVal) {
-						e.Val = n.StringValue()
-					}
-					if pn.Store.Has(pattern.StoreCont) {
-						e.Cont = n.Content()
-					}
-				}
-			}
-			row.Entries[i] = e
+		for i, c := range cols {
+			scratch.cells[i] = ids[c].Key()
 		}
-		keyBuf = row.AppendKey(keyBuf[:0])
+		keyBuf = s.AppendKey(keyBuf[:0], scratch)
 		if at, ok := byKey[string(keyBuf)]; ok {
-			rows[at].Count += row.Count
+			rows[at].Count += b.Counts[t]
 			pc.Merged.Inc()
-		} else {
-			byKey[string(keyBuf)] = len(rows)
-			rows = append(rows, row)
+			continue
 		}
+		byKey[string(keyBuf)] = len(rows)
+		for i, sn := range s.nodes {
+			if sn.val == 0 && sn.cont == 0 {
+				continue
+			}
+			n := b.node(t, cols[i])
+			if n == nil && doc != nil {
+				n = doc.NodeByID(ids[cols[i]])
+			}
+			var val, cont string
+			if n != nil && sn.val > 0 {
+				val = n.StringValue()
+			}
+			if n != nil && sn.cont > 0 {
+				cont = n.Content()
+			}
+			s.Set(scratch, i, RowEntry{ID: ids[cols[i]], Val: val, Cont: cont})
+		}
+		rows = append(rows, Row{cells: slices.Clone(scratch.cells), Count: b.Counts[t]})
 	}
 	pc.Rows.Add(int64(len(rows)))
-	SortRows(rows)
+	slices.SortFunc(rows, s.Compare)
 	return rows
-}
-
-// SortRows orders rows by the document order of their bindings, column by
-// column.
-func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		return CompareRows(rows[i], rows[j]) < 0
-	})
-}
-
-// CompareRows orders rows entry-wise by ID document order.
-func CompareRows(a, b Row) int {
-	n := len(a.Entries)
-	if len(b.Entries) < n {
-		n = len(b.Entries)
-	}
-	for i := 0; i < n; i++ {
-		if c := a.Entries[i].ID.Compare(b.Entries[i].ID); c != 0 {
-			return c
-		}
-	}
-	return len(a.Entries) - len(b.Entries)
 }

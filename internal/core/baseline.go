@@ -46,7 +46,7 @@ func (e *Engine) recomputeAll() time.Duration {
 		// lean on: it re-scans the modified document for every view, as the
 		// paper's baseline re-evaluates v over d′.
 		rows := algebra.Materialize(e.Doc, mv.Pattern)
-		mv.View = store.NewMaterializedView(mv.Pattern, rows)
+		mv.View = store.NewViewOf(mv.Shape, rows)
 		mv.Lattice = e.newLattice(mv.Pattern)
 	}
 	return time.Since(start)

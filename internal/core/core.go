@@ -128,10 +128,20 @@ func (e *Engine) bumpVersion() { e.version.Add(1) }
 // call it on an engine that is already serving.
 func (e *Engine) SetVersion(v uint64) { e.version.Store(v) }
 
-// ManagedView is one materialized view under maintenance.
-type ManagedView struct {
+// ViewDef is what a view is in every epoch: its name, its pattern and the
+// layout of its rows (Shape.Entry reads one). Made once when the view is
+// installed, so an epoch pays a pointer a view for it; the view's
+// store.View is laid out by the same Shape.
+type ViewDef struct {
 	Name    string
 	Pattern *pattern.Pattern
+	Shape   *algebra.Shape
+}
+
+// ManagedView is one materialized view under maintenance. Its ViewDef
+// (name, pattern, row shape) is the one every epoch of the view points at.
+type ManagedView struct {
+	*ViewDef
 	View    *store.View
 	Lattice *Lattice
 	// terms are developed once, when the view is created (first step of
@@ -140,9 +150,8 @@ type ManagedView struct {
 	terms []uint64
 	// Per-pattern constants, prepared at install and only read after, by
 	// every statement: each node's ∆-table slot in Engine.labels, the
-	// stored nodes (as indexes and as a mask) and the cvn set.
+	// stored nodes as a mask and the cvn set.
 	slots      []int
-	stored     []int
 	storedMask uint64
 	cvn        []int
 }
@@ -186,24 +195,27 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 	if len(p.StoredIndexes()) == 0 {
 		return nil, fmt.Errorf("core: view %s stores nothing", name)
 	}
-	in := e.Store.Inputs(p)
-	rows := algebra.ProjectStored(p, algebra.EvalPattern(p, in, e.Join()), e.Doc)
-	return e.installView(name, p, rows)
+	def := &ViewDef{Name: name, Pattern: p, Shape: algebra.NewShape(p)}
+	block := algebra.EvalPattern(p, e.Store.Inputs(p), e.Join())
+	return e.installView(def, algebra.ProjectCounted(def.Shape, block, e.Doc, algebra.ProjectCounters{}))
 }
 
 // AddViewRows installs a view from previously materialized rows (e.g. a
-// snapshot decoded with store.DecodeSnapshot) without re-evaluating the
-// pattern. The caller asserts the rows reflect the engine's current
-// document; the auxiliary lattice is rebuilt from the store. Every non-null
-// entry ID must name a node of the document, and is replaced, in rows, by
-// that node's own ID — the same bytes, so the view holds no second copy of
-// the keys the tree holds.
+// snapshot decoded with store.DecodeSnapshot), laid out by p's shape and
+// the caller's to write, without re-evaluating the pattern. The caller
+// asserts the rows reflect the engine's current document; the auxiliary
+// lattice is rebuilt from the store. Every non-null entry ID must name a
+// node of the document, and is replaced, in rows, by that node's own ID —
+// the same bytes, so the view holds no second copy of the keys the tree
+// holds.
 func (e *Engine) AddViewRows(name string, p *pattern.Pattern, rows []algebra.Row) (*ManagedView, error) {
 	if len(p.StoredIndexes()) == 0 {
 		return nil, fmt.Errorf("core: view %s stores nothing", name)
 	}
+	def := &ViewDef{Name: name, Pattern: p, Shape: algebra.NewShape(p)}
 	for _, r := range rows {
-		for j, entry := range r.Entries {
+		for j := range def.Shape.Width() {
+			entry := def.Shape.Entry(r, j)
 			if entry.ID.IsNull() {
 				continue
 			}
@@ -211,23 +223,23 @@ func (e *Engine) AddViewRows(name string, p *pattern.Pattern, rows []algebra.Row
 			if n == nil {
 				return nil, fmt.Errorf("core: view %s: the document has no node %v", name, entry.ID)
 			}
-			r.Entries[j].ID = n.ID()
+			entry.ID = n.ID()
+			def.Shape.Set(r, j, entry)
 		}
 	}
-	return e.installView(name, p, rows)
+	return e.installView(def, rows)
 }
 
-func (e *Engine) installView(name string, p *pattern.Pattern, rows []algebra.Row) (*ManagedView, error) {
+func (e *Engine) installView(def *ViewDef, rows []algebra.Row) (*ManagedView, error) {
+	p := def.Pattern
 	mv := &ManagedView{
-		Name:    name,
-		Pattern: p,
-		View:    store.NewMaterializedView(p, rows),
+		ViewDef: def,
+		View:    store.NewViewOf(def.Shape, rows),
 		terms:   InsertTerms(p),
 		slots:   labelSlots(&e.labels, p),
-		stored:  p.StoredIndexes(),
 		cvn:     p.ContValIndexes(),
 	}
-	for _, i := range mv.stored {
+	for _, i := range p.StoredIndexes() {
 		mv.storedMask |= 1 << uint(i)
 	}
 	// Development-time pruning accounting: of the 2^k−1 candidate union
@@ -589,5 +601,5 @@ func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn algebra.Inp
 		forest, roots := algebra.EvalForest(p, dmask, deltaIn, e.Join())
 		block = algebra.AttachForest(p, block, forest, roots, e.Join())
 	}
-	return algebra.ProjectBlockCounted(p, block, mv.stored, e.Doc, e.proj)
+	return algebra.ProjectCounted(mv.Shape, block, e.Doc, e.proj)
 }

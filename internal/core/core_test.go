@@ -145,7 +145,7 @@ func TestInsertEndToEndExample31(t *testing.T) {
 	// the new c? It is: new subtree sits under r, old a is a sibling — no.
 	if mv.View.Len() != 2 {
 		for _, r := range mv.View.Rows() {
-			t.Logf("row %v", r.Entries[0].ID)
+			t.Logf("row %v", r.ID(0))
 		}
 		t.Fatalf("len %d", mv.View.Len())
 	}
@@ -227,7 +227,7 @@ func TestPIMTContentRefresh(t *testing.T) {
 	e := NewEngine(d, Options{})
 	mv := addView(t, e, `//a{ID}/b{ID}//c{ID,cont}`)
 	before := mv.View.Rows()
-	if len(before) != 1 || !strings.Contains(before[0].Entries[2].Cont, "old") {
+	if len(before) != 1 || !strings.Contains(mv.Shape.Entry(before[0], 2).Cont, "old") {
 		t.Fatalf("before %+v", before)
 	}
 	rep := apply(t, e, `insert <extra>some value</extra> into //d//c`)
@@ -238,8 +238,8 @@ func TestPIMTContentRefresh(t *testing.T) {
 		t.Fatalf("modified %d", rep.Views[0].RowsModified)
 	}
 	after := mv.View.Rows()
-	if !strings.Contains(after[0].Entries[2].Cont, "<extra>some value</extra>") {
-		t.Fatalf("cont not refreshed: %q", after[0].Entries[2].Cont)
+	if cont := mv.Shape.Entry(after[0], 2).Cont; !strings.Contains(cont, "<extra>some value</extra>") {
+		t.Fatalf("cont not refreshed: %q", cont)
 	}
 	if !e.CheckView(mv) {
 		t.Fatal("mismatch vs recomputation")
@@ -257,7 +257,7 @@ func TestPDMTContentRefresh(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows %d", len(rows))
 	}
-	en := rows[0].Entries[1]
+	en := mv.Shape.Entry(rows[0], 1)
 	if en.Val != "keep" || strings.Contains(en.Cont, "drop") {
 		t.Fatalf("entry not refreshed: %+v", en)
 	}
@@ -289,8 +289,8 @@ func TestLabelGatesKeepWhatTheyMust(t *testing.T) {
 		if rep.Views[0].RowsModified != 1 {
 			t.Fatalf("modified %d rows, want 1", rep.Views[0].RowsModified)
 		}
-		if rows := mv.View.Rows(); rows[0].Entries[1].Val != "Annie" {
-			t.Fatalf("val = %q, want %q", rows[0].Entries[1].Val, "Annie")
+		if val := mv.Shape.Entry(mv.View.Rows()[0], 1).Val; val != "Annie" {
+			t.Fatalf("val = %q, want %q", val, "Annie")
 		}
 		if !e.CheckView(mv) {
 			t.Fatal("mismatch vs recomputation")
@@ -335,7 +335,7 @@ func TestLabelGatesKeepWhatTheyMust(t *testing.T) {
 		checkLattice(t, e, mv, "after the delete")
 		apply(t, e, `insert <c/> into /r/a`)
 		if !e.CheckView(mv) {
-			t.Fatalf("mismatch vs recomputation after the insert: %s", dumpRows(mv.View.Rows()))
+			t.Fatalf("mismatch vs recomputation after the insert: %s", dumpRows(mv.Shape, mv.View.Rows()))
 		}
 		checkLattice(t, e, mv, "after the insert")
 	})
@@ -428,7 +428,7 @@ func TestMaintenanceEqualsRecomputation(t *testing.T) {
 					if !e.CheckView(mv) {
 						t.Fatalf("%s policy trial %d step %d view %s diverged after %q\n got: %s\nwant: %s",
 							policy, trial, step, views[vi], stmt,
-							dumpRows(mv.View.Rows()), dumpRows(e.RecomputeView(mv)))
+							dumpRows(mv.Shape, mv.View.Rows()), dumpRows(mv.Shape, e.RecomputeView(mv)))
 					}
 				}
 			}
@@ -436,12 +436,12 @@ func TestMaintenanceEqualsRecomputation(t *testing.T) {
 	}
 }
 
-func dumpRows(rows []algebra.Row) string {
+func dumpRows(shape *algebra.Shape, rows []algebra.Row) string {
 	var sb strings.Builder
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "[c=%d", r.Count)
-		for _, e := range r.Entries {
-			fmt.Fprintf(&sb, " %v", e.ID)
+		for i := range shape.Width() {
+			fmt.Fprintf(&sb, " %v", r.ID(i))
 		}
 		sb.WriteString("] ")
 	}
@@ -552,7 +552,7 @@ func TestIVMAEquivalence(t *testing.T) {
 				t.Fatalf("trial %d step %d (%s): bulk %d vs ivma %d rows", trial, step, stmt, len(r1), len(r2))
 			}
 			for i := range r1 {
-				if r1[i].Key() != r2[i].Key() || r1[i].Count != r2[i].Count {
+				if mv1.Shape.Compare(r1[i], r2[i]) != 0 || r1[i].Count != r2[i].Count {
 					t.Fatalf("trial %d step %d row %d differs", trial, step, i)
 				}
 			}
@@ -629,7 +629,7 @@ func runStream(t *testing.T, src string, stmts []string, opts Options) string {
 			t.Fatalf("diverged after %q", s)
 		}
 	}
-	return dumpRows(mv.View.Rows())
+	return dumpRows(mv.Shape, mv.View.Rows())
 }
 
 // TestReportMetadata sanity-checks term accounting in reports.

@@ -113,9 +113,10 @@ func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
 	}
 	cover := dewey.NewCover(ids)
 	var doomed []algebra.Row
+	width := mv.Shape.Width()
 	mv.View.Each(func(r algebra.Row) bool {
-		for _, e := range r.Entries {
-			if cover.Contains(e.ID) {
+		for i := range width {
+			if cover.Contains(r.ID(i)) {
 				doomed = append(doomed, r)
 				break
 			}

@@ -139,9 +139,10 @@ func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 		return 0
 	}
 	var dirty []algebra.Row
+	shape := mv.Shape
 	mv.View.Each(func(r algebra.Row) bool {
-		for _, entry := range r.Entries {
-			if storesImage(p.Nodes[entry.NodeIdx]) && affected[entry.ID.Key()] {
+		for i := range shape.Width() {
+			if entry := shape.Entry(r, i); storesImage(p.Nodes[entry.NodeIdx]) && affected[entry.ID.Key()] {
 				dirty = append(dirty, r)
 				break
 			}
@@ -157,9 +158,10 @@ func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 // refreshRow re-extracts val/cont for the cvn entries of one stored row
 // from the live document.
 func (e *Engine) refreshRow(mv *ManagedView, row algebra.Row) {
-	mv.View.Replace(row, func(r *algebra.Row) {
-		for i := range r.Entries {
-			en := &r.Entries[i]
+	shape := mv.Shape
+	mv.View.Replace(row, func(r algebra.Row) {
+		for i := range shape.Width() {
+			en := shape.Entry(r, i)
 			pn := mv.Pattern.Nodes[en.NodeIdx]
 			if !storesImage(pn) {
 				continue
@@ -174,6 +176,7 @@ func (e *Engine) refreshRow(mv *ManagedView, row algebra.Row) {
 			if pn.Store.Has(pattern.StoreCont) {
 				en.Cont = n.Content()
 			}
+			shape.Set(r, i, en)
 		}
 	})
 }

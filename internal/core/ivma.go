@@ -139,7 +139,7 @@ func (iv *IVMA) admitted(p *pattern.Pattern, nodes []*xmltree.Node) algebra.Inpu
 func (iv *IVMA) singleNodeRows(mv *ManagedView, n *xmltree.Node, deleting bool, base algebra.Inputs) []algebra.Row {
 	e := iv.Engine
 	p := mv.Pattern
-	merged := store.NewView(p)
+	merged := store.NewViewOf(mv.Shape, nil)
 	for i, pn := range p.Nodes {
 		if !labelAdmits(pn.Label, n) {
 			continue

@@ -195,7 +195,7 @@ func TestReplaceStatement(t *testing.T) {
 	}
 	vals := map[string]int{}
 	for _, r := range mv.View.Rows() {
-		vals[r.Entries[1].Val]++
+		vals[mv.Shape.Entry(r, 1).Val]++
 	}
 	if vals["new"] != 2 || vals["old"] != 0 || vals["keep"] != 0 {
 		t.Fatalf("vals %v", vals)

@@ -84,6 +84,6 @@ func (e *Engine) flippedViews(probes []predProbe) map[*ManagedView]bool {
 // document state.
 func (e *Engine) recomputeFallback(mv *ManagedView) {
 	rows := e.RecomputeView(mv)
-	mv.View = store.NewMaterializedView(mv.Pattern, rows)
+	mv.View = store.NewViewOf(mv.Shape, rows)
 	mv.Lattice = e.newLattice(mv.Pattern)
 }

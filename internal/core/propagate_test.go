@@ -205,7 +205,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if vs == nil || vs.Rows.Len() != 1 {
 		t.Fatalf("snapshot view = %+v, want 1 row", vs)
 	}
-	wantID := vs.Rows.AppendTo(nil)[0].Entries[1].ID
+	wantID := vs.Rows.AppendTo(nil)[0].ID(1)
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {
 		t.Fatal("snapshot row does not resolve against the snapshot document")
 	}
@@ -220,7 +220,7 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if vs.Rows.Len() != 1 || vs.Rows.AppendTo(nil)[0].Entries[1].Val != "5" {
+	if vs.Rows.Len() != 1 || vs.Shape.Entry(vs.Rows.AppendTo(nil)[0], 1).Val != "5" {
 		t.Fatal("mutations reached a published snapshot's rows")
 	}
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {

@@ -103,13 +103,13 @@ func TestInsertUnderPublishedSpineRefreshesCont(t *testing.T) {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
-		auction := r.Entries[0]
+		auction := mvs[0].Shape.Entry(r, 0)
 		want := "<increase>7</increase>"
 		if strings.Contains(auction.Cont, `id="o1"`) {
 			want = "<increase>9</increase>"
 		}
 		if !strings.Contains(auction.Cont, want) {
-			t.Errorf("row for bidder %v: stored cont %s lacks the bidder inserted under it", r.Entries[1].ID, auction.Cont)
+			t.Errorf("row for bidder %v: stored cont %s lacks the bidder inserted under it", r.ID(1), auction.Cont)
 		}
 	}
 	for _, l := range []string{"site", "open_auctions", "open_auction"} {

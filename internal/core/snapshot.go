@@ -3,7 +3,7 @@ package core
 import (
 	"sync"
 
-	"xivm/internal/pattern"
+	"xivm/internal/algebra"
 	"xivm/internal/store"
 	"xivm/internal/xmltree"
 )
@@ -47,10 +47,10 @@ type Snapshot struct {
 	xml     string
 }
 
-// ViewSnapshot is one view's immutable image inside a Snapshot.
+// ViewSnapshot is one view's immutable image inside a Snapshot: the view's
+// definition, which every epoch shares, and its rows at capture.
 type ViewSnapshot struct {
-	Name    string
-	Pattern *pattern.Pattern
+	*ViewDef
 	// Rows are the view's rows in canonical (document) order, as the live
 	// view holds them (store.View.Freeze): nothing reachable from here is
 	// written after capture, snapshots of a view that did not change in
@@ -58,6 +58,12 @@ type ViewSnapshot struct {
 	// the changes landed in and the paths above them.
 	Rows store.Rows
 }
+
+// Each, Len and RowShape read the view's epoch as a rewrite.RowSource that
+// knows its rows' layout.
+func (vs *ViewSnapshot) Each(f func(algebra.Row) bool) { vs.Rows.Each(f) }
+func (vs *ViewSnapshot) Len() int                      { return vs.Rows.Len() }
+func (vs *ViewSnapshot) RowShape() *algebra.Shape      { return vs.Shape }
 
 // Snapshot captures the engine's current state. It must be called from the
 // thread that owns the engine (the single writer), between mutations —
@@ -78,7 +84,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		if !moved {
 			s.ViewsReused++
 		}
-		s.Views = append(s.Views, ViewSnapshot{Name: mv.Name, Pattern: mv.Pattern, Rows: rows})
+		s.Views = append(s.Views, ViewSnapshot{ViewDef: mv.ViewDef, Rows: rows})
 	}
 	return s
 }

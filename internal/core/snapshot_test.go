@@ -34,7 +34,7 @@ func TestSnapshotRestoreAndMaintain(t *testing.T) {
 	if _, err := e2.ApplyStatement(update.MustParse(`insert <b><c>5</c></b> into /root//a`)); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := store.DecodeSnapshot(snap)
+	rows, err := store.DecodeSnapshot(snap, mv1.Shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,12 @@ func TestBenchmarkUpdatesReadNoRelation(t *testing.T) {
 // its label by the same code and holds its key, value and child slice as
 // pointers and lengths (a 32-byte node), the tree is its own ID index, an
 // epoch is that same tree, the canonical relations are read from the
-// label index, and a snowcap tuple is a stripe of IDs and a count in its
-// mat's two arrays, which comes to ~86 B a node here (~89 under -race), as
-// much as a tenant restored from a checkpoint
-// (wal.TestRestoredHeapPerNodeBudget); a snowcap tuple with a header and a
-// slice of items of its own adds ~5 B, an index of every label, asked for
+// label index, a snowcap tuple is a stripe of IDs and a count in its mat's
+// two arrays, and a view row is one array of its ID keys and images, which
+// comes to ~79 B a node here (~82 under -race), as much as a tenant restored
+// from a checkpoint (wal.TestRestoredHeapPerNodeBudget); a view row pointing
+// at an array of 56-byte entries adds ~7 B, a snowcap tuple with a header
+// and a slice of items of its own ~5 B, an index of every label, asked for
 // or not, ~8 B. The source text is held across both readings: freed
 // between them, it would hide ~19 B a node. A key string of every node's own
 // adds ~15 B; a second per-label array beside the index — the store's own
@@ -366,8 +367,8 @@ func TestLiveHeapPerNodeBudget(t *testing.T) {
 	nodes := e.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 92 {
-		t.Errorf("engine + one epoch hold %d B per document node, budget 92", perNode)
+	if perNode > 82 {
+		t.Errorf("engine + one epoch hold %d B per document node, budget 82", perNode)
 	}
 	runtime.KeepAlive(snap)
 	runtime.KeepAlive(e)

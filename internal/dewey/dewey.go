@@ -210,7 +210,8 @@ func (id ID) AppendString(dst []byte) []byte {
 // document order. Zero allocation — the key is the ID.
 func (id ID) Key() string { return id.key }
 
-// KeyID returns the ID whose key is key, which must be the Key of an ID:
-// it is not checked. It is how a holder that stores only the key's bytes
-// (xmltree.Node) hands the ID back.
-func KeyID(key string) ID { return ID{key: key} }
+// FromKey is the inverse of Key: it returns the ID whose key is key, which
+// must be a string an ID's Key returned — it is not checked. It is how a
+// holder that stores only the key (xmltree.Node, a view row's cells) hands
+// the ID back.
+func FromKey(key string) ID { return ID{key: key} }

@@ -288,7 +288,7 @@ func TestAppendFrameExtendsAKey(t *testing.T) {
 		for _, label := range []string{"c", "@d", long, ""} {
 			for _, code := range []uint16{Code(label), litCode} {
 				for _, ord := range ords {
-					got := KeyID(string(AppendFrame([]byte(p.Key()), code, label, ord)))
+					got := FromKey(string(AppendFrame([]byte(p.Key()), code, label, ord)))
 					if want := p.ChildCode(code, label, ord); !got.Equal(want) {
 						t.Fatalf("%v + frame(%d, %q, %v) = %v, ChildCode gives %v", p, code, label, ord, got, want)
 					}

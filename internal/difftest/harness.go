@@ -111,10 +111,14 @@ func readEpoch(snap *core.Snapshot, labels bool) ([4]string, error) {
 	}
 	for i := range snap.Views {
 		rows.WriteString(snap.Views[i].Name)
+		shape := snap.Views[i].Shape
 		snap.Views[i].Rows.Each(func(r algebra.Row) bool {
 			fmt.Fprintf(&rows, " %d×", r.Count)
-			for _, e := range r.Entries {
-				fmt.Fprintf(&rows, "(%d %q %q %q)", e.NodeIdx, e.ID.Key(), e.Val, e.Cont)
+			for j := range shape.Width() {
+				e := shape.Entry(r, j)
+				// Length-prefixed, not quoted: quoting a root's cont on
+				// every row costs more than the statement it checks.
+				fmt.Fprintf(&rows, "(%d %d:%s %d:%s %d:%s)", e.NodeIdx, len(e.ID.Key()), e.ID.Key(), len(e.Val), e.Val, len(e.Cont), e.Cont)
 			}
 			return true
 		})
@@ -136,7 +140,11 @@ type namedView struct {
 // the string value of the vocabulary's own inserted bidder, which an
 // increase inserted under it or replaced in it flips: the one view whose
 // predicate the vocabulary can flip, so the repair by recomputation
-// (core's predflip.go) is checked against the oracle too.
+// (core's predflip.go) is checked against the oracle too. Wvc is Fig. 24's
+// "VC All Nodes but Root": every node below the root stores its val and its
+// cont, which no other view does on one node, so the order a row packs its
+// nodes' images in is held to the oracle. (Its root, /site, stores no
+// image: the whole document in every row would make each check quadratic.)
 func maintainedViews() []namedView {
 	var out []namedView
 	for _, name := range xmark.ViewNames() {
@@ -145,7 +153,8 @@ func maintainedViews() []namedView {
 	return append(out,
 		namedView{"Wstar", pattern.MustParse(`//open_auction{ID}/*{ID,val}`)},
 		namedView{"Wword", pattern.MustParse(`//item{ID}//~clock{ID}`)},
-		namedView{"Wpred", pattern.MustParse(`//open_auction{ID}//bidder{ID}[val="01/01/20114.50"]//increase{ID,val}`)})
+		namedView{"Wpred", pattern.MustParse(`//open_auction{ID}//bidder{ID}[val="01/01/20114.50"]//increase{ID,val}`)},
+		namedView{"Wvc", xmark.Q1Variant(xmark.VariantVCAllButRoot)})
 }
 
 // Divergence describes one maintained state that differs from the oracle.

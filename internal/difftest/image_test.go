@@ -303,10 +303,12 @@ func fingerprint(s *core.Snapshot, progs []*qvm.Program) string {
 	b.WriteString(s.Doc().String())
 	for i := range s.Views {
 		fmt.Fprintf(&b, "\n%s:", s.Views[i].Name)
+		shape := s.Views[i].Shape
 		s.Views[i].Rows.Each(func(r algebra.Row) bool {
 			fmt.Fprintf(&b, " %d×", r.Count)
-			for _, en := range r.Entries {
-				fmt.Fprintf(&b, "(%d %q %q %q)", en.NodeIdx, en.ID.Key(), en.Val, en.Cont)
+			for j := range shape.Width() {
+				en := shape.Entry(r, j)
+				fmt.Fprintf(&b, "(%d %d:%s %d:%s %d:%s)", en.NodeIdx, len(en.ID.Key()), en.ID.Key(), len(en.Val), en.Val, len(en.Cont), en.Cont)
 			}
 			return true
 		})

@@ -84,7 +84,7 @@ func TestReducePropertyEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: views differ (%d vs %d rows)", trial, len(r1), len(r2))
 		}
 		for i := range r1 {
-			if r1[i].Key() != r2[i].Key() || r1[i].Count != r2[i].Count {
+			if v1.Shape.Compare(r1[i], r2[i]) != 0 || r1[i].Count != r2[i].Count {
 				t.Fatalf("trial %d: view row %d differs", trial, i)
 			}
 		}
@@ -171,7 +171,7 @@ func TestAggregatePropertyEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: views differ (%d vs %d rows)", trial, len(r1), len(r2))
 		}
 		for i := range r1 {
-			if r1[i].Key() != r2[i].Key() || r1[i].Count != r2[i].Count {
+			if v1.Shape.Compare(r1[i], r2[i]) != 0 || r1[i].Count != r2[i].Count {
 				t.Fatalf("trial %d: view row %d differs", trial, i)
 			}
 		}

@@ -246,7 +246,7 @@ func TestReducedSequenceEquivalence(t *testing.T) {
 		t.Fatalf("views differ: %d vs %d", len(r1), len(r2))
 	}
 	for i := range r1 {
-		if r1[i].Key() != r2[i].Key() || r1[i].Count != r2[i].Count {
+		if v1.Shape.Compare(r1[i], r2[i]) != 0 || r1[i].Count != r2[i].Count {
 			t.Fatalf("row %d differs", i)
 		}
 	}

@@ -118,8 +118,9 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 			if len(rows) != len(want) {
 				t.Fatalf("%s %s (%s): rewrite %d matches, tree walk %d", w.name, qs, plan.Explain(), len(rows), len(want))
 			}
+			shape := algebra.NewShape(pat)
 			for i := range rows {
-				e := rows[i].Entries[0]
+				e := shape.Entry(rows[i], 0)
 				if e.ID.Key() != want[i].ID().Key() {
 					t.Fatalf("%s %s (%s): match %d ID %s != %s", w.name, qs, plan.Explain(), i, e.ID, want[i].ID())
 				}
@@ -130,7 +131,8 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 			head := []byte(w.name + ":")
 			encoded := head
 			for i := range rows {
-				encoded = appendTestMatch(encoded, i, &rows[i].Entries[0])
+				e := shape.Entry(rows[i], 0)
+				encoded = appendTestMatch(encoded, i, &e)
 			}
 			if streamed, _ := plan.AppendMatches(slices.Clip(head), appendTestMatch); !bytes.Equal(streamed, encoded) {
 				t.Fatalf("%s %s (%s): streamed matches\n %s\nwant %s", w.name, qs, plan.Explain(), streamed, encoded)

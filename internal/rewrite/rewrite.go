@@ -36,8 +36,9 @@ import (
 )
 
 // RowSource is the row access a rewrite needs: a full scan plus a
-// cardinality for plan costing. *store.View implements it directly, and so
-// does RowSlice, the rows of an epoch.
+// cardinality for plan costing. *store.View, *core.ViewSnapshot and
+// RowSlice, the rows of an epoch, implement it; the first two also tell
+// their rows' shape (RowShape), which a plan then need not build.
 type RowSource interface {
 	Each(f func(algebra.Row) bool)
 	Len() int
@@ -48,13 +49,19 @@ type RowSource interface {
 // RowSlice is empty.
 type RowSlice = *dewey.Chunks[algebra.Row]
 
-// View couples a pattern with its materialized rows (the shape
-// core.ManagedView exposes; accepted structurally to avoid a dependency).
+// View couples a pattern with its materialized rows, laid out by the
+// pattern's algebra.Shape (what core.ManagedView exposes; accepted
+// structurally to avoid a dependency).
 type View struct {
 	Name    string
 	Pattern *pattern.Pattern
 	Rows    RowSource
 }
+
+// shaped is a RowSource that holds its rows' layout, as a store.View and a
+// core.ViewSnapshot do: Compile reads the shape from it instead of building
+// one from the view's pattern on every plan.
+type shaped interface{ RowShape() *algebra.Shape }
 
 // Plan is a query compiled against a view library: how it is answered
 // (the exported fields) and the pieces its executor runs.
@@ -89,7 +96,8 @@ func Answer(q *pattern.Pattern, views []*View) ([]algebra.Row, *Plan, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return plan.rows(), plan, nil
+	rows, _ := plan.rows()
+	return rows, plan, nil
 }
 
 // Compile plans q over the views, reading only their cardinalities. Among
@@ -114,6 +122,13 @@ func Compile(q *pattern.Pattern, views []*View) (*Plan, error) {
 	}
 	if plan == nil {
 		return nil, fmt.Errorf("rewrite: no view combination answers %s", q)
+	}
+	for i := range pieces {
+		if v, ok := pieces[i].view.Rows.(shaped); ok {
+			pieces[i].m.shape = v.RowShape()
+		} else {
+			pieces[i].m.shape = algebra.NewShape(pieces[i].view.Pattern)
+		}
 	}
 	plan.q, plan.pieces = q, pieces
 	return plan, nil
@@ -212,9 +227,11 @@ type outCol struct {
 	val, cont      bool // whether the query stores them
 }
 
-func project(dst []algebra.RowEntry, outs []outCol, src []algebra.RowEntry) {
+// project unpacks a view row of the given shape into the answer row's
+// entries that outs name.
+func project(dst []algebra.RowEntry, outs []outCol, shape *algebra.Shape, src algebra.Row) {
 	for _, o := range outs {
-		e := src[o.col]
+		e := shape.Entry(src, o.col)
 		e.NodeIdx = o.node
 		if !o.val {
 			e.Val = ""
@@ -228,28 +245,29 @@ func project(dst []algebra.RowEntry, outs []outCol, src []algebra.RowEntry) {
 
 // side is a non-driving piece made probeable on the shared node: its
 // passing rows, ordered by that node's cached ID key. Nothing of a view row
-// is copied — a row here shares the view row's Entries. A piece supplying no
+// is copied — a row here shares the view row's cells. A piece supplying no
 // answer column only multiplies counts, so its rows with equal keys are
 // folded into one carrying the sum of their counts.
 type side struct {
-	rows []algebra.Row
-	join int
-	outs []outCol
+	rows  []algebra.Row
+	join  int
+	outs  []outCol
+	shape *algebra.Shape // the view's
 }
 
 func (s *side) compare(r algebra.Row, key string) int {
-	return strings.Compare(r.Entries[s.join].ID.Key(), key)
+	return strings.Compare(r.ID(s.join).Key(), key)
 }
 
 func newSide(p *piece, outs []outCol) side {
-	s := side{rows: make([]algebra.Row, 0, p.view.Rows.Len()), join: p.join, outs: outs}
+	s := side{rows: make([]algebra.Row, 0, p.view.Rows.Len()), join: p.join, outs: outs, shape: p.m.shape}
 	p.view.Rows.Each(func(r algebra.Row) bool {
-		if p.m.passes(r) {
+		if p.passes(r) {
 			s.rows = append(s.rows, r)
 		}
 		return true
 	})
-	byKey := func(a, b algebra.Row) int { return s.compare(a, b.Entries[s.join].ID.Key()) }
+	byKey := func(a, b algebra.Row) int { return s.compare(a, b.ID(s.join).Key()) }
 	if !slices.IsSortedFunc(s.rows, byKey) {
 		slices.SortFunc(s.rows, byKey)
 	}
@@ -283,8 +301,8 @@ func mergeEqual(rows []algebra.Row, cmp func(a, b algebra.Row) int) []algebra.Ro
 // piece supplying the most answer columns drives: it is streamed, and every
 // other piece is a side, ordered by the shared node's key and searched per
 // driving row. Answer rows are projected onto q's stored nodes in one
-// reused row, so a run allocates one row header per row of a non-driving
-// view and nothing per row it emits.
+// reused row of entries, so a run allocates one row header per row of a
+// non-driving view and nothing per row it emits.
 type executor struct {
 	drv   *piece
 	outs  []outCol // the driving piece's answer columns
@@ -319,20 +337,21 @@ func (p *Plan) executor() *executor {
 }
 
 // run streams the driving view once and hands emit every answer row as the
-// join produces it: in the driving view's order, which need not be ID
+// join produces it, unpacked — one entry per stored query node — with its
+// derivation count: in the driving view's order, which need not be ID
 // order, and unmerged, so several rows may project onto the same stored
-// nodes. The row's entries are reused for the next one; emit copies what it
+// nodes. The entries are reused for the next row; emit copies what it
 // keeps, and stops the stream by returning false.
-func (x *executor) run(emit func(algebra.Row) bool) {
+func (x *executor) run(emit func(entries []algebra.RowEntry, count int) bool) {
 	var join func(si int, key string, count int) bool
 	join = func(si int, key string, count int) bool {
 		if si == len(x.sides) {
-			return emit(algebra.Row{Entries: x.cur, Count: count})
+			return emit(x.cur, count)
 		}
 		s := &x.sides[si]
 		i, _ := slices.BinarySearchFunc(s.rows, key, s.compare)
 		for ; i < len(s.rows) && s.compare(s.rows[i], key) == 0; i++ {
-			project(x.cur, s.outs, s.rows[i].Entries)
+			project(x.cur, s.outs, s.shape, s.rows[i])
 			if !join(si+1, key, count*s.rows[i].Count) {
 				return false
 			}
@@ -341,30 +360,28 @@ func (x *executor) run(emit func(algebra.Row) bool) {
 	}
 	d := x.drv
 	d.view.Rows.Each(func(r algebra.Row) bool {
-		if !d.m.passes(r) {
+		if !d.passes(r) {
 			return true
 		}
-		project(x.cur, x.outs, r.Entries)
-		return join(0, r.Entries[d.join].ID.Key(), r.Count)
+		project(x.cur, x.outs, d.m.shape, r)
+		return join(0, r.ID(d.join).Key(), r.Count)
 	})
 }
 
 // rows is the collecting sink: the executor runs twice, once to count what
-// it emits and once to copy it into slices made at their size, and the
-// answer is then sorted and merged.
-func (p *Plan) rows() []algebra.Row {
-	x := p.executor()
+// it emits and once to pack it into rows of the query's shape, returned
+// with them, in a slice made at its size, and the answer is then sorted and
+// merged.
+func (p *Plan) rows() ([]algebra.Row, *algebra.Shape) {
+	x, shape := p.executor(), algebra.NewShape(p.q)
 	n := 0
-	x.run(func(algebra.Row) bool { n++; return true })
-	width := len(x.cur)
-	backing, rows := make([]algebra.RowEntry, 0, n*width), make([]algebra.Row, 0, n)
-	x.run(func(r algebra.Row) bool {
-		backing = append(backing, r.Entries...)
-		end := len(backing)
-		rows = append(rows, algebra.Row{Entries: backing[end-width : end : end], Count: r.Count})
+	x.run(func([]algebra.RowEntry, int) bool { n++; return true })
+	rows := make([]algebra.Row, 0, n)
+	x.run(func(entries []algebra.RowEntry, count int) bool {
+		rows = append(rows, shape.Pack(entries, count))
 		return true
 	})
-	return mergeSorted(rows)
+	return mergeSorted(rows, shape.Compare), shape
 }
 
 // AppendMatches appends the answer of a query storing one node to dst, each
@@ -379,8 +396,8 @@ func (p *Plan) rows() []algebra.Row {
 func (p *Plan) AppendMatches(dst []byte, match func(dst []byte, i int, e *algebra.RowEntry) []byte) (_ []byte, rewound bool) {
 	from, n := len(dst), 0
 	var prev dewey.ID
-	p.executor().run(func(r algebra.Row) bool {
-		e := &r.Entries[0]
+	p.executor().run(func(entries []algebra.RowEntry, _ int) bool {
+		e := &entries[0]
 		if n > 0 {
 			if c := e.ID.Compare(prev); c <= 0 {
 				rewound = c < 0
@@ -395,26 +412,28 @@ func (p *Plan) AppendMatches(dst []byte, match func(dst []byte, i int, e *algebr
 		return dst, false
 	}
 	dst = dst[:from]
-	for i, r := range p.rows() {
-		dst = match(dst, i, &r.Entries[0])
+	rows, shape := p.rows()
+	for i, r := range rows {
+		e := shape.Entry(r, 0)
+		dst = match(dst, i, &e)
 	}
 	return dst, true
 }
 
-// mergeSorted puts projected rows in ID order and folds rows that collapsed
-// onto the same stored nodes into one, summing their counts. Views hold
-// their rows in ID order, so the usual answer arrives sorted and distinct
-// and is returned as it is.
-func mergeSorted(rows []algebra.Row) []algebra.Row {
+// mergeSorted puts projected rows in ID order (cmp, their shape's Compare)
+// and folds rows that collapsed onto the same stored nodes into one,
+// summing their counts. Views hold their rows in ID order, so the usual
+// answer arrives sorted and distinct and is returned as it is.
+func mergeSorted(rows []algebra.Row, cmp func(a, b algebra.Row) int) []algebra.Row {
 	inOrder := true
 	for i := 1; i < len(rows) && inOrder; i++ {
-		inOrder = algebra.CompareRows(rows[i-1], rows[i]) < 0
+		inOrder = cmp(rows[i-1], rows[i]) < 0
 	}
 	if inOrder {
 		return rows
 	}
-	slices.SortFunc(rows, algebra.CompareRows)
-	return mergeEqual(rows, algebra.CompareRows)
+	slices.SortFunc(rows, cmp)
+	return mergeEqual(rows, cmp)
 }
 
 // idComplete reports whether every node of the view stores its ID — the
@@ -440,6 +459,9 @@ type mapping struct {
 	// vals are query predicates absent on the view node, checked against
 	// the stored val.
 	vals []valCheck
+	// shape is the layout of the view's rows, set once the mapping is a
+	// plan's.
+	shape *algebra.Shape
 }
 
 type valCheck struct {
@@ -447,20 +469,20 @@ type valCheck struct {
 	val string
 }
 
-// passes runs the residual checks on one view row.
-func (m *mapping) passes(r algebra.Row) bool {
-	for _, pc := range m.parents {
-		child := r.Entries[pc[0]].ID
+// passes runs the piece's residual checks on one row of its view.
+func (p *piece) passes(r algebra.Row) bool {
+	for _, pc := range p.m.parents {
+		child := r.ID(pc[0])
 		if pc[1] < 0 {
 			if child.Level() != 1 {
 				return false // root anchoring failed
 			}
-		} else if !r.Entries[pc[1]].ID.IsParentOf(child) {
+		} else if !r.ID(pc[1]).IsParentOf(child) {
 			return false
 		}
 	}
-	for _, vc := range m.vals {
-		if r.Entries[vc.col].Val != vc.val {
+	for _, vc := range p.m.vals {
+		if p.m.shape.Entry(r, vc.col).Val != vc.val {
 			return false
 		}
 	}

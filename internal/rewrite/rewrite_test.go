@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,25 +29,12 @@ func mkView(t *testing.T, d *xmltree.Document, name, src string) *View {
 	return &View{Name: name, Pattern: p, Rows: store.NewMaterializedView(p, rows)}
 }
 
-// sameRows is the full oracle: same rows in the same order, and for every
-// stored node the same pattern index, ID, value and content — and the same
-// derivation count, which ID-only comparisons cannot see.
+// sameRows is the full oracle over rows of one query's shape: same rows in
+// the same order, and for every stored node the same ID, value and content
+// (the shape fixes its pattern index) — and the same derivation count,
+// which ID-only comparisons cannot see.
 func sameRows(a, b []algebra.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() || a[i].Count != b[i].Count || len(a[i].Entries) != len(b[i].Entries) {
-			return false
-		}
-		for j, e := range a[i].Entries {
-			o := b[i].Entries[j]
-			if e.NodeIdx != o.NodeIdx || e.Val != o.Val || e.Cont != o.Cont {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, algebra.Row.Equal)
 }
 
 const doc1 = `<a><c><b>5</b><b>7</b></c><f><c><b>5</b></c><b>9</b></f></a>`

@@ -157,8 +157,8 @@ func appendViewResponse(dst []byte, snap *core.Snapshot, vs *core.ViewSnapshot) 
 			dst = append(dst, `{"count":`...)
 			dst = strconv.AppendInt(dst, int64(row.Count), 10)
 			dst = append(dst, `,"entries":[`...)
-			for j := range row.Entries {
-				e := &row.Entries[j]
+			for j := range vs.Shape.Width() {
+				e := vs.Shape.Entry(*row, j)
 				if j > 0 {
 					dst = append(dst, ',')
 				}
@@ -226,12 +226,13 @@ func appendNodeMatches(dst []byte, nodes []*xmltree.Node) []byte {
 }
 
 // appendRowMatches appends the matches array of a collected rewrite answer:
-// rows projected onto the query's one stored node, which carries ID and
-// value. A served read streams the same bytes (appendPlanMatches).
-func appendRowMatches(dst []byte, label string, rows []algebra.Row) []byte {
+// rows of shape projected onto the query's one stored node, which carries
+// ID and value. A served read streams the same bytes (appendPlanMatches).
+func appendRowMatches(dst []byte, label string, shape *algebra.Shape, rows []algebra.Row) []byte {
 	dst = append(dst, '[')
 	for i := range rows {
-		dst = appendRowMatch(dst, i == 0, label, &rows[i].Entries[0])
+		e := shape.Entry(rows[i], 0)
+		dst = appendRowMatch(dst, i == 0, label, &e)
 	}
 	return append(dst, ']')
 }

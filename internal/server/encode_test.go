@@ -55,16 +55,17 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 
 		// View body: two stored nodes, val on one and cont on the other, so
 		// each is also seen empty.
-		pat := pattern.MustNew(&pattern.Node{Label: label, Children: []*pattern.Node{{Label: idLabel}}})
-		vs := &core.ViewSnapshot{Name: label, Pattern: pat}
+		pat := pattern.MustNew(&pattern.Node{Label: label, Store: pattern.StoreID | pattern.StoreVal,
+			Children: []*pattern.Node{{Label: idLabel, Store: pattern.StoreID | pattern.StoreCont}}})
+		vs := &core.ViewSnapshot{ViewDef: &core.ViewDef{Name: label, Pattern: pat, Shape: algebra.NewShape(pat)}}
 		want := ViewResponse{Tenant: tenant, Version: version, Name: label, Rows: []RowJSON{}}
 		var stored []algebra.Row
 		for i := 0; i < rows; i++ {
 			a, b := ids[i%len(ids)], ids[(i+1)%len(ids)]
-			row := algebra.Row{Count: i - 1, Entries: []algebra.RowEntry{
+			row := vs.Shape.Pack([]algebra.RowEntry{
 				{NodeIdx: 0, ID: a, Val: val},
 				{NodeIdx: 1, ID: b, Cont: cont},
-			}}
+			}, i-1)
 			stored = append(stored, row)
 			want.Rows = append(want.Rows, RowJSON{Count: i - 1, Entries: []EntryJSON{
 				{Label: label, ID: a.String(), Val: val},
@@ -122,13 +123,14 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		// Rewrite body: rows projected onto one stored node. Without explain
 		// the plan stays out, whatever it is.
 		var answer []algebra.Row
+		answerShape := algebra.NewShape(pattern.MustNew(&pattern.Node{Label: label, Store: pattern.StoreID | pattern.StoreVal}))
 		xr.Plan, xr.Matches = "", []MatchJSON{}
 		for i := 0; i < rows; i++ {
-			answer = append(answer, algebra.Row{Count: 1, Entries: []algebra.RowEntry{{ID: ids[i%len(ids)], Val: val}}})
+			answer = append(answer, answerShape.Pack([]algebra.RowEntry{{ID: ids[i%len(ids)], Val: val}}, 1))
 			xr.Matches = append(xr.Matches, MatchJSON{ID: ids[i%len(ids)].String(), Label: label, Value: val})
 		}
 		rewritten := appendXPathHead(nil, snap, query, plan, false)
-		rewritten = append(appendRowMatches(rewritten, label, answer), xpathTail...)
+		rewritten = append(appendRowMatches(rewritten, label, answerShape, answer), xpathTail...)
 		if want := encodeJSON(t, xr); !bytes.Equal(rewritten, want) {
 			t.Fatalf("rewrite body\n got %q\nwant %q", rewritten, want)
 		}
@@ -140,7 +142,7 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		ur := UpdateResponse{Tenant: tenant, Version: version, Targets: rep.Targets, Views: []UpdateViewJSON{}}
 		for i := 0; i < rows; i++ {
 			vr := core.ViewReport{
-				View:      &core.ManagedView{Name: []string{label, idLabel, val, cont}[i]},
+				View:      &core.ManagedView{ViewDef: &core.ViewDef{Name: []string{label, idLabel, val, cont}[i]}},
 				RowsAdded: int(n) - i, RowsRemoved: i, RowsModified: -i,
 				Skipped: i%2 == 1, PredFallback: i == 1, Panicked: i == 3,
 			}

@@ -117,7 +117,7 @@ func viewLibrary(snap *core.Snapshot) []*rewrite.View {
 	lib, views := make([]rewrite.View, len(snap.Views)), make([]*rewrite.View, len(snap.Views))
 	for i := range snap.Views {
 		vs := &snap.Views[i]
-		lib[i] = rewrite.View{Name: vs.Name, Pattern: vs.Pattern, Rows: rewrite.RowSlice(vs.Rows)}
+		lib[i] = rewrite.View{Name: vs.Name, Pattern: vs.Pattern, Rows: vs}
 		views[i] = &lib[i]
 	}
 	return views

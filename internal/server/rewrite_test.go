@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"xivm/internal/algebra"
 	"xivm/internal/obs"
 	"xivm/internal/rewrite"
 	"xivm/internal/update"
@@ -461,7 +462,7 @@ func TestPlannedReadRewindsOutOfIDOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := pat.Nodes[pat.StoredIndexes()[0]].Label
-		if streamed, collected := appendPlanMatches(nil, label, plan), appendRowMatches(nil, label, rows); string(streamed) != string(collected) {
+		if streamed, collected := appendPlanMatches(nil, label, plan), appendRowMatches(nil, label, algebra.NewShape(pat), rows); string(streamed) != string(collected) {
 			t.Fatalf("%s: streamed matches differ from appendRowMatches(Answer)\n%s\n%s", c.query, streamed, collected)
 		}
 	}

@@ -129,10 +129,12 @@ func (o *shadowOracle) at(version uint64) *expectedState {
 
 // rowsToJSON wire-encodes materialized rows exactly as the HTTP layer does.
 func rowsToJSON(p *pattern.Pattern, rows []algebra.Row) []RowJSON {
+	shape := algebra.NewShape(p)
 	out := make([]RowJSON, 0, len(rows))
 	for _, row := range rows {
-		rj := RowJSON{Count: row.Count, Entries: make([]EntryJSON, 0, len(row.Entries))}
-		for _, e := range row.Entries {
+		rj := RowJSON{Count: row.Count, Entries: make([]EntryJSON, 0, shape.Width())}
+		for i := range shape.Width() {
+			e := shape.Entry(row, i)
 			rj.Entries = append(rj.Entries, EntryJSON{
 				Label: p.Nodes[e.NodeIdx].Label,
 				ID:    e.ID.String(),

@@ -32,9 +32,10 @@ func WriteSnapshot(w io.Writer, v *View) error {
 	// The dictionary precedes the rows that use it, so a first pass hands
 	// the labels their codes, in the order the rows will meet them.
 	var dict dewey.Dict
+	width := v.shape.Width()
 	v.Each(func(r algebra.Row) bool {
-		for _, e := range r.Entries {
-			for c := e.ID.Cursor(); c.Next(); {
+		for i := range width {
+			for c := r.ID(i).Cursor(); c.Next(); {
 				dict.Code(c.Label())
 			}
 		}
@@ -52,8 +53,9 @@ func WriteSnapshot(w io.Writer, v *View) error {
 	bw.Write(buf)
 	v.Each(func(r algebra.Row) bool {
 		buf = binary.AppendUvarint(buf[:0], uint64(r.Count))
-		buf = binary.AppendUvarint(buf, uint64(len(r.Entries)))
-		for _, e := range r.Entries {
+		buf = binary.AppendUvarint(buf, uint64(width))
+		for i := range width {
+			e := v.shape.Entry(r, i)
 			buf = binary.AppendUvarint(buf, uint64(e.NodeIdx))
 			buf = e.ID.Encode(&dict, buf)
 			buf = appendString(buf, e.Val)
@@ -65,8 +67,11 @@ func WriteSnapshot(w io.Writer, v *View) error {
 	return bw.Flush()
 }
 
-// DecodeSnapshot restores rows previously encoded with EncodeSnapshot.
-func DecodeSnapshot(data []byte) ([]algebra.Row, error) {
+// DecodeSnapshot restores rows previously encoded with EncodeSnapshot from
+// a view of shape s, laid out by s. A row that is not of that shape — its
+// width, its nodes or an image its node does not store — is an error: the
+// pattern named beside the snapshot decides what its rows may be.
+func DecodeSnapshot(data []byte, s *algebra.Shape) ([]algebra.Row, error) {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, errors.New("store: bad snapshot magic")
 	}
@@ -103,6 +108,7 @@ func DecodeSnapshot(data []byte) ([]algebra.Row, error) {
 		return nil, errors.New("store: implausible row count")
 	}
 	rows := make([]algebra.Row, 0, nRows)
+	entries := make([]algebra.RowEntry, s.Width())
 	for i := uint64(0); i < nRows; i++ {
 		count, k := binary.Uvarint(data[pos:])
 		if k <= 0 {
@@ -117,23 +123,15 @@ func DecodeSnapshot(data []byte) ([]algebra.Row, error) {
 			return nil, errors.New("store: truncated entry count")
 		}
 		pos += k
-		// An entry costs at least four bytes (node index, ID step count,
-		// two string lengths).
-		if nEnt > uint64(len(data)-pos)/4 {
-			return nil, errors.New("store: implausible entry count")
+		if nEnt != uint64(len(entries)) {
+			return nil, fmt.Errorf("store: row %d has %d entries, its pattern stores %d nodes", i, nEnt, len(entries))
 		}
-		r := algebra.Row{Count: int(count), Entries: make([]algebra.RowEntry, 0, nEnt)}
-		for j := uint64(0); j < nEnt; j++ {
+		for j := range entries {
 			idx, k := binary.Uvarint(data[pos:])
 			if k <= 0 {
 				return nil, errors.New("store: truncated node index")
 			}
 			pos += k
-			// Pattern node indexes live in a uint64 bitmask, so 64 bounds
-			// every legitimate snapshot.
-			if idx >= 64 {
-				return nil, errors.New("store: implausible node index")
-			}
 			id, n, err := dewey.Decode(&dict, data[pos:])
 			if err != nil {
 				return nil, fmt.Errorf("store: %w", err)
@@ -149,9 +147,12 @@ func DecodeSnapshot(data []byte) ([]algebra.Row, error) {
 				return nil, err
 			}
 			pos += n
-			r.Entries = append(r.Entries, algebra.RowEntry{NodeIdx: int(idx), ID: id, Val: val, Cont: cont})
+			entries[j] = algebra.RowEntry{NodeIdx: int(idx), ID: id, Val: val, Cont: cont}
 		}
-		rows = append(rows, r)
+		if !s.Fits(entries) {
+			return nil, fmt.Errorf("store: row %d binds nodes or stores images its pattern does not", i)
+		}
+		rows = append(rows, s.Pack(entries, int(count)))
 	}
 	if pos != len(data) {
 		return nil, errors.New("store: trailing bytes after snapshot body")

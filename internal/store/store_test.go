@@ -305,10 +305,14 @@ func TestViewRemoveReplaceCompact(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows %d", len(rows))
 	}
-	if !v.Replace(rows[0], func(r *algebra.Row) { r.Entries[0].Val = "z" }) {
+	if !v.Replace(rows[0], func(r algebra.Row) {
+		e := v.shape.Entry(r, 0)
+		e.Val = "z"
+		v.shape.Set(r, 0, e)
+	}) {
 		t.Fatal("replace failed")
 	}
-	if got, _ := v.Get(rows[0]); got.Entries[0].Val != "z" {
+	if got, _ := v.Get(rows[0]); v.shape.Entry(got, 0).Val != "z" {
 		t.Fatal("replace not visible")
 	}
 	if !v.Remove(rows[1]) {
@@ -329,17 +333,19 @@ func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
 	rows := v.Rows()
 	got, _ := v.Get(rows[0])
 	frozen, _ := v.Freeze()
-	if !v.Replace(rows[0], func(r *algebra.Row) {
-		r.Entries[0].Val, r.Entries[0].Cont = "z", "<a>z</a>"
+	if !v.Replace(rows[0], func(r algebra.Row) {
+		e := v.shape.Entry(r, 0)
+		e.Val, e.Cont = "z", "<a>z</a>"
+		v.shape.Set(r, 0, e)
 	}) {
 		t.Fatal("replace failed")
 	}
 	for _, old := range []algebra.Row{rows[0], got, frozen.AppendTo(nil)[0]} {
-		if e := old.Entries[0]; e.Val != "x" || e.Cont != "<a>x</a>" {
+		if e := v.shape.Entry(old, 0); e.Val != "x" || e.Cont != "<a>x</a>" {
 			t.Fatalf("a row handed out before Replace now reads val %q cont %q", e.Val, e.Cont)
 		}
 	}
-	if e := v.Rows()[0].Entries[0]; e.Val != "z" || e.Cont != "<a>z</a>" {
+	if e := v.shape.Entry(v.Rows()[0], 0); e.Val != "z" || e.Cont != "<a>z</a>" {
 		t.Fatalf("view serves val %q cont %q after Replace", e.Val, e.Cont)
 	}
 	if _, moved := v.Freeze(); !moved {
@@ -382,7 +388,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	d := mustDoc(t, doc1)
 	v := NewMaterializedView(p, algebra.Materialize(d, p))
 	data := EncodeSnapshot(v)
-	rows, err := DecodeSnapshot(data)
+	rows, err := DecodeSnapshot(data, v.shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +408,9 @@ func encodeSnapshotWhole(v *View) []byte {
 	body = binary.AppendUvarint(body, uint64(len(rows)))
 	for _, r := range rows {
 		body = binary.AppendUvarint(body, uint64(r.Count))
-		body = binary.AppendUvarint(body, uint64(len(r.Entries)))
-		for _, e := range r.Entries {
+		body = binary.AppendUvarint(body, uint64(v.shape.Width()))
+		for i := range v.shape.Width() {
+			e := v.shape.Entry(r, i)
 			body = binary.AppendUvarint(body, uint64(e.NodeIdx))
 			body = e.ID.Encode(&dict, body)
 			body = appendString(body, e.Val)
@@ -446,7 +453,7 @@ func TestWriteSnapshotMatchesWholeEncoder(t *testing.T) {
 }
 
 func TestSnapshotErrors(t *testing.T) {
-	if _, err := DecodeSnapshot([]byte("bogus")); err == nil {
+	if _, err := DecodeSnapshot([]byte("bogus"), &algebra.Shape{}); err == nil {
 		t.Fatal("expected magic error")
 	}
 	p := pattern.MustParse(`//a{ID}`)
@@ -454,7 +461,7 @@ func TestSnapshotErrors(t *testing.T) {
 	v := NewMaterializedView(p, algebra.Materialize(d, p))
 	data := EncodeSnapshot(v)
 	for cut := len(snapshotMagic); cut < len(data); cut++ {
-		if _, err := DecodeSnapshot(data[:cut]); err == nil {
+		if _, err := DecodeSnapshot(data[:cut], v.shape); err == nil {
 			t.Fatalf("truncated snapshot at %d decoded", cut)
 		}
 	}

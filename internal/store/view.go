@@ -1,37 +1,42 @@
 package store
 
 import (
-	"slices"
-
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 )
 
-// View is a materialized view: a tree pattern plus its stored rows, each
-// with a derivation count, kept in the order the paper's s operator
-// dictates — by the IDs of their bindings, column by column
-// (algebra.CompareRows) — so that readers enumerate them as they lie and a
-// row is found by binary search on a probe row's IDs. A stored row's Entries
-// are immutable once in the view: Get, Each, Rows and Freeze lend them out
-// as they are, and Replace refreshes a copy.
+// View is a materialized view: a tree pattern's stored rows, each with a
+// derivation count, kept in the order the paper's s operator dictates — by
+// the IDs of their bindings, node by node (Shape.Compare) — so that readers
+// enumerate them as they lie and a row is found by binary search on a probe
+// row's IDs. Every row is laid out by the pattern's shape (RowShape), which
+// the view shares with its maker (NewViewOf) or built for itself. A stored row's
+// cells are immutable once in the view: Get, Each, Rows and Freeze lend
+// them out as they are, and Replace refreshes a copy.
 type View struct {
-	Pattern *pattern.Pattern
-	rows    dewey.Run[algebra.Row]
+	shape *algebra.Shape
+	rows  dewey.Run[algebra.Row]
 }
 
 // Rows is a view's rows as an epoch holds them: the frozen root of the
 // view's run, whose leaves hold the rows in order, none ever written again.
 type Rows = *dewey.Chunks[algebra.Row]
 
-// NewView creates an empty materialized view over p.
-func NewView(p *pattern.Pattern) *View {
-	return &View{Pattern: p, rows: dewey.NewRun(algebra.CompareRows)}
+// NewView creates an empty materialized view over p, laid out by a shape
+// of its own.
+func NewView(p *pattern.Pattern) *View { return NewViewOf(algebra.NewShape(p), nil) }
+
+// NewMaterializedView creates a view over p, laid out by a shape of its
+// own, and fills it with rows of that shape.
+func NewMaterializedView(p *pattern.Pattern, rows []algebra.Row) *View {
+	return NewViewOf(algebra.NewShape(p), rows)
 }
 
-// NewMaterializedView creates a view and fills it with rows.
-func NewMaterializedView(p *pattern.Pattern, rows []algebra.Row) *View {
-	v := NewView(p)
+// NewViewOf creates a view whose rows are laid out by s, its maker's, and
+// fills it with rows of that shape.
+func NewViewOf(s *algebra.Shape, rows []algebra.Row) *View {
+	v := &View{shape: s, rows: dewey.NewRun(s.Compare)}
 	for _, r := range rows {
 		v.Upsert(r)
 	}
@@ -48,7 +53,8 @@ func (v *View) Get(probe algebra.Row) (algebra.Row, bool) { return v.rows.Get(pr
 // bindings, inserting it if absent. It returns true when the row is new.
 func (v *View) Upsert(r algebra.Row) bool {
 	if old, ok := v.rows.Get(r); ok {
-		r = algebra.Row{Entries: old.Entries, Count: old.Count + r.Count}
+		old.Count += r.Count
+		r = old
 	}
 	return v.rows.Put(r)
 }
@@ -73,15 +79,16 @@ func (v *View) Remove(probe algebra.Row) bool { return v.rows.Delete(probe) }
 
 // Replace overwrites the stored row binding the same nodes as probe (used
 // by the tuple-modification algorithms to refresh val/cont without touching
-// the derivation count). update is handed the row with a private copy of
-// its Entries, so rows handed out earlier keep the values they had.
-func (v *View) Replace(probe algebra.Row, update func(*algebra.Row)) bool {
+// the derivation count). update is handed the row with cells of its own
+// (Row.Clone), to write through Shape.Set, so rows handed out earlier keep
+// the values they had.
+func (v *View) Replace(probe algebra.Row, update func(algebra.Row)) bool {
 	r, ok := v.rows.Get(probe)
 	if !ok {
 		return false
 	}
-	r.Entries = slices.Clone(r.Entries)
-	update(&r)
+	r = r.Clone()
+	update(r)
 	v.rows.Put(r)
 	return true
 }
@@ -89,30 +96,31 @@ func (v *View) Replace(probe algebra.Row, update func(*algebra.Row)) bool {
 // Each calls f for every row, in order; f must not mutate the view.
 func (v *View) Each(f func(algebra.Row) bool) { v.rows.Chunks().Each(f) }
 
+// RowShape returns the layout of the view's rows.
+func (v *View) RowShape() *algebra.Shape { return v.shape }
+
 // Freeze returns the rows as they stand, for good and in O(1): later
 // changes to the view copy what they touch. moved reports whether the view
 // changed since the Freeze before; if not, this is what that one returned.
 func (v *View) Freeze() (rows Rows, moved bool) { return v.rows.Freeze() }
 
-// Rows returns the rows as one slice, the caller's; the rows' Entries are
+// Rows returns the rows as one slice, the caller's; the rows' cells are
 // the view's own and must not be written.
 func (v *View) Rows() []algebra.Row {
 	return v.rows.Chunks().AppendTo(nil)
 }
 
 // EqualRows reports whether the view's rows exactly match want (entries,
-// values, contents and derivation counts), which must be sorted.
+// values, contents and derivation counts), which must be sorted and laid
+// out by the view's shape.
 func (v *View) EqualRows(want []algebra.Row) bool {
 	if v.Len() != len(want) {
 		return false
 	}
 	i, equal := 0, true
 	v.Each(func(got algebra.Row) bool {
-		w := want[i]
+		equal = got.Equal(want[i])
 		i++
-		equal = got.Count == w.Count && slices.EqualFunc(got.Entries, w.Entries, func(a, b algebra.RowEntry) bool {
-			return a.NodeIdx == b.NodeIdx && a.ID.Equal(b.ID) && a.Val == b.Val && a.Cont == b.Cont
-		})
 		return equal
 	})
 	return equal

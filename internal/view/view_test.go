@@ -135,14 +135,15 @@ return <r><i>{id($p)}</i><v>{string($n)}</v></r>`
 		t.Fatalf("rows = %+v", rows)
 	}
 	// id($p) stores only ID; string($n) stores val.
+	shape := algebra.NewShape(def.Pattern)
 	var nameEntry algebra.RowEntry
-	for _, e := range rows[0].Entries {
-		if e.NodeIdx == def.VarNode["n"] {
+	for i := range shape.Width() {
+		if e := shape.Entry(rows[0], i); e.NodeIdx == def.VarNode["n"] {
 			nameEntry = e
 		}
 	}
 	if nameEntry.Val != "Ann" {
-		t.Fatalf("entries = %+v", rows[0].Entries)
+		t.Fatalf("rows = %+v", rows)
 	}
 }
 

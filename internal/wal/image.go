@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
@@ -111,7 +112,7 @@ func (img *Image) Restore(opts ...core.Option) (*core.Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: image view %s pattern: %w", v.Name, err)
 		}
-		rows, err := store.DecodeSnapshot(img.Views[v.Name])
+		rows, err := store.DecodeSnapshot(img.Views[v.Name], algebra.NewShape(p))
 		if err != nil {
 			return nil, fmt.Errorf("wal: image view %s snapshot: %w", v.Name, err)
 		}

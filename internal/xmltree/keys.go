@@ -43,7 +43,7 @@ func (kc *keyChain) flush() {
 	}
 	key := string(kc.path)
 	for _, n := range kc.parked {
-		n.SetID(dewey.KeyID(key[:n.keyLen]))
+		n.SetID(dewey.FromKey(key[:n.keyLen]))
 	}
 	clear(kc.parked)
 	kc.parked = kc.parked[:0]

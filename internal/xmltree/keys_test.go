@@ -82,7 +82,7 @@ func TestFirstChildChainSharesOneKey(t *testing.T) {
 	i := 0
 	Walk(r.Root, func(n *Node) bool {
 		if i < len(want) && n.ID().Key() != want[i] {
-			t.Errorf("node %d restored as %v, recorded as %v", i, n.ID(), dewey.KeyID(want[i]))
+			t.Errorf("node %d restored as %v, recorded as %v", i, n.ID(), dewey.FromKey(want[i]))
 		}
 		i++
 		return true

@@ -96,7 +96,7 @@ type Node struct {
 }
 
 // ID returns the node's structural identifier.
-func (n *Node) ID() dewey.ID { return dewey.KeyID(unsafe.String(n.key, n.keyLen)) }
+func (n *Node) ID() dewey.ID { return dewey.FromKey(unsafe.String(n.key, n.keyLen)) }
 
 // SetID gives n the structural identifier id. The parsers and mutators
 // place a document's nodes with it; anywhere else it is for nodes not in a

@@ -336,7 +336,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		i := 0
 		Walk(again.Root, func(n *Node) bool {
 			if n.ID().Key() != keys[i] {
-				t.Fatalf("%q: node %d restored as %v, parsed as %v", src, i, n.ID(), dewey.KeyID(keys[i]))
+				t.Fatalf("%q: node %d restored as %v, parsed as %v", src, i, n.ID(), dewey.FromKey(keys[i]))
 			}
 			i++
 			return true

@@ -114,8 +114,9 @@ func TestBridgeMatchesEval(t *testing.T) {
 		if len(rows) != len(want) {
 			t.Fatalf("%s: pattern %d rows, tree walk %d matches", qs, len(rows), len(want))
 		}
+		shape := algebra.NewShape(pat)
 		for i := range rows {
-			e := rows[i].Entries[0]
+			e := shape.Entry(rows[i], 0)
 			if e.ID.Key() != want[i].ID().Key() {
 				t.Fatalf("%s: match %d ID %s != %s", qs, i, e.ID, want[i].ID())
 			}
