@@ -173,6 +173,8 @@ func TestDeadlineDuringJournalServesTheLog(t *testing.T) {
 // fails after its statement landed does not fail the statement. The
 // statement is acknowledged, served and recovered; the failure is counted
 // in wal.checkpoint.errors, and the next statement retries the checkpoint.
+// A checkpoint is written off the writer, so the test waits for each one
+// to end before it reads the counters.
 func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &hookFS{FS: wal.OSFS}
@@ -187,7 +189,7 @@ func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	if version != sh.Epoch().Version || !strings.Contains(sh.Epoch().DocXML(), `id="pc"`) {
 		t.Fatal("the acknowledged insert is not served")
 	}
-	if got := walReg.CounterValue("wal.checkpoint.errors"); got != 1 {
+	if got := waitCounter(t, walReg, "wal.checkpoint.errors", 1); got != 1 {
 		t.Fatalf("wal.checkpoint.errors = %d, want 1", got)
 	}
 	ckpts := walReg.CounterValue("wal.checkpoint.count")
@@ -196,7 +198,7 @@ func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	if _, _, err := sh.Apply(context.Background(), mustStatement(t, `delete /site/catgraph`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := walReg.CounterValue("wal.checkpoint.count"); got != ckpts+1 {
+	if got := waitCounter(t, walReg, "wal.checkpoint.count", ckpts+1); got != ckpts+1 {
 		t.Fatalf("wal.checkpoint.count = %d after the retry, want %d", got, ckpts+1)
 	}
 	if got := walReg.CounterValue("wal.checkpoint.errors"); got != 1 {
@@ -204,6 +206,20 @@ func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	}
 	closeShard(t, sh)
 	requireServedIsRecovered(t, sh.Epoch(), dir)
+}
+
+// waitCounter waits up to ten seconds for the named counter to reach want
+// and returns its last value.
+func waitCounter(t *testing.T, reg *obs.Metrics, name string, want int64) int64 {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := reg.CounterValue(name)
+		if got >= want || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // failSecondUnit makes every translated batch of more than one unit stop

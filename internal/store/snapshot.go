@@ -22,18 +22,20 @@ const snapshotMagic = "XIVM1"
 // EncodeSnapshot serializes the view's live rows.
 func EncodeSnapshot(v *View) []byte {
 	var out bytes.Buffer
-	WriteSnapshot(&out, v) // a bytes.Buffer does not fail
+	WriteSnapshot(&out, v.shape, v.rows.Chunks()) // a bytes.Buffer does not fail
 	return out.Bytes()
 }
 
-// WriteSnapshot streams what EncodeSnapshot returns: w (itself when it is a
+// WriteSnapshot streams what EncodeSnapshot returns for the rows of a view
+// laid out by s — the live view's, or an epoch's frozen ones (View.Freeze),
+// which a checkpoint writes while the view moves on: w (itself when it is a
 // *bufio.Writer, which is then flushed) sees the image a buffer at a time.
-func WriteSnapshot(w io.Writer, v *View) error {
+func WriteSnapshot(w io.Writer, s *algebra.Shape, rows Rows) error {
 	// The dictionary precedes the rows that use it, so a first pass hands
 	// the labels their codes, in the order the rows will meet them.
 	var dict dewey.Dict
-	width := v.shape.Width()
-	v.Each(func(r algebra.Row) bool {
+	width := s.Width()
+	rows.Each(func(r algebra.Row) bool {
 		for i := range width {
 			for c := r.ID(i).Cursor(); c.Next(); {
 				dict.Code(c.Label())
@@ -49,13 +51,13 @@ func WriteSnapshot(w io.Writer, v *View) error {
 		label, _ := dict.Label(uint64(i))
 		buf = appendString(buf, label)
 	}
-	buf = binary.AppendUvarint(buf, uint64(v.Len()))
+	buf = binary.AppendUvarint(buf, uint64(rows.Len()))
 	bw.Write(buf)
-	v.Each(func(r algebra.Row) bool {
+	rows.Each(func(r algebra.Row) bool {
 		buf = binary.AppendUvarint(buf[:0], uint64(r.Count))
 		buf = binary.AppendUvarint(buf, uint64(width))
 		for i := range width {
-			e := v.shape.Entry(r, i)
+			e := s.Entry(r, i)
 			buf = binary.AppendUvarint(buf, uint64(e.NodeIdx))
 			buf = e.ID.Encode(&dict, buf)
 			buf = appendString(buf, e.Val)

@@ -2,7 +2,8 @@ package update
 
 import (
 	"fmt"
-	"strings"
+
+	"xivm/internal/xmltree"
 )
 
 // Statement serialization: every Statement renders to a canonical textual
@@ -19,32 +20,39 @@ import (
 // Format renders the statement in canonical form. It is Parse's inverse up
 // to canonicalization: Parse(Format(st)) always succeeds and yields a
 // statement with the same kind, target, forest and copy-source.
-func Format(st *Statement) string {
-	var b strings.Builder
-	appendFormat(&b, st)
-	return b.String()
-}
+func Format(st *Statement) string { return string(AppendFormat(nil, st)) }
 
-func appendFormat(b *strings.Builder, st *Statement) {
+// AppendFormat appends what Format returns to dst and returns the extended
+// slice — the write-ahead log formats every statement it journals into a
+// scratch of its own.
+func AppendFormat(dst []byte, st *Statement) []byte {
 	switch st.Kind {
 	case Delete:
-		b.WriteString("delete ")
-		b.WriteString(st.Target.String())
+		dst = append(dst, "delete "...)
+		dst = st.Target.AppendTo(dst)
 	case Replace:
-		b.WriteString("replace ")
-		b.WriteString(st.Target.String())
-		b.WriteString(" with ")
-		b.WriteString(ForestString(st.Forest))
+		dst = append(dst, "replace "...)
+		dst = st.Target.AppendTo(dst)
+		dst = append(dst, " with "...)
+		dst = appendForest(dst, st.Forest)
 	case Insert:
-		b.WriteString("insert ")
+		dst = append(dst, "insert "...)
 		if st.CopyOf != nil {
-			b.WriteString(st.CopyOf.String())
+			dst = st.CopyOf.AppendTo(dst)
 		} else {
-			b.WriteString(ForestString(st.Forest))
+			dst = appendForest(dst, st.Forest)
 		}
-		b.WriteString(" into ")
-		b.WriteString(st.Target.String())
+		dst = append(dst, " into "...)
+		dst = st.Target.AppendTo(dst)
 	}
+	return dst
+}
+
+func appendForest(dst []byte, forest []*xmltree.Node) []byte {
+	for _, n := range forest {
+		dst = n.AppendContent(dst)
+	}
+	return dst
 }
 
 // Canonical reparses the canonical rendering, returning a statement whose

@@ -180,7 +180,8 @@ func TestFragmentErrorPlacesTheFaultInTheStatement(t *testing.T) {
 }
 
 // FuzzFormatRoundTrip: any statement the parser accepts must format to a
-// canonical text that reparses to an equivalent statement.
+// canonical text that reparses to an equivalent statement, and
+// AppendFormat appends exactly that text, after whatever dst held.
 func FuzzFormatRoundTrip(f *testing.F) {
 	for _, tc := range roundTripCases {
 		f.Add(tc.src)
@@ -192,6 +193,7 @@ func FuzzFormatRoundTrip(f *testing.F) {
 		`insert <p:a xmlns:p="urn:x" xmlns="urn:y" p:k="v"/> into /site`,
 		`insert <a>x<!--c-->y<![CDATA[<z>]]></a><!--between--> <b/> into /site`,
 		"insert <a x=\"&#13;\">&#13;\r\n</a> into /site",
+		`delete //person[count(watches/watch)>=2][starts-with(name,"A") or contains(.//text(),'x')]`,
 	} {
 		f.Add(src)
 	}
@@ -201,6 +203,12 @@ func FuzzFormatRoundTrip(f *testing.F) {
 			return
 		}
 		canon := Format(st)
+		if got := string(AppendFormat(nil, st)); got != canon {
+			t.Fatalf("AppendFormat(nil) = %q, Format = %q", got, canon)
+		}
+		if got := string(AppendFormat([]byte("s/x"), st)); got != "s/x"+canon {
+			t.Fatalf("AppendFormat after a prefix = %q, want the prefix and %q", got, canon)
+		}
 		back, err := Parse(canon)
 		if err != nil {
 			t.Fatalf("Format(%q) = %q does not reparse: %v", src, canon, err)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"xivm/internal/core"
 	"xivm/internal/store"
@@ -44,15 +45,32 @@ func parseCkptName(name string) (uint64, bool) {
 // running hash.
 const ckptBufBytes = 32 << 10
 
-// writeCheckpoint writes a complete checkpoint of the engine — the document
-// as canonical XML plus every managed view via store.WriteSnapshot, bound
+// ckptBufs lends checkpoints their buffer. A checkpoint holds one only while
+// it writes, so a tenant between checkpoints holds none, and a warm process
+// allocates none.
+var ckptBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, ckptBufBytes) }}
+
+// writeCheckpoint writes a complete checkpoint of an engine epoch — the
+// document as canonical XML plus every view via store.WriteSnapshot, bound
 // together by a hashed manifest — into dir/checkpoint-<lsn>, atomically:
 // everything lands in a tmp directory, every file is fsynced, and a single
 // rename publishes it. A crash between two flushes of one file leaves what
-// a crash between two files does: a tmp directory.
-func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sources map[string]string, lsn uint64) error {
+// a crash between two files does: a tmp directory. The epoch is immutable,
+// so the engine's writer may go on while this runs.
+func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, sources map[string]string, lsn uint64) (err error) {
 	final := filepath.Join(dir, ckptName(lsn))
 	tmp := final + ckptTmpExt
+	defer func() {
+		if err != nil {
+			fsys.RemoveAll(tmp) // what this leaves, Open sweeps
+		}
+	}()
+	// A same-named published directory can only be an invalid leftover: a
+	// valid one would have been recovered from, and nothing would have been
+	// journaled since.
+	if err := fsys.RemoveAll(final); err != nil {
+		return err
+	}
 	if err := fsys.RemoveAll(tmp); err != nil {
 		return err
 	}
@@ -60,7 +78,11 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sourc
 		return err
 	}
 	var total int64
-	buf := bufio.NewWriterSize(nil, ckptBufBytes)
+	buf := ckptBufs.Get().(*bufio.Writer)
+	defer func() {
+		buf.Reset(nil)
+		ckptBufs.Put(buf)
+	}()
 	// writeFile streams what fill writes into the named file and returns
 	// the digest of exactly the bytes the file was given.
 	writeFile := func(name string, fill func(io.Writer) error) (*store.Digest, error) {
@@ -87,8 +109,9 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sourc
 		return d, f.Close()
 	}
 	man := store.NewManifest(lsn)
-	man.EngineVersion = eng.Version()
-	d, err := writeFile("doc.xml", eng.Doc.Serialize)
+	man.EngineVersion = snap.Version
+	doc := snap.Doc()
+	d, err := writeFile("doc.xml", doc.Serialize)
 	if err != nil {
 		return err
 	}
@@ -98,15 +121,16 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, eng *core.Engine, sourc
 	// view snapshots below can carry the live rows as-is — and a restored
 	// process (recovery or a replication follower) serves the same IDs the
 	// live one does.
-	if d, err = writeFile("doc.ords", eng.Doc.WriteOrds); err != nil {
+	if d, err = writeFile("doc.ords", doc.WriteOrds); err != nil {
 		return err
 	}
 	man.SetOrds(d)
-	for _, mv := range eng.Views {
-		if d, err = writeFile(mv.Name+".xivm", func(w io.Writer) error { return store.WriteSnapshot(w, mv.View) }); err != nil {
+	for i := range snap.Views {
+		vs := &snap.Views[i]
+		if d, err = writeFile(vs.Name+".xivm", func(w io.Writer) error { return store.WriteSnapshot(w, vs.Shape, vs.Rows) }); err != nil {
 			return err
 		}
-		man.AddView(mv.Name, sources[mv.Name], d)
+		man.AddView(vs.Name, sources[vs.Name], d)
 	}
 	// The manifest goes last: its presence implies every file it names was
 	// already written and fsynced.
@@ -154,9 +178,10 @@ func listCheckpoints(fsys FS, dir string) ([]uint64, error) {
 	return lsns, nil
 }
 
-// pruneCheckpoints removes published checkpoints beyond the newest keep,
-// and every leftover tmp directory.
-func pruneCheckpoints(fsys FS, dir string, keep int) error {
+// sweepCheckpointTmp removes every tmp directory in dir: the debris of
+// checkpoints a crash cut short. Only Open calls it — a tmp directory may
+// be a checkpoint in flight once the DB runs.
+func sweepCheckpointTmp(fsys FS, dir string) error {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return err
@@ -168,15 +193,20 @@ func pruneCheckpoints(fsys FS, dir string, keep int) error {
 			}
 		}
 	}
-	lsns, err := listCheckpoints(fsys, dir)
-	if err != nil {
-		return err
+	return nil
+}
+
+// pruneCheckpoints removes the oldest of lsns — published checkpoints in
+// dir, ascending — until keep remain, and returns those, in lsns's array.
+func pruneCheckpoints(fsys FS, dir string, lsns []uint64, keep int) ([]uint64, error) {
+	drop := len(lsns) - keep
+	if drop <= 0 {
+		return lsns, nil
 	}
-	for len(lsns) > keep {
-		if err := fsys.RemoveAll(filepath.Join(dir, ckptName(lsns[0]))); err != nil {
-			return err
+	for i, lsn := range lsns[:drop] {
+		if err := fsys.RemoveAll(filepath.Join(dir, ckptName(lsn))); err != nil {
+			return append(lsns[:0], lsns[i:]...), err
 		}
-		lsns = lsns[1:]
 	}
-	return fsys.SyncDir(dir)
+	return append(lsns[:0], lsns[drop:]...), fsys.SyncDir(dir)
 }

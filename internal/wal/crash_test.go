@@ -39,14 +39,16 @@ var crashStatements = []string{
 }
 
 // runCrashScript drives one scripted session against fsys: create, register
-// a view, apply the statements with a checkpoint mid-way. It returns how
-// many statements were acknowledged before the first error.
-func runCrashScript(dir string, fsys FS) (acked int, err error) {
+// a view, apply the statements with a checkpoint mid-way — or, when every
+// is positive, an automatic checkpoint every that many records. It returns
+// how many statements were acknowledged before the first error.
+func runCrashScript(dir string, fsys FS, every int) (acked int, err error) {
 	opts := Options{
-		Sync:         SyncAlways,
-		SegmentBytes: 256, // force rotation inside the script
-		FS:           fsys,
-		Metrics:      obs.New(),
+		Sync:            SyncAlways,
+		SegmentBytes:    256, // force rotation inside the script
+		CheckpointEvery: every,
+		FS:              fsys,
+		Metrics:         obs.New(),
 	}
 	db, err := Create(dir, []byte(xmark.GenerateSmall(11, 0)), opts)
 	if err != nil {
@@ -57,7 +59,7 @@ func runCrashScript(dir string, fsys FS) (acked int, err error) {
 		return 0, err
 	}
 	for i, src := range crashStatements {
-		if i == len(crashStatements)/2 {
+		if every <= 0 && i == len(crashStatements)/2 {
 			if err := db.Checkpoint(); err != nil {
 				return acked, err
 			}
@@ -113,7 +115,7 @@ func TestCrashMatrix(t *testing.T) {
 	// Probe: count the script's filesystem operations on a crash-free run.
 	probeDir := t.TempDir()
 	probe := NewFailFS(OSFS)
-	acked, err := runCrashScript(probeDir, probe)
+	acked, err := runCrashScript(probeDir, probe, 0)
 	if err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
@@ -131,7 +133,7 @@ func TestCrashMatrix(t *testing.T) {
 		dir := t.TempDir()
 		ffs := NewFailFS(OSFS)
 		ffs.CrashAt = at
-		acked, err := runCrashScript(dir, ffs)
+		acked, err := runCrashScript(dir, ffs, 0)
 		if err == nil {
 			t.Fatalf("crash at op %d did not surface", at)
 		}
@@ -182,7 +184,7 @@ func TestCrashMatrix(t *testing.T) {
 func TestCrashTornBytesVariants(t *testing.T) {
 	probeDir := t.TempDir()
 	probe := NewFailFS(OSFS)
-	if _, err := runCrashScript(probeDir, probe); err != nil {
+	if _, err := runCrashScript(probeDir, probe, 0); err != nil {
 		t.Fatalf("probe run failed: %v", err)
 	}
 	totalOps := probe.Ops()
@@ -194,7 +196,7 @@ func TestCrashTornBytesVariants(t *testing.T) {
 			ffs := NewFailFS(OSFS)
 			ffs.CrashAt = at
 			ffs.TornBytes = torn
-			acked, err := runCrashScript(dir, ffs)
+			acked, err := runCrashScript(dir, ffs, 0)
 			if !errors.Is(err, ErrCrash) {
 				t.Fatalf("torn=%d at=%d: unexpected error %v", torn, at, err)
 			}

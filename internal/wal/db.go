@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +38,8 @@ type Options struct {
 	// SegmentBytes is the log segment rotation size.
 	SegmentBytes int64
 	// CheckpointEvery, when positive, checkpoints automatically after that
-	// many journaled records.
+	// many journaled records: the writer captures an epoch, and the files
+	// are written off it (autoCheckpoint).
 	CheckpointEvery int
 	// KeepCheckpoints is how many published checkpoints survive pruning
 	// (default 2: the newest plus one fallback).
@@ -60,7 +63,10 @@ type Options struct {
 // anything, checkpoints capture the document plus every view, and Open
 // recovers the exact acknowledged state after a crash.
 //
-// A DB is not safe for concurrent use, matching core.Engine's contract.
+// A DB is not safe for concurrent use, matching core.Engine's contract:
+// its methods belong to the engine's writer. An automatic checkpoint is
+// written off that writer, from an epoch (core.Snapshot) the writer
+// captures; the writer goes on applying statements meanwhile.
 type DB struct {
 	dir    string
 	walDir string
@@ -74,6 +80,17 @@ type DB struct {
 
 	sinceCkpt int
 	stats     RecoveryStats
+
+	// ckpt is the checkpoint in flight, nil when none is: at most one is.
+	// next is one captured while ckpt was in flight, written after it.
+	ckpt, next *ckptJob
+	// ckpts holds the LSNs of the checkpoints published in dir, ascending.
+	// Listed at Open or Create and kept since, it is what pruning and the
+	// truncation horizon read, so that a checkpoint lists no directory.
+	ckpts []uint64
+	// jbuf is the journal's scratch: a statement is formatted into it and
+	// framed from it.
+	jbuf []byte
 
 	// lastCkpt is the LSN of the newest checkpoint this process wrote or
 	// recovered from. Atomic because the replication status handler reads
@@ -117,11 +134,19 @@ func (db *DB) logOptions(start uint64) LogOptions {
 	}
 }
 
+// maxJournalScratch is the largest scratch the journal keeps between
+// statements: one huge statement does not pin its size for the DB's life.
+const maxJournalScratch = 4 << 10
+
 // journal appends the statement's canonical form to the log (synced per
 // policy) before the engine touches the document or any view.
 func (db *DB) journal(st *update.Statement) error {
-	payload := append([]byte{RecordStatement}, update.Format(st)...)
-	if _, err := db.log.Append(payload); err != nil {
+	db.jbuf = update.AppendFormat(append(db.jbuf[:0], RecordStatement), st)
+	_, err := db.log.Append(db.jbuf)
+	if cap(db.jbuf) > maxJournalScratch {
+		db.jbuf = nil
+	}
+	if err != nil {
 		return err
 	}
 	db.sinceCkpt++
@@ -150,9 +175,10 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("wal: %s already holds a database (checkpoint %s)", dir, ckptName(existing[len(existing)-1]))
 	}
 	db.eng = core.New(doc, db.opts.Engine...)
-	if err := writeCheckpoint(db.fs, db.m, dir, db.eng, db.sources, 0); err != nil {
+	if err := writeCheckpoint(db.fs, db.m, dir, db.eng.Snapshot(), db.sources, 0); err != nil {
 		return nil, err
 	}
+	db.ckpts = []uint64{0}
 	db.log, err = OpenLog(db.walDir, db.logOptions(1))
 	if err != nil {
 		return nil, err
@@ -210,7 +236,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := db.replay(ckLSN); err != nil {
 		return nil, err
 	}
-	if err := pruneCheckpoints(db.fs, dir, db.opts.KeepCheckpoints); err != nil {
+	if err := sweepCheckpointTmp(db.fs, dir); err != nil {
+		return nil, err
+	}
+	if db.ckpts, err = pruneCheckpoints(db.fs, dir, lsns, db.opts.KeepCheckpoints); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -389,28 +418,50 @@ func (db *DB) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Ru
 	return run
 }
 
-// autoCheckpoint checkpoints once Options.CheckpointEvery records have been
-// journaled since the last checkpoint. It runs after a statement has
-// landed, so its failure is not the statement's: it is counted in
-// wal.checkpoint.errors, and the record budget stays used up so the next
-// statement retries.
+// autoCheckpoint runs on the writer after a statement has landed. It takes
+// the result of the checkpoint in flight if that one is done — it never
+// waits for it — and captures one once Options.CheckpointEvery records have
+// been journaled since the last capture. A capture that finds a checkpoint
+// still in flight is deferred: it is written once that one is settled, and
+// a later capture deferred in turn replaces it. Either way a checkpoint is
+// of the state at its trigger, so checkpoints fall every CheckpointEvery
+// records however long each takes to write. A checkpoint's failure is not
+// the statement's: it is counted in wal.checkpoint.errors, and the record
+// budget stays used up, so a later statement retries.
 func (db *DB) autoCheckpoint() {
+	if db.ckpt != nil {
+		select {
+		case <-db.ckpt.done:
+			db.settle()
+		default:
+		}
+	}
 	if db.opts.CheckpointEvery <= 0 || db.sinceCkpt < db.opts.CheckpointEvery {
 		return
 	}
-	if err := db.Checkpoint(); err != nil {
+	if err := db.capture(true); err != nil {
 		db.m.ckptErrors.Inc()
 	}
 }
 
-// Sync forces the group-commit buffer to disk — the SyncInterval/SyncNever
-// caller's explicit durability point.
-func (db *DB) Sync() error { return db.log.Sync() }
+// ckptJob is one checkpoint: captured by the writer, written by a goroutine
+// of its own, settled by the writer again.
+type ckptJob struct {
+	lsn     uint64
+	snap    *core.Snapshot
+	sources map[string]string
+	auto    bool // an automatic checkpoint counts its failures
+	records int  // the record budget it used up, re-armed if it fails
+	done    chan struct{}
+	err     error // written before done is closed
+}
 
-// Checkpoint captures the engine (document plus every view) at the current
-// LSN, then rotates the log and truncates the segments the checkpoint
-// covers. Old checkpoints beyond Options.KeepCheckpoints are pruned.
-func (db *DB) Checkpoint() error {
+// capture takes a checkpoint of the engine as it stands at the last
+// journaled LSN and starts writing it, or defers it while another is in
+// flight. The writer pays for a log sync, an epoch (Engine.Snapshot:
+// O(views)) and a copy of the view sources; the files are written from the
+// epoch by a goroutine of the checkpoint's own.
+func (db *DB) capture(auto bool) error {
 	if err := db.log.Sync(); err != nil {
 		return err
 	}
@@ -418,30 +469,79 @@ func (db *DB) Checkpoint() error {
 	if lsn == db.lastCkpt.Load() {
 		return nil // nothing journaled since the last checkpoint
 	}
-	// A same-named directory can only be an invalid leftover: a valid one
-	// would have been chosen at Open, making lastCkptLSN == lsn above.
-	if err := db.fs.RemoveAll(filepath.Join(db.dir, ckptName(lsn))); err != nil {
-		return err
-	}
-	if err := writeCheckpoint(db.fs, db.m, db.dir, db.eng, db.sources, lsn); err != nil {
-		return err
-	}
-	db.lastCkpt.Store(lsn)
+	job := &ckptJob{lsn: lsn, snap: db.eng.Snapshot(), sources: maps.Clone(db.sources), auto: auto, records: db.sinceCkpt}
 	db.sinceCkpt = 0
-	if err := pruneCheckpoints(db.fs, db.dir, db.opts.KeepCheckpoints); err != nil {
+	if db.ckpt != nil {
+		db.next = job
+		return nil
+	}
+	db.start(job)
+	return nil
+}
+
+// start writes job on a goroutine of its own.
+func (db *DB) start(job *ckptJob) {
+	db.ckpt, job.done = job, make(chan struct{})
+	go func() {
+		job.err = writeCheckpoint(db.fs, db.m, db.dir, job.snap, job.sources, job.lsn)
+		job.snap, job.sources = nil, nil
+		if job.err == nil {
+			db.lastCkpt.Store(job.lsn)
+		}
+		close(job.done)
+		// Counted once the result is out: whoever sees the count can rely on
+		// the writer's next statement finding the checkpoint done.
+		if job.err != nil && job.auto {
+			db.m.ckptErrors.Inc()
+		}
+	}()
+}
+
+// settle waits for the checkpoint in flight, if any, takes its result on
+// the writer, which owns the log, and starts the deferred one. A published
+// checkpoint is recorded, the ones beyond Options.KeepCheckpoints are
+// pruned, and the log is truncated behind the oldest kept — so truncation
+// always waits until the checkpoint that covers it is durable. A failed
+// one re-arms the record budget, unless a deferred one supersedes it.
+func (db *DB) settle() error {
+	job := db.ckpt
+	if job == nil {
+		return nil
+	}
+	<-job.done
+	db.ckpt = nil
+	err := job.err
+	if err != nil {
+		if db.next == nil {
+			db.sinceCkpt += job.records
+		}
+	} else if err = db.truncate(job.lsn); err != nil && job.auto {
+		db.m.ckptErrors.Inc()
+	}
+	if next := db.next; next != nil {
+		db.next = nil
+		db.start(next)
+	}
+	return err
+}
+
+// truncate records the checkpoint published at lsn, prunes, and rotates the
+// log, removing the segments every kept checkpoint covers.
+func (db *DB) truncate(lsn uint64) error {
+	if i, found := slices.BinarySearch(db.ckpts, lsn); !found {
+		db.ckpts = slices.Insert(db.ckpts, i, lsn)
+	}
+	var err error
+	if db.ckpts, err = pruneCheckpoints(db.fs, db.dir, db.ckpts, db.opts.KeepCheckpoints); err != nil {
 		return err
 	}
 	// Truncate behind the OLDEST surviving checkpoint, not the one just
 	// written: if the newest turns out corrupt at recovery, the fallback
 	// checkpoint still needs every record after its own LSN to reach the
 	// tip.
-	kept, err := listCheckpoints(db.fs, db.dir)
-	if err != nil {
-		return err
-	}
 	horizon := lsn
-	if len(kept) > 0 && kept[0] < horizon {
-		horizon = kept[0]
+	if len(db.ckpts) > 0 && db.ckpts[0] < horizon {
+		horizon = db.ckpts[0]
 	}
 	// An active follower stream pins the log suffix it is still reading:
 	// truncating past a pinned LSN would turn an in-flight tail into a
@@ -457,11 +557,37 @@ func (db *DB) Checkpoint() error {
 	return db.log.RotateAndTruncate(horizon)
 }
 
-// Close syncs and closes the log. The checkpoint state on disk is left as
-// is — Open replays the tail.
+// Sync forces the group-commit buffer to disk — the SyncInterval/SyncNever
+// caller's explicit durability point.
+func (db *DB) Sync() error { return db.log.Sync() }
+
+// Checkpoint captures the engine (document plus every view) at the current
+// LSN and returns once the checkpoint is published, old ones beyond
+// Options.KeepCheckpoints pruned and the log truncated behind them: the
+// automatic path, waited for. Checkpoints in flight or deferred are
+// settled first; an automatic one's failure is counted there, not returned.
+func (db *DB) Checkpoint() error {
+	db.drain()
+	if err := db.capture(false); err != nil {
+		return err
+	}
+	return db.settle()
+}
+
+// drain settles the checkpoint in flight and the deferred one.
+func (db *DB) drain() {
+	for db.ckpt != nil {
+		db.settle()
+	}
+}
+
+// Close settles the checkpoints in flight and deferred, then syncs and
+// closes the log. The checkpoint state on disk is left as is — Open
+// replays the tail.
 func (db *DB) Close() error {
 	if db.log == nil {
 		return nil
 	}
+	db.drain()
 	return db.log.Close()
 }

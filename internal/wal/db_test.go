@@ -148,6 +148,9 @@ func TestDBCheckpointTruncatesLog(t *testing.T) {
 	checkViews(t, re)
 }
 
+// TestDBAutoCheckpoint: the record budget triggers checkpoints, and
+// recovery starts from one. A checkpoint is written off the writer; Close
+// waits for the one in flight, so the listing after it sees it.
 func TestDBAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir, []byte(xmark.GenerateSmall(3, 0)), Options{Metrics: obs.New(), CheckpointEvery: 3})
@@ -388,5 +391,29 @@ func TestAddViewValidation(t *testing.T) {
 	}
 	if _, err := db.AddView("Q1", xmark.View("Q1").String()); err == nil {
 		t.Fatal("duplicate view accepted")
+	}
+}
+
+// TestJournalAllocatesNoStrings: a statement is formatted into the
+// journal's scratch and framed from there, so journaling a delete
+// allocates nothing and an insert only the serializer's sink per tree of
+// its forest — not a Builder's growth, a path's string and their copy.
+func TestJournalAllocatesNoStrings(t *testing.T) {
+	db, err := Create(t.TempDir(), []byte(xmark.GenerateSmall(3, 0)), Options{Sync: SyncNever, Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tc := range []struct {
+		src    string
+		allocs float64
+	}{
+		{`delete /site/people/person[@id="person3"]/name`, 0},
+		{`insert <person id="p"><name>N</name></person> into /site/people/person[@id="person3"]`, 1},
+	} {
+		st := mustStatement(t, tc.src)
+		if got := testing.AllocsPerRun(50, func() { db.journal(st) }); got > tc.allocs {
+			t.Errorf("journaling %q allocates %.0f times, want at most %.0f", tc.src, got, tc.allocs)
+		}
 	}
 }

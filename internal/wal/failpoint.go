@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"io/fs"
+	"sync"
 )
 
 // ErrCrash is what every FailFS operation returns once the injected crash
@@ -18,7 +19,10 @@ var ErrCrash = errors.New("wal: injected crash")
 // case the frame checksums exist for.
 //
 // Only operations that reach the disk mutate the count; reads are free but
-// fail after the crash like everything else.
+// fail after the crash like everything else. A DB's writer and its
+// checkpoint write through the same FailFS at once: the count is one
+// sequence across both, and once the crash has fired every operation fails,
+// from either.
 type FailFS struct {
 	// CrashAt fires the crash at the CrashAt-th mutating operation
 	// (0-based). Negative never crashes (probe mode).
@@ -28,6 +32,7 @@ type FailFS struct {
 	TornBytes int
 
 	inner   FS
+	mu      sync.Mutex
 	ops     int
 	crashed bool
 }
@@ -38,23 +43,32 @@ func NewFailFS(inner FS) *FailFS {
 }
 
 // Ops returns how many mutating operations have run.
-func (f *FailFS) Ops() int { return f.ops }
+func (f *FailFS) Ops() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ops
+}
 
 // step accounts one mutating operation and decides whether to crash now.
-func (f *FailFS) step() error {
+// fired reports whether the crash fired on this very operation.
+func (f *FailFS) step() (fired bool, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.crashed {
-		return ErrCrash
+		return false, ErrCrash
 	}
 	at := f.ops
 	f.ops++
 	if f.CrashAt >= 0 && at >= f.CrashAt {
 		f.crashed = true
-		return ErrCrash
+		return true, ErrCrash
 	}
-	return nil
+	return false, nil
 }
 
 func (f *FailFS) alive() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.crashed {
 		return ErrCrash
 	}
@@ -62,7 +76,7 @@ func (f *FailFS) alive() error {
 }
 
 func (f *FailFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return nil, err
 	}
 	file, err := f.inner.OpenFile(name, flag, perm)
@@ -87,42 +101,42 @@ func (f *FailFS) ReadDir(name string) ([]fs.DirEntry, error) {
 }
 
 func (f *FailFS) MkdirAll(name string, perm fs.FileMode) error {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return err
 	}
 	return f.inner.MkdirAll(name, perm)
 }
 
 func (f *FailFS) Rename(oldpath, newpath string) error {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return err
 	}
 	return f.inner.Rename(oldpath, newpath)
 }
 
 func (f *FailFS) Remove(name string) error {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return err
 	}
 	return f.inner.Remove(name)
 }
 
 func (f *FailFS) RemoveAll(name string) error {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return err
 	}
 	return f.inner.RemoveAll(name)
 }
 
 func (f *FailFS) Truncate(name string, size int64) error {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return err
 	}
 	return f.inner.Truncate(name, size)
 }
 
 func (f *FailFS) SyncDir(name string) error {
-	if err := f.step(); err != nil {
+	if _, err := f.step(); err != nil {
 		return err
 	}
 	return f.inner.SyncDir(name)
@@ -137,9 +151,8 @@ type failFile struct {
 // operation, a prefix of p still reaches the file — what a sector-sized
 // power cut does to an in-flight append.
 func (w *failFile) Write(p []byte) (int, error) {
-	down := w.fs.crashed
-	if err := w.fs.step(); err != nil {
-		if !down && len(p) > 0 {
+	if fired, err := w.fs.step(); err != nil {
+		if fired && len(p) > 0 {
 			// The crash fired on THIS write (not a pre-crashed fs): land the
 			// torn prefix.
 			torn := w.fs.TornBytes
@@ -159,7 +172,7 @@ func (w *failFile) Write(p []byte) (int, error) {
 }
 
 func (w *failFile) Sync() error {
-	if err := w.fs.step(); err != nil {
+	if _, err := w.fs.step(); err != nil {
 		return err
 	}
 	return w.inner.Sync()

@@ -14,7 +14,8 @@ import "xivm/internal/obs"
 //	wal.checkpoint.count    checkpoints written
 //	wal.checkpoint.bytes    bytes written into checkpoints
 //	wal.checkpoint.errors   automatic checkpoints that failed after their
-//	                        statement landed (retried on the next one)
+//	                        statement landed, counted when they fail
+//	                        (retried after the next statement)
 //	wal.recover.replayed    log records re-applied during recovery
 //	                        (statements and view registrations)
 //	wal.recover.skipped     log records skipped during recovery (unparseable

@@ -183,7 +183,7 @@ func TestRestoreRejectsAViewOffItsPattern(t *testing.T) {
 func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	eng, sources := benchTenant(t)
 	dir := t.TempDir()
-	if err := writeCheckpoint(OSFS, newWalMetrics(obs.New()), dir, eng, sources, 1); err != nil {
+	if err := writeCheckpoint(OSFS, newWalMetrics(obs.New()), dir, eng.Snapshot(), sources, 1); err != nil {
 		t.Fatal(err)
 	}
 	img, err := loadImage(OSFS, dir, 1)

@@ -364,6 +364,14 @@ func (n *Node) Content() string {
 	return b.String()
 }
 
+// AppendContent appends what Content returns to dst and returns the
+// extended slice.
+func (n *Node) AppendContent(dst []byte) []byte {
+	sink := appendSink(dst)
+	serializeNode(&sink, n)
+	return sink
+}
+
 // ElementChildren returns the element children of n, skipping attributes
 // and text.
 func (n *Node) ElementChildren() []*Node {

@@ -4,15 +4,32 @@ import (
 	"bufio"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // xmlSink is what the serializer writes to: a strings.Builder for String, a
-// bufio.Writer for Serialize. Neither reports an error per call — a
-// bufio.Writer keeps its first one for Flush.
+// bufio.Writer for Serialize, an appendSink for AppendContent. None reports
+// an error per call — a bufio.Writer keeps its first one for Flush.
 type xmlSink interface {
 	WriteByte(byte) error
 	WriteRune(rune) (int, error)
 	WriteString(string) (int, error)
+}
+
+// appendSink is an xmlSink appending to a byte slice.
+type appendSink []byte
+
+func (s *appendSink) WriteByte(c byte) error { *s = append(*s, c); return nil }
+
+func (s *appendSink) WriteRune(r rune) (int, error) {
+	n := len(*s)
+	*s = utf8.AppendRune(*s, r)
+	return len(*s) - n, nil
+}
+
+func (s *appendSink) WriteString(str string) (int, error) {
+	*s = append(*s, str...)
+	return len(str), nil
 }
 
 // Serialize writes the document as XML text, streaming: what is held at any

@@ -162,112 +162,117 @@ func (CountExpr) exprNode()    {}
 func (ContainsExpr) exprNode() {}
 
 // String renders the path back to XPath syntax.
-func (p Path) String() string {
-	var b strings.Builder
+func (p Path) String() string { return string(p.AppendTo(make([]byte, 0, 64))) }
+
+// AppendTo appends what String returns to dst and returns the extended
+// slice.
+func (p Path) AppendTo(dst []byte) []byte {
 	for _, s := range p.Steps {
 		switch s.Axis {
 		case Descendant:
-			b.WriteString("//")
+			dst = append(dst, "//"...)
 		case FollowingSibling:
-			b.WriteString("/following-sibling::")
+			dst = append(dst, "/following-sibling::"...)
 		case PrecedingSibling:
-			b.WriteString("/preceding-sibling::")
+			dst = append(dst, "/preceding-sibling::"...)
 		default:
-			b.WriteString("/")
+			dst = append(dst, '/')
 		}
-		b.WriteString(stepName(s))
+		dst = appendStepName(dst, s)
 		for _, pr := range s.Preds {
-			b.WriteByte('[')
-			writeExpr(&b, pr)
-			b.WriteByte(']')
+			dst = append(dst, '[')
+			dst = appendExpr(dst, pr)
+			dst = append(dst, ']')
 		}
 	}
-	return b.String()
+	return dst
 }
 
-func stepName(s Step) string {
+func appendStepName(dst []byte, s Step) []byte {
 	switch s.Kind {
 	case TestWildcard:
-		return "*"
+		return append(dst, '*')
 	case TestAttr:
-		return "@" + s.Name
+		return append(append(dst, '@'), s.Name...)
 	case TestText:
-		return "text()"
+		return append(dst, "text()"...)
 	}
-	return s.Name
+	return append(dst, s.Name...)
 }
 
-// relString renders a relative path as it appears inside a predicate: a
+// appendRel renders a relative path as it appears inside a predicate: a
 // leading child step drops its slash, but a leading descendant step keeps
 // its "//" (trimming one slash would reparse as a child step).
-func relString(p Path) string {
-	s := p.String()
-	if strings.HasPrefix(s, "/") && !strings.HasPrefix(s, "//") {
-		return s[1:]
+func appendRel(dst []byte, p Path) []byte {
+	at := len(dst)
+	dst = p.AppendTo(dst)
+	rel := dst[at:]
+	if len(rel) > 0 && rel[0] == '/' && (len(rel) == 1 || rel[1] != '/') {
+		dst = append(dst[:at], rel[1:]...)
 	}
-	return s
+	return dst
 }
 
-// writeLiteral quotes a literal with whichever quote it does not contain.
+// appendLiteral quotes a literal with whichever quote it does not contain.
 // Literals produced by the parser never contain their own delimiter, so
 // printed expressions always reparse.
-func writeLiteral(b *strings.Builder, lit string) {
+func appendLiteral(dst []byte, lit string) []byte {
 	q := byte('"')
 	if strings.IndexByte(lit, '"') >= 0 {
 		q = '\''
 	}
-	b.WriteByte(q)
-	b.WriteString(lit)
-	b.WriteByte(q)
+	dst = append(dst, q)
+	dst = append(dst, lit...)
+	return append(dst, q)
 }
 
-func writeExpr(b *strings.Builder, e Expr) {
+func appendExpr(dst []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case OrExpr:
-		writeExpr(b, x.Left)
-		b.WriteString(" or ")
-		writeExpr(b, x.Right)
+		dst = appendExpr(dst, x.Left)
+		dst = append(dst, " or "...)
+		dst = appendExpr(dst, x.Right)
 	case AndExpr:
 		// "and" binds tighter than "or", so only disjunction operands need
 		// explicit parentheses to reparse identically.
-		writeAndOperand(b, x.Left)
-		b.WriteString(" and ")
-		writeAndOperand(b, x.Right)
+		dst = appendAndOperand(dst, x.Left)
+		dst = append(dst, " and "...)
+		dst = appendAndOperand(dst, x.Right)
 	case ExistsExpr:
-		b.WriteString(relString(x.Path))
+		dst = appendRel(dst, x.Path)
 	case EqExpr:
-		b.WriteString(relString(x.Path))
-		b.WriteString("=")
-		writeLiteral(b, x.Lit)
+		dst = appendRel(dst, x.Path)
+		dst = append(dst, '=')
+		dst = appendLiteral(dst, x.Lit)
 	case PosExpr:
-		b.WriteString(strconv.Itoa(x.N))
+		dst = strconv.AppendInt(dst, int64(x.N), 10)
 	case LastExpr:
-		b.WriteString("last()")
+		dst = append(dst, "last()"...)
 	case CountExpr:
-		b.WriteString("count(")
-		b.WriteString(relString(x.Path))
-		b.WriteString(")")
-		b.WriteString(x.Op.String())
-		b.WriteString(strconv.Itoa(x.N))
+		dst = append(dst, "count("...)
+		dst = appendRel(dst, x.Path)
+		dst = append(dst, ')')
+		dst = append(dst, x.Op.String()...)
+		dst = strconv.AppendInt(dst, int64(x.N), 10)
 	case ContainsExpr:
 		if x.Prefix {
-			b.WriteString("starts-with(")
+			dst = append(dst, "starts-with("...)
 		} else {
-			b.WriteString("contains(")
+			dst = append(dst, "contains("...)
 		}
-		b.WriteString(relString(x.Path))
-		b.WriteString(",")
-		writeLiteral(b, x.Lit)
-		b.WriteString(")")
+		dst = appendRel(dst, x.Path)
+		dst = append(dst, ',')
+		dst = appendLiteral(dst, x.Lit)
+		dst = append(dst, ')')
 	}
+	return dst
 }
 
-func writeAndOperand(b *strings.Builder, e Expr) {
+func appendAndOperand(dst []byte, e Expr) []byte {
 	if _, isOr := e.(OrExpr); isOr {
-		b.WriteByte('(')
-		writeExpr(b, e)
-		b.WriteByte(')')
-		return
+		dst = append(dst, '(')
+		dst = appendExpr(dst, e)
+		return append(dst, ')')
 	}
-	writeExpr(b, e)
+	return appendExpr(dst, e)
 }

@@ -88,7 +88,7 @@ func stepNode(st *Step, stepsBelow int) (*pattern.Node, error) {
 	case Descendant:
 		n.Desc = true
 	default:
-		return nil, notExpressible("sibling axis %q", stepName(*st))
+		return nil, notExpressible("sibling axis %q", appendStepName(nil, *st))
 	}
 	switch st.Kind {
 	case TestName:
