@@ -11,10 +11,11 @@
 //	db.View(ctx, "Q1")
 //
 // Request bodies are appended, not marshalled, and the responses of
-// DB.View, DB.XPath and DB.Update are decoded in place (server/encode.go,
-// server/decode.go): their strings are substrings of the one buffer the
-// body was read into. Holding a single ID or value therefore holds the
-// whole body; strings.Clone what must outlive the response.
+// DB.View, DB.XPath and DB.Update are decoded by the wire decoder
+// (server/encode.go, server/decode.go): a response owns its strings, one
+// arena that holds exactly them, and the buffer its body was read into goes
+// back to a pool for the next read. Holding a single ID or value holds that
+// response's arena, never its body.
 package client
 
 import (
@@ -28,8 +29,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
-	"unsafe"
 
 	"xivm/internal/server"
 )
@@ -180,21 +181,23 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 		}
 		var err error
 		if n := resp.ContentLength; n > 0 {
-			// The server said how long the body is: read it into one buffer
-			// of that size, where a streaming decoder would grow its own by
+			// The server said how long the body is: read it into one pooled
+			// buffer, where a streaming decoder would grow its own by
 			// doubling, allocating the body several times over.
+			bp := bodyPool.Get().(*[]byte)
 			var raw []byte
-			if raw, err = server.ReadBody(resp.Body, n, n); err == nil && int64(len(raw)) < n {
+			if raw, err = server.ReadBody(*bp, resp.Body, n, n); err == nil && int64(len(raw)) < n {
 				err = io.ErrUnexpectedEOF
 			}
 			if err == nil {
-				if su, ok := out.(stringUnmarshaler); ok {
-					// raw is not written again, so the response may alias it.
-					err = su.UnmarshalString(unsafe.String(unsafe.SliceData(raw), len(raw)))
+				if u, ok := out.(json.Unmarshaler); ok {
+					err = u.UnmarshalJSON(raw) // the wire types, which keep none of raw
 				} else {
 					err = json.Unmarshal(raw, out)
 				}
 			}
+			*bp = raw[:0]
+			bodyPool.Put(bp)
 		} else {
 			err = json.NewDecoder(resp.Body).Decode(out)
 		}
@@ -220,10 +223,10 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 	}, nil
 }
 
-// stringUnmarshaler is what the data-plane responses implement
-// (server/decode.go): decoding from a string they may keep substrings of,
-// which spares them the copy json.Unmarshal would make them take.
-type stringUnmarshaler interface{ UnmarshalString(body string) error }
+// bodyPool holds the buffers sized response bodies are read into. A
+// buffer grows to the largest body it has carried and is let go by the
+// collector, as the server's response buffers are.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Health fetches GET /healthz.
 func (c *Client) Health(ctx context.Context) (server.HealthResponse, error) {

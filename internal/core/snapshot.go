@@ -33,9 +33,6 @@ type Snapshot struct {
 	// Views holds one immutable row set per managed view, in registration
 	// order.
 	Views []ViewSnapshot
-	// ViewsReused counts the Views whose Rows were handed on from the
-	// previous snapshot because the view had not changed since.
-	ViewsReused int
 
 	// doc is the document's epoch (xmltree.Snapshot): the writer's nodes and
 	// IDs themselves, not a serialized reparse, which would compact the
@@ -80,10 +77,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		doc:     e.Doc.Snapshot(),
 	}
 	for _, mv := range e.Views {
-		rows, moved := mv.View.Freeze()
-		if !moved {
-			s.ViewsReused++
-		}
+		rows, _ := mv.View.Freeze()
 		s.Views = append(s.Views, ViewSnapshot{ViewDef: mv.ViewDef, Rows: rows})
 	}
 	return s

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"net/http"
-	"strings"
-)
+import "net/http"
 
 // Admin-plane wire types.
 
@@ -57,12 +54,6 @@ func (r *Registry) handleCreateDB(w http.ResponseWriter, req *http.Request) {
 	var cr CreateDBRequest
 	if !decodeBody(w, req, maxCreateBody, "", &cr) {
 		return
-	}
-	// The request's strings alias its body, document and all: what the
-	// tenant keeps of them is cloned, so that it does not pin the body.
-	cr.Name = strings.Clone(cr.Name)
-	for i := range cr.Views {
-		cr.Views[i] = ViewSpec{Name: strings.Clone(cr.Views[i].Name), Pattern: strings.Clone(cr.Views[i].Pattern)}
 	}
 	sh, err := r.Create(cr.Name, cr.Document, cr.Views)
 	if err != nil {

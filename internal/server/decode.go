@@ -10,19 +10,30 @@ import (
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // This file is the wire decoder: encode.go's inverse, for whoever
 // receives a body it wrote — a client a ViewResponse, XPathResponse or
-// UpdateResponse, the server an UpdateRequest or CreateDBRequest. It takes
-// the body as one string, sizes the result from it (strings.Count for the
-// slices, one scan of the escaped literals for the arena), and fills one
-// exactly-sized slice per level in a single pass. A literal without an
-// escape is decoded to a substring of the body, one with an escape into
-// the shared arena, so a decode allocates the arena and two or three
-// slices — not a string per field and a doubling slice per row — and a
-// decoded value's strings alias its body: holding one ID holds the whole
-// body (strings.Clone what outlives the response).
+// UpdateResponse, the server an UpdateRequest or CreateDBRequest. A decode
+// takes two passes. The scan sizes the slices from the body
+// (strings.Count), fills one exactly-sized slice per level, leaves each
+// string as its literal lies in the body and counts the length of its
+// unescaped text. Once the scan has taken the whole body, own copies every
+// string, unescaped, into one arena of exactly the counted size. A label
+// spelled like one the body has already shown shares that label's string
+// (labelSet) and is counted once. So a decode allocates two or three
+// slices and one arena, not a string per field and a doubling slice per
+// row.
+//
+// A decoded value owns its strings: none of them points into the body.
+// UnmarshalJSON decodes straight from the bytes it is handed and keeps
+// none of them, client.decode and decodeBody hand the buffer a body was
+// read into back to a pool as soon as it is decoded, and a held ID holds
+// the response's arena — its strings and nothing else — not its body. A
+// create's document is the one string given an array of its own
+// (ownApart): the tenant keeps the request's name and views and parses the
+// document once, so a kept name must not hold the document.
 //
 // The scanner accepts exactly the grammar encode.go writes — fixed key
 // order, no whitespace but the one trailing newline, plain integers, the
@@ -35,7 +46,8 @@ import (
 // error) for anything our own side did not write is the library's — for a
 // request, that includes refusing anything but whitespace after the value.
 // FuzzDecodeMatchesEncodingJSON and FuzzRequestDecodeMatchesEncodingJSON
-// hold the two to each other.
+// hold the two to each other, and hold every decoded string to lying
+// outside its body.
 
 // decodeDeclined counts response bodies handed to encoding/json, and
 // requestDeclined request bodies; tests read them to show that nothing our
@@ -50,10 +62,10 @@ type (
 	createDBRequestWire CreateDBRequest
 )
 
-// unmarshal finishes an UnmarshalString: nothing to do when the scanner
-// took the body, encoding/json on the method-less alias wire when it
-// declined, counted in declined.
-func unmarshal(body string, scanned bool, declined *atomic.Uint64, wire any) error {
+// unmarshal finishes an UnmarshalJSON or UnmarshalString: nothing to do
+// when the scanner took the body, encoding/json on the method-less alias
+// wire when it declined, counted in declined.
+func unmarshal[B []byte | string](body B, scanned bool, declined *atomic.Uint64, wire any) error {
 	if scanned {
 		return nil
 	}
@@ -61,46 +73,44 @@ func unmarshal(body string, scanned bool, declined *atomic.Uint64, wire any) err
 	return json.Unmarshal([]byte(body), wire)
 }
 
-// UnmarshalJSON decodes a view body. The copy of data is the one the
-// json.Unmarshaler contract requires of an implementation that retains it.
-func (v *ViewResponse) UnmarshalJSON(data []byte) error { return v.UnmarshalString(string(data)) }
+// transient is data as a string for the scanner alone, which copies
+// whatever it keeps: the decoded value does not retain data, as the
+// json.Unmarshaler contract asks.
+func transient(data []byte) string { return unsafe.String(unsafe.SliceData(data), len(data)) }
 
-// UnmarshalString is UnmarshalJSON for a caller that holds the body as a
-// string nothing will write to again: the response aliases it, uncopied.
+// UnmarshalJSON decodes a view body.
+func (v *ViewResponse) UnmarshalJSON(data []byte) error {
+	return unmarshal(data, v.decode(transient(data)), &decodeDeclined, (*viewResponseWire)(v))
+}
+
+// UnmarshalString is UnmarshalJSON for a body held as a string.
 func (v *ViewResponse) UnmarshalString(body string) error {
 	return unmarshal(body, v.decode(body), &decodeDeclined, (*viewResponseWire)(v))
 }
 
-// UnmarshalJSON decodes an xpath body; see ViewResponse.UnmarshalJSON.
-func (x *XPathResponse) UnmarshalJSON(data []byte) error { return x.UnmarshalString(string(data)) }
+// UnmarshalJSON decodes an xpath body.
+func (x *XPathResponse) UnmarshalJSON(data []byte) error {
+	return unmarshal(data, x.decode(transient(data)), &decodeDeclined, (*xpathResponseWire)(x))
+}
 
-// UnmarshalString decodes an xpath body; see ViewResponse.UnmarshalString.
+// UnmarshalString is UnmarshalJSON for a body held as a string.
 func (x *XPathResponse) UnmarshalString(body string) error {
 	return unmarshal(body, x.decode(body), &decodeDeclined, (*xpathResponseWire)(x))
 }
 
-// UnmarshalJSON decodes an update answer; see ViewResponse.UnmarshalJSON.
-func (u *UpdateResponse) UnmarshalJSON(data []byte) error { return u.UnmarshalString(string(data)) }
-
-// UnmarshalString decodes an update answer; see ViewResponse.UnmarshalString.
-func (u *UpdateResponse) UnmarshalString(body string) error {
-	return unmarshal(body, u.decode(body), &decodeDeclined, (*updateResponseWire)(u))
+// UnmarshalJSON decodes an update answer.
+func (u *UpdateResponse) UnmarshalJSON(data []byte) error {
+	return unmarshal(data, u.decode(transient(data)), &decodeDeclined, (*updateResponseWire)(u))
 }
 
-// UnmarshalJSON decodes an update request; see ViewResponse.UnmarshalJSON.
-func (r *UpdateRequest) UnmarshalJSON(data []byte) error { return r.UnmarshalString(string(data)) }
-
-// UnmarshalString decodes an update request; see ViewResponse.UnmarshalString.
-func (r *UpdateRequest) UnmarshalString(body string) error {
-	return unmarshal(body, r.decode(body), &requestDeclined, (*updateRequestWire)(r))
+// UnmarshalJSON decodes an update request.
+func (r *UpdateRequest) UnmarshalJSON(data []byte) error {
+	return unmarshal(data, r.decode(transient(data)), &requestDeclined, (*updateRequestWire)(r))
 }
 
-// UnmarshalJSON decodes a create request; see ViewResponse.UnmarshalJSON.
-func (r *CreateDBRequest) UnmarshalJSON(data []byte) error { return r.UnmarshalString(string(data)) }
-
-// UnmarshalString decodes a create request; see ViewResponse.UnmarshalString.
-func (r *CreateDBRequest) UnmarshalString(body string) error {
-	return unmarshal(body, r.decode(body), &requestDeclined, (*createDBRequestWire)(r))
+// UnmarshalJSON decodes a create request.
+func (r *CreateDBRequest) UnmarshalJSON(data []byte) error {
+	return unmarshal(data, r.decode(transient(data)), &requestDeclined, (*createDBRequestWire)(r))
 }
 
 // maxReserve bounds what a declared length makes ReadBody allocate before
@@ -108,24 +118,28 @@ func (r *CreateDBRequest) UnmarshalString(body string) error {
 const maxReserve = 1 << 20
 
 // ReadBody reads a body that declared n bytes (n < 0: none declared) and
-// may hold at most limit (below math.MaxInt64) into one buffer, for a
-// decoder to alias: nothing writes to it again. A declared length is a
-// claim, not an order to allocate: at most 1 MiB is reserved on its say-so
-// and the buffer grows as bytes arrive, so a header that lies costs what
-// was sent, not what was claimed. The read stops after n bytes or at the
-// end of the stream, whichever comes first; a caller that needs all n
-// compares. A body that declares more than limit is an *http.MaxBytesError
-// before any of it is read, one that sends more once a byte past limit has
-// arrived.
-func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
+// may hold at most limit (below math.MaxInt64) into buf's array from its
+// start, and returns buf's array, or a larger one it grew into, holding
+// what was read: the caller's to decode and then to pool again, error or
+// not. A declared length is a claim, not an order to allocate: at most
+// 1 MiB is reserved on its say-so and the buffer grows as bytes arrive, so
+// a header that lies costs what was sent, not what was claimed. The read
+// stops after n bytes or at the end of the stream, whichever comes first;
+// a caller that needs all n compares. A body that declares more than limit
+// is an *http.MaxBytesError before any of it is read, one that sends more
+// once a byte past limit has arrived.
+func ReadBody(buf []byte, r io.Reader, n, limit int64) ([]byte, error) {
+	raw := buf[:0]
 	if n > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+		return raw, &http.MaxBytesError{Limit: limit}
 	}
 	want, reserve := n, n
 	if n < 0 {
 		want, reserve = limit+1, min(limit+1, 512)
 	}
-	raw := make([]byte, 0, min(reserve, maxReserve))
+	if reserve = min(reserve, maxReserve); int64(cap(raw)) < reserve {
+		raw = make([]byte, 0, reserve)
+	}
 	for int64(len(raw)) < want {
 		if len(raw) == cap(raw) {
 			raw = slices.Grow(raw, int(min(want-int64(len(raw)), int64(len(raw)))))
@@ -136,11 +150,11 @@ func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return raw, err
 		}
 	}
 	if int64(len(raw)) > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+		return raw, &http.MaxBytesError{Limit: limit}
 	}
 	return raw, nil
 }
@@ -176,7 +190,7 @@ func (v *ViewResponse) decode(body string) bool {
 				return false
 			}
 			e := &entries[ne]
-			if !(d.skip(`{"label":`) && d.str(&e.Label) && d.skip(`,"id":`) && d.str(&e.ID)) ||
+			if !(d.skip(`{"label":`) && d.label(&e.Label) && d.skip(`,"id":`) && d.str(&e.ID)) ||
 				d.skip(`,"val":`) && !d.str(&e.Val) ||
 				d.skip(`,"cont":`) && !d.str(&e.Cont) ||
 				!d.skip(`}`) {
@@ -192,6 +206,12 @@ func (v *ViewResponse) decode(body string) bool {
 	}
 	if nr != len(rows) || ne != len(entries) || !d.end() {
 		return false
+	}
+	d.own(&out.Tenant, &out.Name)
+	for i := range entries {
+		e := &entries[i]
+		d.ownLabel(&e.Label)
+		d.own(&e.ID, &e.Val, &e.Cont)
 	}
 	out.Rows = rows
 	*v = out
@@ -230,6 +250,10 @@ func (u *UpdateResponse) decode(body string) bool {
 	if n != len(views) || !d.end() {
 		return false
 	}
+	d.own(&out.Tenant)
+	for i := range views {
+		d.own(&views[i].Name)
+	}
 	out.Views = views
 	*u = out
 	return true
@@ -243,6 +267,7 @@ func (r *UpdateRequest) decode(body string) bool {
 	if !(d.skip(`{"statement":`) && d.str(&out.Statement) && d.end()) {
 		return false
 	}
+	d.own(&out.Statement)
 	*r = out
 	return true
 }
@@ -256,9 +281,17 @@ func (r *CreateDBRequest) decode(body string) bool {
 	}
 	d := bodyScanner{s: body}
 	out := CreateDBRequest{Document: r.Document, Views: r.Views}
-	if !(d.skip(`{"name":`) && d.str(&out.Name)) || d.skip(`,"document":`) && !d.str(&out.Document) {
+	if !d.skip(`{"name":`) || !d.str(&out.Name) {
 		return false
 	}
+	// The document is counted apart from the arena and given its own
+	// array (ownApart): the tenant keeps the name and the views, not the
+	// document, which it parses once.
+	doc := d.need
+	if d.skip(`,"document":`) && !d.str(&out.Document) {
+		return false
+	}
+	doc, d.need = d.need-doc, doc
 	if d.skip(`,"views":[`) {
 		views := make([]ViewSpec, strings.Count(body, `{"name":`)-1) // the request's own name opens the body
 		n := 0
@@ -278,6 +311,11 @@ func (r *CreateDBRequest) decode(body string) bool {
 	}
 	if !d.end() {
 		return false
+	}
+	d.ownApart(&out.Document, doc)
+	d.own(&out.Name)
+	for i := range out.Views {
+		d.own(&out.Views[i].Name, &out.Views[i].Pattern)
 	}
 	*r = out
 	return true
@@ -305,13 +343,19 @@ func (x *XPathResponse) decode(body string) bool {
 			return false
 		}
 		m := &matches[n]
-		if !(d.skip(`{"id":`) && d.str(&m.ID) && d.skip(`,"label":`) && d.str(&m.Label) &&
+		if !(d.skip(`{"id":`) && d.str(&m.ID) && d.skip(`,"label":`) && d.label(&m.Label) &&
 			d.skip(`,"value":`) && d.str(&m.Value) && d.skip(`}`)) {
 			return false
 		}
 	}
 	if n != len(matches) || !d.end() {
 		return false
+	}
+	d.own(&out.Tenant, &out.Query, &out.Plan)
+	for i := range matches {
+		m := &matches[i]
+		d.ownLabel(&m.Label)
+		d.own(&m.ID, &m.Value)
 	}
 	out.Matches = matches
 	*x = out
@@ -320,12 +364,16 @@ func (x *XPathResponse) decode(body string) bool {
 
 // bodyScanner is a cursor over one body. Each method consumes what it
 // names at the cursor and reports whether it was there; after a false the
-// scanner is spent and the caller declines. It is used by pointer only:
-// the arena is a strings.Builder.
+// scanner is spent and the caller declines. The scan leaves each decoded
+// string as its literal lies in the body, escapes and all, and counts
+// what its text needs; a decode that took the whole body then gives every
+// string its own bytes (own).
 type bodyScanner struct {
-	s     string
-	i     int
-	arena strings.Builder // the unescaped text of every literal that has an escape
+	s      string
+	i      int
+	need   int    // the unescaped length of every literal str took, a shared label once
+	arena  []byte // the decoded strings' bytes, need of them: own's
+	labels labelSet
 }
 
 func (d *bodyScanner) skip(token string) bool {
@@ -381,28 +429,25 @@ func (d *bodyScanner) int(dst *int) bool {
 	return true
 }
 
-// str consumes a string literal. Without an escape *dst is the literal's
-// bytes where they lie in the body; with one it is their unescaped text,
-// appended to the arena, which the first escape sizes (reserve) so that it
-// never moves. A
-// byte encoding/json would reject (a control byte) or replace (invalid
+// str consumes a string literal, sets *dst to its bytes in the body
+// between the quotes and counts the length of its unescaped text in need.
+// A byte encoding/json would reject (a control byte) or replace (invalid
 // UTF-8) declines.
 func (d *bodyScanner) str(dst *string) bool {
 	s := d.s
 	if d.i >= len(s) || s[d.i] != '"' {
 		return false
 	}
-	run := d.i + 1 // start of the plain bytes not yet in the arena
-	from := -1     // where this literal starts in the arena, once it has an escape
-	for i := run; i < len(s); {
+	start, shrink := d.i+1, 0 // shrink: what unescaping saves
+	for i := start; i < len(s); {
+		if plainByte[s[i]] {
+			i++
+			continue
+		}
 		switch c := s[i]; {
 		case c == '"':
-			if from < 0 {
-				*dst = s[run:i]
-			} else {
-				d.arena.WriteString(s[run:i])
-				*dst = d.arena.String()[from:]
-			}
+			*dst = s[start:i]
+			d.need += i - start - shrink
 			d.i = i + 1
 			return true
 		case c == '\\':
@@ -410,16 +455,8 @@ func (d *bodyScanner) str(dst *string) bool {
 			if width == 0 {
 				return false
 			}
-			if from < 0 {
-				if d.arena.Cap() == 0 {
-					d.reserve(i)
-				}
-				from = d.arena.Len()
-			}
-			d.arena.WriteString(s[run:i])
-			d.arena.WriteRune(r)
+			shrink += width - utf8.RuneLen(r)
 			i += width
-			run = i
 		case c < ' ':
 			return false
 		case c < utf8.RuneSelf:
@@ -433,6 +470,116 @@ func (d *bodyScanner) str(dst *string) bool {
 		}
 	}
 	return false
+}
+
+// plainByte marks the bytes a literal holds as they are: printable ASCII
+// but the quote and the backslash. Most of a body is such bytes, and one
+// load per byte instead of str's comparisons pays for own's copy.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// label consumes a label literal: one spelled like one of the body's first
+// eight distinct labels is that label's string and is not counted again,
+// any other is str's.
+func (d *bodyScanner) label(dst *string) bool {
+	if k := d.labels.find(d.s[d.i:]); k >= 0 {
+		*dst = d.labels.text[k]
+		d.i += len(d.labels.raw[k])
+		return true
+	}
+	at := d.i
+	if !d.str(dst) {
+		return false
+	}
+	d.labels.add(d.s[at:d.i], *dst)
+	return true
+}
+
+// own points each string at ss that lies in the body at a copy of its
+// unescaped text in the arena, which the first call makes, of exactly the
+// size the scan counted; a string from anywhere else (a field the body
+// left out keeps the destination's) stays as it is.
+func (d *bodyScanner) own(ss ...*string) {
+	if d.arena == nil {
+		d.arena = make([]byte, 0, d.need)
+	}
+	base := uintptr(unsafe.Pointer(unsafe.StringData(d.s)))
+	for _, s := range ss {
+		raw := *s
+		if raw == "" {
+			*s = ""
+			continue
+		}
+		if uintptr(unsafe.Pointer(unsafe.StringData(raw)))-base >= uintptr(len(d.s)) {
+			continue
+		}
+		from := len(d.arena)
+		for {
+			k := strings.IndexByte(raw, '\\')
+			if k < 0 {
+				d.arena = append(d.arena, raw...)
+				break
+			}
+			r, width := unescape(raw, k) // the scan took it
+			d.arena = utf8.AppendRune(append(d.arena, raw[:k]...), r)
+			raw = raw[k+width:]
+		}
+		*s = unsafe.String(&d.arena[from], len(d.arena)-from)
+	}
+}
+
+// ownLabel is own for a label, which shares its string with every label
+// literal spelled like it (label).
+func (d *bodyScanner) ownLabel(s *string) {
+	for k := range d.labels.n {
+		if unsafe.StringData(*s) == unsafe.StringData(d.labels.raw[k][1:]) {
+			d.own(&d.labels.text[k])
+			*s = d.labels.text[k]
+			return
+		}
+	}
+	d.own(s)
+}
+
+// ownApart is own for one string of length n, which the scan left out of
+// need, into an exactly-sized array of its own rather than the arena.
+func (d *bodyScanner) ownApart(s *string, n int) {
+	arena := d.arena
+	d.arena = make([]byte, 0, n)
+	d.own(s)
+	d.arena = arena
+}
+
+// labelSet holds a body's first distinct label literals, as they are
+// spelled there (quotes included) and as their text: a body of view rows
+// or matches names a handful of labels thousands of times over, and a
+// literal spelled like an earlier one has the same text.
+type labelSet struct {
+	n         int
+	raw, text [8]string
+}
+
+// find returns the index of the label rest begins with, or -1. A literal's
+// closing quote is its first unescaped one, so a rest that begins with a
+// whole literal holds that literal and no longer one.
+func (l *labelSet) find(rest string) int {
+	for k := range l.n {
+		if strings.HasPrefix(rest, l.raw[k]) {
+			return k
+		}
+	}
+	return -1
+}
+
+func (l *labelSet) add(raw, text string) {
+	if l.n < len(l.raw) {
+		l.raw[l.n], l.text[l.n] = raw, text
+		l.n++
+	}
 }
 
 // unescape decodes the escape sequence whose backslash is s[i] into its
@@ -479,35 +626,4 @@ func unescape(s string, i int) (r rune, width int) {
 		return r, 6
 	}
 	return 0, 0
-}
-
-// reserve sizes the arena, at the body's first backslash s[i], to exactly
-// the unescaped text of the literals that have one. They are found from
-// the backslashes alone: the first backslash of a literal has no quote
-// between the literal's opening quote and itself (a quote inside a literal
-// is escaped, and that escape would be the first backslash), and from there
-// the literal is walked to its closing quote. On a body that is not of the
-// grammar the figure is merely a number: the scan declines such a body,
-// and an arena that does outgrow it only moves.
-func (d *bodyScanner) reserve(i int) {
-	s, n := d.s, 0
-	for k := 0; k >= 0; k = strings.IndexByte(s[i:], '\\') {
-		i += k
-		n += i - (strings.LastIndexByte(s[:i], '"') + 1)
-		for i < len(s) && s[i] != '"' {
-			if s[i] != '\\' {
-				i++
-				n++
-				continue
-			}
-			r, width := unescape(s, i)
-			if width == 0 {
-				i = len(s)
-				break
-			}
-			i += width
-			n += utf8.RuneLen(r)
-		}
-	}
-	d.arena.Grow(n)
 }

@@ -1,10 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"xivm/internal/algebra"
+	"xivm/internal/core"
+	"xivm/internal/dewey"
+	"xivm/internal/pattern"
+	"xivm/internal/xmltree"
 )
 
 // wireBody is every body type decode.go scans.
@@ -61,30 +70,75 @@ func checkRoundTrip[T wireBody](t *testing.T, body []byte, from T, valid bool) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("body %q\n got %+v\nwant %+v", b, got, want)
 		}
+		ownsItsStrings(t, got, b)
 	}
+}
+
+// ownsItsStrings fails t if a string of v, empty ones included, points
+// into body: the buffer a body was read into goes back to a pool once it
+// is decoded, and a string that pointed into it would change under its
+// holder at the next read.
+func ownsItsStrings(t *testing.T, v any, body string) {
+	t.Helper()
+	if len(body) == 0 {
+		return
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+	hi := lo + uintptr(len(body))
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.String:
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(v.String()))); lo <= p && p < hi {
+				t.Fatalf("%s = %q points into the body %q", path, v.String(), body)
+			}
+		case reflect.Struct:
+			for i := range v.NumField() {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice:
+			for i := range v.Len() {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(v), reflect.TypeOf(v).Name())
 }
 
 // agree holds every way into the decoder to encoding/json on arbitrary
 // bytes: the scanner either declines or answers what the library answers
-// without error, and through json.Unmarshal — scanner or fallback — value
-// and error-ness are the library's.
+// without error, owning every string it decodes, and through
+// json.Unmarshal — scanner or fallback — value and error-ness are the
+// library's, and stay so once the bytes decoded from are overwritten.
 func agree[T wireBody](t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := libDecode[T](data)
-	if got, ok := fastDecode[T](string(data)); ok && (wantErr != nil || !reflect.DeepEqual(got, want)) {
-		t.Fatalf("%q\nscanner   %+v\nlibrary   %+v (err %v)", data, got, want, wantErr)
+	body := string(data)
+	if got, ok := fastDecode[T](body); ok {
+		if wantErr != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q\nscanner   %+v\nlibrary   %+v (err %v)", data, got, want, wantErr)
+		}
+		ownsItsStrings(t, got, body)
 	}
+	buf := bytes.Clone(data)
 	var got T
 	var err error
-	declining(func() { err = json.Unmarshal(data, &got) })
+	declining(func() { err = json.Unmarshal(buf, &got) })
 	if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q\nUnmarshal %+v (err %v)\nlibrary   %+v (err %v)", data, got, err, want, wantErr)
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q\nUnmarshal %+v once its input was overwritten\nlibrary   %+v", data, got, want)
 	}
 }
 
 // FuzzDecodeMatchesEncodingJSON is the decoder's oracle on bytes nobody
-// vouches for. The seeds are bodies of the grammar, which mutation keeps
-// near it, and one body per reason to decline.
+// vouches for (agree), no decoded string pointing into them. The seeds are
+// bodies of the grammar, which mutation keeps near it, and one body per
+// reason to decline.
 func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 	f.Add([]byte(`{"tenant":"t","version":7,"name":"Q1","rows":[{"count":1,"entries":[{"label":"a","id":"a1","val":"x"},{"label":"b","id":"a1.b2","cont":"\u003cb\u003ey\u003c/b\u003e"}]},{"count":-2,"entries":[]}]}` + "\n"))
 	f.Add([]byte(`{"tenant":"","version":0,"name":"","rows":[]}`))
@@ -104,9 +158,10 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 
 // FuzzRequestDecodeMatchesEncodingJSON is the request decoder's oracle:
 // on arbitrary bytes the server's scanner for UpdateRequest and
-// CreateDBRequest declines or agrees with encoding/json, and through
-// json.Unmarshal — scanner or fallback — value and error-ness are the
-// library's, a refusal of trailing data included. The seeds are bodies
+// CreateDBRequest declines or agrees with encoding/json, no decoded string
+// pointing into them, and through json.Unmarshal — scanner or fallback —
+// value and error-ness are the library's, a refusal of trailing data
+// included. The seeds are bodies
 // internal/client writes and one per reason to decline.
 func FuzzRequestDecodeMatchesEncodingJSON(f *testing.F) {
 	for _, body := range []string{
@@ -267,4 +322,90 @@ func TestDecodeAllocatesItsResultOnce(t *testing.T) {
 	}
 	checkRoundTrip(t, []byte(view), vr, true)
 	checkRoundTrip(t, []byte(xpath), xr, true)
+}
+
+// TestDecodedStringsDoNotAliasTheBody decodes a body of each wire type, as
+// the encoder writes it — escapes, empty strings, repeated labels, a plan —
+// through UnmarshalJSON, and holds every string of the result to lying
+// outside the bytes decoded from; then it overwrites those bytes and wants
+// the result unchanged. A string that aliased the body would read whatever
+// the pooled buffer holds next.
+func TestDecodedStringsDoNotAliasTheBody(t *testing.T) {
+	snap := &core.Snapshot{Tenant: "t<1>", Version: 9}
+	pat := pattern.MustNew(&pattern.Node{Label: "a", Store: pattern.StoreID | pattern.StoreVal,
+		Children: []*pattern.Node{{Label: "b", Store: pattern.StoreID | pattern.StoreCont}}})
+	vs := &core.ViewSnapshot{ViewDef: &core.ViewDef{Name: "V&", Pattern: pat, Shape: algebra.NewShape(pat)}}
+	root := dewey.NewRoot("a")
+	var rows []algebra.Row
+	var nodes []*xmltree.Node
+	for i := range 4 {
+		id := root.Child("b", dewey.OrdAt(i))
+		rows = append(rows, vs.Shape.Pack([]algebra.RowEntry{
+			{NodeIdx: 0, ID: root, Val: []string{"", "x\"y"}[i%2]},
+			{NodeIdx: 1, ID: id, Cont: []string{"<b>c</b>", ""}[i%2]},
+		}, 1))
+		n := xmltree.NewNode(xmltree.Text, "b", []string{"", "1 < 2", "plain"}[i%3])
+		n.SetID(id)
+		nodes = append(nodes, n)
+	}
+	vs.Rows = dewey.ChunksOf(rows)
+	xpath := appendXPathHead(nil, snap, `//b[.="<"]`, "treewalk", true)
+	xpath = append(appendNodeMatches(xpath, nodes), xpathTail...)
+	rep := &core.Report{Targets: 1, Views: []core.ViewReport{
+		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: "V&"}}, RowsAdded: 1},
+		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: ""}}, Skipped: true},
+	}}
+	create := CreateDBRequest{Name: "shop", Document: "<site a=\"&amp;\"/>", Views: []ViewSpec{{Name: "Q1", Pattern: "//a{ID}"}, {Name: "", Pattern: ""}}}
+
+	check := func(name string, body []byte, decode func([]byte) (any, error), want any) {
+		t.Helper()
+		data := bytes.Clone(body)
+		got, err := decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(reflect.ValueOf(got).Elem().Interface(), want) {
+			t.Fatalf("%s: decoded %+v, want %+v", name, got, want)
+		}
+		ownsItsStrings(t, reflect.ValueOf(got).Elem().Interface(), unsafe.String(unsafe.SliceData(data), len(data)))
+		for i := range data {
+			data[i] = 0xFF
+		}
+		if !reflect.DeepEqual(reflect.ValueOf(got).Elem().Interface(), want) {
+			t.Fatalf("%s: decoded %+v, then its body was overwritten and it reads %+v", name, want, got)
+		}
+	}
+	into := func(v json.Unmarshaler) func([]byte) (any, error) {
+		return func(data []byte) (any, error) { return v, v.UnmarshalJSON(data) }
+	}
+	declined := decodeDeclined.Load() + requestDeclined.Load()
+
+	view := appendViewResponse(nil, snap, vs)
+	wantView, _ := libDecode[ViewResponse](view)
+	check("view", view, into(new(ViewResponse)), wantView)
+	if e := wantView.Rows; e[0].Entries[0].Label != "a" || e[2].Entries[0].Val != "" || e[1].Entries[1].Cont != "" {
+		t.Fatalf("the view body lacks the empty strings it was built with: %+v", wantView)
+	}
+	wantXPath, _ := libDecode[XPathResponse](xpath)
+	check("xpath", xpath, into(new(XPathResponse)), wantXPath)
+	if wantXPath.Plan != "treewalk" || wantXPath.Matches[0].Value != "" {
+		t.Fatalf("the xpath body lacks its plan or an empty value: %+v", wantXPath)
+	}
+	applied := appendUpdateResponse(nil, "t<1>", 9, rep)
+	wantUpdate, _ := libDecode[UpdateResponse](applied)
+	check("update", applied, into(new(UpdateResponse)), wantUpdate)
+	check("update request", (&UpdateRequest{Statement: `insert <a b="&"/> into /r`}).AppendJSON(nil),
+		into(new(UpdateRequest)), UpdateRequest{Statement: `insert <a b="&"/> into /r`})
+	check("create request", create.AppendJSON(nil), into(new(CreateDBRequest)), create)
+	check("view as a string", view, func(data []byte) (any, error) {
+		v := new(ViewResponse)
+		return v, v.UnmarshalString(unsafe.String(unsafe.SliceData(data), len(data)))
+	}, wantView)
+	check("xpath as a string", xpath, func(data []byte) (any, error) {
+		x := new(XPathResponse)
+		return x, x.UnmarshalString(unsafe.String(unsafe.SliceData(data), len(data)))
+	}, wantXPath)
+	if n := decodeDeclined.Load() + requestDeclined.Load() - declined; n != 0 {
+		t.Fatalf("the scanner declined %d of the encoder's bodies", n)
+	}
 }

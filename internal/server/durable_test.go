@@ -208,6 +208,47 @@ func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	requireServedIsRecovered(t, sh.Epoch(), dir)
 }
 
+// TestEpochCountersIgnoreCheckpointCaptures: snapshot.doc.copied_nodes and
+// snapshot.views.reused count each published epoch against the epoch it
+// replaced. A checkpoint's capture takes an engine snapshot between two
+// publications, so with a checkpoint after every statement ten inserts
+// must read the same two counters as without one.
+func TestEpochCountersIgnoreCheckpointCaptures(t *testing.T) {
+	counters := func(every int) (copied, reused int64) {
+		t.Helper()
+		walReg, m := obs.New(), obs.New()
+		db, err := wal.Create(t.TempDir(), []byte(xmark.GenerateSmall(1, 0)), wal.Options{Metrics: walReg, CheckpointEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range testViewSpecs() {
+			if _, err := db.AddView(v.Name, v.Pattern); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sh := NewShard(DefaultTenant, db, db.Close, Config{Metrics: m})
+		for i := range 10 {
+			st := mustStatement(t, fmt.Sprintf(`insert <person id="pe%d"><name>Epoch</name></person> into /site/people`, i))
+			if _, _, err := sh.Apply(context.Background(), st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if every > 0 && walReg.CounterValue("wal.checkpoint.count") == 0 {
+			t.Fatal("no checkpoint was taken")
+		}
+		closeShard(t, sh)
+		return m.CounterValue("snapshot.doc.copied_nodes"), m.CounterValue("snapshot.views.reused")
+	}
+	copied, reused := counters(0)
+	t.Logf("ten inserts: %d nodes copied, %d views reused", copied, reused)
+	if copied == 0 || reused == 0 {
+		t.Fatalf("without checkpoints: %d nodes copied, %d views reused; the inserts copy spines and leave views alone", copied, reused)
+	}
+	if c, r := counters(1); c != copied || r != reused {
+		t.Fatalf("a checkpoint after every insert: %d nodes copied, %d views reused; without: %d and %d", c, r, copied, reused)
+	}
+}
+
 // waitCounter waits up to ten seconds for the named counter to reach want
 // and returns its last value.
 func waitCounter(t *testing.T, reg *obs.Metrics, name string, want int64) int64 {

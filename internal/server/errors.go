@@ -2,10 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"unsafe"
 )
 
 // Registry lifecycle errors. The HTTP layer maps them to envelope codes;
@@ -81,20 +81,21 @@ const (
 	maxCreateBody = 256 << 20
 )
 
-// requestBody is what a POST body decodes into: UpdateRequest and
-// CreateDBRequest (decode.go).
-type requestBody interface{ UnmarshalString(body string) error }
-
-// decodeBody reads a request body of at most limit bytes (ReadBody) and
-// decodes it into v, which may alias it. On failure it has answered — 413
-// for a body over the limit, declared or streamed, 400 for one that does
-// not decode or has anything but whitespace after its value — and reports
-// false.
-func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, tenant string, v requestBody) bool {
-	raw, err := ReadBody(req.Body, req.ContentLength, limit)
+// decodeBody reads a request body of at most limit bytes (ReadBody) into
+// a pooled buffer and decodes it into v — an UpdateRequest or a
+// CreateDBRequest (decode.go), which keeps none of the buffer, so it goes
+// back to the pool before decodeBody returns. On failure it has answered —
+// 413 for a body over the limit, declared or streamed, 400 for one that
+// does not decode or has anything but whitespace after its value — and
+// reports false.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, tenant string, v json.Unmarshaler) bool {
+	bp := bodyPool.Get().(*[]byte)
+	raw, err := ReadBody(*bp, req.Body, req.ContentLength, limit)
 	if err == nil {
-		err = v.UnmarshalString(unsafe.String(unsafe.SliceData(raw), len(raw)))
+		err = v.UnmarshalJSON(raw)
 	}
+	*bp = raw[:0]
+	bodyPool.Put(bp)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:

@@ -38,13 +38,14 @@ import "xivm/internal/obs"
 //	                          statement may affect their pattern
 //	snapshot.epochs           epochs published
 //	snapshot.rows             cumulative view rows in published epochs
-//	snapshot.views.reused     cumulative views whose rows an epoch took over
-//	                          from its predecessor because they had not moved
+//	snapshot.views.reused     cumulative views whose rows an epoch shares
+//	                          with the epoch it replaced: they had not moved
 //	snapshot.doc.nodes        cumulative document nodes in published epochs
-//	snapshot.doc.copied_nodes cumulative document nodes allocated for an
-//	                          epoch (path-copied spines and insertions; the
-//	                          whole document for a first epoch) rather than
-//	                          shared with its predecessor
+//	snapshot.doc.copied_nodes cumulative document nodes allocated since the
+//	                          epoch a published one replaced (path-copied
+//	                          spines and insertions) rather than shared with
+//	                          it; a checkpoint's capture in between splits
+//	                          neither count
 //	repl.leader.streams       /repl/stream requests served with frames
 //	repl.leader.frame_bytes   raw frame bytes shipped to followers
 //	repl.leader.snapshots     /repl/snapshot checkpoint images shipped

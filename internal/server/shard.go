@@ -59,6 +59,7 @@ import (
 	"xivm/internal/obs"
 	"xivm/internal/pulopt"
 	"xivm/internal/update"
+	"xivm/internal/xmltree"
 )
 
 // ErrQueueFull is returned when a tenant's apply queue is at capacity;
@@ -572,18 +573,28 @@ func (s *Shard) publish() {
 }
 
 // swapEpoch stamps a captured snapshot with the tenant name, makes it the
-// serving epoch, and counts what it holds and what it cost.
+// serving epoch, and counts what it holds and what it cost. What it cost is
+// counted against the epoch it replaces — the views whose rows it shares
+// with that one, the nodes allocated since — not against the engine's
+// previous Snapshot, which may have been a checkpoint's capture.
 func (s *Shard) swapEpoch(snap *core.Snapshot) {
 	snap.Tenant = s.name
-	s.epoch.Store(snap)
+	prev := s.epoch.Swap(snap)
 	s.m.epochs.Inc()
 	s.tm.epochs.Inc()
-	var rows int64
+	var rows, reused int64
 	for i := range snap.Views {
 		rows += int64(snap.Views[i].Rows.Len())
+		if prev != nil && i < len(prev.Views) && prev.Views[i].ViewDef == snap.Views[i].ViewDef && prev.Views[i].Rows == snap.Views[i].Rows {
+			reused++
+		}
 	}
 	s.m.epochRows.Add(rows)
-	s.m.epochViewsReused.Add(int64(snap.ViewsReused))
+	s.m.epochViewsReused.Add(reused)
 	s.m.epochDocNodes.Add(int64(snap.Doc().Size()))
-	s.m.epochDocCopied.Add(int64(snap.Doc().CopiedNodes()))
+	var before *xmltree.Document
+	if prev != nil {
+		before = prev.Doc()
+	}
+	s.m.epochDocCopied.Add(int64(snap.Doc().CopiedSince(before)))
 }

@@ -41,7 +41,6 @@ func (d *Document) Snapshot() *Document {
 	}
 	d.indexWanted()
 	img := &Document{Root: d.Root, frozen: true, size: d.size, copied: d.copied, labels: d.labels, labelGen: d.labelGen}
-	d.copied = 0
 	// Nothing reachable from img is owned by the next publication.
 	if d.gen++; d.gen == 0 {
 		d.restamp()
@@ -49,10 +48,21 @@ func (d *Document) Snapshot() *Document {
 	return img
 }
 
-// CopiedNodes returns how many of an epoch's nodes the mutators allocated
-// for it — spine copies plus inserted subtrees — rather than shared with
-// the epoch before it; for a freshly parsed document's first epoch, none.
+// CopiedNodes returns how many nodes the mutators have allocated in the
+// document's lineage up to d — spine copies plus inserted subtrees, and the
+// whole tree once per stamp wrap (restamp); for a freshly parsed
+// document's first epoch, none.
 func (d *Document) CopiedNodes() int { return d.copied }
+
+// CopiedSince returns how many nodes the mutators allocated between the
+// epoch prev and d, however many snapshots were taken in between; with
+// prev nil or of another lineage, CopiedNodes.
+func (d *Document) CopiedSince(prev *Document) int {
+	if prev == nil || prev.labels.want != d.labels.want {
+		return d.copied
+	}
+	return d.copied - prev.copied
+}
 
 // ResetImage forgets the one thing the mutators maintain beside the tree,
 // the label index, so that the next Labeled is a fresh walk. Call it when a
@@ -82,7 +92,8 @@ func (d *Document) restamp() {
 		}
 		return &m
 	}
-	d.Root, d.gen, d.copied = cp(d.Root), 1, d.size
+	d.Root, d.gen = cp(d.Root), 1
+	d.copied += d.size
 	d.ResetImage()
 }
 

@@ -271,8 +271,9 @@ type Document struct {
 	labelGen uint32
 
 	// copied counts the nodes the mutators allocated — spine copies and
-	// inserted subtrees — since the last Snapshot; gen is the stamp those
-	// nodes carry, advanced by every Snapshot (image.go).
+	// inserted subtrees — since the lineage's parse; gen is the stamp the
+	// nodes allocated since the last Snapshot carry, advanced by every
+	// Snapshot (image.go).
 	copied int
 	gen    uint32
 
@@ -359,17 +360,16 @@ func (n *Node) appendText(b *strings.Builder) {
 // Content returns the serialized image of the subtree rooted at n — the
 // "cont" stored attribute of the paper's tree patterns.
 func (n *Node) Content() string {
-	var b strings.Builder
-	serializeNode(&b, n)
-	return b.String()
+	b := n.AppendContent(nil)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // as strings.Builder does: nothing writes b again
 }
 
 // AppendContent appends what Content returns to dst and returns the
 // extended slice.
 func (n *Node) AppendContent(dst []byte) []byte {
-	sink := appendSink(dst)
+	sink := xmlSink{buf: dst}
 	serializeNode(&sink, n)
-	return sink
+	return sink.buf
 }
 
 // ElementChildren returns the element children of n, skipping attributes

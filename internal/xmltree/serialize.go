@@ -3,52 +3,56 @@ package xmltree
 import (
 	"bufio"
 	"io"
-	"strings"
 	"unicode/utf8"
 )
 
-// xmlSink is what the serializer writes to: a strings.Builder for String, a
-// bufio.Writer for Serialize, an appendSink for AppendContent. None reports
-// an error per call — a bufio.Writer keeps its first one for Flush.
-type xmlSink interface {
-	WriteByte(byte) error
-	WriteRune(rune) (int, error)
-	WriteString(string) (int, error)
+// xmlSink is what the serializer writes to: buf, which String, Content
+// and AppendContent return, or for Serialize a bufio.Writer, which keeps
+// its first error for Flush. It is a concrete type, not an interface, so
+// that a caller's sink stays on the caller's stack: AppendContent
+// allocates nothing of its own.
+type xmlSink struct {
+	buf []byte
+	w   *bufio.Writer // Serialize's; nil when buf is the result
 }
 
-// appendSink is an xmlSink appending to a byte slice.
-type appendSink []byte
-
-func (s *appendSink) WriteByte(c byte) error { *s = append(*s, c); return nil }
-
-func (s *appendSink) WriteRune(r rune) (int, error) {
-	n := len(*s)
-	*s = utf8.AppendRune(*s, r)
-	return len(*s) - n, nil
+func (s *xmlSink) putByte(c byte) {
+	if s.w != nil {
+		s.w.WriteByte(c)
+		return
+	}
+	s.buf = append(s.buf, c)
 }
 
-func (s *appendSink) WriteString(str string) (int, error) {
-	*s = append(*s, str...)
-	return len(str), nil
+func (s *xmlSink) put(x string) {
+	if s.w != nil {
+		s.w.WriteString(x)
+		return
+	}
+	s.buf = append(s.buf, x...)
+}
+
+func (s *xmlSink) putRune(r rune) {
+	if s.w != nil {
+		s.w.WriteRune(r)
+		return
+	}
+	s.buf = utf8.AppendRune(s.buf, r)
 }
 
 // Serialize writes the document as XML text, streaming: what is held at any
 // moment is one buffer (w itself when it is a *bufio.Writer, which is then
 // flushed), never the whole text.
 func (d *Document) Serialize(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	serializeNode(bw, d.Root)
-	return bw.Flush()
+	s := xmlSink{w: bufio.NewWriter(w)}
+	serializeNode(&s, d.Root)
+	return s.w.Flush()
 }
 
 // String returns the serialized document.
-func (d *Document) String() string {
-	var b strings.Builder
-	serializeNode(&b, d.Root)
-	return b.String()
-}
+func (d *Document) String() string { return d.Root.Content() }
 
-func serializeNode(b xmlSink, n *Node) {
+func serializeNode(b *xmlSink, n *Node) {
 	switch n.Kind {
 	case Text:
 		escapeText(b, n.Value())
@@ -56,64 +60,64 @@ func serializeNode(b xmlSink, n *Node) {
 		// Attributes are serialized by their owning element.
 	case Element:
 		label := n.Label()
-		b.WriteByte('<')
-		b.WriteString(label)
+		b.putByte('<')
+		b.put(label)
 		k := n.Kids()
 		more := k.Next()
 		for ; more && k.Node().Kind == Attribute; more = k.Next() {
 			a := k.Node()
-			b.WriteByte(' ')
-			b.WriteString(a.Label()[1:])
-			b.WriteString(`="`)
+			b.putByte(' ')
+			b.put(a.Label()[1:])
+			b.put(`="`)
 			escapeAttr(b, a.Value())
-			b.WriteByte('"')
+			b.putByte('"')
 		}
 		if !more {
-			b.WriteString("/>")
+			b.put("/>")
 			return
 		}
-		b.WriteByte('>')
+		b.putByte('>')
 		for ; more; more = k.Next() {
 			serializeNode(b, k.Node())
 		}
-		b.WriteString("</")
-		b.WriteString(label)
-		b.WriteByte('>')
+		b.put("</")
+		b.put(label)
+		b.putByte('>')
 	}
 }
 
 // escapeText and escapeAttr escape what a parser would read differently
 // from the value: markup, and '\r', which would read as a line end, '\n'.
-func escapeText(b xmlSink, s string) {
+func escapeText(b *xmlSink, s string) {
 	for _, r := range s {
 		switch r {
 		case '&':
-			b.WriteString("&amp;")
+			b.put("&amp;")
 		case '<':
-			b.WriteString("&lt;")
+			b.put("&lt;")
 		case '>':
-			b.WriteString("&gt;")
+			b.put("&gt;")
 		case '\r':
-			b.WriteString("&#xD;")
+			b.put("&#xD;")
 		default:
-			b.WriteRune(r)
+			b.putRune(r)
 		}
 	}
 }
 
-func escapeAttr(b xmlSink, s string) {
+func escapeAttr(b *xmlSink, s string) {
 	for _, r := range s {
 		switch r {
 		case '&':
-			b.WriteString("&amp;")
+			b.put("&amp;")
 		case '<':
-			b.WriteString("&lt;")
+			b.put("&lt;")
 		case '"':
-			b.WriteString("&quot;")
+			b.put("&quot;")
 		case '\r':
-			b.WriteString("&#xD;")
+			b.put("&#xD;")
 		default:
-			b.WriteRune(r)
+			b.putRune(r)
 		}
 	}
 }

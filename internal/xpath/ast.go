@@ -161,29 +161,91 @@ func (LastExpr) exprNode()     {}
 func (CountExpr) exprNode()    {}
 func (ContainsExpr) exprNode() {}
 
-// String renders the path back to XPath syntax.
-func (p Path) String() string { return string(p.AppendTo(make([]byte, 0, 64))) }
+// String renders the path back to XPath syntax. A path of up to 128 bytes
+// is rendered on the stack and allocates only its result.
+func (p Path) String() string {
+	var scratch [128]byte
+	return string(p.AppendTo(scratch[:0]))
+}
 
 // AppendTo appends what String returns to dst and returns the extended
 // slice.
-func (p Path) AppendTo(dst []byte) []byte {
-	for _, s := range p.Steps {
-		switch s.Axis {
-		case Descendant:
-			dst = append(dst, "//"...)
-		case FollowingSibling:
-			dst = append(dst, "/following-sibling::"...)
-		case PrecedingSibling:
-			dst = append(dst, "/preceding-sibling::"...)
-		default:
-			dst = append(dst, '/')
+func (p Path) AppendTo(dst []byte) []byte { return appendXPath(dst, &p, nil) }
+
+// appendXPath renders the path p, or the predicate e when p is nil. Paths
+// and predicates nest in each other, and one self-recursive function
+// renders both: escape analysis follows dst through a function's own
+// result, but through the result of another function in the same cycle of
+// calls it sends dst to the heap, and String's scratch with it.
+func appendXPath(dst []byte, p *Path, e Expr) []byte {
+	if p != nil {
+		for _, s := range p.Steps {
+			switch s.Axis {
+			case Descendant:
+				dst = append(dst, "//"...)
+			case FollowingSibling:
+				dst = append(dst, "/following-sibling::"...)
+			case PrecedingSibling:
+				dst = append(dst, "/preceding-sibling::"...)
+			default:
+				dst = append(dst, '/')
+			}
+			dst = appendStepName(dst, s)
+			for _, pr := range s.Preds {
+				dst = append(dst, '[')
+				dst = appendXPath(dst, nil, pr)
+				dst = append(dst, ']')
+			}
 		}
-		dst = appendStepName(dst, s)
-		for _, pr := range s.Preds {
-			dst = append(dst, '[')
-			dst = appendExpr(dst, pr)
-			dst = append(dst, ']')
+		return dst
+	}
+	at := len(dst) // where the predicate's relative path starts (relPath)
+	switch x := e.(type) {
+	case OrExpr:
+		dst = appendXPath(dst, nil, x.Left)
+		dst = append(dst, " or "...)
+		dst = appendXPath(dst, nil, x.Right)
+	case AndExpr:
+		// "and" binds tighter than "or", so only disjunction operands need
+		// explicit parentheses to reparse identically.
+		for i, operand := range [2]Expr{x.Left, x.Right} {
+			if i > 0 {
+				dst = append(dst, " and "...)
+			}
+			if _, isOr := operand.(OrExpr); isOr {
+				dst = append(appendXPath(append(dst, '('), nil, operand), ')')
+			} else {
+				dst = appendXPath(dst, nil, operand)
+			}
 		}
+	case ExistsExpr:
+		dst = relPath(appendXPath(dst, &x.Path, nil), at)
+	case EqExpr:
+		dst = relPath(appendXPath(dst, &x.Path, nil), at)
+		dst = append(dst, '=')
+		dst = appendLiteral(dst, x.Lit)
+	case PosExpr:
+		dst = strconv.AppendInt(dst, int64(x.N), 10)
+	case LastExpr:
+		dst = append(dst, "last()"...)
+	case CountExpr:
+		dst = append(dst, "count("...)
+		at = len(dst)
+		dst = relPath(appendXPath(dst, &x.Path, nil), at)
+		dst = append(dst, ')')
+		dst = append(dst, x.Op.String()...)
+		dst = strconv.AppendInt(dst, int64(x.N), 10)
+	case ContainsExpr:
+		if x.Prefix {
+			dst = append(dst, "starts-with("...)
+		} else {
+			dst = append(dst, "contains("...)
+		}
+		at = len(dst)
+		dst = relPath(appendXPath(dst, &x.Path, nil), at)
+		dst = append(dst, ',')
+		dst = appendLiteral(dst, x.Lit)
+		dst = append(dst, ')')
 	}
 	return dst
 }
@@ -200,12 +262,11 @@ func appendStepName(dst []byte, s Step) []byte {
 	return append(dst, s.Name...)
 }
 
-// appendRel renders a relative path as it appears inside a predicate: a
-// leading child step drops its slash, but a leading descendant step keeps
-// its "//" (trimming one slash would reparse as a child step).
-func appendRel(dst []byte, p Path) []byte {
-	at := len(dst)
-	dst = p.AppendTo(dst)
+// relPath makes the path rendered at dst[at:] relative, as it appears
+// inside a predicate: a leading child step drops its slash, but a leading
+// descendant step keeps its "//" (trimming one slash would reparse as a
+// child step).
+func relPath(dst []byte, at int) []byte {
 	rel := dst[at:]
 	if len(rel) > 0 && rel[0] == '/' && (len(rel) == 1 || rel[1] != '/') {
 		dst = append(dst[:at], rel[1:]...)
@@ -224,55 +285,4 @@ func appendLiteral(dst []byte, lit string) []byte {
 	dst = append(dst, q)
 	dst = append(dst, lit...)
 	return append(dst, q)
-}
-
-func appendExpr(dst []byte, e Expr) []byte {
-	switch x := e.(type) {
-	case OrExpr:
-		dst = appendExpr(dst, x.Left)
-		dst = append(dst, " or "...)
-		dst = appendExpr(dst, x.Right)
-	case AndExpr:
-		// "and" binds tighter than "or", so only disjunction operands need
-		// explicit parentheses to reparse identically.
-		dst = appendAndOperand(dst, x.Left)
-		dst = append(dst, " and "...)
-		dst = appendAndOperand(dst, x.Right)
-	case ExistsExpr:
-		dst = appendRel(dst, x.Path)
-	case EqExpr:
-		dst = appendRel(dst, x.Path)
-		dst = append(dst, '=')
-		dst = appendLiteral(dst, x.Lit)
-	case PosExpr:
-		dst = strconv.AppendInt(dst, int64(x.N), 10)
-	case LastExpr:
-		dst = append(dst, "last()"...)
-	case CountExpr:
-		dst = append(dst, "count("...)
-		dst = appendRel(dst, x.Path)
-		dst = append(dst, ')')
-		dst = append(dst, x.Op.String()...)
-		dst = strconv.AppendInt(dst, int64(x.N), 10)
-	case ContainsExpr:
-		if x.Prefix {
-			dst = append(dst, "starts-with("...)
-		} else {
-			dst = append(dst, "contains("...)
-		}
-		dst = appendRel(dst, x.Path)
-		dst = append(dst, ',')
-		dst = appendLiteral(dst, x.Lit)
-		dst = append(dst, ')')
-	}
-	return dst
-}
-
-func appendAndOperand(dst []byte, e Expr) []byte {
-	if _, isOr := e.(OrExpr); isOr {
-		dst = append(dst, '(')
-		dst = appendExpr(dst, e)
-		return append(dst, ')')
-	}
-	return appendExpr(dst, e)
 }

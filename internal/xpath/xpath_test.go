@@ -394,3 +394,20 @@ func TestNumberLiteral(t *testing.T) {
 		t.Fatalf("String() = %q", p.String())
 	}
 }
+
+var rendered string
+
+// TestPathStringAllocatesItsResult: String renders a path into scratch on
+// its stack, so it allocates the string it returns and nothing else — the
+// renderer's dst stays off the heap through the recursion of paths inside
+// predicates inside paths.
+func TestPathStringAllocatesItsResult(t *testing.T) {
+	const q = `//open_auction[bidder/increase="4.50" and (count(bidder)>=2 or starts-with(@id,"a"))]//initial`
+	p, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { rendered = p.String() }); n != 1 || rendered != q {
+		t.Fatalf("String allocates %v times for %q, want once", n, rendered)
+	}
+}
