@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -44,8 +45,9 @@ func runListen(ctx context.Context, cfg server.RegistryConfig, name, addr string
 	}
 
 	// Bootstrap the -db tenant (the one trailing statements address) when it
-	// does not exist yet.
-	if _, err := reg.Get(name); err != nil {
+	// does not exist yet. One that exists but could not be opened stays
+	// stopped, and the others are served.
+	if _, err := reg.Get(name); errors.Is(err, server.ErrNoSuchTenant) {
 		if cfg.DefaultDoc == "" {
 			if len(reg.Names()) == 0 {
 				shutdownReg(ctx)

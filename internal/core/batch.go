@@ -43,7 +43,7 @@ func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 	rep := &Report{}
 	applied := 0
 	for _, u := range units {
-		urep, err := e.applyPUL(u.PUL, nil)
+		urep, err := e.applyPUL(u.PUL)
 		if err != nil {
 			return rep, applied, err
 		}
@@ -86,6 +86,5 @@ func MergeBatchReport(dst, src *Report) {
 		vr.TermsSurvived += svr.TermsSurvived
 		vr.PredFallback = vr.PredFallback || svr.PredFallback
 		vr.Panicked = vr.Panicked || svr.Panicked
-		vr.Skipped = vr.Skipped && svr.Skipped
 	}
 }

@@ -63,10 +63,6 @@ type Options struct {
 	// DisableIDPruning turns off the inserted-ID-driven pruning of
 	// Propositions 3.8 / 4.7 (ablation).
 	DisableIDPruning bool
-	// IndependencePrecheck, when non-nil, is consulted per view before
-	// propagation: statements it declares independent of a view skip that
-	// view entirely (see internal/independence for an implementation).
-	IndependencePrecheck func(p *pattern.Pattern, st *update.Statement) bool
 	// Metrics is the registry the engine records into; nil selects the
 	// process-wide obs.Default(). Pass a private registry (obs.New()) to
 	// isolate one engine's counters.
@@ -284,7 +280,7 @@ type ViewReport struct {
 	// tables' walk are shared across views and live on the Report
 	// (Report.FindTargets, Report.ComputeDelta): here FindTargets is zero
 	// and ComputeDelta is the view's σ-filtered read of the tables. A
-	// view that was not propagated (skipped, panicked) has none.
+	// view whose propagation panicked has none.
 	Phases        Timings
 	TermsTotal    int // terms before data-driven pruning
 	TermsSurvived int // terms actually evaluated
@@ -294,9 +290,6 @@ type ViewReport struct {
 	// PredFallback reports that the update flipped a value predicate on an
 	// existing node, forcing this view to be recomputed (see predflip.go).
 	PredFallback bool
-	// Skipped reports that the independence precheck proved the statement
-	// cannot affect this view, so propagation was skipped.
-	Skipped bool
 	// Panicked reports that this view's propagation panicked (a bug in a
 	// custom join, a corrupted lattice). The panic is contained to the
 	// view: the engine repaired it by recomputation before returning, so a
@@ -351,12 +344,12 @@ func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
 		findTargets := time.Since(t0)
 		e.m.phase[obs.PhaseFindTargets].Observe(findTargets)
 		e.m.targets.Add(int64(delPul.Targets()))
-		delRep, err := e.applyPUL(delPul, nil)
+		delRep, err := e.applyPUL(delPul)
 		if err != nil {
 			return nil, err
 		}
 		e.notifyApplied(st)
-		insRep, err := e.applyPUL(insPul, nil)
+		insRep, err := e.applyPUL(insPul)
 		if err != nil {
 			return nil, err
 		}
@@ -382,21 +375,7 @@ func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
 	e.m.phase[obs.PhaseFindTargets].Observe(findTargets)
 	e.m.targets.Add(int64(pul.Targets()))
 
-	// Optional static independence fast path: views the precheck proves
-	// unaffected skip propagation for this statement.
-	var skip map[*ManagedView]bool
-	if e.opts.IndependencePrecheck != nil {
-		for _, mv := range e.Views {
-			if e.opts.IndependencePrecheck(mv.Pattern, st) {
-				if skip == nil {
-					skip = map[*ManagedView]bool{}
-				}
-				skip[mv] = true
-			}
-		}
-	}
-
-	rep, err := e.applyPUL(pul, skip)
+	rep, err := e.applyPUL(pul)
 	if err != nil {
 		return nil, err
 	}
@@ -419,10 +398,10 @@ func (e *Engine) notifyApplied(st *update.Statement) {
 // every view. This is the entry point used when PULs arrive pre-optimized
 // (Section 5) rather than from a statement.
 func (e *Engine) ApplyPUL(pul *update.PUL) (*Report, error) {
-	return e.applyPUL(pul, nil)
+	return e.applyPUL(pul)
 }
 
-func (e *Engine) applyPUL(pul *update.PUL, skip map[*ManagedView]bool) (*Report, error) {
+func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 	// Snapshot σ membership of predicate-labeled ancestors of the targets;
 	// if the update flips any of them (text added or removed below an
 	// existing node a view predicate tests), the ∆ algebra cannot express
@@ -443,7 +422,7 @@ func (e *Engine) applyPUL(pul *update.PUL, skip map[*ManagedView]bool) (*Report,
 		// lattice is maintained.
 		e.Store.Hide(applied.InsertedRoots)
 		delta := e.computeDelta(rep, applied.InsertedRoots)
-		rep.Views = e.propagateAll(skip, func(mv *ManagedView) ViewReport {
+		rep.Views = e.propagateAll(func(mv *ManagedView) ViewReport {
 			return e.propagateInsert(mv, pul, delta)
 		})
 		e.Store.Hide(nil)
@@ -453,7 +432,7 @@ func (e *Engine) applyPUL(pul *update.PUL, skip map[*ManagedView]bool) (*Report,
 			return nil, err
 		}
 		delta := e.computeDelta(rep, applied.DeletedRoots)
-		rep.Views = e.propagateAll(skip, func(mv *ManagedView) ViewReport {
+		rep.Views = e.propagateAll(func(mv *ManagedView) ViewReport {
 			return e.propagateDelete(mv, applied, delta)
 		})
 	}
@@ -482,13 +461,13 @@ func (e *Engine) applyPUL(pul *update.PUL, skip map[*ManagedView]bool) (*Report,
 	return rep, nil
 }
 
-// propagateAll runs one propagation function over every non-skipped view,
-// one view after another. The document and store must be read-only for the
+// propagateAll runs one propagation function over every view, one view
+// after another. The document and store must be read-only for the
 // duration (guaranteed by the ApplyPUL phase ordering). A panic inside one
 // view's propagation is contained — the view is marked Panicked and
 // repaired by recomputation — so a single poisoned view cannot take down
 // the whole apply path.
-func (e *Engine) propagateAll(skip map[*ManagedView]bool, f func(*ManagedView) ViewReport) []ViewReport {
+func (e *Engine) propagateAll(f func(*ManagedView) ViewReport) []ViewReport {
 	propagate := func(mv *ManagedView) (vr ViewReport) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -501,11 +480,6 @@ func (e *Engine) propagateAll(skip map[*ManagedView]bool, f func(*ManagedView) V
 	}
 	out := make([]ViewReport, len(e.Views))
 	for i, mv := range e.Views {
-		if skip[mv] {
-			e.m.viewsSkipped.Inc()
-			out[i] = ViewReport{View: mv, Skipped: true}
-			continue
-		}
 		out[i] = propagate(mv)
 	}
 	return out

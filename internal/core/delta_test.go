@@ -214,7 +214,7 @@ func TestUnaffectedViewCostsNoBookkeeping(t *testing.T) {
 
 // TestRecordViewObservesPropagatedPhases: a view's phases are fixed fields,
 // and core.phase.<phase> observes the four view phases of a view that was
-// propagated — never of one skipped, cancelled or panicked, which ran none.
+// propagated — never of one cancelled or panicked, which ran none.
 func TestRecordViewObservesPropagatedPhases(t *testing.T) {
 	reg := obs.New()
 	m := newEngineMetrics(reg)
@@ -235,9 +235,7 @@ func TestRecordViewObservesPropagatedPhases(t *testing.T) {
 			t.Errorf("%s: observed %d, want %d", ph.name, got, ph.want)
 		}
 	}
-	for _, vr := range []ViewReport{{Skipped: true}, {Panicked: true}} {
-		m.recordView(&vr)
-	}
+	m.recordView(&ViewReport{Panicked: true})
 	for _, ph := range obs.Phases {
 		want := int64(1)
 		if ph == obs.PhaseFindTargets {

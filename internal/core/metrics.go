@@ -24,7 +24,6 @@ import (
 //	core.rows.{added,removed,modified}        view rows touched
 //	core.lattice.tuples_dropped               snowcap tuples dropped on delete
 //	core.predflip.recomputes                  predicate-flip fallback recomputations
-//	core.views.skipped                        views skipped by the independence precheck
 //	core.views.panicked                       views whose propagation panicked (and were repaired)
 //
 // Histogram names: core.phase.<phase> for the five propagation phases.
@@ -48,7 +47,7 @@ type engineMetrics struct {
 	rowsAdded, rowsRemoved, rowsModified *obs.Counter
 	latticeDropped                       *obs.Counter
 	predFlips                            *obs.Counter
-	viewsSkipped, viewsPanicked          *obs.Counter
+	viewsPanicked                        *obs.Counter
 
 	phase map[string]*obs.Histogram
 }
@@ -73,7 +72,6 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 		rowsModified:   reg.Counter("core.rows.modified"),
 		latticeDropped: reg.Counter("core.lattice.tuples_dropped"),
 		predFlips:      reg.Counter("core.predflip.recomputes"),
-		viewsSkipped:   reg.Counter("core.views.skipped"),
 		viewsPanicked:  reg.Counter("core.views.panicked"),
 		phase:          make(map[string]*obs.Histogram, len(obs.Phases)),
 	}
@@ -84,13 +82,12 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 }
 
 // recordView folds one view's propagation outcome into the counters. Only
-// a propagated view has phases to observe: a skipped or panicked one ran
-// none.
+// a propagated view has phases to observe: a panicked one ran none.
 func (m *engineMetrics) recordView(vr *ViewReport) {
 	m.rowsAdded.Add(int64(vr.RowsAdded))
 	m.rowsRemoved.Add(int64(vr.RowsRemoved))
 	m.rowsModified.Add(int64(vr.RowsModified))
-	if vr.Skipped || vr.Panicked {
+	if vr.Panicked {
 		return
 	}
 	m.phase[obs.PhaseComputeDelta].Observe(vr.Phases.ComputeDelta)

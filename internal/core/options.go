@@ -3,7 +3,6 @@ package core
 import (
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
-	"xivm/internal/pattern"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
 )
@@ -33,12 +32,6 @@ func WithPolicy(p Policy) Option { return func(o *Options) { o.Policy = p } }
 
 // WithJoin overrides the physical join used for every structural join.
 func WithJoin(j algebra.JoinFunc) Option { return func(o *Options) { o.Join = j } }
-
-// WithIndependencePrecheck installs a static update/view independence test;
-// statements it proves independent of a view skip that view entirely.
-func WithIndependencePrecheck(f func(*pattern.Pattern, *update.Statement) bool) Option {
-	return func(o *Options) { o.IndependencePrecheck = f }
-}
 
 // WithMetrics records the engine's counters and histograms into m instead
 // of the process-wide obs.Default() registry.

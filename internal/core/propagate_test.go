@@ -1,13 +1,11 @@
 package core
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
-	"xivm/internal/pattern"
 	"xivm/internal/update"
 )
 
@@ -117,73 +115,6 @@ func TestReplaceReportsInsertHalfPanic(t *testing.T) {
 	}
 	if !e.CheckView(mv) {
 		t.Error("view inconsistent after the repaired insert half")
-	}
-}
-
-// TestPropagateCancelWithSkips: the independence precheck skips the views
-// it declares independent of a statement. Skipped views are reported as
-// Skipped and counted, the others propagate, and every view must equal
-// fresh recomputation afterwards.
-func TestPropagateCancelWithSkips(t *testing.T) {
-	reg := obs.New()
-	// Declare every view whose pattern mentions "d" independent of the
-	// statement (the statement only touches b/c subtrees, so skipping is
-	// also semantically correct here).
-	precheck := func(p *pattern.Pattern, st *update.Statement) bool {
-		for _, n := range p.Nodes {
-			if n.Label == "d" {
-				return true
-			}
-		}
-		return false
-	}
-	d := mustDoc(t, `<root><a><b><c>5</c></b><d/></a><a><b/><d/></a></root>`)
-	e := New(d, WithMetrics(reg), WithIndependencePrecheck(precheck))
-	views := []string{
-		`//a{ID}/d{ID}`, // skipped
-		`//a{ID}//b{ID}`,
-		`//a{ID}//b{ID}//c{ID,val}`,
-		`//root{ID}//c{ID}`,
-	}
-	var mvs []*ManagedView
-	for _, v := range views {
-		mvs = append(mvs, addView(t, e, v))
-	}
-
-	rep, err := e.ApplyStatement(update.MustParse(`insert <b><c>9</c></b> into /root/a`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var skipped, propagated int
-	for _, vr := range rep.Views {
-		if vr.Skipped {
-			if !strings.Contains(vr.View.Pattern.String(), "d") {
-				t.Fatalf("view %s skipped but not declared independent", vr.View.Name)
-			}
-			skipped++
-		} else {
-			propagated++
-		}
-	}
-	if skipped != 1 || propagated != len(views)-1 {
-		t.Fatalf("skipped/propagated views = %d/%d, want 1/%d", skipped, propagated, len(views)-1)
-	}
-	if got := reg.CounterValue("core.views.skipped"); got != int64(skipped) {
-		t.Fatalf("core.views.skipped = %d, want %d", got, skipped)
-	}
-	for i, mv := range mvs {
-		if !e.CheckView(mv) {
-			t.Fatalf("view %s inconsistent after a pass with skips", views[i])
-		}
-	}
-
-	if _, err := e.ApplyStatement(update.MustParse(`delete /root//c`)); err != nil {
-		t.Fatalf("apply after a pass with skips: %v", err)
-	}
-	for i, mv := range mvs {
-		if !e.CheckView(mv) {
-			t.Fatalf("view %s inconsistent after follow-up statement", views[i])
-		}
 	}
 }
 

@@ -107,20 +107,3 @@ func (s *Snapshot) DocXML() string {
 	s.xmlOnce.Do(func() { s.xml = s.doc.String() })
 	return s.xml
 }
-
-// RepairAllViews rebuilds every managed view (rows and lattice) from the
-// current document, the heavy-handed recovery a long-lived writer loop
-// reaches for after a panic escaped a single statement's apply path. It is
-// best-effort: if the panic interrupted the document mutation itself the
-// document may not reflect the full statement, but views are at least
-// consistent with whatever document state remains — and so is the next
-// Snapshot, which publishes that same tree. The label index, which the
-// interrupted mutator may not have patched, is dropped and rebuilt from it,
-// and the store shows the whole tree again, its derived relations dropped.
-func (e *Engine) RepairAllViews() {
-	e.Doc.ResetImage()
-	e.Store.Hide(nil)
-	for _, mv := range e.Views {
-		e.recomputeFallback(mv)
-	}
-}

@@ -18,8 +18,10 @@
 //     — the function the leader's own crash recovery uses, and the fold
 //     (pulopt.ApplyRun) its writer lands statements with, so a follower and
 //     a restarted leader reach the same state from the same bytes — and
-//     publishes one epoch per read. Replay cannot fail: a statement the
-//     engine rejects is skipped, as it was rejected where it was journaled.
+//     publishes one epoch per read. A statement the engine rejects is
+//     skipped, as it was rejected where it was journaled; one whose fold
+//     panics (wal.ReplayPanicError) stops the tailer and its replica
+//     (server.Shard.Stop), which keeps serving its last epoch.
 //
 //   - Transport errors reconnect with jittered exponential backoff and
 //     resume from the last-applied LSN. A 410 snapshot_required answer
@@ -162,7 +164,8 @@ func NewFollower(c *client.Client, reg *server.Registry, tenant string, opts Opt
 
 // Run tails the leader until ctx is cancelled: snapshot-first catch-up,
 // then the poll loop, re-syncing or backing off as classified errors
-// dictate. It returns ctx.Err().
+// dictate. It returns ctx.Err(), or the *wal.ReplayPanicError that stopped
+// the replica.
 func (f *Follower) Run(ctx context.Context) error {
 	backoff := minBackoff
 	for ctx.Err() == nil {
@@ -178,9 +181,12 @@ func (f *Follower) Run(ctx context.Context) error {
 			backoff = minBackoff
 		}
 		err := f.pollOnce(ctx)
+		var panicked *wal.ReplayPanicError
 		switch {
 		case err == nil:
 			backoff = minBackoff
+		case errors.As(err, &panicked):
+			return err
 		case ctx.Err() != nil:
 		case isSnapshotRequired(err):
 			// The leader truncated past our position: run snapshot-first
@@ -252,10 +258,14 @@ func (f *Follower) pollOnce(ctx context.Context) error {
 		// Torn or corrupt network read: refetch from the same position.
 		return fmt.Errorf("repl: decoding frames for %s at %d: %w", f.name, from, err)
 	}
-	res := wal.Replay(f.eng, recs)
+	res, err := wal.Replay(f.eng, recs)
 	f.m.records.Add(int64(res.Applied))
 	f.m.batches.Add(int64(res.Batches))
 	f.m.skipped.Add(int64(res.Skipped))
+	if err != nil {
+		f.sh.Stop(fmt.Errorf("repl: replaying %s: %w", f.name, err))
+		return err
+	}
 	f.applied = recs[len(recs)-1].LSN
 	f.sh.PublishReplica(f.eng.Snapshot(), f.applied, f.leaderLast)
 	f.m.applied.set(f.applied)

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -210,9 +211,20 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		write(t, db, vocab[i%len(vocab)])
 	}
-	// Prove the catch-up cannot start at LSN 1: the head is gone.
-	if _, _, _, err := db.ReplFrames(context.Background(), 1, 0, ""); !isSnapshotRequired(err) {
-		t.Fatalf("stream from 1 = %v, want snapshot_required (harness must force checkpoint catch-up)", err)
+	// Prove the catch-up cannot start at LSN 1: the head is gone. The
+	// leader writes checkpoints off its writer, which truncates the log
+	// behind one at its first statement after the checkpoint is out, so
+	// each round writes once more until it has.
+	for deadline, i := time.Now().Add(10*time.Second), 0; ; i++ {
+		_, _, _, err := db.ReplFrames(context.Background(), 1, 0, "")
+		if isSnapshotRequired(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream from 1 = %v, want snapshot_required (harness must force checkpoint catch-up)", err)
+		}
+		write(t, db, vocab[i%len(vocab)])
+		time.Sleep(time.Millisecond)
 	}
 
 	folReg, fts := newFollowerReg(t, lts.URL)
@@ -472,4 +484,73 @@ func TestFleetDiscovery(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("follower update: %d, want 403", resp.StatusCode)
 	}
+}
+
+// TestFollowerStopsAPanickingTenant: the leader's log holds a statement
+// that panics on the follower's engines (a replace, under a tracer the
+// follower registry's engine options inject). The follower process
+// survives; the tenant's tailer stops with the *wal.ReplayPanicError, its
+// replica serving the epoch before the panic, stopped, as /healthz says;
+// a sibling tenant goes on tailing and converging.
+func TestFollowerStopsAPanickingTenant(t *testing.T) {
+	_, lts := newLeader(t, wal.Options{})
+	lc := client.New(lts.URL)
+	if _, err := lc.CreateDB(context.Background(), client.CreateDB{Name: "sibling"}); err != nil {
+		t.Fatal(err)
+	}
+	poisoned, sibling := lc.DB(defaultTenant), lc.DB("sibling")
+	for _, db := range []*client.DB{poisoned, sibling} {
+		for _, stmt := range vocab[:5] {
+			write(t, db, stmt)
+		}
+	}
+	folReg, fts := newFollowerReg(t, lts.URL, core.WithTracer(obs.TracerFunc(func(name string) func() {
+		if name == "apply:replace" {
+			panic("injected replace failure")
+		}
+		return func() {}
+	})))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan error, 1)
+	go func() {
+		stopped <- NewFollower(lc, folReg, defaultTenant, Options{PollInterval: 2 * time.Millisecond, Metrics: obs.New()}).Run(ctx)
+	}()
+	startFollower(t, NewFollower(lc, folReg, "sibling", Options{PollInterval: 2 * time.Millisecond, Metrics: obs.New()}))
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, poisoned), 30*time.Second)
+	prefix := "/v1/db/" + defaultTenant
+	before := map[string][]byte{}
+	for _, p := range []string{"/views", "/views/Q1", "/views/Q2"} {
+		before[p] = fetch(t, fts.URL, prefix+p)
+	}
+
+	write(t, poisoned, `replace /site/people/person/name with <name>Renamed</name>`)
+	write(t, poisoned, vocab[0])
+	select {
+	case err := <-stopped:
+		var rp *wal.ReplayPanicError
+		if !errors.As(err, &rp) {
+			t.Fatalf("the tailer stopped with %v, want a *wal.ReplayPanicError", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the tailer never met the panicking statement")
+	}
+	for p, want := range before {
+		if got := fetch(t, fts.URL, prefix+p); string(got) != string(want) {
+			t.Fatalf("the stopped replica's %s moved:\n got %s\nwant %s", p, got, want)
+		}
+	}
+	var h server.HealthResponse
+	if err := json.Unmarshal(fetch(t, fts.URL, "/healthz"), &h); err != nil {
+		t.Fatal(err)
+	}
+	if cause := h.Stopped[defaultTenant]; !strings.Contains(cause, "injected replace failure") {
+		t.Fatalf("follower healthz names %s stopped with %q (%+v)", defaultTenant, cause, h)
+	}
+
+	for _, stmt := range []string{vocab[6], vocab[7], vocab[0], vocab[3]} {
+		write(t, sibling, stmt)
+	}
+	waitApplied(t, folReg, "sibling", leaderLast(t, sibling), 30*time.Second)
+	compareReads(t, lts.URL, fts.URL, "sibling")
 }

@@ -241,7 +241,6 @@ func (u *UpdateResponse) decode(body string) bool {
 			d.skip(`,"rows_removed":`) && d.int(&v.RowsRemoved) && d.skip(`,"rows_modified":`) && d.int(&v.RowsModified)) {
 			return false
 		}
-		v.Skipped = d.skip(`,"skipped":true`)
 		v.Recomputed = d.skip(`,"recomputed":true`)
 		if !d.skip(`}`) {
 			return false

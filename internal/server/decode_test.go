@@ -144,7 +144,7 @@ func FuzzDecodeMatchesEncodingJSON(f *testing.F) {
 	f.Add([]byte(`{"tenant":"","version":0,"name":"","rows":[]}`))
 	f.Add([]byte(`{"tenant":"t\ufffdn","version":18446744073709551615,"query":"//a[b=\"\u003c\"]","plan":"treewalk","matches":[{"id":"a1","label":"a","value":"\u0000\u001f\b\f\n\r\t\\\u2028 é"},{"id":"","label":"#text","value":""}]}` + "\n"))
 	f.Add([]byte(`{"tenant":"t","version":3,"query":"q","matches":[]}`))
-	f.Add([]byte(`{"tenant":"t","version":9,"targets":1,"views":[{"name":"Q1","rows_added":1,"rows_removed":0,"rows_modified":-2},{"name":"R\u003c","rows_added":0,"rows_removed":0,"rows_modified":0,"skipped":true,"recomputed":true}]}` + "\n"))
+	f.Add([]byte(`{"tenant":"t","version":9,"targets":1,"views":[{"name":"Q1","rows_added":1,"rows_removed":0,"rows_modified":-2},{"name":"R\u003c","rows_added":0,"rows_removed":0,"rows_modified":0,"recomputed":true}]}` + "\n"))
 	f.Add([]byte(`{"tenant":"t","version":9,"targets":0,"views":[]}`))
 	for _, c := range declineCases {
 		f.Add([]byte(c.body))
@@ -353,7 +353,7 @@ func TestDecodedStringsDoNotAliasTheBody(t *testing.T) {
 	xpath = append(appendNodeMatches(xpath, nodes), xpathTail...)
 	rep := &core.Report{Targets: 1, Views: []core.ViewReport{
 		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: "V&"}}, RowsAdded: 1},
-		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: ""}}, Skipped: true},
+		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: ""}}, PredFallback: true},
 	}}
 	create := CreateDBRequest{Name: "shop", Document: "<site a=\"&amp;\"/>", Views: []ViewSpec{{Name: "Q1", Pattern: "//a{ID}"}, {Name: "", Pattern: ""}}}
 

@@ -144,12 +144,12 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 			vr := core.ViewReport{
 				View:      &core.ManagedView{ViewDef: &core.ViewDef{Name: []string{label, idLabel, val, cont}[i]}},
 				RowsAdded: int(n) - i, RowsRemoved: i, RowsModified: -i,
-				Skipped: i%2 == 1, PredFallback: i == 1, Panicked: i == 3,
+				PredFallback: i == 1, Panicked: i == 3,
 			}
 			rep.Views = append(rep.Views, vr)
 			ur.Views = append(ur.Views, UpdateViewJSON{
 				Name: vr.View.Name, RowsAdded: vr.RowsAdded, RowsRemoved: vr.RowsRemoved, RowsModified: vr.RowsModified,
-				Skipped: vr.Skipped, Recomputed: vr.PredFallback || vr.Panicked,
+				Recomputed: vr.PredFallback || vr.Panicked,
 			})
 		}
 		applied := appendUpdateResponse(nil, tenant, version, rep)

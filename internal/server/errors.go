@@ -43,6 +43,7 @@ const (
 	CodeDBExists     = "db_exists"      // 409: create of an existing tenant
 	CodeQueueFull    = "queue_full"     // 429: tenant's apply queue is saturated
 	CodeShuttingDown = "shutting_down"  // 503: tenant or registry is draining
+	CodeStopped      = "tenant_stopped" // 503: a panic stopped the tenant, or it could not be opened
 	CodeTimeout      = "timeout"        // 504: request deadline expired
 	CodeApplyFailed  = "apply_failed"   // 422: the engine rejected the statement
 	CodeInternal     = "internal"       // 500: everything else
@@ -120,6 +121,8 @@ func writeApplyError(w http.ResponseWriter, tenant string, err error) {
 		writeErr(w, http.StatusTooManyRequests, CodeQueueFull, tenant, err.Error())
 	case errors.Is(err, ErrShuttingDown):
 		writeErr(w, http.StatusServiceUnavailable, CodeShuttingDown, tenant, err.Error())
+	case errors.Is(err, ErrTenantStopped):
+		writeErr(w, http.StatusServiceUnavailable, CodeStopped, tenant, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, CodeTimeout, tenant, err.Error())
 	case errors.Is(err, context.Canceled):
@@ -131,7 +134,7 @@ func writeApplyError(w http.ResponseWriter, tenant string, err error) {
 	}
 }
 
-// writeLifecycleError maps a Create/Drop failure to its envelope.
+// writeLifecycleError maps a Create/Drop/Get failure to its envelope.
 func writeLifecycleError(w http.ResponseWriter, tenant string, err error) {
 	var inv invalidError
 	switch {
@@ -141,6 +144,8 @@ func writeLifecycleError(w http.ResponseWriter, tenant string, err error) {
 		writeErr(w, http.StatusConflict, CodeDBExists, tenant, err.Error())
 	case errors.Is(err, ErrRegistryClosed):
 		writeErr(w, http.StatusServiceUnavailable, CodeShuttingDown, tenant, err.Error())
+	case errors.Is(err, ErrTenantStopped):
+		writeErr(w, http.StatusServiceUnavailable, CodeStopped, tenant, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		writeErr(w, http.StatusGatewayTimeout, CodeTimeout, tenant, err.Error())
 	case errors.As(err, &inv):

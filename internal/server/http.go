@@ -27,6 +27,9 @@ type HealthResponse struct {
 	// MaxLagLSN is the worst replication lag across tenants: on a follower,
 	// max(last_lsn - applied_lsn); always 0 on a leader.
 	MaxLagLSN uint64 `json:"max_lag_lsn,omitempty"`
+	// Stopped names each stopped tenant with its cause: one a panic stopped
+	// (it still serves reads) or one that could not be opened.
+	Stopped map[string]string `json:"stopped,omitempty"`
 	// LabelCodes and LabelRefused gauge the process-wide label table every
 	// tenant's keys and nodes name their labels by (dewey.LabelStats): the
 	// codes it has assigned, of at most 2^14, and how often it has refused a
@@ -96,7 +99,6 @@ type UpdateViewJSON struct {
 	RowsAdded    int    `json:"rows_added"`
 	RowsRemoved  int    `json:"rows_removed"`
 	RowsModified int    `json:"rows_modified"`
-	Skipped      bool   `json:"skipped,omitempty"`
 	Recomputed   bool   `json:"recomputed,omitempty"`
 }
 
@@ -121,8 +123,9 @@ type UpdateResponse struct {
 // they never block on any writer, and every response names its tenant and
 // the exact epoch it reflects; updates block until applied and published,
 // or are rejected with the uniform error envelope: 429 queue_full when the
-// tenant's queue is saturated, 503 shutting_down while draining, 504
-// timeout past the deadline):
+// tenant's queue is saturated, 503 shutting_down while draining, 503
+// tenant_stopped once a panic stopped the tenant, 504 timeout past the
+// deadline):
 //
 //	GET  /v1/db/{db}/views         the tenant's views: names and row counts
 //	GET  /v1/db/{db}/views/{name}  one view's materialized rows
@@ -138,7 +141,8 @@ type UpdateResponse struct {
 //
 // Process-wide:
 //
-//	GET /healthz     liveness + tenant count + total queued updates + label table
+//	GET /healthz     liveness + tenant count + total queued updates + stopped
+//	                 tenants + label table
 //	GET /v1/metrics  JSON dump of the whole metrics registry
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -169,13 +173,13 @@ func (r *Registry) countRequests(next http.Handler) http.Handler {
 	})
 }
 
-// tenantShard resolves the {db} path segment, answering the 404 envelope
-// itself when the tenant does not exist.
+// tenantShard resolves the {db} path segment, answering the envelope
+// itself when the tenant does not exist (404) or could not be opened (503).
 func (r *Registry) tenantShard(w http.ResponseWriter, req *http.Request) (*Shard, bool) {
 	name := req.PathValue("db")
 	sh, err := r.Get(name)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, CodeNoSuchDB, name, err.Error())
+		writeLifecycleError(w, name, err)
 		return nil, false
 	}
 	return sh, true
@@ -194,16 +198,23 @@ func (r *Registry) handleHealth(w http.ResponseWriter, req *http.Request) {
 	tenants := len(r.shards)
 	queue := 0
 	var maxLag uint64
-	for _, sh := range r.shards {
+	stopped := make(map[string]string)
+	for name, sh := range r.shards {
 		queue += sh.QueueLen()
 		if applied, last := sh.LSNs(); last > applied && last-applied > maxLag {
 			maxLag = last - applied
 		}
+		if err := sh.Stopped(); err != nil {
+			stopped[name] = err.Error()
+		}
+	}
+	for name, err := range r.unopened {
+		stopped[name] = err.Error()
 	}
 	r.mu.RUnlock()
 	codes, refused := dewey.LabelStats()
 	writeJSON(w, http.StatusOK, HealthResponse{Status: status, Role: role, Tenants: tenants, Queue: queue, MaxLagLSN: maxLag,
-		LabelCodes: codes, LabelRefused: refused})
+		Stopped: stopped, LabelCodes: codes, LabelRefused: refused})
 }
 
 func (r *Registry) handleViews(w http.ResponseWriter, req *http.Request) {

@@ -31,8 +31,8 @@ import (
 //     range might invalidate silently. The engine's OnApplied contract
 //     makes gaps detectable — a notification whose version does not equal
 //     notifiedUpTo plus its statement count means un-vetted writes landed
-//     (recomputation repair, direct PUL application), and the
-//     whole cache is discarded.
+//     (direct PUL application, batch units without source statements),
+//     and the whole cache is discarded.
 //
 //   - ring: the recent vetted writes, so a put computed against an older
 //     snapshot (a reader raced a writer) is accepted only if every vetted
@@ -137,7 +137,9 @@ func (c *queryCache) noteApplied(sts []*update.Statement, version uint64) int {
 				n++
 			}
 		})
-		c.dropAllLocked(version)
+		c.entries = lru.New[string, *cachedResult](queryCacheCap)
+		c.ring = c.ring[:0]
+		c.notifiedUpTo, c.floor = version, version
 		c.invalidated += int64(n)
 		return n
 	}
@@ -166,21 +168,6 @@ func (c *queryCache) noteApplied(sts []*update.Statement, version uint64) int {
 	})
 	c.invalidated += int64(n)
 	return n
-}
-
-// dropAll empties the cache and restarts the vetted range at version —
-// used when the shard repaired its engine outside the delta stream.
-func (c *queryCache) dropAll(version uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropAllLocked(version)
-}
-
-func (c *queryCache) dropAllLocked(version uint64) {
-	c.entries = lru.New[string, *cachedResult](queryCacheCap)
-	c.ring = c.ring[:0]
-	c.notifiedUpTo = version
-	c.floor = version
 }
 
 // mayAffect is the cache's conservative wrapper over the static

@@ -67,6 +67,10 @@ var xpathCacheSize = 256
 // (crash-safe create, drop, list, recovery of every surviving tenant at
 // open) and routes the HTTP API to per-tenant shards. All methods are safe
 // for concurrent use.
+//
+// A tenant that fails to open is kept by name with its error until the
+// process restarts: every route answers it with ErrTenantStopped, and it
+// can be neither created nor dropped, so nothing replaces its directory.
 type Registry struct {
 	cfg   RegistryConfig
 	m     *serverMetrics
@@ -74,7 +78,8 @@ type Registry struct {
 
 	mu       sync.RWMutex
 	shards   map[string]*Shard
-	creating map[string]bool // names reserved by in-flight Creates
+	creating map[string]bool  // names reserved by in-flight Creates
+	unopened map[string]error // tenants NewRegistry could not open; never written after
 	closed   bool
 }
 
@@ -82,7 +87,8 @@ type Registry struct {
 // finishes any interrupted create or drop (see wal.ScanTenantRoot), and
 // recovers every surviving tenant through the normal WAL open path — a
 // process killed at any point reopens with exactly the tenants whose
-// creation had been acknowledged and whose drop had not.
+// creation had been acknowledged and whose drop had not. A tenant that
+// does not recover is kept stopped (see Registry); the others serve.
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if _, err := compileViews(cfg.DefaultViews); err != nil {
 		return nil, fmt.Errorf("server: default views: %w", err)
@@ -101,6 +107,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		progs:    qvm.NewCache(xpathCacheSize),
 		shards:   make(map[string]*Shard),
 		creating: make(map[string]bool),
+		unopened: make(map[string]error),
 	}
 	if cfg.DataDir == "" {
 		return r, nil
@@ -112,8 +119,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	for _, name := range names {
 		db, err := wal.Open(wal.TenantDir(cfg.DataDir, name), r.walOptions())
 		if err != nil {
-			r.closeAll()
-			return nil, fmt.Errorf("server: recovering tenant %s: %w", name, err)
+			r.unopened[name] = fmt.Errorf("%w: recovering %s: %w", ErrTenantStopped, name, err)
+			continue
 		}
 		r.shards[name] = r.newShard(name, db, db.Close)
 	}
@@ -181,15 +188,6 @@ func (r *Registry) FollowerOf() string { return r.cfg.FollowerOf }
 // them.
 func (r *Registry) EngineOptions() []core.Option { return r.cfg.WAL.Engine }
 
-// closeAll force-closes every shard already built (constructor error path).
-func (r *Registry) closeAll() {
-	for _, sh := range r.shards {
-		ctx, cancel := context.WithCancel(context.Background())
-		_ = sh.Close(ctx)
-		cancel()
-	}
-}
-
 // compiledView is a validated ViewSpec.
 type compiledView struct {
 	name string
@@ -254,6 +252,10 @@ func (r *Registry) Create(name, docXML string, views []ViewSpec) (*Shard, error)
 	if r.closed {
 		r.mu.Unlock()
 		return nil, ErrRegistryClosed
+	}
+	if err := r.unopened[name]; err != nil {
+		r.mu.Unlock()
+		return nil, err
 	}
 	if r.shards[name] != nil || r.creating[name] {
 		r.mu.Unlock()
@@ -342,6 +344,10 @@ func (r *Registry) Drop(ctx context.Context, name string) error {
 		return ErrRegistryClosed
 	}
 	sh := r.shards[name]
+	if err := r.unopened[name]; err != nil {
+		r.mu.Unlock()
+		return err
+	}
 	if sh == nil {
 		busy := r.creating[name]
 		r.mu.Unlock()
@@ -369,11 +375,15 @@ func (r *Registry) Drop(ctx context.Context, name string) error {
 	return nil
 }
 
-// Get returns the named tenant's shard, or ErrNoSuchTenant.
+// Get returns the named tenant's shard, ErrNoSuchTenant, or the
+// ErrTenantStopped of a tenant the registry could not open.
 func (r *Registry) Get(name string) (*Shard, error) {
 	r.mu.RLock()
-	sh := r.shards[name]
+	sh, err := r.shards[name], r.unopened[name]
 	r.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
 	if sh == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTenant, name)
 	}

@@ -290,13 +290,11 @@ func TestAPIErrors(t *testing.T) {
 // released, so tests can hold the writer busy while probing queue
 // behavior. entered, when set, hears of every apply that reaches the gate:
 // a test that waits on it knows the writer has left the queue before it
-// submits what must stay queued. panicNext makes the next apply panic
-// instead.
+// submits what must stay queued.
 type gateBackend struct {
 	Backend
-	gate      chan struct{}
-	entered   chan struct{}
-	panicNext bool
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (b *gateBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
@@ -308,10 +306,6 @@ func (b *gateBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) p
 	}
 	if b.gate != nil {
 		<-b.gate
-	}
-	if b.panicNext {
-		b.panicNext = false
-		panic("injected apply failure")
 	}
 	return b.Backend.ApplyRun(stmts, dst)
 }
@@ -392,101 +386,6 @@ func TestUpdateDeadline(t *testing.T) {
 	resp, _ := postUpdate(t, ts.URL+"/v1/db/"+DefaultTenant, st)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline update status %d, want 504", resp.StatusCode)
-	}
-}
-
-func TestApplyPanicKeepsServing(t *testing.T) {
-	m := obs.New()
-	_, ts := newTestRegistry(t, Config{Metrics: m}, func(tenant string, b Backend) Backend {
-		return &gateBackend{Backend: b, panicNext: true}
-	})
-	db := ts.URL + "/v1/db/" + DefaultTenant
-
-	st := `insert <person id="pp"><name>Boom</name></person> into /site/people`
-	resp, _ := postUpdate(t, db, st)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("panicked update status %d, want 422", resp.StatusCode)
-	}
-	if got := m.CounterValue("server.apply.panics"); got != 1 {
-		t.Fatalf("server.apply.panics = %d, want 1", got)
-	}
-
-	// The writer loop survived: the same statement succeeds next time and
-	// the engine's views are consistent.
-	resp2, ur := postUpdate(t, db, st)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-panic update status %d, want 200", resp2.StatusCode)
-	}
-	var vr ViewResponse
-	getJSON(t, db+"/views/Q1", &vr)
-	if vr.Version < ur.Version {
-		t.Fatalf("read version %d < acked version %d after panic recovery", vr.Version, ur.Version)
-	}
-}
-
-// halfInsertBackend makes the next apply land half a statement and panic:
-// it inserts a two-tree forest under /site/people whose second tree is nil,
-// so ApplyInsertions blows up after the first tree is in the document.
-type halfInsertBackend struct {
-	Backend
-	armed bool
-}
-
-func (b *halfInsertBackend) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
-	if b.armed {
-		b.armed = false
-		doc := b.Engine().Doc
-		people := doc.Labeled("people")[0]
-		half := xmltree.NewNode(xmltree.Element, "person", "")
-		_, _, _ = doc.ApplyInsertions([]xmltree.Insertion{{Target: people, Trees: []*xmltree.Node{half, nil}}})
-	}
-	return b.Backend.ApplyRun(stmts, dst)
-}
-
-// TestApplyPanicResetsImage: a panic that escapes mid-mutation leaves the
-// document holding part of a statement, and its label index unpatched: the
-// interrupted mutator had copied /site and /site/people and never said so.
-// The repair drops the index; the next epoch is whatever the tree holds —
-// the writer's own tree, not a copy — and each label asked of it is
-// indexed from it again.
-func TestApplyPanicResetsImage(t *testing.T) {
-	m := obs.New()
-	var backend *halfInsertBackend
-	reg, ts := newTestRegistry(t, Config{Metrics: m}, func(tenant string, b Backend) Backend {
-		backend = &halfInsertBackend{Backend: b, armed: true}
-		return backend
-	})
-	db := ts.URL + "/v1/db/" + DefaultTenant
-	st := `insert <person id="pp"><name>Boom</name></person> into /site/people`
-	if resp, _ := postUpdate(t, db, st); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("panicked update status %d, want 422", resp.StatusCode)
-	}
-	copied := m.CounterValue("snapshot.doc.copied_nodes")
-	if resp, _ := postUpdate(t, db, st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-panic update status %d, want 200", resp.StatusCode)
-	}
-
-	// The writer is idle once the update is acknowledged.
-	sh, err := reg.Get(DefaultTenant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, img := backend.Engine().Doc, sh.Epoch().Doc()
-	if got := len(live.Labeled("person")); got != len(img.Labeled("person")) || img.String() != live.String() {
-		t.Fatalf("epoch after repair differs from the live tree (%d persons live):\n epoch %s\n  live %s", got, img, live)
-	}
-	for _, d := range []*xmltree.Document{live, img} {
-		if people := d.Labeled("people"); len(people) != 1 || people[0] != d.NodeByID(people[0].ID()) {
-			t.Fatal("label index after repair still holds the node the interrupted mutator replaced")
-		}
-	}
-	if string(img.EncodeOrds()) != string(live.EncodeOrds()) || img.Size() != live.Size() {
-		t.Fatalf("epoch after repair: size %d, live %d, or ordinals differ", img.Size(), live.Size())
-	}
-	// The half statement's spine of two and its one tree, then the four
-	// nodes of the statement that followed, under the same spine.
-	if got := m.CounterValue("snapshot.doc.copied_nodes") - copied; got != 7 {
-		t.Fatalf("epoch after repair copied %d nodes, want 7", got)
 	}
 }
 

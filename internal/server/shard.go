@@ -38,13 +38,21 @@
 //     the writer can contend on. Readers therefore observe only states that
 //     existed between whole statements — never a half-propagated view.
 //
+//   - A panic that escapes the backend stops the tenant (Shard.Stop): the
+//     writer publishes nothing more and answers the run and every later
+//     write with ErrTenantStopped, while readers keep the last epoch.
+//     Nothing is repaired: a statement that panicked panics again when the
+//     log replays it (wal.ReplayPanicError), so what landed is what the
+//     next open replays.
+//
 //   - Shutdown closes the queue, lets the writer drain every accepted
 //     request, then syncs the backend (forcing the WAL group-commit buffer
 //     to disk) before reporting done.
 //
 // The Registry adds the tenant lifecycle on top (create, drop, list — all
 // crash-safe, see internal/wal's tenant layout) and the HTTP surface: the
-// data plane under /v1/db/{name}/… and the admin plane under /v1/db.
+// data plane under /v1/db/{name}/… and the admin plane under /v1/db. A
+// tenant it cannot open at start stays stopped by name; the others serve.
 package server
 
 import (
@@ -75,6 +83,11 @@ var ErrShuttingDown = errors.New("server: shutting down")
 // follower serves reads at its applied LSN and never accepts writes (HTTP
 // maps it to 403 Forbidden, code read_only, pointing at the leader).
 var ErrReadOnly = errors.New("server: read-only follower")
+
+// ErrTenantStopped, wrapped with its cause, refuses the writes of a tenant
+// a panic stopped and every request to one the registry could not open
+// (HTTP maps it to 503 Service Unavailable, code tenant_stopped).
+var ErrTenantStopped = errors.New("server: tenant stopped")
 
 // Backend is what the serving layer needs from the engine side: the wal.DB
 // durability wrapper satisfies it directly, and EngineBackend adapts a bare
@@ -173,6 +186,10 @@ type Shard struct {
 	// epoch is the last published snapshot; readers load it with one
 	// atomic pointer read and never touch the live engine.
 	epoch atomic.Pointer[core.Snapshot]
+
+	// stopped is the error every write answers once the tenant has stopped
+	// (Stop); nil while it runs.
+	stopped atomic.Pointer[error]
 
 	// repl is the replication surface of a durable backend (wal.DB),
 	// captured before any test wrapping; nil for in-memory tenants and for
@@ -289,6 +306,23 @@ func (s *Shard) PublishReplica(snap *core.Snapshot, appliedLSN, leaderLast uint6
 	s.swapEpoch(snap)
 }
 
+// Stop stops the tenant: every later write is answered with
+// ErrTenantStopped wrapping cause (the first one given), nothing more is
+// published, and readers keep the last epoch. The writer calls it when a
+// panic escapes the backend, a follower's tailer when replay panics.
+func (s *Shard) Stop(cause error) {
+	err := fmt.Errorf("%w: %w", ErrTenantStopped, cause)
+	s.stopped.CompareAndSwap(nil, &err)
+}
+
+// Stopped returns the error a stopped tenant answers writes with, or nil.
+func (s *Shard) Stopped() error {
+	if err := s.stopped.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
 // Replica reports whether this shard is a read-only follower.
 func (s *Shard) Replica() bool { return s.replica }
 
@@ -336,7 +370,8 @@ func (s *Shard) QueueCap() int { return cap(s.queue) }
 // applied and its epoch published, honoring ctx. It returns the engine
 // report and the epoch version at which the update's effects are visible
 // to readers (a statement that rode a translated batch gets the batch's
-// merged report). ErrQueueFull and ErrShuttingDown reject without queuing.
+// merged report). ErrQueueFull, ErrShuttingDown and ErrTenantStopped
+// reject without queuing.
 //
 // Apply is at-most-once observable, not at-most-once: a ctx expiring while
 // the request is queued abandons the WAIT, not necessarily the statement.
@@ -365,6 +400,9 @@ func (s *Shard) Apply(ctx context.Context, st *update.Statement) (*core.Report, 
 func (s *Shard) ApplyAsync(ctx context.Context, st *update.Statement) (func() (*core.Report, uint64, error), error) {
 	if s.replica {
 		return nil, ErrReadOnly
+	}
+	if err := s.Stopped(); err != nil {
+		return nil, err
 	}
 	req := &applyReq{ctx: ctx, st: st, resp: make(chan applyResult, 1)}
 	s.mu.RLock()
@@ -488,10 +526,16 @@ func (s *Shard) respond(req *applyReq, res applyResult) {
 // as one run, and every one of them is answered with the epoch published
 // after it, so an acknowledged update is always readable
 // (read-your-writes) and an unacknowledged one is at worst readable early,
-// never lost.
+// never lost. Once the tenant has stopped, every request is answered with
+// the stop instead.
 func (s *Shard) applyRun(batch []*applyReq) {
+	stopped := s.Stopped()
 	live, stmts := batch[:0], s.stmts[:0]
 	for _, req := range batch {
+		if stopped != nil {
+			s.respond(req, applyResult{err: stopped})
+			continue
+		}
 		if err := req.ctx.Err(); err != nil {
 			s.m.abandoned.Inc()
 			s.respond(req, applyResult{err: err})
@@ -506,7 +550,13 @@ func (s *Shard) applyRun(batch []*applyReq) {
 		return
 	}
 	t0 := time.Now()
-	run := s.safeApplyRun(stmts)
+	run, ok := s.applyOrStop(stmts)
+	if !ok {
+		s.applyRun(live) // answers each with the stop
+		clear(batch)
+		clear(stmts)
+		return
+	}
 	d := time.Since(t0)
 	s.m.applyLatency.Observe(d)
 	if run.Translated {
@@ -538,29 +588,18 @@ func (s *Shard) applyRun(batch []*applyReq) {
 	s.results = run.Results
 }
 
-// safeApplyRun contains a panic escaping the engine's own per-view
-// recovery (core.propagateAll repairs panicking views, but a panic
-// elsewhere in the apply path would otherwise kill the writer goroutine
-// and wedge every client of this tenant). The engine is repaired by
-// recomputing all views, and every statement of the run is reported
-// failed, although the log may hold some of them.
-func (s *Shard) safeApplyRun(stmts []*update.Statement) (run pulopt.Run) {
+// applyOrStop hands the run to the backend. A panic that escapes it stops
+// the tenant (Stop) and reports false: the engine may hold part of the run,
+// and the log all of it, so nothing is published and the next open replays
+// what the log holds.
+func (s *Shard) applyOrStop(stmts []*update.Statement) (run pulopt.Run, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.applyPanics.Inc()
-			s.eng.RepairAllViews()
-			// A repair rebuilds state outside the delta stream (the document
-			// may even have changed without a version bump): cached results
-			// are no longer trustworthy at any version.
-			s.qcache.dropAll(s.eng.Version())
-			err := fmt.Errorf("server: apply panicked: %v", r)
-			run = pulopt.Run{Results: s.results[:0]}
-			for range stmts {
-				run.Results = append(run.Results, pulopt.Result{Err: err})
-			}
+			s.Stop(fmt.Errorf("apply panicked: %v", r))
 		}
 	}()
-	return s.backend.ApplyRun(stmts, s.results)
+	return s.backend.ApplyRun(stmts, s.results), true
 }
 
 // publish captures the engine state, stamps it with the tenant name, and

@@ -189,8 +189,9 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 // Open recovers a database: newest valid checkpoint, torn-tail log scan,
 // replay of the surviving suffix. The recovered engine state is exactly
 // what the durable log prefix acknowledges. A missing dir is refused like
-// an empty one, and Open does not create it.
-func Open(dir string, opts Options) (*DB, error) {
+// an empty one, and Open does not create it. A log whose replay panics
+// fails Open with a *ReplayPanicError.
+func Open(dir string, opts Options) (_ *DB, err error) {
 	db := newDB(dir, opts)
 	lsns, err := listCheckpoints(db.fs, dir)
 	if err != nil {
@@ -222,6 +223,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			db.log.Close()
+		}
+	}()
 	db.stats.CheckpointLSN = ckLSN
 	db.stats.TruncatedBytes = db.log.Truncated()
 	if db.log.LastLSN() < ckLSN {
@@ -261,7 +267,10 @@ func (db *DB) replay(ckLSN uint64) error {
 	}); err != nil {
 		return err
 	}
-	res := Replay(db.eng, recs)
+	res, err := Replay(db.eng, recs)
+	if err != nil {
+		return err
+	}
 	for _, v := range res.Views {
 		db.sources[v.ViewName] = v.ViewPattern
 	}

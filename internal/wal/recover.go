@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"fmt"
+
 	"xivm/internal/core"
 	"xivm/internal/pattern"
 	"xivm/internal/pulopt"
@@ -45,6 +47,22 @@ type ReplayResult struct {
 	Views []Record
 }
 
+// ReplayPanicError is what Replay returns when folding a record panicked:
+// the records of the chunk it was folding, by LSN, and the panic's value.
+// An update is a function of the state before it, so the same records
+// panic wherever they are folded again — on a restart, on a follower. The
+// engine may hold part of the chunk and must not be used again.
+type ReplayPanicError struct {
+	// First and Last are the LSNs of the chunk's first and last records.
+	First, Last uint64
+	// Value is what the fold panicked with.
+	Value any
+}
+
+func (e *ReplayPanicError) Error() string {
+	return fmt.Sprintf("wal: replay panicked in records %d-%d: %v", e.First, e.Last, e.Value)
+}
+
 // Replay folds log records into eng, in order — the one records → engine
 // function, fed by crash recovery with what its own disk holds and by a
 // follower with what the leader's disk shipped. Since an update is a pure
@@ -56,16 +74,23 @@ type ReplayResult struct {
 // costs one propagation pass per unit, and a chunk it rejects is applied
 // per statement. The fold reaches the same document, view rows and version
 // wherever chunks fall. A view registration flushes the run and lands at
-// its exact position.
-func Replay(eng *core.Engine, recs []Record) ReplayResult {
+// its exact position. A panic in the fold stops it: Replay returns a
+// *ReplayPanicError naming the chunk, with what it had counted so far.
+func Replay(eng *core.Engine, recs []Record) (ReplayResult, error) {
 	return replay(eng, recs, replayChunk)
 }
 
 // replay is Replay with the chunk size exposed: at chunk 1 nothing is
 // planned and every record is applied on its own, which is what the tests
 // hold the batched path against.
-func replay(eng *core.Engine, recs []Record, chunk int) ReplayResult {
-	var res ReplayResult
+func replay(eng *core.Engine, recs []Record, chunk int) (res ReplayResult, err error) {
+	// first and last bound the records being folded, for a panic to name.
+	var first, last uint64
+	defer func() {
+		if r := recover(); r != nil {
+			err = &ReplayPanicError{First: first, Last: last, Value: r}
+		}
+	}()
 	run := make([]*update.Statement, 0, chunk)
 	var results []pulopt.Result
 	flush := func() {
@@ -94,11 +119,16 @@ func replay(eng *core.Engine, recs []Record, chunk int) ReplayResult {
 				res.Skipped++
 				continue
 			}
+			if len(run) == 0 {
+				first = r.LSN
+			}
+			last = r.LSN
 			if run = append(run, st); len(run) == chunk {
 				flush()
 			}
 		case RecordView:
 			flush()
+			first, last = r.LSN, r.LSN
 			p, err := pattern.Parse(r.ViewPattern)
 			if err == nil {
 				_, err = eng.AddView(r.ViewName, p)
@@ -114,5 +144,5 @@ func replay(eng *core.Engine, recs []Record, chunk int) ReplayResult {
 		}
 	}
 	flush()
-	return res
+	return res, nil
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -125,7 +126,10 @@ func TestReplaySourcesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Replay(eng, recs)
+	res, err := Replay(eng, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	requireSameState(t, "follower replay vs crash recovery", stateOf(t, eng), stateOf(t, re.Engine()))
 	if st := re.Stats(); res.Applied != st.Replayed || res.Skipped != st.Skipped {
 		t.Fatalf("follower applied/skipped %d/%d, recovery %d/%d", res.Applied, res.Skipped, st.Replayed, st.Skipped)
@@ -151,7 +155,11 @@ func replayFresh(t *testing.T, doc string, recs []Record, chunk int) (*core.Engi
 	if _, err := eng.AddView("Q1", xmark.View("Q1")); err != nil {
 		t.Fatal(err)
 	}
-	return eng, replay(eng, recs, chunk)
+	res, err := replay(eng, recs, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, res
 }
 
 // TestReplayBatchedMatchesPerRecord: wherever chunks fall, batched replay
@@ -223,4 +231,93 @@ func TestReplayRejectedChunkPlannedOnce(t *testing.T) {
 	if res.Applied != len(srcs) {
 		t.Fatalf("applied %d of %d", res.Applied, len(srcs))
 	}
+}
+
+// replacePanics is a tracer under which every replace panics as it starts.
+// The planner refuses a run that holds a replace, so every fold — the
+// shard's writer, Replay at any chunk size — applies one through
+// Engine.ApplyStatement, whose span this is.
+var replacePanics = obs.TracerFunc(func(name string) func() {
+	if name == "apply:replace" {
+		panic("injected replace failure")
+	}
+	return func() {}
+})
+
+// poisonedTail is forty statements, planner-friendly but for a replace at
+// LSN 36.
+func poisonedTail() []Record {
+	var srcs []string
+	for i := 0; i < 40; i++ {
+		switch {
+		case i == 35:
+			srcs = append(srcs, `replace /site/people/person/name with <name>Renamed</name>`)
+		case i%2 == 0:
+			srcs = append(srcs, fmt.Sprintf(`insert <note>n%d</note> into /site/categories`, i))
+		default:
+			srcs = append(srcs, `delete /site/closed_auctions/closed_auction/annotation`)
+		}
+	}
+	return statementRecords(srcs...)
+}
+
+// TestReplayPanicNamesItsChunk: a record whose fold panics ends Replay with
+// a *ReplayPanicError naming the chunk that held it — the record alone at
+// chunk 1, the second chunk of 32 otherwise — instead of the panic.
+func TestReplayPanicNamesItsChunk(t *testing.T) {
+	for _, c := range []struct {
+		chunk       int
+		first, last uint64
+	}{{1, 36, 36}, {replayChunk, 33, 40}} {
+		d, err := xmltree.ParseString(xmark.GenerateSmall(3, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := core.New(d, core.WithMetrics(obs.New()), core.WithTracer(replacePanics))
+		res, err := replay(eng, poisonedTail(), c.chunk)
+		var rp *ReplayPanicError
+		if !errors.As(err, &rp) || rp.First != c.first || rp.Last != c.last {
+			t.Fatalf("chunk %d: err = %v, want a replay panic in records %d-%d", c.chunk, err, c.first, c.last)
+		}
+		if res.Applied < int(c.first)-1 {
+			t.Fatalf("chunk %d: %d records applied before the panic, want at least %d", c.chunk, res.Applied, c.first-1)
+		}
+	}
+}
+
+// TestOpenReturnsAReplayPanic: Open of a directory whose log holds a
+// record that panics on the opening engine fails with the
+// *ReplayPanicError, and the same directory opens whole under an engine
+// that does not panic.
+func TestOpenReturnsAReplayPanic(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(dir, []byte(xmark.GenerateSmall(3, 0)), Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
+		t.Fatal(err)
+	}
+	recs := poisonedTail()
+	for _, r := range recs {
+		if _, err := db.Apply(mustStatement(t, r.Statement)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := stateOf(t, db.Engine())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(dir, Options{Metrics: obs.New(), Engine: []core.Option{core.WithTracer(replacePanics)}})
+	var rp *ReplayPanicError
+	if !errors.As(err, &rp) || rp.First > 37 || rp.Last < 37 {
+		t.Fatalf("Open = %v, want a replay panic covering LSN 37 (the view record is LSN 1)", err)
+	}
+	re, err := Open(dir, Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameState(t, "reopened without the panic", stateOf(t, re.Engine()), live)
 }

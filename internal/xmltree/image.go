@@ -64,11 +64,11 @@ func (d *Document) CopiedSince(prev *Document) int {
 	return d.copied - prev.copied
 }
 
-// ResetImage forgets the one thing the mutators maintain beside the tree,
-// the label index, so that the next Labeled is a fresh walk. Call it when a
-// mutator did not run to completion (a contained panic): the tree is then
-// the only truth. Epochs already published keep their index.
-func (d *Document) ResetImage() {
+// resetImage forgets the one thing the mutators maintain beside the tree,
+// the label index, so that the next Labeled is a fresh walk. Call it when
+// every node moved or changed its ID (restamp, ApplyOrds): nothing indexed
+// under the old ones survives. Epochs already published keep their index.
+func (d *Document) resetImage() {
 	d.labels, d.labelGen = &labelCell{want: d.labels.want}, d.gen
 }
 
@@ -94,7 +94,7 @@ func (d *Document) restamp() {
 	}
 	d.Root, d.gen = cp(d.Root), 1
 	d.copied += d.size
-	d.ResetImage()
+	d.resetImage()
 }
 
 // own returns the node with the given ID, the writer's to edit: every node

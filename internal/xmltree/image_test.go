@@ -232,7 +232,7 @@ func TestResetImage(t *testing.T) {
 	}
 	img1 := d.Snapshot()
 	as := img1.Labeled("a")
-	d.ResetImage()
+	d.resetImage()
 	if d.labels.li.Load() != nil {
 		t.Fatal("the writer kept its label index across a reset")
 	}

@@ -109,6 +109,6 @@ func (d *Document) ApplyOrds(data []byte) error {
 		return errors.New("xmltree: ordinal stream longer than the document")
 	}
 	// Every ID changed: nothing derived from the old ones survives.
-	d.ResetImage()
+	d.resetImage()
 	return nil
 }
