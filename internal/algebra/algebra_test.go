@@ -373,12 +373,11 @@ func TestEvalForestAndAttach(t *testing.T) {
 	full := EvalPattern(p, in, nil)
 
 	block := EvalSubPattern(p, 1, in, nil) // {a}
-	deltaMask := p.FullMask() &^ 1
-	forest, roots := EvalForest(p, deltaMask, in, nil)
-	if len(forest) != 2 || roots[0] != 1 || roots[1] != 3 {
-		t.Fatalf("forest roots = %v", roots)
+	var s *Scratch                         // nil: allocate
+	joined := s.JoinForest(p, block, p.FullMask()&^1, in, nil)
+	if !slices.Equal(joined.Cols, []int{0, 1, 2, 3}) {
+		t.Fatalf("forest roots joined as %v, want {b,c} then {d}", joined.Cols)
 	}
-	joined := AttachForest(p, block, forest, roots, nil)
 	attached := normalizeColumns(p, joined)
 	sortTuples(attached)
 	sortTuples(full)
@@ -419,14 +418,14 @@ func TestFilterWithoutNodeResolvesThroughDoc(t *testing.T) {
 // skip a node, {a, d} then {b, c} — the shape of a maintenance term whose
 // R-mask is not a prefix of preorder: the result's columns are out of
 // preorder, and permuted back, its IDs, live nodes and counts must be a
-// full evaluation's.
+// full evaluation's. The blocks are lent by a scratch, as in propagation.
 func TestAttachForestAcrossAGap(t *testing.T) {
 	d := mustDoc(t, `<a><b><c/></b><d/><b><c/><c/></b></a>`)
 	p := pattern.MustParse(`//a{ID}[//b{ID}//c{ID}]//d{ID}`)
 	in := DocInputs(d, p)
 	full := EvalPattern(p, in, nil)
-	forest, roots := EvalForest(p, 1<<1|1<<2, in, nil)
-	joined := AttachForest(p, EvalSubPattern(p, 1|1<<3, in, nil), forest, roots, nil)
+	s := new(Scratch)
+	joined := s.JoinForest(p, s.EvalSubPattern(p, 1|1<<3, in, nil), 1<<1|1<<2, in, nil)
 	if slices.IsSorted(joined.Cols) {
 		t.Fatalf("columns %v are in preorder already", joined.Cols)
 	}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -56,16 +57,22 @@ func DocInputs(d *xmltree.Document, p *pattern.Pattern) Inputs {
 // the pattern root is /-anchored (Desc == false): "/site" matches only a
 // root element, while "//site" matches any.
 func FilterRootAnchor(p *pattern.Pattern, items []Item) []Item {
+	return (*Scratch)(nil).FilterRootAnchor(p, items)
+}
+
+// FilterRootAnchor is the package's FilterRootAnchor with the items that
+// pass taken from s, capped at their length.
+func (s *Scratch) FilterRootAnchor(p *pattern.Pattern, items []Item) []Item {
 	if p.Root.Desc {
 		return items
 	}
-	out := make([]Item, 0, len(items))
+	out := take(s.itemSlab(), len(items))
 	for _, it := range items {
 		if it.ID.Level() == 1 {
 			out = append(out, it)
 		}
 	}
-	return out
+	return slices.Clip(out)
 }
 
 // subtreeEnd returns one past the last preorder index of the subtree rooted
@@ -83,8 +90,14 @@ func subtreeEnd(p *pattern.Pattern, i int) int {
 // join (nil means StructuralJoin). The resulting block binds exactly the
 // mask's nodes, columns in preorder order.
 func EvalSubPattern(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) Block {
+	return (*Scratch)(nil).EvalSubPattern(p, mask, in, join)
+}
+
+// EvalSubPattern is the package's EvalSubPattern with its single-column
+// blocks taken from s.
+func (s *Scratch) EvalSubPattern(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) Block {
 	if join == nil {
-		join = StructuralJoin
+		join = s.StructuralJoin
 	}
 	if mask == 0 {
 		panic("algebra: EvalSubPattern on empty mask")
@@ -92,12 +105,12 @@ func EvalSubPattern(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) B
 	// Process in reverse preorder so children are ready before parents: a
 	// node's children in the mask are then the blocks on top of the stack,
 	// its first child's topmost.
-	idxs := pattern.MaskIndexes(mask)
 	var buf [8]Block
 	stack := buf[:0]
-	for k := len(idxs) - 1; k >= 0; k-- {
-		i := idxs[k]
-		b := SingleColumn(i, in[i])
+	for m := mask; m != 0; {
+		i := 63 - bits.LeadingZeros64(m)
+		m &^= 1 << uint(i)
+		b := s.SingleColumn(i, in[i])
 		for _, c := range p.Nodes[i].Children {
 			if pattern.MaskContains(mask, c.Index) {
 				b = join(b, i, stack[len(stack)-1], c.Index, c.Desc)
@@ -109,28 +122,28 @@ func EvalSubPattern(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) B
 	return stack[0]
 }
 
-// EvalForest evaluates the sub-forest induced by mask when mask is NOT
-// upward-closed: each maximal root of mask yields an independent block (no
-// cross product is taken — the caller joins them against a block that binds
-// their pattern parents). Returned in ascending root-index order along with
-// the forest root indexes.
-func EvalForest(p *pattern.Pattern, mask uint64, in Inputs, join JoinFunc) ([]Block, []int) {
+// JoinForest joins block with the sub-forest mask induces when mask is
+// NOT upward-closed: each maximal root of mask, in ascending order, is
+// evaluated from in on its own (no cross product is taken) and joined to
+// block, which must bind its pattern parent, along the edge between them.
+// The result binds the union of the nodes; its blocks are taken from s.
+func (s *Scratch) JoinForest(p *pattern.Pattern, block Block, mask uint64, in Inputs, join JoinFunc) Block {
 	if join == nil {
-		join = StructuralJoin
+		join = s.StructuralJoin
 	}
-	var roots []int
-	for _, i := range pattern.MaskIndexes(mask) {
-		pi := p.ParentIndex(i)
-		if pi < 0 || !pattern.MaskContains(mask, pi) {
-			roots = append(roots, i)
+	for m := mask; m != 0; m &= m - 1 {
+		if r := bits.TrailingZeros64(m); forestRoot(p, mask, r) {
+			fb := s.EvalSubPattern(p, subtreeMask(p, r)&mask, in, join)
+			block = join(block, p.ParentIndex(r), fb, r, p.Nodes[r].Desc)
 		}
 	}
-	blocks := make([]Block, 0, len(roots))
-	for _, r := range roots {
-		sub := subtreeMask(p, r) & mask
-		blocks = append(blocks, EvalSubPattern(p, sub, in, join))
-	}
-	return blocks, roots
+	return block
+}
+
+// forestRoot reports whether node i of mask has no pattern parent in it.
+func forestRoot(p *pattern.Pattern, mask uint64, i int) bool {
+	pi := p.ParentIndex(i)
+	return pi < 0 || !pattern.MaskContains(mask, pi)
 }
 
 func subtreeMask(p *pattern.Pattern, i int) uint64 {
@@ -140,21 +153,6 @@ func subtreeMask(p *pattern.Pattern, i int) uint64 {
 		m |= 1 << uint(j)
 	}
 	return m
-}
-
-// AttachForest joins block (binding an upward-closed node set that includes
-// every forest root's pattern parent) with the forest blocks, using the
-// edges crossing the boundary. The result binds the union of the nodes.
-func AttachForest(p *pattern.Pattern, block Block, forest []Block, roots []int, join JoinFunc) Block {
-	if join == nil {
-		join = StructuralJoin
-	}
-	for i, fb := range forest {
-		r := roots[i]
-		pi := p.ParentIndex(r)
-		block = join(block, pi, fb, r, p.Nodes[r].Desc)
-	}
-	return block
 }
 
 // EvalPattern evaluates the whole pattern from per-node inputs, returning a

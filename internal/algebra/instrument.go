@@ -60,5 +60,5 @@ func NewProjectCounters(m *obs.Metrics) ProjectCounters {
 // tuples that collapsed into an already-emitted row, c.Rows the distinct
 // rows returned.
 func ProjectCounted(s *Shape, b Block, doc *xmltree.Document, c ProjectCounters) []Row {
-	return projectBlock(s, b, doc, c)
+	return (*Scratch)(nil).ProjectCounted(s, b, doc, c)
 }

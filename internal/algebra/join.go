@@ -21,51 +21,96 @@ import (
 // update, not to the snowcap it is joined with. The result is the same
 // multiset with the same counts either way; the order tuples are emitted in
 // differs between the two and is unspecified — every consumer sorts
-// (projectBlock, Mat.AddBlock). The matching pairs are collected first and
+// (the projection, Mat.AddBlock). The matching pairs are collected first and
 // the output's arrays allocated once, to size: nothing is allocated per
 // tuple.
 func StructuralJoin(left Block, lIdx int, right Block, rIdx int, desc bool) Block {
+	return (*Scratch)(nil).StructuralJoin(left, lIdx, right, rIdx, desc)
+}
+
+// StructuralJoin is the package's StructuralJoin with its hash, its pairs
+// and its output carved out of s.
+func (s *Scratch) StructuralJoin(left Block, lIdx int, right Block, rIdx int, desc bool) Block {
 	lCol := left.ColOf(lIdx)
 	rCol := right.ColOf(rIdx)
 	if lCol < 0 || rCol < 0 {
 		panic("algebra: StructuralJoin on unbound column")
 	}
-	var buf [32]int
-	pairs := buf[:0] // l, r of each joined pair; a ∆-sized join's fit in buf
 	if left.Len() == 0 || right.Len() == 0 {
-		return joinPairs(left, right, nil)
+		return s.joinPairs(left, right, nil)
 	}
-	var keys []string // one buffer for every right tuple's wanted keys
+	h := s.hash(min(left.Len(), right.Len()))
 	if right.Len() < left.Len() {
-		index := make(map[string][]int, right.Len())
 		for i := range right.Len() {
-			keys = appendAncestorKeys(keys[:0], right.Tuple(i)[rCol], desc)
-			for _, k := range keys {
-				index[k] = append(index[k], i)
+			h.keys = appendAncestorKeys(h.keys[:0], right.Tuple(i)[rCol], desc)
+			for _, k := range h.keys {
+				h.add(k, i)
 			}
 		}
 		for l := range left.Len() {
-			for _, r := range index[left.Tuple(l)[lCol].Key()] {
-				pairs = append(pairs, l, r)
+			for e := h.first(left.Tuple(l)[lCol].Key()); e >= 0; e = h.chain[e+1] {
+				h.pairs = append(h.pairs, l, h.chain[e])
 			}
 		}
-		return joinPairs(left, right, pairs)
-	}
-	index := make(map[string][]int, left.Len())
-	for i := range left.Len() {
-		k := left.Tuple(i)[lCol].Key()
-		index[k] = append(index[k], i)
-	}
-	for r := range right.Len() {
-		keys = appendAncestorKeys(keys[:0], right.Tuple(r)[rCol], desc)
-		for _, k := range keys {
-			for _, l := range index[k] {
-				pairs = append(pairs, l, r)
+	} else {
+		for i := range left.Len() {
+			h.add(left.Tuple(i)[lCol].Key(), i)
+		}
+		for r := range right.Len() {
+			h.keys = appendAncestorKeys(h.keys[:0], right.Tuple(r)[rCol], desc)
+			for _, k := range h.keys {
+				for e := h.first(k); e >= 0; e = h.chain[e+1] {
+					h.pairs = append(h.pairs, h.chain[e], r)
+				}
 			}
 		}
 	}
-	return joinPairs(left, right, pairs)
+	out := s.joinPairs(left, right, h.pairs)
+	s.keep(h)
+	return out
 }
+
+// joinHash is one join's hash: from a key to the last entry added under it,
+// each entry a tuple index and the entry added before it under the same key
+// (-1 ends a chain), plus the join's matching pairs and one tuple's wanted
+// keys.
+type joinHash struct {
+	head  map[string]int // key → 1 + its last entry's offset in chain
+	chain []int
+	pairs []int
+	keys  []string
+}
+
+// hash returns an empty hash for about n keys, the scratch's own when
+// there is one.
+func (s *Scratch) hash(n int) joinHash {
+	if s == nil || s.head == nil {
+		return joinHash{head: make(map[string]int, n)}
+	}
+	clear(s.head)
+	return joinHash{head: s.head, chain: s.chain[:0], pairs: s.pairs[:0], keys: s.keys[:0]}
+}
+
+// keep hands a join's buffers back to the scratch, unless they grew past
+// what the scratch keeps: a large join's hash and pairs go with it.
+func (s *Scratch) keep(h joinHash) {
+	if s == nil {
+		return
+	}
+	if len(h.head) > mapCap || cap(h.chain) > slabCap || cap(h.pairs) > slabCap {
+		h = joinHash{}
+	}
+	clear(h.keys[:cap(h.keys)])
+	s.head, s.chain, s.pairs, s.keys = h.head, h.chain, h.pairs, h.keys[:0]
+}
+
+func (h *joinHash) add(k string, t int) {
+	h.chain = append(h.chain, t, h.head[k]-1)
+	h.head[k] = len(h.chain) - 1
+}
+
+// first returns the offset of the last entry added under k, or -1.
+func (h *joinHash) first(k string) int { return h.head[k] - 1 }
 
 // appendAncestorKeys appends the key of every node a left binding must be
 // for id to join with it: id's proper ancestors for ≺≺, its parent (if it
@@ -100,5 +145,5 @@ func NestedLoopStructuralJoin(left Block, lIdx int, right Block, rIdx int, desc 
 			}
 		}
 	}
-	return joinPairs(left, right, pairs)
+	return (*Scratch)(nil).joinPairs(left, right, pairs)
 }

@@ -64,13 +64,17 @@ func (b Block) node(t, c int) *xmltree.Node {
 
 // joinPairs is the output of a join of left and right: for each pair
 // (l, r) in pairs, tuple l of left followed by tuple r of right, with the
-// product of their counts. Its arrays are allocated once, to size, and it
-// has Nodes exactly when either input has them.
-func joinPairs(left, right Block, pairs []int) Block {
+// product of their counts. Its arrays are taken once, to size, from s, and
+// it has Nodes exactly when either input has them.
+func (s *Scratch) joinPairs(left, right Block, pairs []int) Block {
 	n, w := len(pairs)/2, len(left.Cols)+len(right.Cols)
-	out := Block{Cols: slices.Concat(left.Cols, right.Cols), IDs: make([]dewey.ID, 0, n*w), Counts: make([]int, 0, n)}
+	out := Block{
+		Cols:   append(append(take(s.intSlab(), w), left.Cols...), right.Cols...),
+		IDs:    take(s.idSlab(), n*w),
+		Counts: take(s.intSlab(), n),
+	}
 	if left.Nodes != nil || right.Nodes != nil {
-		out.Nodes = make([]*xmltree.Node, 0, n*w)
+		out.Nodes = take(s.nodeSlab(), n*w)
 	}
 	for k := 0; k < len(pairs); k += 2 {
 		l, r := pairs[k], pairs[k+1]
@@ -105,12 +109,17 @@ func (b Block) ColOf(idx int) int {
 
 // SingleColumn builds a one-column block over pattern node idx from items,
 // each with derivation count 1 and its live node kept.
-func SingleColumn(idx int, items []Item) Block {
+func SingleColumn(idx int, items []Item) Block { return (*Scratch)(nil).SingleColumn(idx, items) }
+
+// SingleColumn is the package's SingleColumn with the block's arrays taken
+// from s.
+func (s *Scratch) SingleColumn(idx int, items []Item) Block {
+	n := len(items)
 	b := Block{
-		Cols:   []int{idx},
-		IDs:    make([]dewey.ID, len(items)),
-		Nodes:  make([]*xmltree.Node, len(items)),
-		Counts: make([]int, len(items)),
+		Cols:   append(take(s.intSlab(), 1), idx),
+		IDs:    take(s.idSlab(), n)[:n],
+		Nodes:  take(s.nodeSlab(), n)[:n],
+		Counts: take(s.intSlab(), n)[:n],
 	}
 	for i, it := range items {
 		b.IDs[i], b.Nodes[i], b.Counts[i] = it.ID, it.Node, 1
@@ -122,10 +131,16 @@ func SingleColumn(idx int, items []Item) Block {
 // σ of the paper's algebraic view form. Items lacking a live node resolve
 // through doc; unresolvable items are dropped when a predicate is present.
 func Filter(items []Item, pn *pattern.Node, doc *xmltree.Document) []Item {
+	return (*Scratch)(nil).Filter(items, pn, doc)
+}
+
+// Filter is the package's Filter with the items that pass taken from s,
+// capped at their length.
+func (s *Scratch) Filter(items []Item, pn *pattern.Node, doc *xmltree.Document) []Item {
 	if !pn.HasPred {
 		return items
 	}
-	out := make([]Item, 0, len(items))
+	out := take(s.itemSlab(), len(items))
 	for _, it := range items {
 		n := it.Node
 		if n == nil && doc != nil {
@@ -135,7 +150,7 @@ func Filter(items []Item, pn *pattern.Node, doc *xmltree.Document) []Item {
 			out = append(out, it)
 		}
 	}
-	return out
+	return slices.Clip(out)
 }
 
 // Row is a materialized view tuple, standalone (no live node pointers):
@@ -284,81 +299,79 @@ func (s *Shape) Compare(a, b Row) int {
 	return 0
 }
 
-// AppendKey appends the row's identity to buf, the key duplicate
-// elimination merges on: its ID keys, each ended by 0xFF (a byte no key
-// frame starts with). Two embeddings that agree on all stored nodes have
-// the same key, and their derivation counts accumulate.
-func (s *Shape) AppendKey(buf []byte, r Row) []byte {
-	for _, k := range r.cells[:len(s.nodes)] {
-		buf = append(append(buf, k...), 0xFF)
-	}
-	return buf
-}
-
 // ProjectStored projects a block binding every node of the pattern onto
 // its stored nodes, materializing val/cont where annotated, eliminating
 // duplicates and summing derivation counts (the π·δ of the paper's
 // algebraic semantics). The result is sorted in the order dictated by the
 // IDs of all stored bindings (the paper's final s operator).
 func ProjectStored(p *pattern.Pattern, b Block, doc *xmltree.Document) []Row {
-	return projectBlock(NewShape(p), b, doc, ProjectCounters{})
+	return (*Scratch)(nil).ProjectCounted(NewShape(p), b, doc, ProjectCounters{})
 }
 
 // ProjectBlock projects a block onto the given pattern node indexes,
 // ascending, deduplicating and count-summing.
 func ProjectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Document) []Row {
-	return projectBlock(shapeOf(p, indexes), b, doc, ProjectCounters{})
+	return (*Scratch)(nil).ProjectCounted(shapeOf(p, indexes), b, doc, ProjectCounters{})
 }
 
-// projectBlock projects b onto s's nodes. A tuple's identity is taken from
-// its IDs alone, in a reused row, so a tuple that merges into an earlier
-// row allocates nothing; a new row copies that row's cells once, to size,
-// after filling in its images.
-func projectBlock(s *Shape, b Block, doc *xmltree.Document, pc ProjectCounters) []Row {
-	cols := make([]int, len(s.nodes))
-	for i, n := range s.nodes {
-		c := b.ColOf(n.idx)
+// ProjectCounted is the package's ProjectCounted. Each tuple's key cells
+// are gathered and the tuples put in the order of those, so duplicates are
+// neighbours: a tuple that merges into the row before it allocates
+// nothing, and a new row allocates its cells once, to size, which is all a
+// view keeps of a projection. The key cells, the order and the slice of
+// rows are taken from sc.
+func (sc *Scratch) ProjectCounted(s *Shape, b Block, doc *xmltree.Document, pc ProjectCounters) []Row {
+	w, n := len(s.nodes), b.Len()
+	cols := sc.intsOf(w)
+	for i, sn := range s.nodes {
+		c := b.ColOf(sn.idx)
 		if c < 0 {
 			panic("algebra: projection onto unbound pattern node")
 		}
 		cols[i] = c
 	}
-	byKey := make(map[string]int, b.Len())
-	var rows []Row
-	var keyBuf []byte
-	scratch := Row{cells: make([]string, s.cells)}
-	for t := range b.Len() {
+	keys := take(sc.cellSlab(), n*w)
+	for t := range n {
 		ids := b.Tuple(t)
-		for i, c := range cols {
-			scratch.cells[i] = ids[c].Key()
+		for _, c := range cols {
+			keys = append(keys, ids[c].Key())
 		}
-		keyBuf = s.AppendKey(keyBuf[:0], scratch)
-		if at, ok := byKey[string(keyBuf)]; ok {
-			rows[at].Count += b.Counts[t]
+	}
+	key := func(t int) []string { return keys[t*w : (t+1)*w] }
+	order := sc.intsOf(n)
+	for t := range order {
+		order[t] = t
+	}
+	slices.SortFunc(order, func(x, y int) int { return slices.Compare(key(x), key(y)) })
+	rows := take(sc.rowSlab(), n)
+	for k, t := range order {
+		if k > 0 && slices.Equal(key(order[k-1]), key(t)) {
+			rows[len(rows)-1].Count += b.Counts[t]
 			pc.Merged.Inc()
 			continue
 		}
-		byKey[string(keyBuf)] = len(rows)
+		r := Row{cells: make([]string, s.cells), Count: b.Counts[t]}
+		copy(r.cells, key(t))
 		for i, sn := range s.nodes {
 			if sn.val == 0 && sn.cont == 0 {
 				continue
 			}
-			n := b.node(t, cols[i])
-			if n == nil && doc != nil {
-				n = doc.NodeByID(ids[cols[i]])
+			nd := b.node(t, cols[i])
+			if nd == nil && doc != nil {
+				nd = doc.NodeByID(b.Tuple(t)[cols[i]])
 			}
-			var val, cont string
-			if n != nil && sn.val > 0 {
-				val = n.StringValue()
+			if nd != nil && sn.val > 0 {
+				r.cells[sn.val] = nd.StringValue()
 			}
-			if n != nil && sn.cont > 0 {
-				cont = n.Content()
+			if nd != nil && sn.cont > 0 {
+				r.cells[sn.cont] = nd.Content()
 			}
-			s.Set(scratch, i, RowEntry{ID: ids[cols[i]], Val: val, Cont: cont})
 		}
-		rows = append(rows, Row{cells: slices.Clone(scratch.cells), Count: b.Counts[t]})
+		rows = append(rows, r)
 	}
 	pc.Rows.Add(int64(len(rows)))
-	slices.SortFunc(rows, s.Compare)
+	if len(rows) == 0 {
+		return nil
+	}
 	return rows
 }

@@ -40,6 +40,7 @@ type BatchPUL struct {
 // and element-kinded); pulopt.ApplyRun, the one caller outside tests, goes
 // on from the boundary one statement at a time.
 func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
+	defer e.giveBack(e.lend())
 	rep := &Report{}
 	applied := 0
 	for _, u := range units {

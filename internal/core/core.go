@@ -96,6 +96,9 @@ type Engine struct {
 	// labels is the union of every view's pattern labels, each with its
 	// ∆-table slot: the label set a statement's one CD+/CD− walk extracts.
 	labels update.Labels
+	// sc is the running statement's scratch (scratch.go), nil between
+	// statements.
+	sc *scratch
 
 	// version counts successfully applied mutation batches (statements,
 	// PULs, baseline recomputations). It identifies
@@ -164,7 +167,11 @@ func NewEngine(doc *xmltree.Document, opts Options) *Engine {
 	e.Store.SetMetrics(reg)
 	base := opts.Join
 	if base == nil {
-		base = algebra.StructuralJoin
+		// Inside a statement the join's hash, pairs and output come from
+		// the statement's scratch.
+		base = func(left algebra.Block, lIdx int, right algebra.Block, rIdx int, desc bool) algebra.Block {
+			return e.sc.algebra().StructuralJoin(left, lIdx, right, rIdx, desc)
+		}
 	}
 	e.join = algebra.InstrumentJoin(base, algebra.NewJoinCounters(reg))
 	return e
@@ -328,6 +335,7 @@ func (r *Report) Timings() Timings {
 // document changes, the statement runs to completion, as its replay from a
 // log would.
 func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
+	defer e.giveBack(e.lend())
 	endStatement := e.span("apply:" + st.Kind.String())
 	defer endStatement()
 	t0 := time.Now()
@@ -366,7 +374,8 @@ func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
 		e.m.stDelete.Inc()
 	}
 	endFind := e.span(obs.PhaseFindTargets)
-	pul, err := update.ComputePUL(e.Doc, st)
+	pul := &e.sc.pul
+	err := pul.Compute(e.Doc, st)
 	endFind()
 	if err != nil {
 		return nil, err
@@ -402,6 +411,12 @@ func (e *Engine) ApplyPUL(pul *update.PUL) (*Report, error) {
 }
 
 func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
+	defer e.giveBack(e.lend())
+	sc := e.sc
+	// What one unit of a batch or one half of a replace lent is dead once
+	// it has propagated.
+	defer sc.alg.Reset()
+	sc.points, sc.touched = sc.points[:0], sc.touched[:0]
 	// Snapshot σ membership of predicate-labeled ancestors of the targets;
 	// if the update flips any of them (text added or removed below an
 	// existing node a view predicate tests), the ∆ algebra cannot express
@@ -422,8 +437,12 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 		// lattice is maintained.
 		e.Store.Hide(applied.InsertedRoots)
 		delta := e.computeDelta(rep, applied.InsertedRoots)
+		for _, pi := range pul.Inserts {
+			sc.points = append(sc.points, pi.Target)
+			sc.touched = append(sc.touched, pi.Target.ID())
+		}
 		rep.Views = e.propagateAll(func(mv *ManagedView) ViewReport {
-			return e.propagateInsert(mv, pul, delta)
+			return e.propagateInsert(mv, delta)
 		})
 		e.Store.Hide(nil)
 	case update.Delete:
@@ -432,8 +451,14 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 			return nil, err
 		}
 		delta := e.computeDelta(rep, applied.DeletedRoots)
+		sc.ids = sc.ids[:0]
+		for _, r := range applied.DeletedRoots {
+			sc.ids = append(sc.ids, r.ID())
+			sc.touched = append(sc.touched, r.ID().Parent())
+		}
+		sc.cover.Reset(sc.ids)
 		rep.Views = e.propagateAll(func(mv *ManagedView) ViewReport {
-			return e.propagateDelete(mv, applied, delta)
+			return e.propagateDelete(mv, delta)
 		})
 	}
 	// Repair passes run against the whole store again: first views whose
@@ -505,7 +530,8 @@ func (e *Engine) viewSpan(mv *ManagedView, phase string) func() {
 func (e *Engine) computeDelta(rep *Report, roots []*xmltree.Node) update.Delta {
 	end := e.span(obs.PhaseComputeDelta)
 	t0 := time.Now()
-	d := update.DeltaTables(roots, &e.labels)
+	e.sc.delta.Fill(roots, &e.labels)
+	d := e.sc.delta
 	rep.ComputeDelta = time.Since(t0)
 	end()
 	e.m.phase[obs.PhaseComputeDelta].Observe(rep.ComputeDelta)
@@ -534,13 +560,14 @@ func hasDelta(d update.Delta, slots []int) bool {
 // deltaInputs reads p's ∆ inputs from the shared tables: σ-filtered by each
 // node's value predicate, with the root-anchor filter applied (an inserted
 // node can never be the document root, so a /-anchored pattern root always
-// has an empty ∆). Unfiltered inputs are the tables themselves, capped.
-func deltaInputs(p *pattern.Pattern, slots []int, d update.Delta, doc *xmltree.Document) algebra.Inputs {
-	in := make(algebra.Inputs, p.Size())
+// has an empty ∆). Unfiltered inputs are the tables themselves, capped;
+// the rest is taken from sc.
+func deltaInputs(sc *algebra.Scratch, p *pattern.Pattern, slots []int, d update.Delta, doc *xmltree.Document) algebra.Inputs {
+	in := sc.Inputs(p.Size())
 	for i, n := range p.Nodes {
-		in[i] = algebra.Filter(d.Table(slots[i]), n, doc)
+		in[i] = sc.Filter(d.Table(slots[i]), n, doc)
 	}
-	in[0] = algebra.FilterRootAnchor(p, in[0])
+	in[0] = sc.FilterRootAnchor(p, in[0])
 	return in
 }
 
@@ -555,7 +582,7 @@ func (e *Engine) viewDelta(mv *ManagedView, d update.Delta) (in algebra.Inputs, 
 	if !hasDelta(d, mv.slots) {
 		return noDelta[:mv.Pattern.Size():mv.Pattern.Size()], false
 	}
-	return deltaInputs(mv.Pattern, mv.slots, d, e.Doc), true
+	return deltaInputs(e.sc.algebra(), mv.Pattern, mv.slots, d, e.Doc), true
 }
 
 // evalTermFrom evaluates one union term: R-nodes (rmask) come from the
@@ -567,13 +594,12 @@ func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn algebra.Inp
 	p := mv.Pattern
 	full := p.FullMask()
 	dmask := full &^ rmask
+	sc := e.sc.algebra()
 	var block algebra.Block
 	if rmask == 0 {
-		block = algebra.EvalSubPattern(p, full, deltaIn, e.Join())
+		block = sc.EvalSubPattern(p, full, deltaIn, e.Join())
 	} else {
-		block = mv.Lattice.BlockFrom(rmask, r)
-		forest, roots := algebra.EvalForest(p, dmask, deltaIn, e.Join())
-		block = algebra.AttachForest(p, block, forest, roots, e.Join())
+		block = sc.JoinForest(p, mv.Lattice.BlockFrom(rmask, r), dmask, deltaIn, e.Join())
 	}
-	return algebra.ProjectCounted(mv.Shape, block, e.Doc, e.proj)
+	return sc.ProjectCounted(mv.Shape, block, e.Doc, e.proj)
 }

@@ -89,7 +89,7 @@ func TestInsertTermsMatchSnowcaps(t *testing.T) {
 func patternDelta(d *xmltree.Document, p *pattern.Pattern, roots ...*xmltree.Node) algebra.Inputs {
 	var ls update.Labels
 	slots := labelSlots(&ls, p)
-	return deltaInputs(p, slots, update.DeltaTables(roots, &ls), d)
+	return deltaInputs(nil, p, slots, update.DeltaTables(roots, &ls), d)
 }
 
 // TestPruneByDeltaExample34 reproduces Example 3.4: inserting

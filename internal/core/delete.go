@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"xivm/internal/dewey"
-	"xivm/internal/xmltree"
 
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
@@ -19,7 +18,7 @@ import (
 // so each term's result is subtracted with its exact count. Finally PDMT
 // refreshes val/cont of surviving tuples whose stored nodes lost
 // descendants.
-func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta update.Delta) ViewReport {
+func (e *Engine) propagateDelete(mv *ManagedView, delta update.Delta) ViewReport {
 	vr := ViewReport{View: mv}
 	p := mv.Pattern
 
@@ -39,19 +38,21 @@ func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta
 	// Prune the pre-developed deletion expression.
 	end = e.viewSpan(mv, obs.PhaseGetExpression)
 	t0 = time.Now()
-	terms := mv.terms
+	// The terms are pruned in a copy in the scratch, filtered in place.
+	terms := append(e.sc.terms[:0], mv.terms...)
 	vr.TermsTotal = len(terms)
 	e.m.termsExpanded.Add(int64(len(terms)))
 	if !e.opts.DisableDataPruning {
 		before := len(terms)
-		terms = PruneByDelta(p, terms, deltaIn)
+		terms = pruneByDelta(terms[:0], p, terms, deltaIn)
 		e.m.pruneProp36.Add(int64(before - len(terms)))
 	}
 	if !e.opts.DisableIDPruning {
 		before := len(terms)
-		terms = PruneByDeletedIDs(p, terms, deltaIn)
+		terms = pruneByDeletedIDs(terms[:0], p, terms, deltaIn)
 		e.m.pruneProp47.Add(int64(before - len(terms)))
 	}
+	e.sc.terms = terms
 	vr.TermsSurvived = len(terms)
 	e.m.termsEvaluated.Add(int64(len(terms)))
 	vr.Phases.GetExpression = time.Since(t0)
@@ -64,7 +65,7 @@ func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta
 	end = e.viewSpan(mv, obs.PhaseUpdateLattice)
 	t0 = time.Now()
 	if bound {
-		e.m.latticeDropped.Add(int64(mv.Lattice.ApplyDelete(applied.DeletedRoots)))
+		e.m.latticeDropped.Add(int64(mv.Lattice.ApplyDelete(&e.sc.cover)))
 	}
 	vr.Phases.UpdateLattice = time.Since(t0)
 	end()
@@ -81,9 +82,9 @@ func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta
 	end = e.viewSpan(mv, obs.PhaseExecuteUpdate)
 	t0 = time.Now()
 	if bound {
-		vr.RowsRemoved += removeRowsUnder(mv, applied.DeletedRoots)
+		vr.RowsRemoved += e.removeRowsUnder(mv, &e.sc.cover)
 	}
-	rIn := mv.Lattice.Relations()
+	rIn := mv.Lattice.relationsIn(e.sc)
 	full := p.FullMask()
 	for _, rmask := range terms {
 		if (full&^rmask)&mv.storedMask != 0 {
@@ -95,24 +96,21 @@ func (e *Engine) propagateDelete(mv *ManagedView, applied *update.Applied, delta
 			}
 		}
 	}
-	// PDMT: surviving tuples whose stored val/cont nodes are ancestors of a
-	// deleted subtree must refresh their stored images.
-	vr.RowsModified = e.modifyTuplesAfterDelete(mv, applied)
+	// PDMT: for every surviving view tuple and every deleted subtree root,
+	// when a cont/val-annotated entry binds an ancestor of the deleted
+	// root — its parent or above — its stored image is re-extracted from
+	// the (already updated) document.
+	vr.RowsModified = e.refreshAround(mv, e.sc.touched)
 	vr.Phases.ExecuteUpdate = time.Since(t0)
 	end()
 	return vr
 }
 
 // removeRowsUnder drops every view row in which some stored entry binds a
-// node equal to or inside one of the deleted subtrees, returning how many
+// node equal to or inside one of the cover's subtrees, returning how many
 // rows were removed.
-func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
-	ids := make([]dewey.ID, len(roots))
-	for i, r := range roots {
-		ids[i] = r.ID()
-	}
-	cover := dewey.NewCover(ids)
-	var doomed []algebra.Row
+func (e *Engine) removeRowsUnder(mv *ManagedView, cover *dewey.Cover) int {
+	doomed := e.sc.rows[:0]
 	width := mv.Shape.Width()
 	mv.View.Each(func(r algebra.Row) bool {
 		for i := range width {
@@ -126,29 +124,16 @@ func removeRowsUnder(mv *ManagedView, roots []*xmltree.Node) int {
 	for _, r := range doomed {
 		mv.View.Remove(r)
 	}
+	e.sc.rows = doomed
 	return len(doomed)
-}
-
-// modifyTuplesAfterDelete implements PDMT: for every surviving view tuple
-// and every deleted subtree root, when a cont/val-annotated entry binds an
-// ancestor of the deleted root — its parent or above — its stored image is
-// re-extracted from the (already updated) document.
-func (e *Engine) modifyTuplesAfterDelete(mv *ManagedView, applied *update.Applied) int {
-	if len(mv.cvn) == 0 {
-		return 0
-	}
-	parents := make([]dewey.ID, len(applied.DeletedRoots))
-	for i, root := range applied.DeletedRoots {
-		parents[i] = root.ID().Parent()
-	}
-	return e.refreshAround(mv, parents)
 }
 
 // RecomputeView evaluates the view from scratch on the current document —
 // the full-recomputation baseline of Section 6.5.
 func (e *Engine) RecomputeView(mv *ManagedView) []algebra.Row {
-	in := e.Store.Inputs(mv.Pattern)
-	return algebra.ProjectStored(mv.Pattern, algebra.EvalPattern(mv.Pattern, in, e.Join()), e.Doc)
+	sc := e.sc.algebra()
+	block := sc.EvalSubPattern(mv.Pattern, mv.Pattern.FullMask(), e.Store.Inputs(mv.Pattern), e.Join())
+	return sc.ProjectCounted(mv.Shape, block, e.Doc, algebra.ProjectCounters{})
 }
 
 // CheckView reports whether the maintained view matches a from-scratch

@@ -19,7 +19,7 @@ import (
 // affected stored nodes (PIMT, Algorithm 4), and finally updates the
 // snowcap lattice. The store's canonical relations must still show the
 // pre-update membership (applyPUL hides the insertion).
-func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, delta update.Delta) ViewReport {
+func (e *Engine) propagateInsert(mv *ManagedView, delta update.Delta) ViewReport {
 	vr := ViewReport{View: mv}
 	p := mv.Pattern
 
@@ -34,19 +34,21 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, delta update.
 	// Prune the pre-developed expression.
 	end = e.viewSpan(mv, obs.PhaseGetExpression)
 	t0 = time.Now()
-	terms := mv.terms
+	// The terms are pruned in a copy in the scratch, filtered in place.
+	terms := append(e.sc.terms[:0], mv.terms...)
 	vr.TermsTotal = len(terms)
 	e.m.termsExpanded.Add(int64(len(terms)))
 	if !e.opts.DisableDataPruning {
 		before := len(terms)
-		terms = PruneByDelta(p, terms, deltaIn)
+		terms = pruneByDelta(terms[:0], p, terms, deltaIn)
 		e.m.pruneProp36.Add(int64(before - len(terms)))
 	}
 	if !e.opts.DisableIDPruning && len(terms) > 0 {
 		before := len(terms)
-		terms = PruneByInsertionPoints(p, terms, pul.InsertionPoints())
+		terms = pruneByInsertionPoints(terms[:0], p, terms, e.sc.points)
 		e.m.pruneProp38.Add(int64(before - len(terms)))
 	}
+	e.sc.terms = terms
 	vr.TermsSurvived = len(terms)
 	e.m.termsEvaluated.Add(int64(len(terms)))
 	vr.Phases.GetExpression = time.Since(t0)
@@ -57,7 +59,7 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, delta update.
 	// canonical relation only when a join asks for it.
 	end = e.viewSpan(mv, obs.PhaseExecuteUpdate)
 	t0 = time.Now()
-	rIn := mv.Lattice.Relations()
+	rIn := mv.Lattice.relationsIn(e.sc)
 	for _, rmask := range terms {
 		for _, row := range e.evalTermFrom(mv, rmask, deltaIn, rIn) {
 			if mv.View.Upsert(row) {
@@ -65,9 +67,10 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, delta update.
 			}
 		}
 	}
-	// PIMT: an insertion under a node whose val/cont the view stores
-	// modifies that stored image.
-	vr.RowsModified = e.modifyTuplesAfterInsert(mv, pul)
+	// PIMT (Algorithm 4): for every view tuple and every pending update
+	// (n_i, t_i), when a cont/val-annotated entry binds n_i or an ancestor
+	// of it, the stored image is refreshed from the updated document.
+	vr.RowsModified = e.refreshAround(mv, e.sc.touched)
 	vr.Phases.ExecuteUpdate = time.Since(t0)
 	end()
 
@@ -83,21 +86,6 @@ func (e *Engine) propagateInsert(mv *ManagedView, pul *update.PUL, delta update.
 	return vr
 }
 
-// modifyTuplesAfterInsert implements PIMT (Algorithm 4): for every view
-// tuple and every pending update (n_i, t_i), when a cont/val-annotated
-// entry binds n_i or an ancestor of it, the stored image is refreshed from
-// the updated document.
-func (e *Engine) modifyTuplesAfterInsert(mv *ManagedView, pul *update.PUL) int {
-	if len(mv.cvn) == 0 {
-		return 0
-	}
-	targets := make([]dewey.ID, len(pul.Inserts))
-	for i, pi := range pul.Inserts {
-		targets[i] = pi.Target.ID()
-	}
-	return e.refreshAround(mv, targets)
-}
-
 // storesImage reports whether a pattern node is in the paper's cvn set: its
 // bindings are stored with their val or cont.
 func storesImage(n *pattern.Node) bool {
@@ -108,12 +96,13 @@ func storesImage(n *pattern.Node) bool {
 // row in which a cvn entry binds one of the touched nodes or an ancestor of
 // one — the nodes whose val/cont an edit at those points changes — and
 // returns how many rows that was. Dewey IDs expose self-and-ancestors as
-// key prefixes (no allocation), so one hash set of them answers the check
-// per row entry. The set is first cut down by the ID reasoning of
-// Propositions 3.8 / 4.7: an entry of cvn node n binds only nodes carrying
-// n's label ("*": any element, which every ancestor is), and an ID names
-// the label at each of its levels, so a prefix whose label no cvn node
-// has can match no entry. When nothing is left the view is not scanned.
+// key prefixes (no allocation), so one hash set of them, the scratch's,
+// answers the check per row entry. The set is first cut down by the ID
+// reasoning of Propositions 3.8 / 4.7: an entry of cvn node n binds only
+// nodes carrying n's label ("*": any element, which every ancestor is),
+// and an ID names the label at each of its levels, so a prefix whose
+// label no cvn node has can match no entry. When nothing is left the view
+// is not scanned.
 func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 	p := mv.Pattern
 	cvn := mv.cvn
@@ -123,22 +112,23 @@ func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 	admits := func(label string) bool {
 		return slices.ContainsFunc(cvn, func(i int) bool { l := p.Nodes[i].Label; return l == label || l == "*" })
 	}
-	var affected map[string]bool
+	sc := e.sc
+	if sc.keys == nil {
+		sc.keys = map[string]bool{}
+	}
+	affected := sc.keys
+	clear(affected)
 	for _, id := range touched {
 		for c := id.Cursor(); c.Next(); {
-			if !admits(c.Label()) {
-				continue
+			if admits(c.Label()) {
+				affected[c.Key()] = true
 			}
-			if affected == nil {
-				affected = map[string]bool{}
-			}
-			affected[c.Key()] = true
 		}
 	}
 	if len(affected) == 0 {
 		return 0
 	}
-	var dirty []algebra.Row
+	dirty := sc.rows[:0]
 	shape := mv.Shape
 	mv.View.Each(func(r algebra.Row) bool {
 		for i := range shape.Width() {
@@ -152,6 +142,7 @@ func (e *Engine) refreshAround(mv *ManagedView, touched []dewey.ID) int {
 	for _, r := range dirty {
 		e.refreshRow(mv, r)
 	}
+	sc.rows = dirty
 	return len(dirty)
 }
 

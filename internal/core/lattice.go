@@ -8,7 +8,6 @@ import (
 	"xivm/internal/dewey"
 	"xivm/internal/pattern"
 	"xivm/internal/store"
-	"xivm/internal/xmltree"
 )
 
 // Lattice is the view's auxiliary structure: the sub-pattern lattice of
@@ -38,13 +37,21 @@ type Lattice struct {
 type Relations struct {
 	p    *pattern.Pattern
 	st   *store.Store
-	in   algebra.Inputs // the nodes read so far
-	read uint64         // which nodes those are
+	sc   *algebra.Scratch // lends in and the blocks built over it; nil allocates
+	in   algebra.Inputs   // the nodes read so far
+	read uint64           // which nodes those are
 }
 
 // Relations returns the view's R side over the store's current state, with
 // nothing read yet.
 func (l *Lattice) Relations() *Relations { return &Relations{p: l.Pattern, st: l.store} }
+
+// relationsIn is Relations in the statement's scratch, which lends it the
+// blocks it builds; the one the view before it had is dead.
+func (l *Lattice) relationsIn(sc *scratch) *Relations {
+	sc.rel = Relations{p: l.Pattern, st: l.store, sc: &sc.alg}
+	return &sc.rel
+}
 
 // Node returns the σ-filtered input of pattern node i.
 func (r *Relations) Node(i int) []algebra.Item {
@@ -56,7 +63,7 @@ func (r *Relations) Node(i int) []algebra.Item {
 func (r *Relations) Mask(mask uint64) algebra.Inputs {
 	for todo := mask &^ r.read; todo != 0; todo &= todo - 1 {
 		if r.in == nil {
-			r.in = make(algebra.Inputs, r.p.Size())
+			r.in = r.sc.Inputs(r.p.Size())
 		}
 		i := bits.TrailingZeros64(todo)
 		r.in[i] = r.st.Input(r.p, i)
@@ -102,7 +109,7 @@ func (l *Lattice) BlockFrom(mask uint64, r *Relations) algebra.Block {
 	if m, ok := l.mats[mask]; ok {
 		return m.Block()
 	}
-	return algebra.EvalSubPattern(l.Pattern, mask, r.Mask(mask), l.join)
+	return r.sc.EvalSubPattern(l.Pattern, mask, r.Mask(mask), l.join)
 }
 
 // Check holds every materialized snowcap to a fresh evaluation of its mask
@@ -137,8 +144,10 @@ func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 		join = algebra.StructuralJoin
 	}
 	// The additions to level k−1 and to level k, possibly several blocks
-	// each (one per recurrence branch).
-	var prev, cur []algebra.Block
+	// each (one per recurrence branch), on the stack while they fit.
+	sc := r.sc
+	var bufs [2][8]algebra.Block
+	prev, cur := bufs[0][:0], bufs[1][:0]
 	add := func(out algebra.Block) {
 		if out.Len() > 0 {
 			cur = append(cur, out)
@@ -146,17 +155,17 @@ func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	}
 
 	rootIdx := addedNode(l.chain, 0)
-	add(algebra.SingleColumn(rootIdx, deltaIn[rootIdx]))
+	add(sc.SingleColumn(rootIdx, deltaIn[rootIdx]))
 	for k := 1; k < len(l.chain); k++ {
 		prev, cur = cur, prev[:0]
 		x := addedNode(l.chain, k)
 		pi := p.ParentIndex(x)
 		desc := p.Nodes[x].Desc
-		dx := algebra.SingleColumn(x, deltaIn[x])
+		dx := sc.SingleColumn(x, deltaIn[x])
 		// Branch 1: ∆(level k−1) ⋈ (R ∪ ∆)_x. Join distributes over union, so
 		// R_x — the only relation this level reads — is joined where it lies.
 		if len(prev) > 0 {
-			rx := algebra.SingleColumn(x, r.Node(x))
+			rx := sc.SingleColumn(x, r.Node(x))
 			for _, db := range prev {
 				for _, side := range [2]algebra.Block{rx, dx} {
 					if side.Len() > 0 {
@@ -190,18 +199,14 @@ func addedNode(chain []uint64, k int) int {
 }
 
 // ApplyDelete maintains the materialized snowcaps after a deletion: any
-// tuple with a binding inside a deleted subtree is dropped, in one pass per
-// materialized node. This is the searching pass that makes Update Lattice
-// costlier for deletions than for insertions, as the paper observes.
-func (l *Lattice) ApplyDelete(deletedRoots []*xmltree.Node) int {
-	if len(deletedRoots) == 0 {
+// tuple with a binding inside one of the cover's subtrees, the deleted
+// ones, is dropped, in one pass per materialized node. This is the
+// searching pass that makes Update Lattice costlier for deletions than for
+// insertions, as the paper observes.
+func (l *Lattice) ApplyDelete(cover *dewey.Cover) int {
+	if cover.Len() == 0 {
 		return 0
 	}
-	ids := make([]dewey.ID, len(deletedRoots))
-	for i, r := range deletedRoots {
-		ids[i] = r.ID()
-	}
-	cover := dewey.NewCover(ids)
 	removed := 0
 	for _, m := range l.mats {
 		removed += m.RemoveUnderAny(cover)

@@ -29,21 +29,15 @@ type predProbe struct {
 // predicate, the current σ membership of each label-compatible self-or-
 // ancestor of the update targets.
 func (e *Engine) snapshotPredicates(pul *update.PUL) []predProbe {
-	var targets []dewey.ID
-	if pul.Kind == update.Insert {
-		for _, pi := range pul.Inserts {
-			targets = append(targets, pi.Target.ID())
-		}
-	} else {
-		for _, n := range pul.Deletes {
-			targets = append(targets, n.ID().Parent())
-		}
-	}
+	var targets []dewey.ID // found once a view has a predicate
 	var probes []predProbe
 	for _, mv := range e.Views {
 		for _, pn := range mv.Pattern.Nodes {
 			if !pn.HasPred {
 				continue
+			}
+			if targets == nil {
+				targets = predTargets(pul)
 			}
 			seen := map[string]bool{}
 			for _, t := range targets {
@@ -68,12 +62,31 @@ func (e *Engine) snapshotPredicates(pul *update.PUL) []predProbe {
 	return probes
 }
 
+// predTargets returns the nodes whose self-or-ancestors a predicate probe
+// covers: an insertion's targets, a deletion's targets' parents.
+func predTargets(pul *update.PUL) []dewey.ID {
+	var targets []dewey.ID
+	if pul.Kind == update.Insert {
+		for _, pi := range pul.Inserts {
+			targets = append(targets, pi.Target.ID())
+		}
+	} else {
+		for _, n := range pul.Deletes {
+			targets = append(targets, n.ID().Parent())
+		}
+	}
+	return targets
+}
+
 // flippedViews rechecks the probes after the update and returns the views
 // whose σ membership changed for at least one node that is still there.
 func (e *Engine) flippedViews(probes []predProbe) map[*ManagedView]bool {
-	out := map[*ManagedView]bool{}
+	var out map[*ManagedView]bool
 	for _, pr := range probes {
 		if s := e.Doc.NodeByID(pr.id); s != nil && (s.StringValue() == pr.predVal) != pr.sat {
+			if out == nil {
+				out = map[*ManagedView]bool{}
+			}
 			out[pr.view] = true
 		}
 	}

@@ -45,6 +45,13 @@ func InsertTerms(p *pattern.Pattern) []uint64 {
 // if σ_n(∆_n) is empty for a view node n, every term whose ∆-set contains
 // n is pruned. deltaIn holds the σ-filtered per-node delta inputs.
 func PruneByDelta(p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
+	return pruneByDelta(nil, p, terms, deltaIn)
+}
+
+// The prunes append the terms they keep to dst, which may be terms[:0]:
+// the engine filters its scratch copy of a view's terms in place.
+
+func pruneByDelta(dst []uint64, p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
 	full := p.FullMask()
 	var emptyDelta uint64
 	for i := 0; i < p.Size(); i++ {
@@ -52,14 +59,13 @@ func PruneByDelta(p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []
 			emptyDelta |= 1 << uint(i)
 		}
 	}
-	out := terms[:0:0]
 	for _, rmask := range terms {
 		dmask := full &^ rmask
 		if dmask&emptyDelta == 0 {
-			out = append(out, rmask)
+			dst = append(dst, rmask)
 		}
 	}
-	return out
+	return dst
 }
 
 // PruneByInsertionPoints implements Proposition 3.8: for view nodes n1
@@ -67,9 +73,13 @@ func PruneByDelta(p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []
 // labeled n1, then every term containing R_{n1} ∆+_{n2} is empty. The
 // check reads only the Compact Dynamic Dewey IDs of the insertion points.
 func PruneByInsertionPoints(p *pattern.Pattern, terms []uint64, points []*xmltree.Node) []uint64 {
-	// unreachable[i] = true when no insertion point has self-or-ancestor
-	// labeled like view node i (wildcards are always reachable).
-	unreachable := make([]bool, p.Size())
+	return pruneByInsertionPoints(nil, p, terms, points)
+}
+
+func pruneByInsertionPoints(dst []uint64, p *pattern.Pattern, terms []uint64, points []*xmltree.Node) []uint64 {
+	// unreachable holds the view nodes no insertion point has a
+	// self-or-ancestor labeled like (wildcards are always reachable).
+	var unreachable uint64
 	for i, n := range p.Nodes {
 		if n.Label == "*" {
 			continue
@@ -81,29 +91,34 @@ func PruneByInsertionPoints(p *pattern.Pattern, terms []uint64, points []*xmltre
 				break
 			}
 		}
-		unreachable[i] = !found
+		if !found {
+			unreachable |= 1 << uint(i)
+		}
 	}
-	return pruneByUnreachableAncestors(p, terms, unreachable)
+	return pruneByUnreachableAncestors(dst, p, terms, unreachable)
 }
 
 // PruneByDeletedIDs implements Proposition 4.7: for view nodes n1 ancestor
 // of n2, if every node in ∆−_{n2} has no ancestor labeled n1, all terms
 // containing R_{n1} ∆−_{n2} are empty.
 func PruneByDeletedIDs(p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
+	return pruneByDeletedIDs(nil, p, terms, deltaIn)
+}
+
+func pruneByDeletedIDs(dst []uint64, p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
 	full := p.FullMask()
-	out := terms[:0:0]
 	for _, rmask := range terms {
 		dmask := full &^ rmask
-		if !deleteTermViable(p, rmask, dmask, deltaIn) {
-			continue
+		if deleteTermViable(p, rmask, dmask, deltaIn) {
+			dst = append(dst, rmask)
 		}
-		out = append(out, rmask)
 	}
-	return out
+	return dst
 }
 
 func deleteTermViable(p *pattern.Pattern, rmask, dmask uint64, deltaIn algebra.Inputs) bool {
-	for _, n2 := range pattern.MaskIndexes(dmask) {
+	for m := dmask; m != 0; m &= m - 1 {
+		n2 := bits.TrailingZeros64(m)
 		for n1 := 0; n1 < p.Size(); n1++ {
 			if !pattern.MaskContains(rmask, n1) || !p.IsAncestor(n1, n2) {
 				continue
@@ -128,25 +143,25 @@ func deleteTermViable(p *pattern.Pattern, rmask, dmask uint64, deltaIn algebra.I
 }
 
 // pruneByUnreachableAncestors drops terms containing R_{n1} ∆_{n2} where n1
-// is an (unreachable) ancestor of n2 in the view.
-func pruneByUnreachableAncestors(p *pattern.Pattern, terms []uint64, unreachable []bool) []uint64 {
+// is an unreachable ancestor of n2 in the view.
+func pruneByUnreachableAncestors(dst []uint64, p *pattern.Pattern, terms []uint64, unreachable uint64) []uint64 {
 	full := p.FullMask()
-	out := terms[:0:0]
 	for _, rmask := range terms {
 		dmask := full &^ rmask
 		dead := false
 	scan:
-		for _, n2 := range pattern.MaskIndexes(dmask) {
+		for m := dmask; m != 0; m &= m - 1 {
+			n2 := bits.TrailingZeros64(m)
 			for n1 := 0; n1 < p.Size(); n1++ {
-				if pattern.MaskContains(rmask, n1) && unreachable[n1] && p.IsAncestor(n1, n2) {
+				if pattern.MaskContains(rmask&unreachable, n1) && p.IsAncestor(n1, n2) {
 					dead = true
 					break scan
 				}
 			}
 		}
 		if !dead {
-			out = append(out, rmask)
+			dst = append(dst, rmask)
 		}
 	}
-	return out
+	return dst
 }

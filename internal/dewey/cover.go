@@ -19,7 +19,16 @@ type Cover struct {
 
 // NewCover builds a cover from subtree roots (nesting is harmless).
 func NewCover(roots []ID) *Cover {
-	keys := make([]string, 0, len(roots))
+	c := new(Cover)
+	c.Reset(roots)
+	return c
+}
+
+// Reset makes c the cover of roots, reusing its array; Reset(nil) empties
+// it and lets go of the keys it held.
+func (c *Cover) Reset(roots []ID) {
+	clear(c.keys[:cap(c.keys)])
+	keys := c.keys[:0]
 	for _, r := range roots {
 		if !r.IsNull() {
 			keys = append(keys, r.key)
@@ -34,7 +43,7 @@ func NewCover(roots []ID) *Cover {
 			kept = append(kept, k)
 		}
 	}
-	return &Cover{keys: kept}
+	c.keys = kept
 }
 
 // Len returns the number of outermost roots.

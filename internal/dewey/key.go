@@ -59,7 +59,7 @@ import (
 // on frame boundaries. The same determinism makes the encoding injective.
 //
 // A frame's first byte is a lead byte or ordEnd, never 0xFF, which is why
-// algebra.Shape.AppendKey can end each ID with 0xFF and stay unambiguous.
+// a key made of several IDs can end each with 0xFF and stay unambiguous.
 const (
 	ordEnd  = 0x00 // terminates a step's ordinal vector
 	gapBits = 20   // Gap == 1<<gapBits: an ordinal value's split point

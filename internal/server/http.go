@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"time"
@@ -201,7 +200,7 @@ func (r *Registry) handleHealth(w http.ResponseWriter, req *http.Request) {
 	stopped := make(map[string]string)
 	for name, sh := range r.shards {
 		queue += sh.QueueLen()
-		if applied, last := sh.LSNs(); last > applied && last-applied > maxLag {
+		if applied, last := sh.LSNs(); sh.Replica() && last > applied && last-applied > maxLag {
 			maxLag = last - applied
 		}
 		if err := sh.Stopped(); err != nil {
@@ -293,13 +292,8 @@ func (r *Registry) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, sh.Name(), err.Error())
 		return
 	}
-	ctx := req.Context()
-	if d := sh.cfg.requestTimeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	rep, version, err := sh.Apply(ctx, st)
+	// The shard stamps the request with its deadline (Config.RequestTimeout).
+	rep, version, err := sh.Apply(req.Context(), st)
 	if err != nil {
 		writeApplyError(w, sh.Name(), err)
 		return

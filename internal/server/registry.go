@@ -144,6 +144,10 @@ func (r *Registry) newShard(name string, b Backend, closer func() error) *Shard 
 	}
 	sh := NewShard(name, b, closer, r.cfg.Shard)
 	sh.repl = repl
+	if repl != nil {
+		// The first epoch is the whole log's: opening replayed it.
+		sh.appliedLSN.Store(repl.LastLSN())
+	}
 	return sh
 }
 
@@ -404,8 +408,10 @@ func (r *Registry) Names() []string {
 
 // TenantStat is one tenant's row in List: identity plus the size and
 // pressure numbers an operator dashboards. AppliedLSN/LastLSN make
-// replication lag observable without the repl endpoints: on a leader both
-// are the log tip; on a follower AppliedLSN is the serving position and
+// replication lag observable without the repl endpoints: on a leader
+// LastLSN is the log tip and AppliedLSN the tip its serving epoch covers,
+// the same once the writer has finished a run, behind it after a panic
+// stopped the tenant; on a follower AppliedLSN is the serving position and
 // LastLSN the leader's advertised tip, so LastLSN-AppliedLSN is the lag.
 type TenantStat struct {
 	Name       string `json:"name"`

@@ -14,6 +14,8 @@ type ReplSource interface {
 	// ReplStatusNow reports the log tip, newest checkpoint LSN, and the
 	// connected-follower gauge.
 	ReplStatusNow() wal.ReplStatus
+	// LastLSN reports the log tip alone.
+	LastLSN() uint64
 	// ReplFrames pins follower id at from and returns up to maxBytes of
 	// raw wire frames starting there, plus the next LSN to request.
 	// wal.ErrLSNTruncated means the follower must re-sync from a snapshot.

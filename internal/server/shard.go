@@ -127,11 +127,12 @@ type Config struct {
 	// QueueDepth bounds the tenant's apply queue; submissions beyond it
 	// fail fast with ErrQueueFull. Default 64.
 	QueueDepth int
-	// RequestTimeout is the per-request deadline applied to HTTP update
-	// handlers (0 = 10s; negative = no deadline). A statement whose
-	// deadline expires while still queued is abandoned by its client; the
-	// writer then observes the cancelled context and skips it before
-	// mutating anything.
+	// RequestTimeout is the deadline of every update submitted to the
+	// shard, counted from its submission (0 = 10s; negative = no
+	// deadline); over HTTP an expired one is answered 504 timeout. A
+	// statement whose deadline passes while it is still queued is
+	// abandoned by its client; the writer then finds the deadline stamped
+	// on the request past and skips it before mutating anything.
 	RequestTimeout time.Duration
 	// MaxBatch caps how many waiting statements the writer drains into one
 	// run (0 = default 32; 1 disables batching and restores strict
@@ -200,6 +201,9 @@ type Shard struct {
 	// published externally (PublishReplica) by the replication tailer, and
 	// every Apply rejects with ErrReadOnly. appliedLSN/leaderLast track the
 	// follower's position for lag reporting.
+	// On a leader appliedLSN is the log tip the last run the writer
+	// finished left, which the serving epoch covers: a run a panic stopped
+	// is journaled but not served, so it leaves appliedLSN behind the tip.
 	replica    bool
 	appliedLSN atomic.Uint64
 	leaderLast atomic.Uint64
@@ -225,10 +229,82 @@ type Shard struct {
 	closed bool
 }
 
+// applyReq is one submitted statement. Requests are pooled with their
+// answer channel and their waiter's timer: one goes back to the pool only
+// after its waiter has received the answer, so the writer, whose send is
+// its last touch of a request, never answers a recycled one; a request
+// whose waiter gave up is left to the collector.
 type applyReq struct {
-	ctx  context.Context
-	st   *update.Statement
-	resp chan applyResult // buffered(1): the writer never blocks on it
+	ctx context.Context
+	// deadline is when the submitter stops waiting (zero: never); the
+	// writer skips a request whose deadline or ctx has passed.
+	deadline time.Time
+	st       *update.Statement
+	resp     chan applyResult // buffered(1): the writer never blocks on it
+	timer    *time.Timer      // the waiter's, stopped and drained in the pool
+}
+
+var applyReqPool = sync.Pool{New: func() any { return &applyReq{resp: make(chan applyResult, 1)} }}
+
+// err reports why the request's submitter is no longer waiting, or nil.
+func (r *applyReq) err() error {
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// wait receives the request's answer, or gives up when its ctx ends or its
+// deadline passes. Only a request whose answer it received goes back to
+// the pool.
+func (r *applyReq) wait() (*core.Report, uint64, error) {
+	var expired <-chan time.Time
+	if !r.deadline.IsZero() {
+		d := time.Until(r.deadline)
+		if r.timer == nil {
+			r.timer = time.NewTimer(d)
+		} else {
+			r.timer.Reset(d) // stopped and drained when it was pooled
+		}
+		expired = r.timer.C
+	}
+	select {
+	case res := <-r.resp:
+		r.release()
+		return res.rep, res.version, res.err
+	case <-r.ctx.Done():
+		// The writer will find the ended ctx; if it had already handed
+		// the statement to the backend, the statement runs to completion
+		// and the writer still publishes it (see Apply's
+		// at-most-once-observable note).
+		stopTimer(r.timer)
+		return nil, 0, r.ctx.Err()
+	case <-expired:
+		return nil, 0, context.DeadlineExceeded
+	}
+}
+
+// release stops the waiter's timer and returns the request to the pool,
+// holding nothing of the statement it carried.
+func (r *applyReq) release() {
+	stopTimer(r.timer)
+	r.ctx, r.st, r.deadline = nil, nil, time.Time{}
+	applyReqPool.Put(r)
+}
+
+// stopTimer stops t, if there is one, and drains a tick it sent: go.mod's
+// go 1.22 keeps timer channels buffered, so a Reset after an undrained
+// tick would deliver the stale one.
+func stopTimer(t *time.Timer) {
+	if t != nil && !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
 
 type applyResult struct {
@@ -345,10 +421,7 @@ func (s *Shard) LSNs() (applied, last uint64) {
 		return s.appliedLSN.Load(), s.leaderLast.Load()
 	}
 	if s.repl != nil {
-		st := s.repl.ReplStatusNow()
-		// The leader's serving epoch always reflects its own log tip: the
-		// writer journals and applies synchronously before publishing.
-		return st.LastLSN, st.LastLSN
+		return s.appliedLSN.Load(), s.repl.LastLSN()
 	}
 	return 0, 0
 }
@@ -373,21 +446,21 @@ func (s *Shard) QueueCap() int { return cap(s.queue) }
 // merged report). ErrQueueFull, ErrShuttingDown and ErrTenantStopped
 // reject without queuing.
 //
-// Apply is at-most-once observable, not at-most-once: a ctx expiring while
-// the request is queued abandons the WAIT, not necessarily the statement.
-// If the ctx has ended when the writer drains the request, the statement
-// is skipped with no effect; once the writer has taken it into a run, the
+// Apply is at-most-once observable, not at-most-once: a ctx ending, or the
+// shard's RequestTimeout passing, while the request is queued abandons the
+// WAIT, not necessarily the statement. If either has when the writer
+// drains the request, the statement is skipped with no effect; once the writer has taken it into a run, the
 // statement is still applied, journaled, and published — the client just
 // never sees the ack. Callers that time out
 // must therefore treat the statement's fate as unknown; the
 // server.abandoned_applied counter reports how often the applied-but-
 // unacknowledged case actually happens.
 func (s *Shard) Apply(ctx context.Context, st *update.Statement) (*core.Report, uint64, error) {
-	wait, err := s.ApplyAsync(ctx, st)
+	req, err := s.submit(ctx, st)
 	if err != nil {
 		return nil, 0, err
 	}
-	return wait()
+	return req.wait()
 }
 
 // ApplyAsync enqueues one statement and returns immediately with a wait
@@ -398,17 +471,32 @@ func (s *Shard) Apply(ctx context.Context, st *update.Statement) (*core.Report, 
 // afterwards; the bursty stress tests use it to force deterministic
 // multi-statement batches.
 func (s *Shard) ApplyAsync(ctx context.Context, st *update.Statement) (func() (*core.Report, uint64, error), error) {
+	req, err := s.submit(ctx, st)
+	if err != nil {
+		return nil, err
+	}
+	return req.wait, nil
+}
+
+// submit enqueues one statement in a pooled request stamped with the
+// shard's deadline.
+func (s *Shard) submit(ctx context.Context, st *update.Statement) (*applyReq, error) {
 	if s.replica {
 		return nil, ErrReadOnly
 	}
 	if err := s.Stopped(); err != nil {
 		return nil, err
 	}
-	req := &applyReq{ctx: ctx, st: st, resp: make(chan applyResult, 1)}
+	req := applyReqPool.Get().(*applyReq)
+	req.ctx, req.st = ctx, st
+	if d := s.cfg.requestTimeout(); d > 0 {
+		req.deadline = time.Now().Add(d)
+	}
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		s.m.rejectedShutdown.Inc()
+		req.release()
 		return nil, ErrShuttingDown
 	}
 	select {
@@ -419,20 +507,10 @@ func (s *Shard) ApplyAsync(ctx context.Context, st *update.Statement) (func() (*
 		s.mu.RUnlock()
 		s.m.rejectedFull.Inc()
 		s.tm.rejected.Inc()
+		req.release()
 		return nil, ErrQueueFull
 	}
-	return func() (*core.Report, uint64, error) {
-		select {
-		case res := <-req.resp:
-			return res.rep, res.version, res.err
-		case <-ctx.Done():
-			// The writer will observe the cancelled context; if it had
-			// already handed the statement to the backend, the statement
-			// runs to completion and the writer still publishes it (see
-			// Apply's at-most-once-observable note).
-			return nil, 0, ctx.Err()
-		}
-	}, nil
+	return req, nil
 }
 
 // Shutdown stops accepting updates, waits for the writer to drain every
@@ -511,18 +589,21 @@ func (s *Shard) drain(first *applyReq) []*applyReq {
 }
 
 // respond delivers one result, counting the applied-but-unacknowledged case
-// (the client's ctx expired after the writer committed to the statement —
-// its effects are published but nobody is reading the ack).
+// (the client's ctx ended or its deadline passed after the writer committed
+// to the statement — its effects are published but nobody is reading the
+// ack). The send is the writer's last touch of req: its waiter may pool it
+// at once.
 func (s *Shard) respond(req *applyReq, res applyResult) {
-	if res.err == nil && req.ctx.Err() != nil {
+	if res.err == nil && req.err() != nil {
 		s.m.abandonedApplied.Inc()
 	}
 	req.resp <- res
 }
 
 // applyRun applies one drained run and publishes the resulting epoch. A
-// request whose ctx has ended is answered here and left out of the run:
-// this is the only place a deadline is checked. The rest go to the backend
+// request whose ctx has ended or whose deadline has passed is answered
+// here and left out of the run: this is the only place a deadline is
+// checked. The rest go to the backend
 // as one run, and every one of them is answered with the epoch published
 // after it, so an acknowledged update is always readable
 // (read-your-writes) and an unacknowledged one is at worst readable early,
@@ -536,7 +617,7 @@ func (s *Shard) applyRun(batch []*applyReq) {
 			s.respond(req, applyResult{err: stopped})
 			continue
 		}
-		if err := req.ctx.Err(); err != nil {
+		if err := req.err(); err != nil {
 			s.m.abandoned.Inc()
 			s.respond(req, applyResult{err: err})
 			continue
@@ -569,6 +650,9 @@ func (s *Shard) applyRun(batch []*applyReq) {
 	}
 	if s.eng.Version() != s.Epoch().Version {
 		s.publish()
+	}
+	if s.repl != nil {
+		s.appliedLSN.Store(s.repl.LastLSN())
 	}
 	version := s.Epoch().Version
 	for i, req := range live {

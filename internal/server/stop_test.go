@@ -187,6 +187,11 @@ func TestApplyPanicStopsTheTenant(t *testing.T) {
 	if _, _, err := waits[0](); err != nil {
 		t.Fatalf("pilot: %v", err)
 	}
+	// A healthy leader's epoch covers its log once a statement is acked.
+	pilotLSN, last := sh.LSNs()
+	if pilotLSN == 0 || pilotLSN != last {
+		t.Fatalf("after the pilot's ack: applied LSN %d, last %d, want both the log tip", pilotLSN, last)
+	}
 	before := servedBodies(t, db, sh)
 	hb.release <- struct{}{}
 	for i, wait := range waits[1:] {
@@ -199,6 +204,21 @@ func TestApplyPanicStopsTheTenant(t *testing.T) {
 	for i := range before {
 		if !bytes.Equal(after[i], before[i]) {
 			t.Fatalf("served body %d changed across the stopped run:\n got %s\nwant %s", i, after[i], before[i])
+		}
+	}
+	// The log holds the run, the served epoch only the pilot.
+	var rs ReplStatusResponse
+	if code := getJSON(t, db+"/repl/status", &rs); code != http.StatusOK || rs.AppliedLSN != pilotLSN || rs.LastLSN != pilotLSN+3 {
+		t.Fatalf("/repl/status after the stop: %d applied_lsn %d last_lsn %d, want the pilot's %d and the tip %d",
+			code, rs.AppliedLSN, rs.LastLSN, pilotLSN, pilotLSN+3)
+	}
+	var list ListDBsResponse
+	if code := getJSON(t, base+"/v1/db", &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/db: %d", code)
+	}
+	for _, st := range list.Databases {
+		if st.Name == DefaultTenant && (st.AppliedLSN != pilotLSN || st.LastLSN != pilotLSN+3) {
+			t.Fatalf("/v1/db after the stop: applied_lsn %d last_lsn %d, want %d and %d", st.AppliedLSN, st.LastLSN, pilotLSN, pilotLSN+3)
 		}
 	}
 	resp, body := postJSON(t, db+"/update", UpdateRequest{Statement: srcs[1]})

@@ -9,7 +9,6 @@ package update
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"xivm/internal/algebra"
@@ -134,22 +133,31 @@ func ExpandReplace(d *xmltree.Document, st *Statement) (del, ins *PUL, err error
 // the ancestor already removes them). Replace statements must go through
 // ExpandReplace instead.
 func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
+	pul := new(PUL)
+	if err := pul.Compute(d, st); err != nil {
+		return nil, err
+	}
+	return pul, nil
+}
+
+// Compute is ComputePUL into pul, reusing its arrays: what pul listed
+// before is gone.
+func (pul *PUL) Compute(d *xmltree.Document, st *Statement) error {
+	pul.Reset()
 	if st.Kind == Replace {
-		return nil, fmt.Errorf("update: replace statements expand via ExpandReplace")
+		return fmt.Errorf("update: replace statements expand via ExpandReplace")
 	}
 	targets, err := evalTarget(d, st.Target, st.Source)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pul := &PUL{Kind: st.Kind}
+	pul.Kind = st.Kind
 	switch st.Kind {
 	case Delete:
-		sort.Slice(targets, func(i, j int) bool {
-			return targets[i].ID().Compare(targets[j].ID()) < 0
-		})
+		slices.SortFunc(targets, func(a, b *xmltree.Node) int { return a.ID().Compare(b.ID()) })
 		for _, n := range targets {
 			if n == d.Root {
-				return nil, fmt.Errorf("update: cannot delete the document root")
+				return fmt.Errorf("update: cannot delete the document root")
 			}
 			// Targets are in document order, so all descendants of a kept
 			// target follow it contiguously: checking the last kept target
@@ -164,12 +172,12 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 		if st.CopyOf != nil {
 			copied, err := evalTarget(d, *st.CopyOf, "")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			forest = append(forest, copied...)
 		}
 		if len(forest) == 0 {
-			return nil, fmt.Errorf("update: insertion with empty forest")
+			return fmt.Errorf("update: insertion with empty forest")
 		}
 		for _, n := range targets {
 			if n.Kind != xmltree.Element {
@@ -178,7 +186,15 @@ func ComputePUL(d *xmltree.Document, st *Statement) (*PUL, error) {
 			pul.Inserts = append(pul.Inserts, PendingInsert{Target: n, Trees: forest})
 		}
 	}
-	return pul, nil
+	return nil
+}
+
+// Reset empties the list, keeping its arrays and letting go of the nodes
+// they held.
+func (pul *PUL) Reset() {
+	clear(pul.Inserts[:cap(pul.Inserts)])
+	clear(pul.Deletes[:cap(pul.Deletes)])
+	pul.Kind, pul.Inserts, pul.Deletes = Insert, pul.Inserts[:0], pul.Deletes[:0]
 }
 
 // Applied records the concrete effect of applying a PUL: the roots of the
@@ -307,20 +323,34 @@ func (ls *Labels) Len() int { return ls.n }
 
 // Delta is one forest's ∆ tables (CD+/CD−, Algorithm 2): per slot of a
 // Labels set, the forest's nodes that slot's label matches, in document
-// order. It is read-only once built, so any number of goroutines may read
-// it, and Table hands its slices out capped: an append to one allocates
-// rather than writing into the table.
+// order. It is read-only once built, until the next Fill or Reset of the
+// Delta it was built in, so any number of goroutines may read it, and
+// Table hands its slices out capped: an append to one allocates rather
+// than writing into the table.
 type Delta struct {
-	tables [][]algebra.Item // nil when no node matched any label
+	tables [][]algebra.Item // nil until a node matched a label
 }
 
 // DeltaTables implements CD+/CD−: one walk of the affected subtree roots
 // extracts the ∆ relation of every label in ls.
 func DeltaTables(roots []*xmltree.Node, ls *Labels) Delta {
 	var d Delta
+	d.Fill(roots, ls)
+	return d
+}
+
+// deltaCap is the most items a table keeps across a Reset.
+const deltaCap = 1 << 10
+
+// Fill is DeltaTables into d, reusing its tables' arrays: what d held
+// before is gone, and so is every Delta copied from it.
+func (d *Delta) Fill(roots []*xmltree.Node, ls *Labels) {
+	for i := range d.tables {
+		d.tables[i] = d.tables[i][:0]
+	}
 	add := func(s int, n *xmltree.Node) {
-		if d.tables == nil {
-			d.tables = make([][]algebra.Item, ls.n)
+		if len(d.tables) < ls.n {
+			d.tables = append(d.tables, make([][]algebra.Item, ls.n-len(d.tables))...)
 		}
 		d.tables[s] = append(d.tables[s], algebra.Item{ID: n.ID(), Node: n})
 	}
@@ -343,7 +373,18 @@ func DeltaTables(roots []*xmltree.Node, ls *Labels) Delta {
 	for _, t := range d.tables {
 		slices.SortFunc(t, func(a, b algebra.Item) int { return a.ID.Compare(b.ID) })
 	}
-	return d
+}
+
+// Reset empties the tables and lets go of the nodes they held, keeping
+// arrays of up to deltaCap items for the next Fill.
+func (d *Delta) Reset() {
+	for i, t := range d.tables {
+		clear(t[:cap(t)])
+		if cap(t) > deltaCap {
+			t = nil
+		}
+		d.tables[i] = t[:0]
+	}
 }
 
 // Table returns the ∆ relation of a slot, capped at its length. A slot
