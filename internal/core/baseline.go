@@ -20,10 +20,10 @@ func (e *Engine) FullRecompute(st *update.Statement) (time.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, err := update.Apply(e.Doc, e.Store, delPul); err != nil {
+		if _, err := update.Apply(e.Doc, delPul); err != nil {
 			return 0, err
 		}
-		if _, err := update.Apply(e.Doc, e.Store, insPul); err != nil {
+		if _, err := update.Apply(e.Doc, insPul); err != nil {
 			return 0, err
 		}
 		return e.recomputeAll(), nil
@@ -32,7 +32,7 @@ func (e *Engine) FullRecompute(st *update.Statement) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := update.Apply(e.Doc, e.Store, pul); err != nil {
+	if _, err := update.Apply(e.Doc, pul); err != nil {
 		return 0, err
 	}
 	return e.recomputeAll(), nil

@@ -426,7 +426,7 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 	rep := &Report{Targets: pul.Targets()}
 	switch pul.Kind {
 	case update.Insert:
-		applied, err := update.Apply(e.Doc, e.Store, pul)
+		applied, err := update.Apply(e.Doc, pul)
 		if err != nil {
 			return nil, err
 		}
@@ -446,7 +446,7 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 		})
 		e.Store.Hide(nil)
 	case update.Delete:
-		applied, err := update.Apply(e.Doc, e.Store, pul)
+		applied, err := update.Apply(e.Doc, pul)
 		if err != nil {
 			return nil, err
 		}

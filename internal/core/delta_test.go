@@ -152,7 +152,6 @@ func TestSharedDeltaIsReadOnly(t *testing.T) {
 	if _, err := d.ApplyDelete(cp); err != nil {
 		t.Fatal(err)
 	}
-	e.Store.Changed(nil, []*xmltree.Node{cp})
 	for _, st := range []string{`insert <a><b>x y</b><b>x</b></a> into /r`, `replace /r/a/b with <b>x y</b>`, `delete /r/a`} {
 		apply(t, e, st)
 		checkViews(t, e, st)

@@ -39,7 +39,7 @@ func (iv *IVMA) ApplyStatement(st *update.Statement) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	applied, err := update.Apply(e.Doc, e.Store, pul)
+	applied, err := update.Apply(e.Doc, pul)
 	if err != nil {
 		return 0, err
 	}

@@ -29,10 +29,10 @@ func mustDoc(t *testing.T, s string) *xmltree.Document {
 func TestCanonicalRelations(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
-	if got := s.Count("b"); got != 4 {
+	if got := len(s.Items("b")); got != 4 {
 		t.Fatalf("|R_b| = %d", got)
 	}
-	if got := s.Count("c"); got != 2 {
+	if got := len(s.Items("c")); got != 2 {
 		t.Fatalf("|R_c| = %d", got)
 	}
 	if got := len(s.Items("*")); got != 8 {
@@ -51,8 +51,8 @@ func TestCanonicalRelations(t *testing.T) {
 func TestAddRemoveSubtree(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
-	if s.Count("b") != 4 {
-		t.Fatalf("|R_b| = %d", s.Count("b"))
+	if len(s.Items("b")) != 4 {
+		t.Fatalf("|R_b| = %d", len(s.Items("b")))
 	}
 	forest, err := xmltree.ParseForest(`<c><b/><b/></c>`)
 	if err != nil {
@@ -63,8 +63,8 @@ func TestAddRemoveSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count("b") != 6 || s.Count("c") != 3 {
-		t.Fatalf("after insert: b=%d c=%d", s.Count("b"), s.Count("c"))
+	if len(s.Items("b")) != 6 || len(s.Items("c")) != 3 {
+		t.Fatalf("after insert: b=%d c=%d", len(s.Items("b")), len(s.Items("c")))
 	}
 	items := s.Items("b")
 	for i := 1; i < len(items); i++ {
@@ -75,16 +75,16 @@ func TestAddRemoveSubtree(t *testing.T) {
 	if _, err := d.ApplyDelete(cp); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count("b") != 4 || s.Count("c") != 2 {
-		t.Fatalf("after delete: b=%d c=%d", s.Count("b"), s.Count("c"))
+	if len(s.Items("b")) != 4 || len(s.Items("c")) != 2 {
+		t.Fatalf("after delete: b=%d c=%d", len(s.Items("b")), len(s.Items("c")))
 	}
 }
 
 // TestItemsStableAcrossRemove: a slice Items handed out never changes —
 // neither a plain label's, built for the caller out of the index that the
-// delete then edits where it lies, nor R_*, which the delete drops rather
-// than edits. A caller holding one (a delta input, a Mat fill) reads what it
-// was given.
+// delete then edits where it lies, nor R_*, built by a walk of the tree the
+// delete then edits. A caller holding one (a delta input, a Mat fill) reads
+// what it was given.
 func TestItemsStableAcrossRemove(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
@@ -97,13 +97,10 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 
 	// Delete the first c subtree (removes b1, b2 from R_b).
 	target := d.Root.ElementChildren()[0]
-	removed, err := d.ApplyDelete(target)
-	if err != nil {
+	if _, err := d.ApplyDelete(target); err != nil {
 		t.Fatal(err)
 	}
-	s.Changed(nil, []*xmltree.Node{removed})
-
-	if got := s.Count("b"); got != 2 {
+	if got := len(s.Items("b")); got != 2 {
 		t.Fatalf("|R_b| after delete = %d", got)
 	}
 	for i := range snapshot {
@@ -112,16 +109,13 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 				i, held[i].ID, snapshot[i].ID)
 		}
 	}
-	// R_* is the store's own cache: the delete drops it, and whoever holds
-	// the list it was keeps reading it unchanged.
+	// R_*, read by a walk of the tree, is the caller's too.
 	heldElems := s.Items("*")
 	elemSnap := make([]algebra.Item, len(heldElems))
 	copy(elemSnap, heldElems)
-	removed2, err := d.ApplyDelete(d.Root.ElementChildren()[0]) // the f subtree
-	if err != nil {
+	if _, err := d.ApplyDelete(d.Root.ElementChildren()[0]); err != nil { // the f subtree
 		t.Fatal(err)
 	}
-	s.Changed(nil, []*xmltree.Node{removed2})
 	for i := range elemSnap {
 		if heldElems[i] != elemSnap[i] {
 			t.Fatalf("held elements slice mutated at %d", i)
@@ -134,8 +128,8 @@ func TestItemsStableAcrossRemove(t *testing.T) {
 
 // TestHiddenSubtreesCutByKeyPrefix: many roots hidden in one call, one
 // nested in another, unsorted and repeated — every relation, R_* and the
-// word index lose exactly the nodes below the roots, Count agrees with
-// Items, and Hide(nil) shows them all again.
+// word relations lose exactly the nodes below the roots, and Hide(nil)
+// shows them all again.
 func TestHiddenSubtreesCutByKeyPrefix(t *testing.T) {
 	var src strings.Builder
 	src.WriteString("<a>")
@@ -166,13 +160,10 @@ func TestHiddenSubtreesCutByKeyPrefix(t *testing.T) {
 			if want := shown(hidden, l); !slices.Equal(got, want) {
 				t.Errorf("%d roots hidden: R_%s holds %d items, want %d", len(hidden), l, len(got), len(want))
 			}
-			if s.Count(l) != len(got) {
-				t.Errorf("%d roots hidden: Count(%s) = %d, Items has %d", len(hidden), l, s.Count(l), len(got))
-			}
 		}
 	}
-	if s.Count("b") != 24 {
-		t.Fatalf("|R_b| = %d after Hide(nil), want 24", s.Count("b"))
+	if len(s.Items("b")) != 24 {
+		t.Fatalf("|R_b| = %d after Hide(nil), want 24", len(s.Items("b")))
 	}
 }
 
@@ -205,40 +196,14 @@ func TestParallelReadDuringRemove(t *testing.T) {
 		}
 	}()
 	for _, c := range d.Root.ElementChildren() {
-		removed, err := d.ApplyDelete(c)
-		if err != nil {
+		if _, err := d.ApplyDelete(c); err != nil {
 			t.Fatal(err)
 		}
-		s.Changed(nil, []*xmltree.Node{removed})
 	}
 	close(stop)
 	wg.Wait()
-	if got := s.Count("b"); got != 0 {
+	if got := len(s.Items("b")); got != 0 {
 		t.Fatalf("|R_b| = %d after deleting everything", got)
-	}
-}
-
-// TestCountWordNoAlloc: Count("~word") must answer without materializing
-// the filtered item list.
-func TestCountWordNoAlloc(t *testing.T) {
-	d := mustDoc(t, `<r><t>gold ring</t><t>old gold</t><t>silver</t></r>`)
-	s := New(d)
-	if got := s.Count("~gold"); got != 2 {
-		t.Fatalf(`Count("~gold") = %d`, got)
-	}
-	if got := s.Count("~silver"); got != 1 {
-		t.Fatalf(`Count("~silver") = %d`, got)
-	}
-	if got := s.Count("~missing"); got != 0 {
-		t.Fatalf(`Count("~missing") = %d`, got)
-	}
-	allocs := testing.AllocsPerRun(20, func() { s.Count("~gold") })
-	if allocs > 0 {
-		t.Fatalf("Count(~word) allocates %.0f objects per call", allocs)
-	}
-	// Items("~word") still materializes (and still works).
-	if got := len(s.Items("~gold")); got != 2 {
-		t.Fatalf(`Items("~gold") = %d`, got)
 	}
 }
 
@@ -252,18 +217,24 @@ func TestInputsApplySigma(t *testing.T) {
 	}
 }
 
+// TestLabels: each label the document carries has its nodes in its
+// relation, together every node of the document, and a label it does not
+// carry has none.
 func TestLabels(t *testing.T) {
 	d := mustDoc(t, doc1)
 	s := New(d)
-	labels := s.Labels()
-	want := map[string]bool{"a": true, "b": true, "c": true, "f": true, "#text": true}
-	if len(labels) != len(want) {
-		t.Fatalf("labels = %v", labels)
-	}
-	for _, l := range labels {
-		if !want[l] {
-			t.Fatalf("unexpected label %q", l)
+	want := map[string]int{"a": 1, "b": 4, "c": 2, "f": 1, "#text": 4, "d": 0, "@id": 0}
+	sum := 0
+	for l, n := range want {
+		if got := len(s.Items(l)); got != n {
+			t.Fatalf("|R_%s| = %d, want %d", l, got, n)
 		}
+		sum += n
+	}
+	nodes := 0
+	xmltree.Walk(d.Root, func(*xmltree.Node) bool { nodes++; return true })
+	if sum != nodes {
+		t.Fatalf("the relations hold %d nodes, the document %d", sum, nodes)
 	}
 }
 
@@ -467,9 +438,8 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestConcurrentItemsDuringMutation: the read entry points (Items, Count,
-// Labels) from several goroutines at once, cold derived relations
-// included, and then, while the writer inserts and deletes a subtree, each
+// TestConcurrentItemsDuringMutation: Items from several goroutines at
+// once, for a plain label, "*" and "#text", and then, while the writer inserts and deletes a subtree, each
 // reader going over the slices it retained, which must keep their
 // contents. Run under -race it also fails if a retained slice shares
 // memory with the label index the writer edits in place.
@@ -477,10 +447,7 @@ func TestConcurrentItemsDuringMutation(t *testing.T) {
 	d := mustDoc(t, `<a><c><b>1</b><b>2</b></c><c><b>3</b></c></a>`)
 	s := New(d)
 	read := func() []algebra.Item {
-		held := append(s.Items("b"), s.Items("*")...)
-		_ = s.Count("#text")
-		_ = s.Labels()
-		return held
+		return slices.Concat(s.Items("b"), s.Items("*"), s.Items("#text"))
 	}
 	for i := 0; i < 100; i++ {
 		const readers = 4
@@ -519,14 +486,12 @@ func TestConcurrentItemsDuringMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Changed(nil, []*xmltree.Node{attached})
 		if _, err := d.ApplyDelete(attached); err != nil {
 			t.Fatal(err)
 		}
-		s.Changed(nil, []*xmltree.Node{attached})
 		wg.Wait()
 	}
-	if got := s.Count("b"); got != 3 {
+	if got := len(s.Items("b")); got != 3 {
 		t.Fatalf("|R_b| = %d after balanced insert/delete churn, want 3", got)
 	}
 }

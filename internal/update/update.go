@@ -2,7 +2,7 @@
 // level deletions (delete q) and insertions (insert xml into q, and the
 // for-bound form for $x in q insert xml into $x), pending update list
 // computation (compute-pul), side-effecting application against a document
-// and its store (apply-insert / apply-delete), and ∆+/∆− delta-table
+// (apply-insert / apply-delete), and ∆+/∆− delta-table
 // extraction (algorithms CD+ and CD−).
 package update
 
@@ -13,7 +13,6 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/qvm"
-	"xivm/internal/store"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
 )
@@ -212,44 +211,23 @@ type Applied struct {
 	Replaced []*xmltree.Node
 }
 
-// Apply executes the PUL against the document. The store's canonical
-// relations are the document's label index, which the mutators keep in
-// step; when s is non-nil it is told of the mutation, to drop the derived
-// relations that went stale. Insertions return the copies carrying the IDs
-// assigned in their new context, exactly the side-channel the maintenance
-// algorithms consume.
-func Apply(d *xmltree.Document, s *store.Store, pul *PUL) (*Applied, error) {
+// Apply executes the PUL against the document. The mutators keep the
+// document's label index, which the canonical relations are read from, in
+// step. Insertions return the copies carrying the IDs assigned in their new
+// context, exactly the side-channel the maintenance algorithms consume.
+func Apply(d *xmltree.Document, pul *PUL) (*Applied, error) {
 	out := &Applied{Kind: pul.Kind}
 	var err error
-	var roots []*xmltree.Node
 	switch pul.Kind {
 	case Insert:
-		roots, out.Replaced, err = d.ApplyInsertions(pul.Inserts)
-		out.InsertedRoots = roots
+		out.InsertedRoots, out.Replaced, err = d.ApplyInsertions(pul.Inserts)
 	case Delete:
-		roots, out.Replaced, err = d.ApplyDeleteBatch(pul.Deletes)
-		out.DeletedRoots = roots
+		out.DeletedRoots, out.Replaced, err = d.ApplyDeleteBatch(pul.Deletes)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if s != nil {
-		s.Changed(out.Replaced, roots)
-	}
 	return out, nil
-}
-
-// Run parses nothing: it chains ComputePUL and Apply for a statement.
-func Run(d *xmltree.Document, s *store.Store, st *Statement) (*PUL, *Applied, error) {
-	pul, err := ComputePUL(d, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	applied, err := Apply(d, s, pul)
-	if err != nil {
-		return pul, nil, err
-	}
-	return pul, applied, nil
 }
 
 // Labels is a prepared label set for CD+/CD−: every label it holds has a

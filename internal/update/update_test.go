@@ -113,15 +113,15 @@ func TestComputePULAndApplyInsert(t *testing.T) {
 	if pul.Targets() != 2 {
 		t.Fatalf("targets %d", pul.Targets())
 	}
-	applied, err := Apply(d, s, pul)
+	applied, err := Apply(d, pul)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(applied.InsertedRoots) != 2 {
 		t.Fatalf("inserted %d", len(applied.InsertedRoots))
 	}
-	if s.Count("name") != 2 {
-		t.Fatalf("store name count %d", s.Count("name"))
+	if got := len(s.Items("name")); got != 2 {
+		t.Fatalf("store name count %d", got)
 	}
 	for _, r := range applied.InsertedRoots {
 		if r.ID().IsNull() || d.NodeByID(r.ID()) != r {
@@ -142,14 +142,14 @@ func TestComputePULDeleteNestedTargets(t *testing.T) {
 		t.Fatalf("deletes %d", len(pul.Deletes))
 	}
 	s := store.New(d)
-	applied, err := Apply(d, s, pul)
+	applied, err := Apply(d, pul)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(applied.DeletedRoots) != 2 {
 		t.Fatalf("deleted %d", len(applied.DeletedRoots))
 	}
-	if s.Count("b") != 0 || s.Count("y") != 0 {
+	if len(s.Items("b")) != 0 || len(s.Items("y")) != 0 {
 		t.Fatal("store not purged")
 	}
 	if len(d.Root.ElementChildren()) != 0 {
@@ -200,30 +200,35 @@ func TestDeleteRootRejected(t *testing.T) {
 	}
 }
 
-func TestInsertCopyOfApplies(t *testing.T) {
-	d := mustDoc(t, `<r><src><b>1</b><b>2</b></src><dst/></r>`)
-	s := store.New(d)
-	st := MustParse(`insert /r/src/b into /r/dst`)
-	_, applied, err := Run(d, s, st)
+// run computes the PUL of a statement and applies it.
+func run(t *testing.T, d *xmltree.Document, src string) *Applied {
+	t.Helper()
+	pul, err := ComputePUL(d, MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
+	applied, err := Apply(d, pul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return applied
+}
+
+func TestInsertCopyOfApplies(t *testing.T) {
+	d := mustDoc(t, `<r><src><b>1</b><b>2</b></src><dst/></r>`)
+	s := store.New(d)
+	applied := run(t, d, `insert /r/src/b into /r/dst`)
 	if len(applied.InsertedRoots) != 2 {
 		t.Fatalf("inserted %d", len(applied.InsertedRoots))
 	}
-	if got := s.Count("b"); got != 4 {
+	if got := len(s.Items("b")); got != 4 {
 		t.Fatalf("b count %d", got)
 	}
 }
 
 func TestDeltaTables(t *testing.T) {
 	d := mustDoc(t, `<r><p/></r>`)
-	s := store.New(d)
-	st := MustParse(`insert <a><b/><b><c/></b></a> into /r/p`)
-	_, applied, err := Run(d, s, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	applied := run(t, d, `insert <a><b/><b><c/></b></a> into /r/p`)
 	// A label set is prepared once: a label added twice keeps its slot.
 	var ls Labels
 	slot := map[string]int{}
@@ -263,10 +268,7 @@ func TestDeltaTables(t *testing.T) {
 	}
 	// Word labels match text nodes holding the word.
 	d2 := mustDoc(t, `<r><p/></r>`)
-	_, applied2, err := Run(d2, store.New(d2), MustParse(`insert <a>x y</a> into /r/p`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	applied2 := run(t, d2, `insert <a>x y</a> into /r/p`)
 	if got := len(DeltaTables(applied2.InsertedRoots, &ls).Table(slot["~x"])); got != 1 {
 		t.Fatalf("word delta %d, want 1", got)
 	}

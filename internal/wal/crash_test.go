@@ -90,18 +90,24 @@ func prefixDocs(t *testing.T) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var puls []*update.PUL
 		if st.Kind == update.Replace {
 			delPul, insPul, err := update.ExpandReplace(d, st)
 			if err != nil {
 				t.Fatalf("oracle %q: %v", src, err)
 			}
-			for _, pul := range []*update.PUL{delPul, insPul} {
-				if _, err := update.Apply(d, nil, pul); err != nil {
-					t.Fatalf("oracle %q: %v", src, err)
-				}
+			puls = []*update.PUL{delPul, insPul}
+		} else {
+			pul, err := update.ComputePUL(d, st)
+			if err != nil {
+				t.Fatalf("oracle %q: %v", src, err)
 			}
-		} else if _, _, err := update.Run(d, nil, st); err != nil {
-			t.Fatalf("oracle %q: %v", src, err)
+			puls = []*update.PUL{pul}
+		}
+		for _, pul := range puls {
+			if _, err := update.Apply(d, pul); err != nil {
+				t.Fatalf("oracle %q: %v", src, err)
+			}
 		}
 		out = append(out, d.String())
 	}
