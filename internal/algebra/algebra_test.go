@@ -669,8 +669,8 @@ func TestShapeLaysOutIDsThenImages(t *testing.T) {
 		{NodeIdx: 2, ID: person, Cont: "<person/>"},
 		{NodeIdx: 3, ID: name, Val: "Ann", Cont: "<name>Ann</name>"},
 	}
-	if !s.Fits(in) || s.Width() != 3 {
-		t.Fatalf("the entries do not fit their own pattern's shape (width %d)", s.Width())
+	if s.Width() != 3 {
+		t.Fatalf("width %d, want 3", s.Width())
 	}
 	r := s.Pack(in, 2)
 	want := []string{root.Key(), person.Key(), name.Key(), "<person/>", "Ann", "<name>Ann</name>"}
@@ -693,10 +693,5 @@ func TestShapeLaysOutIDsThenImages(t *testing.T) {
 	images[2].Val = "Bob"
 	if s.Compare(r, s.Pack(images, 1)) != 0 {
 		t.Error("rows binding the same nodes compare unequal on their images")
-	}
-	for _, bad := range [][]RowEntry{in[:2], {in[1], in[0], in[2]}, {{NodeIdx: 0, ID: root, Val: "x"}, in[1], in[2]}} {
-		if s.Fits(bad) {
-			t.Errorf("%+v fits a shape it is not", bad)
-		}
 	}
 }

@@ -236,21 +236,6 @@ func shapeOf(p *pattern.Pattern, indexes []int) *Shape {
 // Width returns w, the number of stored nodes a row binds.
 func (s *Shape) Width() int { return len(s.nodes) }
 
-// Fits reports whether entries are a row of this shape: one per stored
-// node, in order, each with no image its node does not store.
-func (s *Shape) Fits(entries []RowEntry) bool {
-	if len(entries) != len(s.nodes) {
-		return false
-	}
-	for i, n := range s.nodes {
-		e := &entries[i]
-		if e.NodeIdx != n.idx || n.val == 0 && e.Val != "" || n.cont == 0 && e.Cont != "" {
-			return false
-		}
-	}
-	return true
-}
-
 // Pack returns the row of entries, one per stored node in order, with the
 // given derivation count: one allocation, the row's cells.
 func (s *Shape) Pack(entries []RowEntry, count int) Row {

@@ -76,11 +76,12 @@ type Options struct {
 	// covers the batch. It is the delta stream consumers subscribe to for
 	// invalidation: a statement-count-contiguous sequence of calls (the
 	// version delta between consecutive calls equals len(sts)) proves the
-	// consumer has vetted every write; any gap (version bumps from
-	// recomputation repairs, direct ApplyPUL) tells it to
-	// discard everything it derived. Replace statements are reported once
-	// per half (two calls, same statement). The hook runs on the applying
-	// goroutine, before the caller can publish the new state.
+	// consumer has vetted every write; any gap tells it to discard
+	// everything it derived. Gaps come from the paths that advance the
+	// version without a source statement: ApplyPUL, FullRecompute, IVMA,
+	// and ApplyBatch units built without Sources. Replace statements are
+	// reported once per half (two calls, same statement). The hook runs on
+	// the applying goroutine, before the caller can publish the new state.
 	OnApplied func(sts []*update.Statement, version uint64)
 }
 
@@ -200,41 +201,7 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 	}
 	def := &ViewDef{Name: name, Pattern: p, Shape: algebra.NewShape(p)}
 	block := algebra.EvalPattern(p, e.Store.Inputs(p), e.Join())
-	return e.installView(def, algebra.ProjectCounted(def.Shape, block, e.Doc, algebra.ProjectCounters{}))
-}
-
-// AddViewRows installs a view from previously materialized rows (e.g. a
-// snapshot decoded with store.DecodeSnapshot), laid out by p's shape and
-// the caller's to write, without re-evaluating the pattern. The caller
-// asserts the rows reflect the engine's current document; the auxiliary
-// lattice is rebuilt from the store. Every non-null entry ID must name a
-// node of the document, and is replaced, in rows, by that node's own ID —
-// the same bytes, so the view holds no second copy of the keys the tree
-// holds.
-func (e *Engine) AddViewRows(name string, p *pattern.Pattern, rows []algebra.Row) (*ManagedView, error) {
-	if len(p.StoredIndexes()) == 0 {
-		return nil, fmt.Errorf("core: view %s stores nothing", name)
-	}
-	def := &ViewDef{Name: name, Pattern: p, Shape: algebra.NewShape(p)}
-	for _, r := range rows {
-		for j := range def.Shape.Width() {
-			entry := def.Shape.Entry(r, j)
-			if entry.ID.IsNull() {
-				continue
-			}
-			n := e.Doc.NodeByID(entry.ID)
-			if n == nil {
-				return nil, fmt.Errorf("core: view %s: the document has no node %v", name, entry.ID)
-			}
-			entry.ID = n.ID()
-			def.Shape.Set(r, j, entry)
-		}
-	}
-	return e.installView(def, rows)
-}
-
-func (e *Engine) installView(def *ViewDef, rows []algebra.Row) (*ManagedView, error) {
-	p := def.Pattern
+	rows := algebra.ProjectCounted(def.Shape, block, e.Doc, algebra.ProjectCounters{})
 	mv := &ManagedView{
 		ViewDef: def,
 		View:    store.NewViewOf(def.Shape, rows),

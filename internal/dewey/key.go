@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the order-preserving binary key every ID consists
-// of. The key is built once at construction (NewRoot/Child/Decode, or a
+// of. The key is built once at construction (NewRoot/Child, or a
 // builder's AppendFrame) and makes the engine's hottest ID operations single
 // string ops:
 //

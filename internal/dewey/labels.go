@@ -12,8 +12,8 @@ import (
 // IDs are compact because a step costs its ordinal and a code, not its
 // label's bytes. The table is process-wide and only grows, so a code means
 // the same label in every key and node of every tenant for the process's
-// lifetime; no code or key is ever stored or sent (a checkpoint's IDs go
-// through Encode's per-snapshot Dict).
+// lifetime; no code or key is ever stored or sent (a checkpoint holds the
+// document and its ordinal stream, which restore re-labels).
 //
 // It is bounded by constants, not options: at most maxCodes codes, a code
 // being at most two uvarint bytes, and labels of at most maxLabelLen bytes.

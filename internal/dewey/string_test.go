@@ -58,22 +58,6 @@ func TestStepAccessorsAndClone(t *testing.T) {
 	}
 }
 
-func TestDictLen(t *testing.T) {
-	var d Dict
-	if d.Len() != 0 {
-		t.Fatal("fresh dict non-empty")
-	}
-	d.Code("x")
-	d.Code("y")
-	d.Code("x")
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if _, err := d.Label(5); err == nil {
-		t.Fatal("out-of-range code accepted")
-	}
-}
-
 func TestAfterLastOverflowPath(t *testing.T) {
 	// Near the top of the uint64 range, afterLast must extend instead of
 	// overflowing.

@@ -6,10 +6,11 @@
 // One Follower replicates one tenant:
 //
 //   - Catch-up is snapshot-first: the tailer fetches the leader's newest
-//     checkpoint image, re-verifies every byte of it (manifest decode, doc
-//     and view content hashes — wal.NewImage is the verifier the leader's
-//     own recovery uses), restores an engine from it, and attaches a replica
-//     shard at the checkpoint's LSN.
+//     checkpoint image, re-verifies every byte of it (manifest decode,
+//     document and ordinal-stream content hashes — wal.NewImage is the
+//     verifier the leader's own recovery uses), restores an engine from it
+//     (the views evaluated over the document, as at create), and attaches a
+//     replica shard at the checkpoint's LSN.
 //
 //   - It then tails the stream: each poll fetches raw WAL frames from
 //     applied+1, CRC-verifies and decodes them (wal.DecodeFrames rejects the
@@ -210,7 +211,7 @@ func (f *Follower) resync(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	img, err := wal.NewImage(resp.Manifest, resp.Doc, resp.Ords, resp.Views)
+	img, err := wal.NewImage(resp.Manifest, resp.Doc, resp.Ords)
 	if err != nil {
 		return fmt.Errorf("repl: verifying snapshot for %s: %w", f.name, err)
 	}

@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -468,4 +471,131 @@ func TestJournalCrashMidRunRepairsNothing(t *testing.T) {
 	if got := m.CounterValue("server.apply.panics"); got != 0 {
 		t.Fatalf("server.apply.panics = %d, want 0", got)
 	}
+}
+
+// TestDataDirWithViewFilesServesItsBodies: a tenant root whose newest
+// checkpoint is in the layout of the releases that stored views — a hash
+// and a size per manifest view, and a <view>.xivm file for each — opens:
+// restore reads no view file (these hold bytes no view could be decoded
+// from), the views it evaluates equal fresh evaluations at the manifest's
+// LSN and engine version, and the tenant serves the bodies it served
+// before it closed.
+func TestDataDirWithViewFilesServesItsBodies(t *testing.T) {
+	root := t.TempDir()
+	cfg := RegistryConfig{
+		Shard:        Config{Metrics: obs.New()},
+		DataDir:      root,
+		WAL:          wal.Options{Metrics: obs.New()},
+		DefaultDoc:   xmark.GenerateSmall(1, 0),
+		DefaultViews: testViewSpecs(),
+	}
+	reg, base, shutdown := openRegistry(t, cfg)
+	sh, err := reg.Create(DefaultTenant, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := base + "/v1/db/" + DefaultTenant
+	for _, src := range []string{
+		`insert <person id="pv"><name>Vera</name></person> into /site/people`,
+		`replace /site/people/person/name with <name>Renamed</name>`,
+		`delete /site/people/person[@id="pv"]`,
+		`insert <person id="pw"><name>Wu</name></person> into /site/people`,
+	} {
+		if resp, _ := postUpdate(t, db, src); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", src, resp.StatusCode)
+		}
+	}
+	served := servedBodies(t, db, sh)
+	_, last := sh.LSNs()
+	shutdown()
+
+	dir := wal.TenantDir(root, DefaultTenant)
+	wdb, err := wal.Open(dir, wal.Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wdb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	version := wdb.Engine().Version()
+	if err := wdb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man := giveViewFiles(t, dir)
+	if man.LSN != last || man.EngineVersion != version {
+		t.Fatalf("the checkpoint is at lsn %d version %d, the tenant was at %d and %d", man.LSN, man.EngineVersion, last, version)
+	}
+
+	re, err := wal.Open(dir, wal.Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := re.Stats(); st.Replayed != 0 || re.LastLSN() != man.LSN || re.Engine().Version() != man.EngineVersion {
+		t.Fatalf("opened at lsn %d version %d having replayed %d records, want the checkpoint's lsn %d and version %d",
+			re.LastLSN(), re.Engine().Version(), st.Replayed, man.LSN, man.EngineVersion)
+	}
+	for _, mv := range re.Engine().Views {
+		if !mv.View.EqualRows(algebra.Materialize(re.Engine().Doc, mv.Pattern)) {
+			t.Fatalf("view %s diverges from a fresh evaluation", mv.Name)
+		}
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, base, _ = openRegistry(t, cfg)
+	if sh, err = reg.Get(DefaultTenant); err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range servedBodies(t, base+"/v1/db/"+DefaultTenant, sh) {
+		if !bytes.Equal(body, served[i]) {
+			t.Fatalf("served body %d differs after the reopen:\n got %s\nwant %s", i, body, served[i])
+		}
+	}
+}
+
+// giveViewFiles rewrites the newest checkpoint in dir the way the releases
+// that stored views wrote it: a <view>.xivm file beside doc.xml for each
+// view the manifest names, and the file's hash and size in the view's
+// manifest entry. The files hold no view image: nothing may read them.
+func giveViewFiles(t *testing.T, dir string) *store.Manifest {
+	t.Helper()
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-????????????????"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoint in %s (%v)", dir, err)
+	}
+	ckpt := ckpts[len(ckpts)-1]
+	raw, err := os.ReadFile(filepath.Join(ckpt, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.DecodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type viewWithFile struct {
+		Name    string `json:"name"`
+		Pattern string `json:"pattern"`
+		Hash    string `json:"hash"`
+		Bytes   int64  `json:"bytes"`
+	}
+	older := struct {
+		*store.Manifest
+		Views []viewWithFile `json:"views"`
+	}{Manifest: man}
+	for _, v := range man.Views {
+		file := []byte("XIVM1 not a view image: " + v.Name)
+		if err := os.WriteFile(filepath.Join(ckpt, v.Name+".xivm"), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		older.Views = append(older.Views, viewWithFile{v.Name, v.Pattern, store.HashBytes(file), int64(len(file))})
+	}
+	data, err := json.MarshalIndent(older, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, "MANIFEST"), append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return man
 }

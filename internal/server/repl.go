@@ -46,8 +46,9 @@ type ReplStatusResponse struct {
 // ReplSnapshotResponse answers GET /v1/db/{db}/repl/snapshot: the newest
 // checkpoint image, wire-transportable. Manifest is the raw MANIFEST bytes
 // exactly as written — the follower re-verifies it and the hashes inside
-// bind Doc and Views, so corruption anywhere en route is caught by the same
-// checks recovery runs against the disk. ([]byte fields travel as base64.)
+// bind Doc and Ords, so corruption anywhere en route is caught by the same
+// checks recovery runs against the disk; the views it names are evaluated
+// over the restored document. ([]byte fields travel as base64.)
 type ReplSnapshotResponse struct {
 	Tenant   string `json:"tenant"`
 	LSN      uint64 `json:"lsn"`
@@ -56,8 +57,7 @@ type ReplSnapshotResponse struct {
 	// Ords is the document's Dewey ordinal stream (xmltree.EncodeOrds);
 	// restoring it gives the follower the leader's exact node-ID space, so
 	// responses are byte-identical at equal LSNs.
-	Ords  []byte            `json:"ords"`
-	Views map[string][]byte `json:"views"`
+	Ords []byte `json:"ords"`
 }
 
 // Stream response headers. The body is raw concatenated WAL frames
@@ -158,6 +158,5 @@ func (r *Registry) handleReplSnapshot(w http.ResponseWriter, req *http.Request) 
 		Manifest: img.RawManifest,
 		Doc:      img.DocXML,
 		Ords:     img.Ords,
-		Views:    img.Views,
 	})
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // Manifest describes one checkpoint: a consistent on-disk image of the
-// document plus every managed view, stamped with the log sequence number it
-// reflects. The document and each view snapshot live in sibling files; the
-// manifest binds them together with content hashes so recovery can tell a
-// complete checkpoint from a torn or bit-rotted one before trusting it.
+// document, stamped with the log sequence number it reflects, and the
+// pattern of every managed view, which restore evaluates over it. The
+// document and its ordinal stream live in sibling files; the manifest binds
+// them with content hashes so recovery can tell a complete checkpoint from
+// a torn or bit-rotted one before trusting it.
 type Manifest struct {
 	// Format is the manifest schema version; decoding rejects versions it
 	// does not know.
@@ -40,20 +41,19 @@ type Manifest struct {
 	// to the process that wrote the checkpoint.
 	OrdsHash  string `json:"ords_hash"`
 	OrdsBytes int64  `json:"ords_bytes"`
-	// Views lists every materialized view in the checkpoint, in the order
-	// they were registered with the engine.
+	// Views lists every materialized view of the engine, in the order they
+	// were registered with it.
 	Views []ManifestView `json:"views"`
 }
 
 // ManifestView is one view's entry in a checkpoint manifest.
 type ManifestView struct {
 	Name string `json:"name"`
-	// Pattern is the view's tree pattern in pattern.Parse syntax; recovery
-	// re-compiles it to rebuild maintenance structures.
+	// Pattern is the view's tree pattern in pattern.Parse syntax; restore
+	// evaluates it over the document. A manifest written when checkpoints
+	// held view files also names each file's hash and size: decoding
+	// ignores them, and restore reads no view file.
 	Pattern string `json:"pattern"`
-	// Hash/Bytes cover the view's EncodeSnapshot image.
-	Hash  string `json:"hash"`
-	Bytes int64  `json:"bytes"`
 }
 
 // manifestFormat is the current schema version.
@@ -64,9 +64,9 @@ func NewManifest(lsn uint64) *Manifest {
 	return &Manifest{Format: manifestFormat, LSN: lsn}
 }
 
-// AddView appends a view entry for the snapshot image that went through d.
-func (m *Manifest) AddView(name, pattern string, d *Digest) {
-	m.Views = append(m.Views, ManifestView{Name: name, Pattern: pattern, Hash: d.Hash(), Bytes: d.Bytes()})
+// AddView appends a view entry.
+func (m *Manifest) AddView(name, pattern string) {
+	m.Views = append(m.Views, ManifestView{Name: name, Pattern: pattern})
 }
 
 // SetDoc records the hash and size of the document image that went
@@ -76,16 +76,6 @@ func (m *Manifest) SetDoc(d *Digest) { m.DocHash, m.DocBytes = d.Hash(), d.Bytes
 // SetOrds records the hash and size of the ordinal stream that went
 // through d.
 func (m *Manifest) SetOrds(d *Digest) { m.OrdsHash, m.OrdsBytes = d.Hash(), d.Bytes() }
-
-// View returns the entry with the given name, or nil.
-func (m *Manifest) View(name string) *ManifestView {
-	for i := range m.Views {
-		if m.Views[i].Name == name {
-			return &m.Views[i]
-		}
-	}
-	return nil
-}
 
 // EncodeManifest serializes the manifest as indented JSON (deterministic:
 // field order is fixed, views keep registration order).
@@ -129,12 +119,6 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("store: duplicate manifest view %q", v.Name)
 		}
 		seen[v.Name] = true
-		if !validHash(v.Hash) {
-			return nil, fmt.Errorf("store: manifest view %q has malformed hash", v.Name)
-		}
-		if v.Bytes < 0 {
-			return nil, fmt.Errorf("store: manifest view %q has negative size", v.Name)
-		}
 	}
 	return &m, nil
 }

@@ -17,8 +17,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	m := NewManifest(42)
 	m.SetDoc(digestOf([]byte("<site/>")))
 	m.SetOrds(digestOf([]byte{1, 2}))
-	m.AddView("Q1", "//a{ID}", digestOf([]byte("snapshot-1")))
-	m.AddView("Q2", "//b{ID,val}", digestOf([]byte("snapshot-2")))
+	m.AddView("Q1", "//a{ID}")
+	m.AddView("Q2", "//b{ID,val}")
 
 	back, err := DecodeManifest(EncodeManifest(m))
 	if err != nil {
@@ -33,15 +33,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if back.OrdsHash != HashBytes([]byte{1, 2}) || back.OrdsBytes != 2 {
 		t.Fatalf("ords hash/bytes %q/%d", back.OrdsHash, back.OrdsBytes)
 	}
-	if len(back.Views) != 2 {
-		t.Fatalf("views %d", len(back.Views))
-	}
-	v := back.View("Q2")
-	if v == nil || v.Pattern != "//b{ID,val}" || v.Hash != HashBytes([]byte("snapshot-2")) || v.Bytes != 10 {
-		t.Fatalf("view Q2 %+v", v)
-	}
-	if back.View("missing") != nil {
-		t.Fatal("lookup of absent view succeeded")
+	if len(back.Views) != 2 || back.Views[1] != (ManifestView{Name: "Q2", Pattern: "//b{ID,val}"}) {
+		t.Fatalf("views %+v", back.Views)
 	}
 }
 
@@ -50,7 +43,7 @@ func TestDecodeManifestRejectsCorruption(t *testing.T) {
 		m := NewManifest(7)
 		m.SetDoc(digestOf([]byte("<a/>")))
 		m.SetOrds(digestOf([]byte{1}))
-		m.AddView("V", "//a{ID}", digestOf([]byte("x")))
+		m.AddView("V", "//a{ID}")
 		return m
 	}
 	cases := map[string]func() []byte{
@@ -75,17 +68,7 @@ func TestDecodeManifestRejectsCorruption(t *testing.T) {
 		},
 		"duplicate view": func() []byte {
 			m := good()
-			m.AddView("V", "//b{ID}", digestOf([]byte("y")))
-			return EncodeManifest(m)
-		},
-		"bad view hash": func() []byte {
-			m := good()
-			m.Views[0].Hash = "zz"
-			return EncodeManifest(m)
-		},
-		"negative view size": func() []byte {
-			m := good()
-			m.Views[0].Bytes = -5
+			m.AddView("V", "//b{ID}")
 			return EncodeManifest(m)
 		},
 	}

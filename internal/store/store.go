@@ -1,8 +1,9 @@
 // Package store implements the storage layer: the per-label canonical
 // relations R_a in document order, read from the document's label index of
 // the labels asked for, materialized view row stores, lattice-node
-// (snowcap) materializations, and a compact binary snapshot format. It
-// plays the role BerkeleyDB played in the paper's ViP2P prototype.
+// (snowcap) materializations, and the manifest that binds a checkpoint's
+// files. It plays the role BerkeleyDB played in the paper's ViP2P
+// prototype.
 package store
 
 import (

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -351,90 +349,6 @@ func TestMatFillAddRemove(t *testing.T) {
 	}
 	if m.Len() != 0 {
 		t.Fatalf("len %d", m.Len())
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	p := pattern.MustParse(`//a{ID}//b{ID,val,cont}`)
-	d := mustDoc(t, doc1)
-	v := NewMaterializedView(p, algebra.Materialize(d, p))
-	data := EncodeSnapshot(v)
-	rows, err := DecodeSnapshot(data, v.shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewMaterializedView(p, rows)
-	if !v2.EqualRows(v.Rows()) {
-		t.Fatal("snapshot round trip lost rows")
-	}
-}
-
-// encodeSnapshotWhole is the encoder WriteSnapshot replaced, kept as its
-// reference: one pass, the body built whole and the dictionary it filled
-// put in front of it afterwards.
-func encodeSnapshotWhole(v *View) []byte {
-	var dict dewey.Dict
-	rows := v.Rows()
-	var body []byte
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-	for _, r := range rows {
-		body = binary.AppendUvarint(body, uint64(r.Count))
-		body = binary.AppendUvarint(body, uint64(v.shape.Width()))
-		for i := range v.shape.Width() {
-			e := v.shape.Entry(r, i)
-			body = binary.AppendUvarint(body, uint64(e.NodeIdx))
-			body = e.ID.Encode(&dict, body)
-			body = appendString(body, e.Val)
-			body = appendString(body, e.Cont)
-		}
-	}
-	out := []byte(snapshotMagic)
-	out = binary.AppendUvarint(out, uint64(dict.Len()))
-	for i := 0; i < dict.Len(); i++ {
-		label, _ := dict.Label(uint64(i))
-		out = appendString(out, label)
-	}
-	return append(out, body...)
-}
-
-// TestWriteSnapshotMatchesWholeEncoder: streaming a snapshot — labels coded
-// in a first pass, rows written as they are encoded — produces the bytes
-// the one-pass encoder did: for an empty view, for many-label multi-entry
-// rows, and for an image several write buffers long.
-func TestWriteSnapshotMatchesWholeEncoder(t *testing.T) {
-	d := mustDoc(t, `<site><people>`+strings.Repeat(`<person id="p1"><name>Ann &amp; co</name><x><name>deep</name></x></person><person id="p2"><name>Bob</name></person>`, 200)+`</people><b/></site>`)
-	longest := 0
-	for _, src := range []string{
-		`//person{ID,val}//name{ID,cont}`,
-		`/site{ID}/people{ID}/person{ID}[/@id{ID,val}]//name{ID,val,cont}`,
-		`//b{ID,cont}`,
-		`//nothing{ID}`,
-	} {
-		p := pattern.MustParse(src)
-		v := NewMaterializedView(p, algebra.Materialize(d, p))
-		want := encodeSnapshotWhole(v)
-		if got := EncodeSnapshot(v); !bytes.Equal(got, want) {
-			t.Errorf("%s: EncodeSnapshot differs from the one-pass encoding (%d bytes)", src, len(want))
-		}
-		longest = max(longest, len(want))
-	}
-	if longest < 3*4096 {
-		t.Fatalf("longest image is %d bytes: no case crossed a write buffer", longest)
-	}
-}
-
-func TestSnapshotErrors(t *testing.T) {
-	if _, err := DecodeSnapshot([]byte("bogus"), &algebra.Shape{}); err == nil {
-		t.Fatal("expected magic error")
-	}
-	p := pattern.MustParse(`//a{ID}`)
-	d := mustDoc(t, `<a/>`)
-	v := NewMaterializedView(p, algebra.Materialize(d, p))
-	data := EncodeSnapshot(v)
-	for cut := len(snapshotMagic); cut < len(data); cut++ {
-		if _, err := DecodeSnapshot(data[:cut], v.shape); err == nil {
-			t.Fatalf("truncated snapshot at %d decoded", cut)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -14,7 +13,6 @@ import (
 	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/obs"
-	"xivm/internal/store"
 	"xivm/internal/xmark"
 )
 
@@ -50,12 +48,9 @@ func (b blockFile) Sync() error {
 
 // epochState is stateOf for a published epoch.
 func epochState(snap *core.Snapshot) engState {
-	s := engState{doc: snap.Doc().String(), ords: snap.Doc().EncodeOrds(), version: snap.Version, views: map[string][]byte{}}
+	s := engState{doc: snap.Doc().String(), ords: snap.Doc().EncodeOrds(), version: snap.Version, views: map[string][]algebra.Row{}}
 	for i := range snap.Views {
-		vs := &snap.Views[i]
-		var b bytes.Buffer
-		store.WriteSnapshot(&b, vs.Shape, vs.Rows)
-		s.views[vs.Name] = b.Bytes()
+		s.views[snap.Views[i].Name] = snap.Views[i].Rows.AppendTo(nil)
 	}
 	return s
 }

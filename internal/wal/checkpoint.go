@@ -40,9 +40,8 @@ func parseCkptName(name string) (uint64, bool) {
 }
 
 // ckptBufBytes is all of a checkpoint file that is in memory at once: the
-// document, its ordinal stream and each view are serialized through a
-// buffer this size, each flush going to the file and into the file's
-// running hash.
+// document and its ordinal stream are serialized through a buffer this
+// size, each flush going to the file and into the file's running hash.
 const ckptBufBytes = 32 << 10
 
 // ckptBufs lends checkpoints their buffer. A checkpoint holds one only while
@@ -51,12 +50,13 @@ const ckptBufBytes = 32 << 10
 var ckptBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, ckptBufBytes) }}
 
 // writeCheckpoint writes a complete checkpoint of an engine epoch — the
-// document as canonical XML plus every view via store.WriteSnapshot, bound
-// together by a hashed manifest — into dir/checkpoint-<lsn>, atomically:
-// everything lands in a tmp directory, every file is fsynced, and a single
-// rename publishes it. A crash between two flushes of one file leaves what
-// a crash between two files does: a tmp directory. The epoch is immutable,
-// so the engine's writer may go on while this runs.
+// document as canonical XML and its ordinal stream, bound together by a
+// hashed manifest that names every view's pattern — into
+// dir/checkpoint-<lsn>, atomically: everything lands in a tmp directory,
+// every file is fsynced, and a single rename publishes it. A crash between
+// two flushes of one file leaves what a crash between two files does: a tmp
+// directory. The epoch is immutable, so the engine's writer may go on while
+// this runs.
 func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, sources map[string]string, lsn uint64) (err error) {
 	final := filepath.Join(dir, ckptName(lsn))
 	tmp := final + ckptTmpExt
@@ -118,19 +118,15 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 	man.SetDoc(d)
 	// The ordinal stream makes restore ID-exact: a reparse of doc.xml plus
 	// ApplyOrds reproduces the live engine's Dewey IDs byte for byte, so the
-	// view snapshots below can carry the live rows as-is — and a restored
-	// process (recovery or a replication follower) serves the same IDs the
-	// live one does.
+	// views evaluated over it hold the live rows — and a restored process
+	// (recovery or a replication follower) serves the same IDs the live one
+	// does.
 	if d, err = writeFile("doc.ords", doc.WriteOrds); err != nil {
 		return err
 	}
 	man.SetOrds(d)
 	for i := range snap.Views {
-		vs := &snap.Views[i]
-		if d, err = writeFile(vs.Name+".xivm", func(w io.Writer) error { return store.WriteSnapshot(w, vs.Shape, vs.Rows) }); err != nil {
-			return err
-		}
-		man.AddView(vs.Name, sources[vs.Name], d)
+		man.AddView(snap.Views[i].Name, sources[snap.Views[i].Name])
 	}
 	// The manifest goes last: its presence implies every file it names was
 	// already written and fsynced.

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"xivm/internal/core"
@@ -19,10 +21,10 @@ import (
 // TestCheckpointBytesUnchanged pins the checkpoint's bytes to the
 // whole-value encoders it no longer calls: after a difftest workload has
 // pushed the document, its ordinals and two views (one storing val and
-// cont) off their parsed state, every file is exactly what String,
-// EncodeOrds, EncodeSnapshot over a re-upserted copy and EncodeManifest over
-// HashBytes of those would have written, and the directory verifies
-// through loadImage.
+// cont) off their parsed state, the directory holds doc.xml, doc.ords and
+// MANIFEST and nothing else, each exactly what String, EncodeOrds and
+// EncodeManifest over HashBytes of those and the views' patterns would
+// have written, and it verifies through loadImage.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	w := difftest.NewWorkload(11, 24)
 	dir := t.TempDir()
@@ -47,6 +49,17 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	}
 	lsn := db.LastLSN()
 	eng := db.Engine()
+	entries, err := os.ReadDir(filepath.Join(dir, ckptName(lsn)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"MANIFEST", "doc.ords", "doc.xml"}) {
+		t.Errorf("the checkpoint holds %q, want MANIFEST, doc.ords and doc.xml", names)
+	}
 
 	file := func(name string) []byte {
 		t.Helper()
@@ -69,13 +82,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	}
 	want.OrdsHash, want.OrdsBytes = store.HashBytes(ords), int64(len(ords))
 	for _, mv := range eng.Views {
-		snap := store.EncodeSnapshot(store.NewMaterializedView(mv.Pattern, mv.View.Rows()))
-		if !bytes.Equal(file(mv.Name+".xivm"), snap) {
-			t.Errorf("%s.xivm is not EncodeSnapshot of the view's rows", mv.Name)
-		}
-		want.Views = append(want.Views, store.ManifestView{
-			Name: mv.Name, Pattern: db.sources[mv.Name], Hash: store.HashBytes(snap), Bytes: int64(len(snap)),
-		})
+		want.Views = append(want.Views, store.ManifestView{Name: mv.Name, Pattern: db.sources[mv.Name]})
 	}
 	if !bytes.Equal(file("MANIFEST"), store.EncodeManifest(want)) {
 		t.Errorf("MANIFEST differs:\n%s\nwant\n%s", file("MANIFEST"), store.EncodeManifest(want))
@@ -86,16 +93,18 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 }
 
 // TestCheckpointAllocBudget: a checkpoint is streamed from an epoch's tree
-// and rows as they lie, through a buffer it borrows from a pool, so a warm
-// one allocates only its digests, its dictionaries and its manifest —
-// about 1% of what it writes (the benchmark's document: 1 MB of XMark, its
-// seven views). The budget is a thirty-second. A buffer of its own came to
-// a further 1.7%, a copy of the views' row headers plus an ordinal vector
-// per node to 45%, one whole-file copy of doc.xml is 60% on its own, and
-// building doc.xml as a string, converting it to bytes, collecting
-// doc.ords and re-upserting and re-encoding every view came to 8×. The
-// pool's first Get is the only buffer a cold checkpoint allocates on top:
-// cold and warm are a buffer apart, give or take a sixty-fourth.
+// as it lies, through a buffer it borrows from a pool, so a warm one
+// allocates only its three files' digests and opens and its manifest —
+// about 0.5% of what it writes (the benchmark's document: 1 MB of XMark;
+// its seven views are named in the manifest, not written). The budget is
+// a hundred-and-twenty-eighth. Writing each view's rows beside the
+// document, with a label dictionary per view, came to 1.1%, a buffer of
+// its own to a further 1.7%, a copy of the views' row headers plus an
+// ordinal vector per node to 45%, one whole-file copy of doc.xml is 60% on
+// its own, and building doc.xml as a string, converting it to bytes,
+// collecting doc.ords and re-upserting and re-encoding every view came to
+// 8×. The pool's first Get is the only buffer a cold checkpoint allocates
+// on top: cold and warm are a buffer apart, give or take a sixty-fourth.
 func TestCheckpointAllocBudget(t *testing.T) {
 	doc, err := xmltree.ParseString(xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1}))
 	if err != nil {
@@ -131,21 +140,30 @@ func TestCheckpointAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// A collection empties the pool, so the collector stays off from the
+	// cold checkpoint to the warm ones: otherwise two of them in between
+	// drop the buffer, and a warm checkpoint allocates it again. Whatever
+	// else runs only adds to a measurement, so warm is the least of three.
+	gcPercent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gcPercent)
+	cold := write(1)
+	wrote := uint64(m.ckptBytes.Value())
+	warm := min(write(2), write(3), write(4))
+	debug.SetGCPercent(gcPercent)
+	for _, lsn := range []uint64{1, 2, 3, 4} {
 		if _, err := loadImage(OSFS, dir, lsn); err != nil {
 			t.Errorf("checkpoint %d does not verify: %v", lsn, err)
 		}
-		return after.TotalAlloc - before.TotalAlloc
 	}
-	cold := write(1)
-	wrote := uint64(m.ckptBytes.Value())
-	warm := write(2)
 	t.Logf("checkpoint wrote %d KB; it allocated %d KB cold and %d KB warm", wrote>>10, cold>>10, warm>>10)
-	budget := wrote / 32
+	budget := wrote / 128
 	if raceDetector {
 		budget += ckptBufBytes // the pool may have dropped the buffer
 	}
 	if warm > budget {
-		t.Errorf("a warm checkpoint allocated %d KB to write %d KB, budget a thirty-second", warm>>10, wrote>>10)
+		t.Errorf("a warm checkpoint allocated %d KB to write %d KB, budget a hundred-and-twenty-eighth", warm>>10, wrote>>10)
 	}
 	if cold > warm+ckptBufBytes+wrote/64 {
 		t.Errorf("a cold checkpoint allocated %d KB, a warm one %d KB: more than the pool's first buffer apart", cold>>10, warm>>10)

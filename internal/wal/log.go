@@ -1,24 +1,25 @@
 // Package wal is the durability subsystem: a segmented append-only
 // write-ahead log of canonical update statements, atomic checkpoints of the
-// document and every managed view, and crash recovery that loads the newest
-// valid checkpoint and replays the surviving log suffix (Replay), folding
-// runs of consecutive statements through internal/pulopt's ApplyRun in
-// chunks, as the writer folds a batch, so a translated chunk costs one
-// propagation pass per unit.
+// document and the patterns of its managed views, and crash recovery that
+// loads the newest valid checkpoint, evaluates each view over its document
+// once, and replays the surviving log suffix (Replay), folding runs of
+// consecutive statements through internal/pulopt's ApplyRun in chunks, as
+// the writer folds a batch, so a translated chunk costs one propagation
+// pass per unit.
 //
 // The paper's premise is that incrementally maintained views are cheap to
-// keep; without this layer a process restart throws every materialized view
-// away and pays the full-recomputation baseline the algorithms exist to
-// beat. With it, maintained state survives crashes: the DB wrapper journals
-// each statement and then applies it (write-ahead: a journaled statement
-// runs to completion), group-commits under a configurable fsync policy, and
-// checkpoints rotate and truncate the log behind them.
+// keep; without this layer a process restart loses the document and every
+// statement applied to it. With it, maintained state survives crashes: the
+// DB wrapper journals each statement and then applies it (write-ahead: a
+// journaled statement runs to completion), group-commits under a
+// configurable fsync policy, and checkpoints rotate and truncate the log
+// behind them.
 //
 // On-disk layout of a data directory:
 //
 //	<dir>/wal/<first-lsn>.wal      log segments, CRC-32C framed records
 //	<dir>/checkpoint-<lsn>/        one checkpoint: MANIFEST, doc.xml,
-//	                               <view>.xivm per managed view
+//	                               doc.ords
 //
 // Record frames are self-describing and torn-tail safe: recovery scans
 // frames in order and truncates the log at the first frame whose length,

@@ -5,35 +5,35 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"xivm/internal/algebra"
 	"xivm/internal/core"
 	"xivm/internal/difftest"
 	"xivm/internal/obs"
-	"xivm/internal/store"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
 )
 
 // engState is everything replay must reproduce: the document, its Dewey-ID
-// space, the version counter and every view's encoded rows.
+// space, the version counter and every view's rows.
 type engState struct {
 	doc     string
 	ords    []byte
 	version uint64
-	views   map[string][]byte
+	views   map[string][]algebra.Row
 }
 
 // stateOf captures eng and holds each view to a fresh evaluation.
 func stateOf(t *testing.T, eng *core.Engine) engState {
 	t.Helper()
-	s := engState{doc: eng.Doc.String(), ords: eng.Doc.EncodeOrds(), version: eng.Version(), views: map[string][]byte{}}
+	s := engState{doc: eng.Doc.String(), ords: eng.Doc.EncodeOrds(), version: eng.Version(), views: map[string][]algebra.Row{}}
 	for _, mv := range eng.Views {
 		if !mv.View.EqualRows(algebra.Materialize(eng.Doc, mv.Pattern)) {
 			t.Fatalf("view %s diverges from a fresh evaluation", mv.Name)
 		}
-		s.views[mv.Name] = store.EncodeSnapshot(store.NewMaterializedView(mv.Pattern, mv.View.Rows()))
+		s.views[mv.Name] = mv.View.Rows()
 	}
 	return s
 }
@@ -53,7 +53,7 @@ func requireSameState(t *testing.T, what string, got, want engState) {
 		t.Fatalf("%s: %d views, want %d", what, len(got.views), len(want.views))
 	}
 	for name, rows := range want.views {
-		if !bytes.Equal(got.views[name], rows) {
+		if !slices.EqualFunc(got.views[name], rows, algebra.Row.Equal) {
 			t.Fatalf("%s: view %s rows differ", what, name)
 		}
 	}
@@ -114,7 +114,7 @@ func TestReplaySourcesAgree(t *testing.T) {
 	defer re.Close()
 	requireSameState(t, "crash recovery vs live", stateOf(t, re.Engine()), live)
 
-	shipped, err := NewImage(img.RawManifest, img.DocXML, img.Ords, img.Views)
+	shipped, err := NewImage(img.RawManifest, img.DocXML, img.Ords)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestReplImageRestore(t *testing.T) {
 	}
 	// Re-verify through the public constructor, as a follower would after
 	// pulling the image over the network.
-	img2, err := NewImage(img.RawManifest, img.DocXML, img.Ords, img.Views)
+	img2, err := NewImage(img.RawManifest, img.DocXML, img.Ords)
 	if err != nil {
 		t.Fatalf("NewImage: %v", err)
 	}
@@ -241,26 +241,13 @@ func TestReplImageRestore(t *testing.T) {
 	// Tampering with any shipped byte must be caught by verification.
 	badDoc := append([]byte(nil), img.DocXML...)
 	badDoc[len(badDoc)/2] ^= 1
-	if _, err := NewImage(img.RawManifest, badDoc, img.Ords, img.Views); err == nil {
+	if _, err := NewImage(img.RawManifest, badDoc, img.Ords); err == nil {
 		t.Fatal("tampered document verified cleanly")
 	}
 	badOrds := append([]byte(nil), img.Ords...)
 	badOrds[len(badOrds)/2] ^= 1
-	if _, err := NewImage(img.RawManifest, img.DocXML, badOrds, img.Views); err == nil {
+	if _, err := NewImage(img.RawManifest, img.DocXML, badOrds); err == nil {
 		t.Fatal("tampered ordinal stream verified cleanly")
-	}
-	for name, data := range img.Views {
-		bad := append([]byte(nil), data...)
-		bad[len(bad)/2] ^= 1
-		views := map[string][]byte{name: bad}
-		for n, d := range img.Views {
-			if n != name {
-				views[n] = d
-			}
-		}
-		if _, err := NewImage(img.RawManifest, img.DocXML, img.Ords, views); err == nil {
-			t.Fatalf("tampered view %s verified cleanly", name)
-		}
 	}
 }
 
