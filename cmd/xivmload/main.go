@@ -444,7 +444,7 @@ func reportRewrite(ctx context.Context, b *strings.Builder, base string) {
 	fmt.Fprintf(b, "xpath serving: %d view-rewritten (%.1f%%), %d tree-walked; plans %d stitch / %d intersect\n",
 		hits, 100*float64(hits)/float64(hits+misses), misses,
 		c["server.xpath.rewrite.stitch"], c["server.xpath.rewrite.intersect"])
-	fmt.Fprintf(b, "result cache: %d hits, %d entries invalidated by the delta stream\n",
+	fmt.Fprintf(b, "result cache: %d hits, %d entries emptied by newer epochs\n",
 		c["server.xpath.rewrite.cache_hit"], c["server.xpath.rewrite.cache_invalidate"])
 }
 

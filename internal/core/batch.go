@@ -16,11 +16,6 @@ type BatchPUL struct {
 	// reached — WAL replay (always per-statement) and shadow-oracle
 	// version accounting stay aligned.
 	Statements int
-	// Sources are the source statements the unit stands for, in order
-	// (len == Statements when the planner filled them in). They feed the
-	// OnApplied delta stream; units built without them simply leave the
-	// stream with a gap, which consumers treat as "discard derived state".
-	Sources []*update.Statement
 }
 
 // ApplyBatch applies a translated batch: each unit's PUL is applied to the
@@ -54,9 +49,6 @@ func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 			e.version.Add(uint64(u.Statements - 1))
 		}
 		applied += u.Statements
-		if e.opts.OnApplied != nil && len(u.Sources) == u.Statements {
-			e.opts.OnApplied(u.Sources, e.Version())
-		}
 		MergeBatchReport(rep, urep)
 	}
 	return rep, applied, nil

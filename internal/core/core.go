@@ -70,19 +70,6 @@ type Options struct {
 	// Tracer, when non-nil, receives span start/finish events per
 	// statement, per phase and per view.
 	Tracer obs.Tracer
-	// OnApplied, when non-nil, is invoked AFTER each batch of source
-	// statements has landed — document mutated, every view maintained, and
-	// the engine version advanced past them — with the version that now
-	// covers the batch. It is the delta stream consumers subscribe to for
-	// invalidation: a statement-count-contiguous sequence of calls (the
-	// version delta between consecutive calls equals len(sts)) proves the
-	// consumer has vetted every write; any gap tells it to discard
-	// everything it derived. Gaps come from the paths that advance the
-	// version without a source statement: ApplyPUL, FullRecompute, IVMA,
-	// and ApplyBatch units built without Sources. Replace statements are
-	// reported once per half (two calls, same statement). The hook runs on
-	// the applying goroutine, before the caller can publish the new state.
-	OnApplied func(sts []*update.Statement, version uint64)
 }
 
 // Engine owns a document, its store, and a set of maintained views.
@@ -323,12 +310,10 @@ func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.notifyApplied(st)
 		insRep, err := e.applyPUL(insPul)
 		if err != nil {
 			return nil, err
 		}
-		e.notifyApplied(st)
 		rep := &Report{}
 		MergeBatchReport(rep, delRep)
 		MergeBatchReport(rep, insRep)
@@ -355,18 +340,9 @@ func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.notifyApplied(st)
 	rep.Statement = st
 	rep.FindTargets = findTargets
 	return rep, nil
-}
-
-// notifyApplied reports one landed statement to the OnApplied hook with
-// the version that now covers it.
-func (e *Engine) notifyApplied(st *update.Statement) {
-	if e.opts.OnApplied != nil {
-		e.opts.OnApplied([]*update.Statement{st}, e.Version())
-	}
 }
 
 // ApplyPUL propagates an already-computed pending update list: it applies

@@ -103,7 +103,7 @@ func TestPruneByDeltaExample34(t *testing.T) {
 		t.Fatal(err)
 	}
 	deltaIn := patternDelta(d, p, cp)
-	got := PruneByDelta(p, InsertTerms(p), deltaIn)
+	got := pruneByDelta(nil, p, InsertTerms(p), deltaIn)
 	if len(got) != 0 {
 		t.Fatalf("survivors = %b", got)
 	}
@@ -121,8 +121,8 @@ func TestPruneByInsertionPointsExample37(t *testing.T) {
 		t.Fatal(err)
 	}
 	deltaIn := patternDelta(d, p, cp)
-	terms := PruneByDelta(p, InsertTerms(p), deltaIn)
-	terms = PruneByInsertionPoints(p, terms, []*xmltree.Node{d.Root})
+	terms := pruneByDelta(nil, p, InsertTerms(p), deltaIn)
+	terms = pruneByInsertionPoints(nil, p, terms, []*xmltree.Node{d.Root})
 	if len(terms) != 1 || terms[0] != 1 {
 		t.Fatalf("survivors = %b, want only Ra∆b∆c", terms)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"xivm/internal/algebra"
 	"xivm/internal/obs"
-	"xivm/internal/update"
 	"xivm/internal/xmltree"
 )
 
@@ -39,14 +38,6 @@ func WithMetrics(m *obs.Metrics) Option { return func(o *Options) { o.Metrics = 
 
 // WithTracer installs a span tracer covering statements, phases and views.
 func WithTracer(t obs.Tracer) Option { return func(o *Options) { o.Tracer = t } }
-
-// SetOnApplied installs (or replaces) the applied-statement hook after
-// construction — for owners like a serving shard that wrap an engine they
-// did not build. Not synchronized: call before the engine is shared with
-// an applying goroutine.
-func (e *Engine) SetOnApplied(f func(sts []*update.Statement, version uint64)) {
-	e.opts.OnApplied = f
-}
 
 // WithoutDataPruning disables Proposition 3.6's data-driven term pruning
 // (ablation).

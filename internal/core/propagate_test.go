@@ -86,20 +86,24 @@ func TestPropagatePanicRepaired(t *testing.T) {
 }
 
 // TestReplaceReportsInsertHalfPanic: a replace is two propagations, and its
-// report is their merge. A view whose insert half panics — armed once the
-// delete half has landed — is repaired and must be reported as panicked,
-// as it would be had the delete half panicked.
+// report is their merge. A view whose insert half panics — armed by the
+// insert half's first span, its ∆ walk, once the delete half has landed —
+// is repaired and must be reported as panicked, as it would be had the
+// delete half panicked.
 func TestReplaceReportsInsertHalfPanic(t *testing.T) {
 	pj := &armablePanicJoin{}
 	reg := obs.New()
-	e := New(mustDoc(t, `<r><a><b/></a></r>`), WithMetrics(reg), WithJoin(pj.join))
-	mv := addView(t, e, `//a{ID}//b{ID}`)
 	halves := 0
-	e.SetOnApplied(func([]*update.Statement, uint64) {
-		if halves++; halves == 1 {
-			pj.armed.Store(true)
+	arm := obs.TracerFunc(func(name string) func() {
+		if name == obs.PhaseComputeDelta {
+			if halves++; halves == 2 {
+				pj.armed.Store(true)
+			}
 		}
+		return func() {}
 	})
+	e := New(mustDoc(t, `<r><a><b/></a></r>`), WithMetrics(reg), WithJoin(pj.join), WithTracer(arm))
+	mv := addView(t, e, `//a{ID}//b{ID}`)
 	rep, err := e.ApplyStatement(update.MustParse(`replace /r/a/b with <b/>`))
 	if err != nil {
 		t.Fatal(err)

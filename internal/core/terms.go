@@ -41,16 +41,12 @@ func InsertTerms(p *pattern.Pattern) []uint64 {
 	return out
 }
 
-// PruneByDelta implements Proposition 3.6 (and its deletion counterpart):
-// if σ_n(∆_n) is empty for a view node n, every term whose ∆-set contains
-// n is pruned. deltaIn holds the σ-filtered per-node delta inputs.
-func PruneByDelta(p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
-	return pruneByDelta(nil, p, terms, deltaIn)
-}
-
 // The prunes append the terms they keep to dst, which may be terms[:0]:
 // the engine filters its scratch copy of a view's terms in place.
 
+// pruneByDelta implements Proposition 3.6 (and its deletion counterpart):
+// if σ_n(∆_n) is empty for a view node n, every term whose ∆-set contains
+// n is pruned. deltaIn holds the σ-filtered per-node delta inputs.
 func pruneByDelta(dst []uint64, p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
 	full := p.FullMask()
 	var emptyDelta uint64
@@ -68,14 +64,10 @@ func pruneByDelta(dst []uint64, p *pattern.Pattern, terms []uint64, deltaIn alge
 	return dst
 }
 
-// PruneByInsertionPoints implements Proposition 3.8: for view nodes n1
+// pruneByInsertionPoints implements Proposition 3.8: for view nodes n1
 // ancestor of n2, if no insertion point is labeled n1 nor has an ancestor
 // labeled n1, then every term containing R_{n1} ∆+_{n2} is empty. The
 // check reads only the Compact Dynamic Dewey IDs of the insertion points.
-func PruneByInsertionPoints(p *pattern.Pattern, terms []uint64, points []*xmltree.Node) []uint64 {
-	return pruneByInsertionPoints(nil, p, terms, points)
-}
-
 func pruneByInsertionPoints(dst []uint64, p *pattern.Pattern, terms []uint64, points []*xmltree.Node) []uint64 {
 	// unreachable holds the view nodes no insertion point has a
 	// self-or-ancestor labeled like (wildcards are always reachable).
@@ -98,13 +90,9 @@ func pruneByInsertionPoints(dst []uint64, p *pattern.Pattern, terms []uint64, po
 	return pruneByUnreachableAncestors(dst, p, terms, unreachable)
 }
 
-// PruneByDeletedIDs implements Proposition 4.7: for view nodes n1 ancestor
+// pruneByDeletedIDs implements Proposition 4.7: for view nodes n1 ancestor
 // of n2, if every node in ∆−_{n2} has no ancestor labeled n1, all terms
 // containing R_{n1} ∆−_{n2} are empty.
-func PruneByDeletedIDs(p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
-	return pruneByDeletedIDs(nil, p, terms, deltaIn)
-}
-
 func pruneByDeletedIDs(dst []uint64, p *pattern.Pattern, terms []uint64, deltaIn algebra.Inputs) []uint64 {
 	full := p.FullMask()
 	for _, rmask := range terms {

@@ -169,7 +169,6 @@ func PlanBatch(e *core.Engine, stmts []*update.Statement) (*BatchPlan, error) {
 		plan.Units = append(plan.Units, core.BatchPUL{
 			PUL:        mergeRun(puls[a:b]),
 			Statements: b - a,
-			Sources:    stmts[a:b],
 		})
 		a = b
 	}

@@ -18,7 +18,7 @@ func ExampleAnswer() {
 	mk := func(name, src string) *rewrite.View {
 		p := pattern.MustParse(src)
 		return &rewrite.View{Name: name, Pattern: p,
-			Rows: store.NewMaterializedView(p, algebra.Materialize(doc, p))}
+			Rows: store.NewViewOf(algebra.NewShape(p), algebra.Materialize(doc, p))}
 	}
 	views := []*rewrite.View{mk("ac", `//a{ID}//c{ID}`), mk("cb", `//c{ID}//b{ID}`)}
 

@@ -26,7 +26,7 @@ func mkView(t *testing.T, d *xmltree.Document, name, src string) *View {
 	t.Helper()
 	p := pattern.MustParse(src)
 	rows := algebra.Materialize(d, p)
-	return &View{Name: name, Pattern: p, Rows: store.NewMaterializedView(p, rows)}
+	return &View{Name: name, Pattern: p, Rows: store.NewViewOf(algebra.NewShape(p), rows)}
 }
 
 // sameRows is the full oracle over rows of one query's shape: same rows in
@@ -352,7 +352,7 @@ func TestIDIncompleteViewSkipped(t *testing.T) {
 	d := mustDoc(t, doc1)
 	p := pattern.MustParse(`//a{ID}//b`) // b stores nothing
 	rows := algebra.Materialize(d, p)
-	v := &View{Name: "partial", Pattern: p, Rows: store.NewMaterializedView(p, rows)}
+	v := &View{Name: "partial", Pattern: p, Rows: store.NewViewOf(algebra.NewShape(p), rows)}
 	q := pattern.MustParse(`//a{ID}//b{ID}`)
 	if _, _, err := Answer(q, []*View{v}); err == nil {
 		t.Fatal("ID-incomplete view must not answer")

@@ -31,11 +31,10 @@ import "xivm/internal/obs"
 //	server.xpath.rewrite.intersect
 //	                          rewrite hits served by a k-view intersection
 //	server.xpath.rewrite.cache_hit
-//	                          /xpath queries served from the delta-
-//	                          invalidated result cache
+//	                          /xpath queries served from the result cache
 //	server.xpath.rewrite.cache_invalidate
-//	                          cached results dropped because an applied
-//	                          statement may affect their pattern
+//	                          cached results emptied because a newer
+//	                          epoch was published
 //	snapshot.epochs           epochs published
 //	snapshot.rows             cumulative view rows in published epochs
 //	snapshot.views.reused     cumulative views whose rows an epoch shares

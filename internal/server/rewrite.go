@@ -13,12 +13,12 @@ import (
 )
 
 // This file is the view-based serving path for /v1/db/{name}/xpath: bridge
-// the query to a tree pattern, try the delta-invalidated result cache,
-// then the rewrite planner over the tenant's maintained views (single,
-// stitch, intersection — cheapest by view cardinality), and only then fall
-// back to the compiled tree walk. Every strategy answers from the SAME
-// immutable epoch snapshot, so a rewritten response is byte-identical to
-// the tree-walk response at that version — the differential tests and
+// the query to a tree pattern, try the result cache of the snapshot's
+// version, then the rewrite planner over the tenant's maintained views
+// (single, stitch, intersection — cheapest by view cardinality), and only
+// then fall back to the compiled tree walk. Every strategy answers from the
+// SAME immutable epoch snapshot, so a rewritten response is byte-identical
+// to the tree-walk response at that version — the differential tests and
 // FuzzRewriteVsTreeWalk hold the layer to exactly that.
 
 // appendXPath appends the XPathResponse body for q against one snapshot.
@@ -32,7 +32,7 @@ import (
 // nothing has been appended.
 func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q string, allowRewrite, explain bool) ([]byte, error) {
 	var pat *pattern.Pattern // non-nil when the result may enter the cache
-	if allowRewrite && sh.qcache != nil {
+	if allowRewrite {
 		if plan, matches, ok := sh.qcache.get(q, snap.Version); ok {
 			r.m.rewriteCacheHits.Inc()
 			dst = appendXPathHead(dst, snap, q, plan, explain)
@@ -52,7 +52,7 @@ func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q str
 				dst = appendXPathHead(dst, snap, q, explained, explain)
 				from := len(dst)
 				dst = appendPlanMatches(dst, pat.Nodes[pat.StoredIndexes()[0]].Label, plan)
-				sh.qcache.put(q, pat, explained, snap.Version, dst[from:])
+				sh.qcache.put(q, explained, snap.Version, dst[from:])
 				return append(dst, xpathTail...), nil
 			}
 		}
@@ -66,9 +66,8 @@ func (r *Registry) appendXPath(dst []byte, sh *Shard, snap *core.Snapshot, q str
 	from := len(dst)
 	dst = appendNodeMatches(dst, nodes)
 	if pat != nil {
-		// Bridgeable but no view plan: the walk's result is still cacheable —
-		// the pattern drives invalidation.
-		sh.qcache.put(q, pat, "treewalk", snap.Version, dst[from:])
+		// Bridgeable but no view plan: the walk's result is cached too.
+		sh.qcache.put(q, "treewalk", snap.Version, dst[from:])
 	}
 	return append(dst, xpathTail...), nil
 }

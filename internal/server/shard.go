@@ -208,10 +208,9 @@ type Shard struct {
 	appliedLSN atomic.Uint64
 	leaderLast atomic.Uint64
 
-	// qcache is the per-shard XPath result cache, invalidated by the
-	// engine's applied-statement delta stream (core.Options.OnApplied); the
-	// hook fires on the applying goroutine before publish, so readers at a
-	// new epoch never see entries a write may have affected.
+	// qcache is the per-shard XPath result cache. An entry serves only the
+	// epoch version it was computed at; swapEpoch empties it when it
+	// publishes a newer version.
 	qcache *queryCache
 
 	queue chan *applyReq
@@ -327,25 +326,13 @@ func NewShard(name string, b Backend, closer func() error, cfg Config) *Shard {
 		m:       newServerMetrics(cfg.Metrics),
 		tm:      newTenantMetrics(cfg.Metrics, name),
 		closer:  closer,
+		qcache:  newQueryCache(),
 		queue:   make(chan *applyReq, cfg.queueDepth()),
 		done:    make(chan struct{}),
 	}
-	s.initQueryCache()
 	s.publish()
 	go s.applyLoop()
 	return s
-}
-
-// initQueryCache creates the result cache at the engine's current version
-// and subscribes it to the applied-statement delta stream. Must run before
-// the engine is shared with an applying goroutine.
-func (s *Shard) initQueryCache() {
-	s.qcache = newQueryCache(s.eng.Version())
-	s.eng.SetOnApplied(func(sts []*update.Statement, version uint64) {
-		if n := s.qcache.noteApplied(sts, version); n > 0 {
-			s.m.rewriteCacheInval.Add(int64(n))
-		}
-	})
 }
 
 // NewReplicaShard builds a read-only follower shard around an engine the
@@ -363,11 +350,11 @@ func NewReplicaShard(name string, eng *core.Engine, appliedLSN, leaderLast uint6
 		m:       newServerMetrics(cfg.Metrics),
 		tm:      newTenantMetrics(cfg.Metrics, name),
 		replica: true,
+		qcache:  newQueryCache(),
 		done:    make(chan struct{}),
 	}
 	s.appliedLSN.Store(appliedLSN)
 	s.leaderLast.Store(leaderLast)
-	s.initQueryCache()
 	s.publish()
 	close(s.done) // no writer loop to drain
 	return s
@@ -699,9 +686,11 @@ func (s *Shard) publish() {
 // serving epoch, and counts what it holds and what it cost. What it cost is
 // counted against the epoch it replaces — the views whose rows it shares
 // with that one, the nodes allocated since — not against the engine's
-// previous Snapshot, which may have been a checkpoint's capture.
+// previous Snapshot, which may have been a checkpoint's capture. A newer
+// version empties the result cache before any reader can load it.
 func (s *Shard) swapEpoch(snap *core.Snapshot) {
 	snap.Tenant = s.name
+	s.m.rewriteCacheInval.Add(int64(s.qcache.advance(snap.Version)))
 	prev := s.epoch.Swap(snap)
 	s.m.epochs.Inc()
 	s.tm.epochs.Inc()

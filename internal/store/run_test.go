@@ -31,7 +31,7 @@ func TestChurnLeavesNoTombstones(t *testing.T) {
 		blk := algebra.Block{Cols: []int{0, 1}, IDs: []dewey.ID{a, b}, Counts: []int{1}}
 		return row, blk
 	}
-	v, m := NewView(p), NewMat(p, p.FullMask())
+	v, m := NewViewOf(algebra.NewShape(p), nil), NewMat(p, p.FullMask())
 	const live = 20
 	for i := 0; i < live; i++ {
 		row, blk := pair(i)
@@ -83,7 +83,7 @@ func TestFreezeAllocatesNothingPerRow(t *testing.T) {
 	}
 	var perEpoch, levels []float64
 	for _, n := range []int{10, 10_000} {
-		v := NewView(p)
+		v := NewViewOf(algebra.NewShape(p), nil)
 		for i := 0; i < n; i++ {
 			v.Upsert(row(i))
 		}
@@ -157,7 +157,7 @@ func TestRowsOrderIsCompareRowsNotKeyOrder(t *testing.T) {
 		}
 		// Filled in every order, the view enumerates in the oracle's.
 		for shift := range want {
-			v := NewView(p)
+			v := NewViewOf(algebra.NewShape(p), nil)
 			for i := range want {
 				v.Upsert(want[(i+shift)%len(want)])
 			}
@@ -196,7 +196,7 @@ func TestViewBytesPerRow(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	v := NewView(p)
+	v := NewViewOf(algebra.NewShape(p), nil)
 	for i := range n {
 		if !v.Upsert(v.shape.Pack(entries[2*i:2*i+2], 1)) {
 			t.Fatalf("row %d was not new", i)

@@ -240,7 +240,7 @@ func TestViewUpsertDecrement(t *testing.T) {
 	p := pattern.MustParse(`//a{ID}[//b]`)
 	d := mustDoc(t, `<a><b/><c><b/></c></a>`)
 	rows := algebra.Materialize(d, p)
-	v := NewMaterializedView(p, rows)
+	v := NewViewOf(algebra.NewShape(p), rows)
 	if v.Len() != 1 {
 		t.Fatalf("len %d", v.Len())
 	}
@@ -269,7 +269,7 @@ func TestViewUpsertDecrement(t *testing.T) {
 func TestViewRemoveReplaceCompact(t *testing.T) {
 	p := pattern.MustParse(`//a{ID,val}`)
 	d := mustDoc(t, `<r><a>x</a><a>y</a></r>`)
-	v := NewMaterializedView(p, algebra.Materialize(d, p))
+	v := NewViewOf(algebra.NewShape(p), algebra.Materialize(d, p))
 	rows := v.Rows()
 	if len(rows) != 2 {
 		t.Fatalf("rows %d", len(rows))
@@ -298,7 +298,7 @@ func TestViewRemoveReplaceCompact(t *testing.T) {
 func TestReplaceLeavesHandedOutRowsAlone(t *testing.T) {
 	p := pattern.MustParse(`//a{ID,val,cont}`)
 	d := mustDoc(t, `<r><a>x</a><a>y</a></r>`)
-	v := NewMaterializedView(p, algebra.Materialize(d, p))
+	v := NewViewOf(algebra.NewShape(p), algebra.Materialize(d, p))
 	rows := v.Rows()
 	got, _ := v.Get(rows[0])
 	frozen, _ := v.Freeze()

@@ -3,7 +3,6 @@ package store
 import (
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
-	"xivm/internal/pattern"
 )
 
 // View is a materialized view: a tree pattern's stored rows, each with a
@@ -22,16 +21,6 @@ type View struct {
 // Rows is a view's rows as an epoch holds them: the frozen root of the
 // view's run, whose leaves hold the rows in order, none ever written again.
 type Rows = *dewey.Chunks[algebra.Row]
-
-// NewView creates an empty materialized view over p, laid out by a shape
-// of its own.
-func NewView(p *pattern.Pattern) *View { return NewViewOf(algebra.NewShape(p), nil) }
-
-// NewMaterializedView creates a view over p, laid out by a shape of its
-// own, and fills it with rows of that shape.
-func NewMaterializedView(p *pattern.Pattern, rows []algebra.Row) *View {
-	return NewViewOf(algebra.NewShape(p), rows)
-}
 
 // NewViewOf creates a view whose rows are laid out by s, its maker's, and
 // fills it with rows of that shape.

@@ -29,7 +29,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -339,24 +338,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, err
 	}
 	return lsn, nil
-}
-
-// AppendBatch appends every payload and then syncs once according to the
-// policy — the group-commit form. It returns the LSN of the first record.
-func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
-	if len(payloads) == 0 {
-		return 0, errors.New("wal: empty batch")
-	}
-	first := l.nextLSN
-	for _, p := range payloads {
-		if _, err := l.append(p); err != nil {
-			return 0, err
-		}
-	}
-	if err := l.policySync(); err != nil {
-		return 0, err
-	}
-	return first, nil
 }
 
 func (l *Log) append(payload []byte) (uint64, error) {

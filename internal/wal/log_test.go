@@ -379,26 +379,3 @@ func TestParseSyncPolicy(t *testing.T) {
 		t.Fatal("bad policy accepted")
 	}
 }
-
-func TestAppendBatchGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.New()
-	l, err := OpenLog(dir, LogOptions{Policy: SyncAlways, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	first, err := l.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
-	if err != nil || first != 1 {
-		t.Fatalf("batch: first=%d err=%v", first, err)
-	}
-	if got := reg.Counter("wal.fsync.count").Value(); got != 1 {
-		t.Fatalf("batch fsynced %d times, want 1", got)
-	}
-	if l.LastLSN() != 3 {
-		t.Fatalf("LastLSN %d", l.LastLSN())
-	}
-	if _, err := l.AppendBatch(nil); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-}
