@@ -180,6 +180,33 @@ func (e *Engine) newLattice(p *pattern.Pattern) *Lattice {
 // wrapped with the algebra.join.* counters).
 func (e *Engine) Join() algebra.JoinFunc { return e.join }
 
+// NamedPattern is a view AddViews installs: its name and its pattern.
+type NamedPattern struct {
+	Name    string
+	Pattern *pattern.Pattern
+}
+
+// AddViews installs views in order, each as AddView would, having first
+// indexed every label their relations read in one walk of the document
+// (Store.IndexFor) rather than a walk a label. A view that stores nothing
+// fails the call before any is installed.
+func (e *Engine) AddViews(views []NamedPattern) error {
+	ps := make([]*pattern.Pattern, len(views))
+	for i, v := range views {
+		if len(v.Pattern.StoredIndexes()) == 0 {
+			return fmt.Errorf("core: view %s stores nothing", v.Name)
+		}
+		ps[i] = v.Pattern
+	}
+	e.Store.IndexFor(ps)
+	for _, v := range views {
+		if _, err := e.AddView(v.Name, v.Pattern); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AddView materializes a view over the current document and prepares its
 // maintenance structures (term expansion and snowcap lattice).
 func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) {
@@ -187,7 +214,16 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 		return nil, fmt.Errorf("core: view %s stores nothing", name)
 	}
 	def := &ViewDef{Name: name, Pattern: p, Shape: algebra.NewShape(p)}
-	block := algebra.EvalPattern(p, e.Store.Inputs(p), e.Join())
+	// The pattern's inputs are read once, for the lattice and the view:
+	// under snowcaps the view's relation is the chain's last level.
+	in := e.Store.Inputs(p)
+	lattice := &Lattice{Pattern: p, Policy: e.opts.Policy, store: e.Store, join: e.Join(), mats: map[uint64]*store.Mat{}}
+	var block algebra.Block
+	if lattice.Policy == PolicySnowcaps {
+		block = lattice.materialize(in)
+	} else {
+		block = algebra.EvalPattern(p, in, e.Join())
+	}
 	rows := algebra.ProjectCounted(def.Shape, block, e.Doc, algebra.ProjectCounters{})
 	mv := &ManagedView{
 		ViewDef: def,
@@ -205,7 +241,7 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 	candidates := int64(p.FullMask()) // 2^k − 1
 	e.m.pruneProp33.Add(candidates - int64(len(mv.terms)))
 	e.m.pruneProp42.Add(candidates - int64(len(mv.terms)))
-	mv.Lattice = e.newLattice(p)
+	mv.Lattice = lattice
 	e.Views = append(e.Views, mv)
 	return mv, nil
 }

@@ -77,20 +77,35 @@ func (r *Relations) Mask(mask uint64) algebra.Inputs {
 // view itself and is not duplicated here.
 func NewLattice(p *pattern.Pattern, policy Policy, st *store.Store, join algebra.JoinFunc) *Lattice {
 	l := &Lattice{Pattern: p, Policy: policy, store: st, join: join, mats: map[uint64]*store.Mat{}}
-	if policy != PolicySnowcaps {
-		return l
+	if policy == PolicySnowcaps {
+		l.materialize(st.Inputs(p))
 	}
-	in := st.Inputs(p)
-	for _, mask := range p.SnowcapChain() {
+	return l
+}
+
+// materialize fills the snowcap chain over in, the pattern's inputs, level
+// by level: a level is the level below it joined with the one node it
+// adds, so the chain costs one join a level rather than an evaluation of
+// each. It returns the last level, the full pattern's relation, which is
+// the view's and gets no mat.
+func (l *Lattice) materialize(in algebra.Inputs) algebra.Block {
+	p := l.Pattern
+	chain := p.SnowcapChain()
+	blk := algebra.SingleColumn(0, in[0])
+	for k, mask := range chain {
+		if k > 0 {
+			i := bits.TrailingZeros64(mask &^ chain[k-1])
+			blk = l.join(blk, p.ParentIndex(i), algebra.SingleColumn(i, in[i]), i, p.Nodes[i].Desc)
+		}
 		if mask == p.FullMask() {
-			continue
+			break
 		}
 		m := store.NewMat(p, mask)
-		m.FillFromBlock(algebra.EvalSubPattern(p, mask, in, join))
+		m.FillFromBlock(blk)
 		l.mats[mask] = m
 		l.chain = append(l.chain, mask)
 	}
-	return l
+	return blk
 }
 
 // Materialized returns the materialized masks in ascending size order.

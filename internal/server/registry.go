@@ -297,9 +297,10 @@ func (r *Registry) Create(name, docXML string, views []ViewSpec) (*Shard, error)
 }
 
 // buildTenant constructs the backend and shard for a reserved name. For
-// durable tenants the crash-safety contract is wal.Create's: the tenant
-// exists only once its initial checkpoint is published atomically, so a
-// kill mid-build leaves debris the next ScanTenantRoot removes.
+// durable tenants the crash-safety contract is wal.CreateWithViews's: the
+// tenant exists, with every view, only once its initial checkpoint is
+// published atomically after the view records are durable, so a kill
+// mid-build leaves debris the next ScanTenantRoot removes.
 func (r *Registry) buildTenant(name, docXML string, views []compiledView) (*Shard, error) {
 	if r.cfg.DataDir == "" {
 		doc, err := xmltree.ParseString(docXML)
@@ -307,30 +308,29 @@ func (r *Registry) buildTenant(name, docXML string, views []compiledView) (*Shar
 			return nil, invalid("database %s: document: %v", name, err)
 		}
 		eng := core.New(doc, r.cfg.WAL.Engine...)
-		for _, v := range views {
-			if _, err := eng.AddView(v.name, v.p); err != nil {
-				return nil, invalid("database %s: view %s: %v", name, v.name, err)
-			}
+		named := make([]core.NamedPattern, len(views))
+		for i, v := range views {
+			named[i] = core.NamedPattern{Name: v.name, Pattern: v.p}
+		}
+		if err := eng.AddViews(named); err != nil {
+			return nil, invalid("database %s: %v", name, err)
 		}
 		return r.newShard(name, EngineBackend{Eng: eng}, nil), nil
 	}
-	// wal.Create parses before it touches the disk, so a bad document is a
-	// clean 400, not an I/O error with a half-created directory behind it.
-	dir := wal.TenantDir(r.cfg.DataDir, name)
-	db, err := wal.Create(dir, []byte(docXML), r.walOptions())
+	// wal.CreateWithViews parses before it touches the disk, so a bad
+	// document is a clean 400, not an I/O error with a half-created
+	// directory behind it.
+	sources := make([]wal.ViewSource, len(views))
+	for i, v := range views {
+		sources[i] = wal.ViewSource{Name: v.name, Pattern: v.src}
+	}
+	db, err := wal.CreateWithViews(wal.TenantDir(r.cfg.DataDir, name), docXML, sources, r.walOptions())
 	if err != nil {
 		var syn *xmltree.SyntaxError
 		if errors.As(err, &syn) {
 			return nil, invalid("database %s: document: %v", name, syn)
 		}
 		return nil, fmt.Errorf("server: create tenant %s: %w", name, err)
-	}
-	for _, v := range views {
-		if _, err := db.AddView(v.name, v.src); err != nil {
-			db.Close()
-			_ = wal.DropTenant(r.cfg.WAL.FS, r.cfg.DataDir, name)
-			return nil, fmt.Errorf("server: create tenant %s: view %s: %w", name, v.name, err)
-		}
 	}
 	return r.newShard(name, db, db.Close), nil
 }

@@ -9,8 +9,11 @@
 //
 //   - All of a tenant's updates funnel through one bounded queue drained by
 //     a single apply goroutine, which preserves the engine's single-threaded
-//     mutation contract and rides the WAL's group commit when the backend
-//     is a wal.DB. A full queue rejects immediately with ErrQueueFull
+//     mutation contract. When the backend is a wal.DB each statement of a
+//     run is journaled under the WAL's sync policy: under SyncAlways every
+//     one is fsynced on its own, so a run of k statements costs k fsyncs,
+//     and only SyncInterval's group commit shares one fsync among them.
+//     A full queue rejects immediately with ErrQueueFull
 //     (surfaced as HTTP 429), which is the backpressure signal — and the
 //     isolation boundary: a hot tenant saturates only its own queue and
 //     writer, never another tenant's.

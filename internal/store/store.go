@@ -118,6 +118,25 @@ func (s *Store) Items(label string) []algebra.Item {
 	return out
 }
 
+// IndexFor indexes, in one walk of the document, every label list the
+// patterns' relations read (Items): a "~word" node reads R_#text, a "*"
+// node none, being a walk itself.
+func (s *Store) IndexFor(ps []*pattern.Pattern) {
+	var labels []string
+	for _, p := range ps {
+		for _, n := range p.Nodes {
+			switch {
+			case n.Label == "*":
+			case strings.HasPrefix(n.Label, "~"):
+				labels = append(labels, xmltree.TextLabel)
+			default:
+				labels = append(labels, n.Label)
+			}
+		}
+	}
+	s.doc.IndexLabels(labels)
+}
+
 // elements reads R_* by one walk of the document, which skips the hidden
 // subtrees.
 func (s *Store) elements() []algebra.Item {

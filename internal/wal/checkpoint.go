@@ -52,14 +52,26 @@ var ckptBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, ckptB
 // writeCheckpoint writes a complete checkpoint of an engine epoch — the
 // document as canonical XML and its ordinal stream, bound together by a
 // hashed manifest that names every view's pattern — into
-// dir/checkpoint-<lsn>, atomically: everything lands in a tmp directory,
-// every file is fsynced, and a single rename publishes it. A crash between
-// two flushes of one file leaves what a crash between two files does: a tmp
-// directory. The epoch is immutable, so the engine's writer may go on while
-// this runs.
-func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, sources map[string]string, lsn uint64) (err error) {
+// dir/checkpoint-<lsn>, atomically: stageCheckpoint writes and fsyncs
+// everything in a tmp directory, and publishCheckpoint's single rename
+// publishes it. The epoch is immutable, so the engine's writer may go on
+// while this runs.
+func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, sources map[string]string, lsn uint64) error {
+	tmp, total, err := stageCheckpoint(fsys, m, dir, snap, sources, lsn)
+	if err != nil {
+		return err
+	}
+	return publishCheckpoint(fsys, m, dir, tmp, lsn, total)
+}
+
+// stageCheckpoint writes the checkpoint of snap at lsn into its tmp
+// directory, every file and the directory fsynced, and returns the
+// directory and the bytes written. A crash between two flushes of one file
+// leaves what a crash between two files does: a tmp directory, which
+// recovery ignores. On error it removes what it wrote.
+func stageCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, sources map[string]string, lsn uint64) (tmp string, total int64, err error) {
 	final := filepath.Join(dir, ckptName(lsn))
-	tmp := final + ckptTmpExt
+	tmp = final + ckptTmpExt
 	defer func() {
 		if err != nil {
 			fsys.RemoveAll(tmp) // what this leaves, Open sweeps
@@ -69,15 +81,14 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 	// valid one would have been recovered from, and nothing would have been
 	// journaled since.
 	if err := fsys.RemoveAll(final); err != nil {
-		return err
+		return "", 0, err
 	}
 	if err := fsys.RemoveAll(tmp); err != nil {
-		return err
+		return "", 0, err
 	}
 	if err := fsys.MkdirAll(tmp, 0o755); err != nil {
-		return err
+		return "", 0, err
 	}
-	var total int64
 	buf := ckptBufs.Get().(*bufio.Writer)
 	defer func() {
 		buf.Reset(nil)
@@ -113,7 +124,7 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 	doc := snap.Doc()
 	d, err := writeFile("doc.xml", doc.Serialize)
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	man.SetDoc(d)
 	// The ordinal stream makes restore ID-exact: a reparse of doc.xml plus
@@ -122,7 +133,7 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 	// (recovery or a replication follower) serves the same IDs the live one
 	// does.
 	if d, err = writeFile("doc.ords", doc.WriteOrds); err != nil {
-		return err
+		return "", 0, err
 	}
 	man.SetOrds(d)
 	for i := range snap.Views {
@@ -134,12 +145,19 @@ func writeCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 		_, err := w.Write(store.EncodeManifest(man))
 		return err
 	}); err != nil {
-		return err
+		return "", 0, err
 	}
 	if err := fsys.SyncDir(tmp); err != nil {
-		return err
+		return "", 0, err
 	}
-	if err := fsys.Rename(tmp, final); err != nil {
+	return tmp, total, nil
+}
+
+// publishCheckpoint renames a staged checkpoint to its final name and
+// fsyncs dir: the commit point. A failed rename removes the tmp directory.
+func publishCheckpoint(fsys FS, m *walMetrics, dir, tmp string, lsn uint64, total int64) error {
+	if err := fsys.Rename(tmp, filepath.Join(dir, ckptName(lsn))); err != nil {
+		fsys.RemoveAll(tmp) // what this leaves, Open sweeps
 		return err
 	}
 	if err := fsys.SyncDir(dir); err != nil {

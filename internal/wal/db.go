@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"xivm/internal/core"
 	"xivm/internal/obs"
@@ -153,15 +154,56 @@ func (db *DB) journal(st *update.Statement) error {
 	return nil
 }
 
-// Create initializes a fresh database directory around the given document:
-// it writes the initial checkpoint (LSN 0) and opens an empty log. The
-// directory must not already hold a database. The document is parsed
-// before anything touches the disk: one the parser refuses is an error
-// wrapping its *xmltree.SyntaxError, and leaves no directory behind.
+// Create initializes a fresh database directory around the given document,
+// with no view: CreateWithViews with none. docXML is read in place, not
+// copied, and must not change while Create runs.
 func Create(dir string, docXML []byte, opts Options) (*DB, error) {
-	doc, err := xmltree.ParseString(string(docXML))
+	return CreateWithViews(dir, bytesString(docXML), nil, opts)
+}
+
+// bytesString is b read as a string without a copy. The parser keeps no
+// byte of its input — every value, label and key it builds is its own
+// (xmltree.TestValuesAreNotSubstringsOfTheInput) — so the string lives no
+// longer than the parse of it.
+func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// ViewSource is a view to register at create: its name and its pattern's
+// source, as AddView takes them.
+type ViewSource struct {
+	Name, Pattern string
+}
+
+// CreateWithViews initializes a fresh database directory around docXML
+// with views registered, in one pass. The directory must not already hold
+// a database. The document and every view are checked before anything
+// touches the disk: a document the parser refuses is an error wrapping its
+// *xmltree.SyntaxError, and a bad view is refused as AddView refuses it;
+// either leaves no directory behind.
+//
+// Then checkpoint-0, the document alone, is written on a goroutine of its
+// own from the document's epoch, while on the caller's the log is opened,
+// the views' records are appended at LSN 1..N — each byte for byte the
+// record AddView journals — and synced with one fsync under every sync
+// policy, and the views are materialized (Engine.AddViews, which indexes
+// their labels in one walk). Checkpoint-0 is published, the commit point,
+// only once every view record is durable: the database exists with every
+// view or not at all, and a create killed before the publish leaves a
+// directory without a checkpoint, which is not a database.
+func CreateWithViews(dir, docXML string, views []ViewSource, opts Options) (_ *DB, err error) {
+	doc, err := xmltree.ParseString(docXML)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create: %w", err)
+	}
+	named := make([]core.NamedPattern, len(views))
+	for i, v := range views {
+		if slices.ContainsFunc(views[:i], func(w ViewSource) bool { return w.Name == v.Name }) {
+			return nil, fmt.Errorf("wal: view %q already exists", v.Name)
+		}
+		p, err := parseView(v.Name, v.Pattern)
+		if err != nil {
+			return nil, err
+		}
+		named[i] = core.NamedPattern{Name: v.Name, Pattern: p}
 	}
 	db := newDB(dir, opts)
 	if err := db.fs.MkdirAll(dir, 0o755); err != nil {
@@ -174,16 +216,67 @@ func Create(dir string, docXML []byte, opts Options) (*DB, error) {
 	if len(existing) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds a database (checkpoint %s)", dir, ckptName(existing[len(existing)-1]))
 	}
+	// A log without a checkpoint is a killed create's: not a database's.
+	if err := db.fs.RemoveAll(db.walDir); err != nil {
+		return nil, err
+	}
 	db.eng = core.New(doc, db.opts.Engine...)
-	if err := writeCheckpoint(db.fs, db.m, dir, db.eng.Snapshot(), db.sources, 0); err != nil {
+	type staged struct {
+		tmp   string
+		total int64
+		err   error
+	}
+	ckpt := make(chan staged, 1)
+	go func(snap *core.Snapshot) {
+		tmp, total, err := stageCheckpoint(db.fs, db.m, dir, snap, nil, 0)
+		ckpt <- staged{tmp, total, err}
+	}(db.eng.Snapshot())
+	// A failed create leaves no checkpoint, so what it leaves is not a
+	// database: the cleanup is best effort, and what it misses the next
+	// create here or ScanTenantRoot removes.
+	defer func() {
+		if err != nil {
+			if db.log != nil {
+				_ = db.log.Close()
+			}
+			_ = db.fs.RemoveAll(db.walDir)
+		}
+	}()
+	err = db.journalViews(views)
+	if err == nil {
+		err = db.eng.AddViews(named)
+	}
+	st := <-ckpt
+	if err == nil {
+		err = st.err
+	}
+	if err != nil {
+		if st.err == nil {
+			_ = db.fs.RemoveAll(st.tmp) // a tmp directory Open would sweep
+		}
+		return nil, err
+	}
+	if err = publishCheckpoint(db.fs, db.m, dir, st.tmp, 0, st.total); err != nil {
 		return nil, err
 	}
 	db.ckpts = []uint64{0}
-	db.log, err = OpenLog(db.walDir, db.logOptions(1))
-	if err != nil {
-		return nil, err
-	}
 	return db, nil
+}
+
+// journalViews opens the log of a database being created and appends one
+// record per view at LSN 1..len(views), synced with one fsync.
+func (db *DB) journalViews(views []ViewSource) (err error) {
+	if db.log, err = OpenLog(db.walDir, db.logOptions(1)); err != nil {
+		return err
+	}
+	for _, v := range views {
+		if _, err := db.log.append(encodeViewRecord(v.Name, v.Pattern)); err != nil {
+			return err
+		}
+		db.sources[v.Name] = v.Pattern
+		db.sinceCkpt++
+	}
+	return db.log.Sync()
 }
 
 // Open recovers a database: newest valid checkpoint, torn-tail log scan,
@@ -339,6 +432,22 @@ func validViewName(name string) error {
 	return nil
 }
 
+// parseView checks a view to register — its name, its pattern, and that
+// the pattern stores something — and returns the parsed pattern.
+func parseView(name, src string) (*pattern.Pattern, error) {
+	if err := validViewName(name); err != nil {
+		return nil, err
+	}
+	p, err := pattern.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.StoredIndexes()) == 0 {
+		return nil, fmt.Errorf("wal: view %s stores nothing", name)
+	}
+	return p, nil
+}
+
 func encodeViewRecord(name, src string) []byte {
 	payload := make([]byte, 0, 1+len(name)+1+len(src))
 	payload = append(payload, RecordView)
@@ -360,18 +469,12 @@ func decodeViewRecord(payload []byte) (name, src string, err error) {
 // first so recovery re-creates it at the same point in the statement
 // sequence.
 func (db *DB) AddView(name, patternSrc string) (*core.ManagedView, error) {
-	if err := validViewName(name); err != nil {
-		return nil, err
-	}
 	if _, dup := db.sources[name]; dup {
 		return nil, fmt.Errorf("wal: view %q already exists", name)
 	}
-	p, err := pattern.Parse(patternSrc)
+	p, err := parseView(name, patternSrc)
 	if err != nil {
 		return nil, err
-	}
-	if len(p.StoredIndexes()) == 0 {
-		return nil, fmt.Errorf("wal: view %s stores nothing", name)
 	}
 	if _, err := db.log.Append(encodeViewRecord(name, patternSrc)); err != nil {
 		return nil, err
@@ -401,8 +504,10 @@ func (db *DB) Apply(st *update.Statement) (*core.Report, error) {
 	return rep, nil
 }
 
-// ApplyRun journals a run of statements in order, riding the group-commit
-// window, and then folds exactly the statements the log holds into the
+// ApplyRun journals a run of statements in order, each synced as the sync
+// policy says — under SyncAlways every statement is fsynced on its own,
+// under SyncInterval they share the group-commit window — and then folds
+// exactly the statements the log holds into the
 // engine with pulopt.ApplyRun, the fold replay uses: live state and
 // recovered state never diverge, whichever side of a journal failure a
 // statement fell on. A statement that could not be journaled has no effect

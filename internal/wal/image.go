@@ -72,28 +72,32 @@ func loadImage(fsys FS, dir string, lsn uint64) (*Image, error) {
 // Restore builds a fresh engine from the image: parse the document,
 // re-impose the recorded ordinal stream so every node carries the exact
 // Dewey ID it had in the live engine (the restored process answers queries
-// with byte-identical IDs), install every view with Engine.AddView — the
-// pattern evaluated over the document, as at create — and seed the version
-// counter from the manifest so replaying the log suffix reproduces the
-// version numbers the original engine reported. Old manifests carry
-// version 0, preserving their historical behavior.
+// with byte-identical IDs), install every view with Engine.AddViews — each
+// pattern evaluated over the document, as at create, their labels indexed
+// in one walk — and seed the version counter from the manifest so
+// replaying the log suffix reproduces the version numbers the original
+// engine reported. Old manifests carry version 0, preserving their
+// historical behavior. The document is parsed in place: the image's bytes
+// must not change while Restore runs.
 func (img *Image) Restore(opts ...core.Option) (*core.Engine, error) {
-	doc, err := xmltree.ParseString(string(img.DocXML))
+	doc, err := xmltree.ParseString(bytesString(img.DocXML))
 	if err != nil {
 		return nil, fmt.Errorf("wal: image document: %w", err)
 	}
 	if err := doc.ApplyOrds(img.Ords); err != nil {
 		return nil, fmt.Errorf("wal: image ordinal stream: %w", err)
 	}
-	eng := core.New(doc, opts...)
-	for _, v := range img.Manifest.Views {
+	named := make([]core.NamedPattern, len(img.Manifest.Views))
+	for i, v := range img.Manifest.Views {
 		p, err := pattern.Parse(v.Pattern)
 		if err != nil {
 			return nil, fmt.Errorf("wal: image view %s pattern: %w", v.Name, err)
 		}
-		if _, err := eng.AddView(v.Name, p); err != nil {
-			return nil, fmt.Errorf("wal: image view %s: %w", v.Name, err)
-		}
+		named[i] = core.NamedPattern{Name: v.Name, Pattern: p}
+	}
+	eng := core.New(doc, opts...)
+	if err := eng.AddViews(named); err != nil {
+		return nil, fmt.Errorf("wal: image views: %w", err)
 	}
 	eng.SetVersion(img.Manifest.EngineVersion)
 	return eng, nil

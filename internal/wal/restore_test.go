@@ -24,19 +24,11 @@ func benchTenant(t *testing.T) (*core.Engine, map[string]string) {
 	}
 	eng := core.New(doc, core.WithMetrics(obs.New()))
 	sources := map[string]string{}
-	for _, v := range [][2]string{
-		{"Q1", xmark.View("Q1").String()},
-		{"Q2", xmark.View("Q2").String()},
-		{"R1", `/site{ID}/people{ID}/person{ID}/name{ID,val}`},
-		{"R2", `//open_auction{ID}//bidder{ID}`},
-		{"R3", `//bidder{ID}//increase{ID,val}`},
-		{"R4", `//open_auction{ID}//initial{ID,val}`},
-		{"R5", `//open_auction{ID}//increase{ID,val}`},
-	} {
-		if _, err := eng.AddView(v[0], pattern.MustParse(v[1])); err != nil {
+	for _, v := range benchViews {
+		if _, err := eng.AddView(v.Name, pattern.MustParse(v.Pattern)); err != nil {
 			t.Fatal(err)
 		}
-		sources[v[0]] = v[1]
+		sources[v.Name] = v.Pattern
 	}
 	return eng, sources
 }

@@ -18,13 +18,15 @@ import (
 //
 //	a tenant exists  ⇔  <root>/<name> holds at least one checkpoint
 //
-// Create publishes its initial checkpoint atomically (temp dir + rename),
-// so a process killed mid-create leaves a directory with no checkpoint —
-// not a tenant, and ScanTenantRoot removes the debris. Drop first renames
-// the directory to a ".drop-" tombstone (one atomic step: after it the
-// tenant no longer exists) and then deletes the tombstone; a kill between
-// the two leaves only the tombstone, which ScanTenantRoot finishes
-// deleting on the next open.
+// CreateWithViews publishes its initial checkpoint atomically (temp dir +
+// rename), and only once the record of every view it was asked for is
+// durable, so a tenant that exists has all its views, and a process
+// killed mid-create leaves a directory with no checkpoint — not a tenant,
+// and ScanTenantRoot removes the debris, the log of its views with it.
+// Drop first renames the directory to a ".drop-" tombstone (one atomic
+// step: after it the tenant no longer exists) and then deletes the
+// tombstone; a kill between the two leaves only the tombstone, which
+// ScanTenantRoot finishes deleting on the next open.
 const dropPrefix = ".drop-"
 
 // maxTenantName bounds tenant names; they become directory names and URL

@@ -153,29 +153,26 @@ func TestDropTenant(t *testing.T) {
 }
 
 // createScript is the crash-matrix workload for tenant creation: scan the
-// root, create the tenant, register a view, close. It reports whether the
-// create was acknowledged (returned without error).
+// root, create the tenant with a view, close. It reports whether the create
+// was acknowledged (returned without error).
 func createScript(root string, fsys FS) (acked bool, err error) {
 	if _, _, err := ScanTenantRoot(fsys, root); err != nil {
 		return false, err
 	}
-	db, err := Create(TenantDir(root, "t1"), []byte(tenantTestDoc), Options{FS: fsys})
+	db, err := CreateWithViews(TenantDir(root, "t1"), tenantTestDoc, []ViewSource{{"V", "/site{ID}/people{ID}/person{ID}"}}, Options{FS: fsys})
 	if err != nil {
 		return false, err
 	}
-	// The tenant exists from here on: Create published its checkpoint.
-	if _, err := db.AddView("V", "/site{ID}/people{ID}/person{ID}"); err != nil {
-		db.Close()
-		return true, err
-	}
+	// The tenant exists, with its view, from here on: CreateWithViews
+	// published its checkpoint once the view's record was durable.
 	return true, db.Close()
 }
 
 // TestCreateThenKillMatrix kills tenant creation at every filesystem
 // operation and verifies the existence rule both ways: an acknowledged
 // create must survive recovery, an unacknowledged one must leave either
-// nothing (debris cleaned) or a fully openable tenant — never a half-made
-// directory the next open trips over.
+// nothing (debris cleaned) or a fully openable tenant with its view —
+// never a half-made directory the next open trips over.
 func TestCreateThenKillMatrix(t *testing.T) {
 	probe := NewFailFS(OSFS)
 	if acked, err := createScript(t.TempDir(), probe); err != nil || !acked {
@@ -210,6 +207,9 @@ func TestCreateThenKillMatrix(t *testing.T) {
 			}
 			if got := db.Engine().Doc.Size(); got == 0 {
 				t.Fatalf("crash at op %d: surviving tenant %s recovered an empty document", at, name)
+			}
+			if !db.HasView("V") {
+				t.Fatalf("crash at op %d: surviving tenant %s lost its view", at, name)
 			}
 			db.Close()
 		}

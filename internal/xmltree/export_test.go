@@ -3,11 +3,6 @@ package xmltree
 // CheckKids is checkKids for the external tests.
 var CheckKids = checkKids
 
-// LabelWalks returns how many walks of a tree have indexed a label in d's
-// lineage: one for each label a reader or the writer indexed, none for a
-// label found indexed.
-func LabelWalks(d *Document) int64 { return d.labels.want.walks.Load() }
-
 // IndexedLabels returns the labels d's index holds, in label order, an
 // emptied list's label included.
 func IndexedLabels(d *Document) []string {

@@ -182,3 +182,36 @@ func TestReaderOnlyLabelIsIndexedOnce(t *testing.T) {
 		t.Fatalf("a label only readers asked for was walked for %d times in 100 epochs, want at most 2", n)
 	}
 }
+
+// TestIndexLabelsIsOneWalk: indexing k labels at once is one walk of the
+// tree, not k, and leaves each label's list as its own walk would: every
+// node carrying it, in document order. A label no node carries is not
+// kept, one asked for twice or already indexed costs nothing more, and an
+// epoch's index holds what the writer's did when it was frozen.
+func TestIndexLabelsIsOneWalk(t *testing.T) {
+	d := mustParse(t, xmark.Generate(xmark.Config{TargetBytes: 100 << 10, Seed: 1}))
+	requireWalked(t, "before", d, "item")
+	labels := []string{"person", "name", "@id", xmltree.TextLabel, "bidder", "increase", "open_auction", "zzz", "name", "item"}
+	walks := xmltree.LabelWalks(d)
+	d.IndexLabels(labels)
+	if n := xmltree.LabelWalks(d) - walks; n != 1 {
+		t.Fatalf("indexing %d labels took %d walks, want 1", len(labels), n)
+	}
+	want := []string{"#text", "@id", "bidder", "increase", "item", "name", "open_auction", "person"}
+	if got := xmltree.IndexedLabels(d); !slices.Equal(got, want) {
+		t.Fatalf("index holds %q, want %q", got, want)
+	}
+	img := d.Snapshot()
+	for _, label := range want {
+		requireWalked(t, "writer", d, label)
+		requireWalked(t, "epoch", img, label)
+	}
+	d.IndexLabels(labels)
+	if n := xmltree.LabelWalks(d) - walks; n != 2 {
+		t.Fatalf("re-indexing walked %d more times, want 1 (for the absent label)", n-1)
+	}
+	d.IndexLabels(want)
+	if n := xmltree.LabelWalks(d) - walks; n != 2 {
+		t.Fatalf("indexing indexed labels walked %d times", n-2)
+	}
+}

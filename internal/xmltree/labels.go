@@ -96,6 +96,12 @@ type labelWants struct {
 	walks atomic.Int64 // walks that indexed a label, for the tests
 }
 
+// LabelWalks returns how many walks of a tree have indexed labels in d's
+// lineage: one for each walk a reader or the writer made, however many
+// labels it indexed, none for a label found indexed. It is how a test
+// holds a path to the walks it should cost.
+func LabelWalks(d *Document) int64 { return d.labels.want.walks.Load() }
+
 // LabeledChunks returns the document-order list of nodes carrying the given
 // label as the index holds it, indexing the label on first use. The list is
 // shared — callers must not modify it — and valid for the tree it was asked
@@ -105,7 +111,8 @@ type labelWants struct {
 func (d *Document) LabeledChunks(label string) *dewey.Chunks[*Node] {
 	l := d.labels.li.Load().list(label)
 	if l == nil {
-		l = d.index(label)
+		d.index(label)
+		l = d.labels.li.Load().list(label)
 	}
 	if l == nil || l.nodes.Len() == 0 {
 		return nil
@@ -113,50 +120,74 @@ func (d *Document) LabeledChunks(label string) *dewey.Chunks[*Node] {
 	return l.nodes.Chunks()
 }
 
-// index returns the label's list, walking the tree for it (in document
-// order, so every Put is an append) if the cell has none, into a frozen copy
-// of the run of lists that the cell then holds; nil, and nothing kept, if no
-// node carries the label. The list is stamped with the publication at
-// which the cell became this lineage's, whoever walks; an epoch's walk goes
-// into the want set.
-func (d *Document) index(label string) (l *labelList) {
+// IndexLabels indexes every one of labels the index lacks in one walk of
+// the tree, where LabeledChunks would walk once a label: it is how a
+// caller about to read several relations pays for their lists at once. A
+// label no node carries is not kept, as LabeledChunks keeps none.
+func (d *Document) IndexLabels(labels []string) { d.index(labels...) }
+
+// index indexes each of labels the cell has no list for by one walk of the
+// tree (in document order, so every Put is an append), into a frozen copy
+// of the run of lists that the cell then holds; a label no node carries
+// gets no list. The lists are stamped with the publication at which the
+// cell became this lineage's, whoever walks; an epoch's walk goes into the
+// want set.
+func (d *Document) index(labels ...string) {
 	c := d.labels
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	li := c.li.Load()
-	if l = li.list(label); l != nil {
-		return l
+	type want struct {
+		code  uint16
+		label string
+		l     *labelList
+	}
+	var buf [16]want
+	wants := buf[:0]
+	for _, label := range labels {
+		if li.list(label) == nil && !slices.ContainsFunc(wants, func(w want) bool { return w.label == label }) {
+			// A node's label is its code's, or its own if it has none.
+			wants = append(wants, want{code: dewey.Lookup(label), label: label})
+		}
+	}
+	if len(wants) == 0 {
+		return
 	}
 	c.want.walks.Add(1)
-	code := dewey.Lookup(label) // a node's label is its code's, or its own if it has none
 	Walk(d.Root, func(n *Node) bool {
-		if n.code == code && (code != 0 || n.Label() == label) {
-			if l == nil {
-				l = &labelList{label: n.Label(), nodes: dewey.NewRun(compareNodes), gen: d.labelGen}
+		for i := range wants {
+			w := &wants[i]
+			if n.code == w.code && (w.code != 0 || n.Label() == w.label) {
+				if w.l == nil {
+					w.l = &labelList{label: n.Label(), nodes: dewey.NewRun(compareNodes), gen: d.labelGen}
+				}
+				w.l.nodes.Put(n)
+				break
 			}
-			l.nodes.Put(n)
 		}
 		return true
 	})
-	if l == nil {
-		return nil
+	wants = slices.DeleteFunc(wants, func(w want) bool { return w.l == nil })
+	if len(wants) == 0 {
+		return
 	}
 	next := labelIndex{lists: dewey.NewRun(compareLists)}
 	if li != nil {
 		next = *li
 		next.lists.Freeze()
 	}
-	next.lists.Put(l)
-	c.li.Store(&next)
-	if d.frozen {
-		c.want.mu.Lock()
-		c.want.asked = append(c.want.asked, l.label)
-		c.want.mu.Unlock()
+	for _, w := range wants {
+		next.lists.Put(w.l)
+		if d.frozen {
+			c.want.mu.Lock()
+			c.want.asked = append(c.want.asked, w.l.label)
+			c.want.mu.Unlock()
+		}
 	}
-	return l
+	c.li.Store(&next)
 }
 
-// indexWanted indexes, from the writer's tree, each label readers walked
+// indexWanted indexes, from the writer's tree, the labels readers walked
 // for since it last looked, before Snapshot hands its cell to an epoch.
 func (d *Document) indexWanted() {
 	w := d.labels.want
@@ -164,9 +195,7 @@ func (d *Document) indexWanted() {
 	asked := w.asked[w.seen:]
 	w.seen = len(w.asked)
 	w.mu.Unlock()
-	for _, label := range asked {
-		d.index(label)
-	}
+	d.index(asked...)
 }
 
 // Labeled returns LabeledChunks as one slice, the caller's own.
