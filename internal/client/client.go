@@ -308,7 +308,7 @@ func (d *DB) XPath(ctx context.Context, query string) (server.XPathResponse, err
 func (d *DB) Update(ctx context.Context, statement string) (server.UpdateResponse, error) {
 	var out server.UpdateResponse
 	ur := server.UpdateRequest{Statement: statement}
-	body := ur.AppendJSON(make([]byte, 0, len(`{"statement":""}`)+len(statement)))
+	body := ur.AppendJSON(nil)
 	err := d.c.do(ctx, http.MethodPost, d.path+"/update", body, &out)
 	return out, err
 }

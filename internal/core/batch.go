@@ -36,7 +36,7 @@ type BatchPUL struct {
 // on from the boundary one statement at a time.
 func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 	defer e.giveBack(e.lend())
-	rep := &Report{}
+	rep := newReport()
 	applied := 0
 	for _, u := range units {
 		urep, err := e.applyPUL(u.PUL)
@@ -50,6 +50,7 @@ func (e *Engine) ApplyBatch(units []BatchPUL) (*Report, int, error) {
 		}
 		applied += u.Statements
 		MergeBatchReport(rep, urep)
+		urep.Release()
 	}
 	return rep, applied, nil
 }

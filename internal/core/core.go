@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -308,6 +309,36 @@ type Report struct {
 	Views        []ViewReport
 }
 
+// reportPool holds reports a caller released, each with its Views array.
+var reportPool = sync.Pool{New: func() any { return new(Report) }}
+
+// newReport takes a report from the pool, empty, with its Views array.
+func newReport() *Report {
+	return reportPool.Get().(*Report)
+}
+
+// Release hands the report and its Views array back for a later statement
+// to fill. The caller must hold no pointer into it from then on. A report
+// nobody releases is the collector's, so releasing is for the callers that
+// know they are its only holder, like the update handler once it has
+// written the answer.
+func (r *Report) Release() {
+	clear(r.Views)
+	*r = Report{Views: r.Views[:0]}
+	reportPool.Put(r)
+}
+
+// Copy returns a report of the caller's own with r's contents, taken from
+// the pool: a translated batch's statements share one merged report, and a
+// caller that releases gives each of them a copy first.
+func (r *Report) Copy() *Report {
+	c := newReport()
+	views := c.Views
+	*c = *r
+	c.Views = append(views, r.Views...)
+	return c
+}
+
 // Timings returns the statement's cost per phase: the sum of every view's
 // phases plus the shared costs, each counted once.
 func (r *Report) Timings() Timings {
@@ -350,9 +381,11 @@ func (e *Engine) ApplyStatement(st *update.Statement) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep := &Report{}
+		rep := newReport()
 		MergeBatchReport(rep, delRep)
 		MergeBatchReport(rep, insRep)
+		delRep.Release()
+		insRep.Release()
 		rep.Statement, rep.Targets, rep.FindTargets = st, delPul.Targets(), findTargets
 		return rep, nil
 	}
@@ -402,11 +435,13 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 	// the change and the affected view falls back to recomputation.
 	probes := e.snapshotPredicates(pul)
 
-	rep := &Report{Targets: pul.Targets()}
+	rep := newReport()
+	rep.Targets = pul.Targets()
 	switch pul.Kind {
 	case update.Insert:
 		applied, err := update.Apply(e.Doc, pul)
 		if err != nil {
+			rep.Release()
 			return nil, err
 		}
 		// Terms are evaluated against the canonical relations' membership
@@ -420,13 +455,14 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 			sc.points = append(sc.points, pi.Target)
 			sc.touched = append(sc.touched, pi.Target.ID())
 		}
-		rep.Views = e.propagateAll(func(mv *ManagedView) ViewReport {
+		rep.Views = e.propagateAll(rep.Views, func(mv *ManagedView) ViewReport {
 			return e.propagateInsert(mv, delta)
 		})
 		e.Store.Hide(nil)
 	case update.Delete:
 		applied, err := update.Apply(e.Doc, pul)
 		if err != nil {
+			rep.Release()
 			return nil, err
 		}
 		delta := e.computeDelta(rep, applied.DeletedRoots)
@@ -436,7 +472,7 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 			sc.touched = append(sc.touched, r.ID().Parent())
 		}
 		sc.cover.Reset(sc.ids)
-		rep.Views = e.propagateAll(func(mv *ManagedView) ViewReport {
+		rep.Views = e.propagateAll(rep.Views, func(mv *ManagedView) ViewReport {
 			return e.propagateDelete(mv, delta)
 		})
 	}
@@ -466,12 +502,13 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 }
 
 // propagateAll runs one propagation function over every view, one view
-// after another. The document and store must be read-only for the
+// after another, and appends their reports to dst[:0]. The document and
+// store must be read-only for the
 // duration (guaranteed by the ApplyPUL phase ordering). A panic inside one
 // view's propagation is contained — the view is marked Panicked and
 // repaired by recomputation — so a single poisoned view cannot take down
 // the whole apply path.
-func (e *Engine) propagateAll(f func(*ManagedView) ViewReport) []ViewReport {
+func (e *Engine) propagateAll(dst []ViewReport, f func(*ManagedView) ViewReport) []ViewReport {
 	propagate := func(mv *ManagedView) (vr ViewReport) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -482,11 +519,13 @@ func (e *Engine) propagateAll(f func(*ManagedView) ViewReport) []ViewReport {
 		defer end()
 		return f(mv)
 	}
-	out := make([]ViewReport, len(e.Views))
-	for i, mv := range e.Views {
-		out[i] = propagate(mv)
+	if dst = dst[:0]; cap(dst) < len(e.Views) {
+		dst = make([]ViewReport, 0, len(e.Views))
 	}
-	return out
+	for _, mv := range e.Views {
+		dst = append(dst, propagate(mv))
+	}
+	return dst
 }
 
 // viewSpan starts view mv's span, or the span of one of its phases; with

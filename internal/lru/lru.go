@@ -1,5 +1,6 @@
-// Package lru is the repo's one least-recently-used map, under qvm.Cache and
-// server.queryCache. Not safe for concurrent use: both callers hold a mutex.
+// Package lru is the repo's one least-recently-used map, under qvm.Cache,
+// update's target cache and server.queryCache. Not safe for concurrent use:
+// every caller holds a mutex.
 package lru
 
 import "container/list"

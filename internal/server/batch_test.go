@@ -1,12 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"xivm/internal/core"
 	"xivm/internal/obs"
+	"xivm/internal/pattern"
+	"xivm/internal/xmark"
+	"xivm/internal/xmltree"
 )
 
 // gatedShard builds a shard over the in-memory test engine whose writer can
@@ -235,5 +244,148 @@ func TestCancelledRequestLeavesTheRun(t *testing.T) {
 	}
 	if got := m.CounterValue("server.abandoned_applied"); got != 0 {
 		t.Fatalf("server.abandoned_applied = %d, want 0 (statement was skipped, not applied)", got)
+	}
+}
+
+// TestConcurrentAnswersOwnTheirReports: writers post to one tenant over
+// HTTP at once while its writer is held, so each wave lands as one
+// translated batch whose statements share the plan's merged report. Each
+// handler releases its report once it has answered, so every request must
+// own its report: every answer of a wave carries the per-view counts a
+// serial replay of that wave sums to, whatever order the wave queued in.
+// Run under -race, a report shared between two answers is a data race.
+func TestConcurrentAnswersOwnTheirReports(t *testing.T) {
+	const waves, writers = 12, 4
+	docXML := xmark.GenerateSmall(1, 0)
+	views := append(testViewSpecs(),
+		ViewSpec{Name: "R1", Pattern: `/site{ID}/people{ID}/person{ID}/name{ID,val}`},
+		ViewSpec{Name: "R2", Pattern: `//open_auction{ID}//bidder{ID}`},
+		ViewSpec{Name: "R3", Pattern: `//bidder{ID}//increase{ID,val}`},
+	)
+	m := obs.New()
+	var pb *pausingBackend
+	reg, err := NewRegistry(RegistryConfig{
+		Shard:        Config{Metrics: m},
+		DefaultDoc:   docXML,
+		DefaultViews: views,
+		wrapBackend: func(_ string, b Backend) Backend {
+			pb = &pausingBackend{Backend: b, entered: make(chan struct{}, 1)}
+			return pb
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = reg.Shutdown(ctx)
+	})
+	sh, err := reg.Create(DefaultTenant, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(reg.Handler())
+	defer ts.Close()
+
+	// The serial replay: a twin applying each statement on its own.
+	doc, err := xmltree.ParseString(docXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := core.New(doc, core.WithMetrics(obs.New()))
+	for _, v := range views {
+		if _, err := twin.AddView(v.Name, pattern.MustParse(v.Pattern)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := func(srcs ...string) UpdateResponse {
+		var sum UpdateResponse
+		for _, src := range srcs {
+			rep, err := twin.ApplyStatement(mustStatement(t, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.Targets += rep.Targets
+			for i, vr := range rep.Views {
+				if i == len(sum.Views) {
+					sum.Views = append(sum.Views, UpdateViewJSON{Name: vr.View.Name})
+				}
+				sum.Views[i].RowsAdded += vr.RowsAdded
+				sum.Views[i].RowsRemoved += vr.RowsRemoved
+				sum.Views[i].RowsModified += vr.RowsModified
+			}
+		}
+		return sum
+	}
+	post := func(src string) (UpdateResponse, error) {
+		body, _ := json.Marshal(UpdateRequest{Statement: src})
+		resp, err := http.Post(ts.URL+"/v1/db/"+DefaultTenant+"/update", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return UpdateResponse{}, err
+		}
+		defer resp.Body.Close()
+		var ur UpdateResponse
+		if resp.StatusCode != http.StatusOK {
+			return ur, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return ur, json.NewDecoder(resp.Body).Decode(&ur)
+	}
+
+	for w := range waves {
+		// Four inserts no gate of the planner rejects in any order: distinct
+		// targets, and no target step names a label another inserts.
+		srcs := []string{
+			fmt.Sprintf(`insert <person id="pw%d"><name>Wave %d</name></person> into /site/people`, w, w),
+			`insert <bidder><increase>1.00</increase></bidder> into /site/open_auctions/open_auction`,
+			fmt.Sprintf(`insert <category id="cw%d"><name>C</name></category> into /site/categories`, w),
+			`insert <item><name>I</name></item> into /site/regions/africa`,
+		}[:writers]
+		pilot := `insert <pilot/> into /site`
+		pb.mu.Lock()
+		pilotDone := make(chan error, 1)
+		go func() { _, err := post(pilot); pilotDone <- err }()
+		select {
+		case <-pb.entered:
+		case <-time.After(10 * time.Second):
+			pb.mu.Unlock()
+			t.Fatal("the writer never took the pilot")
+		}
+		type answer struct {
+			ur  UpdateResponse
+			err error
+		}
+		answers := make(chan answer, len(srcs))
+		for _, src := range srcs {
+			go func() {
+				ur, err := post(src)
+				answers <- answer{ur, err}
+			}()
+		}
+		for deadline := time.Now().Add(10 * time.Second); sh.QueueLen() < len(srcs); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				pb.mu.Unlock()
+				t.Fatalf("wave %d: %d of %d statements queued", w, sh.QueueLen(), len(srcs))
+			}
+		}
+		pb.mu.Unlock()
+		<-pb.entered // the wave's run
+		if err := <-pilotDone; err != nil {
+			t.Fatalf("wave %d pilot: %v", w, err)
+		}
+		serial(pilot)
+		want := serial(srcs...)
+		for range srcs {
+			a := <-answers
+			if a.err != nil {
+				t.Fatalf("wave %d: %v", w, a.err)
+			}
+			if a.ur.Targets != want.Targets || !reflect.DeepEqual(a.ur.Views, want.Views) {
+				t.Fatalf("wave %d: answered %+v, a serial replay sums to %+v", w, a.ur, want)
+			}
+		}
+	}
+	if got := m.CounterValue("server.batch.count"); got != waves {
+		t.Fatalf("%d translated batches, want one a wave (%d)", got, waves)
 	}
 }

@@ -414,62 +414,82 @@ func requireViewsKept(t *testing.T, eng *core.Engine, views []*store.View) {
 	}
 }
 
-// TestJournalCrashMidRunRepairsNothing: a crash inside the third append of
-// a five-statement run leaves two of its statements in the log. Those two
-// are applied and acknowledged at the published version, the other three
-// fail with the crash, and no view is recomputed.
+// TestJournalCrashMidRunRepairsNothing fails the third append of a
+// five-statement run two ways. A crash takes the run's one fsync with it:
+// no statement of the run is acknowledged, all five fail with the crash,
+// and nothing is published past the pilot. A failed write, a full disk's,
+// leaves the fsync working: the two statements appended before it are
+// synced, applied and acknowledged at the published version, and the
+// other three fail with the write error. Either way no view is recomputed.
 func TestJournalCrashMidRunRepairsNothing(t *testing.T) {
-	ffs := wal.NewFailFS(wal.OSFS)
-	db, err := wal.Create(t.TempDir(), []byte(xmark.GenerateSmall(11, 0)), wal.Options{Sync: wal.SyncAlways, FS: ffs, Metrics: obs.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for _, v := range testViewSpecs() {
-		if _, err := db.AddView(v.Name, v.Pattern); err != nil {
-			t.Fatal(err)
-		}
-	}
-	views := viewPointers(db.Engine())
-	m := obs.New()
-	pb := &pausingBackend{Backend: db, entered: make(chan struct{}, 8)}
-	s := NewShard("crash", pb, nil, Config{Metrics: m})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx) // the final sync fails on the crashed disk
-	}()
-	v0 := s.Epoch().Version
+	for _, tc := range []struct {
+		name  string
+		crash bool
+		acked int
+		want  error
+	}{
+		{"crash", true, 0, wal.ErrCrash},
+		{"write error", false, 2, wal.ErrIO},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := wal.NewFailFS(wal.OSFS)
+			db, err := wal.Create(t.TempDir(), []byte(xmark.GenerateSmall(11, 0)), wal.Options{Sync: wal.SyncAlways, FS: ffs, Metrics: obs.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for _, v := range testViewSpecs() {
+				if _, err := db.AddView(v.Name, v.Pattern); err != nil {
+					t.Fatal(err)
+				}
+			}
+			views := viewPointers(db.Engine())
+			m := obs.New()
+			pb := &pausingBackend{Backend: db, entered: make(chan struct{}, 8)}
+			s := NewShard("crash", pb, nil, Config{Metrics: m})
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				_ = s.Shutdown(ctx) // the final sync fails on the failed log
+			}()
+			v0 := s.Epoch().Version
 
-	// Under SyncAlways an append is a write and an fsync. The pilot
-	// appends first; the crash fires in the write of the run's third.
-	ffs.CrashAt = ffs.Ops() + 2 + 2*2
-	waits := enqueueExactBatch(t, s, pb, nil,
-		`insert <person id="pb1"><name>Batch One</name></person> into /site/people`,
-		`insert <category id="cb1"><name>Batch Cat</name></category> into /site/categories`,
-		`delete /site/catgraph`,
-		`delete /site/closed_auctions/closed_auction`,
-		`insert <item id="ib1"><name>Batch Item</name></item> into /site/regions/africa`,
-	)
-	if _, _, err := waits[0](); err != nil {
-		t.Fatalf("pilot: %v", err)
-	}
-	published := v0 + 3
-	for i, wait := range waits[1:] {
-		rep, version, err := wait()
-		switch {
-		case i < 2 && (err != nil || rep == nil || version != published):
-			t.Fatalf("stmt %d: rep=%v version=%d err=%v, want acked at %d", i, rep, version, err, published)
-		case i >= 2 && !errors.Is(err, wal.ErrCrash):
-			t.Fatalf("stmt %d: err = %v, want the crash", i, err)
-		}
-	}
-	if got := s.Epoch().Version; got != published {
-		t.Fatalf("published version %d, want %d", got, published)
-	}
-	requireViewsKept(t, db.Engine(), views)
-	if got := m.CounterValue("server.apply.panics"); got != 0 {
-		t.Fatalf("server.apply.panics = %d, want 0", got)
+			// Under SyncAlways the pilot, a run of one, is a write and an
+			// fsync; the run after it is a write a statement and then one
+			// fsync. The fault fires in the write of the run's third.
+			if at := ffs.Ops() + 2 + 2; tc.crash {
+				ffs.CrashAt = at
+			} else {
+				ffs.ErrAt = at
+			}
+			waits := enqueueExactBatch(t, s, pb, nil,
+				`insert <person id="pb1"><name>Batch One</name></person> into /site/people`,
+				`insert <category id="cb1"><name>Batch Cat</name></category> into /site/categories`,
+				`delete /site/catgraph`,
+				`delete /site/closed_auctions/closed_auction`,
+				`insert <item id="ib1"><name>Batch Item</name></item> into /site/regions/africa`,
+			)
+			if _, _, err := waits[0](); err != nil {
+				t.Fatalf("pilot: %v", err)
+			}
+			published := v0 + 1 + uint64(tc.acked)
+			for i, wait := range waits[1:] {
+				rep, version, err := wait()
+				switch {
+				case i < tc.acked && (err != nil || rep == nil || version != published):
+					t.Fatalf("stmt %d: rep=%v version=%d err=%v, want acked at %d", i, rep, version, err, published)
+				case i >= tc.acked && !errors.Is(err, tc.want):
+					t.Fatalf("stmt %d: err = %v, want %v", i, err, tc.want)
+				}
+			}
+			if got := s.Epoch().Version; got != published {
+				t.Fatalf("published version %d, want %d", got, published)
+			}
+			requireViewsKept(t, db.Engine(), views)
+			if got := m.CounterValue("server.apply.panics"); got != 0 {
+				t.Fatalf("server.apply.panics = %d, want 0", got)
+			}
+		})
 	}
 }
 

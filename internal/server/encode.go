@@ -97,6 +97,34 @@ func appendJSONString[S []byte | string](dst []byte, s S) []byte {
 	return append(dst, '"')
 }
 
+// jsonStringLen returns how many bytes appendJSONString appends for s.
+func jsonStringLen(s string) int {
+	n := 2
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			switch {
+			case b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&':
+				n++
+			case b == '\\' || b == '"' || b == '\b' || b == '\f' || b == '\n' || b == '\r' || b == '\t':
+				n += 2
+			default:
+				n += 6
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 || c == '\u2028' || c == '\u2029' {
+			n += 6
+		} else {
+			n += size
+		}
+		i += size
+	}
+	return n
+}
+
 // quoteTail replaces the raw bytes dst[from:] by their JSON string literal.
 // It is how a value assembled in place — an ID's rendering, an element's
 // concatenated text — gets escaped as one string (an escape can span two
@@ -275,8 +303,13 @@ func appendUpdateResponse(dst []byte, tenant string, version uint64, rep *core.R
 	return append(dst, "]}\n"...)
 }
 
-// AppendJSON appends the request's body, what json.Marshal makes of it.
+// AppendJSON appends the request's body, what json.Marshal makes of it,
+// growing dst once, to the body's exact length: a statement's markup is
+// mostly escapes, six bytes for each < and >.
 func (r *UpdateRequest) AppendJSON(dst []byte) []byte {
+	if n := len(`{"statement":}`) + jsonStringLen(r.Statement); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, `{"statement":`...)
 	dst = appendJSONString(dst, r.Statement)
 	return append(dst, '}')

@@ -165,6 +165,14 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		if want, _ := json.Marshal(req); !bytes.Equal(body, want) {
 			t.Fatalf("update request\n got %q\nwant %q", body, want)
 		}
+		if cap(body) != len(body) {
+			t.Fatalf("update request of %d bytes grown to %d", len(body), cap(body))
+		}
+		for _, s := range []string{label, idLabel, val, cont, query, plan, tenant} {
+			if got, want := jsonStringLen(s), len(appendJSONString(nil, s)); got != want {
+				t.Fatalf("jsonStringLen(%q) = %d, appendJSONString appends %d", s, got, want)
+			}
+		}
 		checkRoundTrip(t, body, req, valid)
 		create := CreateDBRequest{Name: tenant, Document: cont}
 		for i := 0; i < rows; i++ {

@@ -300,6 +300,7 @@ func (r *Registry) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	}
 	bp := bodyPool.Get().(*[]byte)
 	*bp = appendUpdateResponse((*bp)[:0], sh.Name(), version, rep)
+	rep.Release()
 	writeBody(w, *bp)
 	bodyPool.Put(bp)
 }

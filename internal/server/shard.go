@@ -9,10 +9,11 @@
 //
 //   - All of a tenant's updates funnel through one bounded queue drained by
 //     a single apply goroutine, which preserves the engine's single-threaded
-//     mutation contract. When the backend is a wal.DB each statement of a
-//     run is journaled under the WAL's sync policy: under SyncAlways every
-//     one is fsynced on its own, so a run of k statements costs k fsyncs,
-//     and only SyncInterval's group commit shares one fsync among them.
+//     mutation contract. When the backend is a wal.DB every statement of a
+//     run is journaled and then the run is synced under the WAL's sync
+//     policy: under SyncAlways a run of k statements costs one fsync, which
+//     every statement of it waits for before it is acknowledged, and
+//     SyncInterval's group commit shares one among runs.
 //     A full queue rejects immediately with ErrQueueFull
 //     (surfaced as HTTP 429), which is the backpressure signal — and the
 //     isolation boundary: a hot tenant saturates only its own queue and
@@ -432,9 +433,10 @@ func (s *Shard) QueueCap() int { return cap(s.queue) }
 // Apply submits one statement to the writer loop and waits for it to be
 // applied and its epoch published, honoring ctx. It returns the engine
 // report and the epoch version at which the update's effects are visible
-// to readers (a statement that rode a translated batch gets the batch's
-// merged report). ErrQueueFull, ErrShuttingDown and ErrTenantStopped
-// reject without queuing.
+// to readers (a statement that rode a translated batch gets a copy of the
+// batch's merged report). The report is the caller's alone: it may hand it
+// back with Release once it has read it. ErrQueueFull, ErrShuttingDown and
+// ErrTenantStopped reject without queuing.
 //
 // Apply is at-most-once observable, not at-most-once: a ctx ending, or the
 // shard's RequestTimeout passing, while the request is queued abandons the
@@ -645,6 +647,17 @@ func (s *Shard) applyRun(batch []*applyReq) {
 		s.appliedLSN.Store(s.repl.LastLSN())
 	}
 	version := s.Epoch().Version
+	// The statements of a translated plan share its merged report. Each
+	// request gets one it alone owns, copied before any is answered: an
+	// answered handler releases its report to the pool.
+	var shared *core.Report
+	for i := range run.Results {
+		if rep := run.Results[i].Report; rep == nil || rep != shared {
+			shared = rep
+		} else {
+			run.Results[i].Report = rep.Copy()
+		}
+	}
 	for i, req := range live {
 		r := run.Results[i]
 		if r.Err != nil {

@@ -22,6 +22,7 @@ import (
 func Parse(src string) (*Statement, error) {
 	p := &uparser{src: src}
 	st := &Statement{Source: src}
+	var err error
 
 	docVar := ""
 	if p.eatKeyword("let") {
@@ -48,19 +49,15 @@ func Parse(src string) (*Statement, error) {
 	switch {
 	case p.eatKeyword("delete"):
 		st.Kind = Delete
-		path, err := p.parseAbsPath(docVar)
-		if err != nil {
+		if st.Target, st.target, err = p.parseAbsPath(docVar); err != nil {
 			return nil, err
 		}
-		st.Target = path
 
 	case p.eatKeyword("replace"):
 		st.Kind = Replace
-		path, err := p.parseAbsPath(docVar)
-		if err != nil {
+		if st.Target, st.target, err = p.parseAbsPath(docVar); err != nil {
 			return nil, err
 		}
-		st.Target = path
 		if !p.eatKeyword("with") {
 			return nil, p.errf("expected 'with'")
 		}
@@ -78,8 +75,7 @@ func Parse(src string) (*Statement, error) {
 		if !p.eatKeyword("in") {
 			return nil, p.errf("expected 'in'")
 		}
-		target, err := p.parseAbsPath(docVar)
-		if err != nil {
+		if st.Target, st.target, err = p.parseAbsPath(docVar); err != nil {
 			return nil, err
 		}
 		if !p.eatKeyword("insert") {
@@ -99,7 +95,6 @@ func Parse(src string) (*Statement, error) {
 			}
 		}
 		st.Kind = Insert
-		st.Target = target
 		st.Forest = forest
 
 	case p.eatKeyword("insert"):
@@ -112,20 +107,18 @@ func Parse(src string) (*Statement, error) {
 			}
 			st.Forest = forest
 		} else {
-			q1, err := p.parseAbsPath(docVar)
+			q1, t, err := p.parseAbsPath(docVar)
 			if err != nil {
 				return nil, err
 			}
-			st.CopyOf = &q1
+			st.CopyOf, st.copyOf = &q1, t
 		}
 		if !p.eatKeyword("into") {
 			return nil, p.errf("expected 'into'")
 		}
-		target, err := p.parseAbsPath(docVar)
-		if err != nil {
+		if st.Target, st.target, err = p.parseAbsPath(docVar); err != nil {
 			return nil, err
 		}
-		st.Target = target
 
 	default:
 		return nil, p.errf("expected delete, insert, replace, for, or let")
@@ -231,21 +224,22 @@ func (p *uparser) parseStringLit() (string, error) {
 }
 
 // parseAbsPath parses a path that is either absolute (/...) or rooted at
-// the let-bound document variable ($c/...).
-func (p *uparser) parseAbsPath(docVar string) (xpath.Path, error) {
+// the let-bound document variable ($c/...), through the target cache: the
+// path's text is its key.
+func (p *uparser) parseAbsPath(docVar string) (xpath.Path, *target, error) {
 	p.skip()
 	if p.pos < len(p.src) && p.src[p.pos] == '$' {
 		name, err := p.parseVarName()
 		if err != nil {
-			return xpath.Path{}, err
+			return xpath.Path{}, nil, err
 		}
 		if name != docVar {
-			return xpath.Path{}, p.errf("unknown variable $%s (only the let-bound document variable may anchor paths)", name)
+			return xpath.Path{}, nil, p.errf("unknown variable $%s (only the let-bound document variable may anchor paths)", name)
 		}
 	}
 	start := p.pos
 	if p.pos >= len(p.src) || p.src[p.pos] != '/' {
-		return xpath.Path{}, p.errf("expected path")
+		return xpath.Path{}, nil, p.errf("expected path")
 	}
 	// Scan a balanced path: stop at whitespace/keyword boundaries outside
 	// brackets and quotes.
@@ -269,12 +263,12 @@ func (p *uparser) parseAbsPath(docVar string) (xpath.Path, error) {
 			depth--
 		case ' ', '\t', '\n', '<':
 			if depth == 0 {
-				return xpath.Parse(p.src[start:p.pos])
+				return parseTarget(p.src[start:p.pos])
 			}
 		}
 		p.pos++
 	}
-	return xpath.Parse(p.src[start:p.pos])
+	return parseTarget(p.src[start:p.pos])
 }
 
 // parseForest parses the XML fragment (one or more sibling trees) at the

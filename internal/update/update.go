@@ -10,36 +10,96 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"xivm/internal/algebra"
+	"xivm/internal/lru"
 	"xivm/internal/qvm"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
 )
 
-// targetProgs caches compiled target-path programs keyed by the statement's
-// source text — workloads re-issue the same statement shapes (the serve
-// loop, the load generator, replayed WALs), and the source string is
-// already in hand, so a hit skips compilation. A path with no source text
-// of its own (a statement built programmatically, a copy-of source) is keyed
-// by its rendering. Compiled programs are immutable: no invalidation.
-var targetProgs = qvm.NewCache(512)
+// A target is a statement path's compiled program and the path parsed from
+// the text it is cached under, shared by every statement that names that
+// text: neither is written after it is made, and the path's steps are
+// capped, so an append to them copies. An entry made for a path built in
+// code holds no path, since that one is its caller's to change.
+type target struct {
+	path xpath.Path
+	prog *qvm.Program
+}
 
-// evalTarget evaluates a statement path with its compiled program. The
-// interpreter in internal/xpath is the tests' oracle, not a fallback.
-func evalTarget(d *xmltree.Document, p xpath.Path, key string) ([]*xmltree.Node, error) {
-	if key == "" {
-		key = p.String()
+// holds reports whether p is t's path itself, not a copy changed since or
+// another path: a statement whose Target was replaced after Parse does not
+// run the program of the path it was parsed with.
+func (t *target) holds(p xpath.Path) bool {
+	return t != nil && len(p.Steps) == len(t.path.Steps) && len(p.Steps) > 0 && &p.Steps[0] == &t.path.Steps[0]
+}
+
+// targets caches statement paths by their text: workloads re-issue the same
+// target shapes (the serve loop, the load generator, replayed WALs), so a
+// hit costs neither a parse nor a compile. Parse keys a path by its text in
+// the statement; a path with no text of its own (a statement built
+// programmatically) is keyed by its rendering, which parses to the same
+// path. Entries are immutable: no invalidation.
+var targets = struct {
+	sync.Mutex
+	lru *lru.Cache[string, *target]
+}{lru: lru.New[string, *target](512)}
+
+// cachedTarget returns the entry for a path's text, or nil.
+func cachedTarget(text string) *target {
+	targets.Lock()
+	defer targets.Unlock()
+	t, _ := targets.lru.Get(text)
+	return t
+}
+
+// compileTarget compiles p and caches it under text, holding path. A path
+// the compiler rejects is not cached: its error is the statement's when it
+// runs.
+func compileTarget(text string, p, path xpath.Path) (*target, error) {
+	prog, err := qvm.Compile(p)
+	if err != nil {
+		return nil, fmt.Errorf("update: target path %s: %w", p, err)
 	}
-	prog, ok := targetProgs.Get(key)
-	if !ok {
-		var err error
-		if prog, err = qvm.Compile(p); err != nil {
-			return nil, fmt.Errorf("update: target path %s: %w", p, err)
+	t := &target{path: path, prog: prog}
+	targets.Lock()
+	targets.lru.Put(strings.Clone(text), t)
+	targets.Unlock()
+	return t, nil
+}
+
+// parseTarget parses a path cut out of a statement, through the cache.
+func parseTarget(text string) (xpath.Path, *target, error) {
+	if t := cachedTarget(text); t != nil && t.path.Steps != nil {
+		return t.path, t, nil
+	}
+	p, err := xpath.Parse(text)
+	if err != nil {
+		return xpath.Path{}, nil, err
+	}
+	t, err := compileTarget(text, p, xpath.Path{Steps: p.Steps[:len(p.Steps):len(p.Steps)]})
+	if err != nil {
+		return p, nil, nil // the statement fails when it runs
+	}
+	return t.path, t, nil
+}
+
+// evalTarget evaluates a statement path with its compiled program: t's when
+// p is t's path, else the one cached under p's rendering. The interpreter
+// in internal/xpath is the tests' oracle, not a fallback.
+func evalTarget(d *xmltree.Document, p xpath.Path, t *target) ([]*xmltree.Node, error) {
+	if !t.holds(p) {
+		key := p.String()
+		if t = cachedTarget(key); t == nil {
+			var err error
+			if t, err = compileTarget(key, p, xpath.Path{}); err != nil {
+				return nil, err
+			}
 		}
-		targetProgs.Add(key, prog)
 	}
-	return prog.Eval(d), nil
+	return t.prog.Eval(d), nil
 }
 
 // Kind distinguishes insertions from deletions.
@@ -76,6 +136,10 @@ type Statement struct {
 	Forest []*xmltree.Node // template forest for insertions (cloned per target)
 	CopyOf *xpath.Path     // for "insert q1 into q2": q1, copied from the document
 	Source string
+
+	// target and copyOf are the cache entries Parse found Target and
+	// CopyOf in; nil for a statement built programmatically.
+	target, copyOf *target
 }
 
 // String returns the original statement text.
@@ -113,8 +177,8 @@ func ExpandReplace(d *xmltree.Document, st *Statement) (del, ins *PUL, err error
 		return nil, nil, fmt.Errorf("update: replace with empty forest")
 	}
 	// The expansion's delete stage shares the replace statement's target
-	// path, so it can share its compiled-program cache slot too.
-	delStmt := &Statement{Kind: Delete, Target: st.Target, Source: st.Source}
+	// path, so it shares its parsed and compiled entry too.
+	delStmt := &Statement{Kind: Delete, Target: st.Target, Source: st.Source, target: st.target}
 	del, err = ComputePUL(d, delStmt)
 	if err != nil {
 		return nil, nil, err
@@ -146,7 +210,7 @@ func (pul *PUL) Compute(d *xmltree.Document, st *Statement) error {
 	if st.Kind == Replace {
 		return fmt.Errorf("update: replace statements expand via ExpandReplace")
 	}
-	targets, err := evalTarget(d, st.Target, st.Source)
+	targets, err := evalTarget(d, st.Target, st.target)
 	if err != nil {
 		return err
 	}
@@ -169,7 +233,7 @@ func (pul *PUL) Compute(d *xmltree.Document, st *Statement) error {
 	case Insert:
 		forest := st.Forest
 		if st.CopyOf != nil {
-			copied, err := evalTarget(d, *st.CopyOf, "")
+			copied, err := evalTarget(d, *st.CopyOf, st.copyOf)
 			if err != nil {
 				return err
 			}

@@ -179,7 +179,7 @@ func TestProgrammaticStatementRunsTheVM(t *testing.T) {
 		}
 	}
 	for _, key := range []string{target.String(), src.String()} {
-		if _, ok := targetProgs.Get(key); !ok {
+		if cachedTarget(key) == nil {
 			t.Fatalf("no compiled program cached under %q", key)
 		}
 	}
@@ -190,6 +190,58 @@ func TestProgrammaticStatementRunsTheVM(t *testing.T) {
 		if _, err := ComputePUL(d, bad); err == nil || !strings.Contains(err.Error(), "qvm:") {
 			t.Fatalf("uncompilable path: err = %v, want the compiler's", err)
 		}
+	}
+}
+
+// TestTargetParsedOncePerPathText: a statement's target path is parsed and
+// compiled once per text. A second Parse of a statement with a known target
+// allocates no path; an insert of another forest into the same target finds
+// the same entry; and what Format renders is what a path parsed afresh
+// renders, byte for byte.
+func TestTargetParsedOncePerPathText(t *testing.T) {
+	const target = `/site/open_auctions/open_auction[@id="open_auction0"]`
+	srcs := []string{
+		`delete ` + target + `/bidder[xbench]`,
+		`insert <bidder><date>03/03/2021</date></bidder> into ` + target,
+		`insert <bidder><increase>3.00</increase><xbench/></bidder> into ` + target,
+		`for $x in ` + target + ` insert <bidder/>`,
+		`replace ` + target + `/initial with <initial>1.00</initial>`,
+		`insert //item[1]/name into ` + target,
+	}
+	first := make([]*Statement, len(srcs))
+	for i, src := range srcs {
+		first[i] = MustParse(src)
+	}
+	for i, src := range srcs {
+		st := MustParse(src)
+		if st.target == nil || st.target != first[i].target || &st.Target.Steps[0] != &first[i].Target.Steps[0] {
+			t.Errorf("%s: a second parse did not reuse the target's entry", src)
+		}
+		if st.CopyOf != nil && (st.copyOf == nil || &st.CopyOf.Steps[0] != &first[i].CopyOf.Steps[0]) {
+			t.Errorf("%s: a second parse did not reuse the copy source's entry", src)
+		}
+		// What Format renders comes from the path, cached or parsed afresh.
+		fresh := *st
+		fresh.Target, fresh.target = xpath.MustParse(st.Target.String()), nil
+		if got, want := Format(st), Format(&fresh); got != want {
+			t.Errorf("%s: Format = %q, from a fresh parse %q", src, got, want)
+		}
+	}
+	if first[1].target != first[2].target || first[1].target != first[3].target {
+		t.Error("inserts of different forests into one target found different entries")
+	}
+	// Warm, a delete allocates its Statement and nothing for its path.
+	if n := testing.AllocsPerRun(100, func() { MustParse(srcs[0]) }); n > 1 {
+		t.Errorf("a parse of a known delete allocated %v times, want 1", n)
+	}
+	// A path the statement no longer holds is not run with the entry's
+	// program.
+	d := mustDoc(t, `<site><open_auctions><open_auction id="open_auction0"><bidder/></open_auction></open_auctions><people/></site>`)
+	st := MustParse(srcs[1])
+	st.Target = xpath.MustParse(`/site/people`)
+	pul, err := ComputePUL(d, st)
+	if err != nil || len(pul.Inserts) != 1 || pul.Inserts[0].Target.Label() != "people" {
+		t.Fatalf("a replaced target ran %v (%v)", pul, err)
 	}
 }
 

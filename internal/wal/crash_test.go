@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/core"
 	"xivm/internal/obs"
 	"xivm/internal/update"
 	"xivm/internal/xmark"
@@ -314,14 +316,17 @@ var batchStatements = []string{
 }
 
 // TestCrashMidBatchJournal crashes inside the k-th append of a translated
-// batch's journal, for every k. The run then folds the k statements the
-// log holds, and the rest fail with the crash; the live engine must be
-// exactly what Open recovers from the directory, torn tail and all.
+// batch's journal, for every k. The crash takes the run's one fsync with
+// it, so no statement of the run is acknowledged and the live engine is
+// the one before it. Open cuts the torn tail and reads back the k whole
+// records: the recovered state is exactly what a run of the first k
+// statements leaves.
 func TestCrashMidBatchJournal(t *testing.T) {
-	// script creates a database, registers two views and applies the batch;
-	// it returns the live engine's state, how many statements landed, the
-	// batch's error and the operation count just before the batch.
-	script := func(dir string, ffs *FailFS) (live engState, applied, before int, err error) {
+	// script creates a database, registers two views and applies the
+	// first n statements of the batch as one run; it returns the live
+	// engine's state, how many statements landed, the run's error and the
+	// operation count just before the run.
+	script := func(dir string, ffs *FailFS, n int) (live engState, applied, before int, err error) {
 		db, err := Create(dir, []byte(xmark.GenerateSmall(11, 0)), Options{Sync: SyncAlways, FS: ffs, Metrics: obs.New()})
 		if err != nil {
 			t.Fatal(err)
@@ -332,11 +337,14 @@ func TestCrashMidBatchJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		stmts := make([]*update.Statement, len(batchStatements))
-		for i, src := range batchStatements {
+		stmts := make([]*update.Statement, n)
+		for i, src := range batchStatements[:n] {
 			stmts[i] = mustStatement(t, src)
 		}
 		before = ffs.Ops()
+		if n == 0 {
+			return stateOf(t, db.Engine()), 0, before, nil
+		}
 		run := db.ApplyRun(stmts, nil)
 		if len(run.Results) != len(stmts) {
 			t.Fatalf("%d results for %d statements", len(run.Results), len(stmts))
@@ -348,32 +356,43 @@ func TestCrashMidBatchJournal(t *testing.T) {
 			}
 			applied++
 		}
-		if err == nil && !run.Translated {
+		if err == nil && n == len(batchStatements) && !run.Translated {
 			t.Fatalf("the batch is not translated (%s)", run.Reason)
 		}
 		return stateOf(t, db.Engine()), applied, before, err
 	}
-	probe := NewFailFS(OSFS)
-	_, applied, before, err := script(t.TempDir(), probe)
-	if err != nil || applied != len(batchStatements) {
-		t.Fatalf("probe run: %d applied, %v", applied, err)
-	}
-	// Under SyncAlways each append is one write and one fsync.
-	if got := probe.Ops() - before; got != 2*len(batchStatements) {
-		t.Fatalf("the batch's journal took %d operations, want %d", got, 2*len(batchStatements))
+	// after[k] is the state a fault-free run of the first k statements
+	// leaves.
+	after := make([]engState, len(batchStatements)+1)
+	var before int // the operation count just before the run
+	for k := range after {
+		probe := NewFailFS(OSFS)
+		st, applied, b, err := script(t.TempDir(), probe, k)
+		before = b
+		if err != nil || applied != k {
+			t.Fatalf("probe run of %d: %d applied, %v", k, applied, err)
+		}
+		// Under SyncAlways each append is one write, and the run one fsync.
+		if k == len(batchStatements) {
+			if got := probe.Ops() - before; got != k+1 {
+				t.Fatalf("the batch's journal took %d operations, want %d", got, k+1)
+			}
+		}
+		after[k] = st
 	}
 
 	for k := range batchStatements {
 		dir := t.TempDir()
 		ffs := NewFailFS(OSFS)
-		ffs.CrashAt = before + 2*k // the write of the k-th append: half of it lands
-		live, applied, _, err := script(dir, ffs)
+		ffs.CrashAt = before + k // the write of the k-th append: half of it lands
+		live, applied, _, err := script(dir, ffs, len(batchStatements))
 		if !errors.Is(err, ErrCrash) {
 			t.Fatalf("crash in append %d: err = %v, want the crash", k, err)
 		}
-		if applied != k {
-			t.Fatalf("crash in append %d: %d statements applied, want %d", k, applied, k)
+		if applied != 0 {
+			t.Fatalf("crash in append %d: %d statements acknowledged without their fsync", k, applied)
 		}
+		requireSameState(t, fmt.Sprintf("crash in append %d: live", k), live, after[0])
 		re, err := Open(dir, Options{Metrics: obs.New()})
 		if err != nil {
 			t.Fatalf("crash in append %d: %v", k, err)
@@ -381,7 +400,197 @@ func TestCrashMidBatchJournal(t *testing.T) {
 		if re.Stats().TruncatedBytes == 0 {
 			t.Fatalf("crash in append %d: no torn tail was cut", k)
 		}
-		requireSameState(t, fmt.Sprintf("crash in append %d", k), stateOf(t, re.Engine()), live)
+		requireSameState(t, fmt.Sprintf("crash in append %d: recovered", k), stateOf(t, re.Engine()), after[k])
 		re.Close()
 	}
+}
+
+// TestRunIsOneFsync: under SyncAlways a run of five statements is five
+// appends and one fsync, not one fsync a statement, and every statement of
+// it is acknowledged and recovered.
+func TestRunIsOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.New()
+	db, err := Create(dir, []byte(xmark.GenerateSmall(11, 0)), Options{Sync: SyncAlways, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
+		t.Fatal(err)
+	}
+	stmts := make([]*update.Statement, len(batchStatements))
+	for i, src := range batchStatements {
+		stmts[i] = mustStatement(t, src)
+	}
+	fsyncs, appends := reg.Counter("wal.fsync.count").Value(), reg.Counter("wal.append.count").Value()
+	run := db.ApplyRun(stmts, nil)
+	for i, r := range run.Results {
+		if r.Err != nil {
+			t.Fatalf("statement %d: %v", i, r.Err)
+		}
+	}
+	if n := reg.Counter("wal.append.count").Value() - appends; n != int64(len(stmts)) {
+		t.Errorf("the run appended %d records, want %d", n, len(stmts))
+	}
+	if n := reg.Counter("wal.fsync.count").Value() - fsyncs; n != 1 {
+		t.Errorf("the run of %d issued %d fsyncs, want 1", len(stmts), n)
+	}
+	live := stateOf(t, db.Engine())
+	db.Close()
+	re, err := Open(dir, Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	requireSameState(t, "recovered", stateOf(t, re.Engine()), live)
+}
+
+// TestCrashMidRunKeepsEveryAck crashes at every filesystem operation of a
+// five-statement run under SyncAlways — each append's write and the run's
+// one fsync — and recovers the directory: the recovered document is the
+// state after some prefix of the run no shorter than the statements the
+// run acknowledged, and every view equals a fresh evaluation.
+func TestCrashMidRunKeepsEveryAck(t *testing.T) {
+	docXML := xmark.GenerateSmall(11, 0)
+	// The oracle: the document after each prefix of the run, one
+	// statement at a time.
+	d, err := xmltree.ParseString(docXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := core.New(d, core.WithMetrics(obs.New()))
+	prefixes := []string{twin.Doc.String()}
+	for _, src := range batchStatements {
+		if _, err := twin.ApplyStatement(mustStatement(t, src)); err != nil {
+			t.Fatal(err)
+		}
+		prefixes = append(prefixes, twin.Doc.String())
+	}
+	script := func(dir string, ffs *FailFS) (acked, before int) {
+		db, err := Create(dir, []byte(docXML), Options{Sync: SyncAlways, FS: ffs, Metrics: obs.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
+			t.Fatal(err)
+		}
+		stmts := make([]*update.Statement, len(batchStatements))
+		for i, src := range batchStatements {
+			stmts[i] = mustStatement(t, src)
+		}
+		before = ffs.Ops()
+		for _, r := range db.ApplyRun(stmts, nil).Results {
+			if r.Err != nil {
+				break
+			}
+			acked++
+		}
+		return acked, before
+	}
+	probe := NewFailFS(OSFS)
+	acked, before := script(t.TempDir(), probe)
+	ops := probe.Ops() - before
+	if acked != len(batchStatements) || ops != len(batchStatements)+1 {
+		t.Fatalf("probe run: %d acknowledged in %d operations, want %d in %d", acked, ops, len(batchStatements), len(batchStatements)+1)
+	}
+	for at := range ops {
+		dir := t.TempDir()
+		ffs := NewFailFS(OSFS)
+		ffs.CrashAt = before + at
+		acked, _ := script(dir, ffs)
+		re, err := Open(dir, Options{Metrics: obs.New()})
+		if err != nil {
+			t.Fatalf("crash at op %d of the run: %v", at, err)
+		}
+		k := slices.Index(prefixes, re.Engine().Doc.String())
+		if k < acked {
+			t.Fatalf("crash at op %d of the run: recovered prefix %d, but %d statements were acknowledged", at, k, acked)
+		}
+		for _, mv := range re.Engine().Views {
+			if !mv.View.EqualRows(algebra.Materialize(re.Engine().Doc, mv.Pattern)) {
+				t.Fatalf("crash at op %d of the run: view %s diverges from a fresh evaluation", at, mv.Name)
+			}
+		}
+		re.Close()
+	}
+}
+
+// TestRunWriteErrorSyncsItsPrefix fails the write of the third append of
+// a five-statement run under SyncAlways — a full disk, not a crash: the
+// filesystem goes on. The two statements appended before it are
+// acknowledged only after the run's one fsync, and recovery reads back
+// exactly them. When that fsync fails as well, no statement of the run is
+// acknowledged and the live engine is the one before the run.
+func TestRunWriteErrorSyncsItsPrefix(t *testing.T) {
+	// script creates a database with a view and applies the first n
+	// statements of the batch as one run, with fault set on the
+	// filesystem at the operation count just before it. It returns the
+	// engine's state before and after the run, the run's errors and its
+	// fsyncs.
+	script := func(dir string, n int, fault func(ffs *FailFS, before int)) (pre, live engState, errs []error, fsyncs int64) {
+		ffs := NewFailFS(OSFS)
+		reg := obs.New()
+		db, err := Create(dir, []byte(xmark.GenerateSmall(11, 0)), Options{Sync: SyncAlways, FS: ffs, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, err := db.AddView("Q1", xmark.View("Q1").String()); err != nil {
+			t.Fatal(err)
+		}
+		stmts := make([]*update.Statement, n)
+		for i, src := range batchStatements[:n] {
+			stmts[i] = mustStatement(t, src)
+		}
+		pre = stateOf(t, db.Engine())
+		fault(ffs, ffs.Ops())
+		f0 := reg.Counter("wal.fsync.count").Value()
+		for _, r := range db.ApplyRun(stmts, nil).Results {
+			errs = append(errs, r.Err)
+		}
+		return pre, stateOf(t, db.Engine()), errs, reg.Counter("wal.fsync.count").Value() - f0
+	}
+	_, want, errs, _ := script(t.TempDir(), 2, func(*FailFS, int) {})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fault-free run of two: statement %d: %v", i, err)
+		}
+	}
+
+	dir := t.TempDir()
+	_, live, errs, fsyncs := script(dir, len(batchStatements), func(ffs *FailFS, before int) {
+		ffs.ErrAt = before + 2 // the write of the third append
+	})
+	for i, err := range errs {
+		if i < 2 && err != nil {
+			t.Fatalf("statement %d, appended before the failed write: %v", i, err)
+		}
+		if i >= 2 && !errors.Is(err, ErrIO) {
+			t.Fatalf("statement %d: err = %v, want the write error", i, err)
+		}
+	}
+	if fsyncs != 1 {
+		t.Fatalf("two statements acknowledged after %d fsyncs, want 1", fsyncs)
+	}
+	requireSameState(t, "live", live, want)
+	re, err := Open(dir, Options{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, "recovered", stateOf(t, re.Engine()), want)
+	re.Close()
+
+	// The write fails, and the fsync after it too.
+	pre, live, errs, _ := script(t.TempDir(), len(batchStatements), func(ffs *FailFS, before int) {
+		ffs.ErrAt = before + 2
+		ffs.CrashAt = before + 3
+	})
+	for i, err := range errs {
+		if !errors.Is(err, ErrCrash) {
+			t.Fatalf("statement %d: err = %v, want the failed fsync's", i, err)
+		}
+	}
+	requireSameState(t, "live after a failed fsync", live, pre)
 }

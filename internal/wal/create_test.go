@@ -206,3 +206,51 @@ func TestCreateOverAKilledCreate(t *testing.T) {
 	}
 	checkViews(t, db)
 }
+
+// TestOpenInstallsViewRecordsInOneWalk: opening a created tenant from
+// checkpoint-0 replays its seven view records as one run, indexing the
+// ten labels they read in one walk of the document, not one walk a label.
+// A run of view records with a bad one among them installs the others and
+// skips that one alone.
+func TestOpenInstallsViewRecordsInOneWalk(t *testing.T) {
+	dir := t.TempDir()
+	db, err := CreateWithViews(dir, createDoc(), benchViews, createOptions(SyncAlways, obs.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	re, err := Open(dir, createOptions(SyncAlways, obs.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.CheckpointLSN != 0 || st.Replayed != len(benchViews) {
+		t.Fatalf("recovery %+v, want %d view records replayed from checkpoint-0", st, len(benchViews))
+	}
+	if n := xmltree.LabelWalks(re.Engine().Doc); n != 1 {
+		t.Errorf("replaying the view records walked the document %d times for labels, want 1", n)
+	}
+	checkViews(t, re)
+
+	recs := []Record{
+		{LSN: 1, Kind: RecordView, ViewName: "Q1", ViewPattern: xmark.View("Q1").String()},
+		{LSN: 2, Kind: RecordView, ViewName: "bad", ViewPattern: `//[`},
+		{LSN: 3, Kind: RecordView, ViewName: "bare", ViewPattern: `//person//name`}, // stores nothing
+		{LSN: 4, Kind: RecordView, ViewName: "R1", ViewPattern: benchViews[2].Pattern},
+	}
+	d, err := xmltree.ParseString(createDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.New(d, core.WithMetrics(obs.New()))
+	res, err := Replay(eng, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Applied != 2 || res.Skipped != 2 || len(res.Views) != 2 || res.Views[0].LSN != 1 || res.Views[1].LSN != 4 {
+		t.Fatalf("replayed %+v, want Q1 and R1 installed and the other two skipped", res)
+	}
+	if len(eng.Views) != 2 || eng.Views[0].Name != "Q1" || eng.Views[1].Name != "R1" {
+		t.Fatalf("installed %d views", len(eng.Views))
+	}
+}

@@ -139,11 +139,12 @@ func (db *DB) logOptions(start uint64) LogOptions {
 // statements: one huge statement does not pin its size for the DB's life.
 const maxJournalScratch = 4 << 10
 
-// journal appends the statement's canonical form to the log (synced per
-// policy) before the engine touches the document or any view.
+// journal appends the statement's canonical form to the log, before the
+// engine touches the document or any view. It does not sync: Apply and
+// ApplyRun sync what they journaled, as the policy says, before they fold.
 func (db *DB) journal(st *update.Statement) error {
 	db.jbuf = update.AppendFormat(append(db.jbuf[:0], RecordStatement), st)
-	_, err := db.log.Append(db.jbuf)
+	_, err := db.log.append(db.jbuf)
 	if cap(db.jbuf) > maxJournalScratch {
 		db.jbuf = nil
 	}
@@ -496,6 +497,9 @@ func (db *DB) Apply(st *update.Statement) (*core.Report, error) {
 	if err := db.journal(st); err != nil {
 		return nil, err
 	}
+	if err := db.log.policySync(); err != nil {
+		return nil, err
+	}
 	rep, err := db.eng.ApplyStatement(st)
 	if err != nil {
 		return rep, err
@@ -504,14 +508,19 @@ func (db *DB) Apply(st *update.Statement) (*core.Report, error) {
 	return rep, nil
 }
 
-// ApplyRun journals a run of statements in order, each synced as the sync
-// policy says — under SyncAlways every statement is fsynced on its own,
-// under SyncInterval they share the group-commit window — and then folds
-// exactly the statements the log holds into the
-// engine with pulopt.ApplyRun, the fold replay uses: live state and
-// recovered state never diverge, whichever side of a journal failure a
-// statement fell on. A statement that could not be journaled has no effect
-// and fails with the journal error. The results are appended to dst[:0].
+// ApplyRun journals a run of statements in order and syncs them together,
+// as the sync policy says — under SyncAlways the run costs one fsync,
+// under SyncInterval it joins the group-commit window — and then folds
+// exactly the statements the log holds into the engine with
+// pulopt.ApplyRun, the fold replay uses: live state and recovered state
+// do not diverge on whichever side of a failed append a statement fell.
+// A statement that could not be journaled has no effect and fails with the
+// journal error. The statements appended before it are synced all the
+// same — a failed write poisons the log for appends, not for the sync of
+// the frames before it — and folded once that sync succeeds. When the
+// sync fails, the whole run fails with it and has no effect, as a single
+// statement whose fsync fails does: no statement is acknowledged that the
+// policy has not made durable. The results are appended to dst[:0].
 func (db *DB) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Run {
 	journaled := 0
 	var jerr error
@@ -520,6 +529,11 @@ func (db *DB) ApplyRun(stmts []*update.Statement, dst []pulopt.Result) pulopt.Ru
 			break
 		}
 		journaled++
+	}
+	if journaled > 0 {
+		if err := db.log.policySync(); err != nil {
+			jerr, journaled = err, 0
+		}
 	}
 	run := pulopt.ApplyRun(db.eng, stmts[:journaled], dst)
 	if jerr != nil {

@@ -11,6 +11,10 @@ import (
 // like the page cache of a machine that lost power.
 var ErrCrash = errors.New("wal: injected crash")
 
+// ErrIO is what the FailFS operation at ErrAt returns: one failed
+// operation, a full disk's write say, after which the filesystem goes on.
+var ErrIO = errors.New("wal: injected I/O error")
+
 // FailFS wraps an FS, counts its mutating operations, and crashes at a
 // chosen one: the crash-matrix tests first probe a run to learn its
 // operation count, then re-run it once per index with CrashAt set,
@@ -30,6 +34,10 @@ type FailFS struct {
 	// TornBytes is how many bytes of a Write land when the crash fires
 	// inside it. Negative writes half the buffer.
 	TornBytes int
+	// ErrAt fails the ErrAt-th mutating operation (0-based) with ErrIO:
+	// nothing of it lands, and every other operation goes on. Negative
+	// fails none.
+	ErrAt int
 
 	inner   FS
 	mu      sync.Mutex
@@ -39,7 +47,7 @@ type FailFS struct {
 
 // NewFailFS wraps inner in probe mode (never crashes).
 func NewFailFS(inner FS) *FailFS {
-	return &FailFS{CrashAt: -1, TornBytes: -1, inner: inner}
+	return &FailFS{CrashAt: -1, TornBytes: -1, ErrAt: -1, inner: inner}
 }
 
 // Ops returns how many mutating operations have run.
@@ -62,6 +70,9 @@ func (f *FailFS) step() (fired bool, err error) {
 	if f.CrashAt >= 0 && at >= f.CrashAt {
 		f.crashed = true
 		return true, ErrCrash
+	}
+	if at == f.ErrAt {
+		return false, ErrIO
 	}
 	return false, nil
 }

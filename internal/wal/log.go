@@ -156,6 +156,7 @@ type Log struct {
 
 	truncated int64 // torn-tail bytes cut during Open
 	failed    error // sticky write-path error; the log refuses further appends
+	syncErr   error // sticky fsync error: no later fsync is trusted
 }
 
 type segment struct {
@@ -377,7 +378,7 @@ func (l *Log) append(payload []byte) (uint64, error) {
 // next LSN.
 func (l *Log) rotate() error {
 	if l.cur != nil {
-		if err := l.syncCur(); err != nil {
+		if err := l.syncWritten(); err != nil {
 			return err
 		}
 		if err := l.cur.Close(); err != nil {
@@ -403,38 +404,51 @@ func (l *Log) rotate() error {
 	return nil
 }
 
+// policySync syncs the frames written since the last sync, as the policy
+// says. It syncs them even after a failed write has poisoned the log (see
+// syncWritten), and then succeeds: a run makes durable the statements it
+// appended before the one that failed, and acknowledges them.
 func (l *Log) policySync() error {
-	switch l.opts.Policy {
-	case SyncAlways:
-		return l.Sync()
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.Interval {
-			return l.Sync()
+	if l.opts.Policy == SyncAlways || l.opts.Policy == SyncInterval && time.Since(l.lastSync) >= l.opts.Interval {
+		if err := l.syncWritten(); err != nil {
+			return err
 		}
+		l.lastSync = time.Now()
 	}
 	return nil
 }
 
-// Sync fsyncs the active segment if it has unsynced appends.
+// Sync fsyncs the active segment if it has unsynced appends. On a log a
+// failed write has poisoned it still syncs the frames before that write
+// (see syncWritten), and then returns the failure.
 func (l *Log) Sync() error {
-	if err := l.syncCur(); err != nil {
+	if err := l.syncWritten(); err != nil {
 		return err
 	}
 	l.lastSync = time.Now()
-	return nil
+	return l.failed
 }
 
-func (l *Log) syncCur() error {
-	if l.failed != nil {
-		return l.failed
+// syncWritten fsyncs the frames written to the active segment since the
+// last sync, even on a log that a failed write has poisoned: the frames
+// before the failed one are whole, and the torn bytes after them are cut
+// when the log is opened. Once an fsync has failed it fails too, without
+// trying again: a later fsync that succeeds says nothing of the pages the
+// failed one may have dropped.
+func (l *Log) syncWritten() error {
+	if l.syncErr != nil {
+		return l.syncErr
 	}
 	if !l.dirty || l.cur == nil {
 		return nil
 	}
 	t0 := time.Now()
 	if err := l.cur.Sync(); err != nil {
-		l.failed = fmt.Errorf("wal: fsync: %w", err)
-		return l.failed
+		l.syncErr = fmt.Errorf("wal: fsync: %w", err)
+		if l.failed == nil {
+			l.failed = l.syncErr
+		}
+		return l.syncErr
 	}
 	l.m.fsyncCount.Inc()
 	l.m.fsyncNS.Observe(time.Since(t0))
@@ -475,7 +489,7 @@ func (l *Log) RotateAndTruncate(lsn uint64) error {
 		return l.failed
 	}
 	if l.cur != nil {
-		if err := l.syncCur(); err != nil {
+		if err := l.syncWritten(); err != nil {
 			return err
 		}
 		if err := l.cur.Close(); err != nil {
@@ -539,7 +553,7 @@ func (l *Log) Close() error {
 	if l.cur == nil {
 		return nil
 	}
-	err := l.syncCur()
+	err := l.Sync()
 	if cerr := l.cur.Close(); err == nil {
 		err = cerr
 	}

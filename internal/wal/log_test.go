@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -360,6 +361,71 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestFailedWriteLeavesItsPrefixSyncable: under SyncNever two appends are
+// acknowledged unsynced and the third's write fails. The log refuses
+// appends from then on, but Sync and Close still fsync the two whole frames
+// before the failed one, and report the failure; once an fsync has failed
+// no later one is tried.
+func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFailFS(OSFS)
+	reg := obs.New()
+	l, err := OpenLog(dir, LogOptions{Policy: SyncNever, FS: ffs, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if _, err := l.Append([]byte(fmt.Sprint("r", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.ErrAt = ffs.Ops()
+	if _, err := l.Append([]byte("r2")); !errors.Is(err, ErrIO) {
+		t.Fatalf("third append: err = %v, want the write error", err)
+	}
+	if _, err := l.Append([]byte("r3")); !errors.Is(err, ErrIO) {
+		t.Fatalf("append after the failed write: err = %v, want the write error", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrIO) {
+		t.Fatalf("Sync: err = %v, want the write error", err)
+	}
+	if n := reg.Counter("wal.fsync.count").Value(); n != 1 {
+		t.Fatalf("%d fsyncs of the two frames before the failed write, want 1", n)
+	}
+	if err := l.Close(); !errors.Is(err, ErrIO) {
+		t.Fatalf("Close: err = %v, want the write error", err)
+	}
+	l2, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := collectRecords(t, l2, 1); len(got) != 2 || got[1] != "r0" || got[2] != "r1" {
+		t.Fatalf("records %v, want r0 and r1", got)
+	}
+
+	// A failed fsync is sticky: no later Sync tries again.
+	ffs = NewFailFS(OSFS)
+	reg = obs.New()
+	l3, err := OpenLog(t.TempDir(), LogOptions{Policy: SyncNever, FS: ffs, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l3.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.ErrAt = ffs.Ops()
+	for range 2 {
+		if err := l3.Sync(); !errors.Is(err, ErrIO) {
+			t.Fatalf("Sync: err = %v, want the failed fsync's", err)
+		}
+	}
+	if n := ffs.Ops() - ffs.ErrAt; n != 1 {
+		t.Fatalf("%d fsyncs tried after the first failed, want none", n-1)
+	}
+	l3.Close()
 }
 
 func TestParseSyncPolicy(t *testing.T) {

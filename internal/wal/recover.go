@@ -110,7 +110,29 @@ func replay(eng *core.Engine, recs []Record, chunk int) (res ReplayResult, err e
 		}
 		results, run = r.Results, run[:0]
 	}
+	// views holds a run of consecutive view records, parsed, and pats
+	// their patterns, installed together with one walk of the document for
+	// their labels (core.AddViews).
+	var views []Record
+	var pats []core.NamedPattern
+	install := func() error {
+		if len(pats) == 0 {
+			return nil
+		}
+		if err := eng.AddViews(pats); err != nil {
+			return err
+		}
+		res.Applied += len(views)
+		res.Views = append(res.Views, views...)
+		views, pats = views[:0], pats[:0]
+		return nil
+	}
 	for _, r := range recs {
+		if r.Kind != RecordView {
+			if err := install(); err != nil {
+				return res, err
+			}
+		}
 		switch r.Kind {
 		case RecordStatement:
 			st, err := update.Parse(r.Statement)
@@ -127,21 +149,26 @@ func replay(eng *core.Engine, recs []Record, chunk int) (res ReplayResult, err e
 				flush()
 			}
 		case RecordView:
-			flush()
-			first, last = r.LSN, r.LSN
-			p, err := pattern.Parse(r.ViewPattern)
-			if err == nil {
-				_, err = eng.AddView(r.ViewName, p)
+			if len(pats) == 0 {
+				flush()
+				first = r.LSN
 			}
-			if err != nil {
+			last = r.LSN
+			// A pattern that does not parse or stores nothing was refused
+			// when it was first journaled.
+			p, err := pattern.Parse(r.ViewPattern)
+			if err != nil || len(p.StoredIndexes()) == 0 {
 				res.Skipped++
 				continue
 			}
-			res.Applied++
-			res.Views = append(res.Views, r)
+			views = append(views, r)
+			pats = append(pats, core.NamedPattern{Name: r.ViewName, Pattern: p})
 		default:
 			res.Skipped++
 		}
+	}
+	if err := install(); err != nil {
+		return res, err
 	}
 	flush()
 	return res, nil
