@@ -49,7 +49,7 @@ func main() {
 	}
 	fmt.Println("\ninitial document valid ✓")
 
-	engine := core.NewEngine(doc, core.Options{})
+	engine := core.New(doc)
 	mv, err := engine.AddView("prices", pattern.MustParse(`//product{ID}/price{ID,val}`))
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,7 @@ func build() (*core.Engine, *core.ManagedView) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e := core.NewEngine(doc, core.Options{})
+	e := core.New(doc)
 	mv, err := e.AddView("names", pattern.MustParse(`//person{ID}/name{ID,val}`))
 	if err != nil {
 		log.Fatal(err)

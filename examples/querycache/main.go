@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(doc, core.Options{})
+	engine := core.New(doc)
 
 	// An ID-complete view library: small patterns that compose. Names are
 	// registered in sorted order so runs are reproducible — map iteration

@@ -39,7 +39,7 @@ return <r><id>{id($b)}</id><title>{string($t)}</title></r>`)
 		log.Fatal(err)
 	}
 
-	engine := core.NewEngine(doc, core.Options{})
+	engine := core.New(doc)
 	mv, err := engine.AddView("titles", def.Pattern)
 	if err != nil {
 		log.Fatal(err)

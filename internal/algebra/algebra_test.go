@@ -695,3 +695,9 @@ func TestShapeLaysOutIDsThenImages(t *testing.T) {
 		t.Error("rows binding the same nodes compare unequal on their images")
 	}
 }
+
+// ProjectBlock projects a block onto the given pattern node indexes,
+// ascending, deduplicating and count-summing.
+func ProjectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Document) []Row {
+	return (*Scratch)(nil).ProjectCounted(shapeOf(p, indexes), b, doc, ProjectCounters{})
+}

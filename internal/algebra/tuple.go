@@ -293,12 +293,6 @@ func ProjectStored(p *pattern.Pattern, b Block, doc *xmltree.Document) []Row {
 	return (*Scratch)(nil).ProjectCounted(NewShape(p), b, doc, ProjectCounters{})
 }
 
-// ProjectBlock projects a block onto the given pattern node indexes,
-// ascending, deduplicating and count-summing.
-func ProjectBlock(p *pattern.Pattern, b Block, indexes []int, doc *xmltree.Document) []Row {
-	return (*Scratch)(nil).ProjectCounted(shapeOf(p, indexes), b, doc, ProjectCounters{})
-}
-
 // ProjectCounted is the package's ProjectCounted. Each tuple's key cells
 // are gathered and the tuples put in the order of those, so duplicates are
 // neighbours: a tuple that merges into the row before it allocates

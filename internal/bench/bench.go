@@ -75,8 +75,8 @@ func mustParse(src string) *xmltree.Document {
 
 // engineWith builds a fresh engine over the (re-parsed) document with one
 // benchmark view installed.
-func engineWith(docSrc, viewName string, opts core.Options) (*core.Engine, *core.ManagedView) {
-	e := core.NewEngine(mustParse(docSrc), opts)
+func engineWith(docSrc, viewName string, opts ...core.Option) (*core.Engine, *core.ManagedView) {
+	e := core.New(mustParse(docSrc), opts...)
 	mv, err := e.AddView(viewName, xmark.View(viewName))
 	if err != nil {
 		panic(err)
@@ -100,7 +100,7 @@ func RunBreakdown(viewName string, insert bool, docBytes int) []BreakdownRow {
 	for _, un := range xmark.ViewUpdates(viewName) {
 		u := xmark.UpdateByName(un)
 		t := bestTimings(func() core.Timings {
-			e, _ := engineWith(src, viewName, core.Options{})
+			e, _ := engineWith(src, viewName)
 			st := u.InsertStatement()
 			if !insert {
 				st = u.DeleteStatement()
@@ -132,7 +132,7 @@ func RunAllPairs(insert bool, docBytes int) []PairRow {
 		for _, un := range xmark.ViewUpdates(vn) {
 			u := xmark.UpdateByName(un)
 			t := bestTimings(func() core.Timings {
-				e, _ := engineWith(src, vn, core.Options{})
+				e, _ := engineWith(src, vn)
 				st := u.InsertStatement()
 				if !insert {
 					st = u.DeleteStatement()
@@ -164,7 +164,7 @@ func RunPathDepth(docBytes int) []DepthRow {
 	for _, path := range xmark.DepthPaths() {
 		path := path
 		t := bestTimings(func() core.Timings {
-			e, _ := engineWith(src, "Q1", core.Options{})
+			e, _ := engineWith(src, "Q1")
 			rep, err := e.ApplyStatement(update.MustParse("delete " + path))
 			if err != nil {
 				panic(err)
@@ -191,7 +191,7 @@ func RunAnnotations(docBytes int) []AnnotationRow {
 	for _, v := range xmark.AnnotationVariants() {
 		v := v
 		t := bestTimings(func() core.Timings {
-			e := core.NewEngine(mustParse(src), core.Options{})
+			e := core.New(mustParse(src))
 			if _, err := e.AddView(string(v), xmark.Q1Variant(v)); err != nil {
 				panic(err)
 			}
@@ -220,7 +220,7 @@ func RunScalability(sizes []int, insert bool) []ScaleRow {
 	for _, n := range sizes {
 		n := n
 		t := bestTimings(func() core.Timings {
-			e, _ := engineWith(Doc(n), "Q1", core.Options{})
+			e, _ := engineWith(Doc(n), "Q1")
 			st := u.InsertStatement()
 			if !insert {
 				st = u.DeleteStatement()
@@ -259,7 +259,7 @@ func RunVsFull(insert bool, docBytes int) []VsFullRow {
 			}
 
 			inc := bestDur(func() time.Duration {
-				eInc, _ := engineWith(src, vn, core.Options{})
+				eInc, _ := engineWith(src, vn)
 				rep, err := eInc.ApplyStatement(mk())
 				if err != nil {
 					panic(err)
@@ -267,7 +267,7 @@ func RunVsFull(insert bool, docBytes int) []VsFullRow {
 				return rep.Timings().Total() - rep.Timings().FindTargets
 			})
 			full := bestDur(func() time.Duration {
-				eFull, _ := engineWith(src, vn, core.Options{})
+				eFull, _ := engineWith(src, vn)
 				d, err := eFull.FullRecompute(mk())
 				if err != nil {
 					panic(err)
@@ -297,7 +297,7 @@ func RunVsIVMA(docBytes int) []IVMARow {
 		u := xmark.UpdateByName(un)
 
 		bulk := bestDur(func() time.Duration {
-			eBulk, _ := engineWith(src, "Q1", core.Options{})
+			eBulk, _ := engineWith(src, "Q1")
 			rep, err := eBulk.ApplyStatement(u.InsertStatement())
 			if err != nil {
 				panic(err)
@@ -305,7 +305,7 @@ func RunVsIVMA(docBytes int) []IVMARow {
 			return rep.Timings().Total() - rep.Timings().FindTargets
 		})
 		ivmaTime := bestDur(func() time.Duration {
-			eIvma, _ := engineWith(src, "Q1", core.Options{})
+			eIvma, _ := engineWith(src, "Q1")
 			d, err := core.NewIVMA(eIvma).ApplyStatement(u.InsertStatement())
 			if err != nil {
 				panic(err)

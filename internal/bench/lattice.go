@@ -33,7 +33,7 @@ func RunSnowcapsVsLeaves(viewName string, sizes []int) []SnowcapRow {
 		for _, policy := range []core.Policy{core.PolicySnowcaps, core.PolicyLeaves} {
 			policy := policy
 			total := bestDur(func() time.Duration {
-				e, _ := engineWith(src, viewName, core.Options{Policy: policy})
+				e, _ := engineWith(src, viewName, core.WithPolicy(policy))
 				rep, err := e.ApplyStatement(u.InsertStatement())
 				if err != nil {
 					panic(err)
@@ -70,7 +70,7 @@ func RunSnowcapSplit(viewName string, sizes []int) []SnowcapSplitRow {
 		for _, policy := range []core.Policy{core.PolicySnowcaps, core.PolicyLeaves} {
 			policy := policy
 			t := bestTimings(func() core.Timings {
-				e, _ := engineWith(src, viewName, core.Options{Policy: policy})
+				e, _ := engineWith(src, viewName, core.WithPolicy(policy))
 				rep, err := e.ApplyStatement(u.InsertStatement())
 				if err != nil {
 					panic(err)
@@ -106,7 +106,11 @@ func RunPruningAblation(docBytes int) []AblationPruningRow {
 		for _, off := range []bool{false, true} {
 			off := off
 			total := bestDur(func() time.Duration {
-				e, _ := engineWith(src, "Q1", core.Options{DisableDataPruning: off, DisableIDPruning: off})
+				var opts []core.Option
+				if off {
+					opts = []core.Option{core.WithoutDataPruning(), core.WithoutIDPruning()}
+				}
+				e, _ := engineWith(src, "Q1", opts...)
 				rep, err := e.ApplyStatement(u.InsertStatement())
 				if err != nil {
 					panic(err)
@@ -143,15 +147,15 @@ func RunJoinAblation(docBytes int) []AblationJoinRow {
 		for _, nested := range []bool{false, true} {
 			nested := nested
 			total := bestDur(func() time.Duration {
-				opts := core.Options{}
+				var opts []core.Option
 				if nested {
-					opts.Join = algebra.NestedLoopStructuralJoin
+					opts = append(opts, core.WithJoin(algebra.NestedLoopStructuralJoin))
 				}
 				// Parse outside the timer: the ablation compares join
 				// algorithms, not XML parsing.
 				d := mustParse(src)
 				start := time.Now()
-				e := core.NewEngine(d, opts)
+				e := core.New(d, opts...)
 				if _, err := e.AddView(vn, xmark.View(vn)); err != nil {
 					panic(err)
 				}

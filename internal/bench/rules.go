@@ -31,7 +31,7 @@ func RunRule(rule string, percents []int, docBytes int) []RuleRow {
 		for _, optimize := range []bool{true, false} {
 			optimize := optimize
 			total := bestDur(func() time.Duration {
-				e, _ := engineWith(src, "Q1", core.Options{})
+				e, _ := engineWith(src, "Q1")
 				ops := ruleWorkload(e, rule, pct)
 				start := time.Now()
 				if optimize {

@@ -53,8 +53,8 @@ func TestBackoffDelayRetryAfter(t *testing.T) {
 	if got := backoffDelay(5, "1", 2*time.Second, full); got != time.Second {
 		t.Fatalf(`Retry-After "1": got %v, want 1s`, got)
 	}
-	if got := backoffDelay(0, "30", limit, full); got != limit {
-		t.Fatalf(`Retry-After "30": got %v, want cap %v`, got, limit)
+	if got := backoffDelay(0, "30", retryCap, full); got != time.Second {
+		t.Fatalf(`Retry-After "30": got %v, want the 1s cap`, got)
 	}
 	// Unparsable header: same as no header.
 	if got := backoffDelay(3, "soon", limit, full); got != 80*time.Millisecond {

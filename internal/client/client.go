@@ -65,27 +65,25 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // APIError (default 10). Zero disables retrying.
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
-// WithRetryCap caps one Retry-After wait (default 1s) so a misbehaving
-// server cannot park the client.
-func WithRetryCap(d time.Duration) Option { return func(c *Client) { c.retryCap = d } }
+// retryCap caps one wait between retries, a Retry-After included, so a
+// misbehaving server cannot park the client.
+const retryCap = time.Second
 
 // Client talks to one xivm server. Safe for concurrent use.
 type Client struct {
-	base     string
-	hc       *http.Client
-	retries  int
-	retryCap time.Duration
-	rnd      func() float64 // jitter source in [0,1); rand.Float64 by default
+	base    string
+	hc      *http.Client
+	retries int
+	rnd     func() float64 // jitter source in [0,1); rand.Float64 by default
 }
 
 // New builds a client for the server at base (e.g. "http://localhost:8080").
 func New(base string, opts ...Option) *Client {
 	c := &Client{
-		base:     strings.TrimRight(base, "/"),
-		hc:       &http.Client{Timeout: 30 * time.Second},
-		retries:  10,
-		retryCap: time.Second,
-		rnd:      rand.Float64,
+		base:    strings.TrimRight(base, "/"),
+		hc:      &http.Client{Timeout: 30 * time.Second},
+		retries: 10,
+		rnd:     rand.Float64,
 	}
 	for _, o := range opts {
 		o(c)
@@ -131,7 +129,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // retry in lockstep, re-creating the very queue spike that produced the
 // 429s.
 func (c *Client) backoff(ctx context.Context, attempt int, retryAfter string) error {
-	t := time.NewTimer(backoffDelay(attempt, retryAfter, c.retryCap, c.rnd))
+	t := time.NewTimer(backoffDelay(attempt, retryAfter, retryCap, c.rnd))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -228,13 +226,6 @@ func decode(resp *http.Response, out any) (*APIError, error) {
 // collector, as the server's response buffers are.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Health fetches GET /healthz.
-func (c *Client) Health(ctx context.Context) (server.HealthResponse, error) {
-	var out server.HealthResponse
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
-	return out, err
-}
-
 // CreateDB is the admin-plane create request; Document and Views may be
 // empty when the server has defaults.
 type CreateDB struct {
@@ -310,14 +301,6 @@ func (d *DB) Update(ctx context.Context, statement string) (server.UpdateRespons
 	ur := server.UpdateRequest{Statement: statement}
 	body := ur.AppendJSON(nil)
 	err := d.c.do(ctx, http.MethodPost, d.path+"/update", body, &out)
-	return out, err
-}
-
-// Metrics fetches the database's per-tenant stats and counters
-// (GET /v1/db/{name}/metrics).
-func (d *DB) Metrics(ctx context.Context) (server.TenantMetricsResponse, error) {
-	var out server.TenantMetricsResponse
-	err := d.c.do(ctx, http.MethodGet, d.path+"/metrics", nil, &out)
 	return out, err
 }
 

@@ -48,37 +48,12 @@ func (p Policy) String() string {
 	return "snowcaps"
 }
 
-// Options tunes an Engine; the zero value is the paper's default
-// configuration (snowcap policy, structural joins, all pruning on).
-// Prefer the functional-option constructor New (options.go) over poking
-// fields directly — the struct form is kept for the zero-value default and
-// for serialization-style construction, but new fields are only guaranteed
-// to get a matching With* option.
-type Options struct {
-	Policy Policy
-	// Join overrides the physical join (nil = Dewey structural join).
-	Join algebra.JoinFunc
-	// DisableDataPruning turns off the inserted-data-driven pruning of
-	// Proposition 3.6 (ablation).
-	DisableDataPruning bool
-	// DisableIDPruning turns off the inserted-ID-driven pruning of
-	// Propositions 3.8 / 4.7 (ablation).
-	DisableIDPruning bool
-	// Metrics is the registry the engine records into; nil selects the
-	// process-wide obs.Default(). Pass a private registry (obs.New()) to
-	// isolate one engine's counters.
-	Metrics *obs.Metrics
-	// Tracer, when non-nil, receives span start/finish events per
-	// statement, per phase and per view.
-	Tracer obs.Tracer
-}
-
 // Engine owns a document, its store, and a set of maintained views.
 type Engine struct {
 	Doc   *xmltree.Document
 	Store *store.Store
 	Views []*ManagedView
-	opts  Options
+	opts  options
 	join  algebra.JoinFunc // physical join, instrumented
 	m     *engineMetrics
 	proj  algebra.ProjectCounters
@@ -142,28 +117,6 @@ type ManagedView struct {
 	slots      []int
 	storedMask uint64
 	cvn        []int
-}
-
-// NewEngine indexes the document and returns an engine with no views.
-func NewEngine(doc *xmltree.Document, opts Options) *Engine {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
-	e := &Engine{Doc: doc, Store: store.New(doc), opts: opts}
-	e.m = newEngineMetrics(reg)
-	e.proj = algebra.NewProjectCounters(reg)
-	e.Store.SetMetrics(reg)
-	base := opts.Join
-	if base == nil {
-		// Inside a statement the join's hash, pairs and output come from
-		// the statement's scratch.
-		base = func(left algebra.Block, lIdx int, right algebra.Block, rIdx int, desc bool) algebra.Block {
-			return e.sc.algebra().StructuralJoin(left, lIdx, right, rIdx, desc)
-		}
-	}
-	e.join = algebra.InstrumentJoin(base, algebra.NewJoinCounters(reg))
-	return e
 }
 
 // Metrics returns the registry the engine records into.

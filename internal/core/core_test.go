@@ -64,8 +64,8 @@ func TestInsertTermsMatchSnowcaps(t *testing.T) {
 	p := pattern.MustParse(`//a{ID}[//b{ID}//c{ID}]//d{ID}`)
 	terms := InsertTerms(p)
 	snow := map[uint64]bool{}
-	for _, m := range p.Snowcaps() {
-		if m != p.FullMask() {
+	for m := uint64(1); m < p.FullMask(); m++ {
+		if p.IsSnowcap(m) {
 			snow[m] = true
 		}
 	}
@@ -89,7 +89,9 @@ func TestInsertTermsMatchSnowcaps(t *testing.T) {
 func patternDelta(d *xmltree.Document, p *pattern.Pattern, roots ...*xmltree.Node) algebra.Inputs {
 	var ls update.Labels
 	slots := labelSlots(&ls, p)
-	return deltaInputs(nil, p, slots, update.DeltaTables(roots, &ls), d)
+	var dt update.Delta
+	dt.Fill(roots, &ls)
+	return deltaInputs(nil, p, slots, dt, d)
 }
 
 // TestPruneByDeltaExample34 reproduces Example 3.4: inserting
@@ -132,7 +134,7 @@ func TestPruneByInsertionPointsExample37(t *testing.T) {
 // small document, insert <a><b/><b><c/></b></a>.
 func TestInsertEndToEndExample31(t *testing.T) {
 	d := mustDoc(t, `<r><a><b><c/></b></a></r>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}//b{ID}//c{ID}`)
 	if mv.View.Len() != 1 {
 		t.Fatalf("initial len %d", mv.View.Len())
@@ -159,7 +161,7 @@ func TestInsertEndToEndExample31(t *testing.T) {
 // leaves tuples 1, 2 and 4.
 func TestDeleteEndToEndExample45(t *testing.T) {
 	d := mustDoc(t, `<a><c><b>1</b><b>2</b></c><f><c><b>3</b></c><b>4</b></f></a>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}[//c{ID}]//b{ID}`)
 	if mv.View.Len() != 8 {
 		t.Fatalf("initial len %d", mv.View.Len())
@@ -178,7 +180,7 @@ func TestDeleteEndToEndExample45(t *testing.T) {
 // deleting //f//b removes the tuple.
 func TestDerivationCountsExample48(t *testing.T) {
 	d := mustDoc(t, `<a><c><b/></c><f><b/></f></a>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}[//b]`)
 	rows := mv.View.Rows()
 	if len(rows) != 1 || rows[0].Count != 2 {
@@ -204,7 +206,7 @@ func TestEvenDeltaDeleteCounts(t *testing.T) {
 	// a has embeddings via (c1,b1),(c1,b2),(c2,b3); deleting /a/x (which
 	// holds c1 with b1,b2) must leave count 1, not remove the row.
 	d := mustDoc(t, `<a><x><c><b/><b/></c></x><y><c><b/></c></y></a>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}[//c//b]`)
 	rows := mv.View.Rows()
 	if len(rows) != 1 || rows[0].Count != 3 {
@@ -224,7 +226,7 @@ func TestEvenDeltaDeleteCounts(t *testing.T) {
 // view tuples can still modify stored content.
 func TestPIMTContentRefresh(t *testing.T) {
 	d := mustDoc(t, `<a><b><d><c>old</c></d></b></a>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}/b{ID}//c{ID,cont}`)
 	before := mv.View.Rows()
 	if len(before) != 1 || !strings.Contains(mv.Shape.Entry(before[0], 2).Cont, "old") {
@@ -250,7 +252,7 @@ func TestPIMTContentRefresh(t *testing.T) {
 // and val on the surviving tuple.
 func TestPDMTContentRefresh(t *testing.T) {
 	d := mustDoc(t, `<a><b>keep<x>drop</x></b><c/></a>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}/b{ID,val,cont}`)
 	apply(t, e, `delete //b/x`)
 	rows := mv.View.Rows()
@@ -283,7 +285,7 @@ func TestLabelGatesKeepWhatTheyMust(t *testing.T) {
 	// The insertion target is itself the cvn node: its own label, not only
 	// its ancestors', must admit it.
 	t.Run("insert under the val node itself", func(t *testing.T) {
-		e := NewEngine(mustDoc(t, `<site><person><name>Ann</name></person><person><name>Bob</name></person></site>`), Options{})
+		e := New(mustDoc(t, `<site><person><name>Ann</name></person><person><name>Bob</name></person></site>`))
 		mv := addView(t, e, `//person{ID}/name{ID,val}`)
 		rep := apply(t, e, `insert <suffix>ie</suffix> into /site/person[1]/name`)
 		if rep.Views[0].RowsModified != 1 {
@@ -300,7 +302,7 @@ func TestLabelGatesKeepWhatTheyMust(t *testing.T) {
 	// A wildcard cvn node has no label to look for: any element on the
 	// target's path may be bound by it.
 	t.Run("wildcard cont", func(t *testing.T) {
-		e := NewEngine(mustDoc(t, `<a><b><c/></b><d/></a>`), Options{})
+		e := New(mustDoc(t, `<a><b><c/></b><d/></a>`))
 		mv := addView(t, e, `//a{ID}/*{ID,cont}`)
 		if rep := apply(t, e, `insert <x>new</x> into //b/c`); rep.Views[0].RowsModified != 1 {
 			t.Fatalf("insert modified %d rows, want 1", rep.Views[0].RowsModified)
@@ -320,7 +322,7 @@ func TestLabelGatesKeepWhatTheyMust(t *testing.T) {
 	// no row goes, but a derivation does, and the snowcap {a, b} must lose
 	// its tuple — or the next insert is joined with a b that is gone.
 	t.Run("delete of a non-stored binding", func(t *testing.T) {
-		e := NewEngine(mustDoc(t, `<r><a><b/><b/><c/></a></r>`), Options{})
+		e := New(mustDoc(t, `<r><a><b/><b/><c/></a></r>`))
 		mv := addView(t, e, `//a{ID}[//b]//c{ID}`)
 		if rows := mv.View.Rows(); len(rows) != 1 || rows[0].Count != 2 {
 			t.Fatalf("before: %+v", rows)
@@ -410,7 +412,7 @@ func TestMaintenanceEqualsRecomputation(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 25; trial++ {
 			d := mustDoc(t, randomXML(rng, 3, 4))
-			e := NewEngine(d, Options{Policy: policy})
+			e := New(d, WithPolicy(policy))
 			var mvs []*ManagedView
 			for _, src := range views {
 				mvs = append(mvs, addView(t, e, src))
@@ -453,7 +455,7 @@ func dumpRows(shape *algebra.Shape, rows []algebra.Row) string {
 func TestLatticeStaysConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := mustDoc(t, randomXML(rng, 3, 4))
-	e := NewEngine(d, Options{Policy: PolicySnowcaps})
+	e := New(d, WithPolicy(PolicySnowcaps))
 	mv := addView(t, e, `//a{ID}[//b{ID}//c{ID}]//d{ID}`)
 	for step := 0; step < 12; step++ {
 		st, err := update.Parse(randomStatement(rng))
@@ -494,14 +496,14 @@ func TestLatticeOracleComparesContent(t *testing.T) {
 			m.AddBlock(algebra.Block{Cols: []int{0, 1}, IDs: ab[0], Counts: []int{1}})
 		}},
 		{"a binding moved", func(m *store.Mat, ab [3][]dewey.ID) {
-			m.RemoveUnderAny(dewey.NewCover(ab[0][1:]))
+			m.RemoveUnderAny(coverOf(ab[0][1:]))
 			m.AddBlock(algebra.Block{Cols: []int{0, 1}, IDs: []dewey.ID{ab[2][0], ab[0][1]}, Counts: []int{1}})
 		}},
 		{"a tuple dropped", func(m *store.Mat, ab [3][]dewey.ID) {
-			m.RemoveUnderAny(dewey.NewCover(ab[2][1:]))
+			m.RemoveUnderAny(coverOf(ab[2][1:]))
 		}},
 	} {
-		e := NewEngine(mustDoc(t, `<r><a><b><c/></b><b/></a><a><b><c/></b></a></r>`), Options{})
+		e := New(mustDoc(t, `<r><a><b><c/></b><b/></a><a><b><c/></b></a></r>`))
 		mv := addView(t, e, `//a{ID}//b{ID}//c{ID}`)
 		if err := mv.Lattice.Check(e.Store.Inputs(mv.Pattern)); err != nil {
 			t.Fatalf("a fresh lattice: %v", err)
@@ -532,8 +534,8 @@ func TestIVMAEquivalence(t *testing.T) {
 		src := randomXML(rng, 3, 3)
 		d1 := mustDoc(t, src)
 		d2 := mustDoc(t, src)
-		e1 := NewEngine(d1, Options{})
-		e2 := NewEngine(d2, Options{})
+		e1 := New(d1)
+		e2 := New(d2)
 		mv1 := addView(t, e1, `//a{ID}//b{ID}`)
 		mv2 := addView(t, e2, `//a{ID}//b{ID}`)
 		iv := NewIVMA(e2)
@@ -565,7 +567,7 @@ func TestIVMAEquivalence(t *testing.T) {
 func TestFullRecomputeBaseline(t *testing.T) {
 	src := `<root><a><b>5</b></a><a><c/></a></root>`
 	d1, d2 := mustDoc(t, src), mustDoc(t, src)
-	e1, e2 := NewEngine(d1, Options{}), NewEngine(d2, Options{})
+	e1, e2 := New(d1), New(d2)
 	mv1 := addView(t, e1, `//a{ID}//b{ID,val}`)
 	mv2 := addView(t, e2, `//a{ID}//b{ID,val}`)
 	stmt := `insert <b>9</b> into /root/a`
@@ -582,7 +584,7 @@ func TestFullRecomputeBaseline(t *testing.T) {
 func TestFullRecomputeReplace(t *testing.T) {
 	src := `<root><a><b>5</b></a></root>`
 	d1, d2 := mustDoc(t, src), mustDoc(t, src)
-	e1, e2 := NewEngine(d1, Options{}), NewEngine(d2, Options{})
+	e1, e2 := New(d1), New(d2)
 	mv1 := addView(t, e1, `//a{ID}//b{ID,val}`)
 	mv2 := addView(t, e2, `//a{ID}//b{ID,val}`)
 	stmt := `replace /root/a/b with <b>9</b><b>11</b>`
@@ -605,17 +607,17 @@ func TestPruningAblation(t *testing.T) {
 		`delete /root//b`,
 		`insert <a><b/><d/></a> into /root`,
 	}
-	base := runStream(t, src, stmts, Options{})
-	noPrune := runStream(t, src, stmts, Options{DisableDataPruning: true, DisableIDPruning: true})
+	base := runStream(t, src, stmts)
+	noPrune := runStream(t, src, stmts, WithoutDataPruning(), WithoutIDPruning())
 	if base != noPrune {
 		t.Fatalf("pruning changed results:\n%s\nvs\n%s", base, noPrune)
 	}
 }
 
-func runStream(t *testing.T, src string, stmts []string, opts Options) string {
+func runStream(t *testing.T, src string, stmts []string, opts ...Option) string {
 	t.Helper()
 	d := mustDoc(t, src)
-	e := NewEngine(d, opts)
+	e := New(d, opts...)
 	mv := addView(t, e, `//a{ID}[//b{ID}//c{ID}]//d{ID}`)
 	for _, s := range stmts {
 		st, err := update.Parse(s)
@@ -635,7 +637,7 @@ func runStream(t *testing.T, src string, stmts []string, opts Options) string {
 // TestReportMetadata sanity-checks term accounting in reports.
 func TestReportMetadata(t *testing.T) {
 	d := mustDoc(t, `<root><a><b><c/></b></a></root>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	addView(t, e, `//a{ID}//b{ID}//c{ID}`)
 	rep := apply(t, e, `insert <c/> into /root/a/b`)
 	vr := rep.Views[0]
@@ -651,4 +653,20 @@ func TestReportMetadata(t *testing.T) {
 	if rep.Timings().Total() <= 0 {
 		t.Fatal("timings not recorded")
 	}
+}
+
+// Materialized returns the materialized masks in ascending size order.
+func (l *Lattice) Materialized() []uint64 { return l.chain }
+
+// Block returns the relation for an upward-closed node set: BlockFrom over
+// the view's R side, read from the store as it is now.
+func (l *Lattice) Block(mask uint64) algebra.Block {
+	return l.BlockFrom(mask, &Relations{p: l.Pattern, st: l.store})
+}
+
+// coverOf builds the cover of roots, as a statement's scratch does.
+func coverOf(roots []dewey.ID) *dewey.Cover {
+	c := new(dewey.Cover)
+	c.Reset(roots)
+	return c
 }

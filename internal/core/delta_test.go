@@ -74,7 +74,8 @@ func TestDeleteGateIsPerView(t *testing.T) {
 	cd := addView(t, e, `//c{ID}//d{ID}`)
 	pred := addView(t, e, `//r{ID}[//b[val="y"]]`)
 	b := d.Labeled("b")[0]
-	delta := update.DeltaTables([]*xmltree.Node{b}, &e.labels)
+	var delta update.Delta
+	delta.Fill([]*xmltree.Node{b}, &e.labels)
 	if len(delta.Table(ab.slots[1])) != 1 {
 		t.Fatal("the forest's b is missing from the shared tables")
 	}
@@ -111,11 +112,14 @@ func TestSharedDeltaIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := update.DeltaTables([]*xmltree.Node{cp}, &e.labels)
+	var delta update.Delta
+	delta.Fill([]*xmltree.Node{cp}, &e.labels)
 	tables := func() [][]algebra.Item {
 		var out [][]algebra.Item
-		for s := range e.labels.Len() {
-			out = append(out, slices.Clone(delta.Table(s)))
+		for _, mv := range mvs {
+			for _, s := range mv.slots {
+				out = append(out, slices.Clone(delta.Table(s)))
+			}
 		}
 		return out
 	}

@@ -17,7 +17,7 @@ func ExampleEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.NewEngine(doc, core.Options{})
+	engine := core.New(doc)
 	mv, err := engine.AddView("books", pattern.MustParse(`//shelf{ID}/book{ID,val}`))
 	if err != nil {
 		log.Fatal(err)

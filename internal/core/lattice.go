@@ -42,11 +42,8 @@ type Relations struct {
 	read uint64           // which nodes those are
 }
 
-// Relations returns the view's R side over the store's current state, with
-// nothing read yet.
-func (l *Lattice) Relations() *Relations { return &Relations{p: l.Pattern, st: l.store} }
-
-// relationsIn is Relations in the statement's scratch, which lends it the
+// relationsIn returns the view's R side over the store's current state,
+// with nothing read yet, in the statement's scratch, which lends it the
 // blocks it builds; the one the view before it had is dead.
 func (l *Lattice) relationsIn(sc *scratch) *Relations {
 	sc.rel = Relations{p: l.Pattern, st: l.store, sc: &sc.alg}
@@ -108,18 +105,10 @@ func (l *Lattice) materialize(in algebra.Inputs) algebra.Block {
 	return blk
 }
 
-// Materialized returns the materialized masks in ascending size order.
-func (l *Lattice) Materialized() []uint64 { return l.chain }
-
-// Block returns the relation for an upward-closed node set: the
+// BlockFrom returns the relation for an upward-closed node set: the
 // materialized snowcap when available, otherwise an on-the-fly join over
-// the canonical relations (the Leaves strategy).
-func (l *Lattice) Block(mask uint64) algebra.Block {
-	return l.BlockFrom(mask, l.Relations())
-}
-
-// BlockFrom is Block reading the on-the-fly case's inputs from r — only the
-// mask's nodes, and only when the mask is not materialized.
+// the canonical relations in r (the Leaves strategy), reading only the
+// mask's nodes.
 func (l *Lattice) BlockFrom(mask uint64, r *Relations) algebra.Block {
 	if m, ok := l.mats[mask]; ok {
 		return m.Block()

@@ -15,7 +15,7 @@ import (
 // always empty and all terms containing it are pruned.
 func TestRootAnchoredDelta(t *testing.T) {
 	d := mustDoc(t, `<site><people/></site>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `/site{ID}/people{ID}//person{ID}`)
 	// Insert a whole site-labeled subtree somewhere: its site node must
 	// not be mistaken for a document root.
@@ -34,7 +34,7 @@ func TestRootAnchoredDelta(t *testing.T) {
 // TestDescendantRootPatternSeesNestedMatches contrasts the anchored case.
 func TestDescendantRootPatternSeesNestedMatches(t *testing.T) {
 	d := mustDoc(t, `<site><people/></site>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//site{ID}/people{ID}//person{ID}`)
 	apply(t, e, `insert <site><people><person/></people></site> into /site/people`)
 	if !e.CheckView(mv) {
@@ -59,7 +59,7 @@ func TestTimingsArithmetic(t *testing.T) {
 
 func TestReportTimingsCountsFindOnce(t *testing.T) {
 	d := mustDoc(t, `<root><a><b/></a></root>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	addView(t, e, `//a{ID}//b{ID}`)
 	addView(t, e, `//a{ID}`)
 	rep := apply(t, e, `insert <b/> into /root/a`)
@@ -81,7 +81,7 @@ func TestReportTimingsCountsFindOnce(t *testing.T) {
 
 func TestEngineErrors(t *testing.T) {
 	d := mustDoc(t, `<root><a/></root>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	if _, err := e.AddView("bad", pattern.MustParse(`//a//b`)); err == nil {
 		t.Fatal("store-less view accepted")
 	}
@@ -106,7 +106,7 @@ func TestPolicyStrings(t *testing.T) {
 // stay exact under one statement stream.
 func TestMultiViewSharedStatement(t *testing.T) {
 	d := mustDoc(t, `<root><a><b>5</b><c/></a><a><b>7</b></a></root>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	var mvs []*ManagedView
 	for _, src := range []string{
 		`//a{ID}//b{ID,val}`, `//a{ID}[//c]`, `//root{ID}/a{ID}`, `//b{ID}[val="5"]`,
@@ -132,7 +132,7 @@ func TestMultiViewSharedStatement(t *testing.T) {
 // words inside PCDATA and maintain correctly (Section 2.2's P dialect).
 func TestWordLeafPatterns(t *testing.T) {
 	d := mustDoc(t, `<root><a>hello world</a><a>goodbye world</a><a><b>hello there</b></a></root>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}//~hello{ID}`)
 	if mv.View.Len() != 2 {
 		t.Fatalf("initial rows %d", mv.View.Len())
@@ -184,7 +184,7 @@ func TestOptionsCombined(t *testing.T) {
 // TestReplaceStatement: replace propagates as delete+insert and stays exact.
 func TestReplaceStatement(t *testing.T) {
 	d := mustDoc(t, `<root><a><b>old</b></a><a><b>keep</b><c/></a></root>`)
-	e := NewEngine(d, Options{})
+	e := New(d)
 	mv := addView(t, e, `//a{ID}//b{ID,val}`)
 	rep := apply(t, e, `replace //a/b with <b>new</b>`)
 	if rep.Targets != 2 {
@@ -207,7 +207,7 @@ func TestReplaceRandomStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
 		d := mustDoc(t, randomXML(rng, 3, 4))
-		e := NewEngine(d, Options{})
+		e := New(d)
 		mv := addView(t, e, `//a{ID}[//b{ID}//c{ID}]//d{ID}`)
 		mv2 := addView(t, e, `//a{ID}//b{ID,val}`)
 		for step := 0; step < 6; step++ {

@@ -144,7 +144,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {
 		t.Fatal("snapshot row does not resolve against the snapshot document")
 	}
-	xmlBefore := snap.DocXML()
+	xmlBefore := snap.Doc().String()
 
 	for i := 0; i < 3; i++ {
 		if _, err := e.ApplyStatement(update.MustParse(`insert <b>9</b> into /root/a`)); err != nil {
@@ -161,7 +161,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if got := snap.Doc().NodeByID(wantID); got == nil || got.StringValue() != "5" {
 		t.Fatal("mutations reached a published snapshot's document")
 	}
-	if snap.DocXML() != xmlBefore {
+	if snap.Doc().String() != xmlBefore {
 		t.Fatal("snapshot serialization changed after mutations")
 	}
 

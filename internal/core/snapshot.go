@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"xivm/internal/algebra"
 	"xivm/internal/store"
 	"xivm/internal/xmltree"
@@ -39,9 +37,6 @@ type Snapshot struct {
 	// Dewey IDs assigned by the mutation history and make XPath results
 	// disagree with the view rows captured in the same snapshot.
 	doc *xmltree.Document
-
-	xmlOnce sync.Once
-	xml     string
 }
 
 // ViewSnapshot is one view's immutable image inside a Snapshot: the view's
@@ -100,10 +95,3 @@ func (s *Snapshot) View(name string) *ViewSnapshot {
 // (xmltree.ParentIn). Shared by all readers of this and neighbouring
 // snapshots; read-only.
 func (s *Snapshot) Doc() *xmltree.Document { return s.doc }
-
-// DocXML serializes the snapshot document, building the string at most
-// once no matter how many readers ask.
-func (s *Snapshot) DocXML() string {
-	s.xmlOnce.Do(func() { s.xml = s.doc.String() })
-	return s.xml
-}

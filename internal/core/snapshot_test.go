@@ -22,14 +22,14 @@ func TestSnapshotRestoreAndMaintain(t *testing.T) {
 
 	// First engine: materialize, then apply a statement.
 	d1 := mustDoc(t, src)
-	e1 := NewEngine(d1, Options{})
+	e1 := New(d1)
 	mv1 := addView(t, e1, patternSrc)
 	apply(t, e1, `insert <b><c>5</c></b> into /root//a`)
 
 	// Second engine: same document brought to the same state, view
 	// evaluated there instead of maintained.
 	d2 := mustDoc(t, src)
-	e2 := NewEngine(d2, Options{})
+	e2 := New(d2)
 	if _, err := e2.ApplyStatement(update.MustParse(`insert <b><c>5</c></b> into /root//a`)); err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,6 @@ type Cover struct {
 	keys []string // ascending; none is a prefix of another
 }
 
-// NewCover builds a cover from subtree roots (nesting is harmless).
-func NewCover(roots []ID) *Cover {
-	c := new(Cover)
-	c.Reset(roots)
-	return c
-}
-
 // Reset makes c the cover of roots, reusing its array; Reset(nil) empties
 // it and lets go of the keys it held.
 func (c *Cover) Reset(roots []ID) {

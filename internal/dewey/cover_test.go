@@ -111,3 +111,10 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// NewCover builds a cover from subtree roots (nesting is harmless).
+func NewCover(roots []ID) *Cover {
+	c := new(Cover)
+	c.Reset(roots)
+	return c
+}

@@ -107,15 +107,6 @@ func (id ID) Step(i int) Step {
 // The parent's key is a prefix of the receiver's: no allocation.
 func (id ID) Parent() ID { return ID{key: id.key[:id.last().start]} }
 
-// LabelPath returns the labels along the root-to-node path.
-func (id ID) LabelPath() []string {
-	out := make([]string, 0, id.Level())
-	for c := id.Cursor(); c.Next(); {
-		out = append(out, c.Label())
-	}
-	return out
-}
-
 // Compare orders IDs in document order (preorder): an ancestor sorts before
 // its descendants, and siblings sort by ordinal. It returns -1, 0 or +1.
 // The keys are order-isomorphic to the step-wise comparison (ordinal first,
@@ -145,11 +136,6 @@ func (id ID) IsParentOf(other ID) bool {
 	}
 	c := Cursor{key: other.key, end: len(id.key)}
 	return c.Next() && c.Last()
-}
-
-// IsAncestorOrSelf reports id == other or id ≺≺ other.
-func (id ID) IsAncestorOrSelf(other ID) bool {
-	return id.Equal(other) || id.IsAncestorOf(other)
 }
 
 // HasAncestorLabeled reports whether any proper ancestor of the node carries

@@ -254,3 +254,17 @@ func TestCompareAncestorProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// LabelPath returns the labels along the root-to-node path.
+func (id ID) LabelPath() []string {
+	out := make([]string, 0, id.Level())
+	for c := id.Cursor(); c.Next(); {
+		out = append(out, c.Label())
+	}
+	return out
+}
+
+// IsAncestorOrSelf reports id == other or id ≺≺ other.
+func (id ID) IsAncestorOrSelf(other ID) bool {
+	return id.Equal(other) || id.IsAncestorOf(other)
+}

@@ -1,10 +1,11 @@
-package xpath
+package oracle
 
 import (
 	"math/rand"
 	"testing"
 
 	"xivm/internal/xmltree"
+	"xivm/internal/xpath"
 )
 
 // refEval is an independent reference evaluator: instead of navigating, it
@@ -13,7 +14,7 @@ import (
 // explicitly and applying predicates sequentially over it — the same
 // semantics the navigating evaluator and the compiled VM implement, reached
 // by a different route.
-func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
+func refEval(d *xmltree.Document, p xpath.Path) []*xmltree.Node {
 	var all []*xmltree.Node
 	parent := map[*xmltree.Node]*xmltree.Node{}
 	xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
@@ -24,15 +25,15 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 		}
 		return true
 	})
-	matches := func(st Step, n *xmltree.Node) bool {
+	matches := func(st xpath.Step, n *xmltree.Node) bool {
 		switch st.Kind {
-		case TestName:
+		case xpath.TestName:
 			return n.Kind == xmltree.Element && n.Label() == st.Name
-		case TestWildcard:
+		case xpath.TestWildcard:
 			return n.Kind == xmltree.Element
-		case TestAttr:
+		case xpath.TestAttr:
 			return n.Kind == xmltree.Attribute && n.Label() == "@"+st.Name
-		case TestText:
+		case xpath.TestText:
 			return n.Kind == xmltree.Text
 		}
 		return false
@@ -40,18 +41,18 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 	// group builds the ordered match group of one step for one context
 	// node (nil = virtual document node) by scanning the document-ordered
 	// node list; preceding-sibling reverses to nearest-first order.
-	group := func(st Step, c *xmltree.Node) []*xmltree.Node {
+	group := func(st xpath.Step, c *xmltree.Node) []*xmltree.Node {
 		var g []*xmltree.Node
 		for _, n := range all {
 			ok := false
 			switch st.Axis {
-			case Child:
+			case xpath.Child:
 				if c == nil {
 					ok = n == d.Root
 				} else {
 					ok = parent[n] == c
 				}
-			case Descendant:
+			case xpath.Descendant:
 				if c == nil {
 					ok = true
 				} else {
@@ -62,7 +63,7 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 						}
 					}
 				}
-			case FollowingSibling:
+			case xpath.FollowingSibling:
 				if c != nil && parent[n] != nil && parent[n] == parent[c] && n != c {
 					// After c in its parent's child list?
 					seen := false
@@ -78,7 +79,7 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 						}
 					}
 				}
-			case PrecedingSibling:
+			case xpath.PrecedingSibling:
 				if c != nil && parent[n] != nil && parent[n] == parent[c] && n != c {
 					for k := parent[c].Kids(); k.Next(); {
 						ch := k.Node()
@@ -96,7 +97,7 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 				g = append(g, n)
 			}
 		}
-		if st.Axis == PrecedingSibling {
+		if st.Axis == xpath.PrecedingSibling {
 			for i, j := 0, len(g)-1; i < j; i, j = i+1, j-1 {
 				g[i], g[j] = g[j], g[i]
 			}
@@ -136,27 +137,27 @@ func refEval(d *xmltree.Document, p Path) []*xmltree.Node {
 	return contexts
 }
 
-func refPred(root, ctx *xmltree.Node, pos, size int, e Expr) bool {
+func refPred(root, ctx *xmltree.Node, pos, size int, e xpath.Expr) bool {
 	switch x := e.(type) {
-	case OrExpr:
+	case xpath.OrExpr:
 		return refPred(root, ctx, pos, size, x.Left) || refPred(root, ctx, pos, size, x.Right)
-	case AndExpr:
+	case xpath.AndExpr:
 		return refPred(root, ctx, pos, size, x.Left) && refPred(root, ctx, pos, size, x.Right)
-	case ExistsExpr:
+	case xpath.ExistsExpr:
 		return len(evalFrom(root, ctx, false, x.Path.Steps)) > 0
-	case EqExpr:
+	case xpath.EqExpr:
 		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if n.StringValue() == x.Lit {
 				return true
 			}
 		}
-	case PosExpr:
+	case xpath.PosExpr:
 		return pos == x.N
-	case LastExpr:
+	case xpath.LastExpr:
 		return pos == size
-	case CountExpr:
+	case xpath.CountExpr:
 		return x.Op.Holds(len(evalFrom(root, ctx, false, x.Path.Steps)), x.N)
-	case ContainsExpr:
+	case xpath.ContainsExpr:
 		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if matchesLit(n.StringValue(), x.Lit, x.Prefix) {
 				return true
@@ -180,7 +181,7 @@ func TestEvalMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		expr := RandomQuery(rng)
-		p, err := Parse(expr)
+		p, err := xpath.Parse(expr)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", expr, err)
 		}

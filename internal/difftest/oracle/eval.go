@@ -1,10 +1,15 @@
-package xpath
+// Package oracle holds the interpreted XPath evaluator and the random
+// document, query and edit generators: the slow reference that the
+// compiled evaluator (internal/qvm), update targets, the view rewrite and
+// the server's reads are tested against. Only tests import it.
+package oracle
 
 import (
 	"sort"
 	"strings"
 
 	"xivm/internal/xmltree"
+	"xivm/internal/xpath"
 )
 
 // Eval evaluates an absolute path on the document, returning matching nodes
@@ -16,7 +21,7 @@ import (
 // "seen" map is replaced by Dewey-key-sorted dedup (sort by the cached
 // binary key, compact adjacent equals), and the per-call pseudo-root node
 // is replaced by a virtual first step evaluated directly against the root.
-func Eval(d *xmltree.Document, p Path) []*xmltree.Node {
+func Eval(d *xmltree.Document, p xpath.Path) []*xmltree.Node {
 	if len(p.Steps) == 0 {
 		return nil
 	}
@@ -25,20 +30,13 @@ func Eval(d *xmltree.Document, p Path) []*xmltree.Node {
 	return evalFrom(d.Root, d.Root, true, p.Steps)
 }
 
-// EvalRelative evaluates a relative path from the given context node.
-// (Sibling axes find a parent through the tree's root, which only Eval is
-// given: here they match nothing.)
-func EvalRelative(ctx *xmltree.Node, p Path) []*xmltree.Node {
-	return evalFrom(nil, ctx, false, p.Steps)
-}
-
 // evalFrom runs the step sequence. When fromDoc is set, start is the
 // document root and the first step is evaluated against the virtual
 // document node (child yields the root; descendant yields the root and all
 // its descendants; sibling axes yield nothing). root is the root of the
 // tree under evaluation, through which sibling axes find a node's parent
 // (xmltree.ParentIn); nil when only a context node is known.
-func evalFrom(root, start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.Node {
+func evalFrom(root, start *xmltree.Node, fromDoc bool, steps []xpath.Step) []*xmltree.Node {
 	if len(steps) == 0 {
 		return []*xmltree.Node{start}
 	}
@@ -67,16 +65,16 @@ func evalFrom(root, start *xmltree.Node, fromDoc bool, steps []Step) []*xmltree.
 // step's predicates applied sequentially to the group (positional tests see
 // 1-based positions within the group as filtered so far). A nil ctx with a
 // non-nil docRoot denotes the virtual document node.
-func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) []*xmltree.Node {
+func evalGroup(dst []*xmltree.Node, st *xpath.Step, root, ctx, docRoot *xmltree.Node) []*xmltree.Node {
 	base := len(dst)
 	switch {
 	case docRoot != nil:
 		switch st.Axis {
-		case Child:
+		case xpath.Child:
 			if matchTest(st, docRoot) {
 				dst = append(dst, docRoot)
 			}
-		case Descendant:
+		case xpath.Descendant:
 			xmltree.Walk(docRoot, func(n *xmltree.Node) bool {
 				if matchTest(st, n) {
 					dst = append(dst, n)
@@ -87,20 +85,20 @@ func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) 
 		// Sibling axes from the virtual document node match nothing.
 	default:
 		switch st.Axis {
-		case Child:
+		case xpath.Child:
 			for k := ctx.Kids(); k.Next(); {
 				if ch := k.Node(); matchTest(st, ch) {
 					dst = append(dst, ch)
 				}
 			}
-		case Descendant:
+		case xpath.Descendant:
 			xmltree.Walk(ctx, func(n *xmltree.Node) bool {
 				if n != ctx && matchTest(st, n) {
 					dst = append(dst, n)
 				}
 				return true
 			})
-		case FollowingSibling:
+		case xpath.FollowingSibling:
 			if k, ok := siblings(root, ctx); ok {
 				for k.Next() {
 					if matchTest(st, k.Node()) {
@@ -108,7 +106,7 @@ func evalGroup(dst []*xmltree.Node, st *Step, root, ctx, docRoot *xmltree.Node) 
 					}
 				}
 			}
-		case PrecedingSibling:
+		case xpath.PrecedingSibling:
 			// Nearest-first group order, so [1] is the immediately
 			// preceding sibling.
 			if k, ok := siblings(root, ctx); ok {
@@ -146,15 +144,15 @@ func siblings(root, ctx *xmltree.Node) (xmltree.Kids, bool) {
 	return p.KidsAt(ctx.ID().Key())
 }
 
-func matchTest(st *Step, n *xmltree.Node) bool {
+func matchTest(st *xpath.Step, n *xmltree.Node) bool {
 	switch st.Kind {
-	case TestName:
+	case xpath.TestName:
 		return n.Kind == xmltree.Element && n.Label() == st.Name
-	case TestWildcard:
+	case xpath.TestWildcard:
 		return n.Kind == xmltree.Element
-	case TestAttr:
+	case xpath.TestAttr:
 		return n.Kind == xmltree.Attribute && n.Label() == "@"+st.Name
-	case TestText:
+	case xpath.TestText:
 		return n.Kind == xmltree.Text
 	}
 	return false
@@ -162,28 +160,28 @@ func matchTest(st *Step, n *xmltree.Node) bool {
 
 // evalPred evaluates one predicate against a context node at 1-based
 // position pos within a match group of the given size.
-func evalPred(root, ctx *xmltree.Node, pos, size int, e Expr) bool {
+func evalPred(root, ctx *xmltree.Node, pos, size int, e xpath.Expr) bool {
 	switch x := e.(type) {
-	case OrExpr:
+	case xpath.OrExpr:
 		return evalPred(root, ctx, pos, size, x.Left) || evalPred(root, ctx, pos, size, x.Right)
-	case AndExpr:
+	case xpath.AndExpr:
 		return evalPred(root, ctx, pos, size, x.Left) && evalPred(root, ctx, pos, size, x.Right)
-	case ExistsExpr:
+	case xpath.ExistsExpr:
 		return len(evalFrom(root, ctx, false, x.Path.Steps)) > 0
-	case EqExpr:
+	case xpath.EqExpr:
 		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if n.StringValue() == x.Lit {
 				return true
 			}
 		}
 		return false
-	case PosExpr:
+	case xpath.PosExpr:
 		return pos == x.N
-	case LastExpr:
+	case xpath.LastExpr:
 		return pos == size
-	case CountExpr:
+	case xpath.CountExpr:
 		return x.Op.Holds(len(evalFrom(root, ctx, false, x.Path.Steps)), x.N)
-	case ContainsExpr:
+	case xpath.ContainsExpr:
 		for _, n := range evalFrom(root, ctx, false, x.Path.Steps) {
 			if matchesLit(n.StringValue(), x.Lit, x.Prefix) {
 				return true

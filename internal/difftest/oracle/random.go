@@ -1,4 +1,4 @@
-package xpath
+package oracle
 
 import (
 	"fmt"
@@ -9,9 +9,8 @@ import (
 )
 
 // RandomDoc generates a small random document over a 3-letter label
-// alphabet with occasional text. It drives the differential tests in this
-// package and the compiled-vs-interpreted fuzz target in internal/qvm,
-// which is why it lives outside the test files.
+// alphabet with occasional text. It drives the evaluator's differential
+// test and the compiled-vs-interpreted tests in internal/qvm.
 func RandomDoc(rng *rand.Rand) string {
 	labels := []string{"a", "b", "c"}
 	var build func(lvl int) string

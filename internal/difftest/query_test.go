@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xivm/internal/core"
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/obs"
 	"xivm/internal/qvm"
 	"xivm/internal/update"
@@ -49,7 +50,7 @@ func TestQueryShapesAgree(t *testing.T) {
 		t.Helper()
 		matched := make([]bool, len(queries))
 		for i, q := range queries {
-			want, got := xpath.Eval(d, q.path), q.prog.Eval(d)
+			want, got := oracle.Eval(d, q.path), q.prog.Eval(d)
 			if len(got) != len(want) {
 				t.Errorf("%s: %q: compiled %d matches, interpreted %d", label, q.src, len(got), len(want))
 				continue

@@ -161,7 +161,7 @@ func TestSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := core.NewEngine(d, core.Options{})
+		e := core.New(d)
 		mv, err := e.AddView("v", p)
 		if err != nil {
 			t.Fatal(err)

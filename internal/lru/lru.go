@@ -59,6 +59,3 @@ func (c *Cache[K, V]) remove(el *list.Element) {
 	c.ll.Remove(el)
 	delete(c.items, el.Value.(*entry[K, V]).key)
 }
-
-// Len returns the number of entries.
-func (c *Cache[K, V]) Len() int { return c.ll.Len() }

@@ -42,3 +42,6 @@ func TestHitDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Get on a hit allocates %v times", n)
 	}
 }
+
+// Len returns the number of entries.
+func (c *Cache[K, V]) Len() int { return c.ll.Len() }

@@ -67,23 +67,6 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Max returns the largest observation; zero on a nil receiver.
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.max.Load())
-}
-
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-}
-
 // HistogramBucket is one bucket of a histogram snapshot: the count of
 // observations with duration ≤ UpperBound (0 marks the overflow bucket).
 type HistogramBucket struct {

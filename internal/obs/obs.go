@@ -17,11 +17,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Counter is a monotonically increasing (or explicitly reset) atomic
-// counter. The zero value is ready to use; a nil *Counter is a no-op sink.
+// Counter is a monotonically increasing atomic counter. The zero value is
+// ready to use; a nil *Counter is a no-op sink.
 type Counter struct {
 	v atomic.Int64
 }
@@ -44,10 +43,6 @@ func (c *Counter) Value() int64 {
 	}
 	return c.v.Load()
 }
-
-// reset zeroes the counter (registry-internal; external users observe
-// counters as monotonic).
-func (c *Counter) reset() { c.v.Store(0) }
 
 // Metrics is a registry of named counters and histograms. Names are flat,
 // dot-separated strings ("core.terms.pruned.prop36"); the registry creates
@@ -114,21 +109,6 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered instrument (the names stay registered).
-func (m *Metrics) Reset() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.counters {
-		c.reset()
-	}
-	for _, h := range m.histograms {
-		h.reset()
-	}
-}
-
 // CounterSnapshot is one counter's point-in-time value.
 type CounterSnapshot struct {
 	Name  string `json:"name"`
@@ -180,16 +160,4 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.Snapshot())
-}
-
-// Time records the duration of f in the histogram. Safe on a nil receiver
-// (f still runs).
-func (h *Histogram) Time(f func()) {
-	if h == nil {
-		f()
-		return
-	}
-	t0 := time.Now()
-	f()
-	h.Observe(time.Since(t0))
 }

@@ -138,3 +138,49 @@ func TestDefaultRegistryShared(t *testing.T) {
 		t.Fatal("default registry not shared")
 	}
 }
+
+// Reset zeroes every registered instrument (the names stay registered).
+func (m *Metrics) Reset() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range m.counters {
+		c.reset()
+	}
+	for _, h := range m.histograms {
+		h.reset()
+	}
+}
+
+func (c *Counter) reset() { c.v.Store(0) }
+
+// Time records the duration of f in the histogram. Safe on a nil receiver
+// (f still runs).
+func (h *Histogram) Time(f func()) {
+	if h == nil {
+		f()
+		return
+	}
+	t0 := time.Now()
+	f()
+	h.Observe(time.Since(t0))
+}
+
+// Max returns the largest observation; zero on a nil receiver.
+func (h *Histogram) Max() time.Duration {
+	if h == nil {
+		return 0
+	}
+	return time.Duration(h.max.Load())
+}
+
+func (h *Histogram) reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.max.Store(0)
+}

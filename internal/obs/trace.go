@@ -38,8 +38,10 @@ type SpanRecord struct {
 	Duration time.Duration
 }
 
-// CollectTracer is a Tracer that records finished spans in memory — the
-// reference implementation, used by tests and the CLI's trace dump.
+// CollectTracer is a Tracer that records finished spans in memory. No
+// production code installs it: it is the instrument through which the
+// tests of other packages (internal/core's among them) read the spans an
+// engine opened.
 type CollectTracer struct {
 	mu    sync.Mutex
 	spans []SpanRecord

@@ -102,9 +102,6 @@ func MustNew(root *Node) *Pattern {
 // Size returns the number of pattern nodes.
 func (p *Pattern) Size() int { return len(p.Nodes) }
 
-// Parent returns the parent of the node at index i, or nil for the root.
-func (p *Pattern) Parent(i int) *Node { return p.Nodes[i].parent }
-
 // ParentIndex returns the preorder index of node i's parent, or -1.
 func (p *Pattern) ParentIndex(i int) int {
 	if par := p.Nodes[i].parent; par != nil {
@@ -122,15 +119,6 @@ func (p *Pattern) IsAncestor(a, b int) bool {
 		}
 	}
 	return false
-}
-
-// Labels returns the labels of all nodes in preorder.
-func (p *Pattern) Labels() []string {
-	out := make([]string, len(p.Nodes))
-	for i, n := range p.Nodes {
-		out[i] = n.Label
-	}
-	return out
 }
 
 // StoredIndexes returns the preorder indexes of nodes that store anything.

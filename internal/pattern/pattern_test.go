@@ -237,3 +237,40 @@ func TestTooManyNodes(t *testing.T) {
 		t.Fatal("expected 64-node limit error")
 	}
 }
+
+// Labels returns the labels of all nodes in preorder.
+func (p *Pattern) Labels() []string {
+	out := make([]string, len(p.Nodes))
+	for i, n := range p.Nodes {
+		out[i] = n.Label
+	}
+	return out
+}
+
+// Snowcaps enumerates all snowcap masks of p, in increasing popcount order
+// (so smaller snowcaps come first, and the full pattern comes last).
+func (p *Pattern) Snowcaps() []uint64 {
+	full := p.FullMask()
+	var out []uint64
+	for mask := uint64(1); mask <= full; mask++ {
+		if p.IsSnowcap(mask) {
+			out = append(out, mask)
+		}
+	}
+	sortByPopcount(out)
+	return out
+}
+
+func sortByPopcount(masks []uint64) {
+	// Insertion sort by (popcount, value): lattice sizes are tiny.
+	for i := 1; i < len(masks); i++ {
+		for j := i; j > 0; j-- {
+			a, b := masks[j-1], masks[j]
+			ca, cb := bits.OnesCount64(a), bits.OnesCount64(b)
+			if ca < cb || (ca == cb && a <= b) {
+				break
+			}
+			masks[j-1], masks[j] = b, a
+		}
+	}
+}

@@ -39,20 +39,6 @@ func (p *Pattern) IsUpClosed(mask uint64) bool {
 	return mask == 0 || p.IsSnowcap(mask)
 }
 
-// Snowcaps enumerates all snowcap masks of p, in increasing popcount order
-// (so smaller snowcaps come first, and the full pattern comes last).
-func (p *Pattern) Snowcaps() []uint64 {
-	full := p.FullMask()
-	var out []uint64
-	for mask := uint64(1); mask <= full; mask++ {
-		if p.IsSnowcap(mask) {
-			out = append(out, mask)
-		}
-	}
-	sortByPopcount(out)
-	return out
-}
-
 // SnowcapChain returns one snowcap per size level 1..Size(p), each
 // containing the previous — the "pick one per level" policy used in the
 // paper's experiments (Section 6.7). The chain is built greedily by always
@@ -74,20 +60,6 @@ func (p *Pattern) SnowcapChain() []uint64 {
 		chain = append(chain, mask)
 	}
 	return chain
-}
-
-func sortByPopcount(masks []uint64) {
-	// Insertion sort by (popcount, value): lattice sizes are tiny.
-	for i := 1; i < len(masks); i++ {
-		for j := i; j > 0; j-- {
-			a, b := masks[j-1], masks[j]
-			ca, cb := bits.OnesCount64(a), bits.OnesCount64(b)
-			if ca < cb || (ca == cb && a <= b) {
-				break
-			}
-			masks[j-1], masks[j] = b, a
-		}
-	}
 }
 
 // MaskContains reports whether mask contains node index i.

@@ -16,7 +16,7 @@ func planEngine(t *testing.T, src string) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.NewEngine(d, core.Options{})
+	return core.New(d)
 }
 
 func stmts(t *testing.T, srcs ...string) []*update.Statement {

@@ -24,7 +24,7 @@ func TestReducePropertyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := core.NewEngine(d, core.Options{})
+			e := core.New(d)
 			mv, err := e.AddView("v", pattern.MustParse(`//a{ID}//b{ID}`))
 			if err != nil {
 				t.Fatal(err)
@@ -108,7 +108,7 @@ func TestAggregatePropertyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := core.NewEngine(d, core.Options{})
+			e := core.New(d)
 			mv, err := e.AddView("v", pattern.MustParse(`//a{ID}//b{ID}`))
 			if err != nil {
 				t.Fatal(err)

@@ -206,7 +206,7 @@ func TestAggregateExample53(t *testing.T) {
 func TestReducedSequenceEquivalence(t *testing.T) {
 	build := func() (*core.Engine, *core.ManagedView) {
 		d := mustDoc(t, fig17Doc)
-		e := core.NewEngine(d, core.Options{})
+		e := core.New(d)
 		mv, err := e.AddView("v", pattern.MustParse(`//b{ID}//d{ID}//b{ID}`))
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +258,7 @@ func TestReducedSequenceEquivalence(t *testing.T) {
 // TestFromStatements expands statement-level updates to elementary ops.
 func TestFromStatements(t *testing.T) {
 	d := mustDoc(t, fig17Doc)
-	e := core.NewEngine(d, core.Options{})
+	e := core.New(d)
 	stmts := []*update.Statement{
 		update.MustParse(`for $x in //c insert <q/>`),
 		update.MustParse(`delete //e`),

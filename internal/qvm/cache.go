@@ -36,10 +36,3 @@ func (c *Cache) Add(query string, prog *Program) bool {
 	defer c.mu.Unlock()
 	return c.progs.Put(query, prog)
 }
-
-// Len returns the number of cached programs.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.progs.Len()
-}

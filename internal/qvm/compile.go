@@ -10,7 +10,18 @@ import (
 // virtual document node (the anchoring Parse guarantees for absolute
 // paths).
 func Compile(p xpath.Path) (*Program, error) {
-	return compilePath(p, true)
+	if len(p.Steps) == 0 {
+		return nil, fmt.Errorf("qvm: cannot compile an empty path")
+	}
+	c := &compiler{
+		prog:    &Program{Source: p.String()},
+		nameIdx: map[string]int32{},
+		litIdx:  map[string]int32{},
+	}
+	if _, err := c.segment(p.Steps); err != nil {
+		return nil, err
+	}
+	return c.prog, nil
 }
 
 // CompileString parses and compiles an absolute XPath expression.
@@ -25,26 +36,6 @@ func CompileString(s string) (*Program, error) {
 	}
 	prog.Source = s
 	return prog, nil
-}
-
-// CompileRelative compiles a relative path evaluated from a context node.
-func CompileRelative(p xpath.Path) (*Program, error) {
-	return compilePath(p, false)
-}
-
-func compilePath(p xpath.Path, fromDoc bool) (*Program, error) {
-	if len(p.Steps) == 0 {
-		return nil, fmt.Errorf("qvm: cannot compile an empty path")
-	}
-	c := &compiler{
-		prog:    &Program{FromDoc: fromDoc, Source: p.String()},
-		nameIdx: map[string]int32{},
-		litIdx:  map[string]int32{},
-	}
-	if _, err := c.segment(p.Steps); err != nil {
-		return nil, err
-	}
-	return c.prog, nil
 }
 
 type compiler struct {

@@ -22,11 +22,6 @@
 // referenced by index.
 package qvm
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Op is a bytecode opcode.
 type Op uint8
 
@@ -89,10 +84,6 @@ type Program struct {
 	Instrs []Instr
 	Names  []string // label constants (attribute names stored with "@")
 	Lits   []string // string literal constants
-	// FromDoc marks the main segment as anchored at the virtual document
-	// node (absolute paths); relative programs start at the
-	// context node itself.
-	FromDoc bool
 	// Source is the text the program was compiled from, for diagnostics.
 	Source string
 }
@@ -103,39 +94,3 @@ func (op Op) isStep() bool { return op >= opStep0 && op <= opStepLast }
 
 func (op Op) axis() int { return int(op-opStep0) / numTests }
 func (op Op) test() int { return int(op-opStep0) % numTests }
-
-var axisNames = [numAxes]string{"child", "desc", "following", "preceding"}
-var testNames = [numTests]string{"name", "wild", "attr", "text"}
-
-var predNames = map[Op]string{
-	pExists: "exists", pEq: "eq", pContains: "contains", pStarts: "starts",
-	pCount: "count", pPos: "pos", pLast: "last", pSelfEq: "selfeq",
-	pJumpF: "jumpf", pJumpT: "jumpt", pRet: "ret",
-}
-
-// Disasm renders the program for tests and debugging.
-func (p *Program) Disasm() string {
-	var b strings.Builder
-	for pc, in := range p.Instrs {
-		fmt.Fprintf(&b, "%3d: ", pc)
-		switch {
-		case in.Op == opEnd:
-			b.WriteString("end")
-		case in.Op.isStep():
-			fmt.Fprintf(&b, "step %s/%s", axisNames[in.Op.axis()], testNames[in.Op.test()])
-			if in.A >= 0 {
-				fmt.Fprintf(&b, " name=%q", p.Names[in.A])
-			}
-			if in.B >= 0 {
-				fmt.Fprintf(&b, " preds@%d n=%d", in.B, in.C>>predCountShift)
-				if in.C&stepGrouped != 0 {
-					b.WriteString(" grouped")
-				}
-			}
-		default:
-			fmt.Fprintf(&b, "%s a=%d b=%d c=%d", predNames[in.Op], in.A, in.B, in.C)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -80,7 +80,7 @@ func (p *Program) Eval(d *xmltree.Document) []*xmltree.Node {
 // avoiding all steady-state allocations beyond dst growth.
 func (p *Program) EvalInto(m *Machine, d *xmltree.Document, dst []*xmltree.Node) []*xmltree.Node {
 	m.bind(d)
-	return m.runSeg(p, 0, d.Root, p.FromDoc, dst)
+	return m.runSeg(p, 0, d.Root, true, dst)
 }
 
 // runSeg executes the path segment at pc from start, appending the final

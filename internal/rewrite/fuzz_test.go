@@ -9,6 +9,7 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
@@ -114,7 +115,7 @@ func FuzzRewriteVsTreeWalk(f *testing.F) {
 			if err != nil {
 				t.Skip() // no plan from this library — fine
 			}
-			want := xpath.Eval(w.doc, p)
+			want := oracle.Eval(w.doc, p)
 			if len(rows) != len(want) {
 				t.Fatalf("%s %s (%s): rewrite %d matches, tree walk %d", w.name, qs, plan.Explain(), len(rows), len(want))
 			}

@@ -48,7 +48,7 @@ func enqueueExactBatch(t *testing.T, s *Shard, pb *pausingBackend, ctxs []contex
 	t.Helper()
 	pb.mu.Lock()
 	waits := make([]func() (*core.Report, uint64, error), 0, len(srcs)+1)
-	pilot, err := s.ApplyAsync(context.Background(), mustStatement(t, `insert <pilot/> into /site`))
+	pilot, err := s.applyAsync(context.Background(), mustStatement(t, `insert <pilot/> into /site`))
 	if err != nil {
 		pb.mu.Unlock()
 		t.Fatalf("enqueue pilot: %v", err)
@@ -65,7 +65,7 @@ func enqueueExactBatch(t *testing.T, s *Shard, pb *pausingBackend, ctxs []contex
 		if ctxs != nil {
 			ctx = ctxs[i]
 		}
-		wait, err := s.ApplyAsync(ctx, mustStatement(t, src))
+		wait, err := s.applyAsync(ctx, mustStatement(t, src))
 		if err != nil {
 			pb.mu.Unlock()
 			t.Fatalf("enqueue stmt %d: %v", i, err)

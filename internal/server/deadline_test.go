@@ -80,7 +80,7 @@ func TestDeadlinePassesWhileQueued(t *testing.T) {
 	}
 	hb.release <- struct{}{}
 	awaitCounter(t, m, "server.apply.abandoned", 1)
-	doc := sh.Epoch().DocXML()
+	doc := sh.Epoch().Doc().String()
 	if !strings.Contains(doc, "<pilot/>") || strings.Contains(doc, "<queued/>") {
 		t.Fatalf("want the pilot applied and the queued statement skipped, the epoch holds %s", doc)
 	}
@@ -108,7 +108,7 @@ func TestDeadlinePassesWhileApplied(t *testing.T) {
 	if got := m.CounterValue("server.apply.abandoned"); got != 0 {
 		t.Fatalf("server.apply.abandoned = %d, want 0: the statement was applied", got)
 	}
-	if doc := sh.Epoch().DocXML(); !strings.Contains(doc, "<late/>") {
+	if doc := sh.Epoch().Doc().String(); !strings.Contains(doc, "<late/>") {
 		t.Fatalf("the statement whose client gave up was not published: %s", doc)
 	}
 }
@@ -149,7 +149,7 @@ func TestDeadlineStressPooledRequests(t *testing.T) {
 			rep, _, err := s.Apply(ctx, st)
 			return rep, err
 		}
-		wait, err := s.ApplyAsync(ctx, st)
+		wait, err := s.applyAsync(ctx, st)
 		if err != nil {
 			return nil, err
 		}

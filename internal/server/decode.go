@@ -62,15 +62,15 @@ type (
 	createDBRequestWire CreateDBRequest
 )
 
-// unmarshal finishes an UnmarshalJSON or UnmarshalString: nothing to do
-// when the scanner took the body, encoding/json on the method-less alias
-// wire when it declined, counted in declined.
-func unmarshal[B []byte | string](body B, scanned bool, declined *atomic.Uint64, wire any) error {
+// unmarshal finishes an UnmarshalJSON: nothing to do when the scanner took
+// the body, encoding/json on the method-less alias wire when it declined,
+// counted in declined.
+func unmarshal(body []byte, scanned bool, declined *atomic.Uint64, wire any) error {
 	if scanned {
 		return nil
 	}
 	declined.Add(1)
-	return json.Unmarshal([]byte(body), wire)
+	return json.Unmarshal(body, wire)
 }
 
 // transient is data as a string for the scanner alone, which copies
@@ -83,19 +83,9 @@ func (v *ViewResponse) UnmarshalJSON(data []byte) error {
 	return unmarshal(data, v.decode(transient(data)), &decodeDeclined, (*viewResponseWire)(v))
 }
 
-// UnmarshalString is UnmarshalJSON for a body held as a string.
-func (v *ViewResponse) UnmarshalString(body string) error {
-	return unmarshal(body, v.decode(body), &decodeDeclined, (*viewResponseWire)(v))
-}
-
 // UnmarshalJSON decodes an xpath body.
 func (x *XPathResponse) UnmarshalJSON(data []byte) error {
 	return unmarshal(data, x.decode(transient(data)), &decodeDeclined, (*xpathResponseWire)(x))
-}
-
-// UnmarshalString is UnmarshalJSON for a body held as a string.
-func (x *XPathResponse) UnmarshalString(body string) error {
-	return unmarshal(body, x.decode(body), &decodeDeclined, (*xpathResponseWire)(x))
 }
 
 // UnmarshalJSON decodes an update answer.

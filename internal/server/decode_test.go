@@ -258,7 +258,7 @@ func TestDecodeDeclines(t *testing.T) {
 		}
 		for _, unmarshal := range []func(*XPathResponse) error{
 			func(x *XPathResponse) error { return json.Unmarshal([]byte(c.body), x) },
-			func(x *XPathResponse) error { return x.UnmarshalString(c.body) },
+			func(x *XPathResponse) error { return x.UnmarshalJSON([]byte(c.body)) },
 		} {
 			var got XPathResponse
 			var err error
@@ -397,14 +397,6 @@ func TestDecodedStringsDoNotAliasTheBody(t *testing.T) {
 	check("update request", (&UpdateRequest{Statement: `insert <a b="&"/> into /r`}).AppendJSON(nil),
 		into(new(UpdateRequest)), UpdateRequest{Statement: `insert <a b="&"/> into /r`})
 	check("create request", create.AppendJSON(nil), into(new(CreateDBRequest)), create)
-	check("view as a string", view, func(data []byte) (any, error) {
-		v := new(ViewResponse)
-		return v, v.UnmarshalString(unsafe.String(unsafe.SliceData(data), len(data)))
-	}, wantView)
-	check("xpath as a string", xpath, func(data []byte) (any, error) {
-		x := new(XPathResponse)
-		return x, x.UnmarshalString(unsafe.String(unsafe.SliceData(data), len(data)))
-	}, wantXPath)
 	if n := decodeDeclined.Load() + requestDeclined.Load() - declined; n != 0 {
 		t.Fatalf("the scanner declined %d of the encoder's bodies", n)
 	}

@@ -167,7 +167,7 @@ func TestDeadlineDuringJournalServesTheLog(t *testing.T) {
 
 	served := sh.Epoch()
 	requireServedIsRecovered(t, served, dir)
-	if served.Version != before+1 || !strings.Contains(served.DocXML(), `id="pj"`) {
+	if served.Version != before+1 || !strings.Contains(served.Doc().String(), `id="pj"`) {
 		t.Fatalf("served version %d, want %d with the journaled insert", served.Version, before+1)
 	}
 }
@@ -189,7 +189,7 @@ func TestAutoCheckpointFailureAcksTheStatement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a statement that landed was failed by its checkpoint: %v", err)
 	}
-	if version != sh.Epoch().Version || !strings.Contains(sh.Epoch().DocXML(), `id="pc"`) {
+	if version != sh.Epoch().Version || !strings.Contains(sh.Epoch().Doc().String(), `id="pc"`) {
 		t.Fatal("the acknowledged insert is not served")
 	}
 	if got := waitCounter(t, walReg, "wal.checkpoint.errors", 1); got != 1 {

@@ -253,18 +253,6 @@ func appendNodeMatches(dst []byte, nodes []*xmltree.Node) []byte {
 	return append(dst, ']')
 }
 
-// appendRowMatches appends the matches array of a collected rewrite answer:
-// rows of shape projected onto the query's one stored node, which carries
-// ID and value. A served read streams the same bytes (appendPlanMatches).
-func appendRowMatches(dst []byte, label string, shape *algebra.Shape, rows []algebra.Row) []byte {
-	dst = append(dst, '[')
-	for i := range rows {
-		e := shape.Entry(rows[i], 0)
-		dst = appendRowMatch(dst, i == 0, label, &e)
-	}
-	return append(dst, ']')
-}
-
 // appendRowMatch appends one MatchJSON object for a stored node's entry.
 func appendRowMatch(dst []byte, first bool, label string, e *algebra.RowEntry) []byte {
 	dst = appendMatchHead(dst, first, e.ID, label)

@@ -185,3 +185,15 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		checkRoundTrip(t, body, create, valid)
 	})
 }
+
+// appendRowMatches appends the matches array of a collected rewrite answer:
+// rows of shape projected onto the query's one stored node, which carries
+// ID and value. A served read streams the same bytes (appendPlanMatches).
+func appendRowMatches(dst []byte, label string, shape *algebra.Shape, rows []algebra.Row) []byte {
+	dst = append(dst, '[')
+	for i := range rows {
+		e := shape.Entry(rows[i], 0)
+		dst = appendRowMatch(dst, i == 0, label, &e)
+	}
+	return append(dst, ']')
+}

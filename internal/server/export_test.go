@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"xivm/internal/core"
+	"xivm/internal/update"
 )
 
 // xpathResponse decodes the body appendXPath writes for q against one
@@ -51,4 +53,19 @@ func TestMain(m *testing.M) {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// applyAsync enqueues one statement and returns immediately with a wait
+// function, under the same contract as Apply (which is applyAsync + wait).
+// Split submission lets one goroutine enqueue several statements
+// back-to-back — guaranteeing their FIFO order in the writer's queue, which
+// a goroutine-per-Apply submission cannot — and collect the acks
+// afterwards; the bursty stress and batch tests use it to force
+// deterministic multi-statement batches.
+func (s *Shard) applyAsync(ctx context.Context, st *update.Statement) (func() (*core.Report, uint64, error), error) {
+	req, err := s.submit(ctx, st)
+	if err != nil {
+		return nil, err
+	}
+	return req.wait, nil
 }

@@ -71,7 +71,7 @@ func TestUpdateBodyLimit(t *testing.T) {
 		wantTooLarge(t, resp.StatusCode, resp.Body, DefaultTenant)
 		resp.Body.Close()
 	}
-	if after := sh.Epoch(); after.Version != before.Version || after.DocXML() != before.DocXML() {
+	if after := sh.Epoch(); after.Version != before.Version || after.Doc().String() != before.Doc().String() {
 		t.Fatalf("a refused body moved the tenant from version %d to %d", before.Version, after.Version)
 	}
 }

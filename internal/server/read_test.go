@@ -90,23 +90,23 @@ func TestReadBodiesOverHTTP(t *testing.T) {
 }
 
 // checkAgainstLibrary compares what json.Unmarshal made of a body through
-// the type's UnmarshalJSON, and what its UnmarshalString makes of it, with
-// encoding/json's own decode.
+// the type's UnmarshalJSON, and what a direct UnmarshalJSON call (no
+// validation pass first) makes of it, with encoding/json's own decode.
 func checkAgainstLibrary[T ViewResponse | XPathResponse, P interface {
 	*T
-	UnmarshalString(string) error
+	json.Unmarshaler
 }](t *testing.T, body []byte, viaJSON T) {
 	t.Helper()
 	want, err := libDecode[T](body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaString T
-	if err := P(&viaString).UnmarshalString(string(body)); err != nil {
+	var direct T
+	if err := P(&direct).UnmarshalJSON(bytes.Clone(body)); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaJSON, want) || !reflect.DeepEqual(viaString, want) {
-		t.Fatalf("body %s\nUnmarshalJSON   %+v\nUnmarshalString %+v\nencoding/json   %+v", body, viaJSON, viaString, want)
+	if !reflect.DeepEqual(viaJSON, want) || !reflect.DeepEqual(direct, want) {
+		t.Fatalf("body %s\njson.Unmarshal %+v\nUnmarshalJSON  %+v\nencoding/json  %+v", body, viaJSON, direct, want)
 	}
 }
 

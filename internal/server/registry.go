@@ -183,10 +183,6 @@ func (r *Registry) DropReplica(name string) {
 	}
 }
 
-// FollowerOf returns the leader base URL when this registry is a follower,
-// and "" otherwise.
-func (r *Registry) FollowerOf() string { return r.cfg.FollowerOf }
-
 // EngineOptions returns RegistryConfig.WAL.Engine, the options every engine
 // the registry serves is built with; a follower restores its replicas with
 // them.

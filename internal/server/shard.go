@@ -455,21 +455,6 @@ func (s *Shard) Apply(ctx context.Context, st *update.Statement) (*core.Report, 
 	return req.wait()
 }
 
-// ApplyAsync enqueues one statement and returns immediately with a wait
-// function, under the same contract as Apply (which is ApplyAsync + wait).
-// Split submission lets one goroutine enqueue several statements
-// back-to-back — guaranteeing their FIFO order in the writer's queue, which
-// a goroutine-per-Apply submission cannot — and collect the acks
-// afterwards; the bursty stress tests use it to force deterministic
-// multi-statement batches.
-func (s *Shard) ApplyAsync(ctx context.Context, st *update.Statement) (func() (*core.Report, uint64, error), error) {
-	req, err := s.submit(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return req.wait, nil
-}
-
 // submit enqueues one statement in a pooled request stamped with the
 // shard's deadline.
 func (s *Shard) submit(ctx context.Context, st *update.Statement) (*applyReq, error) {

@@ -77,7 +77,7 @@ func servedBodies(t *testing.T, dbURL string, sh *Shard) [][]byte {
 		}
 		out = append(out, body)
 	}
-	return append(out, []byte(sh.Epoch().DocXML()))
+	return append(out, []byte(sh.Epoch().Doc().String()))
 }
 
 // requireStopped fails unless the envelope is a 503 tenant_stopped whose
@@ -171,7 +171,7 @@ func TestApplyPanicStopsTheTenant(t *testing.T) {
 	}
 	var waits []func() (*core.Report, uint64, error)
 	enqueue := func(src string) {
-		wait, err := sh.ApplyAsync(context.Background(), mustStatement(t, src))
+		wait, err := sh.applyAsync(context.Background(), mustStatement(t, src))
 		if err != nil {
 			t.Fatalf("enqueue %s: %v", src, err)
 		}

@@ -79,7 +79,7 @@ type burstRunResult struct {
 }
 
 // runBurstyShard drives one WAL-backed shard through burstWave waves
-// submitted as FIFO bursts (ApplyAsync from a single goroutine), with the
+// submitted as FIFO bursts (applyAsync from a single goroutine), with the
 // shadow oracle replayed strictly before each wave is enqueued and a
 // concurrent monitor asserting that every published epoch equals a fresh
 // recomputation at that version. Run under -race.
@@ -161,11 +161,11 @@ func runBurstyShard(t *testing.T, maxBatch int) burstRunResult {
 			want[i] = oracle.step(t, src)
 		}
 		// Enqueue the wave while the writer is held at the engine boundary,
-		// then release; single-goroutine ApplyAsync guarantees FIFO order.
+		// then release; single-goroutine applyAsync guarantees FIFO order.
 		pb.mu.Lock()
 		waits := make([]func() (*core.Report, uint64, error), len(srcs))
 		for i, src := range srcs {
-			wait, err := s.ApplyAsync(context.Background(), mustStatement(t, src))
+			wait, err := s.applyAsync(context.Background(), mustStatement(t, src))
 			if err != nil {
 				pb.mu.Unlock()
 				t.Fatalf("wave %d stmt %d: enqueue: %v", w, i, err)

@@ -13,6 +13,7 @@ import (
 
 	"xivm/internal/algebra"
 	"xivm/internal/core"
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
 	"xivm/internal/wal"
@@ -96,7 +97,7 @@ func (o *shadowOracle) record() {
 		st.views[mv.Name] = rowsToJSON(mv.Pattern, rows)
 	}
 	for _, q := range stressQueries {
-		nodes := xpath.Eval(o.eng.Doc, xpath.MustParse(q))
+		nodes := oracle.Eval(o.eng.Doc, xpath.MustParse(q))
 		ms := make([]MatchJSON, 0, len(nodes))
 		for _, n := range nodes {
 			ms = append(ms, MatchJSON{ID: n.ID().String(), Label: n.Label(), Value: n.StringValue()})

@@ -118,7 +118,7 @@ func FuzzMatMatchesTupleModel(f *testing.F) {
 				}
 			case 2: // RemoveUnderAny
 				roots := []dewey.ID{pool[next()%len(pool)], pool[next()%len(pool)]}
-				cover := dewey.NewCover(roots)
+				cover := coverOf(roots)
 				under := func(id dewey.ID) bool {
 					return slices.ContainsFunc(roots, func(r dewey.ID) bool { return r.Equal(id) || r.IsAncestorOf(id) })
 				}

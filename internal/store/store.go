@@ -61,9 +61,6 @@ func (s *Store) SetMetrics(m *obs.Metrics) {
 // asked already.
 func New(doc *xmltree.Document) *Store { return &Store{doc: doc} }
 
-// Doc returns the indexed document.
-func (s *Store) Doc() *xmltree.Document { return s.doc }
-
 // items reads R_label from the label index into a fresh slice, without the
 // hidden subtrees.
 func (s *Store) items(label string) []algebra.Item {

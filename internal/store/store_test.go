@@ -344,7 +344,7 @@ func TestMatFillAddRemove(t *testing.T) {
 	}
 	// Remove under the b node.
 	bNode := d.Root.ElementChildren()[0]
-	if got := m.RemoveUnderAny(dewey.NewCover([]dewey.ID{bNode.ID()})); got != 1 {
+	if got := m.RemoveUnderAny(coverOf([]dewey.ID{bNode.ID()})); got != 1 {
 		t.Fatalf("removed %d", got)
 	}
 	if m.Len() != 0 {
@@ -409,3 +409,13 @@ func TestConcurrentItemsDuringMutation(t *testing.T) {
 		t.Fatalf("|R_b| = %d after balanced insert/delete churn, want 3", got)
 	}
 }
+
+// coverOf builds the cover of roots, as a statement's scratch does.
+func coverOf(roots []dewey.ID) *dewey.Cover {
+	c := new(dewey.Cover)
+	c.Reset(roots)
+	return c
+}
+
+// Get returns the stored row binding the same nodes as probe.
+func (v *View) Get(probe algebra.Row) (algebra.Row, bool) { return v.rows.Get(probe) }

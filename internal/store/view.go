@@ -35,9 +35,6 @@ func NewViewOf(s *algebra.Shape, rows []algebra.Row) *View {
 // Len returns the number of rows.
 func (v *View) Len() int { return v.rows.Len() }
 
-// Get returns the stored row binding the same nodes as probe.
-func (v *View) Get(probe algebra.Row) (algebra.Row, bool) { return v.rows.Get(probe) }
-
 // Upsert adds the row's derivation count to the stored row with the same
 // bindings, inserting it if absent. It returns true when the row is new.
 func (v *View) Upsert(r algebra.Row) bool {

@@ -1,10 +1,6 @@
 package update
 
-import (
-	"fmt"
-
-	"xivm/internal/xmltree"
-)
+import "xivm/internal/xmltree"
 
 // Statement serialization: every Statement renders to a canonical textual
 // form that Parse accepts and that re-parses to an equivalent statement.
@@ -17,14 +13,11 @@ import (
 // parse to identical statements), and a `let $d := doc(…)` prefix is
 // dropped (paths are stored resolved).
 
-// Format renders the statement in canonical form. It is Parse's inverse up
-// to canonicalization: Parse(Format(st)) always succeeds and yields a
+// AppendFormat appends the statement in canonical form to dst and returns
+// the extended slice — the write-ahead log formats every statement it
+// journals into a scratch of its own. It is Parse's inverse up to
+// canonicalization: Parse of what it appends always succeeds and yields a
 // statement with the same kind, target, forest and copy-source.
-func Format(st *Statement) string { return string(AppendFormat(nil, st)) }
-
-// AppendFormat appends what Format returns to dst and returns the extended
-// slice — the write-ahead log formats every statement it journals into a
-// scratch of its own.
 func AppendFormat(dst []byte, st *Statement) []byte {
 	switch st.Kind {
 	case Delete:
@@ -53,37 +46,4 @@ func appendForest(dst []byte, forest []*xmltree.Node) []byte {
 		dst = n.AppendContent(dst)
 	}
 	return dst
-}
-
-// Canonical reparses the canonical rendering, returning a statement whose
-// Source equals its Format. Round-tripping through text (rather than
-// cloning in memory) keeps the guarantee honest: whatever Canonical
-// returns is exactly what a log replay will reconstruct.
-func (s *Statement) Canonical() (*Statement, error) {
-	src := Format(s)
-	st, err := Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("update: statement does not round-trip (%q): %w", src, err)
-	}
-	return st, nil
-}
-
-// Equivalent reports whether two statements denote the same update: same
-// kind, same target path, same copy-source, and forests serializing to the
-// same XML. Source text is ignored — `for $x in q insert F` and
-// `insert F into q` are equivalent.
-func Equivalent(a, b *Statement) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Target.String() != b.Target.String() {
-		return false
-	}
-	if (a.CopyOf == nil) != (b.CopyOf == nil) {
-		return false
-	}
-	if a.CopyOf != nil && a.CopyOf.String() != b.CopyOf.String() {
-		return false
-	}
-	return ForestString(a.Forest) == ForestString(b.Forest)
 }

@@ -360,9 +360,6 @@ func (ls *Labels) next() int {
 	return ls.n - 1
 }
 
-// Len returns the number of slots.
-func (ls *Labels) Len() int { return ls.n }
-
 // Delta is one forest's ∆ tables (CD+/CD−, Algorithm 2): per slot of a
 // Labels set, the forest's nodes that slot's label matches, in document
 // order. It is read-only once built, until the next Fill or Reset of the
@@ -373,19 +370,12 @@ type Delta struct {
 	tables [][]algebra.Item // nil until a node matched a label
 }
 
-// DeltaTables implements CD+/CD−: one walk of the affected subtree roots
-// extracts the ∆ relation of every label in ls.
-func DeltaTables(roots []*xmltree.Node, ls *Labels) Delta {
-	var d Delta
-	d.Fill(roots, ls)
-	return d
-}
-
 // deltaCap is the most items a table keeps across a Reset.
 const deltaCap = 1 << 10
 
-// Fill is DeltaTables into d, reusing its tables' arrays: what d held
-// before is gone, and so is every Delta copied from it.
+// Fill implements CD+/CD−: one walk of the affected subtree roots
+// extracts into d the ∆ relation of every label in ls, reusing d's tables'
+// arrays: what d held before is gone, and so is every Delta copied from it.
 func (d *Delta) Fill(roots []*xmltree.Node, ls *Labels) {
 	for i := range d.tables {
 		d.tables[i] = d.tables[i][:0]
@@ -437,23 +427,4 @@ func (d Delta) Table(slot int) []algebra.Item {
 	}
 	t := d.tables[slot]
 	return t[:len(t):len(t)]
-}
-
-// InsertionPoints returns the PUL's target nodes (the p_i of Proposition
-// 3.8) for an insertion.
-func (p *PUL) InsertionPoints() []*xmltree.Node {
-	out := make([]*xmltree.Node, len(p.Inserts))
-	for i, pi := range p.Inserts {
-		out[i] = pi.Target
-	}
-	return out
-}
-
-// ForestString renders a forest template back to XML (for diagnostics).
-func ForestString(forest []*xmltree.Node) string {
-	var b strings.Builder
-	for _, n := range forest {
-		b.WriteString(n.Content())
-	}
-	return b.String()
 }

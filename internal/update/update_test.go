@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/store"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
@@ -169,12 +170,12 @@ func TestProgrammaticStatementRunsTheVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := xpath.Eval(d, target)
+	want := oracle.Eval(d, target)
 	if len(pul.Inserts) != len(want) || len(want) != 2 {
 		t.Fatalf("%d insertions for %d interpreted targets", len(pul.Inserts), len(want))
 	}
 	for i, in := range pul.Inserts {
-		if in.Target != want[i] || len(in.Trees) != 1 || in.Trees[0] != xpath.Eval(d, src)[0] {
+		if in.Target != want[i] || len(in.Trees) != 1 || in.Trees[0] != oracle.Eval(d, src)[0] {
 			t.Fatalf("insertion %d: target %v, trees %v", i, in.Target.ID(), in.Trees)
 		}
 	}
@@ -291,10 +292,11 @@ func TestDeltaTables(t *testing.T) {
 		}
 		slot[l] = s
 	}
-	if ls.Len() != 6 {
-		t.Fatalf("%d slots for six labels", ls.Len())
+	if ls.n != 6 {
+		t.Fatalf("%d slots for six labels", ls.n)
 	}
-	dt := DeltaTables(applied.InsertedRoots, &ls)
+	var dt Delta
+	dt.Fill(applied.InsertedRoots, &ls)
 	size := func(l string) int { return len(dt.Table(slot[l])) }
 	if size("a") != 1 || size("b") != 2 || size("c") != 1 {
 		t.Fatalf("delta sizes: a=%d b=%d c=%d", size("a"), size("b"), size("c"))
@@ -321,7 +323,9 @@ func TestDeltaTables(t *testing.T) {
 	// Word labels match text nodes holding the word.
 	d2 := mustDoc(t, `<r><p/></r>`)
 	applied2 := run(t, d2, `insert <a>x y</a> into /r/p`)
-	if got := len(DeltaTables(applied2.InsertedRoots, &ls).Table(slot["~x"])); got != 1 {
+	var dt2 Delta
+	dt2.Fill(applied2.InsertedRoots, &ls)
+	if got := len(dt2.Table(slot["~x"])); got != 1 {
 		t.Fatalf("word delta %d, want 1", got)
 	}
 }
@@ -336,6 +340,16 @@ func TestInsertionPoints(t *testing.T) {
 	if len(pts) != 2 || pts[0].Label() != "p" {
 		t.Fatalf("points %v", pts)
 	}
+}
+
+// InsertionPoints returns the PUL's target nodes (the p_i of Proposition
+// 3.8) for an insertion.
+func (p *PUL) InsertionPoints() []*xmltree.Node {
+	out := make([]*xmltree.Node, len(p.Inserts))
+	for i, pi := range p.Inserts {
+		out[i] = pi.Target
+	}
+	return out
 }
 
 func TestStringers(t *testing.T) {
@@ -420,4 +434,13 @@ func TestExpandReplace(t *testing.T) {
 	if _, _, err := ExpandReplace(d, MustParse(`delete //name`)); err == nil {
 		t.Fatal("ExpandReplace must reject non-replace")
 	}
+}
+
+// ForestString renders a forest template back to XML (for diagnostics).
+func ForestString(forest []*xmltree.Node) string {
+	var b strings.Builder
+	for _, n := range forest {
+		b.WriteString(n.Content())
+	}
+	return b.String()
 }

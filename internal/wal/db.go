@@ -23,7 +23,7 @@ import (
 // tagged payload inside a log frame; the frame supplies length, checksum
 // and LSN.
 const (
-	// RecordStatement tags a canonical update statement (update.Format).
+	// RecordStatement tags a canonical update statement (update.AppendFormat).
 	RecordStatement = 's'
 	// RecordView tags a view registration: name, NUL, pattern source.
 	RecordView = 'v'
@@ -34,7 +34,8 @@ const (
 type Options struct {
 	// Sync is the fsync policy for statement appends.
 	Sync SyncPolicy
-	// SyncInterval is the group-commit window under SyncInterval.
+	// SyncInterval is the group-commit window under SyncInterval
+	// (default 50ms).
 	SyncInterval time.Duration
 	// SegmentBytes is the log segment rotation size.
 	SegmentBytes int64
@@ -121,17 +122,6 @@ func newDB(dir string, opts Options) *DB {
 		opts:    opts,
 		sources: map[string]string{},
 		pins:    map[string]followerPin{},
-	}
-}
-
-func (db *DB) logOptions(start uint64) LogOptions {
-	return LogOptions{
-		Policy:       db.opts.Sync,
-		Interval:     db.opts.SyncInterval,
-		SegmentBytes: db.opts.SegmentBytes,
-		StartLSN:     start,
-		Metrics:      db.opts.Metrics,
-		FS:           db.fs,
 	}
 }
 
@@ -267,7 +257,7 @@ func CreateWithViews(dir, docXML string, views []ViewSource, opts Options) (_ *D
 // journalViews opens the log of a database being created and appends one
 // record per view at LSN 1..len(views), synced with one fsync.
 func (db *DB) journalViews(views []ViewSource) (err error) {
-	if db.log, err = OpenLog(db.walDir, db.logOptions(1)); err != nil {
+	if db.log, err = openLog(db.walDir, db.opts, 1); err != nil {
 		return err
 	}
 	for _, v := range views {
@@ -313,7 +303,7 @@ func Open(dir string, opts Options) (_ *DB, err error) {
 		return nil, err
 	}
 	ckLSN := img.Manifest.LSN
-	db.log, err = OpenLog(db.walDir, db.logOptions(ckLSN+1))
+	db.log, err = openLog(db.walDir, db.opts, ckLSN+1)
 	if err != nil {
 		return nil, err
 	}

@@ -37,8 +37,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"xivm/internal/obs"
 )
 
 // SyncPolicy selects when appended records are fsynced.
@@ -112,26 +110,6 @@ func parseSegName(name string) (uint64, bool) {
 	return lsn, true
 }
 
-// LogOptions tunes a Log; the zero value is SyncAlways with default
-// segment size.
-type LogOptions struct {
-	// Policy is the fsync policy (default SyncAlways).
-	Policy SyncPolicy
-	// Interval is the group-commit window under SyncInterval (default
-	// 50ms).
-	Interval time.Duration
-	// SegmentBytes rotates to a fresh segment once the current one reaches
-	// this size (default 4 MiB).
-	SegmentBytes int64
-	// StartLSN seeds the sequence when the directory holds no segments —
-	// the checkpoint LSN + 1 on reopen, 1 on a fresh directory.
-	StartLSN uint64
-	// Metrics selects the registry (nil = obs.Default()).
-	Metrics *obs.Metrics
-	// FS selects the filesystem (nil = OSFS).
-	FS FS
-}
-
 // Log is a segmented append-only record log with monotonic LSNs. It is not
 // safe for concurrent use; the DB wrapper serializes access the same way
 // core.Engine serializes statements.
@@ -139,7 +117,7 @@ type Log struct {
 	dir  string
 	fs   FS
 	m    *walMetrics
-	opts LogOptions
+	opts Options
 
 	segments []segment // sorted by firstLSN; last is the active one
 	cur      File      // open handle on the active segment, nil if none
@@ -166,24 +144,26 @@ type segment struct {
 
 func (l *Log) segPath(s segment) string { return filepath.Join(l.dir, segName(s.firstLSN)) }
 
-// OpenLog opens (creating if needed) the log directory, validates every
+// openLog opens (creating if needed) the log directory, validates every
 // segment, truncates any torn tail, and positions the sequence after the
 // last durable record. The torn-tail rule: within the segment chain, the
 // log ends at the first frame that fails its length, checksum or LSN
 // continuity check; that frame and everything after it (including later
 // segments) is truncated and counted in wal.recover.truncated.
-func OpenLog(dir string, opts LogOptions) (*Log, error) {
+//
+// Of opts it reads Sync (default SyncAlways), SyncInterval (default 50ms),
+// SegmentBytes (default 4 MiB), Metrics and FS. start seeds the sequence
+// when the directory holds no segments: the checkpoint LSN + 1 on reopen,
+// 1 on a fresh directory.
+func openLog(dir string, opts Options, start uint64) (*Log, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = 50 * time.Millisecond
-	}
-	if opts.StartLSN == 0 {
-		opts.StartLSN = 1
+	if opts.SyncInterval <= 0 {
+		opts.SyncInterval = 50 * time.Millisecond
 	}
 	l := &Log{dir: dir, fs: opts.FS, m: newWalMetrics(opts.Metrics), opts: opts, lastSync: time.Now()}
 	if err := l.fs.MkdirAll(dir, 0o755); err != nil {
@@ -208,9 +188,9 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 
 	// The chain starts wherever the oldest surviving segment says it does —
 	// checkpoints truncate old segments, so the first segment's LSN is
-	// normally behind the newest checkpoint, not at StartLSN. StartLSN only
+	// normally behind the newest checkpoint, not at start. start only
 	// seeds an empty directory.
-	l.nextLSN = opts.StartLSN
+	l.nextLSN = start
 	if len(segs) > 0 {
 		l.nextLSN = segs[0].firstLSN
 	}
@@ -320,7 +300,7 @@ func scanFrames(data []byte, first uint64) (valid int64, count uint64) {
 func (l *Log) Truncated() int64 { return l.truncated }
 
 // LastLSN returns the sequence number of the last appended record, or
-// StartLSN-1 when the log is empty. Unlike every other Log method it is
+// start-1 when the log is empty. Unlike every other Log method it is
 // safe to call concurrently with the owning writer — replication status
 // reads it from HTTP handler goroutines.
 func (l *Log) LastLSN() uint64 { return l.last.Load() }
@@ -409,7 +389,7 @@ func (l *Log) rotate() error {
 // syncWritten), and then succeeds: a run makes durable the statements it
 // appended before the one that failed, and acknowledges them.
 func (l *Log) policySync() error {
-	if l.opts.Policy == SyncAlways || l.opts.Policy == SyncInterval && time.Since(l.lastSync) >= l.opts.Interval {
+	if l.opts.Sync == SyncAlways || l.opts.Sync == SyncInterval && time.Since(l.lastSync) >= l.opts.SyncInterval {
 		if err := l.syncWritten(); err != nil {
 			return err
 		}

@@ -24,7 +24,7 @@ func collectRecords(t *testing.T, l *Log, from uint64) map[uint64]string {
 
 func TestLogAppendReopenReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestLogAppendReopenReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLogAppendReopenReplay(t *testing.T) {
 func TestLogRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 64, Metrics: reg})
+	l, err := openLog(dir, Options{SegmentBytes: 64, Metrics: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestLogRotationAndTruncate(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenLog(dir, LogOptions{SegmentBytes: 64, Metrics: obs.New()})
+	l2, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func lastSegment(t *testing.T, dir string) string {
 
 func buildLog(t *testing.T, dir string, n int) {
 	t.Helper()
-	l, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLogTornTrailingGarbage(t *testing.T) {
 	f.Close()
 
 	reg := obs.New()
-	l, err := OpenLog(dir, LogOptions{Metrics: reg})
+	l, err := openLog(dir, Options{Metrics: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestLogTornPartialFrame(t *testing.T) {
 	if err := os.WriteFile(seg, data[:len(data)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestLogTornMiddleDropsSuffix(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLogTornMiddleDropsSuffix(t *testing.T) {
 
 func TestLogTornSegmentDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogOptions{SegmentBytes: 64, Metrics: obs.New()})
+	l, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestLogTornSegmentDropsLaterSegments(t *testing.T) {
 	data[frameHeader] ^= 0xFF
 	os.WriteFile(second, data, 0o644)
 
-	l2, err := OpenLog(dir, LogOptions{SegmentBytes: 64, Metrics: obs.New()})
+	l2, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestLogGapSegmentDropped(t *testing.T) {
 	if err := os.WriteFile(bogus, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestLogGapSegmentDropped(t *testing.T) {
 func TestLogReset(t *testing.T) {
 	dir := t.TempDir()
 	buildLog(t, dir, 4)
-	l, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestLogReset(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		dir := t.TempDir()
 		reg := obs.New()
-		l, err := OpenLog(dir, LogOptions{Policy: policy, Metrics: reg})
+		l, err := openLog(dir, Options{Sync: policy, Metrics: reg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFailFS(OSFS)
 	reg := obs.New()
-	l, err := OpenLog(dir, LogOptions{Policy: SyncNever, FS: ffs, Metrics: reg})
+	l, err := openLog(dir, Options{Sync: SyncNever, FS: ffs, Metrics: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
 	if err := l.Close(); !errors.Is(err, ErrIO) {
 		t.Fatalf("Close: err = %v, want the write error", err)
 	}
-	l2, err := OpenLog(dir, LogOptions{Metrics: obs.New()})
+	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
 	// A failed fsync is sticky: no later Sync tries again.
 	ffs = NewFailFS(OSFS)
 	reg = obs.New()
-	l3, err := OpenLog(t.TempDir(), LogOptions{Policy: SyncNever, FS: ffs, Metrics: reg})
+	l3, err := openLog(t.TempDir(), Options{Sync: SyncNever, FS: ffs, Metrics: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,6 @@ func ViewNames() []string {
 	return out
 }
 
-// ViewSource returns the dialect text of a benchmark view.
-func ViewSource(name string) string { return viewSources[name] }
-
 // View compiles a benchmark view to its tree pattern. It panics on unknown
 // names — the set is static.
 func View(name string) *pattern.Pattern {

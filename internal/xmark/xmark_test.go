@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xivm/internal/core"
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/pattern"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
@@ -48,7 +49,7 @@ func TestGenerateSmall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: does not parse: %v", seed, err)
 		}
-		e := core.NewEngine(d, core.Options{})
+		e := core.New(d)
 		for _, name := range ViewNames() {
 			if _, err := e.AddView(name, View(name)); err != nil {
 				t.Fatalf("seed %d view %s: %v", seed, name, err)
@@ -84,7 +85,7 @@ func TestGeneratedShape(t *testing.T) {
 		"/site/people/person[profile/@income]",
 		"//item[description]",
 	} {
-		counts[path] = len(xpath.Eval(d, xpath.MustParse(path)))
+		counts[path] = len(oracle.Eval(d, xpath.MustParse(path)))
 	}
 	for path, n := range counts {
 		if n == 0 {
@@ -92,14 +93,14 @@ func TestGeneratedShape(t *testing.T) {
 		}
 	}
 	// The Q3 selectivity hook: some auctions must have a 4.50 increase.
-	if n := len(xpath.Eval(d, xpath.MustParse(`//open_auction[bidder/increase="4.50"]`))); n == 0 {
+	if n := len(oracle.Eval(d, xpath.MustParse(`//open_auction[bidder/increase="4.50"]`))); n == 0 {
 		t.Error("no 4.50 increases generated")
 	}
 }
 
 func TestAllViewsCompileAndMaterialize(t *testing.T) {
 	d := genDoc(t, 80<<10, 3)
-	e := core.NewEngine(d, core.Options{})
+	e := core.New(d)
 	for _, name := range ViewNames() {
 		p := View(name)
 		mv, err := e.AddView(name, p)
@@ -139,7 +140,7 @@ func TestWorkloadMaintenanceCorrect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := core.NewEngine(d, core.Options{})
+				e := core.New(d)
 				mv, err := e.AddView(vname, View(vname))
 				if err != nil {
 					t.Fatal(err)
@@ -208,7 +209,7 @@ func TestGeneratedFullSchema(t *testing.T) {
 		"/site/closed_auctions/closed_auction",
 		"/site/closed_auctions/closed_auction/price",
 	} {
-		if n := len(xpath.Eval(d, xpath.MustParse(path))); n == 0 {
+		if n := len(oracle.Eval(d, xpath.MustParse(path))); n == 0 {
 			t.Errorf("no matches for %s", path)
 		}
 	}
@@ -232,12 +233,15 @@ func TestGeneratedFullSchema(t *testing.T) {
 func TestCatgraphEdgesReferenceCategories(t *testing.T) {
 	d := genDoc(t, 60<<10, 2)
 	cats := map[string]bool{}
-	for _, c := range xpath.Eval(d, xpath.MustParse("/site/categories/category/@id")) {
+	for _, c := range oracle.Eval(d, xpath.MustParse("/site/categories/category/@id")) {
 		cats[c.Value()] = true
 	}
-	for _, e := range xpath.Eval(d, xpath.MustParse("/site/catgraph/edge/@from")) {
+	for _, e := range oracle.Eval(d, xpath.MustParse("/site/catgraph/edge/@from")) {
 		if !cats[e.Value()] {
 			t.Fatalf("edge from unknown category %q", e.Value())
 		}
 	}
 }
+
+// ViewSource returns the dialect text of a benchmark view.
+func ViewSource(name string) string { return viewSources[name] }

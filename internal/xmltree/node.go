@@ -280,11 +280,6 @@ type Document struct {
 	keys *keyChain // the writer's scratch for the keys it gives (keys.go); nil in an epoch
 }
 
-// NewDocument wraps a root node built elsewhere.
-func NewDocument(root *Node) *Document {
-	return &Document{Root: root, size: root.CountNodes(), labels: &labelCell{want: new(labelWants)}, keys: new(keyChain)}
-}
-
 // NodeByID resolves a structural ID to the document's node, or nil:
 // O(depth × log fan-out), no allocation.
 func (d *Document) NodeByID(id dewey.ID) *Node { return descend(d.Root, id) }
@@ -382,18 +377,6 @@ func (n *Node) ElementChildren() []*Node {
 		}
 	}
 	return out
-}
-
-// Attr returns the attribute child named name (without '@'), or nil.
-func (n *Node) Attr(name string) *Node {
-	want := "@" + name
-	// Attributes are stored first; stop at the first non-attribute.
-	for k := n.Kids(); k.Next() && k.Node().Kind == Attribute; {
-		if c := k.Node(); c.Label() == want {
-			return c
-		}
-	}
-	return nil
 }
 
 // lastOrd returns the ordinal of the last child of n, or nil when childless.

@@ -148,7 +148,7 @@ func TestApplyDeleteBatchMatchesSingles(t *testing.T) {
 				return true
 			}
 			for _, c := range chosen {
-				if c.ID().IsAncestorOrSelf(n.ID()) {
+				if c.ID().Equal(n.ID()) || c.ID().IsAncestorOf(n.ID()) {
 					return true
 				}
 			}

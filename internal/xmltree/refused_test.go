@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xivm/internal/dewey"
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/qvm"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
@@ -92,13 +93,13 @@ func TestRefusedLabelsSurvive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, oracle := prog.Eval(doc), xpath.Eval(doc, xpath.MustParse(q))
-			if len(got) == 0 || len(got) != len(oracle) {
-				t.Fatalf("%s: %s: compiled %d nodes, interpreted %d", what, q, len(got), len(oracle))
+			got, want := prog.Eval(doc), oracle.Eval(doc, xpath.MustParse(q))
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("%s: %s: compiled %d nodes, interpreted %d", what, q, len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != oracle[i] {
-					t.Fatalf("%s: %s: compiled and interpreted differ at %d: %v vs %v", what, q, i, got[i].ID(), oracle[i].ID())
+				if got[i] != want[i] {
+					t.Fatalf("%s: %s: compiled and interpreted differ at %d: %v vs %v", what, q, i, got[i].ID(), want[i].ID())
 				}
 			}
 		}

@@ -331,3 +331,20 @@ func TestCountNodes(t *testing.T) {
 		t.Fatalf("CountNodes %d != Size %d", got, d.Size())
 	}
 }
+
+// NewDocument wraps a root node built elsewhere.
+func NewDocument(root *Node) *Document {
+	return &Document{Root: root, size: root.CountNodes(), labels: &labelCell{want: new(labelWants)}, keys: new(keyChain)}
+}
+
+// Attr returns the attribute child named name (without '@'), or nil.
+func (n *Node) Attr(name string) *Node {
+	want := "@" + name
+	// Attributes are stored first; stop at the first non-attribute.
+	for k := n.Kids(); k.Next() && k.Node().Kind == Attribute; {
+		if c := k.Node(); c.Label() == want {
+			return c
+		}
+	}
+	return nil
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xivm/internal/algebra"
+	"xivm/internal/difftest/oracle"
 	"xivm/internal/pattern"
 	"xivm/internal/xmltree"
 	"xivm/internal/xpath"
@@ -110,7 +111,7 @@ func TestBridgeMatchesEval(t *testing.T) {
 			t.Fatalf("%s: %v", qs, err)
 		}
 		rows := algebra.Materialize(doc, pat)
-		want := xpath.Eval(doc, p)
+		want := oracle.Eval(doc, p)
 		if len(rows) != len(want) {
 			t.Fatalf("%s: pattern %d rows, tree walk %d matches", qs, len(rows), len(want))
 		}

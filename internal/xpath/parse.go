@@ -36,21 +36,6 @@ func Parse(s string) (Path, error) {
 	return path, nil
 }
 
-// ParseRelative parses a relative path (as used inside predicates), e.g.
-// "profile/@income" or "bidder/increase".
-func ParseRelative(s string) (Path, error) {
-	p := &parser{src: s}
-	path, err := p.parsePath(true)
-	if err != nil {
-		return Path{}, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return Path{}, fmt.Errorf("xpath: trailing input %q", p.rest())
-	}
-	return path, nil
-}
-
 type parser struct {
 	src string
 	pos int
