@@ -61,8 +61,15 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
+// main owns the signal context: SIGINT/SIGTERM trigger a graceful drain
+// everywhere. Statement loops stop between statements (the WAL
+// group-commit window still flushes through the normal exit path), the
+// -listen and -follow servers finish in-flight requests, and the -serve
+// debug listener drains before exit.
 func main() {
-	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "xivm:", err)
 		os.Exit(1)
 	}
@@ -91,7 +98,9 @@ func checkModeFlags(fs *flag.FlagSet, mode string) error {
 	return err
 }
 
-func run(fs *flag.FlagSet, args []string) error {
+// run parses args into fs and runs the selected mode until it finishes or
+// ctx is cancelled.
+func run(ctx context.Context, fs *flag.FlagSet, args []string) error {
 	var views, patterns multiFlag
 	docPath := fs.String("doc", "", "XML document to load (required)")
 	fs.Var(&views, "view", "NAME=view definition (repeatable)")
@@ -134,13 +143,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	if err := checkModeFlags(fs, mode); err != nil {
 		return err
 	}
-
-	// SIGINT/SIGTERM trigger a graceful drain everywhere: statement loops
-	// stop between statements (the WAL group-commit window still flushes
-	// through the normal exit path), the -listen server finishes in-flight
-	// requests, and the -serve debug listener drains before exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	if *serveAddr != "" {
 		obs.PublishExpvar("xivm", obs.Default())

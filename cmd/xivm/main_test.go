@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"io"
 	"os"
@@ -69,9 +70,7 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{args: []string{"-follow", leader, "-listen", addr, "-drain-timeout", "1s", "insert <b/> into /a"},
 			err: "-follow accepts no statements"},
 	} {
-		fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		err := run(fs, tc.args)
+		err := xivm(context.Background(), tc.args...)
 		if err == nil {
 			t.Errorf("%q: ran to completion", tc.args)
 			continue
@@ -109,18 +108,11 @@ func TestDataDirIsATenantRootInEveryMode(t *testing.T) {
 		{"-data-dir", root, "-verify-recovery"},
 		{"-listen", "127.0.0.1:0", "-data-dir", root},
 	} {
-		fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		if err := run(fs, args); err == nil || err.Error() != want.Error() {
+		if err := xivm(context.Background(), args...); err == nil || err.Error() != want.Error() {
 			t.Errorf("%q: %v, want %q", args, err, want)
 		}
 	}
 
-	xivm := func(args ...string) error {
-		fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		return run(fs, args)
-	}
 	root = t.TempDir()
 	doc := filepath.Join(root, "a.xml")
 	if err := os.WriteFile(doc, []byte("<a><b/></a>"), 0o644); err != nil {
@@ -134,13 +126,13 @@ func TestDataDirIsATenantRootInEveryMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := xivm("-data-dir", root, "-verify-recovery"); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
+	if err := xivm(context.Background(), "-data-dir", root, "-verify-recovery"); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
 		t.Errorf("-verify-recovery before any database: %v", err)
 	}
-	if err := xivm("-data-dir", root, "-doc", doc, "-pattern", "V=//b{ID}"); err != nil {
+	if err := xivm(context.Background(), "-data-dir", root, "-doc", doc, "-pattern", "V=//b{ID}"); err != nil {
 		t.Fatal(err)
 	}
-	if err := xivm("-data-dir", root, "-verify-recovery"); err != nil {
+	if err := xivm(context.Background(), "-data-dir", root, "-verify-recovery"); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range kept {
@@ -153,11 +145,19 @@ func TestDataDirIsATenantRootInEveryMode(t *testing.T) {
 		{"-data-dir", missing},
 		{"-data-dir", missing, "-verify-recovery"},
 	} {
-		if err := xivm(args...); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
+		if err := xivm(context.Background(), args...); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
 			t.Errorf("%q: %v, want a missing database", args, err)
 		}
 		if _, err := os.Stat(missing); !os.IsNotExist(err) {
 			t.Errorf("%q created the missing root: %v", args, err)
 		}
 	}
+}
+
+// xivm runs the command with args until ctx ends, its usage output
+// discarded.
+func xivm(ctx context.Context, args ...string) error {
+	fs := flag.NewFlagSet("xivm", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return run(ctx, fs, args)
 }

@@ -271,13 +271,6 @@ type DB struct {
 	path string
 }
 
-// Views lists the database's views (GET /v1/db/{name}/views).
-func (d *DB) Views(ctx context.Context) (server.ViewsResponse, error) {
-	var out server.ViewsResponse
-	err := d.c.do(ctx, http.MethodGet, d.path+"/views", nil, &out)
-	return out, err
-}
-
 // View fetches one view's materialized rows (GET /v1/db/{name}/views/{view}).
 func (d *DB) View(ctx context.Context, view string) (server.ViewResponse, error) {
 	var out server.ViewResponse
@@ -301,14 +294,6 @@ func (d *DB) Update(ctx context.Context, statement string) (server.UpdateRespons
 	ur := server.UpdateRequest{Statement: statement}
 	body := ur.AppendJSON(nil)
 	err := d.c.do(ctx, http.MethodPost, d.path+"/update", body, &out)
-	return out, err
-}
-
-// ReplStatus fetches the database's replication position
-// (GET /v1/db/{name}/repl/status).
-func (d *DB) ReplStatus(ctx context.Context) (server.ReplStatusResponse, error) {
-	var out server.ReplStatusResponse
-	err := d.c.do(ctx, http.MethodGet, d.path+"/repl/status", nil, &out)
 	return out, err
 }
 

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"xivm/internal/algebra"
 	"xivm/internal/client"
+	"xivm/internal/pattern"
 	"xivm/internal/server"
 	"xivm/internal/xmark"
 )
@@ -73,7 +76,7 @@ func TestRetryOn429(t *testing.T) {
 func TestErrorEnvelopeDecoding(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		switch req.URL.Path {
-		case "/v1/db/ghost/views":
+		case "/v1/db/ghost/views/Q1":
 			w.WriteHeader(http.StatusNotFound)
 			fmt.Fprintf(w, `{"error": {"code": "no_such_db", "message": "no such database: ghost", "tenant": "ghost"}}`)
 		default:
@@ -84,7 +87,7 @@ func TestErrorEnvelopeDecoding(t *testing.T) {
 	defer ts.Close()
 
 	c := client.New(ts.URL)
-	_, err := c.DB("ghost").Views(context.Background())
+	_, err := c.DB("ghost").View(context.Background(), "Q1")
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *APIError", err)
@@ -138,11 +141,12 @@ func TestDecodeSizedAndStreamedBodies(t *testing.T) {
 }
 
 // TestMultiTenantSmoke is the end-to-end acceptance check: 8 tenants
-// created through the typed client against a real registry, interleaved
-// updates so every tenant's state diverges, then per-tenant verification —
-// acked versions are readable (read-your-writes), the view state equals a
-// fresh recomputation of the pattern over that tenant's document, and no
-// tenant sees another's writes.
+// created through the typed client against a real registry, rounds of
+// updates sent to every tenant at once so every tenant's state diverges,
+// then per-tenant verification — acked versions are readable
+// (read-your-writes), the served view equals, entry by entry, a fresh
+// recomputation of the pattern over that tenant's document, and no tenant
+// sees another's writes.
 func TestMultiTenantSmoke(t *testing.T) {
 	const tenants = 8
 	reg, err := server.NewRegistry(server.RegistryConfig{
@@ -182,23 +186,32 @@ func TestMultiTenantSmoke(t *testing.T) {
 		t.Fatalf("list = %d dbs, err %v, want %d", len(dbs), err, tenants)
 	}
 
-	// Interleave updates round-robin: tenant i receives i+1 extra persons,
-	// so every tenant's correct state is distinct.
-	acked := make(map[string]uint64, tenants)
+	// Each round sends one update to every tenant still in it, all at
+	// once: tenant i receives i+1 extra persons, so every tenant's correct
+	// state is distinct.
+	acked := make([]uint64, tenants)
 	for round := 0; round < tenants; round++ {
-		for i, name := range names {
-			if round > i {
-				continue
-			}
-			stmt := fmt.Sprintf(`insert <person id="smoke-%s-%d"><name>Smoke %s %d</name></person> into /site/people`, name, round, name, round)
-			ur, err := c.DB(name).Update(ctx, stmt)
-			if err != nil {
-				t.Fatalf("%s round %d: %v", name, round, err)
-			}
-			if ur.Tenant != name {
-				t.Fatalf("%s ack stamped tenant %q", name, ur.Tenant)
-			}
-			acked[name] = ur.Version
+		var wg sync.WaitGroup
+		for i := round; i < tenants; i++ {
+			name := names[i]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stmt := fmt.Sprintf(`insert <person id="smoke-%s-%d"><name>Smoke %s %d</name></person> into /site/people`, name, round, name, round)
+				ur, err := c.DB(name).Update(ctx, stmt)
+				if err != nil {
+					t.Errorf("%s round %d: %v", name, round, err)
+					return
+				}
+				if ur.Tenant != name {
+					t.Errorf("%s ack stamped tenant %q", name, ur.Tenant)
+				}
+				acked[i] = ur.Version
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
 		}
 	}
 
@@ -210,19 +223,30 @@ func TestMultiTenantSmoke(t *testing.T) {
 		if vr.Tenant != name {
 			t.Fatalf("%s view stamped tenant %q", name, vr.Tenant)
 		}
-		if vr.Version < acked[name] {
-			t.Fatalf("%s: read version %d < last acked %d", name, vr.Version, acked[name])
+		if vr.Version < acked[i] {
+			t.Fatalf("%s: read version %d < last acked %d", name, vr.Version, acked[i])
 		}
-		// The served rows must equal a fresh recomputation of the pattern
-		// over this tenant's current document.
+		// The served rows must equal, entry by entry, a fresh
+		// recomputation of the pattern over this tenant's document at the
+		// version served.
 		sh, err := reg.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap := sh.Epoch()
-		fresh := algebra.Materialize(snap.Doc(), snap.View("Q1").Pattern)
+		if snap.Version != vr.Version {
+			t.Fatalf("%s: served version %d, registry epoch %d", name, vr.Version, snap.Version)
+		}
+		p := snap.View("Q1").Pattern
+		fresh := wireRows(p, algebra.Materialize(snap.Doc(), p))
 		if len(vr.Rows) != len(fresh) {
 			t.Fatalf("%s: served %d Q1 rows, fresh recomputation %d", name, len(vr.Rows), len(fresh))
+		}
+		for r, want := range fresh {
+			got := vr.Rows[r]
+			if got.Count != want.Count || !slices.Equal(got.Entries, want.Entries) {
+				t.Fatalf("%s: served Q1 row %d = %+v, fresh recomputation %+v", name, r, got, want)
+			}
 		}
 		// Cross-tenant isolation: exactly this tenant's i+1 smoke inserts
 		// are present, and nobody else's.
@@ -258,11 +282,28 @@ func TestMultiTenantSmoke(t *testing.T) {
 	if err != nil || len(dbs) != tenants/2 {
 		t.Fatalf("list after drops = %d dbs, err %v, want %d", len(dbs), err, tenants/2)
 	}
-	if _, err := c.DB(names[1]).Views(ctx); err != nil {
+	if _, err := c.DB(names[1]).View(ctx, "Q1"); err != nil {
 		t.Fatalf("survivor %s stopped serving: %v", names[1], err)
 	}
 	var apiErr *client.APIError
-	if _, err := c.DB(names[0]).Views(ctx); !errors.As(err, &apiErr) || apiErr.Code != server.CodeNoSuchDB {
+	if _, err := c.DB(names[0]).View(ctx, "Q1"); !errors.As(err, &apiErr) || apiErr.Code != server.CodeNoSuchDB {
 		t.Fatalf("dropped %s still serving: %v", names[0], err)
 	}
+}
+
+// wireRows encodes materialized rows of pattern p as the view endpoint
+// does: per row its count, per entry the pattern node's label, the ID and
+// the val and cont images.
+func wireRows(p *pattern.Pattern, rows []algebra.Row) []server.RowJSON {
+	shape := algebra.NewShape(p)
+	out := make([]server.RowJSON, 0, len(rows))
+	for _, row := range rows {
+		rj := server.RowJSON{Count: row.Count}
+		for i := range shape.Width() {
+			e := shape.Entry(row, i)
+			rj.Entries = append(rj.Entries, server.EntryJSON{Label: p.Nodes[e.NodeIdx].Label, ID: e.ID.String(), Val: e.Val, Cont: e.Cont})
+		}
+		out = append(out, rj)
+	}
+	return out
 }

@@ -133,13 +133,15 @@ func write(t *testing.T, db *client.DB, stmt string) {
 	}
 }
 
-func leaderLast(t *testing.T, db *client.DB) uint64 {
+// leaderLast returns the log tip of tenant name on the leader registry.
+func leaderLast(t *testing.T, reg *server.Registry, name string) uint64 {
 	t.Helper()
-	st, err := db.ReplStatus(context.Background())
+	sh, err := reg.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.LastLSN
+	_, last := sh.LSNs()
+	return last
 }
 
 // waitApplied blocks until the follower registry serves tenant name at
@@ -205,7 +207,7 @@ func compareReads(t *testing.T, leaderURL, followerURL, tenant string) {
 // MUST start from a shipped checkpoint (not LSN 0); the follower then tails
 // the rest and must serve byte-identical responses at the leader's LSN.
 func TestFollowerConvergesFromCheckpoint(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{CheckpointEvery: 8, SegmentBytes: 1024})
+	lreg, lts := newLeader(t, wal.Options{CheckpointEvery: 8, SegmentBytes: 1024})
 	lc := client.New(lts.URL)
 	db := lc.DB(defaultTenant)
 	for i := 0; i < 40; i++ {
@@ -235,7 +237,7 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 	})
 	startFollower(t, f)
 
-	last := leaderLast(t, db)
+	last := leaderLast(t, lreg, defaultTenant)
 	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
 	compareReads(t, lts.URL, fts.URL, defaultTenant)
 
@@ -243,7 +245,7 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		write(t, db, vocab[i%len(vocab)])
 	}
-	last = leaderLast(t, db)
+	last = leaderLast(t, lreg, defaultTenant)
 	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
 	compareReads(t, lts.URL, fts.URL, defaultTenant)
 
@@ -259,7 +261,7 @@ func TestFollowerConvergesFromCheckpoint(t *testing.T) {
 // follower registry's own engine options (RegistryConfig.WAL.Engine), so the
 // metrics registry configured there counts the replica's propagation.
 func TestReplicaEngineIsTheRegistrys(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{})
+	lreg, lts := newLeader(t, wal.Options{})
 	lc := client.New(lts.URL)
 	db := lc.DB(defaultTenant)
 	m := obs.New()
@@ -268,12 +270,12 @@ func TestReplicaEngineIsTheRegistrys(t *testing.T) {
 		PollInterval: 2 * time.Millisecond,
 		Metrics:      obs.New(),
 	}))
-	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, lreg, defaultTenant), 30*time.Second)
 
 	walks := func() int64 { return m.Histogram("core.phase." + obs.PhaseComputeDelta).Count() }
 	before := walks()
 	write(t, db, vocab[0])
-	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, lreg, defaultTenant), 30*time.Second)
 	if got := walks(); got <= before {
 		t.Fatalf("replica propagation counted %d ∆ walks before the replayed statement and %d after, want more", before, got)
 	}
@@ -283,7 +285,7 @@ func TestReplicaEngineIsTheRegistrys(t *testing.T) {
 // catch-up and starts a replacement; the replacement re-syncs from a
 // snapshot and must converge to byte-identical state.
 func TestFollowerKilledMidReplayConverges(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{})
+	lreg, lts := newLeader(t, wal.Options{})
 	lc := client.New(lts.URL)
 	db := lc.DB(defaultTenant)
 	for i := 0; i < 30; i++ {
@@ -328,7 +330,7 @@ func TestFollowerKilledMidReplayConverges(t *testing.T) {
 			killedAt = st.AppliedLSN
 		}
 	}
-	if last := leaderLast(t, db); killedAt >= last {
+	if last := leaderLast(t, lreg, defaultTenant); killedAt >= last {
 		t.Fatalf("follower finished (LSN %d of %d) before the kill — not mid-replay", killedAt, last)
 	}
 
@@ -342,7 +344,7 @@ func TestFollowerKilledMidReplayConverges(t *testing.T) {
 		Metrics:      obs.New(),
 	})
 	startFollower(t, f2)
-	last := leaderLast(t, db)
+	last := leaderLast(t, lreg, defaultTenant)
 	waitApplied(t, folReg, defaultTenant, last, 30*time.Second)
 	compareReads(t, lts.URL, fts.URL, defaultTenant)
 }
@@ -352,7 +354,7 @@ func TestFollowerKilledMidReplayConverges(t *testing.T) {
 // a napping follower, whose next poll must answer snapshot_required and
 // trigger a full re-sync — after which it converges again.
 func TestFollowerResyncsAfterTruncation(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{
+	lreg, lts := newLeader(t, wal.Options{
 		CheckpointEvery: 4,
 		SegmentBytes:    256,
 		PinTTL:          time.Nanosecond,
@@ -370,7 +372,7 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 		Metrics:      m,
 	})
 	startFollower(t, f)
-	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, lreg, defaultTenant), 30*time.Second)
 
 	// Burst writes roll checkpoints (truncating the un-pinned log) inside
 	// the follower's nap window until a re-sync is observed.
@@ -384,7 +386,7 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	waitApplied(t, folReg, defaultTenant, leaderLast(t, db), 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, lreg, defaultTenant), 30*time.Second)
 	compareReads(t, lts.URL, fts.URL, defaultTenant)
 }
 
@@ -393,9 +395,8 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 // responses — the shadow-oracle pattern across the replication boundary.
 // Run under -race this also exercises the concurrent WAL read path.
 func TestFollowerConvergenceStress(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{CheckpointEvery: 16, SegmentBytes: 4096})
+	lreg, lts := newLeader(t, wal.Options{CheckpointEvery: 16, SegmentBytes: 4096})
 	lc := client.New(lts.URL)
-	db := lc.DB(defaultTenant)
 
 	folReg, fts := newFollowerReg(t, lts.URL)
 	f := NewFollower(lc, folReg, defaultTenant, Options{
@@ -422,7 +423,7 @@ func TestFollowerConvergenceStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	last := leaderLast(t, db)
+	last := leaderLast(t, lreg, defaultTenant)
 	if last == 0 {
 		t.Fatal("no writes landed")
 	}
@@ -433,7 +434,7 @@ func TestFollowerConvergenceStress(t *testing.T) {
 // TestFleetDiscovery checks the fleet lifecycle: tenants created on the
 // leader appear on the follower, and dropped tenants are unrouted.
 func TestFleetDiscovery(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{})
+	lreg, lts := newLeader(t, wal.Options{})
 	lc := client.New(lts.URL)
 
 	folReg, fts := newFollowerReg(t, lts.URL)
@@ -454,9 +455,8 @@ func TestFleetDiscovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{defaultTenant, "extra"} {
-		db := lc.DB(name)
-		write(t, db, vocab[0])
-		waitApplied(t, folReg, name, leaderLast(t, db), 30*time.Second)
+		write(t, lc.DB(name), vocab[0])
+		waitApplied(t, folReg, name, leaderLast(t, lreg, name), 30*time.Second)
 		compareReads(t, lts.URL, fts.URL, name)
 	}
 
@@ -493,7 +493,7 @@ func TestFleetDiscovery(t *testing.T) {
 // replica serving the epoch before the panic, stopped, as /healthz says;
 // a sibling tenant goes on tailing and converging.
 func TestFollowerStopsAPanickingTenant(t *testing.T) {
-	_, lts := newLeader(t, wal.Options{})
+	lreg, lts := newLeader(t, wal.Options{})
 	lc := client.New(lts.URL)
 	if _, err := lc.CreateDB(context.Background(), client.CreateDB{Name: "sibling"}); err != nil {
 		t.Fatal(err)
@@ -517,7 +517,7 @@ func TestFollowerStopsAPanickingTenant(t *testing.T) {
 		stopped <- NewFollower(lc, folReg, defaultTenant, Options{PollInterval: 2 * time.Millisecond, Metrics: obs.New()}).Run(ctx)
 	}()
 	startFollower(t, NewFollower(lc, folReg, "sibling", Options{PollInterval: 2 * time.Millisecond, Metrics: obs.New()}))
-	waitApplied(t, folReg, defaultTenant, leaderLast(t, poisoned), 30*time.Second)
+	waitApplied(t, folReg, defaultTenant, leaderLast(t, lreg, defaultTenant), 30*time.Second)
 	prefix := "/v1/db/" + defaultTenant
 	before := map[string][]byte{}
 	for _, p := range []string{"/views", "/views/Q1", "/views/Q2"} {
@@ -551,6 +551,6 @@ func TestFollowerStopsAPanickingTenant(t *testing.T) {
 	for _, stmt := range []string{vocab[6], vocab[7], vocab[0], vocab[3]} {
 		write(t, sibling, stmt)
 	}
-	waitApplied(t, folReg, "sibling", leaderLast(t, sibling), 30*time.Second)
+	waitApplied(t, folReg, "sibling", leaderLast(t, lreg, "sibling"), 30*time.Second)
 	compareReads(t, lts.URL, fts.URL, "sibling")
 }

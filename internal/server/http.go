@@ -11,7 +11,7 @@ import (
 )
 
 // Wire types for the JSON API. They are exported so clients
-// (internal/client, the xivmload generator, tests) can decode responses
+// (internal/client, the benchmark, tests) can decode responses
 // without re-declaring the shapes. Every data-plane response names the
 // tenant it came from and the serving epoch (Version) it reflects: a
 // reader holding responses from several tenants can assert per-tenant
