@@ -333,8 +333,8 @@ func printReport(rep *core.Report, stats bool) {
 		fmt.Printf("view %-8s +%d -%d ~%d rows  terms %d/%d",
 			vr.View.Name, vr.RowsAdded, vr.RowsRemoved, vr.RowsModified,
 			vr.TermsSurvived, vr.TermsTotal)
-		if vr.PredFallback {
-			fmt.Print("  [predicate flip: recomputed]")
+		if vr.Panicked {
+			fmt.Print("  [recomputed]")
 		}
 		fmt.Println()
 		if stats {

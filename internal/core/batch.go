@@ -78,7 +78,6 @@ func MergeBatchReport(dst, src *Report) {
 		vr.RowsModified += svr.RowsModified
 		vr.TermsTotal += svr.TermsTotal
 		vr.TermsSurvived += svr.TermsSurvived
-		vr.PredFallback = vr.PredFallback || svr.PredFallback
 		vr.Panicked = vr.Panicked || svr.Panicked
 	}
 }

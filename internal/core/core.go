@@ -238,9 +238,6 @@ type ViewReport struct {
 	RowsAdded     int
 	RowsRemoved   int
 	RowsModified  int
-	// PredFallback reports that the update flipped a value predicate on an
-	// existing node, forcing this view to be recomputed (see predflip.go).
-	PredFallback bool
 	// Panicked reports that this view's propagation panicked (a bug in a
 	// custom join, a corrupted lattice). The panic is contained to the
 	// view: the engine repaired it by recomputation before returning, so a
@@ -382,21 +379,22 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 	// it has propagated.
 	defer sc.alg.Reset()
 	sc.points, sc.touched = sc.points[:0], sc.touched[:0]
-	// Snapshot σ membership of predicate-labeled ancestors of the targets;
-	// if the update flips any of them (text added or removed below an
-	// existing node a view predicate tests), the ∆ algebra cannot express
-	// the change and the affected view falls back to recomputation.
-	probes := e.snapshotPredicates(pul)
+	// The σ membership of the predicate-labeled ancestors of the targets,
+	// before the update: a node whose membership the update flips (text
+	// added or removed below it) is propagated as a change of its σ-input
+	// (predflip.go).
+	e.probePredicates(pul)
 
 	rep := newReport()
 	rep.Targets = pul.Targets()
+	applied, err := update.Apply(e.Doc, pul)
+	if err != nil {
+		rep.Release()
+		return nil, err
+	}
+	e.findFlips()
 	switch pul.Kind {
 	case update.Insert:
-		applied, err := update.Apply(e.Doc, pul)
-		if err != nil {
-			rep.Release()
-			return nil, err
-		}
 		// Terms are evaluated against the canonical relations' membership
 		// before the update and their content after it. The label index
 		// already lists the inserted subtrees (and reads the spine copies
@@ -408,16 +406,11 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 			sc.points = append(sc.points, pi.Target)
 			sc.touched = append(sc.touched, pi.Target.ID())
 		}
-		rep.Views = e.propagateAll(rep.Views, func(mv *ManagedView) ViewReport {
-			return e.propagateInsert(mv, delta)
+		rep.Views = e.propagateAll(rep.Views, func(vr *ViewReport) {
+			*vr = e.propagateInsert(vr.View, delta)
 		})
 		e.Store.Hide(nil)
 	case update.Delete:
-		applied, err := update.Apply(e.Doc, pul)
-		if err != nil {
-			rep.Release()
-			return nil, err
-		}
 		delta := e.computeDelta(rep, applied.DeletedRoots)
 		sc.ids = sc.ids[:0]
 		for _, r := range applied.DeletedRoots {
@@ -425,60 +418,66 @@ func (e *Engine) applyPUL(pul *update.PUL) (*Report, error) {
 			sc.touched = append(sc.touched, r.ID().Parent())
 		}
 		sc.cover.Reset(sc.ids)
-		rep.Views = e.propagateAll(rep.Views, func(mv *ManagedView) ViewReport {
-			return e.propagateDelete(mv, delta)
+		rep.Views = e.propagateAll(rep.Views, func(vr *ViewReport) {
+			*vr = e.propagateDelete(vr.View, delta)
 		})
 	}
-	// Repair passes run against the whole store again: first views whose
-	// algebraic propagation panicked mid-stream, then views whose
-	// predicates flipped. Both end in a consistent recomputed state.
+	// The flips go last, against the whole store.
+	for i := range rep.Views {
+		if vr := &rep.Views[i]; !vr.Panicked {
+			if flips := sc.flipsOf(vr.View); len(flips) > 0 {
+				e.contain(vr, func(vr *ViewReport) { e.propagateFlips(vr, flips) })
+			}
+		}
+	}
+	// A view whose propagation panicked mid-stream is repaired against the
+	// whole store, by recomputation.
 	for i := range rep.Views {
 		if rep.Views[i].Panicked {
 			e.m.viewsPanicked.Inc()
 			e.recomputeFallback(rep.Views[i].View)
 		}
-	}
-	for mv := range e.flippedViews(probes) {
-		e.m.predFlips.Inc()
-		e.recomputeFallback(mv)
-		for i := range rep.Views {
-			if rep.Views[i].View == mv {
-				rep.Views[i].PredFallback = true
-			}
-		}
-	}
-	for i := range rep.Views {
 		e.m.recordView(&rep.Views[i])
 	}
 	e.bumpVersion()
 	return rep, nil
 }
 
+// recomputeFallback rebuilds one view (rows and lattice) from the current
+// document state.
+func (e *Engine) recomputeFallback(mv *ManagedView) {
+	rows := e.RecomputeView(mv)
+	mv.View = store.NewViewOf(mv.Shape, rows)
+	mv.Lattice = e.newLattice(mv.Pattern)
+}
+
 // propagateAll runs one propagation function over every view, one view
-// after another, and appends their reports to dst[:0]. The document and
-// store must be read-only for the
-// duration (guaranteed by the ApplyPUL phase ordering). A panic inside one
-// view's propagation is contained — the view is marked Panicked and
-// repaired by recomputation — so a single poisoned view cannot take down
-// the whole apply path.
-func (e *Engine) propagateAll(dst []ViewReport, f func(*ManagedView) ViewReport) []ViewReport {
-	propagate := func(mv *ManagedView) (vr ViewReport) {
-		defer func() {
-			if r := recover(); r != nil {
-				vr = ViewReport{View: mv, Panicked: true}
-			}
-		}()
-		end := e.viewSpan(mv, "")
-		defer end()
-		return f(mv)
-	}
+// after another, each filling its own report, appended to dst[:0]. The
+// document and store must be read-only for the duration (guaranteed by
+// the ApplyPUL phase ordering).
+func (e *Engine) propagateAll(dst []ViewReport, f func(*ViewReport)) []ViewReport {
 	if dst = dst[:0]; cap(dst) < len(e.Views) {
 		dst = make([]ViewReport, 0, len(e.Views))
 	}
 	for _, mv := range e.Views {
-		dst = append(dst, propagate(mv))
+		dst = append(dst, ViewReport{View: mv})
+		e.contain(&dst[len(dst)-1], f)
 	}
 	return dst
+}
+
+// contain runs one stage of a view's propagation on its report. A panic
+// inside it is contained to the view: the report is marked Panicked and
+// applyPUL repairs the view by recomputation, so a single poisoned view
+// cannot take down the whole apply path.
+func (e *Engine) contain(vr *ViewReport, f func(*ViewReport)) {
+	defer func() {
+		if r := recover(); r != nil {
+			*vr = ViewReport{View: vr.View, Panicked: true}
+		}
+	}()
+	defer e.viewSpan(vr.View, "")()
+	f(vr)
 }
 
 // viewSpan starts view mv's span, or the span of one of its phases; with

@@ -496,11 +496,11 @@ func TestLatticeOracleComparesContent(t *testing.T) {
 			m.AddBlock(algebra.Block{Cols: []int{0, 1}, IDs: ab[0], Counts: []int{1}})
 		}},
 		{"a binding moved", func(m *store.Mat, ab [3][]dewey.ID) {
-			m.RemoveUnderAny(coverOf(ab[0][1:]))
+			m.RemoveIf(coverOf(ab[0][1:]).ContainsAny)
 			m.AddBlock(algebra.Block{Cols: []int{0, 1}, IDs: []dewey.ID{ab[2][0], ab[0][1]}, Counts: []int{1}})
 		}},
 		{"a tuple dropped", func(m *store.Mat, ab [3][]dewey.ID) {
-			m.RemoveUnderAny(coverOf(ab[2][1:]))
+			m.RemoveIf(coverOf(ab[2][1:]).ContainsAny)
 		}},
 	} {
 		e := New(mustDoc(t, `<r><a><b><c/></b><b/></a><a><b><c/></b></a></r>`))

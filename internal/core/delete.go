@@ -84,7 +84,7 @@ func (e *Engine) propagateDelete(mv *ManagedView, delta update.Delta) ViewReport
 	if bound {
 		vr.RowsRemoved += e.removeRowsUnder(mv, &e.sc.cover)
 	}
-	rIn := mv.Lattice.relationsIn(e.sc)
+	rIn := mv.Lattice.relationsIn(e.sc, e.sc.flipsOf(mv))
 	full := p.FullMask()
 	for _, rmask := range terms {
 		if (full&^rmask)&mv.storedMask != 0 {

@@ -59,7 +59,7 @@ func (e *Engine) propagateInsert(mv *ManagedView, delta update.Delta) ViewReport
 	// canonical relation only when a join asks for it.
 	end = e.viewSpan(mv, obs.PhaseExecuteUpdate)
 	t0 = time.Now()
-	rIn := mv.Lattice.relationsIn(e.sc)
+	rIn := mv.Lattice.relationsIn(e.sc, e.sc.flipsOf(mv))
 	for _, rmask := range terms {
 		for _, row := range e.evalTermFrom(mv, rmask, deltaIn, rIn) {
 			if mv.View.Upsert(row) {

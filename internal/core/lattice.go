@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
@@ -40,13 +41,19 @@ type Relations struct {
 	sc   *algebra.Scratch // lends in and the blocks built over it; nil allocates
 	in   algebra.Inputs   // the nodes read so far
 	read uint64           // which nodes those are
+	// undo holds the predicate flips whose nodes are read with σ as it was
+	// before the statement (predflip.go): every flip of the view for the
+	// statement's propagation, those after the step's own for a step of
+	// the flip stage.
+	undo []flip
 }
 
 // relationsIn returns the view's R side over the store's current state,
-// with nothing read yet, in the statement's scratch, which lends it the
-// blocks it builds; the one the view before it had is dead.
-func (l *Lattice) relationsIn(sc *scratch) *Relations {
-	sc.rel = Relations{p: l.Pattern, st: l.store, sc: &sc.alg}
+// the flips in undo undone, with nothing read yet, in the statement's
+// scratch, which lends it the blocks it builds; the one the view before it
+// had is dead.
+func (l *Lattice) relationsIn(sc *scratch, undo []flip) *Relations {
+	sc.rel = Relations{p: l.Pattern, st: l.store, sc: &sc.alg, undo: undo}
 	return &sc.rel
 }
 
@@ -56,7 +63,8 @@ func (r *Relations) Node(i int) []algebra.Item {
 	return r.in[i]
 }
 
-// Mask returns inputs holding at least the nodes of mask.
+// Mask returns inputs holding at least the nodes of mask. It is where the
+// terms, BlockFrom and ApplyInsertFrom read R.
 func (r *Relations) Mask(mask uint64) algebra.Inputs {
 	for todo := mask &^ r.read; todo != 0; todo &= todo - 1 {
 		if r.in == nil {
@@ -64,6 +72,11 @@ func (r *Relations) Mask(mask uint64) algebra.Inputs {
 		}
 		i := bits.TrailingZeros64(todo)
 		r.in[i] = r.st.Input(r.p, i)
+		for _, f := range r.undo {
+			if f.node == i {
+				r.in[i] = f.asBefore(r.in[i])
+			}
+		}
 	}
 	r.read |= mask
 	return r.in
@@ -213,7 +226,27 @@ func (l *Lattice) ApplyDelete(cover *dewey.Cover) int {
 	}
 	removed := 0
 	for _, m := range l.mats {
-		removed += m.RemoveUnderAny(cover)
+		removed += m.RemoveIf(cover.ContainsAny)
 	}
 	return removed
+}
+
+// applyFlip maintains the snowcaps holding pattern node i after σ_i
+// changed under one step of the flip stage (propagateFlips): in holds the
+// inputs of that step, the flip-ins at i, whose tuples are added; every
+// tuple binding a flip-out at i is dropped, all its derivations having
+// bound it.
+func (l *Lattice) applyFlip(i int, in algebra.Inputs, out []algebra.Item, sc *algebra.Scratch) {
+	for _, mask := range l.chain {
+		if !pattern.MaskContains(mask, i) {
+			continue
+		}
+		m := l.mats[mask]
+		if len(in[i]) > 0 {
+			m.AddBlock(sc.EvalSubPattern(l.Pattern, mask, in, l.join))
+		}
+		if c := slices.Index(m.Cols, i); len(out) > 0 {
+			m.RemoveIf(func(t []dewey.ID) bool { return holds(out, t[c]) })
+		}
+	}
 }

@@ -23,7 +23,7 @@ import (
 //	core.prune.prop47                         terms cut by deleted-node IDs
 //	core.rows.{added,removed,modified}        view rows touched
 //	core.lattice.tuples_dropped               snowcap tuples dropped on delete
-//	core.predflip.recomputes                  predicate-flip fallback recomputations
+//	core.predflip.{in,out}                    predicate flips propagated, unsat→sat and sat→unsat
 //	core.views.panicked                       views whose propagation panicked (and were repaired)
 //
 // Histogram names: core.phase.<phase> for the five propagation phases.
@@ -46,7 +46,7 @@ type engineMetrics struct {
 
 	rowsAdded, rowsRemoved, rowsModified *obs.Counter
 	latticeDropped                       *obs.Counter
-	predFlips                            *obs.Counter
+	predFlipIn, predFlipOut              *obs.Counter
 	viewsPanicked                        *obs.Counter
 
 	phase map[string]*obs.Histogram
@@ -71,7 +71,8 @@ func newEngineMetrics(reg *obs.Metrics) *engineMetrics {
 		rowsRemoved:    reg.Counter("core.rows.removed"),
 		rowsModified:   reg.Counter("core.rows.modified"),
 		latticeDropped: reg.Counter("core.lattice.tuples_dropped"),
-		predFlips:      reg.Counter("core.predflip.recomputes"),
+		predFlipIn:     reg.Counter("core.predflip.in"),
+		predFlipOut:    reg.Counter("core.predflip.out"),
 		viewsPanicked:  reg.Counter("core.views.panicked"),
 		phase:          make(map[string]*obs.Histogram, len(obs.Phases)),
 	}

@@ -15,9 +15,9 @@ import (
 // without one of xmltree's rules (image.go): mutators go by ID (1), and the
 // store is re-pointed at the copies before propagation reads through it (2).
 
-func publishedEngine(t *testing.T, src string, views ...string) (*Engine, []*ManagedView) {
+func publishedEngine(t *testing.T, src string, policy Policy, views ...string) (*Engine, []*ManagedView) {
 	t.Helper()
-	e := New(mustDoc(t, src), WithMetrics(obs.New()))
+	e := New(mustDoc(t, src), WithMetrics(obs.New()), WithPolicy(policy))
 	var mvs []*ManagedView
 	for _, v := range views {
 		mvs = append(mvs, addView(t, e, v))
@@ -47,7 +47,7 @@ func TestStaleTargetsOnPublishedDocument(t *testing.T) {
 	}
 	// //a{ID}//n stores only the a: a deleted n shows as a derivation count,
 	// which ∆− must carry or the count stays too high.
-	e, mvs := publishedEngine(t, src, `//a{ID}//n`, `//x{ID}//n{ID}`, `//a{ID,cont}`)
+	e, mvs := publishedEngine(t, src, PolicySnowcaps, `//a{ID}//n`, `//x{ID}//n{ID}`, `//a{ID,cont}`)
 	x := e.Doc.Root.ElementChildren()[0].ElementChildren()[0]
 
 	// One PUL, two insertions under one target: the second finds the copy
@@ -94,7 +94,7 @@ func TestStaleTargetsOnPublishedDocument(t *testing.T) {
 // when the new row is projected.
 func TestInsertUnderPublishedSpineRefreshesCont(t *testing.T) {
 	const src = `<site><open_auctions><open_auction id="o1"><bidder><increase>1</increase></bidder></open_auction><open_auction id="o2"/></open_auctions></site>`
-	e, mvs := publishedEngine(t, src, `//open_auction{ID,cont}//bidder{ID}`)
+	e, mvs := publishedEngine(t, src, PolicySnowcaps, `//open_auction{ID,cont}//bidder{ID}`)
 	apply(t, e, `insert <bidder><increase>7</increase></bidder> into /site/open_auctions/open_auction[@id="o2"]`)
 	apply(t, e, `insert <bidder><increase>9</increase></bidder> into /site/open_auctions/open_auction[@id="o1"]`)
 	checkViews(t, e, "bidders inserted")
@@ -171,24 +171,94 @@ func TestInsertWindowHidesTheInsertion(t *testing.T) {
 	}
 }
 
-// TestPredicateFlipOnPublishedSpine: the probe that detects a value
-// predicate flipping on an ancestor of the target must read the ancestor
-// after the update, not the node it saw before — which, on a published
-// document, the update left exactly as it was.
+// flipStep is one statement of a predicate-flip case: the flips it must
+// propagate, and the rows the view must hold after it.
+type flipStep struct {
+	stmt            string
+	flipIn, flipOut int64
+	rows            int
+}
+
+// runFlips applies the steps to an engine maintaining one view over a
+// published document, under each policy. After each statement the view and
+// its snowcaps must equal a fresh evaluation and be the objects they were
+// before it — propagated, not rebuilt — and the statement must have
+// propagated the flips it names.
+func runFlips(t *testing.T, src, view string, steps ...flipStep) {
+	t.Helper()
+	for _, policy := range []Policy{PolicySnowcaps, PolicyLeaves} {
+		e, mvs := publishedEngine(t, src, policy, view)
+		mv, m := mvs[0], e.Metrics()
+		for _, s := range steps {
+			when := policy.String() + ", " + s.stmt
+			rows, lattice := mv.View, mv.Lattice
+			in, out := counter(t, m, "core.predflip.in"), counter(t, m, "core.predflip.out")
+			if rep := apply(t, e, s.stmt); rep.Views[0].Panicked {
+				t.Fatalf("%s: the propagation panicked", when)
+			}
+			checkViews(t, e, when)
+			checkLattice(t, e, mv, when)
+			if mv.View != rows || mv.Lattice != lattice {
+				t.Errorf("%s: the view or its lattice was rebuilt", when)
+			}
+			if in, out = counter(t, m, "core.predflip.in")-in, counter(t, m, "core.predflip.out")-out; in != s.flipIn || out != s.flipOut {
+				t.Errorf("%s: %d flips in and %d out propagated, want %d and %d", when, in, out, s.flipIn, s.flipOut)
+			}
+			if mv.View.Len() != s.rows {
+				t.Errorf("%s: %d rows, want %d", when, mv.View.Len(), s.rows)
+			}
+			e.Snapshot()
+		}
+	}
+}
+
+// TestPredicateFlipOnPublishedSpine: the probe that finds a value predicate
+// flipping on an ancestor of the target must read the ancestor after the
+// update, not the node it saw before — which, on a published document, the
+// update left exactly as it was — and the flip is propagated, in both
+// directions, by an insert and by a delete.
 func TestPredicateFlipOnPublishedSpine(t *testing.T) {
-	e, mvs := publishedEngine(t, `<r><a><t>x</t><b/></a><a><t>xy</t><b/></a></r>`, `//a[val="xy"]{ID}//b{ID}`)
-	rep := apply(t, e, `insert <t>y</t> into /r/a/t[1]`) // both a now read "xy…": the first flips in, the second out
-	if !rep.Views[0].PredFallback {
-		t.Error("an insertion that flipped a predicate on a spine ancestor did not fall back to recomputation")
-	}
-	checkViews(t, e, "predicate flipped by an insert")
-	if got := mvs[0].View.Len(); got != 1 {
-		t.Errorf("%d rows, want the first a's one", got)
-	}
-	e.Snapshot()
-	rep = apply(t, e, `delete /r/a/t/t`)
-	if !rep.Views[0].PredFallback {
-		t.Error("a deletion that flipped a predicate on a spine ancestor did not fall back to recomputation")
-	}
-	checkViews(t, e, "predicate flipped back by a delete")
+	runFlips(t, `<r><a><t>x</t><b/></a><a><t>xy</t><b/></a></r>`, `//a[val="xy"]{ID}//b{ID}`,
+		// Both a now read "xy…": the first flips in, the second out.
+		flipStep{`insert <t>y</t> into /r/a/t[1]`, 1, 1, 1},
+		flipStep{`delete /r/a/t/t`, 1, 1, 1})
+}
+
+// TestPredicateFlipShapes propagates flips where the developed terms and
+// the relations' filters could go wrong.
+func TestPredicateFlipShapes(t *testing.T) {
+	t.Run("root anchored by /", func(t *testing.T) {
+		// The nested r flips too, but cannot bind a /-anchored root.
+		runFlips(t, `<r><b/><r>x<b/></r></r>`, `/r[val="xy"]{ID}//b{ID}`,
+			flipStep{`insert <t>y</t> into /r`, 1, 0, 2},
+			flipStep{`insert <t>y</t> into /r/r`, 0, 1, 0},
+			flipStep{`delete /r/t`, 1, 0, 2},
+			flipStep{`delete /r/r/t`, 0, 1, 0})
+	})
+	t.Run("leaf", func(t *testing.T) {
+		runFlips(t, `<r><a><b>x</b></a><a><b>xy</b></a></r>`, `//a{ID}//b[val="xy"]{ID}`,
+			flipStep{`insert <t>y</t> into /r/a/b`, 1, 1, 1},
+			flipStep{`delete /r/a/b/t`, 1, 1, 1})
+	})
+	t.Run("non-stored internal node", func(t *testing.T) {
+		// The flipped b's descendants do not flip with it: no developed
+		// term has b alone on its ∆ side.
+		runFlips(t, `<r><a><b>x<c/></b></a><a><b>xy<c/><c/></b></a></r>`, `//a{ID}//b[val="xy"]//c{ID}`,
+			flipStep{`insert <t>y</t> into /r/a/b`, 1, 1, 1},
+			flipStep{`delete /r/a/b/t`, 1, 1, 2})
+	})
+	t.Run("a flip and its statement's ∆ in one view", func(t *testing.T) {
+		// The inserted b makes a's value "xy": the statement's terms must
+		// join it with a as it was, unsatisfied, or the flip stage adds
+		// its row a second time.
+		runFlips(t, `<r><a>x<b/></a></r>`, `//a[val="xy"]{ID}//b{ID}`,
+			flipStep{`insert <b>y</b> into /r/a`, 1, 0, 2},
+			flipStep{`delete /r/a/b[2]`, 0, 1, 0})
+	})
+	t.Run("two on one chain, opposite ways", func(t *testing.T) {
+		// One statement flips a in and its first b out.
+		runFlips(t, `<r><a><b>x</b><b>x</b></a></r>`, `//a[val="xzx"]{ID}//b[val="x"]{ID}`,
+			flipStep{`insert <t>z</t> into /r/a/b[1]`, 1, 1, 1},
+			flipStep{`delete /r/a/b/t`, 1, 1, 0})
+	})
 }

@@ -14,8 +14,9 @@ import (
 // (algebra.Scratch), the ∆ tables, the statement's PUL, its insertion
 // points and the IDs the row scans look around, the cover of its deleted
 // subtrees, a view's pruned terms, the rows a scan marks and the set of
-// keys it matches, and a view's R side. Nothing in it outlives the
-// statement: a view's rows, a snowcap's stripes and the tree keep copies.
+// keys it matches, a view's R side, and the predicate probes and flips
+// (predflip.go). Nothing in it outlives the statement: a view's rows, a
+// snowcap's stripes and the tree keep copies.
 //
 // The engine, a single writer, takes a scratch from scratchPool when a
 // statement starts and puts it back, emptied, when it ends. An idle engine
@@ -36,6 +37,8 @@ type scratch struct {
 	rows    []algebra.Row
 	keys    map[string]bool
 	rel     Relations
+	probes  []predProbe
+	flips   []flip
 }
 
 // scratchCap is the most elements one of scratch's own arrays keeps, and
@@ -75,6 +78,8 @@ func (s *scratch) reset() {
 	}
 	clear(s.keys)
 	s.rel = Relations{}
+	s.probes = resetSlice(s.probes)
+	s.flips = resetSlice(s.flips)
 }
 
 // resetSlice empties a scratch slice, zeroing what it held, or drops it

@@ -47,3 +47,7 @@ func (c *Cover) Contains(id ID) bool {
 	i := sort.Search(len(c.keys), func(i int) bool { return c.keys[i] > id.key })
 	return i > 0 && strings.HasPrefix(id.key, c.keys[i-1])
 }
+
+// ContainsAny reports whether any of ids equals or descends from one of
+// the roots.
+func (c *Cover) ContainsAny(ids []ID) bool { return slices.ContainsFunc(ids, c.Contains) }

@@ -67,7 +67,7 @@ func TestMatrixSeeded(t *testing.T) {
 	for seed := uint64(0); seed <= uint64(nSeeds); seed++ {
 		w := seededWorkload(seed, 14)
 		for _, cfg := range Matrix() {
-			n, d := run(w, cfg)
+			n, _, d := run(w, cfg)
 			translated[cfg.Name] += n
 			if d != nil {
 				min, md := Shrink(w, cfg)
@@ -83,6 +83,31 @@ func TestMatrixSeeded(t *testing.T) {
 		t.Logf("%s: %d chunks translated", cfg.Name, translated[cfg.Name])
 		if translated[cfg.Name] == 0 {
 			t.Errorf("%s: the planner translated no chunk", cfg.Name)
+		}
+	}
+}
+
+// TestPredicateFlipsPropagate: seeds 15 and 26 flip the predicate views'
+// bidders both ways, and every matrix configuration that keeps those views
+// must propagate a flip-in and a flip-out, and match the oracle after
+// each statement. Without it the matrix could stop flipping, or stop
+// flipping in, and still pass.
+func TestPredicateFlipsPropagate(t *testing.T) {
+	for _, cfg := range Matrix() {
+		if cfg.IVMA {
+			continue // it maintains no predicate view
+		}
+		var in, out int64
+		for _, seed := range []uint64{15, 26} {
+			_, m, d := run(seededWorkload(seed, 14), cfg)
+			if d != nil {
+				t.Errorf("seed %d: %v", seed, d)
+			}
+			in += m.CounterValue("core.predflip.in")
+			out += m.CounterValue("core.predflip.out")
+		}
+		if in == 0 || out == 0 {
+			t.Errorf("%s: %d flips in and %d out propagated, want some of each", cfg.Name, in, out)
 		}
 	}
 }

@@ -133,14 +133,18 @@ type namedView struct {
 }
 
 // maintainedViews are the views a run maintains: the XMark Q-views, then a
-// wildcard view, a word view and a predicate view. Every view reads its ∆
-// from one set of tables a statement builds over all their labels, and no
-// Q-view has a "*" or "~word" node: without Wstar and Wword, those tables'
-// wildcard and word branches would go unchecked. Wpred's predicate holds on
-// the string value of the vocabulary's own inserted bidder, which an
-// increase inserted under it or replaced in it flips: the one view whose
-// predicate the vocabulary can flip, so the repair by recomputation
-// (core's predflip.go) is checked against the oracle too. Wvc is Fig. 24's
+// wildcard view, a word view, two predicate views and a view of every
+// image. Every view reads its ∆ from one set of tables a statement builds
+// over all their labels, and no Q-view has a "*" or "~word" node: without
+// Wstar and Wword, those tables' wildcard and word branches would go
+// unchecked. The predicates of Wpred and Wpred9 sit on a bidder, an
+// internal node (Wpred9 stores none), and hold on the string value of the
+// vocabulary's own inserted bidder, with its increase of 4.50 or with that
+// replaced by one of 9.00. An increase inserted under a bidder flips it out of
+// both; the replace flips it out of Wpred and into Wpred9. So the
+// vocabulary flips predicates both ways, and their propagation as a change
+// of the bidder's σ-input (core's predflip.go) is checked against the
+// oracle too. Wvc is Fig. 24's
 // "VC All Nodes but Root": every node below the root stores its val and its
 // cont, which no other view does on one node, so the order a row packs its
 // nodes' images in is held to the oracle. (Its root, /site, stores no
@@ -154,6 +158,7 @@ func maintainedViews() []namedView {
 		namedView{"Wstar", pattern.MustParse(`//open_auction{ID}/*{ID,val}`)},
 		namedView{"Wword", pattern.MustParse(`//item{ID}//~clock{ID}`)},
 		namedView{"Wpred", pattern.MustParse(`//open_auction{ID}//bidder{ID}[val="01/01/20114.50"]//increase{ID,val}`)},
+		namedView{"Wpred9", pattern.MustParse(`//open_auction{ID}/bidder[val="01/01/20119.00"]//increase{ID,val}`)},
 		namedView{"Wvc", xmark.Q1Variant(xmark.VariantVCAllButRoot)})
 }
 
@@ -183,17 +188,19 @@ func (d *Divergence) String() string {
 // target path matches nothing are no-ops by construction; statements the
 // engine rejects (none in the vocabulary) are skipped.
 func Run(w Workload, cfg Config) *Divergence {
-	_, d := run(w, cfg)
+	_, _, d := run(w, cfg)
 	return d
 }
 
-// run is Run that also counts the chunks the planner translated.
-func run(w Workload, cfg Config) (translated int, _ *Divergence) {
+// run is Run that also counts the chunks the planner translated and
+// returns the engine's counters.
+func run(w Workload, cfg Config) (translated int, m *obs.Metrics, _ *Divergence) {
 	doc, err := xmltree.ParseString(w.Doc())
 	if err != nil {
 		panic("difftest: generated document does not parse: " + err.Error())
 	}
-	opts := []core.Option{core.WithPolicy(cfg.Policy), core.WithMetrics(obs.New())}
+	m = obs.New()
+	opts := []core.Option{core.WithPolicy(cfg.Policy), core.WithMetrics(m)}
 	if cfg.NoDataPruning {
 		opts = append(opts, core.WithoutDataPruning())
 	}
@@ -206,9 +213,9 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 	for _, v := range maintainedViews() {
 		p := v.p
 		if cfg.IVMA {
-			// IVMA has no flip detection: without a PDMT-style refresh it
-			// never sees a predicate turn on an existing node.
-			if v.name == "Wpred" {
+			// IVMA does not probe predicates: without a PDMT-style refresh
+			// it never sees a predicate turn on an existing node.
+			if strings.HasPrefix(v.name, "Wpred") {
 				continue
 			}
 			p = idOnly(p)
@@ -289,13 +296,13 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 			ok, err := applyChunk(e, twin, chunk)
 			chunk = chunk[:0]
 			if err != nil {
-				return translated, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "batch error: " + err.Error()}
+				return translated, m, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "batch error: " + err.Error()}
 			}
 			if ok {
 				translated++
 			}
 			if e.Doc.String() != twin.Doc.String() {
-				return translated, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "the document differs from one that applied the chunk one statement at a time"}
+				return translated, m, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: "the document differs from one that applied the chunk one statement at a time"}
 			}
 		case err != nil:
 			continue
@@ -312,16 +319,16 @@ func run(w Workload, cfg Config) (translated int, _ *Divergence) {
 			}
 		}
 		if d := check(e, views, cfg, i, src); d != nil {
-			return translated, d
+			return translated, m, d
 		}
 		if d := publish(i, src); d != nil {
-			return translated, d
+			return translated, m, d
 		}
 		if err := checkOrdinals(e.Doc); err != nil {
-			return translated, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: err.Error()}
+			return translated, m, &Divergence{Config: cfg.Name, Index: i, Statement: src, Detail: err.Error()}
 		}
 	}
-	return translated, nil
+	return translated, m, nil
 }
 
 // applyChunk folds a chunk of statements with pulopt.ApplyRun, as the shard

@@ -353,7 +353,7 @@ func TestDecodedStringsDoNotAliasTheBody(t *testing.T) {
 	xpath = append(appendNodeMatches(xpath, nodes), xpathTail...)
 	rep := &core.Report{Targets: 1, Views: []core.ViewReport{
 		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: "V&"}}, RowsAdded: 1},
-		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: ""}}, PredFallback: true},
+		{View: &core.ManagedView{ViewDef: &core.ViewDef{Name: ""}}, Panicked: true},
 	}}
 	create := CreateDBRequest{Name: "shop", Document: "<site a=\"&amp;\"/>", Views: []ViewSpec{{Name: "Q1", Pattern: "//a{ID}"}, {Name: "", Pattern: ""}}}
 

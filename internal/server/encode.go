@@ -283,7 +283,7 @@ func appendUpdateResponse(dst []byte, tenant string, version uint64, rep *core.R
 		dst = strconv.AppendInt(dst, int64(vr.RowsRemoved), 10)
 		dst = append(dst, `,"rows_modified":`...)
 		dst = strconv.AppendInt(dst, int64(vr.RowsModified), 10)
-		if vr.PredFallback || vr.Panicked {
+		if vr.Panicked {
 			dst = append(dst, `,"recomputed":true`...)
 		}
 		dst = append(dst, '}')

@@ -136,20 +136,20 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		}
 		checkRoundTrip(t, rewritten, xr, valid)
 
-		// Update answer: a view per row, each flag seen set and unset, the
-		// two that mean recomputed each alone.
+		// Update answer: a view per row, the flag that means recomputed
+		// seen set and unset.
 		rep := &core.Report{Targets: int(n) - 2}
 		ur := UpdateResponse{Tenant: tenant, Version: version, Targets: rep.Targets, Views: []UpdateViewJSON{}}
 		for i := 0; i < rows; i++ {
 			vr := core.ViewReport{
 				View:      &core.ManagedView{ViewDef: &core.ViewDef{Name: []string{label, idLabel, val, cont}[i]}},
 				RowsAdded: int(n) - i, RowsRemoved: i, RowsModified: -i,
-				PredFallback: i == 1, Panicked: i == 3,
+				Panicked: i%2 == 1,
 			}
 			rep.Views = append(rep.Views, vr)
 			ur.Views = append(ur.Views, UpdateViewJSON{
 				Name: vr.View.Name, RowsAdded: vr.RowsAdded, RowsRemoved: vr.RowsRemoved, RowsModified: vr.RowsModified,
-				Recomputed: vr.PredFallback || vr.Panicked,
+				Recomputed: vr.Panicked,
 			})
 		}
 		applied := appendUpdateResponse(nil, tenant, version, rep)

@@ -98,7 +98,9 @@ type UpdateViewJSON struct {
 	RowsAdded    int    `json:"rows_added"`
 	RowsRemoved  int    `json:"rows_removed"`
 	RowsModified int    `json:"rows_modified"`
-	Recomputed   bool   `json:"recomputed,omitempty"`
+	// Recomputed: the view's propagation panicked, and the engine rebuilt
+	// it from the document (core.ViewReport.Panicked).
+	Recomputed bool `json:"recomputed,omitempty"`
 }
 
 // UpdateRequest is the body of POST /v1/db/{db}/update.

@@ -113,13 +113,15 @@ func (m *Mat) AddBlock(b algebra.Block) int {
 	return len(fresh)
 }
 
-// RemoveUnderAny drops, in a single pass, every tuple in which ANY column
-// binds a node inside the cover (a deleted subtree), returning the number
-// of tuples removed. The survivors' stripes are compacted in place.
-func (m *Mat) RemoveUnderAny(cover *dewey.Cover) int {
+// RemoveIf drops, in a single pass, every tuple whose stripe of bindings,
+// in Cols order, drop holds for — one binding a node inside a deleted
+// subtree, one binding a node that no longer passes a column's σ — and
+// returns the number of tuples removed. The survivors' stripes are
+// compacted in place.
+func (m *Mat) RemoveIf(drop func(tuple []dewey.ID) bool) int {
 	kept := 0
 	for t := range m.Len() {
-		if !slices.ContainsFunc(m.tuple(t), cover.Contains) {
+		if !drop(m.tuple(t)) {
 			copy(m.tuple(kept), m.tuple(t))
 			m.counts[kept] = m.counts[t]
 			kept++

@@ -56,10 +56,12 @@ type modelTuple struct {
 }
 
 // FuzzMatMatchesTupleModel runs programs of AddBlock, FillFromBlock and
-// RemoveUnderAny over a small Dewey forest against a sorted slice of
-// tuples. The first byte picks the width (1 to 4 columns); then each op
-// byte is followed by its operands: a block's size, column order and each
-// tuple's bindings and count, or a cover's roots. After every op the mat's
+// RemoveIf over a small Dewey forest against a sorted slice of tuples.
+// RemoveIf drops what a deletion does (a binding under a cover's roots) or
+// what a predicate flip does (a column binding one of a set of nodes). The
+// first byte picks the width (1 to 4 columns); then each op byte is
+// followed by its operands: a block's size, column order and each tuple's
+// bindings and count, a cover's roots, or a column and its nodes. After every op the mat's
 // lent block must be the model — the same stripes in the same order, the
 // same counts, no live nodes, cap-clamped arrays — and each op must report
 // what it added or removed as the model counts it. The seed corpus
@@ -81,8 +83,17 @@ func FuzzMatMatchesTupleModel(f *testing.F) {
 		m := NewMat(p, 1<<w-1)
 		var model []modelTuple
 		cmp := func(a, b modelTuple) int { return algebra.CompareTuples(a.ids, b.ids) }
+		// remove runs RemoveIf with drop, which the model's tuples drop
+		// where gone holds for them.
+		remove := func(step int, drop func([]dewey.ID) bool, gone func(modelTuple) bool) {
+			kept := slices.DeleteFunc(slices.Clone(model), gone)
+			if got := m.RemoveIf(drop); got != len(model)-len(kept) {
+				t.Fatalf("step %d: RemoveIf removed %d tuples, the model %d", step, got, len(model)-len(kept))
+			}
+			model = kept
+		}
 		for step := 0; pc < len(prog) && step < 64; step++ {
-			switch op := next() % 3; op {
+			switch op := next() % 4; op {
 			case 0, 1: // AddBlock, FillFromBlock
 				size, rot := 1+next()%6, next()
 				blk := algebra.Block{Cols: make([]int, w)}
@@ -116,17 +127,16 @@ func FuzzMatMatchesTupleModel(f *testing.F) {
 				} else if got := m.AddBlock(blk); got != fresh {
 					t.Fatalf("step %d: AddBlock added %d tuples, the model %d", step, got, fresh)
 				}
-			case 2: // RemoveUnderAny
+			case 2: // RemoveIf, a deletion's: a binding under a cover
 				roots := []dewey.ID{pool[next()%len(pool)], pool[next()%len(pool)]}
-				cover := coverOf(roots)
 				under := func(id dewey.ID) bool {
 					return slices.ContainsFunc(roots, func(r dewey.ID) bool { return r.Equal(id) || r.IsAncestorOf(id) })
 				}
-				kept := slices.DeleteFunc(slices.Clone(model), func(tup modelTuple) bool { return slices.ContainsFunc(tup.ids, under) })
-				if got := m.RemoveUnderAny(cover); got != len(model)-len(kept) {
-					t.Fatalf("step %d: RemoveUnderAny removed %d tuples, the model %d", step, got, len(model)-len(kept))
-				}
-				model = kept
+				remove(step, coverOf(roots).ContainsAny, func(tup modelTuple) bool { return slices.ContainsFunc(tup.ids, under) })
+			case 3: // RemoveIf, a flip's: one column binding one of a set of nodes
+				c, out := next()%w, []dewey.ID{pool[next()%len(pool)], pool[next()%len(pool)]}
+				remove(step, func(t []dewey.ID) bool { return slices.ContainsFunc(out, t[c].Equal) },
+					func(tup modelTuple) bool { return slices.ContainsFunc(out, tup.ids[c].Equal) })
 			}
 			b := m.Block()
 			if m.Len() != len(model) || b.Len() != len(model) || len(b.IDs) != len(model)*w || b.Nodes != nil ||

@@ -49,7 +49,7 @@ func TestChurnLeavesNoTombstones(t *testing.T) {
 		if _, removed := v.DecrementBy(row, 1); !removed {
 			t.Fatalf("row %d not removed", i)
 		}
-		if m.RemoveUnderAny(coverOf([]dewey.ID{row.ID(1)})) != 1 {
+		if m.RemoveIf(coverOf([]dewey.ID{row.ID(1)}).ContainsAny) != 1 {
 			t.Fatalf("tuple %d not removed", i)
 		}
 	}

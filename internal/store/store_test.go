@@ -344,7 +344,7 @@ func TestMatFillAddRemove(t *testing.T) {
 	}
 	// Remove under the b node.
 	bNode := d.Root.ElementChildren()[0]
-	if got := m.RemoveUnderAny(coverOf([]dewey.ID{bNode.ID()})); got != 1 {
+	if got := m.RemoveIf(coverOf([]dewey.ID{bNode.ID()}).ContainsAny); got != 1 {
 		t.Fatalf("removed %d", got)
 	}
 	if m.Len() != 0 {
