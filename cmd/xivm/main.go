@@ -6,7 +6,7 @@
 //	xivm -doc auction.xml \
 //	     -view 'Q1=for $b in doc("a")/site/people/person[@id] return $b/name/text()' \
 //	     -pattern 'V2=//a{ID}[//c{ID}]//b{ID}' \
-//	     [-policy snowcaps|leaves] [-engine incr|full|ivma] [-rows] [-stats] \
+//	     [-engine incr|full|ivma] [-rows] [-stats] \
 //	     'insert <x/> into /site' 'delete //person[phone]' …
 //
 // Views are declared either in the paper's conjunctive XQuery dialect
@@ -31,8 +31,10 @@
 // -follow, -listen, -data-dir [-verify-recovery] or neither (batch) selects
 // the mode; a flag the selected mode does not read is an error. Every mode
 // but batch is configured by one server.RegistryConfig bound from the
-// flags; -policy and -engine are batch-only, and the other modes maintain
-// views under the paper's default policy, snowcaps.
+// flags; -engine is batch-only. Every mode maintains views under the
+// engine's default policy, leaves, which keeps no snowcap lattice: a ∆
+// reads the relations through its Dewey IDs. The paper's materialized
+// lattice (its Figs. 29/30) is measured by cmd/xivmbench.
 package main
 
 import (
@@ -83,7 +85,7 @@ var modeReads = map[string][]string{
 	"-listen":          {"listen", "data-dir", "db", "doc", "view", "pattern", "fsync", "fsync-interval", "checkpoint-every", "queue-depth", "max-batch", "request-timeout", "drain-timeout"},
 	"-verify-recovery": {"verify-recovery", "data-dir", "db"},
 	"-data-dir":        {"data-dir", "db", "doc", "view", "pattern", "fsync", "fsync-interval", "checkpoint-every", "rows", "stats", "metrics"},
-	"batch":            {"doc", "view", "pattern", "policy", "engine", "rows", "stats", "metrics"},
+	"batch":            {"doc", "view", "pattern", "engine", "rows", "stats", "metrics"},
 }
 
 // checkModeFlags refuses the first explicitly set flag that mode does not
@@ -105,7 +107,6 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string) error {
 	docPath := fs.String("doc", "", "XML document to load (required)")
 	fs.Var(&views, "view", "NAME=view definition (repeatable)")
 	fs.Var(&patterns, "pattern", "NAME=tree pattern (repeatable)")
-	policy := fs.String("policy", "snowcaps", "batch mode lattice policy: snowcaps or leaves")
 	engine := fs.String("engine", "incr", "batch mode maintenance engine: incr, full, or ivma")
 	showRows := fs.Bool("rows", false, "print view rows after each statement")
 	stats := fs.Bool("stats", false, "print per-phase timing breakdowns")
@@ -162,7 +163,7 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string) error {
 		// Every other mode is configured by one RegistryConfig. A flag the
 		// mode does not read was refused above, so it holds its default,
 		// which the mode either never consults or which is the field's own
-		// default. Engines keep the paper's default policy, snowcaps.
+		// default. Engines keep the engine's default policy, leaves.
 		cfg := server.RegistryConfig{
 			Shard:      server.Config{QueueDepth: *queueDepth, MaxBatch: *maxBatch, RequestTimeout: *requestTimeout},
 			DataDir:    *dataDir,
@@ -240,11 +241,7 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string) error {
 		return err
 	}
 
-	eopts, err := policyOptions(*policy)
-	if err != nil {
-		return err
-	}
-	e := core.New(doc, eopts...)
+	e := core.New(doc)
 
 	for _, s := range specs {
 		mv, err := e.AddView(s.name, s.p)
@@ -312,16 +309,6 @@ func writeMetrics(m *obs.Metrics, dest string) error {
 		return err
 	}
 	return os.WriteFile(dest, []byte(b.String()), 0o644)
-}
-
-func policyOptions(policy string) ([]core.Option, error) {
-	switch policy {
-	case "snowcaps":
-		return nil, nil
-	case "leaves":
-		return []core.Option{core.WithPolicy(core.PolicyLeaves)}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", policy)
 }
 
 func printReport(rep *core.Report, stats bool) {

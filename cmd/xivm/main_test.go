@@ -45,23 +45,19 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{args: []string{"-doc", missing, "-queue-depth", "8"}, flag: "-queue-depth", mode: "batch"},
 		{args: []string{"-follow", leader, "-listen", addr, "-doc", missing}, flag: "-doc", mode: "-follow"},
 		{args: []string{"-follow", leader, "-listen", addr, "-data-dir", dir}, flag: "-data-dir", mode: "-follow"},
-		{args: []string{"-follow", leader, "-listen", addr, "-policy", "bogus"}, flag: "-policy", mode: "-follow"},
 		{args: []string{"-follow", leader, "-listen", addr, "-request-timeout", "1s", "insert <b/> into /a"},
 			flag: "-request-timeout", mode: "-follow"},
-		{args: []string{"-listen", addr, "-doc", missing, "-policy", "leaves"}, flag: "-policy", mode: "-listen"},
-		{args: []string{"-data-dir", dir, "-doc", missing, "-policy", "leaves"}, flag: "-policy", mode: "-data-dir"},
-		{args: []string{"-data-dir", dir, "-verify-recovery", "-policy", "leaves"}, flag: "-policy", mode: "-verify-recovery"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-fsync", "bogus"}, flag: "-fsync", mode: "-verify-recovery"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-fsync-interval", "1ms"}, flag: "-fsync-interval", mode: "-verify-recovery"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-checkpoint-every", "8"}, flag: "-checkpoint-every", mode: "-verify-recovery"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-doc", missing}, flag: "-doc", mode: "-verify-recovery"},
 
-		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-policy", "leaves", "-engine", "ivma",
+		{args: []string{"-doc", missing, "-pattern", "V=//a{ID}", "-engine", "ivma",
 			"-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-doc", missing, "-db", "shop", "-pattern", "V=//a{ID}", "-fsync", "never",
 			"-fsync-interval", "1ms", "-checkpoint-every", "8", "-rows", "-stats", "-metrics", "json"}, err: "missing.xml"},
 		{args: []string{"-data-dir", dir, "-verify-recovery", "-db", "shop"}, err: "holds no checkpoint"},
-		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-policy", "cost"}, err: `unknown policy "cost"`},
+		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-policy", "snowcaps"}, err: "flag provided but not defined: -policy"},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-engine", "lazy"}, err: `unknown engine "lazy"`},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-save", dir}, err: "flag provided but not defined: -save"},
 		{args: []string{"-doc", one, "-pattern", "V=//a{ID}", "-load", dir}, err: "flag provided but not defined: -load"},

@@ -73,10 +73,16 @@ func mustParse(src string) *xmltree.Document {
 	return d
 }
 
-// engineWith builds a fresh engine over the (re-parsed) document with one
-// benchmark view installed.
+// paperEngine builds an engine as the paper's experiments ran it: under
+// the snowcap policy unless opts select another.
+func paperEngine(d *xmltree.Document, opts ...core.Option) *core.Engine {
+	return core.New(d, append([]core.Option{core.WithPolicy(core.PolicySnowcaps)}, opts...)...)
+}
+
+// engineWith builds a fresh paper engine over the (re-parsed) document
+// with one benchmark view installed.
 func engineWith(docSrc, viewName string, opts ...core.Option) (*core.Engine, *core.ManagedView) {
-	e := core.New(mustParse(docSrc), opts...)
+	e := paperEngine(mustParse(docSrc), opts...)
 	mv, err := e.AddView(viewName, xmark.View(viewName))
 	if err != nil {
 		panic(err)
@@ -191,7 +197,7 @@ func RunAnnotations(docBytes int) []AnnotationRow {
 	for _, v := range xmark.AnnotationVariants() {
 		v := v
 		t := bestTimings(func() core.Timings {
-			e := core.New(mustParse(src))
+			e := paperEngine(mustParse(src))
 			if _, err := e.AddView(string(v), xmark.Q1Variant(v)); err != nil {
 				panic(err)
 			}

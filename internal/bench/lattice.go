@@ -155,7 +155,7 @@ func RunJoinAblation(docBytes int) []AblationJoinRow {
 				// algorithms, not XML parsing.
 				d := mustParse(src)
 				start := time.Now()
-				e := core.New(d, opts...)
+				e := paperEngine(d, opts...)
 				if _, err := e.AddView(vn, xmark.View(vn)); err != nil {
 					panic(err)
 				}

@@ -33,12 +33,15 @@ import (
 type Policy uint8
 
 const (
+	// PolicyLeaves materializes nothing beyond the canonical relations: a
+	// term reads each relation only where the ∆'s IDs say it can join
+	// (Relations.Around). It is the policy of an engine built without
+	// WithPolicy.
+	PolicyLeaves Policy = iota
 	// PolicySnowcaps materializes one snowcap per lattice level (plus the
-	// leaves, which are the canonical relations themselves).
-	PolicySnowcaps Policy = iota
-	// PolicyLeaves materializes nothing beyond the canonical relations and
-	// recomputes internal joins on the fly.
-	PolicyLeaves
+	// leaves, which are the canonical relations themselves), which a term
+	// whose R-mask is one reads instead: the paper's Figs. 29/30.
+	PolicySnowcaps
 )
 
 func (p Policy) String() string {
@@ -168,10 +171,14 @@ func (e *Engine) AddView(name string, p *pattern.Pattern) (*ManagedView, error) 
 		return nil, fmt.Errorf("core: view %s stores nothing", name)
 	}
 	def := &ViewDef{Name: name, Pattern: p, Shape: algebra.NewShape(p)}
+	// Every label the view reads gets a list, an empty one if no node
+	// carries it yet: a reduced read of it at each statement is then a
+	// look-up, not a walk. Under AddViews they are indexed already.
+	e.Store.IndexFor([]*pattern.Pattern{p})
 	// The pattern's inputs are read once, for the lattice and the view:
 	// under snowcaps the view's relation is the chain's last level.
 	in := e.Store.Inputs(p)
-	lattice := &Lattice{Pattern: p, Policy: e.opts.Policy, store: e.Store, join: e.Join(), mats: map[uint64]*store.Mat{}}
+	lattice := &Lattice{Pattern: p, Policy: e.opts.Policy, store: e.Store, join: e.Join()}
 	var block algebra.Block
 	if lattice.Policy == PolicySnowcaps {
 		block = lattice.materialize(in)
@@ -555,21 +562,25 @@ func (e *Engine) viewDelta(mv *ManagedView, d update.Delta) (in algebra.Inputs, 
 	return deltaInputs(e.sc.algebra(), mv.Pattern, mv.slots, d, e.Doc), true
 }
 
-// evalTermFrom evaluates one union term: R-nodes (rmask) come from the
-// lattice (a materialized snowcap, or on-the-fly joins over the canonical
-// relations r resolves), ∆-nodes from the delta inputs; the boundary edges
-// become structural joins. Results are projected onto the view's stored
-// nodes.
+// evalTermFrom evaluates one union term: R-nodes (rmask) are read from a
+// materialized snowcap when the lattice holds rmask's, and otherwise from
+// the canonical relations, reduced to what joins the term's ∆
+// (Relations.Around); ∆-nodes come from the delta inputs. The boundary
+// edges become structural joins. Results are projected onto the view's
+// stored nodes.
 func (e *Engine) evalTermFrom(mv *ManagedView, rmask uint64, deltaIn algebra.Inputs, r *Relations) []algebra.Row {
 	p := mv.Pattern
 	full := p.FullMask()
 	dmask := full &^ rmask
 	sc := e.sc.algebra()
 	var block algebra.Block
-	if rmask == 0 {
-		block = sc.EvalSubPattern(p, full, deltaIn, e.Join())
+	if m := mv.Lattice.mats[rmask]; m != nil {
+		block = sc.JoinForest(p, m.Block(), dmask, deltaIn, e.Join())
 	} else {
-		block = sc.JoinForest(p, mv.Lattice.BlockFrom(rmask, r), dmask, deltaIn, e.Join())
+		in := sc.Inputs(p.Size())
+		copy(in, deltaIn)
+		r.Around(dmask, in)
+		block = sc.EvalSubPattern(p, full, in, e.Join())
 	}
 	return sc.ProjectCounted(mv.Shape, block, e.Doc, e.proj)
 }

@@ -55,8 +55,9 @@ func (e *Engine) propagateInsert(mv *ManagedView, delta update.Delta) ViewReport
 	end()
 
 	// ET-INS: evaluate surviving terms and merge into the view. Every term
-	// and the lattice maintenance below share one R side, which reads a
-	// canonical relation only when a join asks for it.
+	// and the lattice maintenance below share one R side: a term reads of
+	// each relation what its ∆ can join, the lattice whole relations, each
+	// once.
 	end = e.viewSpan(mv, obs.PhaseExecuteUpdate)
 	t0 = time.Now()
 	rIn := mv.Lattice.relationsIn(e.sc, e.sc.flipsOf(mv))

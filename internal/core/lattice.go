@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"xivm/internal/algebra"
 	"xivm/internal/dewey"
@@ -14,8 +15,9 @@ import (
 // Lattice is the view's auxiliary structure: the sub-pattern lattice of
 // Section 3.5, with a materialization policy. Under PolicySnowcaps one
 // snowcap per level (the nested chain of pattern.SnowcapChain) is
-// materialized; under PolicyLeaves nothing is, and every requested block is
-// recomputed from the canonical relations (the lattice leaves).
+// materialized; under PolicyLeaves nothing is, and a term joins its ∆ with
+// the canonical relations (the lattice leaves), read only where the ∆'s
+// IDs say they can join it (Relations.Around).
 type Lattice struct {
 	Pattern *pattern.Pattern
 	Policy  Policy
@@ -25,22 +27,22 @@ type Lattice struct {
 	// excluded: it starts at the root and each level adds one node whose
 	// pattern parent is in the level before (pattern.SnowcapChain).
 	chain []uint64
-	mats  map[uint64]*store.Mat
+	mats  map[uint64]*store.Mat // nil under PolicyLeaves
 }
 
-// Relations is the R side of one view for the length of one statement: its
-// σ-filtered canonical relations, read from the store per pattern node the
-// first time a join asks for one and kept until the statement ends — a node
-// is read and filtered at most once however many terms read it, and a
-// relation no join reads is never copied out of the label index. The store
+// Relations is the R side of one view for the length of one statement.
+// A term reads it through Around, which reads of each relation only the
+// nodes that can join the term's ∆ bindings, found from their Dewey IDs;
+// the snowcap lattice's maintenance reads whole relations (Node), each
+// read and σ-filtered at most once however many levels read it. The store
 // must not change while one is in use, which the phase order of applyPUL
 // guarantees.
 type Relations struct {
-	p    *pattern.Pattern
-	st   *store.Store
-	sc   *algebra.Scratch // lends in and the blocks built over it; nil allocates
-	in   algebra.Inputs   // the nodes read so far
-	read uint64           // which nodes those are
+	p     *pattern.Pattern
+	st    *store.Store
+	sc    *scratch       // the statement's: it lends what the reads return
+	whole algebra.Inputs // the nodes read whole so far
+	read  uint64         // which nodes those are
 	// undo holds the predicate flips whose nodes are read with σ as it was
 	// before the statement (predflip.go): every flip of the view for the
 	// statement's propagation, those after the step's own for a step of
@@ -50,43 +52,146 @@ type Relations struct {
 
 // relationsIn returns the view's R side over the store's current state,
 // the flips in undo undone, with nothing read yet, in the statement's
-// scratch, which lends it the blocks it builds; the one the view before it
-// had is dead.
+// scratch, which lends it what it reads; the one the view before it had
+// is dead.
 func (l *Lattice) relationsIn(sc *scratch, undo []flip) *Relations {
-	sc.rel = Relations{p: l.Pattern, st: l.store, sc: &sc.alg, undo: undo}
+	sc.rel = Relations{p: l.Pattern, st: l.store, sc: sc, undo: undo}
 	return &sc.rel
 }
 
-// Node returns the σ-filtered input of pattern node i.
+// Node returns the σ-filtered input of pattern node i, read whole.
 func (r *Relations) Node(i int) []algebra.Item {
-	r.Mask(1 << uint(i))
-	return r.in[i]
+	if r.read&(1<<uint(i)) == 0 {
+		if r.whole == nil {
+			r.whole = r.sc.algebra().Inputs(r.p.Size())
+		}
+		r.whole[i] = r.undone(i, r.st.Input(r.p, i))
+		r.read |= 1 << uint(i)
+	}
+	return r.whole[i]
 }
 
-// Mask returns inputs holding at least the nodes of mask. It is where the
-// terms, BlockFrom and ApplyInsertFrom read R.
-func (r *Relations) Mask(mask uint64) algebra.Inputs {
-	for todo := mask &^ r.read; todo != 0; todo &= todo - 1 {
-		if r.in == nil {
-			r.in = r.sc.Inputs(r.p.Size())
+// undone returns node i's σ-filtered items, a slice the caller owns, with
+// the flips of i in undo undone.
+func (r *Relations) undone(i int, items []algebra.Item) []algebra.Item {
+	for _, f := range r.undo {
+		if f.node == i {
+			items = f.asBefore(items)
 		}
-		i := bits.TrailingZeros64(todo)
-		r.in[i] = r.st.Input(r.p, i)
-		for _, f := range r.undo {
-			if f.node == i {
-				r.in[i] = f.asBefore(r.in[i])
+	}
+	return items
+}
+
+// Around fills in, for every pattern node outside seeds, the part of its
+// σ-filtered relation that can join the seeds' bindings, which in holds:
+// the semijoin reduction of the pattern towards the seeds, driven by the
+// IDs. A node above a seed is read upwards, deepest first: at the keys of
+// the ancestors its children's bindings name (their parent's for a /
+// edge) that carry its label, one probe of its label's list a key. Every
+// other node is read downwards, in preorder, as the nodes of its relation
+// under its parent's bindings, one key range a binding. The reduction
+// keeps every binding of every embedding that binds the seeds as in does,
+// so the pattern evaluated over in is what it is over the whole relations;
+// a "*" or "~word" node is read whole. A term's seeds are its ∆ nodes, a
+// flip's its flipped node.
+func (r *Relations) Around(seeds uint64, in algebra.Inputs) {
+	p := r.p
+	var up uint64 // the nodes above a seed
+	for m := seeds; m != 0; m &= m - 1 {
+		for j := p.ParentIndex(bits.TrailingZeros64(m)); j >= 0; j = p.ParentIndex(j) {
+			up |= 1 << uint(j)
+		}
+	}
+	up &^= seeds
+	for j := p.Size() - 1; j >= 0; j-- {
+		if pattern.MaskContains(up, j) {
+			in[j] = r.above(j, in, seeds|up)
+		}
+	}
+	for j := range p.Size() {
+		if !pattern.MaskContains(seeds|up, j) {
+			in[j] = r.below(j, in)
+		}
+	}
+}
+
+// above reads node j's part of its relation for Around at the ancestor
+// keys its children in bound name.
+func (r *Relations) above(j int, in algebra.Inputs, bound uint64) []algebra.Item {
+	pn := r.p.Nodes[j]
+	if wholeRead(pn) {
+		return r.Node(j)
+	}
+	sc := r.sc
+	keys := sc.ancestors[:0]
+	for _, c := range pn.Children {
+		if pattern.MaskContains(bound, c.Index) {
+			for _, it := range in[c.Index] {
+				keys = appendAncestorsLabeled(keys, it.ID, c.Desc, pn.Label)
 			}
 		}
 	}
-	r.read |= mask
-	return r.in
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	sc.ancestors = keys
+	start := len(sc.reads)
+	sc.reads = r.st.Probe(sc.reads, pn.Label, keys)
+	return r.admit(j, start)
+}
+
+// below reads node j's part of its relation for Around under its parent's
+// bindings in in.
+func (r *Relations) below(j int, in algebra.Inputs) []algebra.Item {
+	pi := r.p.ParentIndex(j)
+	if pi < 0 || wholeRead(r.p.Nodes[j]) {
+		return r.Node(j)
+	}
+	start := len(r.sc.reads)
+	r.sc.reads = r.st.Under(r.sc.reads, r.p.Nodes[j].Label, in[pi])
+	return r.admit(j, start)
+}
+
+// admit returns what a reduced read of node j appended to the scratch's
+// reads after start as a whole read would return it: σ-filtered, the root
+// anchor applied, the flips of j undone.
+func (r *Relations) admit(j, start int) []algebra.Item {
+	sc := r.sc
+	items := sc.alg.Filter(slices.Clip(sc.reads[start:]), r.p.Nodes[j], nil)
+	if j == 0 {
+		items = sc.alg.FilterRootAnchor(r.p, items)
+	}
+	return r.undone(j, items)
+}
+
+// wholeRead reports whether a pattern node's relation is read whole: R_*
+// and R_~word are no label's list to probe.
+func wholeRead(pn *pattern.Node) bool {
+	return pn.Label == "*" || strings.HasPrefix(pn.Label, "~")
+}
+
+// appendAncestorsLabeled appends the keys of id's proper ancestors that
+// carry label — of its parent alone, if it does, when desc is false. The
+// keys are substrings of id's own: no ancestor ID is built.
+func appendAncestorsLabeled(dst []string, id dewey.ID, desc bool, label string) []string {
+	if !desc {
+		if pa := id.Parent(); !pa.IsNull() && pa.Label() == label {
+			dst = append(dst, pa.Key())
+		}
+		return dst
+	}
+	for c := id.Cursor(); c.Next() && !c.Last(); {
+		if c.Label() == label {
+			dst = append(dst, c.Key())
+		}
+	}
+	return dst
 }
 
 // NewLattice builds (and, under PolicySnowcaps, materializes) the lattice
 // for p over the store's current state. The full-pattern snowcap is the
 // view itself and is not duplicated here.
 func NewLattice(p *pattern.Pattern, policy Policy, st *store.Store, join algebra.JoinFunc) *Lattice {
-	l := &Lattice{Pattern: p, Policy: policy, store: st, join: join, mats: map[uint64]*store.Mat{}}
+	l := &Lattice{Pattern: p, Policy: policy, store: st, join: join}
 	if policy == PolicySnowcaps {
 		l.materialize(st.Inputs(p))
 	}
@@ -101,6 +206,7 @@ func NewLattice(p *pattern.Pattern, policy Policy, st *store.Store, join algebra
 func (l *Lattice) materialize(in algebra.Inputs) algebra.Block {
 	p := l.Pattern
 	chain := p.SnowcapChain()
+	l.mats = make(map[uint64]*store.Mat, len(chain))
 	blk := algebra.SingleColumn(0, in[0])
 	for k, mask := range chain {
 		if k > 0 {
@@ -116,17 +222,6 @@ func (l *Lattice) materialize(in algebra.Inputs) algebra.Block {
 		l.chain = append(l.chain, mask)
 	}
 	return blk
-}
-
-// BlockFrom returns the relation for an upward-closed node set: the
-// materialized snowcap when available, otherwise an on-the-fly join over
-// the canonical relations in r (the Leaves strategy), reading only the
-// mask's nodes.
-func (l *Lattice) BlockFrom(mask uint64, r *Relations) algebra.Block {
-	if m, ok := l.mats[mask]; ok {
-		return m.Block()
-	}
-	return r.sc.EvalSubPattern(l.Pattern, mask, r.Mask(mask), l.join)
 }
 
 // Check holds every materialized snowcap to a fresh evaluation of its mask
@@ -162,7 +257,7 @@ func (l *Lattice) ApplyInsertFrom(deltaIn algebra.Inputs, r *Relations) {
 	}
 	// The additions to level k−1 and to level k, possibly several blocks
 	// each (one per recurrence branch), on the stack while they fit.
-	sc := r.sc
+	sc := r.sc.algebra()
 	var bufs [2][8]algebra.Block
 	prev, cur := bufs[0][:0], bufs[1][:0]
 	add := func(out algebra.Block) {
@@ -233,16 +328,16 @@ func (l *Lattice) ApplyDelete(cover *dewey.Cover) int {
 
 // applyFlip maintains the snowcaps holding pattern node i after σ_i
 // changed under one step of the flip stage (propagateFlips): in holds the
-// inputs of that step, the flip-ins at i, whose tuples are added; every
-// tuple binding a flip-out at i is dropped, all its derivations having
-// bound it.
+// inputs of that step, the flip-ins at i, nil if there are none, whose
+// tuples are added; every tuple binding a flip-out at i is dropped, all
+// its derivations having bound it.
 func (l *Lattice) applyFlip(i int, in algebra.Inputs, out []algebra.Item, sc *algebra.Scratch) {
 	for _, mask := range l.chain {
 		if !pattern.MaskContains(mask, i) {
 			continue
 		}
 		m := l.mats[mask]
-		if len(in[i]) > 0 {
+		if in != nil {
 			m.AddBlock(sc.EvalSubPattern(l.Pattern, mask, in, l.join))
 		}
 		if c := slices.Index(m.Cols, i); len(out) > 0 {

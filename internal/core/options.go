@@ -7,8 +7,8 @@ import (
 	"xivm/internal/xmltree"
 )
 
-// options tunes an Engine; the zero value is the paper's default
-// configuration (snowcap policy, structural joins, all pruning on).
+// options tunes an Engine; the zero value is the served configuration
+// (leaves policy, structural joins, all pruning on).
 type options struct {
 	Policy Policy
 	// Join overrides the physical join (nil = Dewey structural join).
@@ -35,11 +35,11 @@ type Option func(*options)
 // New indexes the document and returns an engine with no views,
 // configured by the given options:
 //
-//	e := core.New(doc, core.WithPolicy(core.PolicyLeaves), core.WithTracer(t))
+//	e := core.New(doc, core.WithPolicy(core.PolicySnowcaps), core.WithTracer(t))
 //
-// New(doc) with no options is the paper's default configuration (snowcap
-// policy, Dewey structural joins, all pruning enabled, process-wide
-// metrics).
+// New(doc) with no options is the configuration every server, log replay
+// and follower runs: the leaves policy, which keeps no snowcap lattice,
+// Dewey structural joins, all pruning enabled, process-wide metrics.
 func New(doc *xmltree.Document, opt ...Option) *Engine {
 	var opts options
 	for _, o := range opt {
@@ -65,7 +65,8 @@ func New(doc *xmltree.Document, opt ...Option) *Engine {
 	return e
 }
 
-// WithPolicy selects the lattice materialization policy (Section 6.7).
+// WithPolicy selects the lattice materialization policy (Section 6.7);
+// without it an engine keeps no lattice (PolicyLeaves).
 func WithPolicy(p Policy) Option { return func(o *options) { o.Policy = p } }
 
 // WithJoin overrides the physical join used for every structural join.

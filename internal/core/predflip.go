@@ -20,8 +20,8 @@ import (
 //     each view (probePredicates);
 //   - after it, the probed nodes whose membership changed are the flips:
 //     Fin_i, unsat→sat, and Fout_i, sat→unsat (findFlips);
-//   - the statement's own propagation reads σ as it was (Relations.Mask
-//     undoes the flips), so its terms and lattice see one state: the
+//   - the statement's own propagation reads σ as it was (Relations undoes
+//     the flips), so its terms and lattice see one state: the
 //     statement's membership under the old σ;
 //   - then the flip stage moves each view to the new σ, one flipped node at
 //     a time (propagateFlips).
@@ -164,36 +164,40 @@ func holds(items []algebra.Item, id dewey.ID) bool {
 // pattern order: while node i's flips are applied, the nodes before it read
 // their new σ and those after it their old, so each step changes one
 // σ-input. A step evaluates the whole pattern, and each snowcap holding i,
-// with the flips as node i's input, adding what flipped in and taking away
+// with the flips as node i's input and the other relations reduced to what
+// joins them (Relations.Around), adding what flipped in and taking away
 // what flipped out. The developed terms cannot serve here: their R-masks
 // are upward-closed because a ∆ node's descendants are ∆ too, and a flipped
 // node's descendants are not flipped.
 func (e *Engine) propagateFlips(vr *ViewReport, flips []flip) {
 	mv := vr.View
 	p, sc := mv.Pattern, &e.sc.alg
-	full := p.FullMask()
 	for k, f := range flips {
 		t0 := time.Now()
-		in := sc.Inputs(p.Size())
-		copy(in, mv.Lattice.relationsIn(e.sc, flips[k+1:]).Mask(full))
-		eval := func(items []algebra.Item) []algebra.Row {
+		r := mv.Lattice.relationsIn(e.sc, flips[k+1:])
+		// eval returns the inputs of the step with items as node i's, and
+		// the rows they project to.
+		eval := func(items []algebra.Item) (algebra.Inputs, []algebra.Row) {
 			if len(items) == 0 {
-				return nil
+				return nil, nil
 			}
+			in := sc.Inputs(p.Size())
 			in[f.node] = items
-			return sc.ProjectCounted(mv.Shape, sc.EvalSubPattern(p, full, in, e.Join()), e.Doc, e.proj)
+			r.Around(1<<uint(f.node), in)
+			return in, sc.ProjectCounted(mv.Shape, sc.EvalSubPattern(p, p.FullMask(), in, e.Join()), e.Doc, e.proj)
 		}
-		for _, row := range eval(f.in) {
+		in, added := eval(f.in)
+		for _, row := range added {
 			if mv.View.Upsert(row) {
 				vr.RowsAdded++
 			}
 		}
-		for _, row := range eval(f.out) {
-			if _, removed := mv.View.DecrementBy(row, row.Count); removed {
+		_, removed := eval(f.out)
+		for _, row := range removed {
+			if _, gone := mv.View.DecrementBy(row, row.Count); gone {
 				vr.RowsRemoved++
 			}
 		}
-		in[f.node] = f.in
 		t1 := time.Now()
 		vr.Phases.ExecuteUpdate += t1.Sub(t0)
 		mv.Lattice.applyFlip(f.node, in, f.out, sc)

@@ -14,8 +14,9 @@ import (
 // (algebra.Scratch), the ∆ tables, the statement's PUL, its insertion
 // points and the IDs the row scans look around, the cover of its deleted
 // subtrees, a view's pruned terms, the rows a scan marks and the set of
-// keys it matches, a view's R side, and the predicate probes and flips
-// (predflip.go). Nothing in it outlives the statement: a view's rows, a
+// keys it matches, a view's R side with the items its reduced reads
+// return and the ancestor keys they probe, and the predicate probes and
+// flips (predflip.go). Nothing in it outlives the statement: a view's rows, a
 // snowcap's stripes and the tree keep copies.
 //
 // The engine, a single writer, takes a scratch from scratchPool when a
@@ -26,19 +27,21 @@ import (
 // algebra, deltaCap for a ∆ table, scratchCap here), so a bulk statement
 // allocates beyond the caps afresh rather than keeping what it grew.
 type scratch struct {
-	alg     algebra.Scratch
-	delta   update.Delta
-	pul     update.PUL
-	points  []*xmltree.Node // an insertion's targets
-	touched []dewey.ID      // the nodes PIMT/PDMT refresh around
-	ids     []dewey.ID      // a deletion's roots, the cover's input
-	cover   dewey.Cover     // a deletion's detached subtrees
-	terms   []uint64
-	rows    []algebra.Row
-	keys    map[string]bool
-	rel     Relations
-	probes  []predProbe
-	flips   []flip
+	alg       algebra.Scratch
+	delta     update.Delta
+	pul       update.PUL
+	points    []*xmltree.Node // an insertion's targets
+	touched   []dewey.ID      // the nodes PIMT/PDMT refresh around
+	ids       []dewey.ID      // a deletion's roots, the cover's input
+	cover     dewey.Cover     // a deletion's detached subtrees
+	terms     []uint64
+	rows      []algebra.Row
+	keys      map[string]bool
+	rel       Relations
+	reads     []algebra.Item // what Relations.Around read, every term's
+	ancestors []string       // the keys one upward read probes
+	probes    []predProbe
+	flips     []flip
 }
 
 // scratchCap is the most elements one of scratch's own arrays keeps, and
@@ -78,6 +81,8 @@ func (s *scratch) reset() {
 	}
 	clear(s.keys)
 	s.rel = Relations{}
+	s.reads = resetSlice(s.reads)
+	s.ancestors = resetSlice(s.ancestors)
 	s.probes = resetSlice(s.probes)
 	s.flips = resetSlice(s.flips)
 }

@@ -17,10 +17,18 @@ import (
 // scratch keeps) is followed by the benchmark's small bidder and name
 // pairs, and by the bulk delete. After every statement each earlier
 // epoch's rows must still equal the copies taken when it was published,
-// and every view and snowcap must equal a fresh evaluation.
+// and every view and snowcap must equal a fresh evaluation. Under each
+// policy: the served one lends its reduced reads from the scratch, and
+// Snowcaps' mats copy what they keep out of it.
 func TestScratchLeavesEpochsAlone(t *testing.T) {
+	for _, policy := range []Policy{PolicyLeaves, PolicySnowcaps} {
+		t.Run(policy.String(), func(t *testing.T) { scratchLeavesEpochsAlone(t, policy) })
+	}
+}
+
+func scratchLeavesEpochsAlone(t *testing.T, policy Policy) {
 	doc := mustDoc(t, xmark.Generate(xmark.Config{TargetBytes: 100 << 10, Seed: 1}))
-	e := New(doc, WithMetrics(obs.New()))
+	e := New(doc, WithMetrics(obs.New()), WithPolicy(policy))
 	for _, v := range benchViews {
 		if _, err := e.AddView(v[0], pattern.MustParse(v[1])); err != nil {
 			t.Fatal(err)

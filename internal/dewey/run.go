@@ -150,23 +150,58 @@ func (cs *Chunks[T]) AppendTo(dst []T) []T {
 // Find returns the element e with at(e) == 0, where at orders the elements
 // as the run's comparator does against some probe: negative below it,
 // positive above.
-func (cs *Chunks[T]) Find(at func(T) int) (T, bool) {
-	var zero T
-	nd := (*node[T])(cs)
-	if nd == nil || nd.n == 0 {
-		return zero, false
-	}
-	for nd.kids != nil {
-		k := sort.Search(len(nd.kids), func(k int) bool { return at(nd.kids[k].last()) >= 0 })
-		if k == len(nd.kids) {
-			return zero, false
+func (cs *Chunks[T]) Find(at func(T) int) (e T, found bool) {
+	cs.From(at, func(x T) bool {
+		if at(x) == 0 {
+			e, found = x, true
 		}
-		nd = nd.kids[k]
+		return false
+	})
+	return e, found
+}
+
+// From calls f with every element from the first e with at(e) >= 0 on, in
+// order, until f returns false; at orders the elements as Find's does. It
+// descends to that element in O(log n) and visits no element before it, so
+// a key-ordered run's elements under a key prefix — a subtree's nodes in
+// document order — are one From that stops at the first key past the
+// prefix.
+func (cs *Chunks[T]) From(at func(T) int, f func(T) bool) {
+	if nd := (*node[T])(cs); nd != nil && nd.n > 0 {
+		nd.from(at, f)
 	}
-	if i, found := slices.BinarySearchFunc(nd.elems, struct{}{}, func(e T, _ struct{}) int { return at(e) }); found {
-		return nd.elems[i], true
+}
+
+func (nd *node[T]) from(at func(T) int, f func(T) bool) bool {
+	if nd.kids == nil {
+		i := sort.Search(len(nd.elems), func(i int) bool { return at(nd.elems[i]) >= 0 })
+		for _, e := range nd.elems[i:] {
+			if !f(e) {
+				return false
+			}
+		}
+		return true
 	}
-	return zero, false
+	k := sort.Search(len(nd.kids), func(k int) bool { return at(nd.kids[k].last()) >= 0 })
+	if k == len(nd.kids) {
+		return true
+	}
+	if !nd.kids[k].from(at, f) {
+		return false
+	}
+	for _, c := range nd.kids[k+1:] {
+		if !c.eachLeaf(func(leaf []T) bool {
+			for _, e := range leaf {
+				if !f(e) {
+					return false
+				}
+			}
+			return true
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // last returns the subtree's last element; the subtree must not be empty.

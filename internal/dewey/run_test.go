@@ -505,3 +505,35 @@ func TestChunksOfASlice(t *testing.T) {
 		}
 	}
 }
+
+// TestFromReadsTheSuffixItSeeks: over runs of every depth, From at x
+// yields exactly the elements not below x, in order, and stops the moment
+// f returns false; Find is its first element when that equals x.
+func TestFromReadsTheSuffixItSeeks(t *testing.T) {
+	for _, n := range []int{0, 1, 64, 65, 64*16 + 1, 20_000} {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = 2 * i // odd probes fall between elements
+		}
+		cs := ChunksOf(s)
+		for _, x := range []int{-1, 0, 1, n / 2, n - 1, n, 2*n - 2, 2*n - 1, 2 * n} {
+			lo, _ := slices.BinarySearch(s, x)
+			var got []int
+			cs.From(func(e int) int { return e - x }, func(e int) bool { got = append(got, e); return true })
+			if !slices.Equal(got, s[lo:]) {
+				t.Fatalf("n=%d: From(%d) read %d elements, want %d", n, x, len(got), n-lo)
+			}
+			for _, stop := range []int{1, 3, 100} {
+				got = got[:0]
+				cs.From(func(e int) int { return e - x }, func(e int) bool { got = append(got, e); return len(got) < stop })
+				if want := s[lo:min(lo+stop, n)]; !slices.Equal(got, want) {
+					t.Fatalf("n=%d: From(%d) stopping after %d read %v, want %v", n, x, stop, got, want)
+				}
+			}
+			v, ok := cs.Find(func(e int) int { return e - x })
+			if want := lo < n && s[lo] == x; ok != want || ok && v != x {
+				t.Fatalf("n=%d: Find(%d) = %d, %v", n, x, v, ok)
+			}
+		}
+	}
+}

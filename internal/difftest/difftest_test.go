@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"xivm/internal/core"
 	"xivm/internal/update"
 	"xivm/internal/xmltree"
 )
@@ -122,7 +123,7 @@ func TestDecodeTotal(t *testing.T) {
 		{7, 0, 1, 2, 3, 250, 251, 252, 253, 254, 255},
 		[]byte("arbitrary text is a workload too"),
 	}
-	cfg := Config{Name: "eager-snowcaps"}
+	cfg := Config{Name: "eager-snowcaps", Policy: core.PolicySnowcaps}
 	for _, in := range inputs {
 		w := Decode(in)
 		if len(w.Statements) > maxStatements {

@@ -53,20 +53,26 @@ type Config struct {
 // about a third of the vocabulary's chunks of 2, an eighth of those of 3 and
 // none of 8), both pruning ablations and the IVMA competitor, and both
 // policies and a batch on a published document, the shape the server runs.
+// Every configuration names its policy: the batch and pruning ones run
+// under each.
 func Matrix() []Config {
+	const s, l = core.PolicySnowcaps, core.PolicyLeaves
 	return []Config{
-		{Name: "eager-snowcaps", Policy: core.PolicySnowcaps},
-		{Name: "eager-leaves", Policy: core.PolicyLeaves},
-		{Name: "batch-2", Batch: 2},
-		{Name: "batch-3", Batch: 3},
-		{Name: "no-data-pruning", NoDataPruning: true},
-		{Name: "no-id-pruning", NoIDPruning: true},
-		{Name: "batch-no-pruning", Batch: 2, NoDataPruning: true, NoIDPruning: true},
+		{Name: "eager-snowcaps", Policy: s},
+		{Name: "eager-leaves", Policy: l},
+		{Name: "batch-2", Policy: s, Batch: 2},
+		{Name: "batch-2-leaves", Policy: l, Batch: 2},
+		{Name: "batch-3", Policy: s, Batch: 3},
+		{Name: "no-data-pruning", Policy: s, NoDataPruning: true},
+		{Name: "no-id-pruning", Policy: s, NoIDPruning: true},
+		{Name: "batch-no-pruning", Policy: s, Batch: 2, NoDataPruning: true, NoIDPruning: true},
+		{Name: "batch-no-pruning-leaves", Policy: l, Batch: 2, NoDataPruning: true, NoIDPruning: true},
 		{Name: "ivma", IVMA: true},
-		{Name: "published-snowcaps", Policy: core.PolicySnowcaps, Publish: true},
-		{Name: "published-leaves", Policy: core.PolicyLeaves, Publish: true},
-		{Name: "published-batch-2", Batch: 2, Publish: true},
-		{Name: "published-late-labels", Policy: core.PolicySnowcaps, Publish: true, LabelsFrom: 7},
+		{Name: "published-snowcaps", Policy: s, Publish: true},
+		{Name: "published-leaves", Policy: l, Publish: true},
+		{Name: "published-batch-2", Policy: s, Batch: 2, Publish: true},
+		{Name: "published-batch-2-leaves", Policy: l, Batch: 2, Publish: true},
+		{Name: "published-late-labels", Policy: s, Publish: true, LabelsFrom: 7},
 	}
 }
 

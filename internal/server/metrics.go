@@ -56,6 +56,13 @@ import "xivm/internal/obs"
 // snapshot.publish (capture+swap time per epoch), server.query.latency and
 // server.xpath.latency (read-path handler time).
 //
+// The engines record into the same registry (core.*, algebra.*, store.*;
+// README's metrics table). Of the store's, store.scan.count and
+// store.scan.items count whole canonical-relation reads, which the served
+// policy makes only for "*" and "~word" pattern nodes, and
+// store.probe.items the items its reduced reads return: the relation
+// nodes a term's ∆ can join, found by their Dewey keys.
+//
 // Multi-tenant serving aggregates every shard into the counters above and
 // additionally keys a small per-tenant set (see tenantMetrics) as
 // server.tenant.<name>.*, so one hot tenant is visible by name.

@@ -30,8 +30,8 @@ import (
 // as it is after. For that long the statement's inserted subtrees are
 // hidden from every read (Hide).
 //
-// Any number of goroutines may read (Items, Inputs) at once, but not while
-// the document mutates, nor while Hide runs.
+// Any number of goroutines may read (Items, Inputs, Probe, Under) at once,
+// but not while the document mutates, nor while Hide runs.
 type Store struct {
 	doc *xmltree.Document
 
@@ -40,20 +40,23 @@ type Store struct {
 	hidden []string
 
 	// Observability (nil counters are no-op sinks; see SetMetrics).
-	scanCount *obs.Counter
-	scanItems *obs.Counter
+	scanCount  *obs.Counter
+	scanItems  *obs.Counter
+	probeItems *obs.Counter
 }
 
 // SetMetrics wires the store's counters into a registry:
 //
 //	store.scan.count      canonical-relation scans served
 //	store.scan.items      items those scans went over
+//	store.probe.items     items the reduced reads (Probe, Under) returned
 //
 // A "~word" read is one scan of R_#text. Call before concurrent use; a
 // store without metrics records nothing.
 func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.scanCount = m.Counter("store.scan.count")
 	s.scanItems = m.Counter("store.scan.items")
+	s.probeItems = m.Counter("store.probe.items")
 }
 
 // New returns the store of doc. It reads nothing yet: a label is indexed
@@ -94,6 +97,58 @@ func (s *Store) withoutHidden(items []algebra.Item) []algebra.Item {
 	return items[:kept]
 }
 
+// Probe appends to dst the nodes of R_label whose keys are among keys,
+// which ascend with no two equal, in document order and without the
+// hidden subtrees: one descent of the label's list per key, so the read
+// costs the keys, not the relation. label is an element, "@name" or
+// "#text" label; R_* and R_~word are read whole (Items).
+func (s *Store) Probe(dst []algebra.Item, label string, keys []string) []algebra.Item {
+	list, start := s.doc.LabeledChunks(label), len(dst)
+	for _, key := range keys {
+		if n, ok := list.Find(func(n *xmltree.Node) int { return strings.Compare(n.ID().Key(), key) }); ok {
+			dst = append(dst, algebra.Item{ID: n.ID(), Node: n})
+		}
+	}
+	return s.probed(dst, start)
+}
+
+// Under appends to dst the nodes of R_label that lie strictly inside the
+// subtrees at roots, which are in document order, in document order and
+// without the hidden subtrees. A subtree's nodes are one key range of the
+// label's list, read by one seek to its root's key; a root inside the one
+// before it is inside its range already and is skipped. label is as
+// Probe's.
+func (s *Store) Under(dst []algebra.Item, label string, roots []algebra.Item) []algebra.Item {
+	list, start := s.doc.LabeledChunks(label), len(dst)
+	var last string // the last root read
+	for _, r := range roots {
+		key := r.ID.Key()
+		if last != "" && strings.HasPrefix(key, last) {
+			continue
+		}
+		last = key
+		list.From(func(n *xmltree.Node) int { return strings.Compare(n.ID().Key(), key) }, func(n *xmltree.Node) bool {
+			k := n.ID().Key()
+			if !strings.HasPrefix(k, key) {
+				return false
+			}
+			if len(k) > len(key) {
+				dst = append(dst, algebra.Item{ID: n.ID(), Node: n})
+			}
+			return true
+		})
+	}
+	return s.probed(dst, start)
+}
+
+// probed cuts the hidden subtrees out of what a reduced read appended to
+// dst after start, and counts what is left.
+func (s *Store) probed(dst []algebra.Item, start int) []algebra.Item {
+	dst = dst[:start+len(s.withoutHidden(dst[start:]))]
+	s.probeItems.Add(int64(len(dst) - start))
+	return dst
+}
+
 // Items returns the canonical relation for a pattern label, in a fresh
 // slice the caller owns: "*" yields all elements, "@name" attribute nodes,
 // "#text" text nodes, "~word" the text nodes containing that word, anything
@@ -116,8 +171,9 @@ func (s *Store) Items(label string) []algebra.Item {
 }
 
 // IndexFor indexes, in one walk of the document, every label list the
-// patterns' relations read (Items): a "~word" node reads R_#text, a "*"
-// node none, being a walk itself.
+// patterns' relations read (Items, Probe, Under): a "~word" node reads
+// R_#text, a "*" node none, being a walk itself. A label no node carries
+// keeps an empty list, so reading it later costs no walk.
 func (s *Store) IndexFor(ps []*pattern.Pattern) {
 	var labels []string
 	for _, p := range ps {

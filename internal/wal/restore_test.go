@@ -90,15 +90,15 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 // TestRestoredHeapPerNodeBudget holds what a tenant restored from a
 // checkpoint keeps per document node — the benchmark's tenant after a
 // restart: its tree with the label index of the labels its views asked for,
-// store and seven views, and one published epoch. That is ~80 B (~82 under
-// -race; ~87 with a view row pointing at an array of 56-byte entries, ~92
-// with a header and a slice of items per snowcap tuple as well) with 32-byte
-// nodes that name their labels by code, one key string per first-child
-// chain, which ApplyOrds gives out as a parse does, canonical relations read
-// from the label index, snowcap tuples that are stripes of IDs and view rows
-// that are one array of ID keys and images (~115 B with a key string per
-// node, ~147 B with 64-byte nodes as well). A view entry holding a key of
-// its own beside the tree's, one more key per row entry, adds ~5 B; a
+// store and seven views, and one published epoch. That is ~73 B (~75 under
+// -race; ~79 with the seven views' snowcap lattices, which the served
+// policy no longer builds, ~86 with a view row pointing at an array of
+// 56-byte entries as well) with 32-byte nodes that name their labels by
+// code, one key string per first-child chain, which ApplyOrds gives out as
+// a parse does, canonical relations read from the label index and view
+// rows that are one array of ID keys and images (~109 B with a key string
+// per node, ~141 B with 64-byte nodes as well). A view entry holding a key
+// of its own beside the tree's, one more key per row entry, adds ~5 B; a
 // second per-label array beside the index, as the store kept before,
 // ~28 B; frames that spell their labels out ~40 B more. The budget sits
 // below each of them.
@@ -121,15 +121,15 @@ func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re.Doc.Labeled("bidder") // a served tenant has answered `//bidder`; rebuilding the lattices indexed the label already
+	re.Doc.Labeled("bidder") // a served tenant has answered `//bidder`; evaluating the views indexed the label already
 	snap := re.Snapshot()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	nodes := re.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 82 {
-		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 82", perNode)
+	if perNode > 76 {
+		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 76", perNode)
 	}
 	runtime.KeepAlive(img)
 	runtime.KeepAlive(snap)

@@ -185,9 +185,11 @@ func TestReaderOnlyLabelIsIndexedOnce(t *testing.T) {
 
 // TestIndexLabelsIsOneWalk: indexing k labels at once is one walk of the
 // tree, not k, and leaves each label's list as its own walk would: every
-// node carrying it, in document order. A label no node carries is not
-// kept, one asked for twice or already indexed costs nothing more, and an
-// epoch's index holds what the writer's did when it was frozen.
+// node carrying it, in document order. A label no node carries keeps an
+// empty list, so asking for it again walks nothing, as does one asked for
+// twice or already indexed, and an epoch's index holds what the writer's
+// did when it was frozen. A node of the absent label inserted later is
+// patched into its list.
 func TestIndexLabelsIsOneWalk(t *testing.T) {
 	d := mustParse(t, xmark.Generate(xmark.Config{TargetBytes: 100 << 10, Seed: 1}))
 	requireWalked(t, "before", d, "item")
@@ -197,7 +199,7 @@ func TestIndexLabelsIsOneWalk(t *testing.T) {
 	if n := xmltree.LabelWalks(d) - walks; n != 1 {
 		t.Fatalf("indexing %d labels took %d walks, want 1", len(labels), n)
 	}
-	want := []string{"#text", "@id", "bidder", "increase", "item", "name", "open_auction", "person"}
+	want := []string{"#text", "@id", "bidder", "increase", "item", "name", "open_auction", "person", "zzz"}
 	if got := xmltree.IndexedLabels(d); !slices.Equal(got, want) {
 		t.Fatalf("index holds %q, want %q", got, want)
 	}
@@ -206,12 +208,20 @@ func TestIndexLabelsIsOneWalk(t *testing.T) {
 		requireWalked(t, "writer", d, label)
 		requireWalked(t, "epoch", img, label)
 	}
-	d.IndexLabels(labels)
-	if n := xmltree.LabelWalks(d) - walks; n != 2 {
-		t.Fatalf("re-indexing walked %d more times, want 1 (for the absent label)", n-1)
+	if d.LabeledChunks("zzz") != nil {
+		t.Fatal("the absent label's empty list reads as a list")
 	}
-	d.IndexLabels(want)
-	if n := xmltree.LabelWalks(d) - walks; n != 2 {
-		t.Fatalf("indexing indexed labels walked %d times", n-2)
+	d.IndexLabels(labels)
+	if n := xmltree.LabelWalks(d) - walks; n != 1 {
+		t.Fatalf("re-indexing walked %d more times, want 0", n-1)
+	}
+	if _, err := d.ApplyInsert(d.Root, mustParse(t, `<zzz/>`).Root); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Labeled("zzz")) != 1 || len(img.Labeled("zzz")) != 0 {
+		t.Fatal("the inserted zzz is not patched into the writer's list alone")
+	}
+	if n := xmltree.LabelWalks(d) - walks; n != 1 {
+		t.Fatalf("reading the absent label walked %d more times, want 0", n-1)
 	}
 }

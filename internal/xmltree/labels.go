@@ -13,8 +13,8 @@ import (
 // the store's canonical relations: `//x` wants "every node labeled x in
 // document order", which a tree walk answers in O(document) while this
 // index answers it in O(matches). It holds the labels someone asked for,
-// each indexed by one walk on first ask — none if no node carries it — and
-// from then on carried through every mutation and every publication, even
+// each indexed by one walk on first ask — none if no node carries it,
+// unless IndexLabels asked for it — and from then on carried through every mutation and every publication, even
 // emptied: a document lineage (the writer and the epochs it froze) has one
 // index, copy-on-write per tree node. A label's nodes are a dewey.Run
 // ordered by ID key, and the lists a run ordered by label; the mutators
@@ -111,7 +111,7 @@ func LabelWalks(d *Document) int64 { return d.labels.want.walks.Load() }
 func (d *Document) LabeledChunks(label string) *dewey.Chunks[*Node] {
 	l := d.labels.li.Load().list(label)
 	if l == nil {
-		d.index(label)
+		d.index(false, label)
 		l = d.labels.li.Load().list(label)
 	}
 	if l == nil || l.nodes.Len() == 0 {
@@ -122,17 +122,19 @@ func (d *Document) LabeledChunks(label string) *dewey.Chunks[*Node] {
 
 // IndexLabels indexes every one of labels the index lacks in one walk of
 // the tree, where LabeledChunks would walk once a label: it is how a
-// caller about to read several relations pays for their lists at once. A
-// label no node carries is not kept, as LabeledChunks keeps none.
-func (d *Document) IndexLabels(labels []string) { d.index(labels...) }
+// caller about to read several relations pays for their lists at once.
+// Unlike LabeledChunks, it keeps an empty list for a label no node
+// carries, patched like any other from then on, so a caller that reads
+// the label at every statement does not walk the tree for it each time.
+func (d *Document) IndexLabels(labels []string) { d.index(true, labels...) }
 
 // index indexes each of labels the cell has no list for by one walk of the
 // tree (in document order, so every Put is an append), into a frozen copy
 // of the run of lists that the cell then holds; a label no node carries
-// gets no list. The lists are stamped with the publication at which the
-// cell became this lineage's, whoever walks; an epoch's walk goes into the
-// want set.
-func (d *Document) index(labels ...string) {
+// gets an empty list if keepEmpty, else none. The lists are stamped with
+// the publication at which the cell became this lineage's, whoever walks;
+// an epoch's walk goes into the want set.
+func (d *Document) index(keepEmpty bool, labels ...string) {
 	c := d.labels
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -167,6 +169,13 @@ func (d *Document) index(labels ...string) {
 		}
 		return true
 	})
+	if keepEmpty {
+		for i := range wants {
+			if wants[i].l == nil {
+				wants[i].l = &labelList{label: wants[i].label, nodes: dewey.NewRun(compareNodes), gen: d.labelGen}
+			}
+		}
+	}
 	wants = slices.DeleteFunc(wants, func(w want) bool { return w.l == nil })
 	if len(wants) == 0 {
 		return
@@ -195,7 +204,7 @@ func (d *Document) indexWanted() {
 	asked := w.asked[w.seen:]
 	w.seen = len(w.asked)
 	w.mu.Unlock()
-	d.index(asked...)
+	d.index(false, asked...)
 }
 
 // Labeled returns LabeledChunks as one slice, the caller's own.
