@@ -238,11 +238,7 @@ type CreateDB struct {
 func (c *Client) CreateDB(ctx context.Context, req CreateDB) (server.CreateDBResponse, error) {
 	var out server.CreateDBResponse
 	cr := server.CreateDBRequest{Name: req.Name, Document: req.Document, Views: req.Views}
-	size := len(`{"name":"","document":"","views":[]}`) + len(cr.Name) + len(cr.Document)
-	for _, v := range cr.Views {
-		size += len(`{"name":"","pattern":""},`) + len(v.Name) + len(v.Pattern)
-	}
-	err := c.do(ctx, http.MethodPost, "/v1/db", cr.AppendJSON(make([]byte, 0, size)), &out)
+	err := c.do(ctx, http.MethodPost, "/v1/db", cr.AppendJSON(nil), &out)
 	return out, err
 }
 

@@ -42,6 +42,24 @@ func writeBody(w http.ResponseWriter, body []byte) {
 
 const hexDigits = "0123456789abcdef"
 
+// jsonWidth is how many bytes appendJSONString writes for each byte below
+// utf8.RuneSelf: 1 for one it copies, 2 for a short escape (\n, \"), 6
+// for a \u00XX one. A byte of a multi-byte sequence reads 0: its rune
+// decides.
+var jsonWidth = func() (t [256]uint8) {
+	for b := 0; b < utf8.RuneSelf; b++ {
+		switch {
+		case b == '"' || b == '\\' || b == '\b' || b == '\f' || b == '\n' || b == '\r' || b == '\t':
+			t[b] = 2
+		case b < ' ' || b == '<' || b == '>' || b == '&':
+			t[b] = 6
+		default:
+			t[b] = 1
+		}
+	}
+	return t
+}()
+
 // appendJSONString appends s as a JSON string literal the way
 // encoding/json does with HTML escaping on: control bytes, quote,
 // backslash, <, > and & escaped, each invalid UTF-8 byte replaced by the
@@ -51,11 +69,11 @@ func appendJSONString[S []byte | string](dst []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
+		if jsonWidth[b] == 1 {
+			i++
+			continue
+		}
 		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '\\', '"':
@@ -101,16 +119,8 @@ func appendJSONString[S []byte | string](dst []byte, s S) []byte {
 func jsonStringLen(s string) int {
 	n := 2
 	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			switch {
-			case b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&':
-				n++
-			case b == '\\' || b == '"' || b == '\b' || b == '\f' || b == '\n' || b == '\r' || b == '\t':
-				n += 2
-			default:
-				n += 6
-			}
+		if w := jsonWidth[s[i]]; w != 0 {
+			n += int(w)
 			i++
 			continue
 		}
@@ -303,8 +313,23 @@ func (r *UpdateRequest) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// AppendJSON appends the request's body, what json.Marshal makes of it.
+// AppendJSON appends the request's body, what json.Marshal makes of it,
+// growing dst once, to the body's exact length: a document's markup is
+// mostly escapes, as a statement's is.
 func (r *CreateDBRequest) AppendJSON(dst []byte) []byte {
+	n := len(`{"name":}`) + jsonStringLen(r.Name)
+	if r.Document != "" {
+		n += len(`,"document":`) + jsonStringLen(r.Document)
+	}
+	if len(r.Views) > 0 {
+		n += len(`,"views":[]`) + len(r.Views) - 1
+		for i := range r.Views {
+			n += len(`{"name":,"pattern":}`) + jsonStringLen(r.Views[i].Name) + jsonStringLen(r.Views[i].Pattern)
+		}
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = append(dst, `{"name":`...)
 	dst = appendJSONString(dst, r.Name)
 	if r.Document != "" {

@@ -182,6 +182,9 @@ func FuzzEncodeMatchesEncodingJSON(f *testing.F) {
 		if want, _ := json.Marshal(create); !bytes.Equal(body, want) {
 			t.Fatalf("create request\n got %q\nwant %q", body, want)
 		}
+		if cap(body) != len(body) {
+			t.Fatalf("create request of %d bytes grown to %d", len(body), cap(body))
+		}
 		checkRoundTrip(t, body, create, valid)
 	})
 }

@@ -90,10 +90,12 @@ func TestRestoredRowsShareTreeIDs(t *testing.T) {
 // TestRestoredHeapPerNodeBudget holds what a tenant restored from a
 // checkpoint keeps per document node — the benchmark's tenant after a
 // restart: its tree with the label index of the labels its views asked for,
-// store and seven views, and one published epoch. That is ~73 B (~75 under
-// -race; ~79 with the seven views' snowcap lattices, which the served
-// policy no longer builds, ~86 with a view row pointing at an array of
-// 56-byte entries as well) with 32-byte nodes that name their labels by
+// store and seven views, and one published epoch. That is ~70 B (also
+// under -race; ~73 and ~75 when the parse and ApplyOrds allocated every
+// value and key on its own rather than cutting them from byte-slab chunks,
+// ~79 with the seven views' snowcap lattices, which the served policy no
+// longer builds, ~86 with a view row pointing at an array of 56-byte
+// entries as well) with 32-byte nodes that name their labels by
 // code, one key string per first-child chain, which ApplyOrds gives out as
 // a parse does, canonical relations read from the label index and view
 // rows that are one array of ID keys and images (~109 B with a key string
@@ -128,8 +130,8 @@ func TestRestoredHeapPerNodeBudget(t *testing.T) {
 	nodes := re.Doc.Size()
 	perNode := int(after.HeapAlloc-before.HeapAlloc) / nodes
 	t.Logf("%d nodes, %d B of live heap per node", nodes, perNode)
-	if perNode > 76 {
-		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 76", perNode)
+	if perNode > 73 {
+		t.Errorf("a restored engine + one epoch hold %d B per document node, budget 73", perNode)
 	}
 	runtime.KeepAlive(img)
 	runtime.KeepAlive(snap)

@@ -1,6 +1,8 @@
 package xmltree_test
 
 import (
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,19 +148,34 @@ func parseBytes(runs int, parse func()) (bytes int64, allocs float64) {
 // nodes in 34,284 chains), and its share of a child list and of the text;
 // encoding/xml's tokens, one string per name and attribute and a growing
 // slice per child list, cost 234 B.
+//
+// It holds the parse's allocations to one per node and per child list, and
+// one per 32 nodes for the rest: the values and keys are cut from byte
+// slabs (slab.go) and make none of their own. ~112,700 measured for 73,186
+// nodes and 38,902 lists; ~180,900 with an allocation per value and key.
 func TestParseAllocBudget(t *testing.T) {
 	src := xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 2011})
 	var d *xmltree.Document
-	total, _ := parseBytes(3, func() {
+	total, allocs := parseBytes(3, func() {
 		var err error
 		if d, err = xmltree.ParseString(src); err != nil {
 			t.Fatal(err)
 		}
 	})
 	perNode := float64(total) / float64(d.Size())
-	t.Logf("parsing %d bytes into %d nodes allocates %d B, %.1f B per node", len(src), d.Size(), total, perNode)
+	t.Logf("parsing %d bytes into %d nodes allocates %d B in %.0f allocations, %.1f B per node", len(src), d.Size(), total, allocs, perNode)
 	if perNode > 68 {
 		t.Errorf("a parse allocates %.1f B per node, budget 68", perNode)
+	}
+	lists := 0
+	xmltree.Walk(d.Root, func(n *xmltree.Node) bool {
+		if n.NumChildren() > 0 {
+			lists++
+		}
+		return true
+	})
+	if budget := float64(d.Size()+lists) + float64(d.Size())/32; allocs > budget {
+		t.Errorf("a parse makes %.0f allocations for %d nodes and %d child lists, budget %.0f: one per node and list, one per 32 nodes", allocs, d.Size(), lists, budget)
 	}
 }
 
@@ -218,4 +235,83 @@ func TestSplitTextAllocatesItsLength(t *testing.T) {
 			t.Errorf("forest %v: merging %d B of text allocates %d B, budget %d", asForest, len(want), total, budget)
 		}
 	}
+}
+
+// TestApplyOrdsAllocBudget holds ApplyOrds on the 1 MB XMark document to
+// one allocation per 128 nodes: ~240 for 73k nodes, the key slab's chunks.
+// Each ordinal is read into one buffer, which the key chain copies; an
+// ordinal allocated per node and a key string per chain made ~107k.
+func TestApplyOrdsAllocBudget(t *testing.T) {
+	d, err := xmltree.ParseString(xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ords := d.EncodeOrds()
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := d.ApplyOrds(ords); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ApplyOrds over %d nodes makes %.0f allocations", d.Size(), allocs)
+	if budget := float64(d.Size()) / 128; allocs > budget {
+		t.Errorf("ApplyOrds makes %.0f allocations for %d nodes, budget %.0f, one per 128 nodes", allocs, d.Size(), budget)
+	}
+	if err := xmltree.CheckKids(d.Root); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveHeap returns the live heap after a collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestSmallDocumentHeapPerNode holds what a parsed 100 KB XMark document
+// keeps per node — a small tenant's tree — to 60.5 B, below the 61.2 it
+// kept when every value and key was an allocation of its own (64.4 under
+// -race): the slack a slab leaves in its last chunks must not cost a small
+// document more than the size classes' rounding saves it. ~59.6 B
+// measured, with or without -race. A label's code decides its width in every key, and codes are
+// handed out in the order labels are first seen, process-wide; so the
+// test measures in a child process of the test binary, where XMark's
+// labels take the table's first codes whichever tests ran before.
+func TestSmallDocumentHeapPerNode(t *testing.T) {
+	const env = "XMLTREE_TEST_SMALL_DOCUMENT_HEAP"
+	if os.Getenv(env) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSmallDocumentHeapPerNode$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), env+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("child process: %v\n%s", err, out)
+		}
+		for _, l := range strings.Split(string(out), "\n") {
+			if _, logged, ok := strings.Cut(l, ": "); ok && strings.Contains(logged, "live heap per node") {
+				t.Log("child process: " + logged)
+			}
+		}
+		return
+	}
+	src := xmark.Generate(xmark.Config{TargetBytes: 100 << 10, Seed: 1})
+	if _, err := xmltree.ParseString(src); err != nil { // the labels go into the table first
+		t.Fatal(err)
+	}
+	docs := make([]*xmltree.Document, 8) // eight held at once, so that noise of a few KB counts an eighth
+	before := liveHeap()
+	for i := range docs {
+		var err error
+		if docs[i], err = xmltree.ParseString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := len(docs) * docs[0].Size()
+	perNode := float64(liveHeap()-before) / float64(nodes)
+	t.Logf("%d nodes a document, %.1f B of live heap per node", docs[0].Size(), perNode)
+	if perNode > 60.5 {
+		t.Errorf("a parsed 100 KB document holds %.1f B per node, budget 60.5", perNode)
+	}
+	runtime.KeepAlive(docs)
+	runtime.KeepAlive(src)
 }

@@ -13,10 +13,18 @@ import "xivm/internal/dewey"
 //
 // The buffers are scratch: a writer's Document keeps one for its mutators
 // — a parse hands its own to the document it builds — and an epoch none.
+// While a bulk build places nodes (a parse, ApplyOrds), the chains' strings
+// are cut from a key slab (slab.go), which endBulk lets go: a key given
+// after it, an inserted forest's, is a string of its own and pins no chunk.
 type keyChain struct {
 	path   []byte  // the key of the node placed last
 	parked []*Node // the chain down to it, root first, waiting for its string
+	bulk   bool    // a bulk build is placing nodes: keys come from slab
+	slab   []byte  // the key slab's current chunk
 }
+
+// endBulk ends a bulk build: the key slab is let go.
+func (kc *keyChain) endBulk() { kc.bulk, kc.slab = false, nil }
 
 // place gives n the key of parent's child whose label has code c — label,
 // read when c is 0, spells a refused one out — and ordinal ord; a nil
@@ -41,7 +49,12 @@ func (kc *keyChain) flush() {
 	if len(kc.parked) == 0 {
 		return
 	}
-	key := string(kc.path)
+	var key string
+	if kc.bulk {
+		key = slabString(&kc.slab, kc.path)
+	} else {
+		key = string(kc.path)
+	}
 	for _, n := range kc.parked {
 		n.SetID(dewey.FromKey(key[:n.keyLen]))
 	}

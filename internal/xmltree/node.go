@@ -166,6 +166,27 @@ func (n *Node) setKids(s []*Node) {
 	n.word = uint32(len(s)) | uint32(min(cap(s), fanout))<<16
 }
 
+// slabString returns a copy of v cut from the byte slab whose current
+// chunk is *chunk (slab.go): appended to that chunk, or to a fresh one when
+// v does not fit in what is left of it — or, over slabOwn bytes, in an
+// allocation of its own. A chunk's bytes are written once, so the string
+// stays as it was cut.
+func slabString[T string | []byte](chunk *[]byte, v T) string {
+	switch {
+	case len(v) == 0:
+		return ""
+	case len(v) > slabOwn:
+		own := make([]byte, len(v))
+		copy(own, v)
+		return unsafe.String(&own[0], len(own))
+	case len(v) > cap(*chunk)-len(*chunk):
+		*chunk = make([]byte, 0, slabBytes)
+	}
+	lo := len(*chunk)
+	*chunk = append(*chunk, v...)
+	return unsafe.String(&(*chunk)[lo], len(v))
+}
+
 // CheckPayload walks the subtree rooted at n, branches included, and
 // reports the first node whose pointer-and-length fields break the layout
 // Node describes: a Text or Attribute node with a child list, an element or

@@ -57,9 +57,12 @@ func (d *Document) WriteOrds(w io.Writer) error {
 // produced by EncodeOrds on a structurally identical document (same nodes,
 // same order). The freshly parsed document's sequential ordinals are
 // replaced by the recorded ones, so the restored ID space is byte-identical
-// to the one the stream was taken from.
+// to the one the stream was taken from. The keys are cut from a key slab,
+// as a parse's are, and every ordinal is read into one buffer, which the
+// key chain copies.
 func (d *Document) ApplyOrds(data []byte) error {
 	pos := 0
+	var ord dewey.Ord
 	next := func() (dewey.Ord, error) {
 		m, k := binary.Uvarint(data[pos:])
 		if k <= 0 {
@@ -69,7 +72,7 @@ func (d *Document) ApplyOrds(data []byte) error {
 		if m > uint64(len(data)-pos) {
 			return nil, errors.New("xmltree: implausible ordinal length")
 		}
-		ord := make(dewey.Ord, 0, m)
+		ord = ord[:0]
 		for j := uint64(0); j < m; j++ {
 			c, k := binary.Uvarint(data[pos:])
 			if k <= 0 {
@@ -100,8 +103,10 @@ func (d *Document) ApplyOrds(data []byte) error {
 		// of the children behind it are the rewritten ones.
 		return eachKid(n, func(c *Node) error { return walk(c, n) })
 	}
+	d.keys.bulk = true
 	err := walk(d.Root, nil)
 	d.keys.flush()
+	d.keys.endBulk()
 	if err != nil {
 		return err
 	}

@@ -23,14 +23,16 @@ func Parse(r io.Reader) (*Document, error) {
 	return ParseString(string(src))
 }
 
-// ParseString parses a document from a string.
+// ParseString parses a document from a string. Its values and keys are
+// cut from byte slabs (slab.go).
 func ParseString(s string) (*Document, error) {
-	b := builder{s: scanner{src: s}, keys: new(keyChain)}
+	b := builder{s: scanner{src: s}, keys: &keyChain{bulk: true}}
 	roots, err := b.build()
 	if err != nil {
 		return nil, err
 	}
 	b.keys.flush()
+	b.keys.endBulk()
 	return &Document{Root: roots[0], size: b.size, labels: &labelCell{want: new(labelWants)}, keys: b.keys}, nil
 }
 
@@ -58,11 +60,13 @@ func ParseForestPrefix(s string) ([]*Node, int, error) {
 }
 
 // builder assembles the trees the scanner reads: a document's, whose nodes
-// get their IDs from keys as they are made, or a forest's, with no keys,
-// whose nodes get theirs when spliced into a document.
+// get their IDs from keys as they are made and their values from the value
+// slab, or a forest's, with no keys, whose nodes get theirs when spliced
+// into a document and whose values are allocated one by one.
 type builder struct {
 	s    scanner
 	keys *keyChain // a document's; it becomes the document's scratch
+	vals []byte    // a document's value slab's current chunk
 	tops []*Node
 	// stack holds the open elements; kids their children, each element's
 	// from its frame's first on, which become its list when it closes.
@@ -93,7 +97,7 @@ func (b *builder) build() ([]*Node, error) {
 			}
 			return b.tops, nil
 		case evText:
-			b.add(Text, textCode, TextLabel, s.str(s.text))
+			b.add(Text, textCode, TextLabel, b.value(s.text))
 		case evStart:
 			if b.keys != nil && len(b.stack) == 0 && len(b.tops) > 0 {
 				return nil, s.errAt(s.at, "a second root element")
@@ -102,7 +106,7 @@ func (b *builder) build() ([]*Node, error) {
 			b.stack = append(b.stack, frame{n: n, first: len(b.kids)})
 			for _, a := range s.attrs {
 				c, label := b.attrCode(a.local)
-				b.add(Attribute, c, label, s.str(a.value))
+				b.add(Attribute, c, label, b.value(a.value))
 			}
 			if s.empty {
 				b.close()
@@ -139,6 +143,18 @@ func (b *builder) add(kind Kind, c uint16, label, value string) *Node {
 		b.kids = append(b.kids, n)
 	}
 	return n
+}
+
+// value returns a copy of the value v: cut from the value slab for a
+// document, allocated for a forest.
+func (b *builder) value(v span) string {
+	switch {
+	case b.keys == nil:
+		return b.s.str(v)
+	case v.inBuf:
+		return slabString(&b.vals, b.s.buf[v.lo:v.hi])
+	}
+	return slabString(&b.vals, b.s.src[v.lo:v.hi])
 }
 
 // close ends the innermost open element: the children gathered for it
