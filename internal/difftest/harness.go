@@ -53,8 +53,8 @@ type Config struct {
 // about a third of the vocabulary's chunks of 2, an eighth of those of 3 and
 // none of 8), both pruning ablations and the IVMA competitor, and both
 // policies and a batch on a published document, the shape the server runs.
-// Every configuration names its policy: the batch and pruning ones run
-// under each.
+// Every configuration names its policy: the batch, pruning and late-label
+// ones run under each.
 func Matrix() []Config {
 	const s, l = core.PolicySnowcaps, core.PolicyLeaves
 	return []Config{
@@ -63,8 +63,11 @@ func Matrix() []Config {
 		{Name: "batch-2", Policy: s, Batch: 2},
 		{Name: "batch-2-leaves", Policy: l, Batch: 2},
 		{Name: "batch-3", Policy: s, Batch: 3},
+		{Name: "batch-3-leaves", Policy: l, Batch: 3},
 		{Name: "no-data-pruning", Policy: s, NoDataPruning: true},
+		{Name: "no-data-pruning-leaves", Policy: l, NoDataPruning: true},
 		{Name: "no-id-pruning", Policy: s, NoIDPruning: true},
+		{Name: "no-id-pruning-leaves", Policy: l, NoIDPruning: true},
 		{Name: "batch-no-pruning", Policy: s, Batch: 2, NoDataPruning: true, NoIDPruning: true},
 		{Name: "batch-no-pruning-leaves", Policy: l, Batch: 2, NoDataPruning: true, NoIDPruning: true},
 		{Name: "ivma", IVMA: true},
@@ -73,6 +76,7 @@ func Matrix() []Config {
 		{Name: "published-batch-2", Policy: s, Batch: 2, Publish: true},
 		{Name: "published-batch-2-leaves", Policy: l, Batch: 2, Publish: true},
 		{Name: "published-late-labels", Policy: s, Publish: true, LabelsFrom: 7},
+		{Name: "published-late-labels-leaves", Policy: l, Publish: true, LabelsFrom: 7},
 	}
 }
 

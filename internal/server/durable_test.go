@@ -578,7 +578,7 @@ func TestDataDirWithViewFilesServesItsBodies(t *testing.T) {
 // that stored views wrote it: a <view>.xivm file beside doc.xml for each
 // view the manifest names, and the file's hash and size in the view's
 // manifest entry. The files hold no view image: nothing may read them.
-func giveViewFiles(t *testing.T, dir string) *store.Manifest {
+func giveViewFiles(t *testing.T, dir string) *wal.Manifest {
 	t.Helper()
 	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-????????????????"))
 	if err != nil || len(ckpts) == 0 {
@@ -589,7 +589,7 @@ func giveViewFiles(t *testing.T, dir string) *store.Manifest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := store.DecodeManifest(raw)
+	man, err := wal.DecodeManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +600,7 @@ func giveViewFiles(t *testing.T, dir string) *store.Manifest {
 		Bytes   int64  `json:"bytes"`
 	}
 	older := struct {
-		*store.Manifest
+		*wal.Manifest
 		Views []viewWithFile `json:"views"`
 	}{Manifest: man}
 	for _, v := range man.Views {
@@ -608,7 +608,7 @@ func giveViewFiles(t *testing.T, dir string) *store.Manifest {
 		if err := os.WriteFile(filepath.Join(ckpt, v.Name+".xivm"), file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		older.Views = append(older.Views, viewWithFile{v.Name, v.Pattern, store.HashBytes(file), int64(len(file))})
+		older.Views = append(older.Views, viewWithFile{v.Name, v.Pattern, wal.HashBytes(file), int64(len(file))})
 	}
 	data, err := json.MarshalIndent(older, "", "  ")
 	if err != nil {

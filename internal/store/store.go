@@ -1,9 +1,8 @@
 // Package store implements the storage layer: the per-label canonical
 // relations R_a in document order, read from the document's label index of
-// the labels asked for, materialized view row stores, lattice-node
-// (snowcap) materializations, and the manifest that binds a checkpoint's
-// files. It plays the role BerkeleyDB played in the paper's ViP2P
-// prototype.
+// the labels asked for, materialized view row stores, and lattice-node
+// (snowcap) materializations. It plays the role BerkeleyDB played in the
+// paper's ViP2P prototype.
 package store
 
 import (

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"xivm/internal/core"
-	"xivm/internal/store"
 )
 
 // Checkpoint directories live next to the wal directory as
@@ -96,12 +95,12 @@ func stageCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 	}()
 	// writeFile streams what fill writes into the named file and returns
 	// the digest of exactly the bytes the file was given.
-	writeFile := func(name string, fill func(io.Writer) error) (*store.Digest, error) {
+	writeFile := func(name string, fill func(io.Writer) error) (*Digest, error) {
 		f, err := fsys.OpenFile(filepath.Join(tmp, name), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
 			return nil, err
 		}
-		d := store.NewDigest()
+		d := NewDigest()
 		buf.Reset(io.MultiWriter(f, d))
 		if err := fill(buf); err != nil {
 			f.Close()
@@ -119,7 +118,7 @@ func stageCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 		total += d.Bytes()
 		return d, f.Close()
 	}
-	man := store.NewManifest(lsn)
+	man := NewManifest(lsn)
 	man.EngineVersion = snap.Version
 	doc := snap.Doc()
 	d, err := writeFile("doc.xml", doc.Serialize)
@@ -142,7 +141,7 @@ func stageCheckpoint(fsys FS, m *walMetrics, dir string, snap *core.Snapshot, so
 	// The manifest goes last: its presence implies every file it names was
 	// already written and fsynced.
 	if _, err := writeFile("MANIFEST", func(w io.Writer) error {
-		_, err := w.Write(store.EncodeManifest(man))
+		_, err := w.Write(EncodeManifest(man))
 		return err
 	}); err != nil {
 		return "", 0, err

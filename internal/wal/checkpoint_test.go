@@ -13,7 +13,6 @@ import (
 	"xivm/internal/difftest"
 	"xivm/internal/obs"
 	"xivm/internal/pattern"
-	"xivm/internal/store"
 	"xivm/internal/xmark"
 	"xivm/internal/xmltree"
 )
@@ -69,23 +68,23 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		}
 		return data
 	}
-	want := store.NewManifest(lsn)
+	want := NewManifest(lsn)
 	want.EngineVersion = eng.Version()
 	doc := []byte(eng.Doc.String())
 	if !bytes.Equal(file("doc.xml"), doc) {
 		t.Error("doc.xml is not Doc.String()")
 	}
-	want.DocHash, want.DocBytes = store.HashBytes(doc), int64(len(doc))
+	want.DocHash, want.DocBytes = HashBytes(doc), int64(len(doc))
 	ords := eng.Doc.EncodeOrds()
 	if !bytes.Equal(file("doc.ords"), ords) {
 		t.Error("doc.ords is not Doc.EncodeOrds()")
 	}
-	want.OrdsHash, want.OrdsBytes = store.HashBytes(ords), int64(len(ords))
+	want.OrdsHash, want.OrdsBytes = HashBytes(ords), int64(len(ords))
 	for _, mv := range eng.Views {
-		want.Views = append(want.Views, store.ManifestView{Name: mv.Name, Pattern: db.sources[mv.Name]})
+		want.Views = append(want.Views, ManifestView{Name: mv.Name, Pattern: db.sources[mv.Name]})
 	}
-	if !bytes.Equal(file("MANIFEST"), store.EncodeManifest(want)) {
-		t.Errorf("MANIFEST differs:\n%s\nwant\n%s", file("MANIFEST"), store.EncodeManifest(want))
+	if !bytes.Equal(file("MANIFEST"), EncodeManifest(want)) {
+		t.Errorf("MANIFEST differs:\n%s\nwant\n%s", file("MANIFEST"), EncodeManifest(want))
 	}
 	if _, err := loadImage(OSFS, dir, lsn); err != nil {
 		t.Errorf("checkpoint does not verify: %v", err)

@@ -114,6 +114,9 @@ func newDB(dir string, opts Options) *DB {
 	if opts.KeepCheckpoints <= 0 {
 		opts.KeepCheckpoints = 2
 	}
+	if opts.PinTTL <= 0 {
+		opts.PinTTL = defaultPinTTL
+	}
 	return &DB{
 		dir:     dir,
 		walDir:  filepath.Join(dir, "wal"),
@@ -130,8 +133,8 @@ func newDB(dir string, opts Options) *DB {
 const maxJournalScratch = 4 << 10
 
 // journal appends the statement's canonical form to the log, before the
-// engine touches the document or any view. It does not sync: Apply and
-// ApplyRun sync what they journaled, as the policy says, before they fold.
+// engine touches the document or any view. It does not sync: ApplyRun
+// syncs what it journaled, as the policy says, before it folds.
 func (db *DB) journal(st *update.Statement) error {
 	db.jbuf = update.AppendFormat(append(db.jbuf[:0], RecordStatement), st)
 	_, err := db.log.append(db.jbuf)
@@ -257,7 +260,7 @@ func CreateWithViews(dir, docXML string, views []ViewSource, opts Options) (_ *D
 // journalViews opens the log of a database being created and appends one
 // record per view at LSN 1..len(views), synced with one fsync.
 func (db *DB) journalViews(views []ViewSource) (err error) {
-	if db.log, err = openLog(db.walDir, db.opts, 1); err != nil {
+	if db.log, err = openLog(db.walDir, db.opts, 1, nil); err != nil {
 		return err
 	}
 	for _, v := range views {
@@ -302,8 +305,17 @@ func Open(dir string, opts Options) (_ *DB, err error) {
 	if err := db.restore(img); err != nil {
 		return nil, err
 	}
+	// The log is read once: its scan hands over the suffix to replay, and
+	// the records go when Open returns.
 	ckLSN := img.Manifest.LSN
-	db.log, err = openLog(db.walDir, db.opts, ckLSN+1)
+	var recs []Record
+	db.log, err = openLog(db.walDir, db.opts, ckLSN+1, func(lsn uint64, payload []byte) {
+		rec, err := ParseRecord(lsn, payload)
+		if err != nil {
+			rec = Record{LSN: lsn}
+		}
+		recs = append(recs, rec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +335,7 @@ func Open(dir string, opts Options) (_ *DB, err error) {
 			return nil, err
 		}
 	}
-	if err := db.replay(ckLSN); err != nil {
+	if err := db.replay(recs); err != nil {
 		return nil, err
 	}
 	if err := sweepCheckpointTmp(db.fs, dir); err != nil {
@@ -335,22 +347,10 @@ func Open(dir string, opts Options) (_ *DB, err error) {
 	return db, nil
 }
 
-// replay re-applies the log suffix after the checkpoint's LSN through
-// Replay — crash recovery is a follower of its own disk. A record
-// ParseRecord rejects becomes a kindless Record, which Replay counts as
-// skipped.
-func (db *DB) replay(ckLSN uint64) error {
-	var recs []Record
-	if err := db.log.Replay(ckLSN+1, func(lsn uint64, payload []byte) error {
-		rec, err := ParseRecord(lsn, payload)
-		if err != nil {
-			rec = Record{LSN: lsn}
-		}
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return err
-	}
+// replay re-applies the log suffix after the checkpoint through Replay —
+// crash recovery is a follower of its own disk. A record ParseRecord
+// rejected is a kindless Record, which Replay counts as skipped.
+func (db *DB) replay(recs []Record) error {
 	res, err := Replay(db.eng, recs)
 	if err != nil {
 		return err
@@ -479,23 +479,11 @@ func (db *DB) AddView(name, patternSrc string) (*core.ManagedView, error) {
 	return mv, nil
 }
 
-// Apply journals one update statement and then applies it, so a statement
-// the log holds is one the engine applied; a statement the engine rejects
-// fails the same way on replay. It then auto-checkpoints if the configured
-// record budget is used up.
+// Apply journals one update statement and then applies it: ApplyRun of
+// that statement alone.
 func (db *DB) Apply(st *update.Statement) (*core.Report, error) {
-	if err := db.journal(st); err != nil {
-		return nil, err
-	}
-	if err := db.log.policySync(); err != nil {
-		return nil, err
-	}
-	rep, err := db.eng.ApplyStatement(st)
-	if err != nil {
-		return rep, err
-	}
-	db.autoCheckpoint()
-	return rep, nil
+	r := db.ApplyRun([]*update.Statement{st}, nil).Results[0]
+	return r.Report, r.Err
 }
 
 // ApplyRun journals a run of statements in order and syncs them together,

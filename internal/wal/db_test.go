@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xivm/internal/algebra"
@@ -415,5 +417,89 @@ func TestJournalAllocatesNoStrings(t *testing.T) {
 		if got := testing.AllocsPerRun(50, func() { db.journal(st) }); got > tc.allocs {
 			t.Errorf("journaling %q allocates %.0f times, want at most %.0f", tc.src, got, tc.allocs)
 		}
+	}
+}
+
+// readCountFS counts the reads of each log segment.
+type readCountFS struct {
+	FS
+	reads map[string]int
+}
+
+func (c *readCountFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, segExt) {
+		c.reads[filepath.Base(name)]++
+	}
+	return c.FS.ReadFile(name)
+}
+
+// TestOpenReadsTheLogOnce: Open reads each segment of a clean log once, and
+// of a torn log it reads no segment twice and none it drops; the torn bytes
+// it counts are the torn segment's tail plus every later segment.
+func TestOpenReadsTheLogOnce(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(dir, []byte(xmark.GenerateSmall(1, 0)), Options{Metrics: obs.New(), SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, db, testStatements)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "*"+segExt))
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(segs))
+	}
+	open := func() (*readCountFS, *obs.Metrics) {
+		t.Helper()
+		fsys, reg := &readCountFS{FS: OSFS, reads: map[string]int{}}, obs.New()
+		re, err := Open(dir, Options{Metrics: reg, FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+		return fsys, reg
+	}
+	fsys, _ := open()
+	for _, s := range segs {
+		if n := fsys.reads[filepath.Base(s)]; n != 1 {
+			t.Errorf("clean log: %s read %d times, want 1", filepath.Base(s), n)
+		}
+	}
+
+	// Flip the last byte of the second segment: its last frame fails its
+	// checksum, and the segments after it go unread.
+	data, err := os.ReadFile(segs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0
+	for pos := 0; pos < len(data); pos += frameHeader + int(binary.LittleEndian.Uint32(data[pos:])) {
+		last = pos
+	}
+	want := int64(len(data) - last)
+	for _, s := range segs[2:] {
+		fi, err := os.Stat(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fi.Size()
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(segs[1], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys, reg := open()
+	for i, s := range segs {
+		n, wantReads := fsys.reads[filepath.Base(s)], 1
+		if i > 1 {
+			wantReads = 0
+		}
+		if n != wantReads {
+			t.Errorf("torn log: %s read %d times, want %d", filepath.Base(s), n, wantReads)
+		}
+	}
+	if got := reg.Counter("wal.recover.truncated").Value(); got != want {
+		t.Errorf("wal.recover.truncated = %d, want %d", got, want)
 	}
 }

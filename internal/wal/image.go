@@ -6,7 +6,6 @@ import (
 
 	"xivm/internal/core"
 	"xivm/internal/pattern"
-	"xivm/internal/store"
 	"xivm/internal/xmltree"
 )
 
@@ -19,7 +18,7 @@ import (
 // one from a /repl/snapshot body.
 type Image struct {
 	RawManifest []byte
-	Manifest    *store.Manifest
+	Manifest    *Manifest
 	DocXML      []byte
 	Ords        []byte
 }
@@ -28,14 +27,14 @@ type Image struct {
 // came from a disk or a socket: manifest decode, then document and
 // ordinal-stream size and hash.
 func NewImage(rawManifest, docXML, ords []byte) (*Image, error) {
-	man, err := store.DecodeManifest(rawManifest)
+	man, err := DecodeManifest(rawManifest)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(docXML)) != man.DocBytes || store.HashBytes(docXML) != man.DocHash {
+	if int64(len(docXML)) != man.DocBytes || HashBytes(docXML) != man.DocHash {
 		return nil, fmt.Errorf("wal: image at lsn %d: document fails its hash", man.LSN)
 	}
-	if int64(len(ords)) != man.OrdsBytes || store.HashBytes(ords) != man.OrdsHash {
+	if int64(len(ords)) != man.OrdsBytes || HashBytes(ords) != man.OrdsHash {
 		return nil, fmt.Errorf("wal: image at lsn %d: ordinal stream fails its hash", man.LSN)
 	}
 	return &Image{RawManifest: rawManifest, Manifest: man, DocXML: docXML, Ords: ords}, nil

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -119,8 +120,8 @@ type Log struct {
 	m    *walMetrics
 	opts Options
 
-	segments []segment // sorted by firstLSN; last is the active one
-	cur      File      // open handle on the active segment, nil if none
+	segments []uint64 // each segment's first LSN, ascending; last is the active one
+	cur      File     // open handle on the active segment, nil if none
 	curSize  int64
 	nextLSN  uint64
 	dirty    bool // unsynced appends on cur
@@ -137,25 +138,22 @@ type Log struct {
 	syncErr   error // sticky fsync error: no later fsync is trusted
 }
 
-type segment struct {
-	firstLSN uint64
-	size     int64
-}
-
-func (l *Log) segPath(s segment) string { return filepath.Join(l.dir, segName(s.firstLSN)) }
+func (l *Log) segPath(first uint64) string { return filepath.Join(l.dir, segName(first)) }
 
 // openLog opens (creating if needed) the log directory, validates every
 // segment, truncates any torn tail, and positions the sequence after the
 // last durable record. The torn-tail rule: within the segment chain, the
-// log ends at the first frame that fails its length, checksum or LSN
-// continuity check; that frame and everything after it (including later
-// segments) is truncated and counted in wal.recover.truncated.
+// log ends at the first frame walkFrames does not accept; that frame and
+// everything after it (including later segments) is truncated and counted
+// in wal.recover.truncated. Each segment is read once: each, if not nil, is
+// handed every surviving record with LSN >= start as the scan accepts it,
+// its payload valid only for the call.
 //
 // Of opts it reads Sync (default SyncAlways), SyncInterval (default 50ms),
 // SegmentBytes (default 4 MiB), Metrics and FS. start seeds the sequence
 // when the directory holds no segments: the checkpoint LSN + 1 on reopen,
 // 1 on a fresh directory.
-func openLog(dir string, opts Options, start uint64) (*Log, error) {
+func openLog(dir string, opts Options, start uint64, each func(lsn uint64, payload []byte)) (*Log, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS
 	}
@@ -169,74 +167,59 @@ func openLog(dir string, opts Options, start uint64) (*Log, error) {
 	if err := l.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := l.fs.ReadDir(dir)
+	files, err := listSegments(l.fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []segment
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		first, ok := parseSegName(e.Name())
-		if !ok {
-			continue // foreign file; leave it alone
-		}
-		segs = append(segs, segment{firstLSN: first})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstLSN < segs[j].firstLSN })
-
 	// The chain starts wherever the oldest surviving segment says it does —
 	// checkpoints truncate old segments, so the first segment's LSN is
 	// normally behind the newest checkpoint, not at start. start only
 	// seeds an empty directory.
 	l.nextLSN = start
-	if len(segs) > 0 {
-		l.nextLSN = segs[0].firstLSN
+	if len(files) > 0 {
+		l.nextLSN = files[0].first
 	}
-	for i := range segs {
-		data, err := l.fs.ReadFile(filepath.Join(dir, segName(segs[i].firstLSN)))
-		if err != nil {
-			return nil, err
-		}
-		if segs[i].firstLSN != l.nextLSN {
+	for i, f := range files {
+		if f.first != l.nextLSN {
 			// A segment that does not continue the sequence starts the torn
 			// region: cut it and everything after it. (A crash between
 			// rotation and the first append of the new segment leaves an
 			// empty segment named exactly nextLSN, which passes this check
 			// and scans as zero frames.)
-			return l.cutFrom(segs, i, 0)
+			return l.cutFrom(files, i, 0, fileSize(f))
 		}
-		valid, count := scanFrames(data, segs[i].firstLSN)
-		if valid < int64(len(data)) {
+		data, err := l.fs.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			return nil, err
+		}
+		valid, fault := walkFrames(data, f.first, func(lsn uint64, _, payload []byte) error {
+			l.nextLSN = lsn + 1
+			if each != nil && lsn >= start {
+				each(lsn, payload)
+			}
+			return nil
+		})
+		if fault != nil {
 			// Torn tail inside this segment: truncate here, drop the rest.
-			l.nextLSN = segs[i].firstLSN + count
-			return l.cutFrom(segs, i, valid)
+			return l.cutFrom(files, i, int64(valid), int64(len(data)))
 		}
-		if len(data) == 0 && i < len(segs)-1 {
+		if len(data) == 0 && i < len(files)-1 {
 			// An empty segment followed by more segments cannot happen in a
 			// clean chain (rotation creates at most one trailing empty
 			// segment); treat the suffix as torn.
-			return l.cutFrom(segs, i+1, 0)
+			return l.cutFrom(files, i+1, 0, fileSize(files[i+1]))
 		}
-		segs[i].size = valid
-		l.nextLSN = segs[i].firstLSN + count
-		l.segments = append(l.segments, segs[i])
+		l.segments = append(l.segments, f.first)
 	}
 	l.last.Store(l.nextLSN - 1)
 	return l, nil
 }
 
-// cutFrom finalizes Open after finding the torn region: segment i is
-// truncated to keep bytes, segments after i are removed entirely, and the
-// log opens positioned at the cut.
-func (l *Log) cutFrom(segs []segment, i int, keep int64) (*Log, error) {
-	path := filepath.Join(l.dir, segName(segs[i].firstLSN))
-	data, err := l.fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cut := int64(len(data)) - keep
+// cutFrom finalizes Open after finding the torn region: segment i, of size
+// bytes, is truncated to keep bytes, segments after i are removed entirely,
+// and the log opens positioned at the cut.
+func (l *Log) cutFrom(files []segFile, i int, keep, size int64) (*Log, error) {
+	path := filepath.Join(l.dir, files[i].Name())
 	if keep == 0 {
 		if err := l.fs.Remove(path); err != nil {
 			return nil, err
@@ -245,16 +228,12 @@ func (l *Log) cutFrom(segs []segment, i int, keep int64) (*Log, error) {
 		if err := l.fs.Truncate(path, keep); err != nil {
 			return nil, err
 		}
-		segs[i].size = keep
-		l.segments = append(l.segments, segs[i])
+		l.segments = append(l.segments, files[i].first)
 	}
-	for _, s := range segs[i+1:] {
-		p := filepath.Join(l.dir, segName(s.firstLSN))
-		extra, err := l.fs.ReadFile(p)
-		if err == nil {
-			cut += int64(len(extra))
-		}
-		if err := l.fs.Remove(p); err != nil {
+	cut := size - keep
+	for _, f := range files[i+1:] {
+		cut += fileSize(f)
+		if err := l.fs.Remove(filepath.Join(l.dir, f.Name())); err != nil {
 			return nil, err
 		}
 		l.m.segRemoved.Inc()
@@ -268,32 +247,75 @@ func (l *Log) cutFrom(segs []segment, i int, keep int64) (*Log, error) {
 	return l, nil
 }
 
-// scanFrames walks data as a frame sequence starting at LSN first,
-// returning the number of leading valid bytes and the count of valid
-// frames. Anything beyond the returned length is a torn tail.
-func scanFrames(data []byte, first uint64) (valid int64, count uint64) {
-	pos := int64(0)
-	lsn := first
-	for {
+// segFile is a segment file as listed: the LSN of its first record and its
+// directory entry.
+type segFile struct {
+	first uint64
+	fs.DirEntry
+}
+
+// listSegments lists the segment files in dir in LSN order, leaving every
+// other file alone.
+func listSegments(fsys FS, dir string) ([]segFile, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []segFile
+	for _, e := range entries {
+		if first, ok := parseSegName(e.Name()); ok && !e.IsDir() {
+			files = append(files, segFile{first, e})
+		}
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].first < files[j].first })
+	return files, nil
+}
+
+// fileSize is the size of a listed file as its directory entry reports it,
+// 0 if it is gone: what a segment cut without being read adds to the torn
+// bytes.
+func fileSize(f segFile) int64 {
+	info, err := f.Info()
+	if err != nil {
+		return 0
+	}
+	return info.Size()
+}
+
+// walkFrames is the one reader of the frame layout. It walks data as a
+// frame sequence whose first frame must carry LSN first, accepting a frame
+// whose length is within the bound and the data, whose CRC-32C verifies and
+// whose LSN continues the sequence, and hands each one it accepts to f: its
+// LSN, the whole frame and its payload. It returns the length of the
+// accepted prefix and why the walk ended there: nil once every byte is
+// accepted, the fault of the first frame it refused, or the error f
+// returned, which refuses that frame. Recovery cuts the log at the prefix,
+// the leader ships frames from it, and a follower refuses any fault.
+func walkFrames(data []byte, first uint64, f func(lsn uint64, frame, payload []byte) error) (int, error) {
+	pos, lsn := 0, first
+	for pos < len(data) {
 		rest := data[pos:]
 		if len(rest) < frameHeader {
-			return pos, count
+			return pos, fmt.Errorf("wal: frame %d ends mid-header", lsn)
 		}
-		length := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if length > maxPayload || frameHeader+length > int64(len(rest)) {
-			return pos, count
+		length := int(binary.LittleEndian.Uint32(rest[0:4]))
+		if length > maxPayload || frameHeader+length > len(rest) {
+			return pos, fmt.Errorf("wal: frame %d declares %d payload bytes beyond the data", lsn, length)
 		}
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if crc32.Checksum(rest[8:frameHeader+length], castagnoli) != sum {
-			return pos, count
+		frame := rest[:frameHeader+length]
+		if crc32.Checksum(frame[8:], castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
+			return pos, fmt.Errorf("wal: frame %d fails its checksum", lsn)
 		}
-		if binary.LittleEndian.Uint64(rest[8:16]) != lsn {
-			return pos, count
+		if got := binary.LittleEndian.Uint64(frame[8:16]); got != lsn {
+			return pos, fmt.Errorf("wal: frame carries lsn %d, want %d", got, lsn)
 		}
-		pos += frameHeader + length
+		if err := f(lsn, frame, frame[frameHeader:]); err != nil {
+			return pos, err
+		}
+		pos += len(frame)
 		lsn++
-		count++
 	}
+	return pos, nil
 }
 
 // Truncated returns the torn-tail bytes cut when the log was opened.
@@ -345,7 +367,6 @@ func (l *Log) append(payload []byte) (uint64, error) {
 		return 0, l.failed
 	}
 	l.curSize += int64(len(l.buf))
-	l.segments[len(l.segments)-1].size = l.curSize
 	l.nextLSN++
 	l.last.Store(l.nextLSN - 1)
 	l.dirty = true
@@ -367,8 +388,7 @@ func (l *Log) rotate() error {
 		}
 		l.cur = nil
 	}
-	seg := segment{firstLSN: l.nextLSN}
-	f, err := l.fs.OpenFile(l.segPath(seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := l.fs.OpenFile(l.segPath(l.nextLSN), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		l.failed = err
 		return err
@@ -379,7 +399,7 @@ func (l *Log) rotate() error {
 	}
 	l.cur = f
 	l.curSize = 0
-	l.segments = append(l.segments, seg)
+	l.segments = append(l.segments, l.nextLSN)
 	l.m.segCreated.Inc()
 	return nil
 }
@@ -436,30 +456,6 @@ func (l *Log) syncWritten() error {
 	return nil
 }
 
-// Replay calls fn for every record with LSN >= from, in order. The open
-// scan already cut any torn tail, so every frame read here is intact.
-func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
-	for _, seg := range l.segments {
-		data, err := l.fs.ReadFile(l.segPath(seg))
-		if err != nil {
-			return err
-		}
-		pos := int64(0)
-		for pos < seg.size {
-			rest := data[pos:]
-			length := int64(binary.LittleEndian.Uint32(rest[0:4]))
-			lsn := binary.LittleEndian.Uint64(rest[8:16])
-			if lsn >= from {
-				if err := fn(lsn, rest[frameHeader:frameHeader+length]); err != nil {
-					return err
-				}
-			}
-			pos += frameHeader + length
-		}
-	}
-	return nil
-}
-
 // RotateAndTruncate makes lsn the truncation horizon: the active segment is
 // rotated so the next append starts a fresh segment, and every segment
 // whose records all have LSN <= lsn is removed. Called after a checkpoint
@@ -485,9 +481,9 @@ func (l *Log) RotateAndTruncate(lsn uint64) error {
 	for i, seg := range l.segments {
 		lastInSeg := l.nextLSN - 1
 		if i+1 < len(l.segments) {
-			lastInSeg = l.segments[i+1].firstLSN - 1
+			lastInSeg = l.segments[i+1] - 1
 		}
-		if lastInSeg <= lsn && seg.size >= 0 {
+		if lastInSeg <= lsn {
 			if err := l.fs.Remove(l.segPath(seg)); err != nil {
 				return err
 			}

@@ -10,21 +10,27 @@ import (
 	"xivm/internal/obs"
 )
 
+// collectRecords reads l's records with LSN >= from as a reopen does: by
+// the scan of a second Log over l's directory, which l has left clean.
 func collectRecords(t *testing.T, l *Log, from uint64) map[uint64]string {
 	t.Helper()
 	got := map[uint64]string{}
-	if err := l.Replay(from, func(lsn uint64, payload []byte) error {
+	r, err := openLog(l.dir, Options{Metrics: obs.New()}, from, func(lsn uint64, payload []byte) {
 		got[lsn] = string(payload)
-		return nil
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
+	})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
+	if r.Truncated() != 0 {
+		t.Fatalf("reopen cut %d bytes", r.Truncated())
+	}
+	r.Close()
 	return got
 }
 
 func TestLogAppendReopenReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +50,7 @@ func TestLogAppendReopenReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestLogAppendReopenReplay(t *testing.T) {
 func TestLogRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
-	l, err := openLog(dir, Options{SegmentBytes: 64, Metrics: reg}, 1)
+	l, err := openLog(dir, Options{SegmentBytes: 64, Metrics: reg}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestLogRotationAndTruncate(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1)
+	l2, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,7 @@ func lastSegment(t *testing.T, dir string) string {
 
 func buildLog(t *testing.T, dir string, n int) {
 	t.Helper()
-	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestLogTornTrailingGarbage(t *testing.T) {
 	f.Close()
 
 	reg := obs.New()
-	l, err := openLog(dir, Options{Metrics: reg}, 1)
+	l, err := openLog(dir, Options{Metrics: reg}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +195,7 @@ func TestLogTornPartialFrame(t *testing.T) {
 	if err := os.WriteFile(seg, data[:len(data)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +228,7 @@ func TestLogTornMiddleDropsSuffix(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestLogTornMiddleDropsSuffix(t *testing.T) {
 
 func TestLogTornSegmentDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +267,7 @@ func TestLogTornSegmentDropsLaterSegments(t *testing.T) {
 	data[frameHeader] ^= 0xFF
 	os.WriteFile(second, data, 0o644)
 
-	l2, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1)
+	l2, err := openLog(dir, Options{SegmentBytes: 64, Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +293,7 @@ func TestLogGapSegmentDropped(t *testing.T) {
 	if err := os.WriteFile(bogus, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +309,7 @@ func TestLogGapSegmentDropped(t *testing.T) {
 func TestLogReset(t *testing.T) {
 	dir := t.TempDir()
 	buildLog(t, dir, 4)
-	l, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +325,7 @@ func TestLogReset(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +340,7 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		dir := t.TempDir()
 		reg := obs.New()
-		l, err := openLog(dir, Options{Sync: policy, Metrics: reg}, 1)
+		l, err := openLog(dir, Options{Sync: policy, Metrics: reg}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +378,7 @@ func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFailFS(OSFS)
 	reg := obs.New()
-	l, err := openLog(dir, Options{Sync: SyncNever, FS: ffs, Metrics: reg}, 1)
+	l, err := openLog(dir, Options{Sync: SyncNever, FS: ffs, Metrics: reg}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +403,7 @@ func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
 	if err := l.Close(); !errors.Is(err, ErrIO) {
 		t.Fatalf("Close: err = %v, want the write error", err)
 	}
-	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1)
+	l2, err := openLog(dir, Options{Metrics: obs.New()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +415,7 @@ func TestFailedWriteLeavesItsPrefixSyncable(t *testing.T) {
 	// A failed fsync is sticky: no later Sync tries again.
 	ffs = NewFailFS(OSFS)
 	reg = obs.New()
-	l3, err := openLog(t.TempDir(), Options{Sync: SyncNever, FS: ffs, Metrics: reg}, 1)
+	l3, err := openLog(t.TempDir(), Options{Sync: SyncNever, FS: ffs, Metrics: reg}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package store
+package wal
 
 import (
 	"crypto/sha256"
@@ -83,7 +83,7 @@ func EncodeManifest(m *Manifest) []byte {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		// Manifest contains only plain data types; marshaling cannot fail.
-		panic("store: manifest marshal: " + err.Error())
+		panic("wal: manifest marshal: " + err.Error())
 	}
 	return append(data, '\n')
 }
@@ -93,30 +93,30 @@ func EncodeManifest(m *Manifest) []byte {
 func DecodeManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("store: bad manifest: %w", err)
+		return nil, fmt.Errorf("wal: bad manifest: %w", err)
 	}
 	if m.Format != manifestFormat {
-		return nil, fmt.Errorf("store: unsupported manifest format %d", m.Format)
+		return nil, fmt.Errorf("wal: unsupported manifest format %d", m.Format)
 	}
 	if !validHash(m.DocHash) {
-		return nil, errors.New("store: manifest has malformed document hash")
+		return nil, errors.New("wal: manifest has malformed document hash")
 	}
 	if m.DocBytes < 0 {
-		return nil, errors.New("store: manifest has negative document size")
+		return nil, errors.New("wal: manifest has negative document size")
 	}
 	if !validHash(m.OrdsHash) {
-		return nil, errors.New("store: manifest has malformed ordinal-stream hash")
+		return nil, errors.New("wal: manifest has malformed ordinal-stream hash")
 	}
 	if m.OrdsBytes < 0 {
-		return nil, errors.New("store: manifest has negative ordinal-stream size")
+		return nil, errors.New("wal: manifest has negative ordinal-stream size")
 	}
 	seen := make(map[string]bool, len(m.Views))
 	for _, v := range m.Views {
 		if v.Name == "" {
-			return nil, errors.New("store: manifest view without a name")
+			return nil, errors.New("wal: manifest view without a name")
 		}
 		if seen[v.Name] {
-			return nil, fmt.Errorf("store: duplicate manifest view %q", v.Name)
+			return nil, fmt.Errorf("wal: duplicate manifest view %q", v.Name)
 		}
 		seen[v.Name] = true
 	}

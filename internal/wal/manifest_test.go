@@ -1,4 +1,4 @@
-package store
+package wal
 
 import (
 	"strings"
@@ -75,8 +75,8 @@ func TestDecodeManifestRejectsCorruption(t *testing.T) {
 	for name, build := range cases {
 		if _, err := DecodeManifest(build()); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
-		} else if !strings.HasPrefix(err.Error(), "store:") {
-			t.Errorf("%s: error %q lacks store: prefix", name, err)
+		} else if !strings.HasPrefix(err.Error(), "wal:") {
+			t.Errorf("%s: error %q lacks wal: prefix", name, err)
 		}
 	}
 }

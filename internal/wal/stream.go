@@ -1,21 +1,19 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
-	"sort"
 	"time"
 )
 
 // This file is the log-shipping surface of the WAL: a leader reads raw
 // frames out of its own segment files to ship to followers, and a follower
 // re-verifies and decodes them before replay. Frames travel exactly as they
-// sit on disk — same layout, same CRC — so the follower's DecodeFrames pass
-// is the identical torn/corrupt check recovery runs, applied to the network
-// instead of the disk.
+// sit on disk — same layout, same CRC — and both ends read them with
+// walkFrames, the walker recovery scans its own segments with: the
+// follower's check is recovery's, applied to the network instead of the
+// disk, with any fault an error where recovery cuts a torn tail.
 
 // ErrLSNTruncated reports that the log no longer holds the requested
 // record: checkpointing truncated the segments that carried it. The caller
@@ -54,39 +52,24 @@ func ParseRecord(lsn uint64, payload []byte) (Record, error) {
 
 // DecodeFrames validates and decodes a concatenation of wire frames whose
 // first record must carry LSN from. Unlike the recovery scan — which cuts a
-// torn tail and keeps the prefix — any violation here (short frame, bad
-// length, bad CRC, LSN discontinuity, unknown tag) is an error: a follower
-// received these bytes over a network, and a damaged stream must be
-// rejected and re-fetched, never partially applied.
+// torn tail and keeps the prefix — any fault walkFrames finds, or a payload
+// ParseRecord refuses, is an error: a follower received these bytes over a
+// network, and a damaged stream must be rejected and re-fetched, never
+// partially applied.
 func DecodeFrames(data []byte, from uint64) ([]Record, error) {
 	var recs []Record
-	pos := 0
-	lsn := from
-	for pos < len(data) {
-		rest := data[pos:]
-		if len(rest) < frameHeader {
-			return nil, fmt.Errorf("wal: stream ends mid-header at record %d", lsn)
-		}
-		length := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if length > maxPayload || frameHeader+length > len(rest) {
-			return nil, fmt.Errorf("wal: stream frame %d declares %d payload bytes beyond the data", lsn, length)
-		}
-		if crc32.Checksum(rest[8:frameHeader+length], castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return nil, fmt.Errorf("wal: stream frame %d fails its checksum", lsn)
-		}
-		if got := binary.LittleEndian.Uint64(rest[8:16]); got != lsn {
-			return nil, fmt.Errorf("wal: stream frame carries lsn %d, want %d", got, lsn)
-		}
-		rec, err := ParseRecord(lsn, rest[frameHeader:frameHeader+length])
-		if err != nil {
-			return nil, err
-		}
+	if _, err := walkFrames(data, from, func(lsn uint64, _, payload []byte) error {
+		rec, err := ParseRecord(lsn, payload)
 		recs = append(recs, rec)
-		pos += frameHeader + length
-		lsn++
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
+
+// errBudget ends ReadSegmentFrames' walk at the first frame past its budget.
+var errBudget = errors.New("wal: read budget reached")
 
 // ReadSegmentFrames reads raw wire-ready frames with LSN >= from straight
 // from the segment files in walDir, up to roughly maxBytes (at least one
@@ -105,27 +88,17 @@ func ReadSegmentFrames(fsys FS, walDir string, from uint64, maxBytes int) ([]byt
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
-	entries, err := fsys.ReadDir(walDir)
+	files, err := listSegments(fsys, walDir)
 	if err != nil {
 		return nil, 0, err
 	}
-	var firsts []uint64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if first, ok := parseSegName(e.Name()); ok {
-			firsts = append(firsts, first)
-		}
-	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-	if len(firsts) == 0 || from < firsts[0] {
+	if len(files) == 0 || from < files[0].first {
 		return nil, 0, ErrLSNTruncated
 	}
 	var out []byte
 	next := from
-	for _, first := range firsts {
-		if first > next {
+	for _, f := range files {
+		if f.first > next {
 			// Hole in the chain before the record we need: the covering
 			// segment was removed between the listing and now.
 			if len(out) > 0 {
@@ -133,7 +106,7 @@ func ReadSegmentFrames(fsys FS, walDir string, from uint64, maxBytes int) ([]byt
 			}
 			return nil, 0, ErrLSNTruncated
 		}
-		data, err := fsys.ReadFile(filepath.Join(walDir, segName(first)))
+		data, err := fsys.ReadFile(filepath.Join(walDir, f.Name()))
 		if err != nil {
 			// Pruned between the listing and the read.
 			if len(out) > 0 {
@@ -141,56 +114,40 @@ func ReadSegmentFrames(fsys FS, walDir string, from uint64, maxBytes int) ([]byt
 			}
 			return nil, 0, ErrLSNTruncated
 		}
-		valid, count := scanFrames(data, first)
-		if count == 0 || first+count-1 < next {
-			continue // empty trailing segment, or every record already shipped
-		}
 		// Skip frames below next, then copy whole frames until the budget.
-		pos := int64(0)
-		lsn := first
-		for pos < valid {
-			length := int64(binary.LittleEndian.Uint32(data[pos : pos+4]))
-			end := pos + frameHeader + length
-			if lsn >= next {
-				if len(out) > 0 && len(out)+int(end-pos) > maxBytes {
-					return out, next, nil
-				}
-				out = append(out, data[pos:end]...)
-				next = lsn + 1
+		_, err = walkFrames(data, f.first, func(lsn uint64, frame, _ []byte) error {
+			if lsn < next {
+				return nil
 			}
-			pos = end
-			lsn++
-		}
-		if len(out) >= maxBytes {
+			if len(out) > 0 && len(out)+len(frame) > maxBytes {
+				return errBudget
+			}
+			out = append(out, frame...)
+			next = lsn + 1
+			return nil
+		})
+		if err == errBudget || len(out) >= maxBytes {
 			return out, next, nil
 		}
 	}
 	return out, next, nil
 }
 
-// pinTTL is how long a follower pin protects the log suffix without being
-// refreshed when Options.PinTTL is unset. A follower that stalls longer
-// loses its pin and falls back to snapshot-first catch-up. Variable so tests
-// can shrink it.
-var pinTTL = 30 * time.Second
+// defaultPinTTL is how long a follower pin protects the log suffix without
+// being refreshed when Options.PinTTL is unset. A follower that stalls
+// longer loses its pin and falls back to snapshot-first catch-up.
+const defaultPinTTL = 30 * time.Second
 
 type followerPin struct {
 	lsn     uint64
 	expires time.Time
 }
 
-func (db *DB) pinTTLDur() time.Duration {
-	if db.opts.PinTTL > 0 {
-		return db.opts.PinTTL
-	}
-	return pinTTL
-}
-
 // ReplPin records (or refreshes) follower id's claim on records >= lsn.
 // Safe to call from HTTP goroutines concurrently with the writer.
 func (db *DB) ReplPin(id string, lsn uint64) {
 	db.pinMu.Lock()
-	db.pins[id] = followerPin{lsn: lsn, expires: time.Now().Add(db.pinTTLDur())}
+	db.pins[id] = followerPin{lsn: lsn, expires: time.Now().Add(db.opts.PinTTL)}
 	db.pinMu.Unlock()
 }
 

@@ -178,9 +178,7 @@ func TestReplPinBlocksTruncation(t *testing.T) {
 	// Once the pin expires the next checkpoint may truncate; the stream then
 	// reports the typed snapshot-required error instead of a raw miss. The
 	// expiry is stamped at read time, so refresh the pin under a tiny TTL.
-	old := pinTTL
-	pinTTL = time.Nanosecond
-	defer func() { pinTTL = old }()
+	db.opts.PinTTL = time.Nanosecond
 	if _, _, err := db.ReplFrames("lagger", 1, 64); err != nil {
 		t.Fatalf("refreshing pin: %v", err)
 	}
