@@ -29,7 +29,6 @@ var productionExceptions = map[string]string{
 	"xivm/internal/difftest":        "the test-support package: harnesses, workloads and shrinkers that tests of several packages share",
 	"xivm/internal/difftest/oracle": "the interpreted XPath evaluator and the random generators; a package apart because the in-package tests of qvm, update and xmark import it, and internal/difftest imports those packages",
 
-	"xivm/internal/dewey.ChunksOf":               "tests of rewrite and server build a view's rows from a slice; the chunk tree's nodes are dewey's own",
 	"xivm/internal/dewey.NewRoot":                "tests of algebra, dewey, server, store and xmltree make IDs without a document; a document's IDs come from xmltree",
 	"xivm/internal/obs.CollectTracer":            "tests of core read the spans an engine opened; the Tracer interface is obs's, and core's in-package tests cannot import difftest",
 	"xivm/internal/obs.TracerFunc":               "tests of core, repl, server and wal arm a fault or a count at a named span",

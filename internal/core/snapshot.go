@@ -51,11 +51,12 @@ type ViewSnapshot struct {
 	Rows store.Rows
 }
 
-// Each, Len and RowShape read the view's epoch as a rewrite.RowSource that
-// knows its rows' layout.
+// Each, Len, RowShape and RowChunks read the view's epoch as a
+// rewrite.RowSource that knows its rows' layout and lends them as they lie.
 func (vs *ViewSnapshot) Each(f func(algebra.Row) bool) { vs.Rows.Each(f) }
 func (vs *ViewSnapshot) Len() int                      { return vs.Rows.Len() }
 func (vs *ViewSnapshot) RowShape() *algebra.Shape      { return vs.Shape }
+func (vs *ViewSnapshot) RowChunks() store.Rows         { return vs.Rows }
 
 // Snapshot captures the engine's current state. It must be called from the
 // thread that owns the engine (the single writer), between mutations —

@@ -22,13 +22,15 @@
 //     publishes one epoch per read. A statement the engine rejects is
 //     skipped, as it was rejected where it was journaled; one whose fold
 //     panics (wal.ReplayPanicError) stops the tailer and its replica
-//     (server.Shard.Stop), which keeps serving its last epoch.
+//     (server.Shard.Stop), which keeps serving its last epoch. So does an
+//     image that verified but cannot be restored (RestoreError): the same
+//     bytes fail the same way on every retry.
 //
-//   - Transport errors reconnect with jittered exponential backoff and
-//     resume from the last-applied LSN. A 410 snapshot_required answer
-//     (the leader truncated past our position) re-runs snapshot-first
-//     catch-up on a fresh engine and re-attaches the shard; the stale epoch
-//     keeps serving reads meanwhile.
+//   - Transport errors and images that fail their verification reconnect
+//     with jittered exponential backoff and resume from the last-applied
+//     LSN. A 410 snapshot_required answer (the leader truncated past our
+//     position) re-runs snapshot-first catch-up on a fresh engine and
+//     re-attaches the shard; the stale epoch keeps serving reads meanwhile.
 //
 // A Fleet runs one Follower per leader tenant, discovering creates and
 // drops by polling the leader's admin plane.
@@ -163,17 +165,38 @@ func NewFollower(c *client.Client, reg *server.Registry, tenant string, opts Opt
 	}
 }
 
+// RestoreError is what Run returns when the leader's checkpoint image
+// verified but could not be restored into an engine. The image is a
+// function of the leader's log, so every retry fails the same way: the
+// tailer stops, and the follower lists its tenant stopped.
+type RestoreError struct {
+	Tenant string
+	LSN    uint64 // the image's
+	Err    error
+}
+
+func (e *RestoreError) Error() string {
+	return fmt.Sprintf("repl: restoring the snapshot of %s at LSN %d: %v", e.Tenant, e.LSN, e.Err)
+}
+
+func (e *RestoreError) Unwrap() error { return e.Err }
+
 // Run tails the leader until ctx is cancelled: snapshot-first catch-up,
 // then the poll loop, re-syncing or backing off as classified errors
-// dictate. It returns ctx.Err(), or the *wal.ReplayPanicError that stopped
-// the replica.
+// dictate. It returns ctx.Err(), or the *wal.ReplayPanicError or
+// *RestoreError that stopped the replica.
 func (f *Follower) Run(ctx context.Context) error {
 	backoff := minBackoff
 	for ctx.Err() == nil {
 		if f.eng == nil {
 			if err := f.resync(ctx); err != nil {
-				if ctx.Err() != nil {
-					break
+				var restore *RestoreError
+				switch {
+				case ctx.Err() != nil:
+					return ctx.Err()
+				case errors.As(err, &restore):
+					f.reg.StopReplica(f.name, err)
+					return err
 				}
 				f.m.reconnects.Inc()
 				f.sleepBackoff(ctx, &backoff)
@@ -217,7 +240,7 @@ func (f *Follower) resync(ctx context.Context) error {
 	}
 	eng, err := img.Restore(f.reg.EngineOptions()...)
 	if err != nil {
-		return fmt.Errorf("repl: restoring snapshot for %s: %w", f.name, err)
+		return &RestoreError{Tenant: f.name, LSN: img.Manifest.LSN, Err: err}
 	}
 	f.eng = eng
 	f.applied = img.Manifest.LSN

@@ -390,6 +390,83 @@ func TestFollowerResyncsAfterTruncation(t *testing.T) {
 	compareReads(t, lts.URL, fts.URL, defaultTenant)
 }
 
+// TestFollowerStopsOnARestoreFailure: a proxy in front of the leader adds
+// to each shipped image's manifest a view that stores nothing, which
+// Restore refuses though the image's bytes verify; the first two images
+// also fail their verification, as a torn transfer would. The tailer backs
+// off from those, stops at the first image it cannot restore with a
+// *RestoreError instead of retrying it forever, and the follower lists the
+// tenant stopped and answers its reads tenant_stopped.
+func TestFollowerStopsOnARestoreFailure(t *testing.T) {
+	lreg, _ := newLeader(t, wal.Options{})
+	leader := lreg.Handler()
+	var shipped atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if !strings.HasSuffix(req.URL.Path, "/repl/snapshot") {
+			leader.ServeHTTP(w, req)
+			return
+		}
+		rec := httptest.NewRecorder()
+		leader.ServeHTTP(rec, req)
+		var resp server.ReplSnapshotResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Errorf("leader snapshot: %v (%s)", err, rec.Body.Bytes())
+			return
+		}
+		man, err := wal.DecodeManifest(resp.Manifest)
+		if err != nil {
+			t.Errorf("leader manifest: %v", err)
+			return
+		}
+		man.Views = append(man.Views, wal.ManifestView{Name: "broken", Pattern: "//person//name"})
+		resp.Manifest = wal.EncodeManifest(man)
+		if shipped.Add(1) <= 2 {
+			resp.Doc = append(resp.Doc, ' ')
+		}
+		if err := json.NewEncoder(w).Encode(resp); err != nil {
+			t.Errorf("proxy: %v", err)
+		}
+	}))
+	t.Cleanup(proxy.Close)
+
+	folReg, fts := newFollowerReg(t, proxy.URL)
+	m := obs.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan error, 1)
+	go func() {
+		stopped <- NewFollower(client.New(proxy.URL), folReg, defaultTenant, Options{Metrics: m}).Run(ctx)
+	}()
+	select {
+	case err := <-stopped:
+		var re *RestoreError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), "stores nothing") {
+			t.Fatalf("the tailer stopped with %v, want a *RestoreError", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("the tailer never stopped (%d images shipped, %d reconnects)", shipped.Load(), m.CounterValue("repl.follower.reconnects"))
+	}
+	if n, re := shipped.Load(), m.CounterValue("repl.follower.reconnects"); n != 3 || re != 2 {
+		t.Fatalf("%d images shipped and %d reconnects, want 3 and 2", n, re)
+	}
+	var h server.HealthResponse
+	if err := json.Unmarshal(fetch(t, fts.URL, "/healthz"), &h); err != nil {
+		t.Fatal(err)
+	}
+	if cause := h.Stopped[defaultTenant]; !strings.Contains(cause, "stores nothing") {
+		t.Fatalf("follower healthz names %s stopped with %q (%+v)", defaultTenant, cause, h)
+	}
+	resp, err := http.Get(fts.URL + "/v1/db/" + defaultTenant + "/views")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), server.CodeStopped) {
+		t.Fatalf("a read of the stopped tenant: %d %s, want 503 %s", resp.StatusCode, body, server.CodeStopped)
+	}
+}
+
 // TestFollowerConvergenceStress runs concurrent writers against the leader
 // while the follower tails live, then quiesces and asserts byte-identical
 // responses — the shadow-oracle pattern across the replication boundary.

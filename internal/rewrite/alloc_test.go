@@ -15,15 +15,14 @@ import (
 
 // TestAnswerAllocBudget holds Answer to "allocate the answer, not the
 // scans" on the repo benchmark's three plan shapes over its R2–R5 view
-// library: a call may allocate no more bytes than PR 17's executor measured
-// on this document (132,064 / 174,371 / 111,504 with 112-byte row entries;
-// entries are 88 bytes now, so today's figures sit ~15% under). That covers
-// planning, the row headers of a non-driving view and the answer itself,
-// and leaves no room for per-scanned-row copies at pattern width — which
-// cost 692 KB to 1.6 MB before. The budget is absolute because the answer
-// is not the whole bill: the intersect shape's 519-row answer comes with
-// ~1,500 32-byte headers of the view it probes, so a ratio to the answer
-// moves whenever an entry changes size.
+// library: a call may allocate no more bytes than it measured on this
+// document (76,352 / 77,051 / 37,472) plus a tenth. That covers planning
+// and the answer itself, and leaves no room for per-scanned-row copies:
+// at pattern width they cost 692 KB to 1.6 MB, and a side copied as 32-byte
+// row headers — the stitch's ~1,280 R2 rows, the intersect's ~1,280 R2
+// rows — cost 41 KB more (118,115 / 78,536). The budget is absolute
+// because the answer is not the whole bill, so a ratio to the answer would
+// move whenever an entry changes size.
 func TestAnswerAllocBudget(t *testing.T) {
 	d, err := xmltree.ParseString(xmark.Generate(xmark.Config{TargetBytes: 1 << 20, Seed: 2011}))
 	if err != nil {
@@ -43,9 +42,9 @@ func TestAnswerAllocBudget(t *testing.T) {
 		query, kind string
 		budget      int // bytes per call
 	}{
-		{`//open_auction//increase`, "single", 132064},
-		{`//open_auction//bidder//increase`, "stitch", 174371},
-		{`//open_auction[bidder]//initial`, "intersect", 111504},
+		{`//open_auction//increase`, "single", 84000},
+		{`//open_auction//bidder//increase`, "stitch", 85000},
+		{`//open_auction[bidder]//initial`, "intersect", 41500},
 	} {
 		path, err := xpath.Parse(c.query)
 		if err != nil {

@@ -20,9 +20,10 @@
 // rewrite scans whole views, so cost is the total number of rows read.
 //
 // A plan never consults the base document; everything comes from view rows.
-// Its one executor streams answer rows to a sink: Answer collects them, and
-// AppendMatches encodes them as they come, so a served read allocates
-// neither its answer nor its scans (see executor).
+// Its one executor reads the views it joins where they lie and streams
+// answer rows to a sink: Answer collects them, and AppendMatches encodes
+// them as they come, so a served read allocates neither its answer nor its
+// scans, a joined view's included (see executor and side).
 package rewrite
 
 import (
@@ -243,38 +244,76 @@ func project(dst []algebra.RowEntry, outs []outCol, shape *algebra.Shape, src al
 	}
 }
 
-// side is a non-driving piece made probeable on the shared node: its
-// passing rows, ordered by that node's cached ID key. Nothing of a view row
-// is copied — a row here shares the view row's cells. A piece supplying no
-// answer column only multiplies counts, so its rows with equal keys are
-// folded into one carrying the sum of their counts.
+// side is a non-driving piece, searched per driving key on the shared
+// node's cached ID key: its view's rows, read where the view holds them (a
+// RowSlice, or a lender's run) when they ascend by that key — as a chain's
+// rows do on their top node, and on any node whose label does not nest
+// under itself. Otherwise (a label nested under itself, or a source that
+// lends nothing) its passing rows' headers are copied and sorted by the
+// key; the rows' cells are never copied.
 type side struct {
-	rows  []algebra.Row
-	join  int
-	outs  []outCol
-	shape *algebra.Shape // the view's
+	p    *piece
+	rows RowSlice
+	outs []outCol
 }
 
-func (s *side) compare(r algebra.Row, key string) int {
-	return strings.Compare(r.ID(s.join).Key(), key)
-}
+// lender is a RowSource that lends its rows as it holds them, in order: a
+// store.View's run, a core.ViewSnapshot's epoch.
+type lender interface{ RowChunks() RowSlice }
 
 func newSide(p *piece, outs []outCol) side {
-	s := side{rows: make([]algebra.Row, 0, p.view.Rows.Len()), join: p.join, outs: outs, shape: p.m.shape}
+	s := side{p: p, outs: outs}
+	in := false
+	switch rs := p.view.Rows.(type) {
+	case RowSlice:
+		s.rows, in = rs, true
+	case lender:
+		s.rows, in = rs.RowChunks(), true
+	}
+	if in && ascends(s.rows, p.join) {
+		return s
+	}
+	rows := make([]algebra.Row, 0, p.view.Rows.Len())
 	p.view.Rows.Each(func(r algebra.Row) bool {
 		if p.passes(r) {
-			s.rows = append(s.rows, r)
+			rows = append(rows, r)
 		}
 		return true
 	})
-	byKey := func(a, b algebra.Row) int { return s.compare(a, b.ID(s.join).Key()) }
-	if !slices.IsSortedFunc(s.rows, byKey) {
-		slices.SortFunc(s.rows, byKey)
-	}
-	if len(outs) == 0 {
-		s.rows = mergeEqual(s.rows, byKey)
-	}
+	slices.SortStableFunc(rows, func(a, b algebra.Row) int {
+		return strings.Compare(a.ID(p.join).Key(), b.ID(p.join).Key())
+	})
+	s.rows = dewey.ChunksOf(rows)
 	return s
+}
+
+// ascends reports whether rows' keys in column col never descend: one pass,
+// no allocation.
+func ascends(rows RowSlice, col int) bool {
+	prev, ok := "", true
+	rows.Each(func(r algebra.Row) bool {
+		k := r.ID(col).Key()
+		ok, prev = prev <= k, k
+		return ok
+	})
+	return ok
+}
+
+// each calls f with every passing row whose shared node's key is key, in
+// order, until f returns false, and reports whether f never did.
+func (s *side) each(key string, f func(algebra.Row) bool) bool {
+	ok := true
+	s.rows.From(func(r algebra.Row) int { return strings.Compare(r.ID(s.p.join).Key(), key) },
+		func(r algebra.Row) bool {
+			if r.ID(s.p.join).Key() != key {
+				return false
+			}
+			if s.p.passes(r) {
+				ok = f(r)
+			}
+			return ok
+		})
+	return ok
 }
 
 // mergeEqual folds each run of rows equal under cmp into its first row,
@@ -299,10 +338,11 @@ func mergeEqual(rows []algebra.Row, cmp func(a, b algebra.Row) int) []algebra.Ro
 // embeddings of q are exactly the cross product of the pieces' embeddings
 // (the pieces partition the other query nodes), so counts multiply. The
 // piece supplying the most answer columns drives: it is streamed, and every
-// other piece is a side, ordered by the shared node's key and searched per
-// driving row. Answer rows are projected onto q's stored nodes in one
-// reused row of entries, so a run allocates one row header per row of a
-// non-driving view and nothing per row it emits.
+// other piece is a side, searched on the shared node's key per driving row.
+// A side supplying no answer column only multiplies counts: its rows under
+// one key are summed into one count. Answer rows are projected onto q's
+// stored nodes in one reused row of entries, so a run allocates nothing per
+// row it emits, nor per row of a side it reads in place.
 type executor struct {
 	drv   *piece
 	outs  []outCol // the driving piece's answer columns
@@ -349,14 +389,15 @@ func (x *executor) run(emit func(entries []algebra.RowEntry, count int) bool) {
 			return emit(x.cur, count)
 		}
 		s := &x.sides[si]
-		i, _ := slices.BinarySearchFunc(s.rows, key, s.compare)
-		for ; i < len(s.rows) && s.compare(s.rows[i], key) == 0; i++ {
-			project(x.cur, s.outs, s.shape, s.rows[i])
-			if !join(si+1, key, count*s.rows[i].Count) {
-				return false
-			}
+		if len(s.outs) == 0 {
+			sum := 0
+			s.each(key, func(r algebra.Row) bool { sum += r.Count; return true })
+			return sum == 0 || join(si+1, key, count*sum)
 		}
-		return true
+		return s.each(key, func(r algebra.Row) bool {
+			project(x.cur, s.outs, s.p.m.shape, r)
+			return join(si+1, key, count*r.Count)
+		})
 	}
 	d := x.drv
 	d.view.Rows.Each(func(r algebra.Row) bool {

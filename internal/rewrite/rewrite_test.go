@@ -336,6 +336,36 @@ func TestRowSliceSource(t *testing.T) {
 	}
 }
 
+// TestSideReadsItsRunInPlaceWhenItAscends: a side whose view's rows ascend
+// by the join key is read where the view holds them; one whose rows do not
+// — listitems nested under a parlist's listitem — is a sorted copy. Both
+// answer as direct evaluation does.
+func TestSideReadsItsRunInPlaceWhenItAscends(t *testing.T) {
+	fuzzOnce.Do(fuzzSetup)
+	w := fuzzWorlds[2]
+	for _, c := range []struct {
+		query   string
+		inPlace bool
+	}{
+		{`//open_auction{ID}//bidder//increase{ID,val}`, true},
+		{`//open_auction{ID}[//bidder]//initial{ID,val}`, true},
+		{`//parlist//listitem//text{ID,val}`, false},
+	} {
+		q := pattern.MustParse(c.query)
+		plan, err := Compile(q, w.lib)
+		if err != nil || plan.Kind == "single" {
+			t.Fatalf("%s: plan %v, err %v, want a join", c.query, plan, err)
+		}
+		s := plan.executor().sides[0]
+		if inPlace := s.rows == s.p.view.Rows.(RowSlice); inPlace != c.inPlace {
+			t.Errorf("%s (%s): side read in place %v, want %v", c.query, plan.Explain(), inPlace, c.inPlace)
+		}
+		if rows, _ := plan.rows(); !sameRows(rows, algebra.Materialize(w.doc, q)) {
+			t.Errorf("%s (%s): rows differ from direct evaluation", c.query, plan.Explain())
+		}
+	}
+}
+
 func TestNoRewriteFound(t *testing.T) {
 	d := mustDoc(t, doc1)
 	v := mkView(t, d, "v", `//a{ID}//f{ID}`)

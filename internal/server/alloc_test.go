@@ -35,16 +35,16 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 // answer": on a 100 KB XMark tenant carrying the benchmark's view library, a
 // view read and a result-cache hit are an envelope and one Write out of a
 // pooled buffer; an uncached walk allocates its node list; a planned rewrite
-// allocates its plan and the row headers of the views it probes, and streams
+// allocates its plan, reads the views it probes where they lie, and streams
 // its answer into the body without building it; a query's second miss adds
 // the exactly-sized copy the result cache keeps. No class stages a copy of
-// its response. Each budget is 1.5 to 2 times what this path measures, but
-// for stitch and intersect, which sit just under 8 KB; beside it is what the
-// path before measured on the same test — the struct-staging, reflective
-// encoder, and for a planned read the collected answer and the copy the
-// cache kept on every miss — so a budget fails if per-row strings,
-// wire-struct slices, answer rows or full-width join rows come back, or if a
-// one-off query's answer is copied again. The figure held to the budget is the cheapest of 32
+// its response. Each budget is 1.5 to 2 times what this path measures;
+// beside it is what the path before measured on the same test — the
+// struct-staging, reflective encoder, for a planned read the collected
+// answer and the copy the cache kept on every miss, and for a join the row
+// headers of the view it probed, copied per read — so a budget fails if
+// per-row strings, wire-struct slices, answer rows, full-width join rows or
+// copied sides come back, or if a one-off query's answer is copied again. The figure held to the budget is the cheapest of 32
 // reads, the one that found every pool warm: a read that finds one empty
 // regrows a buffer, which sync.Pool makes happen after the goroutine moves
 // to another P and, under the race detector, on a quarter of all Puts by
@@ -101,8 +101,8 @@ func TestReadAllocBudget(t *testing.T) {
 		{"cache-hit", fixed(xpath(`//open_auction//bidder//increase`, "")), 1, 1}, // measures 0.5; was 1.4
 		{"walk", fixed(xpath(`//open_auction//increase`, "&rewrite=0")), 0, 4},    // measures 1.4; was 24.7
 		{"rewrite-single", padded(`//open_auction//increase`), 0, 4},              // measures 2.2; was 21.0
-		{"rewrite-stitch", padded(`//open_auction//bidder//increase`), 0, 8},      // measures 6.4; was 25.8
-		{"rewrite-intersect", padded(`//open_auction[bidder]//initial`), 0, 8},    // measures 7.0; was 17.2
+		{"rewrite-stitch", padded(`//open_auction//bidder//increase`), 0, 5},      // measures 3.2; was 6.4, 25.8
+		{"rewrite-intersect", padded(`//open_auction[bidder]//initial`), 0, 6},    // measures 3.8; was 7.0, 17.2
 		{"rewrite-admit", trailing(`//open_auction//increase`), 1, 20},            // measures 11.6; was 21.0
 	} {
 		reqs := make([]*http.Request, runs+1)

@@ -71,6 +71,8 @@ var xpathCacheSize = 256
 // A tenant that fails to open is kept by name with its error until the
 // process restarts: every route answers it with ErrTenantStopped, and it
 // can be neither created nor dropped, so nothing replaces its directory.
+// On a follower, so is a tenant whose image could not be restored
+// (StopReplica), until the leader drops it.
 type Registry struct {
 	cfg   RegistryConfig
 	m     *serverMetrics
@@ -79,7 +81,7 @@ type Registry struct {
 	mu       sync.RWMutex
 	shards   map[string]*Shard
 	creating map[string]bool  // names reserved by in-flight Creates
-	unopened map[string]error // tenants NewRegistry could not open; never written after
+	unopened map[string]error // tenants NewRegistry could not open, and a follower's StopReplica ones
 	closed   bool
 }
 
@@ -181,6 +183,21 @@ func (r *Registry) DropReplica(name string) {
 	if sh := r.shards[name]; sh != nil && sh.Replica() {
 		delete(r.shards, name)
 	}
+	delete(r.unopened, name)
+}
+
+// StopReplica stops a follower's tenant whose tailer cannot go on: a routed
+// replica keeps serving its last epoch, stopped (Shard.Stop), and a tenant
+// that never had one is kept by name, stopped, as one NewRegistry could not
+// open is, until DropReplica.
+func (r *Registry) StopReplica(name string, cause error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sh := r.shards[name]; sh != nil && sh.Replica() {
+		sh.Stop(cause)
+		return
+	}
+	r.unopened[name] = fmt.Errorf("%w: %w", ErrTenantStopped, cause)
 }
 
 // EngineOptions returns RegistryConfig.WAL.Engine, the options every engine

@@ -85,6 +85,10 @@ func (v *View) Each(f func(algebra.Row) bool) { v.rows.Chunks().Each(f) }
 // RowShape returns the layout of the view's rows.
 func (v *View) RowShape() *algebra.Shape { return v.shape }
 
+// RowChunks returns the rows as they lie, in order, for reading until the
+// view next changes.
+func (v *View) RowChunks() Rows { return v.rows.Chunks() }
+
 // Freeze returns the rows as they stand, for good and in O(1): later
 // changes to the view copy what they touch. moved reports whether the view
 // changed since the Freeze before; if not, this is what that one returned.
